@@ -53,6 +53,13 @@ fn main() {
         ooo.makespan_ms
     );
     println!("makespan reduction {:.1}% (gate: \u{2265}15%) \u{2713}", reduction * 100.0);
+    assert_eq!(in_order.commands_reordered, 0, "the in-order arm reordered commands");
+    assert!(ooo.commands_reordered > 0, "the out-of-order arm reordered nothing");
+    assert!(
+        ooo.lane_overlap.iter().any(|&(_, fraction)| fraction > 0.0),
+        "no device overlapped its copy and compute lanes: {:?}",
+        ooo.lane_overlap
+    );
 
     let json = overlap::to_json(seed, elements, tasks, &[&in_order, &ooo]);
     if let Some(path) = write_report("BENCH_overlap.json", &(json.dump() + "\n")) {

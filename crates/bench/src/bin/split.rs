@@ -48,9 +48,11 @@ fn main() {
     let table = split::table(&unsplit, &arm_refs);
     print_table(&table);
 
+    assert_eq!(unsplit.kernels_split, 0, "the unsplit arm split a launch");
     for p in &arms {
         assert_eq!(unsplit.output_digest, p.output_digest, "{} arm changed buffer contents", p.arm);
         assert!(p.kernels_split > 0, "{} arm never split a launch", p.arm);
+        assert!(p.wgs_per_device.iter().sum::<u64>() > 0, "{} arm recorded empty shares", p.arm);
         assert!(
             p.devices_used >= 2,
             "{} arm ran kernels on only {} device(s)",
@@ -58,6 +60,8 @@ fn main() {
             p.devices_used
         );
     }
+    let chunked = arms.iter().find(|p| p.arm == "chunked").expect("chunked arm ran");
+    assert!(chunked.chunks_stolen > 0, "the chunked arm never stole a chunk");
     println!("result buffers bit-identical across all arms \u{2713}");
     assert_eq!(
         unsplit.trace_fingerprint, replay.trace_fingerprint,

@@ -256,6 +256,9 @@ pub fn violations(points: &[ClusterPoint], kill: &KillPoint) -> Vec<String> {
     if base.achieved_hz <= 0.0 {
         out.push("1-node baseline achieved zero throughput".into());
     }
+    if !points.iter().any(|p| p.nodes == 8) {
+        out.push("sweep is missing the 8-node point".into());
+    }
     for p in points {
         let linear = base.achieved_hz * p.nodes as f64;
         if p.achieved_hz < 0.7 * linear {

@@ -336,6 +336,9 @@ pub fn run(cfg: &ColdConfig) -> Vec<ColdPoint> {
 /// Check the cold-start claims; returns the violations (empty = pass).
 pub fn violations(points: &[ColdPoint]) -> Vec<String> {
     let mut out = Vec::new();
+    if points.len() != 2 {
+        out.push(format!("expected exactly two arms, got {}", points.len()));
+    }
     let Some(base) = points.iter().find(|p| p.label == "profiling_baseline") else {
         return vec!["missing profiling_baseline arm".into()];
     };
@@ -366,7 +369,7 @@ pub fn violations(points: &[ColdPoint]) -> Vec<String> {
     if warm.predictor_fallbacks == 0 {
         out.push("out-of-family probe did not fall back to profiling".into());
     }
-    if warm.refinements == 0 {
+    if warm.refinements == 0 || warm.rel_error_samples.is_empty() {
         out.push("no online refinement observations".into());
     }
     if base.kernels_predicted != 0 || base.predictor_fallbacks != 0 {

@@ -225,6 +225,11 @@ pub fn run(seed: u64, jobs: usize, smoke: bool) -> TracingReport {
 /// Check the acceptance properties; returns the violations (empty = pass).
 pub fn violations(report: &TracingReport) -> Vec<String> {
     let mut out = Vec::new();
+    let mut policies: Vec<&str> = report.points.iter().map(|p| p.policy.as_str()).collect();
+    policies.sort_unstable();
+    if policies != ["auto_fit", "round_robin"] {
+        out.push(format!("expected one point per policy, got {policies:?}"));
+    }
     for p in &report.points {
         if p.jobs_traced == 0 {
             out.push(format!("`{}`: no JobTrace events", p.policy));

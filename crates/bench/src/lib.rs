@@ -21,14 +21,12 @@
 //! | `fig9` | FDM-Seismology mapping sweep + RR + AutoFit |
 //! | `fig10` | FDM-Seismology per-iteration profile amortization |
 //!
-//! The bench targets (`benches/`, run with `cargo bench`) measure the
-//! *wall-clock* cost of the runtime machinery itself (device mapper, DES
-//! engine, profiling pass, workload construction) via the [`timing`]
-//! module — the paper's "negligible scheduling overhead" claim in host
-//! terms.
+//! The *wall-clock* cost of the runtime machinery itself (device mapper,
+//! DES engine, clrt enqueue, telemetry sinks) — the paper's "negligible
+//! scheduling overhead" claim in host terms — is measured by the repo's
+//! one benchmark, the `perf/` package declared in `BENCHMARK.json`.
 
 pub mod experiments;
 pub mod harness;
-pub mod timing;
 
 pub use harness::{fresh_context, fresh_platform, print_table, write_report, Table};

@@ -43,7 +43,7 @@ use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Tag attached to engine trace records produced by dynamic kernel
 /// profiling; the overhead accounting in [`crate::metrics`] keys on it.
@@ -67,7 +67,7 @@ pub enum MapperKind {
     /// Longest-processing-time greedy heuristic — an ablation point showing
     /// what the optimality guarantee buys.
     Greedy,
-    /// Exact search under [`SchedOptions::adaptive_node_budget`] explored
+    /// Exact search under [`DEFAULT_ADAPTIVE_NODE_BUDGET`] explored
     /// nodes; past the budget, falls back to the incumbent (greedy refined
     /// by local search — never worse than greedy). Optimal in the paper's
     /// small-pool regime, bounded decision cost at serving scale.
@@ -112,28 +112,11 @@ pub struct SchedOptions {
     /// replay property the bench harness asserts. Long-lived serving
     /// deployments opt in.
     pub predictor_persist: bool,
-    /// Explored-node budget for [`MapperKind::Adaptive`]: exact search
-    /// gives up and keeps the refined-greedy incumbent after this many
-    /// branch-and-bound nodes. The default (100k nodes, well under a
-    /// millisecond of host time) is far more than the paper's node-scale
-    /// pools ever need, so adaptive == optimal in that regime.
-    pub adaptive_node_budget: u64,
-    /// Worker threads for the per-queue cost-vector computation on warm
-    /// epochs (every queue served from the profile caches). `0` or `1`
-    /// keeps the pass fully sequential; profiling epochs are always
-    /// sequential regardless (profiling charges virtual time and moves
-    /// buffer residency, which must happen in pool order). Defaults to
-    /// `min(4, available_parallelism)`.
-    pub cost_threads: usize,
     /// How `SCHED_SPLITTABLE` queues partition a splittable kernel's
     /// NDRange over the healthy devices (static cost-proportional, fixed
     /// chunks, or HGuided shrinking chunks). The work-stealing assigner
     /// rebalances whatever the partitioner produces.
     pub split_partitioner: SplitPartitioner,
-    /// Smallest launch (in workgroups along the split axis) worth
-    /// splitting: below this the per-chunk launch and gather overhead
-    /// outweighs the parallelism and the kernel runs whole.
-    pub split_min_wgs: u64,
     /// Telemetry observers attached at context creation; each receives
     /// every [`SchedEvent`] the runtime emits. More can be added later via
     /// [`MulticlContext::add_observer`]. When the `MULTICL_DEBUG`
@@ -156,22 +139,39 @@ impl Default for SchedOptions {
             mapper: MapperKind::Optimal,
             predictor_confidence: 0.0,
             predictor_persist: false,
-            adaptive_node_budget: DEFAULT_ADAPTIVE_NODE_BUDGET,
-            cost_threads: std::thread::available_parallelism().map_or(1, |n| n.get()).min(4),
             split_partitioner: SplitPartitioner::Static,
-            split_min_wgs: 8,
             observers: Vec::new(),
         }
     }
 }
 
-/// Default [`SchedOptions::adaptive_node_budget`].
+/// Explored-node budget for [`MapperKind::Adaptive`]: exact search gives up
+/// and keeps the refined-greedy incumbent after this many branch-and-bound
+/// nodes. 100k nodes (well under a millisecond of host time) is far more
+/// than the paper's node-scale pools ever need, so adaptive == optimal in
+/// that regime.
 pub const DEFAULT_ADAPTIVE_NODE_BUDGET: u64 = 100_000;
 
+/// Smallest launch (in workgroups along the split axis) worth splitting:
+/// below this the per-chunk launch and gather overhead outweighs the
+/// parallelism and the kernel runs whole.
+const SPLIT_MIN_WGS: u64 = 8;
+
 /// Pools smaller than this are costed sequentially even when
-/// [`SchedOptions::cost_threads`] allows parallelism — thread hand-off
-/// costs more than a handful of cache lookups.
+/// [`cost_threads`] allows parallelism — thread hand-off costs more than a
+/// handful of cache lookups.
 const PARALLEL_COST_MIN_POOL: usize = 8;
+
+/// Worker threads for the per-queue cost-vector computation on warm epochs
+/// (every queue served from the profile caches): `min(4,
+/// available_parallelism)`, asked of the OS once per process. `1` keeps the
+/// pass fully sequential; profiling epochs are always sequential regardless
+/// (profiling charges virtual time and moves buffer residency, which must
+/// happen in pool order).
+fn cost_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()).min(4))
+}
 
 impl std::fmt::Debug for SchedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -184,10 +184,7 @@ impl std::fmt::Debug for SchedOptions {
             .field("mapper", &self.mapper)
             .field("predictor_confidence", &self.predictor_confidence)
             .field("predictor_persist", &self.predictor_persist)
-            .field("adaptive_node_budget", &self.adaptive_node_budget)
-            .field("cost_threads", &self.cost_threads)
             .field("split_partitioner", &self.split_partitioner)
-            .field("split_min_wgs", &self.split_min_wgs)
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -799,7 +796,7 @@ impl RtInner {
                         mapper::adaptive(
                             &state.costs,
                             warm,
-                            self.options.adaptive_node_budget,
+                            DEFAULT_ADAPTIVE_NODE_BUDGET,
                             &mut state.scratch,
                         ),
                     ),
@@ -1001,7 +998,7 @@ impl RtInner {
 
     /// Cost breakdowns for the whole pool. Warm epochs — every queue's
     /// cost vector available from the profile caches — are pure reads and
-    /// fan out across [`SchedOptions::cost_threads`] scoped workers; any
+    /// fan out across [`cost_threads`] scoped workers; any
     /// queue that needs dynamic profiling forces the fully sequential
     /// legacy path, because profiling charges virtual time and moves
     /// buffer residency in pool order. Either way, telemetry events are
@@ -1014,7 +1011,7 @@ impl RtInner {
         epoch: u64,
         delta: &mut SchedStats,
     ) -> Vec<CostBreakdown> {
-        let threads = self.options.cost_threads.min(pool.len());
+        let threads = cost_threads().min(pool.len());
         let plans: Option<Vec<CostPlan>> = if threads >= 2 && pool.len() >= PARALLEL_COST_MIN_POOL {
             pool.iter()
                 .map(|q| {
@@ -1243,7 +1240,7 @@ impl RtInner {
         }
         let Some(axis) = Self::split_axis(&p.nd) else { return false };
         let units = p.nd.global[axis].div_ceil(p.nd.local[axis]);
-        if units < 2 || units < self.options.split_min_wgs {
+        if units < 2 || units < SPLIT_MIN_WGS {
             return false;
         }
         // Per-device cost of one split unit: the kernel's profiled full

@@ -14,7 +14,8 @@
 //!   explain record: per-device estimated times, migration cost terms, and
 //!   the chosen assignment), [`SchedEvent::QueueMigrated`], and
 //!   [`SchedEvent::EpochEnd`]. Every event serializes to JSON and parses
-//!   back ([`SchedEvent::to_json`] / [`SchedEvent::from_json`]).
+//!   back ([`SchedEvent::to_json`] / [`SchedEvent::from_json`]); the enum
+//!   and its codec are generated from the one table in [`event`].
 //! * [`SchedObserver`] — the hook trait; implementations are attached via
 //!   [`SchedOptions::observers`](crate::SchedOptions) or
 //!   [`MulticlContext::add_observer`](crate::MulticlContext::add_observer).

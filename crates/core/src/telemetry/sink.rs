@@ -8,61 +8,63 @@ use hwsim::sync::Mutex;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Keeps the last `capacity` events in memory. The cheapest way to attach
 /// telemetry to a run and inspect it afterwards.
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
-    events: Mutex<VecDeque<SchedEvent>>,
+    ring: Mutex<Ring>,
+}
+
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<SchedEvent>,
     /// Events discarded because the buffer was full.
-    dropped: Mutex<u64>,
+    dropped: u64,
 }
 
 impl RingBufferSink {
     /// A sink keeping at most `capacity` events (oldest evicted first).
     pub fn new(capacity: usize) -> RingBufferSink {
-        RingBufferSink {
-            capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-            dropped: Mutex::new(0),
-        }
+        RingBufferSink { capacity: capacity.max(1), ring: Mutex::new(Ring::default()) }
     }
 
     /// Copy out the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<SchedEvent> {
-        self.events.lock().iter().cloned().collect()
+        self.ring.lock().events.iter().cloned().collect()
     }
 
     /// Remove and return the buffered events, oldest first.
     pub fn drain(&self) -> Vec<SchedEvent> {
-        self.events.lock().drain(..).collect()
+        self.ring.lock().events.drain(..).collect()
     }
 
     /// Events evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock()
+        self.ring.lock().dropped
     }
 
     /// Number of currently buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.ring.lock().events.len()
     }
 
     /// True if no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.ring.lock().events.is_empty()
     }
 }
 
 impl SchedObserver for RingBufferSink {
     fn on_event(&self, event: &SchedEvent) {
-        let mut events = self.events.lock();
-        if events.len() == self.capacity {
-            events.pop_front();
-            *self.dropped.lock() += 1;
+        let mut ring = self.ring.lock();
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
-        events.push_back(event.clone());
+        ring.events.push_back(event.clone());
     }
 }
 
@@ -71,12 +73,13 @@ impl SchedObserver for RingBufferSink {
 /// does exactly that).
 pub struct JsonlSink {
     writer: Mutex<Box<dyn Write + Send>>,
+    write_errors: AtomicU64,
 }
 
 impl JsonlSink {
     /// Wrap any writer.
     pub fn new(writer: impl Write + Send + 'static) -> JsonlSink {
-        JsonlSink { writer: Mutex::new(Box::new(writer)) }
+        JsonlSink { writer: Mutex::new(Box::new(writer)), write_errors: AtomicU64::new(0) }
     }
 
     /// Create (truncating) a JSONL file at `path`.
@@ -87,6 +90,11 @@ impl JsonlSink {
     /// Flush the underlying writer.
     pub fn flush(&self) -> std::io::Result<()> {
         self.writer.lock().flush()
+    }
+
+    /// Events lost because writing them failed.
+    pub fn write_errors(&self) -> u64 {
+        self.write_errors.load(Ordering::Relaxed)
     }
 }
 
@@ -104,10 +112,14 @@ impl Drop for JsonlSink {
 
 impl SchedObserver for JsonlSink {
     fn on_event(&self, event: &SchedEvent) {
-        let mut w = self.writer.lock();
+        let mut line = event.to_json().dump();
+        line.push('\n');
         // Telemetry must never take the runtime down: I/O errors are
-        // swallowed (the writer stays usable for later events).
-        let _ = writeln!(w, "{}", event.to_json().dump());
+        // counted, not propagated. One write per event, so a failure loses
+        // that event only and leaves no half line in front of the next.
+        if self.writer.lock().write_all(line.as_bytes()).is_err() {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -161,9 +173,45 @@ impl SchedObserver for StderrSink {
 mod tests {
     use super::*;
     use hwsim::{DeviceId, SimDuration, SimTime};
+    use std::sync::Arc;
 
     fn ev(epoch: u64) -> SchedEvent {
         SchedEvent::CacheHit { epoch, key: format!("k{epoch}") }
+    }
+
+    /// A writer into a shared buffer; optionally every other `write` call
+    /// (the 1st, 3rd, ...) fails without writing anything.
+    struct Shared {
+        buf: Arc<Mutex<Vec<u8>>>,
+        fail_every_other: bool,
+        calls: u64,
+    }
+
+    /// Drive `events` through a [`JsonlSink`]; returns the text that landed
+    /// and the sink's write-error count.
+    fn through_jsonl(events: &[SchedEvent], fail_every_other: bool) -> (String, u64) {
+        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
+        let sink = JsonlSink::new(Shared { buf: buf.clone(), fail_every_other, calls: 0 });
+        for e in events {
+            sink.on_event(e);
+        }
+        sink.flush().unwrap();
+        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        (text, sink.write_errors())
+    }
+
+    impl Write for Shared {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.fail_every_other && self.calls % 2 == 1 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.buf.lock().extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -204,23 +252,7 @@ mod tests {
                 lane_overlap: vec![],
             },
         ];
-        let buf = std::sync::Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct Shared(std::sync::Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonlSink::new(Shared(buf.clone()));
-        for e in &events {
-            sink.on_event(e);
-        }
-        sink.flush().unwrap();
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        let (text, _) = through_jsonl(&events, false);
         assert_eq!(text.lines().count(), 3);
         assert_eq!(parse_jsonl(&text), Some(events));
     }
@@ -232,25 +264,18 @@ mod tests {
         // SchedEvent variant (the shared sample set asserts exhaustiveness)
         // through the sink and the parser.
         let events = crate::telemetry::event::sample_events();
-        let buf = std::sync::Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct Shared(std::sync::Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonlSink::new(Shared(buf.clone()));
-        for e in &events {
-            sink.on_event(e);
-        }
-        sink.flush().unwrap();
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        let (text, _) = through_jsonl(&events, false);
         assert_eq!(text.lines().count(), events.len());
         assert_eq!(parse_jsonl(&text), Some(events));
+    }
+
+    #[test]
+    fn jsonl_counts_failed_writes_and_keeps_writing() {
+        let events: Vec<SchedEvent> = (1..=5).map(ev).collect();
+        let (text, write_errors) = through_jsonl(&events, true);
+        // Events 1, 3 and 5 hit the failing calls; 2 and 4 land as whole lines.
+        assert_eq!(write_errors, 3);
+        assert_eq!(parse_jsonl(&text), Some(vec![ev(2), ev(4)]));
     }
 
     #[test]
