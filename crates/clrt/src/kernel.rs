@@ -242,21 +242,21 @@ pub struct KernelCtx<'a> {
 }
 
 impl<'a> KernelCtx<'a> {
-    /// Lock the buffers referenced by `args` and build the context.
-    /// Duplicate references to the same buffer share one lock.
+    /// [`KernelCtx::with_offset`] at offset zero.
+    #[cfg(test)]
+    pub(crate) fn new(nd: NdRange, device: DeviceId, args: &'a [ArgValue]) -> KernelCtx<'a> {
+        KernelCtx::with_offset(nd, device, [0, 0, 0], args)
+    }
+
+    /// Lock the buffers referenced by `args` (duplicate references share
+    /// one lock) and build the context. `global_offset` is
+    /// `clEnqueueNDRangeKernel`'s `global_work_offset`, nonzero for a
+    /// sub-range launch: splittable bodies add it to their indices.
     ///
     /// Locks are acquired in canonical (buffer-id) order, not argument
     /// order: concurrent data-plane tasks may *read* overlapping buffer
     /// sets (writers are serialized by the hazard DAG), and a fixed global
     /// lock order keeps reader/reader store locking deadlock-free.
-    pub(crate) fn new(nd: NdRange, device: DeviceId, args: &'a [ArgValue]) -> KernelCtx<'a> {
-        KernelCtx::with_offset(nd, device, [0, 0, 0], args)
-    }
-
-    /// As [`KernelCtx::new`], but with a nonzero global work-item offset —
-    /// the sub-range launch form (`clEnqueueNDRangeKernel`'s
-    /// `global_work_offset`). Splittable bodies add the offset to their
-    /// work-item/workgroup indices.
     pub(crate) fn with_offset(
         nd: NdRange,
         device: DeviceId,

@@ -477,6 +477,20 @@ impl CommandQueue {
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
     }
 
+    /// The device-independent half of launch validation: the kernel and
+    /// every buffer argument must belong to this queue's context. Layers
+    /// that buffer launches for a later flush call this at enqueue time, so
+    /// a foreign object is a typed error there and never reaches the flush.
+    pub fn validate_launch(&self, kernel: &Kernel, args: &[ArgValue]) -> ClResult<()> {
+        if kernel.ctx_id() != self.inner.ctx.id {
+            return Err(ClError::InvalidContext(format!(
+                "kernel `{}` belongs to a different context",
+                kernel.name()
+            )));
+        }
+        args.iter().filter_map(ArgValue::buffer).try_for_each(|b| self.check_buffer(b))
+    }
+
     /// `clEnqueueNDRangeKernel`: migrate buffer arguments to this queue's
     /// device, charge the kernel's modeled execution time, and run the body.
     ///
@@ -504,113 +518,7 @@ impl CommandQueue {
         args: &[ArgValue],
         waits: &[Event],
     ) -> ClResult<Event> {
-        if kernel.ctx_id() != self.inner.ctx.id {
-            return Err(ClError::InvalidContext(format!(
-                "kernel `{}` belongs to a different context",
-                kernel.name()
-            )));
-        }
-        nd.validate()?;
-        let dev = self.device();
-        let effective = kernel.effective_nd(dev, nd);
-        effective.validate()?;
-        let spec = self.inner.ctx.rt.node.spec(dev);
-        // Capacity check: every buffer argument must fit in device memory.
-        for (i, a) in args.iter().enumerate() {
-            if let Some(b) = a.buffer() {
-                self.check_buffer(b)?;
-                if b.byte_len() as u64 > spec.mem_capacity {
-                    return Err(ClError::MemObjectAllocationFailure(format!(
-                        "kernel `{}` arg {i}: buffer of {} bytes exceeds device {} memory",
-                        kernel.name(),
-                        b.byte_len(),
-                        dev
-                    )));
-                }
-            }
-        }
-        let cost = kernel.cost();
-        let duration = cost.kernel_time(spec, effective.shape());
-        // Deduplicated buffer accesses (a buffer passed both mutably and
-        // immutably counts as a write): shared by the time-plane hazard
-        // tracker and the data-plane executor below.
-        let mut accesses: Vec<Access<'_>> = Vec::with_capacity(args.len());
-        for a in args {
-            if let Some(b) = a.buffer() {
-                match accesses.iter_mut().find(|u| u.buf.same_object(b)) {
-                    Some(u) => u.write |= a.is_mutable_buffer(),
-                    None => accesses.push(if a.is_mutable_buffer() {
-                        Access::write(b)
-                    } else {
-                        Access::read(b)
-                    }),
-                }
-            }
-        }
-        let ev = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let mut chain: Vec<EventId> = waits.iter().map(Event::raw).collect();
-            for a in args {
-                if let Some(b) = a.buffer() {
-                    if let Some(t) = self.migrate_to(&mut engine, b, dev) {
-                        chain.push(t);
-                    }
-                }
-            }
-            // Virtual-time hazards (out-of-order queues only): wait on each
-            // argument's RAW/WAR/WAW predecessors instead of the chain.
-            if self.inner.ooo {
-                for u in &accesses {
-                    Self::stamp_consult(u.buf, u.write, &mut chain);
-                }
-            }
-            let id = self.submit(
-                &mut engine,
-                dev,
-                CommandKind::Kernel { name: Arc::from(kernel.name().as_str()) },
-                duration,
-                &chain,
-            );
-            for u in &accesses {
-                Self::stamp_record(&engine, u.buf, id, u.write);
-            }
-            id
-        };
-        // Data plane: run the body exactly once, outside the engine lock.
-        // Hazards come from the deduplicated buffer argument set; explicit
-        // event waits order the task after the tasks backing those events.
-        let plane = Arc::clone(self.plane());
-        if plane.is_inline() {
-            plane.note_inline(&accesses);
-            let mut ctx = KernelCtx::new(effective, dev, args);
-            kernel.body().execute(&mut ctx);
-        } else {
-            let wait_events: Vec<usize> = waits.iter().map(|e| e.raw().0).collect();
-            let body = Arc::clone(kernel.body());
-            let owned_args: Vec<ArgValue> = args.to_vec();
-            let t = plane.submit(
-                &accesses,
-                &self.chain_deps(),
-                &wait_events,
-                Some(ev.0),
-                Box::new(move || {
-                    let mut ctx = KernelCtx::new(effective, dev, &owned_args);
-                    body.execute(&mut ctx);
-                }),
-            );
-            self.record_task(t);
-        }
-        // Residency: written buffers are now valid only on this device.
-        for a in args {
-            if a.is_mutable_buffer() {
-                let b = a.buffer().expect("mutable arg has a buffer");
-                let mut res = b.inner.residency.lock();
-                res.devices.clear();
-                res.devices.insert(dev);
-                res.host = false;
-            }
-        }
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        self.launch(kernel, nd, None, args, waits)
     }
 
     /// Sub-range launch of a splittable kernel (the split scheduler's
@@ -638,24 +546,37 @@ impl CommandQueue {
         args: &[ArgValue],
         waits: &[Event],
     ) -> ClResult<Event> {
-        if kernel.ctx_id() != self.inner.ctx.id {
-            return Err(ClError::InvalidContext(format!(
-                "kernel `{}` belongs to a different context",
-                kernel.name()
-            )));
-        }
-        chunk.validate()?;
+        self.launch(kernel, chunk, Some(global_offset), args, waits)
+    }
+
+    /// The one kernel-launch body. `chunk_offset` is `None` for a whole
+    /// launch and the sub-range's global offset for a chunk; everything a
+    /// chunk does differently (see [`Self::enqueue_ndrange_chunk`]) keys on
+    /// it.
+    fn launch(
+        &self,
+        kernel: &Kernel,
+        nd: NdRange,
+        chunk_offset: Option<[u64; 3]>,
+        args: &[ArgValue],
+        waits: &[Event],
+    ) -> ClResult<Event> {
+        self.validate_launch(kernel, args)?;
+        nd.validate()?;
         let dev = self.device();
-        let effective = if kernel.has_work_group_info(dev) {
-            NdRange::d3(chunk.global, kernel.effective_nd(dev, chunk).local)
+        let whole = chunk_offset.is_none();
+        let effective = if whole {
+            kernel.effective_nd(dev, nd)
+        } else if kernel.has_work_group_info(dev) {
+            NdRange::d3(nd.global, kernel.effective_nd(dev, nd).local)
         } else {
-            chunk
+            nd
         };
         effective.validate()?;
         let spec = self.inner.ctx.rt.node.spec(dev);
+        // Capacity check: every buffer argument must fit in device memory.
         for (i, a) in args.iter().enumerate() {
             if let Some(b) = a.buffer() {
-                self.check_buffer(b)?;
                 if b.byte_len() as u64 > spec.mem_capacity {
                     return Err(ClError::MemObjectAllocationFailure(format!(
                         "kernel `{}` arg {i}: buffer of {} bytes exceeds device {} memory",
@@ -667,6 +588,9 @@ impl CommandQueue {
             }
         }
         let duration = kernel.cost().kernel_time(spec, effective.shape());
+        // Deduplicated buffer accesses (a buffer passed both mutably and
+        // immutably counts as a write): shared by the time-plane hazard
+        // tracker and the data-plane executor below.
         let mut accesses: Vec<Access<'_>> = Vec::with_capacity(args.len());
         for a in args {
             if let Some(b) = a.buffer() {
@@ -690,10 +614,13 @@ impl CommandQueue {
                     }
                 }
             }
+            // Virtual-time hazards (out-of-order queues only): wait on each
+            // argument's RAW/WAR/WAW predecessors instead of the chain. A
+            // chunk consults and records as a reader only — sibling chunks
+            // are mutually unordered.
             if self.inner.ooo {
-                // Reads only: sibling chunks are mutually unordered.
                 for u in &accesses {
-                    Self::stamp_consult(u.buf, false, &mut chain);
+                    Self::stamp_consult(u.buf, u.write && whole, &mut chain);
                 }
             }
             let id = self.submit(
@@ -704,13 +631,17 @@ impl CommandQueue {
                 &chain,
             );
             for u in &accesses {
-                Self::stamp_record(&engine, u.buf, id, false);
+                Self::stamp_record(&engine, u.buf, id, u.write && whole);
             }
             id
         };
-        // Data plane: sub-range body execution. Written buffers still take a
-        // write hazard (chunks serialize in wall-clock, not virtual time —
-        // they share the buffer's store lock anyway), keeping results exact.
+        // Data plane: run the body exactly once, outside the engine lock.
+        // Hazards come from the deduplicated buffer argument set; explicit
+        // event waits order the task after the tasks backing those events.
+        // A chunk's written buffers still take a write hazard (chunks
+        // serialize in wall-clock, not virtual time — they share the
+        // buffer's store lock anyway), keeping results exact.
+        let global_offset = chunk_offset.unwrap_or_default();
         let plane = Arc::clone(self.plane());
         if plane.is_inline() {
             plane.note_inline(&accesses);
@@ -732,6 +663,19 @@ impl CommandQueue {
                 }),
             );
             self.record_task(t);
+        }
+        // Residency: written buffers are now valid only on this device. A
+        // chunk leaves residency to `enqueue_split_join`.
+        if whole {
+            for a in args {
+                if a.is_mutable_buffer() {
+                    let b = a.buffer().expect("mutable arg has a buffer");
+                    let mut res = b.inner.residency.lock();
+                    res.devices.clear();
+                    res.devices.insert(dev);
+                    res.host = false;
+                }
+            }
         }
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
     }

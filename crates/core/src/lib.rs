@@ -642,6 +642,54 @@ mod tests {
     }
 
     #[test]
+    fn foreign_context_launch_is_rejected_at_enqueue_time() {
+        // A launch mixing objects of two contexts used to be buffered with
+        // `Ok(())` and then panic the next scheduling pass (holding the
+        // pass lock). It must come back as a typed error at enqueue time,
+        // leave nothing buffered, and leave the queue usable.
+        let platform = Platform::paper_node();
+        let mk = |tag: &str| {
+            MulticlContext::with_options(
+                &platform,
+                ContextSchedPolicy::AutoFit,
+                scratch_options(tag),
+            )
+            .unwrap()
+        };
+        let (ctx_a, ctx_b) = (mk("foreign-a"), mk("foreign-b"));
+        let kernel_of = |ctx: &MulticlContext| {
+            let prog =
+                ctx.create_program(vec![Arc::new(GpuFriendly) as Arc<dyn KernelBody>]).unwrap();
+            prog.create_kernel("gpu_friendly").unwrap()
+        };
+        let nd = clrt::NdRange::d1(256, 64);
+        let q = ctx_a.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC).unwrap();
+
+        // A kernel of this context bound to a buffer of the other one.
+        let k = kernel_of(&ctx_a);
+        k.set_arg(0, ArgValue::BufferMut(ctx_b.create_buffer_of::<f64>(256).unwrap())).unwrap();
+        let err = q.enqueue_ndrange(&k, nd).unwrap_err();
+        assert!(matches!(err, clrt::ClError::InvalidMemObject(_)), "{err:?}");
+
+        // A kernel of the other context (with its own buffer).
+        let foreign = kernel_of(&ctx_b);
+        foreign
+            .set_arg(0, ArgValue::BufferMut(ctx_b.create_buffer_of::<f64>(256).unwrap()))
+            .unwrap();
+        let err = q.enqueue_ndrange(&foreign, nd).unwrap_err();
+        assert!(matches!(err, clrt::ClError::InvalidContext(_)), "{err:?}");
+
+        assert_eq!(q.pending_len(), 0, "a rejected launch must not be buffered");
+        q.finish();
+        // The queue still works for a well-formed launch.
+        let own = ctx_a.create_buffer_of::<f64>(256).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(own.clone())).unwrap();
+        q.enqueue_ndrange(&k, nd).unwrap();
+        q.finish();
+        assert!(own.host_snapshot::<f64>().iter().all(|&v| v == 2.0));
+    }
+
+    #[test]
     fn work_group_info_free_function_matches_method() {
         let (_platform, ctx) = setup(ContextSchedPolicy::AutoFit, "wgi");
         let prog = ctx.create_program(vec![Arc::new(GpuFriendly) as Arc<dyn KernelBody>]).unwrap();

@@ -37,13 +37,13 @@ use clrt::{
     ArgValue, Buffer, CommandQueue, Context, Event, Kernel, KernelBody, NdRange, Platform, Program,
 };
 use hwsim::cost::{KernelCostSpec, NdRangeShape};
-use hwsim::engine::CommandKind;
+use hwsim::engine::{CommandDesc, CommandKind, Engine};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 /// Tag attached to engine trace records produced by dynamic kernel
 /// profiling; the overhead accounting in [`crate::metrics`] keys on it.
@@ -156,22 +156,6 @@ pub const DEFAULT_ADAPTIVE_NODE_BUDGET: u64 = 100_000;
 /// below this the per-chunk launch and gather overhead outweighs the
 /// parallelism and the kernel runs whole.
 const SPLIT_MIN_WGS: u64 = 8;
-
-/// Pools smaller than this are costed sequentially even when
-/// [`cost_threads`] allows parallelism — thread hand-off costs more than a
-/// handful of cache lookups.
-const PARALLEL_COST_MIN_POOL: usize = 8;
-
-/// Worker threads for the per-queue cost-vector computation on warm epochs
-/// (every queue served from the profile caches): `min(4,
-/// available_parallelism)`, asked of the OS once per process. `1` keeps the
-/// pass fully sequential; profiling epochs are always sequential regardless
-/// (profiling charges virtual time and moves buffer residency, which must
-/// happen in pool order).
-fn cost_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()).min(4))
-}
 
 impl std::fmt::Debug for SchedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -636,7 +620,10 @@ impl RtInner {
         }
     }
 
-    /// The scheduler proper: runs at every synchronization trigger.
+    /// The scheduler proper: runs at every synchronization trigger. One
+    /// pass is a fixed sequence of phases — partition the pool, read device
+    /// health, assign, announce+rebind+flush, attribute and refine, close
+    /// the epoch — and every queue takes the same path through each.
     ///
     /// Stats are accumulated into a local delta and applied under a single
     /// `stats` lock per pass — the epoch hot path takes no per-queue or
@@ -645,24 +632,16 @@ impl RtInner {
         // One pass at a time: concurrent submitters (e.g. the serving
         // layer's front-end threads) may all hit a trigger; the second one
         // waits and then finds the pool already drained, which is correct.
-        let _pass = self.pass_lock.lock();
+        let _one_pass = self.pass_lock.lock();
         let mut delta = SchedStats::default();
-        let queues = self.alive_queues();
-        let mut pool: Vec<Arc<QueueState>> = Vec::new();
-        let mut passthrough: Vec<Arc<QueueState>> = Vec::new();
-        for q in queues {
-            if q.pending.lock().is_empty() {
-                continue;
-            }
-            if q.participates() {
-                pool.push(q);
-            } else {
-                passthrough.push(q);
-            }
-        }
+        let (pool, passthrough): (Vec<_>, Vec<_>) = self
+            .alive_queues()
+            .into_iter()
+            .filter(|q| !q.pending.lock().is_empty())
+            .partition(|q| q.participates());
         // Non-participating queues flush to their current binding.
         for q in &passthrough {
-            delta.kernels_issued += self.flush_queue(q);
+            self.flush(&[q], None, &mut delta);
         }
         if pool.is_empty() {
             self.apply_stats(&delta);
@@ -677,266 +656,20 @@ impl RtInner {
             pool: pool.len(),
             policy: self.policy.to_string(),
         });
-        let devices = self.cl.devices().to_vec();
-        // Per-device health for this pass: a device is lost once the fault
-        // plan's loss instant has passed on the virtual clock. Epoch
-        // boundaries are the recovery points — the pass blacklists lost
-        // devices below and evacuates their queues through the normal
-        // mapping machinery, so recovery cost is charged like any other
-        // migration.
-        let lost: Vec<bool> =
-            self.platform.with_engine(|e| devices.iter().map(|&d| e.device_lost(d)).collect());
-        let any_healthy = lost.iter().any(|&l| !l);
-        {
-            let mut announced = self.down_announced.lock();
-            for (&dev, &is_lost) in devices.iter().zip(&lost) {
-                if is_lost && !announced.contains(&dev) {
-                    announced.push(dev);
-                    delta.devices_lost += 1;
-                    self.emit(&SchedEvent::DeviceDown {
-                        epoch,
-                        device: dev,
-                        at: self.platform.now(),
-                    });
-                }
-            }
-        }
-        // Virtual time the pass spends obtaining cost vectors (dynamic
-        // profiling and its staging transfers are the only clock-advancing
-        // work before the flush).
-        let mut profiling = SimDuration::ZERO;
-        // The scheduler's own objective for this epoch, for the
-        // predicted-vs-actual attribution emitted after the flush.
-        let mut predicted: Option<SimDuration> = None;
-        let assignment: Vec<DeviceId> = match self.policy {
-            ContextSchedPolicy::RoundRobin => {
-                // "Schedules the command queue to the next available device
-                // when the scheduler is triggered" (§IV-A) — each queue is
-                // bound once, the first time it reaches the scheduler, and
-                // keeps that binding (re-rotating every epoch would thrash
-                // data between devices).
-                pool.iter()
-                    .map(|q| {
-                        let bound = q.rr_bound.swap(true, Ordering::Relaxed);
-                        let current = q.cl.device();
-                        let current_lost =
-                            devices.iter().position(|&d| d == current).is_some_and(|i| lost[i]);
-                        if bound && !current_lost {
-                            return current;
-                        }
-                        if !any_healthy {
-                            // Nothing to recover onto; keep the binding and
-                            // let the commands fail with a typed status.
-                            return current;
-                        }
-                        // First binding, or a re-bind off a lost device:
-                        // rotate to the next *healthy* device.
-                        loop {
-                            let i = self.rr_next.fetch_add(1, Ordering::Relaxed) % devices.len();
-                            if !lost[i] {
-                                return devices[i];
-                            }
-                        }
-                    })
-                    .collect()
-            }
-            ContextSchedPolicy::AutoFit => {
-                let breakdowns = self.pool_breakdowns(&pool, &devices, epoch, &mut delta);
-                profiling = self.platform.now().saturating_since(began);
-                let mut state = self.mapper_state.lock();
-                let state = &mut *state;
-                // Reuse the cost-matrix rows across epochs: the steady
-                // state re-fills them without allocating.
-                state.costs.resize_with(breakdowns.len(), Vec::new);
-                for (row, b) in state.costs.iter_mut().zip(&breakdowns) {
-                    b.totals_into(row);
-                }
-                // Blacklist lost devices by overwriting their columns with
-                // the sentinel: every mapper variant then avoids them while
-                // the matrix keeps its global device indexing (explain
-                // records, warm starts). With zero healthy devices the
-                // matrix is left untouched — the assignment is moot, the
-                // commands all fail with a typed status, and an all-sentinel
-                // matrix would only distort the explain records.
-                if any_healthy && lost.iter().any(|&l| l) {
-                    for row in state.costs.iter_mut() {
-                        for (c, &l) in row.iter_mut().zip(&lost) {
-                            if l {
-                                *c = mapper::UNAVAILABLE_COST;
-                            }
-                        }
-                    }
-                }
-                // Warm start: each queue's current binding — exactly the
-                // previous epoch's assignment for queues that stayed in the
-                // pool. Positions are column indices into `devices`.
-                state.warm.clear();
-                let warm_valid = pool.iter().all(|q| {
-                    devices.iter().position(|&d| d == q.cl.device()).is_some_and(|i| {
-                        state.warm.push(DeviceId(i));
-                        true
-                    })
-                });
-                let warm = warm_valid.then_some(state.warm.as_slice());
-                let mapper_began = std::time::Instant::now();
-                let (mapper_name, outcome) = match self.options.mapper {
-                    MapperKind::Optimal => {
-                        ("optimal", mapper::optimal_with(&state.costs, warm, &mut state.scratch))
-                    }
-                    MapperKind::Greedy => (
-                        "greedy",
-                        mapper::SearchOutcome {
-                            mapping: mapper::greedy(&state.costs),
-                            nodes_explored: 0,
-                            budget_tripped: false,
-                        },
-                    ),
-                    MapperKind::Adaptive => (
-                        "adaptive",
-                        mapper::adaptive(
-                            &state.costs,
-                            warm,
-                            DEFAULT_ADAPTIVE_NODE_BUDGET,
-                            &mut state.scratch,
-                        ),
-                    ),
-                };
-                let mapper_wall = SimDuration::from_nanos(
-                    mapper_began.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-                let mapping = outcome.mapping;
-                let decisions: Vec<QueueDecision> = pool
-                    .iter()
-                    .zip(&breakdowns)
-                    .zip(&mapping.assignment)
-                    .map(|((q, b), &dev)| QueueDecision {
-                        queue: q.id,
-                        exec_estimates: b.exec.clone(),
-                        migration_costs: b.migration.clone(),
-                        overlap_estimates: b.overlap.clone().unwrap_or_default(),
-                        chosen: devices[dev.index()],
-                        previous: q.cl.device(),
-                    })
-                    .collect();
-                self.emit(&SchedEvent::MappingDecision {
-                    epoch,
-                    at: self.platform.now(),
-                    mapper: mapper_name.to_string(),
-                    makespan: mapping.makespan,
-                    nodes_explored: outcome.nodes_explored,
-                    budget_tripped: outcome.budget_tripped,
-                    mapper_wall,
-                    queues: decisions,
-                });
-                predicted = Some(mapping.makespan);
-                mapping.assignment.iter().map(|d| devices[d.index()]).collect()
-            }
+        let pass = self.device_health(epoch, &mut delta);
+        let Assignment { devices: assignment, predicted, profiling } = match self.policy {
+            ContextSchedPolicy::RoundRobin => self.assign_round_robin(&pool, &pass),
+            ContextSchedPolicy::AutoFit => self.assign_auto_fit(&pool, &pass, began, &mut delta),
         };
-        if predicted.is_none() {
-            // ROUND_ROBIN publishes no objective, but the attribution still
-            // wants a prediction to hold it accountable to. Use the warm
-            // profile caches when they cover a queue and fall back to the
-            // §V-B static model otherwise — pure reads either way, so the
-            // prediction never perturbs the virtual clock or event stream.
-            let mut per_device = vec![SimDuration::ZERO; devices.len()];
-            for (q, dev) in pool.iter().zip(&assignment) {
-                let plan = self.classify(q);
-                let b =
-                    if matches!(plan, CostPlan::Hit(_) | CostPlan::Compose(_) | CostPlan::Static) {
-                        self.cached_breakdown(q, &plan, &devices)
-                    } else {
-                        let pending = q.pending.lock();
-                        CostBreakdown {
-                            exec: self.static_costs(q, &pending, &devices),
-                            migration: self.migration_vec(q, &pending, &devices),
-                            overlap: None,
-                        }
-                    };
-                if let Some(i) = devices.iter().position(|d| d == dev) {
-                    per_device[i] += b.total(i);
-                }
-            }
-            predicted = per_device.into_iter().max();
-        }
-        // Snapshot what the predictor needs to learn from this flush: each
-        // distinct kernel's descriptor and first-seen launch geometry (the
-        // same approximation as the name-keyed profile cache), captured
-        // before the flush drains the pending lists.
-        let refine_index: HashMap<String, (Kernel, NdRange, u64)> =
-            if self.options.predictor_confidence > 0.0 {
-                let mut index = HashMap::new();
-                for q in &pool {
-                    for p in q.pending.lock().iter() {
-                        index
-                            .entry(p.kernel.name())
-                            .or_insert_with(|| (p.kernel.clone(), p.nd, pending_arg_bytes(p)));
-                    }
-                }
-                index
-            } else {
-                HashMap::new()
-            };
+        let refine_index = self.refine_snapshot(&pool);
         // Engine trace records carry their final stamps at submit time, so
         // the executed critical path of this epoch's flush is known as soon
         // as the issue loop returns: everything pushed past this watermark
         // belongs to the pool flush (migration transfers included).
         let flush_start = self.platform.now();
         let trace_offset = self.platform.with_engine(|e| e.trace().total_pushed());
-        let mut pool_issued = 0;
-        // Out-of-order queues are flushed as one cross-queue batch after the
-        // in-order queues, so the reorderer sees every OOO command of the
-        // epoch; rebinds and migration events still happen per queue below.
-        let mut ooo_group: Vec<usize> = Vec::new();
-        for (i, (q, dev)) in pool.iter().zip(&assignment).enumerate() {
-            let previous = q.cl.device();
-            if previous != *dev {
-                let bytes = {
-                    let pending = q.pending.lock();
-                    self.pending_nonresident_bytes(&pending, *dev)
-                };
-                let from_lost =
-                    devices.iter().position(|&d| d == previous).is_some_and(|i| lost[i]);
-                if from_lost {
-                    // Fault-driven evacuation, not a cost-driven migration —
-                    // telemetry keeps the two apart (recovery latency is
-                    // measured DeviceDown → Remapped).
-                    delta.queues_remapped += 1;
-                    self.emit(&SchedEvent::Remapped {
-                        epoch,
-                        queue: q.id,
-                        from: previous,
-                        to: *dev,
-                        bytes,
-                        at: self.platform.now(),
-                    });
-                } else {
-                    self.emit(&SchedEvent::QueueMigrated {
-                        epoch,
-                        queue: q.id,
-                        from: previous,
-                        to: *dev,
-                        bytes,
-                        at: self.platform.now(),
-                    });
-                }
-            }
-            q.cl.rebind(*dev).expect("mapper chose a context device");
-            if q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
-                ooo_group.push(i);
-            } else if q.flags.contains(QueueSchedFlags::SCHED_SPLITTABLE) {
-                pool_issued += self.flush_split_queue(q, &devices, &lost, epoch, &mut delta);
-            } else {
-                pool_issued += self.flush_queue(q);
-            }
-        }
-        let mut commands_reordered = 0;
-        if !ooo_group.is_empty() {
-            let (issued, reordered) = self.flush_ooo_group(&pool, &assignment, &ooo_group);
-            pool_issued += issued;
-            commands_reordered = reordered;
-        }
-        delta.kernels_issued += pool_issued;
-        delta.commands_reordered += commands_reordered;
+        let passthrough_issued = delta.kernels_issued;
+        self.rebind_and_flush(&pool, &assignment, &pass, &mut delta);
         self.apply_stats(&delta);
         // Predicted-vs-actual makespan attribution: the mapper's objective
         // against the executed critical path of the commands it just issued.
@@ -956,7 +689,7 @@ impl RtInner {
         // predictor before the epoch closes, so the decision log can
         // summarize predicted-vs-actual error per epoch.
         if !refine_index.is_empty() {
-            self.refine_predictor(&refine_index, &devices, trace_offset, epoch);
+            self.refine_predictor(&refine_index, &pass.devices, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
@@ -964,19 +697,260 @@ impl RtInner {
         // per device (0.0 where a device saw one lane or none).
         let lane_overlap: Vec<f64> = self.platform.with_engine(|e| {
             let lanes = hwsim::report::lane_utilization_of(e.trace().records_since(trace_offset));
-            devices.iter().map(|d| lanes.get(d).map_or(0.0, |l| l.overlap_fraction())).collect()
+            pass.devices
+                .iter()
+                .map(|d| lanes.get(d).map_or(0.0, |l| l.overlap_fraction()))
+                .collect()
         });
         self.emit(&SchedEvent::EpochEnd {
             epoch,
             at: done,
             elapsed: done.saturating_since(began),
             profiling,
-            kernels_issued: pool_issued,
+            kernels_issued: delta.kernels_issued - passthrough_issued,
             data_queue_depth: dp.queue_depth,
             data_peak_busy: dp.peak_busy_workers,
-            commands_reordered,
+            commands_reordered: delta.commands_reordered,
             lane_overlap,
         });
+    }
+
+    /// Device-health phase: a device is lost once the fault plan's loss
+    /// instant has passed on the virtual clock. Epoch boundaries are the
+    /// recovery points — the pass blacklists lost devices and evacuates
+    /// their queues through the normal mapping machinery, so recovery cost
+    /// is charged like any other migration. Each loss is announced once.
+    fn device_health(&self, epoch: u64, delta: &mut SchedStats) -> Pass {
+        let devices = self.cl.devices().to_vec();
+        let lost: Vec<bool> =
+            self.platform.with_engine(|e| devices.iter().map(|&d| e.device_lost(d)).collect());
+        let mut announced = self.down_announced.lock();
+        for (&dev, &is_lost) in devices.iter().zip(&lost) {
+            if is_lost && !announced.contains(&dev) {
+                announced.push(dev);
+                delta.devices_lost += 1;
+                self.emit(&SchedEvent::DeviceDown { epoch, device: dev, at: self.platform.now() });
+            }
+        }
+        drop(announced);
+        Pass { epoch, devices, lost }
+    }
+
+    /// ROUND_ROBIN assignment: "schedules the command queue to the next
+    /// available device when the scheduler is triggered" (§IV-A) — each
+    /// queue is bound once, the first time it reaches the scheduler, and
+    /// keeps that binding (re-rotating every epoch would thrash data
+    /// between devices).
+    fn assign_round_robin(&self, pool: &[Arc<QueueState>], pass: &Pass) -> Assignment {
+        let devices: Vec<DeviceId> = pool
+            .iter()
+            .map(|q| {
+                let bound = q.rr_bound.swap(true, Ordering::Relaxed);
+                let current = q.cl.device();
+                // With nothing healthy there is nothing to recover onto;
+                // keep the binding and let the commands fail with a typed
+                // status.
+                if (bound && !pass.is_lost(current)) || !pass.any_healthy() {
+                    return current;
+                }
+                // First binding, or a re-bind off a lost device: rotate to
+                // the next *healthy* device.
+                loop {
+                    let i = self.rr_next.fetch_add(1, Ordering::Relaxed) % pass.devices.len();
+                    if !pass.lost[i] {
+                        return pass.devices[i];
+                    }
+                }
+            })
+            .collect();
+        // ROUND_ROBIN publishes no objective, but the attribution still
+        // wants a prediction to hold it accountable to. Use the warm
+        // profile caches when they cover a queue and fall back to the
+        // §V-B static model otherwise — pure reads either way, so the
+        // prediction never perturbs the virtual clock or event stream.
+        let mut per_device = vec![SimDuration::ZERO; pass.devices.len()];
+        for (q, dev) in pool.iter().zip(&devices) {
+            let pending = q.pending.lock();
+            let b = match self.classify(q, &pending) {
+                CostPlan::Profile { .. } => CostBreakdown {
+                    exec: self.static_costs(q, &pending, &pass.devices),
+                    migration: self.migration_vec(q, &pending, &pass.devices),
+                    overlap: None,
+                },
+                plan => self.cost_row(q, &pending, &plan, &pass.devices),
+            };
+            if let Some(i) = pass.devices.iter().position(|d| d == dev) {
+                per_device[i] += b.total(i);
+            }
+        }
+        Assignment {
+            devices,
+            predicted: per_device.into_iter().max(),
+            profiling: SimDuration::ZERO,
+        }
+    }
+
+    /// AUTO_FIT assignment: one cost row per pool queue, then the mapper.
+    fn assign_auto_fit(
+        &self,
+        pool: &[Arc<QueueState>],
+        pass: &Pass,
+        began: hwsim::SimTime,
+        delta: &mut SchedStats,
+    ) -> Assignment {
+        let (epoch, devices) = (pass.epoch, &pass.devices);
+        let breakdowns: Vec<CostBreakdown> =
+            pool.iter().map(|q| self.queue_costs(q, pass, delta)).collect();
+        // Virtual time the pass spent obtaining cost vectors (dynamic
+        // profiling and its staging transfers are the only clock-advancing
+        // work before the flush).
+        let profiling = self.platform.now().saturating_since(began);
+        let mut state = self.mapper_state.lock();
+        let state = &mut *state;
+        // Reuse the cost-matrix rows across epochs: the steady state re-fills
+        // them without allocating.
+        state.costs.resize_with(breakdowns.len(), Vec::new);
+        for (row, b) in state.costs.iter_mut().zip(&breakdowns) {
+            b.totals_into(row);
+        }
+        // Blacklist lost devices by overwriting their columns with the
+        // sentinel: every mapper variant then avoids them while the matrix
+        // keeps its global device indexing (explain records, warm starts).
+        // With zero healthy devices the matrix is left untouched — the
+        // assignment is moot, the commands all fail with a typed status, and
+        // an all-sentinel matrix would only distort the explain records.
+        if pass.any_healthy() && pass.lost.iter().any(|&l| l) {
+            for row in state.costs.iter_mut() {
+                for (c, &l) in row.iter_mut().zip(&pass.lost) {
+                    if l {
+                        *c = mapper::UNAVAILABLE_COST;
+                    }
+                }
+            }
+        }
+        // Warm start: each queue's current binding — exactly the previous
+        // epoch's assignment for queues that stayed in the pool. Positions
+        // are column indices into `devices`.
+        state.warm.clear();
+        let warm_valid = pool.iter().all(|q| {
+            devices.iter().position(|&d| d == q.cl.device()).is_some_and(|i| {
+                state.warm.push(DeviceId(i));
+                true
+            })
+        });
+        let warm = warm_valid.then_some(state.warm.as_slice());
+        let mapper_began = std::time::Instant::now();
+        let (mapper_name, outcome) = match self.options.mapper {
+            MapperKind::Optimal => {
+                ("optimal", mapper::optimal_with(&state.costs, warm, &mut state.scratch))
+            }
+            MapperKind::Greedy => (
+                "greedy",
+                mapper::SearchOutcome {
+                    mapping: mapper::greedy(&state.costs),
+                    nodes_explored: 0,
+                    budget_tripped: false,
+                },
+            ),
+            MapperKind::Adaptive => (
+                "adaptive",
+                mapper::adaptive(
+                    &state.costs,
+                    warm,
+                    DEFAULT_ADAPTIVE_NODE_BUDGET,
+                    &mut state.scratch,
+                ),
+            ),
+        };
+        let mapper_wall =
+            SimDuration::from_nanos(mapper_began.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        let mapping = outcome.mapping;
+        let decisions: Vec<QueueDecision> = pool
+            .iter()
+            .zip(&breakdowns)
+            .zip(&mapping.assignment)
+            .map(|((q, b), &dev)| QueueDecision {
+                queue: q.id,
+                exec_estimates: b.exec.clone(),
+                migration_costs: b.migration.clone(),
+                overlap_estimates: b.overlap.clone().unwrap_or_default(),
+                chosen: devices[dev.index()],
+                previous: q.cl.device(),
+            })
+            .collect();
+        self.emit(&SchedEvent::MappingDecision {
+            epoch,
+            at: self.platform.now(),
+            mapper: mapper_name.to_string(),
+            makespan: mapping.makespan,
+            nodes_explored: outcome.nodes_explored,
+            budget_tripped: outcome.budget_tripped,
+            mapper_wall,
+            queues: decisions,
+        });
+        Assignment {
+            devices: mapping.assignment.iter().map(|d| devices[d.index()]).collect(),
+            predicted: Some(mapping.makespan),
+            profiling,
+        }
+    }
+
+    /// Snapshot what the predictor needs to learn from this flush: each
+    /// distinct kernel's descriptor and first-seen launch geometry (the
+    /// same approximation as the name-keyed profile cache), captured
+    /// before the flush drains the pending lists. Empty when prediction is
+    /// disabled.
+    fn refine_snapshot(&self, pool: &[Arc<QueueState>]) -> HashMap<String, (Kernel, NdRange, u64)> {
+        let mut index = HashMap::new();
+        if self.options.predictor_confidence > 0.0 {
+            for q in pool {
+                for p in q.pending.lock().iter() {
+                    index
+                        .entry(p.kernel.name())
+                        .or_insert_with(|| (p.kernel.clone(), p.nd, pending_arg_bytes(p)));
+                }
+            }
+        }
+        index
+    }
+
+    /// Announce+rebind+flush phase, queue by queue in pool order. A queue
+    /// that changes device is announced first (a fault-driven evacuation
+    /// and a cost-driven migration are different events). Out-of-order
+    /// queues are flushed as one cross-queue batch after the in-order
+    /// queues, so the reorderer sees every OOO command of the epoch;
+    /// rebinds and migration events still happen per queue.
+    fn rebind_and_flush(
+        &self,
+        pool: &[Arc<QueueState>],
+        assignment: &[DeviceId],
+        pass: &Pass,
+        delta: &mut SchedStats,
+    ) {
+        let mut ooo_group: Vec<&Arc<QueueState>> = Vec::new();
+        for (q, &to) in pool.iter().zip(assignment) {
+            let from = q.cl.device();
+            if from != to {
+                let bytes = self.pending_nonresident_bytes(&q.pending.lock(), to);
+                let (epoch, queue, at) = (pass.epoch, q.id, self.platform.now());
+                // A fault-driven evacuation is not a cost-driven migration —
+                // telemetry keeps the two apart (recovery latency is measured
+                // DeviceDown → Remapped).
+                self.emit(&if pass.is_lost(from) {
+                    delta.queues_remapped += 1;
+                    SchedEvent::Remapped { epoch, queue, from, to, bytes, at }
+                } else {
+                    SchedEvent::QueueMigrated { epoch, queue, from, to, bytes, at }
+                });
+            }
+            q.cl.rebind(to).expect("mapper chose a context device");
+            if q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
+                ooo_group.push(q);
+            } else {
+                self.flush(&[q], Some(pass), delta);
+            }
+        }
+        self.flush(&ooo_group, Some(pass), delta);
     }
 
     /// Fold a pass's accumulated stats delta into the shared counters —
@@ -996,167 +970,129 @@ impl RtInner {
         stats.chunks_stolen += delta.chunks_stolen;
     }
 
-    /// Cost breakdowns for the whole pool. Warm epochs — every queue's
-    /// cost vector available from the profile caches — are pure reads and
-    /// fan out across [`cost_threads`] scoped workers; any
-    /// queue that needs dynamic profiling forces the fully sequential
-    /// legacy path, because profiling charges virtual time and moves
-    /// buffer residency in pool order. Either way, telemetry events are
-    /// emitted sequentially in pool order, so the observable stream (and
-    /// the virtual clock) is identical to a sequential pass.
-    fn pool_breakdowns(
-        &self,
-        pool: &[Arc<QueueState>],
-        devices: &[DeviceId],
-        epoch: u64,
-        delta: &mut SchedStats,
-    ) -> Vec<CostBreakdown> {
-        let threads = cost_threads().min(pool.len());
-        let plans: Option<Vec<CostPlan>> = if threads >= 2 && pool.len() >= PARALLEL_COST_MIN_POOL {
-            pool.iter()
-                .map(|q| {
-                    let plan = self.classify(q);
-                    matches!(plan, CostPlan::Hit(_) | CostPlan::Compose(_) | CostPlan::Static)
-                        .then_some(plan)
-                })
-                .collect()
-        } else {
-            None
-        };
-        let Some(plans) = plans else {
-            // Cold (or small) pass: sequential, event-interleaved with the
-            // profiling work exactly as before.
-            return pool.iter().map(|q| self.cost_breakdown(q, devices, epoch, delta)).collect();
-        };
-        let mut slots: Vec<Option<CostBreakdown>> = Vec::with_capacity(pool.len());
-        slots.resize_with(pool.len(), || None);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|stripe| {
-                    let plans = &plans;
-                    scope.spawn(move || {
-                        let mut part: Vec<(usize, CostBreakdown)> = Vec::new();
-                        let mut i = stripe;
-                        while i < pool.len() {
-                            part.push((i, self.cached_breakdown(&pool[i], &plans[i], devices)));
-                            i += threads;
-                        }
-                        part
-                    })
-                })
-                .collect();
-            for w in workers {
-                for (i, b) in w.join().expect("cost worker panicked") {
-                    slots[i] = Some(b);
-                }
-            }
-        });
-        let breakdowns: Vec<CostBreakdown> =
-            slots.into_iter().map(|b| b.expect("every stripe covered its indices")).collect();
-        // Cache bookkeeping and events, sequentially in pool order — the
-        // stream is indistinguishable from the sequential path.
-        for (plan, breakdown) in plans.into_iter().zip(&breakdowns) {
-            match plan {
-                CostPlan::Static => {}
-                CostPlan::Hit(key) => {
-                    delta.cache_hits += 1;
-                    self.emit(&SchedEvent::CacheHit { epoch, key });
-                }
-                CostPlan::Compose(key) => {
-                    delta.cache_hits += 1;
-                    self.epoch_profiles.lock().insert(key.clone(), breakdown.exec.clone());
-                    self.emit(&SchedEvent::CacheHit { epoch, key });
-                }
-                CostPlan::Profile => unreachable!("profile plans take the sequential path"),
-            }
-        }
-        breakdowns
-    }
-
-    /// How a queue's cost vector will be obtained this pass. `Hit` and
-    /// `Compose` (and `Static`) are pure cache/profile reads, safe to
-    /// compute concurrently; `Profile` must run dynamic profiling, which
-    /// mutates the virtual clock and buffer residency.
-    fn classify(&self, q: &QueueState) -> CostPlan {
+    /// How a queue's cost vector will be obtained this pass. `Static`,
+    /// `Hit` and `Compose` are pure cache/profile reads; `Profile` must
+    /// first run dynamic profiling, which mutates the virtual clock and
+    /// buffer residency.
+    fn classify(&self, q: &QueueState, pending: &[PendingKernel]) -> CostPlan {
         if q.flags.contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
             return CostPlan::Static;
         }
-        let pending = q.pending.lock();
+        let key = epoch_key(pending);
         // §V-C1: iterative queues may force periodic re-profiling.
-        if self.force_reprofile(q) {
-            return CostPlan::Profile;
-        }
-        let key = epoch_key(&pending);
-        if self.epoch_profiles.lock().contains_key(&key) {
-            return CostPlan::Hit(key);
-        }
-        let kp = self.kernel_profiles.lock();
-        if pending.iter().all(|p| kp.contains_key(&p.kernel.name())) {
-            return CostPlan::Compose(key);
-        }
-        CostPlan::Profile
-    }
-
-    fn force_reprofile(&self, q: &QueueState) -> bool {
-        match (q.flags.contains(QueueSchedFlags::SCHED_ITERATIVE), self.options.iterative_frequency)
-        {
+        let force = match (
+            q.flags.contains(QueueSchedFlags::SCHED_ITERATIVE),
+            self.options.iterative_frequency,
+        ) {
             (true, Some(freq)) if freq > 0 => q.epochs.load(Ordering::Relaxed).is_multiple_of(freq),
             _ => false,
+        };
+        if !force {
+            if self.epoch_profiles.lock().contains_key(&key) {
+                return CostPlan::Hit(key);
+            }
+            // Compose from per-kernel profiles when every kernel is known.
+            let kp = self.kernel_profiles.lock();
+            if pending.iter().all(|p| kp.contains_key(&p.kernel.name())) {
+                return CostPlan::Compose(key);
+            }
         }
+        CostPlan::Profile { key, force }
     }
 
-    /// Cost breakdown for one queue whose plan is a pure read (`Static`,
-    /// `Hit`, or `Compose`). Touches only caches and buffer-residency
-    /// snapshots — no events, no stats, no clock — so the warm pass can run
-    /// many of these concurrently. The caches cannot change under us: only
-    /// scheduling passes mutate them and `pass_lock` is held.
-    fn cached_breakdown(
+    /// The AUTO_FIT cost row of one pool queue, with the cache bookkeeping
+    /// (§V-C): a queue the caches cannot serve is profiled first — charging
+    /// virtual time and moving buffer residency, in pool order — and is
+    /// then composed from the per-kernel rows like any warm queue.
+    fn queue_costs(&self, q: &QueueState, pass: &Pass, delta: &mut SchedStats) -> CostBreakdown {
+        let epoch = pass.epoch;
+        let pending = q.pending.lock();
+        let (plan, cached) = match self.classify(q, &pending) {
+            CostPlan::Profile { key, force } => {
+                self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
+                self.profile_missing(q, &pending, pass, force, delta);
+                (CostPlan::Compose(key), false)
+            }
+            plan => (plan, true),
+        };
+        let breakdown = self.cost_row(q, &pending, &plan, &pass.devices);
+        let key = match plan {
+            CostPlan::Hit(key) => key,
+            CostPlan::Compose(key) => {
+                self.epoch_profiles.lock().insert(key.clone(), breakdown.exec.clone());
+                key
+            }
+            _ => return breakdown,
+        };
+        if cached {
+            delta.cache_hits += 1;
+            self.emit(&SchedEvent::CacheHit { epoch, key });
+        }
+        breakdown
+    }
+
+    /// The one cost-row evaluator: per-device cost terms for one queue's
+    /// pending epoch, kept separate so the [`SchedEvent::MappingDecision`]
+    /// explain record can show the execution and migration contributions
+    /// individually. Touches only caches and buffer-residency snapshots —
+    /// no events, no stats, no clock. The caches cannot change under us:
+    /// only scheduling passes mutate them and `pass_lock` is held.
+    fn cost_row(
         &self,
         q: &QueueState,
+        pending: &[PendingKernel],
         plan: &CostPlan,
         devices: &[DeviceId],
     ) -> CostBreakdown {
-        let pending = q.pending.lock();
-        match plan {
-            CostPlan::Static => CostBreakdown {
-                exec: self.static_costs(q, &pending, devices),
-                migration: vec![SimDuration::ZERO; devices.len()],
-                overlap: None,
-            },
-            CostPlan::Hit(key) => {
-                let exec = self
-                    .epoch_profiles
-                    .lock()
-                    .get(key)
-                    .cloned()
-                    .expect("classified as hit under pass_lock");
-                CostBreakdown {
-                    overlap: self.overlap_estimate(q, &pending, devices),
-                    migration: self.migration_vec(q, &pending, devices),
-                    exec,
+        let exec = match plan {
+            // §V-B: static mode ranks devices purely by the hint score —
+            // "chooses the best available device for the given command
+            // queue" — without dynamic knowledge of kernels or data.
+            CostPlan::Static => {
+                return CostBreakdown {
+                    exec: self.static_costs(q, pending, devices),
+                    migration: vec![SimDuration::ZERO; devices.len()],
+                    overlap: None,
                 }
             }
+            CostPlan::Hit(key) => self
+                .epoch_profiles
+                .lock()
+                .get(key)
+                .cloned()
+                .expect("classified as hit under pass_lock"),
+            // Epoch estimate: sum the cached per-name rows over every launch.
             CostPlan::Compose(_) => {
                 let kp = self.kernel_profiles.lock();
                 let mut exec = vec![SimDuration::ZERO; devices.len()];
-                for p in pending.iter() {
+                for p in pending {
                     for (t, v) in exec.iter_mut().zip(&kp[&p.kernel.name()]) {
                         *t += *v;
                     }
                 }
-                drop(kp);
-                CostBreakdown {
-                    overlap: self.overlap_estimate(q, &pending, devices),
-                    migration: self.migration_vec(q, &pending, devices),
-                    exec,
-                }
+                exec
             }
-            CostPlan::Profile => unreachable!("profile plans take the sequential path"),
+            CostPlan::Profile { .. } => unreachable!("profiled queues are composed"),
+        };
+        CostBreakdown {
+            overlap: self.overlap_estimate(q, pending, devices),
+            migration: self.migration_vec(q, pending, devices),
+            exec,
         }
     }
 
-    /// Predicted per-device migration-cost column for one queue, honoring
-    /// the explicit-region amortization exception.
+    /// Predicted per-device data-migration cost of *choosing* each device:
+    /// buffers the epoch reads that are not yet resident there, priced from
+    /// the measured device profile ("we derive the data transfer costs
+    /// based on the device profiles, and the kernel profiles provide the
+    /// kernel execution costs"). No data actually moves here.
+    ///
+    /// Exception: explicit-region queues. The mapping decided inside the
+    /// region persists for the rest of the program (that is the point of
+    /// profiling the representative warmup region), so the one-time
+    /// migration cost is amortized over many future epochs; charging it
+    /// against every-epoch kernel costs would bias the mapper toward
+    /// wherever the data happens to start.
     fn migration_vec(
         &self,
         q: &QueueState,
@@ -1164,56 +1100,109 @@ impl RtInner {
         devices: &[DeviceId],
     ) -> Vec<SimDuration> {
         if q.flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            vec![SimDuration::ZERO; devices.len()]
-        } else {
-            devices.iter().map(|&d| self.migration_cost(pending, d)).collect()
+            return vec![SimDuration::ZERO; devices.len()];
         }
+        devices
+            .iter()
+            .map(|&d| {
+                let mut staged = Vec::new();
+                pending.iter().map(|p| self.first_touch_transfer(p, d, &mut staged)).sum()
+            })
+            .collect()
     }
 
-    /// Issue a queue's buffered launches to its (now final) device.
-    /// Returns the number of launches issued; the caller folds it into the
-    /// pass's stats delta.
-    fn flush_queue(&self, q: &QueueState) -> u64 {
-        let pending: Vec<PendingKernel> = std::mem::take(&mut *q.pending.lock());
-        if pending.is_empty() {
-            return 0;
-        }
-        let issued = pending.len() as u64;
-        q.epochs.fetch_add(1, Ordering::Relaxed);
-        for cmd in pending {
-            q.cl.enqueue_ndrange_with_args(&cmd.kernel, cmd.nd, &cmd.args, &[])
-                .expect("buffered launch was validated at enqueue time");
-        }
-        issued
-    }
-
-    /// Issue a `SCHED_SPLITTABLE` queue's buffered launches, partitioning
-    /// each splittable kernel into contiguous sub-ranges executed
-    /// concurrently on per-device lanes. Launches that cannot be split —
-    /// kernel opt-out, too little work, fewer than two healthy devices —
-    /// run whole on the queue's bound device, exactly like
-    /// [`RtInner::flush_queue`].
-    fn flush_split_queue(
-        &self,
-        q: &QueueState,
-        devices: &[DeviceId],
-        lost: &[bool],
-        epoch: u64,
-        delta: &mut SchedStats,
-    ) -> u64 {
-        let pending: Vec<PendingKernel> = std::mem::take(&mut *q.pending.lock());
-        if pending.is_empty() {
-            return 0;
-        }
-        let issued = pending.len() as u64;
-        q.epochs.fetch_add(1, Ordering::Relaxed);
-        for p in pending {
-            if !self.try_split_launch(q, &p, devices, lost, epoch, delta) {
-                q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
-                    .expect("buffered launch was validated at enqueue time");
+    /// The one flush routine: drain `group`'s buffered launches (pool
+    /// order) into one command list, order it, and issue every command to
+    /// its queue's (now final) device. Passthrough queues, in-order pool
+    /// queues (a group of one) and the epoch's out-of-order batch all come
+    /// through here. `pass` is `None` for queues outside the pool, which
+    /// flush exactly as buffered: program order, whole launches.
+    ///
+    /// A `SCHED_OUT_OF_ORDER` group is emitted in Johnson's-rule
+    /// list-schedule order over the hazard DAG of the launches' buffer
+    /// read/write sets, so staging transfers of later commands overlap
+    /// earlier kernels on each device's copy lane. Correctness does not
+    /// depend on the order — the out-of-order clrt queues derive event wait
+    /// lists from the same per-buffer hazards at submit time — the reorder
+    /// only decides how the lanes interleave in virtual time.
+    fn flush(&self, group: &[&Arc<QueueState>], pass: Option<&Pass>, delta: &mut SchedStats) {
+        let mut cmds: Vec<PendingKernel> = Vec::new();
+        // Where each queue's run ends in `cmds`. The last queue needs no
+        // boundary, and the first run is moved rather than copied, so a
+        // group of one allocates nothing here.
+        let mut ends: Vec<usize> = Vec::new();
+        for (gi, q) in group.iter().enumerate() {
+            let mut pending: Vec<PendingKernel> = std::mem::take(&mut *q.pending.lock());
+            if !pending.is_empty() {
+                q.epochs.fetch_add(1, Ordering::Relaxed);
+            }
+            if cmds.is_empty() {
+                cmds = pending;
+            } else {
+                cmds.append(&mut pending);
+            }
+            if gi + 1 < group.len() {
+                ends.push(cmds.len());
             }
         }
-        issued
+        let owner = |i: usize| group[ends.iter().position(|&end| i < end).unwrap_or(ends.len())];
+        let reorder = pass.is_some()
+            && group.iter().all(|q| q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER));
+        // `None` = program order (no index vector on the in-order hot path).
+        let order: Option<Vec<usize>> =
+            reorder.then(|| self.johnson_order(&cmds, |i| owner(i).cl.device()));
+        delta.kernels_issued += cmds.len() as u64;
+        delta.commands_reordered += order.as_deref().map_or(0, ooo::count_displaced);
+        for pos in 0..cmds.len() {
+            let i = order.as_ref().map_or(pos, |o| o[pos]);
+            self.issue_launch(owner(i), &cmds[i], pass, delta);
+        }
+    }
+
+    /// Issue one buffered launch: as per-device chunks when its queue is a
+    /// pool `SCHED_SPLITTABLE` queue and the launch can be partitioned,
+    /// else whole on the queue's bound device.
+    fn issue_launch(
+        &self,
+        q: &QueueState,
+        p: &PendingKernel,
+        pass: Option<&Pass>,
+        delta: &mut SchedStats,
+    ) {
+        let split = q.flags.contains(QueueSchedFlags::SCHED_SPLITTABLE)
+            && pass.is_some_and(|pass| self.try_split_launch(q, p, pass, delta));
+        if !split {
+            q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
+                .expect("buffered launch was validated at enqueue time");
+        }
+    }
+
+    /// Johnson's-rule emission order ([`ooo::johnson_order`]) of a drained
+    /// out-of-order batch, command `i` costed on `device_of(i)`.
+    fn johnson_order(
+        &self,
+        cmds: &[PendingKernel],
+        device_of: impl Fn(usize) -> DeviceId,
+    ) -> Vec<usize> {
+        let node = self.platform.node();
+        // First-touch transfer bookkeeping per destination device.
+        let mut staged: HashMap<usize, Vec<u64>> = HashMap::new();
+        let batch: Vec<ooo::BatchCmd> = cmds
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let dev = device_of(i);
+                let (reads, writes) = pending_access_sets(p);
+                let kernel = p
+                    .kernel
+                    .cost()
+                    .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape());
+                let transfer =
+                    self.first_touch_transfer(p, dev, staged.entry(dev.index()).or_default());
+                ooo::BatchCmd { reads, writes, transfer, kernel }
+            })
+            .collect();
+        ooo::johnson_order(&batch, &ooo::hazard_edges(&batch))
     }
 
     /// The split axis of a launch: the outermost (highest-index) dimension
@@ -1230,11 +1219,11 @@ impl RtInner {
         &self,
         q: &QueueState,
         p: &PendingKernel,
-        devices: &[DeviceId],
-        lost: &[bool],
-        epoch: u64,
+        pass: &Pass,
         delta: &mut SchedStats,
     ) -> bool {
+        let Pass { epoch, devices, lost } = pass;
+        let epoch = *epoch;
         if !p.kernel.splittable() || lost.iter().filter(|&&l| !l).count() < 2 {
             return false;
         }
@@ -1247,7 +1236,7 @@ impl RtInner {
         // execution time when the profiler has a row, else the §V-B
         // analytic estimate — either divided by the unit count. Lost
         // devices are unavailable (infinite cost).
-        let node = self.platform.node().clone();
+        let node = self.platform.node();
         let profile_row = self.kernel_profiles.lock().get(&p.kernel.name()).cloned();
         let per_wg_ns: Vec<f64> = devices
             .iter()
@@ -1374,45 +1363,6 @@ impl RtInner {
         lane
     }
 
-    /// Per-device cost terms for one queue's pending epoch, kept separate
-    /// so the [`SchedEvent::MappingDecision`] explain record can show the
-    /// execution and migration contributions individually. The sequential
-    /// path: may run dynamic profiling (clock + residency side effects).
-    fn cost_breakdown(
-        &self,
-        q: &QueueState,
-        devices: &[DeviceId],
-        epoch: u64,
-        delta: &mut SchedStats,
-    ) -> CostBreakdown {
-        let pending = q.pending.lock();
-        if q.flags.contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
-            // §V-B: static mode ranks devices purely by the hint score —
-            // "chooses the best available device for the given command
-            // queue" — without dynamic knowledge of kernels or data.
-            return CostBreakdown {
-                exec: self.static_costs(q, &pending, devices),
-                migration: vec![SimDuration::ZERO; devices.len()],
-                overlap: None,
-            };
-        }
-        let exec = self.dynamic_costs(q, &pending, devices, epoch, delta);
-        // The predicted data-migration cost of *choosing* each device:
-        // buffers the epoch reads that are not yet resident there ("we
-        // derive the data transfer costs based on the device profiles, and
-        // the kernel profiles provide the kernel execution costs").
-        //
-        // Exception: explicit-region queues. The mapping decided inside the
-        // region persists for the rest of the program (that is the point of
-        // profiling the representative warmup region), so the one-time
-        // migration cost is amortized over many future epochs; charging it
-        // against every-epoch kernel costs would bias the mapper toward
-        // wherever the data happens to start.
-        let migration = self.migration_vec(q, &pending, devices);
-        let overlap = self.overlap_estimate(q, &pending, devices);
-        CostBreakdown { exec, migration, overlap }
-    }
-
     /// §V-B: static selection from device profiles + queue hints only.
     fn static_costs(
         &self,
@@ -1441,48 +1391,22 @@ impl RtInner {
             .collect()
     }
 
-    /// §V-C: dynamic kernel profiling with epoch/kernel caching.
-    fn dynamic_costs(
+    /// §V-C: the profiling step of a cache miss (or a forced re-profile).
+    /// Profiles the *distinct kernel names* that lack a cached per-device
+    /// row (paper §V-A: "we run the kernels once per device and store the
+    /// corresponding execution times as part of the kernel profile";
+    /// §V-C1: the cache key is the kernel name). An epoch that launches one
+    /// kernel many times — MG's V-cycle, CG's inner steps — costs one
+    /// profiling run per name, not per launch. Afterwards every pending
+    /// kernel has a row in the kernel-profile cache.
+    fn profile_missing(
         &self,
         q: &QueueState,
         pending: &[PendingKernel],
-        devices: &[DeviceId],
-        epoch: u64,
+        pass: &Pass,
+        force: bool,
         delta: &mut SchedStats,
-    ) -> Vec<SimDuration> {
-        let key = epoch_key(pending);
-        // §V-C1: iterative queues may force periodic re-profiling.
-        let force = self.force_reprofile(q);
-        if !force {
-            if let Some(v) = self.epoch_profiles.lock().get(&key).cloned() {
-                delta.cache_hits += 1;
-                self.emit(&SchedEvent::CacheHit { epoch, key });
-                return v;
-            }
-            // Compose from per-kernel profiles when every kernel is known.
-            let kp = self.kernel_profiles.lock();
-            if pending.iter().all(|p| kp.contains_key(&p.kernel.name())) {
-                let mut total = vec![SimDuration::ZERO; devices.len()];
-                for p in pending {
-                    for (t, v) in total.iter_mut().zip(&kp[&p.kernel.name()]) {
-                        *t += *v;
-                    }
-                }
-                drop(kp);
-                delta.cache_hits += 1;
-                self.epoch_profiles.lock().insert(key.clone(), total.clone());
-                self.emit(&SchedEvent::CacheHit { epoch, key });
-                return total;
-            }
-        }
-        self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
-        // Cache miss (or forced): profile the *distinct kernel names* that
-        // lack a cached per-device row (paper §V-A: "we run the kernels
-        // once per device and store the corresponding execution times as
-        // part of the kernel profile"; §V-C1: the cache key is the kernel
-        // name). An epoch that launches one kernel many times — MG's
-        // V-cycle, CG's inner steps — costs one profiling run per name, not
-        // per launch.
+    ) {
         let minikernel =
             self.options.minikernel && q.flags.contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
         let missing: Vec<&PendingKernel> = {
@@ -1506,8 +1430,11 @@ impl RtInner {
         // from the model; the rest stay on the profiling path below.
         // Forced iterative re-profiles always measure — that is their
         // §V-C1 contract.
-        let missing =
-            if force { missing } else { self.predict_missing(missing, devices, epoch, delta) };
+        let missing = if force {
+            missing
+        } else {
+            self.predict_missing(missing, &pass.devices, pass.epoch, delta)
+        };
         if !missing.is_empty() {
             // Quiesce the data plane first: profiling reads buffer residency
             // and is the pass's wall-clock-sensitive section, so in-flight
@@ -1516,21 +1443,9 @@ impl RtInner {
             // way — the planes are independent — but residency snapshots
             // and the mapper-wall numbers are not).
             self.platform.quiesce_data_plane();
-            self.profile_kernels(&missing, devices, minikernel, epoch);
+            self.profile_kernels(&missing, pass, minikernel);
             delta.profiled_epochs += 1;
         }
-        // Epoch estimate: sum the cached per-name rows over every launch.
-        let kp = self.kernel_profiles.lock();
-        let mut totals = vec![SimDuration::ZERO; devices.len()];
-        for p in pending {
-            let row = &kp[&p.kernel.name()];
-            for (t, v) in totals.iter_mut().zip(row) {
-                *t += *v;
-            }
-        }
-        drop(kp);
-        self.epoch_profiles.lock().insert(key, totals.clone());
-        totals
     }
 
     /// Offer cold kernels to the cost predictor (the profiling bypass).
@@ -1706,25 +1621,22 @@ impl RtInner {
     /// [`PROFILING_TAG`] and charged to the virtual clock. Records the
     /// measured (estimated-full) per-device rows in the kernel-profile
     /// cache.
-    fn profile_kernels(
-        &self,
-        pending: &[&PendingKernel],
-        devices: &[DeviceId],
-        minikernel: bool,
-        epoch: u64,
-    ) {
-        let node = self.platform.node().clone();
+    fn profile_kernels(&self, pending: &[&PendingKernel], pass: &Pass, minikernel: bool) {
+        let (epoch, devices) = (pass.epoch, &pass.devices);
+        // Every profiling command runs alone and to completion.
+        fn charge(engine: &mut Engine, device: DeviceId, kind: CommandKind, duration: SimDuration) {
+            let waits = hwsim::WaitList::new();
+            let ev =
+                engine.submit(CommandDesc { device, kind, duration, waits, queue: usize::MAX });
+            engine.wait(ev);
+        }
+        let node = self.platform.node();
         // Unique input buffers of the profiled kernels (profiling must move
         // real data).
         let mut buffers: Vec<Buffer> = Vec::new();
+        let mut seen: Vec<u64> = Vec::new();
         for p in pending {
-            for a in &p.args {
-                if let Some(b) = a.buffer() {
-                    if !buffers.iter().any(|x| x.same_object(b)) {
-                        buffers.push(b.clone());
-                    }
-                }
-            }
+            buffers.extend(first_touched(p, &mut seen).cloned());
         }
         let kernel_rows = self.platform.with_engine(|engine| {
             let prev_tag = engine.tag().map(str::to_owned);
@@ -1769,14 +1681,9 @@ impl RtInner {
                     if needs_d2h {
                         let src = owner.expect("checked above");
                         let d2h = node.topology.host_transfer_time(src, bytes, &node.devices);
-                        let ev = engine.submit(hwsim::engine::CommandDesc {
-                            device: src,
-                            kind: CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
-                            duration: d2h,
-                            waits: hwsim::WaitList::new(),
-                            queue: usize::MAX,
-                        });
-                        engine.wait(ev);
+                        let kind =
+                            CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
+                        charge(engine, src, kind, d2h);
                         if self.options.data_caching {
                             // The staged host copy is kept and reused for
                             // every subsequent destination device.
@@ -1784,14 +1691,8 @@ impl RtInner {
                         }
                     }
                     let h2d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-                    let ev = engine.submit(hwsim::engine::CommandDesc {
-                        device: dev,
-                        kind: CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
-                        duration: h2d,
-                        waits: hwsim::WaitList::new(),
-                        queue: usize::MAX,
-                    });
-                    engine.wait(ev);
+                    let kind = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
+                    charge(engine, dev, kind, h2d);
                     if self.options.data_caching {
                         // Destination caching: the real issue will find the
                         // data already resident.
@@ -1823,14 +1724,7 @@ impl RtInner {
                     } else {
                         p.kernel.name()
                     });
-                    let ev = engine.submit(hwsim::engine::CommandDesc {
-                        device: dev,
-                        kind: CommandKind::Kernel { name },
-                        duration: charged,
-                        waits: hwsim::WaitList::new(),
-                        queue: usize::MAX,
-                    });
-                    engine.wait(ev);
+                    charge(engine, dev, CommandKind::Kernel { name }, charged);
                     kernel_rows
                         .entry(p.kernel.name())
                         .or_insert_with(|| vec![SimDuration::ZERO; devices.len()])[di] =
@@ -1862,45 +1756,11 @@ impl RtInner {
     /// `dev` — the data a migration to `dev` will actually move. Reported
     /// in [`SchedEvent::QueueMigrated`].
     fn pending_nonresident_bytes(&self, pending: &[PendingKernel], dev: DeviceId) -> u64 {
+        let mut seen: Vec<u64> = Vec::new();
         let mut total = 0;
-        let mut seen: Vec<u64> = Vec::new();
         for p in pending {
-            for a in &p.args {
-                let Some(b) = a.buffer() else { continue };
-                if seen.contains(&b.id()) {
-                    continue;
-                }
-                seen.push(b.id());
-                if !b.residency().valid_on(dev) {
-                    total += b.byte_len() as u64;
-                }
-            }
-        }
-        total
-    }
-
-    /// Predicted cost of migrating the epoch's buffers to `dev`, from the
-    /// measured device profile (no data actually moves here).
-    fn migration_cost(&self, pending: &[PendingKernel], dev: DeviceId) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut seen: Vec<u64> = Vec::new();
-        for p in pending {
-            for a in &p.args {
-                let Some(b) = a.buffer() else { continue };
-                if seen.contains(&b.id()) {
-                    continue;
-                }
-                seen.push(b.id());
-                let res = b.residency();
-                if res.valid_on(dev) {
-                    continue;
-                }
-                let bytes = b.byte_len() as u64;
-                if res.host {
-                    total += self.device_profile.host_transfer_time(dev, bytes);
-                } else if let Some(&owner) = res.devices.iter().next() {
-                    total += self.device_profile.d2d_transfer_time(owner, dev, bytes);
-                }
+            for b in first_touched(p, &mut seen).filter(|b| !b.residency().valid_on(dev)) {
+                total += b.byte_len() as u64;
             }
         }
         total
@@ -1966,13 +1826,7 @@ impl RtInner {
         staged: &mut Vec<u64>,
     ) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for a in &p.args {
-            let Some(b) = a.buffer() else { continue };
-            let id = b.id();
-            if staged.contains(&id) {
-                continue;
-            }
-            staged.push(id);
+        for b in first_touched(p, staged) {
             let res = b.residency();
             if res.valid_on(dev) {
                 continue;
@@ -1986,68 +1840,22 @@ impl RtInner {
         }
         total
     }
+}
 
-    /// Batch-flush the epoch's out-of-order queues: drain their pending
-    /// launches (pool order) into one command list, build the hazard DAG
-    /// over the launches' buffer read/write sets, and emit in Johnson's-rule
-    /// list-schedule order so staging transfers of later commands overlap
-    /// earlier kernels on each device's copy lane. Correctness does not
-    /// depend on the order — the out-of-order clrt queues derive event wait
-    /// lists from the same per-buffer hazards at submit time — the reorder
-    /// only decides how the lanes interleave in virtual time.
-    ///
-    /// Returns `(launches issued, launches displaced from program order)`.
-    fn flush_ooo_group(
-        &self,
-        pool: &[Arc<QueueState>],
-        assignment: &[DeviceId],
-        group: &[usize],
-    ) -> (u64, u64) {
-        let mut owners: Vec<usize> = Vec::new();
-        let mut cmds: Vec<PendingKernel> = Vec::new();
-        for &i in group {
-            let pending: Vec<PendingKernel> = std::mem::take(&mut *pool[i].pending.lock());
-            if pending.is_empty() {
-                continue;
-            }
-            pool[i].epochs.fetch_add(1, Ordering::Relaxed);
-            for p in pending {
-                owners.push(i);
-                cmds.push(p);
-            }
+/// The distinct buffers `p` binds whose ids `seen` does not hold yet —
+/// each buffer's first touch in a walk over one or more launches — adding
+/// them to `seen` as they are yielded.
+fn first_touched<'a>(
+    p: &'a PendingKernel,
+    seen: &'a mut Vec<u64>,
+) -> impl Iterator<Item = &'a Buffer> + 'a {
+    p.args.iter().filter_map(ArgValue::buffer).filter(move |b| {
+        let first = !seen.contains(&b.id());
+        if first {
+            seen.push(b.id());
         }
-        if cmds.is_empty() {
-            return (0, 0);
-        }
-        let node = self.platform.node().clone();
-        // First-touch transfer bookkeeping per destination device.
-        let mut staged: HashMap<usize, Vec<u64>> = HashMap::new();
-        let batch: Vec<ooo::BatchCmd> = owners
-            .iter()
-            .zip(&cmds)
-            .map(|(&i, p)| {
-                let dev = assignment[i];
-                let (reads, writes) = pending_access_sets(p);
-                let kernel = p
-                    .kernel
-                    .cost()
-                    .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape());
-                let transfer =
-                    self.first_touch_transfer(p, dev, staged.entry(dev.index()).or_default());
-                ooo::BatchCmd { reads, writes, transfer, kernel }
-            })
-            .collect();
-        let edges = ooo::hazard_edges(&batch);
-        let order = ooo::johnson_order(&batch, &edges);
-        let reordered = ooo::count_displaced(&order);
-        for &ci in &order {
-            let q = &pool[owners[ci]];
-            let p = &cmds[ci];
-            q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
-                .expect("buffered launch was validated at enqueue time");
-        }
-        (cmds.len() as u64, reordered)
-    }
+        first
+    })
 }
 
 /// Distinct buffer ids a pending launch reads and writes (write bindings
@@ -2092,10 +1900,7 @@ impl CostBreakdown {
     /// transfer/compute overlap on out-of-order queues.
     fn totals_into(&self, row: &mut Vec<SimDuration>) {
         row.clear();
-        match &self.overlap {
-            Some(ov) => row.extend(ov.iter().copied()),
-            None => row.extend(self.exec.iter().zip(&self.migration).map(|(e, m)| *e + *m)),
-        }
+        row.extend((0..self.exec.len()).map(|i| self.total(i)));
     }
 
     /// The mapper-visible total for one device column.
@@ -2108,7 +1913,7 @@ impl CostBreakdown {
 }
 
 /// How one pool queue's cost vector will be obtained this pass (see
-/// [`RtInner::classify`]).
+/// [`RtInner::classify`]). The dynamic plans carry the epoch cache key.
 enum CostPlan {
     /// §V-B static hint scores — pure arithmetic over the device profile.
     Static,
@@ -2117,25 +1922,45 @@ enum CostPlan {
     /// Every kernel name has a cached per-device row; the epoch vector is
     /// their sum (and is inserted into the epoch cache afterwards).
     Compose(String),
-    /// Dynamic profiling required (cold kernels, or a forced iterative
-    /// re-profile) — virtual-clock and residency side effects.
-    Profile,
+    /// Dynamic profiling required first — cold kernels, or (`force`) an
+    /// iterative queue's periodic re-profile — with virtual-clock and
+    /// residency side effects; the queue is a `Compose` afterwards.
+    Profile { key: String, force: bool },
+}
+
+/// What one scheduling pass knows about the context's devices.
+struct Pass {
+    epoch: u64,
+    devices: Vec<DeviceId>,
+    /// Per device (same order): permanently lost as of this pass.
+    lost: Vec<bool>,
+}
+
+impl Pass {
+    fn any_healthy(&self) -> bool {
+        self.lost.iter().any(|&l| !l)
+    }
+
+    fn is_lost(&self, dev: DeviceId) -> bool {
+        self.devices.iter().position(|&d| d == dev).is_some_and(|i| self.lost[i])
+    }
+}
+
+/// Outcome of a pass's assign phase.
+struct Assignment {
+    /// The device each pool queue flushes to (pool order).
+    devices: Vec<DeviceId>,
+    /// The policy's own makespan objective for the epoch, for the
+    /// predicted-vs-actual attribution emitted after the flush.
+    predicted: Option<SimDuration>,
+    /// Virtual time the phase spent obtaining cost vectors.
+    profiling: SimDuration,
 }
 
 /// Total bytes of the distinct buffers a pending launch binds — the
 /// predictor's transfer-footprint feature.
 fn pending_arg_bytes(p: &PendingKernel) -> u64 {
-    let mut total = 0;
-    let mut seen: Vec<u64> = Vec::new();
-    for a in &p.args {
-        let Some(b) = a.buffer() else { continue };
-        if seen.contains(&b.id()) {
-            continue;
-        }
-        seen.push(b.id());
-        total += b.byte_len() as u64;
-    }
-    total
+    first_touched(p, &mut Vec::new()).map(|b| b.byte_len() as u64).sum()
 }
 
 /// Build the epoch cache key: the multiset of kernel names (§V-C1, "the key
@@ -2201,11 +2026,14 @@ impl SchedQueue {
     }
 
     /// Buffer a kernel launch into the current epoch. The argument bindings
-    /// are snapshotted now; the launch is issued at the next trigger — or
-    /// immediately, when the per-kernel-trigger ablation is active.
+    /// are snapshotted and checked against the queue's context now; the
+    /// launch is issued at the next trigger — or immediately, when the
+    /// per-kernel-trigger ablation is active.
     pub fn enqueue_ndrange(&self, kernel: &Kernel, nd: NdRange) -> ClResult<()> {
         nd.validate()?;
         let args = kernel.snapshot_args()?;
+        // A foreign kernel or buffer is an error now, not a panic at flush.
+        self.state.cl.validate_launch(kernel, &args)?;
         self.state.pending.lock().push(PendingKernel { kernel: kernel.clone(), nd, args });
         if self.rt.options.per_kernel_trigger {
             self.rt.schedule_and_flush();
