@@ -16,7 +16,7 @@
 //! `cargo run --release -p multicl-bench --bin schedule_explain [BENCH] [CLASS] [QUEUES]`
 //! `cargo run --release -p multicl-bench --bin schedule_explain -- --replay results/explain_MG.S.jsonl`
 
-use multicl::telemetry::{perfetto, registry, report, sink, RingBufferSink, SchedMetrics};
+use multicl::telemetry::{self, perfetto, registry, report, sink, RingBufferSink, SchedMetrics};
 use multicl::ContextSchedPolicy;
 use multicl_bench::experiments::common::bench_options;
 use multicl_bench::{fresh_platform, write_report};
@@ -93,7 +93,7 @@ fn main() {
         }
     }
 
-    let jsonl: String = events.iter().map(|e| e.to_json().dump() + "\n").collect();
+    let jsonl = telemetry::to_jsonl(&events);
     for (file, contents) in [
         (format!("explain_{}.jsonl", result.label), jsonl),
         (format!("explain_{}.prom", result.label), prom),

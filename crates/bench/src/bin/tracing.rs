@@ -12,8 +12,11 @@
 //!
 //! Usage: `cargo run --release -p multicl-bench --bin tracing [--smoke] [SEED] [JOBS]`
 
+use multicl::telemetry::sink::parse_jsonl;
 use multicl_bench::experiments::tracing;
 use multicl_bench::{print_table, write_report};
+
+const EVENTS_FILE: &str = "tracing_events.jsonl";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,17 +41,29 @@ fn main() {
         .find(|p| p.policy == "auto_fit")
         .map(|p| p.events_jsonl.clone())
         .unwrap_or_default();
+    let mut violations = tracing::violations(&report);
     for (file, contents) in [
-        ("BENCH_tracing.json".to_string(), tracing::to_json(&report, seed, jobs).dump()),
-        ("tracing_events.jsonl".to_string(), auto_fit_jsonl),
-        ("tracing_sample.trace.json".to_string(), report.sample_trace.clone()),
+        ("BENCH_tracing.json", tracing::to_json(&report, seed, jobs).dump()),
+        (EVENTS_FILE, auto_fit_jsonl),
+        ("tracing_sample.trace.json", report.sample_trace.clone()),
     ] {
-        if let Some(path) = write_report(&file, &contents) {
-            println!("wrote {}", path.display());
+        let Some(path) = write_report(file, &contents) else { continue };
+        println!("wrote {}", path.display());
+        // The streamed file must be the file the replay tools read: every
+        // line of it decodes, strictly, none skipped.
+        if file == EVENTS_FILE {
+            let reread = std::fs::read_to_string(&path).ok();
+            let decoded = reread.as_deref().and_then(parse_jsonl).map_or(0, |events| events.len());
+            let lines = contents.lines().count();
+            if decoded == 0 || decoded != lines {
+                violations.push(format!(
+                    "{} does not re-parse with `parse_jsonl`: {decoded} of {lines} lines decoded",
+                    path.display()
+                ));
+            }
         }
     }
 
-    let violations = tracing::violations(&report);
     if violations.is_empty() {
         println!(
             "tracing holds over {} polic(ies) (seed {seed}, {jobs} jobs/policy, every stream \

@@ -21,7 +21,7 @@
 
 use crate::harness::Table;
 use hwsim::json::Json;
-use multicl::telemetry::{perfetto, RingBufferSink, SchedEvent};
+use multicl::telemetry::{self, perfetto, RingBufferSink, SchedEvent};
 use served::loadgen::{self, LoadgenConfig};
 use served::ServePolicy;
 use std::path::PathBuf;
@@ -96,23 +96,20 @@ fn config(seed: u64, jobs: usize, policy: ServePolicy) -> LoadgenConfig {
 /// data-plane pool gauges are real time, not virtual time, so they are
 /// excluded from the bit-identical determinism claim.
 pub fn events_to_jsonl(events: &[SchedEvent]) -> String {
-    events
-        .iter()
-        .map(|e| {
-            let mut e = e.clone();
-            match &mut e {
-                SchedEvent::MappingDecision { mapper_wall, .. } => {
-                    *mapper_wall = hwsim::SimDuration::ZERO;
-                }
-                SchedEvent::EpochEnd { data_queue_depth, data_peak_busy, .. } => {
-                    *data_queue_depth = 0;
-                    *data_peak_busy = 0;
-                }
-                _ => {}
+    let mut events = events.to_vec();
+    for e in &mut events {
+        match e {
+            SchedEvent::MappingDecision { mapper_wall, .. } => {
+                *mapper_wall = hwsim::SimDuration::ZERO;
             }
-            e.to_json().dump() + "\n"
-        })
-        .collect()
+            SchedEvent::EpochEnd { data_queue_depth, data_peak_busy, .. } => {
+                *data_queue_depth = 0;
+                *data_peak_busy = 0;
+            }
+            _ => {}
+        }
+    }
+    telemetry::to_jsonl(&events)
 }
 
 /// Run one policy once; returns the point plus the sample Perfetto trace.

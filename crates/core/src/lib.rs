@@ -265,7 +265,7 @@ mod tests {
 
         // End-to-end round-trips: the real stream survives JSONL, and the
         // metrics bound to it export/parse through both formats.
-        let jsonl: String = events.iter().map(|e| e.to_json().dump() + "\n").collect();
+        let jsonl = crate::telemetry::to_jsonl(&events);
         assert_eq!(crate::telemetry::sink::parse_jsonl(&jsonl), Some(events));
         assert_eq!(metrics.epochs.get(), 1);
         assert!(metrics.kernels_profiled.get() >= 2);

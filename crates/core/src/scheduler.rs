@@ -286,7 +286,8 @@ struct RtInner {
     down_announced: Mutex<Vec<DeviceId>>,
     /// Scheduling epochs completed (the `epoch` field of every event).
     sched_epoch: AtomicU64,
-    observers: Mutex<Vec<Arc<dyn SchedObserver>>>,
+    /// Replaced whole by `add_observer`, so `emit` takes one `Arc` clone.
+    observers: Mutex<Arc<[Arc<dyn SchedObserver>]>>,
     /// Serializes scheduling passes. Queues can be driven from multiple
     /// submitter threads (the serving layer does this); a pass reads the
     /// whole pool, computes an assignment, and rebinds+flushes — interleaving
@@ -383,7 +384,7 @@ impl MulticlContext {
                 stats: Mutex::new(SchedStats::default()),
                 down_announced: Mutex::new(Vec::new()),
                 sched_epoch: AtomicU64::new(0),
-                observers: Mutex::new(observers),
+                observers: Mutex::new(observers.into()),
                 pass_lock: Mutex::new(()),
                 mapper_state: Mutex::new(MapperState::default()),
                 split_lanes: Mutex::new(HashMap::new()),
@@ -405,7 +406,8 @@ impl MulticlContext {
     /// subsequent scheduling passes (after any attached via
     /// [`SchedOptions::observers`]).
     pub fn add_observer(&self, observer: Arc<dyn SchedObserver>) {
-        self.rt.observers.lock().push(observer);
+        let mut observers = self.rt.observers.lock();
+        *observers = observers.iter().cloned().chain([observer]).collect();
     }
 
     /// The global scheduling policy this context was created with.
@@ -612,10 +614,10 @@ impl RtInner {
     }
 
     /// Deliver one event to every attached observer. The observer list is
-    /// cloned out first so no runtime lock is held while observer code runs.
+    /// taken out first so no runtime lock is held while observer code runs.
     fn emit(&self, event: &SchedEvent) {
-        let observers: Vec<Arc<dyn SchedObserver>> = self.observers.lock().clone();
-        for o in &observers {
+        let observers = Arc::clone(&self.observers.lock());
+        for o in observers.iter() {
             o.on_event(event);
         }
     }

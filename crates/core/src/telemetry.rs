@@ -13,9 +13,10 @@
 //!   [`SchedEvent::CacheMiss`], [`SchedEvent::MappingDecision`] (the full
 //!   explain record: per-device estimated times, migration cost terms, and
 //!   the chosen assignment), [`SchedEvent::QueueMigrated`], and
-//!   [`SchedEvent::EpochEnd`]. Every event serializes to JSON and parses
-//!   back ([`SchedEvent::to_json`] / [`SchedEvent::from_json`]); the enum
-//!   and its codec are generated from the one table in [`event`].
+//!   [`SchedEvent::EpochEnd`]. Every event streams to JSON text and parses
+//!   back ([`SchedEvent::write_json`] / [`SchedEvent::from_json`]; a whole
+//!   slice with [`to_jsonl`]); the enum and its codec are generated from
+//!   the one table in [`event`].
 //! * [`SchedObserver`] — the hook trait; implementations are attached via
 //!   [`SchedOptions::observers`](crate::SchedOptions) or
 //!   [`MulticlContext::add_observer`](crate::MulticlContext::add_observer).
@@ -53,7 +54,7 @@ pub mod tracing;
 
 pub use event::{QueueDecision, SchedEvent};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, SchedMetrics};
-pub use sink::{JsonlSink, RingBufferSink, StderrSink};
+pub use sink::{to_jsonl, JsonlSink, RingBufferSink, StderrSink};
 pub use tracing::{AttemptTrace, SegmentKind, SegmentSet, SpanId, SpanSlice, TraceContext};
 
 /// Receiver for scheduler telemetry events.

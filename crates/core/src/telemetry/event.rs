@@ -1,7 +1,7 @@
 //! The typed scheduler event stream and its JSON codec.
 
 use super::tracing::AttemptTrace;
-use hwsim::json::Json;
+use hwsim::json::{write_num, write_str, Json};
 use hwsim::{DeviceId, SimDuration, SimTime};
 
 /// Everything the mapper knew about one queue when it made its decision —
@@ -51,22 +51,24 @@ impl QueueDecision {
 }
 
 /// One JSON leaf (or nested record) of the event wire format. Every field of
-/// every [`SchedEvent`] encodes and decodes through exactly one impl below,
-/// so number formatting and missing-value handling live in one place.
-/// Durations and times are nanoseconds; device ids are indices.
+/// every [`SchedEvent`] is written and decoded through exactly one impl
+/// below (or, for the span records, in [`super::tracing`]), so number
+/// formatting and missing-value handling live in one place. Durations and
+/// times are nanoseconds; device ids are indices.
 pub(crate) trait Wire: Sized {
-    fn encode(&self) -> Json;
+    /// Append the value's JSON text to `out`.
+    fn write(&self, out: &mut String);
     /// `None` when `value` has the wrong shape (for a `Vec`, when any
     /// element does).
     fn decode(value: &Json) -> Option<Self>;
 }
 
 macro_rules! wire_leaves {
-    ($($ty:ty: |$v:ident| $encode:expr, |$j:ident| $decode:expr;)*) => {$(
+    ($($ty:ty: |$v:ident, $out:ident| $write:expr, |$j:ident| $decode:expr;)*) => {$(
         impl Wire for $ty {
-            fn encode(&self) -> Json {
+            fn write(&self, $out: &mut String) {
                 let $v = self;
-                $encode
+                $write
             }
             fn decode($j: &Json) -> Option<Self> {
                 $decode
@@ -75,37 +77,65 @@ macro_rules! wire_leaves {
     )*};
 }
 
+// Integers are written through `f64`, which is what `Json::Num` holds, so a
+// `u64` above 2^53 has the same text here as in a dumped tree.
 wire_leaves! {
-    u64: |v| Json::from(*v), |j| j.as_u64();
-    usize: |v| Json::from(*v), |j| j.as_u64().map(|n| n as usize);
-    f64: |v| Json::from(*v), |j| j.as_f64();
-    bool: |v| Json::Bool(*v), |j| j.as_bool();
-    String: |v| Json::from(v.as_str()), |j| j.as_str().map(str::to_string);
-    SimTime: |v| Json::from(v.as_nanos()), |j| j.as_u64().map(SimTime::from_nanos);
-    SimDuration: |v| Json::from(v.as_nanos()), |j| j.as_u64().map(SimDuration::from_nanos);
-    DeviceId: |v| Json::from(v.index()), |j| j.as_u64().map(|n| DeviceId(n as usize));
-    AttemptTrace: |v| v.to_json(), |j| AttemptTrace::from_json(j);
+    u64: |v, out| write_num(*v as f64, out), |j| j.as_u64();
+    usize: |v, out| write_num(*v as f64, out), |j| j.as_u64().map(|n| n as usize);
+    f64: |v, out| write_num(*v, out), |j| j.as_f64();
+    bool: |v, out| out.push_str(if *v { "true" } else { "false" }), |j| j.as_bool();
+    String: |v, out| write_str(v, out), |j| j.as_str().map(str::to_string);
+    SimTime: |v, out| v.as_nanos().write(out), |j| j.as_u64().map(SimTime::from_nanos);
+    SimDuration: |v, out| v.as_nanos().write(out), |j| j.as_u64().map(SimDuration::from_nanos);
+    DeviceId: |v, out| v.index().write(out), |j| j.as_u64().map(|n| DeviceId(n as usize));
+    // `null` when absent (an attempt that never reached a queue or device).
+    Option<u64>: |v, out| match v {
+        Some(n) => n.write(out),
+        None => out.push_str("null"),
+    }, |j| Some(j.as_u64());
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self) -> Json {
-        Json::Arr(self.iter().map(T::encode).collect())
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
     }
     fn decode(value: &Json) -> Option<Self> {
         value.as_arr()?.iter().map(T::decode).collect()
     }
 }
 
+/// Append `{"k0":v0,"k1":v1,...}` to `$out`: literal keys (no character
+/// that needs escaping), [`Wire`] values, in the order given.
+macro_rules! write_obj {
+    ($out:expr, $key0:literal: $value0:expr $(, $key:literal: $value:expr)* $(,)?) => {{
+        $out.push_str(concat!("{\"", $key0, "\":"));
+        Wire::write($value0, $out);
+        $(
+            $out.push_str(concat!(",\"", $key, "\":"));
+            Wire::write($value, $out);
+        )*
+        $out.push('}');
+    }};
+}
+pub(crate) use write_obj;
+
 impl Wire for QueueDecision {
-    fn encode(&self) -> Json {
-        Json::obj([
-            ("queue", self.queue.encode()),
-            ("exec_ns", self.exec_estimates.encode()),
-            ("migration_ns", self.migration_costs.encode()),
-            ("overlap_ns", self.overlap_estimates.encode()),
-            ("chosen", self.chosen.encode()),
-            ("previous", self.previous.encode()),
-        ])
+    fn write(&self, out: &mut String) {
+        write_obj!(out,
+            "queue": &self.queue,
+            "exec_ns": &self.exec_estimates,
+            "migration_ns": &self.migration_costs,
+            "overlap_ns": &self.overlap_estimates,
+            "chosen": &self.chosen,
+            "previous": &self.previous,
+        );
     }
     fn decode(value: &Json) -> Option<Self> {
         Some(QueueDecision {
@@ -121,20 +151,20 @@ impl Wire for QueueDecision {
 }
 
 /// A required member of `obj`: `None` when absent or of the wrong shape.
-fn field<T: Wire>(obj: &Json, key: &str) -> Option<T> {
+pub(crate) fn field<T: Wire>(obj: &Json, key: &str) -> Option<T> {
     T::decode(obj.get(key)?)
 }
 
 /// A member added after its record first shipped: absent (or unreadable)
 /// decodes as `default`, so streams recorded by older builds still replay.
-fn field_or<T: Wire>(obj: &Json, key: &str, default: impl FnOnce() -> T) -> T {
+pub(crate) fn field_or<T: Wire>(obj: &Json, key: &str, default: impl FnOnce() -> T) -> T {
     obj.get(key).and_then(T::decode).unwrap_or_else(default)
 }
 
 /// Declares the event stream once. Each variant names its wire `type`
 /// string; each field its wire key and, for fields added after the variant
 /// first shipped, `= <decode default>`. The enum, [`SchedEvent::KINDS`],
-/// `kind()`, `epoch()`, `to_json()`, `from_json()` and the test-only
+/// `kind()`, `epoch()`, `write_json()`, `from_json()` and the test-only
 /// `with_defaults()` are all generated from that one table, so adding an
 /// event kind or a late field is one entry here (plus a `sample_events()`
 /// entry, which the tests insist on). Every variant must have an `epoch`
@@ -178,17 +208,25 @@ macro_rules! sched_events {
                 }
             }
 
-            /// Encode as a JSON object. Durations and times are nanoseconds.
-            pub fn to_json(&self) -> Json {
+            /// Append the event as one JSON object: `type` first, then the
+            /// fields in declaration order. Durations and times are
+            /// nanoseconds. This is the wire format's only encoder — the
+            /// sinks, [`to_jsonl`](super::to_jsonl) and
+            /// [`Self::to_json`] all run it.
+            pub fn write_json(&self, out: &mut String) {
                 match self {$(
-                    $Enum::$Variant { $($field),* } => Json::obj([
-                        ("type", Json::from($kind)),
-                        $(($key, Wire::encode($field)),)*
-                    ]),
+                    $Enum::$Variant { $($field),* } => {
+                        out.push_str(concat!("{\"type\":\"", $kind, "\""));
+                        $(
+                            out.push_str(concat!(",\"", $key, "\":"));
+                            Wire::write($field, out);
+                        )*
+                        out.push('}');
+                    }
                 )*}
             }
 
-            /// Decode from the [`Self::to_json`] representation.
+            /// Decode from the [`Self::write_json`] representation.
             pub fn from_json(value: &Json) -> Option<$Enum> {
                 Some(match value.get("type")?.as_str()? {
                     $($kind => $Enum::$Variant {
@@ -627,6 +665,16 @@ pub enum SchedEvent {
 }
 }
 
+impl SchedEvent {
+    /// The event as a [`Json`] tree, for tools that inspect members: the
+    /// parse of what [`Self::write_json`] streams, so the two cannot drift.
+    pub fn to_json(&self) -> Json {
+        let mut text = String::new();
+        self.write_json(&mut text);
+        Json::parse(&text).expect("write_json emits one valid JSON object")
+    }
+}
+
 /// One sample event per [`SchedEvent`] variant, with adversarial strings
 /// (quotes, newlines) where the codec must escape. Shared by the codec
 /// round-trip test here and the JSONL sink round-trip test, so new variants
@@ -856,7 +904,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::sink::parse_jsonl;
+    use crate::telemetry::sink::{parse_jsonl, to_jsonl};
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
@@ -865,21 +913,25 @@ mod tests {
     #[test]
     fn every_event_roundtrips_through_json() {
         for ev in sample_events() {
-            let text = ev.to_json().dump();
-            let parsed = SchedEvent::from_json(&Json::parse(&text).expect("valid JSON"))
-                .unwrap_or_else(|| panic!("decode failed for {text}"));
-            assert_eq!(parsed, ev);
+            let mut text = String::new();
+            ev.write_json(&mut text);
+            let tree = Json::parse(&text).unwrap_or_else(|| panic!("invalid JSON: {text}"));
+            assert_eq!(SchedEvent::from_json(&tree), Some(ev.clone()), "decode of {text}");
+            // The tool path is the same bytes: dumping the tree gives the
+            // stream back, key order and number formatting included.
+            assert_eq!(ev.to_json(), tree);
+            assert_eq!(ev.to_json().dump(), text);
         }
     }
 
     #[test]
     fn encoder_reproduces_the_v1_golden_stream_byte_for_byte() {
-        // Written by the hand-rolled per-variant codec this table replaced
-        // (`to_json().dump()` over `sample_events()` at PR 12): key order
-        // and number formatting are part of the wire contract.
+        // Written by the hand-rolled per-variant codec the table replaced
+        // (`to_json().dump()` over `sample_events()` at PR 12, when
+        // `to_json` built a tree): key order and number formatting are part
+        // of the wire contract.
         let golden = include_str!("../../tests/fixtures/events_v1.jsonl");
-        let encoded: String = sample_events().iter().map(|e| e.to_json().dump() + "\n").collect();
-        assert_eq!(encoded, golden);
+        assert_eq!(to_jsonl(&sample_events()), golden);
         assert_eq!(parse_jsonl(golden), Some(sample_events()));
     }
 

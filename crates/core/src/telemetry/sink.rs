@@ -72,14 +72,22 @@ impl SchedObserver for RingBufferSink {
 /// [`parse_jsonl`] to replay a recorded run (the `schedule_explain` binary
 /// does exactly that).
 pub struct JsonlSink {
-    writer: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<LineWriter>,
     write_errors: AtomicU64,
+}
+
+/// The writer and the buffer each event's line is encoded into, under one
+/// lock: the buffer is reused, so a steady stream allocates nothing.
+struct LineWriter {
+    writer: Box<dyn Write + Send>,
+    line: String,
 }
 
 impl JsonlSink {
     /// Wrap any writer.
     pub fn new(writer: impl Write + Send + 'static) -> JsonlSink {
-        JsonlSink { writer: Mutex::new(Box::new(writer)), write_errors: AtomicU64::new(0) }
+        let out = LineWriter { writer: Box::new(writer), line: String::new() };
+        JsonlSink { out: Mutex::new(out), write_errors: AtomicU64::new(0) }
     }
 
     /// Create (truncating) a JSONL file at `path`.
@@ -89,7 +97,7 @@ impl JsonlSink {
 
     /// Flush the underlying writer.
     pub fn flush(&self) -> std::io::Result<()> {
-        self.writer.lock().flush()
+        self.out.lock().writer.flush()
     }
 
     /// Events lost because writing them failed.
@@ -106,21 +114,34 @@ impl std::fmt::Debug for JsonlSink {
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.writer.lock().flush();
+        let _ = self.out.lock().writer.flush();
     }
 }
 
 impl SchedObserver for JsonlSink {
     fn on_event(&self, event: &SchedEvent) {
-        let mut line = event.to_json().dump();
+        let mut out = self.out.lock();
+        let LineWriter { writer, line } = &mut *out;
+        line.clear();
+        event.write_json(line);
         line.push('\n');
         // Telemetry must never take the runtime down: I/O errors are
         // counted, not propagated. One write per event, so a failure loses
         // that event only and leaves no half line in front of the next.
-        if self.writer.lock().write_all(line.as_bytes()).is_err() {
+        if writer.write_all(line.as_bytes()).is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Encode `events` as the JSONL text a [`JsonlSink`] writes for them.
+pub fn to_jsonl(events: &[SchedEvent]) -> String {
+    let mut text = String::new();
+    for event in events {
+        event.write_json(&mut text);
+        text.push('\n');
+    }
+    text
 }
 
 /// Parse a JSONL event stream produced by [`JsonlSink`] back into events.

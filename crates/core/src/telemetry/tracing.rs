@@ -32,7 +32,7 @@
 //! Everything here is pure data + arithmetic: no clocks, no locks, no
 //! host time — same inputs, bit-identical output.
 
-use super::event::SchedEvent;
+use super::event::{field, field_or, write_obj, SchedEvent, Wire};
 use hwsim::json::Json;
 use hwsim::{SimDuration, SimTime};
 
@@ -145,24 +145,27 @@ impl SegmentSet {
             self.add(kind, other.get(kind));
         }
     }
+}
 
-    /// JSON object keyed by `<label>_ns`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(
-            SegmentKind::ALL
-                .iter()
-                .map(|&k| (format!("{}_ns", k.label()), Json::from(self.get(k).as_nanos()))),
-        )
+impl Wire for SegmentSet {
+    /// An object keyed by `<label>_ns`, in [`SegmentKind::ALL`] order.
+    fn write(&self, out: &mut String) {
+        for (i, kind) in SegmentKind::ALL.into_iter().enumerate() {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(kind.label());
+            out.push_str("_ns\":");
+            self.get(kind).write(out);
+        }
+        out.push('}');
     }
-
-    /// Decode; missing keys default to zero so old streams stay readable.
-    pub fn from_json(value: &Json) -> SegmentSet {
+    /// Missing keys default to zero so old streams stay readable.
+    fn decode(value: &Json) -> Option<Self> {
         let mut set = SegmentSet::zero();
         for kind in SegmentKind::ALL {
             let ns = value.get(&format!("{}_ns", kind.label())).and_then(Json::as_u64).unwrap_or(0);
             set.add(kind, SimDuration::from_nanos(ns));
         }
-        set
+        Some(set)
     }
 }
 
@@ -225,41 +228,33 @@ pub struct AttemptTrace {
     pub segments: SegmentSet,
 }
 
-impl AttemptTrace {
-    /// JSON object encoding.
-    pub fn to_json(&self) -> Json {
-        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::from);
-        Json::obj([
-            ("job", Json::from(self.span.job)),
-            ("attempt", Json::from(u64::from(self.span.attempt))),
-            ("queue", opt(self.queue)),
-            ("device", opt(self.device)),
-            ("epoch", Json::from(self.epoch)),
-            ("dispatched_at_ns", Json::from(self.dispatched_at.as_nanos())),
-            ("ended_at_ns", Json::from(self.ended_at.as_nanos())),
-            ("segments", self.segments.to_json()),
-        ])
+impl Wire for AttemptTrace {
+    fn write(&self, out: &mut String) {
+        write_obj!(out,
+            "job": &self.span.job,
+            "attempt": &u64::from(self.span.attempt),
+            "queue": &self.queue,
+            "device": &self.device,
+            "epoch": &self.epoch,
+            "dispatched_at_ns": &self.dispatched_at,
+            "ended_at_ns": &self.ended_at,
+            "segments": &self.segments,
+        );
     }
-
-    /// Decode; absent numeric fields default to zero, absent `segments`
-    /// to the empty set.
-    pub fn from_json(value: &Json) -> Option<AttemptTrace> {
-        let span = SpanId {
-            job: value.get("job").and_then(Json::as_u64)?,
-            attempt: value.get("attempt").and_then(Json::as_u64).unwrap_or(0) as u32,
-        };
+    /// Only `job` is required; absent numeric fields default to zero,
+    /// absent `segments` to the empty set.
+    fn decode(value: &Json) -> Option<Self> {
         Some(AttemptTrace {
-            span,
-            queue: value.get("queue").and_then(Json::as_u64),
-            device: value.get("device").and_then(Json::as_u64),
-            epoch: value.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-            dispatched_at: SimTime::from_nanos(
-                value.get("dispatched_at_ns").and_then(Json::as_u64).unwrap_or(0),
-            ),
-            ended_at: SimTime::from_nanos(
-                value.get("ended_at_ns").and_then(Json::as_u64).unwrap_or(0),
-            ),
-            segments: value.get("segments").map(SegmentSet::from_json).unwrap_or_default(),
+            span: SpanId {
+                job: field(value, "job")?,
+                attempt: field_or(value, "attempt", || 0u64) as u32,
+            },
+            queue: field_or(value, "queue", || None),
+            device: field_or(value, "device", || None),
+            epoch: field_or(value, "epoch", || 0),
+            dispatched_at: field_or(value, "dispatched_at_ns", || SimTime::ZERO),
+            ended_at: field_or(value, "ended_at_ns", || SimTime::ZERO),
+            segments: field_or(value, "segments", SegmentSet::zero),
         })
     }
 }
@@ -561,17 +556,25 @@ mod tests {
         SimDuration::from_nanos(d)
     }
 
+    /// What a reader of the stream sees of one wire value.
+    fn written<T: Wire>(value: &T) -> Json {
+        let mut text = String::new();
+        value.write(&mut text);
+        Json::parse(&text).expect("Wire::write emits valid JSON")
+    }
+
     #[test]
     fn segment_set_roundtrips_and_defaults() {
         let mut set = SegmentSet::zero();
         set.add(SegmentKind::Compute, dur(123));
         set.add(SegmentKind::H2d, dur(7));
-        let back = SegmentSet::from_json(&set.to_json());
+        let back = SegmentSet::decode(&written(&set)).unwrap();
         assert_eq!(back, set);
         assert_eq!(back.total(), dur(130));
         // Old streams without a key decode that segment as zero.
         assert_eq!(
-            SegmentSet::from_json(&Json::obj([("compute_ns", Json::from(5u64))]))
+            SegmentSet::decode(&Json::obj([("compute_ns", Json::from(5u64))]))
+                .unwrap()
                 .get(SegmentKind::Compute),
             dur(5)
         );
@@ -592,7 +595,7 @@ mod tests {
                 s
             },
         };
-        let back = AttemptTrace::from_json(&a.to_json()).unwrap();
+        let back = AttemptTrace::decode(&written(&a)).unwrap();
         assert_eq!(back, a);
     }
 

@@ -30,7 +30,7 @@
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange, Platform, RuntimeConfig};
 use hwsim::xrand::XorShift;
 use hwsim::{FaultPlan, KernelCostSpec, KernelTraits, SimDuration};
-use multicl::telemetry::RingBufferSink;
+use multicl::telemetry::{self, RingBufferSink};
 use multicl::{
     ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedEvent, SchedOptions,
     SchedQueue, SchedStats,
@@ -144,10 +144,9 @@ fn fnv(text: &str) -> u64 {
 /// gauges are host wall-clock observations, so they are zeroed; everything
 /// else — order, virtual timestamps, cost rows — counts.
 fn events_text(events: &[SchedEvent]) -> String {
-    let mut text = String::new();
-    for e in events {
-        let mut e = e.clone();
-        match &mut e {
+    let mut events = events.to_vec();
+    for e in &mut events {
+        match e {
             SchedEvent::MappingDecision { mapper_wall, .. } => *mapper_wall = SimDuration::ZERO,
             SchedEvent::EpochEnd { data_queue_depth, data_peak_busy, .. } => {
                 *data_queue_depth = 0;
@@ -155,10 +154,8 @@ fn events_text(events: &[SchedEvent]) -> String {
             }
             _ => {}
         }
-        text.push_str(&e.to_json().dump());
-        text.push('\n');
     }
-    text
+    telemetry::to_jsonl(&events)
 }
 
 /// One line per engine trace record (profiling included): device, kind,

@@ -4,9 +4,11 @@
 //! serializes (the device-profile cache, the telemetry event stream, the
 //! Chrome-tracing exporters) goes through this module instead of
 //! `serde_json`. The surface is deliberately tiny: a tree [`Json`] value,
-//! [`Json::dump`] to text, and [`Json::parse`] back. Numbers are `f64`
-//! (every quantity we serialize — nanoseconds, byte counts, bandwidths —
-//! fits in the 2^53 integer range).
+//! [`Json::dump`] to text, and [`Json::parse`] back; writers that have no
+//! use for the tree (the telemetry event stream) append straight to a
+//! `String` with the same leaf writers `dump` uses, [`write_str`] and
+//! [`write_num`]. Numbers are `f64` (every quantity we serialize —
+//! nanoseconds, byte counts, bandwidths — fits in the 2^53 integer range).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -167,31 +169,50 @@ impl From<f64> for Json {
 /// quotes). Handles quotes, backslashes, and all control characters.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(s, &mut out);
     out
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` to `out`, escaped as [`escape`] does. Runs that need no
+/// escaping are copied whole, so the common case is one `push_str`.
+pub fn escape_into(s: &str, out: &mut String) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        // Every byte that needs escaping is ASCII, so `clean..i` falls on
+        // character boundaries.
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Append `s` to `out` as a JSON string: quoted and escaped.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    out.push_str(&escape(s));
+    escape_into(s, out);
     out.push('"');
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Append `n` to `out` as a JSON number: integral values below 9.0e15 in
+/// magnitude print without a fraction, everything else as Rust's shortest
+/// round-trip `f64` text; NaN and the infinities, which JSON lacks, as
+/// `null`.
+pub fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
-        out.push_str("null"); // JSON has no Inf/NaN
+        out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
@@ -419,6 +440,54 @@ mod tests {
         assert!(text.contains("\\u0001"), "{text}");
         assert!(text.contains("\\t"));
         assert_eq!(Json::parse(&text), Some(v));
+    }
+
+    #[test]
+    fn leaf_writers_roundtrip_random_strings_and_edge_numbers() {
+        // The alphabet is everything `escape_into` treats specially plus
+        // what it must pass through untouched.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', ' ', 'a', 'Z', '\u{7f}', 'é', '→', '😀']);
+        let mut rng = crate::xrand::XorShift::new(15);
+        for _ in 0..2_000 {
+            let len = rng.index(24);
+            let s: String = (0..len).map(|_| alphabet[rng.index(alphabet.len())]).collect();
+            let mut text = String::new();
+            write_str(&s, &mut text);
+            assert_eq!(Json::parse(&text), Some(Json::Str(s.clone())), "{text}");
+            assert_eq!(text, format!("\"{}\"", escape(&s)));
+            assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
+        }
+
+        let num = |n: f64| {
+            let mut text = String::new();
+            write_num(n, &mut text);
+            text
+        };
+        // Integral values print without a fraction below 9.0e15 and as
+        // Rust's shortest round-trip text from there on; both parse back to
+        // the same `f64`, so a `u64` above 2^53 survives as the `f64` it
+        // was rounded to on the way in.
+        assert_eq!(num(0.0), "0");
+        assert_eq!(num(-0.0), "0");
+        assert_eq!(num(-17.0), "-17");
+        assert_eq!(num(8_999_999_999_999_999.0), "8999999999999999");
+        assert_eq!(num(9.0e15), "9000000000000000");
+        assert_eq!(num(u64::MAX as f64), "18446744073709552000");
+        assert_eq!(num(0.07), "0.07");
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(n), "null");
+        }
+        let mut edges = vec![0.0, 1.0, 9.0e15, 9.0e15 + 2.0, 1.0e300, 5e-324, 0.1 + 0.2];
+        edges.extend([(1u64 << 53) + 1, u64::MAX - 1, u64::MAX].map(|n| n as f64));
+        for _ in 0..2_000 {
+            edges.push(rng.next_u64() as f64);
+            edges.push(rng.range_f64(-1.0e6, 1.0e6));
+            edges.push(f64::from_bits(rng.next_u64()));
+        }
+        for n in edges.into_iter().filter(|n| n.is_finite()) {
+            assert_eq!(Json::parse(&num(n)), Some(Json::Num(n)), "{n:e}");
+        }
     }
 
     #[test]

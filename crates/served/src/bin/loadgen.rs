@@ -22,7 +22,7 @@
 //! virtual timeline or results).
 
 use hwsim::SimDuration;
-use multicl::telemetry::RingBufferSink;
+use multicl::telemetry::{self, RingBufferSink};
 use served::loadgen::{self, ArrivalMode, LoadgenConfig};
 use served::ServePolicy;
 use std::path::PathBuf;
@@ -161,7 +161,7 @@ fn main() {
     let stem = format!("serve_loadgen_{}_seed{}", cfg.policy.label(), cfg.seed);
     write_results(&format!("{stem}.json"), &report.dump());
     write_results(&format!("{stem}.prom"), &served.metrics().registry().to_prometheus());
-    let events: String = recorder.snapshot().iter().map(|e| e.to_json().dump() + "\n").collect();
+    let events = telemetry::to_jsonl(&recorder.snapshot());
     write_results(&format!("serve_events_{}_seed{}.jsonl", cfg.policy.label(), cfg.seed), &events);
     if cfg.mode == ArrivalMode::Open {
         write_results(

@@ -575,11 +575,14 @@ impl Served {
             at: now,
         });
         self.metrics.tenant(tenant).submitted.inc();
-        if let Err(e) = spec.validate() {
-            let reason = RejectReason::InvalidSpec(e);
-            self.reject(tenant, &name, job, &reason, now);
-            return Err(reason);
-        }
+        let order = match spec.validated_order() {
+            Ok(order) => order,
+            Err(e) => {
+                let reason = RejectReason::InvalidSpec(e);
+                self.reject(tenant, &name, job, &reason, now);
+                return Err(reason);
+            }
+        };
         let capacity = self.shed_capacity(state.config.capacity);
         let depth = {
             let mut queue = state.queue.lock();
@@ -592,6 +595,7 @@ impl Served {
             queue.push_back(PendingJob {
                 id: job,
                 spec,
+                order,
                 submitted_at: now,
                 deadline,
                 attempts: 0,
@@ -797,7 +801,8 @@ impl Served {
                 queue: worker.id(),
                 at: dispatched_at,
             });
-            self.issue_job(worker, &job.spec, job.id).expect("validated spec issues cleanly");
+            self.issue_job(worker, &job.spec, &job.order, job.id)
+                .expect("validated spec issues cleanly");
         }
         // One synchronization epoch: the scheduler maps the combined pool.
         self.ctx.finish_all();
@@ -993,7 +998,8 @@ impl Served {
                 self.metrics.warmups_skipped.inc();
                 continue;
             }
-            self.issue_job(&self.workers[i % self.workers.len()], spec, u64::MAX)?;
+            let order = spec.topo_order().expect("warm-up templates are acyclic");
+            self.issue_job(&self.workers[i % self.workers.len()], spec, &order, u64::MAX)?;
         }
         self.ctx.finish_all();
         *self.serving_since.lock() = self.platform.now();
@@ -1075,10 +1081,16 @@ impl Served {
     }
 
     /// Issue one job's command stream onto `worker`: allocate its buffers,
-    /// build its program, and walk the steps in topological order. Writes
-    /// execute immediately (defining initial residency); launches buffer
-    /// into the worker's pending epoch.
-    fn issue_job(&self, worker: &SchedQueue, spec: &JobSpec, job_id: u64) -> ClResult<()> {
+    /// build its program, and walk the steps in `order` (the spec's
+    /// topological order). Writes execute immediately (defining initial
+    /// residency); launches buffer into the worker's pending epoch.
+    fn issue_job(
+        &self,
+        worker: &SchedQueue,
+        spec: &JobSpec,
+        order: &[usize],
+        job_id: u64,
+    ) -> ClResult<()> {
         let mut buffers: HashMap<&str, clrt::Buffer> = HashMap::new();
         for b in &spec.buffers {
             buffers.insert(b.name.as_str(), self.ctx.create_buffer_of::<f64>(b.elements)?);
@@ -1088,8 +1100,7 @@ impl Served {
         for k in &spec.kernels {
             kernels.insert(k.name.as_str(), program.create_kernel(&k.name)?);
         }
-        let order = spec.topo_order().expect("validated spec is acyclic");
-        for idx in order {
+        for &idx in order {
             match &spec.steps[idx].op {
                 StepOp::Write { buffer } => {
                     let buf = &buffers[buffer.as_str()];

@@ -346,6 +346,12 @@ impl JobSpec {
     /// Check internal consistency: unique names, resolvable references,
     /// consistent kernel arities, positive sizes, acyclic dependencies.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.validated_order().map(|_| ())
+    }
+
+    /// [`Self::validate`], handing back the [`Self::topo_order`] it had to
+    /// compute to rule out cycles, so admission sorts a job's steps once.
+    pub(crate) fn validated_order(&self) -> Result<Vec<usize>, SpecError> {
         if self.out_of_order && self.splittable {
             return Err(SpecError::Invalid(
                 "`out_of_order` and `splittable` are mutually exclusive".to_string(),
@@ -421,7 +427,7 @@ impl JobSpec {
                 }
             }
         }
-        self.topo_order().map(|_| ())
+        self.topo_order()
     }
 
     /// Total bytes of the job's buffers (`f64` elements) — the state a

@@ -66,6 +66,8 @@ pub(crate) struct PendingJob {
     pub id: u64,
     /// The validated spec.
     pub spec: JobSpec,
+    /// `spec`'s step indices in the topological order validation found.
+    pub order: Vec<usize>,
     /// Virtual time of admission.
     pub submitted_at: SimTime,
     /// Virtual completion deadline; past it the job fails instead of
