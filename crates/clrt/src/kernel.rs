@@ -85,6 +85,9 @@ pub trait KernelBody: Send + Sync {
 struct KernelInner {
     id: u64,
     ctx_id: u64,
+    /// `body.name()`, interned once: every launch's trace record and every
+    /// scheduler look-up shares it.
+    name: Arc<str>,
     body: Arc<dyn KernelBody>,
     args: Mutex<Vec<Option<ArgValue>>>,
     /// Per-device launch configuration overrides — the paper's
@@ -106,6 +109,7 @@ impl Kernel {
             inner: Arc::new(KernelInner {
                 id: next_object_id(),
                 ctx_id,
+                name: Arc::from(body.name()),
                 body,
                 args: Mutex::new(vec![None; arity]),
                 per_device_nd: Mutex::new(HashMap::new()),
@@ -114,8 +118,13 @@ impl Kernel {
     }
 
     /// Kernel function name.
-    pub fn name(&self) -> String {
-        self.inner.body.name().to_string()
+    pub fn name(&self) -> &str {
+        &self.inner.name
+    }
+
+    /// The interned name, for records that outlive the kernel handle.
+    pub(crate) fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.inner.name)
     }
 
     /// Unique object id.

@@ -21,9 +21,11 @@ pub(crate) fn next_object_id() -> u64 {
 pub struct RuntimeConfig {
     /// Data-plane worker threads executing kernel bodies and transfers.
     /// `0` (the default) uses the host's available parallelism; `1` runs
-    /// everything synchronously on the enqueueing thread (the historical
-    /// path). The worker count never affects buffer contents or virtual
-    /// time — only wall-clock throughput.
+    /// every body on the enqueueing thread — the degenerate case of the
+    /// executor's caller-run path (see [`crate::exec`]), so a panicking
+    /// body still surfaces at the next blocking point, not at the enqueue.
+    /// The worker count never affects buffer contents or virtual time —
+    /// only wall-clock throughput.
     pub data_plane_workers: usize,
     /// Opt-in bounded memory for long runs: retire completed engine events
     /// that hold no live [`crate::Event`] handles once the host clock has

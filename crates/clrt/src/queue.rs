@@ -21,15 +21,16 @@
 //!    residency → H2D / D2H / staged D2D), charging virtual time,
 //! 3. submits the command to the hwsim engine (time plane), and
 //! 4. submits the host-side effect (kernel body, store copy) to the
-//!    hazard-tracked data-plane executor ([`crate::exec`]); with one
-//!    worker it runs inline on the enqueueing thread.
+//!    hazard-tracked data-plane executor ([`crate::exec`]), which runs it
+//!    on the enqueueing thread when nothing blocks it and it is lighter
+//!    than a hand-off, and on its worker pool otherwise.
 
 use crate::buffer::{bytes_of, Buffer, Element};
 use crate::context::Context;
 use crate::error::{ClError, ClResult};
 use crate::event::Event;
-use crate::exec::{Access, DataPlane, TaskId};
-use crate::kernel::{ArgValue, Kernel, KernelCtx};
+use crate::exec::{Access, DataPlane, Order, TaskId};
+use crate::kernel::{ArgValue, Kernel, KernelBody, KernelCtx};
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
 use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
@@ -122,19 +123,21 @@ impl CommandQueue {
         &self.inner.ctx.rt.plane
     }
 
-    /// Data-plane dependencies from the queue's ordering mode: in-order
+    /// Data-plane dependency from the queue's ordering mode: in-order
     /// queues chain each task after the previous one; out-of-order queues
     /// rely on buffer hazards and explicit event waits alone.
-    fn chain_deps(&self) -> Vec<TaskId> {
+    fn chain_dep(&self) -> Option<TaskId> {
         if self.inner.ooo {
-            Vec::new()
+            None
         } else {
-            self.inner.last_task.lock().into_iter().collect()
+            *self.inner.last_task.lock()
         }
     }
 
-    /// Record a submitted data-plane task as the queue's chain head and as a
-    /// `finish` obligation, pruning completed ids once the list grows.
+    /// Record a queued data-plane task as the queue's chain head and as a
+    /// `finish` obligation, pruning completed ids once the list grows. A
+    /// caller-run task (`None`) completed before its `submit` returned and
+    /// leaves nothing to chain after or to join.
     fn record_task(&self, id: Option<TaskId>) {
         let Some(id) = id else { return };
         *self.inner.last_task.lock() = Some(id);
@@ -143,6 +146,24 @@ impl CommandQueue {
         if live.len() >= 128 {
             self.plane().retain_live(&mut live);
         }
+    }
+
+    /// Hand one command's data-plane half — `work` nominal units, see
+    /// [`DataPlane::submit`] — to the executor: ordered by the hazards of
+    /// `accesses`, the queue's chain and the tasks behind `wait_events`,
+    /// backing engine event `ev`; recorded if it was queued.
+    fn submit_task(
+        &self,
+        accesses: &[Access<'_>],
+        wait_events: &[usize],
+        ev: EventId,
+        work: u64,
+        run: impl FnOnce(),
+        owned: impl FnOnce() -> Box<dyn FnOnce() + Send>,
+    ) {
+        let chain = self.chain_dep();
+        let order = Order { accesses, after: chain.as_slice(), wait_events, event: Some(ev.0) };
+        self.record_task(self.plane().submit(order, work, run, owned));
     }
 
     /// Submit one command on `device` with `extra_waits`. In-order queues
@@ -318,28 +339,26 @@ impl CommandQueue {
             Self::stamp_record(&engine, buf, id, true);
             id
         };
-        // Data plane: the store update is a hazard-tracked task. The async
-        // path clones the user's slice (the call may return before a worker
-        // runs the copy, and OpenCL does not retain the host pointer); the
-        // inline path copies directly with no allocation.
-        let plane = Arc::clone(self.plane());
-        if plane.is_inline() {
-            plane.note_inline(&[Access::write(buf)]);
-            buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data);
-        } else {
-            let staged: Box<[u8]> = bytes_of(data).into();
-            let dst = buf.clone();
-            let t = plane.submit(
-                &[Access::write(buf)],
-                &self.chain_deps(),
-                &[],
-                Some(ev.0),
+        // Data plane: the store update is a hazard-tracked task. A queued
+        // write must stage the user's slice (the call may return before a
+        // worker runs the copy, and OpenCL does not retain the host
+        // pointer) — a memcpy of the whole payload on this thread — so an
+        // unblocked write of any size is cheaper copied straight into the
+        // store: it declares no work.
+        self.submit_task(
+            &[Access::write(buf)],
+            &[],
+            ev,
+            0,
+            || buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data),
+            || {
+                let staged: Box<[u8]> = bytes_of(data).into();
+                let dst = buf.clone();
                 Box::new(move || {
                     dst.inner.store.lock().as_mut_slice::<u8>().copy_from_slice(&staged);
-                }),
-            );
-            self.record_task(t);
-        }
+                })
+            },
+        );
         let mut res = buf.inner.residency.lock();
         res.devices.clear();
         res.devices.insert(dev);
@@ -366,7 +385,7 @@ impl CommandQueue {
         // Data plane: register the host copy-out as a *manual* task before
         // blocking, so its RAW edge on the buffer's last writer is captured
         // in enqueue order and later writers gain a WAR edge on the read.
-        let bracket = self.plane().begin_manual(&[Access::read(buf)], &self.chain_deps());
+        let bracket = self.plane().begin_manual(&[Access::read(buf)], self.chain_dep().as_slice());
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
             let mig = self.migrate_to(&mut engine, buf, dev);
@@ -390,9 +409,7 @@ impl CommandQueue {
             id
         };
         buf.inner.residency.lock().host = true;
-        if let Some(m) = &bracket {
-            m.wait_ready();
-        }
+        bracket.wait_ready();
         out.copy_from_slice(buf.inner.store.lock().as_slice::<T>());
         drop(bracket); // completes the manual task, releasing blocked writers
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
@@ -442,7 +459,6 @@ impl CommandQueue {
         // the global order every multi-buffer task uses — so concurrent
         // readers of overlapping buffer sets cannot deadlock.
         if !src.same_object(dst) {
-            let plane = Arc::clone(self.plane());
             let copy_stores = |s: &Buffer, d: &Buffer| {
                 if s.inner.id < d.inner.id {
                     let sg = s.inner.store.lock();
@@ -454,21 +470,17 @@ impl CommandQueue {
                     dg.as_mut_slice::<u8>().copy_from_slice(sg.as_slice::<u8>());
                 }
             };
-            if plane.is_inline() {
-                plane.note_inline(&[Access::read(src), Access::write(dst)]);
-                copy_stores(src, dst);
-            } else {
-                let s = src.clone();
-                let d = dst.clone();
-                let t = plane.submit(
-                    &[Access::read(src), Access::write(dst)],
-                    &self.chain_deps(),
-                    &[],
-                    Some(ev.0),
-                    Box::new(move || copy_stores(&s, &d)),
-                );
-                self.record_task(t);
-            }
+            self.submit_task(
+                &[Access::read(src), Access::write(dst)],
+                &[],
+                ev,
+                bytes,
+                || copy_stores(src, dst),
+                || {
+                    let (s, d) = (src.clone(), dst.clone());
+                    Box::new(move || copy_stores(&s, &d))
+                },
+            );
         }
         let mut res = dst.inner.residency.lock();
         res.devices.clear();
@@ -587,7 +599,8 @@ impl CommandQueue {
                 }
             }
         }
-        let duration = kernel.cost().kernel_time(spec, effective.shape());
+        let cost = kernel.cost();
+        let duration = cost.kernel_time(spec, effective.shape());
         // Deduplicated buffer accesses (a buffer passed both mutably and
         // immutably counts as a write): shared by the time-plane hazard
         // tracker and the data-plane executor below.
@@ -626,7 +639,7 @@ impl CommandQueue {
             let id = self.submit(
                 &mut engine,
                 dev,
-                CommandKind::Kernel { name: Arc::from(kernel.name().as_str()) },
+                CommandKind::Kernel { name: kernel.shared_name() },
                 duration,
                 &chain,
             );
@@ -642,28 +655,25 @@ impl CommandQueue {
         // serialize in wall-clock, not virtual time — they share the
         // buffer's store lock anyway), keeping results exact.
         let global_offset = chunk_offset.unwrap_or_default();
-        let plane = Arc::clone(self.plane());
-        if plane.is_inline() {
-            plane.note_inline(&accesses);
+        let execute = move |body: &dyn KernelBody, args: &[ArgValue]| {
             let mut ctx = KernelCtx::with_offset(effective, dev, global_offset, args);
-            kernel.body().execute(&mut ctx);
-        } else {
-            let wait_events: Vec<usize> = waits.iter().map(|e| e.raw().0).collect();
-            let body = Arc::clone(kernel.body());
-            let owned_args: Vec<ArgValue> = args.to_vec();
-            let t = plane.submit(
-                &accesses,
-                &self.chain_deps(),
-                &wait_events,
-                Some(ev.0),
-                Box::new(move || {
-                    let mut ctx =
-                        KernelCtx::with_offset(effective, dev, global_offset, &owned_args);
-                    body.execute(&mut ctx);
-                }),
-            );
-            self.record_task(t);
-        }
+            body.execute(&mut ctx);
+        };
+        // The body's nominal work: what the cost model charges per item —
+        // compute or traffic, whichever dominates — over the launch.
+        let work = effective.global_items() as f64 * cost.flops_per_item.max(cost.bytes_per_item);
+        let wait_events: Vec<usize> = waits.iter().map(|e| e.raw().0).collect();
+        self.submit_task(
+            &accesses,
+            &wait_events,
+            ev,
+            work as u64,
+            || execute(&**kernel.body(), args),
+            || {
+                let (body, args) = (Arc::clone(kernel.body()), args.to_vec());
+                Box::new(move || execute(&*body, &args))
+            },
+        );
         // Residency: written buffers are now valid only on this device. A
         // chunk leaves residency to `enqueue_split_join`.
         if whole {
@@ -725,12 +735,8 @@ impl CommandQueue {
         }
         // Data plane: a no-op task ordered after every chunk's write hazard,
         // so the home queue's chain observes the completed split.
-        let plane = Arc::clone(self.plane());
-        if !plane.is_inline() {
-            let accesses: Vec<Access<'_>> = written.iter().map(Access::read).collect();
-            let t = plane.submit(&accesses, &self.chain_deps(), &[], Some(id.0), Box::new(|| {}));
-            self.record_task(t);
-        }
+        let accesses: Vec<Access<'_>> = written.iter().map(Access::read).collect();
+        self.submit_task(&accesses, &[], id, 0, || {}, || Box::new(|| {}));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 
@@ -769,13 +775,10 @@ impl CommandQueue {
         // Data plane: a no-op task ordered after everything outstanding on
         // this queue. Subsequent commands chain after it (in-order) or wait
         // on its event explicitly (out-of-order), mirroring the time plane.
-        let plane = Arc::clone(self.plane());
-        if !plane.is_inline() {
-            let mut deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
-            deps.extend(self.chain_deps());
-            let t = plane.submit(&[], &deps, &[], Some(id.0), Box::new(|| {}));
-            self.record_task(t);
-        }
+        let mut deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
+        deps.extend(self.chain_dep());
+        let order = Order { after: &deps, event: Some(id.0), ..Order::default() };
+        self.record_task(self.plane().submit(order, 0, || {}, || Box::new(|| {})));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 
@@ -794,9 +797,12 @@ impl CommandQueue {
             // point: everything this queue submitted has now completed.
             engine.retire_completed();
         }
+        // A blocking point even with nothing outstanding: a caller-run
+        // body's panic is re-raised here (one plane lock, no allocation —
+        // cloning an empty list is free).
         let tasks: Vec<TaskId> = self.inner.outstanding_tasks.lock().clone();
+        self.plane().join(&tasks);
         if !tasks.is_empty() {
-            self.plane().join(&tasks);
             let mut live = self.inner.outstanding_tasks.lock();
             self.plane().retain_live(&mut live);
         }

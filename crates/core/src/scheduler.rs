@@ -907,9 +907,10 @@ impl RtInner {
         if self.options.predictor_confidence > 0.0 {
             for q in pool {
                 for p in q.pending.lock().iter() {
-                    index
-                        .entry(p.kernel.name())
-                        .or_insert_with(|| (p.kernel.clone(), p.nd, pending_arg_bytes(p)));
+                    if !index.contains_key(p.kernel.name()) {
+                        let snapshot = (p.kernel.clone(), p.nd, pending_arg_bytes(p));
+                        index.insert(p.kernel.name().to_string(), snapshot);
+                    }
                 }
             }
         }
@@ -995,7 +996,7 @@ impl RtInner {
             }
             // Compose from per-kernel profiles when every kernel is known.
             let kp = self.kernel_profiles.lock();
-            if pending.iter().all(|p| kp.contains_key(&p.kernel.name())) {
+            if pending.iter().all(|p| kp.contains_key(p.kernel.name())) {
                 return CostPlan::Compose(key);
             }
         }
@@ -1068,7 +1069,7 @@ impl RtInner {
                 let kp = self.kernel_profiles.lock();
                 let mut exec = vec![SimDuration::ZERO; devices.len()];
                 for p in pending {
-                    for (t, v) in exec.iter_mut().zip(&kp[&p.kernel.name()]) {
+                    for (t, v) in exec.iter_mut().zip(&kp[p.kernel.name()]) {
                         *t += *v;
                     }
                 }
@@ -1239,7 +1240,7 @@ impl RtInner {
         // analytic estimate — either divided by the unit count. Lost
         // devices are unavailable (infinite cost).
         let node = self.platform.node();
-        let profile_row = self.kernel_profiles.lock().get(&p.kernel.name()).cloned();
+        let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).cloned();
         let per_wg_ns: Vec<f64> = devices
             .iter()
             .enumerate()
@@ -1281,7 +1282,7 @@ impl RtInner {
         self.emit(&SchedEvent::KernelSplit {
             epoch,
             queue: q.id,
-            kernel: p.kernel.name(),
+            kernel: p.kernel.name().to_string(),
             partitioner: self.options.split_partitioner.name().to_string(),
             total_wgs: units,
             chunks: chunks.len() as u64,
@@ -1318,7 +1319,7 @@ impl RtInner {
             if a.stolen {
                 self.emit(&SchedEvent::ChunkStolen {
                     epoch,
-                    kernel: p.kernel.name(),
+                    kernel: p.kernel.name().to_string(),
                     chunk: a.chunk as u64,
                     wg_offset: c.wg_offset,
                     wg_count: c.wg_count,
@@ -1413,7 +1414,7 @@ impl RtInner {
             self.options.minikernel && q.flags.contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
         let missing: Vec<&PendingKernel> = {
             let kp = self.kernel_profiles.lock();
-            let mut seen: Vec<String> = Vec::new();
+            let mut seen: Vec<&str> = Vec::new();
             pending
                 .iter()
                 .filter(|p| {
@@ -1421,8 +1422,8 @@ impl RtInner {
                     if seen.contains(&name) {
                         return false;
                     }
-                    seen.push(name.clone());
-                    force || !kp.contains_key(&seen[seen.len() - 1])
+                    seen.push(name);
+                    force || !kp.contains_key(name)
                 })
                 .collect()
         };
@@ -1519,18 +1520,18 @@ impl RtInner {
                     delta.kernels_predicted += 1;
                     events.push(SchedEvent::CostPredicted {
                         epoch,
-                        kernel: name.clone(),
+                        kernel: name.to_string(),
                         costs: row.clone(),
                         uncertainty: max_uncertainty,
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
                     mapper::inflate_uncertain(&mut row, max_uncertainty);
-                    rows.push((name, row));
+                    rows.push((name.to_string(), row));
                 } else {
                     delta.predictor_fallbacks += 1;
                     events.push(SchedEvent::PredictorFallback {
                         epoch,
-                        kernel: name,
+                        kernel: name.to_string(),
                         reason: if untrained { "untrained" } else { "low_confidence" }.to_string(),
                         uncertainty: max_uncertainty,
                     });
@@ -1650,7 +1651,7 @@ impl RtInner {
             let mut kernel_rows: HashMap<String, Vec<SimDuration>> = HashMap::new();
             for p in pending {
                 kernel_rows
-                    .entry(p.kernel.name())
+                    .entry(p.kernel.name().to_string())
                     .or_insert_with(|| vec![SimDuration::ZERO; devices.len()]);
             }
             for (di, &dev) in devices.iter().enumerate() {
@@ -1721,16 +1722,15 @@ impl RtInner {
                         let full = cost.kernel_time(spec, shape);
                         (full, full)
                     };
-                    let name: Arc<str> = Arc::from(if minikernel {
-                        format!("mini_{}", p.kernel.name())
+                    let name: Arc<str> = if minikernel {
+                        Arc::from(format!("mini_{}", p.kernel.name()))
                     } else {
-                        p.kernel.name()
-                    });
+                        Arc::from(p.kernel.name())
+                    };
                     charge(engine, dev, CommandKind::Kernel { name }, charged);
                     kernel_rows
-                        .entry(p.kernel.name())
-                        .or_insert_with(|| vec![SimDuration::ZERO; devices.len()])[di] =
-                        estimated_full;
+                        .get_mut(p.kernel.name())
+                        .expect("every pending kernel's row was seeded above")[di] = estimated_full;
                 }
             }
             engine.set_tag(prev_tag.as_deref());
@@ -1786,7 +1786,7 @@ impl RtInner {
         }
         let rows: Vec<Vec<SimDuration>> = {
             let kp = self.kernel_profiles.lock();
-            pending.iter().map(|p| kp.get(&p.kernel.name()).cloned()).collect::<Option<_>>()?
+            pending.iter().map(|p| kp.get(p.kernel.name()).cloned()).collect::<Option<_>>()?
         };
         // Explicit-region queues amortize migrations over the rest of the
         // program (see `migration_vec`), so their copy lane is free here.
@@ -1968,7 +1968,7 @@ fn pending_arg_bytes(p: &PendingKernel) -> u64 {
 /// Build the epoch cache key: the multiset of kernel names (§V-C1, "the key
 /// for a kernel epoch is just the set of the participating kernel names").
 fn epoch_key(pending: &[PendingKernel]) -> String {
-    let mut names: Vec<String> = pending.iter().map(|p| p.kernel.name()).collect();
+    let mut names: Vec<&str> = pending.iter().map(|p| p.kernel.name()).collect();
     names.sort_unstable();
     names.join("+")
 }

@@ -16,7 +16,7 @@
 
 use crate::metrics::ServiceMetrics;
 use crate::slo::{SloConfig, SloTracker};
-use crate::spec::{JobSpec, StepOp};
+use crate::spec::{JobSpec, KernelSpec, StepOp};
 use crate::tenant::{PendingJob, RejectReason, TenantConfig, TenantState};
 use clrt::error::ClResult;
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Scheduling policy of the service backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,17 +262,44 @@ impl KernelBody for SpecKernel {
         // Device-latency stand-in: occupy this data-plane task for a
         // duration proportional to the kernel's nominal flop count, the
         // way a real dispatch occupies its host thread until the device
-        // completes. This wait — not the prep loop — is what the worker
-        // pool overlaps, so the `dataplane` bench shows wall-clock wins
-        // even on single-core hosts. Sleeping never touches buffer data,
-        // so worker-count invariance is unaffected. (Debug builds wait
-        // ~17x less — dev test suites should not pay bench-grade load.)
+        // completes — for that nominal duration and no longer (see
+        // `exact_wait`), so a 128 ns kernel costs 128 ns, not a timer
+        // tick. This wait — not the prep loop — is what the worker pool
+        // overlaps, so the `dataplane` bench shows wall-clock wins even
+        // on single-core hosts. Waiting never touches buffer data, so
+        // worker-count invariance is unaffected. (Debug builds wait ~17x
+        // less — dev test suites should not pay bench-grade load.)
         let ns_per_flop = if cfg!(debug_assertions) { 0.015 } else { 0.25 };
-        let wait = std::time::Duration::from_nanos((flops * ns_per_flop) as u64);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
+        exact_wait(Duration::from_nanos((flops * ns_per_flop) as u64));
     }
+}
+
+/// How late `std::thread::sleep` may return: the kernel's 50 µs default
+/// timer slack plus a wake-up. Measured on the 2-core reference sandbox
+/// for requests of 128 ns to 2 ms: 72–120 µs at the median, ≈200 µs at p90.
+const SLEEP_OVERSHOOT: Duration = Duration::from_micros(200);
+
+/// Occupy the calling thread for `wait`: sleep only the part of it a late
+/// wake-up cannot overrun, then spin against the deadline. Never returns
+/// early, and late only by a preemption — so waits shorter than
+/// [`SLEEP_OVERSHOOT`] cost what they say instead of a timer tick, and a
+/// 10 ms wait still sleeps 9.8 ms of it.
+fn exact_wait(wait: Duration) {
+    let deadline = Instant::now() + wait;
+    if wait > SLEEP_OVERSHOOT {
+        std::thread::sleep(wait - SLEEP_OVERSHOOT);
+    }
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
+    }
+}
+
+/// One entry of the service's program cache: the kernel declarations a
+/// program was built from, each kernel's arity, and the program.
+struct BuiltProgram {
+    kernels: Vec<KernelSpec>,
+    arities: Vec<usize>,
+    program: clrt::Program,
 }
 
 /// Why a dispatched job terminally failed.
@@ -361,11 +389,13 @@ pub struct Served {
     /// Rotates which tenant a round's weighted sweep starts at, so equal
     /// weights get equal long-run shares.
     rr_start: AtomicUsize,
-    /// Built programs keyed by kernel signature. `clBuildProgram` charges
-    /// real host time (doubled by MultiCL's minikernel pass), so the
-    /// service compiles each job template once and reuses the program —
-    /// what any production OpenCL service does.
-    programs: Mutex<HashMap<String, clrt::Program>>,
+    /// Built programs, keyed by the kernel declarations themselves.
+    /// `clBuildProgram` charges real host time (doubled by MultiCL's
+    /// minikernel pass), so the service compiles each job template once and
+    /// reuses the program — what any production OpenCL service does. A
+    /// service holds a handful of templates, so the per-job look-up is a
+    /// linear `==` probe that allocates nothing.
+    programs: Mutex<Vec<BuiltProgram>>,
     /// Virtual time at which the service finished start-up (program
     /// warm-up); throughput should be measured from here.
     serving_since: Mutex<SimTime>,
@@ -429,7 +459,7 @@ impl Served {
             slo,
             next_job: AtomicU64::new(1),
             rr_start: AtomicUsize::new(0),
-            programs: Mutex::new(HashMap::new()),
+            programs: Mutex::new(Vec::new()),
             serving_since: Mutex::new(SimTime::ZERO),
             wall_serving_since: Mutex::new(None),
             outcomes: Mutex::new(Vec::new()),
@@ -1049,34 +1079,33 @@ impl Served {
     }
 
     /// Get or build the program for `spec`'s kernel set. Keyed by the full
-    /// kernel signature (name, arity, cost), so two templates sharing a
+    /// kernel signature (name, cost, arity), so two templates sharing a
     /// kernel name but differing in cost get distinct programs.
     fn program_for(&self, spec: &JobSpec) -> ClResult<clrt::Program> {
-        let arities = spec.kernel_arities();
-        let key: String = spec
-            .kernels
-            .iter()
-            .map(|k| {
-                format!("{}/{}/{:?};", k.name, arities.get(&k.name).copied().unwrap_or(0), k.cost)
-            })
-            .collect();
+        let arities = || spec.kernels.iter().map(|k| spec.kernel_arity(&k.name));
         let mut programs = self.programs.lock();
-        if let Some(p) = programs.get(&key) {
-            return Ok(p.clone());
+        let built = programs
+            .iter()
+            .find(|p| p.kernels == spec.kernels && p.arities.iter().copied().eq(arities()));
+        if let Some(p) = built {
+            return Ok(p.program.clone());
         }
+        let arities: Vec<usize> = arities().collect();
         let bodies: Vec<Arc<dyn KernelBody>> = spec
             .kernels
             .iter()
-            .map(|k| {
-                Arc::new(SpecKernel {
-                    name: k.name.clone(),
-                    arity: arities.get(&k.name).copied().unwrap_or(0),
-                    cost: k.cost,
-                }) as Arc<dyn KernelBody>
+            .zip(&arities)
+            .map(|(k, &arity)| {
+                Arc::new(SpecKernel { name: k.name.clone(), arity, cost: k.cost })
+                    as Arc<dyn KernelBody>
             })
             .collect();
         let program = self.ctx.create_program(bodies)?;
-        programs.insert(key, program.clone());
+        programs.push(BuiltProgram {
+            kernels: spec.kernels.clone(),
+            arities,
+            program: program.clone(),
+        });
         Ok(program)
     }
 
@@ -1117,5 +1146,73 @@ impl Served {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The program cache is keyed by the kernel declarations themselves:
+    /// an equal kernel set reuses the program whatever else the template
+    /// says; a kernel of the same name with another cost, or launched with
+    /// another arity, is another program.
+    #[test]
+    fn program_cache_is_keyed_by_kernel_declarations_and_arity() {
+        let platform = Platform::paper_node();
+        let tenants = vec![TenantConfig::new("t", 1, 8)];
+        let served = Served::new(&platform, ServiceConfig::new(ServePolicy::AutoFit, 1, tenants))
+            .expect("service builds");
+        let spec = |job: &str, flops: f64, args: &str| {
+            JobSpec::parse_str(&format!(
+                r#"{{"name": "{job}",
+                    "buffers": [{{"name": "a", "elements": 64}}, {{"name": "b", "elements": 64}}],
+                    "kernels": [{{"name": "k", "flops_per_item": {flops}, "bytes_per_item": 8.0}}],
+                    "steps": [{{"op": "launch", "kernel": "k", "global": 64, "local": 64,
+                                "args": {args}}}]}}"#
+            ))
+            .expect("spec parses")
+        };
+        let built = || served.programs.lock().len();
+        served.program_for(&spec("first", 16.0, r#"["a"]"#)).unwrap();
+        served.program_for(&spec("same kernels, other job", 16.0, r#"["b"]"#)).unwrap();
+        assert_eq!(built(), 1);
+        served.program_for(&spec("other cost", 32.0, r#"["a"]"#)).unwrap();
+        assert_eq!(built(), 2);
+        served.program_for(&spec("other arity", 16.0, r#"["a", "b"]"#)).unwrap();
+        assert_eq!(built(), 3);
+        served.program_for(&spec("first again", 16.0, r#"["a"]"#)).unwrap();
+        assert_eq!(built(), 3);
+    }
+
+    /// The device-latency stand-in holds its task for the nominal time:
+    /// never less (asserted on every sample), and at the median not much
+    /// more. A wait short enough to be spun out whole must beat the ≥ 55 µs
+    /// by which a plain `thread::sleep` overshoots any request; one that
+    /// sleeps first inherits the host's wake-up latency for the slept part,
+    /// which a loaded runner stretches, so its bound only rules out a
+    /// runaway. Only medians are bounded above: a preempted sample cannot
+    /// fail the test.
+    #[test]
+    fn exact_wait_never_returns_early_and_overshoots_little() {
+        for micros in [1, 20, 300, 2_000] {
+            let wait = Duration::from_micros(micros);
+            let mut over: Vec<Duration> = (0..41)
+                .map(|_| {
+                    let start = Instant::now();
+                    exact_wait(wait);
+                    let took = start.elapsed();
+                    assert!(took >= wait, "{micros} µs wait returned after {took:?}");
+                    took - wait
+                })
+                .collect();
+            over.sort_unstable();
+            let median = over[over.len() / 2];
+            let bound = if wait > SLEEP_OVERSHOOT { 2_000 } else { 40 };
+            assert!(
+                median < Duration::from_micros(bound),
+                "{micros} µs wait: median overshoot {median:?}"
+            );
+        }
     }
 }

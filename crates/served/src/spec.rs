@@ -436,16 +436,17 @@ impl JobSpec {
         self.buffers.iter().map(|b| (b.elements as u64) * 8).sum()
     }
 
-    /// Argument count per kernel, derived from launch steps (kernels never
-    /// launched get arity 0).
-    pub fn kernel_arities(&self) -> HashMap<String, usize> {
-        let mut out: HashMap<String, usize> = HashMap::new();
-        for s in &self.steps {
-            if let StepOp::Launch { kernel, args, .. } = &s.op {
-                out.insert(kernel.clone(), args.len());
-            }
-        }
-        out
+    /// Argument count of `kernel`, read off its first launch step —
+    /// validation makes every launch of a kernel agree — and 0 for a kernel
+    /// that is never launched.
+    pub fn kernel_arity(&self, kernel: &str) -> usize {
+        self.steps
+            .iter()
+            .find_map(|s| match &s.op {
+                StepOp::Launch { kernel: k, args, .. } if k == kernel => Some(args.len()),
+                _ => None,
+            })
+            .unwrap_or(0)
     }
 
     /// Step indices in a deterministic topological order: Kahn's algorithm
