@@ -287,10 +287,12 @@ pub fn trigger_granularity(launch_pairs: usize) -> (f64, f64) {
 
     let run = |per_kernel: bool| -> f64 {
         let platform = fresh_platform();
-        let options = SchedOptions { per_kernel_trigger: per_kernel, ..bench_options(true) };
-        let ctx =
-            multicl::MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
-                .unwrap();
+        let ctx = multicl::MulticlContext::with_options(
+            &platform,
+            ContextSchedPolicy::AutoFit,
+            bench_options(true),
+        )
+        .unwrap();
         let program = ctx
             .create_program(vec![
                 Arc::new(Affine { name: "cpu_phase", gpu: false }) as Arc<dyn KernelBody>,
@@ -310,9 +312,15 @@ pub fn trigger_granularity(launch_pairs: usize) -> (f64, f64) {
         let kb = program.create_kernel("gpu_phase").unwrap();
         kb.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
         let start = platform.now();
+        // Per-kernel granularity is a `clFlush` after every enqueue: each
+        // launch is mapped and issued on its own.
         for _ in 0..launch_pairs {
-            q.enqueue_ndrange(&ka, NdRange::d1(items, 64)).unwrap();
-            q.enqueue_ndrange(&kb, NdRange::d1(items, 128)).unwrap();
+            for (k, local) in [(&ka, 64), (&kb, 128)] {
+                q.enqueue_ndrange(k, NdRange::d1(items, local)).unwrap();
+                if per_kernel {
+                    q.flush();
+                }
+            }
         }
         q.finish();
         (platform.now() - start).as_secs_f64()

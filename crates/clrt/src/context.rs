@@ -67,8 +67,7 @@ impl Context {
     /// bytes, shareable among this context's devices.
     pub fn create_buffer(&self, byte_len: usize) -> ClResult<Buffer> {
         // OpenCL would reject buffers exceeding every device's capacity.
-        let max_cap =
-            self.devices.iter().map(|d| self.rt.node.spec(*d).mem_capacity).max().unwrap_or(0);
+        let max_cap = self.max_buffer_bytes();
         if byte_len as u64 > max_cap {
             return Err(ClError::MemObjectAllocationFailure(format!(
                 "buffer of {byte_len} bytes exceeds the largest device memory ({max_cap} bytes)"
@@ -77,9 +76,22 @@ impl Context {
         Buffer::new_on_plane(self.id, byte_len, Some(Arc::clone(&self.rt.plane)))
     }
 
+    /// The largest buffer [`Self::create_buffer`] admits: the memory of the
+    /// context's largest device (`CL_DEVICE_MAX_MEM_ALLOC_SIZE`, taken over
+    /// the context). A buffer this size fits *some* device, not every one —
+    /// a launch binding it is refused on the smaller ones.
+    pub fn max_buffer_bytes(&self) -> u64 {
+        self.devices.iter().map(|d| self.rt.node.spec(*d).mem_capacity).max().unwrap_or(0)
+    }
+
     /// Typed convenience over [`Self::create_buffer`].
     pub fn create_buffer_of<T: crate::buffer::Element>(&self, elements: usize) -> ClResult<Buffer> {
-        self.create_buffer(elements * std::mem::size_of::<T>())
+        let byte_len = elements.checked_mul(std::mem::size_of::<T>()).ok_or_else(|| {
+            ClError::MemObjectAllocationFailure(format!(
+                "buffer of {elements} elements overflows the address space"
+            ))
+        })?;
+        self.create_buffer(byte_len)
     }
 
     /// `clCreateCommandQueue`: an in-order queue bound to `device`.
@@ -96,12 +108,9 @@ impl Context {
     /// `CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE`: commands are ordered only
     /// by explicit event wait lists and barriers.
     pub fn create_queue_ooo(&self, device: DeviceId) -> ClResult<CommandQueue> {
-        if !self.contains(device) {
-            return Err(ClError::InvalidDevice(format!(
-                "device {device} is not part of this context"
-            )));
-        }
-        Ok(CommandQueue::with_order(self.clone(), device, true))
+        let queue = self.create_queue(device)?;
+        queue.set_out_of_order(true)?;
+        Ok(queue)
     }
 
     /// `clCreateProgramWithSource`: register kernel bodies as a program.

@@ -8,7 +8,9 @@
 //!
 //! Queues are in-order by default. Out-of-order queues
 //! (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE`,
-//! [`crate::Context::create_queue_ooo`]) drop the implicit command chaining:
+//! [`crate::Context::create_queue_ooo`], or
+//! [`CommandQueue::set_out_of_order`] on an idle queue) drop the implicit
+//! command chaining:
 //! commands are ordered only by explicit event wait lists and
 //! [`CommandQueue::enqueue_barrier`], so independent commands may overlap in
 //! virtual time (e.g. one kernel's input migration running while an earlier
@@ -37,13 +39,18 @@ use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration, WaitList};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 struct QueueInner {
     ctx: Context,
     qid: usize,
     /// Out-of-order execution mode: no implicit chaining between commands.
-    ooo: bool,
+    /// Switched only while the queue is idle
+    /// ([`CommandQueue::set_out_of_order`]) and under the engine lock, which
+    /// every time-plane read of it also holds, so the flag itself orders
+    /// nothing and `Relaxed` suffices.
+    ooo: AtomicBool,
     device: Mutex<DeviceId>,
     last: Mutex<Option<EventId>>,
     /// Commands submitted since the last `finish`/barrier (drives `finish`
@@ -58,7 +65,8 @@ struct QueueInner {
 }
 
 /// A `cl_command_queue` bound (rebindably) to one device; in-order by
-/// default, out-of-order via [`crate::Context::create_queue_ooo`].
+/// default, out-of-order via [`crate::Context::create_queue_ooo`] or
+/// [`CommandQueue::set_out_of_order`].
 #[derive(Clone)]
 pub struct CommandQueue {
     inner: Arc<QueueInner>,
@@ -66,15 +74,11 @@ pub struct CommandQueue {
 
 impl CommandQueue {
     pub(crate) fn new(ctx: Context, device: DeviceId) -> CommandQueue {
-        Self::with_order(ctx, device, false)
-    }
-
-    pub(crate) fn with_order(ctx: Context, device: DeviceId, ooo: bool) -> CommandQueue {
         CommandQueue {
             inner: Arc::new(QueueInner {
                 ctx,
                 qid: next_object_id() as usize,
-                ooo,
+                ooo: AtomicBool::new(false),
                 device: Mutex::new(device),
                 last: Mutex::new(None),
                 outstanding: Mutex::new(Vec::new()),
@@ -86,7 +90,31 @@ impl CommandQueue {
 
     /// True if this queue executes out of order.
     pub fn is_out_of_order(&self) -> bool {
-        self.inner.ooo
+        self.inner.ooo.load(Ordering::Relaxed)
+    }
+
+    /// Switch the queue's ordering mode
+    /// (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE` as a settable property).
+    /// Only an idle queue can change mode — every command enqueued so far
+    /// has completed in virtual time, e.g. after [`Self::finish`]: an
+    /// in-order command chains behind the *last* command alone, which
+    /// orders it after nothing an out-of-order predecessor still has in
+    /// flight. Setting the mode the queue already has always succeeds.
+    pub fn set_out_of_order(&self, ooo: bool) -> ClResult<()> {
+        if self.is_out_of_order() == ooo {
+            return Ok(());
+        }
+        let engine = self.inner.ctx.rt.engine.lock();
+        let in_flight =
+            self.inner.outstanding.lock().iter().filter(|&&e| !engine.event_completed(e)).count();
+        if in_flight > 0 {
+            return Err(ClError::InvalidOperation(format!(
+                "cannot switch the ordering mode of queue {} with {in_flight} command(s) in flight",
+                self.inner.qid
+            )));
+        }
+        self.inner.ooo.store(ooo, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The device this queue currently targets.
@@ -127,7 +155,7 @@ impl CommandQueue {
     /// queues chain each task after the previous one; out-of-order queues
     /// rely on buffer hazards and explicit event waits alone.
     fn chain_dep(&self) -> Option<TaskId> {
-        if self.inner.ooo {
+        if self.is_out_of_order() {
             None
         } else {
             *self.inner.last_task.lock()
@@ -179,7 +207,7 @@ impl CommandQueue {
         extra_waits: &[EventId],
     ) -> EventId {
         let mut waits = WaitList::new();
-        if !self.inner.ooo {
+        if !self.is_out_of_order() {
             if let Some(last) = *self.inner.last.lock() {
                 waits.push(last);
             }
@@ -238,7 +266,7 @@ impl CommandQueue {
             return None;
         }
         let mut raw: Vec<EventId> = Vec::new();
-        if self.inner.ooo {
+        if self.is_out_of_order() {
             Self::stamp_consult(buf, false, &mut raw);
         }
         let bytes = buf.byte_len() as u64;
@@ -326,7 +354,7 @@ impl CommandQueue {
             // so on out-of-order queues it orders after the last writer and
             // every outstanding reader of this buffer (and nothing else).
             let mut hazards: Vec<EventId> = Vec::new();
-            if self.inner.ooo {
+            if self.is_out_of_order() {
                 Self::stamp_consult(buf, true, &mut hazards);
             }
             let id = self.submit(
@@ -394,7 +422,7 @@ impl CommandQueue {
             let mut waits: Vec<EventId> = mig.into_iter().collect();
             // RAW in virtual time: with no migration to chain behind, an
             // out-of-order D2H must still wait for the producing command.
-            if self.inner.ooo && waits.is_empty() {
+            if self.is_out_of_order() && waits.is_empty() {
                 Self::stamp_consult(buf, false, &mut waits);
             }
             let id = self.submit(
@@ -437,7 +465,7 @@ impl CommandQueue {
             let mut waits: Vec<EventId> = mig.into_iter().collect();
             // Virtual-time hazards: the copy reads `src` (RAW, unless the
             // migration already chained it) and writes `dst` (WAW + WAR).
-            if self.inner.ooo {
+            if self.is_out_of_order() {
                 if waits.is_empty() {
                     Self::stamp_consult(src, false, &mut waits);
                 }
@@ -501,6 +529,26 @@ impl CommandQueue {
             )));
         }
         args.iter().filter_map(ArgValue::buffer).try_for_each(|b| self.check_buffer(b))
+    }
+
+    /// The device-dependent half of launch validation: every buffer
+    /// argument must fit in the memory of the device the queue is bound to
+    /// *now*. A layer that buffers launches for a queue it will not rebind
+    /// calls this at enqueue time; one that picks the device later has to
+    /// pick one the buffers fit.
+    pub fn check_capacity(&self, kernel: &Kernel, args: &[ArgValue]) -> ClResult<()> {
+        let dev = self.device();
+        let capacity = self.inner.ctx.rt.node.spec(dev).mem_capacity;
+        for (i, b) in args.iter().enumerate().filter_map(|(i, a)| Some((i, a.buffer()?))) {
+            if b.byte_len() as u64 > capacity {
+                return Err(ClError::MemObjectAllocationFailure(format!(
+                    "kernel `{}` arg {i}: buffer of {} bytes exceeds device {dev} memory",
+                    kernel.name(),
+                    b.byte_len(),
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// `clEnqueueNDRangeKernel`: migrate buffer arguments to this queue's
@@ -585,38 +633,13 @@ impl CommandQueue {
             nd
         };
         effective.validate()?;
+        self.check_capacity(kernel, args)?;
         let spec = self.inner.ctx.rt.node.spec(dev);
-        // Capacity check: every buffer argument must fit in device memory.
-        for (i, a) in args.iter().enumerate() {
-            if let Some(b) = a.buffer() {
-                if b.byte_len() as u64 > spec.mem_capacity {
-                    return Err(ClError::MemObjectAllocationFailure(format!(
-                        "kernel `{}` arg {i}: buffer of {} bytes exceeds device {} memory",
-                        kernel.name(),
-                        b.byte_len(),
-                        dev
-                    )));
-                }
-            }
-        }
         let cost = kernel.cost();
         let duration = cost.kernel_time(spec, effective.shape());
-        // Deduplicated buffer accesses (a buffer passed both mutably and
-        // immutably counts as a write): shared by the time-plane hazard
-        // tracker and the data-plane executor below.
-        let mut accesses: Vec<Access<'_>> = Vec::with_capacity(args.len());
-        for a in args {
-            if let Some(b) = a.buffer() {
-                match accesses.iter_mut().find(|u| u.buf.same_object(b)) {
-                    Some(u) => u.write |= a.is_mutable_buffer(),
-                    None => accesses.push(if a.is_mutable_buffer() {
-                        Access::write(b)
-                    } else {
-                        Access::read(b)
-                    }),
-                }
-            }
-        }
+        // Shared by the time-plane hazard tracker and the data-plane
+        // executor below.
+        let accesses = launch_accesses(args);
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
             let mut chain: Vec<EventId> = waits.iter().map(Event::raw).collect();
@@ -631,7 +654,7 @@ impl CommandQueue {
             // argument's RAW/WAR/WAW predecessors instead of the chain. A
             // chunk consults and records as a reader only — sibling chunks
             // are mutually unordered.
-            if self.inner.ooo {
+            if self.is_out_of_order() {
                 for u in &accesses {
                     Self::stamp_consult(u.buf, u.write && whole, &mut chain);
                 }
@@ -751,10 +774,36 @@ impl CommandQueue {
     /// ordered after every previously enqueued command; subsequent commands
     /// on an out-of-order queue are ordered after it.
     pub fn enqueue_barrier(&self) -> Event {
+        self.barrier_after(&[])
+    }
+
+    /// Open a split launch on its home queue: a marker like
+    /// [`Self::enqueue_marker`] — the tail of the queue's prior work, which
+    /// every chunk orders after — that on an out-of-order queue also waits
+    /// on the RAW/WAR/WAW stamp predecessors of the launch's buffer
+    /// arguments, with whole-launch semantics (a written buffer consults as
+    /// a write). The chunks run on in-order lanes, which consult no stamp
+    /// hazards themselves, so this marker is the one place a producer on
+    /// *another* queue of the same out-of-order batch is waited for. An
+    /// in-order home queue waits on nothing extra: like a whole launch
+    /// there, it is ordered by its queue's chain alone.
+    pub fn enqueue_split_start(&self, args: &[ArgValue]) -> Event {
+        self.barrier_after(args)
+    }
+
+    /// The one barrier body: a marker after everything outstanding on this
+    /// queue and, on an out-of-order queue, after the stamp-hazard
+    /// predecessors of a launch binding `args`.
+    fn barrier_after(&self, args: &[ArgValue]) -> Event {
         let id = {
             let mut engine = self.inner.ctx.rt.engine.lock();
             let dev = self.device();
-            let waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
+            let mut waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
+            if self.is_out_of_order() {
+                for a in launch_accesses(args) {
+                    Self::stamp_consult(a.buf, a.write, &mut waits);
+                }
+            }
             let mut all_waits: WaitList = waits.into();
             if let Some(last) = *self.inner.last.lock() {
                 if !all_waits.as_slice().contains(&last) {
@@ -812,6 +861,25 @@ impl CommandQueue {
     pub fn last_event(&self) -> Option<Event> {
         self.inner.last.lock().map(|id| Event::new(Arc::clone(&self.inner.ctx.rt), id))
     }
+}
+
+/// The deduplicated buffer accesses of one launch's arguments: a buffer
+/// passed both mutably and immutably counts as a write.
+fn launch_accesses(args: &[ArgValue]) -> Vec<Access<'_>> {
+    let mut accesses: Vec<Access<'_>> = Vec::with_capacity(args.len());
+    for a in args {
+        if let Some(b) = a.buffer() {
+            match accesses.iter_mut().find(|u| u.buf.same_object(b)) {
+                Some(u) => u.write |= a.is_mutable_buffer(),
+                None => accesses.push(if a.is_mutable_buffer() {
+                    Access::write(b)
+                } else {
+                    Access::read(b)
+                }),
+            }
+        }
+    }
+    accesses
 }
 
 impl std::fmt::Debug for CommandQueue {
@@ -1176,6 +1244,38 @@ mod tests {
             assert!(e.stamp().end <= now, "finish returned before {e:?} completed");
         }
         assert!(q.is_out_of_order());
+    }
+
+    #[test]
+    fn ordering_mode_switches_on_an_idle_queue_only() {
+        let (_p, ctx, k, b) = setup();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        assert!(!q.is_out_of_order());
+        let w = q.enqueue_write(&b, &vec![3.0f64; 1024]).unwrap();
+        // The upload is in flight: the mode cannot change under it, though
+        // re-stating the current mode is a no-op.
+        let err = q.set_out_of_order(true).unwrap_err();
+        assert!(matches!(err, ClError::InvalidOperation(_)), "{err:?}");
+        q.set_out_of_order(false).unwrap();
+        assert!(!q.is_out_of_order());
+        q.finish();
+        q.set_out_of_order(true).unwrap();
+        assert!(q.is_out_of_order());
+        // Now out of order: an unrelated upload no longer chains behind the
+        // kernel, while the kernel still waits for its own input.
+        k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+        let e = q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        let other = ctx.create_buffer_of::<f64>(1024).unwrap();
+        let u = q.enqueue_write(&other, &vec![0.0f64; 1024]).unwrap();
+        assert!(e.stamp().start >= w.stamp().end);
+        assert!(u.stamp().start < e.stamp().end, "upload {u:?} chained behind kernel {e:?}");
+        q.finish();
+        // And back: in order again, everything chains.
+        q.set_out_of_order(false).unwrap();
+        let e2 = q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        let u2 = q.enqueue_write(&other, &vec![0.0f64; 1024]).unwrap();
+        assert!(u2.stamp().start >= e2.stamp().end);
+        assert_eq!(b.host_snapshot::<f64>(), vec![12.0f64; 1024]);
     }
 
     #[test]

@@ -57,17 +57,21 @@ impl QueueSchedFlags {
     pub const SCHED_IO_BOUND: QueueSchedFlags = QueueSchedFlags(1 << 7);
     /// Hint: memory-bandwidth-bound workload (static-mode criterion).
     pub const SCHED_MEM_BOUND: QueueSchedFlags = QueueSchedFlags(1 << 8);
-    /// Flush epochs through an out-of-order clrt queue: commands wait only
-    /// on their hazard-edge predecessors (RAW/WAR/WAW buffer sets), and the
-    /// epoch flush batch-reorders the command DAG so transfers overlap
-    /// kernels on the device's copy lane (Lázaro-Muñoz et al.). Off by
-    /// default: without the flag the in-order chain is preserved exactly.
+    /// Execution hint: flush epochs with the clrt queue in out-of-order
+    /// mode — commands wait only on their hazard-edge predecessors
+    /// (RAW/WAR/WAW buffer sets), and the epoch flush batch-reorders the
+    /// command DAG so transfers overlap kernels on the device's copy lane
+    /// (Lázaro-Muñoz et al.). Off by default: without the flag the in-order
+    /// chain is preserved exactly. Like `SCHED_SPLITTABLE`, re-settable
+    /// between epochs ([`crate::SchedQueue::set_sched_hints`]); the two
+    /// compose.
     pub const SCHED_OUT_OF_ORDER: QueueSchedFlags = QueueSchedFlags(1 << 9);
-    /// Partition splittable kernels into contiguous NDRange sub-ranges and
-    /// execute them across every healthy device (static, chunked, or HGuided
-    /// partitioner plus work stealing — EngineCL/PySchedCL-style). Off by
-    /// default: without the flag every kernel launches whole on one device
-    /// and same-seed replay is byte-identical to a build without splitting.
+    /// Execution hint: partition splittable kernels into contiguous NDRange
+    /// sub-ranges and execute them across every eligible device (static,
+    /// chunked, or HGuided partitioner plus work stealing —
+    /// EngineCL/PySchedCL-style). Off by default: without the flag every
+    /// kernel launches whole on one device and same-seed replay is
+    /// byte-identical to a build without splitting.
     pub const SCHED_SPLITTABLE: QueueSchedFlags = QueueSchedFlags(1 << 10);
 
     /// The empty flag set (defaults to automatic dynamic scheduling at
@@ -127,9 +131,7 @@ impl QueueSchedFlags {
     /// * `SCHED_OFF` cannot be combined with `SCHED_AUTO_*`,
     /// * `SCHED_AUTO_STATIC` and `SCHED_AUTO_DYNAMIC` are exclusive,
     /// * `SCHED_SPLITTABLE` requires automatic scheduling (it is meaningless
-    ///   under `SCHED_OFF`) and cannot be combined with
-    ///   `SCHED_OUT_OF_ORDER` (a split kernel's chunk fan-out already owns
-    ///   the epoch's emission order).
+    ///   under `SCHED_OFF`).
     pub fn validate(self) -> ClResult<()> {
         let unknown = self.0 & !Self::KNOWN;
         if unknown != 0 {
@@ -153,11 +155,6 @@ impl QueueSchedFlags {
         if self.contains(Self::SCHED_SPLITTABLE) && self.contains(Self::SCHED_OFF) {
             return Err(ClError::InvalidValue(
                 "SCHED_SPLITTABLE requires automatic scheduling (SCHED_OFF set)".into(),
-            ));
-        }
-        if self.contains(Self::SCHED_SPLITTABLE) && self.contains(Self::SCHED_OUT_OF_ORDER) {
-            return Err(ClError::InvalidValue(
-                "SCHED_SPLITTABLE and SCHED_OUT_OF_ORDER are mutually exclusive".into(),
             ));
         }
         Ok(())
@@ -276,9 +273,10 @@ mod tests {
     fn splittable_exclusions() {
         assert!((F::SCHED_AUTO_DYNAMIC | F::SCHED_SPLITTABLE).validate().is_ok());
         assert!((F::SCHED_OFF | F::SCHED_SPLITTABLE).validate().is_err());
+        // The two execution hints compose.
         assert!((F::SCHED_AUTO_DYNAMIC | F::SCHED_SPLITTABLE | F::SCHED_OUT_OF_ORDER)
             .validate()
-            .is_err());
+            .is_ok());
     }
 
     #[test]

@@ -42,7 +42,7 @@ use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Tag attached to engine trace records produced by dynamic kernel
@@ -86,12 +86,6 @@ pub struct SchedOptions {
     /// §V-C1: for `SCHED_ITERATIVE` queues, recompute the kernel profiles
     /// every `n` epochs (`None` = profile once and trust the cache forever).
     pub iterative_frequency: Option<u64>,
-    /// §V-A ablation: trigger the scheduler after *every* kernel enqueue
-    /// instead of at synchronization epochs. The paper rejects this because
-    /// "that approach can cause significant runtime overhead due to
-    /// potential cross-device data migration" — enabling it reproduces that
-    /// pathology (see the `ablation` binary).
-    pub per_kernel_trigger: bool,
     /// Where the static device profile is cached between runs.
     pub profile_cache: ProfileCache,
     /// Mapping algorithm for the AUTO_FIT policy.
@@ -134,7 +128,6 @@ impl Default for SchedOptions {
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .filter(|&f| f > 0),
-            per_kernel_trigger: false,
             profile_cache: ProfileCache::default_location(),
             mapper: MapperKind::Optimal,
             predictor_confidence: 0.0,
@@ -163,7 +156,6 @@ impl std::fmt::Debug for SchedOptions {
             .field("data_caching", &self.data_caching)
             .field("minikernel", &self.minikernel)
             .field("iterative_frequency", &self.iterative_frequency)
-            .field("per_kernel_trigger", &self.per_kernel_trigger)
             .field("profile_cache", &self.profile_cache)
             .field("mapper", &self.mapper)
             .field("predictor_confidence", &self.predictor_confidence)
@@ -231,7 +223,10 @@ struct QueueState {
     /// events call the queue.
     id: usize,
     cl: CommandQueue,
-    flags: QueueSchedFlags,
+    /// The queue's flag bits: the creation flags, with the two execution
+    /// hints replaceable between epochs ([`SchedQueue::set_sched_hints`]).
+    /// Read through [`QueueState::flags`] only.
+    flags: AtomicU32,
     pending: Mutex<Vec<PendingKernel>>,
     /// For `SCHED_EXPLICIT_REGION` queues: whether scheduling is currently
     /// enabled (between the start/stop property calls).
@@ -244,13 +239,21 @@ struct QueueState {
 }
 
 impl QueueState {
+    /// The queue's current flags. Hints change only under `pass_lock` and
+    /// only while nothing is pending, so every read a pass makes of one
+    /// pool queue sees the same value; the word publishes no other data.
+    fn flags(&self) -> QueueSchedFlags {
+        QueueSchedFlags::from_bits(self.flags.load(Ordering::Relaxed))
+    }
+
     /// True if this queue's pending work participates in automatic
     /// scheduling at the next trigger.
     fn participates(&self) -> bool {
-        if !self.flags.is_auto() {
+        let flags = self.flags();
+        if !flags.is_auto() {
             return false;
         }
-        if self.flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
+        if flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
             self.region_active.load(Ordering::Relaxed)
         } else {
             // KERNEL_EPOCH is the default trigger for auto queues.
@@ -265,6 +268,8 @@ struct RtInner {
     policy: ContextSchedPolicy,
     options: SchedOptions,
     device_profile: DeviceProfile,
+    /// Memory capacity in bytes of each context device (device order).
+    capacity: Arc<[u64]>,
     /// Kernel-name → estimated full execution time per device (§V-C1).
     kernel_profiles: Mutex<HashMap<String, Vec<SimDuration>>>,
     /// Online per-device regression over kernel descriptor features,
@@ -353,6 +358,7 @@ impl MulticlContext {
         let (device_profile, profile_cached) =
             options.profile_cache.load_or_measure_traced(platform);
         let fingerprint = platform.node().fingerprint();
+        let capacity = cl.devices().iter().map(|&d| platform.node().spec(d).mem_capacity).collect();
         // A persisted predictor (opt-in) makes a restarted process start
         // warm: confident predictions flow from the first epoch instead of
         // waiting out a fresh training period.
@@ -374,6 +380,7 @@ impl MulticlContext {
                 policy,
                 options,
                 device_profile,
+                capacity,
                 kernel_profiles: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
@@ -575,18 +582,16 @@ impl MulticlContext {
     }
 
     fn make_queue(&self, flags: QueueSchedFlags, device: DeviceId) -> ClResult<SchedQueue> {
-        // OUT_OF_ORDER queues flush through an out-of-order clrt queue:
-        // commands wait only on their buffer-hazard predecessors (tracked by
-        // the clrt time-plane hazard sets), not the previous command.
-        let cl = if flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
-            self.rt.cl.create_queue_ooo(device)?
-        } else {
-            self.rt.cl.create_queue(device)?
-        };
+        // An OUT_OF_ORDER epoch flushes through the clrt queue in
+        // out-of-order mode: commands wait only on their buffer-hazard
+        // predecessors (tracked by the clrt time-plane hazard sets), not
+        // the previous command.
+        let cl = self.rt.cl.create_queue(device)?;
+        cl.set_out_of_order(flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER))?;
         let state = Arc::new(QueueState {
             id: self.rt.queue_ids.fetch_add(1, Ordering::Relaxed),
             cl,
-            flags,
+            flags: AtomicU32::new(flags.bits()),
             pending: Mutex::new(Vec::new()),
             region_active: AtomicBool::new(false),
             epochs: AtomicU64::new(0),
@@ -735,7 +740,7 @@ impl RtInner {
             }
         }
         drop(announced);
-        Pass { epoch, devices, lost }
+        Pass { epoch, devices, lost, capacity: Arc::clone(&self.capacity) }
     }
 
     /// ROUND_ROBIN assignment: "schedules the command queue to the next
@@ -749,17 +754,20 @@ impl RtInner {
             .map(|q| {
                 let bound = q.rr_bound.swap(true, Ordering::Relaxed);
                 let current = q.cl.device();
-                // With nothing healthy there is nothing to recover onto;
-                // keep the binding and let the commands fail with a typed
+                let bindable = pass.bindable(largest_buffer(&q.pending.lock()));
+                // A binding is kept while the queue may stay there — which,
+                // with nothing left to recover onto, includes a lost device
+                // that holds its buffers: the commands fail with a typed
                 // status.
-                if (bound && !pass.is_lost(current)) || !pass.any_healthy() {
+                if bound && pass.index_of(current).is_some_and(&bindable) {
                     return current;
                 }
-                // First binding, or a re-bind off a lost device: rotate to
-                // the next *healthy* device.
+                // First binding, or a re-bind off a device that was lost or
+                // cannot hold this epoch's buffers: rotate to the next
+                // device that can take the queue.
                 loop {
                     let i = self.rr_next.fetch_add(1, Ordering::Relaxed) % pass.devices.len();
-                    if !pass.lost[i] {
+                    if bindable(i) {
                         return pass.devices[i];
                     }
                 }
@@ -781,7 +789,7 @@ impl RtInner {
                 },
                 plan => self.cost_row(q, &pending, &plan, &pass.devices),
             };
-            if let Some(i) = pass.devices.iter().position(|d| d == dev) {
+            if let Some(i) = pass.index_of(*dev) {
                 per_device[i] += b.total(i);
             }
         }
@@ -815,18 +823,18 @@ impl RtInner {
         for (row, b) in state.costs.iter_mut().zip(&breakdowns) {
             b.totals_into(row);
         }
-        // Blacklist lost devices by overwriting their columns with the
-        // sentinel: every mapper variant then avoids them while the matrix
-        // keeps its global device indexing (explain records, warm starts).
-        // With zero healthy devices the matrix is left untouched — the
+        // Blacklist, per queue, the devices it may not be bound to — lost,
+        // or too small for a buffer it binds — by overwriting those cells
+        // with the sentinel: every mapper variant then avoids them while the
+        // matrix keeps its global device indexing (explain records, warm
+        // starts). With zero healthy devices the rows stay untouched — the
         // assignment is moot, the commands all fail with a typed status, and
         // an all-sentinel matrix would only distort the explain records.
-        if pass.any_healthy() && pass.lost.iter().any(|&l| l) {
-            for row in state.costs.iter_mut() {
-                for (c, &l) in row.iter_mut().zip(&pass.lost) {
-                    if l {
-                        *c = mapper::UNAVAILABLE_COST;
-                    }
+        for (row, q) in state.costs.iter_mut().zip(pool) {
+            let bindable = pass.bindable(largest_buffer(&q.pending.lock()));
+            for (di, c) in row.iter_mut().enumerate() {
+                if !bindable(di) {
+                    *c = mapper::UNAVAILABLE_COST;
                 }
             }
         }
@@ -947,7 +955,7 @@ impl RtInner {
                 });
             }
             q.cl.rebind(to).expect("mapper chose a context device");
-            if q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
+            if q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
                 ooo_group.push(q);
             } else {
                 self.flush(&[q], Some(pass), delta);
@@ -978,13 +986,13 @@ impl RtInner {
     /// first run dynamic profiling, which mutates the virtual clock and
     /// buffer residency.
     fn classify(&self, q: &QueueState, pending: &[PendingKernel]) -> CostPlan {
-        if q.flags.contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
+        if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
             return CostPlan::Static;
         }
         let key = epoch_key(pending);
         // §V-C1: iterative queues may force periodic re-profiling.
         let force = match (
-            q.flags.contains(QueueSchedFlags::SCHED_ITERATIVE),
+            q.flags().contains(QueueSchedFlags::SCHED_ITERATIVE),
             self.options.iterative_frequency,
         ) {
             (true, Some(freq)) if freq > 0 => q.epochs.load(Ordering::Relaxed).is_multiple_of(freq),
@@ -1102,7 +1110,7 @@ impl RtInner {
         pending: &[PendingKernel],
         devices: &[DeviceId],
     ) -> Vec<SimDuration> {
-        if q.flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
+        if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
             return vec![SimDuration::ZERO; devices.len()];
         }
         devices
@@ -1150,7 +1158,7 @@ impl RtInner {
         }
         let owner = |i: usize| group[ends.iter().position(|&end| i < end).unwrap_or(ends.len())];
         let reorder = pass.is_some()
-            && group.iter().all(|q| q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER));
+            && group.iter().all(|q| q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER));
         // `None` = program order (no index vector on the in-order hot path).
         let order: Option<Vec<usize>> =
             reorder.then(|| self.johnson_order(&cmds, |i| owner(i).cl.device()));
@@ -1172,9 +1180,12 @@ impl RtInner {
         pass: Option<&Pass>,
         delta: &mut SchedStats,
     ) {
-        let split = q.flags.contains(QueueSchedFlags::SCHED_SPLITTABLE)
+        let split = q.flags().contains(QueueSchedFlags::SCHED_SPLITTABLE)
             && pass.is_some_and(|pass| self.try_split_launch(q, p, pass, delta));
         if !split {
+            // Context membership and geometry were checked at enqueue time;
+            // capacity too for a queue outside the pool, and the pass binds
+            // a pool queue only where its buffers fit (`Pass::bindable`).
             q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
                 .expect("buffered launch was validated at enqueue time");
         }
@@ -1216,8 +1227,9 @@ impl RtInner {
         (0..3).rev().find(|&d| nd.global[d].div_ceil(nd.local[d]) > 1)
     }
 
-    /// Partition one pending launch over the healthy devices and issue the
-    /// chunks. Returns `false` when the launch must run whole instead.
+    /// Partition one pending launch over the devices eligible for it and
+    /// issue the chunks. Returns `false` when the launch must run whole
+    /// instead.
     fn try_split_launch(
         &self,
         q: &QueueState,
@@ -1225,9 +1237,10 @@ impl RtInner {
         pass: &Pass,
         delta: &mut SchedStats,
     ) -> bool {
-        let Pass { epoch, devices, lost } = pass;
-        let epoch = *epoch;
-        if !p.kernel.splittable() || lost.iter().filter(|&&l| !l).count() < 2 {
+        let (epoch, devices) = (pass.epoch, &pass.devices);
+        let need = largest_buffer(std::slice::from_ref(p));
+        let eligible = |di: usize| pass.eligible(di, need);
+        if !p.kernel.splittable() || (0..devices.len()).filter(|&di| eligible(di)).count() < 2 {
             return false;
         }
         let Some(axis) = Self::split_axis(&p.nd) else { return false };
@@ -1237,7 +1250,7 @@ impl RtInner {
         }
         // Per-device cost of one split unit: the kernel's profiled full
         // execution time when the profiler has a row, else the §V-B
-        // analytic estimate — either divided by the unit count. Lost
+        // analytic estimate — either divided by the unit count. Ineligible
         // devices are unavailable (infinite cost).
         let node = self.platform.node();
         let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).cloned();
@@ -1245,7 +1258,7 @@ impl RtInner {
             .iter()
             .enumerate()
             .map(|(di, &dev)| {
-                if lost[di] {
+                if !eligible(di) {
                     return f64::INFINITY;
                 }
                 let full = profile_row
@@ -1304,7 +1317,9 @@ impl RtInner {
         // The marker is the tail of the home queue's prior work: every
         // chunk orders after it, so the split inherits the queue's program
         // order without serializing against its siblings.
-        let start = [q.cl.enqueue_marker()];
+        // On an out-of-order home queue it also waits on the launch's
+        // hazard predecessors, which the in-order lanes never consult.
+        let start = [q.cl.enqueue_split_start(&p.args)];
         let mut gathers: Vec<Event> = Vec::with_capacity(plan.assignments.len() * written.len());
         for a in &plan.assignments {
             let c = &chunks[a.chunk];
@@ -1373,11 +1388,11 @@ impl RtInner {
         pending: &[PendingKernel],
         devices: &[DeviceId],
     ) -> Vec<SimDuration> {
-        let hint = if q.flags.contains(QueueSchedFlags::SCHED_COMPUTE_BOUND) {
+        let hint = if q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND) {
             StaticHint::ComputeBound
-        } else if q.flags.contains(QueueSchedFlags::SCHED_MEM_BOUND) {
+        } else if q.flags().contains(QueueSchedFlags::SCHED_MEM_BOUND) {
             StaticHint::MemoryBound
-        } else if q.flags.contains(QueueSchedFlags::SCHED_IO_BOUND) {
+        } else if q.flags().contains(QueueSchedFlags::SCHED_IO_BOUND) {
             StaticHint::IoBound
         } else {
             StaticHint::ComputeBound
@@ -1411,7 +1426,7 @@ impl RtInner {
         delta: &mut SchedStats,
     ) {
         let minikernel =
-            self.options.minikernel && q.flags.contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
+            self.options.minikernel && q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
         let missing: Vec<&PendingKernel> = {
             let kp = self.kernel_profiles.lock();
             let mut seen: Vec<&str> = Vec::new();
@@ -1433,11 +1448,9 @@ impl RtInner {
         // from the model; the rest stay on the profiling path below.
         // Forced iterative re-profiles always measure — that is their
         // §V-C1 contract.
-        let missing = if force {
-            missing
-        } else {
-            self.predict_missing(missing, &pass.devices, pass.epoch, delta)
-        };
+        let need = largest_buffer(pending);
+        let missing =
+            if force { missing } else { self.predict_missing(missing, pass, need, delta) };
         if !missing.is_empty() {
             // Quiesce the data plane first: profiling reads buffer residency
             // and is the pass's wall-clock-sensitive section, so in-flight
@@ -1446,7 +1459,7 @@ impl RtInner {
             // way — the planes are independent — but residency snapshots
             // and the mapper-wall numbers are not).
             self.platform.quiesce_data_plane();
-            self.profile_kernels(&missing, pass, minikernel);
+            self.profile_kernels(&missing, pass, need, minikernel);
             delta.profiled_epochs += 1;
         }
     }
@@ -1462,18 +1475,24 @@ impl RtInner {
     fn predict_missing<'a>(
         &self,
         missing: Vec<&'a PendingKernel>,
-        devices: &[DeviceId],
-        epoch: u64,
+        pass: &Pass,
+        need: u64,
         delta: &mut SchedStats,
     ) -> Vec<&'a PendingKernel> {
+        let (epoch, devices) = (pass.epoch, &pass.devices);
         let threshold = self.options.predictor_confidence;
         if threshold <= 0.0 || missing.is_empty() {
             return missing;
         }
-        let lost: Vec<bool> =
-            self.platform.with_engine(|e| devices.iter().map(|&d| e.device_lost(d)).collect());
-        if lost.iter().all(|&l| l) {
-            // Nothing healthy to predict for; the profiling path hands out
+        // Lost as of now — profiling earlier in this pass moves the clock —
+        // or too small for the queue (`need`).
+        let skip: Vec<bool> = self.platform.with_engine(|e| {
+            (0..devices.len())
+                .map(|di| e.device_lost(devices[di]) || !pass.eligible(di, need))
+                .collect()
+        });
+        if skip.iter().all(|&s| s) {
+            // Nothing eligible to predict for; the profiling path hands out
             // its all-zero sentinel rows in this state.
             return missing;
         }
@@ -1492,7 +1511,7 @@ impl RtInner {
                 let mut untrained = false;
                 let mut confident = true;
                 for (di, &dev) in devices.iter().enumerate() {
-                    if lost[di] {
+                    if skip[di] {
                         // Zero entries are the established "unmeasured"
                         // sentinel; the epoch blacklist overwrites them
                         // before any mapping decision sees the row.
@@ -1624,7 +1643,13 @@ impl RtInner {
     /// [`PROFILING_TAG`] and charged to the virtual clock. Records the
     /// measured (estimated-full) per-device rows in the kernel-profile
     /// cache.
-    fn profile_kernels(&self, pending: &[&PendingKernel], pass: &Pass, minikernel: bool) {
+    fn profile_kernels(
+        &self,
+        pending: &[&PendingKernel],
+        pass: &Pass,
+        need: u64,
+        minikernel: bool,
+    ) {
         let (epoch, devices) = (pass.epoch, &pass.devices);
         // Every profiling command runs alone and to completion.
         fn charge(engine: &mut Engine, device: DeviceId, kind: CommandKind, duration: SimDuration) {
@@ -1655,10 +1680,12 @@ impl RtInner {
                     .or_insert_with(|| vec![SimDuration::ZERO; devices.len()]);
             }
             for (di, &dev) in devices.iter().enumerate() {
-                // Don't stage data to (or probe) a lost device: its row
-                // stays zero, which the epoch blacklist overwrites with the
-                // sentinel before any mapping decision sees it.
-                if engine.device_lost(dev) {
+                // Don't stage data to (or probe) a device that is lost — as
+                // of now: earlier probes moved the clock — or too small for
+                // the queue (`need`): its row stays zero, which the epoch
+                // blacklist overwrites with the sentinel before any mapping
+                // decision sees it.
+                if engine.device_lost(dev) || !pass.eligible(di, need) {
                     continue;
                 }
                 // Stage the inputs onto `dev` (§V-C3). With data caching
@@ -1781,7 +1808,7 @@ impl RtInner {
         pending: &[PendingKernel],
         devices: &[DeviceId],
     ) -> Option<Vec<SimDuration>> {
-        if !q.flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) || pending.is_empty() {
+        if !q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) || pending.is_empty() {
             return None;
         }
         let rows: Vec<Vec<SimDuration>> = {
@@ -1790,7 +1817,7 @@ impl RtInner {
         };
         // Explicit-region queues amortize migrations over the rest of the
         // program (see `migration_vec`), so their copy lane is free here.
-        let explicit = q.flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
+        let explicit = q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
         Some(
             devices
                 .iter()
@@ -1936,16 +1963,46 @@ struct Pass {
     devices: Vec<DeviceId>,
     /// Per device (same order): permanently lost as of this pass.
     lost: Vec<bool>,
+    /// Per device (same order): memory capacity in bytes.
+    capacity: Arc<[u64]>,
 }
 
 impl Pass {
-    fn any_healthy(&self) -> bool {
-        self.lost.iter().any(|&l| !l)
+    fn index_of(&self, dev: DeviceId) -> Option<usize> {
+        self.devices.iter().position(|&d| d == dev)
     }
 
     fn is_lost(&self, dev: DeviceId) -> bool {
-        self.devices.iter().position(|&d| d == dev).is_some_and(|i| self.lost[i])
+        self.index_of(dev).is_some_and(|i| self.lost[i])
     }
+
+    /// Whether device `di` is eligible for a queue whose pending launches
+    /// bind buffers of up to `need` bytes ([`largest_buffer`]): it is not
+    /// lost *and* holds every one of them. `Context::create_buffer` admits
+    /// a buffer that fits the context's largest device, so fitting one
+    /// device says nothing about the next.
+    fn eligible(&self, di: usize, need: u64) -> bool {
+        !self.lost[di] && need <= self.capacity[di]
+    }
+
+    /// Where a queue with that `need` may be bound: on its eligible
+    /// devices — or, with none left, on any device that holds its buffers,
+    /// lost or not. There is nothing to recover onto then, and a lost
+    /// device fails the commands with the fault path's typed status, where
+    /// a live one that is too small would refuse the launch outright. (Some
+    /// device always holds them: the buffers come from this context.)
+    fn bindable(&self, need: u64) -> impl Fn(usize) -> bool + '_ {
+        let recover = (0..self.devices.len()).any(|di| self.eligible(di, need));
+        move |di| need <= self.capacity[di] && !(recover && self.lost[di])
+    }
+}
+
+/// Bytes of the largest buffer `pending` binds — what a device must hold to
+/// run these launches (`CommandQueue::launch` checks each buffer argument
+/// against the device's memory on its own).
+fn largest_buffer(pending: &[PendingKernel]) -> u64 {
+    let buffers = pending.iter().flat_map(|p| p.args.iter().filter_map(ArgValue::buffer));
+    buffers.map(|b| b.byte_len() as u64).max().unwrap_or(0)
 }
 
 /// Outcome of a pass's assign phase.
@@ -1982,9 +2039,11 @@ pub struct SchedQueue {
 }
 
 impl SchedQueue {
-    /// The queue's local scheduling flags.
+    /// The queue's local scheduling flags as they stand now: the creation
+    /// flags, with the execution hints last set by
+    /// [`Self::set_sched_hints`].
     pub fn flags(&self) -> QueueSchedFlags {
-        self.state.flags
+        self.state.flags()
     }
 
     /// Stable queue id within the context (creation order) — the id
@@ -2013,7 +2072,7 @@ impl SchedQueue {
     /// scheduling pass so the region's pending work is mapped before the
     /// region closes.
     pub fn set_sched_property(&self, auto: bool) -> ClResult<()> {
-        if !self.state.flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
+        if !self.state.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
             return Err(ClError::InvalidOperation(
                 "set_sched_property requires SCHED_EXPLICIT_REGION".into(),
             ));
@@ -2027,20 +2086,73 @@ impl SchedQueue {
         Ok(())
     }
 
+    /// The run-time half of `clSetCommandQueueSchedProperty` (§IV-B: the
+    /// local flags are hints a program may re-set between regions) for the
+    /// two execution bits: replace the queue's `SCHED_OUT_OF_ORDER` /
+    /// `SCHED_SPLITTABLE` hints with exactly `hints`, effective from the
+    /// next pass. The creation flags are the initial hints.
+    ///
+    /// `InvalidValue` if `hints` carries any other bit; `InvalidOperation`
+    /// on a queue that is not automatically scheduled, and — when the call
+    /// would change a hint — on a queue with launches pending (an epoch
+    /// executes under one mode) or with flushed commands still in flight
+    /// ([`CommandQueue::set_out_of_order`]): synchronize first.
+    pub fn set_sched_hints(&self, hints: QueueSchedFlags) -> ClResult<()> {
+        let settable = QueueSchedFlags::SCHED_OUT_OF_ORDER | QueueSchedFlags::SCHED_SPLITTABLE;
+        if !settable.contains(hints) {
+            return Err(ClError::InvalidValue(format!(
+                "set_sched_hints takes {settable} only, got {hints}"
+            )));
+        }
+        if !self.state.flags().is_auto() {
+            return Err(ClError::InvalidOperation(
+                "set_sched_hints requires an automatically scheduled queue".into(),
+            ));
+        }
+        let mut flags = self.state.flags();
+        flags.remove(settable);
+        flags.insert(hints);
+        if flags == self.state.flags() {
+            return Ok(());
+        }
+        // No pass may be reading this queue's flags while they change.
+        let _no_pass = self.rt.pass_lock.lock();
+        if !self.state.pending.lock().is_empty() {
+            return Err(ClError::InvalidOperation(
+                "set_sched_hints with launches pending: synchronize the queue first".into(),
+            ));
+        }
+        self.state.cl.set_out_of_order(hints.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER))?;
+        self.state.flags.store(flags.bits(), Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Buffer a kernel launch into the current epoch. The argument bindings
     /// are snapshotted and checked against the queue's context now; the
-    /// launch is issued at the next trigger — or immediately, when the
-    /// per-kernel-trigger ablation is active.
+    /// launch is issued at the next trigger.
     pub fn enqueue_ndrange(&self, kernel: &Kernel, nd: NdRange) -> ClResult<()> {
         nd.validate()?;
         let args = kernel.snapshot_args()?;
         // A foreign kernel or buffer is an error now, not a panic at flush.
         self.state.cl.validate_launch(kernel, &args)?;
-        self.state.pending.lock().push(PendingKernel { kernel: kernel.clone(), nd, args });
-        if self.rt.options.per_kernel_trigger {
-            self.rt.schedule_and_flush();
+        // A queue outside the pool flushes to the device it is bound to
+        // now, so a buffer that does not fit there is an error now too; a
+        // pool queue is placed by the pass, on a device its buffers fit.
+        if !self.state.participates() {
+            self.state.cl.check_capacity(kernel, &args)?;
         }
+        self.state.pending.lock().push(PendingKernel { kernel: kernel.clone(), nd, args });
         Ok(())
+    }
+
+    /// `clFlush`: trigger a scheduling pass and issue everything buffered,
+    /// without blocking on the devices. Calling it after every enqueue is
+    /// the per-kernel trigger granularity the paper rejects (§V-A: "that
+    /// approach can cause significant runtime overhead due to potential
+    /// cross-device data migration") — the `ablation` experiment does
+    /// exactly that to reproduce the pathology.
+    pub fn flush(&self) {
+        self.rt.schedule_and_flush();
     }
 
     /// `clEnqueueWriteBuffer`. Writes are not scheduled: they execute on the
@@ -2088,7 +2200,7 @@ impl SchedQueue {
 
 impl std::fmt::Debug for SchedQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SchedQueue(flags={}, device={})", self.state.flags, self.device())
+        write!(f, "SchedQueue(flags={}, device={})", self.state.flags(), self.device())
     }
 }
 

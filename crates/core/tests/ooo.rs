@@ -1,29 +1,53 @@
-//! Property tests for out-of-order epoch execution over seeded random
-//! command DAGs: flagged queues may reorder the batch, but
+//! Cross-feature property tests for the two execution hints over seeded
+//! random command DAGs. Every arm of
 //!
-//! 1. the final buffer contents are **bit-identical** to a strict in-order
-//!    run of the same program, and
-//! 2. no command starts in virtual time before every hazard-edge
-//!    predecessor (RAW/WAR/WAW over the commands' buffer sets) has ended.
+//! {in-order, out-of-order, split, split + out-of-order}
+//!   × {one queue, three queues sharing the buffers}
+//!   × {no fault, the first queue's device lost between the two epochs}
 //!
-//! Kernels are deterministic f64 arithmetic, so any hazard the runtime
-//! failed to honor would corrupt the bit pattern of some buffer.
+//! must
+//!
+//! 1. leave final buffer contents **bit-identical** to a sequential host
+//!    execution of the same program, and
+//! 2. start no command in virtual time before every hazard-edge
+//!    predecessor (RAW/WAR/WAW over the commands' buffer sets) it is
+//!    ordered against has ended — a split command's window running from its
+//!    first chunk's start to its last chunk's end.
+//!
+//! Kernels are deterministic f64 arithmetic confined to the sub-range they
+//! are launched over, so any hazard the runtime failed to honor, and any
+//! chunk that strayed, would corrupt the bit pattern of some buffer. The
+//! initial contents are spread over the node's devices, so first touches
+//! cost transfers and Johnson's rule has something to reorder.
 
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
 use hwsim::xrand::XorShift;
-use hwsim::{KernelCostSpec, KernelTraits, SimTime};
+use hwsim::{DeviceId, KernelCostSpec, KernelTraits, SimTime};
 use multicl::ooo::{hazard_edges, BatchCmd};
-use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedOptions};
+use multicl::{
+    ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedOptions, SchedStats,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const ELEMENTS: usize = 512;
-const BUFFERS: usize = 6;
+/// 16 workgroups of 64: enough for the splitter to take every launch.
+const ELEMENTS: usize = 1024;
+const LOCAL: u64 = 64;
+const BUFFERS: usize = 5;
 const COMMANDS: usize = 24;
+const EPOCHS: usize = 2;
 
 /// `out[i] = out[i] * 0.5 + a[i] * scale + b[i]` — a read-modify-write mix
 /// whose result depends on execution order whenever two commands touch the
 /// same buffer.
+fn mix(out: &mut [f64], a: &[f64], b: &[f64], scale: f64) {
+    for ((o, a), b) in out.iter_mut().zip(a).zip(b) {
+        *o = *o * 0.5 + a * scale + b;
+    }
+}
+
+/// [`mix`] over the sub-range the launch owns (the offset-honoring contract
+/// [`KernelBody::splittable`] requires).
 struct Mix {
     name: String,
     scale: f64,
@@ -43,43 +67,79 @@ impl KernelBody for Mix {
             traits: KernelTraits::default(),
         }
     }
+    fn splittable(&self) -> bool {
+        true
+    }
     fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.nd().global_items() as usize;
-        let a: Vec<f64> = ctx.slice::<f64>(0)[..n].to_vec();
-        let b: Vec<f64> = ctx.slice::<f64>(1)[..n].to_vec();
-        let out = ctx.slice_mut::<f64>(2);
-        for i in 0..n {
-            out[i] = out[i] * 0.5 + a[i] * self.scale + b[i];
-        }
+        let base = ctx.global_offset()[0] as usize;
+        let own = base..base + ctx.nd().global_items() as usize;
+        let a: Vec<f64> = ctx.slice::<f64>(0)[own.clone()].to_vec();
+        let b: Vec<f64> = ctx.slice::<f64>(1)[own.clone()].to_vec();
+        mix(&mut ctx.slice_mut::<f64>(2)[own], &a, &b, self.scale);
     }
 }
 
+fn scale_of(index: usize) -> f64 {
+    0.25 + (index as f64) * 0.03
+}
+
 /// One random command: kernel `k<index>` reading buffers `a`, `b` and
-/// writing buffer `out` (any of which may coincide).
+/// writing buffer `out`, enqueued on queue `queue` in epoch `epoch`.
 #[derive(Debug, Clone, Copy)]
 struct Cmd {
     a: usize,
     b: usize,
     out: usize,
+    queue: usize,
+    epoch: usize,
 }
 
-fn random_dag(seed: u64) -> Vec<Cmd> {
+/// The program, in the order a sequential execution takes it: epoch by
+/// epoch, within an epoch queue by queue (the pool order of a flush),
+/// within a queue in enqueue order.
+fn random_dag(seed: u64, queues: usize) -> Vec<Cmd> {
     let mut rng = XorShift::new(seed);
-    (0..COMMANDS)
-        .map(|_| {
-            // Reads must not alias the written buffer: a kernel cannot hold a
-            // shared and an exclusive view of the same storage. The `out`
-            // self-term in `Mix` still makes every command a read-modify-write.
-            let out = rng.index(BUFFERS);
-            let a = (out + 1 + rng.index(BUFFERS - 1)) % BUFFERS;
-            let b = (out + 1 + rng.index(BUFFERS - 1)) % BUFFERS;
-            Cmd { a, b, out }
-        })
-        .collect()
+    let per_run = COMMANDS / (EPOCHS * queues);
+    let mut cmds = Vec::with_capacity(COMMANDS);
+    for epoch in 0..EPOCHS {
+        for queue in 0..queues {
+            for _ in 0..per_run {
+                // Reads must not alias the written buffer: a kernel cannot
+                // hold a shared and an exclusive view of the same storage.
+                // The `out` self-term in `mix` still makes every command a
+                // read-modify-write.
+                let out = rng.index(BUFFERS);
+                let a = (out + 1 + rng.index(BUFFERS - 1)) % BUFFERS;
+                let b = (out + 1 + rng.index(BUFFERS - 1)) % BUFFERS;
+                cmds.push(Cmd { a, b, out, queue, epoch });
+            }
+        }
+    }
+    cmds
 }
 
-/// The hazard edges the runtime must honor, mirroring the scheduler's
-/// access-set derivation (the written buffer wins over a same-buffer read).
+fn initial_contents(seed: u64) -> Vec<Vec<f64>> {
+    let mut init = XorShift::new(seed ^ 0xDEC0DE);
+    (0..BUFFERS).map(|_| (0..ELEMENTS).map(|_| init.range_f64(-1.0, 1.0)).collect()).collect()
+}
+
+fn bits(buffers: impl IntoIterator<Item = Vec<f64>>) -> Vec<Vec<u64>> {
+    buffers.into_iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect()
+}
+
+/// The trivially correct executor: the program, one command after the
+/// other, on host vectors.
+fn sequential_reference(seed: u64, cmds: &[Cmd]) -> Vec<Vec<u64>> {
+    let mut buffers = initial_contents(seed);
+    for (i, c) in cmds.iter().enumerate() {
+        let (a, b) = (buffers[c.a].clone(), buffers[c.b].clone());
+        mix(&mut buffers[c.out], &a, &b, scale_of(i));
+    }
+    bits(buffers)
+}
+
+/// The hazard edges of the program, mirroring the scheduler's access-set
+/// derivation (the written buffer wins over a same-buffer read).
 fn expected_edges(cmds: &[Cmd]) -> Vec<(usize, usize)> {
     let batch: Vec<BatchCmd> = cmds
         .iter()
@@ -108,204 +168,167 @@ fn scratch_options(tag: &str) -> SchedOptions {
     }
 }
 
-/// Final bit pattern of every buffer, plus each kernel's `(start, end)`
-/// virtual-time window keyed by kernel name.
-type ArmResult = (Vec<Vec<u64>>, HashMap<String, (SimTime, SimTime)>);
+const IN_ORDER: QueueSchedFlags = QueueSchedFlags::NONE;
+const OOO: QueueSchedFlags = QueueSchedFlags::SCHED_OUT_OF_ORDER;
+const SPLIT: QueueSchedFlags = QueueSchedFlags::SCHED_SPLITTABLE;
 
-/// Run the DAG on a fresh platform.
-fn run_arm(seed: u64, flags: QueueSchedFlags, tag: &str) -> ArmResult {
-    let cmds = random_dag(seed);
+/// The four execution arms: (label, hints).
+fn arms() -> [(&'static str, QueueSchedFlags); 4] {
+    [("in-order", IN_ORDER), ("ooo", OOO), ("split", SPLIT), ("split+ooo", SPLIT | OOO)]
+}
+
+struct ArmResult {
+    /// Final bit pattern of every buffer.
+    buffers: Vec<Vec<u64>>,
+    /// Each command's virtual-time window by kernel name: first start to
+    /// last end over its kernel records (one for a whole launch, one per
+    /// chunk for a split one).
+    windows: HashMap<String, (SimTime, SimTime)>,
+    stats: SchedStats,
+    /// Kernel records that started on the lost device at or after the loss.
+    ran_on_lost_device: usize,
+}
+
+/// Run the program on a fresh platform over `queues` queues carrying
+/// `hints`; `lose` takes away, between the two epochs, the device the
+/// first queue was mapped to.
+fn run_arm(seed: u64, queues: usize, hints: QueueSchedFlags, lose: bool, tag: &str) -> ArmResult {
+    let cmds = random_dag(seed, queues);
     let platform = Platform::paper_node();
     let ctx =
         MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, scratch_options(tag))
             .expect("context");
-    // One queue: commands on distinct queues have no defined mutual program
-    // order (mirroring OpenCL), so the hazard-window property below is only
-    // meaningful against a single queue's enqueue sequence.
-    let queue = ctx.create_queue(flags).expect("queue");
+    let pool: Vec<_> = (0..queues)
+        .map(|_| ctx.create_queue(QueueSchedFlags::SCHED_AUTO_STATIC | hints).expect("queue"))
+        .collect();
 
-    let mut init = XorShift::new(seed ^ 0xDEC0DE);
-    let buffers: Vec<clrt::Buffer> = (0..BUFFERS)
-        .map(|_| {
+    // Initial contents live on different devices, whatever the layout.
+    let devices = ctx.cl().devices().to_vec();
+    let buffers: Vec<clrt::Buffer> = initial_contents(seed)
+        .iter()
+        .enumerate()
+        .map(|(i, data)| {
             let buf = ctx.create_buffer_of::<f64>(ELEMENTS).expect("buffer");
-            let data: Vec<f64> = (0..ELEMENTS).map(|_| init.range_f64(-1.0, 1.0)).collect();
-            queue.enqueue_write(&buf, &data).expect("write");
+            let staging = ctx.create_queue_on(devices[i % devices.len()]).expect("staging queue");
+            staging.enqueue_write(&buf, data).expect("write");
+            staging.finish();
             buf
         })
         .collect();
 
-    let bodies: Vec<Arc<dyn KernelBody>> = cmds
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            Arc::new(Mix { name: format!("k{i}"), scale: 0.25 + (i as f64) * 0.03 })
-                as Arc<dyn KernelBody>
-        })
+    let bodies: Vec<Arc<dyn KernelBody>> = (0..cmds.len())
+        .map(|i| Arc::new(Mix { name: format!("k{i}"), scale: scale_of(i) }) as Arc<dyn KernelBody>)
         .collect();
     let program = ctx.create_program(bodies).expect("program");
-    for (i, c) in cmds.iter().enumerate() {
-        let k = program.create_kernel(&format!("k{i}")).expect("kernel");
-        k.set_arg(0, ArgValue::Buffer(buffers[c.a].clone())).unwrap();
-        k.set_arg(1, ArgValue::Buffer(buffers[c.b].clone())).unwrap();
-        k.set_arg(2, ArgValue::BufferMut(buffers[c.out].clone())).unwrap();
-        queue.enqueue_ndrange(&k, NdRange::d1(ELEMENTS as u64, 64)).expect("enqueue");
-    }
-    ctx.finish_all();
-
-    let snapshots: Vec<Vec<u64>> = buffers
-        .iter()
-        .map(|b| b.host_snapshot::<f64>().iter().map(|v| v.to_bits()).collect())
-        .collect();
-    let trace = platform.take_trace();
-    let mut windows = HashMap::new();
-    for r in &trace.records {
-        if let hwsim::engine::CommandKind::Kernel { name } = &r.kind {
-            windows.insert(name.to_string(), (r.stamp.start, r.stamp.end));
-        }
-    }
-    (snapshots, windows)
-}
-
-#[test]
-fn reordered_execution_is_bit_identical_to_in_order() {
-    for seed in [11, 42, 1337] {
-        let (in_order, _) =
-            run_arm(seed, QueueSchedFlags::SCHED_AUTO_STATIC, &format!("inorder-{seed}"));
-        let (ooo, _) = run_arm(
-            seed,
-            QueueSchedFlags::SCHED_AUTO_STATIC | QueueSchedFlags::SCHED_OUT_OF_ORDER,
-            &format!("ooo-{seed}"),
-        );
-        assert_eq!(in_order, ooo, "seed {seed}: buffers diverged under reordering");
-    }
-}
-
-#[test]
-fn no_command_starts_before_its_hazard_predecessors_end() {
-    for seed in [7, 99] {
-        let cmds = random_dag(seed);
-        let edges = expected_edges(&cmds);
-        assert!(!edges.is_empty(), "seed {seed} produced a hazard-free DAG; pick another seed");
-        let (_, windows) = run_arm(
-            seed,
-            QueueSchedFlags::SCHED_AUTO_STATIC | QueueSchedFlags::SCHED_OUT_OF_ORDER,
-            &format!("hazard-{seed}"),
-        );
-        for &(i, j) in &edges {
-            let (_, end_i) = windows[&format!("k{i}")];
-            let (start_j, _) = windows[&format!("k{j}")];
-            assert!(
-                start_j >= end_i,
-                "seed {seed}: k{j} started at {start_j} before hazard predecessor \
-                 k{i} ended at {end_i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn ooo_queue_evacuated_at_epoch_boundary_leaves_no_dangling_device_state() {
-    // Regression: an out-of-order queue evacuated off a lost device at an
-    // epoch boundary must not leave per-buffer hazard stamps or residency
-    // entries pointing at the dead device. Before the fix, post-loss
-    // epochs could chain new commands onto a dead device's stamps (or try
-    // to migrate buffers from it), corrupting results or panicking.
-    let seed = 33;
-    let (clean, _) = run_arm(seed, QueueSchedFlags::SCHED_AUTO_STATIC, "evac-clean");
-
-    let cmds = random_dag(seed);
-    let platform = Platform::paper_node();
-    let ctx = MulticlContext::with_options(
-        &platform,
-        ContextSchedPolicy::AutoFit,
-        scratch_options("evac-fault"),
-    )
-    .expect("context");
-    let queue = ctx
-        .create_queue(QueueSchedFlags::SCHED_AUTO_STATIC | QueueSchedFlags::SCHED_OUT_OF_ORDER)
-        .expect("queue");
-    let mut init = XorShift::new(seed ^ 0xDEC0DE);
-    let buffers: Vec<clrt::Buffer> = (0..BUFFERS)
-        .map(|_| {
-            let buf = ctx.create_buffer_of::<f64>(ELEMENTS).expect("buffer");
-            let data: Vec<f64> = (0..ELEMENTS).map(|_| init.range_f64(-1.0, 1.0)).collect();
-            queue.enqueue_write(&buf, &data).expect("write");
-            buf
-        })
-        .collect();
-    let bodies: Vec<Arc<dyn KernelBody>> = cmds
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            Arc::new(Mix { name: format!("k{i}"), scale: 0.25 + (i as f64) * 0.03 })
-                as Arc<dyn KernelBody>
-        })
-        .collect();
-    let program = ctx.create_program(bodies).expect("program");
-    let kernels: Vec<clrt::Kernel> = cmds
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
+    let mut lost: Option<(DeviceId, SimTime)> = None;
+    for epoch in 0..EPOCHS {
+        for (i, c) in cmds.iter().enumerate().filter(|(_, c)| c.epoch == epoch) {
             let k = program.create_kernel(&format!("k{i}")).expect("kernel");
             k.set_arg(0, ArgValue::Buffer(buffers[c.a].clone())).unwrap();
             k.set_arg(1, ArgValue::Buffer(buffers[c.b].clone())).unwrap();
             k.set_arg(2, ArgValue::BufferMut(buffers[c.out].clone())).unwrap();
-            k
-        })
-        .collect();
-
-    // First epoch: half the DAG, then synchronize. The queue is now bound
-    // to some device with hazard stamps and residency on it.
-    let half = cmds.len() / 2;
-    for (k, _) in kernels.iter().zip(&cmds).take(half) {
-        queue.enqueue_ndrange(k, NdRange::d1(ELEMENTS as u64, 64)).expect("enqueue");
-    }
-    ctx.finish_all();
-
-    // Lose exactly the device the queue ended up on, as of *now* — the
-    // next epoch boundary must detect the loss and evacuate.
-    let victim = queue.device();
-    let loss_at = platform.now();
-    platform.with_engine(|e| {
-        e.set_fault_plan(hwsim::FaultPlan::new(seed).lose_device(victim, loss_at))
-    });
-
-    // Second epoch: the rest of the DAG across the evacuation.
-    for (k, _) in kernels.iter().zip(&cmds).skip(half) {
-        queue.enqueue_ndrange(k, NdRange::d1(ELEMENTS as u64, 64)).expect("enqueue");
-    }
-    ctx.finish_all();
-
-    // The evacuation must be visible in the stats ...
-    let stats = ctx.stats();
-    assert!(stats.devices_lost >= 1, "loss was never detected: {stats:?}");
-    assert!(stats.queues_remapped >= 1, "queue was never evacuated: {stats:?}");
-    // ... no post-loss command may run on the dead device ...
-    let trace = platform.take_trace();
-    for r in &trace.records {
-        if matches!(r.kind, hwsim::engine::CommandKind::Kernel { .. }) && r.stamp.start >= loss_at {
-            assert_ne!(
-                r.device, victim,
-                "kernel issued onto dead device {victim} after loss at {loss_at}"
-            );
+            pool[c.queue]
+                .enqueue_ndrange(&k, NdRange::d1(ELEMENTS as u64, LOCAL))
+                .expect("enqueue");
+        }
+        ctx.finish_all();
+        // Lost as of *now*: the next epoch boundary must detect the loss,
+        // evacuate, and leave no hazard stamp or residency entry behind on
+        // the dead device.
+        if epoch == 0 && lose {
+            let (victim, now) = (pool[0].device(), platform.now());
+            lost = Some((victim, now));
+            platform.with_engine(|e| {
+                e.set_fault_plan(hwsim::FaultPlan::new(seed).lose_device(victim, now))
+            });
         }
     }
-    // ... and the results must be bit-identical to the fault-free run:
-    // every buffered command was evacuated, none was dropped or replayed
-    // against stale residency.
-    let snapshots: Vec<Vec<u64>> = buffers
-        .iter()
-        .map(|b| b.host_snapshot::<f64>().iter().map(|v| v.to_bits()).collect())
-        .collect();
-    assert_eq!(snapshots, clean, "evacuated OOO run diverged from the fault-free run");
+
+    let snapshots = bits(buffers.iter().map(|b| b.host_snapshot::<f64>()));
+    let trace = platform.take_trace();
+    let mut windows: HashMap<String, (SimTime, SimTime)> = HashMap::new();
+    let mut ran_on_lost_device = 0;
+    for r in &trace.records {
+        let hwsim::engine::CommandKind::Kernel { name } = &r.kind else { continue };
+        let w = windows.entry(name.to_string()).or_insert((r.stamp.start, r.stamp.end));
+        *w = (w.0.min(r.stamp.start), w.1.max(r.stamp.end));
+        if lost.is_some_and(|(victim, at)| r.device == victim && r.stamp.start >= at) {
+            ran_on_lost_device += 1;
+        }
+    }
+    ArmResult { buffers: snapshots, windows, stats: ctx.stats(), ran_on_lost_device }
+}
+
+/// The hazard edges the runtime orders in virtual time under `hints`: all
+/// of them on out-of-order queues — the stamp hazards are per buffer, not
+/// per queue — and, on in-order queues, those between commands of one
+/// queue (as in OpenCL, commands on distinct in-order queues have no
+/// defined mutual order short of an event or a synchronization).
+fn ordered_edges(cmds: &[Cmd], hints: QueueSchedFlags) -> Vec<(usize, usize)> {
+    let mut edges = expected_edges(cmds);
+    if !hints.contains(OOO) {
+        edges.retain(|&(i, j)| cmds[i].queue == cmds[j].queue);
+    }
+    edges
+}
+
+#[test]
+fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
+    for seed in [3, 11, 42, 99, 1337, 2024] {
+        for queues in [1, 3] {
+            let cmds = random_dag(seed, queues);
+            let reference = sequential_reference(seed, &cmds);
+            for (arm, hints) in arms() {
+                let edges = ordered_edges(&cmds, hints);
+                assert!(!edges.is_empty(), "seed {seed} produced a hazard-free DAG");
+                for lose in [false, true] {
+                    let what = format!("seed {seed}, {queues} queue(s), {arm}, loss {lose}");
+                    let run = run_arm(seed, queues, hints, lose, &format!("{seed}-{queues}-{arm}"));
+                    assert_eq!(run.buffers, reference, "{what}: buffers diverged");
+                    // The loss is detected, the queue bound there evacuated,
+                    // and nothing runs on the dead device afterwards.
+                    assert_eq!(run.stats.devices_lost, u64::from(lose), "{what}");
+                    assert_eq!(run.stats.queues_remapped > 0, lose, "{what}: {:?}", run.stats);
+                    assert_eq!(run.ran_on_lost_device, 0, "{what}: kernels on the dead device");
+                    // Every launch is big enough to split, and is.
+                    let split = if hints.contains(SPLIT) { COMMANDS as u64 } else { 0 };
+                    assert_eq!(run.stats.kernels_split, split, "{what}: {:?}", run.stats);
+                    for &(i, j) in &edges {
+                        let (_, end_i) = run.windows[&format!("k{i}")];
+                        let (start_j, _) = run.windows[&format!("k{j}")];
+                        assert!(
+                            start_j >= end_i,
+                            "{what}: k{j} started at {start_j} before hazard predecessor \
+                             k{i} ended at {end_i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn johnsons_rule_reorders_first_touch_transfers() {
+    // The property above is only as strong as the reordering it survives:
+    // with the inputs spread over the devices, the out-of-order arms must
+    // actually emit commands out of program order.
+    for (arm, hints) in [("ooo", OOO), ("split+ooo", SPLIT | OOO)] {
+        let reordered: u64 = [3, 11, 42]
+            .iter()
+            .map(|&seed| run_arm(seed, 3, hints, false, &format!("reorder-{arm}-{seed}")))
+            .map(|run| run.stats.commands_reordered)
+            .sum();
+        assert!(reordered > 0, "{arm}: no command was ever reordered");
+    }
 }
 
 #[test]
 fn unflagged_queues_replay_byte_identically() {
-    // The flag off ⇒ the in-order chain is preserved exactly: two same-seed
+    // The hints off ⇒ the in-order chain is preserved exactly: two same-seed
     // runs produce identical traces (same kernels, same virtual windows).
-    let (snap_a, win_a) = run_arm(5, QueueSchedFlags::SCHED_AUTO_STATIC, "replay-a");
-    let (snap_b, win_b) = run_arm(5, QueueSchedFlags::SCHED_AUTO_STATIC, "replay-b");
-    assert_eq!(snap_a, snap_b);
-    assert_eq!(win_a, win_b);
+    let a = run_arm(5, 1, IN_ORDER, false, "replay-a");
+    let b = run_arm(5, 1, IN_ORDER, false, "replay-b");
+    assert_eq!(a.buffers, b.buffers);
+    assert_eq!(a.windows, b.windows);
 }

@@ -246,7 +246,7 @@ fn unset_flag_replays_byte_identically_and_emits_no_split_telemetry() {
 }
 
 #[test]
-fn splittable_flag_rejects_invalid_combinations() {
+fn splittable_flag_composes_with_out_of_order() {
     let platform = Platform::paper_node();
     let ctx = MulticlContext::with_options(
         &platform,
@@ -254,8 +254,86 @@ fn splittable_flag_rejects_invalid_combinations() {
         scratch_options("combos"),
     )
     .expect("context");
-    assert!(ctx
-        .create_queue(QueueSchedFlags::SCHED_SPLITTABLE | QueueSchedFlags::SCHED_OUT_OF_ORDER)
-        .is_err());
+    assert!(ctx.create_queue(split_flags() | QueueSchedFlags::SCHED_OUT_OF_ORDER).is_ok());
     assert!(ctx.create_queue(split_flags()).is_ok());
+}
+
+#[test]
+fn sched_hints_are_typed_checked_and_take_effect_at_the_next_pass() {
+    use multicl::error::ClError;
+    const OOO: QueueSchedFlags = QueueSchedFlags::SCHED_OUT_OF_ORDER;
+    const SPLIT: QueueSchedFlags = QueueSchedFlags::SCHED_SPLITTABLE;
+
+    let platform = Platform::paper_node();
+    let ctx = MulticlContext::with_options(
+        &platform,
+        ContextSchedPolicy::AutoFit,
+        scratch_options("hints"),
+    )
+    .expect("context");
+    let created = QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_KERNEL_EPOCH;
+    let queue = ctx.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC).expect("queue");
+    assert_eq!(queue.flags(), created);
+
+    // Only the two execution bits are settable, only on an auto queue.
+    for foreign in [QueueSchedFlags::SCHED_ITERATIVE, SPLIT | QueueSchedFlags::SCHED_COMPUTE_BOUND]
+    {
+        let err = queue.set_sched_hints(foreign).expect_err("foreign bits");
+        assert!(matches!(err, ClError::InvalidValue(_)), "{err:?}");
+    }
+    let manual = ctx.create_queue_on(DeviceId(1)).expect("SCHED_OFF queue");
+    let err = manual.set_sched_hints(SPLIT).expect_err("SCHED_OFF queue");
+    assert!(matches!(err, ClError::InvalidOperation(_)), "{err:?}");
+    assert_eq!(queue.flags(), created, "a refused call changes nothing");
+
+    let a = ctx.create_buffer_of::<f64>(ELEMENTS as usize).expect("input");
+    let out = ctx.create_buffer_of::<f64>(ELEMENTS as usize).expect("output");
+    queue.enqueue_write(&a, &vec![1.0f64; ELEMENTS as usize]).expect("write input");
+    queue.enqueue_write(&out, &vec![0.0f64; ELEMENTS as usize]).expect("write output");
+    let body = Arc::new(Axpy { name: "axpy".into(), scale: 2.0 }) as Arc<dyn KernelBody>;
+    let k = ctx.create_program(vec![body]).expect("program").create_kernel("axpy").expect("kernel");
+    k.set_arg(0, ArgValue::Buffer(a)).unwrap();
+    k.set_arg(1, ArgValue::BufferMut(out)).unwrap();
+    let launch = || queue.enqueue_ndrange(&k, NdRange::d1(ELEMENTS, LOCAL)).expect("enqueue");
+    let split_so_far = || ctx.stats().kernels_split;
+
+    // Epoch 1, no hints: the launch runs whole.
+    launch();
+    ctx.finish_all();
+    assert_eq!(split_so_far(), 0);
+
+    // An epoch executes under one mode: with launches pending the hints
+    // cannot change (re-stating the current ones is a no-op).
+    launch();
+    let err = queue.set_sched_hints(SPLIT).expect_err("pending launches");
+    assert!(matches!(err, ClError::InvalidOperation(_)), "{err:?}");
+    queue.set_sched_hints(QueueSchedFlags::NONE).expect("unchanged hints");
+    ctx.finish_all();
+    assert_eq!(split_so_far(), 0);
+
+    // Epoch 3, both hints set between epochs: the same launch splits.
+    queue.set_sched_hints(SPLIT | OOO).expect("set hints");
+    assert_eq!(queue.flags(), created | SPLIT | OOO);
+    launch();
+    ctx.finish_all();
+    assert_eq!(split_so_far(), 1);
+
+    // Epoch 4, hints cleared again: whole, and nothing else of the
+    // creation flags moved.
+    queue.set_sched_hints(QueueSchedFlags::NONE).expect("clear hints");
+    assert_eq!(queue.flags(), created);
+    launch();
+    ctx.finish_all();
+    assert_eq!(split_so_far(), 1);
+
+    // Flushed (`clFlush`) is not synchronized: the ordering mode cannot
+    // change under commands still in flight.
+    launch();
+    queue.flush();
+    assert_eq!(queue.pending_len(), 0);
+    let err = queue.set_sched_hints(OOO).expect_err("commands in flight");
+    assert!(matches!(err, ClError::InvalidOperation(_)), "{err:?}");
+    assert_eq!(queue.flags(), created);
+    queue.finish();
+    queue.set_sched_hints(OOO).expect("idle again");
 }

@@ -293,9 +293,9 @@ impl ClusterService {
     }
 
     /// The shard currently owning `tenant`, per the routing ring. `None`
-    /// when every shard is degraded.
+    /// when every shard is degraded, or `tenant` names no tenant.
     pub fn shard_for(&self, tenant: usize) -> Option<usize> {
-        self.ring.lock().assign(&self.config.tenants[tenant].name)
+        self.ring.lock().assign(&self.config.tenants.get(tenant)?.name)
     }
 
     /// Warm every shard's program/profile caches (service start-up).
@@ -323,6 +323,10 @@ impl ClusterService {
         spec: JobSpec,
         deadline: Option<SimTime>,
     ) -> Result<(usize, u64), RejectReason> {
+        let tenants = self.config.tenants.len();
+        if tenant >= tenants {
+            return Err(RejectReason::UnknownTenant { tenant, tenants });
+        }
         let Some(shard) = self.shard_for(tenant) else {
             return Err(RejectReason::QueueFull { depth: 0, capacity: 0 });
         };
@@ -733,6 +737,12 @@ mod tests {
             let shard = cluster.shard_for(t).unwrap();
             assert!(shard < cluster.shard_count());
         }
+        // An index that names no tenant is routed nowhere and refused.
+        assert_eq!(cluster.shard_for(4), None);
+        assert_eq!(
+            cluster.submit(4, templates()[0].clone()),
+            Err(RejectReason::UnknownTenant { tenant: 4, tenants: 4 })
+        );
     }
 
     #[test]

@@ -238,27 +238,38 @@ impl KernelBody for SpecKernel {
         self.cost
     }
 
+    /// A sub-range launch does its share of everything below — prep steps
+    /// and wait are proportional to *its* item count, read from its own
+    /// offset on — and folds it into the first element it owns.
+    fn splittable(&self) -> bool {
+        true
+    }
+
     fn execute(&self, ctx: &mut KernelCtx<'_>) {
         if self.arity == 0 {
             return;
         }
         let items = ctx.nd().global_items();
+        let offset = ctx.global_offset()[0];
         let data = ctx.slice_mut::<f64>(0);
         if data.is_empty() {
             return;
         }
         // Host-side prep: a deterministic FMA chain over the pre-launch
-        // contents. Only `data[0]` is written, at the end, so the result
-        // is a pure function of the inputs — identical for any worker
+        // contents. One element is written, at the end — `data[0]` by a
+        // whole launch — so the result is a pure function of the inputs
+        // (and, for a split launch, of its chunk plan: the chunks' write
+        // hazard runs them in issue order) — identical for any worker
         // count.
         let flops = self.cost.flops_per_item.max(1.0) * items as f64;
         let steps = (flops / 512.0) as u64;
         let len = data.len();
+        let first = (offset % len as u64) as usize;
         let mut acc = 1.0f64;
         for i in 0..steps {
-            acc = acc.mul_add(0.999_999_9, data[i as usize % len] * 1e-6);
+            acc = acc.mul_add(0.999_999_9, data[(first + i as usize) % len] * 1e-6);
         }
-        data[0] += acc;
+        data[first] += acc;
         // Device-latency stand-in: occupy this data-plane task for a
         // duration proportional to the kernel's nominal flop count, the
         // way a real dispatch occupies its host thread until the device
@@ -316,6 +327,11 @@ pub enum FailReason {
     },
     /// No healthy device remained to run the job on.
     NoHealthyDevices,
+    /// The runtime refused part of the job's command stream at dispatch
+    /// (the `ClError` text). Admission screens out every cause a spec is
+    /// known to reach; this keeps "one terminal outcome per admitted job"
+    /// true for any it does not.
+    IssueError(String),
 }
 
 impl std::fmt::Display for FailReason {
@@ -326,6 +342,7 @@ impl std::fmt::Display for FailReason {
                 write!(f, "retry_exhausted after {attempts} attempt(s): {last_error}")
             }
             FailReason::NoHealthyDevices => f.write_str("no_healthy_devices"),
+            FailReason::IssueError(e) => write!(f, "issue_error: {e}"),
         }
     }
 }
@@ -365,19 +382,10 @@ pub struct JobOutcome {
 pub struct Served {
     platform: Platform,
     ctx: MulticlContext,
+    /// One scheduler queue per dispatch slot. A job's execution modes
+    /// (`out_of_order`, `splittable`) travel with it: [`Self::issue_job`]
+    /// sets them as the slot queue's hints for the job's epoch.
     workers: Vec<SchedQueue>,
-    /// Out-of-order twins of `workers`, used for jobs whose spec sets
-    /// `out_of_order`: same scheduling policy plus `SCHED_OUT_OF_ORDER`,
-    /// so their launches flow through the epoch batch reorderer. Empty
-    /// under [`ServePolicy::Off`] (static binding ignores the flag), and
-    /// inert — queues with no pending work never enter the scheduling
-    /// pool — until some job opts in.
-    ooo_workers: Vec<SchedQueue>,
-    /// Splittable twins of `workers`, used for jobs whose spec sets
-    /// `splittable`: same scheduling policy plus `SCHED_SPLITTABLE`, so
-    /// split-capable kernels may be partitioned across devices. Empty under
-    /// [`ServePolicy::Off`], inert until some job opts in.
-    split_workers: Vec<SchedQueue>,
     tenants: Vec<TenantState>,
     metrics: ServiceMetrics,
     retry: RetryPolicy,
@@ -425,33 +433,11 @@ impl Served {
                 _ => ctx.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC),
             })
             .collect::<ClResult<Vec<_>>>()?;
-        let ooo_workers = match policy {
-            ServePolicy::Off => Vec::new(),
-            _ => (0..workers.len())
-                .map(|_| {
-                    ctx.create_queue(
-                        QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_OUT_OF_ORDER,
-                    )
-                })
-                .collect::<ClResult<Vec<_>>>()?,
-        };
-        let split_workers = match policy {
-            ServePolicy::Off => Vec::new(),
-            _ => (0..workers.len())
-                .map(|_| {
-                    ctx.create_queue(
-                        QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE,
-                    )
-                })
-                .collect::<ClResult<Vec<_>>>()?,
-        };
         let names: Vec<String> = tenants.iter().map(|t| t.name.clone()).collect();
         Ok(Served {
             platform: platform.clone(),
             ctx,
             workers,
-            ooo_workers,
-            split_workers,
             tenants: tenants.into_iter().map(TenantState::new).collect(),
             metrics: ServiceMetrics::new(&names),
             retry,
@@ -489,20 +475,6 @@ impl Served {
     /// Number of worker queues (dispatch slots per round).
     pub fn worker_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The worker queue serving dispatch slot `slot` for `spec`: the
-    /// out-of-order twin when the spec opts in (and the policy honors the
-    /// flag), the splittable twin for `splittable` specs, the strict
-    /// in-order worker otherwise.
-    fn worker_for(&self, slot: usize, spec: &JobSpec) -> &SchedQueue {
-        if spec.out_of_order && !self.ooo_workers.is_empty() {
-            &self.ooo_workers[slot]
-        } else if spec.splittable && !self.split_workers.is_empty() {
-            &self.split_workers[slot]
-        } else {
-            &self.workers[slot]
-        }
     }
 
     /// Current device binding of each worker queue (updated by the
@@ -593,7 +565,9 @@ impl Served {
         spec: JobSpec,
         deadline: Option<SimTime>,
     ) -> Result<u64, RejectReason> {
-        let state = &self.tenants[tenant];
+        let Some(state) = self.tenants.get(tenant) else {
+            return Err(RejectReason::UnknownTenant { tenant, tenants: self.tenants.len() });
+        };
         let job = self.next_job.fetch_add(1, Ordering::Relaxed);
         let now = self.platform.now();
         let epoch = self.ctx.current_epoch();
@@ -605,10 +579,15 @@ impl Served {
             at: now,
         });
         self.metrics.tenant(tenant).submitted.inc();
-        let order = match spec.validated_order() {
+        let order = spec
+            .validated_order()
+            .map_err(RejectReason::InvalidSpec)
+            // A buffer no device of the node can hold would be refused at
+            // issue time, after admission: refuse it here instead.
+            .and_then(|order| self.check_buffer_sizes(&spec).map(|()| order));
+        let order = match order {
             Ok(order) => order,
-            Err(e) => {
-                let reason = RejectReason::InvalidSpec(e);
+            Err(reason) => {
                 self.reject(tenant, &name, job, &reason, now);
                 return Err(reason);
             }
@@ -638,6 +617,24 @@ impl Served {
         self.metrics.tenant(tenant).depth.set(depth as f64);
         self.ctx.emit_event(&SchedEvent::JobAdmitted { epoch, tenant: name, job, depth, at: now });
         Ok(job)
+    }
+
+    /// Refuse a spec with a buffer larger than the context admits: its byte
+    /// size exceeds the node's largest device memory, or does not even fit
+    /// a `usize`.
+    fn check_buffer_sizes(&self, spec: &JobSpec) -> Result<(), RejectReason> {
+        let limit = self.ctx.cl().max_buffer_bytes();
+        let fits = |elements: usize| {
+            elements.checked_mul(std::mem::size_of::<f64>()).is_some_and(|b| b as u64 <= limit)
+        };
+        match spec.buffers.iter().find(|b| !fits(b.elements)) {
+            None => Ok(()),
+            Some(b) => Err(RejectReason::BufferTooLarge {
+                buffer: b.name.clone(),
+                elements: b.elements,
+                limit,
+            }),
+        }
     }
 
     fn reject(&self, tenant: usize, name: &str, job: u64, reason: &RejectReason, at: SimTime) {
@@ -687,6 +684,7 @@ impl Served {
             FailReason::DeadlineExceeded => "deadline_exceeded",
             FailReason::RetryExhausted { .. } => "retry_exhausted",
             FailReason::NoHealthyDevices => "no_healthy_devices",
+            FailReason::IssueError(_) => "issue_error",
         };
         // Callers record the terminal (pseudo-)attempt on the trace before
         // failing the job, so the span store covers [submitted_at, now].
@@ -817,13 +815,13 @@ impl Served {
         let failure_offset = self.platform.with_engine(|e| e.failure_count());
         let window_mark = self.tap.window_count();
         let epoch = self.ctx.current_epoch();
-        let mut dispatch_times: Vec<SimTime> = Vec::with_capacity(live.len());
-        for (slot, (tenant, job)) in live.iter().enumerate() {
-            let worker = self.worker_for(slot, &job.spec);
+        // Per slot: when its job was dispatched, or why the runtime refused
+        // to issue it.
+        let mut dispatched: Vec<ClResult<SimTime>> = Vec::with_capacity(live.len());
+        for ((tenant, job), worker) in live.iter().zip(&self.workers) {
             self.metrics.tenant(*tenant).depth.set(self.tenants[*tenant].depth() as f64);
             self.metrics.tenant(*tenant).dispatched.inc();
             let dispatched_at = self.platform.now();
-            dispatch_times.push(dispatched_at);
             self.ctx.emit_event(&SchedEvent::JobDispatched {
                 epoch,
                 tenant: self.tenants[*tenant].config.name.clone(),
@@ -831,8 +829,8 @@ impl Served {
                 queue: worker.id(),
                 at: dispatched_at,
             });
-            self.issue_job(worker, &job.spec, &job.order, job.id)
-                .expect("validated spec issues cleanly");
+            let issued = self.issue_job(worker, &job.spec, &job.order, job.id);
+            dispatched.push(issued.map(|()| dispatched_at));
         }
         // One synchronization epoch: the scheduler maps the combined pool.
         self.ctx.finish_all();
@@ -880,8 +878,20 @@ impl Served {
         let now = self.platform.now();
         let completed_epoch = self.ctx.current_epoch();
         let no_slices: Vec<SpanSlice> = Vec::new();
-        for (slot, (tenant, mut job)) in live.into_iter().enumerate() {
-            let worker = self.worker_for(slot, &job.spec);
+        for (((tenant, mut job), worker), dispatched) in
+            live.into_iter().zip(&self.workers).zip(dispatched)
+        {
+            let dispatched_at = match dispatched {
+                Ok(at) => at,
+                Err(e) => {
+                    // Whatever part of its stream was issued ran with the
+                    // round; none of it is attributed to the job.
+                    job.trace.record_undispatched(completed_epoch, job.not_before, now);
+                    self.fail_job(tenant, &job, FailReason::IssueError(e.to_string()), now);
+                    terminal += 1;
+                    continue;
+                }
+            };
             let slices = worker_slices.get(&worker.trace_id()).unwrap_or(&no_slices);
             let device = Some(worker.device().index() as u64);
             if let Some(kind) = failed_queues.get(&worker.trace_id()) {
@@ -892,7 +902,7 @@ impl Served {
                     device,
                     completed_epoch,
                     job.not_before,
-                    dispatch_times[slot],
+                    dispatched_at,
                     now,
                     slices,
                     &profiling,
@@ -937,7 +947,7 @@ impl Served {
                 device,
                 completed_epoch,
                 job.not_before,
-                dispatch_times[slot],
+                dispatched_at,
                 completed_at,
                 slices,
                 &profiling,
@@ -1109,10 +1119,13 @@ impl Served {
         Ok(program)
     }
 
-    /// Issue one job's command stream onto `worker`: allocate its buffers,
-    /// build its program, and walk the steps in `order` (the spec's
-    /// topological order). Writes execute immediately (defining initial
-    /// residency); launches buffer into the worker's pending epoch.
+    /// Issue one job's command stream onto `worker`: set the job's
+    /// execution modes as the queue's hints for this epoch (a plain job
+    /// clears them, so nothing leaks from the slot's previous job; static
+    /// binding under [`ServePolicy::Off`] ignores them), allocate its
+    /// buffers, build its program, and walk the steps in `order` (the
+    /// spec's topological order). Writes execute immediately (defining
+    /// initial residency); launches buffer into the worker's pending epoch.
     fn issue_job(
         &self,
         worker: &SchedQueue,
@@ -1120,6 +1133,16 @@ impl Served {
         order: &[usize],
         job_id: u64,
     ) -> ClResult<()> {
+        if worker.flags().is_auto() {
+            let hints = spec_hints(spec);
+            // A queue changes mode only when synchronized. A dispatch slot
+            // is — every round ends in `finish_all` — but warm-up wraps
+            // around a short worker list within one epoch: close it first.
+            if worker.set_sched_hints(hints).is_err() {
+                self.ctx.finish_all();
+                worker.set_sched_hints(hints)?;
+            }
+        }
         let mut buffers: HashMap<&str, clrt::Buffer> = HashMap::new();
         for b in &spec.buffers {
             buffers.insert(b.name.as_str(), self.ctx.create_buffer_of::<f64>(b.elements)?);
@@ -1147,6 +1170,18 @@ impl Served {
         }
         Ok(())
     }
+}
+
+/// The execution hints a job asks of its worker queue.
+fn spec_hints(spec: &JobSpec) -> QueueSchedFlags {
+    let mut hints = QueueSchedFlags::NONE;
+    if spec.out_of_order {
+        hints |= QueueSchedFlags::SCHED_OUT_OF_ORDER;
+    }
+    if spec.splittable {
+        hints |= QueueSchedFlags::SCHED_SPLITTABLE;
+    }
+    hints
 }
 
 #[cfg(test)]
@@ -1183,6 +1218,22 @@ mod tests {
         assert_eq!(built(), 3);
         served.program_for(&spec("first again", 16.0, r#"["a"]"#)).unwrap();
         assert_eq!(built(), 3);
+    }
+
+    /// One worker set: a service with W dispatch slots owns W scheduler
+    /// queues under every policy — queue ids are handed out in creation
+    /// order, so the next queue created on its context is number W.
+    #[test]
+    fn a_service_creates_one_scheduler_queue_per_worker() {
+        for policy in [ServePolicy::AutoFit, ServePolicy::RoundRobin, ServePolicy::Off] {
+            let platform = Platform::paper_node();
+            let tenants = vec![TenantConfig::new("t", 1, 8)];
+            let served = Served::new(&platform, ServiceConfig::new(policy, 4, tenants))
+                .expect("service builds");
+            assert_eq!(served.worker_count(), 4);
+            let next = served.context().create_queue_on(hwsim::DeviceId(0)).expect("queue");
+            assert_eq!(next.id(), 4, "{policy}");
+        }
     }
 
     /// The device-latency stand-in holds its task for the nominal time:

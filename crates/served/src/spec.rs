@@ -134,16 +134,17 @@ pub struct JobSpec {
     pub kernels: Vec<KernelSpec>,
     /// Steps in declaration order.
     pub steps: Vec<StepSpec>,
-    /// Opt into out-of-order epoch execution: the job's launches flush
-    /// through a `SCHED_OUT_OF_ORDER` queue, so the epoch reorderer may
-    /// interleave them with other jobs' transfers (hazard edges still
-    /// enforce this job's own data dependencies). Defaults to `false` —
-    /// strict in-order execution, byte-identical with pre-flag streams.
+    /// Opt into out-of-order epoch execution: the job's worker queue
+    /// carries the `SCHED_OUT_OF_ORDER` hint for its epoch, so the epoch
+    /// reorderer may interleave the job's launches with other jobs'
+    /// transfers (hazard edges still enforce this job's own data
+    /// dependencies). Defaults to `false` — strict in-order execution,
+    /// byte-identical with pre-flag streams.
     pub out_of_order: bool,
-    /// Opt into data-parallel kernel splitting: the job's launches flush
-    /// through a `SCHED_SPLITTABLE` queue, so split-capable kernels may be
-    /// partitioned into sub-ranges across devices. Mutually exclusive with
-    /// `out_of_order` (the queue flags themselves are). Defaults to `false`.
+    /// Opt into data-parallel kernel splitting: the job's worker queue
+    /// carries the `SCHED_SPLITTABLE` hint for its epoch, so split-capable
+    /// kernels may be partitioned into sub-ranges across devices. Composes
+    /// with `out_of_order`. Defaults to `false`.
     pub splittable: bool,
 }
 
@@ -352,11 +353,6 @@ impl JobSpec {
     /// [`Self::validate`], handing back the [`Self::topo_order`] it had to
     /// compute to rule out cycles, so admission sorts a job's steps once.
     pub(crate) fn validated_order(&self) -> Result<Vec<usize>, SpecError> {
-        if self.out_of_order && self.splittable {
-            return Err(SpecError::Invalid(
-                "`out_of_order` and `splittable` are mutually exclusive".to_string(),
-            ));
-        }
         let mut buffer_names = std::collections::HashSet::new();
         for b in &self.buffers {
             if !buffer_names.insert(b.name.as_str()) {
@@ -552,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn splittable_flag_parses_roundtrips_and_excludes_out_of_order() {
+    fn splittable_flag_parses_roundtrips_and_composes_with_out_of_order() {
         // Absent ⇒ false, and a false flag is not emitted (old specs encode
         // byte-identically).
         let spec = sample();
@@ -566,13 +562,13 @@ mod tests {
         let again = JobSpec::from_json(&json).expect("flagged spec parses");
         assert_eq!(again, flagged);
 
-        // The two queue-flag opt-ins are mutually exclusive, like the
-        // underlying `SCHED_SPLITTABLE` × `SCHED_OUT_OF_ORDER` flags.
+        // The two opt-ins compose, like the `SCHED_SPLITTABLE` and
+        // `SCHED_OUT_OF_ORDER` hints they set.
         let mut both = sample();
         both.splittable = true;
         both.out_of_order = true;
-        assert!(matches!(both.validate(), Err(SpecError::Invalid(_))));
-        assert!(JobSpec::from_json(&both.to_json()).is_err());
+        assert_eq!(both.validate(), Ok(()));
+        assert_eq!(JobSpec::from_json(&both.to_json()), Ok(both));
     }
 
     #[test]

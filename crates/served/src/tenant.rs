@@ -44,6 +44,24 @@ pub enum RejectReason {
     },
     /// The job spec failed validation.
     InvalidSpec(SpecError),
+    /// A buffer of the spec is larger than any device of the node can hold
+    /// (or its byte size overflows `usize`): no placement could run it.
+    BufferTooLarge {
+        /// Name of the offending buffer.
+        buffer: String,
+        /// Its declared `f64` element count.
+        elements: usize,
+        /// The largest buffer the node admits, in bytes.
+        limit: u64,
+    },
+    /// The tenant index names no tenant of this service. Nothing is
+    /// counted or emitted: there is no tenant to attribute it to.
+    UnknownTenant {
+        /// The index submitted.
+        tenant: usize,
+        /// How many tenants the service has.
+        tenants: usize,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -53,6 +71,15 @@ impl std::fmt::Display for RejectReason {
                 write!(f, "queue_full depth={depth}/{capacity}")
             }
             RejectReason::InvalidSpec(e) => write!(f, "invalid_spec: {e}"),
+            RejectReason::BufferTooLarge { buffer, elements, limit } => {
+                write!(
+                    f,
+                    "buffer_too_large `{buffer}`: {elements} f64 elements exceed {limit} bytes"
+                )
+            }
+            RejectReason::UnknownTenant { tenant, tenants } => {
+                write!(f, "unknown_tenant {tenant} of {tenants}")
+            }
         }
     }
 }

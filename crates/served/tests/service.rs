@@ -107,6 +107,260 @@ fn invalid_specs_are_rejected_before_queueing() {
     assert_eq!(served.backlog(), 0);
 }
 
+/// A one-launch job over one buffer of `elements` f64s.
+fn one_buffer_spec(elements: u64) -> Result<served::JobSpec, served::spec::SpecError> {
+    served::JobSpec::parse_str(&format!(
+        r#"{{"name": "big",
+            "buffers": [{{"name": "a", "elements": {elements}}}],
+            "kernels": [{{"name": "big_k", "flops_per_item": 8.0, "bytes_per_item": 8.0}}],
+            "steps": [{{"op": "launch", "kernel": "big_k", "global": 64, "local": 64,
+                        "args": ["a"]}}]}}"#
+    ))
+}
+
+#[test]
+fn buffers_no_device_can_hold_are_rejected_at_admission() {
+    let recorder = Arc::new(RingBufferSink::new(256));
+    let platform = Platform::paper_node();
+    let mut options = warmed_options(&platform, scratch_dir("oversize"));
+    options.observers = vec![recorder.clone()];
+    let config = ServiceConfig {
+        options,
+        ..ServiceConfig::new(ServePolicy::AutoFit, 1, vec![TenantConfig::new("a", 1, 4)])
+    };
+    let served = Served::new(&platform, config).expect("service builds");
+    // 64 GiB: twice the CPU's memory, the node's largest. And an element
+    // count whose byte size does not fit a `usize` at all.
+    for elements in [8_589_934_592, 1 << 62] {
+        let spec = one_buffer_spec(elements).expect("the spec itself is well-formed");
+        match served.submit(0, spec) {
+            Err(RejectReason::BufferTooLarge { buffer, elements: e, limit }) => {
+                assert_eq!((buffer.as_str(), e as u64, limit), ("a", elements, 32 << 30));
+            }
+            other => panic!("expected BufferTooLarge for {elements} elements, got {other:?}"),
+        }
+    }
+    // Counted and announced like any other rejection; nothing queued, so
+    // nothing is left for a dispatch round to trip over.
+    let m = served.metrics().tenant(0);
+    assert_eq!((m.submitted.get(), m.admitted.get(), m.rejected.get()), (2, 0, 2));
+    assert_eq!(served.backlog(), 0);
+    assert_eq!(served.dispatch_round(), 0);
+    let rejected: Vec<String> = recorder
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e {
+            multicl::SchedEvent::JobRejected { reason, .. } => Some(reason.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected.len(), 2);
+    assert!(rejected.iter().all(|r| r.starts_with("buffer_too_large `a`")), "{rejected:?}");
+    // The largest buffer the node does hold is admitted.
+    let fits = one_buffer_spec((32u64 << 30) / 8).unwrap();
+    assert_eq!(served.submit(0, fits).map(|_| ()), Ok(()));
+}
+
+#[test]
+fn unknown_tenant_index_is_a_typed_rejection() {
+    let served = small_service("no-tenant", 1, vec![TenantConfig::new("a", 1, 4)]);
+    let spec = loadgen::templates()[0].clone();
+    assert_eq!(
+        served.submit(7, spec.clone()),
+        Err(RejectReason::UnknownTenant { tenant: 7, tenants: 1 })
+    );
+    assert_eq!(
+        served.submit_with_deadline(1, spec.clone(), Some(served.now())),
+        Err(RejectReason::UnknownTenant { tenant: 1, tenants: 1 })
+    );
+    // No job id was spent, nothing was counted against a real tenant.
+    assert_eq!(served.metrics().tenant(0).submitted.get(), 0);
+    assert_eq!(served.submit(0, spec), Ok(1));
+}
+
+#[test]
+fn jobs_that_fit_the_cpu_only_complete_there_and_static_gpu_slots_fail_typed() {
+    // The paper node with 1 KiB GPUs: the templates' 16 KiB buffers fit the
+    // CPU alone, and every template's kernel would rather run on a GPU.
+    let small_gpu_node = || {
+        let mut node = hwsim::NodeConfig::paper_node();
+        for gpu in [1, 2] {
+            node.devices[gpu].mem_capacity = 1024;
+        }
+        Platform::new(node)
+    };
+    let serve = |policy: ServePolicy, tag: &str| {
+        let platform = small_gpu_node();
+        let options = warmed_options(&platform, scratch_dir(tag));
+        let config = ServiceConfig {
+            options,
+            ..ServiceConfig::new(policy, 3, vec![TenantConfig::new("a", 1, 16)])
+        };
+        let served = Served::new(&platform, config).expect("service builds");
+        for spec in loadgen::templates().into_iter().cycle().take(9) {
+            served.submit(0, spec).expect("16 KiB fits the node");
+        }
+        served.run_until_drained();
+        served
+    };
+    // The scheduling policies place every worker where its job fits.
+    for (policy, tag) in [(ServePolicy::AutoFit, "cpu-af"), (ServePolicy::RoundRobin, "cpu-rr")] {
+        let served = serve(policy, tag);
+        let m = served.metrics().tenant(0);
+        assert_eq!((m.completed.get(), m.failed.get()), (9, 0), "{policy}");
+        assert_eq!(served.worker_devices(), [hwsim::DeviceId(0); 3], "{policy}");
+    }
+    // Static binding cannot move: the slot on the CPU serves its jobs, the
+    // two on the GPUs end theirs with the typed failure — still exactly one
+    // terminal outcome per admitted job, and no panic in the dispatcher.
+    let served = serve(ServePolicy::Off, "cpu-off");
+    let outcomes = served.outcomes();
+    assert_eq!(outcomes.len(), 9);
+    let refused = |o: &served::JobOutcome| match &o.result {
+        JobResult::Failed(FailReason::IssueError(e)) => {
+            assert!(e.contains("CL_MEM_OBJECT_ALLOCATION_FAILURE"), "{e}");
+            true
+        }
+        JobResult::Completed => false,
+        other => panic!("unexpected outcome {other:?}"),
+    };
+    assert_eq!(outcomes.iter().filter(|o| refused(o)).count(), 6);
+    let m = served.metrics().tenant(0);
+    assert_eq!((m.completed.get(), m.failed.get()), (3, 6));
+}
+
+/// `spec` with the two execution modes set as given.
+fn with_modes(mut spec: served::JobSpec, out_of_order: bool, splittable: bool) -> served::JobSpec {
+    (spec.out_of_order, spec.splittable) = (out_of_order, splittable);
+    spec
+}
+
+#[test]
+fn mixed_mode_jobs_are_served_on_the_one_worker_set() {
+    const WORKERS: usize = 3;
+    // Seeded arrivals over the stock templates (256 or more workgroups a
+    // launch), each job drawing one of the four mode combinations.
+    let cfg = |data_plane_workers| LoadgenConfig {
+        seed: 29,
+        tenants: 3,
+        jobs: 36,
+        rate_hz: 4000.0,
+        workers: WORKERS,
+        queue_capacity: 16,
+        runtime: RuntimeConfig { data_plane_workers, ..RuntimeConfig::default() },
+        ..LoadgenConfig::default()
+    };
+    let mut modes = hwsim::xrand::XorShift::new(0x40DE5);
+    let arrivals: Vec<loadgen::Arrival> = loadgen::open_arrivals(&cfg(1))
+        .into_iter()
+        .map(|a| {
+            let draw = modes.index(4);
+            loadgen::Arrival { spec: with_modes(a.spec, draw & 1 != 0, draw & 2 != 0), ..a }
+        })
+        .collect();
+    for (ooo, split) in [(false, false), (true, false), (false, true), (true, true)] {
+        let drawn =
+            |a: &&loadgen::Arrival| (a.spec.out_of_order, a.spec.splittable) == (ooo, split);
+        assert!(arrivals.iter().filter(drawn).count() >= 3, "mode ({ooo}, {split}) barely drawn");
+    }
+
+    let dir = scratch_dir("modes");
+    let run = |data_plane_workers| {
+        let recorder = Arc::new(RingBufferSink::new(1 << 14));
+        let cfg = cfg(data_plane_workers);
+        let served = loadgen::build_service(&cfg, &dir, vec![recorder.clone()]).expect("service");
+        // Warm-up takes moded templates too, wrapping around the slots.
+        let mut library = loadgen::templates();
+        library.push(with_modes(library[2].clone(), true, true));
+        served.warm_programs(&library).expect("warm-up");
+        loadgen::drive_open(&served, &arrivals);
+        // The report names the data-plane worker count; nothing else in it
+        // may depend on it.
+        let report = match loadgen::report_json(&served, &cfg) {
+            hwsim::json::Json::Obj(fields) => fields
+                .into_iter()
+                .filter(|(key, _)| key != "data_plane_workers")
+                .map(|(key, value)| format!("{key}={}", value.dump()))
+                .collect::<Vec<_>>(),
+            other => panic!("report is an object, got {other:?}"),
+        };
+        (served, recorder.snapshot(), report)
+    };
+    let (served, events, report) = run(1);
+
+    // Conservation: every admitted job reached exactly one terminal outcome.
+    let admitted: u64 = (0..3).map(|t| served.metrics().tenant(t).admitted.get()).sum();
+    let outcomes = served.outcomes();
+    let mut ids: Vec<u64> = outcomes.iter().map(|o| o.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!((ids.len() as u64, outcomes.len() as u64), (admitted, admitted));
+    assert!(admitted >= 24, "admission refused most of the load: {admitted} of 36");
+    assert!(outcomes.iter().all(|o| o.result == JobResult::Completed));
+
+    // One worker set: W scheduler queues, and every job dispatched on one.
+    let dispatched_on: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            multicl::SchedEvent::JobDispatched { queue, .. } => Some(*queue),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(dispatched_on.len() as u64, admitted);
+    assert!(dispatched_on.iter().all(|&q| q < WORKERS), "{dispatched_on:?}");
+
+    // The modes are served, not just accepted.
+    let stats = served.context().stats();
+    assert!(stats.kernels_split > 0, "no splittable job's launch was split: {stats:?}");
+
+    // And the data-plane worker count changes nothing observable.
+    let (parallel, _, parallel_report) = run(4);
+    assert_eq!(parallel.data_plane_workers(), 4);
+    assert_eq!(parallel.outcomes(), outcomes);
+    assert_eq!(parallel_report, report);
+    assert_eq!(parallel.context().stats().kernels_split, stats.kernels_split);
+}
+
+#[test]
+fn execution_hints_do_not_leak_to_the_slots_next_job() {
+    // One slot, so consecutive jobs share the worker queue. The job: two
+    // independent launches over buffers still on the host, the first over
+    // a big one (long transfer, short kernel), the second over a small one
+    // (short transfer, long kernel) — Johnson's rule emits them the other
+    // way round — and both big enough to split.
+    let spec = served::JobSpec::parse_str(
+        r#"{"name": "two",
+            "buffers": [{"name": "big", "elements": 262144}, {"name": "small", "elements": 1024}],
+            "kernels": [{"name": "two_light", "flops_per_item": 2.0, "bytes_per_item": 8.0},
+                        {"name": "two_heavy", "flops_per_item": 40000.0, "bytes_per_item": 8.0}],
+            "steps": [{"op": "launch", "kernel": "two_light", "global": 1024, "local": 64,
+                       "args": ["big"]},
+                      {"op": "launch", "kernel": "two_heavy", "global": 1024, "local": 64,
+                       "args": ["small"]}]}"#,
+    )
+    .expect("spec parses");
+    let served = small_service("leak", 1, vec![TenantConfig::new("a", 1, 8)]);
+    served.warm_programs(std::slice::from_ref(&spec)).expect("warm-up");
+    // (split, reordered) the scheduler counted for one job served alone.
+    let serve_one = |out_of_order: bool, splittable: bool| {
+        let before = served.context().stats();
+        served.submit(0, with_modes(spec.clone(), out_of_order, splittable)).expect("admit");
+        assert_eq!(served.dispatch_round(), 1);
+        let after = served.context().stats();
+        (
+            after.kernels_split - before.kernels_split,
+            after.commands_reordered - before.commands_reordered,
+        )
+    };
+    assert_eq!(serve_one(false, false), (0, 0), "plain job on a fresh slot");
+    let (split, reordered) = serve_one(true, true);
+    assert!(split > 0 && reordered > 0, "both modes act on this job: {split}, {reordered}");
+    assert_eq!(serve_one(false, false), (0, 0), "plain job right after a both-flag job");
+    assert_eq!(serve_one(false, true), (split, 0), "splittable only");
+    assert_eq!(serve_one(true, false), (0, reordered), "out-of-order only");
+    assert_eq!(serve_one(false, false), (0, 0), "and plain again");
+}
+
 #[test]
 fn weighted_round_robin_grants_weight_proportional_slots() {
     let served = small_service(
