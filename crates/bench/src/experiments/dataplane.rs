@@ -6,8 +6,11 @@
 //! wall-clock time, not virtual time. The virtual timeline is asserted
 //! bit-identical across worker counts (same fingerprint), so any wall
 //! clock difference is pure executor parallelism, never a semantic
-//! change. Kernel bodies carry real flop-scaled host work (see
-//! `served`'s `SpecKernel`), which is what the pool overlaps.
+//! change. Kernel bodies carry flop-scaled host work and *declare*
+//! flop-scaled device time (see `served`'s `SpecKernel`): the pool
+//! overlaps the former, the latter overlaps across queues at any worker
+//! count — so on this workload, whose wall time is mostly device time,
+//! the sweep is flat, and the synchronous point is as fast as the rest.
 
 use crate::harness::Table;
 use hwsim::json::Json;

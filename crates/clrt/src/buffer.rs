@@ -52,11 +52,6 @@ impl DataStore {
         DataStore { words: vec![0u64; byte_len.div_ceil(8)], byte_len }
     }
 
-    #[inline]
-    pub(crate) fn byte_len(&self) -> usize {
-        self.byte_len
-    }
-
     /// View as a slice of `T`. Panics if the byte length is not a multiple
     /// of `size_of::<T>()` — that is a program bug, like a misaligned
     /// OpenCL kernel argument.
@@ -134,6 +129,9 @@ pub(crate) struct StampHazard {
 pub(crate) struct BufferInner {
     pub(crate) id: u64,
     pub(crate) ctx_id: u64,
+    /// Fixed at creation, so reading it takes no lock — least of all the
+    /// store's, which a running kernel body holds from start to end.
+    pub(crate) byte_len: usize,
     pub(crate) store: Mutex<DataStore>,
     pub(crate) residency: Mutex<Residency>,
     /// Data-plane hazard state: last writer task, readers since, and the
@@ -175,6 +173,7 @@ impl Buffer {
             inner: Arc::new(BufferInner {
                 id: next_object_id(),
                 ctx_id,
+                byte_len,
                 store: Mutex::new(DataStore::zeroed(byte_len)),
                 residency: Mutex::new(Residency::fresh()),
                 hazard: Mutex::new(BufHazard::default()),
@@ -215,7 +214,7 @@ impl Buffer {
 
     /// Buffer length in bytes.
     pub fn byte_len(&self) -> usize {
-        self.inner.store.lock().byte_len()
+        self.inner.byte_len
     }
 
     /// Number of elements when viewed as `T`.
@@ -242,6 +241,13 @@ impl Buffer {
     /// Snapshot of the residency state.
     pub fn residency(&self) -> Residency {
         self.inner.residency.lock().clone()
+    }
+
+    /// Read the residency state in place, under its lock: what a hot path
+    /// uses instead of cloning the device set with [`Self::residency`].
+    /// `f` must not touch this buffer's residency again.
+    pub fn with_residency<R>(&self, f: impl FnOnce(&Residency) -> R) -> R {
+        f(&self.inner.residency.lock())
     }
 
     /// Read the host-side storage as a `Vec<T>` **without** simulating any

@@ -37,10 +37,35 @@
 //! predecessor has already completed *and* the body is lighter than a
 //! thread hand-off (`LIGHT_WORK`), the task is registered as a live
 //! caller-run node — so racing submitters still order after it — and its
-//! body runs on the enqueueing thread from a borrowing closure, completing
-//! before `submit` returns. Otherwise the owned `'static` body is built and
+//! body runs on the enqueueing thread from a borrowing closure, before
+//! `submit` returns. Otherwise the owned `'static` body is built and
 //! queued for the pool. `workers == 1` is the degenerate case in which
 //! every body counts as light: single-threaded use never hands a task off.
+//!
+//! ## Device time
+//!
+//! A body does not sit through the time its command occupies a device: it
+//! *declares* it (the closure handed to `submit` returns a `Duration`;
+//! kernels declare through [`crate::KernelCtx::occupy_device`], writes,
+//! copies and markers return zero) and returns. A task that declared time
+//! is not retired with its body: it stays live, *in device time*, until
+//! its deadline — body end plus declared time — and goes through the one
+//! `retire` then. Completion is "body returned **and** deadline passed",
+//! for everyone who can ask: hazard, chain and event-wait successors are
+//! released at the deadline, and every blocking point, `quiesce` and
+//! `retain_live` see the task live until then. No thread and no buffer
+//! store lock is held meanwhile, so device overlap is a property of the
+//! command DAG, not of the pool size. A body that declares nothing — or
+//! panics — takes exactly the path it always took.
+//!
+//! Deadlines sit in one min-heap and are completed lazily, by whoever next
+//! holds the executor lock with a reason to look: `submit` on entry (so
+//! hazard capture sees expired predecessors as gone), a blocked thread, a
+//! worker about to look for work. A light task whose only unmet
+//! predecessors are in device time with less than a hand-off (`HANDOFF`)
+//! left is not worth queueing: its node is registered first, then the
+//! enqueueing thread waits the remainder out, lock dropped, and runs the
+//! body itself (with `workers == 1` it always does, however long).
 //!
 //! ## Wake-ups
 //!
@@ -48,8 +73,9 @@
 //! dependent it actually released (one each, minus the one a finishing
 //! worker takes itself), a submission only for a task that is ready as
 //! submitted, and the blocked threads only when the very task one of them
-//! marked as its blocker (`Node::watched`) completes — a joiner sleeps
-//! through every other completion of the chain it waits for.
+//! marked as its blocker (`Node::watched`) completes or enters device time
+//! — a joiner sleeps through every other completion of the chain it waits
+//! for.
 //!
 //! Which worker is woken is fixed too: the *most recently parked* one
 //! (`State::idle` is a stack). Its core is the one most likely still idle
@@ -59,40 +85,79 @@
 //! cores, leaves two workers sharing one core for milliseconds at a time
 //! while the other idles, a different share of every run.
 //!
+//! A deadline wakes nobody either, with one exception: while a *queued*
+//! task waits behind one (`State::pool_deadline`), exactly one idle worker
+//! — the *timer*, at the bottom of the stack, where work wake-ups reach it
+//! last — parks with a time to wake at instead of indefinitely, because
+//! nothing else is bound to look before the host's next call. Tasks that
+//! only ever run on their callers never start a thread.
+//!
 //! ## Blocking points
 //!
 //! `finish`, blocking reads, and `Event::wait` join only the tasks they
 //! transitively depend on (the DAG already encodes transitivity: joining a
 //! task implicitly joins its ancestors, because a task only completes after
-//! its dependencies). A body that panics — on a worker or on the caller —
-//! is caught, and the panic is re-raised exactly once, at the next blocking
-//! point, whether or not anything is left to join there.
+//! its dependencies). A joiner whose blocker is in device time waits for
+//! that deadline itself (`wait_until`: never early, late only by spin
+//! precision or a preemption, executor lock not held). A body that panics —
+//! on a worker or on the caller — is caught, and the panic is re-raised
+//! exactly once, at the next blocking point, whether or not anything is
+//! left to join there.
 
 use crate::buffer::Buffer;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
-use hwsim::sync::Mutex;
+use hwsim::sync::{Mutex, MutexGuard};
 
 /// Monotonic identifier of a data-plane task. Never reused; an id absent
 /// from the live-task table has completed.
 pub type TaskId = u64;
 
+/// What handing a task to a worker and joining it costs on the 2-core
+/// reference host (`clrt.probe_handoff_us` of `perf`: a futex wake, a
+/// context switch, and the same again for the joiner), during which the
+/// enqueueing thread mostly waits. Both placement thresholds derive from
+/// it: a body cheaper than this ([`LIGHT_WORK`]) and a remaining device
+/// time shorter than this are spent on the enqueueing thread, because
+/// queueing the task would cost it more.
+const HANDOFF: Duration = Duration::from_micros(50);
+
 /// The heaviest body, in nominal work units (one flop of a kernel's
 /// [`hwsim::KernelCostSpec`] or one byte moved), that still runs on the
 /// enqueueing thread when nothing blocks it.
 ///
-/// Derivation: handing a task to a worker and joining it costs ≈50 µs on
-/// the 2-core reference host (`clrt.probe_handoff_us` of `perf`: a futex
-/// wake, a context switch, and the same again for the joiner), during which
-/// the enqueueing thread mostly waits. Host bodies retire a nominal unit in
-/// 0.1 ns (memcpy) to 0.25 ns (`served`'s device-latency stand-in) to
-/// ≈0.5 ns (scalar kernel math), so 2^17 units are ≈13–65 µs: the largest
-/// power of two whose body costs about one hand-off at the slow end, and
-/// well under one everywhere else. Anything heavier is worth overlapping.
-const LIGHT_WORK: u64 = 1 << 17;
+/// Derivation: host bodies retire a nominal unit in 0.1 ns (memcpy) to
+/// ≈0.5 ns (scalar kernel math), so one [`HANDOFF`] buys 2 units per
+/// nanosecond at the slow end; rounded to a power of two that is 2^17
+/// units, ≈13–65 µs of body: about one hand-off at the slow end and well
+/// under one everywhere else. Anything heavier is worth overlapping.
+const LIGHT_WORK: u64 = (2 * HANDOFF.as_nanos() as u64).next_power_of_two();
+
+/// How late `std::thread::sleep` (or a timed park) may return: the kernel's
+/// 50 µs default timer slack plus a wake-up. Measured on the 2-core
+/// reference sandbox for requests of 128 ns to 2 ms: 72–120 µs at the
+/// median, ≈200 µs at p90.
+const SLEEP_OVERSHOOT: Duration = Duration::from_micros(200);
+
+/// Block the calling thread until `deadline`: sleep only the part of the
+/// wait a late wake-up cannot overrun, then spin against the clock. Never
+/// returns early, and late only by a preemption — so a remainder shorter
+/// than [`SLEEP_OVERSHOOT`] costs what it says instead of a timer tick, and
+/// a 10 ms one still sleeps 9.8 ms of it. Callers hold no lock.
+fn wait_until(deadline: Instant) {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left > SLEEP_OVERSHOOT {
+        std::thread::sleep(left - SLEEP_OVERSHOOT);
+    }
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
+    }
+}
 
 /// One buffer access of a task (read or write), used to derive hazards.
 pub(crate) struct Access<'a> {
@@ -141,13 +206,16 @@ pub struct DataPlaneStats {
     /// Tasks handed to the pool, plus blocking reads (registered like a
     /// pooled task, body on the reading thread).
     pub submitted: u64,
-    /// Tasks run on the enqueueing thread before `submit` returned
-    /// (workers == 1 or the caller-run fast path). Counted here only, so
-    /// `submitted == executed` holds whenever the pool is idle.
+    /// Tasks whose body ran on the enqueueing thread before `submit`
+    /// returned (workers == 1 or the caller-run fast path). Counted here
+    /// only, so `submitted == executed` holds whenever the pool is idle.
     pub inline_tasks: u64,
-    /// `submitted` tasks completed.
+    /// `submitted` tasks whose body has returned.
     pub executed: u64,
-    /// Live (incomplete) tasks right now.
+    /// Tasks, wherever they ran, whose body declared device time and that
+    /// therefore completed at a deadline instead of with the body.
+    pub timed_tasks: u64,
+    /// Live (incomplete) tasks right now, those in device time included.
     pub queue_depth: usize,
     /// Maximum live `submitted` tasks observed.
     pub peak_queue_depth: usize,
@@ -163,10 +231,13 @@ pub struct DataPlaneStats {
     pub panics: u64,
 }
 
+/// A pooled task body; returns the device time it declares.
+pub(crate) type Work = Box<dyn FnOnce() -> Duration + Send>;
+
 struct Node {
     /// The pooled body: attached by the submitter, taken by the executing
     /// worker. Always `None` for caller-run nodes.
-    work: Option<Box<dyn FnOnce() + Send>>,
+    work: Option<Work>,
     /// Caller-run (the fast path, blocking reads): the registering thread
     /// runs the body itself, so the node never enters the ready queue.
     caller_run: bool,
@@ -175,8 +246,22 @@ struct Node {
     /// Engine event id this task backs, for `Event::wait` joins.
     event: Option<usize>,
     /// A blocked thread named this task as what it waits for: its
-    /// completion signals `done_cv`.
+    /// completion, or its entering device time, signals `done_cv`.
     watched: bool,
+    /// In device time: the body has returned and the task completes when
+    /// this instant has passed (it is in `State::cooling` until then).
+    deadline: Option<Instant>,
+}
+
+/// What [`State::link`] found a new task to depend on.
+struct Linked {
+    id: TaskId,
+    /// Live predecessors, all told.
+    unmet: usize,
+    /// Those of them whose body has yet to return; the rest are in device
+    /// time, the last of them until `cooled`.
+    running: usize,
+    cooled: Option<Instant>,
 }
 
 #[derive(Default)]
@@ -184,11 +269,18 @@ struct State {
     next: TaskId,
     tasks: HashMap<TaskId, Node>,
     ready: VecDeque<TaskId>,
+    /// Tasks in device time, earliest deadline first.
+    cooling: BinaryHeap<Reverse<(Instant, TaskId)>>,
+    /// Pooled tasks, body attached, that wait for a predecessor.
+    blocked: usize,
     /// Engine event id → live task backing it.
     events: HashMap<usize, TaskId>,
     threads: Vec<JoinHandle<()>>,
     /// Parked workers, most recently parked last; a wake-up takes the last.
+    /// The timer, if one is parked, is the first.
     idle: Vec<Thread>,
+    /// When the worker acting as timer (module docs, *Wake-ups*) wakes.
+    timer: Option<Instant>,
     spawned: usize,
     busy: usize,
     shutdown: bool,
@@ -200,6 +292,7 @@ struct State {
     submitted: u64,
     inline_tasks: u64,
     executed: u64,
+    timed: u64,
     peak_live: usize,
     peak_busy: usize,
     joins: u64,
@@ -208,14 +301,13 @@ struct State {
 impl State {
     /// Allocate the next task id and add an edge to it from every live
     /// predecessor `order` names, updating the per-buffer hazard state.
-    /// Returns the id and its count of unmet dependencies. The caller holds
-    /// the executor lock, which makes capture atomic across concurrent
-    /// submitters; the per-buffer locks are leaves (never held across
-    /// another lock acquisition).
-    fn link(&mut self, order: &Order<'_>) -> (TaskId, usize) {
+    /// The caller holds the executor lock, which makes capture atomic
+    /// across concurrent submitters; the per-buffer locks are leaves (never
+    /// held across another lock acquisition).
+    fn link(&mut self, order: &Order<'_>) -> Linked {
         let id = self.next;
         self.next += 1;
-        let mut unmet = 0;
+        let mut l = Linked { id, unmet: 0, running: 0, cooled: None };
         // Completed predecessors are gone from `tasks` and add nothing. All
         // of `id`'s edges are added under this one hold of the lock, so a
         // predecessor named twice already has `id` as its newest dependent.
@@ -223,7 +315,11 @@ impl State {
             if let Some(n) = tasks.get_mut(&dep) {
                 if n.dependents.last() != Some(&id) {
                     n.dependents.push(id);
-                    unmet += 1;
+                    l.unmet += 1;
+                    match n.deadline {
+                        Some(t) => l.cooled = l.cooled.max(Some(t)),
+                        None => l.running += 1,
+                    }
                 }
             }
         };
@@ -252,13 +348,20 @@ impl State {
                 after(&mut self.tasks, t);
             }
         }
-        (id, unmet)
+        l
     }
 
     /// Make `id` live with `unmet` open dependencies.
     fn insert(&mut self, id: TaskId, unmet: usize, caller_run: bool, event: Option<usize>) {
-        let node =
-            Node { work: None, caller_run, unmet, dependents: Vec::new(), event, watched: false };
+        let node = Node {
+            work: None,
+            caller_run,
+            unmet,
+            dependents: Vec::new(),
+            event,
+            watched: false,
+            deadline: None,
+        };
         self.tasks.insert(id, node);
         if let Some(e) = event {
             self.events.insert(e, id);
@@ -270,6 +373,26 @@ impl State {
         self.submitted += 1;
         self.peak_live = self.peak_live.max(self.tasks.len());
     }
+
+    /// The earliest deadline a queued task may be waiting behind: the one
+    /// deadline somebody has to be awake for (module docs, *Wake-ups*).
+    /// Any deadline counts while any pooled task is blocked — an unrelated
+    /// one costs the timer a wake-up, never a dependent its release.
+    fn pool_deadline(&self) -> Option<Instant> {
+        if self.blocked == 0 {
+            return None;
+        }
+        self.cooling.peek().map(|Reverse((t, _))| *t)
+    }
+}
+
+/// Run a task body, isolating a panic. `Ok(Some(deadline))` if it declared
+/// device time: the clock starts when the body returns.
+fn run_body(body: impl FnOnce() -> Duration) -> Result<Option<Instant>, String> {
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(declared) => Ok((!declared.is_zero()).then(|| Instant::now() + declared)),
+        Err(e) => Err(payload_msg(&*e)),
+    }
 }
 
 /// The hazard-tracked task executor (see module docs). One per
@@ -277,7 +400,8 @@ impl State {
 pub struct DataPlane {
     workers: usize,
     state: Mutex<State>,
-    /// Wakes the blocked threads when a task one of them watches completes.
+    /// Wakes the blocked threads when a task one of them watches completes
+    /// or enters device time.
     done_cv: Condvar,
 }
 
@@ -301,26 +425,36 @@ impl DataPlane {
 
     /// Submit a task of `work` nominal units (see [`LIGHT_WORK`]) ordered by
     /// `order`, and decide where it runs (module docs, *Where a task runs*):
-    /// unblocked and light, `run` is called on this thread, the task is
-    /// complete on return and `None` is returned; otherwise `owned` builds
-    /// the `'static` body, the task is queued and its id returned. Exactly
-    /// one of the two closures is called.
+    /// light and unblocked — or blocked only by device time about to end —
+    /// `run` is called on this thread before `submit` returns; otherwise
+    /// `owned` builds the `'static` body and the task is queued. Exactly
+    /// one of the two closures is called; either returns the device time
+    /// its body declares. Returns the task's id if it is still live —
+    /// queued, or in device time — for the caller to chain after and join,
+    /// and `None` if it completed here.
     pub(crate) fn submit(
         self: &Arc<Self>,
         order: Order<'_>,
         work: u64,
-        run: impl FnOnce(),
-        owned: impl FnOnce() -> Box<dyn FnOnce() + Send>,
+        run: impl FnOnce() -> Duration,
+        owned: impl FnOnce() -> Work,
     ) -> Option<TaskId> {
         let mut st = self.state.lock();
-        let (id, unmet) = st.link(&order);
-        if unmet == 0 && (self.workers <= 1 || work <= LIGHT_WORK) {
-            st.insert(id, 0, true, order.event);
+        self.expire(&mut st, 0);
+        let Linked { id, unmet, running, cooled } = st.link(&order);
+        let light = self.workers <= 1 || work <= LIGHT_WORK;
+        let soon = cooled.is_none_or(|t| self.workers <= 1 || t < Instant::now() + HANDOFF);
+        if light && running == 0 && soon {
+            st.insert(id, unmet, true, order.event);
             st.inline_tasks += 1;
             drop(st);
-            let panicked = catch_unwind(AssertUnwindSafe(run)).err().map(|e| payload_msg(&*e));
-            self.retire(&mut self.state.lock(), id, panicked, 0);
-            return None;
+            if let Some(t) = cooled {
+                wait_until(t);
+                // Not a blocking point: a recorded panic stays recorded.
+                drop(self.wait_while(Self::unmet_of(id)));
+            }
+            let outcome = run_body(run);
+            return self.settle(&mut self.state.lock(), id, outcome, 0).then_some(id);
         }
         // Building the owned body stages payloads and clones arguments, so
         // it happens outside the lock: until the body is attached the
@@ -341,6 +475,9 @@ impl DataPlane {
             if let Some(w) = worker {
                 w.unpark();
             }
+        } else {
+            st.blocked += 1;
+            self.arm(&mut st);
         }
         Some(id)
     }
@@ -355,11 +492,25 @@ impl DataPlane {
         after: &[TaskId],
     ) -> ManualTask {
         let mut st = self.state.lock();
-        let (id, unmet) = st.link(&Order { accesses, after, ..Order::default() });
-        st.insert(id, unmet, true, None);
+        self.expire(&mut st, 0);
+        let l = st.link(&Order { accesses, after, ..Order::default() });
+        st.insert(l.id, l.unmet, true, None);
         st.count_submitted();
         drop(st);
-        ManualTask { plane: Arc::clone(self), id }
+        // Behind device time alone, the reader waits for the clock itself.
+        let cooled = l.cooled.filter(|_| l.running == 0);
+        ManualTask { plane: Arc::clone(self), id: l.id, cooled }
+    }
+
+    fn spawn_worker(self: &Arc<Self>, st: &mut State) {
+        st.spawned += 1;
+        let plane = Arc::clone(self);
+        st.threads.push(
+            std::thread::Builder::new()
+                .name(format!("clrt-dp-{}", st.spawned))
+                .spawn(move || plane.worker_loop())
+                .expect("spawn data-plane worker"),
+        );
     }
 
     /// Spawn workers while ready tasks outnumber idle workers and the pool
@@ -369,14 +520,27 @@ impl DataPlane {
     /// will absorb both tasks.)
     fn ensure_workers(self: &Arc<Self>, st: &mut State) {
         while st.spawned < self.workers && st.ready.len() > st.spawned - st.busy {
-            st.spawned += 1;
-            let plane = Arc::clone(self);
-            st.threads.push(
-                std::thread::Builder::new()
-                    .name(format!("clrt-dp-{}", st.spawned))
-                    .spawn(move || plane.worker_loop())
-                    .expect("spawn data-plane worker"),
-            );
+            self.spawn_worker(st);
+        }
+    }
+
+    /// See to it that a worker is awake at [`State::pool_deadline`]. Called
+    /// whenever that deadline may have moved up — a task entered device
+    /// time, a pooled task was queued behind a predecessor — or the timer
+    /// may have left its post for a task. If no timer wakes in time, the
+    /// worker at the bottom of the idle stack is roused to park again as
+    /// one (it is the timer if there is one); with nobody parked or about
+    /// to look and room in the pool, a worker is started for it. Busy
+    /// workers look when they finish.
+    fn arm(self: &Arc<Self>, st: &mut State) {
+        let Some(due) = st.pool_deadline() else { return };
+        if st.timer.is_some_and(|t| t <= due) {
+            return;
+        }
+        match st.idle.first() {
+            Some(w) => w.unpark(),
+            None if st.spawned == st.busy && st.spawned < self.workers => self.spawn_worker(st),
+            None => {}
         }
     }
 
@@ -384,37 +548,130 @@ impl DataPlane {
         let me = std::thread::current();
         let mut st = self.state.lock();
         loop {
+            // With nothing ready yet, this worker takes one released task
+            // itself.
+            let taken = usize::from(st.ready.is_empty());
+            self.expire(&mut st, taken);
             let Some(id) = st.ready.pop_front() else {
                 if st.shutdown {
-                    return;
+                    // Drain: wait out the device time a queued task still
+                    // depends on (looked up exactly: nobody is left to wake
+                    // this worker early); the rest is dropped.
+                    let awaited = |&Reverse((due, id)): &Reverse<(Instant, TaskId)>| {
+                        let live = |d| st.tasks.contains_key(d);
+                        st.tasks[&id].dependents.iter().any(live).then_some(due)
+                    };
+                    let Some(due) = st.cooling.iter().filter_map(awaited).min() else { return };
+                    drop(st);
+                    wait_until(due);
+                    st = self.state.lock();
+                    continue;
                 }
-                st.idle.push(me.clone());
-                drop(st);
-                std::thread::park();
-                st = self.state.lock();
-                // A waker popped this worker off the stack; after a
-                // spurious return from `park` it is still there.
-                st.idle.retain(|w| w.id() != me.id());
+                let due = st.pool_deadline();
+                // Idle. If a queued task waits behind a deadline nobody
+                // wakes for yet, this worker is the timer: it parks for the
+                // part of the wait a late wake-up cannot overrun — at the
+                // bottom of the stack, still first in line when it is the
+                // only one — and spins the rest, not parked (a task made
+                // ready meanwhile waits that long at worst).
+                let timer = due.filter(|&d| st.timer.is_none_or(|t| d < t));
+                st.timer = timer.or(st.timer);
+                let nap = timer.map(|d| {
+                    d.saturating_duration_since(Instant::now()).saturating_sub(SLEEP_OVERSHOOT)
+                });
+                if let (Some(d), Some(Duration::ZERO)) = (timer, nap) {
+                    drop(st);
+                    wait_until(d);
+                    st = self.state.lock();
+                } else {
+                    match nap {
+                        Some(_) => st.idle.insert(0, me.clone()),
+                        None => st.idle.push(me.clone()),
+                    }
+                    drop(st);
+                    match nap {
+                        Some(t) => std::thread::park_timeout(t),
+                        None => std::thread::park(),
+                    }
+                    st = self.state.lock();
+                    // A waker popped this worker off the stack; after a
+                    // timeout or a spurious return it is still there.
+                    st.idle.retain(|w| w.id() != me.id());
+                }
+                // Off duty, unless a later arrival has taken the post over.
+                if st.timer == timer {
+                    st.timer = None;
+                }
                 continue;
             };
             let work = st.tasks.get_mut(&id).and_then(|n| n.work.take());
             st.busy += 1;
             st.peak_busy = st.peak_busy.max(st.busy);
+            self.arm(&mut st);
             drop(st);
-            let panicked = work
-                .and_then(|f| catch_unwind(AssertUnwindSafe(f)).err().map(|e| payload_msg(&*e)));
+            let outcome = work.map_or(Ok(None), run_body);
             st = self.state.lock();
             st.busy -= 1;
             st.executed += 1;
-            // This worker loops straight into one released task itself.
-            self.retire(&mut st, id, panicked, 1);
+            self.settle(&mut st, id, outcome, 1);
         }
     }
 
+    /// The body of `id` has returned: put the task in device time if it
+    /// declared any (returns `true`: still live), retire it otherwise.
+    fn settle(
+        self: &Arc<Self>,
+        st: &mut State,
+        id: TaskId,
+        outcome: Result<Option<Instant>, String>,
+        taken: usize,
+    ) -> bool {
+        let (deadline, panicked) = match outcome {
+            Ok(deadline) => (deadline, None),
+            Err(msg) => (None, Some(msg)),
+        };
+        let Some(deadline) = deadline else {
+            self.retire(st, id, panicked, taken);
+            return false;
+        };
+        st.tasks.get_mut(&id).expect("a task is live until it is retired").deadline =
+            Some(deadline);
+        // Whoever sleeps on this task — or, to run a node of their own, on
+        // its completion — waits for the clock from here on, not a signal.
+        let node = &st.tasks[&id];
+        let caller_run = |d| st.tasks.get(d).is_some_and(|n: &Node| n.caller_run);
+        if node.watched || node.dependents.iter().any(caller_run) {
+            self.done_cv.notify_all();
+        }
+        st.cooling.push(Reverse((deadline, id)));
+        st.timed += 1;
+        self.arm(st);
+        true
+    }
+
+    /// Retire every task in device time whose deadline has passed. Cheap
+    /// enough to call wherever the lock is held with a reason to look: one
+    /// branch while nothing is in device time.
+    fn expire(self: &Arc<Self>, st: &mut State, taken: usize) {
+        if st.cooling.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let (mut released, mut awaited) = (0, false);
+        while let Some(&Reverse((deadline, id))) = st.cooling.peek() {
+            if deadline > now {
+                break;
+            }
+            st.cooling.pop();
+            let (r, a) = Self::complete_locked(st, id);
+            released += r;
+            awaited |= a;
+        }
+        self.wake(st, released, taken, awaited);
+    }
+
     /// Retire task `id` under the lock: record a body panic, release the
-    /// dependents, and wake exactly who has something to do — one parked
-    /// worker per released task beyond the `taken` the caller will run
-    /// itself, and the blocked threads only if one of them waits for this.
+    /// dependents, and wake who has something to do.
     fn retire(
         self: &Arc<Self>,
         st: &mut State,
@@ -427,6 +684,14 @@ impl DataPlane {
             st.panic_msg.get_or_insert(msg);
         }
         let (released, awaited) = Self::complete_locked(st, id);
+        self.wake(st, released, taken, awaited);
+    }
+
+    /// Wake exactly who has something to do after completions that made
+    /// `released` tasks ready: one parked worker per task beyond the
+    /// `taken` the caller will run itself, and the blocked threads only if
+    /// one of them was `awaited`.
+    fn wake(self: &Arc<Self>, st: &mut State, released: usize, taken: usize, awaited: bool) {
         if released > 0 {
             self.ensure_workers(st);
         }
@@ -458,6 +723,7 @@ impl DataPlane {
                     awaited = true;
                 } else if n.unmet == 0 {
                     st.ready.push_back(d);
+                    st.blocked -= 1;
                     released += 1;
                 }
             }
@@ -465,17 +731,57 @@ impl DataPlane {
         (released, awaited)
     }
 
-    /// The one blocking point: while `blocker` names a live task the caller
-    /// still waits for, mark it watched and sleep until it completes; then
-    /// re-raise a recorded body panic (taking it, so exactly one caller
-    /// does).
-    fn block_while(&self, counts_as_join: bool, blocker: impl Fn(&State) -> Option<TaskId>) {
+    /// Sleep while `blocker` names a live task the caller still waits for;
+    /// returns holding the lock. A blocker still to run is marked watched
+    /// and slept on until signalled; one in device time is waited out by
+    /// the clock, lock dropped ([`wait_until`]).
+    fn wait_while(
+        self: &Arc<Self>,
+        blocker: impl Fn(&State) -> Option<TaskId>,
+    ) -> MutexGuard<'_, State> {
         let mut st = self.state.lock();
-        st.joins += u64::from(counts_as_join);
-        while let Some(id) = blocker(&st) {
-            st.tasks.get_mut(&id).expect("a blocker is a live task").watched = true;
-            st = self.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        loop {
+            self.expire(&mut st, 0);
+            let Some(id) = blocker(&st) else { return st };
+            let node = st.tasks.get_mut(&id).expect("a blocker is a live task");
+            if let Some(deadline) = node.deadline {
+                drop(st);
+                wait_until(deadline);
+                st = self.state.lock();
+                continue;
+            }
+            node.watched = true;
+            // A caller-run blocker is the waiting thread's own node (a
+            // blocking read): no worker is armed for the device time it
+            // waits behind, so the thread wakes for the next deadline.
+            let due =
+                if node.caller_run { st.cooling.peek().map(|Reverse((t, _))| *t) } else { None };
+            st = match due {
+                Some(t) => {
+                    let left = t.saturating_duration_since(Instant::now());
+                    self.done_cv.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+            };
         }
+    }
+
+    /// The blocker of a thread waiting to run caller-run node `id` itself.
+    /// Its own node stands in: the completion that meets the last
+    /// dependency signals the owner of a caller-run dependent.
+    fn unmet_of(id: TaskId) -> impl Fn(&State) -> Option<TaskId> {
+        move |st| st.tasks.get(&id).is_some_and(|n| n.unmet > 0).then_some(id)
+    }
+
+    /// The one blocking point: [`Self::wait_while`], then re-raise a
+    /// recorded body panic (taking it, so exactly one caller does).
+    fn block_while(
+        self: &Arc<Self>,
+        counts_as_join: bool,
+        blocker: impl Fn(&State) -> Option<TaskId>,
+    ) {
+        let mut st = self.wait_while(blocker);
+        st.joins += u64::from(counts_as_join);
         let msg = st.panic_msg.take();
         drop(st);
         if let Some(m) = msg {
@@ -486,7 +792,7 @@ impl DataPlane {
     /// Block until every task in `ids` (and, transitively, everything they
     /// depend on) has completed. Ids of already-completed tasks are skipped;
     /// an empty list still is a blocking point for a recorded panic.
-    pub(crate) fn join(&self, ids: &[TaskId]) {
+    pub(crate) fn join(self: &Arc<Self>, ids: &[TaskId]) {
         // The newest live id: on an in-order queue the one that completes
         // last, so the joiner is woken once.
         self.block_while(!ids.is_empty(), |st| {
@@ -495,7 +801,7 @@ impl DataPlane {
     }
 
     /// Join the task backing engine event `ev`, if one is still live.
-    pub(crate) fn join_event(&self, ev: usize) {
+    pub(crate) fn join_event(self: &Arc<Self>, ev: usize) {
         self.block_while(true, |st| st.events.get(&ev).copied());
     }
 
@@ -506,7 +812,7 @@ impl DataPlane {
     }
 
     /// Block until the executor is fully idle (no live tasks).
-    pub(crate) fn quiesce(&self) {
+    pub(crate) fn quiesce(self: &Arc<Self>) {
         self.block_while(false, |st| st.tasks.keys().max().copied());
     }
 
@@ -518,6 +824,7 @@ impl DataPlane {
             submitted: st.submitted,
             inline_tasks: st.inline_tasks,
             executed: st.executed,
+            timed_tasks: st.timed,
             queue_depth: st.tasks.len(),
             peak_queue_depth: st.peak_live,
             busy_workers: st.busy,
@@ -532,7 +839,9 @@ impl DataPlane {
     pub(crate) fn shutdown(&self) {
         let mut st = self.state.lock();
         // Let in-flight DAGs drain: workers keep pulling ready tasks after
-        // shutdown is set, and completions cascade until nothing is live.
+        // shutdown is set — waiting out device time a queued task is
+        // behind — and completions cascade until nothing queued is left.
+        // Tasks in device time that nothing waits for are simply dropped.
         st.shutdown = true;
         let threads = std::mem::take(&mut st.threads);
         let idle = std::mem::take(&mut st.idle);
@@ -574,6 +883,8 @@ impl Drop for PlaneHandle {
 pub(crate) struct ManualTask {
     plane: Arc<DataPlane>,
     id: TaskId,
+    /// Set if all it waits behind is device time: when the last of it ends.
+    cooled: Option<Instant>,
 }
 
 impl ManualTask {
@@ -581,11 +892,10 @@ impl ManualTask {
     /// may touch the accessed buffers (the hazard DAG orders all later
     /// conflicting tasks after this one until it is dropped).
     pub(crate) fn wait_ready(&self) {
-        // Its own node stands in as the blocker: the completion that meets
-        // the last dependency signals the owner of a caller-run dependent.
-        self.plane.block_while(false, |st| {
-            st.tasks.get(&self.id).is_some_and(|n| n.unmet > 0).then_some(self.id)
-        });
+        if let Some(t) = self.cooled {
+            wait_until(t);
+        }
+        self.plane.block_while(false, DataPlane::unmet_of(self.id));
     }
 }
 
@@ -625,10 +935,29 @@ mod tests {
         Order { accesses, ..Order::default() }
     }
 
+    /// Submit `f`, a body of `work` nominal units that returns the device
+    /// time it declares; `None` means it ran, and completed, on the caller.
+    fn task(
+        p: &Arc<DataPlane>,
+        order: Order<'_>,
+        work: u64,
+        f: impl FnOnce() -> Duration + Send + 'static,
+    ) -> Option<TaskId> {
+        let f = std::cell::Cell::new(Some(f));
+        let take = || f.take().expect("exactly one of the two closures runs");
+        p.submit(order, work, || take()(), || Box::new(take()))
+    }
+
     /// Submit `f` as a body too heavy to run on the caller: always pooled
     /// when the plane has more than one worker.
     fn heavy(p: &Arc<DataPlane>, order: Order<'_>, f: impl FnOnce() + Send + 'static) -> TaskId {
-        p.submit(order, u64::MAX, || unreachable!("a heavy body ran on the caller"), || Box::new(f))
+        let owned = || -> Work {
+            Box::new(move || {
+                f();
+                Duration::ZERO
+            })
+        };
+        p.submit(order, u64::MAX, || unreachable!("a heavy body ran on the caller"), owned)
             .expect("heavy tasks are queued")
     }
 
@@ -638,9 +967,10 @@ mod tests {
         order: Order<'_>,
         f: impl FnOnce() + Send + 'static,
     ) -> Option<TaskId> {
-        let f = std::cell::Cell::new(Some(f));
-        let take = || f.take().expect("exactly one of the two closures runs");
-        p.submit(order, 1, || take()(), || Box::new(take()))
+        task(p, order, 1, move || {
+            f();
+            Duration::ZERO
+        })
     }
 
     #[test]
@@ -654,6 +984,7 @@ mod tests {
             u64::MAX,
             || {
                 hits.fetch_add(1, Ordering::SeqCst);
+                Duration::ZERO
             },
             || unreachable!("nothing blocks the task, so it is never queued"),
         );
@@ -732,6 +1063,7 @@ mod tests {
                         entered_tx.send(()).unwrap();
                         gate.recv().unwrap();
                         la.lock().push("writer");
+                        Duration::ZERO
                     },
                     || unreachable!("unblocked and light"),
                 );
@@ -766,7 +1098,18 @@ mod tests {
 
     /// Generous bound on a signal that must arrive: a lost wake-up fails
     /// the test instead of hanging it.
-    const SIGNAL: std::time::Duration = std::time::Duration::from_secs(20);
+    const SIGNAL: Duration = Duration::from_secs(20);
+
+    /// Join `thread`, failing — not hanging — if it is still blocked after
+    /// [`SIGNAL`].
+    fn join_within_signal<T>(thread: JoinHandle<T>, lost: &str) -> T {
+        let give_up = Instant::now() + SIGNAL;
+        while !thread.is_finished() {
+            assert!(Instant::now() < give_up, "{lost}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        thread.join().expect("the thread panicked")
+    }
 
     #[test]
     fn completion_on_a_caller_thread_wakes_a_parked_worker_for_its_dependent() {
@@ -1097,5 +1440,369 @@ mod tests {
         p.retain_live(&mut ids);
         assert!(ids.is_empty());
         p.shutdown();
+    }
+
+    #[test]
+    fn both_placement_thresholds_derive_from_one_hand_off() {
+        assert_eq!(LIGHT_WORK, 1 << 17);
+        assert!(HANDOFF < SLEEP_OVERSHOOT);
+    }
+
+    /// The wait every deadline ends in holds for the whole time: never less
+    /// (asserted on every sample), and at the median not much more. A wait
+    /// short enough to be spun out whole must beat the ≥ 55 µs by which a
+    /// plain `thread::sleep` overshoots any request; one that sleeps first
+    /// inherits the host's wake-up latency for the slept part, which a
+    /// loaded runner stretches, so its bound only rules out a runaway. Only
+    /// medians are bounded above: a preempted sample cannot fail the test.
+    #[test]
+    fn wait_until_never_returns_early_and_overshoots_little() {
+        for micros in [1, 20, 300, 2_000] {
+            let wait = Duration::from_micros(micros);
+            let mut over: Vec<Duration> = (0..41)
+                .map(|_| {
+                    let deadline = Instant::now() + wait;
+                    wait_until(deadline);
+                    let now = Instant::now();
+                    assert!(now >= deadline, "{micros} µs wait returned early");
+                    now - deadline
+                })
+                .collect();
+            over.sort_unstable();
+            let median = over[over.len() / 2];
+            let bound = if wait > SLEEP_OVERSHOOT { 2_000 } else { 40 };
+            assert!(
+                median < Duration::from_micros(bound),
+                "{micros} µs wait: median overshoot {median:?}"
+            );
+        }
+    }
+
+    /// Device times on either side of both thresholds: shorter than a
+    /// hand-off, between that and the sleep overshoot, and beyond it.
+    const DEVICE_TIMES: [Duration; 3] =
+        [Duration::from_micros(25), Duration::from_micros(120), Duration::from_millis(2)];
+
+    /// When each body of a test started and — the last thing it did — ended:
+    /// its task's deadline is no earlier than that end plus what it declared.
+    type Spans = Arc<Mutex<Vec<(Instant, Instant)>>>;
+
+    /// A body that logs its span and declares `d`.
+    fn timed(spans: &Spans, d: Duration) -> impl FnOnce() -> Duration + Send + 'static {
+        let spans = Arc::clone(spans);
+        move || {
+            let start = Instant::now();
+            spans.lock().push((start, Instant::now()));
+            d
+        }
+    }
+
+    #[test]
+    fn a_chain_completes_no_earlier_than_its_summed_device_time() {
+        for workers in [1, 2, 4] {
+            for d in DEVICE_TIMES {
+                for work in [1, u64::MAX] {
+                    let at = format!("{workers} workers, {d:?}, work {work}");
+                    let p = plane(workers);
+                    let spans = Spans::default();
+                    let mut chain: Vec<TaskId> = Vec::new();
+                    for _ in 0..3 {
+                        let prev = chain.last().copied();
+                        let order = Order { after: prev.as_slice(), ..Order::default() };
+                        let t = task(&p, order, work, timed(&spans, d));
+                        chain.push(t.expect("a task in device time is live on return"));
+                    }
+                    p.join(&chain);
+                    let joined = Instant::now();
+                    let spans = spans.lock().clone();
+                    assert_eq!(spans.len(), 3, "{at}");
+                    for (pred, succ) in spans.iter().zip(&spans[1..]) {
+                        assert!(
+                            succ.0 >= pred.1 + d,
+                            "a body beat its predecessor's deadline: {at}"
+                        );
+                    }
+                    assert!(joined >= spans[2].1 + d, "join returned before the deadline: {at}");
+                    assert!(joined - spans[0].0 >= 3 * d, "{at}");
+                    let s = p.stats();
+                    assert_eq!((s.timed_tasks, s.queue_depth), (3, 0), "{at}: {s:?}");
+                    if workers == 1 {
+                        // However long the device time, a lone thread waits
+                        // it out itself.
+                        assert_eq!((s.inline_tasks, s.submitted), (3, 0), "{at}: {s:?}");
+                        assert_eq!(p.state.lock().spawned, 0, "{at}");
+                    }
+                    p.shutdown();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_caller_run_task_in_device_time_is_live_until_its_deadline() {
+        let p = plane(2);
+        let b = buf(8);
+        let d = Duration::from_millis(200);
+        let spans = Spans::default();
+        let w = task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d))
+            .expect("in device time: live, for the queue to chain after and join");
+        let (_, ended) = spans.lock()[0];
+        assert!(ended.elapsed() < d, "submit sat through the device time");
+        let s = p.stats();
+        assert_eq!((s.inline_tasks, s.submitted, s.timed_tasks, s.queue_depth), (1, 0, 1, 1));
+        let mut ids = vec![w];
+        p.retain_live(&mut ids);
+        assert_eq!(ids, [w]);
+        // A hazard successor is held back — queued, with this much left —
+        // and `quiesce` sees both tasks live.
+        let r = task(&p, on(&[Access::read(&b)]), 1, timed(&spans, Duration::ZERO))
+            .expect("behind device time");
+        assert_eq!(spans.lock().len(), 1, "the reader ran inside its writer's device time");
+        p.quiesce();
+        assert!(Instant::now() >= ended + d, "quiesce returned before the deadline");
+        assert!(spans.lock()[1].0 >= ended + d, "the reader beat its writer's deadline");
+        let mut ids = vec![w, r];
+        p.retain_live(&mut ids);
+        assert!(ids.is_empty());
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_light_task_waits_out_a_short_remainder_on_the_caller_and_queues_behind_a_long_one() {
+        let me = std::thread::current().id();
+        let on_thread = |spans: &Spans| {
+            let spans = Arc::clone(spans);
+            move || {
+                let start = Instant::now();
+                spans.lock().push((start, Instant::now()));
+                std::thread::current().id()
+            }
+        };
+        for (workers, d, waited_out) in [
+            (1, Duration::from_micros(25), true),
+            (2, Duration::from_micros(25), true),
+            (4, Duration::from_micros(25), true),
+            (1, Duration::from_millis(50), true),
+            (2, Duration::from_millis(50), false),
+        ] {
+            let at = format!("{workers} workers, {d:?}");
+            let p = plane(workers);
+            let b = buf(8);
+            let spans = Spans::default();
+            task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
+            let (tx, ran_on) = mpsc::channel();
+            let body = on_thread(&spans);
+            let second = task(&p, on(&[Access::write(&b)]), 1, move || {
+                tx.send(body()).unwrap();
+                Duration::ZERO
+            });
+            // Complete on return if it ran here; queued otherwise.
+            assert_eq!(second.is_none(), waited_out, "{at}");
+            p.join(second.as_slice());
+            assert_eq!(ran_on.recv().unwrap() == me, waited_out, "{at}");
+            let spans = spans.lock().clone();
+            assert!(spans[1].0 >= spans[0].1 + d, "ran inside its predecessor's device time: {at}");
+            let s = p.stats();
+            let (inline, pooled) = if waited_out { (2, 0) } else { (1, 1) };
+            assert_eq!((s.inline_tasks, s.submitted, s.timed_tasks), (inline, pooled, 1), "{at}");
+            assert_eq!(p.state.lock().spawned, pooled as usize, "{at}");
+            p.shutdown();
+        }
+    }
+
+    #[test]
+    fn tasks_that_only_run_on_their_callers_start_no_thread() {
+        let p = plane(4);
+        let bufs: Vec<Buffer> = (0..8).map(|_| buf(8)).collect();
+        let spans = Spans::default();
+        for b in &bufs {
+            task(&p, on(&[Access::write(b)]), 1, timed(&spans, Duration::from_millis(1)))
+                .expect("in device time");
+        }
+        p.quiesce();
+        let s = p.stats();
+        assert_eq!((s.inline_tasks, s.submitted, s.timed_tasks, s.queue_depth), (8, 0, 8, 0));
+        assert_eq!(p.state.lock().spawned, 0, "a deadline nothing queued waits for armed a worker");
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_queued_task_behind_device_time_runs_at_the_deadline_with_no_further_call() {
+        // The pool's own timer must release it: the host makes no other
+        // call until the body has run. Whether the workers were parked —
+        // for good — before the deadline existed must not matter.
+        for parked in [0, 2] {
+            let p = plane(2);
+            park_workers(&p, parked);
+            let d = Duration::from_millis(20);
+            let spans = Spans::default();
+            let first = task(&p, Order::default(), 1, timed(&spans, d)).expect("in device time");
+            let (tx, ran) = mpsc::channel();
+            let second = heavy(&p, Order { after: &[first], ..Order::default() }, move || {
+                tx.send(Instant::now()).unwrap()
+            });
+            let at = ran.recv_timeout(SIGNAL).expect("nobody woke for the deadline");
+            assert!(at >= spans.lock()[0].1 + d, "ran inside its predecessor's device time");
+            p.join(&[second]);
+            assert_eq!(p.state.lock().spawned, parked.max(1), "one worker suffices as timer");
+            p.shutdown();
+        }
+    }
+
+    #[test]
+    fn an_earlier_deadline_re_arms_the_timer() {
+        let p = plane(2);
+        let spans = Spans::default();
+        let gated = |d: Duration| {
+            let first = task(&p, Order::default(), 1, timed(&spans, d)).expect("in device time");
+            let (tx, ran) = mpsc::channel();
+            let t = heavy(&p, Order { after: &[first], ..Order::default() }, move || {
+                tx.send(Instant::now()).unwrap()
+            });
+            (t, ran)
+        };
+        // The timer is parked until the far deadline when the near one —
+        // with a queued dependent of its own — turns up.
+        let far = Duration::from_millis(600);
+        let (late, late_ran) = gated(far);
+        let parked = Instant::now() + SIGNAL;
+        while p.state.lock().idle.is_empty() {
+            assert!(Instant::now() < parked, "no worker parked as timer");
+            std::thread::yield_now();
+        }
+        assert!(p.state.lock().timer.is_some());
+        let (soon, soon_ran) = gated(Duration::from_millis(20));
+        let at = soon_ran.recv_timeout(far / 2).expect("the timer slept through a nearer deadline");
+        assert!(at >= spans.lock()[1].1 + Duration::from_millis(20));
+        p.join(&[soon, late]);
+        assert!(late_ran.recv().unwrap() >= spans.lock()[0].1 + far);
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_joiner_of_a_running_task_goes_on_to_wait_for_its_deadline() {
+        let p = plane(2);
+        let d = Duration::from_millis(20);
+        let spans = Spans::default();
+        let (release, gate) = mpsc::channel::<()>();
+        let body = timed(&spans, d);
+        let t = task(&p, Order::default(), u64::MAX, move || {
+            gate.recv().unwrap();
+            body()
+        })
+        .expect("heavy tasks are queued");
+        let joined = std::thread::scope(|s| {
+            let joiner = s.spawn(|| {
+                p.join(&[t]);
+                Instant::now()
+            });
+            // Let the joiner go to sleep on the running task (or not: then
+            // it finds the task in device time on its own).
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while !p.state.lock().tasks[&t].watched && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            joiner.join().unwrap()
+        });
+        assert!(joined >= spans.lock()[0].1 + d, "join returned with the body, not the deadline");
+        assert_eq!(p.stats().queue_depth, 0);
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_blocking_read_waits_out_device_time_it_alone_is_waiting_for() {
+        let d = Duration::from_millis(20);
+        // Behind device time alone: the reader waits for the clock itself.
+        let p = plane(2);
+        let (b, spans) = (buf(8), Spans::default());
+        task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
+        let read = p.begin_manual(&[Access::read(&b)], &[]);
+        read.wait_ready();
+        assert!(Instant::now() >= spans.lock()[0].1 + d, "read inside its writer's device time");
+        drop(read);
+        p.shutdown();
+        // Behind a running body too, which ends first: from then on no
+        // signal is coming, and no worker is armed for a caller-run node.
+        let p = plane(2);
+        let (b, c, spans) = (buf(8), buf(8), Spans::default());
+        let (release, gate) = mpsc::channel::<()>();
+        heavy(&p, on(&[Access::write(&c)]), move || gate.recv().unwrap());
+        task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
+        let read = p.begin_manual(&[Access::read(&b), Access::read(&c)], &[]);
+        release.send(()).unwrap();
+        let reader = std::thread::spawn(move || {
+            read.wait_ready();
+            Instant::now()
+        });
+        let at = join_within_signal(reader, "the reader slept through the deadline");
+        assert!(at >= spans.lock()[0].1 + d, "read inside its writer's device time");
+        p.quiesce();
+        p.shutdown();
+        // Asleep behind a body still running, with no deadline in sight:
+        // the body's entering device time has to rouse the reader.
+        let p = plane(2);
+        let (b, spans) = (buf(8), Spans::default());
+        let (release, gate) = mpsc::channel::<()>();
+        let body = timed(&spans, d);
+        task(&p, on(&[Access::write(&b)]), u64::MAX, move || {
+            gate.recv().unwrap();
+            body()
+        });
+        let read = p.begin_manual(&[Access::read(&b)], &[]);
+        let id = read.id;
+        let reader = std::thread::spawn(move || {
+            read.wait_ready();
+            Instant::now()
+        });
+        let asleep = Instant::now() + Duration::from_secs(1);
+        while !p.state.lock().tasks[&id].watched && Instant::now() < asleep {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let at = join_within_signal(reader, "the reader slept through the deadline");
+        assert!(at >= spans.lock()[0].1 + d, "read inside its writer's device time");
+        p.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drops_device_time_nothing_waits_for_and_waits_out_the_rest() {
+        let p = plane(2);
+        let spans = Spans::default();
+        task(&p, Order::default(), 1, timed(&spans, Duration::from_secs(3600))).unwrap();
+        let began = Instant::now();
+        p.shutdown();
+        assert!(began.elapsed() < Duration::from_secs(60), "shutdown sat through device time");
+
+        let p = plane(2);
+        let d = Duration::from_millis(20);
+        let first = task(&p, Order::default(), 1, timed(&spans, d)).unwrap();
+        task(&p, Order { after: &[first], ..Order::default() }, u64::MAX, timed(&spans, d))
+            .unwrap();
+        p.shutdown();
+        let spans = spans.lock().clone();
+        assert_eq!(spans.len(), 3, "shutdown dropped a queued task");
+        assert!(spans[2].0 >= spans[1].1 + d, "ran inside its predecessor's device time");
+        assert_eq!(p.stats().queue_depth, 1, "its own device time is nobody's to wait for");
+
+        // Queued work behind a body still running drains; device time that
+        // happens to be pending meanwhile is still nobody's to wait for.
+        let p = plane(2);
+        task(&p, Order::default(), 1, || Duration::from_secs(3600)).unwrap();
+        let (release, gate) = mpsc::channel::<()>();
+        let running = heavy(&p, Order::default(), move || gate.recv().unwrap());
+        let hits = Arc::new(AtomicUsize::new(0));
+        let h = Arc::clone(&hits);
+        heavy(&p, Order { after: &[running], ..Order::default() }, move || {
+            h.fetch_add(1, Ordering::SeqCst);
+        });
+        let plane = Arc::clone(&p);
+        let shutdown = std::thread::spawn(move || plane.shutdown());
+        while !p.state.lock().shutdown {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        join_within_signal(shutdown, "shutdown sat through device time nothing waits for");
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "shutdown dropped a queued task");
     }
 }

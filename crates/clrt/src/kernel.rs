@@ -17,6 +17,7 @@ use hwsim::{DeviceId, KernelCostSpec};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A kernel argument (`clSetKernelArg`).
 #[derive(Debug, Clone)]
@@ -248,6 +249,8 @@ pub struct KernelCtx<'a> {
     args: Vec<CtxArg>,
     stores: Vec<LockedStore<'a>>,
     borrows: Vec<Cell<Borrow>>,
+    /// Device time the body has declared so far.
+    device_time: Duration,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -305,7 +308,15 @@ impl<'a> KernelCtx<'a> {
         let stores: Vec<LockedStore<'a>> =
             slots.into_iter().map(|s| s.expect("every unique buffer was locked")).collect();
         let borrows = vec![Cell::new(Borrow::None); stores.len()];
-        KernelCtx { nd, device, global_offset, args: ctx_args, stores, borrows }
+        KernelCtx {
+            nd,
+            device,
+            global_offset,
+            args: ctx_args,
+            stores,
+            borrows,
+            device_time: Duration::ZERO,
+        }
     }
 
     /// The effective launch geometry of this execution. For a sub-range
@@ -324,6 +335,22 @@ impl<'a> KernelCtx<'a> {
     /// The device the kernel is (virtually) executing on.
     pub fn device(&self) -> DeviceId {
         self.device
+    }
+
+    /// Declare that this execution occupies its device for `time` beyond
+    /// the body's own host work (calls add up; a body that never calls this
+    /// declares none). The body does not sit through it: it returns, the
+    /// buffer locks drop, and the data plane holds the *command* incomplete
+    /// — for dependents, `finish`, event waits and blocking reads alike —
+    /// until that much wall-clock time has passed since the body returned
+    /// (see [`crate::exec`], *Device time*).
+    pub fn occupy_device(&mut self, time: Duration) {
+        self.device_time += time;
+    }
+
+    /// The device time declared through [`Self::occupy_device`].
+    pub(crate) fn device_time(&self) -> Duration {
+        self.device_time
     }
 
     fn buf_index(&self, idx: usize, need_mut: bool) -> (usize, bool) {

@@ -31,7 +31,7 @@ use crate::buffer::{bytes_of, Buffer, Element};
 use crate::context::Context;
 use crate::error::{ClError, ClResult};
 use crate::event::Event;
-use crate::exec::{Access, DataPlane, Order, TaskId};
+use crate::exec::{Access, DataPlane, Order, TaskId, Work};
 use crate::kernel::{ArgValue, Kernel, KernelBody, KernelCtx};
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
@@ -41,6 +41,7 @@ use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration, WaitList};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct QueueInner {
     ctx: Context,
@@ -62,6 +63,10 @@ struct QueueInner {
     /// Data-plane mirror of `outstanding`: live tasks `finish` must join.
     /// Snapshot-joined (never drained) so concurrent finishers all block.
     outstanding_tasks: Mutex<Vec<TaskId>>,
+    /// Where `finish` keeps its snapshot of `outstanding_tasks` while it
+    /// joins (enqueues go on meanwhile): reused, so a finish allocates
+    /// nothing. Concurrent finishers take turns.
+    joining: Mutex<Vec<TaskId>>,
 }
 
 /// A `cl_command_queue` bound (rebindably) to one device; in-order by
@@ -84,6 +89,7 @@ impl CommandQueue {
                 outstanding: Mutex::new(Vec::new()),
                 last_task: Mutex::new(None),
                 outstanding_tasks: Mutex::new(Vec::new()),
+                joining: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -162,10 +168,10 @@ impl CommandQueue {
         }
     }
 
-    /// Record a queued data-plane task as the queue's chain head and as a
-    /// `finish` obligation, pruning completed ids once the list grows. A
-    /// caller-run task (`None`) completed before its `submit` returned and
-    /// leaves nothing to chain after or to join.
+    /// Record a live data-plane task — queued, or in device time — as the
+    /// queue's chain head and as a `finish` obligation, pruning completed
+    /// ids once the list grows. A task that completed before its `submit`
+    /// returned (`None`) leaves nothing to chain after or to join.
     fn record_task(&self, id: Option<TaskId>) {
         let Some(id) = id else { return };
         *self.inner.last_task.lock() = Some(id);
@@ -179,15 +185,15 @@ impl CommandQueue {
     /// Hand one command's data-plane half — `work` nominal units, see
     /// [`DataPlane::submit`] — to the executor: ordered by the hazards of
     /// `accesses`, the queue's chain and the tasks behind `wait_events`,
-    /// backing engine event `ev`; recorded if it was queued.
+    /// backing engine event `ev`; recorded if it is live on return.
     fn submit_task(
         &self,
         accesses: &[Access<'_>],
         wait_events: &[usize],
         ev: EventId,
         work: u64,
-        run: impl FnOnce(),
-        owned: impl FnOnce() -> Box<dyn FnOnce() + Send>,
+        run: impl FnOnce() -> Duration,
+        owned: impl FnOnce() -> Work,
     ) {
         let chain = self.chain_dep();
         let order = Order { accesses, after: chain.as_slice(), wait_events, event: Some(ev.0) };
@@ -378,12 +384,16 @@ impl CommandQueue {
             &[],
             ev,
             0,
-            || buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data),
+            || {
+                buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data);
+                Duration::ZERO
+            },
             || {
                 let staged: Box<[u8]> = bytes_of(data).into();
                 let dst = buf.clone();
                 Box::new(move || {
                     dst.inner.store.lock().as_mut_slice::<u8>().copy_from_slice(&staged);
+                    Duration::ZERO
                 })
             },
         );
@@ -497,6 +507,7 @@ impl CommandQueue {
                     let sg = s.inner.store.lock();
                     dg.as_mut_slice::<u8>().copy_from_slice(sg.as_slice::<u8>());
                 }
+                Duration::ZERO
             };
             self.submit_task(
                 &[Access::read(src), Access::write(dst)],
@@ -678,9 +689,12 @@ impl CommandQueue {
         // serialize in wall-clock, not virtual time — they share the
         // buffer's store lock anyway), keeping results exact.
         let global_offset = chunk_offset.unwrap_or_default();
+        // The context — and the store locks it holds — goes with the body;
+        // the device time the body declared outlives both.
         let execute = move |body: &dyn KernelBody, args: &[ArgValue]| {
             let mut ctx = KernelCtx::with_offset(effective, dev, global_offset, args);
             body.execute(&mut ctx);
+            ctx.device_time()
         };
         // The body's nominal work: what the cost model charges per item —
         // compute or traffic, whichever dominates — over the launch.
@@ -759,7 +773,8 @@ impl CommandQueue {
         // Data plane: a no-op task ordered after every chunk's write hazard,
         // so the home queue's chain observes the completed split.
         let accesses: Vec<Access<'_>> = written.iter().map(Access::read).collect();
-        self.submit_task(&accesses, &[], id, 0, || {}, || Box::new(|| {}));
+        let nop = || Duration::ZERO;
+        self.submit_task(&accesses, &[], id, 0, nop, || Box::new(nop));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 
@@ -827,7 +842,8 @@ impl CommandQueue {
         let mut deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
         deps.extend(self.chain_dep());
         let order = Order { after: &deps, event: Some(id.0), ..Order::default() };
-        self.record_task(self.plane().submit(order, 0, || {}, || Box::new(|| {})));
+        let nop = || Duration::ZERO;
+        self.record_task(self.plane().submit(order, 0, nop, || Box::new(nop)));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 
@@ -847,9 +863,10 @@ impl CommandQueue {
             engine.retire_completed();
         }
         // A blocking point even with nothing outstanding: a caller-run
-        // body's panic is re-raised here (one plane lock, no allocation —
-        // cloning an empty list is free).
-        let tasks: Vec<TaskId> = self.inner.outstanding_tasks.lock().clone();
+        // body's panic is re-raised here (one plane lock, no allocation).
+        let mut tasks = self.inner.joining.lock();
+        tasks.clear();
+        tasks.extend_from_slice(&self.inner.outstanding_tasks.lock());
         self.plane().join(&tasks);
         if !tasks.is_empty() {
             let mut live = self.inner.outstanding_tasks.lock();

@@ -9,6 +9,14 @@
 //! command behind an unfinished predecessor is queued, never run early; a
 //! panicking body is re-raised exactly once at the next blocking point on
 //! either path; and no blocking point ever misses its wake-up.
+//!
+//! A body may *declare* device time (`KernelCtx::occupy_device`) instead of
+//! sitting through it. Its command then completes at a deadline — body end
+//! plus declared time — for everyone who can ask: dependents through any
+//! kind of edge, `finish`, `Event::wait`, blocking reads, `host_snapshot`.
+//! Meanwhile no thread and no buffer lock is held, so the enqueue returns
+//! at once and independent queues overlap their device time at any worker
+//! count — none of which may show in contents, reads, or virtual time.
 
 use clrt::{
     ArgValue, Buffer, CommandQueue, Event, KernelBody, KernelCtx, NdRange, Platform, RuntimeConfig,
@@ -16,7 +24,7 @@ use clrt::{
 use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, KernelCostSpec};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `y[i] = 1.5 * x[i] + y[i]` — a two-argument kernel with a genuine
 /// read-only operand, so the generator exercises RAW/WAR edges.
@@ -80,6 +88,27 @@ impl KernelBody for Bump {
     }
 }
 
+/// [`Damp`]'s arithmetic, then the microseconds of device time argument 1
+/// says: the same contents as `damp`, completing later.
+struct Cool;
+impl KernelBody for Cool {
+    fn name(&self) -> &str {
+        "cool"
+    }
+    fn arity(&self) -> usize {
+        2
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        for v in ctx.slice_mut::<f64>(0) {
+            *v = 0.5 * *v + 1.0;
+        }
+        ctx.occupy_device(Duration::from_micros(ctx.u64(1)));
+    }
+}
+
 const N: usize = 256;
 /// Elements of a *big* buffer: copying one moves 256 KiB, above the
 /// executor's caller-run threshold (2^17 nominal work units).
@@ -137,11 +166,13 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
         .create_program(vec![
             Arc::new(Saxpy) as Arc<dyn KernelBody>,
             Arc::new(Damp) as Arc<dyn KernelBody>,
+            Arc::new(Cool) as Arc<dyn KernelBody>,
         ])
         .unwrap();
     prog.build(0).unwrap();
     let saxpy = prog.create_kernel("saxpy").unwrap();
     let damp = prog.create_kernel("damp").unwrap();
+    let cool = prog.create_kernel("cool").unwrap();
 
     // Four small buffers, then two big ones.
     const SMALL: usize = 4;
@@ -173,7 +204,7 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
         } else {
             Vec::new()
         };
-        let ev = match rng.index(8) {
+        let ev = match rng.index(9) {
             0 => {
                 let b = &buffers[rng.index(buffers.len())];
                 let data: Vec<f64> =
@@ -206,6 +237,16 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
                 saxpy.set_arg(1, ArgValue::BufferMut(buffers[y].clone())).unwrap();
                 q.enqueue_ndrange(&saxpy, nd(rng.index(2) == 0), &waits).unwrap()
             }
+            6 => {
+                // Device time short enough to be waited out where the next
+                // command is enqueued, long enough to be queued behind, or
+                // long enough to be slept on.
+                let micros = [20, 120, 400][rng.index(3)];
+                cool.set_arg(0, ArgValue::BufferMut(buffers[rng.index(buffers.len())].clone()))
+                    .unwrap();
+                cool.set_arg(1, ArgValue::U64(micros)).unwrap();
+                q.enqueue_ndrange(&cool, nd(rng.index(2) == 0), &waits).unwrap()
+            }
             _ => {
                 damp.set_arg(0, ArgValue::BufferMut(buffers[rng.index(buffers.len())].clone()))
                     .unwrap();
@@ -229,6 +270,8 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
     if workers > 1 {
         assert!(stats.inline_tasks > 0 && stats.submitted > 0, "one-sided mix: {stats:?}");
     }
+    assert!(stats.timed_tasks > 0, "seed {seed}: no command declared device time: {stats:?}");
+    assert_eq!(stats.queue_depth, 0, "seed {seed}, {workers} workers: {stats:?}");
     let contents = buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
     (contents, reads, trace_digest(&p))
 }
@@ -477,7 +520,7 @@ fn with_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
             std::panic::resume_unwind(runner.join().expect_err("body panicked"))
         }
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("no progress within {limit:?}: a blocking point lost its wake-up")
+            panic!("no progress within {limit:?}: a thread is blocked for good (a lost wake-up?)")
         }
     }
 }
@@ -507,6 +550,7 @@ fn targeted_wake_ups_lose_no_signal_under_concurrent_blocking_points() {
                 Arc::new(Saxpy) as Arc<dyn KernelBody>,
                 Arc::new(Damp) as Arc<dyn KernelBody>,
                 Arc::new(Bump) as Arc<dyn KernelBody>,
+                Arc::new(Cool) as Arc<dyn KernelBody>,
             ])
             .unwrap();
         prog.build(0).unwrap();
@@ -527,12 +571,14 @@ fn targeted_wake_ups_lose_no_signal_under_concurrent_blocking_points() {
                     let saxpy = prog.create_kernel("saxpy").unwrap();
                     let damp = prog.create_kernel("damp").unwrap();
                     let bump = prog.create_kernel("bump").unwrap();
+                    let cool = prog.create_kernel("cool").unwrap();
                     let mine = ctx.create_buffer_of::<f64>(N).unwrap();
                     q.enqueue_write(&mine, &vec![t as f64; N]).unwrap();
                     saxpy.set_arg(0, ArgValue::Buffer(shared.clone())).unwrap();
                     saxpy.set_arg(1, ArgValue::BufferMut(mine.clone())).unwrap();
                     damp.set_arg(0, ArgValue::BufferMut(mine.clone())).unwrap();
                     bump.set_arg(0, ArgValue::BufferMut(counter.clone())).unwrap();
+                    cool.set_arg(0, ArgValue::BufferMut(mine.clone())).unwrap();
                     let mut expect = t as f64;
                     let mut out = vec![0.0f64; N];
                     for chain in 0..CHAINS {
@@ -541,7 +587,12 @@ fn targeted_wake_ups_lose_no_signal_under_concurrent_blocking_points() {
                         q.enqueue_ndrange(&damp, nd(true), &[]).unwrap();
                         q.enqueue_ndrange(&saxpy, nd(false), &[]).unwrap();
                         q.enqueue_ndrange(&bump, nd(chain % 3 == 0), &[]).unwrap();
-                        let last = q.enqueue_ndrange(&damp, nd(chain % 2 == 0), &[]).unwrap();
+                        // The chain ends in device time every blocking
+                        // point below has to see out: short enough for the
+                        // next enqueue to wait out, or long enough for it
+                        // to queue behind (and for a joiner to sleep on).
+                        cool.set_arg(1, ArgValue::U64([10, 90, 300][chain % 3])).unwrap();
+                        let last = q.enqueue_ndrange(&cool, nd(chain % 2 == 0), &[]).unwrap();
                         expect = 0.5 * (0.5 * expect + 1.0 + 1.5 * 2.0) + 1.0;
                         match (chain + t) % 4 {
                             0 => q.finish(),
@@ -572,5 +623,385 @@ fn targeted_wake_ups_lose_no_signal_under_concurrent_blocking_points() {
         // fourth chain; plus the two shared writes.
         let commands = 2 + THREADS * (1 + 4 * CHAINS + 2 * (CHAINS / 4));
         assert_eq!(stats.inline_tasks + stats.submitted, commands as u64, "{stats:?}");
+        assert_eq!(stats.timed_tasks, (THREADS * CHAINS) as u64, "{stats:?}");
+    });
+}
+
+/// When each execution of a [`Timed`] body started and — the last thing it
+/// did — ended: its command's deadline is no earlier than that end plus the
+/// device time it declared.
+type Spans = Arc<Mutex<Vec<(Instant, Instant)>>>;
+
+/// `dst[i] = src[i] + 1.0`, then declares `time` on its device.
+struct Timed {
+    time: Duration,
+    spans: Spans,
+}
+impl KernelBody for Timed {
+    fn name(&self) -> &str {
+        "timed"
+    }
+    fn arity(&self) -> usize {
+        2
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        let start = Instant::now();
+        let src = ctx.slice::<f64>(0);
+        for (d, s) in ctx.slice_mut::<f64>(1).iter_mut().zip(src) {
+            *d = s + 1.0;
+        }
+        ctx.occupy_device(self.time);
+        self.spans.lock().unwrap().push((start, Instant::now()));
+    }
+}
+
+/// A platform of `workers` data-plane workers with one [`Timed`] kernel
+/// declaring `time`, `buffers` zeroed buffers, and one queue per device.
+struct TimedRig {
+    p: Platform,
+    kernel: clrt::Kernel,
+    spans: Spans,
+    bufs: Vec<Buffer>,
+    queues: Vec<CommandQueue>,
+}
+
+fn timed_rig(workers: usize, time: Duration, buffers: usize) -> TimedRig {
+    let p = Platform::paper_node_with(RuntimeConfig {
+        data_plane_workers: workers,
+        ..RuntimeConfig::default()
+    });
+    let ctx = p.create_context_all().unwrap();
+    let spans = Spans::default();
+    let body = Timed { time, spans: Arc::clone(&spans) };
+    let prog = ctx.create_program(vec![Arc::new(body) as Arc<dyn KernelBody>]).unwrap();
+    prog.build(0).unwrap();
+    let kernel = prog.create_kernel("timed").unwrap();
+    let bufs = (0..buffers).map(|_| ctx.create_buffer_of::<f64>(N).unwrap()).collect();
+    let queues = (0..3).map(|d| ctx.create_queue(DeviceId(d)).unwrap()).collect();
+    TimedRig { p, kernel, spans, bufs, queues }
+}
+
+impl TimedRig {
+    /// Enqueue `timed(src → dst)` on queue `q`.
+    fn launch(&self, q: usize, src: usize, dst: usize, heavy: bool, waits: &[Event]) -> Event {
+        self.kernel.set_arg(0, ArgValue::Buffer(self.bufs[src].clone())).unwrap();
+        self.kernel.set_arg(1, ArgValue::BufferMut(self.bufs[dst].clone())).unwrap();
+        self.queues[q].enqueue_ndrange(&self.kernel, nd(heavy), waits).unwrap()
+    }
+
+    fn spans(&self) -> Vec<(Instant, Instant)> {
+        self.spans.lock().unwrap().clone()
+    }
+}
+
+/// Device times on either side of both executor thresholds: shorter than a
+/// hand-off (50 µs), between that and the sleep overshoot (200 µs), beyond.
+const DEVICE_TIMES: [Duration; 3] =
+    [Duration::from_micros(25), Duration::from_micros(120), Duration::from_millis(2)];
+
+/// Completion is "body returned and deadline passed": three launches on one
+/// in-order queue take at least three device times to finish, and none
+/// starts inside its predecessor's — whatever the worker count, whichever
+/// side of the thresholds the device time falls, wherever the bodies run.
+#[test]
+fn chained_launches_finish_no_earlier_than_their_summed_device_time() {
+    for workers in [1, 2, 4] {
+        for d in DEVICE_TIMES {
+            for heavy in [false, true] {
+                let at = format!("{workers} workers, {d:?}, heavy={heavy}");
+                let rig = timed_rig(workers, d, 2);
+                for _ in 0..3 {
+                    rig.launch(0, 0, 1, heavy, &[]);
+                }
+                rig.queues[0].finish();
+                let finished = Instant::now();
+                let spans = rig.spans();
+                assert_eq!(spans.len(), 3, "{at}");
+                for (pred, succ) in spans.iter().zip(&spans[1..]) {
+                    assert!(succ.0 >= pred.1 + d, "a body beat its predecessor's deadline: {at}");
+                }
+                assert!(finished >= spans[2].1 + d, "finish returned before the deadline: {at}");
+                assert!(finished - spans[0].0 >= 3 * d, "{at}");
+                let stats = rig.p.data_plane_stats();
+                assert_eq!((stats.timed_tasks, stats.queue_depth), (3, 0), "{at}: {stats:?}");
+                if workers == 1 || (!heavy && d < Duration::from_micros(50)) {
+                    // Nothing to hand off: alone, or light behind device
+                    // time shorter than a hand-off.
+                    assert_eq!((stats.inline_tasks, stats.submitted), (3, 0), "{at}: {stats:?}");
+                }
+                assert!(rig.bufs[1].host_snapshot::<f64>().iter().all(|&v| v == 1.0), "{at}");
+            }
+        }
+    }
+}
+
+/// The same across queues: a dependent on another queue is held until the
+/// deadline whichever edge orders it — a RAW or a WAR hazard on a shared
+/// buffer, or an explicit event wait.
+#[test]
+fn dependents_on_other_queues_wait_for_the_deadline_through_every_kind_of_edge() {
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Raw,
+        War,
+        EventWait,
+    }
+    for workers in [1, 2, 4] {
+        for d in DEVICE_TIMES {
+            for via in [Via::Raw, Via::War, Via::EventWait] {
+                let at = format!("{workers} workers, {d:?}, {via:?}");
+                let rig = timed_rig(workers, d, 4);
+                let first = rig.launch(0, 0, 1, false, &[]);
+                match via {
+                    Via::Raw => rig.launch(1, 1, 2, false, &[]),
+                    Via::War => rig.launch(1, 2, 0, false, &[]),
+                    Via::EventWait => rig.launch(1, 2, 3, false, &[first]),
+                };
+                rig.queues[1].finish();
+                let finished = Instant::now();
+                let spans = rig.spans();
+                assert_eq!(spans.len(), 2, "{at}");
+                assert!(
+                    spans[1].0 >= spans[0].1 + d,
+                    "ran inside its predecessor's device time: {at}"
+                );
+                assert!(finished >= spans[1].1 + d, "finish returned before the deadline: {at}");
+                assert_eq!(rig.p.data_plane_stats().timed_tasks, 2, "{at}");
+            }
+        }
+    }
+}
+
+/// Every way to ask for a command's result returns after its deadline, and
+/// with what it wrote.
+#[test]
+fn blocking_points_return_after_the_deadline_with_the_written_contents() {
+    for workers in [1, 2, 4] {
+        for heavy in [false, true] {
+            for ask in ["Event::wait", "enqueue_read", "host_snapshot"] {
+                let at = format!("{workers} workers, heavy={heavy}, {ask}");
+                let d = Duration::from_millis(5);
+                let rig = timed_rig(workers, d, 2);
+                let ev = rig.launch(0, 0, 1, heavy, &[]);
+                let mut out = vec![0.0f64; N];
+                match ask {
+                    "Event::wait" => ev.wait(),
+                    "enqueue_read" => drop(rig.queues[0].enqueue_read(&rig.bufs[1], &mut out)),
+                    _ => out = rig.bufs[1].host_snapshot::<f64>(),
+                }
+                let asked = Instant::now();
+                assert!(asked >= rig.spans()[0].1 + d, "returned before the deadline: {at}");
+                if ask == "Event::wait" {
+                    out = rig.bufs[1].host_snapshot::<f64>();
+                }
+                assert!(out.iter().all(|&v| v == 1.0), "{at}");
+                assert_eq!(rig.p.data_plane_stats().timed_tasks, 1, "{at}");
+            }
+        }
+    }
+}
+
+/// Device time is nobody's thread and nobody's lock: with a single worker —
+/// every body on the enqueueing thread — four launches on independent
+/// queues overlap their device time, each enqueue returns long before its
+/// command completes, and a reader of a buffer a command in device time is
+/// still "using" runs at once.
+#[test]
+fn device_time_holds_neither_a_thread_nor_a_store_lock() {
+    let d = Duration::from_millis(150);
+    let rig = timed_rig(1, d, 5);
+    let ctx = rig.queues[0].context().clone();
+    let queues: Vec<CommandQueue> =
+        (0..4).map(|i| ctx.create_queue(DeviceId(i % 3)).unwrap()).collect();
+    let began = Instant::now();
+    for (i, q) in queues.iter().enumerate() {
+        // All four read buffer 4; each writes its own.
+        rig.kernel.set_arg(0, ArgValue::Buffer(rig.bufs[4].clone())).unwrap();
+        rig.kernel.set_arg(1, ArgValue::BufferMut(rig.bufs[i].clone())).unwrap();
+        q.enqueue_ndrange(&rig.kernel, nd(false), &[]).unwrap();
+    }
+    let enqueued = began.elapsed();
+    // Readers share: each body locked buffer 4's store, none still does.
+    assert_eq!(rig.spans().len(), 4, "a body waited for another's device time");
+    assert!(enqueued < d, "four enqueues took {enqueued:?}: one sat through device time");
+    let stats = rig.p.data_plane_stats();
+    assert_eq!((stats.inline_tasks, stats.submitted, stats.queue_depth), (4, 0, 4), "{stats:?}");
+    assert_eq!(rig.bufs[0].data_version(), 1);
+    for q in &queues {
+        q.finish();
+    }
+    let finished = began.elapsed();
+    assert!(finished >= d, "finish returned before the deadline");
+    assert!(finished < 2 * d, "device time of independent queues did not overlap: {finished:?}");
+    assert_eq!(rig.p.data_plane_stats().queue_depth, 0);
+}
+
+/// An enqueue is asynchronous with the device again: a light launch — its
+/// body runs right here — that declares 5 ms returns in well under 1 ms.
+/// The best of a few tries is bounded, so a preempted one cannot fail it.
+#[test]
+fn enqueue_of_a_light_launch_returns_before_its_device_time() {
+    for workers in [1, 2, 4] {
+        let rig = timed_rig(workers, Duration::from_millis(5), 2);
+        let best = (0..5)
+            .map(|_| {
+                let began = Instant::now();
+                rig.launch(0, 0, 1, false, &[]);
+                let took = began.elapsed();
+                rig.queues[0].finish();
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(best < Duration::from_millis(1), "{workers} workers: enqueue took {best:?}");
+        let stats = rig.p.data_plane_stats();
+        assert_eq!((stats.inline_tasks, stats.timed_tasks), (5, 5), "{workers} workers: {stats:?}");
+    }
+}
+
+/// A body that declares device time and then panics.
+struct DoomedAfterDeclaring;
+impl KernelBody for DoomedAfterDeclaring {
+    fn name(&self) -> &str {
+        "doomed"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        ctx.occupy_device(Duration::from_secs(3600));
+        panic!("injected panic after declaring device time");
+    }
+}
+
+/// A panicking body completes at once, whatever it declared before: its
+/// dependents run, `finish` re-raises the panic — once — and returns.
+#[test]
+fn panicking_body_that_declared_device_time_blocks_nobody() {
+    for (workers, heavy) in [(1, false), (2, false), (4, true)] {
+        let at = format!("{workers} workers, heavy={heavy}");
+        with_watchdog(Duration::from_secs(60), move || {
+            let p = Platform::paper_node_with(RuntimeConfig {
+                data_plane_workers: workers,
+                ..RuntimeConfig::default()
+            });
+            let ctx = p.create_context_all().unwrap();
+            let prog = ctx
+                .create_program(vec![
+                    Arc::new(DoomedAfterDeclaring) as Arc<dyn KernelBody>,
+                    Arc::new(Bump) as Arc<dyn KernelBody>,
+                ])
+                .unwrap();
+            prog.build(0).unwrap();
+            let (doomed, bump) =
+                (prog.create_kernel("doomed").unwrap(), prog.create_kernel("bump").unwrap());
+            let buf = ctx.create_buffer_of::<f64>(N).unwrap();
+            let q = ctx.create_queue(DeviceId(0)).unwrap();
+            doomed.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
+            bump.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
+            q.enqueue_ndrange(&doomed, nd(heavy), &[]).unwrap();
+            q.enqueue_ndrange(&bump, nd(heavy), &[]).unwrap();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.finish()))
+                .expect_err("finish must re-raise the body panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("after declaring device time"), "{at}: {msg}");
+            q.finish(); // reported once
+            assert!(buf.host_snapshot::<f64>().iter().all(|&v| v == 1.0), "{at}");
+            let stats = p.data_plane_stats();
+            assert_eq!((stats.panics, stats.timed_tasks, stats.queue_depth), (1, 0, 0), "{at}");
+        });
+    }
+}
+
+/// Dropping the runtime does not sit through device time nothing waits for.
+#[test]
+fn dropping_the_platform_with_commands_in_device_time_returns_promptly() {
+    for workers in [1, 2, 4] {
+        with_watchdog(Duration::from_secs(60), move || {
+            let rig = timed_rig(workers, Duration::from_secs(3600), 4);
+            rig.launch(0, 0, 1, false, &[]);
+            rig.launch(1, 2, 3, workers > 1, &[]);
+            // The heavy body runs on a worker: let it get into device time
+            // before the drop (the watchdog bounds the wait).
+            while rig.p.data_plane_stats().timed_tasks < 2 {
+                std::thread::yield_now();
+            }
+            drop(rig);
+        });
+    }
+}
+
+/// Regression: a buffer's length is fixed at creation, and reading it must
+/// not take the store lock a running kernel body holds. With a body parked
+/// inside `execute`, everything an enqueue or a scheduling pass asks about
+/// the buffer — and a dependent launch on it — returns at once.
+#[test]
+fn buffer_length_is_readable_while_a_body_runs_on_the_buffer() {
+    with_watchdog(Duration::from_secs(20), || {
+        let p = Platform::paper_node_with(RuntimeConfig {
+            data_plane_workers: 2,
+            ..RuntimeConfig::default()
+        });
+        let ctx = p.create_context_all().unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (release, gate) = mpsc::channel();
+        let (entered_tx, entered) = mpsc::channel();
+        /// Says when its body is inside `execute` — the context built, the
+        /// store locked — then parks at `inner`'s gate.
+        struct Parked {
+            inner: Logged,
+            entered: Mutex<mpsc::Sender<()>>,
+        }
+        impl KernelBody for Parked {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn arity(&self) -> usize {
+                self.inner.arity()
+            }
+            fn cost(&self) -> KernelCostSpec {
+                self.inner.cost()
+            }
+            fn execute(&self, ctx: &mut KernelCtx<'_>) {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.inner.execute(ctx);
+            }
+        }
+        let parked = Parked {
+            inner: Logged { name: "parked", log: Arc::clone(&log), gate: Some(gate.into()) },
+            entered: entered_tx.into(),
+        };
+        let prog = ctx
+            .create_program(vec![
+                Arc::new(parked) as Arc<dyn KernelBody>,
+                Arc::new(Logged { name: "after", log: Arc::clone(&log), gate: None })
+                    as Arc<dyn KernelBody>,
+            ])
+            .unwrap();
+        prog.build(0).unwrap();
+        let (parked, after) =
+            (prog.create_kernel("parked").unwrap(), prog.create_kernel("after").unwrap());
+        let buf = ctx.create_buffer_of::<f64>(N).unwrap();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        parked.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
+        after.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
+        q.enqueue_ndrange(&parked, nd(true), &[]).unwrap();
+        entered.recv().unwrap();
+        // The body holds the store lock and will until released.
+        assert_eq!(buf.byte_len(), N * 8);
+        assert_eq!(buf.len::<f64>(), N);
+        let args = after.snapshot_args().unwrap();
+        q.check_capacity(&after, &args).unwrap();
+        q.enqueue_ndrange(&after, nd(false), &[]).unwrap();
+        assert!(log.lock().unwrap().is_empty(), "the parked body is still parked");
+        release.send(()).unwrap();
+        q.finish();
+        assert_eq!(*log.lock().unwrap(), ["parked", "after"]);
     });
 }

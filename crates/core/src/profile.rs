@@ -136,9 +136,9 @@ impl DeviceProfile {
                 // Device-local memory bandwidth is approximated by the
                 // same-device "transfer" measurement (read+write at device
                 // memory speed).
-                self.d2d[i][i].gbs.last().copied().unwrap_or(0.0)
+                self.d2d[i][i].gbs().last().copied().unwrap_or(0.0)
             }
-            StaticHint::IoBound => self.h2d[i].gbs.last().copied().unwrap_or(0.0),
+            StaticHint::IoBound => self.h2d[i].gbs().last().copied().unwrap_or(0.0),
         }
     }
 }
@@ -269,13 +269,13 @@ mod tests {
         assert_eq!(loaded.h2d.len(), measured.h2d.len());
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
         for (l, m) in loaded.h2d.iter().zip(&measured.h2d) {
-            assert_eq!(l.sizes, m.sizes);
-            assert!(l.gbs.iter().zip(&m.gbs).all(|(a, b)| close(*a, *b)));
+            assert_eq!(l.sizes(), m.sizes());
+            assert!(l.gbs().iter().zip(m.gbs()).all(|(a, b)| close(*a, *b)));
         }
         for (lr, mr) in loaded.d2d.iter().zip(&measured.d2d) {
             for (l, m) in lr.iter().zip(mr) {
-                assert_eq!(l.sizes, m.sizes);
-                assert!(l.gbs.iter().zip(&m.gbs).all(|(a, b)| close(*a, *b)));
+                assert_eq!(l.sizes(), m.sizes());
+                assert!(l.gbs().iter().zip(m.gbs()).all(|(a, b)| close(*a, *b)));
             }
         }
         assert!(loaded.gflops_sp.iter().zip(&measured.gflops_sp).all(|(a, b)| close(*a, *b)));

@@ -1113,10 +1113,12 @@ impl RtInner {
         if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
             return vec![SimDuration::ZERO; devices.len()];
         }
+        // One first-touch list for the whole row, cleared per device.
+        let mut staged = Vec::new();
         devices
             .iter()
             .map(|&d| {
-                let mut staged = Vec::new();
+                staged.clear();
                 pending.iter().map(|p| self.first_touch_transfer(p, d, &mut staged)).sum()
             })
             .collect()
@@ -1856,16 +1858,18 @@ impl RtInner {
     ) -> SimDuration {
         let mut total = SimDuration::ZERO;
         for b in first_touched(p, staged) {
-            let res = b.residency();
-            if res.valid_on(dev) {
-                continue;
-            }
             let bytes = b.byte_len() as u64;
-            if res.host {
-                total += self.device_profile.host_transfer_time(dev, bytes);
-            } else if let Some(&owner) = res.devices.iter().next() {
-                total += self.device_profile.d2d_transfer_time(owner, dev, bytes);
-            }
+            total += b.with_residency(|res| {
+                if res.valid_on(dev) {
+                    SimDuration::ZERO
+                } else if res.host {
+                    self.device_profile.host_transfer_time(dev, bytes)
+                } else if let Some(&owner) = res.devices.iter().next() {
+                    self.device_profile.d2d_transfer_time(owner, dev, bytes)
+                } else {
+                    SimDuration::ZERO
+                }
+            });
         }
         total
     }

@@ -24,13 +24,31 @@ pub const BANDWIDTH_SIZES: [u64; 10] =
 /// One measured (size → effective GB/s) curve.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BandwidthCurve {
-    /// Transfer sizes in bytes, ascending.
-    pub sizes: Vec<u64>,
-    /// Effective bandwidth at each size, GB/s.
-    pub gbs: Vec<f64>,
+    sizes: Vec<u64>,
+    gbs: Vec<f64>,
+    /// `log2` of each size — the interpolation grid, computed once here
+    /// rather than on every [`Self::interpolate_gbs`].
+    log2_sizes: Vec<f64>,
 }
 
 impl BandwidthCurve {
+    /// A curve through `gbs[i]` GB/s at `sizes[i]` bytes, sizes ascending.
+    pub fn new(sizes: Vec<u64>, gbs: Vec<f64>) -> BandwidthCurve {
+        assert_eq!(sizes.len(), gbs.len(), "one bandwidth per size");
+        let log2_sizes = sizes.iter().map(|&s| (s as f64).log2()).collect();
+        BandwidthCurve { sizes, gbs, log2_sizes }
+    }
+
+    /// Transfer sizes in bytes, ascending.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
+    }
+
+    /// Effective bandwidth at each size, GB/s.
+    pub fn gbs(&self) -> &[f64] {
+        &self.gbs
+    }
+
     /// Encode as a JSON object `{"sizes":[...],"gbs":[...]}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -45,7 +63,7 @@ impl BandwidthCurve {
             value.get("sizes")?.as_arr()?.iter().map(Json::as_u64).collect::<Option<Vec<u64>>>()?;
         let gbs =
             value.get("gbs")?.as_arr()?.iter().map(Json::as_f64).collect::<Option<Vec<f64>>>()?;
-        (sizes.len() == gbs.len()).then_some(BandwidthCurve { sizes, gbs })
+        (sizes.len() == gbs.len()).then(|| BandwidthCurve::new(sizes, gbs))
     }
 
     /// Effective bandwidth for an arbitrary size by piecewise-linear
@@ -55,7 +73,7 @@ impl BandwidthCurve {
     pub fn interpolate_gbs(&self, bytes: u64) -> f64 {
         assert!(!self.sizes.is_empty(), "empty bandwidth curve");
         let x = (bytes.max(1) as f64).log2();
-        let xs: Vec<f64> = self.sizes.iter().map(|&s| (s as f64).log2()).collect();
+        let xs = &self.log2_sizes;
         if x <= xs[0] {
             return self.gbs[0];
         }
@@ -86,7 +104,7 @@ pub fn measure_host_bandwidth(
     node: &NodeConfig,
     dev: DeviceId,
 ) -> BandwidthCurve {
-    let mut curve = BandwidthCurve::default();
+    let mut gbs = Vec::with_capacity(BANDWIDTH_SIZES.len());
     for &bytes in &BANDWIDTH_SIZES {
         let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
         let ev = engine.submit(CommandDesc {
@@ -98,10 +116,9 @@ pub fn measure_host_bandwidth(
         });
         engine.wait(ev);
         let measured = engine.stamp(ev).duration();
-        curve.sizes.push(bytes);
-        curve.gbs.push(bytes as f64 / measured.as_secs_f64().max(1e-12) / 1e9);
+        gbs.push(bytes as f64 / measured.as_secs_f64().max(1e-12) / 1e9);
     }
-    curve
+    BandwidthCurve::new(BANDWIDTH_SIZES.to_vec(), gbs)
 }
 
 /// Measure the device→device bandwidth curve for the pair `(src, dst)`.
@@ -111,7 +128,7 @@ pub fn measure_d2d_bandwidth(
     src: DeviceId,
     dst: DeviceId,
 ) -> BandwidthCurve {
-    let mut curve = BandwidthCurve::default();
+    let mut gbs = Vec::with_capacity(BANDWIDTH_SIZES.len());
     for &bytes in &BANDWIDTH_SIZES {
         let duration = node.topology.device_transfer_time(src, dst, bytes, &node.devices);
         let ev = engine.submit(CommandDesc {
@@ -123,10 +140,9 @@ pub fn measure_d2d_bandwidth(
         });
         engine.wait(ev);
         let measured = engine.stamp(ev).duration();
-        curve.sizes.push(bytes);
-        curve.gbs.push(bytes as f64 / measured.as_secs_f64().max(1e-12) / 1e9);
+        gbs.push(bytes as f64 / measured.as_secs_f64().max(1e-12) / 1e9);
     }
-    curve
+    BandwidthCurve::new(BANDWIDTH_SIZES.to_vec(), gbs)
 }
 
 /// Measure sustained instruction throughput (GFLOP/s) of `dev` with a
@@ -196,7 +212,7 @@ mod tests {
 
     #[test]
     fn interpolation_clamps_out_of_range() {
-        let curve = BandwidthCurve { sizes: vec![1024, 4096], gbs: vec![1.0, 4.0] };
+        let curve = BandwidthCurve::new(vec![1024, 4096], vec![1.0, 4.0]);
         assert_eq!(curve.interpolate_gbs(1), 1.0);
         assert_eq!(curve.interpolate_gbs(1 << 30), 4.0);
     }

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Scheduling policy of the service backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,11 +214,11 @@ pub fn warmed_options(platform: &Platform, dir: impl Into<PathBuf>) -> SchedOpti
 
 /// A kernel body synthesized from a [`JobSpec`] kernel declaration: the
 /// cost plane comes from the spec; the data plane performs real host
-/// computation plus a device-latency wait, both proportional to the
-/// spec's nominal flop count, so buffer residency behaves exactly as for
-/// hand-written kernels *and* the runtime's data-plane worker pool has
-/// genuine work to overlap — the load behind the `dataplane` bench's
-/// wall-clock numbers.
+/// computation and declares device time, both proportional to the spec's
+/// nominal flop count, so buffer residency behaves exactly as for
+/// hand-written kernels *and* a served job costs the wall-clock time its
+/// commands occupy their devices — the load behind the `dataplane`
+/// bench's wall-clock numbers.
 struct SpecKernel {
     name: String,
     arity: usize,
@@ -239,8 +239,8 @@ impl KernelBody for SpecKernel {
     }
 
     /// A sub-range launch does its share of everything below — prep steps
-    /// and wait are proportional to *its* item count, read from its own
-    /// offset on — and folds it into the first element it owns.
+    /// and device time are proportional to *its* item count, read from its
+    /// own offset on — and folds it into the first element it owns.
     fn splittable(&self) -> bool {
         true
     }
@@ -270,38 +270,18 @@ impl KernelBody for SpecKernel {
             acc = acc.mul_add(0.999_999_9, data[(first + i as usize) % len] * 1e-6);
         }
         data[first] += acc;
-        // Device-latency stand-in: occupy this data-plane task for a
-        // duration proportional to the kernel's nominal flop count, the
-        // way a real dispatch occupies its host thread until the device
-        // completes — for that nominal duration and no longer (see
-        // `exact_wait`), so a 128 ns kernel costs 128 ns, not a timer
-        // tick. This wait — not the prep loop — is what the worker pool
-        // overlaps, so the `dataplane` bench shows wall-clock wins even
-        // on single-core hosts. Waiting never touches buffer data, so
-        // worker-count invariance is unaffected. (Debug builds wait ~17x
-        // less — dev test suites should not pay bench-grade load.)
+        // Device-latency stand-in: the launch occupies its device for a
+        // time proportional to the kernel's nominal flop count — a 128 ns
+        // kernel for 128 ns, not a timer tick. Declared, not sat through:
+        // the data plane keeps the command incomplete until the time has
+        // passed (`clrt::KernelCtx::occupy_device`) while this thread and
+        // the buffer go free, so commands of independent queues overlap
+        // their device time whatever the worker count. Declaring never
+        // touches buffer data, so worker-count invariance is unaffected.
+        // (Debug builds declare ~17x less — dev test suites should not pay
+        // bench-grade load.)
         let ns_per_flop = if cfg!(debug_assertions) { 0.015 } else { 0.25 };
-        exact_wait(Duration::from_nanos((flops * ns_per_flop) as u64));
-    }
-}
-
-/// How late `std::thread::sleep` may return: the kernel's 50 µs default
-/// timer slack plus a wake-up. Measured on the 2-core reference sandbox
-/// for requests of 128 ns to 2 ms: 72–120 µs at the median, ≈200 µs at p90.
-const SLEEP_OVERSHOOT: Duration = Duration::from_micros(200);
-
-/// Occupy the calling thread for `wait`: sleep only the part of it a late
-/// wake-up cannot overrun, then spin against the deadline. Never returns
-/// early, and late only by a preemption — so waits shorter than
-/// [`SLEEP_OVERSHOOT`] cost what they say instead of a timer tick, and a
-/// 10 ms wait still sleeps 9.8 ms of it.
-fn exact_wait(wait: Duration) {
-    let deadline = Instant::now() + wait;
-    if wait > SLEEP_OVERSHOOT {
-        std::thread::sleep(wait - SLEEP_OVERSHOOT);
-    }
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
+        ctx.occupy_device(Duration::from_nanos((flops * ns_per_flop) as u64));
     }
 }
 
@@ -1233,37 +1213,6 @@ mod tests {
             assert_eq!(served.worker_count(), 4);
             let next = served.context().create_queue_on(hwsim::DeviceId(0)).expect("queue");
             assert_eq!(next.id(), 4, "{policy}");
-        }
-    }
-
-    /// The device-latency stand-in holds its task for the nominal time:
-    /// never less (asserted on every sample), and at the median not much
-    /// more. A wait short enough to be spun out whole must beat the ≥ 55 µs
-    /// by which a plain `thread::sleep` overshoots any request; one that
-    /// sleeps first inherits the host's wake-up latency for the slept part,
-    /// which a loaded runner stretches, so its bound only rules out a
-    /// runaway. Only medians are bounded above: a preempted sample cannot
-    /// fail the test.
-    #[test]
-    fn exact_wait_never_returns_early_and_overshoots_little() {
-        for micros in [1, 20, 300, 2_000] {
-            let wait = Duration::from_micros(micros);
-            let mut over: Vec<Duration> = (0..41)
-                .map(|_| {
-                    let start = Instant::now();
-                    exact_wait(wait);
-                    let took = start.elapsed();
-                    assert!(took >= wait, "{micros} µs wait returned after {took:?}");
-                    took - wait
-                })
-                .collect();
-            over.sort_unstable();
-            let median = over[over.len() / 2];
-            let bound = if wait > SLEEP_OVERSHOOT { 2_000 } else { 40 };
-            assert!(
-                median < Duration::from_micros(bound),
-                "{micros} µs wait: median overshoot {median:?}"
-            );
         }
     }
 }

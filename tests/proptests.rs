@@ -213,7 +213,7 @@ fn interpolation_is_bounded_by_measurements() {
         let gbs: Vec<f64> = (0..n).map(|_| rng.range_f64(0.1, 50.0)).collect();
         let query = rng.range_u64(1, 1 << 30);
         let sizes: Vec<u64> = (0..gbs.len()).map(|i| 1u64 << (10 + 2 * i)).collect();
-        let curve = BandwidthCurve { sizes, gbs: gbs.clone() };
+        let curve = BandwidthCurve::new(sizes, gbs.clone());
         let v = curve.interpolate_gbs(query);
         let lo = gbs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = gbs.iter().cloned().fold(0.0, f64::max);
