@@ -16,21 +16,23 @@
 //! `cargo run --release -p multicl-bench --bin schedule_explain [BENCH] [CLASS] [QUEUES]`
 //! `cargo run --release -p multicl-bench --bin schedule_explain -- --replay results/explain_MG.S.jsonl`
 
-use multicl::telemetry::{self, perfetto, registry, report, sink, RingBufferSink, SchedMetrics};
+use multicl::telemetry::{self, perfetto, registry, report, RingBufferSink, SchedMetrics};
 use multicl::ContextSchedPolicy;
 use multicl_bench::experiments::common::bench_options;
-use multicl_bench::{fresh_platform, write_report};
+use multicl_bench::{fresh_platform, read_events_or_exit, write_report};
 use npb::{run_benchmark, Class, QueuePlan};
 use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--replay") {
-        let path = args.get(1).expect("--replay needs a JSONL path");
+        let Some(path) = args.get(1) else {
+            eprintln!("usage: schedule_explain --replay <events.jsonl>");
+            std::process::exit(2);
+        };
         // Lenient decode: a stream written by a newer build (unknown event
         // types) still replays — skipped lines are counted, not fatal.
-        let (events, events_skipped) =
-            sink::read_jsonl_lenient(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let (events, events_skipped) = read_events_or_exit(path);
         println!("replaying {} event(s) from {path}", events.len());
         if events_skipped > 0 {
             println!("(events_skipped: {events_skipped} unknown/malformed line(s))");

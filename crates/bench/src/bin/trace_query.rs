@@ -9,7 +9,8 @@
 //! Usage:
 //! `cargo run --release -p multicl-bench --bin trace_query -- <events.jsonl> [--job ID] [--top K] [--width N]`
 
-use multicl::telemetry::{sink, tracing, SchedEvent};
+use multicl::telemetry::{tracing, SchedEvent};
+use multicl_bench::read_events_or_exit;
 
 fn flag(args: &[String], name: &str) -> Option<u64> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
@@ -25,8 +26,7 @@ fn main() {
     let top_k = flag(&args, "--top").unwrap_or(10) as usize;
     let width = flag(&args, "--width").unwrap_or(60) as usize;
 
-    let (events, events_skipped) =
-        sink::read_jsonl_lenient(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let (events, events_skipped) = read_events_or_exit(path);
     println!("{path}: {} event(s), events_skipped: {events_skipped}", events.len());
 
     println!("\n=== job waterfalls ===");

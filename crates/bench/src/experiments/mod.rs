@@ -2,10 +2,8 @@
 
 pub mod ablation;
 pub mod capacity;
-pub mod cluster;
 pub mod coldstart;
 pub mod common;
-pub mod dataplane;
 pub mod faults;
 pub mod fig10;
 pub mod fig3;

@@ -1,7 +1,9 @@
 //! Shared experiment plumbing: fresh platforms/contexts with scratch
-//! profile caches, aligned table printing, and report files.
+//! profile caches, aligned table printing, report files, and reading a
+//! recorded event stream.
 
 use clrt::Platform;
+use multicl::telemetry::{sink, SchedEvent};
 use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,6 +137,17 @@ pub fn write_report(name: &str, contents: &str) -> Option<PathBuf> {
             None
         }
     }
+}
+
+/// Read a user-supplied JSONL event stream leniently for a command-line
+/// tool, returning `(events, events_skipped)`. The path comes from outside
+/// the program, so an unreadable file is reported as `error: …` on stderr
+/// with exit status 1, not a panic.
+pub fn read_events_or_exit(path: &str) -> (Vec<SchedEvent>, usize) {
+    sink::read_jsonl_lenient(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {path}: {e}");
+        std::process::exit(1);
+    })
 }
 
 #[cfg(test)]

@@ -29,4 +29,6 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{fresh_context, fresh_platform, print_table, write_report, Table};
+pub use harness::{
+    fresh_context, fresh_platform, print_table, read_events_or_exit, write_report, Table,
+};

@@ -37,7 +37,6 @@ pub mod context;
 pub mod error;
 pub mod event;
 pub mod exec;
-pub mod fleet;
 pub mod kernel;
 pub mod ndrange;
 pub mod platform;
@@ -49,7 +48,6 @@ pub use context::Context;
 pub use error::{ClError, ClResult};
 pub use event::Event;
 pub use exec::DataPlaneStats;
-pub use fleet::Fleet;
 pub use kernel::{ArgValue, Kernel, KernelBody, KernelCtx};
 pub use ndrange::NdRange;
 pub use platform::{Device, Platform, RuntimeConfig};
@@ -57,6 +55,5 @@ pub use program::Program;
 pub use queue::CommandQueue;
 
 pub use hwsim::{
-    ClusterConfig, DeviceId, DeviceType, InterconnectSpec, KernelCostSpec, KernelTraits,
-    NodeConfig, SimDuration, SimTime,
+    DeviceId, DeviceType, KernelCostSpec, KernelTraits, NodeConfig, SimDuration, SimTime,
 };

@@ -39,11 +39,9 @@
 //!   [`SchedEvent::JobTrace`], [`SchedEvent::MakespanAttribution`], and
 //!   [`SchedEvent::SloBurn`] carry the results on the event stream.
 //!
-//! The cluster layer (`served::cluster`) reuses the same stream:
-//! [`SchedEvent::ShardDegraded`] and [`SchedEvent::TenantMigrated`] record
-//! routing-ring changes and cross-shard tenant moves, and
-//! [`perfetto::chrome_trace_cluster`] composes every shard's export into
-//! one fleet timeline with a process group per node.
+//! Two kinds are *decode-only*: [`SchedEvent::ShardDegraded`] and
+//! [`SchedEvent::TenantMigrated`] were emitted by the cluster tier until
+//! PR 21 and stay in the table so recorded streams still decode.
 
 pub mod event;
 pub mod perfetto;

@@ -511,9 +511,9 @@ pub enum SchedEvent {
         actual: SimDuration => "actual_ns",
     },
     /// A serving shard's node fell below the healthy-device threshold and
-    /// the routing tier took it out of the consistent-hash ring. Emitted
-    /// once per degradation by the cluster layer, through the degraded
-    /// shard's own context; `at` is that shard's local virtual time.
+    /// the routing tier took it out of the consistent-hash ring; `at` is
+    /// that shard's local virtual time. *Decode-only*: emitted by the
+    /// cluster tier until PR 21; kept so recorded streams decode.
     ShardDegraded = "shard_degraded" {
         /// Scheduling epoch of the degraded shard's context at detection.
         epoch: u64 => "epoch",
@@ -529,7 +529,9 @@ pub enum SchedEvent {
     /// The routing tier moved a tenant off a degraded shard: future
     /// submissions re-route to the destination, the tenant's evicted
     /// backlog is re-admitted there, and the tenant's state transfer is
-    /// charged to both endpoints at interconnect cost.
+    /// charged to both endpoints at interconnect cost. *Decode-only*:
+    /// emitted by the cluster tier until PR 21; kept so recorded streams
+    /// decode.
     TenantMigrated = "tenant_migrated" {
         /// Scheduling epoch of the *destination* shard's context.
         epoch: u64 => "epoch",

@@ -383,65 +383,6 @@ pub fn chrome_trace_with_telemetry(trace: &Trace, events: &[SchedEvent]) -> Stri
     format!("[{}]", parts.join(","))
 }
 
-/// Cluster-wide export: every shard's full single-node export (device
-/// slices, migration flows, utilization counters, job tracks) composed
-/// into one Chrome-tracing JSON with one process group per node. Shard
-/// `n`'s device rows land on pid `2n` (process `node<n>`) and its job
-/// rows on pid `2n+1` (process `node<n>/jobs`); flow ids are offset per
-/// shard so arrows never pair across nodes. Each shard's `ts` values are
-/// its own node-local virtual time — the per-node clocks the fleet runs
-/// on — which Perfetto renders side by side.
-pub fn chrome_trace_cluster(shards: &[(&Trace, &[SchedEvent])]) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for (n, (trace, events)) in shards.iter().enumerate() {
-        let devices_pid = 2 * n as u64;
-        let jobs_pid = devices_pid + 1;
-        parts.push(
-            Json::obj([
-                ("name", Json::from("process_name")),
-                ("ph", Json::from("M")),
-                ("pid", Json::from(devices_pid)),
-                ("args", Json::obj([("name", Json::from(format!("node{n}").as_str()))])),
-            ])
-            .dump(),
-        );
-        let single = Json::parse(&chrome_trace_with_telemetry(trace, events))
-            .expect("single-node export is valid JSON");
-        let Json::Arr(items) = single else { unreachable!("export is an array") };
-        for item in items {
-            let Json::Obj(mut fields) = item else { continue };
-            let is_process_name =
-                fields.iter().any(|(k, v)| k == "name" && v.as_str() == Some("process_name"));
-            for (key, value) in &mut fields {
-                match key.as_str() {
-                    // Device rows (single-node pid 0) move to this node's
-                    // device process; job rows to its jobs process.
-                    "pid" => {
-                        *value = match value.as_u64() {
-                            Some(JOBS_PID) => Json::from(jobs_pid),
-                            _ => Json::from(devices_pid),
-                        };
-                    }
-                    // Keep flow-arrow pairing node-local.
-                    "id" => {
-                        if let Some(id) = value.as_u64() {
-                            *value = Json::from(id ^ ((n as u64 + 1) << 48));
-                        }
-                    }
-                    // The jobs process metadata gets a node-qualified name.
-                    "args" if is_process_name => {
-                        *value =
-                            Json::obj([("name", Json::from(format!("node{n}/jobs").as_str()))]);
-                    }
-                    _ => {}
-                }
-            }
-            parts.push(Json::Obj(fields).dump());
-        }
-    }
-    format!("[{}]", parts.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,50 +515,6 @@ mod tests {
         assert_eq!(f.get("pid").unwrap().as_u64(), Some(0));
         assert_eq!(f.get("tid").unwrap().as_u64(), Some(1));
         assert!(f.get("ts").unwrap().as_u64() > s.get("ts").unwrap().as_u64());
-    }
-
-    #[test]
-    fn cluster_export_groups_each_node_into_its_own_processes() {
-        let (e0, e1) = (traced_engine(), traced_engine());
-        let shard0_events = [migration(0, 2_000_000), job_trace(7)];
-        let shard1_events = [job_trace(7)]; // same job id on another shard
-        let text =
-            chrome_trace_cluster(&[(e0.trace(), &shard0_events), (e1.trace(), &shard1_events)]);
-        let parsed = Json::parse(&text).expect("valid JSON");
-        let arr = parsed.as_arr().unwrap();
-
-        // Every node contributes a named device process, plus a jobs
-        // process where job traces exist.
-        let proc_names: Vec<(u64, String)> = arr
-            .iter()
-            .filter(|o| o.get("name").and_then(Json::as_str) == Some("process_name"))
-            .map(|o| {
-                (
-                    o.get("pid").unwrap().as_u64().unwrap(),
-                    o.get("args").unwrap().get("name").unwrap().as_str().unwrap().to_string(),
-                )
-            })
-            .collect();
-        assert!(proc_names.contains(&(0, "node0".into())));
-        assert!(proc_names.contains(&(1, "node0/jobs".into())));
-        assert!(proc_names.contains(&(2, "node1".into())));
-        assert!(proc_names.contains(&(3, "node1/jobs".into())));
-
-        // Shard 1's device slices all sit on pid 2, never pid 0.
-        let pids: std::collections::BTreeSet<u64> =
-            arr.iter().filter_map(|o| o.get("pid")?.as_u64()).collect();
-        assert_eq!(pids, [0u64, 1, 2, 3].into_iter().collect());
-
-        // The same job id on two shards produces flow arrows whose ids do
-        // NOT collide (they'd pair across nodes in the viewer otherwise).
-        let flow_ids: Vec<u64> = arr
-            .iter()
-            .filter(|o| o.get("ph").and_then(Json::as_str) == Some("s"))
-            .filter(|o| o.get("cat").and_then(Json::as_str) == Some("dispatch"))
-            .map(|o| o.get("id").unwrap().as_u64().unwrap())
-            .collect();
-        assert_eq!(flow_ids.len(), 2);
-        assert_ne!(flow_ids[0], flow_ids[1]);
     }
 
     #[test]

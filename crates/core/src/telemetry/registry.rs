@@ -515,12 +515,6 @@ pub struct SchedMetrics {
     pub job_segments: Vec<Histogram>,
     /// SLO burn-rate alerts fired (transitions to firing only).
     pub slo_alerts: Counter,
-    /// Serving shards pulled from the routing ring after degradation.
-    pub shards_degraded: Counter,
-    /// Tenants migrated off degraded shards by the routing tier.
-    pub tenants_migrated: Counter,
-    /// Tenant state bytes moved across the interconnect per migration.
-    pub migration_bytes: Histogram,
     /// Cold kernel cost rows served by the predictive model (profiling
     /// passes avoided).
     pub predictor_predictions: Counter,
@@ -642,16 +636,6 @@ impl Default for SchedMetrics {
                 })
                 .collect(),
             slo_alerts: registry.counter("multicl_slo_alerts_total", "SLO burn-rate alerts fired"),
-            shards_degraded: registry.counter(
-                "multicl_shards_degraded_total",
-                "Serving shards pulled from the routing ring after degradation",
-            ),
-            tenants_migrated: registry
-                .counter("multicl_tenants_migrated_total", "Tenants migrated off degraded shards"),
-            migration_bytes: registry.histogram(
-                "multicl_migration_bytes",
-                "Tenant state bytes moved across the interconnect per migration",
-            ),
             predictor_predictions: registry.counter(
                 "multicl_predictor_predictions_total",
                 "Cold kernel cost rows served by the predictive model",
@@ -796,11 +780,6 @@ impl SchedObserver for SchedMetrics {
                     self.slo_alerts.inc();
                 }
             }
-            SchedEvent::ShardDegraded { .. } => self.shards_degraded.inc(),
-            SchedEvent::TenantMigrated { bytes, .. } => {
-                self.tenants_migrated.inc();
-                self.migration_bytes.observe(*bytes);
-            }
             SchedEvent::CostPredicted { .. } => self.predictor_predictions.inc(),
             SchedEvent::PredictorFallback { .. } => self.predictor_fallbacks.inc(),
             SchedEvent::KernelSplit { .. } => self.kernels_split.inc(),
@@ -832,6 +811,8 @@ impl SchedObserver for SchedMetrics {
             | SchedEvent::JobRejected { .. }
             | SchedEvent::JobDispatched { .. }
             | SchedEvent::JobCompleted { .. } => {}
+            // Decode-only kinds: nothing in the program emits them.
+            SchedEvent::ShardDegraded { .. } | SchedEvent::TenantMigrated { .. } => {}
         }
     }
 }

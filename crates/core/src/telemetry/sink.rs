@@ -173,7 +173,7 @@ pub fn parse_jsonl_lenient(text: &str) -> (Vec<SchedEvent>, usize) {
 /// Read a JSONL event stream from a file, leniently: the file-level
 /// counterpart of [`parse_jsonl_lenient`], shared by every tool that
 /// replays recorded telemetry (`trace_query`, `schedule_explain
-/// --replay`, the cluster rollups). Returns `(events, events_skipped)`;
+/// --replay`). Returns `(events, events_skipped)`;
 /// the only error is failing to read the file itself.
 pub fn read_jsonl_lenient(path: impl AsRef<Path>) -> std::io::Result<(Vec<SchedEvent>, usize)> {
     Ok(parse_jsonl_lenient(&std::fs::read_to_string(path)?))

@@ -21,9 +21,6 @@
 //! * [`engine`] — per-device timelines with eager dependency resolution for
 //!   in-order command streams; produces timestamped command records.
 //! * [`node`] — prebuilt node configurations, including the paper's testbed.
-//! * [`cluster`] — multi-node fleet configurations: N nodes joined by an
-//!   inter-node interconnect with calibrated latency/bandwidth (the SnuCL
-//!   cluster substrate one level up from a single node).
 //! * [`microbench`] — bandwidth and instruction-throughput benchmarks run
 //!   *against the simulator*, used by MultiCL's device profiler.
 //! * [`trace`] — execution traces (who ran what, when) used to regenerate the
@@ -39,7 +36,6 @@
 //! timeline on every run, which makes the paper's figures exactly
 //! reproducible.
 
-pub mod cluster;
 pub mod cost;
 pub mod device;
 pub mod engine;
@@ -56,7 +52,6 @@ pub mod trace;
 pub mod waitlist;
 pub mod xrand;
 
-pub use cluster::{ClusterConfig, InterconnectSpec};
 pub use cost::{KernelCostSpec, KernelTraits, NdRangeShape};
 pub use device::{DeviceId, DeviceSpec, DeviceType};
 pub use engine::{CommandDesc, CommandKind, Engine, EventId, EventStamp};

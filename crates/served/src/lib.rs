@@ -10,7 +10,7 @@
 //!   launches with roofline cost descriptions, encoded as JSON.
 //! - [`tenant`] — per-tenant bounded queues and admission control
 //!   (reject-with-reason backpressure instead of unbounded buffering).
-//! - [`service`] — the [`Served`](service::Served) front-end: weighted
+//! - [`service`] — the [`Served`] front-end: weighted
 //!   round-robin dispatch rounds onto a pool of scheduler queues, one
 //!   MultiCL sync epoch per round, job-lifecycle telemetry events.
 //! - [`metrics`] — per-tenant throughput/queue-depth/latency metrics in
@@ -21,17 +21,12 @@
 //! - [`loadgen`] — seeded open-loop (Poisson) and closed-loop arrival
 //!   processes in virtual time; same seed, same results, plus a JSONL
 //!   trace format for replay.
-//! - [`cluster`] — the multi-node tier: one [`Served`](service::Served)
-//!   shard per fleet node, consistent-hash tenant routing
-//!   ([`cluster::HashRing`]), and cross-shard rebalancing that migrates
-//!   tenants off degraded shards over the simulated interconnect.
 //!
 //! Binaries: `loadgen` (generate load, write `results/serve_*.{json,prom}`
 //! reports) and `serve_replay` (re-run a recorded trace).
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod loadgen;
 pub mod metrics;
 pub mod service;
@@ -39,7 +34,6 @@ pub mod slo;
 pub mod spec;
 pub mod tenant;
 
-pub use cluster::{ClusterService, ClusterServiceConfig, HashRing, Migration};
 pub use loadgen::{ArrivalMode, LoadgenConfig};
 pub use service::{
     FailReason, JobOutcome, JobResult, RetryPolicy, ServePolicy, Served, ServiceConfig,

@@ -217,8 +217,7 @@ pub fn warmed_options(platform: &Platform, dir: impl Into<PathBuf>) -> SchedOpti
 /// computation and declares device time, both proportional to the spec's
 /// nominal flop count, so buffer residency behaves exactly as for
 /// hand-written kernels *and* a served job costs the wall-clock time its
-/// commands occupy their devices — the load behind the `dataplane`
-/// bench's wall-clock numbers.
+/// commands occupy their devices.
 struct SpecKernel {
     name: String,
     arity: usize,
@@ -516,17 +515,6 @@ impl Served {
     /// All finished jobs so far, completion order.
     pub fn outcomes(&self) -> Vec<JobOutcome> {
         self.outcomes.lock().clone()
-    }
-
-    /// Remove and return every admitted-but-undispatched job of `tenant`
-    /// as `(spec, deadline)` pairs ready for re-submission elsewhere. The
-    /// cluster rebalancer drains a degraded shard's backlog through this
-    /// before re-routing the tenant to a healthy shard.
-    pub(crate) fn drain_tenant_backlog(&self, tenant: usize) -> Vec<(JobSpec, Option<SimTime>)> {
-        let state = &self.tenants[tenant];
-        let jobs: Vec<_> = state.queue.lock().drain(..).map(|j| (j.spec, j.deadline)).collect();
-        self.metrics.tenant(tenant).depth.set(0.0);
-        jobs
     }
 
     /// Submit a job for `tenant`. Validates the spec, then applies

@@ -426,12 +426,6 @@ impl JobSpec {
         self.topo_order()
     }
 
-    /// Total bytes of the job's buffers (`f64` elements) — the state a
-    /// cross-shard migration must move for one in-flight job.
-    pub fn buffer_bytes(&self) -> u64 {
-        self.buffers.iter().map(|b| (b.elements as u64) * 8).sum()
-    }
-
     /// Argument count of `kernel`, read off its first launch step —
     /// validation makes every launch of a kernel agree — and 0 for a kernel
     /// that is never launched.

@@ -3,7 +3,7 @@
 
 use clrt::{Platform, RuntimeConfig};
 use hwsim::{FaultPlan, SimDuration};
-use multicl::telemetry::RingBufferSink;
+use multicl::telemetry::{RingBufferSink, SchedEvent};
 use served::loadgen::{self, ArrivalMode, LoadgenConfig};
 use served::service::warmed_options;
 use served::{
@@ -33,6 +33,11 @@ fn small_service(tag: &str, workers: usize, tenants: Vec<TenantConfig>) -> Serve
         },
     )
     .expect("service builds")
+}
+
+/// One per-tenant counter summed over every tenant of `served`.
+fn tenant_total(served: &Served, get: fn(&served::metrics::TenantMetrics) -> u64) -> u64 {
+    (0..served.tenant_count()).map(|i| get(served.metrics().tenant(i))).sum()
 }
 
 #[test]
@@ -628,6 +633,85 @@ fn dead_node_sheds_load_and_fails_typed() {
     assert_eq!(served.metrics().tenant(0).failed.get(), 2);
 }
 
+/// The whole node dies halfway through an open-loop arrival schedule:
+/// every device lost *under load*, where
+/// `dead_node_sheds_load_and_fails_typed` loses them before the first
+/// dispatch and `device_loss_mid_run_recovers_without_panics` loses one.
+#[test]
+fn whole_node_loss_mid_run_sheds_and_fails_typed() {
+    let run = |seed: u64| {
+        let cfg = LoadgenConfig { seed, jobs: 96, rate_hz: 4000.0, ..LoadgenConfig::default() };
+        let recorder = Arc::new(RingBufferSink::new(16384));
+        let served =
+            loadgen::build_service(&cfg, &scratch_dir("node-loss"), vec![recorder.clone()])
+                .expect("service builds");
+        served.warm_programs(&loadgen::templates()).expect("warm-up");
+        let arrivals = loadgen::open_arrivals(&cfg);
+        let span = arrivals.last().expect("nonempty schedule").at.as_nanos();
+        let kill_at = served.now() + SimDuration::from_nanos(span / 2);
+        let devices = served.context().cl().devices().to_vec();
+        served.context().platform().with_engine(|e| {
+            let plan = devices.iter().fold(FaultPlan::new(seed), |p, &d| p.lose_device(d, kill_at));
+            e.set_fault_plan(plan);
+        });
+        loadgen::drive_open(&served, &arrivals);
+
+        // Every arrival reached exactly one outcome, and nothing is left.
+        let (completed, failed, rejected) = (
+            tenant_total(&served, |m| m.completed.get()),
+            tenant_total(&served, |m| m.failed.get()),
+            tenant_total(&served, |m| m.rejected.get()),
+        );
+        assert_eq!(
+            completed + failed + rejected,
+            96,
+            "seed {seed}: {completed}/{failed}/{rejected}"
+        );
+        assert_eq!(served.backlog(), 0, "seed {seed}");
+        let outcomes = served.outcomes();
+        assert_eq!(outcomes.len() as u64, completed + failed, "seed {seed}");
+        // Goodput until the loss; after it, load is shed at admission and
+        // what was already admitted fails with the device-fault reasons.
+        assert!(
+            outcomes.iter().any(|o| o.result == JobResult::Completed && o.completed_at < kill_at),
+            "seed {seed}: nothing completed before the loss"
+        );
+        for o in &outcomes {
+            assert!(
+                matches!(
+                    o.result,
+                    JobResult::Completed
+                        | JobResult::Failed(
+                            FailReason::NoHealthyDevices | FailReason::RetryExhausted { .. }
+                        )
+                ),
+                "seed {seed}: job {} ended {:?}",
+                o.id,
+                o.result
+            );
+        }
+        let events = recorder.snapshot();
+        let refusals: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                SchedEvent::JobRejected { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refusals.len() as u64, rejected, "seed {seed}");
+        assert!(refusals.iter().all(|r| r.starts_with("queue_full")), "seed {seed}: {refusals:?}");
+        assert!(served.context().healthy_devices().is_empty(), "seed {seed}");
+        match served.submit(0, loadgen::templates()[0].clone()) {
+            Err(RejectReason::QueueFull { capacity: 0, .. }) => {}
+            other => panic!("seed {seed}: expected shed rejection, got {other:?}"),
+        }
+        loadgen::report_json(&served, &cfg).dump()
+    };
+    for seed in [1, 42, 1007] {
+        assert_eq!(run(seed), run(seed), "seed {seed}: same-seed reports differ");
+    }
+}
+
 #[test]
 fn transient_faults_retry_with_backoff_and_stay_deterministic() {
     let cfg = LoadgenConfig {
@@ -647,9 +731,7 @@ fn transient_faults_retry_with_backoff_and_stay_deterministic() {
     let (a, _) = loadgen::run(&cfg, &dir).expect("first faulty run");
     let (b, _) = loadgen::run(&cfg, &dir).expect("second faulty run");
     assert_eq!(a.outcomes(), b.outcomes(), "fault injection is seed-deterministic");
-    let sum = |get: fn(&served::metrics::TenantMetrics) -> u64| -> u64 {
-        (0..2).map(|i| get(a.metrics().tenant(i))).sum()
-    };
+    let sum = |get| tenant_total(&a, get);
     let (admitted, completed, failed) =
         (sum(|m| m.admitted.get()), sum(|m| m.completed.get()), sum(|m| m.failed.get()));
     assert!(sum(|m| m.retried.get()) > 0, "a 40% transfer-failure rate must trigger retries");
