@@ -19,8 +19,8 @@
 use multicl::telemetry::{self, perfetto, registry, report, RingBufferSink, SchedMetrics};
 use multicl::ContextSchedPolicy;
 use multicl_bench::experiments::common::bench_options;
-use multicl_bench::{fresh_platform, read_events_or_exit, write_report};
-use npb::{run_benchmark, Class, QueuePlan};
+use multicl_bench::{bench_args_or_exit, fresh_platform, read_events_or_exit, write_report};
+use npb::{run_benchmark, QueuePlan};
 use std::sync::Arc;
 
 fn main() {
@@ -42,9 +42,7 @@ fn main() {
         return;
     }
 
-    let name = args.first().map(String::as_str).unwrap_or("MG").to_uppercase();
-    let class: Class = args.get(1).map(String::as_str).unwrap_or("S").parse().expect("class");
-    let queues: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let (name, class, queues) = bench_args_or_exit(&args);
 
     let recorder = Arc::new(RingBufferSink::new(1 << 16));
     let metrics = Arc::new(SchedMetrics::new());

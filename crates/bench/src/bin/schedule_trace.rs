@@ -7,14 +7,12 @@
 
 use multicl::ContextSchedPolicy;
 use multicl_bench::experiments::common::run_on_fresh;
-use multicl_bench::write_report;
-use npb::{Class, QueuePlan};
+use multicl_bench::{bench_args_or_exit, write_report};
+use npb::QueuePlan;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(String::as_str).unwrap_or("MG").to_uppercase();
-    let class: Class = args.get(1).map(String::as_str).unwrap_or("S").parse().expect("class");
-    let queues: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
+    let (name, class, queues) = bench_args_or_exit(&args);
 
     let (result, trace) =
         run_on_fresh(ContextSchedPolicy::AutoFit, true, &name, class, queues, &QueuePlan::Auto);

@@ -30,5 +30,6 @@ pub mod experiments;
 pub mod harness;
 
 pub use harness::{
-    fresh_context, fresh_platform, print_table, read_events_or_exit, write_report, Table,
+    bench_args_or_exit, fresh_context, fresh_platform, print_table, read_events_or_exit,
+    write_report, Table,
 };

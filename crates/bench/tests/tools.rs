@@ -1,8 +1,11 @@
-//! The two tools that read a user-supplied event stream (`trace_query`,
-//! `schedule_explain --replay`), driven as processes: a bad path is the
-//! user's error (`error: …` on stderr, exit 1 — never a panic), and a
-//! stream holding the decode-only `shard_degraded` / `tenant_migrated`
-//! kinds next to an unknown `type` still replays.
+//! The tools that take user input, driven as processes. For the two that
+//! read a user-supplied event stream (`trace_query`, `schedule_explain
+//! --replay`) a bad path is the user's error (`error: …` on stderr, exit 1
+//! — never a panic), and a stream holding the decode-only `shard_degraded`
+//! / `tenant_migrated` kinds next to an unknown `type` still replays. For
+//! the two that run a named benchmark (`schedule_trace`,
+//! `schedule_explain`) an unknown class or benchmark is a usage error
+//! (`error: …`, exit 2).
 
 use std::process::{Command, Output};
 
@@ -12,6 +15,28 @@ fn trace_query(args: &[&str]) -> Output {
 
 fn schedule_explain(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_schedule_explain")).args(args).output().expect("tool runs")
+}
+
+fn schedule_trace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_schedule_trace")).args(args).output().expect("tool runs")
+}
+
+#[test]
+fn an_unknown_class_is_a_usage_error_not_a_panic() {
+    for out in [schedule_trace(&["MG", "Z"]), schedule_explain(&["MG", "Z"])] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.starts_with("error: unknown NPB class `Z`"), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn an_unknown_benchmark_is_a_usage_error_not_a_panic() {
+    for out in [schedule_trace(&["XX"]), schedule_explain(&["XX"])] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(stderr.starts_with("error: unknown benchmark `XX`"), "stderr: {stderr}");
+    }
 }
 
 #[test]

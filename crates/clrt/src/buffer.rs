@@ -10,6 +10,7 @@
 
 use crate::error::{ClError, ClResult};
 use crate::exec::{BufHazard, DataPlane, TaskId};
+use crate::hazard::Frontier;
 use crate::platform::next_object_id;
 use hwsim::engine::EventId;
 use hwsim::sync::Mutex;
@@ -109,23 +110,6 @@ impl Residency {
     }
 }
 
-/// Time-plane hazard state of a buffer: the engine event of the last timed
-/// command that *wrote* its contents, and the events of the reads since.
-///
-/// Every queue records its timed commands here; only out-of-order queues
-/// *consult* it, deriving their event wait lists (readers wait on the
-/// writer; writers wait on the writer and all readers) in place of the
-/// implicit in-order chain. In-order queues get the same ordering from
-/// their chain, so recording alone never changes any timestamp.
-#[derive(Debug, Default)]
-pub(crate) struct StampHazard {
-    /// Completion event of the last command that wrote the contents.
-    pub(crate) writer: Option<EventId>,
-    /// Completion events of commands that read the contents since the last
-    /// write (pruned opportunistically once completed in virtual time).
-    pub(crate) readers: Vec<EventId>,
-}
-
 pub(crate) struct BufferInner {
     pub(crate) id: u64,
     pub(crate) ctx_id: u64,
@@ -134,11 +118,15 @@ pub(crate) struct BufferInner {
     pub(crate) byte_len: usize,
     pub(crate) store: Mutex<DataStore>,
     pub(crate) residency: Mutex<Residency>,
-    /// Data-plane hazard state: last writer task, readers since, and the
-    /// write version counter.
+    /// Data-plane hazard state: the frontier of tasks, and the write
+    /// version counter.
     pub(crate) hazard: Mutex<BufHazard>,
-    /// Time-plane hazard state (virtual-time RAW/WAR/WAW edges).
-    pub(crate) stamp_hazard: Mutex<StampHazard>,
+    /// Time-plane hazard state: the frontier of timed commands' completion
+    /// events. Every queue records its commands here; only out-of-order
+    /// queues *consult* it, deriving their event wait lists in place of the
+    /// implicit in-order chain. In-order queues get the same ordering from
+    /// their chain, so recording alone never changes any timestamp.
+    pub(crate) stamp_hazard: Mutex<Frontier<EventId>>,
     /// The executor of the owning runtime; `None` for bare buffers created
     /// outside a context (unit tests). Host accessors join through it so
     /// snapshots always observe completed data-plane writes.
@@ -177,7 +165,7 @@ impl Buffer {
                 store: Mutex::new(DataStore::zeroed(byte_len)),
                 residency: Mutex::new(Residency::fresh()),
                 hazard: Mutex::new(BufHazard::default()),
-                stamp_hazard: Mutex::new(StampHazard::default()),
+                stamp_hazard: Mutex::new(Frontier::default()),
                 plane,
             }),
         })
@@ -187,10 +175,7 @@ impl Buffer {
     /// subsequent read of the store observes final contents.
     pub(crate) fn sync_for_read(&self) {
         let Some(plane) = &self.inner.plane else { return };
-        let ids: Vec<TaskId> = {
-            let h = self.inner.hazard.lock();
-            h.last_writer.into_iter().collect()
-        };
+        let ids: Vec<TaskId> = self.inner.hazard.lock().frontier.predecessors(false).collect();
         plane.join(&ids);
     }
 
@@ -198,10 +183,7 @@ impl Buffer {
     /// readers), so a host-side mutation cannot race an in-flight reader.
     pub(crate) fn sync_for_write(&self) {
         let Some(plane) = &self.inner.plane else { return };
-        let ids: Vec<TaskId> = {
-            let h = self.inner.hazard.lock();
-            h.last_writer.into_iter().chain(h.readers.iter().copied()).collect()
-        };
+        let ids: Vec<TaskId> = self.inner.hazard.lock().frontier.predecessors(true).collect();
         plane.join(&ids);
     }
 

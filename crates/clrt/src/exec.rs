@@ -4,20 +4,18 @@
 //! virtual timestamps to every command, eagerly, under the engine lock —
 //! nothing in this module touches it. The **data plane** is the real Rust
 //! computation against host-backed buffer stores: kernel bodies, buffer
-//! writes, and copies. Historically the data plane ran synchronously on the
-//! enqueueing thread; this module turns each data-plane action into a *task*
-//! executed by a pool of worker threads, so independent commands overlap in
-//! wall-clock time while producing bit-identical buffer contents.
+//! writes, and copies. Each data-plane action is a *task*: a node of a
+//! hazard DAG whose body runs on the enqueueing thread when nothing blocks
+//! it and it is lighter than a hand-off, and on a pool of worker threads
+//! otherwise, so independent commands overlap in wall-clock time while
+//! producing bit-identical buffer contents.
 //!
 //! ## Hazard rules
 //!
-//! Each task declares the buffers it reads and writes. Dependencies are
-//! derived per buffer from the classic hazards, captured atomically (under
-//! the executor lock) in enqueue order:
-//!
-//! * **RAW** — a reader depends on the buffer's last writer.
-//! * **WAR** — a writer depends on every reader since the last write.
-//! * **WAW** — a writer depends on the last writer.
+//! Each task declares the buffers it reads and writes ([`Access`]). Its
+//! dependencies are the RAW / WAR / WAW predecessors each buffer's
+//! [`Frontier`] of tasks names, captured atomically (under the executor
+//! lock) in enqueue order.
 //!
 //! On top of the hazard edges, tasks carry the orderings the program already
 //! expressed: the in-order-queue chain and explicit event wait lists. The
@@ -104,7 +102,7 @@
 //! exactly once, at the next blocking point, whether or not anything is
 //! left to join there.
 
-use crate::buffer::Buffer;
+use crate::hazard::{Access, Frontier};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -159,27 +157,11 @@ fn wait_until(deadline: Instant) {
     }
 }
 
-/// One buffer access of a task (read or write), used to derive hazards.
-pub(crate) struct Access<'a> {
-    pub(crate) buf: &'a Buffer,
-    pub(crate) write: bool,
-}
-
-impl<'a> Access<'a> {
-    pub(crate) fn read(buf: &'a Buffer) -> Access<'a> {
-        Access { buf, write: false }
-    }
-
-    pub(crate) fn write(buf: &'a Buffer) -> Access<'a> {
-        Access { buf, write: true }
-    }
-}
-
 /// Everything a task must run after, plus the engine event it backs.
 #[derive(Default)]
 pub(crate) struct Order<'a> {
     /// Buffers the task touches: the source of its hazard edges.
-    pub(crate) accesses: &'a [Access<'a>],
+    pub(crate) accesses: &'a [Access],
     /// Tasks it follows outright (queue chaining, barriers).
     pub(crate) after: &'a [TaskId],
     /// Engine events whose backing tasks it follows (explicit wait lists).
@@ -188,13 +170,12 @@ pub(crate) struct Order<'a> {
     pub(crate) event: Option<usize>,
 }
 
-/// Per-buffer hazard state (lives in `BufferInner`). `version` counts
-/// data-plane writes to the buffer — a cheap coherence probe for tests and
-/// diagnostics.
+/// Per-buffer hazard state (lives in `BufferInner`): the frontier of live
+/// tasks, and `version`, which counts data-plane writes to the buffer — a
+/// cheap coherence probe for tests and diagnostics.
 #[derive(Debug, Default)]
 pub(crate) struct BufHazard {
-    pub(crate) last_writer: Option<TaskId>,
-    pub(crate) readers: Vec<TaskId>,
+    pub(crate) frontier: Frontier<TaskId>,
     pub(crate) version: u64,
 }
 
@@ -325,20 +306,16 @@ impl State {
         };
         for a in order.accesses {
             let mut h = a.buf.inner.hazard.lock();
-            if let Some(w) = h.last_writer {
-                after(&mut self.tasks, w); // RAW, WAW
+            for dep in h.frontier.predecessors(a.write) {
+                after(&mut self.tasks, dep);
             }
             if a.write {
-                for r in h.readers.drain(..) {
-                    after(&mut self.tasks, r); // WAR
-                }
-                h.last_writer = Some(id);
                 h.version += 1;
             } else {
                 // Prune completed readers so read-heavy buffers stay small.
-                h.readers.retain(|t| self.tasks.contains_key(t));
-                h.readers.push(id);
+                h.frontier.prune_readers(|t| self.tasks.contains_key(t));
             }
+            h.frontier.record(id, a.write);
         }
         for &d in order.after {
             after(&mut self.tasks, d);
@@ -488,7 +465,7 @@ impl DataPlane {
     /// reads so later writers order after the host copy-out.
     pub(crate) fn begin_manual(
         self: &Arc<Self>,
-        accesses: &[Access<'_>],
+        accesses: &[Access],
         after: &[TaskId],
     ) -> ManualTask {
         let mut st = self.state.lock();
@@ -920,6 +897,7 @@ fn payload_msg(e: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::Buffer;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -931,7 +909,7 @@ mod tests {
         Buffer::new(1, bytes).unwrap()
     }
 
-    fn on<'a>(accesses: &'a [Access<'a>]) -> Order<'a> {
+    fn on(accesses: &[Access]) -> Order<'_> {
         Order { accesses, ..Order::default() }
     }
 

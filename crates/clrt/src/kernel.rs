@@ -10,6 +10,7 @@
 
 use crate::buffer::{Buffer, DataStore, Element};
 use crate::error::{ClError, ClResult};
+use crate::hazard::Access;
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
 use hwsim::sync::{Mutex, MutexGuard};
@@ -52,6 +53,86 @@ impl ArgValue {
     /// True for `BufferMut`.
     pub fn is_mutable_buffer(&self) -> bool {
         matches!(self, ArgValue::BufferMut(_))
+    }
+}
+
+/// The arguments of one launch as they were bound when it was enqueued
+/// ([`Kernel::snapshot_args`]) and, worked out once, here, what every layer
+/// that handles the launch asks of them: the buffers it touches. Derefs to
+/// the argument values; clones share one allocation.
+#[derive(Debug, Clone)]
+pub struct BoundArgs {
+    inner: Arc<Bound>,
+}
+
+#[derive(Debug)]
+struct Bound {
+    values: Vec<ArgValue>,
+    touched: Vec<Access>,
+    /// Slots of `touched` in ascending buffer-id order.
+    lock_order: Vec<usize>,
+    /// Per argument: where its buffer comes in `lock_order`, which is where
+    /// a [`KernelCtx`] keeps its locked store (meaningless for a scalar).
+    ranks: Vec<usize>,
+}
+
+impl BoundArgs {
+    pub(crate) fn new(values: Vec<ArgValue>) -> BoundArgs {
+        let mut touched: Vec<Access> = Vec::new();
+        let mut ranks: Vec<usize> = Vec::with_capacity(values.len());
+        for v in &values {
+            let write = v.is_mutable_buffer();
+            ranks.push(v.buffer().map_or(0, |b| {
+                match touched.iter().position(|t| t.buf.same_object(b)) {
+                    Some(slot) => {
+                        touched[slot].write |= write;
+                        slot
+                    }
+                    None => {
+                        touched.push(Access { buf: b.clone(), write });
+                        touched.len() - 1
+                    }
+                }
+            }));
+        }
+        let mut lock_order: Vec<usize> = (0..touched.len()).collect();
+        lock_order.sort_unstable_by_key(|&slot| touched[slot].buf.id());
+        for r in &mut ranks {
+            let slot = *r;
+            *r = lock_order.iter().position(|&s| s == slot).unwrap_or(0);
+        }
+        BoundArgs { inner: Arc::new(Bound { values, touched, lock_order, ranks }) }
+    }
+
+    /// The distinct buffers the launch touches, in first-touch argument
+    /// order — the order their migrations are issued in, so virtual-time
+    /// stamps depend on it. A buffer bound more than once appears once, and
+    /// as a write if any binding is a [`ArgValue::BufferMut`].
+    pub fn touched(&self) -> &[Access] {
+        &self.inner.touched
+    }
+
+    /// Total bytes of the distinct buffers the launch touches.
+    pub fn buffer_bytes(&self) -> u64 {
+        self.touched().iter().map(|t| t.buf.byte_len() as u64).sum()
+    }
+
+    /// Bytes of the largest buffer the launch touches — what a device must
+    /// hold to run it; zero without buffer arguments.
+    pub fn max_buffer_bytes(&self) -> u64 {
+        self.touched().iter().map(|t| t.buf.byte_len() as u64).max().unwrap_or(0)
+    }
+
+    /// The touched buffers in canonical (ascending buffer-id) order.
+    fn lock_order(&self) -> impl Iterator<Item = &Buffer> {
+        self.inner.lock_order.iter().map(|&slot| &self.inner.touched[slot].buf)
+    }
+}
+
+impl std::ops::Deref for BoundArgs {
+    type Target = [ArgValue];
+    fn deref(&self) -> &[ArgValue] {
+        &self.inner.values
     }
 }
 
@@ -165,9 +246,10 @@ impl Kernel {
     /// arguments of a buffered launch at enqueue time, so later
     /// `set_arg` calls (for the next launch of the same kernel object)
     /// cannot retroactively change it.
-    pub fn snapshot_args(&self) -> ClResult<Vec<ArgValue>> {
+    pub fn snapshot_args(&self) -> ClResult<BoundArgs> {
         let args = self.inner.args.lock();
-        args.iter()
+        let values: ClResult<Vec<ArgValue>> = args
+            .iter()
             .enumerate()
             .map(|(i, a)| {
                 a.clone().ok_or_else(|| {
@@ -177,7 +259,9 @@ impl Kernel {
                     ))
                 })
             })
-            .collect()
+            .collect();
+        drop(args);
+        values.map(BoundArgs::new)
     }
 
     /// The paper's proposed `clSetKernelWorkGroupInfo`: register a launch
@@ -222,11 +306,6 @@ enum Borrow {
     Exclusive,
 }
 
-enum CtxArg {
-    Buf { guard: usize, mutable: bool },
-    Scalar(ArgValue),
-}
-
 /// A locked buffer plus the raw storage pointer captured while we held the
 /// exclusive guard. The guard is kept alive for the context's lifetime, so
 /// the pointer remains valid and exclusive to this context.
@@ -234,6 +313,7 @@ struct LockedStore<'a> {
     _guard: MutexGuard<'a, DataStore>,
     ptr: *mut u64,
     byte_len: usize,
+    borrow: Cell<Borrow>,
 }
 
 /// Execution context handed to [`KernelBody::execute`]: launch geometry,
@@ -246,9 +326,9 @@ pub struct KernelCtx<'a> {
     nd: NdRange,
     device: DeviceId,
     global_offset: [u64; 3],
-    args: Vec<CtxArg>,
+    args: &'a BoundArgs,
+    /// One per distinct buffer, in lock order.
     stores: Vec<LockedStore<'a>>,
-    borrows: Vec<Cell<Borrow>>,
     /// Device time the body has declared so far.
     device_time: Duration,
 }
@@ -256,7 +336,7 @@ pub struct KernelCtx<'a> {
 impl<'a> KernelCtx<'a> {
     /// [`KernelCtx::with_offset`] at offset zero.
     #[cfg(test)]
-    pub(crate) fn new(nd: NdRange, device: DeviceId, args: &'a [ArgValue]) -> KernelCtx<'a> {
+    pub(crate) fn new(nd: NdRange, device: DeviceId, args: &'a BoundArgs) -> KernelCtx<'a> {
         KernelCtx::with_offset(nd, device, [0, 0, 0], args)
     }
 
@@ -273,50 +353,17 @@ impl<'a> KernelCtx<'a> {
         nd: NdRange,
         device: DeviceId,
         global_offset: [u64; 3],
-        args: &'a [ArgValue],
+        args: &'a BoundArgs,
     ) -> KernelCtx<'a> {
-        let mut uniques: Vec<&'a Buffer> = Vec::new();
-        let mut ctx_args = Vec::with_capacity(args.len());
-        for arg in args {
-            match arg {
-                ArgValue::Buffer(b) | ArgValue::BufferMut(b) => {
-                    let key = Arc::as_ptr(&b.inner).cast::<()>();
-                    let guard_idx = match uniques
-                        .iter()
-                        .position(|u| Arc::as_ptr(&u.inner).cast::<()>() == key)
-                    {
-                        Some(i) => i,
-                        None => {
-                            uniques.push(b);
-                            uniques.len() - 1
-                        }
-                    };
-                    ctx_args
-                        .push(CtxArg::Buf { guard: guard_idx, mutable: arg.is_mutable_buffer() });
-                }
-                scalar => ctx_args.push(CtxArg::Scalar(scalar.clone())),
-            }
-        }
-        let mut order: Vec<usize> = (0..uniques.len()).collect();
-        order.sort_unstable_by_key(|&i| uniques[i].inner.id);
-        let mut slots: Vec<Option<LockedStore<'a>>> = (0..uniques.len()).map(|_| None).collect();
-        for &i in &order {
-            let mut guard = uniques[i].inner.store.lock();
-            let (ptr, byte_len) = guard.raw_parts();
-            slots[i] = Some(LockedStore { _guard: guard, ptr, byte_len });
-        }
-        let stores: Vec<LockedStore<'a>> =
-            slots.into_iter().map(|s| s.expect("every unique buffer was locked")).collect();
-        let borrows = vec![Cell::new(Borrow::None); stores.len()];
-        KernelCtx {
-            nd,
-            device,
-            global_offset,
-            args: ctx_args,
-            stores,
-            borrows,
-            device_time: Duration::ZERO,
-        }
+        let stores = args
+            .lock_order()
+            .map(|b| {
+                let mut guard = b.inner.store.lock();
+                let (ptr, byte_len) = guard.raw_parts();
+                LockedStore { _guard: guard, ptr, byte_len, borrow: Cell::new(Borrow::None) }
+            })
+            .collect();
+        KernelCtx { nd, device, global_offset, args, stores, device_time: Duration::ZERO }
     }
 
     /// The effective launch geometry of this execution. For a sub-range
@@ -353,22 +400,23 @@ impl<'a> KernelCtx<'a> {
         self.device_time
     }
 
-    fn buf_index(&self, idx: usize, need_mut: bool) -> (usize, bool) {
+    /// The locked store behind buffer argument `idx`.
+    fn store(&self, idx: usize, need_mut: bool) -> &LockedStore<'a> {
         match self.args.get(idx) {
-            Some(CtxArg::Buf { guard, mutable }) => {
-                if need_mut && !mutable {
-                    panic!("kernel argument {idx} is read-only (bound with ArgValue::Buffer) but taken mutably");
-                }
-                (*guard, *mutable)
+            Some(ArgValue::Buffer(_)) if need_mut => {
+                panic!("kernel argument {idx} is read-only (bound with ArgValue::Buffer) but taken mutably");
             }
-            Some(CtxArg::Scalar(_)) => panic!("kernel argument {idx} is a scalar, not a buffer"),
+            Some(ArgValue::Buffer(_) | ArgValue::BufferMut(_)) => {
+                &self.stores[self.args.inner.ranks[idx]]
+            }
+            Some(_) => panic!("kernel argument {idx} is a scalar, not a buffer"),
             None => panic!("kernel argument index {idx} out of range"),
         }
     }
 
-    fn element_count<T: Element>(&self, g: usize, idx: usize) -> usize {
+    fn element_count<T: Element>(store: &LockedStore<'_>, idx: usize) -> usize {
         let size = std::mem::size_of::<T>();
-        let byte_len = self.stores[g].byte_len;
+        let byte_len = store.byte_len;
         assert!(
             size <= 8 && byte_len.is_multiple_of(size),
             "kernel argument {idx}: buffer length {byte_len} not a multiple of element size {size}"
@@ -378,38 +426,40 @@ impl<'a> KernelCtx<'a> {
 
     /// Shared typed view of buffer argument `idx`.
     pub fn slice<T: Element>(&self, idx: usize) -> &[T] {
-        let (g, _) = self.buf_index(idx, false);
-        match self.borrows[g].get() {
+        let store = self.store(idx, false);
+        match store.borrow.get() {
             Borrow::Exclusive => panic!("kernel argument {idx}: buffer already borrowed mutably"),
-            _ => self.borrows[g].set(Borrow::Shared),
+            _ => store.borrow.set(Borrow::Shared),
         }
-        let n = self.element_count::<T>(g, idx);
+        let n = Self::element_count::<T>(store, idx);
         // SAFETY: the lock is held for the lifetime of self, the storage is
         // 8-byte aligned, and the borrow flags guarantee no exclusive view
         // coexists.
-        unsafe { std::slice::from_raw_parts(self.stores[g].ptr.cast::<T>(), n) }
+        unsafe { std::slice::from_raw_parts(store.ptr.cast::<T>(), n) }
     }
 
     /// Exclusive typed view of buffer argument `idx`. The argument must have
     /// been bound with [`ArgValue::BufferMut`].
     #[allow(clippy::mut_from_ref)] // dynamic borrow discipline enforced via flags
     pub fn slice_mut<T: Element>(&self, idx: usize) -> &mut [T] {
-        let (g, _) = self.buf_index(idx, true);
-        match self.borrows[g].get() {
-            Borrow::None => self.borrows[g].set(Borrow::Exclusive),
+        let store = self.store(idx, true);
+        match store.borrow.get() {
+            Borrow::None => store.borrow.set(Borrow::Exclusive),
             Borrow::Shared => panic!("kernel argument {idx}: buffer already borrowed shared"),
             Borrow::Exclusive => panic!("kernel argument {idx}: buffer already borrowed mutably"),
         }
-        let n = self.element_count::<T>(g, idx);
+        let n = Self::element_count::<T>(store, idx);
         // SAFETY: as in `slice`, and the flag now records an exclusive
         // borrow, so no other view of this buffer will be handed out.
-        unsafe { std::slice::from_raw_parts_mut(self.stores[g].ptr.cast::<T>(), n) }
+        unsafe { std::slice::from_raw_parts_mut(store.ptr.cast::<T>(), n) }
     }
 
     fn scalar(&self, idx: usize) -> &ArgValue {
         match self.args.get(idx) {
-            Some(CtxArg::Scalar(v)) => v,
-            Some(CtxArg::Buf { .. }) => panic!("kernel argument {idx} is a buffer, not a scalar"),
+            Some(ArgValue::Buffer(_) | ArgValue::BufferMut(_)) => {
+                panic!("kernel argument {idx} is a buffer, not a scalar")
+            }
+            Some(v) => v,
             None => panic!("kernel argument index {idx} out of range"),
         }
     }
@@ -507,6 +557,48 @@ mod tests {
     }
 
     #[test]
+    fn bound_args_say_what_a_launch_touches_once() {
+        // Ids ascend with creation: a < b < c.
+        let (a, b) = buffers(4);
+        let c = Buffer::new(1, 64).unwrap();
+        let args = BoundArgs::new(vec![
+            ArgValue::Buffer(c.clone()),
+            ArgValue::U32(7),
+            ArgValue::Buffer(a.clone()),
+            ArgValue::BufferMut(c.clone()),
+            ArgValue::BufferMut(b.clone()),
+            ArgValue::Buffer(b.clone()),
+        ]);
+        // The values are all there, in argument order.
+        assert_eq!(args.len(), 6);
+        assert!(args[3].is_mutable_buffer() && args[1].buffer().is_none());
+        // One slot per distinct buffer, in first-touch order; a write
+        // binding wins whether it comes second (`c`) or first (`b`).
+        let touched: Vec<(u64, bool)> =
+            args.touched().iter().map(|t| (t.buf.id(), t.write)).collect();
+        assert_eq!(touched, [(c.id(), true), (a.id(), false), (b.id(), true)]);
+        assert_eq!(args.buffer_bytes(), 32 + 32 + 64);
+        assert_eq!(args.max_buffer_bytes(), 64);
+        // Stores are locked in ascending buffer id, and duplicate
+        // references share the one store of their buffer.
+        let order: Vec<u64> = args.lock_order().map(Buffer::id).collect();
+        assert_eq!(order, [a.id(), b.id(), c.id()]);
+        for (i, b) in args.iter().enumerate().filter_map(|(i, a)| Some((i, a.buffer()?))) {
+            assert_eq!(order[args.inner.ranks[i]], b.id(), "argument {i}");
+        }
+        // A clone is the same snapshot, not a second one.
+        assert!(Arc::ptr_eq(&args.inner, &args.clone().inner));
+    }
+
+    #[test]
+    fn scalar_only_arguments_touch_nothing() {
+        let args = BoundArgs::new(vec![ArgValue::F64(1.0), ArgValue::I64(-1)]);
+        assert!(args.touched().is_empty());
+        assert_eq!((args.buffer_bytes(), args.max_buffer_bytes()), (0, 0));
+        assert_eq!(KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args).i64(1), -1);
+    }
+
+    #[test]
     fn out_of_range_argument_index_is_rejected() {
         let k = Kernel::new(1, Arc::new(Saxpy));
         assert!(k.set_arg(3, ArgValue::F64(0.0)).is_err());
@@ -528,7 +620,7 @@ mod tests {
     #[should_panic(expected = "read-only")]
     fn mutable_take_of_readonly_arg_panics() {
         let (x, _) = buffers(4);
-        let args = vec![ArgValue::Buffer(x)];
+        let args = BoundArgs::new(vec![ArgValue::Buffer(x)]);
         let ctx = KernelCtx::new(NdRange::d1(4, 4), DeviceId(0), &args);
         let _ = ctx.slice_mut::<f64>(0);
     }
@@ -537,7 +629,7 @@ mod tests {
     #[should_panic(expected = "already borrowed")]
     fn exclusive_then_shared_panics() {
         let (x, _) = buffers(4);
-        let args = vec![ArgValue::BufferMut(x)];
+        let args = BoundArgs::new(vec![ArgValue::BufferMut(x)]);
         let ctx = KernelCtx::new(NdRange::d1(4, 4), DeviceId(0), &args);
         let _m = ctx.slice_mut::<f64>(0);
         let _s = ctx.slice::<f64>(0);
@@ -546,7 +638,7 @@ mod tests {
     #[test]
     fn same_buffer_twice_shared_is_allowed() {
         let (x, _) = buffers(4);
-        let args = vec![ArgValue::Buffer(x.clone()), ArgValue::Buffer(x)];
+        let args = BoundArgs::new(vec![ArgValue::Buffer(x.clone()), ArgValue::Buffer(x)]);
         let ctx = KernelCtx::new(NdRange::d1(4, 4), DeviceId(0), &args);
         let a = ctx.slice::<f64>(0);
         let b = ctx.slice::<f64>(1);
@@ -557,7 +649,7 @@ mod tests {
     #[should_panic(expected = "already borrowed shared")]
     fn same_buffer_shared_then_mut_panics() {
         let (x, _) = buffers(4);
-        let args = vec![ArgValue::Buffer(x.clone()), ArgValue::BufferMut(x)];
+        let args = BoundArgs::new(vec![ArgValue::Buffer(x.clone()), ArgValue::BufferMut(x)]);
         let ctx = KernelCtx::new(NdRange::d1(4, 4), DeviceId(0), &args);
         let _a = ctx.slice::<f64>(0);
         let _b = ctx.slice_mut::<f64>(1);
@@ -565,7 +657,7 @@ mod tests {
 
     #[test]
     fn scalar_accessors_coerce_where_sensible() {
-        let args = vec![ArgValue::U32(7), ArgValue::F32(1.5)];
+        let args = BoundArgs::new(vec![ArgValue::U32(7), ArgValue::F32(1.5)]);
         let ctx = KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args);
         assert_eq!(ctx.u64(0), 7);
         assert_eq!(ctx.f64(1), 1.5);
@@ -573,7 +665,7 @@ mod tests {
 
     #[test]
     fn global_offset_defaults_to_zero_and_round_trips() {
-        let args = vec![ArgValue::U32(0)];
+        let args = BoundArgs::new(vec![ArgValue::U32(0)]);
         let ctx = KernelCtx::new(NdRange::d1(4, 4), DeviceId(0), &args);
         assert_eq!(ctx.global_offset(), [0, 0, 0]);
         let ctx = KernelCtx::with_offset(NdRange::d1(4, 4), DeviceId(0), [64, 0, 2], &args);

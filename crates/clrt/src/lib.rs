@@ -37,6 +37,7 @@ pub mod context;
 pub mod error;
 pub mod event;
 pub mod exec;
+pub mod hazard;
 pub mod kernel;
 pub mod ndrange;
 pub mod platform;
@@ -48,7 +49,8 @@ pub use context::Context;
 pub use error::{ClError, ClResult};
 pub use event::Event;
 pub use exec::DataPlaneStats;
-pub use kernel::{ArgValue, Kernel, KernelBody, KernelCtx};
+pub use hazard::Access;
+pub use kernel::{ArgValue, BoundArgs, Kernel, KernelBody, KernelCtx};
 pub use ndrange::NdRange;
 pub use platform::{Device, Platform, RuntimeConfig};
 pub use program::Program;

@@ -10,29 +10,37 @@
 //! (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE`,
 //! [`crate::Context::create_queue_ooo`], or
 //! [`CommandQueue::set_out_of_order`] on an idle queue) drop the implicit
-//! command chaining:
-//! commands are ordered only by explicit event wait lists and
-//! [`CommandQueue::enqueue_barrier`], so independent commands may overlap in
-//! virtual time (e.g. one kernel's input migration running while an earlier
-//! kernel still executes). Data hazards between unordered commands are the
-//! application's responsibility, exactly as in OpenCL.
+//! command chaining: a command is ordered after explicit event wait lists,
+//! [`CommandQueue::enqueue_barrier`] and — unlike OpenCL, which leaves data
+//! hazards between unordered commands to the application — the RAW / WAR /
+//! WAW predecessors of the buffers it touches, in both planes. Independent
+//! commands may overlap in virtual time (e.g. one kernel's input migration
+//! running while an earlier kernel still executes) and in wall-clock time;
+//! dependent ones never do, on either queue kind.
 //!
 //! Every enqueue operation:
 //! 1. validates arguments (context membership, sizes, capacities),
 //! 2. inserts the implicit data movement the command needs (buffer
 //!    residency → H2D / D2H / staged D2D), charging virtual time,
-//! 3. submits the command to the hwsim engine (time plane), and
+//! 3. states the buffers the command touches, once ([`Access`]), and
+//!    submits the command to the hwsim engine (time plane) through the one
+//!    consult → submit → record sequence (`submit`), and
 //! 4. submits the host-side effect (kernel body, store copy) to the
-//!    hazard-tracked data-plane executor ([`crate::exec`]), which runs it
-//!    on the enqueueing thread when nothing blocks it and it is lighter
-//!    than a hand-off, and on its worker pool otherwise.
+//!    hazard-tracked data-plane executor ([`crate::exec`]), ordered by the
+//!    same touches, which runs it on the enqueueing thread when nothing
+//!    blocks it and it is lighter than a hand-off, and on its worker pool
+//!    otherwise.
+//!
+//! The planes see a touch the same way except in the rows of `Stamp`'s
+//! table (below, and DESIGN.md §11).
 
 use crate::buffer::{bytes_of, Buffer, Element};
 use crate::context::Context;
 use crate::error::{ClError, ClResult};
 use crate::event::Event;
-use crate::exec::{Access, DataPlane, Order, TaskId, Work};
-use crate::kernel::{ArgValue, Kernel, KernelBody, KernelCtx};
+use crate::exec::{DataPlane, Order, TaskId, Work};
+use crate::hazard::Access;
+use crate::kernel::{BoundArgs, Kernel, KernelBody, KernelCtx};
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
 use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
@@ -42,6 +50,48 @@ use hwsim::{DeviceId, SimDuration, WaitList};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How the time plane sees a command's touches. The data plane always
+/// orders the command's task by the touches as stated — the two planes
+/// differ in exactly these rows:
+///
+/// | command                         | time plane              | data plane         |
+/// |---------------------------------|-------------------------|--------------------|
+/// | write, read, copy, whole launch | as stated               | as stated          |
+/// | chunk of a split launch         | reader                  | as stated          |
+/// | gather, migration               | as stated (a read)      | no task            |
+/// | D2H leg of a staged migration   | consulted, not recorded | no task            |
+/// | split join                      | writer                  | as stated (a read) |
+/// | split start, barrier            | consulted, not recorded | touches nothing    |
+///
+/// Sibling chunks write disjoint sub-ranges, so in virtual time they are
+/// mutually unordered readers (in wall-clock time they share the buffer's
+/// store lock anyway, and serializing them keeps results exact); the join
+/// then stands for the whole split's write, so that later consumers order
+/// after every chunk and not after one, while its task only has to follow
+/// the chunks' tasks. A marker touches nothing itself, and what follows a
+/// staged migration's second leg follows its first.
+#[derive(Clone, Copy, PartialEq)]
+enum Stamp {
+    AsStated,
+    Reader,
+    Writer,
+    Unrecorded,
+}
+
+impl Stamp {
+    fn writes(self, touch: &Access) -> bool {
+        match self {
+            Stamp::AsStated | Stamp::Unrecorded => touch.write,
+            Stamp::Reader => false,
+            Stamp::Writer => true,
+        }
+    }
+}
+
+/// Readers a buffer's time-plane frontier holds before the ones that have
+/// completed in virtual time are pruned.
+const STAMP_READERS_PRUNE: usize = 64;
 
 struct QueueInner {
     ctx: Context,
@@ -188,7 +238,7 @@ impl CommandQueue {
     /// backing engine event `ev`; recorded if it is live on return.
     fn submit_task(
         &self,
-        accesses: &[Access<'_>],
+        accesses: &[Access],
         wait_events: &[usize],
         ev: EventId,
         work: u64,
@@ -200,81 +250,62 @@ impl CommandQueue {
         self.record_task(self.plane().submit(order, work, run, owned));
     }
 
-    /// Submit one command on `device` with `extra_waits`. In-order queues
-    /// additionally chain after the queue's previous command; out-of-order
-    /// queues rely on the explicit waits alone. The wait list stays inline
-    /// (no heap allocation) for the common ≤4-dependency case.
+    /// The one time-plane sequence: consult → submit → record. Submit one
+    /// command on `device` that touches `touches` (seen through `stamp`)
+    /// and waits on `waits`. An in-order queue chains it after the queue's
+    /// previous command; an out-of-order queue *consults* the touched
+    /// buffers' frontiers instead and waits on their RAW / WAR / WAW
+    /// predecessors. Every queue then *records* the command in them, so
+    /// out-of-order commands elsewhere order after it. The wait list stays
+    /// inline (no heap allocation) for the common ≤4-dependency case.
+    #[allow(clippy::too_many_arguments)]
     fn submit(
         &self,
         engine: &mut Engine,
         device: DeviceId,
         kind: CommandKind,
         duration: SimDuration,
-        extra_waits: &[EventId],
+        mut waits: WaitList,
+        touches: &[Access],
+        stamp: Stamp,
     ) -> EventId {
-        let mut waits = WaitList::new();
-        if !self.is_out_of_order() {
-            if let Some(last) = *self.inner.last.lock() {
-                waits.push(last);
+        if self.is_out_of_order() {
+            for t in touches {
+                waits.extend(t.buf.inner.stamp_hazard.lock().predecessors(stamp.writes(t)));
             }
+        } else if let Some(last) = (*self.inner.last.lock()).filter(|l| !waits.contains(l)) {
+            waits.push(last);
         }
-        waits.extend(extra_waits.iter().copied());
         let id =
             engine.submit(CommandDesc { device, kind, duration, waits, queue: self.inner.qid });
+        if stamp != Stamp::Unrecorded {
+            for t in touches {
+                let mut h = t.buf.inner.stamp_hazard.lock();
+                h.record(id, stamp.writes(t));
+                if h.reader_count() >= STAMP_READERS_PRUNE {
+                    h.prune_readers(|&e| !engine.event_completed(e));
+                }
+            }
+        }
         *self.inner.last.lock() = Some(id);
         self.inner.outstanding.lock().push(id);
         id
     }
 
-    /// Record a timed command's completion event in `buf`'s time-plane
-    /// hazard state (see [`crate::buffer::StampHazard`]). Every queue
-    /// records; the reader list is pruned of virtually-completed events
-    /// once it grows.
-    fn stamp_record(engine: &Engine, buf: &Buffer, ev: EventId, write: bool) {
-        let mut h = buf.inner.stamp_hazard.lock();
-        if write {
-            h.writer = Some(ev);
-            h.readers.clear();
-        } else {
-            h.readers.push(ev);
-            if h.readers.len() >= 64 {
-                h.readers.retain(|&e| !engine.event_completed(e));
-            }
-        }
-    }
-
-    /// Collect the virtual-time hazard predecessors a command touching
-    /// `buf` must wait on — only consulted by out-of-order queues (in-order
-    /// queues get the same ordering from their implicit chain). Readers
-    /// wait on the last writer (RAW); writers additionally wait on every
-    /// reader since (WAR) and the writer itself (WAW).
-    fn stamp_consult(buf: &Buffer, write: bool, out: &mut Vec<EventId>) {
-        let h = buf.inner.stamp_hazard.lock();
-        if let Some(w) = h.writer {
-            out.push(w);
-        }
-        if write {
-            out.extend(h.readers.iter().copied());
-        }
-    }
-
     /// Insert the transfers needed to make `buf` valid on `dev`, updating
     /// residency. Returns the final transfer event, if any movement happened.
     ///
-    /// A migration is a *read* of the buffer's contents: on out-of-order
-    /// queues the first transfer waits on the buffer's time-plane writer
-    /// (the contents must be final before they move), and the final event
-    /// is recorded as a reader so later writers order after it.
+    /// A migration is a *read* of the buffer's contents in the time plane
+    /// (the contents must be final before they move, and later writers
+    /// order after the move) and has no data-plane task: the canonical
+    /// store is the host's.
     fn migrate_to(&self, engine: &mut Engine, buf: &Buffer, dev: DeviceId) -> Option<EventId> {
         let node = &self.inner.ctx.rt.node;
         let mut res = buf.inner.residency.lock();
         if res.valid_on(dev) {
             return None;
         }
-        let mut raw: Vec<EventId> = Vec::new();
-        if self.is_out_of_order() {
-            Self::stamp_consult(buf, false, &mut raw);
-        }
+        let touches = [Access::read(buf)];
         let bytes = buf.byte_len() as u64;
         // Never stage from a lost device: its copy engine is gone, and a
         // D2H issued there would fail instantly (corrupting the staged
@@ -287,15 +318,10 @@ impl CommandQueue {
                 res.host = true;
             }
         }
+        let h2d = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
         let ev = if res.host {
             let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let ev = self.submit(
-                engine,
-                dev,
-                CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
-                d,
-                &raw,
-            );
+            let ev = self.submit(engine, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated);
             res.devices.insert(dev);
             ev
         } else {
@@ -303,27 +329,17 @@ impl CommandQueue {
             // (cross-vendor D2D is unavailable, paper §V-C3).
             let owner =
                 *res.devices.iter().next().expect("buffer valid neither on host nor any device");
-            let d2h = node.topology.host_transfer_time(owner, bytes, &node.devices);
-            let ev1 = self.submit(
-                engine,
-                owner,
-                CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
-                d2h,
-                &raw,
-            );
-            let h2d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let ev2 = self.submit(
-                engine,
-                dev,
-                CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
-                h2d,
-                &[ev1],
-            );
+            let d = node.topology.host_transfer_time(owner, bytes, &node.devices);
+            let d2h = CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
+            let ev1 =
+                self.submit(engine, owner, d2h, d, WaitList::new(), &touches, Stamp::Unrecorded);
+            let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
+            let ev2 =
+                self.submit(engine, dev, h2d, d, WaitList::one(ev1), &touches, Stamp::AsStated);
             res.host = true;
             res.devices.insert(dev);
             ev2
         };
-        Self::stamp_record(engine, buf, ev, false);
         Some(ev)
     }
 
@@ -354,25 +370,17 @@ impl CommandQueue {
         let node = &self.inner.ctx.rt.node;
         let bytes = buf.byte_len() as u64;
         let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
-        let ev = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            // WAW/WAR in virtual time: the upload overwrites the contents,
-            // so on out-of-order queues it orders after the last writer and
-            // every outstanding reader of this buffer (and nothing else).
-            let mut hazards: Vec<EventId> = Vec::new();
-            if self.is_out_of_order() {
-                Self::stamp_consult(buf, true, &mut hazards);
-            }
-            let id = self.submit(
-                &mut engine,
-                dev,
-                CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
-                duration,
-                &hazards,
-            );
-            Self::stamp_record(&engine, buf, id, true);
-            id
-        };
+        // The upload overwrites the contents.
+        let touches = [Access::write(buf)];
+        let ev = self.submit(
+            &mut self.inner.ctx.rt.engine.lock(),
+            dev,
+            CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
+            duration,
+            WaitList::new(),
+            &touches,
+            Stamp::AsStated,
+        );
         // Data plane: the store update is a hazard-tracked task. A queued
         // write must stage the user's slice (the call may return before a
         // worker runs the copy, and OpenCL does not retain the host
@@ -380,7 +388,7 @@ impl CommandQueue {
         // unblocked write of any size is cheaper copied straight into the
         // store: it declares no work.
         self.submit_task(
-            &[Access::write(buf)],
+            &touches,
             &[],
             ev,
             0,
@@ -423,26 +431,22 @@ impl CommandQueue {
         // Data plane: register the host copy-out as a *manual* task before
         // blocking, so its RAW edge on the buffer's last writer is captured
         // in enqueue order and later writers gain a WAR edge on the read.
-        let bracket = self.plane().begin_manual(&[Access::read(buf)], self.chain_dep().as_slice());
+        let touches = [Access::read(buf)];
+        let bracket = self.plane().begin_manual(&touches, self.chain_dep().as_slice());
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
             let mig = self.migrate_to(&mut engine, buf, dev);
             let node = &self.inner.ctx.rt.node;
             let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let mut waits: Vec<EventId> = mig.into_iter().collect();
-            // RAW in virtual time: with no migration to chain behind, an
-            // out-of-order D2H must still wait for the producing command.
-            if self.is_out_of_order() && waits.is_empty() {
-                Self::stamp_consult(buf, false, &mut waits);
-            }
             let id = self.submit(
                 &mut engine,
                 dev,
                 CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
                 duration,
-                &waits,
+                mig.into_iter().collect(),
+                &touches,
+                Stamp::AsStated,
             );
-            Self::stamp_record(&engine, buf, id, false);
             engine.wait(id);
             id
         };
@@ -467,30 +471,21 @@ impl CommandQueue {
         }
         let dev = self.device();
         let bytes = src.byte_len() as u64;
+        let touches = [Access::read(src), Access::write(dst)];
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
             let mig = self.migrate_to(&mut engine, src, dev);
             let node = &self.inner.ctx.rt.node;
             let duration = node.topology.device_transfer_time(dev, dev, bytes, &node.devices);
-            let mut waits: Vec<EventId> = mig.into_iter().collect();
-            // Virtual-time hazards: the copy reads `src` (RAW, unless the
-            // migration already chained it) and writes `dst` (WAW + WAR).
-            if self.is_out_of_order() {
-                if waits.is_empty() {
-                    Self::stamp_consult(src, false, &mut waits);
-                }
-                Self::stamp_consult(dst, true, &mut waits);
-            }
-            let id = self.submit(
+            self.submit(
                 &mut engine,
                 dev,
                 CommandKind::Transfer { kind: TransferKind::DeviceToDevice, bytes },
                 duration,
-                &waits,
-            );
-            Self::stamp_record(&engine, src, id, false);
-            Self::stamp_record(&engine, dst, id, true);
-            id
+                mig.into_iter().collect(),
+                &touches,
+                Stamp::AsStated,
+            )
         };
         // Data plane: copy the canonical stores (a self-copy is a data-plane
         // no-op). The task locks both stores in canonical buffer-id order —
@@ -510,7 +505,7 @@ impl CommandQueue {
                 Duration::ZERO
             };
             self.submit_task(
-                &[Access::read(src), Access::write(dst)],
+                &touches,
                 &[],
                 ev,
                 bytes,
@@ -532,14 +527,14 @@ impl CommandQueue {
     /// every buffer argument must belong to this queue's context. Layers
     /// that buffer launches for a later flush call this at enqueue time, so
     /// a foreign object is a typed error there and never reaches the flush.
-    pub fn validate_launch(&self, kernel: &Kernel, args: &[ArgValue]) -> ClResult<()> {
+    pub fn validate_launch(&self, kernel: &Kernel, args: &BoundArgs) -> ClResult<()> {
         if kernel.ctx_id() != self.inner.ctx.id {
             return Err(ClError::InvalidContext(format!(
                 "kernel `{}` belongs to a different context",
                 kernel.name()
             )));
         }
-        args.iter().filter_map(ArgValue::buffer).try_for_each(|b| self.check_buffer(b))
+        args.touched().iter().try_for_each(|t| self.check_buffer(&t.buf))
     }
 
     /// The device-dependent half of launch validation: every buffer
@@ -547,17 +542,14 @@ impl CommandQueue {
     /// *now*. A layer that buffers launches for a queue it will not rebind
     /// calls this at enqueue time; one that picks the device later has to
     /// pick one the buffers fit.
-    pub fn check_capacity(&self, kernel: &Kernel, args: &[ArgValue]) -> ClResult<()> {
+    pub fn check_capacity(&self, kernel: &Kernel, args: &BoundArgs) -> ClResult<()> {
         let dev = self.device();
-        let capacity = self.inner.ctx.rt.node.spec(dev).mem_capacity;
-        for (i, b) in args.iter().enumerate().filter_map(|(i, a)| Some((i, a.buffer()?))) {
-            if b.byte_len() as u64 > capacity {
-                return Err(ClError::MemObjectAllocationFailure(format!(
-                    "kernel `{}` arg {i}: buffer of {} bytes exceeds device {dev} memory",
-                    kernel.name(),
-                    b.byte_len(),
-                )));
-            }
+        if args.max_buffer_bytes() > self.inner.ctx.rt.node.spec(dev).mem_capacity {
+            return Err(ClError::MemObjectAllocationFailure(format!(
+                "kernel `{}`: a buffer of {} bytes exceeds device {dev} memory",
+                kernel.name(),
+                args.max_buffer_bytes(),
+            )));
         }
         Ok(())
     }
@@ -586,7 +578,7 @@ impl CommandQueue {
         &self,
         kernel: &Kernel,
         nd: NdRange,
-        args: &[ArgValue],
+        args: &BoundArgs,
         waits: &[Event],
     ) -> ClResult<Event> {
         self.launch(kernel, nd, None, args, waits)
@@ -604,9 +596,9 @@ impl CommandQueue {
     ///
     /// Hazard and residency handling differ from a whole launch, because
     /// sibling chunks of one logical launch write *disjoint* sub-ranges:
-    /// the chunk records itself only as a time-plane **reader** of every
-    /// buffer argument (so sibling chunks never serialize against each
-    /// other), and written buffers' residency is left untouched. The caller
+    /// the chunk is a time-plane **reader** of every buffer it touches (so
+    /// sibling chunks never serialize against each other in virtual time),
+    /// and written buffers' residency is left untouched. The caller
     /// finalizes both via [`CommandQueue::enqueue_split_join`] once every
     /// chunk has been issued.
     pub fn enqueue_ndrange_chunk(
@@ -614,7 +606,7 @@ impl CommandQueue {
         kernel: &Kernel,
         chunk: NdRange,
         global_offset: [u64; 3],
-        args: &[ArgValue],
+        args: &BoundArgs,
         waits: &[Event],
     ) -> ClResult<Event> {
         self.launch(kernel, chunk, Some(global_offset), args, waits)
@@ -629,7 +621,7 @@ impl CommandQueue {
         kernel: &Kernel,
         nd: NdRange,
         chunk_offset: Option<[u64; 3]>,
-        args: &[ArgValue],
+        args: &BoundArgs,
         waits: &[Event],
     ) -> ClResult<Event> {
         self.validate_launch(kernel, args)?;
@@ -648,50 +640,32 @@ impl CommandQueue {
         let spec = self.inner.ctx.rt.node.spec(dev);
         let cost = kernel.cost();
         let duration = cost.kernel_time(spec, effective.shape());
-        // Shared by the time-plane hazard tracker and the data-plane
-        // executor below.
-        let accesses = launch_accesses(args);
+        // What the launch touches, for both planes.
+        let touches = args.touched();
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            let mut chain: Vec<EventId> = waits.iter().map(Event::raw).collect();
-            for a in args {
-                if let Some(b) = a.buffer() {
-                    if let Some(t) = self.migrate_to(&mut engine, b, dev) {
-                        chain.push(t);
-                    }
-                }
+            let mut chain: WaitList = waits.iter().map(Event::raw).collect();
+            // In first-touch order: the migrations' stamps depend on it.
+            for t in touches {
+                chain.extend(self.migrate_to(&mut engine, &t.buf, dev));
             }
-            // Virtual-time hazards (out-of-order queues only): wait on each
-            // argument's RAW/WAR/WAW predecessors instead of the chain. A
-            // chunk consults and records as a reader only — sibling chunks
-            // are mutually unordered.
-            if self.is_out_of_order() {
-                for u in &accesses {
-                    Self::stamp_consult(u.buf, u.write && whole, &mut chain);
-                }
-            }
-            let id = self.submit(
+            self.submit(
                 &mut engine,
                 dev,
                 CommandKind::Kernel { name: kernel.shared_name() },
                 duration,
-                &chain,
-            );
-            for u in &accesses {
-                Self::stamp_record(&engine, u.buf, id, u.write && whole);
-            }
-            id
+                chain,
+                touches,
+                if whole { Stamp::AsStated } else { Stamp::Reader },
+            )
         };
         // Data plane: run the body exactly once, outside the engine lock.
-        // Hazards come from the deduplicated buffer argument set; explicit
-        // event waits order the task after the tasks backing those events.
-        // A chunk's written buffers still take a write hazard (chunks
-        // serialize in wall-clock, not virtual time — they share the
-        // buffer's store lock anyway), keeping results exact.
+        // Explicit event waits order the task after the tasks backing those
+        // events.
         let global_offset = chunk_offset.unwrap_or_default();
         // The context — and the store locks it holds — goes with the body;
         // the device time the body declared outlives both.
-        let execute = move |body: &dyn KernelBody, args: &[ArgValue]| {
+        let execute = move |body: &dyn KernelBody, args: &BoundArgs| {
             let mut ctx = KernelCtx::with_offset(effective, dev, global_offset, args);
             body.execute(&mut ctx);
             ctx.device_time()
@@ -701,27 +675,24 @@ impl CommandQueue {
         let work = effective.global_items() as f64 * cost.flops_per_item.max(cost.bytes_per_item);
         let wait_events: Vec<usize> = waits.iter().map(|e| e.raw().0).collect();
         self.submit_task(
-            &accesses,
+            touches,
             &wait_events,
             ev,
             work as u64,
             || execute(&**kernel.body(), args),
             || {
-                let (body, args) = (Arc::clone(kernel.body()), args.to_vec());
+                let (body, args) = (Arc::clone(kernel.body()), args.clone());
                 Box::new(move || execute(&*body, &args))
             },
         );
         // Residency: written buffers are now valid only on this device. A
         // chunk leaves residency to `enqueue_split_join`.
         if whole {
-            for a in args {
-                if a.is_mutable_buffer() {
-                    let b = a.buffer().expect("mutable arg has a buffer");
-                    let mut res = b.inner.residency.lock();
-                    res.devices.clear();
-                    res.devices.insert(dev);
-                    res.host = false;
-                }
+            for t in touches.iter().filter(|t| t.write) {
+                let mut res = t.buf.inner.residency.lock();
+                res.devices.clear();
+                res.devices.insert(dev);
+                res.host = false;
             }
         }
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
@@ -738,15 +709,15 @@ impl CommandQueue {
         let mut engine = self.inner.ctx.rt.engine.lock();
         let node = &self.inner.ctx.rt.node;
         let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
-        let chain: Vec<EventId> = waits.iter().map(Event::raw).collect();
         let id = self.submit(
             &mut engine,
             dev,
             CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
             duration,
-            &chain,
+            waits.iter().map(Event::raw).collect(),
+            &[Access::read(buf)],
+            Stamp::AsStated,
         );
-        Self::stamp_record(&engine, buf, id, false);
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), id))
     }
 
@@ -757,24 +728,24 @@ impl CommandQueue {
     /// one chunk) and its contents are declared valid on the host alone —
     /// the reassembled result of the gathers.
     pub fn enqueue_split_join(&self, waits: &[Event], written: &[Buffer]) -> Event {
-        let id = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let dev = self.device();
-            let chain: Vec<EventId> = waits.iter().map(Event::raw).collect();
-            let id = self.submit(&mut engine, dev, CommandKind::Marker, SimDuration::ZERO, &chain);
-            for b in written {
-                Self::stamp_record(&engine, b, id, true);
-            }
-            id
-        };
+        // Stated as the data plane sees it: a no-op task ordered after
+        // every chunk's write hazard, so the home queue's chain observes the
+        // completed split.
+        let touches: Vec<Access> = written.iter().map(Access::read).collect();
+        let id = self.submit(
+            &mut self.inner.ctx.rt.engine.lock(),
+            self.device(),
+            CommandKind::Marker,
+            SimDuration::ZERO,
+            waits.iter().map(Event::raw).collect(),
+            &touches,
+            Stamp::Writer,
+        );
         for b in written {
             b.mark_host_only();
         }
-        // Data plane: a no-op task ordered after every chunk's write hazard,
-        // so the home queue's chain observes the completed split.
-        let accesses: Vec<Access<'_>> = written.iter().map(Access::read).collect();
         let nop = || Duration::ZERO;
-        self.submit_task(&accesses, &[], id, 0, nop, || Box::new(nop));
+        self.submit_task(&touches, &[], id, 0, nop, || Box::new(nop));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 
@@ -802,39 +773,27 @@ impl CommandQueue {
     /// *another* queue of the same out-of-order batch is waited for. An
     /// in-order home queue waits on nothing extra: like a whole launch
     /// there, it is ordered by its queue's chain alone.
-    pub fn enqueue_split_start(&self, args: &[ArgValue]) -> Event {
-        self.barrier_after(args)
+    pub fn enqueue_split_start(&self, args: &BoundArgs) -> Event {
+        self.barrier_after(args.touched())
     }
 
     /// The one barrier body: a marker after everything outstanding on this
-    /// queue and, on an out-of-order queue, after the stamp-hazard
-    /// predecessors of a launch binding `args`.
-    fn barrier_after(&self, args: &[ArgValue]) -> Event {
+    /// queue and, on an out-of-order queue, after the time-plane hazard
+    /// predecessors of a command touching `touches` — consulted, never
+    /// recorded: the marker touches nothing itself.
+    fn barrier_after(&self, touches: &[Access]) -> Event {
         let id = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            let dev = self.device();
-            let mut waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
-            if self.is_out_of_order() {
-                for a in launch_accesses(args) {
-                    Self::stamp_consult(a.buf, a.write, &mut waits);
-                }
-            }
-            let mut all_waits: WaitList = waits.into();
-            if let Some(last) = *self.inner.last.lock() {
-                if !all_waits.as_slice().contains(&last) {
-                    all_waits.push(last);
-                }
-            }
-            let id = engine.submit(CommandDesc {
-                device: dev,
-                kind: CommandKind::Marker,
-                duration: SimDuration::ZERO,
-                waits: all_waits,
-                queue: self.inner.qid,
-            });
-            *self.inner.last.lock() = Some(id);
-            self.inner.outstanding.lock().push(id);
-            id
+            let waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
+            self.submit(
+                &mut engine,
+                self.device(),
+                CommandKind::Marker,
+                SimDuration::ZERO,
+                waits.into(),
+                touches,
+                Stamp::Unrecorded,
+            )
         };
         // Data plane: a no-op task ordered after everything outstanding on
         // this queue. Subsequent commands chain after it (in-order) or wait
@@ -880,25 +839,6 @@ impl CommandQueue {
     }
 }
 
-/// The deduplicated buffer accesses of one launch's arguments: a buffer
-/// passed both mutably and immutably counts as a write.
-fn launch_accesses(args: &[ArgValue]) -> Vec<Access<'_>> {
-    let mut accesses: Vec<Access<'_>> = Vec::with_capacity(args.len());
-    for a in args {
-        if let Some(b) = a.buffer() {
-            match accesses.iter_mut().find(|u| u.buf.same_object(b)) {
-                Some(u) => u.write |= a.is_mutable_buffer(),
-                None => accesses.push(if a.is_mutable_buffer() {
-                    Access::write(b)
-                } else {
-                    Access::read(b)
-                }),
-            }
-        }
-    }
-    accesses
-}
-
 impl std::fmt::Debug for CommandQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "CommandQueue(qid={}, device={})", self.inner.qid, self.device())
@@ -908,7 +848,7 @@ impl std::fmt::Debug for CommandQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelBody;
+    use crate::kernel::{ArgValue, KernelBody};
     use crate::Platform;
     use hwsim::KernelCostSpec;
 

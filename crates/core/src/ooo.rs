@@ -21,7 +21,9 @@
 //! so `AUTO_FIT` sees the benefit of transfer/compute overlap when placing
 //! out-of-order queues.
 
+use clrt::hazard::Frontier;
 use hwsim::SimDuration;
+use std::collections::HashMap;
 
 /// One schedulable command of an epoch batch, as the reorderer sees it:
 /// its hazard sets (distinct buffer ids) and its estimated time on each
@@ -39,41 +41,23 @@ pub struct BatchCmd {
     pub kernel: SimDuration,
 }
 
-/// Hazard edges `(i, j)` (`i` must precede `j`, `i < j`) of a batch, from
-/// the classic dependence classes over the commands' buffer sets:
-///
-/// * **RAW** — a reader depends on the buffer's last writer,
-/// * **WAR** — a writer depends on every reader since the last write,
-/// * **WAW** — a writer depends on the last writer.
+/// Hazard edges `(i, j)` (`i` must precede `j`, `i < j`) of a batch: the
+/// RAW / WAR / WAW predecessors ([`Frontier::predecessors`]) of every
+/// command over the commands' buffer sets, a command being its position in
+/// the batch.
 ///
 /// Edges are deduplicated and returned sorted by `(i, j)`.
 pub fn hazard_edges(cmds: &[BatchCmd]) -> Vec<(usize, usize)> {
-    struct BufState {
-        last_writer: Option<usize>,
-        readers: Vec<usize>,
-    }
-    let mut state: std::collections::HashMap<u64, BufState> = std::collections::HashMap::new();
+    let mut frontiers: HashMap<u64, Frontier<usize>> = HashMap::new();
     let mut edges: Vec<(usize, usize)> = Vec::new();
     for (j, cmd) in cmds.iter().enumerate() {
-        for &b in &cmd.reads {
-            let s = state.entry(b).or_insert(BufState { last_writer: None, readers: Vec::new() });
-            if let Some(w) = s.last_writer {
-                edges.push((w, j));
-            }
-            s.readers.push(j);
-        }
-        for &b in &cmd.writes {
-            let s = state.entry(b).or_insert(BufState { last_writer: None, readers: Vec::new() });
-            if let Some(w) = s.last_writer {
-                edges.push((w, j));
-            }
-            // A command that reads and writes the same buffer registered
-            // itself as a reader above — no self-edge.
-            for &r in s.readers.iter().filter(|&&r| r != j) {
-                edges.push((r, j));
-            }
-            s.last_writer = Some(j);
-            s.readers.clear();
+        let reads = cmd.reads.iter().map(|&b| (b, false));
+        for (b, write) in reads.chain(cmd.writes.iter().map(|&b| (b, true))) {
+            let f = frontiers.entry(b).or_default();
+            // A command that reads and writes the same buffer has recorded
+            // itself as a reader by the time it writes — no self-edge.
+            edges.extend(f.predecessors(write).filter(|&i| i != j).map(|i| (i, j)));
+            f.record(j, write);
         }
     }
     edges.sort_unstable();

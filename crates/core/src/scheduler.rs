@@ -34,7 +34,7 @@ use crate::telemetry::event::{QueueDecision, SchedEvent};
 use crate::telemetry::{SchedObserver, StderrSink};
 use clrt::error::{ClError, ClResult};
 use clrt::{
-    ArgValue, Buffer, CommandQueue, Context, Event, Kernel, KernelBody, NdRange, Platform, Program,
+    BoundArgs, Buffer, CommandQueue, Context, Event, Kernel, KernelBody, NdRange, Platform, Program,
 };
 use hwsim::cost::{KernelCostSpec, NdRangeShape};
 use hwsim::engine::{CommandDesc, CommandKind, Engine};
@@ -215,7 +215,7 @@ pub enum DeviceHealth {
 struct PendingKernel {
     kernel: Kernel,
     nd: NdRange,
-    args: Vec<ArgValue>,
+    args: BoundArgs,
 }
 
 struct QueueState {
@@ -754,7 +754,7 @@ impl RtInner {
             .map(|q| {
                 let bound = q.rr_bound.swap(true, Ordering::Relaxed);
                 let current = q.cl.device();
-                let bindable = pass.bindable(largest_buffer(&q.pending.lock()));
+                let bindable = pass.bindable(Pass::need(&q.pending.lock()));
                 // A binding is kept while the queue may stay there — which,
                 // with nothing left to recover onto, includes a lost device
                 // that holds its buffers: the commands fail with a typed
@@ -831,7 +831,7 @@ impl RtInner {
         // assignment is moot, the commands all fail with a typed status, and
         // an all-sentinel matrix would only distort the explain records.
         for (row, q) in state.costs.iter_mut().zip(pool) {
-            let bindable = pass.bindable(largest_buffer(&q.pending.lock()));
+            let bindable = pass.bindable(Pass::need(&q.pending.lock()));
             for (di, c) in row.iter_mut().enumerate() {
                 if !bindable(di) {
                     *c = mapper::UNAVAILABLE_COST;
@@ -916,7 +916,7 @@ impl RtInner {
             for q in pool {
                 for p in q.pending.lock().iter() {
                     if !index.contains_key(p.kernel.name()) {
-                        let snapshot = (p.kernel.clone(), p.nd, pending_arg_bytes(p));
+                        let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
                         index.insert(p.kernel.name().to_string(), snapshot);
                     }
                 }
@@ -1208,14 +1208,13 @@ impl RtInner {
             .enumerate()
             .map(|(i, p)| {
                 let dev = device_of(i);
-                let (reads, writes) = pending_access_sets(p);
                 let kernel = p
                     .kernel
                     .cost()
                     .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape());
                 let transfer =
                     self.first_touch_transfer(p, dev, staged.entry(dev.index()).or_default());
-                ooo::BatchCmd { reads, writes, transfer, kernel }
+                batch_cmd(p, transfer, kernel)
             })
             .collect();
         ooo::johnson_order(&batch, &ooo::hazard_edges(&batch))
@@ -1240,7 +1239,7 @@ impl RtInner {
         delta: &mut SchedStats,
     ) -> bool {
         let (epoch, devices) = (pass.epoch, &pass.devices);
-        let need = largest_buffer(std::slice::from_ref(p));
+        let need = p.args.max_buffer_bytes();
         let eligible = |di: usize| pass.eligible(di, need);
         if !p.kernel.splittable() || (0..devices.len()).filter(|&di| eligible(di)).count() < 2 {
             return false;
@@ -1305,17 +1304,10 @@ impl RtInner {
             at: self.platform.now(),
         });
         delta.kernels_split += 1;
-        // Written buffers (dedup'd): gathered per chunk, finalized by the
-        // join marker on the home queue.
-        let mut written: Vec<Buffer> = Vec::new();
-        for a in &p.args {
-            if a.is_mutable_buffer() {
-                let b = a.buffer().expect("mutable arg has a buffer");
-                if !written.iter().any(|w| w.same_object(b)) {
-                    written.push(b.clone());
-                }
-            }
-        }
+        // Written buffers: gathered per chunk, finalized by the join
+        // marker on the home queue.
+        let written: Vec<Buffer> =
+            p.args.touched().iter().filter(|t| t.write).map(|t| t.buf.clone()).collect();
         // The marker is the tail of the home queue's prior work: every
         // chunk orders after it, so the split inherits the queue's program
         // order without serializing against its siblings.
@@ -1450,7 +1442,7 @@ impl RtInner {
         // from the model; the rest stay on the profiling path below.
         // Forced iterative re-profiles always measure — that is their
         // §V-C1 contract.
-        let need = largest_buffer(pending);
+        let need = Pass::need(pending);
         let missing =
             if force { missing } else { self.predict_missing(missing, pass, need, delta) };
         if !missing.is_empty() {
@@ -1506,7 +1498,7 @@ impl RtInner {
             for p in missing {
                 let name = p.kernel.name();
                 let cost = p.kernel.cost();
-                let arg_bytes = pending_arg_bytes(p);
+                let arg_bytes = p.args.buffer_bytes();
                 let mut row = vec![SimDuration::ZERO; devices.len()];
                 let mut max_uncertainty: f64 = 0.0;
                 let mut min_samples = u64::MAX;
@@ -1665,8 +1657,10 @@ impl RtInner {
         // real data).
         let mut buffers: Vec<Buffer> = Vec::new();
         let mut seen: Vec<u64> = Vec::new();
-        for p in pending {
-            buffers.extend(first_touched(p, &mut seen).cloned());
+        for t in pending.iter().flat_map(|p| p.args.touched()) {
+            if first_seen(&mut seen, &t.buf) {
+                buffers.push(t.buf.clone());
+            }
         }
         let kernel_rows = self.platform.with_engine(|engine| {
             let prev_tag = engine.tag().map(str::to_owned);
@@ -1789,9 +1783,9 @@ impl RtInner {
     fn pending_nonresident_bytes(&self, pending: &[PendingKernel], dev: DeviceId) -> u64 {
         let mut seen: Vec<u64> = Vec::new();
         let mut total = 0;
-        for p in pending {
-            for b in first_touched(p, &mut seen).filter(|b| !b.residency().valid_on(dev)) {
-                total += b.byte_len() as u64;
+        for t in pending.iter().flat_map(|p| p.args.touched()) {
+            if first_seen(&mut seen, &t.buf) && !t.buf.residency().valid_on(dev) {
+                total += t.buf.byte_len() as u64;
             }
         }
         total
@@ -1820,25 +1814,23 @@ impl RtInner {
         // Explicit-region queues amortize migrations over the rest of the
         // program (see `migration_vec`), so their copy lane is free here.
         let explicit = q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
+        // The hazard sets are the same on every device; the lane times and
+        // the first-touch list are refilled per device.
+        let mut cmds: Vec<ooo::BatchCmd> =
+            pending.iter().map(|p| batch_cmd(p, SimDuration::ZERO, SimDuration::ZERO)).collect();
+        let mut staged: Vec<u64> = Vec::new();
         Some(
             devices
                 .iter()
                 .enumerate()
                 .map(|(di, &dev)| {
-                    let mut staged: Vec<u64> = Vec::new();
-                    let cmds: Vec<ooo::BatchCmd> = pending
-                        .iter()
-                        .zip(&rows)
-                        .map(|(p, row)| {
-                            let (reads, writes) = pending_access_sets(p);
-                            let transfer = if explicit {
-                                SimDuration::ZERO
-                            } else {
-                                self.first_touch_transfer(p, dev, &mut staged)
-                            };
-                            ooo::BatchCmd { reads, writes, transfer, kernel: row[di] }
-                        })
-                        .collect();
+                    staged.clear();
+                    for ((cmd, p), row) in cmds.iter_mut().zip(pending).zip(&rows) {
+                        cmd.kernel = row[di];
+                        if !explicit {
+                            cmd.transfer = self.first_touch_transfer(p, dev, &mut staged);
+                        }
+                    }
                     ooo::overlap_makespan(&cmds)
                 })
                 .collect(),
@@ -1857,7 +1849,7 @@ impl RtInner {
         staged: &mut Vec<u64>,
     ) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for b in first_touched(p, staged) {
+        for b in p.args.touched().iter().map(|t| &t.buf).filter(|b| first_seen(staged, b)) {
             let bytes = b.byte_len() as u64;
             total += b.with_residency(|res| {
                 if res.valid_on(dev) {
@@ -1875,41 +1867,22 @@ impl RtInner {
     }
 }
 
-/// The distinct buffers `p` binds whose ids `seen` does not hold yet —
-/// each buffer's first touch in a walk over one or more launches — adding
-/// them to `seen` as they are yielded.
-fn first_touched<'a>(
-    p: &'a PendingKernel,
-    seen: &'a mut Vec<u64>,
-) -> impl Iterator<Item = &'a Buffer> + 'a {
-    p.args.iter().filter_map(ArgValue::buffer).filter(move |b| {
-        let first = !seen.contains(&b.id());
-        if first {
-            seen.push(b.id());
-        }
-        first
-    })
+/// Whether a walk over one or more launches' access sets touches `buf` for
+/// the first time (`seen` is the walk's bookkeeping).
+fn first_seen(seen: &mut Vec<u64>, buf: &Buffer) -> bool {
+    let first = !seen.contains(&buf.id());
+    if first {
+        seen.push(buf.id());
+    }
+    first
 }
 
-/// Distinct buffer ids a pending launch reads and writes (write bindings
-/// win: a buffer bound both ways counts as written). The hazard sets the
-/// batch reorderer builds its DAG from.
-fn pending_access_sets(p: &PendingKernel) -> (Vec<u64>, Vec<u64>) {
-    let mut reads: Vec<u64> = Vec::new();
-    let mut writes: Vec<u64> = Vec::new();
-    for a in &p.args {
-        let Some(b) = a.buffer() else { continue };
-        let id = b.id();
-        if a.is_mutable_buffer() {
-            if !writes.contains(&id) {
-                writes.push(id);
-            }
-        } else if !reads.contains(&id) {
-            reads.push(id);
-        }
-    }
-    reads.retain(|id| !writes.contains(id));
-    (reads, writes)
+/// A pending launch as the batch reorderer sees it: the buffer ids of its
+/// access set as hazard sets, and its estimated time on the two lanes.
+fn batch_cmd(p: &PendingKernel, transfer: SimDuration, kernel: SimDuration) -> ooo::BatchCmd {
+    let ids =
+        |write| p.args.touched().iter().filter(|t| t.write == write).map(|t| t.buf.id()).collect();
+    ooo::BatchCmd { reads: ids(false), writes: ids(true), transfer, kernel }
 }
 
 /// Per-device cost terms for one queue's pending epoch, as the mapper sees
@@ -1980,8 +1953,15 @@ impl Pass {
         self.index_of(dev).is_some_and(|i| self.lost[i])
     }
 
+    /// Bytes of the largest buffer `pending` binds — what a device must hold
+    /// to run these launches (`CommandQueue::launch` checks the same figure
+    /// against the device's memory on its own).
+    fn need(pending: &[PendingKernel]) -> u64 {
+        pending.iter().map(|p| p.args.max_buffer_bytes()).max().unwrap_or(0)
+    }
+
     /// Whether device `di` is eligible for a queue whose pending launches
-    /// bind buffers of up to `need` bytes ([`largest_buffer`]): it is not
+    /// bind buffers of up to `need` bytes ([`Pass::need`]): it is not
     /// lost *and* holds every one of them. `Context::create_buffer` admits
     /// a buffer that fits the context's largest device, so fitting one
     /// device says nothing about the next.
@@ -2001,14 +1981,6 @@ impl Pass {
     }
 }
 
-/// Bytes of the largest buffer `pending` binds — what a device must hold to
-/// run these launches (`CommandQueue::launch` checks each buffer argument
-/// against the device's memory on its own).
-fn largest_buffer(pending: &[PendingKernel]) -> u64 {
-    let buffers = pending.iter().flat_map(|p| p.args.iter().filter_map(ArgValue::buffer));
-    buffers.map(|b| b.byte_len() as u64).max().unwrap_or(0)
-}
-
 /// Outcome of a pass's assign phase.
 struct Assignment {
     /// The device each pool queue flushes to (pool order).
@@ -2018,12 +1990,6 @@ struct Assignment {
     predicted: Option<SimDuration>,
     /// Virtual time the phase spent obtaining cost vectors.
     profiling: SimDuration,
-}
-
-/// Total bytes of the distinct buffers a pending launch binds — the
-/// predictor's transfer-footprint feature.
-fn pending_arg_bytes(p: &PendingKernel) -> u64 {
-    first_touched(p, &mut Vec::new()).map(|b| b.byte_len() as u64).sum()
 }
 
 /// Build the epoch cache key: the multiset of kernel names (§V-C1, "the key
