@@ -139,8 +139,10 @@ impl std::ops::Deref for BoundArgs {
 /// The computation + cost description of a kernel function.
 ///
 /// `execute` runs exactly once per application launch, against host-backed
-/// storage, with geometry available through the [`KernelCtx`]. Implementors
-/// are expected to parallelize internally (e.g. with rayon) when profitable.
+/// storage, with geometry available through the [`KernelCtx`], on the
+/// data-plane thread that took the launch's task. A body spawns no threads of
+/// its own: the data plane is the only source of host threads, and width
+/// comes from independent queues and split chunks.
 pub trait KernelBody: Send + Sync {
     /// Kernel function name (unique within its program).
     fn name(&self) -> &str;

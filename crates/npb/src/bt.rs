@@ -13,7 +13,7 @@
 //! device-specific launch configurations via `clSetKernelWorkGroupInfo`.
 
 use crate::class::Class;
-use crate::math::{block_tridiag_solve, Block5, Vec5};
+use crate::math::{block_tridiag_solve, cell, face_laplacian, lines, Block5, Vec5};
 use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
 use clrt::error::ClResult;
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
@@ -41,22 +41,12 @@ pub fn grid_size(class: Class) -> usize {
     }
 }
 
-#[inline]
-fn cell(i: usize, j: usize, k: usize, nx: usize, ny: usize) -> usize {
-    ((k * ny + j) * nx + i) * 5
-}
-
 /// The state-dependent coupling block `C(u)`: bounded entries derived from
 /// the five conserved variables at a cell.
 fn coupling(u: &[f64]) -> Block5 {
-    let mut c = [[0.0; 5]; 5];
-    for (r, row) in c.iter_mut().enumerate() {
-        for (s, v) in row.iter_mut().enumerate() {
-            let w = u[(r + s) % 5];
-            *v = EPS * w / (1.0 + w.abs());
-        }
-    }
-    c
+    // Entry (r, s) is a function of u[(r + s) mod 5]: five distinct values.
+    let w: Vec5 = std::array::from_fn(|k| EPS * u[k] / (1.0 + u[k].abs()));
+    std::array::from_fn(|r| std::array::from_fn(|s| w[(r + s) % 5]))
 }
 
 /// Diagonal block `D(u) = (1+2θ)·I + C(u)`.
@@ -81,57 +71,24 @@ fn off_block(u: &[f64]) -> Block5 {
 /// transforming `rhs` in place. Shared by the kernel bodies and the
 /// host-side verification.
 pub fn sweep_axis(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize), axis: usize) {
-    let (nx, ny, nz) = dims;
-    let len = [nx, ny, nz][axis];
-    // Enumerate the lines orthogonal to `axis`.
-    let (da, db) = match axis {
-        0 => (ny, nz),
-        1 => (nx, nz),
-        _ => (nx, ny),
-    };
-    let index = |line_a: usize, line_b: usize, t: usize| -> usize {
-        match axis {
-            0 => cell(t, line_a, line_b, nx, ny),
-            1 => cell(line_a, t, line_b, nx, ny),
-            _ => cell(line_a, line_b, t, nx, ny),
-        }
-    };
-    // One parallel task per (a,b) line; lines are independent.
-    let lines: Vec<(usize, usize)> = (0..db).flat_map(|b| (0..da).map(move |a| (a, b))).collect();
-    // rhs is written per line at disjoint offsets; split through a raw
-    // pointer wrapper would be overkill — gather/solve/scatter per line.
-    let solutions: Vec<((usize, usize), Vec<Vec5>)> = crate::par::par_map(&lines, |&(a, b)| {
-        let mut lower: Vec<Block5> = Vec::with_capacity(len);
-        let mut diag: Vec<Block5> = Vec::with_capacity(len);
-        let mut upper: Vec<Block5> = Vec::with_capacity(len);
-        let mut line_rhs: Vec<Vec5> = Vec::with_capacity(len);
+    let (len, stride, starts) = lines(dims, axis);
+    // One line's blocks and right-hand side, refilled for every line: a line
+    // reads and writes only its own cells of `rhs`, so its solution goes
+    // straight back.
+    const ZERO: Block5 = [[0.0; 5]; 5];
+    let [mut lower, mut diag, mut upper] = [(); 3].map(|()| vec![ZERO; len]);
+    let mut line_rhs: Vec<Vec5> = vec![[0.0; 5]; len];
+    for first in starts {
+        let at = |t: usize| first + t * stride..first + t * stride + 5;
         for t in 0..len {
-            let c = index(a, b, t);
-            let uc = &u[c..c + 5];
-            diag.push(diag_block(uc));
-            lower.push(if t == 0 {
-                [[0.0; 5]; 5]
-            } else {
-                let cp = index(a, b, t - 1);
-                off_block(&u[cp..cp + 5])
-            });
-            upper.push(if t + 1 == len {
-                [[0.0; 5]; 5]
-            } else {
-                let cn = index(a, b, t + 1);
-                off_block(&u[cn..cn + 5])
-            });
-            let mut r = [0.0; 5];
-            r.copy_from_slice(&rhs[c..c + 5]);
-            line_rhs.push(r);
+            diag[t] = diag_block(&u[at(t)]);
+            lower[t] = if t == 0 { ZERO } else { off_block(&u[at(t - 1)]) };
+            upper[t] = if t + 1 == len { ZERO } else { off_block(&u[at(t + 1)]) };
+            line_rhs[t].copy_from_slice(&rhs[at(t)]);
         }
         block_tridiag_solve(&lower, &mut diag, &mut upper, &mut line_rhs);
-        ((a, b), line_rhs)
-    });
-    for ((a, b), line) in solutions {
-        for (t, v) in line.iter().enumerate() {
-            let c = index(a, b, t);
-            rhs[c..c + 5].copy_from_slice(v);
+        for (t, v) in line_rhs.iter().enumerate() {
+            rhs[at(t)].copy_from_slice(v);
         }
     }
 }
@@ -139,36 +96,7 @@ pub fn sweep_axis(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize), axis:
 /// Host reference for the RHS: `rhs = dt·(face-neighbor Laplacian of u)`,
 /// reflective boundaries.
 pub fn compute_rhs_host(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize)) {
-    let (nx, ny, nz) = dims;
-    let clamp = |v: i64, n: usize| -> usize { v.clamp(0, n as i64 - 1) as usize };
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx {
-                let c = cell(i, j, k, nx, ny);
-                for comp in 0..5 {
-                    let mut acc = -6.0 * u[c + comp];
-                    for (di, dj, dk) in [
-                        (-1i64, 0i64, 0i64),
-                        (1, 0, 0),
-                        (0, -1, 0),
-                        (0, 1, 0),
-                        (0, 0, -1),
-                        (0, 0, 1),
-                    ] {
-                        let n = cell(
-                            clamp(i as i64 + di, nx),
-                            clamp(j as i64 + dj, ny),
-                            clamp(k as i64 + dk, nz),
-                            nx,
-                            ny,
-                        );
-                        acc += u[n + comp];
-                    }
-                    rhs[c + comp] = DT * acc;
-                }
-            }
-        }
-    }
+    face_laplacian(u, rhs, dims, DT);
 }
 
 fn rhs_traits() -> KernelTraits {
@@ -520,6 +448,52 @@ mod tests {
         let mut app = BtApp::new(&c, Class::A, 1, &QueuePlan::Auto).unwrap();
         app.run().unwrap();
         assert_eq!(app.queues[0].device(), p.node().cpu().unwrap());
+    }
+
+    #[test]
+    fn sweep_in_place_equals_every_line_solved_from_copies() {
+        // `verify` only bounds the state and `reference_state` shares
+        // `sweep_axis` with the kernels; this check shares nothing with it:
+        // each line's block-tridiagonal system is written out densely from
+        // the scheme's definition and solved by elimination.
+        let dims = (4, 3, 5);
+        let n = 4 * 3 * 5 * 5;
+        let u: Vec<f64> = (0..n).map(|i| 1.0 + 0.3 * (i as f64 * 0.37).sin()).collect();
+        let rhs0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let at = |i: usize, j: usize, k: usize| ((k * 3 + j) * 4 + i) * 5;
+        // Block (r, s) entry of `shift·I + C(u at cell c)`.
+        let entry = |c: usize, shift: f64, r: usize, s: usize| {
+            let w = u[c + (r + s) % 5];
+            EPS * w / (1.0 + w.abs()) + if r == s { shift } else { 0.0 }
+        };
+        for axis in 0..3 {
+            let mut rhs = rhs0.clone();
+            sweep_axis(&u, &mut rhs, dims, axis);
+            let len = [4, 3, 5][axis];
+            let (da, db) = [(3, 5), (4, 5), (4, 3)][axis];
+            for (a, b) in (0..db).flat_map(|b| (0..da).map(move |a| (a, b))) {
+                let line: Vec<usize> =
+                    (0..len).map(|t| [at(t, a, b), at(a, t, b), at(a, b, t)][axis]).collect();
+                let mut m = vec![vec![0.0; 5 * len]; 5 * len];
+                for (t, r, s) in (0..len).flat_map(|t| (0..25).map(move |e| (t, e / 5, e % 5))) {
+                    m[5 * t + r][5 * t + s] = entry(line[t], 1.0 + 2.0 * THETA, r, s);
+                    if t > 0 {
+                        m[5 * t + r][5 * (t - 1) + s] = entry(line[t - 1], -THETA, r, s);
+                    }
+                    if t + 1 < len {
+                        m[5 * t + r][5 * (t + 1) + s] = entry(line[t + 1], -THETA, r, s);
+                    }
+                }
+                let d = line.iter().flat_map(|&c| rhs0[c..c + 5].to_vec()).collect();
+                let want = crate::math::tests::dense_solve(m, d);
+                for (t, &c) in line.iter().enumerate() {
+                    for comp in 0..5 {
+                        let (got, want) = (rhs[c + comp], want[5 * t + comp]);
+                        assert!((got - want).abs() < 1e-12, "axis {axis} line ({a},{b}): {got}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

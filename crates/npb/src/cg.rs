@@ -55,8 +55,8 @@ pub struct Csr {
 /// `A = shift·I + B + Bᵀ` with `ROW_NNZ` random entries per row of `B`.
 pub fn make_matrix(n: usize, seed: u64) -> Csr {
     let mut rng = RanDp::new(seed);
-    // Collect symmetric entries in a per-row map.
-    let mut rows: Vec<std::collections::BTreeMap<u32, f64>> = vec![Default::default(); n];
+    // Every sample lands at (i, j) and (j, i).
+    let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(2 * ROW_NNZ * n);
     for i in 0..n {
         for _ in 0..ROW_NNZ {
             let j = (rng.next_f64() * n as f64) as usize % n;
@@ -64,31 +64,36 @@ pub fn make_matrix(n: usize, seed: u64) -> Csr {
                 continue;
             }
             let v = 0.2 * (rng.next_f64() - 0.5);
-            *rows[i].entry(j as u32).or_insert(0.0) += v;
-            *rows[j].entry(i as u32).or_insert(0.0) += v;
+            entries.push((i as u32, j as u32, v));
+            entries.push((j as u32, i as u32, v));
         }
     }
-    // Diagonal dominance: diag = shift + sum |off-diag| per row.
+    // Row-major order; the sort is stable, so samples that hit one position
+    // stay in the order they were drawn and sum to the same bits.
+    entries.sort_by_key(|&(i, j, _)| (i, j));
     let mut rowptr = Vec::with_capacity(n + 1);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
+    let mut cols: Vec<u32> = Vec::with_capacity(entries.len() + n);
+    let mut vals: Vec<f64> = Vec::with_capacity(entries.len() + n);
     rowptr.push(0u32);
-    for (i, row) in rows.iter().enumerate() {
-        let offsum: f64 = row.values().map(|v| v.abs()).sum();
-        let mut inserted_diag = false;
-        for (&j, &v) in row.iter() {
-            if j as usize > i && !inserted_diag {
-                cols.push(i as u32);
-                vals.push(1.0 + offsum);
-                inserted_diag = true;
+    let mut rest = entries.as_slice();
+    for i in 0..n as u32 {
+        let (row, tail) = rest.split_at(rest.partition_point(|e| e.0 == i));
+        rest = tail;
+        let first = cols.len();
+        for &(_, j, v) in row {
+            if cols.len() > first && cols.last() == Some(&j) {
+                vals[cols.len() - 1] += v;
+            } else {
+                cols.push(j);
+                vals.push(v);
             }
-            cols.push(j);
-            vals.push(v);
         }
-        if !inserted_diag {
-            cols.push(i as u32);
-            vals.push(1.0 + offsum);
-        }
+        // Diagonal dominance: diag = shift + sum |off-diag| of the row, kept
+        // in column order.
+        let offsum: f64 = vals[first..].iter().map(|v| v.abs()).sum();
+        let at = first + cols[first..].partition_point(|&j| j < i);
+        cols.insert(at, i);
+        vals.insert(at, 1.0 + offsum);
         rowptr.push(cols.len() as u32);
     }
     Csr { rowptr, cols, vals }
@@ -181,19 +186,14 @@ impl KernelBody for CgMatvec {
         let vals = ctx.slice::<f64>(2);
         let p = ctx.slice::<f64>(3);
         let q = ctx.slice_mut::<f64>(4);
-        // Parallelize over row blocks; each row only reads shared data.
-        const ROWS_PER_TASK: usize = 1024;
-        crate::par::par_chunks_mut(&mut q[..n], ROWS_PER_TASK, |chunk_idx, rows| {
-            for (j, qi) in rows.iter_mut().enumerate() {
-                let i = chunk_idx * ROWS_PER_TASK + j;
-                let (lo, hi) = (rowptr[i] as usize, rowptr[i + 1] as usize);
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += vals[k] * p[cols[k] as usize];
-                }
-                *qi = acc;
+        for (i, qi) in q[..n].iter_mut().enumerate() {
+            let (lo, hi) = (rowptr[i] as usize, rowptr[i + 1] as usize);
+            let mut acc = 0.0;
+            for k in lo..hi {
+                acc += vals[k] * p[cols[k] as usize];
             }
-        });
+            *qi = acc;
+        }
     }
 }
 
@@ -427,6 +427,11 @@ impl CgApp {
         true
     }
 
+    /// Final solution vector `x` of queue `qi`.
+    pub fn state(&self, qi: usize) -> Vec<f64> {
+        self.slices[qi].x.host_snapshot::<f64>()
+    }
+
     /// Consume the app, returning its queues.
     pub fn into_queues(self) -> Vec<SchedQueue> {
         self.queues
@@ -447,6 +452,57 @@ mod tests {
         let c =
             MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options).unwrap();
         (platform, c)
+    }
+
+    /// The per-row ordered-map construction `make_matrix` replaced, kept as
+    /// the independent statement of what it must build.
+    fn make_matrix_by_maps(n: usize, seed: u64) -> Csr {
+        let mut rng = RanDp::new(seed);
+        let mut rows: Vec<std::collections::BTreeMap<u32, f64>> = vec![Default::default(); n];
+        for i in 0..n {
+            for _ in 0..ROW_NNZ {
+                let j = (rng.next_f64() * n as f64) as usize % n;
+                if i == j {
+                    continue;
+                }
+                let v = 0.2 * (rng.next_f64() - 0.5);
+                *rows[i].entry(j as u32).or_insert(0.0) += v;
+                *rows[j].entry(i as u32).or_insert(0.0) += v;
+            }
+        }
+        let (mut rowptr, mut cols, mut vals) = (vec![0u32], Vec::new(), Vec::new());
+        for (i, row) in rows.iter().enumerate() {
+            let offsum: f64 = row.values().map(|v| v.abs()).sum();
+            let mut inserted_diag = false;
+            for (&j, &v) in row.iter() {
+                if j as usize > i && !inserted_diag {
+                    cols.push(i as u32);
+                    vals.push(1.0 + offsum);
+                    inserted_diag = true;
+                }
+                cols.push(j);
+                vals.push(v);
+            }
+            if !inserted_diag {
+                cols.push(i as u32);
+                vals.push(1.0 + offsum);
+            }
+            rowptr.push(cols.len() as u32);
+        }
+        Csr { rowptr, cols, vals }
+    }
+
+    #[test]
+    fn matrix_equals_the_per_row_map_construction_bit_for_bit() {
+        // Small `n` forces repeated hits on one position (summed in drawing
+        // order) and rows whose every entry lies left of the diagonal.
+        for (n, seed) in [(2, 1), (3, 5), (16, 7), (128, 271_828_183), (2048, 271_828_185)] {
+            let (got, want) = (make_matrix(n, seed), make_matrix_by_maps(n, seed));
+            assert_eq!(got.rowptr, want.rowptr, "n={n}");
+            assert_eq!(got.cols, want.cols, "n={n}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.vals), bits(&want.vals), "n={n}");
+        }
     }
 
     #[test]

@@ -49,11 +49,36 @@ pub fn total_pairs(class: Class) -> u64 {
 }
 
 /// Serial reference implementation for one contiguous pair range.
-/// Returns `(sx, sy, bins[10])`. Used by the kernel body (per item) and by
-/// verification (whole range).
+/// Returns `(sx, sy, bins[10])`. Verification recomputes every work-item
+/// with it; the kernel draws the same stream through its own `tally_next`.
 pub fn gaussian_tally(seed: u64, first_pair: u64, pairs: u64) -> (f64, f64, [u64; 10]) {
     let mut rng = RanDp::new(seed);
     rng.skip(2 * first_pair);
+    let (mut sx, mut sy) = (0.0f64, 0.0f64);
+    let mut bins = [0u64; 10];
+    for _ in 0..pairs {
+        let x = 2.0 * rng.next_f64() - 1.0;
+        let y = 2.0 * rng.next_f64() - 1.0;
+        let t = x * x + y * y;
+        if t <= 1.0 {
+            let f = (-2.0 * t.ln() / t).sqrt();
+            let (gx, gy) = (x * f, y * f);
+            sx += gx;
+            sy += gy;
+            let l = gx.abs().max(gy.abs()) as usize;
+            if l < 10 {
+                bins[l] += 1;
+            }
+        }
+    }
+    (sx, sy, bins)
+}
+
+/// [`gaussian_tally`] over the next `pairs` pairs of a stream that is already
+/// in position. This is the kernel's own copy of the loop: `EpApp::verify`
+/// recomputes every item through [`gaussian_tally`] and a fresh skip-ahead,
+/// so the check shares no code with what it checks.
+fn tally_next(rng: &mut RanDp, pairs: u64) -> (f64, f64, [u64; 10]) {
     let (mut sx, mut sy) = (0.0f64, 0.0f64);
     let mut bins = [0u64; 10];
     for _ in 0..pairs {
@@ -118,20 +143,21 @@ impl KernelBody for Embar {
         let wg_base = (item_base / LOCAL) as usize;
         let wgs = span.min(items.saturating_sub(item_base)).div_ceil(LOCAL) as usize;
         let out = ctx.slice_mut::<f64>(0);
-        // One parallel task per workgroup; each reduces its items locally
-        // (mirroring the OpenCL kernel's local-memory reduction).
+        // Each workgroup reduces its items locally (mirroring the OpenCL
+        // kernel's local-memory reduction).
         let start = (wg_base * REC).min(out.len());
         let covered = (wgs * REC).min(out.len() - start);
-        crate::par::par_chunks_mut(&mut out[start..start + covered], REC, |wg, rec| {
+        for (wg, rec) in out[start..start + covered].chunks_mut(REC).enumerate() {
             let first_item = (wg_base + wg) as u64 * LOCAL;
             let wg_items = LOCAL.min(items.saturating_sub(first_item));
             let (mut sx, mut sy, mut bins) = (0.0f64, 0.0f64, [0u64; 10]);
-            for it in 0..wg_items {
-                let (px, py, pb) = gaussian_tally(
-                    SEED,
-                    first_pair + (first_item + it) * PAIRS_PER_ITEM,
-                    PAIRS_PER_ITEM,
-                );
+            // A workgroup's items are consecutive in the stream: one
+            // skip-ahead positions it for all of them. Each item keeps its
+            // own partial sums, so the additions are the per-item ones.
+            let mut rng = RanDp::new(SEED);
+            rng.skip(2 * (first_pair + first_item * PAIRS_PER_ITEM));
+            for _ in 0..wg_items {
+                let (px, py, pb) = tally_next(&mut rng, PAIRS_PER_ITEM);
                 sx += px;
                 sy += py;
                 for (b, p) in bins.iter_mut().zip(pb) {
@@ -143,7 +169,7 @@ impl KernelBody for Embar {
             for (b, r) in bins.iter().zip(rec[2..].iter_mut()) {
                 *r = *b as f64;
             }
-        });
+        }
     }
 }
 
@@ -283,6 +309,13 @@ impl EpApp {
             let _ = &s.records;
         }
         true
+    }
+
+    /// Final state of queue `qi`: the per-workgroup records followed by the
+    /// reduced record.
+    pub fn state(&self, qi: usize) -> Vec<f64> {
+        let s = &self.slices[qi];
+        [s.records.host_snapshot::<f64>(), s.result.host_snapshot::<f64>()].concat()
     }
 
     /// The class this instance was built for.

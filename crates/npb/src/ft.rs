@@ -98,14 +98,16 @@ pub fn ifft3d(data: &mut [f64], dims: (usize, usize, usize)) {
 
 fn fft_pass_x(data: &mut [f64], (nx, ny, nz): (usize, usize, usize), sign: f64) {
     let covered = (2 * nx * ny * nz).min(data.len());
-    crate::par::par_chunks_mut(&mut data[..covered], 2 * nx, |_, line| fft_radix2(line, sign));
+    for line in data[..covered].chunks_mut(2 * nx) {
+        fft_radix2(line, sign);
+    }
 }
 
 fn fft_pass_y(data: &mut [f64], (nx, ny, nz): (usize, usize, usize), sign: f64) {
     // Gather strided lines into a scratch, FFT, scatter back.
+    let mut line = vec![0.0f64; 2 * ny];
     for z in 0..nz {
         for x in 0..nx {
-            let mut line = vec![0.0f64; 2 * ny];
             for y in 0..ny {
                 let idx = 2 * ((z * ny + y) * nx + x);
                 line[2 * y] = data[idx];
@@ -122,9 +124,9 @@ fn fft_pass_y(data: &mut [f64], (nx, ny, nz): (usize, usize, usize), sign: f64) 
 }
 
 fn fft_pass_z(data: &mut [f64], (nx, ny, nz): (usize, usize, usize), sign: f64) {
+    let mut line = vec![0.0f64; 2 * nz];
     for y in 0..ny {
         for x in 0..nx {
-            let mut line = vec![0.0f64; 2 * nz];
             for z in 0..nz {
                 let idx = 2 * ((z * ny + y) * nx + x);
                 line[2 * z] = data[idx];
@@ -427,6 +429,13 @@ impl FtApp {
             let _ = (&s.buf_u, &s.buf_w);
         }
         true
+    }
+
+    /// Final state of queue `qi`: the last timestep's spatial field followed
+    /// by every timestep's `(re, im)` checksum.
+    pub fn state(&self, qi: usize) -> Vec<f64> {
+        let s = &self.slices[qi];
+        [s.buf_w.host_snapshot::<f64>(), s.sums.host_snapshot::<f64>()].concat()
     }
 
     /// Bytes of spectral state per queue (the Figure 6 x-axis companion).

@@ -67,6 +67,62 @@ pub fn penta_solve(
     }
 }
 
+/// Offset of cell `(i, j, k)`'s five variables in BT's and SP's state arrays
+/// (x fastest, five consecutive values per cell).
+#[inline]
+pub(crate) fn cell(i: usize, j: usize, k: usize, nx: usize, ny: usize) -> usize {
+    ((k * ny + j) * nx + i) * 5
+}
+
+/// The grid lines along `axis` of such an array: how many cells a line has,
+/// how far apart they are, and where each line starts. Lines share no cell,
+/// so a sweep may solve each one in place.
+pub(crate) fn lines(
+    dims: (usize, usize, usize),
+    axis: usize,
+) -> (usize, usize, impl Iterator<Item = usize>) {
+    let (nx, ny, nz) = dims;
+    let (len, stride, da, db) = match axis {
+        0 => (nx, 5, ny, nz),
+        1 => (ny, 5 * nx, nx, nz),
+        _ => (nz, 5 * nx * ny, nx, ny),
+    };
+    let start = move |a: usize, b: usize| match axis {
+        0 => cell(0, a, b, nx, ny),
+        1 => cell(a, 0, b, nx, ny),
+        _ => cell(a, b, 0, nx, ny),
+    };
+    (len, stride, (0..db).flat_map(move |b| (0..da).map(move |a| start(a, b))))
+}
+
+/// BT's and SP's right-hand side: `rhs = dt·(Σ six face neighbours − 6·u)`
+/// per variable, neighbours clamped at the faces (reflective boundaries) and
+/// added in the order −x, +x, −y, +y, −z, +z.
+pub(crate) fn face_laplacian(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize), dt: f64) {
+    let (nx, ny, nz) = dims;
+    let around = |c: usize, n: usize| (c.saturating_sub(1), (c + 1).min(n - 1));
+    for k in 0..nz {
+        let (km, kp) = around(k, nz);
+        for j in 0..ny {
+            let (jm, jp) = around(j, ny);
+            for i in 0..nx {
+                let (im, ip) = around(i, nx);
+                let c = cell(i, j, k, nx, ny);
+                let faces =
+                    [(im, j, k), (ip, j, k), (i, jm, k), (i, jp, k), (i, j, km), (i, j, kp)]
+                        .map(|(fi, fj, fk)| cell(fi, fj, fk, nx, ny));
+                for comp in 0..5 {
+                    let mut acc = -6.0 * u[c + comp];
+                    for face in faces {
+                        acc += u[face + comp];
+                    }
+                    rhs[c + comp] = dt * acc;
+                }
+            }
+        }
+    }
+}
+
 /// A 5×5 matrix stored row-major, the block element of BT's systems.
 pub type Block5 = [[f64; 5]; 5];
 /// A 5-vector, one grid cell's worth of conserved variables.
@@ -226,8 +282,68 @@ pub fn fft_radix2(data: &mut [f64], sign: f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Dense Gaussian elimination with partial pivoting: the solver BT's and
+    /// SP's sweep tests check a line against, sharing nothing with the banded
+    /// solvers above.
+    pub(crate) fn dense_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
+        let n = b.len();
+        for col in 0..n {
+            let pivot =
+                (col..n).max_by(|&p, &q| a[p][col].abs().total_cmp(&a[q][col].abs())).unwrap();
+            a.swap(col, pivot);
+            b.swap(col, pivot);
+            let pivot_row = a[col].clone();
+            for row in col + 1..n {
+                let m = a[row][col] / pivot_row[col];
+                for (x, p) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                    *x -= m * p;
+                }
+                b[row] -= m * b[col];
+            }
+        }
+        for row in (0..n).rev() {
+            let tail: f64 = (row + 1..n).map(|k| a[row][k] * b[k]).sum();
+            b[row] = (b[row] - tail) / a[row][row];
+        }
+        b
+    }
+
+    #[test]
+    fn lines_partition_the_grid_along_every_axis() {
+        let dims = (3, 4, 5);
+        for axis in 0..3 {
+            let (len, stride, starts) = lines(dims, axis);
+            assert_eq!(len, [3, 4, 5][axis]);
+            let mut cells: Vec<usize> =
+                starts.flat_map(|first| (0..len).map(move |t| first + t * stride)).collect();
+            cells.sort_unstable();
+            assert_eq!(cells, (0..3 * 4 * 5).map(|c| 5 * c).collect::<Vec<_>>(), "axis {axis}");
+        }
+    }
+
+    #[test]
+    fn face_laplacian_clamps_at_the_faces() {
+        // u = i + 10 j + 100 k in variable 0: an interior cell sums to zero, a
+        // corner cell keeps one step per axis towards the inside.
+        let dims = (3, 3, 3);
+        let mut u = vec![0.0; 27 * 5];
+        for k in 0..3 {
+            for j in 0..3 {
+                for i in 0..3 {
+                    u[cell(i, j, k, 3, 3)] = (i + 10 * j + 100 * k) as f64;
+                }
+            }
+        }
+        let mut rhs = vec![f64::NAN; u.len()];
+        face_laplacian(&u, &mut rhs, dims, 0.5);
+        assert_eq!(rhs[cell(1, 1, 1, 3, 3)], 0.0);
+        assert_eq!(rhs[cell(0, 0, 0, 3, 3)], 0.5 * 111.0);
+        assert_eq!(rhs[cell(2, 2, 2, 3, 3)], -0.5 * 111.0);
+        assert!(rhs.iter().all(|v| v.is_finite()));
+    }
 
     #[test]
     fn thomas_solves_a_known_system() {

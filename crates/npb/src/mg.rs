@@ -47,6 +47,43 @@ fn idx(i: usize, j: usize, k: usize, n: usize) -> usize {
     (k * n + j) * n + i
 }
 
+/// `[c − 1, c, c + 1]` wrapped onto `0..n`: the periodic neighbours of
+/// coordinate `c` along one axis, in stencil order.
+fn wrap3(c: usize, n: usize) -> [usize; 3] {
+    [if c == 0 { n - 1 } else { c - 1 }, c, if c + 1 == n { 0 } else { c + 1 }]
+}
+
+/// The weight of each of a cell's 27 neighbours — `w[class]`, class = how
+/// many of the three offsets are non-zero — in the order [`gather27`] visits
+/// them.
+fn weights27(w: [f64; 4]) -> [f64; 27] {
+    let off = |d: usize| usize::from(d != 1);
+    std::array::from_fn(|t| w[off(t / 9) + off(t / 3 % 3) + off(t % 3)])
+}
+
+/// Where the nine grid rows around row `(j, k)` of an `n³` periodic grid
+/// start, k-offsets outermost.
+fn rows9(j: usize, k: usize, n: usize) -> [usize; 9] {
+    let (kw, jw) = (wrap3(k, n), wrap3(j, n));
+    std::array::from_fn(|r| (kw[r / 3] * n + jw[r % 3]) * n)
+}
+
+/// `Σ wt·u` over the 27 periodic neighbours of cell `i` of the row `rows`
+/// surrounds: k-offsets outermost, i-offsets innermost (every MG sum is
+/// accumulated in this order), zero weights skipped.
+#[inline]
+fn gather27(u: &[f64], rows: &[usize; 9], iw: [usize; 3], wt: &[f64; 27]) -> f64 {
+    let mut acc = 0.0;
+    for (row, w3) in rows.iter().zip(wt.chunks_exact(3)) {
+        for (ii, &wv) in iw.iter().zip(w3) {
+            if wv != 0.0 {
+                acc += wv * u[row + ii];
+            }
+        }
+    }
+    acc
+}
+
 /// Apply a 27-point stencil with class weights `w` to `u`, writing
 /// `out[p] = rhs[p] - Σ w(class)·u[neighbor]` when `rhs` is given, or
 /// `out[p] += Σ w·u[neighbor]` otherwise (smoother form).
@@ -67,37 +104,21 @@ fn stencil27_planes(
     add: bool,
     planes: std::ops::Range<usize>,
 ) {
-    let k0 = planes.start.min(n);
-    let end = planes.end.min(n);
-    crate::par::par_chunks_mut(&mut out[k0 * n * n..end * n * n], n * n, |kk, plane| {
-        let k = k0 + kk;
+    let wt = weights27(w);
+    for k in planes.start.min(n)..planes.end.min(n) {
         for j in 0..n {
+            let rows = rows9(j, k, n);
             for i in 0..n {
-                let mut acc = 0.0;
-                for dk in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for di in -1i64..=1 {
-                            let class = (di.abs() + dj.abs() + dk.abs()) as usize;
-                            let wv = w[class];
-                            if wv == 0.0 {
-                                continue;
-                            }
-                            let ii = (i as i64 + di).rem_euclid(n as i64) as usize;
-                            let jj = (j as i64 + dj).rem_euclid(n as i64) as usize;
-                            let kk = (k as i64 + dk).rem_euclid(n as i64) as usize;
-                            acc += wv * u[idx(ii, jj, kk, n)];
-                        }
-                    }
-                }
-                let p = j * n + i;
+                let acc = gather27(u, &rows, wrap3(i, n), &wt);
+                let p = idx(i, j, k, n);
                 match (rhs, add) {
-                    (Some(r), _) => plane[p] = r[idx(i, j, k, n)] - acc,
-                    (None, true) => plane[p] += acc,
-                    (None, false) => plane[p] = acc,
+                    (Some(r), _) => out[p] = r[p] - acc,
+                    (None, true) => out[p] += acc,
+                    (None, false) => out[p] = acc,
                 }
             }
         }
-    });
+    }
 }
 
 /// Host reference for `r = v − A·u`.
@@ -113,27 +134,22 @@ pub fn psinv_host(r: &[f64], u: &mut [f64], n: usize) {
 /// Full-weighting restriction from fine grid `nf` to coarse `nf/2`.
 pub fn rprj3_host(fine: &[f64], coarse: &mut [f64], nf: usize) {
     let nc = nf / 2;
+    let wt = weights27([0.5, 0.25, 0.125, 0.0625].map(|w| w / 8.0));
     for kc in 0..nc {
         for jc in 0..nc {
+            let rows = rows9(2 * jc, 2 * kc, nf);
             for ic in 0..nc {
-                let (i0, j0, k0) = (2 * ic, 2 * jc, 2 * kc);
-                let mut acc = 0.0;
-                for dk in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for di in -1i64..=1 {
-                            let class = (di.abs() + dj.abs() + dk.abs()) as usize;
-                            let wv = [0.5, 0.25, 0.125, 0.0625][class] / 8.0;
-                            let ii = (i0 as i64 + di).rem_euclid(nf as i64) as usize;
-                            let jj = (j0 as i64 + dj).rem_euclid(nf as i64) as usize;
-                            let kk = (k0 as i64 + dk).rem_euclid(nf as i64) as usize;
-                            acc += wv * fine[idx(ii, jj, kk, nf)];
-                        }
-                    }
-                }
-                coarse[idx(ic, jc, kc, nc)] = acc;
+                coarse[idx(ic, jc, kc, nc)] = gather27(fine, &rows, wrap3(2 * ic, nf), &wt);
             }
         }
     }
+}
+
+/// The two coarse neighbours of fine coordinate `c` along one axis, each
+/// with its linear weight (`nc` coarse points, periodic).
+fn lerp2(c: usize, nc: usize) -> [(usize, f64); 2] {
+    let (c0, frac) = (c / 2, (c % 2) as f64 / 2.0);
+    [(c0, 1.0 - frac), (if c0 + 1 == nc { 0 } else { c0 + 1 }, frac)]
 }
 
 /// Trilinear prolongation: `fine += P·coarse` (fine edge = 2 × coarse edge).
@@ -141,27 +157,18 @@ pub fn interp_host(coarse: &[f64], fine: &mut [f64], nc: usize) {
     let nf = 2 * nc;
     for kf in 0..nf {
         for jf in 0..nf {
+            let (kz, jy) = (lerp2(kf, nc), lerp2(jf, nc));
             for if_ in 0..nf {
                 // Each fine point interpolates from its ≤8 surrounding
                 // coarse points with trilinear weights.
                 let mut acc = 0.0;
-                let (xi, yj, zk) = (if_ as f64 / 2.0, jf as f64 / 2.0, kf as f64 / 2.0);
-                let (i0, j0, k0) = (xi.floor() as usize, yj.floor() as usize, zk.floor() as usize);
-                let (fx, fy, fz) = (xi - i0 as f64, yj - j0 as f64, zk - k0 as f64);
-                for dk in 0..2 {
-                    for dj in 0..2 {
-                        for di in 0..2 {
-                            let wx = if di == 0 { 1.0 - fx } else { fx };
-                            let wy = if dj == 0 { 1.0 - fy } else { fy };
-                            let wz = if dk == 0 { 1.0 - fz } else { fz };
+                for (kk, wz) in kz {
+                    for (jj, wy) in jy {
+                        for (ii, wx) in lerp2(if_, nc) {
                             let wv = wx * wy * wz;
-                            if wv == 0.0 {
-                                continue;
+                            if wv != 0.0 {
+                                acc += wv * coarse[idx(ii, jj, kk, nc)];
                             }
-                            let ii = (i0 + di) % nc;
-                            let jj = (j0 + dj) % nc;
-                            let kk = (k0 + dk) % nc;
-                            acc += wv * coarse[idx(ii, jj, kk, nc)];
                         }
                     }
                 }
@@ -515,6 +522,11 @@ impl MgApp {
         true
     }
 
+    /// Final finest-level solution `u` of queue `qi`.
+    pub fn state(&self, qi: usize) -> Vec<f64> {
+        self.slices[qi].levels.last().map_or(Vec::new(), |top| top.u.host_snapshot::<f64>())
+    }
+
     /// Consume the app, returning its queues.
     pub fn into_queues(self) -> Vec<SchedQueue> {
         self.queues
@@ -535,6 +547,44 @@ mod tests {
         let c =
             MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options).unwrap();
         (platform, c)
+    }
+
+    #[test]
+    fn hoisted_wrap_equals_rem_euclid() {
+        for n in [2usize, 4, 16] {
+            for c in 0..n {
+                let wrapped = wrap3(c, n);
+                for (slot, d) in (-1i64..=1).enumerate() {
+                    let want = (c as i64 + d).rem_euclid(n as i64) as usize;
+                    assert_eq!(wrapped[slot], want, "n={n} c={c} d={d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weights_follow_the_neighbour_class_in_visiting_order() {
+        let wt = weights27([0.0, 1.0, 2.0, 3.0]);
+        let mut t = 0;
+        for dk in -1i64..=1 {
+            for dj in -1i64..=1 {
+                for di in -1i64..=1 {
+                    assert_eq!(wt[t], (di.abs() + dj.abs() + dk.abs()) as f64, "({di},{dj},{dk})");
+                    t += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interpolation_weights_equal_the_float_index_form() {
+        for nc in [2usize, 4, 8] {
+            for c in 0..2 * nc {
+                let x = c as f64 / 2.0;
+                let (c0, frac) = (x.floor() as usize, x - x.floor());
+                assert_eq!(lerp2(c, nc), [(c0 % nc, 1.0 - frac), ((c0 + 1) % nc, frac)]);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `SCHED_EXPLICIT_REGION` around the warmup timestep.
 
 use crate::class::Class;
-use crate::math::penta_solve;
+use crate::math::{cell, face_laplacian, lines, penta_solve};
 use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
 use clrt::error::ClResult;
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
@@ -36,109 +36,41 @@ pub fn grid_size(class: Class) -> usize {
     }
 }
 
-#[inline]
-fn cell(i: usize, j: usize, k: usize, nx: usize, ny: usize) -> usize {
-    ((k * ny + j) * nx + i) * 5
-}
-
 /// Solve the pentadiagonal systems along `axis` for every line and every
 /// component, transforming `rhs` in place. Shared by kernel and reference.
 pub fn sweep_axis(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize), axis: usize) {
-    let (nx, ny, nz) = dims;
-    let len = [nx, ny, nz][axis];
+    let (len, stride, starts) = lines(dims, axis);
     if len < 3 {
         return; // pentadiagonal solve needs at least 3 points
     }
-    let (da, db) = match axis {
-        0 => (ny, nz),
-        1 => (nx, nz),
-        _ => (nx, ny),
-    };
-    let index = |a: usize, b: usize, t: usize| -> usize {
-        match axis {
-            0 => cell(t, a, b, nx, ny),
-            1 => cell(a, t, b, nx, ny),
-            _ => cell(a, b, t, nx, ny),
-        }
-    };
-    type LineSolution = ((usize, usize), Vec<[f64; 5]>);
-    let lines: Vec<(usize, usize)> = (0..db).flat_map(|b| (0..da).map(move |a| (a, b))).collect();
-    let solutions: Vec<LineSolution> = crate::par::par_map(&lines, |&(a, b)| {
-        let mut out: Vec<[f64; 5]> = vec![[0.0; 5]; len];
+    // The five bands and the right-hand side of one scalar system, refilled
+    // for every solve: a line reads and writes only its own cells of `rhs`,
+    // so each solution goes straight back.
+    let [mut e, mut lo, mut di, mut up, mut f, mut d] = [(); 6].map(|()| vec![0.0f64; len]);
+    for first in starts {
         // Five independent scalar solves per line.
-        for comp in 0..5 {
-            let mut e = vec![0.0f64; len];
-            let mut lo = vec![0.0f64; len];
-            let mut di = vec![0.0f64; len];
-            let mut up = vec![0.0f64; len];
-            let mut f = vec![0.0f64; len];
-            let mut d = vec![0.0f64; len];
+        for comp in first..first + 5 {
             for t in 0..len {
-                let c = index(a, b, t);
-                let s = u[c + comp];
+                let s = u[comp + t * stride];
                 let bend = 1.0 + 0.02 * s / (1.0 + s.abs());
                 di[t] = 1.0 + 2.0 * THETA + 2.0 * PHI;
-                if t >= 1 {
-                    lo[t] = -THETA * bend;
-                }
-                if t >= 2 {
-                    e[t] = PHI * bend;
-                }
-                if t + 1 < len {
-                    up[t] = -THETA * bend;
-                }
-                if t + 2 < len {
-                    f[t] = PHI * bend;
-                }
-                d[t] = rhs[c + comp];
+                lo[t] = if t >= 1 { -THETA * bend } else { 0.0 };
+                e[t] = if t >= 2 { PHI * bend } else { 0.0 };
+                up[t] = if t + 1 < len { -THETA * bend } else { 0.0 };
+                f[t] = if t + 2 < len { PHI * bend } else { 0.0 };
+                d[t] = rhs[comp + t * stride];
             }
             penta_solve(&mut e, &mut lo, &mut di, &mut up, &mut f, &mut d);
-            for t in 0..len {
-                out[t][comp] = d[t];
+            for (t, v) in d.iter().enumerate() {
+                rhs[comp + t * stride] = *v;
             }
-        }
-        ((a, b), out)
-    });
-    for ((a, b), line) in solutions {
-        for (t, v) in line.iter().enumerate() {
-            let c = index(a, b, t);
-            rhs[c..c + 5].copy_from_slice(v);
         }
     }
 }
 
 /// RHS: same dissipative face-neighbor Laplacian as BT's reference.
 pub fn compute_rhs_host(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize)) {
-    let (nx, ny, nz) = dims;
-    let clamp = |v: i64, n: usize| -> usize { v.clamp(0, n as i64 - 1) as usize };
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx {
-                let c = cell(i, j, k, nx, ny);
-                for comp in 0..5 {
-                    let mut acc = -6.0 * u[c + comp];
-                    for (di, dj, dk) in [
-                        (-1i64, 0i64, 0i64),
-                        (1, 0, 0),
-                        (0, -1, 0),
-                        (0, 1, 0),
-                        (0, 0, -1),
-                        (0, 0, 1),
-                    ] {
-                        let nb = cell(
-                            clamp(i as i64 + di, nx),
-                            clamp(j as i64 + dj, ny),
-                            clamp(k as i64 + dk, nz),
-                            nx,
-                            ny,
-                        );
-                        acc += u[nb + comp];
-                    }
-                    rhs[c + comp] = DT * acc;
-                }
-            }
-        }
-    }
+    face_laplacian(u, rhs, dims, DT);
 }
 
 fn solve_traits(coalescing: f64) -> KernelTraits {
@@ -443,6 +375,47 @@ mod tests {
         let mut b = SpApp::new(&c, Class::S, 1, &QueuePlan::Manual(vec![gpu])).unwrap();
         b.run().unwrap();
         assert_eq!(a.state(0), b.state(0));
+    }
+
+    #[test]
+    fn sweep_in_place_equals_every_line_solved_from_copies() {
+        // The kernel and `verify` share `sweep_axis`; this check shares
+        // nothing with it: each line's pentadiagonal system is written out
+        // densely from the scheme's definition and solved by elimination.
+        let dims = (5, 4, 6);
+        let n = 5 * 4 * 6 * 5;
+        let u: Vec<f64> = (0..n).map(|i| 1.0 + 0.3 * (i as f64 * 0.71).sin()).collect();
+        let rhs0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
+        let at = |i: usize, j: usize, k: usize| ((k * 4 + j) * 5 + i) * 5;
+        for axis in 0..3 {
+            let mut rhs = rhs0.clone();
+            sweep_axis(&u, &mut rhs, dims, axis);
+            let len = [5, 4, 6][axis];
+            let (da, db) = [(4, 6), (5, 6), (5, 4)][axis];
+            for (a, b) in (0..db).flat_map(|b| (0..da).map(move |a| (a, b))) {
+                let line: Vec<usize> =
+                    (0..len).map(|t| [at(t, a, b), at(a, t, b), at(a, b, t)][axis]).collect();
+                for comp in 0..5 {
+                    let mut m = vec![vec![0.0; len]; len];
+                    for (t, &c) in line.iter().enumerate() {
+                        let s = u[c + comp];
+                        let bend = 1.0 + 0.02 * s / (1.0 + s.abs());
+                        m[t][t] = 1.0 + 2.0 * THETA + 2.0 * PHI;
+                        for near in [t.wrapping_sub(1), t + 1].into_iter().filter(|&x| x < len) {
+                            m[t][near] = -THETA * bend;
+                        }
+                        for far in [t.wrapping_sub(2), t + 2].into_iter().filter(|&x| x < len) {
+                            m[t][far] = PHI * bend;
+                        }
+                    }
+                    let d = line.iter().map(|&c| rhs0[c + comp]).collect();
+                    for (want, &c) in crate::math::tests::dense_solve(m, d).iter().zip(&line) {
+                        let got = rhs[c + comp];
+                        assert!((got - want).abs() < 1e-12, "axis {axis} line ({a},{b}): {got}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
