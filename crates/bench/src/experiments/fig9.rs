@@ -43,15 +43,6 @@ impl Fig9Column {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The worst manual mapping's time.
-    pub fn worst_manual_ms(&self) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| !c.label.contains("Fit") && !c.label.contains("Robin"))
-            .map(|c| c.iter_ms)
-            .fold(0.0, f64::max)
-    }
-
     /// A named cell.
     pub fn cell(&self, label: &str) -> &Fig9Cell {
         self.cells.iter().find(|c| c.label == label).expect("cell exists")

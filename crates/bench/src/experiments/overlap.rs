@@ -13,13 +13,13 @@
 //!
 //! Writes `results/BENCH_overlap.json` (and a CSV of the table).
 
-use crate::experiments::common::bench_options;
+use crate::experiments::common::{bench_options, fnv, is_app, trace_fingerprint, FNV_OFFSET};
 use crate::harness::{fresh_platform, Table};
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange};
 use hwsim::json::Json;
 use hwsim::report::lane_utilization_of;
-use hwsim::{KernelCostSpec, KernelTraits, Trace};
-use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags, PROFILING_TAG};
+use hwsim::{KernelCostSpec, KernelTraits};
+use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags};
 use std::sync::Arc;
 
 /// One measured arm.
@@ -70,44 +70,6 @@ impl KernelBody for Stage {
             out[i] = input[i] * self.scale + input[n - 1 - i];
         }
     }
-}
-
-/// Application records only: dynamic-profiling and static
-/// device-profiling commands are scheduler overhead, not the batch.
-fn is_app(r: &hwsim::TraceRecord) -> bool {
-    !r.has_tag(PROFILING_TAG) && !r.tag_starts_with("device-profiling")
-}
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// FNV-1a over non-profiling records with queue ids renumbered by first
-/// appearance and timestamps taken relative to the batch's earliest
-/// queued time, so a cold (profiling) and a warm process fingerprint
-/// identically.
-fn trace_fingerprint(trace: &Trace) -> u64 {
-    let app: Vec<_> = trace.records.iter().filter(|r| is_app(r)).collect();
-    let base = app.iter().map(|r| r.stamp.queued.as_nanos()).min().unwrap_or(0);
-    let mut qmap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in app {
-        let next = qmap.len();
-        let q = *qmap.entry(r.queue).or_insert(next);
-        fnv(&mut h, q as u64);
-        fnv(&mut h, r.device.index() as u64);
-        for b in format!("{:?}", r.kind).bytes() {
-            fnv(&mut h, b as u64);
-        }
-        fnv(&mut h, r.stamp.queued.as_nanos() - base);
-        fnv(&mut h, r.stamp.submit.as_nanos() - base);
-        fnv(&mut h, r.stamp.start.as_nanos() - base);
-        fnv(&mut h, r.stamp.end.as_nanos() - base);
-    }
-    h
 }
 
 /// Per-task problem size: cycles through full, half and quarter size so
@@ -167,7 +129,7 @@ pub fn run_arm(seed: u64, elements: usize, tasks: usize, ooo: bool) -> OverlapPo
     }
     ctx.finish_all();
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     for out in &outputs {
         for v in out.host_snapshot::<f64>() {
             fnv(&mut digest, v.to_bits());
@@ -198,6 +160,45 @@ pub fn reduction(in_order: &OverlapPoint, ooo: &OverlapPoint) -> f64 {
         return 0.0;
     }
     1.0 - ooo.makespan_ms / in_order.makespan_ms
+}
+
+/// Check the bench's gates — `replay` is a second in-order run of the same
+/// seed; returns the violations (empty = pass).
+pub fn violations(
+    in_order: &OverlapPoint,
+    replay: &OverlapPoint,
+    ooo: &OverlapPoint,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    if in_order.output_digest != ooo.output_digest {
+        out.push("the out-of-order arm changed buffer contents".to_string());
+    }
+    if in_order.trace_fingerprint != replay.trace_fingerprint {
+        out.push("the flag-off same-seed rerun did not replay byte-identically".to_string());
+    }
+    let cut = reduction(in_order, ooo);
+    if cut < 0.15 {
+        out.push(format!(
+            "expected \u{2265}15% virtual-time makespan reduction, got {:.1}% \
+             ({:.3} ms in-order vs {:.3} ms out-of-order)",
+            cut * 100.0,
+            in_order.makespan_ms,
+            ooo.makespan_ms
+        ));
+    }
+    if in_order.commands_reordered != 0 {
+        out.push("the in-order arm reordered commands".to_string());
+    }
+    if ooo.commands_reordered == 0 {
+        out.push("the out-of-order arm reordered nothing".to_string());
+    }
+    if !ooo.lane_overlap.iter().any(|&(_, fraction)| fraction > 0.0) {
+        out.push(format!(
+            "no device overlapped its copy and compute lanes: {:?}",
+            ooo.lane_overlap
+        ));
+    }
+    out
 }
 
 /// Render both arms as a table.

@@ -11,16 +11,13 @@
 //!
 //! Writes `results/BENCH_split.json` (and a CSV of the table).
 
-use crate::experiments::common::bench_options;
+use crate::experiments::common::{bench_options, fnv, is_app, trace_fingerprint, FNV_OFFSET};
 use crate::harness::{fresh_platform, Table};
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange};
 use hwsim::json::Json;
-use hwsim::{KernelCostSpec, KernelTraits, Trace};
+use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::telemetry::RingBufferSink;
-use multicl::{
-    ContextSchedPolicy, MulticlContext, QueueSchedFlags, SchedEvent, SplitPartitioner,
-    PROFILING_TAG,
-};
+use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags, SchedEvent, SplitPartitioner};
 use std::sync::Arc;
 
 /// Workgroup size of the kernel (items per workgroup).
@@ -95,43 +92,6 @@ impl KernelBody for EpFlops {
     }
 }
 
-/// Application records only: dynamic-profiling and static
-/// device-profiling commands are scheduler overhead, not the batch.
-fn is_app(r: &hwsim::TraceRecord) -> bool {
-    !r.has_tag(PROFILING_TAG) && !r.tag_starts_with("device-profiling")
-}
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// FNV-1a over non-profiling records with queue ids renumbered by first
-/// appearance and timestamps relative to the batch start, so cold and
-/// warm processes fingerprint identically.
-fn trace_fingerprint(trace: &Trace) -> u64 {
-    let app: Vec<_> = trace.records.iter().filter(|r| is_app(r)).collect();
-    let base = app.iter().map(|r| r.stamp.queued.as_nanos()).min().unwrap_or(0);
-    let mut qmap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in app {
-        let next = qmap.len();
-        let q = *qmap.entry(r.queue).or_insert(next);
-        fnv(&mut h, q as u64);
-        fnv(&mut h, r.device.index() as u64);
-        for b in format!("{:?}", r.kind).bytes() {
-            fnv(&mut h, b as u64);
-        }
-        fnv(&mut h, r.stamp.queued.as_nanos() - base);
-        fnv(&mut h, r.stamp.submit.as_nanos() - base);
-        fnv(&mut h, r.stamp.start.as_nanos() - base);
-        fnv(&mut h, r.stamp.end.as_nanos() - base);
-    }
-    h
-}
-
 /// Run one arm on a fresh platform: `launches` sync epochs of one
 /// `elements`-item EP-class kernel on a single queue. `partitioner:
 /// None` is the unsplit baseline (plain `SCHED_AUTO_DYNAMIC`, which
@@ -184,7 +144,7 @@ pub fn run_arm(
         ctx.finish_all();
     }
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     for v in output.host_snapshot::<f64>() {
         fnv(&mut digest, v.to_bits());
     }
@@ -234,6 +194,52 @@ pub fn speedup(unsplit: &SplitPoint, split: &SplitPoint) -> f64 {
         return 0.0;
     }
     unsplit.makespan_ms / split.makespan_ms
+}
+
+/// Check the bench's gates — `replay` is a second unsplit run of the same
+/// seed; returns the violations (empty = pass).
+pub fn violations(
+    unsplit: &SplitPoint,
+    replay: &SplitPoint,
+    splits: &[&SplitPoint],
+) -> Vec<String> {
+    let mut out = Vec::new();
+    if unsplit.kernels_split != 0 {
+        out.push("the unsplit arm split a launch".to_string());
+    }
+    for p in splits {
+        if unsplit.output_digest != p.output_digest {
+            out.push(format!("the {} arm changed buffer contents", p.arm));
+        }
+        if p.kernels_split == 0 {
+            out.push(format!("the {} arm never split a launch", p.arm));
+        }
+        if p.wgs_per_device.iter().sum::<u64>() == 0 {
+            out.push(format!("the {} arm recorded empty shares", p.arm));
+        }
+        if p.devices_used < 2 {
+            out.push(format!("the {} arm ran kernels on only {} device(s)", p.arm, p.devices_used));
+        }
+    }
+    match splits.iter().find(|p| p.arm == "chunked") {
+        None => out.push("no chunked arm ran".to_string()),
+        Some(chunked) if chunked.chunks_stolen == 0 => {
+            out.push("the chunked arm never stole a chunk".to_string())
+        }
+        Some(_) => {}
+    }
+    if unsplit.trace_fingerprint != replay.trace_fingerprint {
+        out.push("the flag-off same-seed rerun did not replay byte-identically".to_string());
+    }
+    let best = splits.iter().map(|p| speedup(unsplit, p)).fold(0.0, f64::max);
+    if best < 1.3 {
+        out.push(format!(
+            "expected \u{2265}1.3x virtual-time speedup over the best single device, got \
+             {best:.2}x ({:.3} ms unsplit)",
+            unsplit.makespan_ms
+        ));
+    }
+    out
 }
 
 /// Render every arm as a table.
@@ -327,5 +333,21 @@ mod tests {
         let b = run_arm(3, 1 << 12, 2, None);
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.output_digest, b.output_digest);
+    }
+
+    #[test]
+    fn violations_list_every_broken_gate() {
+        // A "chunked arm" that is really the unsplit run with a doctored
+        // digest breaks every per-arm gate, the steal gate and the speedup.
+        let unsplit = run_arm(3, 1 << 12, 2, None);
+        let bad = SplitPoint {
+            arm: "chunked".to_string(),
+            output_digest: unsplit.output_digest ^ 1,
+            ..unsplit.clone()
+        };
+        let found = violations(&unsplit, &unsplit, &[&bad]);
+        assert_eq!(found.len(), 6, "{found:?}");
+        assert!(found[0].contains("changed buffer contents"), "{found:?}");
+        assert!(found[5].contains("got 1.00x"), "{found:?}");
     }
 }

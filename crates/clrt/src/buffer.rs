@@ -289,20 +289,6 @@ impl Buffer {
         res.devices.clear();
         res.host = true;
     }
-
-    /// Mutate the host-side storage in place (initialization/tests only),
-    /// invalidating device copies.
-    pub fn host_with_mut<T: Element, R>(&self, f: impl FnOnce(&mut [T]) -> R) -> R {
-        self.sync_for_write();
-        let mut store = self.inner.store.lock();
-        let r = f(store.as_mut_slice::<T>());
-        drop(store);
-        self.inner.hazard.lock().version += 1;
-        let mut res = self.inner.residency.lock();
-        res.devices.clear();
-        res.host = true;
-        r
-    }
 }
 
 impl std::fmt::Debug for Buffer {

@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(d1.argmin_total(), cpu);
 
         // End-to-end round-trips: the real stream survives JSONL, and the
-        // metrics bound to it export/parse through both formats.
+        // metrics bound to it export and parse back.
         let jsonl = crate::telemetry::to_jsonl(&events);
         assert_eq!(crate::telemetry::sink::parse_jsonl(&jsonl), Some(events));
         assert_eq!(metrics.epochs.get(), 1);
@@ -273,7 +273,6 @@ mod tests {
         let samples = crate::telemetry::registry::parse_prometheus(&prom).expect("parseable");
         let epochs = samples.iter().find(|s| s.name == "multicl_epochs_total").unwrap();
         assert_eq!(epochs.value, 1.0);
-        assert!(hwsim::json::Json::parse(&metrics.registry().to_json().dump()).is_some());
     }
 
     #[test]

@@ -39,8 +39,8 @@ use hwsim::{DeviceId, SimDuration};
 pub type CostMatrix = Vec<Vec<SimDuration>>;
 
 /// Sentinel cost (one virtual year) written over a blacklisted device's
-/// column. Every strategy — greedy, local search, branch-and-bound, round
-/// robin — minimizes cost, so a column at this level is chosen only when
+/// column. Every strategy — greedy, local search, branch-and-bound —
+/// minimizes cost, so a column at this level is chosen only when
 /// *no* healthy device exists. Keeping the column (instead of shrinking the
 /// matrix) preserves global device indexing across epochs, which explain
 /// records, warm starts, and migration bookkeeping all rely on.
@@ -64,37 +64,6 @@ pub fn inflate_uncertain(row: &mut [SimDuration], rel_margin: f64) {
         *c = (*c * (1.0 + rel_margin)).min(UNAVAILABLE_COST);
     }
 }
-
-/// Why a mapping request could not be served. Returned by the `try_*` entry
-/// points; the unchecked ones panic on the first two and ignore the third.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MapperError {
-    /// The cost matrix has zero device columns: nothing to map onto.
-    NoDevices,
-    /// Rows disagree on the device count.
-    Ragged {
-        /// First offending row (queue index).
-        row: usize,
-    },
-    /// Every device column is at or above [`UNAVAILABLE_COST`]: all
-    /// candidate devices have been blacklisted. Any assignment would bind
-    /// work to a dead device, so the caller should fail the work instead.
-    NoHealthyDevices,
-}
-
-impl std::fmt::Display for MapperError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MapperError::NoDevices => write!(f, "cost matrix has no device columns"),
-            MapperError::Ragged { row } => write!(f, "ragged cost matrix at queue {row}"),
-            MapperError::NoHealthyDevices => {
-                write!(f, "every candidate device is marked unavailable")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MapperError {}
 
 /// A queue→device assignment plus its predicted objective.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,102 +134,15 @@ pub fn makespan(
     load.iter().copied().max().unwrap_or(SimDuration::ZERO)
 }
 
-fn validate(costs: &CostMatrix) -> usize {
-    match try_validate(costs) {
-        Ok(devices) => devices,
-        Err(MapperError::NoDevices) => panic!("cost matrix must have at least one device column"),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Shape-check a non-empty cost matrix: every row must have the same,
 /// nonzero device count. Returns that count.
-pub fn try_validate(costs: &CostMatrix) -> Result<usize, MapperError> {
+fn validate(costs: &CostMatrix) -> usize {
     let devices = costs[0].len();
-    if devices == 0 {
-        return Err(MapperError::NoDevices);
-    }
+    assert!(devices > 0, "cost matrix must have at least one device column");
     if let Some(row) = costs.iter().position(|row| row.len() != devices) {
-        return Err(MapperError::Ragged { row });
+        panic!("ragged cost matrix at queue {row}");
     }
-    Ok(devices)
-}
-
-/// True when at least one device column is below [`UNAVAILABLE_COST`] for
-/// the given queue row — i.e. some healthy device can run it.
-fn row_has_healthy(row: &[SimDuration]) -> bool {
-    row.iter().any(|&c| c < UNAVAILABLE_COST)
-}
-
-/// Checked [`optimal_with`]: typed errors instead of panics on a malformed
-/// matrix, and [`MapperError::NoHealthyDevices`] when every device column
-/// is blacklisted (any mapping would target a dead device).
-pub fn try_optimal_with(
-    costs: &CostMatrix,
-    warm: Option<&[DeviceId]>,
-    scratch: &mut MapperScratch,
-) -> Result<SearchOutcome, MapperError> {
-    try_adaptive(costs, warm, u64::MAX, scratch)
-}
-
-/// Checked [`adaptive`]: see [`try_optimal_with`].
-pub fn try_adaptive(
-    costs: &CostMatrix,
-    warm: Option<&[DeviceId]>,
-    node_budget: u64,
-    scratch: &mut MapperScratch,
-) -> Result<SearchOutcome, MapperError> {
-    if costs.is_empty() {
-        return Ok(empty_outcome());
-    }
-    try_validate(costs)?;
-    if !costs.iter().any(|row| row_has_healthy(row)) {
-        return Err(MapperError::NoHealthyDevices);
-    }
-    Ok(search(costs, warm, node_budget.max(1), scratch))
-}
-
-/// Exact optimal mapping by warm-started, symmetry-pruned branch-and-bound.
-///
-/// Queues are explored in descending order of their best-case cost, which
-/// tightens the bound early. The incumbent is seeded with the greedy
-/// solution refined by local search, so even the first node prunes against
-/// a realistic bound.
-///
-/// Ties on makespan are broken by the *total* device time: when one queue's
-/// cost dominates the makespan either way, the others are still placed on
-/// their individually fastest devices. Besides being the sensible secondary
-/// objective, this keeps data resident where the next epoch will want it.
-pub fn optimal(costs: &CostMatrix) -> Mapping {
-    let mut scratch = MapperScratch::new();
-    optimal_with(costs, None, &mut scratch).mapping
-}
-
-/// [`optimal`] with a reusable scratch and an optional warm start (e.g. the
-/// previous epoch's assignment). The warm start can only tighten the
-/// initial bound — the result's (makespan, total) objective is identical to
-/// a cold search; only which of several *tied* assignments wins may differ
-/// (a warm start that ties the optimum is kept, avoiding migrations).
-pub fn optimal_with(
-    costs: &CostMatrix,
-    warm: Option<&[DeviceId]>,
-    scratch: &mut MapperScratch,
-) -> SearchOutcome {
-    search(costs, warm, u64::MAX, scratch)
-}
-
-/// Bounded-effort mapping: exact branch-and-bound under `node_budget`
-/// explored nodes. Under the budget this is [`optimal_with`]; when the
-/// budget trips, the incumbent — greedy refined by local search, or the
-/// refined warm start if better — is returned with `budget_tripped` set.
-/// Either way the result is never worse than [`greedy`].
-pub fn adaptive(
-    costs: &CostMatrix,
-    warm: Option<&[DeviceId]>,
-    node_budget: u64,
-    scratch: &mut MapperScratch,
-) -> SearchOutcome {
-    search(costs, warm, node_budget.max(1), scratch)
+    devices
 }
 
 fn empty_outcome() -> SearchOutcome {
@@ -275,12 +157,31 @@ fn empty_outcome() -> SearchOutcome {
     }
 }
 
-fn search(
+/// The mapper's one search: warm-started, symmetry-pruned branch-and-bound
+/// under `node_budget` explored nodes (`u64::MAX` is the exact search the
+/// paper's node-scale pools get). Queues are explored in descending order
+/// of their best-case cost, which tightens the bound early; the incumbent
+/// is seeded with the greedy solution refined by local search, and with the
+/// refined `warm` start (e.g. the previous epoch's assignment) if that is
+/// no worse, so even the first node prunes against a realistic bound. When
+/// the budget trips, the incumbent is returned with `budget_tripped` set;
+/// either way the result is never worse than [`greedy`].
+///
+/// Ties on makespan are broken by the *total* device time: when one queue's
+/// cost dominates the makespan either way, the others are still placed on
+/// their individually fastest devices. Besides being the sensible secondary
+/// objective, this keeps data resident where the next epoch will want it.
+/// A warm start can only tighten the initial bound — the (makespan, total)
+/// objective equals a cold search's; only which of several *tied*
+/// assignments wins may differ (a warm start that ties the optimum is kept,
+/// avoiding migrations).
+pub fn adaptive(
     costs: &CostMatrix,
     warm: Option<&[DeviceId]>,
     node_budget: u64,
     scratch: &mut MapperScratch,
 ) -> SearchOutcome {
+    let node_budget = node_budget.max(1);
     let queues = costs.len();
     if queues == 0 {
         return empty_outcome();
@@ -653,20 +554,6 @@ pub fn greedy_refined(costs: &CostMatrix) -> Mapping {
     Mapping { assignment, makespan: ms, total }
 }
 
-/// The `ROUND_ROBIN` global policy: queue `i` (in pool order) goes to device
-/// `(start + i) mod D`, ignoring costs entirely.
-pub fn round_robin(queues: usize, devices: usize, start: usize) -> Vec<DeviceId> {
-    assert!(devices > 0);
-    (0..queues).map(|i| DeviceId((start + i) % devices)).collect()
-}
-
-/// Round-robin restricted to a device subset (used by manual baselines like
-/// "round robin over GPUs only").
-pub fn round_robin_over(queues: usize, pool: &[DeviceId], start: usize) -> Vec<DeviceId> {
-    assert!(!pool.is_empty());
-    (0..queues).map(|i| pool[(start + i) % pool.len()]).collect()
-}
-
 /// The largest `D^Q` [`enumerate_assignments`] will materialize (~4M
 /// assignments); beyond it the call panics instead of exhausting memory.
 pub const MAX_ENUMERATION: usize = 1 << 22;
@@ -679,7 +566,7 @@ pub const MAX_ENUMERATION: usize = 1 << 22;
 ///
 /// The space has `D^Q` assignments; the call panics if that overflows
 /// `usize` or exceeds [`MAX_ENUMERATION`] — exhaustive enumeration at such
-/// sizes is a bug in the caller (use [`optimal`] or [`adaptive`] instead).
+/// sizes is a bug in the caller (use [`adaptive`] instead).
 pub fn enumerate_assignments(queues: usize, devices: usize) -> Vec<Vec<DeviceId>> {
     assert!(devices > 0);
     let total = u32::try_from(queues)
@@ -690,7 +577,7 @@ pub fn enumerate_assignments(queues: usize, devices: usize) -> Vec<Vec<DeviceId>
             panic!(
                 "enumerate_assignments({queues} queues, {devices} devices): \
                  D^Q exceeds the {MAX_ENUMERATION}-assignment enumeration bound; \
-                 use mapper::optimal or mapper::adaptive for instances this large"
+                 use mapper::adaptive for instances this large"
             )
         });
     let mut out = Vec::with_capacity(total);
@@ -711,6 +598,11 @@ mod tests {
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
+    }
+
+    /// The exact search, cold: no warm start, no node budget.
+    fn optimal(costs: &CostMatrix) -> Mapping {
+        adaptive(costs, None, u64::MAX, &mut MapperScratch::new()).mapping
     }
 
     fn brute_best(costs: &CostMatrix, queues: usize, devices: usize) -> SimDuration {
@@ -821,10 +713,10 @@ mod tests {
         let costs: CostMatrix = vec![vec![ms(4), ms(4)], vec![ms(4), ms(4)]];
         let mut scratch = MapperScratch::new();
         let warm = vec![DeviceId(1), DeviceId(0)];
-        let out = optimal_with(&costs, Some(&warm), &mut scratch);
+        let out = adaptive(&costs, Some(&warm), u64::MAX, &mut scratch);
         assert_eq!(out.mapping.assignment, warm);
         assert_eq!(out.mapping.makespan, ms(4));
-        let cold = optimal_with(&costs, None, &mut scratch);
+        let cold = adaptive(&costs, None, u64::MAX, &mut scratch);
         assert_eq!(cold.mapping.makespan, ms(4));
         assert_eq!(cold.mapping.total, out.mapping.total);
     }
@@ -833,27 +725,12 @@ mod tests {
     fn invalid_warm_starts_are_ignored() {
         let costs: CostMatrix = vec![vec![ms(3), ms(9)], vec![ms(5), ms(6)]];
         let mut scratch = MapperScratch::new();
-        let cold = optimal_with(&costs, None, &mut scratch);
+        let cold = adaptive(&costs, None, u64::MAX, &mut scratch);
         for bad in [vec![], vec![DeviceId(0)], vec![DeviceId(7), DeviceId(0)]] {
-            let out = optimal_with(&costs, Some(&bad), &mut scratch);
+            let out = adaptive(&costs, Some(&bad), u64::MAX, &mut scratch);
             assert_eq!(out.mapping.makespan, cold.mapping.makespan);
             assert_eq!(out.mapping.total, cold.mapping.total);
         }
-    }
-
-    #[test]
-    fn round_robin_cycles_through_devices() {
-        let a = round_robin(5, 3, 0);
-        assert_eq!(a, vec![DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(0), DeviceId(1)]);
-        let b = round_robin(2, 3, 2);
-        assert_eq!(b, vec![DeviceId(2), DeviceId(0)]);
-    }
-
-    #[test]
-    fn round_robin_over_subset() {
-        let pool = [DeviceId(1), DeviceId(2)];
-        let a = round_robin_over(4, &pool, 0);
-        assert_eq!(a, vec![DeviceId(1), DeviceId(2), DeviceId(1), DeviceId(2)]);
     }
 
     #[test]
@@ -903,7 +780,6 @@ mod tests {
     fn zero_queues_are_consistent_across_strategies() {
         assert_eq!(optimal(&vec![]), greedy(&vec![]));
         assert_eq!(optimal(&vec![]), greedy_refined(&vec![]));
-        assert_eq!(round_robin(0, 3, 1), Vec::<DeviceId>::new());
         assert_eq!(enumerate_assignments(0, 3), vec![Vec::<DeviceId>::new()]);
         assert_eq!(makespan(&vec![], &[], &mut [SimDuration::ZERO; 3]), SimDuration::ZERO);
     }
@@ -963,7 +839,7 @@ mod tests {
         // incumbent seat) must come out interleaved.
         let warm = vec![DeviceId(0), DeviceId(0), DeviceId(1), DeviceId(1)];
         let mut scratch = MapperScratch::new();
-        let out = optimal_with(&costs, Some(&warm), &mut scratch);
+        let out = adaptive(&costs, Some(&warm), u64::MAX, &mut scratch);
         assert_eq!(out.mapping.makespan, ms(8));
         for w in out.mapping.assignment.windows(2) {
             assert_ne!(w[0], w[1], "blocked warm tie survived: {:?}", out.mapping.assignment);
@@ -998,12 +874,12 @@ mod tests {
         let big: CostMatrix =
             (0..8).map(|q| (0..4).map(|d| ms(1 + (q * 3 + d) % 7)).collect()).collect();
         let small: CostMatrix = vec![vec![ms(2), ms(5)]];
-        let b1 = optimal_with(&big, None, &mut scratch).mapping;
-        let s1 = optimal_with(&small, None, &mut scratch).mapping;
+        let b1 = adaptive(&big, None, u64::MAX, &mut scratch).mapping;
+        let s1 = adaptive(&small, None, u64::MAX, &mut scratch).mapping;
         assert_eq!(b1, optimal(&big));
         assert_eq!(s1, optimal(&small));
         // And again, to catch stale-buffer bugs.
-        assert_eq!(optimal_with(&big, None, &mut scratch).mapping, b1);
+        assert_eq!(adaptive(&big, None, u64::MAX, &mut scratch).mapping, b1);
     }
 
     /// Blacklist device `d` by overwriting its column with the sentinel —
@@ -1027,7 +903,7 @@ mod tests {
         let mut scratch = MapperScratch::new();
         let mut load = vec![SimDuration::ZERO; 3];
 
-        let m = optimal_with(&costs, None, &mut scratch).mapping;
+        let m = adaptive(&costs, None, u64::MAX, &mut scratch).mapping;
         assert!(m.assignment.iter().all(|d| d.index() != 0), "{:?}", m.assignment);
         assert!(m.makespan < UNAVAILABLE_COST);
 
@@ -1050,52 +926,12 @@ mod tests {
         blacklist(&mut costs, 0);
         let warm = vec![DeviceId(0), DeviceId(0), DeviceId(0)];
         let mut scratch = MapperScratch::new();
-        let out = optimal_with(&costs, Some(&warm), &mut scratch);
+        let out = adaptive(&costs, Some(&warm), u64::MAX, &mut scratch);
         assert!(
             out.mapping.assignment.iter().all(|d| d.index() != 0),
             "warm start pinned work to the dead device: {:?}",
             out.mapping.assignment
         );
         assert_eq!(out.mapping.makespan, ms(8), "two queues share one healthy device");
-    }
-
-    #[test]
-    fn zero_healthy_devices_is_a_typed_error_not_a_panic() {
-        let mut costs: CostMatrix = vec![vec![ms(1), ms(2)], vec![ms(3), ms(4)]];
-        blacklist(&mut costs, 0);
-        blacklist(&mut costs, 1);
-        let mut scratch = MapperScratch::new();
-        assert_eq!(
-            try_optimal_with(&costs, None, &mut scratch).unwrap_err(),
-            MapperError::NoHealthyDevices
-        );
-        assert_eq!(
-            try_adaptive(&costs, None, 64, &mut scratch).unwrap_err(),
-            MapperError::NoHealthyDevices
-        );
-        // Shape errors are typed too.
-        let empty_cols: CostMatrix = vec![vec![]];
-        assert_eq!(
-            try_optimal_with(&empty_cols, None, &mut scratch).unwrap_err(),
-            MapperError::NoDevices
-        );
-        let ragged: CostMatrix = vec![vec![ms(1), ms(2)], vec![ms(3)]];
-        assert_eq!(
-            try_optimal_with(&ragged, None, &mut scratch).unwrap_err(),
-            MapperError::Ragged { row: 1 }
-        );
-        // The empty pool stays a clean no-op.
-        let none: CostMatrix = vec![];
-        assert!(try_optimal_with(&none, None, &mut scratch).unwrap().mapping.assignment.is_empty());
-    }
-
-    #[test]
-    fn checked_and_unchecked_agree_on_healthy_input() {
-        let costs: CostMatrix =
-            vec![vec![ms(9), ms(3), ms(3)], vec![ms(2), ms(8), ms(8)], vec![ms(5), ms(4), ms(4)]];
-        let mut scratch = MapperScratch::new();
-        let checked = try_optimal_with(&costs, None, &mut scratch).unwrap();
-        let unchecked = optimal_with(&costs, None, &mut scratch);
-        assert_eq!(checked, unchecked);
     }
 }

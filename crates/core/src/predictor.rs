@@ -576,8 +576,11 @@ mod tests {
                         r
                     })
                     .collect();
-                let best = crate::mapper::optimal(&truth);
-                let chosen = crate::mapper::optimal(&predicted);
+                let mut scratch = crate::mapper::MapperScratch::new();
+                let mut exact =
+                    |costs| crate::mapper::adaptive(costs, None, u64::MAX, &mut scratch).mapping;
+                let best = exact(&truth);
+                let chosen = exact(&predicted);
                 let mut load = vec![SimDuration::ZERO; devices];
                 let actual = crate::mapper::makespan(&truth, &chosen.assignment, &mut load);
                 let bound = best.makespan * ((1.0 + u) * (1.0 + u));

@@ -852,7 +852,7 @@ impl RtInner {
         let mapper_began = std::time::Instant::now();
         let (mapper_name, outcome) = match self.options.mapper {
             MapperKind::Optimal => {
-                ("optimal", mapper::optimal_with(&state.costs, warm, &mut state.scratch))
+                ("optimal", mapper::adaptive(&state.costs, warm, u64::MAX, &mut state.scratch))
             }
             MapperKind::Greedy => (
                 "greedy",

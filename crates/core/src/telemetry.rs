@@ -20,9 +20,10 @@
 //! * [`SchedObserver`] — the hook trait; implementations are attached via
 //!   [`SchedOptions::observers`](crate::SchedOptions) or
 //!   [`MulticlContext::add_observer`](crate::MulticlContext::add_observer).
-//! * [`registry`] — counters, gauges, and log-scale histograms with
-//!   Prometheus text exposition and JSON export; [`SchedMetrics`] binds the
-//!   standard scheduler metric set to the event stream.
+//! * [`registry`] — counters, gauges, and log-scale histograms, grouped
+//!   into families, with Prometheus text exposition; [`metric_set!`]
+//!   declares a set of them once, and [`SchedMetrics`] — written in it —
+//!   binds the standard scheduler metric set to the event stream.
 //! * [`sink`] — ready-made observers: an in-memory ring buffer
 //!   ([`RingBufferSink`]), a JSONL writer ([`JsonlSink`]), and a stderr
 //!   printer ([`StderrSink`], what `MULTICL_DEBUG` uses).
@@ -50,6 +51,7 @@ pub mod report;
 pub mod sink;
 pub mod tracing;
 
+pub use crate::metric_set;
 pub use event::{QueueDecision, SchedEvent};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, SchedMetrics};
 pub use sink::{to_jsonl, JsonlSink, RingBufferSink, StderrSink};

@@ -372,11 +372,6 @@ impl Engine {
         self.retire_enabled = enabled;
     }
 
-    /// Whether event retirement is enabled.
-    pub fn event_retirement(&self) -> bool {
-        self.retire_enabled
-    }
-
     /// Pin `ev` so it survives retirement (refcounted; one live `Event`
     /// handle = one pin).
     pub fn pin_event(&mut self, ev: EventId) {

@@ -11,7 +11,7 @@
 //! mirroring the paper's observation that cross-vendor direct D2D is
 //! unavailable (GPUDirect has "markedly limited OpenCL support").
 
-use crate::device::{DeviceId, DeviceSpec, DeviceType};
+use crate::device::{DeviceId, DeviceSpec};
 use crate::time::SimDuration;
 
 /// A point-to-point link: fixed latency plus a bandwidth-proportional term.
@@ -124,11 +124,6 @@ impl Topology {
             return SimDuration::from_secs_f64(2.0 * bytes as f64 / (spec.mem_bandwidth_gbs * 1e9));
         }
         self.host_transfer_time(src, bytes, specs) + self.host_transfer_time(dst, bytes, specs)
-    }
-
-    /// True if `dev` is the CPU device (its memory *is* host memory).
-    pub fn is_host_resident(&self, dev: DeviceId, specs: &[DeviceSpec]) -> bool {
-        specs[dev.index()].device_type == DeviceType::Cpu
     }
 }
 

@@ -126,11 +126,6 @@ pub fn resid_host(u: &[f64], v: &[f64], r: &mut [f64], n: usize) {
     stencil27(u, Some(v), r, n, A_W, false);
 }
 
-/// Host reference for the smoother `u += S·r`.
-pub fn psinv_host(r: &[f64], u: &mut [f64], n: usize) {
-    stencil27(r, None, u, n, C_W, true);
-}
-
 /// Full-weighting restriction from fine grid `nf` to coarse `nf/2`.
 pub fn rprj3_host(fine: &[f64], coarse: &mut [f64], nf: usize) {
     let nc = nf / 2;

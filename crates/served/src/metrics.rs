@@ -1,54 +1,47 @@
-//! Per-tenant service metrics, registered in the scheduler's
-//! [`MetricsRegistry`] so one Prometheus/JSON export covers both the
-//! scheduler and the serving layer.
+//! Per-tenant service metrics, in the serving layer's own
+//! [`MetricsRegistry`]: the scheduler's `SchedMetrics` owns a second one,
+//! so a run that exports both writes two `.prom` files.
 //!
 //! Tenant identity is carried as a real Prometheus label
 //! (`served_jobs_completed_total{tenant="team a/b"}`): the registry
 //! escapes label values on exposition, so hostile tenant names (quotes,
-//! backslashes, newlines) cannot corrupt the text format. Exact job
+//! backslashes, newlines) cannot corrupt the text format, and it groups
+//! every tenant's series under their family's one header. Exact job
 //! latencies are additionally kept per tenant so reports can quote precise
 //! p50/p95/p99 (the registry histograms are log-bucketed).
 
 use hwsim::stats;
 use hwsim::sync::Mutex;
 use hwsim::SimDuration;
-use multicl::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use multicl::telemetry::{metric_set, Counter, MetricsRegistry};
 
-/// The metric handles of one tenant.
+metric_set! {
+/// The metric handles of one tenant, registered under its `tenant` label.
+/// `first_job_latency_ns` is the cold-start indicator: under a
+/// profiling-based scheduler it absorbs the one-time profiling epochs; with
+/// the cost predictor warm it should match steady-state latency. It is set
+/// once, and `0` until the first completion.
 pub struct TenantMetrics {
-    /// Jobs submitted (admitted + rejected).
-    pub submitted: Counter,
-    /// Jobs admitted into the tenant queue.
-    pub admitted: Counter,
-    /// Jobs rejected by admission control.
-    pub rejected: Counter,
-    /// Jobs handed to a scheduler queue.
-    pub dispatched: Counter,
-    /// Jobs fully executed.
-    pub completed: Counter,
-    /// Jobs abandoned (deadline missed, retries exhausted, or no healthy
-    /// device).
-    pub failed: Counter,
-    /// Fault-failed dispatches re-queued for another attempt.
-    pub retried: Counter,
-    /// Current admitted-but-undispatched queue depth.
-    pub depth: Gauge,
-    /// Rounds where the tenant had backlog but got no dispatch slot.
-    pub starved_rounds: Counter,
-    /// Submission-to-completion latency (virtual nanoseconds, log buckets).
-    pub latency_ns: Histogram,
-    /// SLO burn-rate alerts fired (transitions into the firing state).
-    pub slo_alerts: Counter,
-    /// Latency of the tenant's *first* completed job (virtual
-    /// nanoseconds). The cold-start indicator: under a profiling-based
-    /// scheduler this row absorbs the one-time profiling epochs; with the
-    /// cost predictor warm it should match steady-state latency. Set once,
-    /// `0` until the first completion.
-    pub first_job_latency_ns: Gauge,
+    submitted: Counter = "served_jobs_submitted_total", "jobs submitted";
+    admitted: Counter = "served_jobs_admitted_total", "jobs admitted";
+    rejected: Counter = "served_jobs_rejected_total", "jobs rejected";
+    dispatched: Counter = "served_jobs_dispatched_total", "jobs dispatched";
+    completed: Counter = "served_jobs_completed_total", "jobs completed";
+    failed: Counter =
+        "served_jobs_failed_total", "jobs abandoned (deadline, retries, or dead node)";
+    retried: Counter = "served_jobs_retried_total", "fault-failed dispatch retries";
+    depth: Gauge = "served_queue_depth", "tenant queue depth";
+    starved_rounds: Counter =
+        "served_starved_rounds_total", "rounds with backlog but no dispatch slot";
+    latency_ns: Histogram = "served_job_latency_ns", "submission-to-completion virtual latency";
+    slo_alerts: Counter = "served_slo_alerts_total", "SLO burn-rate alerts fired";
+    first_job_latency_ns: Gauge = "served_first_job_latency_ns",
+        "latency of the tenant's first completed job (cold start)";
+}
 }
 
-/// Metrics for the whole service: a shared registry plus per-tenant handles
-/// and exact latency samples.
+/// Metrics for the whole service: its registry, per-tenant handles and
+/// exact latency samples.
 pub struct ServiceMetrics {
     registry: MetricsRegistry,
     tenants: Vec<TenantMetrics>,
@@ -67,67 +60,7 @@ impl ServiceMetrics {
         let registry = MetricsRegistry::new();
         let tenants = tenant_names
             .iter()
-            .map(|name| {
-                let labels: &[(&str, &str)] = &[("tenant", name.as_str())];
-                TenantMetrics {
-                    submitted: registry.counter_with(
-                        "served_jobs_submitted_total",
-                        "jobs submitted",
-                        labels,
-                    ),
-                    admitted: registry.counter_with(
-                        "served_jobs_admitted_total",
-                        "jobs admitted",
-                        labels,
-                    ),
-                    rejected: registry.counter_with(
-                        "served_jobs_rejected_total",
-                        "jobs rejected",
-                        labels,
-                    ),
-                    dispatched: registry.counter_with(
-                        "served_jobs_dispatched_total",
-                        "jobs dispatched",
-                        labels,
-                    ),
-                    completed: registry.counter_with(
-                        "served_jobs_completed_total",
-                        "jobs completed",
-                        labels,
-                    ),
-                    failed: registry.counter_with(
-                        "served_jobs_failed_total",
-                        "jobs abandoned (deadline, retries, or dead node)",
-                        labels,
-                    ),
-                    retried: registry.counter_with(
-                        "served_jobs_retried_total",
-                        "fault-failed dispatch retries",
-                        labels,
-                    ),
-                    depth: registry.gauge_with("served_queue_depth", "tenant queue depth", labels),
-                    starved_rounds: registry.counter_with(
-                        "served_starved_rounds_total",
-                        "rounds with backlog but no dispatch slot",
-                        labels,
-                    ),
-                    latency_ns: registry.histogram_with(
-                        "served_job_latency_ns",
-                        "submission-to-completion virtual latency",
-                        labels,
-                    ),
-                    slo_alerts: registry.counter_with(
-                        "served_slo_alerts_total",
-                        "SLO burn-rate alerts fired",
-                        labels,
-                    ),
-                    first_job_latency_ns: registry.gauge_with(
-                        "served_first_job_latency_ns",
-                        "latency of the tenant's first completed job (cold start)",
-                        labels,
-                    ),
-                }
-            })
+            .map(|name| TenantMetrics::register(&registry, &[("tenant", name)]))
             .collect();
         let latencies_ms = tenant_names.iter().map(|_| Mutex::new(Vec::new())).collect();
         let warmups_skipped = registry.counter(
@@ -137,7 +70,7 @@ impl ServiceMetrics {
         ServiceMetrics { registry, tenants, latencies_ms, warmups_skipped }
     }
 
-    /// The shared registry (exportable as Prometheus text or JSON).
+    /// The service's registry (exportable as Prometheus text).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -195,6 +128,43 @@ mod tests {
         let (p50, p95, p99) = m.latency_percentiles_ms(0);
         assert!(p50 >= 4.0 && p99 <= 8.0 && p50 <= p95 && p95 <= p99);
         assert_eq!(m.latencies_ms(1), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn every_family_is_one_group_with_two_tenants() {
+        let m = ServiceMetrics::new(&["t0".into(), "t1".into()]);
+        m.tenant(1).submitted.add(2);
+        m.record_latency(1, SimDuration::from_millis(4));
+        let prom = m.registry().to_prometheus();
+        let samples = multicl::telemetry::registry::parse_prometheus(&prom).expect("parseable");
+        // Families in sample order, consecutive repeats collapsed: a name
+        // that came back after another family's samples would be listed twice.
+        let mut groups: Vec<&str> = Vec::new();
+        for s in &samples {
+            let name = s.name.as_str();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|x| name.strip_suffix(x))
+                .unwrap_or(name);
+            if groups.last() != Some(&family) {
+                groups.push(family);
+            }
+        }
+        // Twelve per-tenant families and `served_warmups_skipped_total`.
+        assert_eq!(groups.len(), 13, "{prom}");
+        assert_eq!(groups.iter().collect::<std::collections::HashSet<_>>().len(), 13, "{prom}");
+        assert_eq!(prom.matches("# HELP ").count(), 13, "{prom}");
+        assert_eq!(prom.matches("# TYPE ").count(), 13, "{prom}");
+        // Both tenants' samples are still there, under their own label.
+        let submitted = |tenant: &str| {
+            let of = [("tenant".to_string(), tenant.to_string())];
+            let mut found = samples
+                .iter()
+                .filter(|s| s.name == "served_jobs_submitted_total" && s.labels == of);
+            (found.next().expect("series present").value, found.count())
+        };
+        assert_eq!(submitted("t0"), (0.0, 0));
+        assert_eq!(submitted("t1"), (2.0, 0));
     }
 
     #[test]

@@ -19,6 +19,11 @@ fn cost_matrix(rng: &mut XorShift, queues: usize, devices: usize) -> Vec<Vec<Sim
     (0..queues).map(|_| (0..devices).map(|_| duration(rng)).collect()).collect()
 }
 
+/// The exact search, cold: no warm start, no node budget.
+fn optimal(costs: &mapper::CostMatrix) -> mapper::Mapping {
+    mapper::adaptive(costs, None, u64::MAX, &mut mapper::MapperScratch::new()).mapping
+}
+
 /// The exact mapper is never worse than any enumerated assignment and
 /// reports the true makespan of its own assignment.
 #[test]
@@ -28,7 +33,7 @@ fn mapper_optimal_beats_every_enumerated_assignment() {
         let mut rng = XorShift::new(seed + 1);
         let queues = rng.range_u64(1, 6) as usize;
         let costs = cost_matrix(&mut rng, queues, 3);
-        let m = mapper::optimal(&costs);
+        let m = optimal(&costs);
         assert_eq!(m.assignment.len(), queues);
         assert_eq!(mapper::makespan(&costs, &m.assignment, &mut load), m.makespan);
         for a in mapper::enumerate_assignments(queues, 3) {
@@ -47,7 +52,7 @@ fn mapper_greedy_is_valid_and_dominated() {
         let costs = cost_matrix(&mut rng, queues, 4);
         let g = mapper::greedy(&costs);
         assert_eq!(mapper::makespan(&costs, &g.assignment, &mut load), g.makespan);
-        let o = mapper::optimal(&costs);
+        let o = optimal(&costs);
         assert!(g.makespan >= o.makespan, "seed {seed}");
     }
 }
@@ -70,7 +75,7 @@ fn mapper_adaptive_equals_optimal_on_small_instances() {
         let queues = rng.range_u64(1, max_q + 1) as usize;
         assert!(devices.pow(queues as u32) <= 4096);
         let costs = cost_matrix(&mut rng, queues, devices);
-        let o = mapper::optimal(&costs);
+        let o = optimal(&costs);
         let a = mapper::adaptive(&costs, None, 1_000_000, &mut scratch);
         assert!(!a.budget_tripped, "seed {seed}: tiny instance must fit the budget");
         assert_eq!(
@@ -125,10 +130,10 @@ fn mapper_warm_start_preserves_the_cold_objective() {
         let devices = rng.range_u64(2, 5) as usize;
         let queues = rng.range_u64(1, 9) as usize;
         let costs = cost_matrix(&mut rng, queues, devices);
-        let cold = mapper::optimal_with(&costs, None, &mut scratch);
+        let cold = mapper::adaptive(&costs, None, u64::MAX, &mut scratch);
         // Any warm start — here a random (possibly awful) assignment.
         let warm: Vec<DeviceId> = (0..queues).map(|_| DeviceId(rng.index(devices))).collect();
-        let warmed = mapper::optimal_with(&costs, Some(&warm), &mut scratch);
+        let warmed = mapper::adaptive(&costs, Some(&warm), u64::MAX, &mut scratch);
         assert_eq!(
             (warmed.mapping.makespan, warmed.mapping.total),
             (cold.mapping.makespan, cold.mapping.total),
