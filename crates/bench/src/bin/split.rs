@@ -1,23 +1,22 @@
 //! Data-parallel kernel splitting bench: multi-device speedup from
-//! partitioning one EP-class launch into NDRange sub-ranges.
+//! cutting one EP-class launch into NDRange sub-ranges.
 //!
 //! Runs the batch unsplit (best single device under `SCHED_AUTO_DYNAMIC`)
-//! and once per partitioner with `SCHED_SPLITTABLE`, and gates on four
-//! invariants (exit 1, one `error:` line per violated gate):
+//! and split (`SCHED_SPLITTABLE`: one cost-proportional chunk per device),
+//! and gates on four invariants (exit 1, one `error:` line per violated
+//! gate):
 //!
-//! 1. result buffers bit-identical split vs. unsplit, for every
-//!    partitioner,
+//! 1. result buffers bit-identical split vs. unsplit,
 //! 2. with the flag off, a same-seed rerun replays the exact trace,
-//! 3. every split arm ran kernel commands on ≥ 2 devices,
-//! 4. the best split arm is ≥ 1.3x faster in virtual time than the best
-//!    single device.
+//! 3. the split arm ran kernel commands on ≥ 2 devices,
+//! 4. the split arm is ≥ 1.3x faster in virtual time than the best single
+//!    device.
 //!
 //! Writes `results/BENCH_split.json` (and a CSV of the table).
 //!
 //! Usage: `cargo run --release -p multicl-bench --bin split [SEED] [LAUNCHES]`
 //! Pass `--smoke` for the CI variant: a small batch, same gates.
 
-use multicl::SplitPartitioner;
 use multicl_bench::experiments::split;
 use multicl_bench::{print_table, write_report};
 
@@ -30,25 +29,14 @@ fn main() {
         positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(if smoke { 2 } else { 6 });
     let elements: usize = if smoke { 1 << 14 } else { 1 << 18 };
 
-    let unsplit = split::run_arm(seed, elements, launches, None);
-    let replay = split::run_arm(seed, elements, launches, None);
-    // Chunk granularity scales with the launch so the dynamic
-    // partitioners keep per-chunk gather overhead proportional.
-    let total_wgs = (elements as u64) / split::LOCAL;
-    let arms: Vec<split::SplitPoint> = [
-        SplitPartitioner::Static,
-        SplitPartitioner::Chunked { chunk_wgs: (total_wgs / 8).max(1) },
-        SplitPartitioner::HGuided { min_wgs: (total_wgs / 32).max(1) },
-    ]
-    .into_iter()
-    .map(|p| split::run_arm(seed, elements, launches, Some(p)))
-    .collect();
-    let arm_refs: Vec<&split::SplitPoint> = arms.iter().collect();
+    let unsplit = split::run_arm(seed, elements, launches, false);
+    let replay = split::run_arm(seed, elements, launches, false);
+    let split_arm = split::run_arm(seed, elements, launches, true);
 
-    let table = split::table(&unsplit, &arm_refs);
+    let table = split::table(&unsplit, &split_arm);
     print_table(&table);
 
-    let json = split::to_json(seed, elements, launches, &unsplit, &arm_refs);
+    let json = split::to_json(seed, elements, launches, &unsplit, &split_arm);
     if let Some(path) = write_report("BENCH_split.json", &(json.dump() + "\n")) {
         println!("wrote {}", path.display());
     }
@@ -56,12 +44,12 @@ fn main() {
         println!("wrote {}", path.display());
     }
 
-    let violations = split::violations(&unsplit, &replay, &arm_refs);
+    let violations = split::violations(&unsplit, &replay, &split_arm);
     if violations.is_empty() {
-        let best = arms.iter().map(|p| split::speedup(&unsplit, p)).fold(0.0, f64::max);
         println!(
-            "result buffers bit-identical across all arms, flag-off same-seed replay \
-             byte-identical, best split speedup {best:.2}x (gate: \u{2265}1.3x) \u{2713}"
+            "result buffers bit-identical split vs. unsplit, flag-off same-seed replay \
+             byte-identical, split speedup {:.2}x (gate: \u{2265}1.3x) \u{2713}",
+            split::speedup(&unsplit, &split_arm)
         );
     } else {
         eprintln!("error: split violations:");

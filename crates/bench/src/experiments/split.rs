@@ -2,10 +2,10 @@
 //! compute-bound kernel with and without `SCHED_SPLITTABLE`.
 //!
 //! The unsplit arm runs each launch whole on the device the dynamic
-//! scheduler picks — the best single device. The split arm partitions the
-//! same launches into contiguous NDRange sub-ranges across every healthy
-//! device (static, chunked or hguided partitioner, with work stealing),
-//! so the compute spreads over the node. The semantic gates are strict:
+//! scheduler picks — the best single device. The split arm cuts the same
+//! launches into contiguous NDRange sub-ranges, one per healthy device,
+//! sized in proportion to each device's profiled speed, so the compute
+//! spreads over the node. The semantic gates are strict:
 //! result buffers must be bit-identical split vs. unsplit, and with the
 //! flag off a same-seed rerun must replay the exact virtual-time trace.
 //!
@@ -17,7 +17,7 @@ use clrt::{ArgValue, KernelBody, KernelCtx, NdRange};
 use hwsim::json::Json;
 use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::telemetry::RingBufferSink;
-use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags, SchedEvent, SplitPartitioner};
+use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags, SchedEvent};
 use std::sync::Arc;
 
 /// Workgroup size of the kernel (items per workgroup).
@@ -26,14 +26,12 @@ pub const LOCAL: u64 = 64;
 /// One measured arm.
 #[derive(Debug, Clone)]
 pub struct SplitPoint {
-    /// Partitioner name for the split arm, `"unsplit"` for the baseline.
-    pub arm: String,
+    /// `"split"` or `"unsplit"`.
+    pub arm: &'static str,
     /// Virtual-time makespan of the batch (profiling commands excluded).
     pub makespan_ms: f64,
     /// Launches the scheduler actually split.
     pub kernels_split: u64,
-    /// Chunks moved off their preferred device by work stealing.
-    pub chunks_stolen: u64,
     /// Distinct devices that executed kernel commands.
     pub devices_used: usize,
     /// Per-device workgroup shares summed over every `KernelSplit` event.
@@ -93,27 +91,20 @@ impl KernelBody for EpFlops {
 }
 
 /// Run one arm on a fresh platform: `launches` sync epochs of one
-/// `elements`-item EP-class kernel on a single queue. `partitioner:
-/// None` is the unsplit baseline (plain `SCHED_AUTO_DYNAMIC`, which
-/// places each whole launch on the best single device).
-pub fn run_arm(
-    seed: u64,
-    elements: usize,
-    launches: usize,
-    partitioner: Option<SplitPartitioner>,
-) -> SplitPoint {
+/// `elements`-item EP-class kernel on a single queue. `split: false` is
+/// the unsplit baseline (plain `SCHED_AUTO_DYNAMIC`, which places each
+/// whole launch on the best single device).
+pub fn run_arm(seed: u64, elements: usize, launches: usize, split: bool) -> SplitPoint {
     let platform = fresh_platform();
     let sink = Arc::new(RingBufferSink::new(1 << 14));
     let mut options = bench_options(true);
     options.observers.push(sink.clone());
-    if let Some(p) = partitioner {
-        options.split_partitioner = p;
-    }
     let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
         .expect("context");
-    let flags = match partitioner {
-        Some(_) => QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE,
-        None => QueueSchedFlags::SCHED_AUTO_DYNAMIC,
+    let flags = if split {
+        QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE
+    } else {
+        QueueSchedFlags::SCHED_AUTO_DYNAMIC
     };
     let queue = ctx.create_queue(flags).expect("queue");
 
@@ -132,7 +123,7 @@ pub fn run_arm(
 
     // One kernel name for every launch: dynamic profiling runs once per
     // device, in the first epoch, so later epochs are pure application
-    // work the partitioner feeds from warm profile rows.
+    // work the split sizes from warm profile rows.
     let bodies: Vec<Arc<dyn KernelBody>> = vec![Arc::new(EpFlops { name: "ep_flops".to_string() })];
     let program = ctx.create_program(bodies).expect("program");
     let k = program.create_kernel("ep_flops").expect("kernel");
@@ -176,10 +167,9 @@ pub fn run_arm(
     let kernel_devices: std::collections::HashSet<usize> =
         kernels.iter().map(|r| r.device.index()).collect();
     SplitPoint {
-        arm: partitioner.map_or_else(|| "unsplit".to_string(), |p| p.name().to_string()),
+        arm: if split { "split" } else { "unsplit" },
         makespan_ms: makespan_ns as f64 / 1e6,
         kernels_split: stats.kernels_split,
-        chunks_stolen: stats.chunks_stolen,
         devices_used: kernel_devices.len(),
         wgs_per_device,
         trace_fingerprint: trace_fingerprint(&trace),
@@ -198,57 +188,44 @@ pub fn speedup(unsplit: &SplitPoint, split: &SplitPoint) -> f64 {
 
 /// Check the bench's gates — `replay` is a second unsplit run of the same
 /// seed; returns the violations (empty = pass).
-pub fn violations(
-    unsplit: &SplitPoint,
-    replay: &SplitPoint,
-    splits: &[&SplitPoint],
-) -> Vec<String> {
+pub fn violations(unsplit: &SplitPoint, replay: &SplitPoint, split: &SplitPoint) -> Vec<String> {
     let mut out = Vec::new();
     if unsplit.kernels_split != 0 {
         out.push("the unsplit arm split a launch".to_string());
     }
-    for p in splits {
-        if unsplit.output_digest != p.output_digest {
-            out.push(format!("the {} arm changed buffer contents", p.arm));
-        }
-        if p.kernels_split == 0 {
-            out.push(format!("the {} arm never split a launch", p.arm));
-        }
-        if p.wgs_per_device.iter().sum::<u64>() == 0 {
-            out.push(format!("the {} arm recorded empty shares", p.arm));
-        }
-        if p.devices_used < 2 {
-            out.push(format!("the {} arm ran kernels on only {} device(s)", p.arm, p.devices_used));
-        }
+    if unsplit.output_digest != split.output_digest {
+        out.push("the split arm changed buffer contents".to_string());
     }
-    match splits.iter().find(|p| p.arm == "chunked") {
-        None => out.push("no chunked arm ran".to_string()),
-        Some(chunked) if chunked.chunks_stolen == 0 => {
-            out.push("the chunked arm never stole a chunk".to_string())
-        }
-        Some(_) => {}
+    if split.kernels_split == 0 {
+        out.push("the split arm never split a launch".to_string());
+    }
+    if split.wgs_per_device.iter().sum::<u64>() == 0 {
+        out.push("the split arm recorded empty shares".to_string());
+    }
+    if split.devices_used < 2 {
+        out.push(format!("the split arm ran kernels on only {} device(s)", split.devices_used));
     }
     if unsplit.trace_fingerprint != replay.trace_fingerprint {
         out.push("the flag-off same-seed rerun did not replay byte-identically".to_string());
     }
-    let best = splits.iter().map(|p| speedup(unsplit, p)).fold(0.0, f64::max);
-    if best < 1.3 {
+    let got = speedup(unsplit, split);
+    if got < 1.3 {
         out.push(format!(
             "expected \u{2265}1.3x virtual-time speedup over the best single device, got \
-             {best:.2}x ({:.3} ms unsplit)",
+             {got:.2}x ({:.3} ms unsplit)",
             unsplit.makespan_ms
         ));
     }
     out
 }
 
-/// Render every arm as a table.
-pub fn table(unsplit: &SplitPoint, splits: &[&SplitPoint]) -> Table {
+/// Render both arms as a table.
+pub fn table(unsplit: &SplitPoint, split: &SplitPoint) -> Table {
     let mut t = Table::new(
-        "Data-parallel kernel splitting: virtual-time makespan per partitioner",
-        &["arm", "makespan ms", "speedup", "split", "stolen", "devices", "wgs/device"],
+        "Data-parallel kernel splitting: virtual-time makespan",
+        &["arm", "makespan ms", "speedup", "split", "devices", "wgs/device"],
     );
-    let mut row = |p: &SplitPoint, baseline: bool| {
+    for p in [unsplit, split] {
         let shares = p
             .wgs_per_device
             .iter()
@@ -257,18 +234,13 @@ pub fn table(unsplit: &SplitPoint, splits: &[&SplitPoint]) -> Table {
             .collect::<Vec<_>>()
             .join(" ");
         t.row(vec![
-            p.arm.clone(),
+            p.arm.to_string(),
             format!("{:.3}", p.makespan_ms),
-            if baseline { "—".into() } else { format!("{:.2}x", speedup(unsplit, p)) },
+            if p.arm == "unsplit" { "—".into() } else { format!("{:.2}x", speedup(unsplit, p)) },
             format!("{}", p.kernels_split),
-            format!("{}", p.chunks_stolen),
             format!("{}", p.devices_used),
             if shares.is_empty() { "—".into() } else { shares },
         ]);
-    };
-    row(unsplit, true);
-    for p in splits {
-        row(p, false);
     }
     t
 }
@@ -279,16 +251,13 @@ pub fn to_json(
     elements: usize,
     launches: usize,
     unsplit: &SplitPoint,
-    splits: &[&SplitPoint],
+    split: &SplitPoint,
 ) -> Json {
-    let best = splits.iter().map(|p| speedup(unsplit, p)).fold(0.0, f64::max);
-    let bit_identical = splits.iter().all(|p| p.output_digest == unsplit.output_digest);
     let point = |p: &SplitPoint| {
         Json::obj([
-            ("arm", Json::from(p.arm.as_str())),
+            ("arm", Json::from(p.arm)),
             ("makespan_ms", Json::from(p.makespan_ms)),
             ("kernels_split", Json::from(p.kernels_split)),
-            ("chunks_stolen", Json::from(p.chunks_stolen)),
             ("devices_used", Json::from(p.devices_used)),
             (
                 "wgs_per_device",
@@ -303,12 +272,9 @@ pub fn to_json(
         ("seed", Json::from(seed)),
         ("elements", Json::from(elements)),
         ("launches", Json::from(launches)),
-        ("best_speedup", Json::from(best)),
-        ("bit_identical_outputs", Json::Bool(bit_identical)),
-        (
-            "points",
-            Json::Arr(std::iter::once(unsplit).chain(splits.iter().copied()).map(point).collect()),
-        ),
+        ("best_speedup", Json::from(speedup(unsplit, split))),
+        ("bit_identical_outputs", Json::Bool(split.output_digest == unsplit.output_digest)),
+        ("points", Json::Arr(vec![point(unsplit), point(split)])),
     ])
 }
 
@@ -318,8 +284,8 @@ mod tests {
 
     #[test]
     fn smoke_split_is_faster_and_bitwise_identical() {
-        let unsplit = run_arm(42, 1 << 14, 2, None);
-        let split = run_arm(42, 1 << 14, 2, Some(SplitPartitioner::Static));
+        let unsplit = run_arm(42, 1 << 14, 2, false);
+        let split = run_arm(42, 1 << 14, 2, true);
         assert_eq!(unsplit.output_digest, split.output_digest, "outputs diverged");
         assert_eq!(unsplit.kernels_split, 0);
         assert!(split.kernels_split > 0, "no launch was split: {split:?}");
@@ -329,25 +295,25 @@ mod tests {
 
     #[test]
     fn flag_off_replays_byte_identically() {
-        let a = run_arm(3, 1 << 12, 2, None);
-        let b = run_arm(3, 1 << 12, 2, None);
+        let a = run_arm(3, 1 << 12, 2, false);
+        let b = run_arm(3, 1 << 12, 2, false);
         assert_eq!(a.trace_fingerprint, b.trace_fingerprint);
         assert_eq!(a.output_digest, b.output_digest);
     }
 
     #[test]
     fn violations_list_every_broken_gate() {
-        // A "chunked arm" that is really the unsplit run with a doctored
-        // digest breaks every per-arm gate, the steal gate and the speedup.
-        let unsplit = run_arm(3, 1 << 12, 2, None);
+        // A "split arm" that is really the unsplit run with a doctored
+        // digest breaks every split gate and the speedup.
+        let unsplit = run_arm(3, 1 << 12, 2, false);
         let bad = SplitPoint {
-            arm: "chunked".to_string(),
+            arm: "split",
             output_digest: unsplit.output_digest ^ 1,
             ..unsplit.clone()
         };
-        let found = violations(&unsplit, &unsplit, &[&bad]);
-        assert_eq!(found.len(), 6, "{found:?}");
+        let found = violations(&unsplit, &unsplit, &bad);
+        assert_eq!(found.len(), 5, "{found:?}");
         assert!(found[0].contains("changed buffer contents"), "{found:?}");
-        assert!(found[5].contains("got 1.00x"), "{found:?}");
+        assert!(found[4].contains("got 1.00x"), "{found:?}");
     }
 }

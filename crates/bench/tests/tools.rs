@@ -2,7 +2,9 @@
 //! read a user-supplied event stream (`trace_query`, `schedule_explain
 //! --replay`) a bad path is the user's error (`error: …` on stderr, exit 1
 //! — never a panic), and a stream holding the decode-only `shard_degraded`
-//! / `tenant_migrated` kinds next to an unknown `type` still replays. For
+//! / `tenant_migrated` (cluster tier, deleted in PR 21) and `chunk_stolen`
+//! (split work stealing, deleted in PR 25) kinds next to an unknown `type`
+//! still replays. For
 //! the two that run a named benchmark (`schedule_trace`,
 //! `schedule_explain`) an unknown class or benchmark is a usage error
 //! (`error: …`, exit 2). A bench whose gate is violated lists every
@@ -80,6 +82,8 @@ fn decode_only_kinds_replay_and_unknown_kinds_are_counted() {
         "\n",
         r#"{"type":"tenant_migrated","epoch":7,"tenant":"t0","from_shard":2,"to_shard":0,"jobs":4,"bytes":4096,"transfer_ns":21000,"at_ns":40500}"#,
         "\n",
+        r#"{"type":"chunk_stolen","epoch":8,"kernel":"ep","chunk":1,"wg_offset":4,"wg_count":4,"from":0,"to":1,"at_ns":41000}"#,
+        "\n",
         r#"{"type":"from_a_newer_build","epoch":8}"#,
         "\n",
     );
@@ -90,15 +94,16 @@ fn decode_only_kinds_replay_and_unknown_kinds_are_counted() {
     let out = schedule_explain(&["--replay", file]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("replaying 2 event(s)"), "{stdout}");
+    assert!(stdout.contains("replaying 3 event(s)"), "{stdout}");
     assert!(stdout.contains("events_skipped: 1"), "{stdout}");
     assert!(stdout.contains("shard 2 DEGRADED"), "{stdout}");
     assert!(stdout.contains("tenant `t0` migrated shard 2→0"), "{stdout}");
+    assert!(stdout.contains("chunk #1 of `ep` STOLEN D0→D1"), "{stdout}");
 
     let out = trace_query(&[file]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("2 event(s), events_skipped: 1"), "{stdout}");
+    assert!(stdout.contains("3 event(s), events_skipped: 1"), "{stdout}");
 
     let _ = std::fs::remove_file(&path);
 }

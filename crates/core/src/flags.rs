@@ -66,12 +66,12 @@ impl QueueSchedFlags {
     /// between epochs ([`crate::SchedQueue::set_sched_hints`]); the two
     /// compose.
     pub const SCHED_OUT_OF_ORDER: QueueSchedFlags = QueueSchedFlags(1 << 9);
-    /// Execution hint: partition splittable kernels into contiguous NDRange
-    /// sub-ranges and execute them across every eligible device (static,
-    /// chunked, or HGuided partitioner plus work stealing —
-    /// EngineCL/PySchedCL-style). Off by default: without the flag every
-    /// kernel launches whole on one device and same-seed replay is
-    /// byte-identical to a build without splitting.
+    /// Execution hint: cut splittable kernels into contiguous NDRange
+    /// sub-ranges, one per eligible device, sized in proportion to the
+    /// device's live per-workgroup cost and run on that device
+    /// (EngineCL/PySchedCL-style static split). Off by default: without
+    /// the flag every kernel launches whole on one device and same-seed
+    /// replay is byte-identical to a build without splitting.
     pub const SCHED_SPLITTABLE: QueueSchedFlags = QueueSchedFlags(1 << 10);
 
     /// The empty flag set (defaults to automatic dynamic scheduling at

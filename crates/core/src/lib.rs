@@ -71,7 +71,7 @@ pub use scheduler::{
     DeviceHealth, MapperKind, MulticlContext, SchedOptions, SchedQueue, SchedStats,
     DEFAULT_ADAPTIVE_NODE_BUDGET, ITER_FREQ_ENV, PROFILING_TAG,
 };
-pub use split::{Assignment, Chunk, SplitPartitioner, SplitPlan};
+pub use split::Chunk;
 pub use telemetry::{QueueDecision, SchedEvent, SchedObserver};
 
 use clrt::error::ClResult;

@@ -29,7 +29,7 @@ use crate::mapper;
 use crate::ooo;
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
-use crate::split::{self, SplitPartitioner};
+use crate::split;
 use crate::telemetry::event::{QueueDecision, SchedEvent};
 use crate::telemetry::{SchedObserver, StderrSink};
 use clrt::error::{ClError, ClResult};
@@ -106,11 +106,6 @@ pub struct SchedOptions {
     /// replay property the bench harness asserts. Long-lived serving
     /// deployments opt in.
     pub predictor_persist: bool,
-    /// How `SCHED_SPLITTABLE` queues partition a splittable kernel's
-    /// NDRange over the healthy devices (static cost-proportional, fixed
-    /// chunks, or HGuided shrinking chunks). The work-stealing assigner
-    /// rebalances whatever the partitioner produces.
-    pub split_partitioner: SplitPartitioner,
     /// Telemetry observers attached at context creation; each receives
     /// every [`SchedEvent`] the runtime emits. More can be added later via
     /// [`MulticlContext::add_observer`]. When the `MULTICL_DEBUG`
@@ -132,7 +127,6 @@ impl Default for SchedOptions {
             mapper: MapperKind::Optimal,
             predictor_confidence: 0.0,
             predictor_persist: false,
-            split_partitioner: SplitPartitioner::Static,
             observers: Vec::new(),
         }
     }
@@ -160,7 +154,6 @@ impl std::fmt::Debug for SchedOptions {
             .field("mapper", &self.mapper)
             .field("predictor_confidence", &self.predictor_confidence)
             .field("predictor_persist", &self.predictor_persist)
-            .field("split_partitioner", &self.split_partitioner)
             .field("observers", &self.observers.len())
             .finish()
     }
@@ -193,7 +186,9 @@ pub struct SchedStats {
     /// Splittable kernel launches actually partitioned into multi-device
     /// sub-ranges (launches that fell back to a whole launch don't count).
     pub kernels_split: u64,
-    /// Chunks the work-stealing assigner moved off their preferred device.
+    /// Always 0: a split chunk runs on the device it was sized for. Kept
+    /// because benchmark reports read it; the `ChunkStolen` event kind it
+    /// counted is decode-only (DESIGN.md §14).
     pub chunks_stolen: u64,
 }
 
@@ -978,7 +973,6 @@ impl RtInner {
         stats.devices_lost += delta.devices_lost;
         stats.queues_remapped += delta.queues_remapped;
         stats.kernels_split += delta.kernels_split;
-        stats.chunks_stolen += delta.chunks_stolen;
     }
 
     /// How a queue's cost vector will be obtained this pass. `Static`,
@@ -1246,15 +1240,20 @@ impl RtInner {
         }
         let Some(axis) = Self::split_axis(&p.nd) else { return false };
         let units = p.nd.global[axis].div_ceil(p.nd.local[axis]);
-        if units < 2 || units < SPLIT_MIN_WGS {
+        if units < SPLIT_MIN_WGS {
             return false;
         }
         // Per-device cost of one split unit: the kernel's profiled full
         // execution time when the profiler has a row, else the §V-B
-        // analytic estimate — either divided by the unit count. Ineligible
-        // devices are unavailable (infinite cost).
+        // analytic estimate — either divided by the unit count, then
+        // stretched by the device's live degradation so a device running
+        // behind its estimate is sized smaller. Ineligible devices are
+        // unavailable (infinite cost).
         let node = self.platform.node();
         let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).cloned();
+        let degradation: Vec<f64> = self
+            .platform
+            .with_engine(|e| devices.iter().map(|&d| e.device_degradation(d)).collect());
         let per_wg_ns: Vec<f64> = devices
             .iter()
             .enumerate()
@@ -1273,34 +1272,25 @@ impl RtInner {
                             .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape())
                             .as_nanos() as f64
                     });
-                (full / units as f64).max(1e-9)
+                (full / units as f64).max(1e-9) * degradation[di].max(1.0)
             })
             .collect();
-        let chunks = self.options.split_partitioner.chunks(units, &per_wg_ns);
+        let chunks = split::static_chunks(units, &per_wg_ns);
         if chunks.len() < 2 {
             return false;
         }
-        // The partitioner planned against the estimates above; the assigner
-        // sees the *current* per-unit cost with active degradation faults
-        // folded in, so a device that has fallen behind its estimate loses
-        // chunks to stealing.
-        let degradation: Vec<f64> = self
-            .platform
-            .with_engine(|e| devices.iter().map(|&d| e.device_degradation(d)).collect());
-        let live_ns: Vec<f64> =
-            per_wg_ns.iter().zip(&degradation).map(|(&ns, &f)| ns * f.max(1.0)).collect();
-        let plan = split::assign_work_stealing(&chunks, &live_ns);
-        if plan.assignments.is_empty() {
-            return false;
+        let mut wgs_per_device = vec![0u64; devices.len()];
+        for c in &chunks {
+            wgs_per_device[c.device] += c.wg_count;
         }
         self.emit(&SchedEvent::KernelSplit {
             epoch,
             queue: q.id,
             kernel: p.kernel.name().to_string(),
-            partitioner: self.options.split_partitioner.name().to_string(),
+            partitioner: "static".to_string(),
             total_wgs: units,
             chunks: chunks.len() as u64,
-            wgs_per_device: plan.wgs_per_device(&chunks, devices.len()),
+            wgs_per_device,
             at: self.platform.now(),
         });
         delta.kernels_split += 1;
@@ -1314,30 +1304,15 @@ impl RtInner {
         // On an out-of-order home queue it also waits on the launch's
         // hazard predecessors, which the in-order lanes never consult.
         let start = [q.cl.enqueue_split_start(&p.args)];
-        let mut gathers: Vec<Event> = Vec::with_capacity(plan.assignments.len() * written.len());
-        for a in &plan.assignments {
-            let c = &chunks[a.chunk];
-            let dev = devices[a.device];
-            let lane = self.split_lane(a.device, dev);
+        let mut gathers: Vec<Event> = Vec::with_capacity(chunks.len() * written.len());
+        for c in &chunks {
+            let lane = self.split_lane(c.device, devices[c.device]);
             let item_offset = c.wg_offset * p.nd.local[axis];
             let extent = (c.wg_count * p.nd.local[axis]).min(p.nd.global[axis] - item_offset);
             let mut chunk_nd = p.nd;
             chunk_nd.global[axis] = extent;
             let mut offset = [0u64; 3];
             offset[axis] = item_offset;
-            if a.stolen {
-                self.emit(&SchedEvent::ChunkStolen {
-                    epoch,
-                    kernel: p.kernel.name().to_string(),
-                    chunk: a.chunk as u64,
-                    wg_offset: c.wg_offset,
-                    wg_count: c.wg_count,
-                    from: devices[c.preferred],
-                    to: dev,
-                    at: self.platform.now(),
-                });
-                delta.chunks_stolen += 1;
-            }
             let ev = lane
                 .enqueue_ndrange_chunk(&p.kernel, chunk_nd, offset, &p.args, &start)
                 .expect("chunk geometry derives from a validated launch");
@@ -1359,20 +1334,16 @@ impl RtInner {
     }
 
     /// The cached per-device in-order lane for split chunks, created on
-    /// first use. Keyed by device *index* (pass device order is stable).
+    /// first use. Keyed by device *index*; the pass's device list is the
+    /// context's, so a lane always stays on the device it was created for.
     fn split_lane(&self, device_index: usize, dev: DeviceId) -> CommandQueue {
-        let mut lanes = self.split_lanes.lock();
-        if let Some(lane) = lanes.get(&device_index) {
-            let lane = lane.clone();
-            drop(lanes);
-            // A lane created before a fault-driven reshuffle may point at a
-            // stale device; rebind is cheap and idempotent.
-            lane.rebind(dev).expect("lane device comes from the context device list");
-            return lane;
-        }
-        let lane = self.cl.create_queue(dev).expect("lane device comes from the context");
-        lanes.insert(device_index, lane.clone());
-        lane
+        self.split_lanes
+            .lock()
+            .entry(device_index)
+            .or_insert_with(|| {
+                self.cl.create_queue(dev).expect("lane device comes from the context")
+            })
+            .clone()
     }
 
     /// §V-B: static selection from device profiles + queue hints only.

@@ -1,15 +1,15 @@
-//! Data-parallel kernel splitting (`SCHED_SPLITTABLE`): partitioners that
-//! carve a splittable launch into contiguous workgroup sub-ranges, and a
-//! work-stealing assigner that rebalances the chunks when a device runs
-//! behind its estimate.
+//! Data-parallel kernel splitting (`SCHED_SPLITTABLE`): one step cuts a
+//! splittable launch into contiguous workgroup sub-ranges, one per device,
+//! sized in proportion to each device's speed.
 //!
-//! Everything here is pure — the functions see per-device *per-split-unit*
-//! cost estimates (nanoseconds per workgroup slab along the split axis) and
-//! return chunk lists / assignments; the scheduler turns those into actual
-//! sub-range enqueues on per-device lanes. A device whose estimate is
-//! non-finite (lost, or never measured) is unavailable and receives no
-//! work. All tie-breaks are index-ordered, so same-seed runs replay
-//! bit-identically.
+//! Pure: [`static_chunks`] sees per-device *per-split-unit* cost estimates
+//! (nanoseconds per workgroup slab along the split axis, live degradation
+//! already folded in by the scheduler) and returns the chunk list; the
+//! scheduler issues each chunk, in list order, on the device it was sized
+//! for. A device whose estimate is non-finite (lost, ineligible, never
+//! measured) is unavailable and receives no work, and so does a device
+//! whose share rounds to zero. Ties go to the lower device index, so
+//! same-seed runs replay bit-identically.
 
 /// One contiguous sub-range of a splittable launch, in *split units*
 /// (workgroup slabs along the launch's split axis).
@@ -19,69 +19,20 @@ pub struct Chunk {
     pub wg_offset: u64,
     /// Split units in the sub-range (always ≥ 1).
     pub wg_count: u64,
-    /// Device column the partitioner intended the chunk for.
-    pub preferred: usize,
-}
-
-/// Partitioning strategy for splittable kernels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SplitPartitioner {
-    /// One contiguous chunk per device, sized proportionally to predicted
-    /// device speed (cost-model rows), with largest-remainder rounding.
-    /// Lowest launch overhead; relies entirely on the estimates.
-    Static,
-    /// Fixed-size chunks dealt round-robin over the available devices —
-    /// classic dynamic chunking. Robust to bad estimates, more launches.
-    Chunked {
-        /// Split units per chunk (clamped to ≥ 1).
-        chunk_wgs: u64,
-    },
-    /// EngineCL-style HGuided: the chunk size starts at
-    /// `remaining / (2·devices)` and shrinks as the range drains, down to a
-    /// floor — large chunks amortize launch overhead early, small chunks
-    /// load-balance the tail.
-    HGuided {
-        /// Smallest chunk the shrink bottoms out at (clamped to ≥ 1).
-        min_wgs: u64,
-    },
-}
-
-impl SplitPartitioner {
-    /// The partitioner's telemetry name (`SchedEvent::KernelSplit`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SplitPartitioner::Static => "static",
-            SplitPartitioner::Chunked { .. } => "chunked",
-            SplitPartitioner::HGuided { .. } => "hguided",
-        }
-    }
-
-    /// Partition `total_wgs` split units over the available devices of
-    /// `per_wg_ns`. Returns an empty list when there is nothing to split or
-    /// no device is available.
-    pub fn chunks(&self, total_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
-        match *self {
-            SplitPartitioner::Static => static_chunks(total_wgs, per_wg_ns),
-            SplitPartitioner::Chunked { chunk_wgs } => {
-                chunked_chunks(total_wgs, chunk_wgs, per_wg_ns)
-            }
-            SplitPartitioner::HGuided { min_wgs } => hguided_chunks(total_wgs, min_wgs, per_wg_ns),
-        }
-    }
-}
-
-/// Device columns with a finite, positive per-unit estimate — the devices
-/// splitting may use.
-fn available(per_wg_ns: &[f64]) -> Vec<usize> {
-    (0..per_wg_ns.len()).filter(|&d| per_wg_ns[d].is_finite() && per_wg_ns[d] > 0.0).collect()
+    /// Device column (index into the estimate slice) the chunk was sized
+    /// for and runs on.
+    pub device: usize,
 }
 
 /// Cost-proportional static partition: each available device gets a share
 /// of the range inversely proportional to its per-unit cost, rounded with
 /// the largest-remainder method (exact total, deterministic ties by lower
-/// device index). Zero-share devices produce no chunk.
+/// device index). Zero-share devices produce no chunk; chunks come in
+/// device order. Empty when there is nothing to split or no device is
+/// available.
 pub fn static_chunks(total_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
-    let avail = available(per_wg_ns);
+    let avail: Vec<usize> =
+        (0..per_wg_ns.len()).filter(|&d| per_wg_ns[d].is_finite() && per_wg_ns[d] > 0.0).collect();
     if total_wgs == 0 || avail.is_empty() {
         return Vec::new();
     }
@@ -114,128 +65,10 @@ pub fn static_chunks(total_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
         if share == 0 {
             continue;
         }
-        chunks.push(Chunk { wg_offset: offset, wg_count: share, preferred: avail[i] });
+        chunks.push(Chunk { wg_offset: offset, wg_count: share, device: avail[i] });
         offset += share;
     }
     chunks
-}
-
-/// Fixed-size dynamic chunking: `chunk_wgs`-unit chunks (the tail may be
-/// smaller) dealt round-robin over the available devices.
-pub fn chunked_chunks(total_wgs: u64, chunk_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
-    let avail = available(per_wg_ns);
-    if total_wgs == 0 || avail.is_empty() {
-        return Vec::new();
-    }
-    let size = chunk_wgs.max(1);
-    let mut chunks = Vec::new();
-    let mut offset = 0u64;
-    let mut turn = 0usize;
-    while offset < total_wgs {
-        let count = size.min(total_wgs - offset);
-        chunks.push(Chunk { wg_offset: offset, wg_count: count, preferred: avail[turn] });
-        offset += count;
-        turn = (turn + 1) % avail.len();
-    }
-    chunks
-}
-
-/// HGuided shrinking chunks: each chunk takes `remaining / (2·devices)`
-/// units (floored at `min_wgs`), dealt round-robin — big chunks up front,
-/// a fine-grained tail for load balancing.
-pub fn hguided_chunks(total_wgs: u64, min_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
-    let avail = available(per_wg_ns);
-    if total_wgs == 0 || avail.is_empty() {
-        return Vec::new();
-    }
-    let floor = min_wgs.max(1);
-    let mut chunks = Vec::new();
-    let mut offset = 0u64;
-    let mut turn = 0usize;
-    while offset < total_wgs {
-        let remaining = total_wgs - offset;
-        let count = (remaining / (2 * avail.len() as u64)).max(floor).min(remaining);
-        chunks.push(Chunk { wg_offset: offset, wg_count: count, preferred: avail[turn] });
-        offset += count;
-        turn = (turn + 1) % avail.len();
-    }
-    chunks
-}
-
-/// One chunk's final placement after work stealing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Assignment {
-    /// Index into the chunk list.
-    pub chunk: usize,
-    /// Device column the chunk executes on.
-    pub device: usize,
-    /// Estimated start time on that device's timeline (ns).
-    pub start_ns: f64,
-    /// True when the chunk runs somewhere other than its preferred device
-    /// — it was stolen because the preferred device was running behind.
-    pub stolen: bool,
-}
-
-/// The work-stealing assigner's output: placements plus the estimated
-/// concurrent completion time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SplitPlan {
-    /// One placement per chunk, in assignment (virtual-time) order.
-    pub assignments: Vec<Assignment>,
-    /// Estimated makespan over the per-device timelines (ns).
-    pub makespan_ns: f64,
-}
-
-impl SplitPlan {
-    /// Split units placed on each device (column order of the estimate
-    /// slice handed to [`assign_work_stealing`]).
-    pub fn wgs_per_device(&self, chunks: &[Chunk], devices: usize) -> Vec<u64> {
-        let mut per = vec![0u64; devices];
-        for a in &self.assignments {
-            per[a.device] += chunks[a.chunk].wg_count;
-        }
-        per
-    }
-}
-
-/// Simulated work-stealing list schedule over the chunk queue: the device
-/// whose estimated timeline is shortest pulls its next preferred chunk, or
-/// — when its own queue is empty — steals the lowest-indexed unassigned
-/// chunk from a device that is running behind. `per_wg_ns` holds the
-/// *current* per-unit estimates (degradation included), which is how a
-/// device that has fallen behind its partition-time estimate loses chunks.
-///
-/// Deterministic: ties pick the lower device index, steals pick the lowest
-/// chunk index. Chunks preferred onto unavailable devices are always
-/// stolen.
-pub fn assign_work_stealing(chunks: &[Chunk], per_wg_ns: &[f64]) -> SplitPlan {
-    let avail = available(per_wg_ns);
-    if chunks.is_empty() || avail.is_empty() {
-        return SplitPlan { assignments: Vec::new(), makespan_ns: 0.0 };
-    }
-    let mut timeline = vec![0.0f64; per_wg_ns.len()];
-    let mut taken = vec![false; chunks.len()];
-    let mut assignments = Vec::with_capacity(chunks.len());
-    for _ in 0..chunks.len() {
-        // The device with the shortest estimated timeline pulls next.
-        let &dev = avail
-            .iter()
-            .min_by(|&&a, &&b| {
-                timeline[a].partial_cmp(&timeline[b]).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("avail is non-empty");
-        // Its own queue first (program order), then steal the lowest index.
-        let next = (0..chunks.len())
-            .find(|&i| !taken[i] && chunks[i].preferred == dev)
-            .or_else(|| (0..chunks.len()).find(|&i| !taken[i]))
-            .expect("loop runs once per chunk");
-        taken[next] = true;
-        let stolen = chunks[next].preferred != dev;
-        assignments.push(Assignment { chunk: next, device: dev, start_ns: timeline[dev], stolen });
-        timeline[dev] += chunks[next].wg_count as f64 * per_wg_ns[dev];
-    }
-    let makespan_ns = timeline.iter().copied().fold(0.0f64, f64::max);
-    SplitPlan { assignments, makespan_ns }
 }
 
 #[cfg(test)]
@@ -260,7 +93,7 @@ mod tests {
         let chunks = static_chunks(400, &[1.0, 3.0]);
         assert_tiles(&chunks, 400);
         assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].preferred, 0);
+        assert_eq!(chunks[0].device, 0);
         assert_eq!(chunks[0].wg_count, 300);
         assert_eq!(chunks[1].wg_count, 100);
     }
@@ -270,111 +103,45 @@ mod tests {
         let chunks = static_chunks(100, &[f64::INFINITY, 2.0, f64::NAN]);
         assert_tiles(&chunks, 100);
         assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].preferred, 1);
+        assert_eq!(chunks[0].device, 1);
         assert!(static_chunks(100, &[f64::INFINITY]).is_empty());
         assert!(static_chunks(0, &[1.0, 1.0]).is_empty());
     }
 
     #[test]
-    fn chunked_partition_deals_round_robin() {
-        let chunks = chunked_chunks(10, 4, &[1.0, 1.0]);
-        assert_tiles(&chunks, 10);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[2].wg_count, 2, "tail chunk shrinks to fit");
-        assert_eq!(
-            chunks.iter().map(|c| c.preferred).collect::<Vec<_>>(),
-            vec![0, 1, 0],
-            "round-robin preferred devices"
-        );
+    fn a_share_that_rounds_to_zero_gets_no_chunk() {
+        // Device 0 is 50× slower: its exact share of 8 units is 0.08.
+        let chunks = static_chunks(8, &[50.0, 1.0, 1.0]);
+        assert_tiles(&chunks, 8);
+        let placed: Vec<(usize, u64)> = chunks.iter().map(|c| (c.device, c.wg_count)).collect();
+        assert_eq!(placed, vec![(1, 4), (2, 4)]);
     }
 
     #[test]
-    fn hguided_chunks_shrink_toward_the_floor() {
-        let chunks = hguided_chunks(128, 4, &[1.0, 1.0]);
-        assert_tiles(&chunks, 128);
-        // First chunk is remaining/(2·2) = 32; sizes never grow.
-        assert_eq!(chunks[0].wg_count, 32);
-        for w in chunks.windows(2) {
-            assert!(w[1].wg_count <= w[0].wg_count, "chunk sizes must shrink");
-        }
-        assert!(chunks.last().unwrap().wg_count >= 1);
-    }
-
-    #[test]
-    fn work_stealing_assigns_every_chunk_exactly_once() {
+    fn random_partitions_tile_exactly_and_skip_zero_shares() {
         let mut rng = XorShift::new(0xC0FFEE);
+        let mut zero_shares = 0;
         for _ in 0..200 {
             let ndev = rng.index(3) + 2;
             let total = rng.range_u64(1, 500);
-            let per: Vec<f64> = (0..ndev).map(|_| rng.range_f64(0.5, 20.0)).collect();
-            let partitioner = match rng.index(3) {
-                0 => SplitPartitioner::Static,
-                1 => SplitPartitioner::Chunked { chunk_wgs: rng.range_u64(1, 64) },
-                _ => SplitPartitioner::HGuided { min_wgs: rng.range_u64(1, 16) },
-            };
-            let chunks = partitioner.chunks(total, &per);
-            assert_tiles(&chunks, total);
-            let plan = assign_work_stealing(&chunks, &per);
-            assert_eq!(plan.assignments.len(), chunks.len());
-            let mut seen = vec![false; chunks.len()];
-            for a in &plan.assignments {
-                assert!(!seen[a.chunk], "chunk {} assigned twice", a.chunk);
-                seen[a.chunk] = true;
-                assert_eq!(a.stolen, chunks[a.chunk].preferred != a.device);
+            let per: Vec<f64> = (0..ndev)
+                .map(|_| if rng.index(5) == 0 { f64::INFINITY } else { rng.range_f64(0.5, 200.0) })
+                .collect();
+            let chunks = static_chunks(total, &per);
+            if per.iter().all(|ns| ns.is_infinite()) {
+                assert!(chunks.is_empty());
+                continue;
             }
-            // Stolen-chunk accounting: per-device units sum to the total.
-            let per_dev = plan.wgs_per_device(&chunks, ndev);
-            assert_eq!(per_dev.iter().sum::<u64>(), total);
-            assert!(plan.makespan_ns > 0.0);
+            assert_tiles(&chunks, total);
+            assert_eq!(chunks, static_chunks(total, &per), "deterministic");
+            // One chunk per device with a non-zero share, in device order,
+            // never on an unavailable device.
+            for w in chunks.windows(2) {
+                assert!(w[0].device < w[1].device, "{chunks:?}");
+            }
+            assert!(chunks.iter().all(|c| per[c.device].is_finite()), "{chunks:?}");
+            zero_shares += per.iter().filter(|ns| ns.is_finite()).count() - chunks.len();
         }
-    }
-
-    #[test]
-    fn degraded_device_loses_chunks_to_stealing() {
-        // Partition assumed equal speeds, but device 1 now runs 8× slower
-        // (it fell behind its estimate): the assigner steals most of its
-        // share.
-        let chunks = chunked_chunks(64, 4, &[1.0, 1.0]);
-        let plan = assign_work_stealing(&chunks, &[1.0, 8.0]);
-        let stolen: Vec<&Assignment> = plan.assignments.iter().filter(|a| a.stolen).collect();
-        assert!(!stolen.is_empty(), "a slow device must lose work");
-        assert!(stolen.iter().all(|a| a.device == 0), "steals flow to the fast device");
-        let per_dev = plan.wgs_per_device(&chunks, 2);
-        assert!(per_dev[0] > per_dev[1], "the fast device ends up with more units");
-        // The balanced makespan beats giving the slow device its full half.
-        assert!(plan.makespan_ns < 32.0 * 8.0);
-    }
-
-    #[test]
-    fn no_stealing_when_estimates_match_the_partition() {
-        // Static partition and assignment see the same speeds: every chunk
-        // lands on its preferred device.
-        let per = [2.0, 1.0, 4.0];
-        let chunks = static_chunks(700, &per);
-        let plan = assign_work_stealing(&chunks, &per);
-        assert!(plan.assignments.iter().all(|a| !a.stolen), "{:?}", plan.assignments);
-    }
-
-    #[test]
-    fn chunks_preferred_onto_lost_devices_are_stolen() {
-        // Device 1 was available at partition time, lost by assignment time.
-        let chunks = chunked_chunks(32, 8, &[1.0, 1.0]);
-        let plan = assign_work_stealing(&chunks, &[1.0, f64::INFINITY]);
-        assert_eq!(plan.assignments.len(), chunks.len());
-        assert!(plan.assignments.iter().all(|a| a.device == 0));
-        assert!(plan.assignments.iter().any(|a| a.stolen));
-    }
-
-    #[test]
-    fn assignment_is_deterministic() {
-        let mut rng = XorShift::new(7);
-        for _ in 0..50 {
-            let total = rng.range_u64(1, 300);
-            let per: Vec<f64> = (0..3).map(|_| rng.range_f64(0.5, 10.0)).collect();
-            let chunks = hguided_chunks(total, 2, &per);
-            let a = assign_work_stealing(&chunks, &per);
-            let b = assign_work_stealing(&chunks, &per);
-            assert_eq!(a, b);
-        }
+        assert!(zero_shares > 0, "no draw rounded a share to zero");
     }
 }

@@ -40,9 +40,11 @@
 //!   [`SchedEvent::JobTrace`], [`SchedEvent::MakespanAttribution`], and
 //!   [`SchedEvent::SloBurn`] carry the results on the event stream.
 //!
-//! Two kinds are *decode-only*: [`SchedEvent::ShardDegraded`] and
+//! Three kinds are *decode-only*: [`SchedEvent::ShardDegraded`] and
 //! [`SchedEvent::TenantMigrated`] were emitted by the cluster tier until
-//! PR 21 and stay in the table so recorded streams still decode.
+//! PR 21, and [`SchedEvent::ChunkStolen`] by the split work-stealing
+//! assigner until PR 25; they stay in the table so recorded streams still
+//! decode.
 
 pub mod event;
 pub mod perfetto;

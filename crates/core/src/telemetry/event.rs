@@ -631,8 +631,9 @@ pub enum SchedEvent {
         queue: usize => "queue" = 0,
         /// Kernel function name.
         kernel: String => "kernel",
-        /// Partitioner that produced the chunks (`static` / `chunked` /
-        /// `hguided`).
+        /// Partitioner that produced the chunks: always `static` since
+        /// PR 25; streams recorded before it may hold `chunked` /
+        /// `hguided`.
         partitioner: String => "partitioner" = "static".into(),
         /// Split units (workgroup slabs along the split axis) in the launch.
         total_wgs: u64 => "total_wgs" = 0,
@@ -644,8 +645,9 @@ pub enum SchedEvent {
         /// Virtual time of the split decision.
         at: SimTime => "at_ns" = SimTime::ZERO,
     },
-    /// The work-stealing chunk assigner moved a chunk off its preferred
-    /// device because that device was running behind its estimate.
+    /// Decode-only: the split work-stealing assigner (deleted in PR 25)
+    /// moved a chunk off its preferred device. Nothing emits it now; it
+    /// stays so recorded streams still decode.
     ChunkStolen = "chunk_stolen" {
         /// Scheduling epoch of the steal.
         epoch: u64 => "epoch",

@@ -233,9 +233,10 @@ const SPLITS_TID: u64 = 30_000;
 
 /// Kernel-split track events: one instant per [`SchedEvent::KernelSplit`]
 /// on a dedicated `splits` row, and one flow-arrow pair per
-/// [`SchedEvent::ChunkStolen`] from the preferred device row to the device
-/// that actually executed the chunk — steals render exactly like queue
-/// migrations, as arrows between device rows.
+/// [`SchedEvent::ChunkStolen`] (decode-only: recorded streams from before
+/// PR 25) from the preferred device row to the device that executed the
+/// chunk — steals render exactly like queue migrations, as arrows between
+/// device rows.
 pub fn split_chunk_events(events: &[SchedEvent]) -> Vec<Json> {
     let mut out = Vec::new();
     let mut named = false;
