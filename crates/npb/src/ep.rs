@@ -306,7 +306,6 @@ impl EpApp {
                     return false;
                 }
             }
-            let _ = &s.records;
         }
         true
     }

@@ -1,12 +1,9 @@
 //! The two-region FDM-Seismology application driver.
 
 use crate::grid::{Dims, Layout};
-use crate::kernels::{
-    AbsorbStrip, Attenuate, FreeSurface, Params, SourceInject, StressNormal, StressShear,
-    StressTaper, VelTaper, VelUpdate,
-};
+use crate::kernels::{bodies, Params};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, NdRange};
+use clrt::{ArgValue, Buffer, Kernel, NdRange};
 use hwsim::{DeviceId, SimDuration};
 use multicl::{MulticlContext, QueueSchedFlags, SchedQueue};
 use std::sync::Arc;
@@ -131,12 +128,7 @@ pub struct FdmApp {
 impl FdmApp {
     /// Build the application.
     pub fn new(ctx: &MulticlContext, cfg: FdmConfig, plan: &FdmPlan) -> ClResult<FdmApp> {
-        let params = Arc::new(Params {
-            dims: cfg.dims,
-            layout: cfg.layout,
-            medium: cfg.medium.clone(),
-            ..Params::default()
-        });
+        let params = Arc::new(Params::new(cfg.dims, cfg.layout, &cfg.medium));
         let queues = match plan {
             FdmPlan::Auto => {
                 let flags =
@@ -147,39 +139,18 @@ impl FdmApp {
             FdmPlan::Manual(d1, d2) => [ctx.create_queue_on(*d1)?, ctx.create_queue_on(*d2)?],
         };
         // One program serves both regions (same kernel bodies and params).
-        let p = Arc::clone(&params);
-        let bodies: Vec<Arc<dyn KernelBody>> = vec![
-            Arc::new(VelUpdate { comp: 0, kname: "vel_vx", p: p.clone() }),
-            Arc::new(VelUpdate { comp: 1, kname: "vel_vy", p: p.clone() }),
-            Arc::new(VelUpdate { comp: 2, kname: "vel_vz", p: p.clone() }),
-            Arc::new(VelTaper { p: p.clone() }),
-            Arc::new(StressNormal { comp: 0, kname: "str_sxx", p: p.clone() }),
-            Arc::new(StressNormal { comp: 1, kname: "str_syy", p: p.clone() }),
-            Arc::new(StressNormal { comp: 2, kname: "str_szz", p: p.clone() }),
-            Arc::new(StressShear { axes: (0, 1), kname: "str_sxy", p: p.clone() }),
-            Arc::new(StressShear { axes: (0, 2), kname: "str_sxz", p: p.clone() }),
-            Arc::new(StressShear { axes: (1, 2), kname: "str_syz", p: p.clone() }),
-            Arc::new(StressTaper { kname: "str_taper_n", p: p.clone() }),
-            Arc::new(StressTaper { kname: "str_taper_s", p: p.clone() }),
-            Arc::new(SourceInject { p: p.clone() }),
-            Arc::new(FreeSurface { p: p.clone() }),
-            Arc::new(Attenuate { p: p.clone() }),
-            Arc::new(AbsorbStrip { side: 0, kname: "str_absorb_xlo", p: p.clone() }),
-            Arc::new(AbsorbStrip { side: 1, kname: "str_absorb_xhi", p: p.clone() }),
-            Arc::new(AbsorbStrip { side: 2, kname: "str_absorb_ylo", p: p.clone() }),
-            Arc::new(AbsorbStrip { side: 3, kname: "str_absorb_yhi", p: p.clone() }),
-        ];
-        let program = ctx.create_program(bodies)?;
+        let program = ctx.create_program(bodies(&params))?;
         let cells = cfg.dims.cells();
+        let zeros = vec![0.0f64; cells];
 
-        let mut regions = Vec::with_capacity(2);
-        for (ri, q) in queues.iter().enumerate() {
+        let region = |ri: usize| -> ClResult<Region> {
+            let q = &queues[ri];
             let fields: [Buffer; 9] =
                 std::array::from_fn(|_| ctx.create_buffer_of::<f64>(cells).expect("field buffer"));
             // Fields start at zero (quiescent medium); make them resident
             // on the queue's initial device like the real app's setup phase.
             for f in &fields {
-                q.enqueue_write(f, &vec![0.0f64; cells])?;
+                q.enqueue_write(f, &zeros)?;
             }
 
             // --- Velocity phase kernels ---
@@ -209,7 +180,6 @@ impl FdmApp {
                 k.set_arg(1, ArgValue::Buffer(fields[VY].clone()))?;
                 k.set_arg(2, ArgValue::Buffer(fields[VZ].clone()))?;
                 k.set_arg(3, ArgValue::BufferMut(fields[comp].clone()))?;
-                let _ = comp;
                 stress_kernels.push(k);
             }
             for (va, vb, s, name) in
@@ -262,9 +232,9 @@ impl FdmApp {
                     stress_kernels.push(k);
                 }
             }
-            regions.push(Region { fields, vel_kernels, stress_kernels, source });
-        }
-        let regions: [Region; 2] = regions.try_into().map_err(|_| unreachable!()).unwrap();
+            Ok(Region { fields, vel_kernels, stress_kernels, source })
+        };
+        let regions = [region(0)?, region(1)?];
         let seismograms = cfg
             .receivers
             .iter()
@@ -527,7 +497,6 @@ mod tests {
         let (p, c) = ctx("receivers");
         let cpu = p.node().cpu().unwrap();
         let dims = Dims::new(24, 24, 12);
-        let center = (12, 12, 6);
         let near = (14, 12, 6); // 2 cells from the source
         let far = (21, 12, 6); // 9 cells from the source
         let cfg = FdmConfig {
@@ -539,7 +508,6 @@ mod tests {
         };
         let mut app = FdmApp::new(&c, cfg, &FdmPlan::Manual(cpu, cpu)).unwrap();
         app.run().unwrap();
-        let _ = center;
         let sg = app.seismograms();
         assert_eq!(sg.len(), 2);
         // First-arrival picking: threshold at 1% of each trace's own peak
