@@ -4,7 +4,7 @@
 
 use crate::harness::fresh_platform;
 use hwsim::{DeviceId, SimDuration, Trace};
-use multicl::{ContextSchedPolicy, PROFILING_TAG};
+use multicl::ContextSchedPolicy;
 use npb::{run_benchmark, Class, QueuePlan, RunResult};
 
 /// The paper's Figure 4/8 benchmark+class pairs (largest class fitting the
@@ -90,47 +90,4 @@ pub fn figure4_baselines(
         ("Round Robin #1", vec![g0, g1, cpu, g0]),
         ("Round Robin #2", vec![cpu, g0, g1, cpu]),
     ]
-}
-
-/// Application records only: dynamic-profiling and static
-/// device-profiling commands are scheduler overhead, not the batch.
-pub fn is_app(r: &hwsim::TraceRecord) -> bool {
-    !r.has_tag(PROFILING_TAG) && !r.tag_starts_with("device-profiling")
-}
-
-/// The FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `v` (little-endian bytes) into the FNV-1a state `h`; start from
-/// [`FNV_OFFSET`].
-pub fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// FNV-1a over non-profiling records with queue ids renumbered by first
-/// appearance and timestamps taken relative to the batch's earliest
-/// queued time, so a cold (profiling) and a warm process fingerprint
-/// identically.
-pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    let app: Vec<_> = trace.records.iter().filter(|r| is_app(r)).collect();
-    let base = app.iter().map(|r| r.stamp.queued.as_nanos()).min().unwrap_or(0);
-    let mut qmap: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut h = FNV_OFFSET;
-    for r in app {
-        let next = qmap.len();
-        let q = *qmap.entry(r.queue).or_insert(next);
-        fnv(&mut h, q as u64);
-        fnv(&mut h, r.device.index() as u64);
-        for b in format!("{:?}", r.kind).bytes() {
-            fnv(&mut h, b as u64);
-        }
-        fnv(&mut h, r.stamp.queued.as_nanos() - base);
-        fnv(&mut h, r.stamp.submit.as_nanos() - base);
-        fnv(&mut h, r.stamp.start.as_nanos() - base);
-        fnv(&mut h, r.stamp.end.as_nanos() - base);
-    }
-    h
 }

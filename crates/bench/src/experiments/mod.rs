@@ -1,10 +1,7 @@
 //! One module per table/figure of the paper's evaluation section.
 
 pub mod ablation;
-pub mod capacity;
-pub mod coldstart;
 pub mod common;
-pub mod faults;
 pub mod fig10;
 pub mod fig3;
 pub mod fig4;
@@ -13,8 +10,4 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod mapper_scaling;
-pub mod overlap;
-pub mod split;
 pub mod tables;
-pub mod tracing;

@@ -3,36 +3,28 @@
 //! command-line tools take from their user: a recorded event stream, a
 //! benchmark name and class.
 
+use crate::experiments::common::bench_options;
 use clrt::Platform;
 use multicl::telemetry::{sink, SchedEvent};
-use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
+use multicl::{ContextSchedPolicy, MulticlContext};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static CTX_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A fresh simulated paper-node platform (clock at zero).
 pub fn fresh_platform() -> Platform {
     Platform::paper_node()
 }
 
-/// A MultiCL context over `platform` with a *scratch* profile-cache
-/// directory — except that all harness contexts share one directory per
-/// process, so the static device profile is measured once and every
-/// subsequent context starts warm (like repeated runs on one machine).
+/// A MultiCL context over `platform` with [`bench_options`]' scratch
+/// profile cache: all bench contexts share one directory per process, so
+/// the static device profile is measured once and every subsequent context
+/// starts warm (like repeated runs on one machine).
 pub fn fresh_context(
     platform: &Platform,
     policy: ContextSchedPolicy,
     data_caching: bool,
 ) -> MulticlContext {
-    let _ = CTX_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("multicl-bench-cache-{}", std::process::id()));
-    let options = SchedOptions {
-        data_caching,
-        profile_cache: ProfileCache::at(dir),
-        ..SchedOptions::default()
-    };
-    MulticlContext::with_options(platform, policy, options).expect("context creation")
+    MulticlContext::with_options(platform, policy, bench_options(data_caching))
+        .expect("context creation")
 }
 
 /// A simple aligned text table.

@@ -360,7 +360,7 @@ impl CostPredictor {
     /// an unwritable directory only costs re-learning on the next run).
     pub fn store(&self, dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(Self::file_in(dir, &self.fingerprint), self.to_json().dump())
+        crate::profile::replace_file(&Self::file_in(dir, &self.fingerprint), &self.to_json().dump())
     }
 }
 

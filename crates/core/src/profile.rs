@@ -13,6 +13,7 @@ use hwsim::json::Json;
 use hwsim::microbench::{self, BandwidthCurve};
 use hwsim::{DeviceId, SimDuration};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the profile-cache directory (the paper:
 /// "the profile cache location can be controlled by environment variables").
@@ -207,8 +208,7 @@ impl ProfileCache {
     /// (a missing cache only costs re-measurement).
     pub fn store(&self, profile: &DeviceProfile) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        let path = self.file_for(&profile.fingerprint);
-        std::fs::write(path, profile.to_json().dump())
+        replace_file(&self.file_for(&profile.fingerprint), &profile.to_json().dump())
     }
 
     /// Load the profile if cached, else measure (charging virtual time) and
@@ -234,6 +234,19 @@ impl ProfileCache {
         let _ = self.store(&profile);
         (profile, false)
     }
+}
+
+/// Write `contents` to a sibling temporary file and rename it over `path`,
+/// so a concurrent reader sees the old file or the new one, never a prefix
+/// (which would fail to parse and cost a re-measurement).
+pub(crate) fn replace_file(path: &Path, contents: &str) -> std::io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{}-{n}", std::process::id()));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]
@@ -300,6 +313,36 @@ mod tests {
         let profile = DeviceProfile::measure(&p);
         cache.store(&profile).unwrap();
         assert!(cache.load("some-other-node").is_none());
+    }
+
+    #[test]
+    fn a_concurrent_load_never_sees_a_half_written_file() {
+        use crate::predictor::CostPredictor;
+        use std::sync::atomic::AtomicBool;
+        let cache = temp_cache("atomic");
+        let profile = DeviceProfile::measure(&Platform::paper_node());
+        let model = CostPredictor::new(3, profile.fingerprint.clone());
+        cache.store(&profile).unwrap();
+        model.store(cache.dir()).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut loads = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    assert!(cache.load(&profile.fingerprint).is_some(), "profile, load {loads}");
+                    assert!(
+                        CostPredictor::load(cache.dir(), &profile.fingerprint, 3).is_some(),
+                        "predictor, load {loads}"
+                    );
+                    loads += 1;
+                }
+            });
+            for _ in 0..200 {
+                cache.store(&profile).unwrap();
+                model.store(cache.dir()).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! whose end-to-end wall time is decomposed — exactly, in integer
 //! nanoseconds — into the eight [`SegmentKind`] buckets. The central
 //! invariant, enforced by construction in [`attribute_attempt`] and
-//! checked again by the `tracing` bench and the property tests below, is
+//! checked again by `multicl-bench`'s `extension_claims` test and the
+//! property tests below, is
 //!
 //! ```text
 //! Σ segments(job) == completed_at − submitted_at
