@@ -1,11 +1,8 @@
 //! Shared experiment plumbing: fresh platforms/contexts with scratch
-//! profile caches, aligned table printing, report files, and what the
-//! command-line tools take from their user: a recorded event stream, a
-//! benchmark name and class.
+//! profile caches, aligned table printing, and report files.
 
 use crate::experiments::common::bench_options;
 use clrt::Platform;
-use multicl::telemetry::{sink, SchedEvent};
 use multicl::{ContextSchedPolicy, MulticlContext};
 use std::path::PathBuf;
 
@@ -130,35 +127,6 @@ pub fn write_report(name: &str, contents: &str) -> Option<PathBuf> {
             None
         }
     }
-}
-
-/// Read a user-supplied JSONL event stream leniently for a command-line
-/// tool, returning `(events, events_skipped)`. The path comes from outside
-/// the program, so an unreadable file is reported as `error: …` on stderr
-/// with exit status 1, not a panic.
-pub fn read_events_or_exit(path: &str) -> (Vec<SchedEvent>, usize) {
-    sink::read_jsonl_lenient(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// The `[BENCH] [CLASS] [QUEUES]` arguments of a tool that runs one named
-/// benchmark (defaults `MG S 4`). They come from outside the program, so
-/// an unknown class or benchmark is reported as `error: …` on stderr with
-/// exit status 2 (a usage error), not a panic.
-pub fn bench_args_or_exit(args: &[String]) -> (String, npb::Class, usize) {
-    let usage_error = |e: String| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    };
-    let name = args.first().map_or("MG", String::as_str).to_uppercase();
-    let class = args.get(1).map_or("S", String::as_str).parse().unwrap_or_else(|e| usage_error(e));
-    if npb::info(&name).is_none() {
-        usage_error(format!("unknown benchmark `{name}`"));
-    }
-    let queues = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    (name, class, queues)
 }
 
 #[cfg(test)]

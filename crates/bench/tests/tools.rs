@@ -1,62 +1,103 @@
-//! The tools that take user input, driven as processes. For the two that
-//! read a user-supplied event stream (`trace_query`, `schedule_explain
-//! --replay`) a bad path is the user's error (`error: …` on stderr, exit 1
-//! — never a panic), and a stream holding the decode-only `shard_degraded`
-//! / `tenant_migrated` (cluster tier, deleted in PR 21) and `chunk_stolen`
-//! (split work stealing, deleted in PR 25) kinds next to an unknown `type`
-//! still replays. For
-//! the two that run a named benchmark (`schedule_trace`,
-//! `schedule_explain`) an unknown class or benchmark is a usage error
-//! (`error: …`, exit 2).
+//! `schedule_explain`, the one tool that takes user input, driven as a
+//! process. A malformed argument — an unknown benchmark or class, a queue
+//! count that is not a number or that Table II forbids, a flag without a
+//! value or with a malformed one — is a usage error (`error: …` on stderr,
+//! exit 2). An unreadable stream is the user's error too (`error: …`,
+//! exit 1). Neither is ever a panic. A stream holding only kinds this build
+//! does not declare — the retired `shard_degraded` / `tenant_migrated`
+//! (cluster tier) and `chunk_stolen` (split work stealing), next to one
+//! from a newer build — replays with every line skipped and counted.
 
 use std::process::{Command, Output};
-
-fn trace_query(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_trace_query")).args(args).output().expect("tool runs")
-}
 
 fn schedule_explain(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_schedule_explain")).args(args).output().expect("tool runs")
 }
 
-fn schedule_trace(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_schedule_trace")).args(args).output().expect("tool runs")
+/// Assert a usage error whose message starts with `message`.
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = schedule_explain(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+    assert!(stderr.starts_with(&format!("error: {message}")), "{args:?}: stderr: {stderr}");
+}
+
+/// Write `stream` to a per-process temp file named after `tag`.
+fn stream_file(tag: &str, stream: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("tools-{tag}-{}.jsonl", std::process::id()));
+    std::fs::write(&path, stream).expect("write stream");
+    path
 }
 
 #[test]
 fn an_unknown_class_is_a_usage_error_not_a_panic() {
-    for out in [schedule_trace(&["MG", "Z"]), schedule_explain(&["MG", "Z"])] {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-        assert!(stderr.starts_with("error: unknown NPB class `Z`"), "stderr: {stderr}");
-    }
+    assert_usage_error(&["MG", "Z"], "unknown NPB class `Z`");
 }
 
 #[test]
 fn an_unknown_benchmark_is_a_usage_error_not_a_panic() {
-    for out in [schedule_trace(&["XX"]), schedule_explain(&["XX"])] {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-        assert!(stderr.starts_with("error: unknown benchmark `XX`"), "stderr: {stderr}");
-    }
+    assert_usage_error(&["XX"], "unknown benchmark `XX`");
+}
+
+#[test]
+fn a_forbidden_queue_count_is_a_usage_error_not_a_panic() {
+    assert_usage_error(&["MG", "S", "3"], "MG does not allow 3 queues");
+}
+
+#[test]
+fn an_unparsable_queue_count_is_a_usage_error_not_four_queues() {
+    assert_usage_error(&["MG", "S", "x"], "queue count `x`");
+}
+
+#[test]
+fn a_missing_or_malformed_flag_value_is_a_usage_error() {
+    assert_usage_error(&["--replay"], "--replay needs a value");
+    assert_usage_error(&["--replay", "s.jsonl", "--top"], "--top needs a value");
+    assert_usage_error(&["--replay", "s.jsonl", "--job", "abc"], "--job `abc`");
+    assert_usage_error(&["--width", "-1", "--replay", "s.jsonl"], "--width `-1`");
+    assert_usage_error(&["--replay", "s.jsonl", "MG"], "--replay takes no benchmark arguments");
+    assert_usage_error(&["--frobnicate"], "unknown flag `--frobnicate`");
 }
 
 #[test]
 fn a_missing_stream_is_an_error_message_not_a_panic() {
     let missing = std::env::temp_dir().join(format!("tools-missing-{}.jsonl", std::process::id()));
     let missing = missing.to_str().expect("utf-8 temp path");
-    for out in [trace_query(&[missing]), schedule_explain(&["--replay", missing])] {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-        assert!(stderr.starts_with("error: cannot read "), "stderr: {stderr}");
-    }
-    let out = schedule_explain(&["--replay"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+    let out = schedule_explain(&["--replay", missing]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.starts_with("error: cannot read "), "stderr: {stderr}");
 }
 
 #[test]
-fn decode_only_kinds_replay_and_unknown_kinds_are_counted() {
+fn flags_apply_before_or_after_the_stream_and_the_job_filter_filters() {
+    let trace = |job: u64| {
+        format!(
+            r#"{{"type":"job_trace","epoch":1,"tenant":"t0","job":{job},"submitted_at_ns":0,"completed_at_ns":1000,"outcome":"completed","attempts":[{{"job":{job},"attempt":0,"queue":0,"device":1,"epoch":1,"dispatched_at_ns":0,"ended_at_ns":1000,"segments":{{"compute_ns":1000}}}}]}}"#
+        )
+    };
+    let path = stream_file("jobs", &format!("{}\n{}\n", trace(3), trace(4)));
+    let file = path.to_str().expect("utf-8 temp path");
+    for args in [["--top", "5", "--replay", file], ["--replay", file, "--top", "5"]] {
+        let out = schedule_explain(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains("replaying 2 event(s)"), "{stdout}");
+        assert!(stdout.contains("=== top 5 critical-path segments ==="), "{stdout}");
+        assert!(
+            stdout.contains("job 3 tenant=t0") && stdout.contains("job 4 tenant=t0"),
+            "{stdout}"
+        );
+    }
+    let out = schedule_explain(&["--replay", file, "--job", "4"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("job 4 tenant=t0") && !stdout.contains("job 3 tenant=t0"), "{stdout}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn retired_and_unknown_kinds_are_skipped_and_counted() {
     let stream = concat!(
         r#"{"type":"shard_degraded","epoch":6,"shard":2,"healthy":1,"total":3,"at_ns":40000}"#,
         "\n",
@@ -67,23 +108,11 @@ fn decode_only_kinds_replay_and_unknown_kinds_are_counted() {
         r#"{"type":"from_a_newer_build","epoch":8}"#,
         "\n",
     );
-    let path = std::env::temp_dir().join(format!("tools-stream-{}.jsonl", std::process::id()));
-    std::fs::write(&path, stream).expect("write stream");
-    let file = path.to_str().expect("utf-8 temp path");
-
-    let out = schedule_explain(&["--replay", file]);
+    let path = stream_file("retired", stream);
+    let out = schedule_explain(&["--replay", path.to_str().expect("utf-8 temp path")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("replaying 3 event(s)"), "{stdout}");
-    assert!(stdout.contains("events_skipped: 1"), "{stdout}");
-    assert!(stdout.contains("shard 2 DEGRADED"), "{stdout}");
-    assert!(stdout.contains("tenant `t0` migrated shard 2→0"), "{stdout}");
-    assert!(stdout.contains("chunk #1 of `ep` STOLEN D0→D1"), "{stdout}");
-
-    let out = trace_query(&[file]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("3 event(s), events_skipped: 1"), "{stdout}");
-
+    assert!(stdout.contains("replaying 0 event(s)"), "{stdout}");
+    assert!(stdout.contains("events_skipped: 4"), "{stdout}");
     let _ = std::fs::remove_file(&path);
 }

@@ -7,38 +7,14 @@ use hwsim::{CommandStatus, SimDuration};
 use std::sync::Arc;
 
 /// A `cl_event`: handle to one submitted command's completion.
-///
-/// When the runtime was built with
-/// [`crate::platform::RuntimeConfig::retire_events`], live `Event` handles
-/// pin their engine stamps: clone/drop maintain a refcount so completed
-/// events retire only once no handle can query them.
+#[derive(Clone)]
 pub struct Event {
     pub(crate) rt: Arc<RuntimeInner>,
     pub(crate) id: EventId,
 }
 
-impl Clone for Event {
-    fn clone(&self) -> Event {
-        if self.rt.retire_events {
-            self.rt.engine.lock().pin_event(self.id);
-        }
-        Event { rt: Arc::clone(&self.rt), id: self.id }
-    }
-}
-
-impl Drop for Event {
-    fn drop(&mut self) {
-        if self.rt.retire_events {
-            self.rt.engine.lock().unpin_event(self.id);
-        }
-    }
-}
-
 impl Event {
     pub(crate) fn new(rt: Arc<RuntimeInner>, id: EventId) -> Event {
-        if rt.retire_events {
-            rt.engine.lock().pin_event(id);
-        }
         Event { rt, id }
     }
 

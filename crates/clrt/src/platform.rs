@@ -27,13 +27,6 @@ pub struct RuntimeConfig {
     /// The worker count never affects buffer contents or virtual time —
     /// only wall-clock throughput.
     pub data_plane_workers: usize,
-    /// Opt-in bounded memory for long runs: retire completed engine events
-    /// that hold no live [`crate::Event`] handles once the host clock has
-    /// passed them.
-    pub retire_events: bool,
-    /// Opt-in bound on retained trace records (oldest evicted first).
-    /// `None` keeps the full trace (required for figure regeneration).
-    pub trace_capacity: Option<usize>,
     /// Opt-in deterministic fault injection (see [`hwsim::fault`]): transfer
     /// failures, device degradation, and device loss, all from a fixed seed.
     /// `None` (the default) injects nothing.
@@ -48,8 +41,6 @@ pub(crate) struct RuntimeInner {
     pub plane: Arc<DataPlane>,
     /// Keeps the plane's worker threads; joined when the runtime drops.
     _plane_handle: PlaneHandle,
-    /// Mirror of [`RuntimeConfig::retire_events`] (drives event pinning).
-    pub retire_events: bool,
 }
 
 /// The OpenCL platform (`clGetPlatformIds`): entry point to devices and the
@@ -69,8 +60,6 @@ impl Platform {
     /// Create a platform with explicit runtime options.
     pub fn with_config(node: NodeConfig, cfg: RuntimeConfig) -> Platform {
         let mut engine = Engine::new(node.device_count());
-        engine.set_event_retirement(cfg.retire_events);
-        engine.trace_mut().set_capacity(cfg.trace_capacity);
         if let Some(plan) = cfg.fault_plan.clone() {
             engine.set_fault_plan(plan);
         }
@@ -81,7 +70,6 @@ impl Platform {
                 engine: Mutex::new(engine),
                 plane: Arc::clone(&plane),
                 _plane_handle: PlaneHandle(plane),
-                retire_events: cfg.retire_events,
             }),
         }
     }

@@ -817,9 +817,6 @@ impl CommandQueue {
             for id in outstanding {
                 engine.wait(id);
             }
-            // With retirement enabled, a finish is a natural compaction
-            // point: everything this queue submitted has now completed.
-            engine.retire_completed();
         }
         // A blocking point even with nothing outstanding: a caller-run
         // body's panic is re-raised here (one plane lock, no allocation).

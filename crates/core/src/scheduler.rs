@@ -187,8 +187,7 @@ pub struct SchedStats {
     /// sub-ranges (launches that fell back to a whole launch don't count).
     pub kernels_split: u64,
     /// Always 0: a split chunk runs on the device it was sized for. Kept
-    /// because benchmark reports read it; the `ChunkStolen` event kind it
-    /// counted is decode-only (DESIGN.md §14).
+    /// because benchmark reports read it (DESIGN.md §14).
     pub chunks_stolen: u64,
 }
 
@@ -1287,7 +1286,6 @@ impl RtInner {
             epoch,
             queue: q.id,
             kernel: p.kernel.name().to_string(),
-            partitioner: "static".to_string(),
             total_wgs: units,
             chunks: chunks.len() as u64,
             wgs_per_device,

@@ -27,11 +27,12 @@
 //! * [`sink`] — ready-made observers: an in-memory ring buffer
 //!   ([`RingBufferSink`]), a JSONL writer ([`JsonlSink`]), and a stderr
 //!   printer ([`StderrSink`], what `MULTICL_DEBUG` uses).
-//! * [`perfetto`] — an extended Chrome/Perfetto exporter adding flow events
-//!   for queue migrations and per-device utilization counter tracks on top
-//!   of [`Trace::to_chrome_json`](hwsim::trace::Trace::to_chrome_json).
+//! * [`perfetto`] — the Chrome/Perfetto exporter: one complete event per
+//!   executed command, plus flow events for queue migrations, per-device
+//!   utilization counters, engine-lane, job and split tracks.
 //! * [`report`] — terminal rendering of the decision log (the
-//!   `schedule_explain` binary in `multicl-bench` drives it).
+//!   `schedule_explain` binary in `multicl-bench` drives it, live or
+//!   replaying a recorded stream).
 //! * [`tracing`] — causal job spans and exact critical-path latency
 //!   attribution: [`tracing::TraceContext`] follows a job from admission
 //!   to its terminal outcome, decomposing end-to-end latency into
@@ -40,11 +41,10 @@
 //!   [`SchedEvent::JobTrace`], [`SchedEvent::MakespanAttribution`], and
 //!   [`SchedEvent::SloBurn`] carry the results on the event stream.
 //!
-//! Three kinds are *decode-only*: [`SchedEvent::ShardDegraded`] and
-//! [`SchedEvent::TenantMigrated`] were emitted by the cluster tier until
-//! PR 21, and [`SchedEvent::ChunkStolen`] by the split work-stealing
-//! assigner until PR 25; they stay in the table so recorded streams still
-//! decode.
+//! The table declares exactly the kinds the runtime emits. A kind it no
+//! longer declares — `shard_degraded`, `tenant_migrated` and `chunk_stolen`
+//! in streams recorded by older builds — is skipped and counted by the
+//! lenient readers ([`sink::parse_jsonl_lenient`]) like any unknown kind.
 
 pub mod event;
 pub mod perfetto;

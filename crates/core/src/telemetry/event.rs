@@ -510,46 +510,6 @@ pub enum SchedEvent {
         /// Executed critical path: latest command end minus flush start.
         actual: SimDuration => "actual_ns",
     },
-    /// A serving shard's node fell below the healthy-device threshold and
-    /// the routing tier took it out of the consistent-hash ring; `at` is
-    /// that shard's local virtual time. *Decode-only*: emitted by the
-    /// cluster tier until PR 21; kept so recorded streams decode.
-    ShardDegraded = "shard_degraded" {
-        /// Scheduling epoch of the degraded shard's context at detection.
-        epoch: u64 => "epoch",
-        /// Fleet-wide shard (= node) index.
-        shard: usize => "shard",
-        /// Healthy devices remaining on the shard's node.
-        healthy: usize => "healthy",
-        /// Total devices of the shard's node.
-        total: usize => "total",
-        /// Shard-local virtual time of the detection.
-        at: SimTime => "at_ns",
-    },
-    /// The routing tier moved a tenant off a degraded shard: future
-    /// submissions re-route to the destination, the tenant's evicted
-    /// backlog is re-admitted there, and the tenant's state transfer is
-    /// charged to both endpoints at interconnect cost. *Decode-only*:
-    /// emitted by the cluster tier until PR 21; kept so recorded streams
-    /// decode.
-    TenantMigrated = "tenant_migrated" {
-        /// Scheduling epoch of the *destination* shard's context.
-        epoch: u64 => "epoch",
-        /// Tenant name.
-        tenant: String => "tenant",
-        /// The degraded shard the tenant left.
-        from_shard: usize => "from_shard",
-        /// The healthy shard now owning the tenant.
-        to_shard: usize => "to_shard",
-        /// Backlog jobs evicted from the source and re-submitted.
-        jobs: u64 => "jobs" = 0,
-        /// Tenant state bytes moved across the interconnect.
-        bytes: u64 => "bytes" = 0,
-        /// Virtual time the interconnect charged for the move.
-        transfer: SimDuration => "transfer_ns" = SimDuration::ZERO,
-        /// Destination-shard virtual time of the migration.
-        at: SimTime => "at_ns",
-    },
     /// A tenant's SLO burn rate crossed (or recovered from) an alert
     /// threshold on one multi-window rule. Emitted on transitions only.
     SloBurn = "slo_burn" {
@@ -631,10 +591,6 @@ pub enum SchedEvent {
         queue: usize => "queue" = 0,
         /// Kernel function name.
         kernel: String => "kernel",
-        /// Partitioner that produced the chunks: always `static` since
-        /// PR 25; streams recorded before it may hold `chunked` /
-        /// `hguided`.
-        partitioner: String => "partitioner" = "static".into(),
         /// Split units (workgroup slabs along the split axis) in the launch.
         total_wgs: u64 => "total_wgs" = 0,
         /// Contiguous chunks produced.
@@ -643,27 +599,6 @@ pub enum SchedEvent {
         /// `total_wgs`).
         wgs_per_device: Vec<u64> => "wgs_per_device" = vec![],
         /// Virtual time of the split decision.
-        at: SimTime => "at_ns" = SimTime::ZERO,
-    },
-    /// Decode-only: the split work-stealing assigner (deleted in PR 25)
-    /// moved a chunk off its preferred device. Nothing emits it now; it
-    /// stays so recorded streams still decode.
-    ChunkStolen = "chunk_stolen" {
-        /// Scheduling epoch of the steal.
-        epoch: u64 => "epoch",
-        /// Kernel function name.
-        kernel: String => "kernel",
-        /// Chunk index within the split launch.
-        chunk: u64 => "chunk" = 0,
-        /// First split unit of the stolen chunk.
-        wg_offset: u64 => "wg_offset" = 0,
-        /// Split units in the stolen chunk.
-        wg_count: u64 => "wg_count" = 0,
-        /// The device the partitioner intended the chunk for.
-        from: DeviceId => "from" = DeviceId(0),
-        /// The device that actually executed it.
-        to: DeviceId => "to" = DeviceId(0),
-        /// Virtual time of the steal.
         at: SimTime => "at_ns" = SimTime::ZERO,
     },
 }
@@ -827,23 +762,6 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             predicted: ns(10_000),
             actual: ns(11_500),
         },
-        SchedEvent::ShardDegraded {
-            epoch: 6,
-            shard: 2,
-            healthy: 1,
-            total: 3,
-            at: SimTime::from_nanos(40_000),
-        },
-        SchedEvent::TenantMigrated {
-            epoch: 7,
-            tenant: "t \"migrant\"\n".into(),
-            from_shard: 2,
-            to_shard: 0,
-            jobs: 4,
-            bytes: 64 << 20,
-            transfer: SimDuration::from_micros(21_000),
-            at: SimTime::from_nanos(40_500),
-        },
         SchedEvent::SloBurn {
             epoch: 5,
             tenant: "t \"slo\"\n".into(),
@@ -881,21 +799,10 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             epoch: 10,
             queue: 2,
             kernel: "k \"split\"\n".into(),
-            partitioner: "static".into(),
             total_wgs: 256,
             chunks: 3,
             wgs_per_device: vec![96, 160, 0],
             at: SimTime::from_nanos(50_000),
-        },
-        SchedEvent::ChunkStolen {
-            epoch: 10,
-            kernel: "k \"split\"\n".into(),
-            chunk: 2,
-            wg_offset: 192,
-            wg_count: 64,
-            from: DeviceId(2),
-            to: DeviceId(1),
-            at: SimTime::from_nanos(50_001),
         },
     ];
     // Exhaustiveness guard: a sample for every kind the table declares.
@@ -908,7 +815,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::sink::{parse_jsonl, to_jsonl};
+    use crate::telemetry::sink::{parse_jsonl, parse_jsonl_lenient};
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
@@ -928,15 +835,27 @@ mod tests {
         }
     }
 
+    /// Whether a golden line holds a kind the table no longer declares:
+    /// `shard_degraded` / `tenant_migrated` (the cluster tier) and
+    /// `chunk_stolen` (split work stealing).
+    fn retired(line: &str) -> bool {
+        ["shard_degraded", "tenant_migrated", "chunk_stolen"]
+            .iter()
+            .any(|kind| line.starts_with(&format!(r#"{{"type":"{kind}""#)))
+    }
+
     #[test]
-    fn encoder_reproduces_the_v1_golden_stream_byte_for_byte() {
+    fn the_v1_golden_stream_decodes_to_the_samples_minus_the_retired_kinds() {
         // Written by the hand-rolled per-variant codec the table replaced
         // (`to_json().dump()` over `sample_events()` at PR 12, when
-        // `to_json` built a tree): key order and number formatting are part
-        // of the wire contract.
+        // `to_json` built a tree). Its three retired lines are skipped and
+        // counted; every other line decodes strictly to its sample. The
+        // byte-level difference of the re-encoded stream is pinned in
+        // `tests/retired_schema.rs`.
         let golden = include_str!("../../tests/fixtures/events_v1.jsonl");
-        assert_eq!(to_jsonl(&sample_events()), golden);
-        assert_eq!(parse_jsonl(golden), Some(sample_events()));
+        assert_eq!(parse_jsonl_lenient(golden), (sample_events(), 3));
+        let kept: Vec<&str> = golden.lines().filter(|l| !retired(l)).collect();
+        assert_eq!(parse_jsonl(&kept.join("\n")), Some(sample_events()));
     }
 
     #[test]
@@ -960,7 +879,7 @@ mod tests {
     /// decode to, as members of the re-encoded event: the defaults for the
     /// keys its era could not write, plus the fields the pre-table tests
     /// pinned alongside them.
-    const LEGACY_EXPECTED: [&str; 12] = [
+    const LEGACY_EXPECTED: [&str; 10] = [
         // Pre-mapper-effort mapping_decision (before PR 3).
         r#"{"nodes_explored":0,"budget_tripped":false,"mapper_wall_ns":0}"#,
         // Pre-data-plane / pre-OOO epoch_end, and a queue entry without
@@ -971,22 +890,22 @@ mod tests {
         r#"{"outcome":"unknown","attempts":[]}"#,
         r#"{"long_window_ns":0,"short_window_ns":0,"long_burn":0,"short_burn":0,"threshold":0,"fired":false}"#,
         r#"{"policy":"","predicted_ns":10,"actual_ns":12}"#,
-        // PR 7 tenant_migrated trimmed to the routing decision.
-        r#"{"from_shard":2,"to_shard":0,"jobs":0,"bytes":0,"transfer_ns":0}"#,
         // PR 8 predictor and PR 10 split events: only the kernel is required.
         r#"{"costs_ns":[],"uncertainty":0,"samples":0}"#,
         r#"{"device":0,"predicted_ns":0,"actual_ns":0,"rel_error":0,"samples":0}"#,
         r#"{"reason":"untrained","uncertainty":0}"#,
-        r#"{"queue":0,"partitioner":"static","total_wgs":0,"chunks":0,"wgs_per_device":[],"at_ns":0}"#,
-        r#"{"chunk":0,"wg_offset":0,"wg_count":0,"from":0,"to":0,"at_ns":0}"#,
+        r#"{"queue":0,"total_wgs":0,"chunks":0,"wgs_per_device":[],"at_ns":0}"#,
     ];
 
     #[test]
     fn legacy_streams_replay_strictly_with_their_eras_defaults() {
         let legacy = include_str!("../../tests/fixtures/events_legacy.jsonl");
-        let events = parse_jsonl(legacy).expect("every legacy line decodes, none skipped");
+        let (events, skipped) = parse_jsonl_lenient(legacy);
+        assert_eq!(skipped, 2, "tenant_migrated and chunk_stolen are retired");
+        let kept: Vec<&str> = legacy.lines().filter(|l| !retired(l)).collect();
+        assert_eq!(parse_jsonl(&kept.join("\n")).as_ref(), Some(&events));
         assert_eq!(events.len(), LEGACY_EXPECTED.len());
-        for ((line, event), expected) in legacy.lines().zip(&events).zip(LEGACY_EXPECTED) {
+        for ((line, event), expected) in kept.iter().zip(&events).zip(LEGACY_EXPECTED) {
             let Some(Json::Obj(expected)) = Json::parse(expected) else { panic!("{expected}") };
             let encoded = event.to_json();
             for (key, value) in &expected {

@@ -1,8 +1,8 @@
 //! Extended Chrome/Perfetto export: the engine trace plus telemetry.
 //!
-//! [`Trace::to_chrome_json`](hwsim::trace::Trace::to_chrome_json) renders
-//! each executed command as a complete event. This module layers the
-//! scheduler's story on top:
+//! [`TraceRecord::chrome_event_json`](hwsim::trace::TraceRecord::chrome_event_json)
+//! renders each executed command as a complete event on its device row.
+//! This module layers the scheduler's story on top:
 //!
 //! * **flow events** (`"ph":"s"` / `"ph":"f"`) connecting the source and
 //!   destination device rows of every [`SchedEvent::QueueMigrated`], so
@@ -232,88 +232,40 @@ fn lane_tid(device: DeviceId, copy: bool) -> u64 {
 const SPLITS_TID: u64 = 30_000;
 
 /// Kernel-split track events: one instant per [`SchedEvent::KernelSplit`]
-/// on a dedicated `splits` row, and one flow-arrow pair per
-/// [`SchedEvent::ChunkStolen`] (decode-only: recorded streams from before
-/// PR 25) from the preferred device row to the device that executed the
-/// chunk — steals render exactly like queue migrations, as arrows between
-/// device rows.
+/// on a dedicated `splits` row.
 pub fn split_chunk_events(events: &[SchedEvent]) -> Vec<Json> {
     let mut out = Vec::new();
-    let mut named = false;
-    let mut id = 0u64;
     for ev in events {
-        match ev {
-            SchedEvent::KernelSplit {
-                epoch,
-                queue,
-                kernel,
-                partitioner,
-                total_wgs,
-                chunks,
-                at,
-                ..
-            } => {
-                if !named {
-                    named = true;
-                    out.push(Json::obj([
-                        ("name", Json::from("thread_name")),
-                        ("ph", Json::from("M")),
-                        ("pid", Json::from(0u64)),
-                        ("tid", Json::from(SPLITS_TID)),
-                        ("args", Json::obj([("name", Json::from("splits"))])),
-                    ]));
-                }
-                out.push(Json::obj([
-                    ("name", Json::from(format!("split {kernel}").as_str())),
-                    ("cat", Json::from("split")),
-                    ("ph", Json::from("i")),
-                    ("s", Json::from("t")),
-                    ("ts", Json::from(at.as_nanos())),
-                    ("pid", Json::from(0u64)),
-                    ("tid", Json::from(SPLITS_TID)),
-                    (
-                        "args",
-                        Json::obj([
-                            ("epoch", Json::from(*epoch)),
-                            ("queue", Json::from(*queue)),
-                            ("partitioner", Json::from(partitioner.as_str())),
-                            ("total_wgs", Json::from(*total_wgs)),
-                            ("chunks", Json::from(*chunks)),
-                        ]),
-                    ),
-                ]));
-            }
-            SchedEvent::ChunkStolen { epoch, kernel, chunk, wg_count, from, to, at, .. } => {
-                id += 1;
-                let name = format!("steal {kernel}#{chunk}");
-                let common = |ph: &str, tid: DeviceId, ts: u64| {
-                    let mut obj = vec![
-                        ("name".to_string(), Json::from(name.as_str())),
-                        ("cat".to_string(), Json::from("steal")),
-                        ("ph".to_string(), Json::from(ph)),
-                        ("id".to_string(), Json::from(id | (1 << 32))),
-                        ("ts".to_string(), Json::from(ts)),
-                        ("pid".to_string(), Json::from(0u64)),
-                        ("tid".to_string(), Json::from(tid.index())),
-                    ];
-                    if ph == "f" {
-                        obj.push(("bp".to_string(), Json::from("e")));
-                    }
-                    obj.push((
-                        "args".to_string(),
-                        Json::obj([
-                            ("epoch", Json::from(*epoch)),
-                            ("wg_count", Json::from(*wg_count)),
-                        ]),
-                    ));
-                    Json::Obj(obj)
-                };
-                let ts = at.as_nanos();
-                out.push(common("s", *from, ts));
-                out.push(common("f", *to, ts + 1));
-            }
-            _ => {}
+        let SchedEvent::KernelSplit { epoch, queue, kernel, total_wgs, chunks, at, .. } = ev else {
+            continue;
+        };
+        if out.is_empty() {
+            out.push(Json::obj([
+                ("name", Json::from("thread_name")),
+                ("ph", Json::from("M")),
+                ("pid", Json::from(0u64)),
+                ("tid", Json::from(SPLITS_TID)),
+                ("args", Json::obj([("name", Json::from("splits"))])),
+            ]));
         }
+        out.push(Json::obj([
+            ("name", Json::from(format!("split {kernel}").as_str())),
+            ("cat", Json::from("split")),
+            ("ph", Json::from("i")),
+            ("s", Json::from("t")),
+            ("ts", Json::from(at.as_nanos())),
+            ("pid", Json::from(0u64)),
+            ("tid", Json::from(SPLITS_TID)),
+            (
+                "args",
+                Json::obj([
+                    ("epoch", Json::from(*epoch)),
+                    ("queue", Json::from(*queue)),
+                    ("total_wgs", Json::from(*total_wgs)),
+                    ("chunks", Json::from(*chunks)),
+                ]),
+            ),
+        ]));
     }
     out
 }
@@ -557,44 +509,24 @@ mod tests {
     }
 
     #[test]
-    fn split_events_render_instants_and_steal_arrows() {
-        let events = [
-            SchedEvent::KernelSplit {
-                epoch: 2,
-                queue: 1,
-                kernel: "embar".into(),
-                partitioner: "static".into(),
-                total_wgs: 128,
-                chunks: 2,
-                wgs_per_device: vec![80, 48],
-                at: SimTime::from_nanos(5_000),
-            },
-            SchedEvent::ChunkStolen {
-                epoch: 2,
-                kernel: "embar".into(),
-                chunk: 1,
-                wg_offset: 80,
-                wg_count: 48,
-                from: DeviceId(1),
-                to: DeviceId(0),
-                at: SimTime::from_nanos(5_001),
-            },
-        ];
-        let out = split_chunk_events(&events);
-        // Metadata row + instant + flow pair.
-        assert_eq!(out.len(), 4);
-        let instant = out.iter().find(|o| o.get("ph").and_then(Json::as_str) == Some("i")).unwrap();
-        assert_eq!(instant.get("tid").unwrap().as_u64(), Some(SPLITS_TID));
-        assert_eq!(instant.get("args").unwrap().get("chunks").unwrap().as_u64(), Some(2));
-        let s = out.iter().find(|o| o.get("ph").and_then(Json::as_str) == Some("s")).unwrap();
-        let f = out.iter().find(|o| o.get("ph").and_then(Json::as_str) == Some("f")).unwrap();
-        assert_eq!(s.get("id").unwrap().as_u64(), f.get("id").unwrap().as_u64());
-        // Arrow runs preferred → executor and lands strictly later.
-        assert_eq!(s.get("tid").unwrap().as_u64(), Some(1));
-        assert_eq!(f.get("tid").unwrap().as_u64(), Some(0));
-        assert!(f.get("ts").unwrap().as_u64() > s.get("ts").unwrap().as_u64());
-        // Steal flow ids never collide with migration flow ids (offset bit).
-        assert!(s.get("id").unwrap().as_u64().unwrap() > u64::from(u32::MAX));
+    fn split_events_render_one_instant_per_split_on_the_splits_row() {
+        let split = SchedEvent::KernelSplit {
+            epoch: 2,
+            queue: 1,
+            kernel: "embar".into(),
+            total_wgs: 128,
+            chunks: 2,
+            wgs_per_device: vec![80, 48],
+            at: SimTime::from_nanos(5_000),
+        };
+        let out = split_chunk_events(&[split.clone(), migration(0, 1), split]);
+        // One metadata row, then one instant per split.
+        let phs: Vec<&str> = out.iter().map(|o| o.get("ph").unwrap().as_str().unwrap()).collect();
+        assert_eq!(phs, ["M", "i", "i"]);
+        assert_eq!(out[1].get("tid").unwrap().as_u64(), Some(SPLITS_TID));
+        let args = out[1].get("args").unwrap();
+        assert_eq!(args.get("chunks").unwrap().as_u64(), Some(2));
+        assert_eq!(args.get("total_wgs").unwrap().as_u64(), Some(128));
     }
 
     #[test]

@@ -100,18 +100,6 @@ pub fn one_line(event: &SchedEvent) -> String {
                 ms(*actual)
             )
         }
-        SchedEvent::ShardDegraded { shard, healthy, total, at, .. } => {
-            format!("shard {shard} DEGRADED at {at}: {healthy}/{total} device(s) healthy")
-        }
-        SchedEvent::TenantMigrated {
-            tenant, from_shard, to_shard, jobs, bytes, transfer, ..
-        } => {
-            format!(
-                "tenant `{tenant}` migrated shard {from_shard}→{to_shard}: \
-                 {jobs} job(s), {bytes}B state, {} transfer",
-                ms(*transfer)
-            )
-        }
         SchedEvent::SloBurn { tenant, long_burn, short_burn, threshold, fired, .. } => {
             let state = if *fired { "FIRING" } else { "cleared" };
             format!(
@@ -143,25 +131,14 @@ pub fn one_line(event: &SchedEvent) -> String {
                 uncertainty * 100.0
             )
         }
-        SchedEvent::KernelSplit {
-            kernel, partitioner, total_wgs, chunks, wgs_per_device, ..
-        } => {
+        SchedEvent::KernelSplit { kernel, total_wgs, chunks, wgs_per_device, .. } => {
             let shares = wgs_per_device
                 .iter()
                 .enumerate()
                 .map(|(d, w)| format!("D{d}:{w}"))
                 .collect::<Vec<_>>()
                 .join(" ");
-            format!(
-                "split `{kernel}` ({partitioner}): {total_wgs} workgroup(s) \
-                 into {chunks} chunk(s) [{shares}]"
-            )
-        }
-        SchedEvent::ChunkStolen { kernel, chunk, wg_offset, wg_count, from, to, .. } => {
-            format!(
-                "chunk #{chunk} of `{kernel}` STOLEN {from}→{to} \
-                 ({wg_count} workgroup(s) at offset {wg_offset})"
-            )
+            format!("split `{kernel}`: {total_wgs} workgroup(s) into {chunks} chunk(s) [{shares}]")
         }
     }
 }

@@ -100,10 +100,6 @@ fn split_shares(events: &[SchedEvent]) -> Vec<u64> {
     sum
 }
 
-fn steals(events: &[SchedEvent]) -> usize {
-    events.iter().filter(|e| matches!(e, SchedEvent::ChunkStolen { .. })).count()
-}
-
 /// Run two Axpy launches of one kernel, one sync epoch each, on one
 /// queue. `degrade` slows a device from the second epoch on, after the
 /// first epoch profiled the kernel at full speed.
@@ -181,11 +177,9 @@ fn kernel_split_accounting_is_exact() {
     assert_eq!(splits.len() as u64, arm.stats.kernels_split);
     assert!(!splits.is_empty(), "no KernelSplit events recorded");
     for ev in splits {
-        let SchedEvent::KernelSplit { total_wgs, chunks, wgs_per_device, partitioner, .. } = ev
-        else {
+        let SchedEvent::KernelSplit { total_wgs, chunks, wgs_per_device, .. } = ev else {
             unreachable!()
         };
-        assert_eq!(partitioner, "static");
         assert_eq!(*total_wgs, ELEMENTS / LOCAL);
         assert!(*chunks >= 2, "a split launch must have at least two chunks");
         assert_eq!(
@@ -242,7 +236,6 @@ fn a_device_whose_share_rounds_to_zero_gets_no_work() {
         assert_eq!(stats.kernels_split, 1, "{wgs} wgs: {stats:?}");
         assert_eq!(shares[0], 0, "{wgs} wgs: the slow CPU got work: {shares:?}");
         assert!(shares[1] > 0 && shares[2] > 0, "{wgs} wgs: both GPUs work: {shares:?}");
-        assert_eq!(steals(&events), 0);
         assert_eq!(stats.chunks_stolen, 0);
     }
 }
@@ -257,7 +250,7 @@ fn a_degraded_device_gets_a_smaller_share() {
     assert_eq!(degraded.out_bits, baseline.out_bits, "the degraded split corrupted the output");
     let (h, d) = (split_shares(&healthy.events), split_shares(&degraded.events));
     assert!(d[1] < h[1], "degraded GPU0 kept its share: {d:?} vs healthy {h:?}");
-    assert_eq!(steals(&degraded.events), 0);
+    assert_eq!(degraded.stats.chunks_stolen, 0);
     // Same seed, same fault: the same plan and the same virtual time.
     let again = run_arm(11, split_flags(), Some((DeviceId(1), 8.0)), "degrade-again");
     assert_eq!(again.out_bits, degraded.out_bits);

@@ -25,7 +25,7 @@ use crate::fault::{CommandStatus, FailureRecord, FaultKind, FaultPlan, FaultStat
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceRecord};
 use crate::waitlist::WaitList;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Index of an event in the engine's event table.
@@ -119,16 +119,8 @@ impl DeviceState {
 pub struct Engine {
     devices: Vec<DeviceState>,
     host_now: SimTime,
-    /// Live (non-retired) event stamps; event `i` lives at
-    /// `events[i - events_base]`. `events_base` only moves when retirement
-    /// is enabled (see [`Engine::set_event_retirement`]).
-    events: VecDeque<EventStamp>,
-    events_base: usize,
-    /// Pin refcounts (`EventId.0` → live handle count); pinned events are
-    /// never retired so their stamps stay queryable.
-    pins: HashMap<usize, u32>,
-    retire_enabled: bool,
-    retired: u64,
+    /// Event stamps; event `i` lives at `events[i]`.
+    events: Vec<EventStamp>,
     trace: Trace,
     /// Free-form label attached to subsequently-submitted commands
     /// (e.g. "profiling", "iter:3"); drives overhead accounting.
@@ -137,8 +129,7 @@ pub struct Engine {
     enqueue_cost: SimDuration,
     /// Installed fault-injection state (plan + seeded coin stream), if any.
     fault: Option<FaultState>,
-    /// Fault kind per failed event, keyed by raw event id. Sparse and never
-    /// compacted: status queries stay valid after the stamp retires.
+    /// Fault kind per failed event, keyed by raw event id (sparse).
     statuses: HashMap<usize, FaultKind>,
     /// Failed commands in submission order (see [`FailureRecord`]).
     failures: Vec<FailureRecord>,
@@ -150,11 +141,7 @@ impl Engine {
         Engine {
             devices: vec![DeviceState::default(); device_count],
             host_now: SimTime::ZERO,
-            events: VecDeque::with_capacity(1024),
-            events_base: 0,
-            pins: HashMap::new(),
-            retire_enabled: false,
-            retired: 0,
+            events: Vec::with_capacity(1024),
             trace: Trace::default(),
             tag: None,
             enqueue_cost: SimDuration::from_nanos(500),
@@ -201,12 +188,7 @@ impl Engine {
         let queued = self.host_now;
         let mut ready = queued.max(lane.available);
         for w in desc.waits.as_slice() {
-            if w.0 < self.events_base {
-                // Retired ⇒ it ended at or before some earlier host_now, and
-                // `queued >= host_now >= end`, so it cannot move `ready`.
-                continue;
-            }
-            let stamp = self.events.get(w.0 - self.events_base).expect("wait event out of range");
+            let stamp = self.events.get(w.0).expect("wait event out of range");
             ready = ready.max(stamp.end);
         }
         let start = ready;
@@ -240,8 +222,8 @@ impl Engine {
         lane.available = end;
         lane.busy += duration;
         let stamp = EventStamp { queued, submit: queued, start, end };
-        let id = EventId(self.events_base + self.events.len());
-        self.events.push_back(stamp);
+        let id = EventId(self.events.len());
+        self.events.push(stamp);
         if let Some(kind) = fault {
             self.statuses.insert(id.0, kind);
             self.failures.push(FailureRecord {
@@ -266,29 +248,20 @@ impl Engine {
     /// occupying any device (used for user events and completed-state queries).
     pub fn marker_now(&mut self) -> EventId {
         let t = self.host_now;
-        let id = EventId(self.events_base + self.events.len());
-        self.events.push_back(EventStamp { queued: t, submit: t, start: t, end: t });
+        let id = EventId(self.events.len());
+        self.events.push(EventStamp { queued: t, submit: t, start: t, end: t });
         id
     }
 
     /// The recorded timestamps of `ev`.
-    ///
-    /// # Panics
-    /// Panics if the event has been retired (only possible in the opt-in
-    /// retirement mode; live `Event` handles pin their stamps).
     #[inline]
     pub fn stamp(&self, ev: EventId) -> EventStamp {
-        assert!(ev.0 >= self.events_base, "event {} has been retired", ev.0);
-        self.events[ev.0 - self.events_base]
+        self.events[ev.0]
     }
 
     /// Block the host until `ev` completes (`clWaitForEvents`).
     pub fn wait(&mut self, ev: EventId) {
-        if ev.0 < self.events_base {
-            // Retired events completed at or before the current host time.
-            return;
-        }
-        let end = self.events[ev.0 - self.events_base].end;
+        let end = self.events[ev.0].end;
         self.host_now = self.host_now.max(end);
     }
 
@@ -327,12 +300,9 @@ impl Engine {
     }
 
     /// True once `ev` has completed in virtual time at the current host
-    /// clock. Retired events are complete by the retirement rule.
+    /// clock.
     pub fn event_completed(&self, ev: EventId) -> bool {
-        if ev.0 < self.events_base {
-            return true;
-        }
-        match self.events.get(ev.0 - self.events_base) {
+        match self.events.get(ev.0) {
             Some(stamp) => stamp.end <= self.host_now,
             None => false,
         }
@@ -350,77 +320,9 @@ impl Engine {
     }
 
     /// Drain the accumulated trace, leaving it empty (used between
-    /// experiment repetitions). Any configured record capacity is preserved.
+    /// experiment repetitions).
     pub fn take_trace(&mut self) -> Trace {
         self.trace.take()
-    }
-
-    /// Mutable access to the trace (capacity configuration).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
-    // ---- event retirement (opt-in; bounded memory for long serving runs) --
-
-    /// Enable/disable event retirement. When enabled, [`Engine::retire_completed`]
-    /// compacts the front of the event table: an event may be retired once it
-    /// has completed in virtual time (`end <= host_now`) and holds no pins.
-    /// A retired id used in a wait list or `wait` call is a no-op — by the
-    /// retire rule its `end` can no longer affect any timestamp — but
-    /// querying its stamp panics.
-    pub fn set_event_retirement(&mut self, enabled: bool) {
-        self.retire_enabled = enabled;
-    }
-
-    /// Pin `ev` so it survives retirement (refcounted; one live `Event`
-    /// handle = one pin).
-    pub fn pin_event(&mut self, ev: EventId) {
-        if ev.0 < self.events_base {
-            return;
-        }
-        *self.pins.entry(ev.0).or_insert(0) += 1;
-    }
-
-    /// Drop one pin from `ev`, and opportunistically retire the table front.
-    pub fn unpin_event(&mut self, ev: EventId) {
-        if let Some(n) = self.pins.get_mut(&ev.0) {
-            *n -= 1;
-            if *n == 0 {
-                self.pins.remove(&ev.0);
-            }
-        }
-        if self.retire_enabled {
-            self.retire_completed();
-        }
-    }
-
-    /// Retire completed, unpinned events from the front of the table.
-    /// No-op unless retirement is enabled. Returns how many were retired.
-    pub fn retire_completed(&mut self) -> usize {
-        if !self.retire_enabled {
-            return 0;
-        }
-        let mut n = 0;
-        while let Some(front) = self.events.front() {
-            if front.end > self.host_now || self.pins.contains_key(&self.events_base) {
-                break;
-            }
-            self.events.pop_front();
-            self.events_base += 1;
-            n += 1;
-        }
-        self.retired += n as u64;
-        n
-    }
-
-    /// Number of live (non-retired) entries in the event table.
-    pub fn live_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Total events retired so far.
-    pub fn retired_events(&self) -> u64 {
-        self.retired
     }
 
     // ---- fault injection (opt-in; see `crate::fault`) ---------------------
@@ -436,8 +338,7 @@ impl Engine {
         self.fault.as_ref().map(|f| &f.plan)
     }
 
-    /// Terminal status of `ev`. Unlike [`Engine::stamp`] this stays valid
-    /// after the event retires (failure marks are never compacted).
+    /// Terminal status of `ev`.
     pub fn event_status(&self, ev: EventId) -> CommandStatus {
         match self.statuses.get(&ev.0) {
             Some(&k) => CommandStatus::Failed(k),
@@ -613,50 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn retirement_compacts_completed_events() {
-        let mut e = Engine::new(1);
-        e.set_event_retirement(true);
-        let a = e.submit(cmd(0, 10, vec![]));
-        let b = e.submit(cmd(0, 5, vec![a]));
-        // Nothing has completed in virtual time yet.
-        assert_eq!(e.retire_completed(), 0);
-        e.wait(b);
-        assert_eq!(e.retire_completed(), 2);
-        assert_eq!(e.live_events(), 0);
-        assert_eq!(e.retired_events(), 2);
-        // Waiting on / depending on a retired event is a harmless no-op.
-        let before = e.now();
-        e.wait(a);
-        assert_eq!(e.now(), before);
-        let c = e.submit(cmd(0, 1, vec![a, b]));
-        assert!(e.stamp(c).start >= before);
-    }
-
-    #[test]
-    fn pinned_events_survive_retirement() {
-        let mut e = Engine::new(1);
-        e.set_event_retirement(true);
-        let a = e.submit(cmd(0, 10, vec![]));
-        let b = e.submit(cmd(0, 5, vec![]));
-        e.pin_event(a);
-        e.wait(b);
-        // `a` is pinned, so nothing at or past it can retire.
-        assert_eq!(e.retire_completed(), 0);
-        assert_eq!(e.live_events(), 2);
-        e.unpin_event(a); // also retires opportunistically
-        assert_eq!(e.live_events(), 0);
-    }
-
-    #[test]
-    fn retirement_is_noop_when_disabled() {
-        let mut e = Engine::new(1);
-        let a = e.submit(cmd(0, 1, vec![]));
-        e.wait(a);
-        assert_eq!(e.retire_completed(), 0);
-        assert_eq!(e.live_events(), 1);
-    }
-
-    #[test]
     fn device_loss_truncates_and_then_fails_instantly() {
         let mut e = Engine::new(2);
         e.set_fault_plan(
@@ -746,18 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_statuses_survive_event_retirement() {
-        let mut e = Engine::new(1);
-        e.set_event_retirement(true);
-        e.set_fault_plan(FaultPlan::new(1).lose_device(DeviceId(0), SimTime::ZERO));
-        let a = e.submit(cmd(0, 10, vec![]));
-        e.wait(a);
-        assert!(e.retire_completed() >= 1);
-        // The stamp is gone but the status is still queryable.
-        assert_eq!(e.event_status(a), CommandStatus::Failed(FaultKind::DeviceLost));
-    }
-
-    #[test]
     fn no_fault_plan_changes_nothing() {
         let mut e = Engine::new(1);
         assert!(e.fault_plan().is_none());
@@ -766,16 +611,5 @@ mod tests {
         assert!(!e.device_lost(DeviceId(0)));
         assert_eq!(e.device_degradation(DeviceId(0)), 1.0);
         assert_eq!(e.failure_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "has been retired")]
-    fn stamp_of_retired_event_panics() {
-        let mut e = Engine::new(1);
-        e.set_event_retirement(true);
-        let a = e.submit(cmd(0, 1, vec![]));
-        e.wait(a);
-        e.retire_completed();
-        let _ = e.stamp(a);
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! Faulted commands *complete with an error status* instead of succeeding or
 //! panicking: the engine records a [`FaultKind`] per failed event (queryable
-//! through [`crate::engine::Engine::event_status`] even after the event
-//! retires) and appends a [`FailureRecord`] to a per-engine failure log that
+//! through [`crate::engine::Engine::event_status`]) and appends a
+//! [`FailureRecord`] to a per-engine failure log that
 //! upper layers use to attribute failures to queues and jobs.
 //!
 //! With no plan installed the engine behaves exactly as before — the fault

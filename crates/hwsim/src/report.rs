@@ -1,7 +1,5 @@
 //! Schedule analysis over execution traces: per-device utilization and a
-//! terminal Gantt chart. Companion tooling to
-//! [`Trace::to_chrome_json`](crate::trace::Trace::to_chrome_json) for
-//! inspecting what the scheduler actually did.
+//! terminal Gantt chart, for inspecting what the scheduler actually did.
 
 use crate::device::DeviceId;
 use crate::time::{SimDuration, SimTime};

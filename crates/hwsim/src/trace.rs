@@ -82,66 +82,34 @@ impl TraceRecord {
 }
 
 /// An append-only list of [`TraceRecord`]s with aggregation helpers.
-///
-/// By default the trace grows without bound. Long serving runs can set a
-/// record capacity ([`Trace::set_capacity`]); the *oldest* records are then
-/// evicted in batches and counted in [`Trace::dropped`]. Consumers that walk
-/// the trace incrementally should track positions with the monotonic
-/// [`Trace::total_pushed`] counter and read via [`Trace::records_since`],
-/// which stays correct across evictions.
+/// Consumers that walk the trace incrementally remember
+/// [`Trace::total_pushed`] and read the suffix via [`Trace::records_since`].
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Retained records in submission order (the newest
-    /// `total_pushed - dropped` pushes).
+    /// Records in submission order.
     pub records: Vec<TraceRecord>,
-    capacity: Option<usize>,
-    total: u64,
-    dropped: u64,
 }
 
 impl Trace {
-    /// Append a record, evicting the oldest half of the retained records if
-    /// a capacity is set and reached.
+    /// Append a record.
     pub fn push(&mut self, r: TraceRecord) {
-        if let Some(cap) = self.capacity {
-            if self.records.len() >= cap.max(2) {
-                let evict = self.records.len() / 2;
-                self.records.drain(..evict);
-                self.dropped += evict as u64;
-            }
-        }
-        self.total += 1;
         self.records.push(r);
     }
 
-    /// Bound the retained records to roughly `cap` (None = unbounded).
-    pub fn set_capacity(&mut self, cap: Option<usize>) {
-        self.capacity = cap;
-    }
-
-    /// Total records ever pushed (monotonic; includes evicted records).
+    /// Records pushed since the trace was created or last taken.
     pub fn total_pushed(&self) -> u64 {
-        self.total
+        self.records.len() as u64
     }
 
-    /// Records evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The records pushed at or after monotonic position `since` (as
-    /// reported by [`Trace::total_pushed`]) that are still retained.
+    /// The records pushed at or after position `since` (as reported by
+    /// [`Trace::total_pushed`]); empty for a position in the future.
     pub fn records_since(&self, since: u64) -> &[TraceRecord] {
-        let first_retained = self.total - self.records.len() as u64;
-        let start = since.saturating_sub(first_retained).min(self.records.len() as u64);
-        &self.records[start as usize..]
+        &self.records[(since as usize).min(self.records.len())..]
     }
 
-    /// Drain into a fresh trace, preserving the capacity configuration on
-    /// `self` and resetting the counters.
+    /// Drain into a fresh trace, leaving `self` empty.
     pub fn take(&mut self) -> Trace {
-        let cap = self.capacity;
-        std::mem::replace(self, Trace { records: Vec::new(), capacity: cap, total: 0, dropped: 0 })
+        std::mem::take(self)
     }
 
     /// Number of kernel executions per device (the quantity plotted in
@@ -184,24 +152,6 @@ impl Trace {
                 *out.entry(r.device).or_insert(0) += 1;
             }
         }
-        out
-    }
-}
-
-impl Trace {
-    /// Export the trace as Chrome-tracing JSON (load in `chrome://tracing`
-    /// or [Perfetto](https://ui.perfetto.dev)): one row per device, one
-    /// complete event per command, with the tag and queue id as arguments.
-    /// Virtual nanoseconds map to microseconds in the viewer's timeline.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.chrome_event_json());
-        }
-        out.push(']');
         out
     }
 }
@@ -275,6 +225,12 @@ mod tests {
         assert_eq!(t.transfers_where(|r| r.device == DeviceId(1)), 1);
     }
 
+    /// The records as one Chrome-tracing JSON array.
+    fn chrome_json(t: &Trace) -> String {
+        let events: Vec<String> = t.records.iter().map(TraceRecord::chrome_event_json).collect();
+        format!("[{}]", events.join(","))
+    }
+
     #[test]
     fn chrome_json_export_is_valid_and_complete() {
         let mut t = Trace::default();
@@ -285,7 +241,7 @@ mod tests {
             1,
             None,
         ));
-        let json = t.to_chrome_json();
+        let json = chrome_json(&t);
         // Structure: a JSON array with one object per record.
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
@@ -306,7 +262,7 @@ mod tests {
             1,
             None,
         ));
-        let json = t.to_chrome_json();
+        let json = chrome_json(&t);
         assert!(json.contains("\"name\":\"marker\",\"cat\":\"marker\""), "{json}");
         assert_eq!(json.matches("\"cat\":\"transfer\"").count(), 1);
     }
@@ -315,7 +271,7 @@ mod tests {
     fn chrome_json_escapes_control_characters() {
         let mut t = Trace::default();
         t.push(rec(0, kernel("bad\nname\t"), 1, Some("tab\there")));
-        let json = t.to_chrome_json();
+        let json = chrome_json(&t);
         assert!(!json.contains('\n'), "raw newline leaked: {json:?}");
         assert!(!json.contains('\t'), "raw tab leaked: {json:?}");
         // Still parseable JSON that round-trips the name.
@@ -326,57 +282,15 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_oldest_and_counts_drops() {
+    fn records_since_reads_the_suffix_from_a_position() {
         let mut t = Trace::default();
-        t.set_capacity(Some(4));
-        for i in 0..10 {
-            t.push(rec(0, kernel(&format!("k{i}")), 1, None));
-        }
-        assert_eq!(t.total_pushed(), 10);
-        assert!(t.records.len() <= 4 + 2, "retained {}", t.records.len());
-        assert_eq!(t.dropped() + t.records.len() as u64, 10);
-        // The newest record is always retained.
-        assert!(matches!(&t.records.last().unwrap().kind,
-            CommandKind::Kernel { name } if &**name == "k9"));
-    }
-
-    #[test]
-    fn records_since_is_stable_across_evictions() {
-        let mut t = Trace::default();
-        t.set_capacity(Some(4));
-        for i in 0..3 {
-            t.push(rec(0, kernel(&format!("a{i}")), 1, None));
-        }
-        let pos = t.total_pushed();
-        for i in 0..5 {
-            t.push(rec(0, kernel(&format!("b{i}")), 1, None));
-        }
-        // Everything since `pos` that survived eviction is some suffix of
-        // the b-records, ending at b4.
-        let since = t.records_since(pos);
-        assert!(!since.is_empty());
-        for r in since {
-            assert!(matches!(&r.kind, CommandKind::Kernel { name } if name.starts_with('b')));
-        }
-        // A position in the future yields an empty slice, not a panic.
-        assert!(t.records_since(t.total_pushed() + 5).is_empty());
-    }
-
-    #[test]
-    fn take_preserves_capacity_and_resets_counters() {
-        let mut t = Trace::default();
-        t.set_capacity(Some(8));
         t.push(rec(0, kernel("a"), 1, None));
-        let old = t.take();
-        assert_eq!(old.records.len(), 1);
-        assert_eq!(t.total_pushed(), 0);
+        let pos = t.total_pushed();
         t.push(rec(0, kernel("b"), 1, None));
-        assert_eq!(t.records.len(), 1);
-        // Capacity still applies after take().
-        for i in 0..20 {
-            t.push(rec(0, kernel(&format!("c{i}")), 1, None));
-        }
-        assert!(t.records.len() <= 10);
+        assert!(matches!(t.records_since(pos), [r] if r.stamp == t.records[1].stamp));
+        assert!(t.records_since(pos + 5).is_empty());
+        assert_eq!(t.take().records.len(), 2);
+        assert_eq!(t.total_pushed(), 0);
     }
 
     #[test]

@@ -80,8 +80,7 @@ pub struct LoadgenConfig {
     pub workers: usize,
     /// Runtime knobs for the backing platform: data-plane worker threads
     /// (wall-clock throughput only — virtual time and results are identical
-    /// for any count), event retirement, and trace capacity for
-    /// bounded-memory long runs.
+    /// for any count) and an optional fault plan.
     pub runtime: RuntimeConfig,
     /// Latency SLO applied to every tenant (`None` disables burn-rate
     /// tracking and `SloBurn` events).

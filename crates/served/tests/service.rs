@@ -796,38 +796,6 @@ fn segment_sums_equal_latency_exactly_across_random_runs() {
     }
 }
 
-#[test]
-fn retirement_and_trace_capacity_bound_memory_without_changing_results() {
-    let bounded_cfg = LoadgenConfig {
-        seed: 33,
-        tenants: 2,
-        jobs: 24,
-        rate_hz: 2000.0,
-        workers: 2,
-        runtime: RuntimeConfig {
-            retire_events: true,
-            trace_capacity: Some(64),
-            ..RuntimeConfig::default()
-        },
-        ..LoadgenConfig::default()
-    };
-    let plain_cfg = LoadgenConfig { runtime: RuntimeConfig::default(), ..bounded_cfg.clone() };
-    let dir = scratch_dir("bounded");
-    let (bounded, _) = loadgen::run(&bounded_cfg, &dir).expect("bounded run");
-    let (plain, _) = loadgen::run(&plain_cfg, &dir).expect("plain run");
-    assert_eq!(bounded.outcomes(), plain.outcomes(), "bounding memory never changes outcomes");
-    let (live, retired, records) = bounded
-        .context()
-        .platform()
-        .with_engine(|e| (e.live_events(), e.retired_events(), e.trace().records.len()));
-    let (plain_live, plain_records) =
-        plain.context().platform().with_engine(|e| (e.live_events(), e.trace().records.len()));
-    assert!(retired > 0, "a long run with no live handles retires events");
-    assert!(live < plain_live, "retention stays below the unbounded run ({live} vs {plain_live})");
-    assert!(records <= 64, "trace respects its capacity bound ({records} records)");
-    assert!(plain_records > 64, "the unbounded run really exceeds the bound");
-}
-
 /// A single-launch compute-dominated template from the kernel family the
 /// scheduler's cost predictor learns cleanly (mirrors the training family
 /// in the `multicl` predictor tests).
