@@ -64,7 +64,7 @@ pub fn mapper_quality(set: &[(&str, Class)], queues: usize) -> Vec<MapperRow> {
             label: format!("{name}.{class}"),
             optimal_secs: replayed_time(
                 ContextSchedPolicy::AutoFit,
-                with_mapper(MapperKind::Optimal),
+                with_mapper(MapperKind::Adaptive),
                 name,
                 class,
                 queues,

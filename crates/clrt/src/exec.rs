@@ -38,7 +38,8 @@
 //! body runs on the enqueueing thread from a borrowing closure, before
 //! `submit` returns. Otherwise the owned `'static` body is built and
 //! queued for the pool. `workers == 1` is the degenerate case in which
-//! every body counts as light: single-threaded use never hands a task off.
+//! every body counts as light and device time is no reason to queue:
+//! single-threaded use never hands a task off.
 //!
 //! ## Device time
 //!
@@ -58,12 +59,14 @@
 //!
 //! Deadlines sit in one min-heap and are completed lazily, by whoever next
 //! holds the executor lock with a reason to look: `submit` on entry (so
-//! hazard capture sees expired predecessors as gone), a blocked thread, a
-//! worker about to look for work. A light task whose only unmet
-//! predecessors are in device time with less than a hand-off (`HANDOFF`)
-//! left is not worth queueing: its node is registered first, then the
-//! enqueueing thread waits the remainder out, lock dropped, and runs the
-//! body itself (with `workers == 1` it always does, however long).
+//! hazard capture sees expired predecessors as gone), a worker about to
+//! look for work, and a blocked thread, which wakes for the heap's earliest
+//! deadline whatever it waits for (*Blocking points*). The runtime acts at
+//! synchronization points, on the threads that block there: no thread is
+//! kept awake for a deadline. With `workers == 1` a task whose only unmet
+//! predecessors are in device time is registered, then the enqueueing
+//! thread blocks on it, as a blocking read does, and runs the body itself;
+//! with more workers it is queued like any task that has to wait.
 //!
 //! ## Wake-ups
 //!
@@ -73,7 +76,8 @@
 //! submitted, and the blocked threads only when the very task one of them
 //! marked as its blocker (`Node::watched`) completes or enters device time
 //! — a joiner sleeps through every other completion of the chain it waits
-//! for.
+//! for — or when a deadline earlier than every other one enters the heap,
+//! a new time for them to wake at.
 //!
 //! Which worker is woken is fixed too: the *most recently parked* one
 //! (`State::idle` is a stack). Its core is the one most likely still idle
@@ -83,24 +87,28 @@
 //! cores, leaves two workers sharing one core for milliseconds at a time
 //! while the other idles, a different share of every run.
 //!
-//! A deadline wakes nobody either, with one exception: while a *queued*
-//! task waits behind one (`State::pool_deadline`), exactly one idle worker
-//! — the *timer*, at the bottom of the stack, where work wake-ups reach it
-//! last — parks with a time to wake at instead of indefinitely, because
-//! nothing else is bound to look before the host's next call. Tasks that
-//! only ever run on their callers never start a thread.
+//! A deadline wakes no worker: a queued task behind device time is released
+//! by the next thread that looks — a blocked thread at that deadline, a
+//! worker looking for work, the next `submit` — so with no thread blocked
+//! it waits for the host's next call, where OpenCL's host observes anything
+//! anyway. Tasks that only ever run on their callers never start a thread.
 //!
 //! ## Blocking points
 //!
 //! `finish`, blocking reads, and `Event::wait` join only the tasks they
 //! transitively depend on (the DAG already encodes transitivity: joining a
 //! task implicitly joins its ancestors, because a task only completes after
-//! its dependencies). A joiner whose blocker is in device time waits for
-//! that deadline itself (`wait_until`: never early, late only by spin
-//! precision or a preemption, executor lock not held). A body that panics —
-//! on a worker or on the caller — is caught, and the panic is re-raised
-//! exactly once, at the next blocking point, whether or not anything is
-//! left to join there.
+//! its dependencies). A blocked thread wakes at the earlier of its
+//! blocker's signal and the heap's earliest deadline, expires what has
+//! passed — releasing whatever was queued behind it — and checks again.
+//! Where nothing else can wake it — its blocker is in device time, or is
+//! its own caller-run node — the wait is exact (`wait_until`'s rule:
+//! never early, late only by spin precision or a preemption, executor lock
+//! not held for the spin); a blocker still to run signals, and its
+//! deadline wake-ups only release queued tasks, so they are plain timed
+//! waits. A body that panics — on a worker or on the caller — is caught,
+//! and the panic is re-raised exactly once, at the next blocking point,
+//! whether or not anything is left to join there.
 
 use crate::hazard::{Access, Frontier};
 use std::cmp::Reverse;
@@ -119,10 +127,9 @@ pub type TaskId = u64;
 /// What handing a task to a worker and joining it costs on the 2-core
 /// reference host (`clrt.probe_handoff_us` of `perf`: a futex wake, a
 /// context switch, and the same again for the joiner), during which the
-/// enqueueing thread mostly waits. Both placement thresholds derive from
-/// it: a body cheaper than this ([`LIGHT_WORK`]) and a remaining device
-/// time shorter than this are spent on the enqueueing thread, because
-/// queueing the task would cost it more.
+/// enqueueing thread mostly waits. [`LIGHT_WORK`] derives from it: a body
+/// cheaper than this runs on the enqueueing thread, because queueing the
+/// task would cost it more.
 const HANDOFF: Duration = Duration::from_micros(50);
 
 /// The heaviest body, in nominal work units (one flop of a kernel's
@@ -136,7 +143,7 @@ const HANDOFF: Duration = Duration::from_micros(50);
 /// under one everywhere else. Anything heavier is worth overlapping.
 const LIGHT_WORK: u64 = (2 * HANDOFF.as_nanos() as u64).next_power_of_two();
 
-/// How late `std::thread::sleep` (or a timed park) may return: the kernel's
+/// How late `std::thread::sleep` (or a timed wait) may return: the kernel's
 /// 50 µs default timer slack plus a wake-up. Measured on the 2-core
 /// reference sandbox for requests of 128 ns to 2 ms: 72–120 µs at the
 /// median, ≈200 µs at p90.
@@ -240,9 +247,8 @@ struct Linked {
     /// Live predecessors, all told.
     unmet: usize,
     /// Those of them whose body has yet to return; the rest are in device
-    /// time, the last of them until `cooled`.
+    /// time.
     running: usize,
-    cooled: Option<Instant>,
 }
 
 #[derive(Default)]
@@ -252,16 +258,13 @@ struct State {
     ready: VecDeque<TaskId>,
     /// Tasks in device time, earliest deadline first.
     cooling: BinaryHeap<Reverse<(Instant, TaskId)>>,
-    /// Pooled tasks, body attached, that wait for a predecessor.
-    blocked: usize,
     /// Engine event id → live task backing it.
     events: HashMap<usize, TaskId>,
     threads: Vec<JoinHandle<()>>,
     /// Parked workers, most recently parked last; a wake-up takes the last.
-    /// The timer, if one is parked, is the first.
     idle: Vec<Thread>,
-    /// When the worker acting as timer (module docs, *Wake-ups*) wakes.
-    timer: Option<Instant>,
+    /// Threads asleep on `done_cv`, in [`DataPlane::wait_while`].
+    waiting: usize,
     spawned: usize,
     busy: usize,
     shutdown: bool,
@@ -288,7 +291,7 @@ impl State {
     fn link(&mut self, order: &Order<'_>) -> Linked {
         let id = self.next;
         self.next += 1;
-        let mut l = Linked { id, unmet: 0, running: 0, cooled: None };
+        let mut l = Linked { id, unmet: 0, running: 0 };
         // Completed predecessors are gone from `tasks` and add nothing. All
         // of `id`'s edges are added under this one hold of the lock, so a
         // predecessor named twice already has `id` as its newest dependent.
@@ -297,10 +300,7 @@ impl State {
                 if n.dependents.last() != Some(&id) {
                     n.dependents.push(id);
                     l.unmet += 1;
-                    match n.deadline {
-                        Some(t) => l.cooled = l.cooled.max(Some(t)),
-                        None => l.running += 1,
-                    }
+                    l.running += usize::from(n.deadline.is_none());
                 }
             }
         };
@@ -350,17 +350,6 @@ impl State {
         self.submitted += 1;
         self.peak_live = self.peak_live.max(self.tasks.len());
     }
-
-    /// The earliest deadline a queued task may be waiting behind: the one
-    /// deadline somebody has to be awake for (module docs, *Wake-ups*).
-    /// Any deadline counts while any pooled task is blocked — an unrelated
-    /// one costs the timer a wake-up, never a dependent its release.
-    fn pool_deadline(&self) -> Option<Instant> {
-        if self.blocked == 0 {
-            return None;
-        }
-        self.cooling.peek().map(|Reverse((t, _))| *t)
-    }
 }
 
 /// Run a task body, isolating a panic. `Ok(Some(deadline))` if it declared
@@ -402,8 +391,8 @@ impl DataPlane {
 
     /// Submit a task of `work` nominal units (see [`LIGHT_WORK`]) ordered by
     /// `order`, and decide where it runs (module docs, *Where a task runs*):
-    /// light and unblocked — or blocked only by device time about to end —
-    /// `run` is called on this thread before `submit` returns; otherwise
+    /// light and unblocked — or, with one worker, blocked only by device
+    /// time — `run` is called on this thread before `submit` returns; otherwise
     /// `owned` builds the `'static` body and the task is queued. Exactly
     /// one of the two closures is called; either returns the device time
     /// its body declares. Returns the task's id if it is still live —
@@ -418,18 +407,18 @@ impl DataPlane {
     ) -> Option<TaskId> {
         let mut st = self.state.lock();
         self.expire(&mut st, 0);
-        let Linked { id, unmet, running, cooled } = st.link(&order);
-        let light = self.workers <= 1 || work <= LIGHT_WORK;
-        let soon = cooled.is_none_or(|t| self.workers <= 1 || t < Instant::now() + HANDOFF);
-        if light && running == 0 && soon {
+        let Linked { id, unmet, running } = st.link(&order);
+        // Light and unblocked; with one worker, anything no running body
+        // holds back (device time is waited out here).
+        let here = if self.workers <= 1 { running == 0 } else { unmet == 0 && work <= LIGHT_WORK };
+        if here {
             st.insert(id, unmet, true, order.event);
             st.inline_tasks += 1;
-            drop(st);
-            if let Some(t) = cooled {
-                wait_until(t);
+            if unmet > 0 {
                 // Not a blocking point: a recorded panic stays recorded.
-                drop(self.wait_while(Self::unmet_of(id)));
+                st = self.wait_while(st, Self::unmet_of(id));
             }
+            drop(st);
             let outcome = run_body(run);
             return self.settle(&mut self.state.lock(), id, outcome, 0).then_some(id);
         }
@@ -452,9 +441,6 @@ impl DataPlane {
             if let Some(w) = worker {
                 w.unpark();
             }
-        } else {
-            st.blocked += 1;
-            self.arm(&mut st);
         }
         Some(id)
     }
@@ -473,10 +459,7 @@ impl DataPlane {
         let l = st.link(&Order { accesses, after, ..Order::default() });
         st.insert(l.id, l.unmet, true, None);
         st.count_submitted();
-        drop(st);
-        // Behind device time alone, the reader waits for the clock itself.
-        let cooled = l.cooled.filter(|_| l.running == 0);
-        ManualTask { plane: Arc::clone(self), id: l.id, cooled }
+        ManualTask { plane: Arc::clone(self), id: l.id }
     }
 
     fn spawn_worker(self: &Arc<Self>, st: &mut State) {
@@ -501,26 +484,6 @@ impl DataPlane {
         }
     }
 
-    /// See to it that a worker is awake at [`State::pool_deadline`]. Called
-    /// whenever that deadline may have moved up — a task entered device
-    /// time, a pooled task was queued behind a predecessor — or the timer
-    /// may have left its post for a task. If no timer wakes in time, the
-    /// worker at the bottom of the idle stack is roused to park again as
-    /// one (it is the timer if there is one); with nobody parked or about
-    /// to look and room in the pool, a worker is started for it. Busy
-    /// workers look when they finish.
-    fn arm(self: &Arc<Self>, st: &mut State) {
-        let Some(due) = st.pool_deadline() else { return };
-        if st.timer.is_some_and(|t| t <= due) {
-            return;
-        }
-        match st.idle.first() {
-            Some(w) => w.unpark(),
-            None if st.spawned == st.busy && st.spawned < self.workers => self.spawn_worker(st),
-            None => {}
-        }
-    }
-
     fn worker_loop(self: Arc<Self>) {
         let me = std::thread::current();
         let mut st = self.state.lock();
@@ -531,60 +494,20 @@ impl DataPlane {
             self.expire(&mut st, taken);
             let Some(id) = st.ready.pop_front() else {
                 if st.shutdown {
-                    // Drain: wait out the device time a queued task still
-                    // depends on (looked up exactly: nobody is left to wake
-                    // this worker early); the rest is dropped.
-                    let awaited = |&Reverse((due, id)): &Reverse<(Instant, TaskId)>| {
-                        let live = |d| st.tasks.contains_key(d);
-                        st.tasks[&id].dependents.iter().any(live).then_some(due)
-                    };
-                    let Some(due) = st.cooling.iter().filter_map(awaited).min() else { return };
-                    drop(st);
-                    wait_until(due);
-                    st = self.state.lock();
-                    continue;
+                    return;
                 }
-                let due = st.pool_deadline();
-                // Idle. If a queued task waits behind a deadline nobody
-                // wakes for yet, this worker is the timer: it parks for the
-                // part of the wait a late wake-up cannot overrun — at the
-                // bottom of the stack, still first in line when it is the
-                // only one — and spins the rest, not parked (a task made
-                // ready meanwhile waits that long at worst).
-                let timer = due.filter(|&d| st.timer.is_none_or(|t| d < t));
-                st.timer = timer.or(st.timer);
-                let nap = timer.map(|d| {
-                    d.saturating_duration_since(Instant::now()).saturating_sub(SLEEP_OVERSHOOT)
-                });
-                if let (Some(d), Some(Duration::ZERO)) = (timer, nap) {
-                    drop(st);
-                    wait_until(d);
-                    st = self.state.lock();
-                } else {
-                    match nap {
-                        Some(_) => st.idle.insert(0, me.clone()),
-                        None => st.idle.push(me.clone()),
-                    }
-                    drop(st);
-                    match nap {
-                        Some(t) => std::thread::park_timeout(t),
-                        None => std::thread::park(),
-                    }
-                    st = self.state.lock();
-                    // A waker popped this worker off the stack; after a
-                    // timeout or a spurious return it is still there.
-                    st.idle.retain(|w| w.id() != me.id());
-                }
-                // Off duty, unless a later arrival has taken the post over.
-                if st.timer == timer {
-                    st.timer = None;
-                }
+                st.idle.push(me.clone());
+                drop(st);
+                std::thread::park();
+                st = self.state.lock();
+                // A waker popped this worker off the stack; after a spurious
+                // return it is still there.
+                st.idle.retain(|w| w.id() != me.id());
                 continue;
             };
             let work = st.tasks.get_mut(&id).and_then(|n| n.work.take());
             st.busy += 1;
             st.peak_busy = st.peak_busy.max(st.busy);
-            self.arm(&mut st);
             drop(st);
             let outcome = work.map_or(Ok(None), run_body);
             st = self.state.lock();
@@ -614,15 +537,17 @@ impl DataPlane {
         st.tasks.get_mut(&id).expect("a task is live until it is retired").deadline =
             Some(deadline);
         // Whoever sleeps on this task — or, to run a node of their own, on
-        // its completion — waits for the clock from here on, not a signal.
+        // its completion — waits for the clock from here on, not a signal;
+        // and a deadline earlier than every other one is a new time for the
+        // blocked threads to wake at.
         let node = &st.tasks[&id];
         let caller_run = |d| st.tasks.get(d).is_some_and(|n: &Node| n.caller_run);
-        if node.watched || node.dependents.iter().any(caller_run) {
+        let earliest = st.cooling.peek().is_none_or(|&Reverse((t, _))| deadline < t);
+        if st.waiting > 0 && (earliest || node.watched || node.dependents.iter().any(caller_run)) {
             self.done_cv.notify_all();
         }
         st.cooling.push(Reverse((deadline, id)));
         st.timed += 1;
-        self.arm(st);
         true
     }
 
@@ -677,7 +602,7 @@ impl DataPlane {
                 w.unpark();
             }
         }
-        if awaited {
+        if awaited && st.waiting > 0 {
             self.done_cv.notify_all();
         }
     }
@@ -700,7 +625,6 @@ impl DataPlane {
                     awaited = true;
                 } else if n.unmet == 0 {
                     st.ready.push_back(d);
-                    st.blocked -= 1;
                     released += 1;
                 }
             }
@@ -709,37 +633,43 @@ impl DataPlane {
     }
 
     /// Sleep while `blocker` names a live task the caller still waits for;
-    /// returns holding the lock. A blocker still to run is marked watched
-    /// and slept on until signalled; one in device time is waited out by
-    /// the clock, lock dropped ([`wait_until`]).
-    fn wait_while(
-        self: &Arc<Self>,
+    /// returns holding the lock. The blocker is marked watched; the thread
+    /// wakes at the earlier of its signal and the heap's earliest deadline,
+    /// expires what has passed and checks again (module docs, *Blocking
+    /// points*).
+    fn wait_while<'a>(
+        self: &'a Arc<Self>,
+        mut st: MutexGuard<'a, State>,
         blocker: impl Fn(&State) -> Option<TaskId>,
-    ) -> MutexGuard<'_, State> {
-        let mut st = self.state.lock();
+    ) -> MutexGuard<'a, State> {
         loop {
             self.expire(&mut st, 0);
             let Some(id) = blocker(&st) else { return st };
+            let due = st.cooling.peek().map(|&Reverse((t, _))| t);
             let node = st.tasks.get_mut(&id).expect("a blocker is a live task");
-            if let Some(deadline) = node.deadline {
-                drop(st);
-                wait_until(deadline);
-                st = self.state.lock();
-                continue;
-            }
             node.watched = true;
-            // A caller-run blocker is the waiting thread's own node (a
-            // blocking read): no worker is armed for the device time it
-            // waits behind, so the thread wakes for the next deadline.
-            let due =
-                if node.caller_run { st.cooling.peek().map(|Reverse((t, _))| *t) } else { None };
-            st = match due {
-                Some(t) => {
-                    let left = t.saturating_duration_since(Instant::now());
-                    self.done_cv.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner).0
+            // Only a blocker still to run signals in time: one in device
+            // time waits for the clock, and so does the thread's own
+            // caller-run node once its predecessors are in device time.
+            let exact = node.deadline.is_some() || node.caller_run;
+            let slack = if exact { SLEEP_OVERSHOOT } else { Duration::ZERO };
+            let nap = match due {
+                Some(t) if exact && t <= Instant::now() + slack => {
+                    drop(st);
+                    wait_until(t);
+                    st = self.state.lock();
+                    continue;
+                }
+                due => due.map(|t| t.saturating_duration_since(Instant::now() + slack)),
+            };
+            st.waiting += 1;
+            st = match nap {
+                Some(nap) => {
+                    self.done_cv.wait_timeout(st, nap).unwrap_or_else(PoisonError::into_inner).0
                 }
                 None => self.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner),
             };
+            st.waiting -= 1;
         }
     }
 
@@ -757,7 +687,7 @@ impl DataPlane {
         counts_as_join: bool,
         blocker: impl Fn(&State) -> Option<TaskId>,
     ) {
-        let mut st = self.wait_while(blocker);
+        let mut st = self.wait_while(self.state.lock(), blocker);
         st.joins += u64::from(counts_as_join);
         let msg = st.panic_msg.take();
         drop(st);
@@ -813,12 +743,13 @@ impl DataPlane {
 
     /// Drain remaining work, stop the workers, and join their threads.
     /// Called from the owning runtime's drop (via [`PlaneHandle`]).
-    pub(crate) fn shutdown(&self) {
-        let mut st = self.state.lock();
-        // Let in-flight DAGs drain: workers keep pulling ready tasks after
-        // shutdown is set — waiting out device time a queued task is
-        // behind — and completions cascade until nothing queued is left.
-        // Tasks in device time that nothing waits for are simply dropped.
+    pub(crate) fn shutdown(self: &Arc<Self>) {
+        // Let in-flight DAGs drain: block, as a joiner does, until no pooled
+        // task is left to run — this thread retires the deadlines they wait
+        // behind. Tasks in device time that nothing waits for are dropped.
+        let mut st = self.wait_while(self.state.lock(), |st| {
+            st.tasks.iter().find(|(_, n)| !n.caller_run && n.deadline.is_none()).map(|(&id, _)| id)
+        });
         st.shutdown = true;
         let threads = std::mem::take(&mut st.threads);
         let idle = std::mem::take(&mut st.idle);
@@ -860,8 +791,6 @@ impl Drop for PlaneHandle {
 pub(crate) struct ManualTask {
     plane: Arc<DataPlane>,
     id: TaskId,
-    /// Set if all it waits behind is device time: when the last of it ends.
-    cooled: Option<Instant>,
 }
 
 impl ManualTask {
@@ -869,9 +798,6 @@ impl ManualTask {
     /// may touch the accessed buffers (the hazard DAG orders all later
     /// conflicting tasks after this one until it is dropped).
     pub(crate) fn wait_ready(&self) {
-        if let Some(t) = self.cooled {
-            wait_until(t);
-        }
         self.plane.block_while(false, DataPlane::unmet_of(self.id));
     }
 }
@@ -1421,9 +1347,8 @@ mod tests {
     }
 
     #[test]
-    fn both_placement_thresholds_derive_from_one_hand_off() {
+    fn light_work_derives_from_one_hand_off() {
         assert_eq!(LIGHT_WORK, 1 << 17);
-        assert!(HANDOFF < SLEEP_OVERSHOOT);
     }
 
     /// The wait every deadline ends in holds for the whole time: never less
@@ -1456,8 +1381,8 @@ mod tests {
         }
     }
 
-    /// Device times on either side of both thresholds: shorter than a
-    /// hand-off, between that and the sleep overshoot, and beyond it.
+    /// Device times a waiting thread spins out whole (25 µs, 120 µs) and
+    /// one beyond the sleep overshoot, which it sleeps most of (2 ms).
     const DEVICE_TIMES: [Duration; 3] =
         [Duration::from_micros(25), Duration::from_micros(120), Duration::from_millis(2)];
 
@@ -1546,49 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn a_light_task_waits_out_a_short_remainder_on_the_caller_and_queues_behind_a_long_one() {
-        let me = std::thread::current().id();
-        let on_thread = |spans: &Spans| {
-            let spans = Arc::clone(spans);
-            move || {
-                let start = Instant::now();
-                spans.lock().push((start, Instant::now()));
-                std::thread::current().id()
-            }
-        };
-        for (workers, d, waited_out) in [
-            (1, Duration::from_micros(25), true),
-            (2, Duration::from_micros(25), true),
-            (4, Duration::from_micros(25), true),
-            (1, Duration::from_millis(50), true),
-            (2, Duration::from_millis(50), false),
-        ] {
-            let at = format!("{workers} workers, {d:?}");
-            let p = plane(workers);
-            let b = buf(8);
-            let spans = Spans::default();
-            task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
-            let (tx, ran_on) = mpsc::channel();
-            let body = on_thread(&spans);
-            let second = task(&p, on(&[Access::write(&b)]), 1, move || {
-                tx.send(body()).unwrap();
-                Duration::ZERO
-            });
-            // Complete on return if it ran here; queued otherwise.
-            assert_eq!(second.is_none(), waited_out, "{at}");
-            p.join(second.as_slice());
-            assert_eq!(ran_on.recv().unwrap() == me, waited_out, "{at}");
-            let spans = spans.lock().clone();
-            assert!(spans[1].0 >= spans[0].1 + d, "ran inside its predecessor's device time: {at}");
-            let s = p.stats();
-            let (inline, pooled) = if waited_out { (2, 0) } else { (1, 1) };
-            assert_eq!((s.inline_tasks, s.submitted, s.timed_tasks), (inline, pooled, 1), "{at}");
-            assert_eq!(p.state.lock().spawned, pooled as usize, "{at}");
-            p.shutdown();
-        }
-    }
-
-    #[test]
     fn tasks_that_only_run_on_their_callers_start_no_thread() {
         let p = plane(4);
         let bufs: Vec<Buffer> = (0..8).map(|_| buf(8)).collect();
@@ -1604,57 +1486,56 @@ mod tests {
         p.shutdown();
     }
 
+    /// `serve_mix`'s shape: the only blocked thread joins task A, far from
+    /// its deadline, while a queued task C waits behind task B's nearer
+    /// one. No other thread looks before the join returns, so the joiner
+    /// must release C at B's deadline — never earlier, and long before A's.
+    /// B is in device time before the join starts, or (with a worker to run
+    /// it) still running until the joiner sleeps, so that its nearer
+    /// deadline arrives under a joiner already asleep until A's.
     #[test]
-    fn a_queued_task_behind_device_time_runs_at_the_deadline_with_no_further_call() {
-        // The pool's own timer must release it: the host makes no other
-        // call until the body has run. Whether the workers were parked —
-        // for good — before the deadline existed must not matter.
-        for parked in [0, 2] {
-            let p = plane(2);
-            park_workers(&p, parked);
-            let d = Duration::from_millis(20);
+    fn the_blocked_thread_releases_a_queued_task_at_an_earlier_deadline() {
+        let (far, near) = (Duration::from_millis(20), Duration::from_millis(1));
+        for (workers, late) in [(1, false), (2, false), (4, false), (2, true), (4, true)] {
+            let at = format!("{workers} workers, B still running: {late}");
+            let p = plane(workers);
             let spans = Spans::default();
-            let first = task(&p, Order::default(), 1, timed(&spans, d)).expect("in device time");
-            let (tx, ran) = mpsc::channel();
-            let second = heavy(&p, Order { after: &[first], ..Order::default() }, move || {
-                tx.send(Instant::now()).unwrap()
+            let a = task(&p, Order::default(), 1, timed(&spans, far)).expect("in device time");
+            let (release, gate) = mpsc::channel::<()>();
+            let body = timed(&spans, near);
+            let work = if late { u64::MAX } else { 1 };
+            let b = task(&p, Order::default(), work, move || {
+                if late {
+                    gate.recv().unwrap();
+                }
+                body()
+            })
+            .expect("live");
+            let (tx, started) = mpsc::channel();
+            let c = task(&p, Order { after: &[b], ..Order::default() }, u64::MAX, move || {
+                tx.send(Instant::now()).unwrap();
+                Duration::ZERO
             });
-            let at = ran.recv_timeout(SIGNAL).expect("nobody woke for the deadline");
-            assert!(at >= spans.lock()[0].1 + d, "ran inside its predecessor's device time");
-            p.join(&[second]);
-            assert_eq!(p.state.lock().spawned, parked.max(1), "one worker suffices as timer");
+            // One worker: C is the submitter's to run, after B's deadline.
+            assert_eq!(c.is_some(), workers > 1, "{at}");
+            std::thread::scope(|s| {
+                let p = &p;
+                s.spawn(move || {
+                    while late && p.state.lock().waiting == 0 {
+                        std::thread::yield_now();
+                    }
+                    // Refused when B never waited for it.
+                    let _ = release.send(());
+                });
+                p.join(&[a]);
+            });
+            let started = started.recv_timeout(SIGNAL).expect("C never ran");
+            let spans = spans.lock().clone();
+            let (a_due, b_due) = (spans[0].1 + far, spans[1].1 + near);
+            assert!(started >= b_due, "{at}: C ran inside B's device time");
+            assert!(started < a_due, "{at}: C waited for A's deadline");
             p.shutdown();
         }
-    }
-
-    #[test]
-    fn an_earlier_deadline_re_arms_the_timer() {
-        let p = plane(2);
-        let spans = Spans::default();
-        let gated = |d: Duration| {
-            let first = task(&p, Order::default(), 1, timed(&spans, d)).expect("in device time");
-            let (tx, ran) = mpsc::channel();
-            let t = heavy(&p, Order { after: &[first], ..Order::default() }, move || {
-                tx.send(Instant::now()).unwrap()
-            });
-            (t, ran)
-        };
-        // The timer is parked until the far deadline when the near one —
-        // with a queued dependent of its own — turns up.
-        let far = Duration::from_millis(600);
-        let (late, late_ran) = gated(far);
-        let parked = Instant::now() + SIGNAL;
-        while p.state.lock().idle.is_empty() {
-            assert!(Instant::now() < parked, "no worker parked as timer");
-            std::thread::yield_now();
-        }
-        assert!(p.state.lock().timer.is_some());
-        let (soon, soon_ran) = gated(Duration::from_millis(20));
-        let at = soon_ran.recv_timeout(far / 2).expect("the timer slept through a nearer deadline");
-        assert!(at >= spans.lock()[1].1 + Duration::from_millis(20));
-        p.join(&[soon, late]);
-        assert!(late_ran.recv().unwrap() >= spans.lock()[0].1 + far);
-        p.shutdown();
     }
 
     #[test]
@@ -1701,7 +1582,7 @@ mod tests {
         drop(read);
         p.shutdown();
         // Behind a running body too, which ends first: from then on no
-        // signal is coming, and no worker is armed for a caller-run node.
+        // signal is coming, and the reader wakes for the deadline itself.
         let p = plane(2);
         let (b, c, spans) = (buf(8), buf(8), Spans::default());
         let (release, gate) = mpsc::channel::<()>();
@@ -1776,7 +1657,7 @@ mod tests {
         });
         let plane = Arc::clone(&p);
         let shutdown = std::thread::spawn(move || plane.shutdown());
-        while !p.state.lock().shutdown {
+        while p.state.lock().waiting == 0 {
             std::thread::yield_now();
         }
         release.send(()).unwrap();

@@ -238,9 +238,8 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
                 q.enqueue_ndrange(&saxpy, nd(rng.index(2) == 0), &waits).unwrap()
             }
             6 => {
-                // Device time short enough to be waited out where the next
-                // command is enqueued, long enough to be queued behind, or
-                // long enough to be slept on.
+                // Device time short enough to be spun out by whoever waits
+                // for it, or long enough to be slept on.
                 let micros = [20, 120, 400][rng.index(3)];
                 cool.set_arg(0, ArgValue::BufferMut(buffers[rng.index(buffers.len())].clone()))
                     .unwrap();
@@ -588,9 +587,9 @@ fn targeted_wake_ups_lose_no_signal_under_concurrent_blocking_points() {
                         q.enqueue_ndrange(&saxpy, nd(false), &[]).unwrap();
                         q.enqueue_ndrange(&bump, nd(chain % 3 == 0), &[]).unwrap();
                         // The chain ends in device time every blocking
-                        // point below has to see out: short enough for the
-                        // next enqueue to wait out, or long enough for it
-                        // to queue behind (and for a joiner to sleep on).
+                        // point below has to see out: short enough to be
+                        // spun out, or long enough for a joiner to sleep
+                        // on — and for the next enqueue to queue behind.
                         cool.set_arg(1, ArgValue::U64([10, 90, 300][chain % 3])).unwrap();
                         let last = q.enqueue_ndrange(&cool, nd(chain % 2 == 0), &[]).unwrap();
                         expect = 0.5 * (0.5 * expect + 1.0 + 1.5 * 2.0) + 1.0;
@@ -697,8 +696,8 @@ impl TimedRig {
     }
 }
 
-/// Device times on either side of both executor thresholds: shorter than a
-/// hand-off (50 µs), between that and the sleep overshoot (200 µs), beyond.
+/// Device times a waiting thread spins out whole (25 µs, 120 µs) and one
+/// beyond the sleep overshoot (200 µs), which it sleeps most of.
 const DEVICE_TIMES: [Duration; 3] =
     [Duration::from_micros(25), Duration::from_micros(120), Duration::from_millis(2)];
 
@@ -727,9 +726,8 @@ fn chained_launches_finish_no_earlier_than_their_summed_device_time() {
                 assert!(finished - spans[0].0 >= 3 * d, "{at}");
                 let stats = rig.p.data_plane_stats();
                 assert_eq!((stats.timed_tasks, stats.queue_depth), (3, 0), "{at}: {stats:?}");
-                if workers == 1 || (!heavy && d < Duration::from_micros(50)) {
-                    // Nothing to hand off: alone, or light behind device
-                    // time shorter than a hand-off.
+                if workers == 1 {
+                    // Nothing to hand off: alone.
                     assert_eq!((stats.inline_tasks, stats.submitted), (3, 0), "{at}: {stats:?}");
                 }
                 assert!(rig.bufs[1].host_snapshot::<f64>().iter().all(|&v| v == 1.0), "{at}");

@@ -58,20 +58,17 @@ pub const ITER_FREQ_ENV: &str = "MULTICL_SCHED_FREQ";
 /// Which queue→device mapping algorithm AUTO_FIT uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MapperKind {
-    /// Exact makespan minimization (the paper's dynamic-programming mapper;
-    /// guaranteed optimal, negligible cost at node scale). Warm-started
-    /// from the previous epoch's assignment and symmetry-pruned, but
-    /// unbounded: pathological pools can still take exponential time.
+    /// Exact makespan minimization (the paper's dynamic-programming mapper),
+    /// warm-started from the previous epoch's assignment and symmetry-pruned,
+    /// under [`DEFAULT_ADAPTIVE_NODE_BUDGET`] explored nodes; past the
+    /// budget, falls back to the incumbent (greedy refined by local search —
+    /// never worse than greedy). Optimal in the paper's small-pool regime,
+    /// bounded decision cost at serving scale.
     #[default]
-    Optimal,
+    Adaptive,
     /// Longest-processing-time greedy heuristic — an ablation point showing
     /// what the optimality guarantee buys.
     Greedy,
-    /// Exact search under [`DEFAULT_ADAPTIVE_NODE_BUDGET`] explored
-    /// nodes; past the budget, falls back to the incumbent (greedy refined
-    /// by local search — never worse than greedy). Optimal in the paper's
-    /// small-pool regime, bounded decision cost at serving scale.
-    Adaptive,
 }
 
 /// Runtime options controlling the overhead-reduction strategies. All enabled
@@ -124,7 +121,7 @@ impl Default for SchedOptions {
                 .and_then(|v| v.parse().ok())
                 .filter(|&f| f > 0),
             profile_cache: ProfileCache::default_location(),
-            mapper: MapperKind::Optimal,
+            mapper: MapperKind::Adaptive,
             predictor_confidence: 0.0,
             predictor_persist: false,
             observers: Vec::new(),
@@ -845,9 +842,6 @@ impl RtInner {
         let warm = warm_valid.then_some(state.warm.as_slice());
         let mapper_began = std::time::Instant::now();
         let (mapper_name, outcome) = match self.options.mapper {
-            MapperKind::Optimal => {
-                ("optimal", mapper::adaptive(&state.costs, warm, u64::MAX, &mut state.scratch))
-            }
             MapperKind::Greedy => (
                 "greedy",
                 mapper::SearchOutcome {

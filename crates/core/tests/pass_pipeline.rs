@@ -45,14 +45,18 @@ const LOCAL: u64 = 64;
 /// column of the `mixed` rows (the streams that hold a `kernel_split`) was
 /// re-derived once since, at d315bda, by one stated rule: the fingerprint
 /// of that commit's `events_text` with every `"partitioner":"static",`
-/// removed, when the key left the table.
+/// removed, when the key left the table. The events column of the four
+/// AUTO_FIT rows was re-derived once more, at 793666f, when the unbudgeted
+/// mapper arm was deleted, by one stated rule: the fingerprint of that
+/// commit's `events_text` with every `"mapper":"optimal"` replaced by
+/// `"mapper":"adaptive"`.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("mixed/auto_fit/clean", 0xafa2_3124_24f2_7e0c, 0x017c_f390_b620_7d36),
-    ("mixed/auto_fit/loss", 0x2391_19ca_52ed_e079, 0xcd0b_5c43_45ef_8cb5),
-    ("mixed/auto_fit/predictor", 0xe248_2795_83e9_4dcf, 0x1454_d69b_968f_80ae),
+    ("mixed/auto_fit/clean", 0xd332_7b5f_ce17_7b22, 0x017c_f390_b620_7d36),
+    ("mixed/auto_fit/loss", 0x75f6_3750_788d_d261, 0xcd0b_5c43_45ef_8cb5),
+    ("mixed/auto_fit/predictor", 0x6753_ac6e_8446_21cf, 0x1454_d69b_968f_80ae),
     ("mixed/round_robin/clean", 0xd4a7_bf2a_0c8c_6031, 0x42b1_45a7_8d64_bd69),
     ("mixed/round_robin/loss", 0xca12_b0ef_e055_6612, 0x4ae0_06c9_350b_2417),
-    ("wide/auto_fit/clean", 0x9676_65eb_16e7_6953, 0x1ec5_cb6a_e4bc_08ed),
+    ("wide/auto_fit/clean", 0xc12a_d435_6258_251d, 0x1ec5_cb6a_e4bc_08ed),
 ];
 
 /// `out[i] = out[i] * 0.5 + a[i] * scale + b[i]` over the first `n` items

@@ -9,9 +9,10 @@
 //! * `serve_loadgen_<policy>_seed<seed>.prom` — the combined service
 //!   metrics in Prometheus text exposition,
 //! * `serve_events_<policy>_seed<seed>.jsonl` — the job-lifecycle +
-//!   scheduler event stream,
-//! * `serve_trace_seed<seed>.jsonl` — the arrival trace (open loop only;
-//!   replayable with `serve_replay`).
+//!   scheduler event stream.
+//!
+//! Arrivals are a pure function of the seed: the same `--seed` under
+//! another `--policy` compares the two policies over one fixed workload.
 //!
 //! Usage:
 //! `cargo run -p served --bin loadgen -- --seed 42 --tenants 4 --policy auto_fit`
@@ -63,9 +64,7 @@ fn help() -> ! {
          outputs (under results/):\n\
          \x20 serve_loadgen_<policy>_seed<seed>.json   per-tenant report\n\
          \x20 serve_loadgen_<policy>_seed<seed>.prom   Prometheus metrics\n\
-         \x20 serve_events_<policy>_seed<seed>.jsonl   job-lifecycle + scheduler events\n\
-         \x20 serve_trace_seed<seed>.jsonl             arrival trace (open loop only);\n\
-         \x20                                          feed it back with serve_replay"
+         \x20 serve_events_<policy>_seed<seed>.jsonl   job-lifecycle + scheduler events"
     );
     std::process::exit(0);
 }
@@ -122,8 +121,8 @@ fn main() {
     let cfg = parse_config();
     let cache_dir = std::env::temp_dir().join("served-profile-cache");
     let recorder = Arc::new(RingBufferSink::new(1 << 16));
-    let (served, arrivals) = loadgen::run_with(&cfg, &cache_dir, vec![recorder.clone()])
-        .unwrap_or_else(|e| {
+    let (served, _) =
+        loadgen::run_with(&cfg, &cache_dir, vec![recorder.clone()]).unwrap_or_else(|e| {
             eprintln!("error: load generation failed: {e}");
             std::process::exit(1);
         });
@@ -163,10 +162,4 @@ fn main() {
     write_results(&format!("{stem}.prom"), &served.metrics().registry().to_prometheus());
     let events = telemetry::to_jsonl(&recorder.snapshot());
     write_results(&format!("serve_events_{}_seed{}.jsonl", cfg.policy.label(), cfg.seed), &events);
-    if cfg.mode == ArrivalMode::Open {
-        write_results(
-            &format!("serve_trace_seed{}.jsonl", cfg.seed),
-            &loadgen::trace_lines(&arrivals),
-        );
-    }
 }

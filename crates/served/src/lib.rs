@@ -19,11 +19,11 @@
 //! - [`slo`] — per-tenant latency SLOs with multi-window burn-rate
 //!   alerting; transitions surface as `SloBurn` telemetry events.
 //! - [`loadgen`] — seeded open-loop (Poisson) and closed-loop arrival
-//!   processes in virtual time; same seed, same results, plus a JSONL
-//!   trace format for replay.
+//!   processes in virtual time; same seed, same arrivals and results, so
+//!   two policies run under one seed are compared over one workload.
 //!
-//! Binaries: `loadgen` (generate load, write `results/serve_*.{json,prom}`
-//! reports) and `serve_replay` (re-run a recorded trace).
+//! Binary: `loadgen` (generate load, write `results/serve_*.{json,prom}`
+//! reports and the event stream).
 
 #![warn(missing_docs)]
 

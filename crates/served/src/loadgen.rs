@@ -12,9 +12,9 @@
 //!   a completion schedules the next submission after a think time. Offered
 //!   load self-limits, probing sustained throughput.
 //!
-//! Arrivals can be serialized to a JSONL trace and replayed later
-//! ([`trace_lines`] / [`parse_trace`]), which is what the `serve_replay`
-//! binary does.
+//! [`open_arrivals`] is a pure function of seed, jobs, rate and tenants, so
+//! two runs with one seed and different policies compare the policies over
+//! one fixed workload.
 
 use crate::service::{warmed_options, RetryPolicy, ServePolicy, Served, ServiceConfig};
 use crate::slo::SloConfig;
@@ -198,37 +198,6 @@ pub fn open_arrivals(cfg: &LoadgenConfig) -> Vec<Arrival> {
         .collect()
 }
 
-/// Serialize arrivals as a JSONL trace (one object per line).
-pub fn trace_lines(arrivals: &[Arrival]) -> String {
-    let mut out = String::new();
-    for a in arrivals {
-        let line = Json::obj([
-            ("at_ns", Json::from(a.at.as_nanos())),
-            ("tenant", Json::from(a.tenant)),
-            ("spec", a.spec.to_json()),
-        ]);
-        out.push_str(&line.dump());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a JSONL trace produced by [`trace_lines`]. Returns `None` if any
-/// line is malformed.
-pub fn parse_trace(text: &str) -> Option<Vec<Arrival>> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            let v = Json::parse(l)?;
-            Some(Arrival {
-                at: SimTime::from_nanos(v.get("at_ns")?.as_u64()?),
-                tenant: v.get("tenant")?.as_u64()? as usize,
-                spec: JobSpec::from_json(v.get("spec")?).ok()?,
-            })
-        })
-        .collect()
-}
-
 /// Drive a pre-computed (time-sorted) arrival schedule through `served`:
 /// admit everything due, dispatch while there is backlog, and jump the
 /// virtual clock to the next arrival when idle. Drains fully at the end.
@@ -354,7 +323,7 @@ pub fn run(cfg: &LoadgenConfig, cache_dir: &Path) -> ClResult<(Served, Vec<Arriv
 
 /// Run the configured load against a fresh service and return
 /// `(service, arrivals)` — the arrivals are empty for closed-loop runs
-/// (there is no precomputed schedule to trace).
+/// (there is no precomputed schedule).
 pub fn run_with(
     cfg: &LoadgenConfig,
     cache_dir: &Path,

@@ -127,18 +127,14 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with serving-default scheduler options: the adaptive mapper,
-    /// so a mapping decision over a large worker pool stays within the node
-    /// budget instead of searching a `D^Q` space exactly. SLO monitoring is
-    /// on by default with the paired fast/slow burn alerts.
+    /// A config with default scheduler options. SLO monitoring is on by
+    /// default with the paired fast/slow burn alerts.
     pub fn new(policy: ServePolicy, workers: usize, tenants: Vec<TenantConfig>) -> ServiceConfig {
-        let options =
-            SchedOptions { mapper: multicl::MapperKind::Adaptive, ..SchedOptions::default() };
         ServiceConfig {
             policy,
             workers,
             tenants,
-            options,
+            options: SchedOptions::default(),
             retry: RetryPolicy::default(),
             slo: Some(SloConfig::default()),
         }
@@ -186,10 +182,7 @@ impl SchedObserver for EpochTap {
 /// the serving context never charges device-profiling time to the serving
 /// clock. This makes the virtual timeline identical across runs whether or
 /// not a cache already existed — the property the deterministic load
-/// generator relies on. Like [`ServiceConfig::new`], serving uses the
-/// adaptive mapper (the decision itself is host time, not virtual time,
-/// but pools are large enough that an unbounded exact search would be the
-/// scheduler's real-world bottleneck).
+/// generator relies on.
 pub fn warmed_options(platform: &Platform, dir: impl Into<PathBuf>) -> SchedOptions {
     let cache = ProfileCache::at(dir);
     let fingerprint = platform.node().fingerprint();
@@ -200,7 +193,6 @@ pub fn warmed_options(platform: &Platform, dir: impl Into<PathBuf>) -> SchedOpti
     }
     SchedOptions {
         profile_cache: cache,
-        mapper: multicl::MapperKind::Adaptive,
         // Serving opts into feature-based cost prediction so templates the
         // model is confident about never pay a profiling epoch — the
         // cold-start path `warm_programs` would otherwise hide behind
@@ -776,9 +768,8 @@ impl Served {
         if live.is_empty() {
             return terminal;
         }
-        // Position in the trace's monotone push counter, not an index into
-        // `records`: stable even when a trace capacity bound evicts old
-        // records mid-run.
+        // Where the trace ends before this round's commands: the records
+        // read back below are exactly the ones this round pushes.
         let trace_offset = self.platform.with_engine(|e| e.trace().total_pushed());
         let failure_offset = self.platform.with_engine(|e| e.failure_count());
         let window_mark = self.tap.window_count();

@@ -454,25 +454,6 @@ fn closed_loop_completes_every_submission() {
 }
 
 #[test]
-fn trace_roundtrips_and_replays_identically() {
-    let cfg = LoadgenConfig { seed: 21, tenants: 2, jobs: 8, ..LoadgenConfig::default() };
-    let arrivals = loadgen::open_arrivals(&cfg);
-    let text = loadgen::trace_lines(&arrivals);
-    let parsed = loadgen::parse_trace(&text).expect("trace parses");
-    assert_eq!(parsed, arrivals);
-    // Replaying the parsed trace gives the same outcomes as driving the
-    // original schedule.
-    let dir = scratch_dir("replay");
-    let a = loadgen::build_service(&cfg, &dir, Vec::new()).expect("service a");
-    a.warm_programs(&loadgen::templates()).expect("warm a");
-    loadgen::drive_open(&a, &arrivals);
-    let b = loadgen::build_service(&cfg, &dir, Vec::new()).expect("service b");
-    b.warm_programs(&loadgen::templates()).expect("warm b");
-    loadgen::drive_open(&b, &parsed);
-    assert_eq!(a.outcomes(), b.outcomes());
-}
-
-#[test]
 fn concurrent_submitters_are_accounted_exactly() {
     const PER_TENANT: usize = 25;
     let served = Arc::new(small_service(
