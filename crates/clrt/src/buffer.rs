@@ -281,10 +281,9 @@ impl Buffer {
     }
 
     /// Declare the host copy the *only* valid one **without** moving any
-    /// data (scheduler-layer hook): after a split launch gathers each
-    /// device's output sub-range, the reassembled contents exist nowhere
-    /// whole except the host store.
-    pub fn mark_host_only(&self) {
+    /// data: after a split launch gathers each device's output sub-range,
+    /// the reassembled contents exist nowhere whole except the host store.
+    pub(crate) fn mark_host_only(&self) {
         let mut res = self.inner.residency.lock();
         res.devices.clear();
         res.host = true;

@@ -33,10 +33,10 @@ pub enum ClError {
     /// `CL_INVALID_EVENT_WAIT_LIST`: a wait-list event is invalid.
     InvalidEventWaitList(String),
     /// `CL_DEVICE_NOT_AVAILABLE`: the device is permanently lost (injected
-    /// device failure); commands bound to it complete with this status.
+    /// device failure).
     DeviceNotAvailable(String),
-    /// `CL_OUT_OF_RESOURCES`: a command failed transiently (e.g. an injected
-    /// DMA transfer failure); a retry may succeed.
+    /// `CL_OUT_OF_RESOURCES`: an operation failed transiently (e.g. an
+    /// injected DMA transfer failure); a retry may succeed.
     OutOfResources(String),
 }
 
@@ -56,20 +56,6 @@ impl ClError {
             ClError::InvalidEventWaitList(_) => "CL_INVALID_EVENT_WAIT_LIST",
             ClError::DeviceNotAvailable(_) => "CL_DEVICE_NOT_AVAILABLE",
             ClError::OutOfResources(_) => "CL_OUT_OF_RESOURCES",
-        }
-    }
-
-    /// True when a retry of the failed operation may succeed (transient
-    /// resource failures, but not device loss or argument errors).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ClError::OutOfResources(_))
-    }
-
-    /// The error for a command that completed with the given fault.
-    pub fn from_fault(kind: hwsim::FaultKind, context: &str) -> ClError {
-        match kind {
-            hwsim::FaultKind::DeviceLost => ClError::DeviceNotAvailable(context.to_string()),
-            hwsim::FaultKind::TransientTransfer => ClError::OutOfResources(context.to_string()),
         }
     }
 
@@ -130,16 +116,5 @@ mod tests {
         ];
         let set: HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
-    }
-
-    #[test]
-    fn fault_kinds_map_to_typed_errors() {
-        let lost = ClError::from_fault(hwsim::FaultKind::DeviceLost, "kernel k on dev 1");
-        assert_eq!(lost.code_name(), "CL_DEVICE_NOT_AVAILABLE");
-        assert!(!lost.is_transient());
-        let xfer = ClError::from_fault(hwsim::FaultKind::TransientTransfer, "write 4KiB");
-        assert_eq!(xfer.code_name(), "CL_OUT_OF_RESOURCES");
-        assert!(xfer.is_transient());
-        assert!(xfer.to_string().contains("write 4KiB"));
     }
 }

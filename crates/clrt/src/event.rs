@@ -1,9 +1,8 @@
 //! Events: completion handles with OpenCL-style profiling timestamps.
 
-use crate::error::{ClError, ClResult};
 use crate::platform::RuntimeInner;
 use hwsim::engine::{EventId, EventStamp};
-use hwsim::{CommandStatus, SimDuration};
+use hwsim::SimDuration;
 use std::sync::Arc;
 
 /// A `cl_event`: handle to one submitted command's completion.
@@ -44,36 +43,6 @@ impl Event {
         engine.stamp(self.id).end <= engine.now()
     }
 
-    /// OpenCL-style execution status: `0` (`CL_COMPLETE`) for commands that
-    /// completed successfully, a negative error code for commands that
-    /// completed with an injected fault (`CL_DEVICE_NOT_AVAILABLE`,
-    /// `CL_OUT_OF_RESOURCES`). Unlike real OpenCL there is no "still
-    /// running" state: the engine resolves completion eagerly.
-    pub fn execution_status(&self) -> i32 {
-        self.rt.engine.lock().event_status(self.id).code()
-    }
-
-    /// The fault this command completed with, as a typed error (`None` for
-    /// successful completion).
-    pub fn error(&self) -> Option<ClError> {
-        match self.rt.engine.lock().event_status(self.id) {
-            CommandStatus::Complete => None,
-            CommandStatus::Failed(kind) => {
-                Some(ClError::from_fault(kind, &format!("event {}", self.id.0)))
-            }
-        }
-    }
-
-    /// [`Event::wait`], then surface the command's terminal status: `Ok(())`
-    /// for success, the typed fault error otherwise.
-    pub fn wait_checked(&self) -> ClResult<()> {
-        self.wait();
-        match self.error() {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
     pub(crate) fn raw(&self) -> EventId {
         self.id
     }
@@ -82,13 +51,6 @@ impl Event {
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Event({:?})", self.id)
-    }
-}
-
-/// Block until every event in the list completes (`clWaitForEvents`).
-pub fn wait_for_events(events: &[Event]) {
-    for e in events {
-        e.wait();
     }
 }
 
@@ -128,14 +90,5 @@ mod tests {
         let p = Platform::paper_node();
         let ev = submit(&p, 25);
         assert_eq!(ev.duration(), SimDuration::from_millis(25));
-    }
-
-    #[test]
-    fn wait_for_events_waits_for_all() {
-        let p = Platform::paper_node();
-        let a = submit(&p, 10);
-        let b = submit(&p, 30);
-        wait_for_events(&[a.clone(), b.clone()]);
-        assert!(a.is_complete() && b.is_complete());
     }
 }

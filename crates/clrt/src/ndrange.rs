@@ -94,6 +94,15 @@ impl NdRange {
         })
     }
 
+    /// The axis a split launch cuts
+    /// ([`crate::CommandQueue::enqueue_ndrange_split`]): the outermost
+    /// (highest-index) dimension with more than one workgroup, if any.
+    /// Cutting the outermost dimension keeps each chunk's sub-range
+    /// contiguous in the flattened iteration space.
+    pub fn split_axis(&self) -> Option<usize> {
+        (0..3).rev().find(|&d| self.global[d].div_ceil(self.local[d]) > 1)
+    }
+
     /// Flatten to the cost model's 1-D shape. Total items and workgroup size
     /// are preserved; the workgroup count is the per-dimension round-up.
     pub fn shape(&self) -> NdRangeShape {
@@ -159,6 +168,13 @@ mod tests {
         assert_eq!(nd.checked_local_items(), Some(nd.local_items()));
         assert_eq!(nd.checked_workgroups(), Some(nd.workgroups()));
         assert!(nd.validate().is_ok());
+    }
+
+    #[test]
+    fn the_outermost_axis_with_several_workgroups_is_split() {
+        assert_eq!(NdRange::d3([64, 64, 8], [8, 8, 8]).split_axis(), Some(1));
+        assert_eq!(NdRange::d1(256, 64).split_axis(), Some(0));
+        assert_eq!(NdRange::d2([64, 8], [64, 8]).split_axis(), None);
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Platform {
         self.rt.engine.lock().trace().clone()
     }
 
-    /// True if two platform handles refer to the same runtime.
-    pub fn same_runtime(&self, other: &Platform) -> bool {
-        Arc::ptr_eq(&self.rt, &other.rt)
-    }
-
     /// Data-plane worker threads of this runtime.
     pub fn data_plane_workers(&self) -> usize {
         self.rt.plane.workers()
@@ -190,15 +185,6 @@ mod tests {
     fn clock_starts_at_zero() {
         let p = Platform::paper_node();
         assert_eq!(p.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn clones_share_the_runtime() {
-        let p = Platform::paper_node();
-        let q = p.clone();
-        assert!(p.same_runtime(&q));
-        let r = Platform::paper_node();
-        assert!(!p.same_runtime(&r));
     }
 
     #[test]

@@ -47,6 +47,7 @@ use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration, WaitList};
+use std::slice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,13 +60,14 @@ use std::time::Duration;
 /// |---------------------------------|-------------------------|--------------------|
 /// | write, read, copy, whole launch | as stated               | as stated          |
 /// | chunk of a split launch         | reader                  | as stated          |
-/// | gather, migration               | as stated (a read)      | no task            |
+/// | split gather, migration         | as stated (a read)      | no task            |
 /// | D2H leg of a staged migration   | consulted, not recorded | no task            |
 /// | split join                      | writer                  | as stated (a read) |
 /// | split start, barrier            | consulted, not recorded | touches nothing    |
 ///
-/// Sibling chunks write disjoint sub-ranges, so in virtual time they are
-/// mutually unordered readers (in wall-clock time they share the buffer's
+/// The split rows are [`CommandQueue::enqueue_ndrange_split`]'s. Sibling
+/// chunks write disjoint sub-ranges, so in virtual time they are mutually
+/// unordered readers (in wall-clock time they share the buffer's
 /// store lock anyway, and serializing them keeps results exact); the join
 /// then stands for the whole split's write, so that later consumers order
 /// after every chunk and not after one, while its task only has to follow
@@ -581,62 +583,142 @@ impl CommandQueue {
         args: &BoundArgs,
         waits: &[Event],
     ) -> ClResult<Event> {
-        self.launch(kernel, nd, None, args, waits)
-    }
-
-    /// Sub-range launch of a splittable kernel (the split scheduler's
-    /// workhorse): execute the `chunk` extent of the kernel's logical range
-    /// starting at `global_offset`, on this queue's device.
-    ///
-    /// A per-device launch configuration registered via
-    /// [`Kernel::set_work_group_info`] contributes its *workgroup shape*
-    /// (the chunk keeps its own global extent). The kernel body receives
-    /// the offset through [`KernelCtx::global_offset`] and must confine its
-    /// writes to the sub-range it owns ([`crate::KernelBody::splittable`]).
-    ///
-    /// Hazard and residency handling differ from a whole launch, because
-    /// sibling chunks of one logical launch write *disjoint* sub-ranges:
-    /// the chunk is a time-plane **reader** of every buffer it touches (so
-    /// sibling chunks never serialize against each other in virtual time),
-    /// and written buffers' residency is left untouched. The caller
-    /// finalizes both via [`CommandQueue::enqueue_split_join`] once every
-    /// chunk has been issued.
-    pub fn enqueue_ndrange_chunk(
-        &self,
-        kernel: &Kernel,
-        chunk: NdRange,
-        global_offset: [u64; 3],
-        args: &BoundArgs,
-        waits: &[Event],
-    ) -> ClResult<Event> {
-        self.launch(kernel, chunk, Some(global_offset), args, waits)
-    }
-
-    /// The one kernel-launch body. `chunk_offset` is `None` for a whole
-    /// launch and the sub-range's global offset for a chunk; everything a
-    /// chunk does differently (see [`Self::enqueue_ndrange_chunk`]) keys on
-    /// it.
-    fn launch(
-        &self,
-        kernel: &Kernel,
-        nd: NdRange,
-        chunk_offset: Option<[u64; 3]>,
-        args: &BoundArgs,
-        waits: &[Event],
-    ) -> ClResult<Event> {
         self.validate_launch(kernel, args)?;
         nd.validate()?;
         let dev = self.device();
-        let whole = chunk_offset.is_none();
-        let effective = if whole {
-            kernel.effective_nd(dev, nd)
-        } else if kernel.has_work_group_info(dev) {
-            NdRange::d3(nd.global, kernel.effective_nd(dev, nd).local)
-        } else {
-            nd
-        };
+        let effective = kernel.effective_nd(dev, nd);
         effective.validate()?;
         self.check_capacity(kernel, args)?;
+        let ev = self.launch(kernel, dev, effective, None, args, waits);
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+    }
+
+    /// Co-execute one splittable launch on several devices: `nd` cut along
+    /// [`NdRange::split_axis`] into contiguous sub-ranges, one per chunk in
+    /// range order. A chunk names its *lane* — an in-order queue of this
+    /// context, bound to the chunk's device — and its workgroup count along
+    /// the axis; the counts are non-zero and sum to the launch's. Bad input
+    /// is a typed error, found before anything is issued on either plane.
+    ///
+    /// Issued in order: a start marker here (the tail of this queue's prior
+    /// work and, out of order, the launch's hazard predecessors, which the
+    /// lanes never consult); per chunk, the sub-range launch on its lane, a
+    /// time-plane *reader* after the marker (a per-device configuration
+    /// lends it only its workgroup shape), then a share-sized D2H gather per
+    /// written buffer; and the join here, after every gather: each written
+    /// buffer's writer, valid on the host alone. Returns the join's event.
+    pub fn enqueue_ndrange_split(
+        &self,
+        kernel: &Kernel,
+        nd: NdRange,
+        args: &BoundArgs,
+        chunks: &[(CommandQueue, u64)],
+    ) -> ClResult<Event> {
+        self.validate_launch(kernel, args)?;
+        nd.validate()?;
+        let name = kernel.name();
+        if !kernel.splittable() {
+            return Err(ClError::InvalidOperation(format!("kernel `{name}` is not splittable")));
+        }
+        let axis = nd.split_axis().ok_or_else(|| {
+            ClError::InvalidWorkGroupSize(format!("kernel `{name}`: {nd:?} has no split axis"))
+        })?;
+        let units = nd.global[axis].div_ceil(nd.local[axis]);
+        let sum = chunks.iter().try_fold(0u64, |sum, c| sum.checked_add(c.1).filter(|_| c.1 > 0));
+        if sum != Some(units) {
+            let shares: Vec<u64> = chunks.iter().map(|c| c.1).collect();
+            return Err(ClError::InvalidValue(format!(
+                "kernel `{name}`: split shares {shares:?} must be non-zero and sum to {units}"
+            )));
+        }
+        let mut plan = Vec::with_capacity(chunks.len());
+        let mut wg_offset = 0;
+        for (lane, wgs) in chunks {
+            if lane.is_out_of_order() {
+                return Err(ClError::InvalidOperation("a split lane is out of order".into()));
+            }
+            lane.validate_launch(kernel, args)?;
+            lane.check_capacity(kernel, args)?;
+            let dev = lane.device();
+            let mut offset = [0u64; 3];
+            offset[axis] = wg_offset * nd.local[axis];
+            let mut sub = nd;
+            sub.global[axis] =
+                wgs.saturating_mul(nd.local[axis]).min(nd.global[axis] - offset[axis]);
+            let effective = NdRange::d3(sub.global, kernel.effective_nd(dev, sub).local);
+            effective.validate()?;
+            plan.push((lane, dev, effective, offset, *wgs));
+            wg_offset += wgs;
+        }
+        // Written buffers, stated as the join's data-plane task sees them.
+        let written: Vec<Access> =
+            args.touched().iter().filter(|t| t.write).map(|t| Access::read(&t.buf)).collect();
+        let start = self.barrier_after(args.touched());
+        let node = &self.inner.ctx.rt.node;
+        let mut gathers = WaitList::new();
+        for &(lane, dev, effective, offset, wgs) in &plan {
+            let chunk =
+                lane.launch(kernel, dev, effective, Some(offset), args, slice::from_ref(&start));
+            if written.is_empty() {
+                gathers.push(chunk);
+            }
+            for w in &written {
+                let bytes = (w.buf.byte_len() as u64 * wgs / units).max(1);
+                gathers.push(lane.submit(
+                    &mut self.inner.ctx.rt.engine.lock(),
+                    dev,
+                    CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
+                    node.topology.host_transfer_time(dev, bytes, &node.devices),
+                    WaitList::one(chunk),
+                    slice::from_ref(w),
+                    Stamp::AsStated,
+                ));
+            }
+        }
+        let join = {
+            let mut engine = self.inner.ctx.rt.engine.lock();
+            // A lane chains each command after the one before, and the join
+            // waits on each chunk's last command: a lane whose last command
+            // is this call's owes `finish` nothing, and keeps no list.
+            for (&(lane, ..), tail) in plan.iter().zip(gathers.chunks(written.len().max(1))) {
+                if *lane.inner.last.lock() == tail.last().copied() {
+                    lane.inner.outstanding.lock().clear();
+                }
+            }
+            let dev = self.device();
+            self.submit(
+                &mut engine,
+                dev,
+                CommandKind::Marker,
+                SimDuration::ZERO,
+                gathers,
+                &written,
+                Stamp::Writer,
+            )
+        };
+        for w in &written {
+            w.buf.mark_host_only();
+        }
+        let nop = || Duration::ZERO;
+        self.submit_task(&written, &[], join, 0, nop, || Box::new(nop));
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join))
+    }
+
+    /// The one kernel-launch body, after validation: `kernel` over
+    /// `effective` on `dev`, after `waits`, to both planes. `chunk_offset`
+    /// is `None` for a whole launch and the sub-range's global offset for a
+    /// chunk of [`Self::enqueue_ndrange_split`], which stamps as a reader
+    /// and leaves residency to the split's join.
+    fn launch(
+        &self,
+        kernel: &Kernel,
+        dev: DeviceId,
+        effective: NdRange,
+        chunk_offset: Option<[u64; 3]>,
+        args: &BoundArgs,
+        waits: &[Event],
+    ) -> EventId {
+        let whole = chunk_offset.is_none();
         let spec = self.inner.ctx.rt.node.spec(dev);
         let cost = kernel.cost();
         let duration = cost.kernel_time(spec, effective.shape());
@@ -685,8 +767,7 @@ impl CommandQueue {
                 Box::new(move || execute(&*body, &args))
             },
         );
-        // Residency: written buffers are now valid only on this device. A
-        // chunk leaves residency to `enqueue_split_join`.
+        // Residency: written buffers are now valid only on this device.
         if whole {
             for t in touches.iter().filter(|t| t.write) {
                 let mut res = t.buf.inner.residency.lock();
@@ -695,86 +776,15 @@ impl CommandQueue {
                 res.host = false;
             }
         }
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        ev
     }
 
-    /// Charge the partial D2H that pulls one chunk's output sub-range
-    /// (`bytes` of `buf`) back from this queue's device — the gather step
-    /// of a split launch. Residency is not updated; the caller finalizes
-    /// the logical buffer via [`CommandQueue::enqueue_split_join`].
-    pub fn enqueue_gather(&self, buf: &Buffer, bytes: u64, waits: &[Event]) -> ClResult<Event> {
-        self.check_buffer(buf)?;
-        let bytes = bytes.min(buf.byte_len() as u64).max(1);
-        let dev = self.device();
-        let mut engine = self.inner.ctx.rt.engine.lock();
-        let node = &self.inner.ctx.rt.node;
-        let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
-        let id = self.submit(
-            &mut engine,
-            dev,
-            CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
-            duration,
-            waits.iter().map(Event::raw).collect(),
-            &[Access::read(buf)],
-            Stamp::AsStated,
-        );
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), id))
-    }
-
-    /// Rejoin a split launch into this queue's program order: a
-    /// zero-duration marker waiting on `waits` (every chunk's gather).
-    /// Each written buffer's time-plane writer stamp becomes the marker
-    /// (so later out-of-order consumers order after the *whole* split, not
-    /// one chunk) and its contents are declared valid on the host alone —
-    /// the reassembled result of the gathers.
-    pub fn enqueue_split_join(&self, waits: &[Event], written: &[Buffer]) -> Event {
-        // Stated as the data plane sees it: a no-op task ordered after
-        // every chunk's write hazard, so the home queue's chain observes the
-        // completed split.
-        let touches: Vec<Access> = written.iter().map(Access::read).collect();
-        let id = self.submit(
-            &mut self.inner.ctx.rt.engine.lock(),
-            self.device(),
-            CommandKind::Marker,
-            SimDuration::ZERO,
-            waits.iter().map(Event::raw).collect(),
-            &touches,
-            Stamp::Writer,
-        );
-        for b in written {
-            b.mark_host_only();
-        }
-        let nop = || Duration::ZERO;
-        self.submit_task(&touches, &[], id, 0, nop, || Box::new(nop));
-        Event::new(Arc::clone(&self.inner.ctx.rt), id)
-    }
-
-    /// `clEnqueueMarker`: a zero-duration command that completes when all
-    /// previously enqueued commands on this queue complete (on both queue
-    /// kinds the marker waits for everything outstanding).
-    pub fn enqueue_marker(&self) -> Event {
-        self.enqueue_barrier()
-    }
-
-    /// `clEnqueueBarrierWithWaitList` (empty list): a zero-duration command
-    /// ordered after every previously enqueued command; subsequent commands
-    /// on an out-of-order queue are ordered after it.
+    /// `clEnqueueBarrierWithWaitList` (empty list; also `clEnqueueMarker`): a
+    /// zero-duration command ordered after every previously enqueued
+    /// command; subsequent commands on an out-of-order queue are ordered
+    /// after it.
     pub fn enqueue_barrier(&self) -> Event {
         self.barrier_after(&[])
-    }
-
-    /// Open a split launch on its home queue: a marker like
-    /// [`Self::enqueue_marker`] — the tail of the queue's prior work, which
-    /// every chunk orders after — that on an out-of-order queue also waits
-    /// on the RAW/WAR/WAW stamp predecessors of the launch's buffer
-    /// arguments, with whole-launch semantics (a written buffer consults as
-    /// a write). The chunks run on in-order lanes, which consult no stamp
-    /// hazards themselves, so this marker is the one place a producer on
-    /// *another* queue of the same out-of-order batch is waited for. An
-    /// in-order home queue waits on nothing extra: like a whole launch
-    /// there, it is ordered by its queue's chain alone.
-    pub fn enqueue_split_start(&self, args: &BoundArgs) -> Event {
-        self.barrier_after(args.touched())
     }
 
     /// The one barrier body: a marker after everything outstanding on this
@@ -829,11 +839,6 @@ impl CommandQueue {
             self.plane().retain_live(&mut live);
         }
     }
-
-    /// The completion event of the most recently enqueued command, if any.
-    pub fn last_event(&self) -> Option<Event> {
-        self.inner.last.lock().map(|id| Event::new(Arc::clone(&self.inner.ctx.rt), id))
-    }
 }
 
 impl std::fmt::Debug for CommandQueue {
@@ -866,6 +871,30 @@ mod tests {
             for v in data.iter_mut().take(n) {
                 *v *= self.0;
             }
+        }
+    }
+
+    /// Adds 1 to the elements its sub-range owns: safe to split.
+    struct Bump;
+    impl KernelBody for Bump {
+        fn name(&self) -> &str {
+            "bump"
+        }
+        fn arity(&self) -> usize {
+            1
+        }
+        fn cost(&self) -> KernelCostSpec {
+            KernelCostSpec::memory_bound(16.0)
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            let base = ctx.global_offset()[0] as usize;
+            let n = ctx.nd().global[0] as usize;
+            for v in &mut ctx.slice_mut::<f64>(0)[base..base + n] {
+                *v += 1.0;
+            }
+        }
+        fn splittable(&self) -> bool {
+            true
         }
     }
 
@@ -1015,11 +1044,11 @@ mod tests {
     }
 
     #[test]
-    fn marker_completes_after_preceding_commands() {
+    fn barrier_completes_after_preceding_commands() {
         let (_p, ctx, _k, b) = setup();
         let q = ctx.create_queue(DeviceId(1)).unwrap();
         let w = q.enqueue_write(&b, &vec![0.0f64; 1024]).unwrap();
-        let m = q.enqueue_marker();
+        let m = q.enqueue_barrier();
         assert!(m.stamp().end >= w.stamp().end);
     }
 
@@ -1106,10 +1135,9 @@ mod tests {
         prog.build(0).unwrap();
         let q = ctx.create_queue_ooo(DeviceId(1)).unwrap();
         let a = ctx.create_buffer_of::<f64>(1 << 20).unwrap();
-        q.enqueue_write(&a, &vec![1.0f64; 1 << 20]).unwrap();
+        let write_ev = q.enqueue_write(&a, &vec![1.0f64; 1 << 20]).unwrap();
         let k = prog.create_kernel("scale").unwrap();
         k.set_arg(0, ArgValue::BufferMut(a)).unwrap();
-        let write_ev = q.last_event().unwrap();
         let kernel_ev = q
             .enqueue_ndrange(&k, NdRange::d1(1 << 20, 128), std::slice::from_ref(&write_ev))
             .unwrap();
@@ -1245,5 +1273,78 @@ mod tests {
         let q_gpu = ctx.create_queue(DeviceId(1)).unwrap();
         let err = q_gpu.enqueue_ndrange(&k, NdRange::d1(16, 1), &[]);
         assert!(matches!(err, Err(ClError::MemObjectAllocationFailure(_))));
+    }
+
+    /// The split fixture: `bump` (splittable) and `scale` (not), both bound
+    /// to one 1024-element buffer, and lanes on both GPUs.
+    fn split_setup() -> (Platform, Context, [Kernel; 2], BoundArgs, [CommandQueue; 2]) {
+        let p = Platform::paper_node();
+        let ctx = p.create_context_all().unwrap();
+        let bodies = vec![Arc::new(Bump) as Arc<dyn KernelBody>, Arc::new(Scale(2.0))];
+        let prog = ctx.create_program(bodies).unwrap();
+        prog.build(0).unwrap();
+        let b = ctx.create_buffer_of::<f64>(1024).unwrap();
+        let kernels = ["bump", "scale"].map(|name| {
+            let k = prog.create_kernel(name).unwrap();
+            k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+            k
+        });
+        let args = kernels[0].snapshot_args().unwrap();
+        let lanes = [1, 2].map(|d| ctx.create_queue(DeviceId(d)).unwrap());
+        (p, ctx, kernels, args, lanes)
+    }
+
+    #[test]
+    fn split_lanes_keep_no_events() {
+        let (p, ctx, [bump, _], args, lanes) = split_setup();
+        let home = ctx.create_queue(DeviceId(0)).unwrap();
+        let chunks = lanes.clone().map(|lane| (lane, 4));
+        for _ in 0..1000 {
+            home.enqueue_ndrange_split(&bump, NdRange::d1(1024, 128), &args, &chunks).unwrap();
+        }
+        home.finish();
+        let trace = p.trace_snapshot();
+        for lane in &lanes {
+            // A chunk and a gather per split: what the list would hold if
+            // the call left them there.
+            let issued = trace.records.iter().filter(|r| r.queue == lane.trace_id()).count();
+            assert!(issued >= 2000, "lane took {issued} commands");
+            assert!(lane.inner.outstanding.lock().is_empty());
+        }
+        assert_eq!(args.touched()[0].buf.host_snapshot::<f64>(), vec![1000.0; 1024]);
+    }
+
+    #[test]
+    fn a_refused_split_issues_nothing() {
+        let (p, ctx, [bump, scale], args, lanes) = split_setup();
+        let home = ctx.create_queue_ooo(DeviceId(0)).unwrap();
+        home.enqueue_write(&args.touched()[0].buf, &[1.0f64; 1024]).unwrap();
+        let foreign = p.create_context_all().unwrap().create_queue(DeviceId(1)).unwrap();
+        let ooo_lane = ctx.create_queue_ooo(DeviceId(2)).unwrap();
+        let nd = NdRange::d1(1024, 128);
+        let two = |a: &CommandQueue, b: &CommandQueue, n: [u64; 2]| {
+            vec![(a.clone(), n[0]), (b.clone(), n[1])]
+        };
+        let cases = [
+            (&bump, nd, two(&lanes[0], &foreign, [4, 4]), "CL_INVALID_CONTEXT"),
+            (&bump, nd, two(&lanes[0], &ooo_lane, [4, 4]), "CL_INVALID_OPERATION"),
+            (&bump, nd, two(&lanes[0], &lanes[1], [4, 3]), "CL_INVALID_VALUE"),
+            (&bump, nd, two(&lanes[0], &lanes[1], [8, 0]), "CL_INVALID_VALUE"),
+            (
+                &bump,
+                NdRange::d1(128, 128),
+                vec![(lanes[0].clone(), 1)],
+                "CL_INVALID_WORK_GROUP_SIZE",
+            ),
+            (&scale, nd, two(&lanes[0], &lanes[1], [4, 4]), "CL_INVALID_OPERATION"),
+        ];
+        let records = p.trace_snapshot().records.len();
+        let listed = home.inner.outstanding.lock().clone();
+        for (kernel, nd, chunks, code) in cases {
+            let err = home.enqueue_ndrange_split(kernel, nd, &args, &chunks).unwrap_err();
+            assert_eq!(err.code_name(), code, "{err}");
+            assert_eq!(p.trace_snapshot().records.len(), records, "{err}: commands issued");
+            assert_eq!(*home.inner.outstanding.lock(), listed, "{err}: event list changed");
+        }
     }
 }

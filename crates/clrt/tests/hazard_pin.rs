@@ -9,9 +9,9 @@
 //! launch's inputs migrate shows in the stamps) with writes, copies,
 //! blocking reads, barriers, whole launches binding their buffers in random
 //! argument order (duplicates included), a launch binding one buffer as
-//! `Buffer` *and* `BufferMut` in either order, and the split scheduler's
-//! sequence — split-start marker, per-lane chunk + gather, join — on
-//! in-order and out-of-order home queues.
+//! `Buffer` *and* `BufferMut` in either order, and split launches
+//! (`CommandQueue::enqueue_ndrange_split`: start marker, per-lane chunk +
+//! gather, join) on in-order and out-of-order home queues.
 //!
 //! **Never regenerate [`PINNED`] from the current code**: the constants
 //! were recorded from commit 7deb8eb (PR 21), the parent of the change that
@@ -232,41 +232,30 @@ fn run(seed: u64) -> (String, String) {
                 q.enqueue_ndrange(&damp, whole, &waits).unwrap()
             }
             _ => {
-                // A split launch, as `multicl`'s scheduler issues one: the
-                // start marker on the home queue, one chunk + gather per
-                // lane, the join back on the home queue.
-                let (kernel, written) = if rng.index(2) == 0 {
+                // A split launch, as `multicl`'s scheduler issues one: one
+                // call, the chunks on rotated lanes.
+                let kernel = if rng.index(2) == 0 {
                     let o = rng.index(buffers.len());
                     let a = (o + 1 + rng.index(5)) % 6;
                     let b = (o + 1 + rng.index(5)) % 6;
                     blend.set_arg(0, ArgValue::Buffer(buffers[a].clone())).unwrap();
                     blend.set_arg(1, ArgValue::Buffer(buffers[b].clone())).unwrap();
                     blend.set_arg(2, ArgValue::BufferMut(buffers[o].clone())).unwrap();
-                    (&blend, buffers[o].clone())
+                    &blend
                 } else {
-                    let v = pick(&mut rng);
-                    damp.set_arg(0, ArgValue::BufferMut(v.clone())).unwrap();
-                    (&damp, v)
+                    damp.set_arg(0, ArgValue::BufferMut(pick(&mut rng))).unwrap();
+                    &damp
                 };
                 let args = kernel.snapshot_args().unwrap();
-                let start = [q.enqueue_split_start(&args)];
                 // 2 lanes × 2 workgroups, or 3 lanes × (2, 1, 1).
                 let first_lane = rng.index(3);
                 let wgs: &[u64] = if rng.index(2) == 0 { &[2, 2] } else { &[2, 1, 1] };
-                let units: u64 = wgs.iter().sum();
-                let mut gathers = Vec::new();
-                let mut wg_offset = 0;
-                for (k, &count) in wgs.iter().enumerate() {
-                    let lane = &lanes[(first_lane + k) % 3];
-                    let chunk = NdRange::d1(count * LOCAL, LOCAL);
-                    let offset = [wg_offset * LOCAL, 0, 0];
-                    let ev =
-                        lane.enqueue_ndrange_chunk(kernel, chunk, offset, &args, &start).unwrap();
-                    let bytes = written.byte_len() as u64 * count / units;
-                    gathers.push(lane.enqueue_gather(&written, bytes, &[ev]).unwrap());
-                    wg_offset += count;
-                }
-                q.enqueue_split_join(&gathers, &[written])
+                let chunks: Vec<(CommandQueue, u64)> = wgs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &n)| (lanes[(first_lane + k) % 3].clone(), n))
+                    .collect();
+                q.enqueue_ndrange_split(kernel, whole, &args, &chunks).unwrap()
             }
         };
         events.push(ev);

@@ -5,8 +5,8 @@
 //! computes that by running the same workload twice (scheduled vs. the best
 //! manual mapping); this module additionally breaks a *single* scheduled run
 //! down by trace tags: time spent in dynamic profiling (commands tagged
-//! [`crate::PROFILING_TAG`]), bytes staged during profiling, per-iteration
-//! series, and kernel→device distributions.
+//! [`crate::PROFILING_TAG`]), bytes staged during profiling, and
+//! kernel→device distributions.
 
 use crate::scheduler::PROFILING_TAG;
 use hwsim::trace::Trace;
@@ -26,13 +26,6 @@ pub struct OverheadBreakdown {
     pub profiling_transfer_count: usize,
     /// Device time consumed by application (non-profiling) commands.
     pub application_time: SimDuration,
-}
-
-impl OverheadBreakdown {
-    /// Total profiling cost (kernels + transfers).
-    pub fn profiling_total(&self) -> SimDuration {
-        self.profiling_kernel_time + self.profiling_transfer_time
-    }
 }
 
 /// Compute the breakdown from a trace.
@@ -79,20 +72,6 @@ pub fn overhead_pct(observed: SimDuration, ideal: SimDuration) -> f64 {
     hwsim::stats::overhead_pct(observed.as_secs_f64(), ideal.as_secs_f64())
 }
 
-/// Per-tag total device time — used for per-iteration series (tag records
-/// with `iter:N` while running, then call this).
-pub fn time_by_tag_prefix(trace: &Trace, prefix: &str) -> BTreeMap<String, SimDuration> {
-    let mut out: BTreeMap<String, SimDuration> = BTreeMap::new();
-    for r in &trace.records {
-        if let Some(tag) = r.tag.as_deref() {
-            if tag.starts_with(prefix) {
-                *out.entry(tag.to_string()).or_default() += r.stamp.duration();
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +110,6 @@ mod tests {
         assert_eq!(b.profiling_transfer_bytes, 1000);
         assert_eq!(b.profiling_transfer_count, 1);
         assert_eq!(b.application_time, SimDuration::from_millis(40));
-        assert_eq!(b.profiling_total(), SimDuration::from_millis(15));
     }
 
     #[test]
@@ -145,17 +123,6 @@ mod tests {
         let d = kernel_distribution_fractions(&t);
         assert_eq!(d.get(&DeviceId(0)), None);
         assert_eq!(d.get(&DeviceId(1)), Some(&1.0));
-    }
-
-    #[test]
-    fn per_iteration_tag_series() {
-        let mut t = Trace::default();
-        t.push(rec(CommandKind::Kernel { name: Arc::from("k") }, 7, Some("iter:0"), 0));
-        t.push(rec(CommandKind::Kernel { name: Arc::from("k") }, 3, Some("iter:1"), 0));
-        t.push(rec(CommandKind::Kernel { name: Arc::from("k") }, 2, Some("iter:1"), 1));
-        let s = time_by_tag_prefix(&t, "iter:");
-        assert_eq!(s["iter:0"], SimDuration::from_millis(7));
-        assert_eq!(s["iter:1"], SimDuration::from_millis(5));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::telemetry::event::{QueueDecision, SchedEvent};
 use crate::telemetry::{SchedObserver, StderrSink};
 use clrt::error::{ClError, ClResult};
 use clrt::{
-    BoundArgs, Buffer, CommandQueue, Context, Event, Kernel, KernelBody, NdRange, Platform, Program,
+    BoundArgs, Buffer, CommandQueue, Context, Kernel, KernelBody, NdRange, Platform, Program,
 };
 use hwsim::cost::{KernelCostSpec, NdRangeShape};
 use hwsim::engine::{CommandDesc, CommandKind, Engine};
@@ -294,8 +294,9 @@ struct RtInner {
     /// it exists to keep `RtInner: Sync` without `unsafe`.
     mapper_state: Mutex<MapperState>,
     /// Per-device in-order lanes the split flush issues chunks on, created
-    /// lazily (device index → queue) and reused across epochs so split
-    /// launches don't churn queue ids in the trace.
+    /// lazily (device index → queue; the pass's device list is the
+    /// context's, so a lane stays on its device) and reused across epochs
+    /// so split launches don't churn queue ids in the trace.
     split_lanes: Mutex<HashMap<usize, CommandQueue>>,
 }
 
@@ -1207,16 +1208,9 @@ impl RtInner {
         ooo::johnson_order(&batch, &ooo::hazard_edges(&batch))
     }
 
-    /// The split axis of a launch: the outermost (highest-index) dimension
-    /// with more than one workgroup, if any. Splitting along the outermost
-    /// dimension keeps each chunk's sub-range contiguous in the flattened
-    /// iteration space.
-    fn split_axis(nd: &NdRange) -> Option<usize> {
-        (0..3).rev().find(|&d| nd.global[d].div_ceil(nd.local[d]) > 1)
-    }
-
     /// Partition one pending launch over the devices eligible for it and
-    /// issue the chunks. Returns `false` when the launch must run whole
+    /// issue it as one split ([`CommandQueue::enqueue_ndrange_split`]) on
+    /// per-device lanes. Returns `false` when the launch must run whole
     /// instead.
     fn try_split_launch(
         &self,
@@ -1231,7 +1225,7 @@ impl RtInner {
         if !p.kernel.splittable() || (0..devices.len()).filter(|&di| eligible(di)).count() < 2 {
             return false;
         }
-        let Some(axis) = Self::split_axis(&p.nd) else { return false };
+        let Some(axis) = p.nd.split_axis() else { return false };
         let units = p.nd.global[axis].div_ceil(p.nd.local[axis]);
         if units < SPLIT_MIN_WGS {
             return false;
@@ -1273,8 +1267,21 @@ impl RtInner {
             return false;
         }
         let mut wgs_per_device = vec![0u64; devices.len()];
+        let mut lanes: Vec<(CommandQueue, u64)> = Vec::with_capacity(chunks.len());
+        let mut cached = self.split_lanes.lock();
         for c in &chunks {
             wgs_per_device[c.device] += c.wg_count;
+            let lane = cached.entry(c.device).or_insert_with(|| {
+                self.cl.create_queue(devices[c.device]).expect("lane device is the context's")
+            });
+            lanes.push((lane.clone(), c.wg_count));
+        }
+        drop(cached);
+        // Stamped before the split's commands; a refused plan issued
+        // nothing, so the launch runs whole instead.
+        let at = self.platform.now();
+        if q.cl.enqueue_ndrange_split(&p.kernel, p.nd, &p.args, &lanes).is_err() {
+            return false;
         }
         self.emit(&SchedEvent::KernelSplit {
             epoch,
@@ -1283,59 +1290,10 @@ impl RtInner {
             total_wgs: units,
             chunks: chunks.len() as u64,
             wgs_per_device,
-            at: self.platform.now(),
+            at,
         });
         delta.kernels_split += 1;
-        // Written buffers: gathered per chunk, finalized by the join
-        // marker on the home queue.
-        let written: Vec<Buffer> =
-            p.args.touched().iter().filter(|t| t.write).map(|t| t.buf.clone()).collect();
-        // The marker is the tail of the home queue's prior work: every
-        // chunk orders after it, so the split inherits the queue's program
-        // order without serializing against its siblings.
-        // On an out-of-order home queue it also waits on the launch's
-        // hazard predecessors, which the in-order lanes never consult.
-        let start = [q.cl.enqueue_split_start(&p.args)];
-        let mut gathers: Vec<Event> = Vec::with_capacity(chunks.len() * written.len());
-        for c in &chunks {
-            let lane = self.split_lane(c.device, devices[c.device]);
-            let item_offset = c.wg_offset * p.nd.local[axis];
-            let extent = (c.wg_count * p.nd.local[axis]).min(p.nd.global[axis] - item_offset);
-            let mut chunk_nd = p.nd;
-            chunk_nd.global[axis] = extent;
-            let mut offset = [0u64; 3];
-            offset[axis] = item_offset;
-            let ev = lane
-                .enqueue_ndrange_chunk(&p.kernel, chunk_nd, offset, &p.args, &start)
-                .expect("chunk geometry derives from a validated launch");
-            if written.is_empty() {
-                gathers.push(ev);
-            } else {
-                let chunk_waits = [ev];
-                for b in &written {
-                    let bytes = (b.byte_len() as u64 * c.wg_count) / units;
-                    gathers.push(
-                        lane.enqueue_gather(b, bytes.max(1), &chunk_waits)
-                            .expect("gather of a validated split output"),
-                    );
-                }
-            }
-        }
-        q.cl.enqueue_split_join(&gathers, &written);
         true
-    }
-
-    /// The cached per-device in-order lane for split chunks, created on
-    /// first use. Keyed by device *index*; the pass's device list is the
-    /// context's, so a lane always stays on the device it was created for.
-    fn split_lane(&self, device_index: usize, dev: DeviceId) -> CommandQueue {
-        self.split_lanes
-            .lock()
-            .entry(device_index)
-            .or_insert_with(|| {
-                self.cl.create_queue(dev).expect("lane device comes from the context")
-            })
-            .clone()
     }
 
     /// §V-B: static selection from device profiles + queue hints only.

@@ -244,15 +244,6 @@ impl Engine {
         id
     }
 
-    /// Create a marker event that completes at the current host time without
-    /// occupying any device (used for user events and completed-state queries).
-    pub fn marker_now(&mut self) -> EventId {
-        let t = self.host_now;
-        let id = EventId(self.events.len());
-        self.events.push(EventStamp { queued: t, submit: t, start: t, end: t });
-        id
-    }
-
     /// The recorded timestamps of `ev`.
     #[inline]
     pub fn stamp(&self, ev: EventId) -> EventStamp {
@@ -496,14 +487,6 @@ mod tests {
         let recs = &e.trace().records;
         assert_eq!(recs[0].tag.as_deref(), Some("profiling"));
         assert_eq!(recs[1].tag, None);
-    }
-
-    #[test]
-    fn marker_completes_immediately() {
-        let mut e = Engine::new(1);
-        e.host_busy(SimDuration::from_millis(3));
-        let m = e.marker_now();
-        assert_eq!(e.stamp(m).end, e.now());
     }
 
     #[test]

@@ -39,16 +39,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// OpenCL-style negative execution status for events that ended in this
-    /// fault (`CL_OUT_OF_RESOURCES` for transient transfer failures,
-    /// `CL_DEVICE_NOT_AVAILABLE` for device loss).
-    pub fn status_code(self) -> i32 {
-        match self {
-            FaultKind::TransientTransfer => -5,
-            FaultKind::DeviceLost => -2,
-        }
-    }
-
     /// True when a retry of the same command may succeed.
     pub fn is_transient(self) -> bool {
         matches!(self, FaultKind::TransientTransfer)
@@ -74,15 +64,6 @@ pub enum CommandStatus {
 }
 
 impl CommandStatus {
-    /// OpenCL-style execution status: `0` (`CL_COMPLETE`) on success, the
-    /// fault's negative code on failure.
-    pub fn code(self) -> i32 {
-        match self {
-            CommandStatus::Complete => 0,
-            CommandStatus::Failed(k) => k.status_code(),
-        }
-    }
-
     /// True when the command completed without error.
     pub fn is_ok(self) -> bool {
         matches!(self, CommandStatus::Complete)
@@ -240,12 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn status_codes_are_negative_and_distinct() {
+    fn statuses_and_kinds_classify() {
         let t = FaultKind::TransientTransfer;
         let l = FaultKind::DeviceLost;
-        assert!(t.status_code() < 0 && l.status_code() < 0);
-        assert_ne!(t.status_code(), l.status_code());
-        assert_eq!(CommandStatus::Complete.code(), 0);
         assert!(CommandStatus::Complete.is_ok());
         assert!(!CommandStatus::Failed(t).is_ok());
         assert!(t.is_transient() && !l.is_transient());

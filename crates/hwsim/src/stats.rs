@@ -22,12 +22,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Normalize each element by `base` (percent). Returns 0.0 entries when
-/// `base` is zero.
-pub fn normalize_pct(xs: &[f64], base: f64) -> Vec<f64> {
-    xs.iter().map(|x| if base > 0.0 { 100.0 * x / base } else { 0.0 }).collect()
-}
-
 /// Relative overhead `(observed - ideal) / ideal * 100`, the paper's
 /// profiling-overhead metric (§VI-B1). Returns 0.0 when `ideal` is zero.
 pub fn overhead_pct(observed: f64, ideal: f64) -> f64 {
@@ -140,11 +134,5 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99);
         assert!((p50 - 50.5).abs() < 1.0);
         assert!(p99 > 98.0);
-    }
-
-    #[test]
-    fn normalize_pct_handles_zero_base() {
-        assert_eq!(normalize_pct(&[1.0, 2.0], 0.0), vec![0.0, 0.0]);
-        assert_eq!(normalize_pct(&[1.0, 2.0], 2.0), vec![50.0, 100.0]);
     }
 }

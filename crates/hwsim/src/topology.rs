@@ -34,17 +34,6 @@ impl LinkSpec {
         let wire = SimDuration::from_secs_f64(bytes as f64 / (self.bandwidth_gbs * 1e9));
         self.latency + wire
     }
-
-    /// Effective bandwidth (GB/s) achieved for a transfer of `bytes` —
-    /// latency-bound for small sizes, approaching `bandwidth_gbs` for large.
-    pub fn effective_bandwidth_gbs(&self, bytes: u64) -> f64 {
-        let t = self.transfer_time(bytes).as_secs_f64();
-        if t <= 0.0 {
-            self.bandwidth_gbs
-        } else {
-            bytes as f64 / t / 1e9
-        }
-    }
 }
 
 /// Which direction a transfer moves.
@@ -140,16 +129,6 @@ mod tests {
         let expect =
             SimDuration::from_micros(10) + SimDuration::from_secs_f64((80 << 20) as f64 / 8e9);
         assert_eq!(t, expect);
-    }
-
-    #[test]
-    fn effective_bandwidth_is_latency_bound_for_small_transfers() {
-        let link = LinkSpec::new(10, 8.0);
-        let small = link.effective_bandwidth_gbs(1024);
-        let large = link.effective_bandwidth_gbs(1 << 30);
-        assert!(small < 0.5, "small transfers should be latency bound: {small}");
-        assert!(large > 7.5, "large transfers should approach peak: {large}");
-        assert!(small < large);
     }
 
     #[test]

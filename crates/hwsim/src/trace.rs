@@ -40,14 +40,6 @@ impl TraceRecord {
         self.tag.as_deref().is_some_and(|t| t.starts_with(prefix))
     }
 
-    /// Bytes moved, for transfer records; 0 otherwise.
-    pub fn transfer_bytes(&self) -> u64 {
-        match self.kind {
-            CommandKind::Transfer { bytes, .. } => bytes,
-            _ => 0,
-        }
-    }
-
     /// This record as one Chrome-tracing complete event (`"ph":"X"`) JSON
     /// object. Categories: `kernel`, `transfer`, or `marker`; names and tags
     /// are fully escaped (including control characters). The telemetry
@@ -127,11 +119,6 @@ impl Trace {
         self.records.iter().filter(|r| pred(r)).map(|r| r.stamp.duration()).sum()
     }
 
-    /// Total bytes moved by transfer records matching `pred`.
-    pub fn bytes_where(&self, mut pred: impl FnMut(&TraceRecord) -> bool) -> u64 {
-        self.records.iter().filter(|r| pred(r)).map(|r| r.transfer_bytes()).sum()
-    }
-
     /// Count of transfer commands matching `pred`.
     pub fn transfers_where(&self, mut pred: impl FnMut(&TraceRecord) -> bool) -> usize {
         self.records
@@ -207,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn transfer_byte_accounting() {
+    fn transfer_counting() {
         let mut t = Trace::default();
         t.push(rec(
             0,
@@ -221,7 +208,6 @@ mod tests {
             1,
             None,
         ));
-        assert_eq!(t.bytes_where(|_| true), 150);
         assert_eq!(t.transfers_where(|r| r.device == DeviceId(1)), 1);
     }
 

@@ -82,16 +82,6 @@ impl Medium {
         }
         self.layers.last().expect("non-empty by construction").material
     }
-
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The stiffest P-wave speed in the model (drives the CFL limit).
-    pub fn max_vp(&self) -> f64 {
-        self.layers.iter().map(|l| l.material.vp()).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +92,6 @@ mod tests {
     fn homogeneous_medium_is_depth_independent() {
         let m = Medium::homogeneous(1.0, 2.0, 3.0);
         assert_eq!(m.at_depth(0), m.at_depth(1000));
-        assert_eq!(m.layer_count(), 1);
     }
 
     #[test]
@@ -121,12 +110,6 @@ mod tests {
         assert!((m.vp() - (6.0f64 / 2.0).sqrt()).abs() < 1e-12);
         assert!((m.vs() - 0.75f64.sqrt()).abs() < 1e-12);
         assert!(m.vp() > m.vs(), "P waves outrun S waves");
-    }
-
-    #[test]
-    fn max_vp_tracks_the_stiffest_layer() {
-        let m = Medium::two_layer(8);
-        assert_eq!(m.max_vp(), m.at_depth(8).vp());
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! Usage:
 //! `cargo run -p served --bin loadgen -- --seed 42 --tenants 4 --policy auto_fit`
 //! Flags: `--seed N --tenants N --policy auto_fit|round_robin|off --jobs N`
-//! `--rate HZ --mode open|closed --workers N --capacity N --think-ms N`
-//! `--concurrency N --data-workers N` (data-plane host threads; 0 = all
-//! cores, 1 = synchronous — changes wall-clock throughput only, never the
-//! virtual timeline or results).
+//! `--rate HZ --workers N --capacity N --data-workers N` (data-plane host
+//! threads; 0 = all cores, 1 = synchronous — changes wall-clock throughput
+//! only, never the virtual timeline or results).
 
-use hwsim::SimDuration;
 use multicl::telemetry::{self, RingBufferSink};
-use served::loadgen::{self, ArrivalMode, LoadgenConfig};
+use served::loadgen::{self, LoadgenConfig};
 use served::ServePolicy;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -32,8 +30,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--seed N] [--tenants N] [--policy auto_fit|round_robin|off] \
-         [--jobs N] [--rate HZ] [--mode open|closed] [--workers N] [--capacity N] \
-         [--think-ms N] [--concurrency N] [--data-workers N]\n\
+         [--jobs N] [--rate HZ] [--workers N] [--capacity N] [--data-workers N]\n\
          run `loadgen --help` for flag documentation"
     );
     std::process::exit(2);
@@ -50,12 +47,9 @@ fn help() -> ! {
          \x20 --tenants N       number of tenants (default 4)\n\
          \x20 --policy P        backend policy: auto_fit | round_robin | off (default auto_fit)\n\
          \x20 --jobs N          total jobs to submit (default 48)\n\
-         \x20 --rate HZ         open-loop offered arrival rate, virtual jobs/s (default 400)\n\
-         \x20 --mode M          arrival process: open (Poisson) | closed (default open)\n\
+         \x20 --rate HZ         offered (Poisson) arrival rate, virtual jobs/s (default 400)\n\
          \x20 --workers N       scheduler dispatch queues (default 4)\n\
          \x20 --capacity N      per-tenant admission queue bound (default 8)\n\
-         \x20 --think-ms N      closed-loop think time per client, virtual ms (default 2)\n\
-         \x20 --concurrency N   closed-loop clients per tenant (default 2)\n\
          \x20 --data-workers N  data-plane host threads executing kernel bodies and\n\
          \x20                   transfers: 0 = one per core (default), 1 = synchronous.\n\
          \x20                   Changes wall-clock throughput only — the virtual timeline,\n\
@@ -85,17 +79,12 @@ fn parse_config() -> LoadgenConfig {
             "--jobs" => cfg.jobs = num(value) as usize,
             "--workers" => cfg.workers = num(value) as usize,
             "--capacity" => cfg.queue_capacity = num(value) as usize,
-            "--think-ms" => cfg.think = SimDuration::from_millis(num(value)),
-            "--concurrency" => cfg.concurrency = num(value) as usize,
             "--data-workers" => cfg.runtime.data_plane_workers = num(value) as usize,
             "--rate" => {
                 cfg.rate_hz = value.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--policy" => {
                 cfg.policy = value.and_then(|s| ServePolicy::parse(s)).unwrap_or_else(|| usage());
-            }
-            "--mode" => {
-                cfg.mode = value.and_then(|s| ArrivalMode::parse(s)).unwrap_or_else(|| usage());
             }
             _ => usage(),
         }
@@ -129,11 +118,10 @@ fn main() {
 
     let report = loadgen::report_json_with_wall(&served, &cfg);
     println!(
-        "{} tenants, {} jobs, policy {}, mode {}: {} completed / {} rejected in {:.2} virtual ms",
+        "{} tenants, {} jobs, policy {}: {} completed / {} rejected in {:.2} virtual ms",
         cfg.tenants,
         cfg.jobs,
         cfg.policy,
-        cfg.mode.label(),
         report.get("jobs_completed").and_then(|v| v.as_u64()).unwrap_or(0),
         report.get("jobs_rejected").and_then(|v| v.as_u64()).unwrap_or(0),
         served.now().as_millis_f64(),

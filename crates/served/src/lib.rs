@@ -18,9 +18,9 @@
 //!   plus exact p50/p95/p99 latency samples.
 //! - [`slo`] — per-tenant latency SLOs with multi-window burn-rate
 //!   alerting; transitions surface as `SloBurn` telemetry events.
-//! - [`loadgen`] — seeded open-loop (Poisson) and closed-loop arrival
-//!   processes in virtual time; same seed, same arrivals and results, so
-//!   two policies run under one seed are compared over one workload.
+//! - [`loadgen`] — a seeded open-loop (Poisson) arrival process in virtual
+//!   time; same seed, same arrivals and results, so two policies run under
+//!   one seed are compared over one workload.
 //!
 //! Binary: `loadgen` (generate load, write `results/serve_*.{json,prom}`
 //! reports and the event stream).
@@ -34,7 +34,7 @@ pub mod slo;
 pub mod spec;
 pub mod tenant;
 
-pub use loadgen::{ArrivalMode, LoadgenConfig};
+pub use loadgen::LoadgenConfig;
 pub use service::{
     FailReason, JobOutcome, JobResult, RetryPolicy, ServePolicy, Served, ServiceConfig,
 };

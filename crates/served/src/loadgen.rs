@@ -1,16 +1,12 @@
 //! Deterministic load generation against a [`Served`] instance.
 //!
-//! Two arrival processes, both driven entirely in virtual time from a
+//! One arrival process, an open loop driven entirely in virtual time from a
 //! seeded [`XorShift`] stream, so the same seed reproduces the same
-//! submissions, rejections, schedules, and latencies bit-for-bit:
-//!
-//! - **Open loop**: Poisson arrivals at an aggregate `rate_hz`, assigned
-//!   uniformly to tenants. Arrivals do not wait for completions — offered
-//!   load beyond capacity builds backlog and eventually trips admission
-//!   control (the interesting regime for the capacity experiment).
-//! - **Closed loop**: each tenant keeps a fixed number of jobs in flight;
-//!   a completion schedules the next submission after a think time. Offered
-//!   load self-limits, probing sustained throughput.
+//! submissions, rejections, schedules, and latencies bit-for-bit: Poisson
+//! arrivals at an aggregate `rate_hz`, assigned uniformly to tenants.
+//! Arrivals do not wait for completions — offered load beyond capacity
+//! builds backlog and eventually trips admission control (the interesting
+//! regime for the capacity experiment).
 //!
 //! [`open_arrivals`] is a pure function of seed, jobs, rate and tenants, so
 //! two runs with one seed and different policies compare the policies over
@@ -27,34 +23,6 @@ use hwsim::xrand::XorShift;
 use hwsim::{SimDuration, SimTime};
 use std::path::Path;
 
-/// How submissions are timed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalMode {
-    /// Poisson arrivals at a fixed offered rate, independent of completions.
-    Open,
-    /// Fixed jobs-in-flight per tenant; completions trigger resubmission.
-    Closed,
-}
-
-impl ArrivalMode {
-    /// Parse a CLI spelling.
-    pub fn parse(s: &str) -> Option<ArrivalMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "open" => Some(ArrivalMode::Open),
-            "closed" => Some(ArrivalMode::Closed),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ArrivalMode::Open => "open",
-            ArrivalMode::Closed => "closed",
-        }
-    }
-}
-
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -66,14 +34,8 @@ pub struct LoadgenConfig {
     pub policy: ServePolicy,
     /// Total jobs to submit.
     pub jobs: usize,
-    /// Open-loop aggregate arrival rate in virtual jobs/second.
+    /// Aggregate arrival rate in virtual jobs/second.
     pub rate_hz: f64,
-    /// Arrival process.
-    pub mode: ArrivalMode,
-    /// Closed-loop think time between a completion and the next submission.
-    pub think: SimDuration,
-    /// Closed-loop jobs in flight per tenant.
-    pub concurrency: usize,
     /// Per-tenant admission-queue bound.
     pub queue_capacity: usize,
     /// Worker queue pool size.
@@ -95,9 +57,6 @@ impl Default for LoadgenConfig {
             policy: ServePolicy::AutoFit,
             jobs: 48,
             rate_hz: 400.0,
-            mode: ArrivalMode::Open,
-            think: SimDuration::from_millis(2),
-            concurrency: 2,
             queue_capacity: 8,
             workers: 4,
             runtime: RuntimeConfig::default(),
@@ -235,60 +194,6 @@ pub fn drive_open(served: &Served, arrivals: &[Arrival]) {
     served.run_until_drained();
 }
 
-/// Drive a closed loop: each tenant keeps `concurrency` jobs in flight;
-/// every completion schedules the next submission `think` later, until
-/// `jobs` total submissions. Template choice is seeded per submission.
-pub fn drive_closed(served: &Served, cfg: &LoadgenConfig) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut rng = XorShift::new(cfg.seed);
-    let pool = templates();
-    // (when, sequence, tenant): the sequence number makes ordering total and
-    // deterministic even for identical timestamps.
-    let mut pending: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for t in 0..cfg.tenants {
-        for _ in 0..cfg.concurrency.max(1) {
-            pending.push(Reverse((SimTime::ZERO, seq, t)));
-            seq += 1;
-        }
-    }
-    let mut submitted = 0usize;
-    let mut seen_outcomes = 0usize;
-    while submitted < cfg.jobs {
-        // Submit everything due now; if nothing is due, jump to the next.
-        let mut any_due = false;
-        while let Some(&Reverse((at, _, _))) = pending.peek() {
-            if at > served.now() {
-                break;
-            }
-            let Reverse((_, _, tenant)) = pending.pop().expect("peeked");
-            let _ = served.submit(tenant, pool[rng.index(pool.len())].clone());
-            submitted += 1;
-            any_due = true;
-            if submitted >= cfg.jobs {
-                break;
-            }
-        }
-        if !any_due {
-            if let Some(&Reverse((at, _, _))) = pending.peek() {
-                served.advance_to(at);
-                continue;
-            }
-            break; // nothing pending and nothing due: loop is exhausted
-        }
-        served.dispatch_round();
-        let outcomes = served.outcomes();
-        for o in &outcomes[seen_outcomes..] {
-            pending.push(Reverse((o.completed_at + cfg.think, seq, o.tenant)));
-            seq += 1;
-        }
-        seen_outcomes = outcomes.len();
-    }
-    served.run_until_drained();
-}
-
 /// Build the service for `cfg` with a warmed profile cache at `cache_dir`
 /// (see [`warmed_options`] — this is what makes runs reproducible) and the
 /// given telemetry observers attached to the context.
@@ -322,8 +227,7 @@ pub fn run(cfg: &LoadgenConfig, cache_dir: &Path) -> ClResult<(Served, Vec<Arriv
 }
 
 /// Run the configured load against a fresh service and return
-/// `(service, arrivals)` — the arrivals are empty for closed-loop runs
-/// (there is no precomputed schedule).
+/// `(service, arrivals)`.
 pub fn run_with(
     cfg: &LoadgenConfig,
     cache_dir: &Path,
@@ -331,17 +235,8 @@ pub fn run_with(
 ) -> ClResult<(Served, Vec<Arrival>)> {
     let served = build_service(cfg, cache_dir, observers)?;
     served.warm_programs(&templates())?;
-    let arrivals = match cfg.mode {
-        ArrivalMode::Open => {
-            let arrivals = open_arrivals(cfg);
-            drive_open(&served, &arrivals);
-            arrivals
-        }
-        ArrivalMode::Closed => {
-            drive_closed(&served, cfg);
-            Vec::new()
-        }
-    };
+    let arrivals = open_arrivals(cfg);
+    drive_open(&served, &arrivals);
     Ok((served, arrivals))
 }
 
@@ -395,7 +290,6 @@ pub fn report_json(served: &Served, cfg: &LoadgenConfig) -> Json {
     }
     Json::obj([
         ("policy", Json::from(cfg.policy.label())),
-        ("mode", Json::from(cfg.mode.label())),
         ("seed", Json::from(cfg.seed)),
         ("tenants", Json::from(cfg.tenants)),
         ("workers", Json::from(cfg.workers)),
