@@ -744,7 +744,7 @@ mod coldstart {
         // (epoch 0, before any scheduling).
         assert!(
             recorder.snapshot().iter().any(
-                |e| matches!(e, SchedEvent::CacheHit { epoch: 0, key } if key == "device_profile")
+                |e| matches!(e, SchedEvent::CacheHit { epoch: 0, key } if &**key == "device_profile")
             ),
             "context construction must emit the device_profile cache-hit event"
         );

@@ -206,8 +206,9 @@ impl Kernel {
         &self.inner.name
     }
 
-    /// The interned name, for records that outlive the kernel handle.
-    pub(crate) fn shared_name(&self) -> Arc<str> {
+    /// The interned name, for records that outlive the kernel handle: a
+    /// count on the kernel's own name, not a copy.
+    pub fn shared_name(&self) -> Arc<str> {
         Arc::clone(&self.inner.name)
     }
 

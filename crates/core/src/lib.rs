@@ -216,7 +216,7 @@ mod tests {
         assert!(
             matches!(
                 events.first(),
-                Some(SchedEvent::CacheMiss { epoch: 0, key }) if key == "device_profile"
+                Some(SchedEvent::CacheMiss { epoch: 0, key }) if &**key == "device_profile"
             ),
             "{events:?}"
         );
@@ -227,7 +227,7 @@ mod tests {
         assert!(matches!(events.last(), Some(SchedEvent::EpochEnd { .. })));
         assert!(events.iter().any(|e| matches!(e, SchedEvent::CacheMiss { .. })));
         assert!(events.iter().any(
-            |e| matches!(e, SchedEvent::KernelProfiled { kernel, .. } if kernel == "cpu_friendly")
+            |e| matches!(e, SchedEvent::KernelProfiled { kernel, .. } if &**kernel == "cpu_friendly")
         ));
 
         // The decision record explains the mapping: per-device estimated
@@ -307,7 +307,7 @@ mod tests {
                     _ => None,
                 })
                 .unwrap_or_else(|| panic!("{tag}: expected attribution in {events:?}"));
-            assert_eq!(attr.0, policy.to_string(), "{tag}");
+            assert_eq!(attr.0.to_string(), policy.to_string(), "{tag}");
             assert!(!attr.1.is_zero(), "{tag}: predicted must be a real objective");
             assert!(!attr.2.is_zero(), "{tag}: executed critical path must be nonzero");
             // AUTO_FIT's prediction is exactly the mapper objective it
@@ -832,7 +832,7 @@ mod tests {
                 .iter()
                 .filter(|e| matches!(
                     e,
-                    SchedEvent::PredictorFallback { reason, .. } if reason == "untrained"
+                    SchedEvent::PredictorFallback { reason, .. } if &**reason == "untrained"
                 ))
                 .count(),
             2,

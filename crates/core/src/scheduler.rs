@@ -262,15 +262,27 @@ struct RtInner {
     /// Memory capacity in bytes of each context device (device order).
     capacity: Arc<[u64]>,
     /// Kernel-name → estimated full execution time per device (§V-C1).
-    kernel_profiles: Mutex<HashMap<String, Vec<SimDuration>>>,
+    /// Names are the kernels' own interned `Arc<str>`s and rows are shared:
+    /// a look-up hands out counts, not copies.
+    kernel_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
     /// Online per-device regression over kernel descriptor features,
     /// trained from completion telemetry. When
     /// [`SchedOptions::predictor_confidence`] is positive, confident
     /// predictions serve cost rows for unseen kernels without a profiling
     /// epoch (the cold-start optimization).
     predictor: Mutex<CostPredictor>,
-    /// Epoch-key → aggregate execution time per device (§V-C1).
-    epoch_profiles: Mutex<HashMap<String, Vec<SimDuration>>>,
+    /// Epoch-key → aggregate execution time per device (§V-C1). A hit
+    /// hands its own key to `CacheHit` and its own row to the mapper's
+    /// explain record.
+    epoch_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
+    /// Where a pass spells out the epoch key it probes `epoch_profiles`
+    /// with, reused so a warm epoch allocates nothing to look itself up.
+    /// Passes are serialized by `pass_lock`; the lock keeps `RtInner: Sync`.
+    epoch_key: Mutex<EpochKey>,
+    /// The policy and mapper names every `EpochBegin`,
+    /// `MakespanAttribution` and `MappingDecision` carries, made once.
+    policy_label: Arc<str>,
+    mapper_label: Arc<str>,
     queues: Mutex<Vec<Weak<QueueState>>>,
     rr_next: AtomicUsize,
     created: AtomicUsize,
@@ -365,6 +377,10 @@ impl MulticlContext {
         if env_flag_enabled(std::env::var_os("MULTICL_DEBUG").as_deref()) {
             observers.push(Arc::new(StderrSink));
         }
+        let mapper_label = match options.mapper {
+            MapperKind::Greedy => "greedy",
+            MapperKind::Adaptive => "adaptive",
+        };
         let ctx = MulticlContext {
             rt: Arc::new(RtInner {
                 cl,
@@ -376,6 +392,9 @@ impl MulticlContext {
                 kernel_profiles: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
+                epoch_key: Mutex::new(EpochKey::default()),
+                policy_label: policy.to_string().into(),
+                mapper_label: mapper_label.into(),
                 queues: Mutex::new(Vec::new()),
                 rr_next: AtomicUsize::new(0),
                 created: AtomicUsize::new(0),
@@ -392,7 +411,7 @@ impl MulticlContext {
         // Announce how the static device profile was obtained (a disk cache
         // hit vs a fresh measurement charging virtual time), now that the
         // observer list exists to hear it.
-        let key = "device_profile".to_string();
+        let key: Arc<str> = "device_profile".into();
         ctx.rt.emit(&if profile_cached {
             SchedEvent::CacheHit { epoch: 0, key }
         } else {
@@ -476,12 +495,13 @@ impl MulticlContext {
     /// Exposes what the dynamic kernel profiler learned — useful for
     /// debugging scheduling decisions.
     pub fn kernel_profile(&self, kernel_name: &str) -> Option<Vec<SimDuration>> {
-        self.rt.kernel_profiles.lock().get(kernel_name).cloned()
+        self.rt.kernel_profiles.lock().get(kernel_name).map(|row| row.to_vec())
     }
 
     /// Names of every kernel the profiler has measured so far (sorted).
     pub fn profiled_kernels(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.rt.kernel_profiles.lock().keys().cloned().collect();
+        let mut names: Vec<String> =
+            self.rt.kernel_profiles.lock().keys().map(|name| name.to_string()).collect();
         names.sort_unstable();
         names
     }
@@ -653,7 +673,7 @@ impl RtInner {
             epoch,
             at: began,
             pool: pool.len(),
-            policy: self.policy.to_string(),
+            policy: Arc::clone(&self.policy_label),
         });
         let pass = self.device_health(epoch, &mut delta);
         let Assignment { devices: assignment, predicted, profiling } = match self.policy {
@@ -679,7 +699,7 @@ impl RtInner {
             self.emit(&SchedEvent::MakespanAttribution {
                 epoch,
                 at: self.platform.now(),
-                policy: self.policy.to_string(),
+                policy: Arc::clone(&self.policy_label),
                 predicted,
                 actual: end.saturating_since(flush_start),
             });
@@ -842,23 +862,17 @@ impl RtInner {
         });
         let warm = warm_valid.then_some(state.warm.as_slice());
         let mapper_began = std::time::Instant::now();
-        let (mapper_name, outcome) = match self.options.mapper {
-            MapperKind::Greedy => (
-                "greedy",
-                mapper::SearchOutcome {
-                    mapping: mapper::greedy(&state.costs),
-                    nodes_explored: 0,
-                    budget_tripped: false,
-                },
-            ),
-            MapperKind::Adaptive => (
-                "adaptive",
-                mapper::adaptive(
-                    &state.costs,
-                    warm,
-                    DEFAULT_ADAPTIVE_NODE_BUDGET,
-                    &mut state.scratch,
-                ),
+        let outcome = match self.options.mapper {
+            MapperKind::Greedy => mapper::SearchOutcome {
+                mapping: mapper::greedy(&state.costs),
+                nodes_explored: 0,
+                budget_tripped: false,
+            },
+            MapperKind::Adaptive => mapper::adaptive(
+                &state.costs,
+                warm,
+                DEFAULT_ADAPTIVE_NODE_BUDGET,
+                &mut state.scratch,
             ),
         };
         let mapper_wall =
@@ -880,7 +894,7 @@ impl RtInner {
         self.emit(&SchedEvent::MappingDecision {
             epoch,
             at: self.platform.now(),
-            mapper: mapper_name.to_string(),
+            mapper: Arc::clone(&self.mapper_label),
             makespan: mapping.makespan,
             nodes_explored: outcome.nodes_explored,
             budget_tripped: outcome.budget_tripped,
@@ -899,14 +913,17 @@ impl RtInner {
     /// same approximation as the name-keyed profile cache), captured
     /// before the flush drains the pending lists. Empty when prediction is
     /// disabled.
-    fn refine_snapshot(&self, pool: &[Arc<QueueState>]) -> HashMap<String, (Kernel, NdRange, u64)> {
+    fn refine_snapshot(
+        &self,
+        pool: &[Arc<QueueState>],
+    ) -> HashMap<Arc<str>, (Kernel, NdRange, u64)> {
         let mut index = HashMap::new();
         if self.options.predictor_confidence > 0.0 {
             for q in pool {
                 for p in q.pending.lock().iter() {
                     if !index.contains_key(p.kernel.name()) {
                         let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
-                        index.insert(p.kernel.name().to_string(), snapshot);
+                        index.insert(p.kernel.shared_name(), snapshot);
                     }
                 }
             }
@@ -977,7 +994,8 @@ impl RtInner {
         if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
             return CostPlan::Static;
         }
-        let key = epoch_key(pending);
+        let mut key = self.epoch_key.lock();
+        let key = key.spell(pending);
         // §V-C1: iterative queues may force periodic re-profiling.
         let force = match (
             q.flags().contains(QueueSchedFlags::SCHED_ITERATIVE),
@@ -987,16 +1005,16 @@ impl RtInner {
             _ => false,
         };
         if !force {
-            if self.epoch_profiles.lock().contains_key(&key) {
-                return CostPlan::Hit(key);
+            if let Some((key, row)) = self.epoch_profiles.lock().get_key_value(key) {
+                return CostPlan::Hit(Arc::clone(key), Arc::clone(row));
             }
             // Compose from per-kernel profiles when every kernel is known.
             let kp = self.kernel_profiles.lock();
             if pending.iter().all(|p| kp.contains_key(p.kernel.name())) {
-                return CostPlan::Compose(key);
+                return CostPlan::Compose(key.into());
             }
         }
-        CostPlan::Profile { key, force }
+        CostPlan::Profile { key: key.into(), force }
     }
 
     /// The AUTO_FIT cost row of one pool queue, with the cache bookkeeping
@@ -1016,9 +1034,9 @@ impl RtInner {
         };
         let breakdown = self.cost_row(q, &pending, &plan, &pass.devices);
         let key = match plan {
-            CostPlan::Hit(key) => key,
+            CostPlan::Hit(key, _) => key,
             CostPlan::Compose(key) => {
-                self.epoch_profiles.lock().insert(key.clone(), breakdown.exec.clone());
+                self.epoch_profiles.lock().insert(Arc::clone(&key), Arc::clone(&breakdown.exec));
                 key
             }
             _ => return breakdown,
@@ -1050,26 +1068,21 @@ impl RtInner {
             CostPlan::Static => {
                 return CostBreakdown {
                     exec: self.static_costs(q, pending, devices),
-                    migration: vec![SimDuration::ZERO; devices.len()],
+                    migration: zeros(devices.len()),
                     overlap: None,
                 }
             }
-            CostPlan::Hit(key) => self
-                .epoch_profiles
-                .lock()
-                .get(key)
-                .cloned()
-                .expect("classified as hit under pass_lock"),
+            CostPlan::Hit(_, row) => Arc::clone(row),
             // Epoch estimate: sum the cached per-name rows over every launch.
             CostPlan::Compose(_) => {
                 let kp = self.kernel_profiles.lock();
                 let mut exec = vec![SimDuration::ZERO; devices.len()];
                 for p in pending {
-                    for (t, v) in exec.iter_mut().zip(&kp[p.kernel.name()]) {
+                    for (t, v) in exec.iter_mut().zip(kp[p.kernel.name()].iter()) {
                         *t += *v;
                     }
                 }
-                exec
+                exec.into()
             }
             CostPlan::Profile { .. } => unreachable!("profiled queues are composed"),
         };
@@ -1097,9 +1110,9 @@ impl RtInner {
         q: &QueueState,
         pending: &[PendingKernel],
         devices: &[DeviceId],
-    ) -> Vec<SimDuration> {
+    ) -> Arc<[SimDuration]> {
         if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            return vec![SimDuration::ZERO; devices.len()];
+            return zeros(devices.len());
         }
         // One first-touch list for the whole row, cleared per device.
         let mut staged = Vec::new();
@@ -1237,7 +1250,7 @@ impl RtInner {
         // behind its estimate is sized smaller. Ineligible devices are
         // unavailable (infinite cost).
         let node = self.platform.node();
-        let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).cloned();
+        let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
         let degradation: Vec<f64> = self
             .platform
             .with_engine(|e| devices.iter().map(|&d| e.device_degradation(d)).collect());
@@ -1286,7 +1299,7 @@ impl RtInner {
         self.emit(&SchedEvent::KernelSplit {
             epoch,
             queue: q.id,
-            kernel: p.kernel.name().to_string(),
+            kernel: p.kernel.shared_name(),
             total_wgs: units,
             chunks: chunks.len() as u64,
             wgs_per_device,
@@ -1302,7 +1315,7 @@ impl RtInner {
         q: &QueueState,
         pending: &[PendingKernel],
         devices: &[DeviceId],
-    ) -> Vec<SimDuration> {
+    ) -> Arc<[SimDuration]> {
         let hint = if q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND) {
             StaticHint::ComputeBound
         } else if q.flags().contains(QueueSchedFlags::SCHED_MEM_BOUND) {
@@ -1413,11 +1426,11 @@ impl RtInner {
         }
         let mut still_missing = Vec::new();
         let mut events: Vec<SchedEvent> = Vec::new();
-        let mut rows: Vec<(String, Vec<SimDuration>)> = Vec::new();
+        let mut rows: Vec<(Arc<str>, Arc<[SimDuration]>)> = Vec::new();
         {
             let predictor = self.predictor.lock();
             for p in missing {
-                let name = p.kernel.name();
+                let name = p.kernel.shared_name();
                 let cost = p.kernel.cost();
                 let arg_bytes = p.args.buffer_bytes();
                 let mut row = vec![SimDuration::ZERO; devices.len()];
@@ -1454,19 +1467,19 @@ impl RtInner {
                     delta.kernels_predicted += 1;
                     events.push(SchedEvent::CostPredicted {
                         epoch,
-                        kernel: name.to_string(),
+                        kernel: Arc::clone(&name),
                         costs: row.clone(),
                         uncertainty: max_uncertainty,
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
                     mapper::inflate_uncertain(&mut row, max_uncertainty);
-                    rows.push((name.to_string(), row));
+                    rows.push((name, row.into()));
                 } else {
                     delta.predictor_fallbacks += 1;
                     events.push(SchedEvent::PredictorFallback {
                         epoch,
-                        kernel: name.to_string(),
-                        reason: if untrained { "untrained" } else { "low_confidence" }.to_string(),
+                        kernel: name,
+                        reason: if untrained { "untrained" } else { "low_confidence" }.into(),
                         uncertainty: max_uncertainty,
                     });
                     still_missing.push(p);
@@ -1496,12 +1509,12 @@ impl RtInner {
     /// event stream stays bit-identical across same-seed runs.
     fn refine_predictor(
         &self,
-        refine_index: &HashMap<String, (Kernel, NdRange, u64)>,
+        refine_index: &HashMap<Arc<str>, (Kernel, NdRange, u64)>,
         devices: &[DeviceId],
         trace_offset: u64,
         epoch: u64,
     ) {
-        let mut agg: BTreeMap<(String, usize), (SimDuration, u64)> = BTreeMap::new();
+        let mut agg: BTreeMap<(Arc<str>, usize), (SimDuration, u64)> = BTreeMap::new();
         self.platform.with_engine(|e| {
             for r in e.trace().records_since(trace_offset) {
                 let CommandKind::Kernel { name } = &r.kind else { continue };
@@ -1509,7 +1522,7 @@ impl RtInner {
                     continue;
                 }
                 let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
-                let entry = agg.entry((name.to_string(), di)).or_insert((SimDuration::ZERO, 0));
+                let entry = agg.entry((Arc::clone(name), di)).or_insert((SimDuration::ZERO, 0));
                 entry.0 += r.stamp.end.saturating_since(r.stamp.start);
                 entry.1 += 1;
             }
@@ -1590,10 +1603,10 @@ impl RtInner {
             // name has an entry even if *no* device is probe-able (all
             // lost): zero rows are the established "unmeasured" sentinel
             // the epoch blacklist overwrites before mapping sees them.
-            let mut kernel_rows: HashMap<String, Vec<SimDuration>> = HashMap::new();
+            let mut kernel_rows: HashMap<Arc<str>, Vec<SimDuration>> = HashMap::new();
             for p in pending {
                 kernel_rows
-                    .entry(p.kernel.name().to_string())
+                    .entry(p.kernel.shared_name())
                     .or_insert_with(|| vec![SimDuration::ZERO; devices.len()]);
             }
             for (di, &dev) in devices.iter().enumerate() {
@@ -1685,7 +1698,7 @@ impl RtInner {
         {
             let mut kp = self.kernel_profiles.lock();
             for (name, row) in &kernel_rows {
-                kp.insert(name.clone(), row.clone());
+                kp.insert(Arc::clone(name), row.as_slice().into());
             }
         }
         // Announce in name order: the map's iteration order is not
@@ -1724,13 +1737,16 @@ impl RtInner {
         q: &QueueState,
         pending: &[PendingKernel],
         devices: &[DeviceId],
-    ) -> Option<Vec<SimDuration>> {
+    ) -> Option<Arc<[SimDuration]>> {
         if !q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) || pending.is_empty() {
             return None;
         }
-        let rows: Vec<Vec<SimDuration>> = {
+        let rows: Vec<Arc<[SimDuration]>> = {
             let kp = self.kernel_profiles.lock();
-            pending.iter().map(|p| kp.get(p.kernel.name()).cloned()).collect::<Option<_>>()?
+            pending
+                .iter()
+                .map(|p| kp.get(p.kernel.name()).map(Arc::clone))
+                .collect::<Option<_>>()?
         };
         // Explicit-region queues amortize migrations over the rest of the
         // program (see `migration_vec`), so their copy lane is free here.
@@ -1808,16 +1824,17 @@ fn batch_cmd(p: &PendingKernel, transfer: SimDuration, kernel: SimDuration) -> o
 
 /// Per-device cost terms for one queue's pending epoch, as the mapper sees
 /// them: the estimated execution time plus the predicted data-migration
-/// penalty of choosing each device.
+/// penalty of choosing each device. The rows go on into the explain record
+/// as they are.
 struct CostBreakdown {
-    exec: Vec<SimDuration>,
-    migration: Vec<SimDuration>,
+    exec: Arc<[SimDuration]>,
+    migration: Arc<[SimDuration]>,
     /// Overlap-aware per-device makespan for out-of-order queues: the
     /// Johnson two-lane list-schedule estimate ([`ooo::overlap_makespan`])
     /// of the same pending commands, which the mapper prefers over the
     /// serial `exec + migration` sum when present. `None` for in-order
     /// queues and whenever per-kernel profile rows are not yet available.
-    overlap: Option<Vec<SimDuration>>,
+    overlap: Option<Arc<[SimDuration]>>,
 }
 
 impl CostBreakdown {
@@ -1844,15 +1861,15 @@ impl CostBreakdown {
 enum CostPlan {
     /// §V-B static hint scores — pure arithmetic over the device profile.
     Static,
-    /// The epoch cache already holds this key.
-    Hit(String),
+    /// The epoch cache's own key and row.
+    Hit(Arc<str>, Arc<[SimDuration]>),
     /// Every kernel name has a cached per-device row; the epoch vector is
     /// their sum (and is inserted into the epoch cache afterwards).
-    Compose(String),
+    Compose(Arc<str>),
     /// Dynamic profiling required first — cold kernels, or (`force`) an
     /// iterative queue's periodic re-profile — with virtual-clock and
     /// residency side effects; the queue is a `Compose` afterwards.
-    Profile { key: String, force: bool },
+    Profile { key: Arc<str>, force: bool },
 }
 
 /// What one scheduling pass knows about the context's devices.
@@ -1913,12 +1930,36 @@ struct Assignment {
     profiling: SimDuration,
 }
 
-/// Build the epoch cache key: the multiset of kernel names (§V-C1, "the key
-/// for a kernel epoch is just the set of the participating kernel names").
-fn epoch_key(pending: &[PendingKernel]) -> String {
-    let mut names: Vec<&str> = pending.iter().map(|p| p.kernel.name()).collect();
-    names.sort_unstable();
-    names.join("+")
+/// The epoch cache key: the multiset of kernel names (§V-C1, "the key for a
+/// kernel epoch is just the set of the participating kernel names"), sorted
+/// and joined by `+`. Spelled into buffers that are kept from pass to pass.
+#[derive(Default)]
+struct EpochKey {
+    /// Indices into the pending launches, in name order.
+    order: Vec<usize>,
+    text: String,
+}
+
+impl EpochKey {
+    fn spell(&mut self, pending: &[PendingKernel]) -> &str {
+        let name = |i: usize| pending[i].kernel.name();
+        self.order.clear();
+        self.order.extend(0..pending.len());
+        self.order.sort_unstable_by(|&a, &b| name(a).cmp(name(b)));
+        self.text.clear();
+        for (n, &i) in self.order.iter().enumerate() {
+            if n > 0 {
+                self.text.push('+');
+            }
+            self.text.push_str(name(i));
+        }
+        &self.text
+    }
+}
+
+/// A row of `n` zero durations.
+fn zeros(n: usize) -> Arc<[SimDuration]> {
+    std::iter::repeat_n(SimDuration::ZERO, n).collect()
 }
 
 /// A scheduling-aware user command queue (`clCreateCommandQueue` with the

@@ -3,24 +3,27 @@
 use super::tracing::AttemptTrace;
 use hwsim::json::{write_num, write_str, Json};
 use hwsim::{DeviceId, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Everything the mapper knew about one queue when it made its decision —
-/// the "explain record" of a `MappingDecision`.
+/// the "explain record" of a `MappingDecision`. The rows are the cost rows
+/// the scheduler computed (a warm epoch's `exec_estimates` is the epoch
+/// cache's own row), shared rather than copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueDecision {
     /// Stable queue id (creation order within the context).
     pub queue: usize,
     /// Estimated execution time of the queue's pending epoch per device
     /// (device order), from dynamic profiles or static hint scores.
-    pub exec_estimates: Vec<SimDuration>,
+    pub exec_estimates: Arc<[SimDuration]>,
     /// Predicted data-migration cost of *choosing* each device (zero for
     /// explicit-region queues, whose one-time migration is amortized).
-    pub migration_costs: Vec<SimDuration>,
+    pub migration_costs: Arc<[SimDuration]>,
     /// For `SCHED_OUT_OF_ORDER` queues with warm kernel profiles: the
     /// lane-aware per-device makespan estimate (Johnson two-lane list
     /// schedule) the mapper used *instead of* `exec + migration`. Empty
     /// for in-order queues and cold epochs.
-    pub overlap_estimates: Vec<SimDuration>,
+    pub overlap_estimates: Arc<[SimDuration]>,
     /// The device the mapper assigned.
     pub chosen: DeviceId,
     /// The device the queue was bound to before this decision.
@@ -54,7 +57,9 @@ impl QueueDecision {
 /// every [`SchedEvent`] is written and decoded through exactly one impl
 /// below (or, for the span records, in [`super::tracing`]), so number
 /// formatting and missing-value handling live in one place. Durations and
-/// times are nanoseconds; device ids are indices.
+/// times are nanoseconds; device ids are indices. Strings are shared
+/// `Arc<str>`s: cloning an event (a ring buffer keeps a copy) bumps their
+/// counts instead of copying their text.
 pub(crate) trait Wire: Sized {
     /// Append the value's JSON text to `out`.
     fn write(&self, out: &mut String);
@@ -84,7 +89,7 @@ wire_leaves! {
     usize: |v, out| write_num(*v as f64, out), |j| j.as_u64().map(|n| n as usize);
     f64: |v, out| write_num(*v, out), |j| j.as_f64();
     bool: |v, out| out.push_str(if *v { "true" } else { "false" }), |j| j.as_bool();
-    String: |v, out| write_str(v, out), |j| j.as_str().map(str::to_string);
+    Arc<str>: |v, out| write_str(v, out), |j| j.as_str().map(Arc::from);
     SimTime: |v, out| v.as_nanos().write(out), |j| j.as_u64().map(SimTime::from_nanos);
     SimDuration: |v, out| v.as_nanos().write(out), |j| j.as_u64().map(SimDuration::from_nanos);
     DeviceId: |v, out| v.index().write(out), |j| j.as_u64().map(|n| DeviceId(n as usize));
@@ -95,16 +100,30 @@ wire_leaves! {
     }, |j| Some(j.as_u64());
 }
 
+/// A JSON array of `items`.
+fn write_arr<T: Wire>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn write(&self, out: &mut String) {
-        out.push('[');
-        for (i, item) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            item.write(out);
-        }
-        out.push(']');
+        write_arr(self, out);
+    }
+    fn decode(value: &Json) -> Option<Self> {
+        value.as_arr()?.iter().map(T::decode).collect()
+    }
+}
+
+impl<T: Wire> Wire for Arc<[T]> {
+    fn write(&self, out: &mut String) {
+        write_arr(self, out);
     }
     fn decode(value: &Json) -> Option<Self> {
         value.as_arr()?.iter().map(T::decode).collect()
@@ -143,7 +162,7 @@ impl Wire for QueueDecision {
             exec_estimates: field(value, "exec_ns")?,
             migration_costs: field(value, "migration_ns")?,
             // Added with the out-of-order flush; absent in older streams.
-            overlap_estimates: field_or(value, "overlap_ns", Vec::new),
+            overlap_estimates: field_or(value, "overlap_ns", Arc::default),
             chosen: field(value, "chosen")?,
             previous: field(value, "previous")?,
         })
@@ -272,14 +291,14 @@ pub enum SchedEvent {
         /// Number of queues in the pool.
         pool: usize => "pool",
         /// The context's global policy (`AUTO_FIT` / `ROUND_ROBIN`).
-        policy: String => "policy",
+        policy: Arc<str> => "policy",
     },
     /// The dynamic profiler measured one kernel on every device.
     KernelProfiled = "kernel_profiled" {
         /// Scheduling epoch.
         epoch: u64 => "epoch",
         /// Kernel function name.
-        kernel: String => "kernel",
+        kernel: Arc<str> => "kernel",
         /// Whether the single-workgroup minikernel optimization ran.
         minikernel: bool => "minikernel",
         /// Estimated full execution time per device (device order).
@@ -290,14 +309,14 @@ pub enum SchedEvent {
         /// Scheduling epoch.
         epoch: u64 => "epoch",
         /// The epoch cache key (sorted multiset of kernel names).
-        key: String => "key",
+        key: Arc<str> => "key",
     },
     /// An epoch's cost vector required dynamic profiling.
     CacheMiss = "cache_miss" {
         /// Scheduling epoch.
         epoch: u64 => "epoch",
         /// The epoch cache key that missed.
-        key: String => "key",
+        key: Arc<str> => "key",
     },
     /// The AUTO_FIT mapper chose an assignment — the auditable explain
     /// record for the whole pool.
@@ -307,7 +326,7 @@ pub enum SchedEvent {
         /// Virtual time of the decision.
         at: SimTime => "at_ns",
         /// Mapping algorithm (`optimal` / `greedy` / `adaptive`).
-        mapper: String => "mapper",
+        mapper: Arc<str> => "mapper",
         /// Predicted concurrent completion time of the chosen assignment.
         makespan: SimDuration => "makespan_ns",
         /// Branch-and-bound nodes the mapper explored (0 for heuristics
@@ -373,7 +392,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at submission (0 before the first pass).
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Virtual submission time.
@@ -384,7 +403,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at admission.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Tenant queue depth after admission.
@@ -397,11 +416,11 @@ pub enum SchedEvent {
         /// Scheduling epoch current at rejection.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Human-readable rejection reason (e.g. `queue_full`).
-        reason: String => "reason",
+        reason: Arc<str> => "reason",
         /// Virtual rejection time.
         at: SimTime => "at_ns",
     },
@@ -410,7 +429,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at dispatch.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Stable id of the `SchedQueue` the job was placed on.
@@ -423,7 +442,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at completion.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Submission-to-completion virtual latency.
@@ -463,13 +482,13 @@ pub enum SchedEvent {
         /// Scheduling epoch current at the final failure.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Attempts made (initial dispatch + retries).
         attempts: u64 => "attempts",
         /// Terminal failure reason (e.g. `CL_DEVICE_NOT_AVAILABLE`).
-        reason: String => "reason",
+        reason: Arc<str> => "reason",
         /// Virtual time the job was abandoned.
         at: SimTime => "at_ns",
     },
@@ -481,7 +500,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at the terminal outcome.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Service-wide job id.
         job: u64 => "job",
         /// Virtual admission time (span start).
@@ -490,7 +509,7 @@ pub enum SchedEvent {
         completed_at: SimTime => "completed_at_ns",
         /// Terminal outcome: `completed`, `deadline_exceeded`,
         /// `retry_exhausted`, or `no_healthy_devices`.
-        outcome: String => "outcome" = "unknown".into(),
+        outcome: Arc<str> => "outcome" = "unknown".into(),
         /// One record per dispatch attempt, in order.
         attempts: Vec<AttemptTrace> => "attempts" = vec![],
     },
@@ -504,7 +523,7 @@ pub enum SchedEvent {
         /// Virtual time the epoch finished executing.
         at: SimTime => "at_ns",
         /// The context's global policy (`AUTO_FIT` / `ROUND_ROBIN`).
-        policy: String => "policy" = "".into(),
+        policy: Arc<str> => "policy" = "".into(),
         /// The cost model's predicted concurrent completion time.
         predicted: SimDuration => "predicted_ns",
         /// Executed critical path: latest command end minus flush start.
@@ -516,7 +535,7 @@ pub enum SchedEvent {
         /// Scheduling epoch current at evaluation.
         epoch: u64 => "epoch",
         /// Tenant name.
-        tenant: String => "tenant",
+        tenant: Arc<str> => "tenant",
         /// Virtual evaluation time.
         at: SimTime => "at_ns",
         /// The long (sustained-burn) window.
@@ -539,7 +558,7 @@ pub enum SchedEvent {
         /// Scheduling epoch of the prediction.
         epoch: u64 => "epoch",
         /// Kernel name (the key the row is cached under).
-        kernel: String => "kernel",
+        kernel: Arc<str> => "kernel",
         /// Predicted full-execution time per device (device order), before
         /// the mapper-facing uncertainty margin is applied.
         costs: Vec<SimDuration> => "costs_ns" = vec![],
@@ -556,7 +575,7 @@ pub enum SchedEvent {
         /// Scheduling epoch whose flush produced the observation.
         epoch: u64 => "epoch",
         /// Kernel name.
-        kernel: String => "kernel",
+        kernel: Arc<str> => "kernel",
         /// Device the kernel actually executed on.
         device: DeviceId => "device" = DeviceId(0),
         /// What the model would have predicted before this observation.
@@ -575,10 +594,10 @@ pub enum SchedEvent {
         /// Scheduling epoch of the declined prediction.
         epoch: u64 => "epoch",
         /// Kernel name.
-        kernel: String => "kernel",
+        kernel: Arc<str> => "kernel",
         /// Why the prediction was declined: `"untrained"` or
         /// `"low_confidence"`.
-        reason: String => "reason" = "untrained".into(),
+        reason: Arc<str> => "reason" = "untrained".into(),
         /// The gate-failing uncertainty (0 when untrained).
         uncertainty: f64 => "uncertainty" = 0.0,
     },
@@ -590,7 +609,7 @@ pub enum SchedEvent {
         /// Stable id of the queue whose launch was split.
         queue: usize => "queue" = 0,
         /// Kernel function name.
-        kernel: String => "kernel",
+        kernel: Arc<str> => "kernel",
         /// Split units (workgroup slabs along the split axis) in the launch.
         total_wgs: u64 => "total_wgs" = 0,
         /// Contiguous chunks produced.
@@ -649,9 +668,9 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             mapper_wall: ns(2_500),
             queues: vec![QueueDecision {
                 queue: 0,
-                exec_estimates: vec![ns(5), ns(9)],
-                migration_costs: vec![ns(1), ns(0)],
-                overlap_estimates: vec![ns(4), ns(7)],
+                exec_estimates: vec![ns(5), ns(9)].into(),
+                migration_costs: vec![ns(1), ns(0)].into(),
+                overlap_estimates: vec![ns(4), ns(7)].into(),
                 chosen: DeviceId(0),
                 previous: DeviceId(1),
             }],
@@ -835,6 +854,30 @@ mod tests {
         }
     }
 
+    /// The shared-string leaf writes what the `String` leaf it replaced
+    /// wrote — `hwsim::json::write_str`, the same text as a dumped
+    /// `Json::Str` — over the alphabet `hwsim::json`'s own random-string
+    /// round-trip draws from, and decodes back to the same text.
+    #[test]
+    fn the_shared_string_leaf_writes_the_text_a_string_wrote() {
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', ' ', 'a', 'Z', '\u{7f}', 'é', '→', '😀']);
+        let mut rng = hwsim::xrand::XorShift::new(15);
+        for _ in 0..2_000 {
+            let len = rng.index(24);
+            let s: String = (0..len).map(|_| alphabet[rng.index(alphabet.len())]).collect();
+            let shared: Arc<str> = s.as_str().into();
+            let mut text = String::new();
+            shared.write(&mut text);
+            let mut as_string = String::new();
+            write_str(&s, &mut as_string);
+            assert_eq!(text, as_string);
+            assert_eq!(text, Json::Str(s.clone()).dump());
+            let decoded: Arc<str> = Wire::decode(&Json::parse(&text).expect("valid JSON")).unwrap();
+            assert_eq!(*decoded, *s, "{text}");
+        }
+    }
+
     /// Whether a golden line holds a kind the table no longer declares:
     /// `shard_degraded` / `tenant_migrated` (the cluster tier) and
     /// `chunk_stolen` (split work stealing).
@@ -927,9 +970,9 @@ mod tests {
     fn decision_totals_and_argmin() {
         let d = QueueDecision {
             queue: 3,
-            exec_estimates: vec![ns(100), ns(50), ns(70)],
-            migration_costs: vec![ns(0), ns(60), ns(10)],
-            overlap_estimates: vec![],
+            exec_estimates: vec![ns(100), ns(50), ns(70)].into(),
+            migration_costs: vec![ns(0), ns(60), ns(10)].into(),
+            overlap_estimates: vec![].into(),
             chosen: DeviceId(2),
             previous: DeviceId(0),
         };
@@ -943,9 +986,9 @@ mod tests {
     fn decision_totals_prefer_overlap_estimates_when_present() {
         let d = QueueDecision {
             queue: 3,
-            exec_estimates: vec![ns(100), ns(50)],
-            migration_costs: vec![ns(0), ns(60)],
-            overlap_estimates: vec![ns(90), ns(80)],
+            exec_estimates: vec![ns(100), ns(50)].into(),
+            migration_costs: vec![ns(0), ns(60)].into(),
+            overlap_estimates: vec![ns(90), ns(80)].into(),
             chosen: DeviceId(1),
             previous: DeviceId(0),
         };

@@ -124,7 +124,7 @@ pub fn job_span_events(events: &[SchedEvent]) -> Vec<Json> {
             submitted_at.as_nanos(),
             completed_at.saturating_since(*submitted_at).as_nanos(),
             Json::obj([
-                ("outcome", Json::from(outcome.as_str())),
+                ("outcome", Json::from(&**outcome)),
                 ("epoch", Json::from(*epoch)),
                 ("attempts", Json::from(attempts.len())),
             ]),

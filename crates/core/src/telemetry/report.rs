@@ -272,17 +272,17 @@ mod tests {
                 queues: vec![
                     QueueDecision {
                         queue: 0,
-                        exec_estimates: vec![ns(1_000_000), ns(3_000_000)],
-                        migration_costs: vec![ns(0), ns(500_000)],
-                        overlap_estimates: vec![],
+                        exec_estimates: vec![ns(1_000_000), ns(3_000_000)].into(),
+                        migration_costs: vec![ns(0), ns(500_000)].into(),
+                        overlap_estimates: vec![].into(),
                         chosen: DeviceId(0),
                         previous: DeviceId(0),
                     },
                     QueueDecision {
                         queue: 1,
-                        exec_estimates: vec![ns(1_500_000), ns(2_000_000)],
-                        migration_costs: vec![ns(0), ns(0)],
-                        overlap_estimates: vec![],
+                        exec_estimates: vec![ns(1_500_000), ns(2_000_000)].into(),
+                        migration_costs: vec![ns(0), ns(0)].into(),
+                        overlap_estimates: vec![].into(),
                         chosen: DeviceId(1),
                         previous: DeviceId(0),
                     },

@@ -196,7 +196,7 @@ mod tests {
     use std::sync::Arc;
 
     fn ev(epoch: u64) -> SchedEvent {
-        SchedEvent::CacheHit { epoch, key: format!("k{epoch}") }
+        SchedEvent::CacheHit { epoch, key: format!("k{epoch}").into() }
     }
 
     /// A writer into a shared buffer; optionally every other `write` call

@@ -36,6 +36,7 @@
 use super::event::{field, field_or, write_obj, SchedEvent, Wire};
 use hwsim::json::Json;
 use hwsim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Where one slice of a job's latency went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -418,7 +419,7 @@ impl TraceContext {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopSegment {
     /// Owning tenant.
-    pub tenant: String,
+    pub tenant: Arc<str>,
     /// Job + attempt the segment belongs to.
     pub span: SpanId,
     /// Which bucket.
@@ -821,7 +822,7 @@ mod tests {
         let top = top_segments(&events, 1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].kind, SegmentKind::Compute);
-        assert_eq!(top[0].tenant, "t9");
+        assert_eq!(&*top[0].tenant, "t9");
         assert_eq!(top[0].duration, dur(100));
         assert!(top_segments(&events, 0).is_empty());
     }

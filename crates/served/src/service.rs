@@ -18,7 +18,7 @@ use crate::metrics::ServiceMetrics;
 use crate::slo::{SloConfig, SloTracker};
 use crate::spec::{JobSpec, KernelSpec, StepOp};
 use crate::tenant::{PendingJob, RejectReason, TenantConfig, TenantState};
-use clrt::error::ClResult;
+use clrt::error::{ClError, ClResult};
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
 use hwsim::sync::Mutex;
 use hwsim::{CommandKind, KernelCostSpec, SimDuration, SimTime, TransferKind};
@@ -211,7 +211,7 @@ pub fn warmed_options(platform: &Platform, dir: impl Into<PathBuf>) -> SchedOpti
 /// hand-written kernels *and* a served job costs the wall-clock time its
 /// commands occupy their devices.
 struct SpecKernel {
-    name: String,
+    name: Arc<str>,
     arity: usize,
     cost: KernelCostSpec,
 }
@@ -383,6 +383,8 @@ pub struct Served {
     /// unlike everything virtual — depends on the data-plane worker count.
     wall_serving_since: Mutex<Option<std::time::Instant>>,
     outcomes: Mutex<Vec<JobOutcome>>,
+    /// The `outcome` of every completed job's `JobTrace`, shared.
+    completed: Arc<str>,
 }
 
 impl Served {
@@ -404,7 +406,7 @@ impl Served {
                 _ => ctx.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC),
             })
             .collect::<ClResult<Vec<_>>>()?;
-        let names: Vec<String> = tenants.iter().map(|t| t.name.clone()).collect();
+        let names: Vec<String> = tenants.iter().map(|t| t.name.to_string()).collect();
         Ok(Served {
             platform: platform.clone(),
             ctx,
@@ -420,6 +422,7 @@ impl Served {
             serving_since: Mutex::new(SimTime::ZERO),
             wall_serving_since: Mutex::new(None),
             outcomes: Mutex::new(Vec::new()),
+            completed: "completed".into(),
         })
     }
 
@@ -548,7 +551,7 @@ impl Served {
         let order = match order {
             Ok(order) => order,
             Err(reason) => {
-                self.reject(tenant, &name, job, &reason, now);
+                self.reject(tenant, name, job, &reason, now);
                 return Err(reason);
             }
         };
@@ -558,7 +561,7 @@ impl Served {
             if queue.len() >= capacity {
                 let reason = RejectReason::QueueFull { depth: queue.len(), capacity };
                 drop(queue);
-                self.reject(tenant, &name, job, &reason, now);
+                self.reject(tenant, name, job, &reason, now);
                 return Err(reason);
             }
             queue.push_back(PendingJob {
@@ -590,20 +593,20 @@ impl Served {
         match spec.buffers.iter().find(|b| !fits(b.elements)) {
             None => Ok(()),
             Some(b) => Err(RejectReason::BufferTooLarge {
-                buffer: b.name.clone(),
+                buffer: b.name.to_string(),
                 elements: b.elements,
                 limit,
             }),
         }
     }
 
-    fn reject(&self, tenant: usize, name: &str, job: u64, reason: &RejectReason, at: SimTime) {
+    fn reject(&self, tenant: usize, name: Arc<str>, job: u64, reason: &RejectReason, at: SimTime) {
         self.metrics.tenant(tenant).rejected.inc();
         self.ctx.emit_event(&SchedEvent::JobRejected {
             epoch: self.ctx.current_epoch(),
-            tenant: name.to_string(),
+            tenant: name,
             job,
-            reason: reason.to_string(),
+            reason: reason.to_string().into(),
             at,
         });
     }
@@ -627,17 +630,17 @@ impl Served {
     /// [`SchedEvent::RetryExhausted`] telemetry event (`reason` strings
     /// distinguish deadline misses, abandoned retries, and dead nodes),
     /// and a [`JobOutcome`] with the typed [`FailReason`].
-    fn fail_job(&self, tenant: usize, job: &PendingJob, reason: FailReason, now: SimTime) {
+    fn fail_job(&self, tenant: usize, job: PendingJob, reason: FailReason, now: SimTime) {
         self.metrics.tenant(tenant).failed.inc();
         self.metrics.tenant(tenant).depth.set(self.tenants[tenant].depth() as f64);
         let epoch = self.ctx.current_epoch();
-        let name = self.tenants[tenant].config.name.clone();
+        let name = &self.tenants[tenant].config.name;
         self.ctx.emit_event(&SchedEvent::RetryExhausted {
             epoch,
             tenant: name.clone(),
             job: job.id,
             attempts: u64::from(job.attempts),
-            reason: reason.to_string(),
+            reason: reason.to_string().into(),
             at: now,
         });
         let outcome = match &reason {
@@ -650,12 +653,12 @@ impl Served {
         // failing the job, so the span store covers [submitted_at, now].
         self.ctx.emit_event(&SchedEvent::JobTrace {
             epoch,
-            tenant: name,
+            tenant: name.clone(),
             job: job.id,
             submitted_at: job.submitted_at,
             completed_at: job.trace.last_end(),
             outcome: outcome.into(),
-            attempts: job.trace.attempts.clone(),
+            attempts: job.trace.attempts,
         });
         self.note_outcome(tenant, now, true);
         self.outcomes.lock().push(JobOutcome {
@@ -683,7 +686,11 @@ impl Served {
             if t.fired {
                 self.metrics.tenant(tenant).slo_alerts.inc();
             }
-            self.ctx.emit_event(&t.to_event(epoch, self.tenants[tenant].config.name.clone(), at));
+            self.ctx.emit_event(&t.to_event(
+                epoch,
+                Arc::clone(&self.tenants[tenant].config.name),
+                at,
+            ));
         }
     }
 
@@ -755,11 +762,11 @@ impl Served {
         for (tenant, mut job) in picks {
             if healthy == 0 {
                 job.trace.record_undispatched(self.ctx.current_epoch(), job.not_before, now);
-                self.fail_job(tenant, &job, FailReason::NoHealthyDevices, now);
+                self.fail_job(tenant, job, FailReason::NoHealthyDevices, now);
                 terminal += 1;
             } else if job.deadline.is_some_and(|d| d < now) {
                 job.trace.record_undispatched(self.ctx.current_epoch(), job.not_before, now);
-                self.fail_job(tenant, &job, FailReason::DeadlineExceeded, now);
+                self.fail_job(tenant, job, FailReason::DeadlineExceeded, now);
                 terminal += 1;
             } else {
                 live.push((tenant, job));
@@ -783,7 +790,7 @@ impl Served {
             let dispatched_at = self.platform.now();
             self.ctx.emit_event(&SchedEvent::JobDispatched {
                 epoch,
-                tenant: self.tenants[*tenant].config.name.clone(),
+                tenant: Arc::clone(&self.tenants[*tenant].config.name),
                 job: job.id,
                 queue: worker.id(),
                 at: dispatched_at,
@@ -846,7 +853,7 @@ impl Served {
                     // Whatever part of its stream was issued ran with the
                     // round; none of it is attributed to the job.
                     job.trace.record_undispatched(completed_epoch, job.not_before, now);
-                    self.fail_job(tenant, &job, FailReason::IssueError(e.to_string()), now);
+                    self.fail_job(tenant, job, FailReason::IssueError(e.to_string()), now);
                     terminal += 1;
                     continue;
                 }
@@ -869,7 +876,7 @@ impl Served {
                 if job.deadline.is_some_and(|d| d < now) {
                     self.fail_job(
                         tenant,
-                        &PendingJob { attempts, ..job },
+                        PendingJob { attempts, ..job },
                         FailReason::DeadlineExceeded,
                         now,
                     );
@@ -877,7 +884,7 @@ impl Served {
                 } else if attempts >= self.retry.max_attempts {
                     let reason =
                         FailReason::RetryExhausted { attempts, last_error: kind.to_string() };
-                    self.fail_job(tenant, &PendingJob { attempts, ..job }, reason, now);
+                    self.fail_job(tenant, PendingJob { attempts, ..job }, reason, now);
                     terminal += 1;
                 } else {
                     // Transient faults back off before the retry; a lost
@@ -917,7 +924,7 @@ impl Served {
             let latency = completed_at.saturating_since(job.submitted_at);
             self.metrics.tenant(tenant).completed.inc();
             self.metrics.record_latency(tenant, latency);
-            let name = self.tenants[tenant].config.name.clone();
+            let name = &self.tenants[tenant].config.name;
             self.ctx.emit_event(&SchedEvent::JobCompleted {
                 epoch: completed_epoch,
                 tenant: name.clone(),
@@ -927,12 +934,12 @@ impl Served {
             });
             self.ctx.emit_event(&SchedEvent::JobTrace {
                 epoch: completed_epoch,
-                tenant: name,
+                tenant: name.clone(),
                 job: job.id,
                 submitted_at: job.submitted_at,
                 completed_at,
-                outcome: "completed".into(),
-                attempts: job.trace.attempts.clone(),
+                outcome: self.completed.clone(),
+                attempts: job.trace.attempts,
             });
             let over_target =
                 self.slo.as_ref().is_some_and(|slo| slo.lock().is_bad_latency(latency));
@@ -988,17 +995,30 @@ impl Served {
     /// predictions, not a profiling epoch — so it is skipped and counted
     /// in `served_warmups_skipped_total`. Programs still compile for every
     /// template either way.
+    ///
+    /// Every template is validated first, as admission would: an invalid
+    /// one is `InvalidValue` naming it and the [`SpecError`], and nothing is
+    /// built or issued.
+    ///
+    /// [`SpecError`]: crate::spec::SpecError
     pub fn warm_programs(&self, specs: &[JobSpec]) -> ClResult<()> {
+        let orders = specs
+            .iter()
+            .map(|spec| {
+                spec.validated_order().map_err(|e| {
+                    ClError::InvalidValue(format!("warm-up template `{}`: {e}", spec.name))
+                })
+            })
+            .collect::<ClResult<Vec<_>>>()?;
         for spec in specs {
             self.program_for(spec)?;
         }
-        for (i, spec) in specs.iter().enumerate() {
+        for (i, (spec, order)) in specs.iter().zip(&orders).enumerate() {
             if self.spec_predictor_confident(spec) {
                 self.metrics.warmups_skipped.inc();
                 continue;
             }
-            let order = spec.topo_order().expect("warm-up templates are acyclic");
-            self.issue_job(&self.workers[i % self.workers.len()], spec, &order, u64::MAX)?;
+            self.issue_job(&self.workers[i % self.workers.len()], spec, order, u64::MAX)?;
         }
         self.ctx.finish_all();
         *self.serving_since.lock() = self.platform.now();
@@ -1018,24 +1038,24 @@ impl Served {
     /// distinct arg name, counted once however many positions bind it.
     fn spec_predictor_confident(&self, spec: &JobSpec) -> bool {
         let costs: HashMap<&str, KernelCostSpec> =
-            spec.kernels.iter().map(|k| (k.name.as_str(), k.cost)).collect();
+            spec.kernels.iter().map(|k| (&*k.name, k.cost)).collect();
         let elements: HashMap<&str, usize> =
-            spec.buffers.iter().map(|b| (b.name.as_str(), b.elements)).collect();
+            spec.buffers.iter().map(|b| (&*b.name, b.elements)).collect();
         let mut any_launch = false;
         for step in &spec.steps {
             let StepOp::Launch { kernel, global, local, args } = &step.op else {
                 continue;
             };
             any_launch = true;
-            let Some(cost) = costs.get(kernel.as_str()) else {
+            let Some(cost) = costs.get(&**kernel) else {
                 return false;
             };
             let mut seen: Vec<&str> = Vec::new();
             let mut arg_bytes = 0u64;
             for arg in args {
-                if !seen.contains(&arg.as_str()) {
-                    seen.push(arg.as_str());
-                    let elems = elements.get(arg.as_str()).copied().unwrap_or(0);
+                if !seen.contains(&&**arg) {
+                    seen.push(arg);
+                    let elems = elements.get(&**arg).copied().unwrap_or(0);
                     arg_bytes += (elems * std::mem::size_of::<f64>()) as u64;
                 }
             }
@@ -1104,24 +1124,24 @@ impl Served {
         }
         let mut buffers: HashMap<&str, clrt::Buffer> = HashMap::new();
         for b in &spec.buffers {
-            buffers.insert(b.name.as_str(), self.ctx.create_buffer_of::<f64>(b.elements)?);
+            buffers.insert(&b.name, self.ctx.create_buffer_of::<f64>(b.elements)?);
         }
         let program = self.program_for(spec)?;
         let mut kernels: HashMap<&str, clrt::Kernel> = HashMap::new();
         for k in &spec.kernels {
-            kernels.insert(k.name.as_str(), program.create_kernel(&k.name)?);
+            kernels.insert(&k.name, program.create_kernel(&k.name)?);
         }
         for &idx in order {
             match &spec.steps[idx].op {
                 StepOp::Write { buffer } => {
-                    let buf = &buffers[buffer.as_str()];
+                    let buf = &buffers[&**buffer];
                     let data = vec![job_id as f64; buf.len::<f64>()];
                     worker.enqueue_write(buf, &data)?;
                 }
                 StepOp::Launch { kernel, global, local, args } => {
-                    let k = &kernels[kernel.as_str()];
+                    let k = &kernels[&**kernel];
                     for (pos, arg) in args.iter().enumerate() {
-                        k.set_arg(pos, ArgValue::BufferMut(buffers[arg.as_str()].clone()))?;
+                        k.set_arg(pos, ArgValue::BufferMut(buffers[&**arg].clone()))?;
                     }
                     worker.enqueue_ndrange(k, NdRange::d1(*global, *local))?;
                 }
@@ -1177,6 +1197,47 @@ mod tests {
         assert_eq!(built(), 3);
         served.program_for(&spec("first again", 16.0, r#"["a"]"#)).unwrap();
         assert_eq!(built(), 3);
+    }
+
+    /// A template built in code skips `parse_str`'s validation. Warm-up
+    /// validates it instead: a cycle or an unknown kernel is an error that
+    /// names the template, and nothing is built or issued — not even for
+    /// the valid template listed before it.
+    #[test]
+    fn warm_up_refuses_an_invalid_template_before_building_anything() {
+        use crate::spec::StepSpec;
+        let platform = Platform::paper_node();
+        let tenants = vec![TenantConfig::new("t", 1, 8)];
+        let served = Served::new(&platform, ServiceConfig::new(ServePolicy::AutoFit, 2, tenants))
+            .expect("service builds");
+        let valid = crate::loadgen::templates().remove(0);
+        let mut cyclic = valid.clone();
+        cyclic.name = "cyclic".into();
+        cyclic.steps[0].after = vec![cyclic.steps[1].id.clone()];
+        let mut unknown = valid.clone();
+        unknown.name = "unknown".into();
+        unknown.steps.push(StepSpec {
+            id: "ghost".into(),
+            op: StepOp::Launch {
+                kernel: "no_such_kernel".into(),
+                global: 64,
+                local: 64,
+                args: vec![],
+            },
+            after: vec![],
+        });
+        let issued = || served.context().stats().kernels_issued;
+        let before = issued();
+        for (bad, cause) in [(cyclic, "cycle"), (unknown, "no_such_kernel")] {
+            let name = bad.name.clone();
+            let Err(ClError::InvalidValue(message)) = served.warm_programs(&[valid.clone(), bad])
+            else {
+                panic!("warm-up of `{name}` must be refused");
+            };
+            assert!(message.contains(&*name) && message.contains(cause), "{message}");
+            assert_eq!(served.programs.lock().len(), 0, "{message}");
+            assert_eq!(issued(), before, "{message}");
+        }
     }
 
     /// One worker set: a service with W dispatch slots owns W scheduler

@@ -19,6 +19,7 @@
 
 use multicl::telemetry::SchedEvent;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use hwsim::{SimDuration, SimTime};
 
@@ -96,7 +97,7 @@ pub struct BurnTransition {
 
 impl BurnTransition {
     /// The telemetry event for this transition.
-    pub fn to_event(&self, epoch: u64, tenant: String, at: SimTime) -> SchedEvent {
+    pub fn to_event(&self, epoch: u64, tenant: Arc<str>, at: SimTime) -> SchedEvent {
         SchedEvent::SloBurn {
             epoch,
             tenant,

@@ -23,7 +23,7 @@
 
 use hwsim::json::Json;
 use hwsim::{KernelCostSpec, KernelTraits};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Why a job spec was rejected by [`JobSpec::validate`] (or failed to
 /// parse). Carried inside
@@ -73,7 +73,7 @@ impl std::error::Error for SpecError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferSpec {
     /// Name steps refer to.
-    pub name: String,
+    pub name: Arc<str>,
     /// Number of f64 elements.
     pub elements: usize,
 }
@@ -83,7 +83,7 @@ pub struct BufferSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     /// Kernel function name (unique within the job).
-    pub name: String,
+    pub name: Arc<str>,
     /// Per-work-item cost model handed to the simulator.
     pub cost: KernelCostSpec,
 }
@@ -95,18 +95,18 @@ pub enum StepOp {
     /// buffer initially lives.
     Write {
         /// Destination buffer name.
-        buffer: String,
+        buffer: Arc<str>,
     },
     /// `clEnqueueNDRangeKernel`: a kernel launch with buffer arguments.
     Launch {
         /// Kernel name.
-        kernel: String,
+        kernel: Arc<str>,
         /// Global work-items (1-D).
         global: u64,
         /// Work-items per workgroup.
         local: u64,
         /// Buffer names bound as mutable kernel arguments, in position order.
-        args: Vec<String>,
+        args: Vec<Arc<str>>,
     },
 }
 
@@ -115,19 +115,22 @@ pub enum StepOp {
 pub struct StepSpec {
     /// Step id (unique within the job; auto-named `s<index>` when omitted
     /// from the JSON).
-    pub id: String,
+    pub id: Arc<str>,
     /// The operation.
     pub op: StepOp,
     /// Ids of steps that must execute before this one. In-order queues give
     /// ordering for free; the edges make intent explicit and validated.
-    pub after: Vec<String>,
+    pub after: Vec<Arc<str>>,
 }
 
 /// A declarative job: buffers + kernels + a DAG of steps.
+///
+/// Every name is a shared [`Arc<str>`], so cloning a spec — what each
+/// submission of a template does — allocates only its vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Human-readable job name (template name, not unique per instance).
-    pub name: String,
+    pub name: Arc<str>,
     /// Buffers to allocate.
     pub buffers: Vec<BufferSpec>,
     /// Kernels the program defines.
@@ -158,10 +161,10 @@ impl JobSpec {
 
     /// Parse a spec from a JSON value. The result is validated.
     pub fn from_json(json: &Json) -> Result<JobSpec, SpecError> {
-        let str_field = |v: &Json, key: &str| -> Result<String, SpecError> {
+        let str_field = |v: &Json, key: &str| -> Result<Arc<str>, SpecError> {
             v.get(key)
                 .and_then(Json::as_str)
-                .map(str::to_string)
+                .map(Arc::from)
                 .ok_or_else(|| SpecError::Malformed(format!("missing string field `{key}`")))
         };
         let u64_field = |v: &Json, key: &str| -> Result<u64, SpecError> {
@@ -175,7 +178,7 @@ impl JobSpec {
                 .map(<[Json]>::to_vec)
                 .ok_or_else(|| SpecError::Malformed(format!("missing array field `{key}`")))
         };
-        let opt_strings = |v: &Json, key: &str| -> Result<Vec<String>, SpecError> {
+        let opt_strings = |v: &Json, key: &str| -> Result<Vec<Arc<str>>, SpecError> {
             match v.get(key) {
                 None => Ok(vec![]),
                 Some(arr) => arr
@@ -183,7 +186,7 @@ impl JobSpec {
                     .ok_or_else(|| SpecError::Malformed(format!("`{key}` must be an array")))?
                     .iter()
                     .map(|s| {
-                        s.as_str().map(str::to_string).ok_or_else(|| {
+                        s.as_str().map(Arc::from).ok_or_else(|| {
                             SpecError::Malformed(format!("`{key}` entries must be strings"))
                         })
                     })
@@ -223,9 +226,9 @@ impl JobSpec {
         }
         let mut steps = Vec::new();
         for (i, s) in arr_field(json, "steps")?.iter().enumerate() {
-            let id = match s.get("id").and_then(Json::as_str) {
-                Some(id) => id.to_string(),
-                None => format!("s{i}"),
+            let id: Arc<str> = match s.get("id").and_then(Json::as_str) {
+                Some(id) => id.into(),
+                None => format!("s{i}").into(),
             };
             let op = match s.get("op").and_then(Json::as_str) {
                 Some("write") => StepOp::Write { buffer: str_field(s, "buffer")? },
@@ -255,7 +258,7 @@ impl JobSpec {
     /// flag existed encode byte-identically.
     pub fn to_json(&self) -> Json {
         let mut json = Json::obj([
-            ("name", Json::from(self.name.as_str())),
+            ("name", Json::from(&*self.name)),
             (
                 "buffers",
                 Json::Arr(
@@ -263,7 +266,7 @@ impl JobSpec {
                         .iter()
                         .map(|b| {
                             Json::obj([
-                                ("name", Json::from(b.name.as_str())),
+                                ("name", Json::from(&*b.name)),
                                 ("elements", Json::from(b.elements)),
                             ])
                         })
@@ -277,7 +280,7 @@ impl JobSpec {
                         .iter()
                         .map(|k| {
                             Json::obj([
-                                ("name", Json::from(k.name.as_str())),
+                                ("name", Json::from(&*k.name)),
                                 ("flops_per_item", Json::from(k.cost.flops_per_item)),
                                 ("bytes_per_item", Json::from(k.cost.bytes_per_item)),
                                 ("coalescing", Json::from(k.cost.traits.coalescing)),
@@ -298,31 +301,27 @@ impl JobSpec {
                     self.steps
                         .iter()
                         .map(|s| {
-                            let mut fields = vec![("id".to_string(), Json::from(s.id.as_str()))];
+                            let mut fields = vec![("id".to_string(), Json::from(&*s.id))];
                             match &s.op {
                                 StepOp::Write { buffer } => {
                                     fields.push(("op".into(), Json::from("write")));
-                                    fields.push(("buffer".into(), Json::from(buffer.as_str())));
+                                    fields.push(("buffer".into(), Json::from(&**buffer)));
                                 }
                                 StepOp::Launch { kernel, global, local, args } => {
                                     fields.push(("op".into(), Json::from("launch")));
-                                    fields.push(("kernel".into(), Json::from(kernel.as_str())));
+                                    fields.push(("kernel".into(), Json::from(&**kernel)));
                                     fields.push(("global".into(), Json::from(*global)));
                                     fields.push(("local".into(), Json::from(*local)));
                                     fields.push((
                                         "args".into(),
-                                        Json::Arr(
-                                            args.iter().map(|a| Json::from(a.as_str())).collect(),
-                                        ),
+                                        Json::Arr(args.iter().map(|a| Json::from(&**a)).collect()),
                                     ));
                                 }
                             }
                             if !s.after.is_empty() {
                                 fields.push((
                                     "after".into(),
-                                    Json::Arr(
-                                        s.after.iter().map(|a| Json::from(a.as_str())).collect(),
-                                    ),
+                                    Json::Arr(s.after.iter().map(|a| Json::from(&**a)).collect()),
                                 ));
                             }
                             Json::Obj(fields)
@@ -350,101 +349,69 @@ impl JobSpec {
         self.validated_order().map(|_| ())
     }
 
-    /// [`Self::validate`], handing back the [`Self::topo_order`] it had to
-    /// compute to rule out cycles, so admission sorts a job's steps once.
+    /// [`Self::validate`], handing back the step indices in the topological
+    /// order it had to compute to rule out cycles, so admission sorts a
+    /// job's steps once. The order is Kahn's algorithm that always emits the
+    /// earliest-declared ready step next, so equal specs execute identical
+    /// command streams. Every name is checked against one sorted
+    /// [`NameTable`]; the first failing check in declaration order decides
+    /// the error.
     pub(crate) fn validated_order(&self) -> Result<Vec<usize>, SpecError> {
-        let mut buffer_names = std::collections::HashSet::new();
-        for b in &self.buffers {
-            if !buffer_names.insert(b.name.as_str()) {
-                return Err(SpecError::Duplicate(b.name.clone()));
+        let mut names = NameTable::of(self);
+        for (i, b) in self.buffers.iter().enumerate() {
+            if names.first(Run::Buffers, &b.name) != Some(i) {
+                return Err(SpecError::Duplicate(b.name.to_string()));
             }
             if b.elements == 0 {
                 return Err(SpecError::Invalid(format!("buffer `{}` has zero elements", b.name)));
             }
         }
-        let mut kernel_names = std::collections::HashSet::new();
-        for k in &self.kernels {
-            if buffer_names.contains(k.name.as_str()) || !kernel_names.insert(k.name.as_str()) {
-                return Err(SpecError::Duplicate(k.name.clone()));
+        for (i, k) in self.kernels.iter().enumerate() {
+            if names.first(Run::Buffers, &k.name).is_some()
+                || names.first(Run::Kernels, &k.name) != Some(i)
+            {
+                return Err(SpecError::Duplicate(k.name.to_string()));
             }
         }
-        let mut step_ids = std::collections::HashSet::new();
-        for s in &self.steps {
-            if !step_ids.insert(s.id.as_str()) {
-                return Err(SpecError::Duplicate(s.id.clone()));
+        for (i, s) in self.steps.iter().enumerate() {
+            if names.first(Run::Steps, &s.id) != Some(i) {
+                return Err(SpecError::Duplicate(s.id.to_string()));
             }
         }
-        let mut arities: HashMap<&str, usize> = HashMap::new();
+        let unknown = |s: &StepSpec, name: &str| SpecError::UnknownRef {
+            step: s.id.to_string(),
+            name: name.to_string(),
+        };
         for s in &self.steps {
             match &s.op {
                 StepOp::Write { buffer } => {
-                    if !buffer_names.contains(buffer.as_str()) {
-                        return Err(SpecError::UnknownRef {
-                            step: s.id.clone(),
-                            name: buffer.clone(),
-                        });
+                    if names.first(Run::Buffers, buffer).is_none() {
+                        return Err(unknown(s, buffer));
                     }
                 }
                 StepOp::Launch { kernel, global, local, args } => {
-                    if !kernel_names.contains(kernel.as_str()) {
-                        return Err(SpecError::UnknownRef {
-                            step: s.id.clone(),
-                            name: kernel.clone(),
-                        });
-                    }
+                    let Some(slot) = names.find(Run::Kernels, kernel) else {
+                        return Err(unknown(s, kernel));
+                    };
                     if *global == 0 || *local == 0 {
                         return Err(SpecError::Invalid(format!(
                             "step `{}` has zero launch geometry",
                             s.id
                         )));
                     }
-                    for a in args {
-                        if !buffer_names.contains(a.as_str()) {
-                            return Err(SpecError::UnknownRef {
-                                step: s.id.clone(),
-                                name: a.clone(),
-                            });
-                        }
+                    if let Some(a) = args.iter().find(|a| names.first(Run::Buffers, a).is_none()) {
+                        return Err(unknown(s, a));
                     }
-                    match arities.get(kernel.as_str()) {
-                        Some(&n) if n != args.len() => {
-                            return Err(SpecError::ArityMismatch(kernel.clone()))
-                        }
-                        _ => {
-                            arities.insert(kernel.as_str(), args.len());
-                        }
+                    // The first launch of a kernel fixes its arity.
+                    if *names.entries[slot].2.get_or_insert(args.len()) != args.len() {
+                        return Err(SpecError::ArityMismatch(kernel.to_string()));
                     }
                 }
             }
-            for dep in &s.after {
-                let resolvable = self.steps.iter().any(|t| t.id == *dep);
-                if !resolvable {
-                    return Err(SpecError::UnknownRef { step: s.id.clone(), name: dep.clone() });
-                }
+            if let Some(dep) = s.after.iter().find(|d| names.first(Run::Steps, d).is_none()) {
+                return Err(unknown(s, dep));
             }
         }
-        self.topo_order()
-    }
-
-    /// Argument count of `kernel`, read off its first launch step —
-    /// validation makes every launch of a kernel agree — and 0 for a kernel
-    /// that is never launched.
-    pub fn kernel_arity(&self, kernel: &str) -> usize {
-        self.steps
-            .iter()
-            .find_map(|s| match &s.op {
-                StepOp::Launch { kernel: k, args, .. } if k == kernel => Some(args.len()),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Step indices in a deterministic topological order: Kahn's algorithm
-    /// that always emits the earliest-declared ready step next, so equal
-    /// specs execute identical command streams.
-    pub fn topo_order(&self) -> Result<Vec<usize>, SpecError> {
-        let index_of: HashMap<&str, usize> =
-            self.steps.iter().enumerate().map(|(i, s)| (s.id.as_str(), i)).collect();
         let n = self.steps.len();
         let mut emitted = vec![false; n];
         let mut order = Vec::with_capacity(n);
@@ -454,7 +421,7 @@ impl JobSpec {
                     && self.steps[i]
                         .after
                         .iter()
-                        .all(|dep| index_of.get(dep.as_str()).is_some_and(|&j| emitted[j]))
+                        .all(|dep| names.first(Run::Steps, dep).is_some_and(|j| emitted[j]))
             });
             match next {
                 Some(i) => {
@@ -463,11 +430,75 @@ impl JobSpec {
                 }
                 None => {
                     let stuck = (0..n).find(|&i| !emitted[i]).expect("order incomplete");
-                    return Err(SpecError::Cycle(self.steps[stuck].id.clone()));
+                    return Err(SpecError::Cycle(self.steps[stuck].id.to_string()));
                 }
             }
         }
         Ok(order)
+    }
+
+    /// Argument count of `kernel`, read off its first launch step —
+    /// validation makes every launch of a kernel agree — and 0 for a kernel
+    /// that is never launched.
+    pub fn kernel_arity(&self, kernel: &str) -> usize {
+        self.steps
+            .iter()
+            .find_map(|s| match &s.op {
+                StepOp::Launch { kernel: k, args, .. } if &**k == kernel => Some(args.len()),
+                _ => None,
+            })
+            .unwrap_or(0)
+    }
+}
+
+/// A run of [`NameTable`]: what kind of name is looked up.
+#[derive(Clone, Copy)]
+enum Run {
+    Buffers,
+    Kernels,
+    Steps,
+}
+
+/// Every name of a spec in one vector — buffer names, then kernel names,
+/// then step ids — each run sorted by (name, declaration index), so a look-up
+/// is a binary search and finds a name's first declaration. The third field
+/// is free for a kernel's arity, fixed by its first launch.
+struct NameTable<'a> {
+    entries: Vec<(&'a str, usize, Option<usize>)>,
+    /// Where the kernel run and the step run start.
+    kernels: usize,
+    steps: usize,
+}
+
+impl<'a> NameTable<'a> {
+    fn of(spec: &'a JobSpec) -> NameTable<'a> {
+        let kernels = spec.buffers.len();
+        let steps = kernels + spec.kernels.len();
+        let mut entries = Vec::with_capacity(steps + spec.steps.len());
+        entries.extend(spec.buffers.iter().enumerate().map(|(i, b)| (&*b.name, i, None)));
+        entries.extend(spec.kernels.iter().enumerate().map(|(i, k)| (&*k.name, i, None)));
+        entries.extend(spec.steps.iter().enumerate().map(|(i, s)| (&*s.id, i, None)));
+        entries[..kernels].sort_unstable();
+        entries[kernels..steps].sort_unstable();
+        entries[steps..].sort_unstable();
+        NameTable { entries, kernels, steps }
+    }
+
+    /// Position in `entries` of `name`'s first declaration in `run`.
+    fn find(&self, run: Run, name: &str) -> Option<usize> {
+        let (start, end) = match run {
+            Run::Buffers => (0, self.kernels),
+            Run::Kernels => (self.kernels, self.steps),
+            Run::Steps => (self.steps, self.entries.len()),
+        };
+        let run = &self.entries[start..end];
+        let at = run.partition_point(|e| e.0 < name);
+        run.get(at).is_some_and(|e| e.0 == name).then_some(start + at)
+    }
+
+    /// Declaration index of `name`'s first declaration in `run`.
+    fn first(&self, run: Run, name: &str) -> Option<usize> {
+        self.find(run, name).map(|at| self.entries[at].1)
     }
 }
 
@@ -513,14 +544,14 @@ mod tests {
     #[test]
     fn topological_order_is_deterministic_and_respects_deps() {
         let spec = sample();
-        let order = spec.topo_order().unwrap();
+        let order = spec.validated_order().unwrap();
         assert_eq!(order, vec![0, 1, 2]);
         // Declaration order is preserved among unconstrained steps: declare
         // the dependent first and it still runs after its dependency.
         let mut reordered = spec.clone();
         reordered.steps.swap(0, 1);
-        let order = reordered.topo_order().unwrap();
-        let pos = |id: &str| order.iter().position(|&i| reordered.steps[i].id == id).unwrap();
+        let order = reordered.validated_order().unwrap();
+        let pos = |id: &str| order.iter().position(|&i| &*reordered.steps[i].id == id).unwrap();
         assert!(pos("load") < pos("h"));
         assert!(pos("h") < pos("v"));
     }
@@ -609,6 +640,43 @@ mod tests {
             after: vec![],
         });
         assert!(matches!(spec.validate(), Err(SpecError::ArityMismatch(_))));
+    }
+
+    /// With several faults in one spec, the first check in declaration
+    /// order decides the error: buffers, then kernels, then step ids, then
+    /// each step's references in order.
+    #[test]
+    fn the_first_fault_in_declaration_order_decides_the_error() {
+        let mut spec = sample();
+        spec.buffers[0].elements = 0;
+        spec.buffers[1].name = "img".into();
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::Invalid("buffer `img` has zero elements".into()))
+        );
+        spec.buffers.swap(0, 1);
+        assert_eq!(spec.validate(), Err(SpecError::Duplicate("img".into())));
+
+        let mut spec = sample();
+        spec.kernels[1].name = "tmp".into();
+        spec.steps[2].id = "h".into();
+        assert_eq!(spec.validate(), Err(SpecError::Duplicate("tmp".into())));
+
+        let mut spec = sample();
+        spec.steps[0].op = StepOp::Write { buffer: "nope".into() };
+        spec.steps[0].after = vec!["ghost".into()];
+        spec.steps[1].after = vec!["phantom".into()];
+        let unknown = |name: &str| SpecError::UnknownRef { step: "load".into(), name: name.into() };
+        assert_eq!(spec.validate(), Err(unknown("nope")));
+        spec.steps[0].op = StepOp::Write { buffer: "img".into() };
+        assert_eq!(spec.validate(), Err(unknown("ghost")));
+
+        let mut spec = sample();
+        if let StepOp::Launch { local, args, .. } = &mut spec.steps[1].op {
+            *local = 0;
+            args[0] = "nope".into();
+        }
+        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
     }
 
     #[test]

@@ -12,12 +12,14 @@ use hwsim::SimTime;
 use multicl::telemetry::TraceContext;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Static description of one tenant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantConfig {
-    /// Tenant name (used in telemetry events and metric names).
-    pub name: String,
+    /// Tenant name (used in telemetry events and metric names), shared by
+    /// every event that names the tenant.
+    pub name: Arc<str>,
     /// Weighted-round-robin share: up to `weight` jobs drained per sweep.
     pub weight: u32,
     /// Maximum admitted-but-undispatched jobs; submissions beyond this are
@@ -27,7 +29,7 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     /// A tenant with the given name, drain weight (≥1), and queue bound (≥1).
-    pub fn new(name: impl Into<String>, weight: u32, capacity: usize) -> TenantConfig {
+    pub fn new(name: impl Into<Arc<str>>, weight: u32, capacity: usize) -> TenantConfig {
         TenantConfig { name: name.into(), weight: weight.max(1), capacity: capacity.max(1) }
     }
 }

@@ -151,7 +151,7 @@ fn buffers_no_device_can_hold_are_rejected_at_admission() {
     assert_eq!((m.submitted.get(), m.admitted.get(), m.rejected.get()), (2, 0, 2));
     assert_eq!(served.backlog(), 0);
     assert_eq!(served.dispatch_round(), 0);
-    let rejected: Vec<String> = recorder
+    let rejected: Vec<std::sync::Arc<str>> = recorder
         .snapshot()
         .iter()
         .filter_map(|e| match e {
@@ -656,7 +656,7 @@ fn whole_node_loss_mid_run_sheds_and_fails_typed() {
         let refusals: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
-                SchedEvent::JobRejected { reason, .. } => Some(reason.as_str()),
+                SchedEvent::JobRejected { reason, .. } => Some(&**reason),
                 _ => None,
             })
             .collect();

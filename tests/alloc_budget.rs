@@ -1,0 +1,190 @@
+//! The serving path's allocation budget, counted by this test's own global
+//! allocator.
+//!
+//! The set-up is `perf`'s `serve_light` shape: four tenants and four worker
+//! queues under `AUTO_FIT`, the stock templates cut down to one 64-item
+//! workgroup over 256-element buffers, a 60/20/20 mix of in-order /
+//! out-of-order / splittable jobs, and a ring buffer plus a JSONL writer
+//! attached as an operator would. The platform has one data-plane worker,
+//! so every kernel body and transfer runs on the submitting thread and the
+//! count repeats exactly from run to run.
+//!
+//! Names and cost rows are shared by reference count from the job spec to
+//! the telemetry ring, so a job allocates about half of what it did when
+//! each layer copied them (98.8 per job on `perf`'s `serve_light`). The
+//! budget is the measured figure plus 5 %: a change that starts copying
+//! again fails here before it reaches the benchmark.
+
+use served::loadgen::templates;
+use served::service::warmed_options;
+use served::spec::StepOp;
+use served::{JobSpec, RetryPolicy, ServePolicy, Served, ServiceConfig, SloConfig, TenantConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// `System`, counting every call that asks for memory (`alloc`,
+/// `alloc_zeroed`, `realloc`) while [`ARMED`] is set.
+struct Counting;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn count() {
+    if ARMED.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// atomics and allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: `layout` is the caller's, valid per `GlobalAlloc::alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the
+        // caller's, per `GlobalAlloc::realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls made while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    f();
+    ARMED.store(false, Ordering::SeqCst);
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
+const TENANTS: usize = 4;
+const WORKERS: usize = 4;
+const WARM_UP_JOBS: usize = 1_000;
+const MEASURED_JOBS: usize = 2_000;
+/// Allocations per submitted and dispatched job: the measured 53.542, plus
+/// 5 %.
+const BUDGET_PER_JOB: f64 = 56.2;
+
+/// The stock templates at `serve_light`'s size.
+fn light_templates() -> Vec<JobSpec> {
+    let mut pool = templates();
+    for job in &mut pool {
+        for buffer in &mut job.buffers {
+            buffer.elements = 256;
+        }
+        for step in &mut job.steps {
+            if let StepOp::Launch { global, local, .. } = &mut step.op {
+                (*global, *local) = (64, 64);
+            }
+        }
+    }
+    pool
+}
+
+/// `jobs` jobs in bursts of one per tenant: a seeded template each, 60 %
+/// in-order, 20 % out-of-order, 20 % splittable.
+fn jobs(pool: &[JobSpec], rng: &mut hwsim::xrand::XorShift, jobs: usize) -> Vec<JobSpec> {
+    (0..jobs)
+        .map(|_| {
+            let mut job = pool[rng.index(pool.len())].clone();
+            match rng.index(10) {
+                0..=5 => {}
+                6..=7 => job.out_of_order = true,
+                _ => job.splittable = true,
+            }
+            job
+        })
+        .collect()
+}
+
+/// Submit each burst (one job per tenant, cloned from its spec as an
+/// arrival stream does) and dispatch it.
+fn serve(served: &Served, jobs: &[JobSpec]) {
+    for burst in jobs.chunks(TENANTS) {
+        for (tenant, spec) in burst.iter().enumerate() {
+            served.submit(tenant, spec.clone()).expect("the light load is always admitted");
+        }
+        while served.backlog() > 0 {
+            served.dispatch_round();
+        }
+    }
+}
+
+#[test]
+fn serving_a_light_job_stays_inside_its_allocation_budget() {
+    // A clone of a template allocates its non-empty vectors and nothing
+    // else: every name in it is shared.
+    for spec in templates() {
+        let vectors = 3 + spec
+            .steps
+            .iter()
+            .map(|s| {
+                let args = match &s.op {
+                    StepOp::Launch { args, .. } => args.len(),
+                    StepOp::Write { .. } => 0,
+                };
+                usize::from(!s.after.is_empty()) + usize::from(args > 0)
+            })
+            .sum::<usize>();
+        let cloned = allocations(|| drop(std::hint::black_box(spec.clone())));
+        assert!(
+            cloned <= vectors as u64,
+            "cloning template `{}` made {cloned} allocations for {vectors} vectors",
+            spec.name
+        );
+    }
+
+    let dir = std::env::temp_dir().join(format!("alloc-budget-{}", std::process::id()));
+    let platform = clrt::Platform::paper_node_with(clrt::RuntimeConfig {
+        data_plane_workers: 1,
+        ..clrt::RuntimeConfig::default()
+    });
+    let mut options = warmed_options(&platform, &dir);
+    options.observers.push(Arc::new(multicl::telemetry::RingBufferSink::new(1 << 12)));
+    options.observers.push(Arc::new(multicl::telemetry::JsonlSink::new(std::io::sink())));
+    let tenants = (0..TENANTS).map(|i| TenantConfig::new(format!("t{i}"), 1, 8)).collect();
+    let config = ServiceConfig {
+        policy: ServePolicy::AutoFit,
+        workers: WORKERS,
+        tenants,
+        options,
+        retry: RetryPolicy::default(),
+        slo: Some(SloConfig::default()),
+    };
+    let served = Served::new(&platform, config).expect("service builds");
+    let pool = light_templates();
+    served.warm_programs(&pool).expect("templates build");
+    let mut rng = hwsim::xrand::XorShift::new(42);
+    serve(&served, &jobs(&pool, &mut rng, WARM_UP_JOBS));
+
+    let measured = jobs(&pool, &mut rng, MEASURED_JOBS);
+    let total = allocations(|| serve(&served, &measured));
+    let completed: u64 = (0..TENANTS).map(|t| served.metrics().tenant(t).completed.get()).sum();
+    assert_eq!(completed, (WARM_UP_JOBS + MEASURED_JOBS) as u64, "every job completes");
+    let _ = std::fs::remove_dir_all(&dir);
+    let per_job = total as f64 / MEASURED_JOBS as f64;
+    println!("{per_job:.3} allocations per job ({total} over {MEASURED_JOBS} jobs)");
+    assert!(
+        per_job <= BUDGET_PER_JOB,
+        "{per_job:.3} allocations per job exceed the budget of {BUDGET_PER_JOB}"
+    );
+}
