@@ -15,7 +15,6 @@ use crate::platform::next_object_id;
 use hwsim::engine::EventId;
 use hwsim::sync::Mutex;
 use hwsim::DeviceId;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Element types a buffer can be viewed as. Implemented for the primitive
@@ -90,23 +89,82 @@ impl DataStore {
     }
 }
 
+/// A set of devices, kept sorted in a `Vec` and edited in place: `clear`
+/// keeps the capacity, so the `clear(); insert(dev)` every write launch
+/// makes allocates nothing once the set has held a device. Iteration is in
+/// ascending device order.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct DeviceSet(Vec<DeviceId>);
+
+impl DeviceSet {
+    /// True if `dev` is in the set.
+    pub fn contains(&self, dev: DeviceId) -> bool {
+        self.0.binary_search(&dev).is_ok()
+    }
+
+    /// Add `dev` (a no-op if it is there already).
+    pub(crate) fn insert(&mut self, dev: DeviceId) {
+        if let Err(at) = self.0.binary_search(&dev) {
+            self.0.insert(at, dev);
+        }
+    }
+
+    /// Remove every device, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Keep only the devices `keep` accepts.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&DeviceId) -> bool) {
+        self.0.retain(keep);
+    }
+
+    /// True if no device is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The lowest device in the set.
+    pub fn first(&self) -> Option<DeviceId> {
+        self.0.first().copied()
+    }
+
+    /// The devices in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, DeviceId> {
+        self.0.iter()
+    }
+}
+
+impl std::fmt::Debug for DeviceSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(&self.0).finish()
+    }
+}
+
 /// Which copies of the buffer are currently valid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Residency {
     /// Devices holding a valid copy.
-    pub devices: BTreeSet<DeviceId>,
+    pub devices: DeviceSet,
     /// Whether the host copy is valid.
     pub host: bool,
 }
 
 impl Residency {
     fn fresh() -> Residency {
-        Residency { devices: BTreeSet::new(), host: true }
+        Residency { devices: DeviceSet::default(), host: true }
     }
 
     /// True if `dev` holds a valid copy.
     pub fn valid_on(&self, dev: DeviceId) -> bool {
-        self.devices.contains(&dev)
+        self.devices.contains(dev)
+    }
+
+    /// Record a write on `dev`: its copy is now the only valid one.
+    pub(crate) fn written_on(&mut self, dev: DeviceId) {
+        self.devices.clear();
+        self.devices.insert(dev);
+        self.host = false;
     }
 }
 
@@ -336,6 +394,26 @@ mod tests {
         b.inner.residency.lock().devices.insert(DeviceId(1));
         b.host_fill::<f64>(&[0.0, 0.0]).unwrap();
         assert!(b.residency().devices.is_empty());
+    }
+
+    #[test]
+    fn device_set_is_ascending_and_reused_in_place() {
+        let mut set = DeviceSet::default();
+        for d in [2, 0, 1, 0] {
+            set.insert(DeviceId(d));
+        }
+        assert_eq!(
+            set.iter().copied().collect::<Vec<_>>(),
+            [DeviceId(0), DeviceId(1), DeviceId(2)]
+        );
+        assert_eq!(set.first(), Some(DeviceId(0)));
+        assert_eq!(format!("{set:?}"), "{DeviceId(0), DeviceId(1), DeviceId(2)}");
+        // A write's `clear(); insert(dev)` reuses the same allocation.
+        let (ptr, capacity) = (set.0.as_ptr(), set.0.capacity());
+        let mut res = Residency { devices: set, host: true };
+        res.written_on(DeviceId(1));
+        assert_eq!((res.devices.0.as_ptr(), res.devices.0.capacity()), (ptr, capacity));
+        assert!(res.valid_on(DeviceId(1)) && !res.valid_on(DeviceId(0)) && !res.host);
     }
 
     #[test]

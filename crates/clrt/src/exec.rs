@@ -260,6 +260,9 @@ struct State {
     cooling: BinaryHeap<Reverse<(Instant, TaskId)>>,
     /// Engine event id → live task backing it.
     events: HashMap<usize, TaskId>,
+    /// Emptied dependent lists of retired tasks, reused by new ones: never
+    /// more than the peak number of live tasks.
+    spare: Vec<Vec<TaskId>>,
     threads: Vec<JoinHandle<()>>,
     /// Parked workers, most recently parked last; a wake-up takes the last.
     idle: Vec<Thread>,
@@ -334,7 +337,7 @@ impl State {
             work: None,
             caller_run,
             unmet,
-            dependents: Vec::new(),
+            dependents: self.spare.pop().unwrap_or_default(),
             event,
             watched: false,
             deadline: None,
@@ -618,7 +621,8 @@ impl DataPlane {
         }
         let mut released = 0;
         let mut awaited = node.watched;
-        for d in node.dependents {
+        let mut dependents = node.dependents;
+        for d in dependents.drain(..) {
             if let Some(n) = st.tasks.get_mut(&d) {
                 n.unmet -= 1;
                 if n.unmet == 0 && n.caller_run {
@@ -628,6 +632,9 @@ impl DataPlane {
                     released += 1;
                 }
             }
+        }
+        if dependents.capacity() > 0 {
+            st.spare.push(dependents);
         }
         (released, awaited)
     }

@@ -173,10 +173,17 @@ struct KernelInner {
     /// scheduler look-up shares it.
     name: Arc<str>,
     body: Arc<dyn KernelBody>,
-    args: Mutex<Vec<Option<ArgValue>>>,
+    args: Mutex<Slots>,
     /// Per-device launch configuration overrides — the paper's
     /// `clSetKernelWorkGroupInfo` extension (§IV-C).
     per_device_nd: Mutex<HashMap<DeviceId, NdRange>>,
+}
+
+/// The argument slots and the snapshot last taken of them, under one lock:
+/// the snapshot is the slots' values until a `set_arg` replaces one.
+struct Slots {
+    values: Vec<Option<ArgValue>>,
+    snapshot: Option<BoundArgs>,
 }
 
 /// A `cl_kernel`: body + bound arguments. Clones share argument state, like
@@ -195,7 +202,7 @@ impl Kernel {
                 ctx_id,
                 name: Arc::from(body.name()),
                 body,
-                args: Mutex::new(vec![None; arity]),
+                args: Mutex::new(Slots { values: vec![None; arity], snapshot: None }),
                 per_device_nd: Mutex::new(HashMap::new()),
             }),
         }
@@ -233,14 +240,15 @@ impl Kernel {
     /// Bind argument `idx` (`clSetKernelArg`).
     pub fn set_arg(&self, idx: usize, value: ArgValue) -> ClResult<()> {
         let mut args = self.inner.args.lock();
-        if idx >= args.len() {
+        let arity = args.values.len();
+        let Some(slot) = args.values.get_mut(idx) else {
             return Err(ClError::InvalidValue(format!(
-                "kernel `{}` has {} args, index {idx} out of range",
+                "kernel `{}` has {arity} args, index {idx} out of range",
                 self.inner.body.name(),
-                args.len()
             )));
-        }
-        args[idx] = Some(value);
+        };
+        *slot = Some(value);
+        args.snapshot = None;
         Ok(())
     }
 
@@ -249,9 +257,17 @@ impl Kernel {
     /// arguments of a buffered launch at enqueue time, so later
     /// `set_arg` calls (for the next launch of the same kernel object)
     /// cannot retroactively change it.
+    ///
+    /// The kernel keeps the snapshot it builds and hands out clones of it
+    /// (one allocation shared) until the next `set_arg`: a launch repeated
+    /// with unchanged arguments costs a reference count, not a rebuild.
     pub fn snapshot_args(&self) -> ClResult<BoundArgs> {
-        let args = self.inner.args.lock();
-        let values: ClResult<Vec<ArgValue>> = args
+        let mut args = self.inner.args.lock();
+        if let Some(snapshot) = &args.snapshot {
+            return Ok(snapshot.clone());
+        }
+        let values = args
+            .values
             .iter()
             .enumerate()
             .map(|(i, a)| {
@@ -262,9 +278,8 @@ impl Kernel {
                     ))
                 })
             })
-            .collect();
-        drop(args);
-        values.map(BoundArgs::new)
+            .collect::<ClResult<Vec<ArgValue>>>()?;
+        Ok(args.snapshot.insert(BoundArgs::new(values)).clone())
     }
 
     /// The paper's proposed `clSetKernelWorkGroupInfo`: register a launch
@@ -599,6 +614,27 @@ mod tests {
         assert!(args.touched().is_empty());
         assert_eq!((args.buffer_bytes(), args.max_buffer_bytes()), (0, 0));
         assert_eq!(KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args).i64(1), -1);
+    }
+
+    #[test]
+    fn a_snapshot_is_reused_until_set_arg() {
+        let (x, y) = buffers(4);
+        let k = Kernel::new(1, Arc::new(Saxpy));
+        k.set_arg(0, ArgValue::F64(3.0)).unwrap();
+        k.set_arg(1, ArgValue::Buffer(x)).unwrap();
+        k.set_arg(2, ArgValue::BufferMut(y)).unwrap();
+        let first = k.snapshot_args().unwrap();
+        assert!(Arc::ptr_eq(&first.inner, &k.snapshot_args().unwrap().inner));
+        // A refused binding changes nothing, the cached snapshot included.
+        assert!(k.set_arg(3, ArgValue::F64(0.0)).is_err());
+        assert!(Arc::ptr_eq(&first.inner, &k.snapshot_args().unwrap().inner));
+        // A rebinding makes the next snapshot a new one; the one handed out
+        // keeps the values it was taken with.
+        k.set_arg(0, ArgValue::F64(5.0)).unwrap();
+        let second = k.snapshot_args().unwrap();
+        assert!(!Arc::ptr_eq(&first.inner, &second.inner));
+        let scalar = |args: &BoundArgs| KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), args).f64(0);
+        assert_eq!((scalar(&first), scalar(&second)), (3.0, 5.0));
     }
 
     #[test]

@@ -321,16 +321,9 @@ impl CommandQueue {
             }
         }
         let h2d = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
-        let ev = if res.host {
-            let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let ev = self.submit(engine, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated);
-            res.devices.insert(dev);
-            ev
-        } else {
+        let ev = if let (false, Some(owner)) = (res.host, res.devices.first()) {
             // Valid only on some other device: stage through the host
             // (cross-vendor D2D is unavailable, paper §V-C3).
-            let owner =
-                *res.devices.iter().next().expect("buffer valid neither on host nor any device");
             let d = node.topology.host_transfer_time(owner, bytes, &node.devices);
             let d2h = CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
             let ev1 =
@@ -339,9 +332,14 @@ impl CommandQueue {
             let ev2 =
                 self.submit(engine, dev, h2d, d, WaitList::one(ev1), &touches, Stamp::AsStated);
             res.host = true;
-            res.devices.insert(dev);
             ev2
+        } else {
+            // The host copy is valid: after the purge above it always is
+            // when no device holds one.
+            let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
+            self.submit(engine, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated)
         };
+        res.devices.insert(dev);
         Some(ev)
     }
 
@@ -407,10 +405,7 @@ impl CommandQueue {
                 })
             },
         );
-        let mut res = buf.inner.residency.lock();
-        res.devices.clear();
-        res.devices.insert(dev);
-        res.host = false;
+        buf.inner.residency.lock().written_on(dev);
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
     }
 
@@ -518,10 +513,7 @@ impl CommandQueue {
                 },
             );
         }
-        let mut res = dst.inner.residency.lock();
-        res.devices.clear();
-        res.devices.insert(dev);
-        res.host = false;
+        dst.inner.residency.lock().written_on(dev);
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
     }
 
@@ -770,10 +762,7 @@ impl CommandQueue {
         // Residency: written buffers are now valid only on this device.
         if whole {
             for t in touches.iter().filter(|t| t.write) {
-                let mut res = t.buf.inner.residency.lock();
-                res.devices.clear();
-                res.devices.insert(dev);
-                res.host = false;
+                t.buf.inner.residency.lock().written_on(dev);
             }
         }
         ev

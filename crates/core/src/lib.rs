@@ -138,6 +138,27 @@ mod tests {
         }
     }
 
+    /// `v ← 3·v + s` over its buffer: every launch's scalar `s` shows in the
+    /// result, and so does the order of the launches.
+    struct Affine;
+    impl KernelBody for Affine {
+        fn name(&self) -> &str {
+            "affine"
+        }
+        fn arity(&self) -> usize {
+            2
+        }
+        fn cost(&self) -> KernelCostSpec {
+            KernelCostSpec::memory_bound(16.0)
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            let s = ctx.f64(1);
+            for v in ctx.slice_mut::<f64>(0) {
+                *v = 3.0 * *v + s;
+            }
+        }
+    }
+
     fn scratch_options(tag: &str) -> SchedOptions {
         let dir =
             std::env::temp_dir().join(format!("multicl-libtest-{tag}-{}", std::process::id()));
@@ -176,6 +197,41 @@ mod tests {
         let cpu = node.cpu().unwrap();
         assert_eq!(q1.device(), cpu, "CPU-friendly queue must land on the CPU");
         assert!(node.gpus().contains(&q2.device()), "GPU-friendly queue must land on a GPU");
+    }
+
+    #[test]
+    fn a_scalar_rebound_between_buffered_launches_reaches_each_launch() {
+        // FDM's source kernel: one kernel object, its time argument rebound
+        // before each launch, every launch buffered until the epoch ends.
+        let (_platform, ctx) = setup(ContextSchedPolicy::AutoFit, "rebind");
+        let prog = ctx.create_program(vec![Arc::new(Affine) as Arc<dyn KernelBody>]).unwrap();
+        let k = prog.create_kernel("affine").unwrap();
+        let buf = ctx.create_buffer_of::<f64>(256).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(buf.clone())).unwrap();
+        let flags = QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_KERNEL_EPOCH;
+        let q = ctx.create_queue(flags).unwrap();
+        let nd = clrt::NdRange::d1(256, 64);
+        let mut expected = 0.0f64;
+        for epoch in 0..3 {
+            for s in [0.25, 1.5] {
+                let s = s + f64::from(epoch);
+                k.set_arg(1, ArgValue::F64(s)).unwrap();
+                q.enqueue_ndrange(&k, nd).unwrap();
+                expected = 3.0 * expected + s;
+            }
+            // And twice more with no rebinding in between.
+            for _ in 0..2 {
+                q.enqueue_ndrange(&k, nd).unwrap();
+                expected = 3.0 * expected + 1.5 + f64::from(epoch);
+            }
+            q.finish();
+        }
+        let got = buf.host_snapshot::<f64>();
+        assert!(
+            got.iter().all(|v| v.to_bits() == expected.to_bits()),
+            "expected {expected} everywhere, got {:?}…",
+            &got[..4]
+        );
     }
 
     #[test]

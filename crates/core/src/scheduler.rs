@@ -1630,7 +1630,7 @@ impl RtInner {
                         continue;
                     }
                     let bytes = b.byte_len() as u64;
-                    let owner = res.devices.iter().next().copied();
+                    let owner = res.devices.first();
                     let needs_d2h = if self.options.data_caching {
                         !res.host && owner.is_some()
                     } else {
@@ -1718,7 +1718,7 @@ impl RtInner {
         let mut seen: Vec<u64> = Vec::new();
         let mut total = 0;
         for t in pending.iter().flat_map(|p| p.args.touched()) {
-            if first_seen(&mut seen, &t.buf) && !t.buf.residency().valid_on(dev) {
+            if first_seen(&mut seen, &t.buf) && !t.buf.with_residency(|r| r.valid_on(dev)) {
                 total += t.buf.byte_len() as u64;
             }
         }
@@ -1793,7 +1793,7 @@ impl RtInner {
                     SimDuration::ZERO
                 } else if res.host {
                     self.device_profile.host_transfer_time(dev, bytes)
-                } else if let Some(&owner) = res.devices.iter().next() {
+                } else if let Some(owner) = res.devices.first() {
                     self.device_profile.d2d_transfer_time(owner, dev, bytes)
                 } else {
                     SimDuration::ZERO
