@@ -66,6 +66,13 @@ impl<Id: Copy> Frontier<Id> {
         }
     }
 
+    /// Forget every access, keeping the readers' capacity for the next
+    /// buffer replayed through this frontier.
+    pub fn clear(&mut self) {
+        self.writer = None;
+        self.readers.clear();
+    }
+
     /// Forget the readers `live` rejects: a reader that has completed
     /// orders nothing any more. The writer is kept whatever its state — it
     /// is what says which contents the readers read.

@@ -16,19 +16,18 @@
 //! already been emitted (a list schedule over the command DAG).
 //!
 //! The same machinery doubles as the mapper's overlap-aware cost model:
-//! [`overlap_makespan`] estimates the two-lane completion time of a batch
-//! on one device, replacing the straight `Σ(exec) + Σ(migration)` sum —
-//! so `AUTO_FIT` sees the benefit of transfer/compute overlap when placing
-//! out-of-order queues.
+//! [`Scratch::overlap_makespan`] estimates the two-lane completion time of
+//! a batch on one device, replacing the straight `Σ(exec) + Σ(migration)`
+//! sum — so `AUTO_FIT` sees the benefit of transfer/compute overlap when
+//! placing out-of-order queues.
 
 use clrt::hazard::Frontier;
 use hwsim::SimDuration;
-use std::collections::HashMap;
 
 /// One schedulable command of an epoch batch, as the reorderer sees it:
 /// its hazard sets (distinct buffer ids) and its estimated time on each
 /// of the device's two lanes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchCmd {
     /// Buffer ids the command reads (excluding ones it also writes).
     pub reads: Vec<u64>,
@@ -41,116 +40,157 @@ pub struct BatchCmd {
     pub kernel: SimDuration,
 }
 
-/// Hazard edges `(i, j)` (`i` must precede `j`, `i < j`) of a batch: the
-/// RAW / WAR / WAW predecessors ([`Frontier::predecessors`]) of every
-/// command over the commands' buffer sets, a command being its position in
-/// the batch.
-///
-/// Edges are deduplicated and returned sorted by `(i, j)`.
+/// Hazard edges of a batch ([`Scratch::hazard_edges`]) in a fresh scratch.
 pub fn hazard_edges(cmds: &[BatchCmd]) -> Vec<(usize, usize)> {
-    let mut frontiers: HashMap<u64, Frontier<usize>> = HashMap::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (j, cmd) in cmds.iter().enumerate() {
-        let reads = cmd.reads.iter().map(|&b| (b, false));
-        for (b, write) in reads.chain(cmd.writes.iter().map(|&b| (b, true))) {
-            let f = frontiers.entry(b).or_default();
-            // A command that reads and writes the same buffer has recorded
-            // itself as a reader by the time it writes — no self-edge.
-            edges.extend(f.predecessors(write).filter(|&i| i != j).map(|i| (i, j)));
-            f.record(j, write);
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+    Scratch::default().hazard_edges(cmds).to_vec()
 }
 
-/// Johnson's-rule list schedule over the hazard DAG: repeatedly emit, among
-/// the commands whose predecessors have all been emitted, the one Johnson's
-/// two-machine rule ranks first — transfer-light jobs (`transfer ≤ kernel`)
-/// ascending by transfer, then transfer-heavy jobs descending by kernel.
-/// Ties break on the original index, so the schedule is deterministic and
-/// a batch of identical jobs keeps program order.
-///
-/// Returns the emission order as a permutation of `0..cmds.len()`.
-pub fn johnson_order(cmds: &[BatchCmd], edges: &[(usize, usize)]) -> Vec<usize> {
-    let n = cmds.len();
-    let mut indegree = vec![0usize; n];
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(i, j) in edges {
-        indegree[j] += 1;
-        succ[i].push(j);
-    }
-    // Johnson key: class 0 jobs sort ascending by transfer, class 1 jobs
-    // descending by kernel; the index tie-break keeps it a total order.
-    let key = |i: usize| -> (u8, u64, usize) {
-        let c = &cmds[i];
-        if c.transfer <= c.kernel {
-            (0, c.transfer.as_nanos(), i)
-        } else {
-            (1, u64::MAX - c.kernel.as_nanos(), i)
+/// What the reorderer works in, kept by its caller from batch to batch so
+/// that a steady epoch allocates nothing here. It holds the hazard DAG of
+/// the last [`Scratch::hazard_edges`] call, which the other routines use.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// `(buffer, command, write)` for every access of the batch.
+    accesses: Vec<(u64, usize, bool)>,
+    frontier: Frontier<usize>,
+    /// The DAG as flat adjacency: `edges[first[i]..first[i + 1]]` are
+    /// command `i`'s out-edges.
+    edges: Vec<(usize, usize)>,
+    first: Vec<usize>,
+    indegree: Vec<usize>,
+    ready: Vec<usize>,
+    order: Vec<usize>,
+    /// Per command: when its last emitted predecessor finishes.
+    after: Vec<u64>,
+}
+
+impl Scratch {
+    /// Hazard edges `(i, j)` (`i` must precede `j`, `i < j`) of a batch: the
+    /// RAW / WAR / WAW predecessors ([`Frontier::predecessors`]) of every
+    /// command over the commands' buffer sets, a command being its position
+    /// in the batch.
+    ///
+    /// Edges are deduplicated and returned sorted by `(i, j)`; they are the
+    /// DAG the other routines schedule until the next call.
+    pub fn hazard_edges(&mut self, cmds: &[BatchCmd]) -> &[(usize, usize)] {
+        self.accesses.clear();
+        for (j, cmd) in cmds.iter().enumerate() {
+            self.accesses.extend(cmd.reads.iter().map(|&b| (b, j, false)));
+            self.accesses.extend(cmd.writes.iter().map(|&b| (b, j, true)));
         }
-    };
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(pos) = (0..ready.len()).min_by_key(|&p| key(ready[p])) {
-        let i = ready.swap_remove(pos);
-        order.push(i);
-        for &j in &succ[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                ready.push(j);
+        // Buffer by buffer, in batch order, a command's read before its
+        // write: one that reads and writes a buffer has recorded itself as a
+        // reader by the time it writes — no self-edge.
+        self.accesses.sort_unstable();
+        self.edges.clear();
+        for run in self.accesses.chunk_by(|a, b| a.0 == b.0) {
+            self.frontier.clear();
+            for &(_, j, write) in run {
+                let preds = self.frontier.predecessors(write).filter(|&i| i != j);
+                self.edges.extend(preds.map(|i| (i, j)));
+                self.frontier.record(j, write);
             }
         }
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        self.first.clear();
+        self.first.extend((0..=cmds.len()).map(|i| self.edges.partition_point(|e| e.0 < i)));
+        &self.edges
     }
-    debug_assert_eq!(order.len(), n, "hazard edges must form a DAG");
-    order
-}
 
-/// Simulated two-lane completion time of emitting `cmds` in `order`: each
-/// command's transfer occupies the copy lane, its kernel the compute lane,
-/// the kernel starts after its own transfer completes, and no stage starts
-/// before every hazard-edge predecessor has fully finished. Lanes process
-/// commands in emission order (in-order hardware lanes fed out-of-order),
-/// which is exactly how the engine's eager two-lane clock behaves.
-pub fn lane_makespan(cmds: &[BatchCmd], edges: &[(usize, usize)], order: &[usize]) -> SimDuration {
-    let n = cmds.len();
-    let mut pred: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(i, j) in edges {
-        pred[j].push(i);
-    }
-    let mut end = vec![0u64; n];
-    let mut copy_avail = 0u64;
-    let mut compute_avail = 0u64;
-    let mut makespan = 0u64;
-    for &i in order {
-        let ready: u64 = pred[i].iter().map(|&p| end[p]).max().unwrap_or(0);
-        let t = cmds[i].transfer.as_nanos();
-        let k = cmds[i].kernel.as_nanos();
-        let copy_end = if t == 0 {
-            // No staging: the command never touches the copy lane.
-            ready
-        } else {
-            let start = copy_avail.max(ready);
-            copy_avail = start + t;
-            copy_avail
+    /// Johnson's-rule list schedule over the current hazard DAG: repeatedly
+    /// emit, among the commands whose predecessors have all been emitted,
+    /// the one Johnson's two-machine rule ranks first — transfer-light jobs
+    /// (`transfer ≤ kernel`) ascending by transfer, then transfer-heavy jobs
+    /// descending by kernel. Ties break on the original index, so the
+    /// schedule is deterministic and a batch of identical jobs keeps program
+    /// order.
+    ///
+    /// Returns the emission order as a permutation of `0..cmds.len()`.
+    pub fn johnson_order(&mut self, cmds: &[BatchCmd]) -> &[usize] {
+        let n = cmds.len();
+        self.indegree.clear();
+        self.indegree.resize(n, 0);
+        for &(_, j) in &self.edges {
+            self.indegree[j] += 1;
+        }
+        // Johnson key: class 0 jobs sort ascending by transfer, class 1 jobs
+        // descending by kernel; the index tie-break keeps it a total order.
+        let key = |i: usize| -> (u8, u64, usize) {
+            let c = &cmds[i];
+            if c.transfer <= c.kernel {
+                (0, c.transfer.as_nanos(), i)
+            } else {
+                (1, u64::MAX - c.kernel.as_nanos(), i)
+            }
         };
-        let kernel_start = compute_avail.max(copy_end).max(ready);
-        compute_avail = kernel_start + k;
-        end[i] = compute_avail.max(copy_end);
-        makespan = makespan.max(end[i]);
+        self.ready.clear();
+        self.ready.extend((0..n).filter(|&i| self.indegree[i] == 0));
+        self.order.clear();
+        while let Some(pos) = (0..self.ready.len()).min_by_key(|&p| key(self.ready[p])) {
+            let i = self.ready.swap_remove(pos);
+            self.order.push(i);
+            for &(_, j) in &self.edges[self.first[i]..self.first[i + 1]] {
+                self.indegree[j] -= 1;
+                if self.indegree[j] == 0 {
+                    self.ready.push(j);
+                }
+            }
+        }
+        debug_assert_eq!(self.order.len(), n, "hazard edges must form a DAG");
+        &self.order
     }
-    SimDuration::from_nanos(makespan)
-}
 
-/// The overlap-aware makespan estimate of a batch on one device: hazard
-/// edges → Johnson list schedule → two-lane simulation. This is what the
-/// mapper substitutes for the straight serial sum when costing an
-/// out-of-order queue.
-pub fn overlap_makespan(cmds: &[BatchCmd]) -> SimDuration {
-    let edges = hazard_edges(cmds);
-    let order = johnson_order(cmds, &edges);
-    lane_makespan(cmds, &edges, &order)
+    /// Simulated two-lane completion time of emitting `cmds` in `order`:
+    /// each command's transfer occupies the copy lane, its kernel the
+    /// compute lane, the kernel starts after its own transfer completes,
+    /// and no stage starts before every hazard-edge predecessor (of the
+    /// current DAG) has fully finished. Lanes process commands in emission
+    /// order (in-order hardware lanes fed out-of-order), which is exactly
+    /// how the engine's eager two-lane clock behaves.
+    pub fn lane_makespan(&mut self, cmds: &[BatchCmd], order: &[usize]) -> SimDuration {
+        // A command's predecessors push their end times forward as they are
+        // emitted; one not yet emitted has not finished, which counts as 0.
+        self.after.clear();
+        self.after.resize(cmds.len(), 0);
+        let mut copy_avail = 0u64;
+        let mut compute_avail = 0u64;
+        let mut makespan = 0u64;
+        for &i in order {
+            let ready = self.after[i];
+            let t = cmds[i].transfer.as_nanos();
+            let k = cmds[i].kernel.as_nanos();
+            let copy_end = if t == 0 {
+                // No staging: the command never touches the copy lane.
+                ready
+            } else {
+                let start = copy_avail.max(ready);
+                copy_avail = start + t;
+                copy_avail
+            };
+            let kernel_start = compute_avail.max(copy_end).max(ready);
+            compute_avail = kernel_start + k;
+            let end = compute_avail.max(copy_end);
+            for &(_, j) in &self.edges[self.first[i]..self.first[i + 1]] {
+                self.after[j] = self.after[j].max(end);
+            }
+            makespan = makespan.max(end);
+        }
+        SimDuration::from_nanos(makespan)
+    }
+
+    /// The overlap-aware makespan estimate of a batch on one device over the
+    /// current hazard DAG: Johnson list schedule → two-lane simulation. The
+    /// edges depend only on the buffer sets, so a batch costed on several
+    /// devices computes them once. This is what the mapper substitutes for
+    /// the straight serial sum when costing an out-of-order queue.
+    pub fn overlap_makespan(&mut self, cmds: &[BatchCmd]) -> SimDuration {
+        self.johnson_order(cmds);
+        let order = std::mem::take(&mut self.order);
+        let makespan = self.lane_makespan(cmds, &order);
+        self.order = order;
+        makespan
+    }
 }
 
 /// Number of commands a schedule displaced from their program position —
@@ -194,11 +234,13 @@ mod tests {
         // Classic two-machine instance: the transfer-heavy job must go
         // last so its copy time hides under the others' kernels.
         let cmds = [cmd(&[], &[1], 90, 10), cmd(&[], &[2], 10, 80), cmd(&[], &[3], 30, 60)];
-        let order = johnson_order(&cmds, &[]);
+        let mut s = Scratch::default();
+        assert!(s.hazard_edges(&cmds).is_empty());
+        let order = s.johnson_order(&cmds).to_vec();
         assert_eq!(order, vec![1, 2, 0]);
         // And the schedule is strictly better than program order.
-        let reordered = lane_makespan(&cmds, &[], &order);
-        let program = lane_makespan(&cmds, &[], &[0, 1, 2]);
+        let reordered = s.lane_makespan(&cmds, &order);
+        let program = s.lane_makespan(&cmds, &[0, 1, 2]);
         assert!(reordered < program, "{reordered} !< {program}");
     }
 
@@ -207,8 +249,9 @@ mod tests {
         // Job 2 is transfer-light (Johnson would front it) but RAW-depends
         // on job 0; the list schedule must hold it back.
         let cmds = [cmd(&[], &[1], 50, 10), cmd(&[], &[2], 20, 40), cmd(&[1], &[], 5, 30)];
-        let edges = hazard_edges(&cmds);
-        let order = johnson_order(&cmds, &edges);
+        let mut s = Scratch::default();
+        s.hazard_edges(&cmds);
+        let order = s.johnson_order(&cmds);
         let p0 = order.iter().position(|&i| i == 0).unwrap();
         let p2 = order.iter().position(|&i| i == 2).unwrap();
         assert!(p0 < p2, "dependent command emitted before its producer: {order:?}");
@@ -219,7 +262,9 @@ mod tests {
         // Two independent (transfer=40, kernel=60) jobs: serial execution
         // costs 200, the pipeline hides the second transfer entirely.
         let cmds = [cmd(&[], &[1], 40, 60), cmd(&[], &[2], 40, 60)];
-        let makespan = lane_makespan(&cmds, &[], &[0, 1]);
+        let mut s = Scratch::default();
+        s.hazard_edges(&cmds);
+        let makespan = s.lane_makespan(&cmds, &[0, 1]);
         assert_eq!(makespan, SimDuration::from_nanos(160));
         assert!(makespan < SimDuration::from_nanos(200));
     }
@@ -228,16 +273,18 @@ mod tests {
     fn raw_chain_cannot_overlap() {
         // A strict RAW chain degenerates to the serial sum.
         let cmds = [cmd(&[], &[1], 40, 60), cmd(&[1], &[1], 40, 60)];
-        let edges = hazard_edges(&cmds);
-        let order = johnson_order(&cmds, &edges);
-        assert_eq!(lane_makespan(&cmds, &edges, &order), SimDuration::from_nanos(200));
+        let mut s = Scratch::default();
+        s.hazard_edges(&cmds);
+        assert_eq!(s.overlap_makespan(&cmds), SimDuration::from_nanos(200));
     }
 
     #[test]
     fn overlap_makespan_beats_serial_sum_on_independent_batch() {
         let cmds: Vec<BatchCmd> = (0..8).map(|i| cmd(&[], &[i as u64 + 1], 40, 40)).collect();
         let serial: u64 = cmds.iter().map(|c| c.transfer.as_nanos() + c.kernel.as_nanos()).sum();
-        let overlapped = overlap_makespan(&cmds);
+        let mut s = Scratch::default();
+        s.hazard_edges(&cmds);
+        let overlapped = s.overlap_makespan(&cmds);
         assert!(
             overlapped.as_nanos() * 3 < serial * 2,
             "expected ≥33% reduction: {overlapped} vs serial {serial}ns"

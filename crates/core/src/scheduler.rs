@@ -26,7 +26,7 @@
 
 use crate::flags::{ContextSchedPolicy, QueueSchedFlags};
 use crate::mapper;
-use crate::ooo;
+use crate::ooo::{self, BatchCmd};
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
@@ -275,10 +275,6 @@ struct RtInner {
     /// hands its own key to `CacheHit` and its own row to the mapper's
     /// explain record.
     epoch_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
-    /// Where a pass spells out the epoch key it probes `epoch_profiles`
-    /// with, reused so a warm epoch allocates nothing to look itself up.
-    /// Passes are serialized by `pass_lock`; the lock keeps `RtInner: Sync`.
-    epoch_key: Mutex<EpochKey>,
     /// The policy and mapper names every `EpochBegin`,
     /// `MakespanAttribution` and `MappingDecision` carries, made once.
     policy_label: Arc<str>,
@@ -301,10 +297,10 @@ struct RtInner {
     /// whole pool, computes an assignment, and rebinds+flushes — interleaving
     /// two passes could double-flush a queue or rebind it mid-flush.
     pass_lock: Mutex<()>,
-    /// Reusable mapper buffers (scratch, cost matrix, warm-start vector).
-    /// Passes are serialized by `pass_lock`, so this lock is uncontended —
-    /// it exists to keep `RtInner: Sync` without `unsafe`.
-    mapper_state: Mutex<MapperState>,
+    /// What a pass works in, reused from one pass to the next. A pass holds
+    /// it throughout, and `finish_all` borrows its queue list between
+    /// passes; the lock keeps `RtInner: Sync` without `unsafe`.
+    mapper_state: Mutex<PassScratch>,
     /// Per-device in-order lanes the split flush issues chunks on, created
     /// lazily (device index → queue; the pass's device list is the
     /// context's, so a lane stays on its device) and reused across epochs
@@ -312,15 +308,41 @@ struct RtInner {
     split_lanes: Mutex<HashMap<usize, CommandQueue>>,
 }
 
-/// Buffers the AUTO_FIT arm reuses across epochs so the steady-state hot
-/// path does not allocate per decision.
+/// What a scheduling pass fills and reads back, kept from pass to pass so
+/// that a steady epoch allocates only what it hands on: cost rows, event
+/// payloads and the commands it issues. What holds a queue or a kernel is
+/// emptied before the pass returns.
 #[derive(Default)]
-struct MapperState {
-    scratch: mapper::MapperScratch,
+struct PassScratch {
+    /// The pass's participating queues with pending work.
+    pool: Vec<Arc<QueueState>>,
+    /// [`Pass::lost`] and [`RtInner::refine_snapshot`]'s index.
+    lost: Vec<bool>,
+    refine: HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+    lanes: hwsim::report::LaneScratch,
+    work: Work,
+}
+
+/// What the phases of a pass work in.
+#[derive(Default)]
+struct Work {
+    /// The pass's stats, applied under one `stats` lock when it ends.
+    delta: SchedStats,
+    key: EpochKey,
+    mapper: mapper::MapperScratch,
     costs: mapper::CostMatrix,
     /// Previous-epoch warm start: each pool queue's current device binding,
     /// as an index into the pass's device list.
     warm: Vec<DeviceId>,
+    /// The launches one flush drained, and the group position of each one's
+    /// queue.
+    cmds: Vec<PendingKernel>,
+    owners: Vec<usize>,
+    batch: Vec<BatchCmd>,
+    dag: ooo::Scratch,
+    /// First-touch lists: one per device index, and one for a single walk.
+    staged: Vec<Vec<u64>>,
+    seen: Vec<u64>,
 }
 
 /// Interpret a debug-style environment variable value: unset, empty (after
@@ -392,7 +414,6 @@ impl MulticlContext {
                 kernel_profiles: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
-                epoch_key: Mutex::new(EpochKey::default()),
                 policy_label: policy.to_string().into(),
                 mapper_label: mapper_label.into(),
                 queues: Mutex::new(Vec::new()),
@@ -404,7 +425,7 @@ impl MulticlContext {
                 sched_epoch: AtomicU64::new(0),
                 observers: Mutex::new(observers.into()),
                 pass_lock: Mutex::new(()),
-                mapper_state: Mutex::new(MapperState::default()),
+                mapper_state: Mutex::new(PassScratch::default()),
                 split_lanes: Mutex::new(HashMap::new()),
             }),
         };
@@ -473,13 +494,17 @@ impl MulticlContext {
     }
 
     /// Context devices currently usable — everything not permanently lost
-    /// (degraded devices still count; they are slow, not gone). The serving
-    /// layer scales its admission capacity by this.
+    /// (degraded devices still count; they are slow, not gone).
     pub fn healthy_devices(&self) -> Vec<DeviceId> {
-        let devices = self.rt.cl.devices().to_vec();
-        self.rt
-            .platform
-            .with_engine(|e| devices.into_iter().filter(|&d| !e.device_lost(d)).collect())
+        let devices = self.rt.cl.devices().iter().copied();
+        self.rt.platform.with_engine(|e| devices.filter(|&d| !e.device_lost(d)).collect())
+    }
+
+    /// How many [`Self::healthy_devices`] there are, counted under one
+    /// engine lock. The serving layer scales its admission capacity by this.
+    pub fn healthy_device_count(&self) -> usize {
+        let devices = self.rt.cl.devices().iter();
+        self.rt.platform.with_engine(|e| devices.filter(|&&d| !e.device_lost(d)).count())
     }
 
     /// Broadcast an event to every observer attached to this context. Lets
@@ -617,17 +642,22 @@ impl MulticlContext {
     /// and block until all devices drain.
     pub fn finish_all(&self) {
         self.rt.schedule_and_flush();
-        for q in self.rt.alive_queues() {
+        let mut queues = std::mem::take(&mut self.rt.mapper_state.lock().pool);
+        self.rt.alive_queues(&mut queues);
+        for q in queues.drain(..) {
             q.cl.finish();
         }
+        self.rt.mapper_state.lock().pool = queues;
     }
 }
 
 impl RtInner {
-    fn alive_queues(&self) -> Vec<Arc<QueueState>> {
+    /// The context's live queues, in creation order, into `out`.
+    fn alive_queues(&self, out: &mut Vec<Arc<QueueState>>) {
         let mut queues = self.queues.lock();
         queues.retain(|w| w.strong_count() > 0);
-        queues.iter().filter_map(Weak::upgrade).collect()
+        out.clear();
+        out.extend(queues.iter().filter_map(Weak::upgrade));
     }
 
     /// Deliver one event to every attached observer. The observer list is
@@ -644,29 +674,28 @@ impl RtInner {
     /// health, assign, announce+rebind+flush, attribute and refine, close
     /// the epoch — and every queue takes the same path through each.
     ///
-    /// Stats are accumulated into a local delta and applied under a single
-    /// `stats` lock per pass — the epoch hot path takes no per-queue or
-    /// per-event stats locks.
+    /// Stats are accumulated into the pass's delta and applied under a
+    /// single `stats` lock per pass — the epoch hot path takes no per-queue
+    /// or per-event stats locks.
     fn schedule_and_flush(&self) {
         // One pass at a time: concurrent submitters (e.g. the serving
         // layer's front-end threads) may all hit a trigger; the second one
         // waits and then finds the pool already drained, which is correct.
         let _one_pass = self.pass_lock.lock();
-        let mut delta = SchedStats::default();
-        let (pool, passthrough): (Vec<_>, Vec<_>) = self
-            .alive_queues()
-            .into_iter()
-            .filter(|q| !q.pending.lock().is_empty())
-            .partition(|q| q.participates());
+        let mut scratch = self.mapper_state.lock();
+        let PassScratch { pool, lost, refine, lanes, work } = &mut *scratch;
+        work.delta = SchedStats::default();
+        self.alive_queues(pool);
+        pool.retain(|q| !q.pending.lock().is_empty());
         // Non-participating queues flush to their current binding.
-        for q in &passthrough {
-            self.flush(&[q], None, &mut delta);
+        for q in pool.extract_if(.., |q| !q.participates()) {
+            self.flush(&[&q], None, work);
         }
         if pool.is_empty() {
-            self.apply_stats(&delta);
+            self.apply_stats(&work.delta);
             return;
         }
-        delta.sched_invocations += 1;
+        work.delta.sched_invocations += 1;
         let epoch = self.sched_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let began = self.platform.now();
         self.emit(&SchedEvent::EpochBegin {
@@ -675,21 +704,23 @@ impl RtInner {
             pool: pool.len(),
             policy: Arc::clone(&self.policy_label),
         });
-        let pass = self.device_health(epoch, &mut delta);
+        self.device_health(epoch, lost, &mut work.delta);
+        let devices = self.cl.devices();
+        let pass = Pass { epoch, pool, devices, lost, capacity: &self.capacity };
         let Assignment { devices: assignment, predicted, profiling } = match self.policy {
-            ContextSchedPolicy::RoundRobin => self.assign_round_robin(&pool, &pass),
-            ContextSchedPolicy::AutoFit => self.assign_auto_fit(&pool, &pass, began, &mut delta),
+            ContextSchedPolicy::RoundRobin => self.assign_round_robin(&pass, work),
+            ContextSchedPolicy::AutoFit => self.assign_auto_fit(&pass, began, work),
         };
-        let refine_index = self.refine_snapshot(&pool);
+        self.refine_snapshot(pool, refine);
         // Engine trace records carry their final stamps at submit time, so
         // the executed critical path of this epoch's flush is known as soon
         // as the issue loop returns: everything pushed past this watermark
         // belongs to the pool flush (migration transfers included).
         let flush_start = self.platform.now();
         let trace_offset = self.platform.with_engine(|e| e.trace().total_pushed());
-        let passthrough_issued = delta.kernels_issued;
-        self.rebind_and_flush(&pool, &assignment, &pass, &mut delta);
-        self.apply_stats(&delta);
+        let passthrough_issued = work.delta.kernels_issued;
+        self.rebind_and_flush(&pass, &assignment, work);
+        self.apply_stats(&work.delta);
         // Predicted-vs-actual makespan attribution: the mapper's objective
         // against the executed critical path of the commands it just issued.
         let executed_end = self.platform.with_engine(|e| {
@@ -707,31 +738,31 @@ impl RtInner {
         // Online refinement: fold the executed completions back into the
         // predictor before the epoch closes, so the decision log can
         // summarize predicted-vs-actual error per epoch.
-        if !refine_index.is_empty() {
-            self.refine_predictor(&refine_index, &pass.devices, trace_offset, epoch);
+        if !refine.is_empty() {
+            self.refine_predictor(refine, pass.devices, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
         // Measured copy/compute lane overlap of this epoch's flush window,
         // per device (0.0 where a device saw one lane or none).
         let lane_overlap: Vec<f64> = self.platform.with_engine(|e| {
-            let lanes = hwsim::report::lane_utilization_of(e.trace().records_since(trace_offset));
-            pass.devices
-                .iter()
-                .map(|d| lanes.get(d).map_or(0.0, |l| l.overlap_fraction()))
-                .collect()
+            let records = e.trace().records_since(trace_offset);
+            let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
+            pass.devices.iter().map(overlap).collect()
         });
         self.emit(&SchedEvent::EpochEnd {
             epoch,
             at: done,
             elapsed: done.saturating_since(began),
             profiling,
-            kernels_issued: delta.kernels_issued - passthrough_issued,
+            kernels_issued: work.delta.kernels_issued - passthrough_issued,
             data_queue_depth: dp.queue_depth,
             data_peak_busy: dp.peak_busy_workers,
-            commands_reordered: delta.commands_reordered,
+            commands_reordered: work.delta.commands_reordered,
             lane_overlap,
         });
+        pool.clear();
+        refine.clear();
     }
 
     /// Device-health phase: a device is lost once the fault plan's loss
@@ -739,20 +770,18 @@ impl RtInner {
     /// recovery points — the pass blacklists lost devices and evacuates
     /// their queues through the normal mapping machinery, so recovery cost
     /// is charged like any other migration. Each loss is announced once.
-    fn device_health(&self, epoch: u64, delta: &mut SchedStats) -> Pass {
-        let devices = self.cl.devices().to_vec();
-        let lost: Vec<bool> =
-            self.platform.with_engine(|e| devices.iter().map(|&d| e.device_lost(d)).collect());
+    fn device_health(&self, epoch: u64, lost: &mut Vec<bool>, delta: &mut SchedStats) {
+        let devices = self.cl.devices();
+        lost.clear();
+        self.platform.with_engine(|e| lost.extend(devices.iter().map(|&d| e.device_lost(d))));
         let mut announced = self.down_announced.lock();
-        for (&dev, &is_lost) in devices.iter().zip(&lost) {
+        for (&dev, &is_lost) in devices.iter().zip(lost.iter()) {
             if is_lost && !announced.contains(&dev) {
                 announced.push(dev);
                 delta.devices_lost += 1;
                 self.emit(&SchedEvent::DeviceDown { epoch, device: dev, at: self.platform.now() });
             }
         }
-        drop(announced);
-        Pass { epoch, devices, lost, capacity: Arc::clone(&self.capacity) }
     }
 
     /// ROUND_ROBIN assignment: "schedules the command queue to the next
@@ -760,8 +789,9 @@ impl RtInner {
     /// queue is bound once, the first time it reaches the scheduler, and
     /// keeps that binding (re-rotating every epoch would thrash data
     /// between devices).
-    fn assign_round_robin(&self, pool: &[Arc<QueueState>], pass: &Pass) -> Assignment {
-        let devices: Vec<DeviceId> = pool
+    fn assign_round_robin(&self, pass: &Pass, work: &mut Work) -> Assignment {
+        let devices: Vec<DeviceId> = pass
+            .pool
             .iter()
             .map(|q| {
                 let bound = q.rr_bound.swap(true, Ordering::Relaxed);
@@ -791,15 +821,15 @@ impl RtInner {
         // §V-B static model otherwise — pure reads either way, so the
         // prediction never perturbs the virtual clock or event stream.
         let mut per_device = vec![SimDuration::ZERO; pass.devices.len()];
-        for (q, dev) in pool.iter().zip(&devices) {
+        for (q, dev) in pass.pool.iter().zip(&devices) {
             let pending = q.pending.lock();
-            let b = match self.classify(q, &pending) {
+            let b = match self.classify(q, &pending, &mut work.key) {
                 CostPlan::Profile { .. } => CostBreakdown {
-                    exec: self.static_costs(q, &pending, &pass.devices),
-                    migration: self.migration_vec(q, &pending, &pass.devices),
+                    exec: self.static_costs(q, &pending, pass.devices),
+                    migration: self.migration_vec(q, &pending, pass.devices, &mut work.seen),
                     overlap: None,
                 },
-                plan => self.cost_row(q, &pending, &plan, &pass.devices),
+                plan => self.cost_row(q, &pending, &plan, pass.devices, work),
             };
             if let Some(i) = pass.index_of(*dev) {
                 per_device[i] += b.total(i);
@@ -813,26 +843,18 @@ impl RtInner {
     }
 
     /// AUTO_FIT assignment: one cost row per pool queue, then the mapper.
-    fn assign_auto_fit(
-        &self,
-        pool: &[Arc<QueueState>],
-        pass: &Pass,
-        began: hwsim::SimTime,
-        delta: &mut SchedStats,
-    ) -> Assignment {
-        let (epoch, devices) = (pass.epoch, &pass.devices);
+    fn assign_auto_fit(&self, pass: &Pass, began: hwsim::SimTime, work: &mut Work) -> Assignment {
+        let (epoch, devices, pool) = (pass.epoch, pass.devices, pass.pool);
         let breakdowns: Vec<CostBreakdown> =
-            pool.iter().map(|q| self.queue_costs(q, pass, delta)).collect();
+            pool.iter().map(|q| self.queue_costs(q, pass, work)).collect();
         // Virtual time the pass spent obtaining cost vectors (dynamic
         // profiling and its staging transfers are the only clock-advancing
         // work before the flush).
         let profiling = self.platform.now().saturating_since(began);
-        let mut state = self.mapper_state.lock();
-        let state = &mut *state;
         // Reuse the cost-matrix rows across epochs: the steady state re-fills
         // them without allocating.
-        state.costs.resize_with(breakdowns.len(), Vec::new);
-        for (row, b) in state.costs.iter_mut().zip(&breakdowns) {
+        work.costs.resize_with(breakdowns.len(), Vec::new);
+        for (row, b) in work.costs.iter_mut().zip(&breakdowns) {
             b.totals_into(row);
         }
         // Blacklist, per queue, the devices it may not be bound to — lost,
@@ -842,7 +864,7 @@ impl RtInner {
         // starts). With zero healthy devices the rows stay untouched — the
         // assignment is moot, the commands all fail with a typed status, and
         // an all-sentinel matrix would only distort the explain records.
-        for (row, q) in state.costs.iter_mut().zip(pool) {
+        for (row, q) in work.costs.iter_mut().zip(pool) {
             let bindable = pass.bindable(Pass::need(&q.pending.lock()));
             for (di, c) in row.iter_mut().enumerate() {
                 if !bindable(di) {
@@ -853,40 +875,37 @@ impl RtInner {
         // Warm start: each queue's current binding — exactly the previous
         // epoch's assignment for queues that stayed in the pool. Positions
         // are column indices into `devices`.
-        state.warm.clear();
+        work.warm.clear();
         let warm_valid = pool.iter().all(|q| {
             devices.iter().position(|&d| d == q.cl.device()).is_some_and(|i| {
-                state.warm.push(DeviceId(i));
+                work.warm.push(DeviceId(i));
                 true
             })
         });
-        let warm = warm_valid.then_some(state.warm.as_slice());
+        let warm = warm_valid.then_some(work.warm.as_slice());
         let mapper_began = std::time::Instant::now();
         let outcome = match self.options.mapper {
             MapperKind::Greedy => mapper::SearchOutcome {
-                mapping: mapper::greedy(&state.costs),
+                mapping: mapper::greedy(&work.costs),
                 nodes_explored: 0,
                 budget_tripped: false,
             },
-            MapperKind::Adaptive => mapper::adaptive(
-                &state.costs,
-                warm,
-                DEFAULT_ADAPTIVE_NODE_BUDGET,
-                &mut state.scratch,
-            ),
+            MapperKind::Adaptive => {
+                mapper::adaptive(&work.costs, warm, DEFAULT_ADAPTIVE_NODE_BUDGET, &mut work.mapper)
+            }
         };
         let mapper_wall =
             SimDuration::from_nanos(mapper_began.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         let mapping = outcome.mapping;
         let decisions: Vec<QueueDecision> = pool
             .iter()
-            .zip(&breakdowns)
+            .zip(breakdowns)
             .zip(&mapping.assignment)
             .map(|((q, b), &dev)| QueueDecision {
                 queue: q.id,
-                exec_estimates: b.exec.clone(),
-                migration_costs: b.migration.clone(),
-                overlap_estimates: b.overlap.clone().unwrap_or_default(),
+                exec_estimates: b.exec,
+                migration_costs: b.migration,
+                overlap_estimates: b.overlap.unwrap_or_default(),
                 chosen: devices[dev.index()],
                 previous: q.cl.device(),
             })
@@ -911,13 +930,14 @@ impl RtInner {
     /// Snapshot what the predictor needs to learn from this flush: each
     /// distinct kernel's descriptor and first-seen launch geometry (the
     /// same approximation as the name-keyed profile cache), captured
-    /// before the flush drains the pending lists. Empty when prediction is
-    /// disabled.
+    /// before the flush drains the pending lists, into `index`. Left empty
+    /// when prediction is disabled.
     fn refine_snapshot(
         &self,
         pool: &[Arc<QueueState>],
-    ) -> HashMap<Arc<str>, (Kernel, NdRange, u64)> {
-        let mut index = HashMap::new();
+        index: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+    ) {
+        index.clear();
         if self.options.predictor_confidence > 0.0 {
             for q in pool {
                 for p in q.pending.lock().iter() {
@@ -928,7 +948,6 @@ impl RtInner {
                 }
             }
         }
-        index
     }
 
     /// Announce+rebind+flush phase, queue by queue in pool order. A queue
@@ -937,15 +956,9 @@ impl RtInner {
     /// queues are flushed as one cross-queue batch after the in-order
     /// queues, so the reorderer sees every OOO command of the epoch;
     /// rebinds and migration events still happen per queue.
-    fn rebind_and_flush(
-        &self,
-        pool: &[Arc<QueueState>],
-        assignment: &[DeviceId],
-        pass: &Pass,
-        delta: &mut SchedStats,
-    ) {
+    fn rebind_and_flush(&self, pass: &Pass, assignment: &[DeviceId], work: &mut Work) {
         let mut ooo_group: Vec<&Arc<QueueState>> = Vec::new();
-        for (q, &to) in pool.iter().zip(assignment) {
+        for (q, &to) in pass.pool.iter().zip(assignment) {
             let from = q.cl.device();
             if from != to {
                 let bytes = self.pending_nonresident_bytes(&q.pending.lock(), to);
@@ -954,7 +967,7 @@ impl RtInner {
                 // telemetry keeps the two apart (recovery latency is measured
                 // DeviceDown → Remapped).
                 self.emit(&if pass.is_lost(from) {
-                    delta.queues_remapped += 1;
+                    work.delta.queues_remapped += 1;
                     SchedEvent::Remapped { epoch, queue, from, to, bytes, at }
                 } else {
                     SchedEvent::QueueMigrated { epoch, queue, from, to, bytes, at }
@@ -964,10 +977,10 @@ impl RtInner {
             if q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
                 ooo_group.push(q);
             } else {
-                self.flush(&[q], Some(pass), delta);
+                self.flush(&[q], Some(pass), work);
             }
         }
-        self.flush(&ooo_group, Some(pass), delta);
+        self.flush(&ooo_group, Some(pass), work);
     }
 
     /// Fold a pass's accumulated stats delta into the shared counters —
@@ -990,11 +1003,10 @@ impl RtInner {
     /// `Hit` and `Compose` are pure cache/profile reads; `Profile` must
     /// first run dynamic profiling, which mutates the virtual clock and
     /// buffer residency.
-    fn classify(&self, q: &QueueState, pending: &[PendingKernel]) -> CostPlan {
+    fn classify(&self, q: &QueueState, pending: &[PendingKernel], key: &mut EpochKey) -> CostPlan {
         if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
             return CostPlan::Static;
         }
-        let mut key = self.epoch_key.lock();
         let key = key.spell(pending);
         // §V-C1: iterative queues may force periodic re-profiling.
         let force = match (
@@ -1021,18 +1033,18 @@ impl RtInner {
     /// (§V-C): a queue the caches cannot serve is profiled first — charging
     /// virtual time and moving buffer residency, in pool order — and is
     /// then composed from the per-kernel rows like any warm queue.
-    fn queue_costs(&self, q: &QueueState, pass: &Pass, delta: &mut SchedStats) -> CostBreakdown {
+    fn queue_costs(&self, q: &QueueState, pass: &Pass, work: &mut Work) -> CostBreakdown {
         let epoch = pass.epoch;
         let pending = q.pending.lock();
-        let (plan, cached) = match self.classify(q, &pending) {
+        let (plan, cached) = match self.classify(q, &pending, &mut work.key) {
             CostPlan::Profile { key, force } => {
                 self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
-                self.profile_missing(q, &pending, pass, force, delta);
+                self.profile_missing(q, &pending, pass, force, &mut work.delta);
                 (CostPlan::Compose(key), false)
             }
             plan => (plan, true),
         };
-        let breakdown = self.cost_row(q, &pending, &plan, &pass.devices);
+        let breakdown = self.cost_row(q, &pending, &plan, pass.devices, work);
         let key = match plan {
             CostPlan::Hit(key, _) => key,
             CostPlan::Compose(key) => {
@@ -1042,7 +1054,7 @@ impl RtInner {
             _ => return breakdown,
         };
         if cached {
-            delta.cache_hits += 1;
+            work.delta.cache_hits += 1;
             self.emit(&SchedEvent::CacheHit { epoch, key });
         }
         breakdown
@@ -1060,6 +1072,7 @@ impl RtInner {
         pending: &[PendingKernel],
         plan: &CostPlan,
         devices: &[DeviceId],
+        work: &mut Work,
     ) -> CostBreakdown {
         let exec = match plan {
             // §V-B: static mode ranks devices purely by the hint score —
@@ -1087,8 +1100,8 @@ impl RtInner {
             CostPlan::Profile { .. } => unreachable!("profiled queues are composed"),
         };
         CostBreakdown {
-            overlap: self.overlap_estimate(q, pending, devices),
-            migration: self.migration_vec(q, pending, devices),
+            overlap: self.overlap_estimate(q, pending, devices, work),
+            migration: self.migration_vec(q, pending, devices, &mut work.seen),
             exec,
         }
     }
@@ -1110,17 +1123,17 @@ impl RtInner {
         q: &QueueState,
         pending: &[PendingKernel],
         devices: &[DeviceId],
+        staged: &mut Vec<u64>,
     ) -> Arc<[SimDuration]> {
         if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
             return zeros(devices.len());
         }
         // One first-touch list for the whole row, cleared per device.
-        let mut staged = Vec::new();
         devices
             .iter()
             .map(|&d| {
                 staged.clear();
-                pending.iter().map(|p| self.first_touch_transfer(p, d, &mut staged)).sum()
+                pending.iter().map(|p| self.first_touch_transfer(p, d, staged)).sum()
             })
             .collect()
     }
@@ -1139,38 +1152,47 @@ impl RtInner {
     /// depend on the order — the out-of-order clrt queues derive event wait
     /// lists from the same per-buffer hazards at submit time — the reorder
     /// only decides how the lanes interleave in virtual time.
-    fn flush(&self, group: &[&Arc<QueueState>], pass: Option<&Pass>, delta: &mut SchedStats) {
-        let mut cmds: Vec<PendingKernel> = Vec::new();
-        // Where each queue's run ends in `cmds`. The last queue needs no
-        // boundary, and the first run is moved rather than copied, so a
-        // group of one allocates nothing here.
-        let mut ends: Vec<usize> = Vec::new();
+    fn flush(&self, group: &[&Arc<QueueState>], pass: Option<&Pass>, work: &mut Work) {
+        let Work { delta, cmds, owners, batch, dag, staged, .. } = work;
+        // Launches an unwound flush left here are dropped, not issued again.
+        cmds.clear();
+        owners.clear();
+        // Each queue's launches move into `cmds`, and its own list keeps
+        // its capacity for the next epoch.
         for (gi, q) in group.iter().enumerate() {
-            let mut pending: Vec<PendingKernel> = std::mem::take(&mut *q.pending.lock());
+            let mut pending = q.pending.lock();
             if !pending.is_empty() {
                 q.epochs.fetch_add(1, Ordering::Relaxed);
             }
-            if cmds.is_empty() {
-                cmds = pending;
-            } else {
-                cmds.append(&mut pending);
-            }
-            if gi + 1 < group.len() {
-                ends.push(cmds.len());
-            }
+            owners.extend(std::iter::repeat_n(gi, pending.len()));
+            cmds.append(&mut pending);
         }
-        let owner = |i: usize| group[ends.iter().position(|&end| i < end).unwrap_or(ends.len())];
+        let owner = |i: usize| group[owners[i]];
         let reorder = pass.is_some()
             && group.iter().all(|q| q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER));
-        // `None` = program order (no index vector on the in-order hot path).
-        let order: Option<Vec<usize>> =
-            reorder.then(|| self.johnson_order(&cmds, |i| owner(i).cl.device()));
+        // `None` = program order. The reorderer sees each command costed on
+        // its queue's device, with first-touch transfers per device.
+        let order = reorder.then(|| {
+            let node = self.platform.node();
+            staged.iter_mut().for_each(Vec::clear);
+            let batch = batch_of(batch, cmds);
+            for (i, (cmd, p)) in batch.iter_mut().zip(cmds.iter()).enumerate() {
+                let dev = owner(i).cl.device();
+                let nd = p.kernel.effective_nd(dev, p.nd);
+                cmd.kernel = p.kernel.cost().kernel_time(node.spec(dev), nd.shape());
+                staged.resize_with(staged.len().max(dev.index() + 1), Vec::new);
+                cmd.transfer = self.first_touch_transfer(p, dev, &mut staged[dev.index()]);
+            }
+            dag.hazard_edges(batch);
+            dag.johnson_order(batch)
+        });
         delta.kernels_issued += cmds.len() as u64;
-        delta.commands_reordered += order.as_deref().map_or(0, ooo::count_displaced);
+        delta.commands_reordered += order.map_or(0, ooo::count_displaced);
         for pos in 0..cmds.len() {
-            let i = order.as_ref().map_or(pos, |o| o[pos]);
+            let i = order.map_or(pos, |o| o[pos]);
             self.issue_launch(owner(i), &cmds[i], pass, delta);
         }
+        cmds.clear();
     }
 
     /// Issue one buffered launch: as per-device chunks when its queue is a
@@ -1192,33 +1214,6 @@ impl RtInner {
             q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
                 .expect("buffered launch was validated at enqueue time");
         }
-    }
-
-    /// Johnson's-rule emission order ([`ooo::johnson_order`]) of a drained
-    /// out-of-order batch, command `i` costed on `device_of(i)`.
-    fn johnson_order(
-        &self,
-        cmds: &[PendingKernel],
-        device_of: impl Fn(usize) -> DeviceId,
-    ) -> Vec<usize> {
-        let node = self.platform.node();
-        // First-touch transfer bookkeeping per destination device.
-        let mut staged: HashMap<usize, Vec<u64>> = HashMap::new();
-        let batch: Vec<ooo::BatchCmd> = cmds
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let dev = device_of(i);
-                let kernel = p
-                    .kernel
-                    .cost()
-                    .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape());
-                let transfer =
-                    self.first_touch_transfer(p, dev, staged.entry(dev.index()).or_default());
-                batch_cmd(p, transfer, kernel)
-            })
-            .collect();
-        ooo::johnson_order(&batch, &ooo::hazard_edges(&batch))
     }
 
     /// Partition one pending launch over the devices eligible for it and
@@ -1728,7 +1723,7 @@ impl RtInner {
     /// Lane-aware per-device makespan estimate for an out-of-order queue's
     /// pending epoch: Johnson's-rule list schedule over the hazard DAG,
     /// simulated on the device's copy and compute lanes
-    /// ([`ooo::overlap_makespan`]). `None` unless the queue carries
+    /// ([`ooo::Scratch::overlap_makespan`]). `None` unless the queue carries
     /// `SCHED_OUT_OF_ORDER` *and* every pending kernel already has a cached
     /// per-device profile row — without per-launch kernel times there is
     /// nothing lane-aware to schedule, and the serial sum stands.
@@ -1737,41 +1732,34 @@ impl RtInner {
         q: &QueueState,
         pending: &[PendingKernel],
         devices: &[DeviceId],
+        work: &mut Work,
     ) -> Option<Arc<[SimDuration]>> {
         if !q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) || pending.is_empty() {
             return None;
         }
-        let rows: Vec<Arc<[SimDuration]>> = {
-            let kp = self.kernel_profiles.lock();
-            pending
-                .iter()
-                .map(|p| kp.get(p.kernel.name()).map(Arc::clone))
-                .collect::<Option<_>>()?
-        };
+        let kp = self.kernel_profiles.lock();
+        if pending.iter().any(|p| !kp.contains_key(p.kernel.name())) {
+            return None;
+        }
         // Explicit-region queues amortize migrations over the rest of the
         // program (see `migration_vec`), so their copy lane is free here.
         let explicit = q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
-        // The hazard sets are the same on every device; the lane times and
+        // The hazard edges are the same on every device; the lane times and
         // the first-touch list are refilled per device.
-        let mut cmds: Vec<ooo::BatchCmd> =
-            pending.iter().map(|p| batch_cmd(p, SimDuration::ZERO, SimDuration::ZERO)).collect();
-        let mut staged: Vec<u64> = Vec::new();
-        Some(
-            devices
-                .iter()
-                .enumerate()
-                .map(|(di, &dev)| {
-                    staged.clear();
-                    for ((cmd, p), row) in cmds.iter_mut().zip(pending).zip(&rows) {
-                        cmd.kernel = row[di];
-                        if !explicit {
-                            cmd.transfer = self.first_touch_transfer(p, dev, &mut staged);
-                        }
-                    }
-                    ooo::overlap_makespan(&cmds)
-                })
-                .collect(),
-        )
+        let Work { batch, dag, seen, .. } = work;
+        let cmds = batch_of(batch, pending);
+        dag.hazard_edges(cmds);
+        let on_device = |(di, &dev): (usize, &DeviceId)| {
+            seen.clear();
+            for (cmd, p) in cmds.iter_mut().zip(pending) {
+                cmd.kernel = kp.get(p.kernel.name()).map_or(SimDuration::ZERO, |r| r[di]);
+                if !explicit {
+                    cmd.transfer = self.first_touch_transfer(p, dev, seen);
+                }
+            }
+            dag.overlap_makespan(cmds)
+        };
+        Some(devices.iter().enumerate().map(on_device).collect())
     }
 
     /// Copy-lane estimate of one pending launch on `dev`: the predicted
@@ -1814,12 +1802,20 @@ fn first_seen(seen: &mut Vec<u64>, buf: &Buffer) -> bool {
     first
 }
 
-/// A pending launch as the batch reorderer sees it: the buffer ids of its
-/// access set as hazard sets, and its estimated time on the two lanes.
-fn batch_cmd(p: &PendingKernel, transfer: SimDuration, kernel: SimDuration) -> ooo::BatchCmd {
-    let ids =
-        |write| p.args.touched().iter().filter(|t| t.write == write).map(|t| t.buf.id()).collect();
-    ooo::BatchCmd { reads: ids(false), writes: ids(true), transfer, kernel }
+/// `pending` as the batch reorderer sees it, refilled into `batch`'s first
+/// entries: each launch's access set as buffer-id hazard sets, and zero
+/// time on both lanes.
+fn batch_of<'a>(batch: &'a mut Vec<BatchCmd>, pending: &[PendingKernel]) -> &'a mut [BatchCmd] {
+    batch.resize_with(batch.len().max(pending.len()), Default::default);
+    for (cmd, p) in batch.iter_mut().zip(pending) {
+        cmd.reads.clear();
+        cmd.writes.clear();
+        for t in p.args.touched() {
+            if t.write { &mut cmd.writes } else { &mut cmd.reads }.push(t.buf.id());
+        }
+        (cmd.transfer, cmd.kernel) = (SimDuration::ZERO, SimDuration::ZERO);
+    }
+    &mut batch[..pending.len()]
 }
 
 /// Per-device cost terms for one queue's pending epoch, as the mapper sees
@@ -1830,7 +1826,7 @@ struct CostBreakdown {
     exec: Arc<[SimDuration]>,
     migration: Arc<[SimDuration]>,
     /// Overlap-aware per-device makespan for out-of-order queues: the
-    /// Johnson two-lane list-schedule estimate ([`ooo::overlap_makespan`])
+    /// Johnson two-lane list-schedule estimate ([`ooo::Scratch::overlap_makespan`])
     /// of the same pending commands, which the mapper prefers over the
     /// serial `exec + migration` sum when present. `None` for in-order
     /// queues and whenever per-kernel profile rows are not yet available.
@@ -1872,17 +1868,18 @@ enum CostPlan {
     Profile { key: Arc<str>, force: bool },
 }
 
-/// What one scheduling pass knows about the context's devices.
-struct Pass {
+/// What one scheduling pass knows about its pool and the context's devices.
+struct Pass<'a> {
     epoch: u64,
-    devices: Vec<DeviceId>,
+    pool: &'a [Arc<QueueState>],
+    devices: &'a [DeviceId],
     /// Per device (same order): permanently lost as of this pass.
-    lost: Vec<bool>,
+    lost: &'a [bool],
     /// Per device (same order): memory capacity in bytes.
-    capacity: Arc<[u64]>,
+    capacity: &'a [u64],
 }
 
-impl Pass {
+impl Pass<'_> {
     fn index_of(&self, dev: DeviceId) -> Option<usize> {
         self.devices.iter().position(|&d| d == dev)
     }

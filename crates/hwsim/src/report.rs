@@ -3,7 +3,7 @@
 
 use crate::device::DeviceId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceRecord};
 use std::collections::BTreeMap;
 
 /// Busy/idle accounting for one device over a trace.
@@ -84,18 +84,17 @@ impl LaneUtilization {
     }
 }
 
-/// Merge sorted-by-start `(start, end)` nanosecond intervals in place and
-/// return the merged list.
-fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+/// Sort `(start, end)` nanosecond intervals and merge overlapping ones, in
+/// place.
+fn merge_intervals(v: &mut Vec<(u64, u64)>) {
     v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for (s, e) in v {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
+    v.dedup_by(|next, last| {
+        let overlaps = next.0 <= last.1;
+        if overlaps {
+            last.1 = last.1.max(next.1);
         }
-    }
-    out
+        overlaps
+    });
 }
 
 /// Total intersection of two merged interval lists, in nanoseconds.
@@ -116,45 +115,54 @@ fn intersect_total(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
     total
 }
 
-/// Compute [`LaneUtilization`] per device over a slice of trace records
-/// (e.g. a single epoch's flush window via
-/// [`Trace::records_since`](crate::trace::Trace::records_since)). Devices
-/// that executed nothing in the slice are absent from the result.
-pub fn lane_utilization_of(
-    records: &[crate::trace::TraceRecord],
-) -> BTreeMap<DeviceId, LaneUtilization> {
-    use crate::engine::CommandKind;
-    let mut compute: BTreeMap<DeviceId, Vec<(u64, u64)>> = BTreeMap::new();
-    let mut copy: BTreeMap<DeviceId, Vec<(u64, u64)>> = BTreeMap::new();
-    for r in records {
-        let iv = (r.stamp.start.as_nanos(), r.stamp.end.as_nanos());
-        if iv.1 <= iv.0 {
-            continue;
+/// The interval buffers of [`LaneScratch::device`], kept by a caller that
+/// measures lanes epoch after epoch so that doing so allocates nothing.
+#[derive(Debug, Default)]
+pub struct LaneScratch {
+    compute: Vec<(u64, u64)>,
+    copy: Vec<(u64, u64)>,
+}
+
+impl LaneScratch {
+    /// [`LaneUtilization`] of `device` over a slice of trace records (e.g. a
+    /// single epoch's flush window via
+    /// [`Trace::records_since`](crate::trace::Trace::records_since)), or
+    /// `None` when the device executed nothing in the slice.
+    pub fn device(&mut self, trace: &[TraceRecord], device: DeviceId) -> Option<LaneUtilization> {
+        use crate::engine::CommandKind;
+        self.compute.clear();
+        self.copy.clear();
+        for r in trace.iter().filter(|r| r.device == device) {
+            let iv = (r.stamp.start.as_nanos(), r.stamp.end.as_nanos());
+            if iv.1 <= iv.0 {
+                continue;
+            }
+            match r.kind {
+                CommandKind::Transfer { .. } => self.copy.push(iv),
+                CommandKind::Kernel { .. } | CommandKind::Marker => self.compute.push(iv),
+            }
         }
-        let side = match r.kind {
-            CommandKind::Transfer { .. } => &mut copy,
-            CommandKind::Kernel { .. } | CommandKind::Marker => &mut compute,
-        };
-        side.entry(r.device).or_default().push(iv);
+        if self.compute.is_empty() && self.copy.is_empty() {
+            return None;
+        }
+        merge_intervals(&mut self.compute);
+        merge_intervals(&mut self.copy);
+        let busy = |v: &[(u64, u64)]| SimDuration::from_nanos(v.iter().map(|(s, e)| e - s).sum());
+        Some(LaneUtilization {
+            device,
+            compute_busy: busy(&self.compute),
+            copy_busy: busy(&self.copy),
+            overlap: SimDuration::from_nanos(intersect_total(&self.compute, &self.copy)),
+        })
     }
-    let mut out = BTreeMap::new();
-    let devices: std::collections::BTreeSet<DeviceId> =
-        compute.keys().chain(copy.keys()).copied().collect();
-    for dev in devices {
-        let c = merge_intervals(compute.remove(&dev).unwrap_or_default());
-        let t = merge_intervals(copy.remove(&dev).unwrap_or_default());
-        let sum = |v: &[(u64, u64)]| v.iter().map(|(s, e)| e - s).sum::<u64>();
-        out.insert(
-            dev,
-            LaneUtilization {
-                device: dev,
-                compute_busy: SimDuration::from_nanos(sum(&c)),
-                copy_busy: SimDuration::from_nanos(sum(&t)),
-                overlap: SimDuration::from_nanos(intersect_total(&c, &t)),
-            },
-        );
-    }
-    out
+}
+
+/// [`LaneScratch::device`] for every device of a slice of trace records.
+/// Devices that executed nothing in the slice are absent from the result.
+pub fn lane_utilization_of(records: &[TraceRecord]) -> BTreeMap<DeviceId, LaneUtilization> {
+    let devices: std::collections::BTreeSet<DeviceId> = records.iter().map(|r| r.device).collect();
+    let mut lanes = LaneScratch::default();
+    devices.into_iter().filter_map(|d| Some((d, lanes.device(records, d)?))).collect()
 }
 
 /// Compute [`LaneUtilization`] per device over a whole trace.

@@ -284,6 +284,28 @@ struct BuiltProgram {
     program: clrt::Program,
 }
 
+/// What a dispatch round works in, kept from round to round. Jobs leave it
+/// before the round returns.
+#[derive(Default)]
+struct Round {
+    backlogged: Vec<bool>,
+    picks: Vec<(usize, PendingJob)>,
+    /// Per worker slot: the dispatch, its last command's end, its slices.
+    dispatched: Vec<ClResult<SimTime>>,
+    ends: Vec<Option<SimTime>>,
+    slices: Vec<Vec<SpanSlice>>,
+    issue: Issue,
+}
+
+/// [`Served::issue_job`]'s buffers and kernels, by declaration position,
+/// and its write payload: the last job's stay until the next is issued.
+#[derive(Default)]
+struct Issue {
+    buffers: Vec<clrt::Buffer>,
+    kernels: Vec<clrt::Kernel>,
+    payload: Vec<f64>,
+}
+
 /// Why a dispatched job terminally failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailReason {
@@ -348,8 +370,8 @@ pub struct JobOutcome {
 ///
 /// `Served` is `Sync`: submissions may come from many threads concurrently
 /// (admission control is per-tenant locking); dispatch rounds serialize on
-/// the scheduler's own pass lock. Deterministic single-threaded driving —
-/// what the load generator does — is a special case.
+/// their scratch. Deterministic single-threaded driving — what the load
+/// generator does — is a special case.
 pub struct Served {
     platform: Platform,
     ctx: MulticlContext,
@@ -375,6 +397,7 @@ pub struct Served {
     /// service holds a handful of templates, so the per-job look-up is a
     /// linear `==` probe that allocates nothing.
     programs: Mutex<Vec<BuiltProgram>>,
+    round: Mutex<Round>,
     /// Virtual time at which the service finished start-up (program
     /// warm-up); throughput should be measured from here.
     serving_since: Mutex<SimTime>,
@@ -419,6 +442,7 @@ impl Served {
             next_job: AtomicU64::new(1),
             rr_start: AtomicUsize::new(0),
             programs: Mutex::new(Vec::new()),
+            round: Mutex::default(),
             serving_since: Mutex::new(SimTime::ZERO),
             wall_serving_since: Mutex::new(None),
             outcomes: Mutex::new(Vec::new()),
@@ -618,7 +642,7 @@ impl Served {
     /// effective capacity is zero and everything is rejected.
     fn shed_capacity(&self, configured: usize) -> usize {
         let total = self.ctx.cl().devices().len().max(1);
-        let healthy = self.ctx.healthy_devices().len();
+        let healthy = self.ctx.healthy_device_count();
         if healthy == total {
             configured
         } else {
@@ -700,16 +724,19 @@ impl Served {
     /// every queue is empty. Jobs still inside their retry backoff window
     /// (`not_before > now`) block their tenant's FIFO for the round rather
     /// than being overtaken. Deterministic given queue contents and clock.
-    fn select_round(&self, now: SimTime) -> Vec<(usize, PendingJob)> {
+    fn select_round(&self, now: SimTime, round: &mut Round) {
         let n = self.tenants.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
+        let Round { backlogged, picks, .. } = round;
+        // Jobs an unwound round left here are dropped, as the unwind would.
+        picks.clear();
         let ready = |t: &TenantState| t.queue.lock().front().is_some_and(|j| j.not_before <= now);
-        let backlogged: Vec<bool> = self.tenants.iter().map(ready).collect();
+        backlogged.clear();
+        backlogged.extend(self.tenants.iter().map(ready));
         let start = self.rr_start.fetch_add(1, Ordering::Relaxed) % n;
         let mut slots = self.workers.len();
-        let mut picks: Vec<(usize, PendingJob)> = Vec::new();
         let mut progressed = true;
         while slots > 0 && progressed {
             progressed = false;
@@ -719,10 +746,10 @@ impl Served {
                 let share = state.config.weight as usize;
                 let mut queue = state.queue.lock();
                 for _ in 0..share.min(slots) {
-                    if queue.front().is_none_or(|j| j.not_before > now) {
+                    let Some(job) = queue.pop_front_if(|j| j.not_before <= now) else {
                         break;
-                    }
-                    picks.push((t, queue.pop_front().expect("front checked")));
+                    };
+                    picks.push((t, job));
                     slots -= 1;
                     progressed = true;
                 }
@@ -737,7 +764,6 @@ impl Served {
                 self.metrics.tenant(t).starved_rounds.inc();
             }
         }
-        picks
     }
 
     /// Drain one dispatch round: select jobs (weighted round-robin), issue
@@ -749,29 +775,28 @@ impl Served {
     /// a terminal outcome — completed or failed — this round (0 = nothing
     /// dispatchable).
     pub fn dispatch_round(&self) -> usize {
+        let mut round = self.round.lock();
+        let round = &mut *round;
         let now = self.platform.now();
-        let picks = self.select_round(now);
-        if picks.is_empty() {
-            return 0;
-        }
+        self.select_round(now, round);
         // Jobs that must not be dispatched at all: the node has no healthy
-        // device left, or the deadline already passed while queued.
-        let healthy = self.ctx.healthy_devices().len();
+        // device left, or the deadline already passed while queued. The
+        // rest stay in `picks`, in order: the live jobs.
+        let healthy = self.ctx.healthy_device_count();
         let mut terminal = 0usize;
-        let mut live: Vec<(usize, PendingJob)> = Vec::with_capacity(picks.len());
-        for (tenant, mut job) in picks {
-            if healthy == 0 {
-                job.trace.record_undispatched(self.ctx.current_epoch(), job.not_before, now);
-                self.fail_job(tenant, job, FailReason::NoHealthyDevices, now);
-                terminal += 1;
-            } else if job.deadline.is_some_and(|d| d < now) {
-                job.trace.record_undispatched(self.ctx.current_epoch(), job.not_before, now);
-                self.fail_job(tenant, job, FailReason::DeadlineExceeded, now);
-                terminal += 1;
-            } else {
-                live.push((tenant, job));
-            }
+        let doomed = |(_, job): &mut (usize, PendingJob)| {
+            healthy == 0 || job.deadline.is_some_and(|d| d < now)
+        };
+        for (tenant, mut job) in round.picks.extract_if(.., doomed) {
+            job.trace.record_undispatched(self.ctx.current_epoch(), job.not_before, now);
+            let reason = match healthy {
+                0 => FailReason::NoHealthyDevices,
+                _ => FailReason::DeadlineExceeded,
+            };
+            self.fail_job(tenant, job, reason, now);
+            terminal += 1;
         }
+        let Round { picks: live, dispatched, ends, slices, issue, .. } = round;
         if live.is_empty() {
             return terminal;
         }
@@ -783,7 +808,7 @@ impl Served {
         let epoch = self.ctx.current_epoch();
         // Per slot: when its job was dispatched, or why the runtime refused
         // to issue it.
-        let mut dispatched: Vec<ClResult<SimTime>> = Vec::with_capacity(live.len());
+        dispatched.clear();
         for ((tenant, job), worker) in live.iter().zip(&self.workers) {
             self.metrics.tenant(*tenant).depth.set(self.tenants[*tenant].depth() as f64);
             self.metrics.tenant(*tenant).dispatched.inc();
@@ -795,7 +820,7 @@ impl Served {
                 queue: worker.id(),
                 at: dispatched_at,
             });
-            let issued = self.issue_job(worker, &job.spec, &job.order, job.id);
+            let issued = self.issue_job(worker, &job.spec, &job.order, job.id, issue);
             dispatched.push(issued.map(|()| dispatched_at));
         }
         // One synchronization epoch: the scheduler maps the combined pool.
@@ -808,12 +833,16 @@ impl Served {
         // is the remap segment. Injected failures are attributed the same
         // way, via the engine's failure ledger (`FailureRecord.queue` is
         // the clrt trace id).
-        let mut worker_end: HashMap<usize, SimTime> = HashMap::new();
-        let mut worker_slices: HashMap<usize, Vec<SpanSlice>> = HashMap::new();
+        ends.clear();
+        ends.resize(self.workers.len(), None);
+        slices.resize_with(self.workers.len(), Vec::new);
+        slices.iter_mut().for_each(Vec::clear);
         self.platform.with_engine(|e| {
             for r in e.trace().records_since(trace_offset) {
-                let end = worker_end.entry(r.queue).or_insert(SimTime::ZERO);
-                *end = (*end).max(r.stamp.end);
+                let Some(slot) = self.workers.iter().position(|w| w.trace_id() == r.queue) else {
+                    continue;
+                };
+                ends[slot] = ends[slot].max(Some(r.stamp.end));
                 let kind = match &r.kind {
                     CommandKind::Kernel { .. } => SegmentKind::Compute,
                     CommandKind::Transfer { kind: TransferKind::HostToDevice, .. } => {
@@ -827,15 +856,11 @@ impl Served {
                     }
                     CommandKind::Marker => continue,
                 };
-                worker_slices.entry(r.queue).or_default().push(SpanSlice {
-                    kind,
-                    start: r.stamp.start,
-                    end: r.stamp.end,
-                });
+                slices[slot].push(SpanSlice { kind, start: r.stamp.start, end: r.stamp.end });
             }
         });
-        for slices in worker_slices.values_mut() {
-            slices.sort_by_key(|s| (s.start, s.end));
+        for slot in slices.iter_mut() {
+            slot.sort_by_key(|s| (s.start, s.end));
         }
         let profiling = self.tap.windows_since(window_mark);
         let failed_queues: HashMap<usize, hwsim::FaultKind> = self.platform.with_engine(|e| {
@@ -843,10 +868,8 @@ impl Served {
         });
         let now = self.platform.now();
         let completed_epoch = self.ctx.current_epoch();
-        let no_slices: Vec<SpanSlice> = Vec::new();
-        for (((tenant, mut job), worker), dispatched) in
-            live.into_iter().zip(&self.workers).zip(dispatched)
-        {
+        let round = live.drain(..).zip(&self.workers).zip(dispatched.drain(..));
+        for (slot, (((tenant, mut job), worker), dispatched)) in round.enumerate() {
             let dispatched_at = match dispatched {
                 Ok(at) => at,
                 Err(e) => {
@@ -858,7 +881,7 @@ impl Served {
                     continue;
                 }
             };
-            let slices = worker_slices.get(&worker.trace_id()).unwrap_or(&no_slices);
+            let slices = &slices[slot];
             let device = Some(worker.device().index() as u64);
             if let Some(kind) = failed_queues.get(&worker.trace_id()) {
                 let attempts = job.attempts + 1;
@@ -907,7 +930,7 @@ impl Served {
                 }
                 continue;
             }
-            let completed_at = worker_end.get(&worker.trace_id()).copied().unwrap_or(now);
+            let completed_at = ends[slot].unwrap_or(now);
             job.trace.record_attempt(
                 worker.id() as u64,
                 device,
@@ -1018,7 +1041,8 @@ impl Served {
                 self.metrics.warmups_skipped.inc();
                 continue;
             }
-            self.issue_job(&self.workers[i % self.workers.len()], spec, order, u64::MAX)?;
+            let worker = &self.workers[i % self.workers.len()];
+            self.issue_job(worker, spec, order, u64::MAX, &mut self.round.lock().issue)?;
         }
         self.ctx.finish_all();
         *self.serving_since.lock() = self.platform.now();
@@ -1111,6 +1135,7 @@ impl Served {
         spec: &JobSpec,
         order: &[usize],
         job_id: u64,
+        issue: &mut Issue,
     ) -> ClResult<()> {
         if worker.flags().is_auto() {
             let hints = spec_hints(spec);
@@ -1122,26 +1147,34 @@ impl Served {
                 worker.set_sched_hints(hints)?;
             }
         }
-        let mut buffers: HashMap<&str, clrt::Buffer> = HashMap::new();
+        let Issue { buffers, kernels, payload } = issue;
+        kernels.clear();
+        buffers.clear();
         for b in &spec.buffers {
-            buffers.insert(&b.name, self.ctx.create_buffer_of::<f64>(b.elements)?);
+            buffers.push(self.ctx.create_buffer_of::<f64>(b.elements)?);
         }
         let program = self.program_for(spec)?;
-        let mut kernels: HashMap<&str, clrt::Kernel> = HashMap::new();
         for k in &spec.kernels {
-            kernels.insert(&k.name, program.create_kernel(&k.name)?);
+            kernels.push(program.create_kernel(&k.name)?);
         }
+        let unknown = |name: &str| ClError::InvalidValue(format!("no `{name}` in `{}`", spec.name));
+        let buffer = |name: &Arc<str>| {
+            let at = spec.buffers.iter().position(|b| b.name == *name);
+            at.map(|i| &buffers[i]).ok_or_else(|| unknown(name))
+        };
         for &idx in order {
             match &spec.steps[idx].op {
-                StepOp::Write { buffer } => {
-                    let buf = &buffers[&**buffer];
-                    let data = vec![job_id as f64; buf.len::<f64>()];
-                    worker.enqueue_write(buf, &data)?;
+                StepOp::Write { buffer: name } => {
+                    let buf = buffer(name)?;
+                    payload.clear();
+                    payload.resize(buf.len::<f64>(), job_id as f64);
+                    worker.enqueue_write(buf, payload)?;
                 }
                 StepOp::Launch { kernel, global, local, args } => {
-                    let k = &kernels[&**kernel];
+                    let at = spec.kernels.iter().position(|k| k.name == *kernel);
+                    let k = at.map(|i| &kernels[i]).ok_or_else(|| unknown(kernel))?;
                     for (pos, arg) in args.iter().enumerate() {
-                        k.set_arg(pos, ArgValue::BufferMut(buffers[&**arg].clone()))?;
+                        k.set_arg(pos, ArgValue::BufferMut(buffer(arg)?.clone()))?;
                     }
                     worker.enqueue_ndrange(k, NdRange::d1(*global, *local))?;
                 }
@@ -1238,6 +1271,76 @@ mod tests {
             assert_eq!(served.programs.lock().len(), 0, "{message}");
             assert_eq!(issued(), before, "{message}");
         }
+    }
+
+    /// A dispatch slot carries nothing from one job to the next. The
+    /// two-buffer, two-kernel `svc_mixed` template first runs on every slot;
+    /// then a one-buffer job runs on slot 0. Its outcome, `JobTrace` event
+    /// and buffer, and the per-slot attribution the round leaves behind,
+    /// equal those of the same history with a new round scratch before the
+    /// job; and its buffer equals what a new service computes for the same
+    /// job id.
+    #[test]
+    fn a_served_slot_carries_nothing_over() {
+        const WORKERS: usize = 4;
+        let mixed = crate::loadgen::templates().into_iter().find(|t| &*t.name == "svc_mixed");
+        let mixed = mixed.expect("stock template");
+        let single = JobSpec::parse_str(
+            r#"{"name": "single", "buffers": [{"name": "x", "elements": 64}],
+                "kernels": [{"name": "k", "flops_per_item": 4096.0, "bytes_per_item": 8.0}],
+                "steps": [{"op": "write", "buffer": "x"},
+                          {"op": "launch", "kernel": "k", "global": 64, "local": 64,
+                           "args": ["x"]}]}"#,
+        )
+        .expect("spec parses");
+        let mut refused = single.clone();
+        refused.buffers[0].elements = 0;
+        let dir = std::env::temp_dir().join(format!("served-slot-{}", std::process::id()));
+        // `single`'s outcome, `JobTrace` event, buffer contents and the
+        // round's per-slot attribution after a history: `svc_mixed` on every
+        // slot, or (without `mixed_first`) refused submissions that only use
+        // up the same job ids. `renew` replaces the round scratch before
+        // `single` is submitted.
+        let run = |mixed_first: bool, renew: bool| {
+            let platform = Platform::paper_node();
+            let ring = Arc::new(multicl::telemetry::RingBufferSink::new(1 << 14));
+            let mut options = warmed_options(&platform, &dir);
+            options.observers.push(ring.clone());
+            let tenants = vec![TenantConfig::new("t", WORKERS as u32, WORKERS)];
+            let config = ServiceConfig {
+                options,
+                ..ServiceConfig::new(ServePolicy::AutoFit, WORKERS, tenants)
+            };
+            let served = Served::new(&platform, config).expect("service builds");
+            served.warm_programs(&[mixed.clone(), single.clone()]).expect("templates build");
+            for _ in 0..WORKERS {
+                let admitted =
+                    served.submit(0, if mixed_first { &mixed } else { &refused }.clone());
+                assert_eq!(admitted.is_ok(), mixed_first);
+            }
+            assert_eq!(served.dispatch_round(), usize::from(mixed_first) * WORKERS);
+            if renew {
+                *served.round.lock() = Round::default();
+            }
+            let id = served.submit(0, single.clone()).expect("admitted");
+            assert_eq!(served.dispatch_round(), 1);
+            let outcome = served.outcomes().pop().expect("the job finished");
+            let trace = ring
+                .snapshot()
+                .into_iter()
+                .find(|e| matches!(e, SchedEvent::JobTrace { job, .. } if *job == id));
+            let round = served.round.lock();
+            let buffers: Vec<Vec<f64>> =
+                round.issue.buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
+            let slots = (round.ends.clone(), round.slices.clone());
+            (outcome, trace.expect("a JobTrace event"), buffers, slots)
+        };
+        let reused = run(true, false);
+        assert_eq!(reused.0.result, JobResult::Completed);
+        assert_eq!(reused.2.len(), 1, "the job's one buffer");
+        assert_eq!(reused, run(true, true), "a new round scratch changes nothing");
+        assert_eq!(reused.2, run(false, false).2, "a new service computes the same buffer");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// One worker set: a service with W dispatch slots owns W scheduler

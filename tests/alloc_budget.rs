@@ -10,19 +10,22 @@
 //! count repeats exactly from run to run.
 //!
 //! Names and cost rows are shared by reference count from the job spec to
-//! the telemetry ring, so a job allocates about half of what it did when
-//! each layer copied them (98.8 per job on `perf`'s `serve_light`). The
-//! budget is the measured figure plus 5 %: a change that starts copying
-//! again fails here before it reaches the benchmark.
+//! the telemetry ring, and the scheduling pass and the dispatch round keep
+//! their temporaries in scratch that lives from one epoch to the next, so a
+//! job makes 31.59 allocations here: 98.8 → 52.7 → 31.7 per job on `perf`'s
+//! `serve_light` as each layer stopped copying and then stopped rebuilding.
+//! The budget is the measured figure plus 5 %: a change that starts copying
+//! or rebuilding again fails here before it reaches the benchmark.
 //!
 //! A second phase counts the steady path of an iterative application:
 //! FDM-Seismology under `FdmPlan::Auto` on a small grid, one data-plane
 //! worker, cache-hit epochs only. A steady epoch reuses what the one before
 //! it built — each kernel's argument snapshot, every buffer's residency
-//! set, the data plane's dependent lists — so a launch here makes 3.35
-//! allocations where rebuilding all three made 11.38 (12.55 → 3.66 on
-//! `perf`'s `seismo_steady`). Both phases run inside the one test: the
-//! counter is global, and a test running beside it would be counted too.
+//! set, the data plane's dependent lists, the pass's scratch — so a launch
+//! here makes 1.91 allocations where rebuilding all of them made 11.38
+//! (12.55 → 3.66 → 2.69 on `perf`'s `seismo_steady`). Both phases run inside
+//! the one test: the counter is global, and a test running beside it would
+//! be counted too.
 
 use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
 use seismo::{Dims, FdmApp, FdmConfig, FdmPlan};
@@ -91,14 +94,14 @@ const TENANTS: usize = 4;
 const WORKERS: usize = 4;
 const WARM_UP_JOBS: usize = 1_000;
 const MEASURED_JOBS: usize = 2_000;
-/// Allocations per submitted and dispatched job: the measured 51.885, plus
+/// Allocations per submitted and dispatched job: the measured 31.587, plus
 /// 5 %.
-const BUDGET_PER_JOB: f64 = 54.5;
+const BUDGET_PER_JOB: f64 = 33.17;
 const WARM_UP_ITERATIONS: usize = 5;
 const MEASURED_ITERATIONS: usize = 50;
 /// Allocations per FDM kernel launch in a steady epoch: the measured
-/// 3.348, plus 5 %.
-const BUDGET_PER_LAUNCH: f64 = 3.52;
+/// 1.910, plus 5 %.
+const BUDGET_PER_LAUNCH: f64 = 2.01;
 
 /// The stock templates at `serve_light`'s size.
 fn light_templates() -> Vec<JobSpec> {
