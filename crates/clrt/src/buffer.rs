@@ -12,7 +12,7 @@ use crate::error::{ClError, ClResult};
 use crate::exec::{BufHazard, DataPlane, TaskId};
 use crate::hazard::Frontier;
 use crate::platform::next_object_id;
-use hwsim::engine::EventId;
+use hwsim::engine::{Engine, EventId};
 use hwsim::sync::Mutex;
 use hwsim::DeviceId;
 use std::sync::Arc;
@@ -227,6 +227,31 @@ impl Buffer {
                 plane,
             }),
         })
+    }
+
+    /// [`crate::Context::renew_buffer`], against the time plane `engine`.
+    pub(crate) fn renew(&self, engine: &Mutex<Engine>) -> ClResult<()> {
+        let engine = engine.lock();
+        let stamps = self.inner.stamp_hazard.lock();
+        let mut live = stamps.predecessors(true).any(|e| !engine.event_completed(e));
+        drop((stamps, engine));
+        // The data plane locks its state before a buffer's hazard state, so
+        // its tasks are asked about with the frontier taken out.
+        let mut frontier = std::mem::take(&mut self.inner.hazard.lock().frontier);
+        let plane = self.inner.plane.as_ref();
+        live = live || plane.is_some_and(|p| frontier.any_live(|ids| p.retain_live(ids)));
+        let mut hazard = self.inner.hazard.lock();
+        if live {
+            hazard.frontier = frontier;
+            return Err(ClError::InvalidOperation(format!("buffer id={} is in use", self.id())));
+        }
+        frontier.clear();
+        *hazard = BufHazard { frontier, version: 0 };
+        drop(hazard);
+        self.inner.stamp_hazard.lock().clear();
+        self.inner.store.lock().words.fill(0);
+        self.mark_host_only();
+        Ok(())
     }
 
     /// Join every outstanding data-plane task that writes this buffer, so a

@@ -76,6 +76,23 @@ impl Context {
         Buffer::new_on_plane(self.id, byte_len, Some(Arc::clone(&self.rt.plane)))
     }
 
+    /// Put `buf` back in the state [`Self::create_buffer`] leaves a buffer
+    /// in — zeroed, valid on the host only, with no command recorded
+    /// against it in either plane — keeping its storage: a pool of buffers
+    /// can hand one out again as if it were new. Refused with
+    /// `InvalidOperation`, never waiting, while any command touching it is
+    /// live; a buffer of another context is `InvalidMemObject`. Enqueueing
+    /// onto the buffer while it is renewed is the caller's race to avoid.
+    pub fn renew_buffer(&self, buf: &Buffer) -> ClResult<()> {
+        if !self.owns_buffer(buf) {
+            return Err(ClError::InvalidMemObject(format!(
+                "buffer id={} belongs to a different context",
+                buf.id()
+            )));
+        }
+        buf.renew(&self.rt.engine)
+    }
+
     /// The largest buffer [`Self::create_buffer`] admits: the memory of the
     /// context's largest device (`CL_DEVICE_MAX_MEM_ALLOC_SIZE`, taken over
     /// the context). A buffer this size fits *some* device, not every one —

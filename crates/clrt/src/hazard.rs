@@ -80,6 +80,25 @@ impl<Id: Copy> Frontier<Id> {
         self.readers.retain(live);
     }
 
+    /// Whether any recorded access is live, as `retain_live` — which drops
+    /// the ids it finds completed from a list — says. The list is the
+    /// readers' own with the writer pushed on for the call, so asking
+    /// allocates nothing once it has held one id more than the readers;
+    /// completed readers are forgotten, as [`Self::prune_readers`] does, and
+    /// the writer is kept.
+    pub(crate) fn any_live(&mut self, retain_live: impl FnOnce(&mut Vec<Id>)) -> bool
+    where
+        Id: PartialEq,
+    {
+        self.readers.extend(self.writer);
+        retain_live(&mut self.readers);
+        let live = !self.readers.is_empty();
+        if self.writer.is_some() && self.readers.last() == self.writer.as_ref() {
+            self.readers.pop();
+        }
+        live
+    }
+
     /// Readers since the last write (pruned ones excluded).
     pub fn reader_count(&self) -> usize {
         self.readers.len()
@@ -136,6 +155,26 @@ mod tests {
         assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7, 9]);
         f.prune_readers(|_| false);
         assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7]);
+        assert_eq!(f.predecessors(false).collect::<Vec<_>>(), [7]);
+    }
+
+    #[test]
+    fn asking_for_live_accesses_prunes_readers_and_keeps_the_writer() {
+        let mut f = Frontier::default();
+        assert!(!f.any_live(|ids| ids.retain(|_| true)), "an empty frontier");
+        f.record(7u32, true);
+        f.record(8, false);
+        f.record(9, false);
+        // The check sees every id, the writer last.
+        assert!(f.any_live(|ids| {
+            assert_eq!(ids, &[8, 9, 7]);
+            ids.retain(|&id| id == 9);
+        }));
+        assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7, 9]);
+        // A live writer is live, and stays the writer.
+        assert!(f.any_live(|ids| ids.retain(|&id| id == 7)));
+        assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7]);
+        assert!(!f.any_live(|ids| ids.clear()));
         assert_eq!(f.predecessors(false).collect::<Vec<_>>(), [7]);
     }
 }

@@ -54,6 +54,21 @@ impl ArgValue {
     pub fn is_mutable_buffer(&self) -> bool {
         matches!(self, ArgValue::BufferMut(_))
     }
+
+    /// True if `other` binds what this does: the same buffer object with
+    /// the same mutability, or a scalar of the same type with the same bits.
+    fn same_binding(&self, other: &ArgValue) -> bool {
+        use ArgValue::*;
+        match (self, other) {
+            (Buffer(a), Buffer(b)) | (BufferMut(a), BufferMut(b)) => a.same_object(b),
+            (U64(a), U64(b)) => a == b,
+            (U32(a), U32(b)) => a == b,
+            (I64(a), I64(b)) => a == b,
+            (F64(a), F64(b)) => a.to_bits() == b.to_bits(),
+            (F32(a), F32(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
 }
 
 /// The arguments of one launch as they were bound when it was enqueued
@@ -237,7 +252,7 @@ impl Kernel {
         &self.inner.body
     }
 
-    /// Bind argument `idx` (`clSetKernelArg`).
+    /// Bind argument `idx` (`clSetKernelArg`); rebinding its value is a no-op.
     pub fn set_arg(&self, idx: usize, value: ArgValue) -> ClResult<()> {
         let mut args = self.inner.args.lock();
         let arity = args.values.len();
@@ -247,8 +262,10 @@ impl Kernel {
                 self.inner.body.name(),
             )));
         };
-        *slot = Some(value);
-        args.snapshot = None;
+        if !slot.as_ref().is_some_and(|bound| bound.same_binding(&value)) {
+            *slot = Some(value);
+            args.snapshot = None;
+        }
         Ok(())
     }
 
@@ -259,8 +276,8 @@ impl Kernel {
     /// cannot retroactively change it.
     ///
     /// The kernel keeps the snapshot it builds and hands out clones of it
-    /// (one allocation shared) until the next `set_arg`: a launch repeated
-    /// with unchanged arguments costs a reference count, not a rebuild.
+    /// (one allocation shared) until `set_arg` binds another value: a launch
+    /// repeated with unchanged arguments costs a reference count.
     pub fn snapshot_args(&self) -> ClResult<BoundArgs> {
         let mut args = self.inner.args.lock();
         if let Some(snapshot) = &args.snapshot {
@@ -635,6 +652,41 @@ mod tests {
         assert!(!Arc::ptr_eq(&first.inner, &second.inner));
         let scalar = |args: &BoundArgs| KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), args).f64(0);
         assert_eq!((scalar(&first), scalar(&second)), (3.0, 5.0));
+    }
+
+    #[test]
+    fn binding_the_bound_value_keeps_the_snapshot() {
+        let (x, y) = buffers(4);
+        let z = Buffer::new(1, 32).unwrap();
+        let k = Kernel::new(1, Arc::new(Saxpy));
+        k.set_arg(0, ArgValue::F64(3.0)).unwrap();
+        k.set_arg(1, ArgValue::Buffer(x.clone())).unwrap();
+        k.set_arg(2, ArgValue::BufferMut(y.clone())).unwrap();
+        // Whether binding `value` at `idx` kept the snapshot.
+        let kept = |idx: usize, value: ArgValue| {
+            let before = k.snapshot_args().unwrap();
+            k.set_arg(idx, value).unwrap();
+            Arc::ptr_eq(&before.inner, &k.snapshot_args().unwrap().inner)
+        };
+        assert!(kept(0, ArgValue::F64(3.0)));
+        assert!(kept(1, ArgValue::Buffer(x.clone())));
+        assert!(kept(2, ArgValue::BufferMut(y.clone())));
+        // Another buffer, and back.
+        assert!(!kept(1, ArgValue::Buffer(z)));
+        assert!(!kept(1, ArgValue::Buffer(x)));
+        // The same buffer, read-only, and back.
+        assert!(!kept(2, ArgValue::Buffer(y.clone())));
+        assert!(!kept(2, ArgValue::BufferMut(y)));
+        // Scalars compare by type and bits: 0.0 and -0.0 differ, a NaN
+        // equals itself, and an `f32` is not an `f64`.
+        assert!(!kept(0, ArgValue::F64(0.0)));
+        assert!(!kept(0, ArgValue::F64(-0.0)));
+        assert!(!kept(0, ArgValue::F64(f64::NAN)));
+        assert!(kept(0, ArgValue::F64(f64::NAN)));
+        assert!(!kept(0, ArgValue::F32(f32::NAN)));
+        assert!(!kept(0, ArgValue::U64(3)));
+        assert!(kept(0, ArgValue::U64(3)));
+        assert!(!kept(0, ArgValue::U64(4)));
     }
 
     #[test]

@@ -109,6 +109,8 @@ struct QueueInner {
     /// Commands submitted since the last `finish`/barrier (drives `finish`
     /// and `enqueue_barrier` for out-of-order queues).
     outstanding: Mutex<Vec<EventId>>,
+    /// `finish`'s spare for `outstanding`: the two lists trade places.
+    waiting: Mutex<Vec<EventId>>,
     /// Data-plane mirror of `last`: the previous command's task, chained by
     /// in-order queues.
     last_task: Mutex<Option<TaskId>>,
@@ -139,6 +141,7 @@ impl CommandQueue {
                 device: Mutex::new(device),
                 last: Mutex::new(None),
                 outstanding: Mutex::new(Vec::new()),
+                waiting: Mutex::new(Vec::new()),
                 last_task: Mutex::new(None),
                 outstanding_tasks: Mutex::new(Vec::new()),
                 joining: Mutex::new(Vec::new()),
@@ -810,10 +813,11 @@ impl CommandQueue {
     /// outstanding command, and every data-plane task this queue submitted
     /// (plus, transitively, everything those tasks depend on) has executed.
     pub fn finish(&self) {
-        let outstanding: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
-        if !outstanding.is_empty() {
+        let mut waiting = self.inner.waiting.lock();
+        std::mem::swap(&mut *waiting, &mut *self.inner.outstanding.lock());
+        if !waiting.is_empty() {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            for id in outstanding {
+            for id in waiting.drain(..) {
                 engine.wait(id);
             }
         }
@@ -1215,6 +1219,107 @@ mod tests {
             assert!(e.stamp().end <= now, "finish returned before {e:?} completed");
         }
         assert!(q.is_out_of_order());
+    }
+
+    #[test]
+    fn finish_trades_its_event_lists_instead_of_regrowing_them() {
+        let (_p, ctx, k, b) = setup();
+        let q = ctx.create_queue_ooo(DeviceId(1)).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(b)).unwrap();
+        let lists = || {
+            let mut ptrs = [q.inner.outstanding.lock().as_ptr(), q.inner.waiting.lock().as_ptr()];
+            ptrs.sort();
+            ptrs
+        };
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            for _ in 0..5 {
+                q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+            }
+            q.finish();
+            assert!(q.inner.outstanding.lock().is_empty() && q.inner.waiting.lock().is_empty());
+            seen.push(lists());
+        }
+        // Both lists have held commands after two rounds; from then on the
+        // two allocations only trade places.
+        assert_eq!(seen[1], seen[2]);
+        assert_eq!(seen[2], seen[3]);
+    }
+
+    /// A renewed buffer is a new buffer of the same length in all but its
+    /// id: contents, residency, write version, no access recorded in either
+    /// plane — and the same launch on a fresh queue stamps the same.
+    #[test]
+    fn a_renewed_buffer_equals_a_new_one() {
+        // `b`'s state, then the trace of one launch on it on a fresh
+        // out-of-order queue on GPU 2, relative to the clock before it.
+        let observe = |p: &Platform, ctx: &Context, k: &Kernel, b: &Buffer| {
+            let recorded = b.inner.hazard.lock().frontier.predecessors(true).count()
+                + b.inner.stamp_hazard.lock().predecessors(true).count();
+            let state = (b.host_snapshot::<f64>(), b.residency(), b.data_version(), recorded);
+            let (t0, since) = (p.now(), p.with_engine(|e| e.trace().total_pushed()));
+            let q = ctx.create_queue_ooo(DeviceId(2)).unwrap();
+            k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+            q.enqueue_ndrange(k, NdRange::d1(1024, 128), &[]).unwrap();
+            q.finish();
+            let trace = p.with_engine(|e| {
+                let records = e.trace().records_since(since).iter();
+                records
+                    .map(|r| {
+                        let at =
+                            (r.stamp.start.saturating_since(t0), r.stamp.end.saturating_since(t0));
+                        (r.device, r.kind.clone(), at)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            (state, trace)
+        };
+        let (p, ctx, k, b) = setup();
+        let new = observe(&p, &ctx, &k, &b);
+        let (p, ctx, k, b) = setup();
+        // A history on GPU 1 and the host: written, launched on, read back
+        // on one queue and launched on again from another.
+        let q = ctx.create_queue_ooo(DeviceId(1)).unwrap();
+        q.enqueue_write(&b, &vec![3.0f64; 1024]).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+        q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        q.enqueue_read(&b, &mut vec![0.0f64; 1024]).unwrap();
+        q.finish();
+        let other = ctx.create_queue(DeviceId(1)).unwrap();
+        other.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        other.finish();
+        assert_ne!(observe(&p, &ctx, &k, &b).0, new.0, "the history shows");
+        ctx.renew_buffer(&b).unwrap();
+        assert_eq!(observe(&p, &ctx, &k, &b), new);
+    }
+
+    /// A buffer a live command touches — in virtual time, or on the data
+    /// plane alone — is refused, without waiting and without a change; a
+    /// buffer of another context is refused too.
+    #[test]
+    fn a_buffer_in_use_is_not_renewed() {
+        let (p, ctx, k, b) = setup();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        q.enqueue_write(&b, &vec![1.0f64; 1024]).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+        q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        let refused = |what: &str| {
+            let state = |b: &Buffer| (b.residency(), b.data_version());
+            let before = state(&b);
+            let err = ctx.renew_buffer(&b).unwrap_err();
+            assert!(matches!(err, ClError::InvalidOperation(_)), "{what}: {err:?}");
+            assert_eq!(state(&b), before, "{what}: a refused renew changes nothing");
+        };
+        refused("the launch has not ended in virtual time");
+        q.finish();
+        let read = ctx.rt.plane.begin_manual(&[Access::read(&b)], &[]);
+        refused("a data-plane task reads it");
+        assert_eq!(b.host_snapshot::<f64>(), vec![2.0; 1024]);
+        drop(read);
+        let foreign = p.create_context_all().unwrap().renew_buffer(&b).unwrap_err();
+        assert!(matches!(foreign, ClError::InvalidMemObject(_)), "{foreign:?}");
+        ctx.renew_buffer(&b).unwrap();
+        assert_eq!(b.host_snapshot::<f64>(), vec![0.0; 1024]);
     }
 
     #[test]

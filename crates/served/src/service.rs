@@ -277,11 +277,21 @@ impl KernelBody for SpecKernel {
 }
 
 /// One entry of the service's program cache: the kernel declarations a
-/// program was built from, each kernel's arity, and the program.
+/// program was built from, each kernel's arity, the program, and the
+/// instances of it no job holds (at most one per worker slot).
 struct BuiltProgram {
     kernels: Vec<KernelSpec>,
     arities: Vec<usize>,
     program: clrt::Program,
+    idle: Vec<Instance>,
+}
+
+/// What one job borrows from cache entry `program`: a kernel per kernel
+/// declaration and a buffer per buffer declaration, by position.
+struct Instance {
+    program: usize,
+    kernels: Vec<clrt::Kernel>,
+    buffers: Vec<clrt::Buffer>,
 }
 
 /// What a dispatch round works in, kept from round to round. Jobs leave it
@@ -294,15 +304,8 @@ struct Round {
     dispatched: Vec<ClResult<SimTime>>,
     ends: Vec<Option<SimTime>>,
     slices: Vec<Vec<SpanSlice>>,
-    issue: Issue,
-}
-
-/// [`Served::issue_job`]'s buffers and kernels, by declaration position,
-/// and its write payload: the last job's stay until the next is issued.
-#[derive(Default)]
-struct Issue {
-    buffers: Vec<clrt::Buffer>,
-    kernels: Vec<clrt::Kernel>,
+    /// The instances the round's jobs hold until its `finish_all`.
+    held: Vec<Instance>,
     payload: Vec<f64>,
 }
 
@@ -796,7 +799,7 @@ impl Served {
             self.fail_job(tenant, job, reason, now);
             terminal += 1;
         }
-        let Round { picks: live, dispatched, ends, slices, issue, .. } = round;
+        let Round { picks: live, dispatched, ends, slices, held, payload, .. } = round;
         if live.is_empty() {
             return terminal;
         }
@@ -820,11 +823,13 @@ impl Served {
                 queue: worker.id(),
                 at: dispatched_at,
             });
-            let issued = self.issue_job(worker, &job.spec, &job.order, job.id, issue);
+            let issued = self.issue_job(worker, &job.spec, &job.order, job.id, payload);
+            let issued = issued.map(|instance| held.push(instance));
             dispatched.push(issued.map(|()| dispatched_at));
         }
         // One synchronization epoch: the scheduler maps the combined pool.
         self.ctx.finish_all();
+        self.check_in(held);
         // Attribute completion times and span slices: every trace record
         // issued this round on a worker's queue belongs to the single job
         // dispatched there. Kernel records become compute slices, H2D/D2H
@@ -1034,17 +1039,20 @@ impl Served {
             })
             .collect::<ClResult<Vec<_>>>()?;
         for spec in specs {
-            self.program_for(spec)?;
+            self.program_for(&mut self.programs.lock(), spec)?;
         }
+        let mut round = self.round.lock();
         for (i, (spec, order)) in specs.iter().zip(&orders).enumerate() {
             if self.spec_predictor_confident(spec) {
                 self.metrics.warmups_skipped.inc();
                 continue;
             }
             let worker = &self.workers[i % self.workers.len()];
-            self.issue_job(worker, spec, order, u64::MAX, &mut self.round.lock().issue)?;
+            let instance = self.issue_job(worker, spec, order, u64::MAX, &mut round.payload)?;
+            round.held.push(instance);
         }
         self.ctx.finish_all();
+        self.check_in(&mut round.held);
         *self.serving_since.lock() = self.platform.now();
         *self.wall_serving_since.lock() = Some(std::time::Instant::now());
         Ok(())
@@ -1091,17 +1099,16 @@ impl Served {
         any_launch
     }
 
-    /// Get or build the program for `spec`'s kernel set. Keyed by the full
-    /// kernel signature (name, cost, arity), so two templates sharing a
-    /// kernel name but differing in cost get distinct programs.
-    fn program_for(&self, spec: &JobSpec) -> ClResult<clrt::Program> {
+    /// Where `programs` holds `spec`'s program, built if missing. Keyed by
+    /// the full kernel signature (name, cost, arity), so two templates
+    /// sharing a kernel name but differing in cost get distinct programs.
+    fn program_for(&self, programs: &mut Vec<BuiltProgram>, spec: &JobSpec) -> ClResult<usize> {
         let arities = || spec.kernels.iter().map(|k| spec.kernel_arity(&k.name));
-        let mut programs = self.programs.lock();
         let built = programs
             .iter()
-            .find(|p| p.kernels == spec.kernels && p.arities.iter().copied().eq(arities()));
-        if let Some(p) = built {
-            return Ok(p.program.clone());
+            .position(|p| p.kernels == spec.kernels && p.arities.iter().copied().eq(arities()));
+        if let Some(at) = built {
+            return Ok(at);
         }
         let arities: Vec<usize> = arities().collect();
         let bodies: Vec<Arc<dyn KernelBody>> = spec
@@ -1117,26 +1124,71 @@ impl Served {
         programs.push(BuiltProgram {
             kernels: spec.kernels.clone(),
             arities,
-            program: program.clone(),
+            program,
+            idle: vec![],
         });
-        Ok(program)
+        Ok(programs.len() - 1)
+    }
+
+    /// Check out an instance of `spec`'s program, idle or new. A buffer it
+    /// keeps is renewed, or replaced where the spec declares another
+    /// element count or renewal is refused: the job sees new objects.
+    fn check_out(&self, spec: &JobSpec) -> ClResult<Instance> {
+        let mut programs = self.programs.lock();
+        let at = self.program_for(&mut programs, spec)?;
+        let mut instance = match programs[at].idle.pop() {
+            Some(idle) => idle,
+            None => Instance {
+                program: at,
+                kernels: spec
+                    .kernels
+                    .iter()
+                    .map(|k| programs[at].program.create_kernel(&k.name))
+                    .collect::<ClResult<_>>()?,
+                buffers: vec![],
+            },
+        };
+        drop(programs);
+        instance.buffers.truncate(spec.buffers.len());
+        for (buf, b) in instance.buffers.iter_mut().zip(&spec.buffers) {
+            if buf.len::<f64>() != b.elements || self.ctx.cl().renew_buffer(buf).is_err() {
+                *buf = self.ctx.create_buffer_of::<f64>(b.elements)?;
+            }
+        }
+        for b in &spec.buffers[instance.buffers.len()..] {
+            instance.buffers.push(self.ctx.create_buffer_of::<f64>(b.elements)?);
+        }
+        Ok(instance)
+    }
+
+    /// Hand the instances in `held` back to their programs, once the
+    /// `finish_all` after their jobs has run.
+    fn check_in(&self, held: &mut Vec<Instance>) {
+        let mut programs = self.programs.lock();
+        for instance in held.drain(..) {
+            let idle = &mut programs[instance.program].idle;
+            if idle.len() < self.workers.len() {
+                idle.push(instance);
+            }
+        }
     }
 
     /// Issue one job's command stream onto `worker`: set the job's
     /// execution modes as the queue's hints for this epoch (a plain job
     /// clears them, so nothing leaks from the slot's previous job; static
-    /// binding under [`ServePolicy::Off`] ignores them), allocate its
-    /// buffers, build its program, and walk the steps in `order` (the
-    /// spec's topological order). Writes execute immediately (defining
-    /// initial residency); launches buffer into the worker's pending epoch.
+    /// binding under [`ServePolicy::Off`] ignores them), check out an
+    /// instance of its program — the caller holds it until `finish_all` —
+    /// and walk the steps in `order` (the spec's topological order). Writes
+    /// execute immediately (defining initial residency); launches buffer
+    /// into the worker's pending epoch.
     fn issue_job(
         &self,
         worker: &SchedQueue,
         spec: &JobSpec,
         order: &[usize],
         job_id: u64,
-        issue: &mut Issue,
-    ) -> ClResult<()> {
+        payload: &mut Vec<f64>,
+    ) -> ClResult<Instance> {
         if worker.flags().is_auto() {
             let hints = spec_hints(spec);
             // A queue changes mode only when synchronized. A dispatch slot
@@ -1147,16 +1199,8 @@ impl Served {
                 worker.set_sched_hints(hints)?;
             }
         }
-        let Issue { buffers, kernels, payload } = issue;
-        kernels.clear();
-        buffers.clear();
-        for b in &spec.buffers {
-            buffers.push(self.ctx.create_buffer_of::<f64>(b.elements)?);
-        }
-        let program = self.program_for(spec)?;
-        for k in &spec.kernels {
-            kernels.push(program.create_kernel(&k.name)?);
-        }
+        let instance = self.check_out(spec)?;
+        let Instance { kernels, buffers, .. } = &instance;
         let unknown = |name: &str| ClError::InvalidValue(format!("no `{name}` in `{}`", spec.name));
         let buffer = |name: &Arc<str>| {
             let at = spec.buffers.iter().position(|b| b.name == *name);
@@ -1180,7 +1224,7 @@ impl Served {
                 }
             }
         }
-        Ok(())
+        Ok(instance)
     }
 }
 
@@ -1221,14 +1265,25 @@ mod tests {
             .expect("spec parses")
         };
         let built = || served.programs.lock().len();
-        served.program_for(&spec("first", 16.0, r#"["a"]"#)).unwrap();
-        served.program_for(&spec("same kernels, other job", 16.0, r#"["b"]"#)).unwrap();
+        served.program_for(&mut served.programs.lock(), &spec("first", 16.0, r#"["a"]"#)).unwrap();
+        served
+            .program_for(
+                &mut served.programs.lock(),
+                &spec("same kernels, other job", 16.0, r#"["b"]"#),
+            )
+            .unwrap();
         assert_eq!(built(), 1);
-        served.program_for(&spec("other cost", 32.0, r#"["a"]"#)).unwrap();
+        served
+            .program_for(&mut served.programs.lock(), &spec("other cost", 32.0, r#"["a"]"#))
+            .unwrap();
         assert_eq!(built(), 2);
-        served.program_for(&spec("other arity", 16.0, r#"["a", "b"]"#)).unwrap();
+        served
+            .program_for(&mut served.programs.lock(), &spec("other arity", 16.0, r#"["a", "b"]"#))
+            .unwrap();
         assert_eq!(built(), 3);
-        served.program_for(&spec("first again", 16.0, r#"["a"]"#)).unwrap();
+        served
+            .program_for(&mut served.programs.lock(), &spec("first again", 16.0, r#"["a"]"#))
+            .unwrap();
         assert_eq!(built(), 3);
     }
 
@@ -1330,8 +1385,10 @@ mod tests {
                 .into_iter()
                 .find(|e| matches!(e, SchedEvent::JobTrace { job, .. } if *job == id));
             let round = served.round.lock();
+            let programs = served.programs.lock();
+            let held = programs.iter().find(|p| p.kernels == single.kernels).unwrap().idle.last();
             let buffers: Vec<Vec<f64>> =
-                round.issue.buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
+                held.unwrap().buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
             let slots = (round.ends.clone(), round.slices.clone());
             (outcome, trace.expect("a JobTrace event"), buffers, slots)
         };
@@ -1340,6 +1397,70 @@ mod tests {
         assert_eq!(reused.2.len(), 1, "the job's one buffer");
         assert_eq!(reused, run(true, true), "a new round scratch changes nothing");
         assert_eq!(reused.2, run(false, false).2, "a new service computes the same buffer");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reused instance carries nothing over. `svc_mixed` runs on every
+    /// slot; then a job of the same program that declares its second buffer
+    /// shorter (replaced) and never writes its first (renewed, so its kernels
+    /// read what renewal left there); then `svc_mixed` again (its second
+    /// buffer replaced once more). Every job's outcome, `JobTrace` event and
+    /// buffers equal those of the same history on a service that builds
+    /// every job's objects new, as a fresh service does: its pools emptied
+    /// before each round.
+    #[test]
+    fn a_reused_instance_carries_nothing_over() {
+        const WORKERS: usize = 4;
+        let mixed = crate::loadgen::templates().into_iter().find(|t| &*t.name == "svc_mixed");
+        let mixed = mixed.expect("stock template");
+        let mut shorter = mixed.clone();
+        shorter.name = "svc_mixed_short".into();
+        shorter.buffers[1].elements = 1024;
+        shorter.steps.remove(0);
+        shorter.steps[1].after.retain(|step| &**step != "in_u");
+        let dir = std::env::temp_dir().join(format!("served-reuse-{}", std::process::id()));
+        // Per job, in id order: its outcome, `JobTrace` event and buffers.
+        let run = |reuse: bool| {
+            let platform = Platform::paper_node();
+            let ring = Arc::new(multicl::telemetry::RingBufferSink::new(1 << 14));
+            let mut options = warmed_options(&platform, &dir);
+            options.observers.push(ring.clone());
+            let tenants = vec![TenantConfig::new("t", WORKERS as u32, WORKERS)];
+            let config = ServiceConfig {
+                options,
+                ..ServiceConfig::new(ServePolicy::AutoFit, WORKERS, tenants)
+            };
+            let served = Served::new(&platform, config).expect("service builds");
+            served.warm_programs(std::slice::from_ref(&mixed)).expect("template builds");
+            let mut buffers = Vec::new();
+            for spec in [&mixed, &shorter, &mixed] {
+                if !reuse {
+                    served.programs.lock().iter_mut().for_each(|p| p.idle.clear());
+                }
+                for _ in 0..WORKERS {
+                    served.submit(0, spec.clone()).expect("admitted");
+                }
+                assert_eq!(served.dispatch_round(), WORKERS);
+                // The pool holds the round's instances in slot order.
+                for instance in &served.programs.lock()[0].idle {
+                    let read = instance.buffers.iter().map(|b| b.host_snapshot::<f64>());
+                    buffers.push(read.collect::<Vec<_>>());
+                }
+            }
+            let events = ring.snapshot();
+            let trace = |id: u64| {
+                let trace = events
+                    .iter()
+                    .find(|e| matches!(e, SchedEvent::JobTrace { job, .. } if *job == id));
+                trace.cloned().expect("a JobTrace event")
+            };
+            let outcomes = served.outcomes().into_iter().zip(buffers);
+            outcomes.map(|(outcome, buffers)| (trace(outcome.id), outcome, buffers)).collect()
+        };
+        let reused: Vec<_> = run(true);
+        assert_eq!(reused.len(), 3 * WORKERS);
+        assert!(reused.iter().all(|(_, outcome, _)| outcome.result == JobResult::Completed));
+        assert_eq!(reused, run(false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
