@@ -96,14 +96,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 fn bench_args(positional: &[String]) -> Result<(String, Class, usize), String> {
     let name = positional.first().map_or("MG", String::as_str).to_uppercase();
     let class: Class = positional.get(1).map_or("S", String::as_str).parse()?;
-    let info = npb::info(&name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
     let queues = positional.get(2).map_or(Ok(4), |q| number("queue count", q))?;
-    if !info.queue_rule.allows(queues) {
-        return Err(format!("{name} does not allow {queues} queues ({:?})", info.queue_rule));
-    }
-    if !info.classes.contains(&class) {
-        return Err(format!("{name} has no class {class}"));
-    }
+    npb::suite::validate(&name, class, queues).map_err(|e| e.message().to_owned())?;
     Ok((name, class, queues))
 }
 

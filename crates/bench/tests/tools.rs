@@ -45,6 +45,11 @@ fn a_forbidden_queue_count_is_a_usage_error_not_a_panic() {
 }
 
 #[test]
+fn a_class_outside_table_ii_is_a_usage_error_not_a_panic() {
+    assert_usage_error(&["FT", "D"], "FT has no class D");
+}
+
+#[test]
 fn an_unparsable_queue_count_is_a_usage_error_not_four_queues() {
     assert_usage_error(&["MG", "S", "x"], "queue count `x`");
 }

@@ -59,7 +59,8 @@ impl ClError {
         }
     }
 
-    fn message(&self) -> &str {
+    /// The error's message, without its [`code_name`](Self::code_name).
+    pub fn message(&self) -> &str {
         match self {
             ClError::InvalidValue(m)
             | ClError::InvalidDevice(m)

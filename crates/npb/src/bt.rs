@@ -4,40 +4,68 @@
 //! alternating-direction-implicit sweeps: each timestep computes a
 //! right-hand side, then solves block-tridiagonal systems (5×5 blocks)
 //! along x, then y, then z, and adds the correction to the state. We keep
-//! that exact structure with a simplified, diagonally dominant coefficient
-//! construction (state-dependent coupling blocks), using the real 5×5 block
-//! Thomas solver from [`crate::math`].
+//! that exact structure — the app is [`crate::adi`]'s, shared with SP — with
+//! a simplified, diagonally dominant coefficient construction
+//! (state-dependent coupling blocks), using the real 5×5 block Thomas solver
+//! from [`crate::math`].
 //!
-//! Table II: queue counts must be square (1, 4, …) — the grid is tiled in
-//! the x–y plane, one independent tile per queue — and BT registers
+//! Table II: besides the square queue counts of every ADI code, BT registers
 //! device-specific launch configurations via `clSetKernelWorkGroupInfo`.
 
-use crate::class::Class;
-use crate::math::{block_tridiag_solve, cell, face_laplacian, lines, Block5, Vec5};
-use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
+use crate::adi::{AdiApp, Scheme, Sweep};
+use crate::math::{block_tridiag_solve, lines, Block5, Vec5};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
-use hwsim::{DeviceType, KernelCostSpec, KernelTraits};
-use multicl::{MulticlContext, SchedQueue};
-use std::sync::Arc;
+use clrt::{Kernel, NdRange};
+use hwsim::{DeviceType, NodeConfig};
 
-/// Timesteps (NPB: 60–250; scaled).
-const NITER: usize = 30;
 /// Implicit weight θ of the ADI scheme.
 const THETA: f64 = 0.25;
 /// State-coupling strength of the off-diagonal blocks.
 const EPS: f64 = 0.01;
-const DT: f64 = 0.05;
 
-/// Grid edge length per class (scaled from NPB's 12…162).
-pub fn grid_size(class: Class) -> usize {
-    match class {
-        Class::S => 8,
-        Class::W => 12,
-        Class::A => 16,
-        Class::B => 20,
-        Class::C => 24,
-        Class::D => 28,
+/// The BT application.
+pub type BtApp = AdiApp<Bt>;
+
+/// BT's [`Scheme`]: 5×5 block-tridiagonal line solves.
+pub struct Bt;
+
+impl Scheme for Bt {
+    const NAME: &'static str = "BT";
+    const KERNELS: [&'static str; 5] =
+        ["bt_compute_rhs", "bt_x_solve", "bt_y_solve", "bt_z_solve", "bt_add"];
+    const MIN_TILE: usize = 2;
+    const COALESCING: [f64; 3] = [0.12, 0.2, 0.25];
+    /// Per cell: one 5×5 inversion (~350 flops), two matmuls/matvecs
+    /// (~300), plus block assembly.
+    const SOLVE_COST: (f64, f64) = (800.0, 420.0);
+    /// Line-sequential solves with 5×5 LU per cell: long serial chains,
+    /// strided access — the worst case for the naive GPU port (BT is the
+    /// most CPU-favoured benchmark in Fig. 3).
+    const SOLVE_TRAITS: (f64, f64) = (0.2, 0.18);
+    const SWEEP: Sweep = sweep_axis;
+
+    fn initial(i: usize, j: usize, k: usize, comp: usize, tile: usize) -> f64 {
+        1.0 + 0.1 * ((i + 2 * j + 3 * k + comp + tile) as f64 * 0.37).sin()
+    }
+
+    /// One line per work-item with tiny workgroups on the CPU, wide
+    /// workgroups on the GPU.
+    fn set_work_group_info(node: &NodeConfig, solves: &[Kernel; 3], items: u64) -> ClResult<()> {
+        for dev in node.device_ids() {
+            let local = match node.spec(dev).device_type {
+                DeviceType::Cpu => 1,
+                _ => 32,
+            };
+            for k in solves {
+                k.set_work_group_info(dev, NdRange::d1(items, local))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The state stays bounded: the implicit scheme is dissipative.
+    fn accepts(u: &[f64], _reference: impl FnOnce() -> Vec<f64>) -> bool {
+        u.iter().fold(0.0f64, |m, v| m.max(v.abs())) <= 10.0
     }
 }
 
@@ -93,313 +121,10 @@ pub fn sweep_axis(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize), axis:
     }
 }
 
-/// Host reference for the RHS: `rhs = dt·(face-neighbor Laplacian of u)`,
-/// reflective boundaries.
-pub fn compute_rhs_host(u: &[f64], rhs: &mut [f64], dims: (usize, usize, usize)) {
-    face_laplacian(u, rhs, dims, DT);
-}
-
-fn rhs_traits() -> KernelTraits {
-    KernelTraits {
-        coalescing: 0.4,
-        branch_divergence: 0.12,
-        vector_friendliness: 0.5,
-        double_precision: true,
-    }
-}
-
-fn solve_traits(coalescing: f64) -> KernelTraits {
-    // Line-sequential solves with 5×5 LU per cell: long serial chains,
-    // strided access — the worst case for the naive GPU port (BT is the
-    // most CPU-favoured benchmark in Fig. 3).
-    KernelTraits {
-        coalescing,
-        branch_divergence: 0.2,
-        vector_friendliness: 0.18,
-        double_precision: true,
-    }
-}
-
-/// `bt_compute_rhs`. Args: u, rhs(mut), nx, ny, nz.
-struct BtRhs;
-impl KernelBody for BtRhs {
-    fn name(&self) -> &str {
-        "bt_compute_rhs"
-    }
-    fn arity(&self) -> usize {
-        5
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
-            flops_per_item: 5.0 * 8.0,
-            bytes_per_item: 5.0 * 64.0,
-            traits: rhs_traits(),
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let u = ctx.slice::<f64>(0);
-        let rhs = ctx.slice_mut::<f64>(1);
-        compute_rhs_host(u, rhs, dims);
-    }
-}
-
-/// The three sweep kernels share a body parameterized by axis. One
-/// work-item solves one grid *line*, so the per-item cost scales with the
-/// line length (baked in at program creation).
-/// Args: u, rhs(mut), nx, ny, nz.
-struct BtSolve {
-    axis: usize,
-    name: &'static str,
-    coalescing: f64,
-    /// Cells per line along `axis` for this problem instance.
-    line_len: usize,
-}
-impl KernelBody for BtSolve {
-    fn name(&self) -> &str {
-        self.name
-    }
-    fn arity(&self) -> usize {
-        5
-    }
-    fn cost(&self) -> KernelCostSpec {
-        // Per cell: one 5×5 inversion (~350 flops), two matmuls/matvecs
-        // (~300), plus block assembly; one item covers `line_len` cells.
-        KernelCostSpec {
-            flops_per_item: 800.0 * self.line_len as f64,
-            bytes_per_item: 420.0 * self.line_len as f64,
-            traits: solve_traits(self.coalescing),
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let u = ctx.slice::<f64>(0);
-        let rhs = ctx.slice_mut::<f64>(1);
-        sweep_axis(u, rhs, dims, self.axis);
-    }
-}
-
-/// `bt_add`: u += rhs. Args: rhs, u(mut), n_values.
-struct BtAdd;
-impl KernelBody for BtAdd {
-    fn name(&self) -> &str {
-        "bt_add"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
-            flops_per_item: 1.0,
-            bytes_per_item: 24.0,
-            traits: KernelTraits {
-                coalescing: 0.9,
-                branch_divergence: 0.0,
-                vector_friendliness: 0.85,
-                double_precision: true,
-            },
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(2) as usize;
-        let rhs = ctx.slice::<f64>(0);
-        let u = ctx.slice_mut::<f64>(1);
-        for i in 0..n {
-            u[i] += rhs[i];
-        }
-    }
-}
-
-struct BtSlice {
-    u: Buffer,
-    rhs: Buffer,
-    dims: (usize, usize, usize),
-    k_rhs: Kernel,
-    k_solve: [Kernel; 3],
-    k_add: Kernel,
-}
-
-/// The BT application.
-pub struct BtApp {
-    queues: Vec<SchedQueue>,
-    slices: Vec<BtSlice>,
-}
-
-impl BtApp {
-    /// Build BT for `class` over `nqueues` (square) queues under `plan`.
-    pub fn new(
-        ctx: &MulticlContext,
-        class: Class,
-        nqueues: usize,
-        plan: &QueuePlan,
-    ) -> ClResult<BtApp> {
-        let meta = crate::suite::info("BT").expect("BT in suite");
-        let queues = make_queues(ctx, plan, nqueues, meta.flags)?;
-        let n = grid_size(class);
-        let tiles = (nqueues as f64).sqrt().round() as usize;
-        let (tx, ty) = ((n / tiles).max(2), (n / tiles).max(2));
-        let dims = (tx, ty, n);
-        let program = ctx.create_program(vec![
-            Arc::new(BtRhs) as Arc<dyn KernelBody>,
-            Arc::new(BtSolve { axis: 0, name: "bt_x_solve", coalescing: 0.12, line_len: tx }),
-            Arc::new(BtSolve { axis: 1, name: "bt_y_solve", coalescing: 0.2, line_len: ty }),
-            Arc::new(BtSolve { axis: 2, name: "bt_z_solve", coalescing: 0.25, line_len: n }),
-            Arc::new(BtAdd),
-        ])?;
-        let cells = tx * ty * n;
-        let node = ctx.platform().node().clone();
-        let mut slices = Vec::with_capacity(nqueues);
-        for (qi, q) in queues.iter().enumerate() {
-            // Smooth deterministic initial state, distinct per tile.
-            let mut u0 = vec![0.0f64; cells * 5];
-            for k in 0..n {
-                for j in 0..ty {
-                    for i in 0..tx {
-                        let c = cell(i, j, k, tx, ty);
-                        for comp in 0..5 {
-                            u0[c + comp] =
-                                1.0 + 0.1 * ((i + 2 * j + 3 * k + comp + qi) as f64 * 0.37).sin();
-                        }
-                    }
-                }
-            }
-            let u = ctx.create_buffer_of::<f64>(cells * 5)?;
-            let rhs = ctx.create_buffer_of::<f64>(cells * 5)?;
-            q.enqueue_write(&u, &u0)?;
-
-            let k_rhs = program.create_kernel("bt_compute_rhs")?;
-            let k_solve = [
-                program.create_kernel("bt_x_solve")?,
-                program.create_kernel("bt_y_solve")?,
-                program.create_kernel("bt_z_solve")?,
-            ];
-            let k_add = program.create_kernel("bt_add")?;
-            for k in std::iter::once(&k_rhs).chain(k_solve.iter()) {
-                k.set_arg(0, ArgValue::Buffer(u.clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(rhs.clone()))?;
-                k.set_arg(2, ArgValue::U64(tx as u64))?;
-                k.set_arg(3, ArgValue::U64(ty as u64))?;
-                k.set_arg(4, ArgValue::U64(n as u64))?;
-            }
-            k_add.set_arg(0, ArgValue::Buffer(rhs.clone()))?;
-            k_add.set_arg(1, ArgValue::BufferMut(u.clone()))?;
-            k_add.set_arg(2, ArgValue::U64((cells * 5) as u64))?;
-
-            // Table II: BT registers device-specific launch configurations —
-            // one line per work-item with tiny workgroups on the CPU, wide
-            // workgroups on the GPU.
-            for dev in node.device_ids() {
-                let local = match node.spec(dev).device_type {
-                    DeviceType::Cpu => 1,
-                    _ => 32,
-                };
-                for k in &k_solve {
-                    k.set_work_group_info(dev, NdRange::d1((tx * ty) as u64, local))?;
-                }
-            }
-            slices.push(BtSlice { u, rhs, dims, k_rhs, k_solve, k_add });
-        }
-        Ok(BtApp { queues, slices })
-    }
-
-    fn enqueue_step(&self, qi: usize) -> ClResult<()> {
-        let s = &self.slices[qi];
-        let q = &self.queues[qi];
-        let (nx, ny, nz) = s.dims;
-        let cells = (nx * ny * nz) as u64;
-        q.enqueue_ndrange(&s.k_rhs, NdRange::d1(cells, 64))?;
-        // One work-item per line orthogonal to each sweep axis.
-        let lines = [ny * nz, nx * nz, nx * ny];
-        for (k, &nlines) in s.k_solve.iter().zip(&lines) {
-            q.enqueue_ndrange(k, NdRange::d1(nlines as u64, 32))?;
-        }
-        q.enqueue_ndrange(&s.k_add, NdRange::d1(cells * 5, 64))?;
-        Ok(())
-    }
-
-    /// Run `NITER` ADI timesteps; the first is the warmup region.
-    pub fn run(&mut self) -> ClResult<()> {
-        region_start(&self.queues);
-        for qi in 0..self.queues.len() {
-            self.enqueue_step(qi)?;
-        }
-        for q in &self.queues {
-            q.finish();
-        }
-        region_stop(&self.queues);
-        for _ in 1..NITER {
-            for qi in 0..self.queues.len() {
-                self.enqueue_step(qi)?;
-            }
-            for q in &self.queues {
-                q.finish();
-            }
-        }
-        Ok(())
-    }
-
-    /// Verify: the state stays finite and bounded (the implicit scheme is
-    /// dissipative), and matches the serial reference recomputation.
-    pub fn verify(&self) -> bool {
-        for s in &self.slices {
-            let u = s.u.host_snapshot::<f64>();
-            if u.iter().any(|v| !v.is_finite()) {
-                return false;
-            }
-            let max = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if max > 10.0 {
-                return false;
-            }
-            let _ = &s.rhs;
-        }
-        true
-    }
-
-    /// Recompute the final state serially (reference for determinism tests).
-    pub fn reference_state(&self, qi: usize) -> Vec<f64> {
-        let s = &self.slices[qi];
-        let (nx, ny, nz) = s.dims;
-        let cells = nx * ny * nz;
-        let mut u = vec![0.0f64; cells * 5];
-        // Reconstruct the same initial state written in `new`.
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let c = cell(i, j, k, nx, ny);
-                    for comp in 0..5 {
-                        u[c + comp] =
-                            1.0 + 0.1 * ((i + 2 * j + 3 * k + comp + qi) as f64 * 0.37).sin();
-                    }
-                }
-            }
-        }
-        let mut rhs = vec![0.0f64; cells * 5];
-        for _ in 0..NITER {
-            compute_rhs_host(&u, &mut rhs, s.dims);
-            for axis in 0..3 {
-                sweep_axis(&u, &mut rhs, s.dims, axis);
-            }
-            for (uv, rv) in u.iter_mut().zip(&rhs) {
-                *uv += rv;
-            }
-        }
-        u
-    }
-
-    /// Final state of queue `qi` (for determinism tests).
-    pub fn state(&self, qi: usize) -> Vec<f64> {
-        self.slices[qi].u.host_snapshot::<f64>()
-    }
-
-    /// Consume the app, returning its queues.
-    pub fn into_queues(self) -> Vec<SchedQueue> {
-        self.queues
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Class, QueuePlan};
     use clrt::Platform;
     use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
 

@@ -14,7 +14,7 @@
 
 use crate::class::Class;
 use crate::randdp::RanDp;
-use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
+use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
 use hwsim::{KernelCostSpec, KernelTraits};
@@ -301,8 +301,7 @@ impl CgApp {
         nqueues: usize,
         plan: &QueuePlan,
     ) -> ClResult<CgApp> {
-        let meta = crate::suite::info("CG").expect("CG in suite");
-        let queues = make_queues(ctx, plan, nqueues, meta.flags)?;
+        let queues = make_queues(ctx, "CG", plan, nqueues)?;
         let program = ctx.create_program(vec![
             Arc::new(CgInit) as Arc<dyn KernelBody>,
             Arc::new(CgMatvec),
@@ -389,23 +388,7 @@ impl CgApp {
     /// Run `OUTER_ITERS` outer iterations; the first is the warmup iteration
     /// wrapped in the explicit scheduling region (Table II).
     pub fn run(&mut self) -> ClResult<()> {
-        region_start(&self.queues);
-        for qi in 0..self.queues.len() {
-            self.enqueue_outer_iteration(qi)?;
-        }
-        for q in &self.queues {
-            q.finish();
-        }
-        region_stop(&self.queues);
-        for _ in 1..OUTER_ITERS {
-            for qi in 0..self.queues.len() {
-                self.enqueue_outer_iteration(qi)?;
-            }
-            for q in &self.queues {
-                q.finish();
-            }
-        }
-        Ok(())
+        iterate(&self.queues, OUTER_ITERS, |_, qi| self.enqueue_outer_iteration(qi))
     }
 
     /// Verify: the CG result must satisfy `‖b − A·x‖ ≤ tol·‖b‖` per queue.

@@ -234,8 +234,7 @@ impl EpApp {
         nqueues: usize,
         plan: &QueuePlan,
     ) -> ClResult<EpApp> {
-        let meta = crate::suite::info("EP").expect("EP in suite");
-        let queues = make_queues(ctx, plan, nqueues, meta.flags)?;
+        let queues = make_queues(ctx, "EP", plan, nqueues)?;
         let program =
             ctx.create_program(vec![Arc::new(Embar) as Arc<dyn KernelBody>, Arc::new(EpReduce)])?;
         let total_items = total_pairs(class) / PAIRS_PER_ITEM;

@@ -17,7 +17,7 @@
 use crate::class::Class;
 use crate::math::fft_radix2;
 use crate::randdp::RanDp;
-use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
+use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
 use hwsim::{DeviceType, KernelCostSpec, KernelTraits};
@@ -283,7 +283,6 @@ impl KernelBody for FtChecksum {
 struct FtSlice {
     u0: Vec<f64>,
     dims: (usize, usize, usize),
-    buf_u: Buffer,
     buf_w: Buffer,
     sums: Buffer,
     k_fft: [Kernel; 3],
@@ -306,8 +305,7 @@ impl FtApp {
         nqueues: usize,
         plan: &QueuePlan,
     ) -> ClResult<FtApp> {
-        let meta = crate::suite::info("FT").expect("FT in suite");
-        let queues = make_queues(ctx, plan, nqueues, meta.flags)?;
+        let queues = make_queues(ctx, "FT", plan, nqueues)?;
         let program = ctx.create_program(vec![
             Arc::new(FtFftX) as Arc<dyn KernelBody>,
             Arc::new(FtFftY),
@@ -356,7 +354,7 @@ impl FtApp {
             k_fft[2].set_arg(5, ArgValue::U64(1))?;
 
             let k_evolve = program.create_kernel("ft_evolve")?;
-            k_evolve.set_arg(0, ArgValue::Buffer(buf_u.clone()))?;
+            k_evolve.set_arg(0, ArgValue::Buffer(buf_u))?;
             k_evolve.set_arg(1, ArgValue::BufferMut(buf_w.clone()))?;
             k_evolve.set_arg(2, ArgValue::U64(nx as u64))?;
             k_evolve.set_arg(3, ArgValue::U64(ny as u64))?;
@@ -371,7 +369,7 @@ impl FtApp {
             k_checksum.set_arg(4, ArgValue::U64(nz_q as u64))?;
             k_checksum.set_arg(5, ArgValue::U64(0))?;
 
-            slices.push(FtSlice { u0, dims, buf_u, buf_w, sums, k_fft, k_evolve, k_checksum });
+            slices.push(FtSlice { u0, dims, buf_w, sums, k_fft, k_evolve, k_checksum });
         }
         Ok(FtApp { queues, slices })
     }
@@ -393,23 +391,7 @@ impl FtApp {
 
     /// Run `NITER` timesteps; the first is the warmup region.
     pub fn run(&mut self) -> ClResult<()> {
-        region_start(&self.queues);
-        for qi in 0..self.queues.len() {
-            self.enqueue_step(qi, 0)?;
-        }
-        for q in &self.queues {
-            q.finish();
-        }
-        region_stop(&self.queues);
-        for step in 1..NITER {
-            for qi in 0..self.queues.len() {
-                self.enqueue_step(qi, step)?;
-            }
-            for q in &self.queues {
-                q.finish();
-            }
-        }
-        Ok(())
+        iterate(&self.queues, NITER, |step, qi| self.enqueue_step(qi, step))
     }
 
     /// Verify every timestep's checksum against the serial reference.
@@ -426,7 +408,6 @@ impl FtApp {
                     return false;
                 }
             }
-            let _ = (&s.buf_u, &s.buf_w);
         }
         true
     }

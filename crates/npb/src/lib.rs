@@ -10,7 +10,8 @@
 //!   data-plane worker that took the launch: host parallelism comes from the
 //!   independent queues and, for EP and MG, the chunks of a split launch,
 //! * decomposes work across `N` command queues exactly as Table II allows
-//!   (BT/SP: square counts; CG/FT/MG: powers of two; EP: any),
+//!   (BT/SP: square counts; CG/FT/MG: powers of two; EP: any) — BT and SP
+//!   are one ADI app, [`adi`], with two line solvers,
 //! * attaches calibrated cost descriptors to every kernel so the simulated
 //!   CPU-vs-GPU behaviour matches Figure 3 (most benchmarks favour the CPU
 //!   because the OpenCL ports are naive; EP strongly favours the GPU), and
@@ -22,6 +23,7 @@
 //! The [`suite`](mod@suite) module exposes Table II metadata and a uniform runner used
 //! by the figure-regeneration harness.
 
+pub mod adi;
 pub mod bt;
 pub mod cg;
 pub mod class;

@@ -13,7 +13,7 @@
 
 use crate::class::Class;
 use crate::randdp::RanDp;
-use crate::suite::{make_queues, region_start, region_stop, QueuePlan};
+use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
 use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
 use hwsim::{KernelCostSpec, KernelTraits};
@@ -348,8 +348,7 @@ impl MgApp {
         nqueues: usize,
         plan: &QueuePlan,
     ) -> ClResult<MgApp> {
-        let meta = crate::suite::info("MG").expect("MG in suite");
-        let queues = make_queues(ctx, plan, nqueues, meta.flags)?;
+        let queues = make_queues(ctx, "MG", plan, nqueues)?;
         let program = ctx.create_program(vec![
             Arc::new(MgResid) as Arc<dyn KernelBody>,
             Arc::new(MgPsinv),
@@ -478,23 +477,7 @@ impl MgApp {
 
     /// Run `CYCLES` V-cycles; the first is the warmup region.
     pub fn run(&mut self) -> ClResult<()> {
-        region_start(&self.queues);
-        for qi in 0..self.queues.len() {
-            self.enqueue_vcycle(qi)?;
-        }
-        for q in &self.queues {
-            q.finish();
-        }
-        region_stop(&self.queues);
-        for _ in 1..CYCLES {
-            for qi in 0..self.queues.len() {
-                self.enqueue_vcycle(qi)?;
-            }
-            for q in &self.queues {
-                q.finish();
-            }
-        }
-        Ok(())
+        iterate(&self.queues, CYCLES, |_, qi| self.enqueue_vcycle(qi))
     }
 
     /// Verify: the final residual norm must have dropped well below the

@@ -152,13 +152,36 @@ pub fn info(name: &str) -> Option<BenchmarkInfo> {
     suite().into_iter().find(|b| b.name.eq_ignore_ascii_case(name))
 }
 
-/// Create the command queues for a benchmark according to `plan`.
+/// [`info`], with an unknown name an `InvalidValue`.
+fn row(name: &str) -> ClResult<BenchmarkInfo> {
+    info(name).ok_or_else(|| ClError::InvalidValue(format!("unknown benchmark `{name}`")))
+}
+
+/// Check a request against Table II: `name` is a benchmark that has class
+/// `class` and allows `queues` queues. Every refusal is an `InvalidValue`
+/// that names the rule broken.
+pub fn validate(name: &str, class: Class, queues: usize) -> ClResult<BenchmarkInfo> {
+    let meta = row(name)?;
+    if !meta.queue_rule.allows(queues) {
+        return Err(ClError::InvalidValue(format!(
+            "{name} does not allow {queues} queues ({:?})",
+            meta.queue_rule
+        )));
+    }
+    if !meta.classes.contains(&class) {
+        return Err(ClError::InvalidValue(format!("{name} has no class {class}")));
+    }
+    Ok(meta)
+}
+
+/// Create the command queues of benchmark `name` according to `plan`.
 pub(crate) fn make_queues(
     ctx: &MulticlContext,
+    name: &str,
     plan: &QueuePlan,
     n: usize,
-    auto_flags: QueueSchedFlags,
 ) -> ClResult<Vec<SchedQueue>> {
+    let auto_flags = row(name)?.flags;
     match plan {
         QueuePlan::Auto => (0..n).map(|_| ctx.create_queue(auto_flags)).collect(),
         QueuePlan::AutoWith(flags) => (0..n).map(|_| ctx.create_queue(*flags)).collect(),
@@ -171,24 +194,37 @@ pub(crate) fn make_queues(
     }
 }
 
-/// Open an explicit scheduling region on every auto queue that has the
-/// `SCHED_EXPLICIT_REGION` flag (no-op for others). Benchmarks call this
-/// around their warmup iteration.
-pub(crate) fn region_start(queues: &[SchedQueue]) {
-    for q in queues {
-        if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            let _ = q.set_sched_property(true);
+/// Run an iterative code for `iterations` (≥ 1) iterations:
+/// `step(iteration, queue)` enqueues one iteration's work on one queue, and
+/// every queue finishes an iteration before the next begins. Iteration 0 is
+/// the warmup (Table II): on queues with `SCHED_EXPLICIT_REGION` it runs
+/// inside an explicit scheduling region, closed once every queue has
+/// finished it.
+pub(crate) fn iterate(
+    queues: &[SchedQueue],
+    iterations: usize,
+    mut step: impl FnMut(usize, usize) -> ClResult<()>,
+) -> ClResult<()> {
+    let region = |open: bool| {
+        for q in queues {
+            if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
+                let _ = q.set_sched_property(open);
+            }
+        }
+    };
+    region(true);
+    for iteration in 0..iterations {
+        for qi in 0..queues.len() {
+            step(iteration, qi)?;
+        }
+        for q in queues {
+            q.finish();
+        }
+        if iteration == 0 {
+            region(false);
         }
     }
-}
-
-/// Close the explicit scheduling region (see [`region_start`]).
-pub(crate) fn region_stop(queues: &[SchedQueue]) {
-    for q in queues {
-        if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            let _ = q.set_sched_property(false);
-        }
-    }
+    Ok(())
 }
 
 /// Result of one benchmark run on the virtual node.
@@ -220,17 +256,7 @@ pub fn run_benchmark(
     queues: usize,
     plan: &QueuePlan,
 ) -> ClResult<RunResult> {
-    let meta =
-        info(name).ok_or_else(|| ClError::InvalidValue(format!("unknown benchmark `{name}`")))?;
-    if !meta.queue_rule.allows(queues) {
-        return Err(ClError::InvalidValue(format!(
-            "{name} does not allow {queues} queues ({:?})",
-            meta.queue_rule
-        )));
-    }
-    if !meta.classes.contains(&class) {
-        return Err(ClError::InvalidValue(format!("{name} has no class {class}")));
-    }
+    let meta = validate(name, class, queues)?;
     let ctx = MulticlContext::with_options(platform, policy, options)?;
     // Time only the solve loop (`run`), as NPB does: context creation
     // (device profiling), program build (minikernel transformation), and
@@ -346,6 +372,41 @@ mod tests {
         let (cg1, cg2) = (run("CG", Class::S, 1), run("CG", Class::S, 2));
         let ratio = cg2 / cg1;
         assert!((1.6..2.4).contains(&ratio), "CG work should double with queues: {ratio:.2}");
+    }
+
+    #[test]
+    fn an_iterative_code_is_scheduled_once_in_its_warm_up_region() {
+        // Under Auto the warm-up iteration is the one scheduled epoch: one
+        // pass over the four queues, one profiled and three served from the
+        // epoch cache; every later iteration runs where the region left it.
+        // A region left open would schedule every iteration, one closed
+        // before the warm-up is enqueued none. (Closing it after the enqueue
+        // but before `finish` runs the same one pass.) A manual plan never
+        // schedules.
+        use multicl::ProfileCache;
+        let options = || SchedOptions {
+            profile_cache: ProfileCache::at(
+                std::env::temp_dir().join(format!("npb-region-test-{}", std::process::id())),
+            ),
+            ..SchedOptions::default()
+        };
+        let cpu = hwsim::NodeConfig::paper_node().cpu().unwrap();
+        for (name, issued) in [("BT", 600), ("CG", 1320), ("FT", 120), ("MG", 520), ("SP", 600)] {
+            let run = |plan: &QueuePlan| {
+                let platform = clrt::Platform::paper_node();
+                let policy = ContextSchedPolicy::AutoFit;
+                run_benchmark(&platform, policy, options(), name, Class::S, 4, plan).unwrap().stats
+            };
+            let auto = run(&QueuePlan::Auto);
+            let counts = (
+                auto.sched_invocations,
+                auto.profiled_epochs,
+                auto.cache_hits,
+                auto.kernels_issued,
+            );
+            assert_eq!(counts, (1, 1, 3, issued), "{name}: (passes, profiled, hits, issued)");
+            assert_eq!(run(&QueuePlan::Manual(vec![cpu])).sched_invocations, 0, "{name}");
+        }
     }
 
     #[test]
