@@ -33,12 +33,8 @@ pub enum ArgValue {
     U64(u64),
     /// 32-bit unsigned scalar.
     U32(u32),
-    /// 64-bit signed scalar.
-    I64(i64),
     /// Double scalar.
     F64(f64),
-    /// Float scalar.
-    F32(f32),
 }
 
 impl ArgValue {
@@ -63,9 +59,7 @@ impl ArgValue {
             (Buffer(a), Buffer(b)) | (BufferMut(a), BufferMut(b)) => a.same_object(b),
             (U64(a), U64(b)) => a == b,
             (U32(a), U32(b)) => a == b,
-            (I64(a), I64(b)) => a == b,
             (F64(a), F64(b)) => a.to_bits() == b.to_bits(),
-            (F32(a), F32(b)) => a.to_bits() == b.to_bits(),
             _ => false,
         }
     }
@@ -241,6 +235,11 @@ impl Kernel {
 
     pub(crate) fn ctx_id(&self) -> u64 {
         self.inner.ctx_id
+    }
+
+    /// The number of arguments the kernel's body takes.
+    pub fn arity(&self) -> usize {
+        self.inner.body.arity()
     }
 
     /// The kernel's cost description.
@@ -503,7 +502,6 @@ impl<'a> KernelCtx<'a> {
     pub fn u64(&self, idx: usize) -> u64 {
         match self.scalar(idx) {
             ArgValue::U64(v) => *v,
-            ArgValue::U32(v) => u64::from(*v),
             other => panic!("kernel argument {idx}: expected u64, got {other:?}"),
         }
     }
@@ -516,19 +514,10 @@ impl<'a> KernelCtx<'a> {
         }
     }
 
-    /// Scalar `i64` argument.
-    pub fn i64(&self, idx: usize) -> i64 {
-        match self.scalar(idx) {
-            ArgValue::I64(v) => *v,
-            other => panic!("kernel argument {idx}: expected i64, got {other:?}"),
-        }
-    }
-
     /// Scalar `f64` argument.
     pub fn f64(&self, idx: usize) -> f64 {
         match self.scalar(idx) {
             ArgValue::F64(v) => *v,
-            ArgValue::F32(v) => f64::from(*v),
             other => panic!("kernel argument {idx}: expected f64, got {other:?}"),
         }
     }
@@ -537,26 +526,19 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{In, Out};
     use hwsim::KernelCostSpec;
 
     struct Saxpy;
-    impl KernelBody for Saxpy {
-        fn name(&self) -> &str {
-            "saxpy"
-        }
-        fn arity(&self) -> usize {
-            3
-        }
-        fn cost(&self) -> KernelCostSpec {
-            KernelCostSpec::memory_bound(24.0)
-        }
-        fn execute(&self, ctx: &mut KernelCtx<'_>) {
-            let a = ctx.f64(0);
-            let n = ctx.nd().global_items() as usize;
-            let x: Vec<f64> = ctx.slice::<f64>(1)[..n].to_vec();
-            let y = ctx.slice_mut::<f64>(2);
-            for i in 0..n {
-                y[i] += a * x[i];
+    crate::kernel! {
+        impl Saxpy as SaxpyArgs {
+            name: "saxpy",
+            cost: KernelCostSpec::memory_bound(24.0),
+            fn execute(&self, ctx, a: f64, x: In<f64>, y: Out<f64>) {
+                let n = ctx.nd().global_items() as usize;
+                for i in 0..n {
+                    y[i] += a * x[i];
+                }
             }
         }
     }
@@ -627,10 +609,10 @@ mod tests {
 
     #[test]
     fn scalar_only_arguments_touch_nothing() {
-        let args = BoundArgs::new(vec![ArgValue::F64(1.0), ArgValue::I64(-1)]);
+        let args = BoundArgs::new(vec![ArgValue::F64(1.0), ArgValue::U64(7)]);
         assert!(args.touched().is_empty());
         assert_eq!((args.buffer_bytes(), args.max_buffer_bytes()), (0, 0));
-        assert_eq!(KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args).i64(1), -1);
+        assert_eq!(KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args).u64(1), 7);
     }
 
     #[test]
@@ -678,15 +660,29 @@ mod tests {
         assert!(!kept(2, ArgValue::Buffer(y.clone())));
         assert!(!kept(2, ArgValue::BufferMut(y)));
         // Scalars compare by type and bits: 0.0 and -0.0 differ, a NaN
-        // equals itself, and an `f32` is not an `f64`.
+        // equals itself, and a `u64` is not an `f64` with the same bits.
         assert!(!kept(0, ArgValue::F64(0.0)));
         assert!(!kept(0, ArgValue::F64(-0.0)));
         assert!(!kept(0, ArgValue::F64(f64::NAN)));
         assert!(kept(0, ArgValue::F64(f64::NAN)));
-        assert!(!kept(0, ArgValue::F32(f32::NAN)));
+        assert!(!kept(0, ArgValue::U64(f64::NAN.to_bits())));
         assert!(!kept(0, ArgValue::U64(3)));
         assert!(kept(0, ArgValue::U64(3)));
         assert!(!kept(0, ArgValue::U64(4)));
+    }
+
+    #[test]
+    fn rebinding_through_the_binder_keeps_the_snapshot() {
+        let (x, y) = buffers(4);
+        let k = Kernel::new(1, Arc::new(Saxpy));
+        SaxpyArgs { a: 3.0, x: &x, y: &y }.bind(&k).unwrap();
+        let first = k.snapshot_args().unwrap();
+        // Every argument rebound with its value: the snapshot stays.
+        SaxpyArgs { a: 3.0, x: &x, y: &y }.bind(&k).unwrap();
+        assert!(Arc::ptr_eq(&first.inner, &k.snapshot_args().unwrap().inner));
+        // One changed scalar: the next snapshot is a new one.
+        SaxpyArgs { a: 5.0, x: &x, y: &y }.bind(&k).unwrap();
+        assert!(!Arc::ptr_eq(&first.inner, &k.snapshot_args().unwrap().inner));
     }
 
     #[test]
@@ -747,11 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_accessors_coerce_where_sensible() {
-        let args = BoundArgs::new(vec![ArgValue::U32(7), ArgValue::F32(1.5)]);
-        let ctx = KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args);
-        assert_eq!(ctx.u64(0), 7);
-        assert_eq!(ctx.f64(1), 1.5);
+    #[should_panic(expected = "expected u64")]
+    fn a_scalar_is_read_as_the_type_it_was_bound_with() {
+        let args = BoundArgs::new(vec![ArgValue::U32(7)]);
+        KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), &args).u64(0);
     }
 
     #[test]

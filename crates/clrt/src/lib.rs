@@ -34,6 +34,7 @@
 
 pub mod buffer;
 pub mod context;
+pub mod declare;
 pub mod error;
 pub mod event;
 pub mod exec;
@@ -46,6 +47,7 @@ pub mod queue;
 
 pub use buffer::Buffer;
 pub use context::Context;
+pub use declare::{In, Out, Param};
 pub use error::{ClError, ClResult};
 pub use event::Event;
 pub use exec::DataPlaneStats;

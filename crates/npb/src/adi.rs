@@ -13,7 +13,7 @@ use crate::class::Class;
 use crate::math::{cell, face_laplacian};
 use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
+use clrt::{Buffer, In, Kernel, KernelBody, NdRange, Out};
 use hwsim::{KernelCostSpec, KernelTraits, NodeConfig};
 use multicl::{MulticlContext, SchedQueue};
 use std::marker::PhantomData;
@@ -71,17 +71,12 @@ pub fn grid_size(class: Class) -> usize {
 }
 
 /// The rhs kernel: `rhs = dt·(face-neighbor Laplacian of u)`, reflective
-/// boundaries. Args: u, rhs(mut), nx, ny, nz.
+/// boundaries.
 struct Rhs(&'static str);
-impl KernelBody for Rhs {
-    fn name(&self) -> &str {
-        self.0
-    }
-    fn arity(&self) -> usize {
-        5
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl Rhs as RhsArgs {
+        name: self.0,
+        cost: KernelCostSpec {
             flops_per_item: 5.0 * 8.0,
             bytes_per_item: 5.0 * 64.0,
             traits: KernelTraits {
@@ -90,65 +85,47 @@ impl KernelBody for Rhs {
                 vector_friendliness: 0.5,
                 double_precision: true,
             },
+        },
+        fn execute(&self, ctx, u: In<f64>, rhs: Out<f64>, nx: u64, ny: u64, nz: u64) {
+            face_laplacian(u, rhs, (nx as usize, ny as usize, nz as usize), DT);
         }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let u = ctx.slice::<f64>(0);
-        let rhs = ctx.slice_mut::<f64>(1);
-        face_laplacian(u, rhs, dims, DT);
     }
 }
 
 /// The sweep kernels, one per axis. One work-item solves one grid *line*,
 /// so the per-item cost scales with the line length (baked in at program
-/// creation). Args: u, rhs(mut), nx, ny, nz.
+/// creation).
 struct Solve<S> {
     axis: usize,
     /// Cells per line along `axis` for this problem instance.
     line_len: usize,
     scheme: PhantomData<fn() -> S>,
 }
-impl<S: Scheme> KernelBody for Solve<S> {
-    fn name(&self) -> &str {
-        S::KERNELS[1 + self.axis]
-    }
-    fn arity(&self) -> usize {
-        5
-    }
-    fn cost(&self) -> KernelCostSpec {
-        let ((flops, bytes), (branch_divergence, vector_friendliness)) =
-            (S::SOLVE_COST, S::SOLVE_TRAITS);
-        KernelCostSpec {
-            flops_per_item: flops * self.line_len as f64,
-            bytes_per_item: bytes * self.line_len as f64,
+clrt::kernel! {
+    impl<S: Scheme> Solve<S> as SolveArgs {
+        name: S::KERNELS[1 + self.axis],
+        cost: KernelCostSpec {
+            flops_per_item: S::SOLVE_COST.0 * self.line_len as f64,
+            bytes_per_item: S::SOLVE_COST.1 * self.line_len as f64,
             traits: KernelTraits {
                 coalescing: S::COALESCING[self.axis],
-                branch_divergence,
-                vector_friendliness,
+                branch_divergence: S::SOLVE_TRAITS.0,
+                vector_friendliness: S::SOLVE_TRAITS.1,
                 double_precision: true,
             },
+        },
+        fn execute(&self, ctx, u: In<f64>, rhs: Out<f64>, nx: u64, ny: u64, nz: u64) {
+            (S::SWEEP)(u, rhs, (nx as usize, ny as usize, nz as usize), self.axis);
         }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let u = ctx.slice::<f64>(0);
-        let rhs = ctx.slice_mut::<f64>(1);
-        (S::SWEEP)(u, rhs, dims, self.axis);
     }
 }
 
-/// The add kernel: u += rhs. Args: rhs, u(mut), n_values.
+/// The add kernel: u += rhs over the first `n` values.
 struct Add(&'static str);
-impl KernelBody for Add {
-    fn name(&self) -> &str {
-        self.0
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl Add as AddArgs {
+        name: self.0,
+        cost: KernelCostSpec {
             flops_per_item: 1.0,
             bytes_per_item: 24.0,
             traits: KernelTraits {
@@ -157,14 +134,11 @@ impl KernelBody for Add {
                 vector_friendliness: 0.85,
                 double_precision: true,
             },
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(2) as usize;
-        let rhs = ctx.slice::<f64>(0);
-        let u = ctx.slice_mut::<f64>(1);
-        for i in 0..n {
-            u[i] += rhs[i];
+        },
+        fn execute(&self, ctx, rhs: In<f64>, u: Out<f64>, n: u64) {
+            for i in 0..n as usize {
+                u[i] += rhs[i];
+            }
         }
     }
 }
@@ -219,16 +193,12 @@ impl<S: Scheme> AdiApp<S> {
             let k_rhs = kernel(0)?;
             let k_solve = [kernel(1)?, kernel(2)?, kernel(3)?];
             let k_add = kernel(4)?;
-            for k in std::iter::once(&k_rhs).chain(k_solve.iter()) {
-                k.set_arg(0, ArgValue::Buffer(u.clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(rhs.clone()))?;
-                k.set_arg(2, ArgValue::U64(tx as u64))?;
-                k.set_arg(3, ArgValue::U64(ty as u64))?;
-                k.set_arg(4, ArgValue::U64(n as u64))?;
+            let (nx, ny, nz) = (tx as u64, ty as u64, n as u64);
+            RhsArgs { u: &u, rhs: &rhs, nx, ny, nz }.bind(&k_rhs)?;
+            for k in &k_solve {
+                SolveArgs { u: &u, rhs: &rhs, nx, ny, nz }.bind(k)?;
             }
-            k_add.set_arg(0, ArgValue::Buffer(rhs))?;
-            k_add.set_arg(1, ArgValue::BufferMut(u.clone()))?;
-            k_add.set_arg(2, ArgValue::U64((cells * 5) as u64))?;
+            AddArgs { rhs: &rhs, u: &u, n: (cells * 5) as u64 }.bind(&k_add)?;
             S::set_work_group_info(ctx.platform().node(), &k_solve, (tx * ty) as u64)?;
             slices.push(AdiSlice { u, dims, k_rhs, k_solve, k_add });
         }

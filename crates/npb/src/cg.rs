@@ -16,7 +16,7 @@ use crate::class::Class;
 use crate::randdp::RanDp;
 use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
+use clrt::{Buffer, In, Kernel, KernelBody, NdRange, Out};
 use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::{MulticlContext, SchedQueue};
 use std::sync::Arc;
@@ -122,156 +122,112 @@ fn sparse_traits() -> KernelTraits {
     }
 }
 
-fn stream_traits() -> KernelTraits {
-    KernelTraits {
+fn stream_cost(flops_per_item: f64, bytes_per_item: f64) -> KernelCostSpec {
+    let traits = KernelTraits {
         coalescing: 0.9,
         branch_divergence: 0.0,
         vector_friendliness: 0.8,
         double_precision: true,
-    }
+    };
+    KernelCostSpec { flops_per_item, bytes_per_item, traits }
 }
 
 /// `cg_init`: x=0, r=b, p=b, scal[0]=b·b.
-/// Args: b, x(mut), r(mut), p(mut), scal(mut), n.
 struct CgInit;
-impl KernelBody for CgInit {
-    fn name(&self) -> &str {
-        "cg_init"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 2.0, bytes_per_item: 40.0, traits: stream_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(5) as usize;
-        let b = ctx.slice::<f64>(0);
-        let x = ctx.slice_mut::<f64>(1);
-        let r = ctx.slice_mut::<f64>(2);
-        let p = ctx.slice_mut::<f64>(3);
-        let scal = ctx.slice_mut::<f64>(4);
-        let mut rho = 0.0;
-        for i in 0..n {
-            x[i] = 0.0;
-            r[i] = b[i];
-            p[i] = b[i];
-            rho += b[i] * b[i];
+clrt::kernel! {
+    impl CgInit as CgInitArgs {
+        name: "cg_init",
+        cost: stream_cost(2.0, 40.0),
+        fn execute(
+            &self, ctx,
+            b: In<f64>, x: Out<f64>, r: Out<f64>, p: Out<f64>, scal: Out<f64>, n: u64,
+        ) {
+            let mut rho = 0.0;
+            for i in 0..n as usize {
+                x[i] = 0.0;
+                r[i] = b[i];
+                p[i] = b[i];
+                rho += b[i] * b[i];
+            }
+            scal[0] = rho;
         }
-        scal[0] = rho;
     }
 }
 
-/// `cg_matvec`: q = A·p. Args: rowptr, cols, vals, p, q(mut), n.
+/// `cg_matvec`: q = A·p.
 struct CgMatvec;
-impl KernelBody for CgMatvec {
-    fn name(&self) -> &str {
-        "cg_matvec"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
+clrt::kernel! {
+    impl CgMatvec as CgMatvecArgs {
+        name: "cg_matvec",
         // ~2·nnz flops and ~20 bytes per nonzero per row.
-        KernelCostSpec {
+        cost: KernelCostSpec {
             flops_per_item: (2 * (2 * ROW_NNZ + 1)) as f64,
             bytes_per_item: (20 * (2 * ROW_NNZ + 1)) as f64,
             traits: sparse_traits(),
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(5) as usize;
-        let rowptr = ctx.slice::<u32>(0);
-        let cols = ctx.slice::<u32>(1);
-        let vals = ctx.slice::<f64>(2);
-        let p = ctx.slice::<f64>(3);
-        let q = ctx.slice_mut::<f64>(4);
-        for (i, qi) in q[..n].iter_mut().enumerate() {
-            let (lo, hi) = (rowptr[i] as usize, rowptr[i + 1] as usize);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += vals[k] * p[cols[k] as usize];
+        },
+        fn execute(
+            &self, ctx,
+            rowptr: In<u32>, cols: In<u32>, vals: In<f64>, p: In<f64>, q: Out<f64>, n: u64,
+        ) {
+            for (i, qi) in q[..n as usize].iter_mut().enumerate() {
+                let (lo, hi) = (rowptr[i] as usize, rowptr[i + 1] as usize);
+                let mut acc = 0.0;
+                for k in lo..hi {
+                    acc += vals[k] * p[cols[k] as usize];
+                }
+                *qi = acc;
             }
-            *qi = acc;
         }
     }
 }
 
-/// `cg_dot_pq`: scal[1] = p·q. Args: p, q, scal(mut), n.
+/// `cg_dot_pq`: scal[1] = p·q.
 struct CgDotPq;
-impl KernelBody for CgDotPq {
-    fn name(&self) -> &str {
-        "cg_dot_pq"
-    }
-    fn arity(&self) -> usize {
-        4
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 2.0, bytes_per_item: 16.0, traits: stream_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(3) as usize;
-        let p = ctx.slice::<f64>(0);
-        let q = ctx.slice::<f64>(1);
-        let scal = ctx.slice_mut::<f64>(2);
-        scal[1] = (0..n).map(|i| p[i] * q[i]).sum();
+clrt::kernel! {
+    impl CgDotPq as CgDotPqArgs {
+        name: "cg_dot_pq",
+        cost: stream_cost(2.0, 16.0),
+        fn execute(&self, ctx, p: In<f64>, q: In<f64>, scal: Out<f64>, n: u64) {
+            scal[1] = (0..n as usize).map(|i| p[i] * q[i]).sum();
+        }
     }
 }
 
 /// `cg_update`: α = scal[0]/scal[1]; x += α p; r -= α q; scal[2] = r·r.
-/// Args: p, q, x(mut), r(mut), scal(mut), n.
 struct CgUpdate;
-impl KernelBody for CgUpdate {
-    fn name(&self) -> &str {
-        "cg_update"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 6.0, bytes_per_item: 48.0, traits: stream_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(5) as usize;
-        let p = ctx.slice::<f64>(0);
-        let q = ctx.slice::<f64>(1);
-        let x = ctx.slice_mut::<f64>(2);
-        let r = ctx.slice_mut::<f64>(3);
-        let scal = ctx.slice_mut::<f64>(4);
-        let alpha = scal[0] / scal[1];
-        let mut rho_new = 0.0;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-            rho_new += r[i] * r[i];
+clrt::kernel! {
+    impl CgUpdate as CgUpdateArgs {
+        name: "cg_update",
+        cost: stream_cost(6.0, 48.0),
+        fn execute(
+            &self, ctx,
+            p: In<f64>, q: In<f64>, x: Out<f64>, r: Out<f64>, scal: Out<f64>, n: u64,
+        ) {
+            let alpha = scal[0] / scal[1];
+            let mut rho_new = 0.0;
+            for i in 0..n as usize {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * q[i];
+                rho_new += r[i] * r[i];
+            }
+            scal[2] = rho_new;
         }
-        scal[2] = rho_new;
     }
 }
 
 /// `cg_update_p`: β = scal[2]/scal[0]; p = r + β p; scal[0] = scal[2].
-/// Args: r, p(mut), scal(mut), n.
 struct CgUpdateP;
-impl KernelBody for CgUpdateP {
-    fn name(&self) -> &str {
-        "cg_update_p"
-    }
-    fn arity(&self) -> usize {
-        4
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 2.0, bytes_per_item: 24.0, traits: stream_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(3) as usize;
-        let r = ctx.slice::<f64>(0);
-        let p = ctx.slice_mut::<f64>(1);
-        let scal = ctx.slice_mut::<f64>(2);
-        let beta = scal[2] / scal[0];
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
+clrt::kernel! {
+    impl CgUpdateP as CgUpdatePArgs {
+        name: "cg_update_p",
+        cost: stream_cost(2.0, 24.0),
+        fn execute(&self, ctx, r: In<f64>, p: Out<f64>, scal: Out<f64>, n: u64) {
+            let beta = scal[2] / scal[0];
+            for i in 0..n as usize {
+                p[i] = r[i] + beta * p[i];
+            }
+            scal[0] = scal[2];
         }
-        scal[0] = scal[2];
     }
 }
 
@@ -316,56 +272,34 @@ impl CgApp {
             let mut rng = RanDp::new(314_159_261 + 2 * qi as u64);
             let b: Vec<f64> = (0..n).map(|_| rng.next_f64()).collect();
 
-            let buf_rowptr = ctx.create_buffer_of::<u32>(csr.rowptr.len())?;
-            let buf_cols = ctx.create_buffer_of::<u32>(csr.cols.len())?;
-            let buf_vals = ctx.create_buffer_of::<f64>(csr.vals.len())?;
-            let buf_b = ctx.create_buffer_of::<f64>(n)?;
-            let x = ctx.create_buffer_of::<f64>(n)?;
-            let r = ctx.create_buffer_of::<f64>(n)?;
-            let p = ctx.create_buffer_of::<f64>(n)?;
-            let qv = ctx.create_buffer_of::<f64>(n)?;
+            let rowptr = ctx.create_buffer_of::<u32>(csr.rowptr.len())?;
+            let cols = ctx.create_buffer_of::<u32>(csr.cols.len())?;
+            let vals = ctx.create_buffer_of::<f64>(csr.vals.len())?;
+            let vector = || ctx.create_buffer_of::<f64>(n);
+            let (buf_b, x, r, p, qv) = (vector()?, vector()?, vector()?, vector()?, vector()?);
             let scal = ctx.create_buffer_of::<f64>(4)?;
-            q.enqueue_write(&buf_rowptr, &csr.rowptr)?;
-            q.enqueue_write(&buf_cols, &csr.cols)?;
-            q.enqueue_write(&buf_vals, &csr.vals)?;
+            q.enqueue_write(&rowptr, &csr.rowptr)?;
+            q.enqueue_write(&cols, &csr.cols)?;
+            q.enqueue_write(&vals, &csr.vals)?;
             q.enqueue_write(&buf_b, &b)?;
 
-            let k_init = program.create_kernel("cg_init")?;
-            k_init.set_arg(0, ArgValue::Buffer(buf_b.clone()))?;
-            k_init.set_arg(1, ArgValue::BufferMut(x.clone()))?;
-            k_init.set_arg(2, ArgValue::BufferMut(r.clone()))?;
-            k_init.set_arg(3, ArgValue::BufferMut(p.clone()))?;
-            k_init.set_arg(4, ArgValue::BufferMut(scal.clone()))?;
-            k_init.set_arg(5, ArgValue::U64(n as u64))?;
-
-            let k_matvec = program.create_kernel("cg_matvec")?;
-            k_matvec.set_arg(0, ArgValue::Buffer(buf_rowptr.clone()))?;
-            k_matvec.set_arg(1, ArgValue::Buffer(buf_cols.clone()))?;
-            k_matvec.set_arg(2, ArgValue::Buffer(buf_vals.clone()))?;
-            k_matvec.set_arg(3, ArgValue::Buffer(p.clone()))?;
-            k_matvec.set_arg(4, ArgValue::BufferMut(qv.clone()))?;
-            k_matvec.set_arg(5, ArgValue::U64(n as u64))?;
-
-            let k_dot = program.create_kernel("cg_dot_pq")?;
-            k_dot.set_arg(0, ArgValue::Buffer(p.clone()))?;
-            k_dot.set_arg(1, ArgValue::Buffer(qv.clone()))?;
-            k_dot.set_arg(2, ArgValue::BufferMut(scal.clone()))?;
-            k_dot.set_arg(3, ArgValue::U64(n as u64))?;
-
-            let k_update = program.create_kernel("cg_update")?;
-            k_update.set_arg(0, ArgValue::Buffer(p.clone()))?;
-            k_update.set_arg(1, ArgValue::Buffer(qv.clone()))?;
-            k_update.set_arg(2, ArgValue::BufferMut(x.clone()))?;
-            k_update.set_arg(3, ArgValue::BufferMut(r.clone()))?;
-            k_update.set_arg(4, ArgValue::BufferMut(scal.clone()))?;
-            k_update.set_arg(5, ArgValue::U64(n as u64))?;
-
-            let k_update_p = program.create_kernel("cg_update_p")?;
-            k_update_p.set_arg(0, ArgValue::Buffer(r.clone()))?;
-            k_update_p.set_arg(1, ArgValue::BufferMut(p.clone()))?;
-            k_update_p.set_arg(2, ArgValue::BufferMut(scal.clone()))?;
-            k_update_p.set_arg(3, ArgValue::U64(n as u64))?;
-
+            let kernel = |name| program.create_kernel(name);
+            let (k_init, k_matvec, k_dot, k_update, k_update_p) = (
+                kernel("cg_init")?,
+                kernel("cg_matvec")?,
+                kernel("cg_dot_pq")?,
+                kernel("cg_update")?,
+                kernel("cg_update_p")?,
+            );
+            {
+                let (rowptr, cols, vals) = (&rowptr, &cols, &vals);
+                let (b, x, r, p, q, scal, n) = (&buf_b, &x, &r, &p, &qv, &scal, n as u64);
+                CgInitArgs { b, x, r, p, scal, n }.bind(&k_init)?;
+                CgMatvecArgs { rowptr, cols, vals, p, q, n }.bind(&k_matvec)?;
+                CgDotPqArgs { p, q, scal, n }.bind(&k_dot)?;
+                CgUpdateArgs { p, q, x, r, scal, n }.bind(&k_update)?;
+                CgUpdatePArgs { r, p, scal, n }.bind(&k_update_p)?;
+            }
             slices.push(CgSlice { csr, b, k_init, k_matvec, k_dot, k_update, k_update_p, x, n });
         }
         Ok(CgApp { queues, slices })

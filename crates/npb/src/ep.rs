@@ -15,7 +15,7 @@ use crate::class::Class;
 use crate::randdp::{RanDp, SEED};
 use crate::suite::{make_queues, QueuePlan};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
+use clrt::{Buffer, In, Kernel, KernelBody, NdRange, Out};
 use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::{MulticlContext, SchedQueue};
 use std::sync::Arc;
@@ -100,25 +100,18 @@ fn tally_next(rng: &mut RanDp, pairs: u64) -> (f64, f64, [u64; 10]) {
 }
 
 /// The `embar` kernel: each work-item tallies its own pair chunk into the
-/// output record buffer. Args: 0 = out records (mut), 1 = first pair of
-/// this queue's slice (u64), 2 = total items (u64).
+/// output record buffer `out`, starting at this queue's `first_pair`.
 struct Embar;
-
-impl KernelBody for Embar {
-    fn name(&self) -> &str {
-        "embar"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
+clrt::kernel! {
+    impl Embar as EmbarArgs {
+        name: "embar",
         // ~100 flops per pair (two LCG steps, the accept test, ln/sqrt on
         // ~78% of pairs); the per-workgroup record amortizes to ~2 bytes
         // per item. Heavily compute-bound. The SNU-NPB CPU port of this
         // kernel barely vectorizes (transcendentals + data-dependent
         // branch), which is why the paper sees the GPU win by an order of
         // magnitude.
-        KernelCostSpec {
+        cost: KernelCostSpec {
             flops_per_item: PAIRS_PER_ITEM as f64 * 100.0,
             bytes_per_item: (REC * 8) as f64 / LOCAL as f64,
             traits: KernelTraits {
@@ -127,65 +120,55 @@ impl KernelBody for Embar {
                 vector_friendliness: 0.08,
                 double_precision: true,
             },
-        }
-    }
-    fn splittable(&self) -> bool {
-        true
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let first_pair = ctx.u64(1);
-        let items = ctx.u64(2);
-        // Honor sub-range launches: a split chunk owns the workgroups
-        // starting at `global_offset[0] / LOCAL` and covers at most its own
-        // NDRange extent, clamped to the items that actually remain.
-        let item_base = ctx.global_offset()[0];
-        let span = ctx.nd().global_items();
-        let wg_base = (item_base / LOCAL) as usize;
-        let wgs = span.min(items.saturating_sub(item_base)).div_ceil(LOCAL) as usize;
-        let out = ctx.slice_mut::<f64>(0);
-        // Each workgroup reduces its items locally (mirroring the OpenCL
-        // kernel's local-memory reduction).
-        let start = (wg_base * REC).min(out.len());
-        let covered = (wgs * REC).min(out.len() - start);
-        for (wg, rec) in out[start..start + covered].chunks_mut(REC).enumerate() {
-            let first_item = (wg_base + wg) as u64 * LOCAL;
-            let wg_items = LOCAL.min(items.saturating_sub(first_item));
-            let (mut sx, mut sy, mut bins) = (0.0f64, 0.0f64, [0u64; 10]);
-            // A workgroup's items are consecutive in the stream: one
-            // skip-ahead positions it for all of them. Each item keeps its
-            // own partial sums, so the additions are the per-item ones.
-            let mut rng = RanDp::new(SEED);
-            rng.skip(2 * (first_pair + first_item * PAIRS_PER_ITEM));
-            for _ in 0..wg_items {
-                let (px, py, pb) = tally_next(&mut rng, PAIRS_PER_ITEM);
-                sx += px;
-                sy += py;
-                for (b, p) in bins.iter_mut().zip(pb) {
-                    *b += p;
+        },
+        splittable: true,
+        fn execute(&self, ctx, out: Out<f64>, first_pair: u64, items: u64) {
+            // Honor sub-range launches: a split chunk owns the workgroups
+            // starting at `global_offset[0] / LOCAL` and covers at most its
+            // own NDRange extent, clamped to the items that actually remain.
+            let item_base = ctx.global_offset()[0];
+            let span = ctx.nd().global_items();
+            let wg_base = (item_base / LOCAL) as usize;
+            let wgs = span.min(items.saturating_sub(item_base)).div_ceil(LOCAL) as usize;
+            // Each workgroup reduces its items locally (mirroring the OpenCL
+            // kernel's local-memory reduction).
+            let start = (wg_base * REC).min(out.len());
+            let covered = (wgs * REC).min(out.len() - start);
+            for (wg, rec) in out[start..start + covered].chunks_mut(REC).enumerate() {
+                let first_item = (wg_base + wg) as u64 * LOCAL;
+                let wg_items = LOCAL.min(items.saturating_sub(first_item));
+                let (mut sx, mut sy, mut bins) = (0.0f64, 0.0f64, [0u64; 10]);
+                // A workgroup's items are consecutive in the stream: one
+                // skip-ahead positions it for all of them. Each item keeps
+                // its own partial sums, so the additions are the per-item
+                // ones.
+                let mut rng = RanDp::new(SEED);
+                rng.skip(2 * (first_pair + first_item * PAIRS_PER_ITEM));
+                for _ in 0..wg_items {
+                    let (px, py, pb) = tally_next(&mut rng, PAIRS_PER_ITEM);
+                    sx += px;
+                    sy += py;
+                    for (b, p) in bins.iter_mut().zip(pb) {
+                        *b += p;
+                    }
                 }
-            }
-            rec[0] = sx;
-            rec[1] = sy;
-            for (b, r) in bins.iter().zip(rec[2..].iter_mut()) {
-                *r = *b as f64;
+                rec[0] = sx;
+                rec[1] = sy;
+                for (b, r) in bins.iter().zip(rec[2..].iter_mut()) {
+                    *r = *b as f64;
+                }
             }
         }
     }
 }
 
-/// The `ep_reduce` kernel: sums the per-workgroup records into one record.
-/// Args: 0 = records (read), 1 = result (mut, 12 doubles), 2 = items (u64).
+/// The `ep_reduce` kernel: sums the per-workgroup records into one record
+/// (12 doubles).
 struct EpReduce;
-
-impl KernelBody for EpReduce {
-    fn name(&self) -> &str {
-        "ep_reduce"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl EpReduce as EpReduceArgs {
+        name: "ep_reduce",
+        cost: KernelCostSpec {
             flops_per_item: REC as f64,
             bytes_per_item: (REC * 8) as f64,
             traits: KernelTraits {
@@ -194,16 +177,14 @@ impl KernelBody for EpReduce {
                 vector_friendliness: 0.8,
                 double_precision: true,
             },
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let wgs = ctx.u64(2).div_ceil(LOCAL) as usize;
-        let recs = ctx.slice::<f64>(0);
-        let result = ctx.slice_mut::<f64>(1);
-        result.fill(0.0);
-        for i in 0..wgs {
-            for k in 0..REC {
-                result[k] += recs[i * REC + k];
+        },
+        fn execute(&self, ctx, records: In<f64>, result: Out<f64>, items: u64) {
+            let wgs = items.div_ceil(LOCAL) as usize;
+            result.fill(0.0);
+            for i in 0..wgs {
+                for k in 0..REC {
+                    result[k] += records[i * REC + k];
+                }
             }
         }
     }
@@ -246,22 +227,12 @@ impl EpApp {
             let wgs = items.div_ceil(LOCAL).max(1) as usize;
             let records = ctx.create_buffer_of::<f64>(wgs * REC)?;
             let result = ctx.create_buffer_of::<f64>(REC)?;
+            let first_pair = first_item * PAIRS_PER_ITEM;
             let embar = program.create_kernel("embar")?;
-            embar.set_arg(0, ArgValue::BufferMut(records.clone()))?;
-            embar.set_arg(1, ArgValue::U64(first_item * PAIRS_PER_ITEM))?;
-            embar.set_arg(2, ArgValue::U64(items))?;
+            EmbarArgs { out: &records, first_pair, items }.bind(&embar)?;
             let reduce = program.create_kernel("ep_reduce")?;
-            reduce.set_arg(0, ArgValue::Buffer(records.clone()))?;
-            reduce.set_arg(1, ArgValue::BufferMut(result.clone()))?;
-            reduce.set_arg(2, ArgValue::U64(items))?;
-            slices.push(EpSlice {
-                embar,
-                reduce,
-                records,
-                result,
-                first_pair: first_item * PAIRS_PER_ITEM,
-                items,
-            });
+            EpReduceArgs { records: &records, result: &result, items }.bind(&reduce)?;
+            slices.push(EpSlice { embar, reduce, records, result, first_pair, items });
         }
         Ok(EpApp { queues, slices, class })
     }

@@ -19,7 +19,7 @@ use crate::math::fft_radix2;
 use crate::randdp::RanDp;
 use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
+use clrt::{Buffer, In, Kernel, KernelBody, NdRange, Out};
 use hwsim::{DeviceType, KernelCostSpec, KernelTraits};
 use multicl::{MulticlContext, SchedQueue};
 use std::sync::Arc;
@@ -163,61 +163,47 @@ fn fft_traits(coalescing: f64) -> KernelTraits {
     }
 }
 
-/// Scalar args shared by the FFT pass kernels: 0=data(mut), 1=nx, 2=ny,
-/// 3=nz, 4=sign(+1/-1 as f64), 5=normalize flag (u64, applied after the z
-/// pass of an inverse transform).
-macro_rules! fft_kernel {
-    ($struct_name:ident, $cl_name:literal, $pass:ident, $coal:expr, $axis_of:expr) => {
-        struct $struct_name;
-        impl KernelBody for $struct_name {
-            fn name(&self) -> &str {
-                $cl_name
-            }
-            fn arity(&self) -> usize {
-                6
-            }
-            fn cost(&self) -> KernelCostSpec {
-                KernelCostSpec {
-                    // Per element: 5·log2(axis) flops (butterflies for its
-                    // share of the pass), one read+write of a complex.
-                    flops_per_item: 5.0 * 8.0,
-                    bytes_per_item: 32.0,
-                    traits: fft_traits($coal),
+/// An FFT pass kernel, one per axis: `data`'s lines along that axis are
+/// transformed with `sign` (+1 inverse, -1 forward), and a nonzero
+/// `normalize` applies the 1/N scale afterwards (the z pass of an inverse
+/// transform).
+struct FtFft {
+    name: &'static str,
+    pass: fn(&mut [f64], (usize, usize, usize), f64),
+    coalescing: f64,
+}
+clrt::kernel! {
+    impl FtFft as FtFftArgs {
+        name: self.name,
+        // Per element: 5·log2(axis) flops (butterflies for its share of the
+        // pass), one read+write of a complex.
+        cost: KernelCostSpec {
+            flops_per_item: 5.0 * 8.0,
+            bytes_per_item: 32.0,
+            traits: fft_traits(self.coalescing),
+        },
+        fn execute(
+            &self, ctx,
+            data: Out<f64>, nx: u64, ny: u64, nz: u64, sign: f64, normalize: u64,
+        ) {
+            let dims = (nx as usize, ny as usize, nz as usize);
+            (self.pass)(data, dims, sign);
+            if normalize != 0 {
+                let scale = 1.0 / (dims.0 * dims.1 * dims.2) as f64;
+                for v in data.iter_mut() {
+                    *v *= scale;
                 }
-            }
-            fn execute(&self, ctx: &mut KernelCtx<'_>) {
-                let dims = (ctx.u64(1) as usize, ctx.u64(2) as usize, ctx.u64(3) as usize);
-                let sign = ctx.f64(4);
-                let normalize = ctx.u64(5) != 0;
-                let data = ctx.slice_mut::<f64>(0);
-                $pass(data, dims, sign);
-                if normalize {
-                    let scale = 1.0 / (dims.0 * dims.1 * dims.2) as f64;
-                    for v in data.iter_mut() {
-                        *v *= scale;
-                    }
-                }
-                let _ = $axis_of(dims);
             }
         }
-    };
+    }
 }
 
-fft_kernel!(FtFftX, "ft_fft_x", fft_pass_x, 0.85, |d: (usize, usize, usize)| d.0);
-fft_kernel!(FtFftY, "ft_fft_y", fft_pass_y, 0.25, |d: (usize, usize, usize)| d.1);
-fft_kernel!(FtFftZ, "ft_fft_z", fft_pass_z, 0.15, |d: (usize, usize, usize)| d.2);
-
-/// `ft_evolve`: w = u_hat ⊙ decay(t). Args: u_hat, w(mut), nx, ny, nz, t.
+/// `ft_evolve`: w = u_hat ⊙ decay(t).
 struct FtEvolve;
-impl KernelBody for FtEvolve {
-    fn name(&self) -> &str {
-        "ft_evolve"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl FtEvolve as FtEvolveArgs {
+        name: "ft_evolve",
+        cost: KernelCostSpec {
             flops_per_item: 20.0,
             bytes_per_item: 32.0,
             traits: KernelTraits {
@@ -226,39 +212,30 @@ impl KernelBody for FtEvolve {
                 vector_friendliness: 0.7,
                 double_precision: true,
             },
-        }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let t = ctx.f64(5);
-        let u_hat = ctx.slice::<f64>(0);
-        let w = ctx.slice_mut::<f64>(1);
-        let (nx, ny, nz) = dims;
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let idx = 2 * ((z * ny + y) * nx + x);
-                    let f = evolve_factor(x, y, z, dims, t);
-                    w[idx] = u_hat[idx] * f;
-                    w[idx + 1] = u_hat[idx + 1] * f;
+        },
+        fn execute(&self, ctx, u_hat: In<f64>, w: Out<f64>, nx: u64, ny: u64, nz: u64, t: f64) {
+            let dims = (nx as usize, ny as usize, nz as usize);
+            let (nx, ny, nz) = dims;
+            for z in 0..nz {
+                for y in 0..ny {
+                    for x in 0..nx {
+                        let idx = 2 * ((z * ny + y) * nx + x);
+                        let f = evolve_factor(x, y, z, dims, t);
+                        w[idx] = u_hat[idx] * f;
+                        w[idx + 1] = u_hat[idx + 1] * f;
+                    }
                 }
             }
         }
     }
 }
 
-/// `ft_checksum`: appends `(re, im)` for this timestep into the result
-/// buffer. Args: w, sums(mut), nx, ny, nz, step.
+/// `ft_checksum`: stores `(re, im)` of timestep `step` into `sums`.
 struct FtChecksum;
-impl KernelBody for FtChecksum {
-    fn name(&self) -> &str {
-        "ft_checksum"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl FtChecksum as FtChecksumArgs {
+        name: "ft_checksum",
+        cost: KernelCostSpec {
             flops_per_item: 2.0,
             bytes_per_item: 16.0,
             traits: KernelTraits {
@@ -267,22 +244,19 @@ impl KernelBody for FtChecksum {
                 vector_friendliness: 0.4,
                 double_precision: true,
             },
+        },
+        fn execute(&self, ctx, w: In<f64>, sums: Out<f64>, nx: u64, ny: u64, nz: u64, step: u64) {
+            let (re, im) = checksum(w, (nx as usize, ny as usize, nz as usize));
+            sums[2 * step as usize] = re;
+            sums[2 * step as usize + 1] = im;
         }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let dims = (ctx.u64(2) as usize, ctx.u64(3) as usize, ctx.u64(4) as usize);
-        let step = ctx.u64(5) as usize;
-        let w = ctx.slice::<f64>(0);
-        let sums = ctx.slice_mut::<f64>(1);
-        let (re, im) = checksum(w, dims);
-        sums[2 * step] = re;
-        sums[2 * step + 1] = im;
     }
 }
 
 struct FtSlice {
     u0: Vec<f64>,
     dims: (usize, usize, usize),
+    buf_u: Buffer,
     buf_w: Buffer,
     sums: Buffer,
     k_fft: [Kernel; 3],
@@ -306,10 +280,13 @@ impl FtApp {
         plan: &QueuePlan,
     ) -> ClResult<FtApp> {
         let queues = make_queues(ctx, "FT", plan, nqueues)?;
+        let fft = |name, pass, coalescing| -> Arc<dyn KernelBody> {
+            Arc::new(FtFft { name, pass, coalescing })
+        };
         let program = ctx.create_program(vec![
-            Arc::new(FtFftX) as Arc<dyn KernelBody>,
-            Arc::new(FtFftY),
-            Arc::new(FtFftZ),
+            fft("ft_fft_x", fft_pass_x, 0.85),
+            fft("ft_fft_y", fft_pass_y, 0.25),
+            fft("ft_fft_z", fft_pass_z, 0.15),
             Arc::new(FtEvolve),
             Arc::new(FtChecksum),
         ])?;
@@ -334,13 +311,11 @@ impl FtApp {
 
             let mk = |name: &str| program.create_kernel(name);
             let k_fft = [mk("ft_fft_x")?, mk("ft_fft_y")?, mk("ft_fft_z")?];
-            for k in &k_fft {
-                k.set_arg(0, ArgValue::BufferMut(buf_w.clone()))?;
-                k.set_arg(1, ArgValue::U64(nx as u64))?;
-                k.set_arg(2, ArgValue::U64(ny as u64))?;
-                k.set_arg(3, ArgValue::U64(nz_q as u64))?;
-                k.set_arg(4, ArgValue::F64(1.0))?; // inverse passes in the loop
-                k.set_arg(5, ArgValue::U64(0))?;
+            for (axis, k) in k_fft.iter().enumerate() {
+                let (nx, ny, nz) = (nx as u64, ny as u64, nz_q as u64);
+                // Inverse passes in the loop; the z pass applies the 1/N scale.
+                let normalize = u64::from(axis == 2);
+                FtFftArgs { data: &buf_w, nx, ny, nz, sign: 1.0, normalize }.bind(k)?;
                 // Table II: FT registers device-specific launch geometry.
                 for dev in node.device_ids() {
                     let local = match node.spec(dev).device_type {
@@ -350,26 +325,10 @@ impl FtApp {
                     k.set_work_group_info(dev, NdRange::d1(elems as u64, local))?;
                 }
             }
-            // The z pass of the inverse transform applies the 1/N scale.
-            k_fft[2].set_arg(5, ArgValue::U64(1))?;
-
+            // `enqueue_step` binds these two: a timestep's time is an argument.
             let k_evolve = program.create_kernel("ft_evolve")?;
-            k_evolve.set_arg(0, ArgValue::Buffer(buf_u))?;
-            k_evolve.set_arg(1, ArgValue::BufferMut(buf_w.clone()))?;
-            k_evolve.set_arg(2, ArgValue::U64(nx as u64))?;
-            k_evolve.set_arg(3, ArgValue::U64(ny as u64))?;
-            k_evolve.set_arg(4, ArgValue::U64(nz_q as u64))?;
-            k_evolve.set_arg(5, ArgValue::F64(1.0))?;
-
             let k_checksum = program.create_kernel("ft_checksum")?;
-            k_checksum.set_arg(0, ArgValue::Buffer(buf_w.clone()))?;
-            k_checksum.set_arg(1, ArgValue::BufferMut(sums.clone()))?;
-            k_checksum.set_arg(2, ArgValue::U64(nx as u64))?;
-            k_checksum.set_arg(3, ArgValue::U64(ny as u64))?;
-            k_checksum.set_arg(4, ArgValue::U64(nz_q as u64))?;
-            k_checksum.set_arg(5, ArgValue::U64(0))?;
-
-            slices.push(FtSlice { u0, dims, buf_w, sums, k_fft, k_evolve, k_checksum });
+            slices.push(FtSlice { u0, dims, buf_u, buf_w, sums, k_fft, k_evolve, k_checksum });
         }
         Ok(FtApp { queues, slices })
     }
@@ -379,12 +338,14 @@ impl FtApp {
         let q = &self.queues[qi];
         let elems = (s.dims.0 * s.dims.1 * s.dims.2) as u64;
         let nd = NdRange::d1(elems, 64);
-        s.k_evolve.set_arg(5, ArgValue::F64((step + 1) as f64))?;
+        let (nx, ny, nz) = (s.dims.0 as u64, s.dims.1 as u64, s.dims.2 as u64);
+        let (u_hat, w, sums) = (&s.buf_u, &s.buf_w, &s.sums);
+        FtEvolveArgs { u_hat, w, nx, ny, nz, t: (step + 1) as f64 }.bind(&s.k_evolve)?;
         q.enqueue_ndrange(&s.k_evolve, nd)?;
         for k in &s.k_fft {
             q.enqueue_ndrange(k, nd)?;
         }
-        s.k_checksum.set_arg(5, ArgValue::U64(step as u64))?;
+        FtChecksumArgs { w, sums, nx, ny, nz, step: step as u64 }.bind(&s.k_checksum)?;
         q.enqueue_ndrange(&s.k_checksum, nd)?;
         Ok(())
     }

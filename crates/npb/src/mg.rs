@@ -15,7 +15,7 @@ use crate::class::Class;
 use crate::randdp::RanDp;
 use crate::suite::{iterate, make_queues, QueuePlan};
 use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, KernelBody, KernelCtx, NdRange};
+use clrt::{Buffer, In, Kernel, KernelBody, NdRange, Out};
 use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::{MulticlContext, SchedQueue};
 use std::sync::Arc;
@@ -173,127 +173,78 @@ pub fn interp_host(coarse: &[f64], fine: &mut [f64], nc: usize) {
     }
 }
 
-fn stencil_traits() -> KernelTraits {
+fn stencil_cost(flops_per_item: f64, bytes_per_item: f64) -> KernelCostSpec {
     // Column-major-derived 3-D indexing: badly coalesced on the GPU,
     // cache-friendly enough on the CPU.
-    KernelTraits {
+    let traits = KernelTraits {
         coalescing: 0.28,
         branch_divergence: 0.1,
         vector_friendliness: 0.45,
         double_precision: true,
-    }
+    };
+    KernelCostSpec { flops_per_item, bytes_per_item, traits }
 }
 
-/// `mg_resid`: r = v − A·u. Args: u, v, r(mut), n.
+/// `mg_resid`: r = v − A·u.
 struct MgResid;
-impl KernelBody for MgResid {
-    fn name(&self) -> &str {
-        "mg_resid"
-    }
-    fn arity(&self) -> usize {
-        4
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
-            flops_per_item: 2.0 * 20.0,
-            bytes_per_item: 96.0,
-            traits: stencil_traits(),
+clrt::kernel! {
+    impl MgResid as MgResidArgs {
+        name: "mg_resid",
+        cost: stencil_cost(2.0 * 20.0, 96.0),
+        splittable: true,
+        fn execute(&self, ctx, u: In<f64>, v: In<f64>, r: Out<f64>, n: u64) {
+            let k0 = ctx.global_offset()[2] as usize;
+            let kspan = ctx.nd().global[2] as usize;
+            stencil27_planes(u, Some(v), r, n as usize, A_W, false, k0..k0 + kspan);
         }
-    }
-    fn splittable(&self) -> bool {
-        true
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(3) as usize;
-        let k0 = ctx.global_offset()[2] as usize;
-        let kspan = ctx.nd().global[2] as usize;
-        let u = ctx.slice::<f64>(0);
-        let v = ctx.slice::<f64>(1);
-        let r = ctx.slice_mut::<f64>(2);
-        stencil27_planes(u, Some(v), r, n, A_W, false, k0..k0 + kspan);
     }
 }
 
-/// `mg_psinv`: u += S·r. Args: r, u(mut), n.
+/// `mg_psinv`: u += S·r.
 struct MgPsinv;
-impl KernelBody for MgPsinv {
-    fn name(&self) -> &str {
-        "mg_psinv"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
-            flops_per_item: 2.0 * 19.0,
-            bytes_per_item: 88.0,
-            traits: stencil_traits(),
+clrt::kernel! {
+    impl MgPsinv as MgPsinvArgs {
+        name: "mg_psinv",
+        cost: stencil_cost(2.0 * 19.0, 88.0),
+        splittable: true,
+        fn execute(&self, ctx, r: In<f64>, u: Out<f64>, n: u64) {
+            let k0 = ctx.global_offset()[2] as usize;
+            let kspan = ctx.nd().global[2] as usize;
+            stencil27_planes(r, None, u, n as usize, C_W, true, k0..k0 + kspan);
         }
     }
-    fn splittable(&self) -> bool {
-        true
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let n = ctx.u64(2) as usize;
-        let k0 = ctx.global_offset()[2] as usize;
-        let kspan = ctx.nd().global[2] as usize;
-        let r = ctx.slice::<f64>(0);
-        let u = ctx.slice_mut::<f64>(1);
-        stencil27_planes(r, None, u, n, C_W, true, k0..k0 + kspan);
-    }
 }
 
-/// `mg_rprj3`: coarse = restrict(fine). Args: fine, coarse(mut), nf.
+/// `mg_rprj3`: coarse = restrict(fine), `nf` the fine edge.
 struct MgRprj3;
-impl KernelBody for MgRprj3 {
-    fn name(&self) -> &str {
-        "mg_rprj3"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 54.0, bytes_per_item: 232.0, traits: stencil_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let nf = ctx.u64(2) as usize;
-        let fine = ctx.slice::<f64>(0);
-        let coarse = ctx.slice_mut::<f64>(1);
-        rprj3_host(fine, coarse, nf);
+clrt::kernel! {
+    impl MgRprj3 as MgRprj3Args {
+        name: "mg_rprj3",
+        cost: stencil_cost(54.0, 232.0),
+        fn execute(&self, ctx, fine: In<f64>, coarse: Out<f64>, nf: u64) {
+            rprj3_host(fine, coarse, nf as usize);
+        }
     }
 }
 
-/// `mg_interp`: fine += P·coarse. Args: coarse, fine(mut), nc.
+/// `mg_interp`: fine += P·coarse, `nc` the coarse edge.
 struct MgInterp;
-impl KernelBody for MgInterp {
-    fn name(&self) -> &str {
-        "mg_interp"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 24.0, bytes_per_item: 80.0, traits: stencil_traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let nc = ctx.u64(2) as usize;
-        let coarse = ctx.slice::<f64>(0);
-        let fine = ctx.slice_mut::<f64>(1);
-        interp_host(coarse, fine, nc);
+clrt::kernel! {
+    impl MgInterp as MgInterpArgs {
+        name: "mg_interp",
+        cost: stencil_cost(24.0, 80.0),
+        fn execute(&self, ctx, coarse: In<f64>, fine: Out<f64>, nc: u64) {
+            interp_host(coarse, fine, nc as usize);
+        }
     }
 }
 
-/// `mg_zero`: zero a grid. Args: buf(mut), n.
+/// `mg_zero`: zero a grid of edge `n`.
 struct MgZero;
-impl KernelBody for MgZero {
-    fn name(&self) -> &str {
-        "mg_zero"
-    }
-    fn arity(&self) -> usize {
-        2
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
+clrt::kernel! {
+    impl MgZero as MgZeroArgs {
+        name: "mg_zero",
+        cost: KernelCostSpec {
             flops_per_item: 0.0,
             bytes_per_item: 8.0,
             traits: KernelTraits {
@@ -302,11 +253,10 @@ impl KernelBody for MgZero {
                 vector_friendliness: 0.9,
                 double_precision: true,
             },
+        },
+        fn execute(&self, ctx, grid: Out<f64>, n: u64) {
+            grid.fill(0.0);
         }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let buf = ctx.slice_mut::<f64>(0);
-        buf.fill(0.0);
     }
 }
 
@@ -397,39 +347,32 @@ impl MgApp {
             let mut k_rprj3 = Vec::new();
             let mut k_interp = Vec::new();
             for lev in &levels {
+                let (u, r, n) = (&lev.u, &lev.r, lev.n as u64);
                 let kr = program.create_kernel("mg_resid")?;
-                kr.set_arg(0, ArgValue::Buffer(lev.u.clone()))?;
-                kr.set_arg(1, ArgValue::Buffer(lev.rhs.clone()))?;
-                kr.set_arg(2, ArgValue::BufferMut(lev.r.clone()))?;
-                kr.set_arg(3, ArgValue::U64(lev.n as u64))?;
+                MgResidArgs { u, v: &lev.rhs, r, n }.bind(&kr)?;
                 k_resid.push(kr);
 
                 let kp = program.create_kernel("mg_psinv")?;
-                kp.set_arg(0, ArgValue::Buffer(lev.r.clone()))?;
-                kp.set_arg(1, ArgValue::BufferMut(lev.u.clone()))?;
-                kp.set_arg(2, ArgValue::U64(lev.n as u64))?;
+                MgPsinvArgs { r, u, n }.bind(&kp)?;
                 k_psinv.push(kp);
             }
             for li in 1..levels.len() {
                 let k = program.create_kernel("mg_rprj3")?;
-                k.set_arg(0, ArgValue::Buffer(levels[li].r.clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(levels[li - 1].rhs.clone()))?;
-                k.set_arg(2, ArgValue::U64(levels[li].n as u64))?;
+                let (fine, coarse) = (&levels[li], &levels[li - 1]);
+                MgRprj3Args { fine: &fine.r, coarse: &coarse.rhs, nf: fine.n as u64 }.bind(&k)?;
                 k_rprj3.push(k);
             }
             for li in 0..levels.len() - 1 {
                 let k = program.create_kernel("mg_interp")?;
-                k.set_arg(0, ArgValue::Buffer(levels[li].u.clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(levels[li + 1].u.clone()))?;
-                k.set_arg(2, ArgValue::U64(levels[li].n as u64))?;
+                let (coarse, fine) = (&levels[li], &levels[li + 1]);
+                MgInterpArgs { coarse: &coarse.u, fine: &fine.u, nc: coarse.n as u64 }.bind(&k)?;
                 k_interp.push(k);
             }
             // Coarse-level corrections restart from zero every cycle.
             let mut k_zero = Vec::new();
             for lev in levels.iter().take(levels.len() - 1) {
                 let k = program.create_kernel("mg_zero")?;
-                k.set_arg(0, ArgValue::BufferMut(lev.u.clone()))?;
-                k.set_arg(1, ArgValue::U64(lev.n as u64))?;
+                MgZeroArgs { grid: &lev.u, n: lev.n as u64 }.bind(&k)?;
                 k_zero.push(k);
             }
 

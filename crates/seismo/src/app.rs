@@ -1,9 +1,12 @@
 //! The two-region FDM-Seismology application driver.
 
 use crate::grid::{Dims, Layout};
-use crate::kernels::{bodies, Params};
-use clrt::error::ClResult;
-use clrt::{ArgValue, Buffer, Kernel, NdRange};
+use crate::kernels::{
+    bodies, AbsorbStripArgs, AttenuateArgs, FreeSurfaceArgs, Params, SourceInjectArgs,
+    StressNormalArgs, StressShearArgs, StressTaperArgs, VelTaperArgs, VelUpdateArgs,
+};
+use clrt::error::{ClError, ClResult};
+use clrt::{Buffer, Kernel, NdRange};
 use hwsim::{DeviceId, SimDuration};
 use multicl::{MulticlContext, QueueSchedFlags, SchedQueue};
 use std::sync::Arc;
@@ -70,23 +73,33 @@ impl IterTime {
     }
 }
 
-/// Field indices within a region's buffer array.
-const VX: usize = 0;
-const VY: usize = 1;
-const VZ: usize = 2;
-const SXX: usize = 3;
-const SYY: usize = 4;
-const SZZ: usize = 5;
-const SXY: usize = 6;
-const SXZ: usize = 7;
-const SYZ: usize = 8;
+/// One region's wavefield: three velocity and six stress components.
+struct Fields {
+    vx: Buffer,
+    vy: Buffer,
+    vz: Buffer,
+    sxx: Buffer,
+    syy: Buffer,
+    szz: Buffer,
+    sxy: Buffer,
+    sxz: Buffer,
+    syz: Buffer,
+}
+
+impl Fields {
+    /// Every component, in [`FdmApp::field`]'s numbering.
+    fn all(&self) -> [&Buffer; 9] {
+        let Fields { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz } = self;
+        [vx, vy, vz, sxx, syy, szz, sxy, sxz, syz]
+    }
+}
 
 struct Region {
-    fields: [Buffer; 9],
+    fields: Fields,
     vel_kernels: Vec<Kernel>,
     stress_kernels: Vec<Kernel>,
-    /// The source kernel (region 1 only) — its time argument is rebound
-    /// every iteration.
+    /// The source kernel (region 1 only) — [`FdmApp::step`] binds it, its
+    /// time argument being the step's.
     source: Option<Kernel>,
 }
 
@@ -126,8 +139,18 @@ pub struct FdmApp {
 }
 
 impl FdmApp {
-    /// Build the application.
+    /// Build the application. A grid with a zero extent, or a receiver
+    /// outside the grid, is `InvalidValue`.
     pub fn new(ctx: &MulticlContext, cfg: FdmConfig, plan: &FdmPlan) -> ClResult<FdmApp> {
+        let d = cfg.dims;
+        if let Some(&(i, j, k)) =
+            cfg.receivers.iter().find(|r| r.0 >= d.nx || r.1 >= d.ny || r.2 >= d.nz)
+        {
+            return Err(ClError::InvalidValue(format!(
+                "receiver ({i}, {j}, {k}) lies outside the {}x{}x{} grid",
+                d.nx, d.ny, d.nz
+            )));
+        }
         let params = Arc::new(Params::new(cfg.dims, cfg.layout, &cfg.medium));
         let queues = match plan {
             FdmPlan::Auto => {
@@ -145,90 +168,77 @@ impl FdmApp {
 
         let region = |ri: usize| -> ClResult<Region> {
             let q = &queues[ri];
-            let fields: [Buffer; 9] =
-                std::array::from_fn(|_| ctx.create_buffer_of::<f64>(cells).expect("field buffer"));
+            let field = || ctx.create_buffer_of::<f64>(cells);
+            let fields = Fields {
+                vx: field()?,
+                vy: field()?,
+                vz: field()?,
+                sxx: field()?,
+                syy: field()?,
+                szz: field()?,
+                sxy: field()?,
+                sxz: field()?,
+                syz: field()?,
+            };
             // Fields start at zero (quiescent medium); make them resident
             // on the queue's initial device like the real app's setup phase.
-            for f in &fields {
+            for f in fields.all() {
                 q.enqueue_write(f, &zeros)?;
             }
+            let Fields { vx, vy, vz, sxx, syy, szz, sxy, sxz, syz } = &fields;
 
             // --- Velocity phase kernels ---
             let mut vel_kernels = Vec::new();
-            for (comp, name) in [(VX, "vel_vx"), (VY, "vel_vy"), (VZ, "vel_vz")] {
+            for (v, name) in [(vx, "vel_vx"), (vy, "vel_vy"), (vz, "vel_vz")] {
                 let k = program.create_kernel(name)?;
-                for (a, s) in [SXX, SYY, SZZ, SXY, SXZ, SYZ].iter().enumerate() {
-                    k.set_arg(a, ArgValue::Buffer(fields[*s].clone()))?;
-                }
-                k.set_arg(6, ArgValue::BufferMut(fields[comp].clone()))?;
+                VelUpdateArgs { sxx, syy, szz, sxy, sxz, syz, v }.bind(&k)?;
                 vel_kernels.push(k);
             }
             if ri == 1 {
                 // Region 2's fourth velocity kernel (paper: 3 + 4 = 7).
                 let k = program.create_kernel("vel_taper")?;
-                k.set_arg(0, ArgValue::BufferMut(fields[VX].clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(fields[VY].clone()))?;
-                k.set_arg(2, ArgValue::BufferMut(fields[VZ].clone()))?;
+                VelTaperArgs { vx, vy, vz }.bind(&k)?;
                 vel_kernels.push(k);
             }
 
             // --- Stress phase kernels ---
             let mut stress_kernels = Vec::new();
-            for (comp, name) in [(SXX, "str_sxx"), (SYY, "str_syy"), (SZZ, "str_szz")] {
+            for (s, name) in [(sxx, "str_sxx"), (syy, "str_syy"), (szz, "str_szz")] {
                 let k = program.create_kernel(name)?;
-                k.set_arg(0, ArgValue::Buffer(fields[VX].clone()))?;
-                k.set_arg(1, ArgValue::Buffer(fields[VY].clone()))?;
-                k.set_arg(2, ArgValue::Buffer(fields[VZ].clone()))?;
-                k.set_arg(3, ArgValue::BufferMut(fields[comp].clone()))?;
+                StressNormalArgs { vx, vy, vz, s }.bind(&k)?;
                 stress_kernels.push(k);
             }
             for (va, vb, s, name) in
-                [(VX, VY, SXY, "str_sxy"), (VX, VZ, SXZ, "str_sxz"), (VY, VZ, SYZ, "str_syz")]
+                [(vx, vy, sxy, "str_sxy"), (vx, vz, sxz, "str_sxz"), (vy, vz, syz, "str_syz")]
             {
                 let k = program.create_kernel(name)?;
-                k.set_arg(0, ArgValue::Buffer(fields[va].clone()))?;
-                k.set_arg(1, ArgValue::Buffer(fields[vb].clone()))?;
-                k.set_arg(2, ArgValue::BufferMut(fields[s].clone()))?;
+                StressShearArgs { va, vb, s }.bind(&k)?;
                 stress_kernels.push(k);
             }
-            let taper_n = program.create_kernel("str_taper_n")?;
-            taper_n.set_arg(0, ArgValue::BufferMut(fields[SXX].clone()))?;
-            taper_n.set_arg(1, ArgValue::BufferMut(fields[SYY].clone()))?;
-            taper_n.set_arg(2, ArgValue::BufferMut(fields[SZZ].clone()))?;
-            stress_kernels.push(taper_n);
-            let taper_s = program.create_kernel("str_taper_s")?;
-            taper_s.set_arg(0, ArgValue::BufferMut(fields[SXY].clone()))?;
-            taper_s.set_arg(1, ArgValue::BufferMut(fields[SXZ].clone()))?;
-            taper_s.set_arg(2, ArgValue::BufferMut(fields[SYZ].clone()))?;
-            stress_kernels.push(taper_s);
+            for (name, [s0, s1, s2]) in
+                [("str_taper_n", [sxx, syy, szz]), ("str_taper_s", [sxy, sxz, syz])]
+            {
+                let k = program.create_kernel(name)?;
+                StressTaperArgs { s0, s1, s2 }.bind(&k)?;
+                stress_kernels.push(k);
+            }
             let free = program.create_kernel("str_free_surface")?;
-            free.set_arg(0, ArgValue::BufferMut(fields[SZZ].clone()))?;
-            free.set_arg(1, ArgValue::BufferMut(fields[SXZ].clone()))?;
-            free.set_arg(2, ArgValue::BufferMut(fields[SYZ].clone()))?;
+            FreeSurfaceArgs { szz, sxz, syz }.bind(&free)?;
             stress_kernels.push(free);
             let atten = program.create_kernel("str_atten")?;
-            for (a, s) in [SXX, SYY, SZZ, SXY, SXZ, SYZ].iter().enumerate() {
-                atten.set_arg(a, ArgValue::BufferMut(fields[*s].clone()))?;
-            }
+            AttenuateArgs { sxx, syy, szz, sxy, sxz, syz }.bind(&atten)?;
             stress_kernels.push(atten);
 
             let mut source = None;
             if ri == 0 {
                 // Region 1 hosts the source (paper: 11 stress kernels).
-                let k = program.create_kernel("str_source")?;
-                k.set_arg(0, ArgValue::BufferMut(fields[SXX].clone()))?;
-                k.set_arg(1, ArgValue::BufferMut(fields[SYY].clone()))?;
-                k.set_arg(2, ArgValue::BufferMut(fields[SZZ].clone()))?;
-                k.set_arg(3, ArgValue::F64(0.0))?;
-                source = Some(k);
+                source = Some(program.create_kernel("str_source")?);
             } else {
                 // Region 2 handles the outer absorbing strips (14 kernels).
                 for name in ["str_absorb_xlo", "str_absorb_xhi", "str_absorb_ylo", "str_absorb_yhi"]
                 {
                     let k = program.create_kernel(name)?;
-                    for (a, s) in [SXX, SYY, SZZ, SXY, SXZ, SYZ].iter().enumerate() {
-                        k.set_arg(a, ArgValue::BufferMut(fields[*s].clone()))?;
-                    }
+                    AbsorbStripArgs { sxx, syy, szz, sxy, sxz, syz }.bind(&k)?;
                     stress_kernels.push(k);
                 }
             }
@@ -290,7 +300,8 @@ impl FdmApp {
                 q.enqueue_ndrange(k, nd)?;
             }
             if let Some(src) = &r.source {
-                src.set_arg(3, ArgValue::F64(t))?;
+                let Fields { sxx, syy, szz, .. } = &r.fields;
+                SourceInjectArgs { sxx, syy, szz, t }.bind(src)?;
                 q.enqueue_ndrange(src, NdRange::d1(1, 1))?;
             }
         }
@@ -302,7 +313,7 @@ impl FdmApp {
         // Sample the receivers (diagnostic data-plane read; a real survey
         // would batch these reads, so no virtual time is charged).
         if !self.seismograms.is_empty() {
-            let vz = self.regions[0].fields[VZ].host_snapshot::<f64>();
+            let vz = self.regions[0].fields.vz.host_snapshot::<f64>();
             let d = self.cfg.dims;
             for s in &mut self.seismograms {
                 let (i, j, k) = s.position;
@@ -349,7 +360,7 @@ impl FdmApp {
     pub fn energy(&self) -> f64 {
         self.regions
             .iter()
-            .flat_map(|r| r.fields.iter())
+            .flat_map(|r| r.fields.all())
             .map(|f| f.host_snapshot::<f64>().iter().map(|v| v * v).sum::<f64>())
             .sum()
     }
@@ -358,13 +369,14 @@ impl FdmApp {
     pub fn is_finite(&self) -> bool {
         self.regions
             .iter()
-            .flat_map(|r| r.fields.iter())
+            .flat_map(|r| r.fields.all())
             .all(|f| f.host_snapshot::<f64>().iter().all(|v| v.is_finite()))
     }
 
-    /// Snapshot of one region's field (testing).
+    /// Snapshot of one region's field (testing), numbered from 0 as `vx, vy,
+    /// vz, sxx, syy, szz, sxy, sxz, syz`.
     pub fn field(&self, region: usize, field: usize) -> Vec<f64> {
-        self.regions[region].fields[field].host_snapshot::<f64>()
+        self.regions[region].fields.all()[field].host_snapshot::<f64>()
     }
 
     /// The devices the two queues are currently mapped to.
@@ -408,6 +420,37 @@ mod tests {
         let (_p, c) = ctx("counts");
         let app = FdmApp::new(&c, small(Layout::ColumnMajor), &FdmPlan::Auto).unwrap();
         assert_eq!(app.kernel_counts(), (7, 25));
+    }
+
+    #[test]
+    fn a_grid_with_a_zero_extent_is_an_error_not_a_panic() {
+        let (_p, c) = ctx("zero-extent");
+        for layout in [Layout::ColumnMajor, Layout::RowMajor] {
+            for dims in [Dims::new(0, 8, 8), Dims::new(8, 0, 8), Dims::new(8, 8, 0)] {
+                let cfg = FdmConfig { dims, ..small(layout) };
+                let err = FdmApp::new(&c, cfg, &FdmPlan::Auto).err();
+                assert!(matches!(err, Some(ClError::InvalidValue(_))), "{dims:?}: {err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_receiver_outside_the_grid_is_refused_in_both_layouts() {
+        let (_p, c) = ctx("receivers-outside");
+        for layout in [Layout::ColumnMajor, Layout::RowMajor] {
+            // Column-major (12, 0, 0) would alias cell (0, 1, 0), row-major
+            // (0, 0, 8) cell (0, 1, 0); (11, 11, 8) lies past the last cell.
+            for outside in [(12, 0, 0), (0, 12, 0), (0, 0, 8), (11, 11, 8)] {
+                let cfg = FdmConfig { receivers: vec![(6, 6, 4), outside], ..small(layout) };
+                let err = FdmApp::new(&c, cfg, &FdmPlan::Auto).err();
+                assert!(matches!(err, Some(ClError::InvalidValue(_))), "{layout:?} {outside:?}");
+            }
+            // The last cell is inside.
+            let cfg = FdmConfig { receivers: vec![(11, 11, 7)], ..small(layout) };
+            let mut app = FdmApp::new(&c, cfg, &FdmPlan::Auto).unwrap();
+            app.step().unwrap();
+            assert_eq!(app.seismograms()[0].samples.len(), 1);
+        }
     }
 
     #[test]

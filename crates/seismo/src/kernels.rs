@@ -25,7 +25,7 @@
 use crate::grid::{Dims, Layout};
 use crate::medium::Medium;
 use crate::source::ricker;
-use clrt::{KernelBody, KernelCtx};
+use clrt::{In, KernelBody, Out};
 use hwsim::{KernelCostSpec, KernelTraits};
 use std::ops::Range;
 use std::sync::Arc;
@@ -130,13 +130,15 @@ impl Params {
         p
     }
 
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
+    /// The cost of a body that walks the grid in this layout.
+    fn cost(&self, flops_per_item: f64, bytes_per_item: f64) -> KernelCostSpec {
+        let traits = KernelTraits {
             coalescing: self.layout.coalescing(),
             branch_divergence: 0.08,
             vector_friendliness: 0.5,
             double_precision: true,
-        }
+        };
+        KernelCostSpec { flops_per_item, bytes_per_item, traits }
     }
 
     /// Cerjan damping factor `m` cells from the boundary: 1.0 from `sponge`
@@ -214,10 +216,8 @@ impl Params {
         }
     }
 
-    /// Scale the three fields bound to `ctx` by the sponge taper wherever it
-    /// is below 1.
-    fn apply_taper(&self, ctx: &KernelCtx<'_>) {
-        let mut fields: [&mut [f64]; 3] = std::array::from_fn(|a| ctx.slice_mut::<f64>(a));
+    /// Scale three fields by the sponge taper wherever it is below 1.
+    fn apply_taper(&self, mut fields: [&mut [f64]; 3]) {
         self.walk(self.all(), |r| {
             let f = &self.taper[r.tap..][..r.len];
             for s in fields.iter_mut() {
@@ -257,7 +257,6 @@ pub(crate) fn bodies(p: &Arc<Params>) -> Vec<Arc<dyn KernelBody>> {
 }
 
 /// Velocity update for one component.
-/// Args: 0..=5 = sxx, syy, szz, sxy, sxz, syz (read); 6 = v component (mut).
 pub struct VelUpdate {
     /// 0 = vx, 1 = vy, 2 = vz.
     pub comp: usize,
@@ -267,61 +266,52 @@ pub struct VelUpdate {
     pub p: Arc<Params>,
 }
 
-impl KernelBody for VelUpdate {
-    fn name(&self) -> &str {
-        self.kname
-    }
-    fn arity(&self) -> usize {
-        7
-    }
-    fn cost(&self) -> KernelCostSpec {
+clrt::kernel! {
+    impl VelUpdate as pub(crate) VelUpdateArgs {
+        name: self.kname,
         // Reads three stress fields at 2 neighbors each + the velocity,
         // writes the velocity: ~160 B and ~15 flops per cell.
-        KernelCostSpec { flops_per_item: 15.0, bytes_per_item: 160.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &*self.p;
-        // The stress differentiated along x, y and z (args sxx, syy, szz,
-        // sxy, sxz, syz).
-        let [fx, fy, fz] =
-            [[0, 3, 4], [3, 1, 5], [4, 5, 2]][self.comp].map(|a| ctx.slice::<f64>(a));
-        let v = ctx.slice_mut::<f64>(6);
-        let h = 2.0 * p.dx;
-        p.walk(p.all(), |r| {
-            let (x, y, z) = (r.along(fx, 0), r.along(fy, 1), r.along(fz, 2));
-            let m = &p.coef[r.mat..][..r.len];
-            for (t, v) in v[r.cells()].iter_mut().enumerate() {
-                let div = central(x, t, h) + central(y, t, h) + central(z, t, h);
-                *v += m[t].dt_rho * div;
-            }
-        });
+        cost: self.p.cost(15.0, 160.0),
+        fn execute(
+            &self, ctx,
+            sxx: In<f64>, syy: In<f64>, szz: In<f64>, sxy: In<f64>, sxz: In<f64>, syz: In<f64>,
+            v: Out<f64>,
+        ) {
+            let p = &*self.p;
+            // The stress differentiated along x, y and z.
+            let stress = [sxx, syy, szz, sxy, sxz, syz];
+            let [fx, fy, fz] = [[0, 3, 4], [3, 1, 5], [4, 5, 2]][self.comp].map(|a| stress[a]);
+            let h = 2.0 * p.dx;
+            p.walk(p.all(), |r| {
+                let (x, y, z) = (r.along(fx, 0), r.along(fy, 1), r.along(fz, 2));
+                let m = &p.coef[r.mat..][..r.len];
+                for (t, v) in v[r.cells()].iter_mut().enumerate() {
+                    let div = central(x, t, h) + central(y, t, h) + central(z, t, h);
+                    *v += m[t].dt_rho * div;
+                }
+            });
+        }
     }
 }
 
 /// Sponge taper on the three velocity fields (region 2's fourth velocity
-/// kernel). Args: vx, vy, vz (mut).
+/// kernel).
 pub struct VelTaper {
     /// Shared parameters.
     pub p: Arc<Params>,
 }
 
-impl KernelBody for VelTaper {
-    fn name(&self) -> &str {
-        "vel_taper"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 6.0, bytes_per_item: 48.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        self.p.apply_taper(ctx);
+clrt::kernel! {
+    impl VelTaper as pub(crate) VelTaperArgs {
+        name: "vel_taper",
+        cost: self.p.cost(6.0, 48.0),
+        fn execute(&self, ctx, vx: Out<f64>, vy: Out<f64>, vz: Out<f64>) {
+            self.p.apply_taper([vx, vy, vz]);
+        }
     }
 }
 
-/// Normal-stress update for one diagonal component.
-/// Args: vx, vy, vz (read); 3 = stress component (mut).
+/// Normal-stress update for one diagonal component `s`.
 pub struct StressNormal {
     /// 0 = sxx, 1 = syy, 2 = szz.
     pub comp: usize,
@@ -331,35 +321,28 @@ pub struct StressNormal {
     pub p: Arc<Params>,
 }
 
-impl KernelBody for StressNormal {
-    fn name(&self) -> &str {
-        self.kname
-    }
-    fn arity(&self) -> usize {
-        4
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 14.0, bytes_per_item: 128.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &*self.p;
-        let [vx, vy, vz] = [0, 1, 2].map(|a| ctx.slice::<f64>(a));
-        let s = ctx.slice_mut::<f64>(3);
-        let h = 2.0 * p.dx;
-        p.walk(p.all(), |r| {
-            let (x, y, z) = (r.along(vx, 0), r.along(vy, 1), r.along(vz, 2));
-            let m = &p.coef[r.mat..][..r.len];
-            for (t, s) in s[r.cells()].iter_mut().enumerate() {
-                let e = [central(x, t, h), central(y, t, h), central(z, t, h)];
-                let tr = e[0] + e[1] + e[2];
-                *s += p.dt * (m[t].lam * tr + m[t].mu2 * e[self.comp]);
-            }
-        });
+clrt::kernel! {
+    impl StressNormal as pub(crate) StressNormalArgs {
+        name: self.kname,
+        cost: self.p.cost(14.0, 128.0),
+        fn execute(&self, ctx, vx: In<f64>, vy: In<f64>, vz: In<f64>, s: Out<f64>) {
+            let p = &*self.p;
+            let h = 2.0 * p.dx;
+            p.walk(p.all(), |r| {
+                let (x, y, z) = (r.along(vx, 0), r.along(vy, 1), r.along(vz, 2));
+                let m = &p.coef[r.mat..][..r.len];
+                for (t, s) in s[r.cells()].iter_mut().enumerate() {
+                    let e = [central(x, t, h), central(y, t, h), central(z, t, h)];
+                    let tr = e[0] + e[1] + e[2];
+                    *s += p.dt * (m[t].lam * tr + m[t].mu2 * e[self.comp]);
+                }
+            });
+        }
     }
 }
 
-/// Shear-stress update for one off-diagonal component.
-/// Args: first velocity, second velocity (read); 2 = stress (mut).
+/// Shear-stress update for one off-diagonal component `s` from two
+/// velocities.
 pub struct StressShear {
     /// Differentiation axes `(a, b)`: s_ab += dt·μ·(dv_a/db + dv_b/da).
     pub axes: (usize, usize),
@@ -369,34 +352,26 @@ pub struct StressShear {
     pub p: Arc<Params>,
 }
 
-impl KernelBody for StressShear {
-    fn name(&self) -> &str {
-        self.kname
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 9.0, bytes_per_item: 96.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &*self.p;
-        let (va, vb) = (ctx.slice::<f64>(0), ctx.slice::<f64>(1));
-        let s = ctx.slice_mut::<f64>(2);
-        let (a, b) = self.axes;
-        let h = 2.0 * p.dx;
-        p.walk(p.all(), |r| {
-            let (da, db) = (r.along(va, b), r.along(vb, a));
-            let m = &p.coef[r.mat..][..r.len];
-            for (t, s) in s[r.cells()].iter_mut().enumerate() {
-                *s += m[t].dt_mu * (central(da, t, h) + central(db, t, h));
-            }
-        });
+clrt::kernel! {
+    impl StressShear as pub(crate) StressShearArgs {
+        name: self.kname,
+        cost: self.p.cost(9.0, 96.0),
+        fn execute(&self, ctx, va: In<f64>, vb: In<f64>, s: Out<f64>) {
+            let p = &*self.p;
+            let (a, b) = self.axes;
+            let h = 2.0 * p.dx;
+            p.walk(p.all(), |r| {
+                let (da, db) = (r.along(va, b), r.along(vb, a));
+                let m = &p.coef[r.mat..][..r.len];
+                for (t, s) in s[r.cells()].iter_mut().enumerate() {
+                    *s += m[t].dt_mu * (central(da, t, h) + central(db, t, h));
+                }
+            });
+        }
     }
 }
 
 /// Sponge taper over the three normal (or three shear) stress fields.
-/// Args: three stress fields (mut).
 pub struct StressTaper {
     /// `str_taper_n` or `str_taper_s`.
     pub kname: &'static str,
@@ -404,38 +379,28 @@ pub struct StressTaper {
     pub p: Arc<Params>,
 }
 
-impl KernelBody for StressTaper {
-    fn name(&self) -> &str {
-        self.kname
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 6.0, bytes_per_item: 48.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        self.p.apply_taper(ctx);
+clrt::kernel! {
+    impl StressTaper as pub(crate) StressTaperArgs {
+        name: self.kname,
+        cost: self.p.cost(6.0, 48.0),
+        fn execute(&self, ctx, s0: Out<f64>, s1: Out<f64>, s2: Out<f64>) {
+            self.p.apply_taper([s0, s1, s2]);
+        }
     }
 }
 
-/// Explosive point source at the region center: adds a Ricker wavelet to
-/// the three normal stresses. Args: sxx, syy, szz (mut); 3 = t (f64).
+/// Explosive point source at the region center: adds a Ricker wavelet at
+/// time `t` to the three normal stresses.
 pub struct SourceInject {
     /// Shared parameters.
     pub p: Arc<Params>,
 }
 
-impl KernelBody for SourceInject {
-    fn name(&self) -> &str {
-        "str_source"
-    }
-    fn arity(&self) -> usize {
-        4
-    }
-    fn cost(&self) -> KernelCostSpec {
+clrt::kernel! {
+    impl SourceInject as pub(crate) SourceInjectArgs {
+        name: "str_source",
         // Touches one cell; the launch overhead dominates.
-        KernelCostSpec {
+        cost: KernelCostSpec {
             flops_per_item: 12.0,
             bytes_per_item: 48.0,
             traits: KernelTraits {
@@ -444,74 +409,65 @@ impl KernelBody for SourceInject {
                 vector_friendliness: 0.5,
                 double_precision: true,
             },
+        },
+        fn execute(&self, ctx, sxx: Out<f64>, syy: Out<f64>, szz: Out<f64>, t: f64) {
+            let p = &self.p;
+            let amp = ricker(t, p.freq) * p.dt;
+            let idx = p.layout.idx(p.dims.nx / 2, p.dims.ny / 2, p.dims.nz / 2, p.dims);
+            sxx[idx] += amp;
+            syy[idx] += amp;
+            szz[idx] += amp;
         }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &self.p;
-        let t = ctx.f64(3);
-        let amp = ricker(t, p.freq) * p.dt;
-        let idx = p.layout.idx(p.dims.nx / 2, p.dims.ny / 2, p.dims.nz / 2, p.dims);
-        ctx.slice_mut::<f64>(0)[idx] += amp;
-        ctx.slice_mut::<f64>(1)[idx] += amp;
-        ctx.slice_mut::<f64>(2)[idx] += amp;
     }
 }
 
 /// Free-surface condition at the top plane (k = 0): the z-normal tractions
-/// vanish. Args: szz, sxz, syz (mut).
+/// vanish.
 pub struct FreeSurface {
     /// Shared parameters.
     pub p: Arc<Params>,
 }
 
-impl KernelBody for FreeSurface {
-    fn name(&self) -> &str {
-        "str_free_surface"
-    }
-    fn arity(&self) -> usize {
-        3
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 1.0, bytes_per_item: 24.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &self.p;
-        let mut fields: [&mut [f64]; 3] = std::array::from_fn(|a| ctx.slice_mut::<f64>(a));
-        let [x, y, _] = p.all();
-        p.walk([x, y, 0..1], |r| fields.iter_mut().for_each(|s| s[r.cells()].fill(0.0)));
+clrt::kernel! {
+    impl FreeSurface as pub(crate) FreeSurfaceArgs {
+        name: "str_free_surface",
+        cost: self.p.cost(1.0, 24.0),
+        fn execute(&self, ctx, szz: Out<f64>, sxz: Out<f64>, syz: Out<f64>) {
+            let p = &self.p;
+            let [x, y, _] = p.all();
+            let mut fields = [szz, sxz, syz];
+            p.walk([x, y, 0..1], |r| fields.iter_mut().for_each(|s| s[r.cells()].fill(0.0)));
+        }
     }
 }
 
 /// Intrinsic attenuation: uniform Q damping of all six stresses.
-/// Args: six stress fields (mut).
 pub struct Attenuate {
     /// Shared parameters.
     pub p: Arc<Params>,
 }
 
-impl KernelBody for Attenuate {
-    fn name(&self) -> &str {
-        "str_atten"
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 6.0, bytes_per_item: 96.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        const Q: f64 = 0.9995;
-        for a in 0..6 {
-            for v in ctx.slice_mut::<f64>(a).iter_mut() {
-                *v *= Q;
+clrt::kernel! {
+    impl Attenuate as pub(crate) AttenuateArgs {
+        name: "str_atten",
+        cost: self.p.cost(6.0, 96.0),
+        fn execute(
+            &self, ctx,
+            sxx: Out<f64>, syy: Out<f64>, szz: Out<f64>,
+            sxy: Out<f64>, sxz: Out<f64>, syz: Out<f64>,
+        ) {
+            const Q: f64 = 0.9995;
+            for s in [sxx, syy, szz, sxy, sxz, syz] {
+                for v in s.iter_mut() {
+                    *v *= Q;
+                }
             }
         }
     }
 }
 
 /// One absorbing side strip (region 2's extra boundary handling): extra
-/// damping within the sponge on one lateral face.
-/// Args: six stress fields (mut).
+/// damping of the six stresses within the sponge on one lateral face.
 pub struct AbsorbStrip {
     /// 0 = x-low, 1 = x-high, 2 = y-low, 3 = y-high.
     pub side: usize,
@@ -521,34 +477,33 @@ pub struct AbsorbStrip {
     pub p: Arc<Params>,
 }
 
-impl KernelBody for AbsorbStrip {
-    fn name(&self) -> &str {
-        self.kname
-    }
-    fn arity(&self) -> usize {
-        6
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec { flops_per_item: 3.0, bytes_per_item: 48.0, traits: self.p.traits() }
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let p = &self.p;
-        let d = p.dims;
-        let w = p.sponge.min(d.nx).min(d.ny);
-        let damp = 0.985f64;
-        let mut strip = p.all();
-        match self.side {
-            0 => strip[0] = 0..w,
-            1 => strip[0] = d.nx - w..d.nx,
-            2 => strip[1] = 0..w,
-            _ => strip[1] = d.ny - w..d.ny,
-        }
-        let mut fields: [&mut [f64]; 6] = std::array::from_fn(|a| ctx.slice_mut::<f64>(a));
-        p.walk(strip, |r| {
-            for s in fields.iter_mut() {
-                s[r.cells()].iter_mut().for_each(|x| *x *= damp);
+clrt::kernel! {
+    impl AbsorbStrip as pub(crate) AbsorbStripArgs {
+        name: self.kname,
+        cost: self.p.cost(3.0, 48.0),
+        fn execute(
+            &self, ctx,
+            sxx: Out<f64>, syy: Out<f64>, szz: Out<f64>,
+            sxy: Out<f64>, sxz: Out<f64>, syz: Out<f64>,
+        ) {
+            let p = &self.p;
+            let d = p.dims;
+            let w = p.sponge.min(d.nx).min(d.ny);
+            let damp = 0.985f64;
+            let mut strip = p.all();
+            match self.side {
+                0 => strip[0] = 0..w,
+                1 => strip[0] = d.nx - w..d.nx,
+                2 => strip[1] = 0..w,
+                _ => strip[1] = d.ny - w..d.ny,
             }
-        });
+            let mut fields = [sxx, syy, szz, sxy, sxz, syz];
+            p.walk(strip, |r| {
+                for s in fields.iter_mut() {
+                    s[r.cells()].iter_mut().for_each(|x| *x *= damp);
+                }
+            });
+        }
     }
 }
 

@@ -13,32 +13,26 @@
 //!
 //! Run with: `cargo run --release --example expertise_tiers`
 
-use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
+use clrt::{KernelBody, NdRange, Out, Platform};
 use hwsim::{KernelCostSpec, KernelTraits, SimTime};
 use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedOptions};
 use std::sync::Arc;
 
 /// An iterative stencil-ish kernel that favours the CPU.
 struct Smooth;
-impl KernelBody for Smooth {
-    fn name(&self) -> &str {
-        "smooth"
-    }
-    fn arity(&self) -> usize {
-        1
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec::memory_bound(120.0).with_traits(KernelTraits {
+clrt::kernel! {
+    impl Smooth as SmoothArgs {
+        name: "smooth",
+        cost: KernelCostSpec::memory_bound(120.0).with_traits(KernelTraits {
             coalescing: 0.25,
             branch_divergence: 0.1,
             vector_friendliness: 0.5,
             double_precision: true,
-        })
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let data = ctx.slice_mut::<f64>(0);
-        for i in 1..data.len() - 1 {
-            data[i] = 0.25 * data[i - 1] + 0.5 * data[i] + 0.25 * data[i + 1];
+        }),
+        fn execute(&self, ctx, data: Out<f64>) {
+            for i in 1..data.len() - 1 {
+                data[i] = 0.25 * data[i - 1] + 0.5 * data[i] + 0.25 * data[i + 1];
+            }
         }
     }
 }
@@ -71,7 +65,7 @@ fn run_tier(
     let buf = ctx.create_buffer_of::<f64>(N).expect("buffer");
     let queue = make(&ctx);
     queue.enqueue_write(&buf, &vec![1.0; N]).expect("write");
-    kernel.set_arg(0, ArgValue::BufferMut(buf)).expect("arg");
+    SmoothArgs { data: &buf }.bind(&kernel).expect("arg");
 
     let start = platform.now();
     for iter in 0..ITERATIONS {

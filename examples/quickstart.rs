@@ -6,52 +6,41 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
+use clrt::{KernelBody, NdRange, Out, Platform};
 use hwsim::{KernelCostSpec, KernelTraits};
 use multicl::{ContextSchedPolicy, MulticlContext, QueueSchedFlags};
 use std::sync::Arc;
 
 /// A wide, compute-dense kernel: a GPU's favourite food.
 struct ComputeHeavy;
-impl KernelBody for ComputeHeavy {
-    fn name(&self) -> &str {
-        "compute_heavy"
-    }
-    fn arity(&self) -> usize {
-        1
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec::compute_bound(10_000.0)
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        for v in ctx.slice_mut::<f64>(0).iter_mut() {
-            *v = v.mul_add(1.0000001, 1.0);
+clrt::kernel! {
+    impl ComputeHeavy as ComputeHeavyArgs {
+        name: "compute_heavy",
+        cost: KernelCostSpec::compute_bound(10_000.0),
+        fn execute(&self, ctx, data: Out<f64>) {
+            for v in data.iter_mut() {
+                *v = v.mul_add(1.0000001, 1.0);
+            }
         }
     }
 }
 
 /// A branchy, uncoalesced, memory-bound kernel: runs best on the CPU.
 struct PointerChaser;
-impl KernelBody for PointerChaser {
-    fn name(&self) -> &str {
-        "pointer_chaser"
-    }
-    fn arity(&self) -> usize {
-        1
-    }
-    fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec::memory_bound(256.0).with_traits(KernelTraits {
+clrt::kernel! {
+    impl PointerChaser as PointerChaserArgs {
+        name: "pointer_chaser",
+        cost: KernelCostSpec::memory_bound(256.0).with_traits(KernelTraits {
             coalescing: 0.05,
             branch_divergence: 0.6,
             vector_friendliness: 0.2,
             double_precision: true,
-        })
-    }
-    fn execute(&self, ctx: &mut KernelCtx<'_>) {
-        let data = ctx.slice_mut::<f64>(0);
-        let n = data.len();
-        for i in 0..n {
-            data[i] += data[(i * 7919) % n];
+        }),
+        fn execute(&self, ctx, data: Out<f64>) {
+            let n = data.len();
+            for i in 0..n {
+                data[i] += data[(i * 7919) % n];
+            }
         }
     }
 }
@@ -83,11 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     q2.enqueue_write(&b, &vec![1.0; n])?;
 
     let kg = program.create_kernel("compute_heavy")?;
-    kg.set_arg(0, ArgValue::BufferMut(a.clone()))?;
+    ComputeHeavyArgs { data: &a }.bind(&kg)?;
     q1.enqueue_ndrange(&kg, NdRange::d1(n as u64, 128))?;
 
     let kc = program.create_kernel("pointer_chaser")?;
-    kc.set_arg(0, ArgValue::BufferMut(b.clone()))?;
+    PointerChaserArgs { data: &b }.bind(&kc)?;
     q2.enqueue_ndrange(&kc, NdRange::d1(n as u64, 64))?;
 
     // The first synchronization triggers profiling + mapping + execution.
