@@ -46,7 +46,7 @@ use crate::platform::next_object_id;
 use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
-use hwsim::{DeviceId, SimDuration, WaitList};
+use hwsim::{CommandStatus, DeviceId, SimDuration, WaitList};
 use std::slice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -602,6 +602,10 @@ impl CommandQueue {
     /// lends it only its workgroup shape), then a share-sized D2H gather per
     /// written buffer; and the join here, after every gather: each written
     /// buffer's writer, valid on the host alone. Returns the join's event.
+    /// When a chunk or gather fails, the join completes failed on this queue
+    /// with the kind of the first that did (OpenCL's
+    /// error-for-events-in-wait-list status), so whoever watches this queue
+    /// sees the failure.
     pub fn enqueue_ndrange_split(
         &self,
         kernel: &Kernel,
@@ -651,15 +655,19 @@ impl CommandQueue {
         let start = self.barrier_after(args.touched());
         let node = &self.inner.ctx.rt.node;
         let mut gathers = WaitList::new();
+        // Every chunk and gather, in issue order: the join fails with the
+        // first of them that failed.
+        let mut issued: Vec<EventId> = Vec::with_capacity(plan.len() * (written.len() + 1));
         for &(lane, dev, effective, offset, wgs) in &plan {
             let chunk =
                 lane.launch(kernel, dev, effective, Some(offset), args, slice::from_ref(&start));
+            issued.push(chunk);
             if written.is_empty() {
                 gathers.push(chunk);
             }
             for w in &written {
                 let bytes = (w.buf.byte_len() as u64 * wgs / units).max(1);
-                gathers.push(lane.submit(
+                let gather = lane.submit(
                     &mut self.inner.ctx.rt.engine.lock(),
                     dev,
                     CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
@@ -667,7 +675,9 @@ impl CommandQueue {
                     WaitList::one(chunk),
                     slice::from_ref(w),
                     Stamp::AsStated,
-                ));
+                );
+                gathers.push(gather);
+                issued.push(gather);
             }
         }
         let join = {
@@ -680,8 +690,12 @@ impl CommandQueue {
                     lane.inner.outstanding.lock().clear();
                 }
             }
+            let failed = issued.iter().find_map(|&e| match engine.event_status(e) {
+                CommandStatus::Failed(kind) => Some(kind),
+                CommandStatus::Complete => None,
+            });
             let dev = self.device();
-            self.submit(
+            let join = self.submit(
                 &mut engine,
                 dev,
                 CommandKind::Marker,
@@ -689,7 +703,11 @@ impl CommandQueue {
                 gathers,
                 &written,
                 Stamp::Writer,
-            )
+            );
+            if let Some(kind) = failed {
+                engine.fail_dependent(join, dev, self.inner.qid, kind);
+            }
+            join
         };
         for w in &written {
             w.buf.mark_host_only();
@@ -844,8 +862,8 @@ impl std::fmt::Debug for CommandQueue {
 mod tests {
     use super::*;
     use crate::kernel::{ArgValue, KernelBody};
-    use crate::Platform;
-    use hwsim::KernelCostSpec;
+    use crate::{Platform, RuntimeConfig};
+    use hwsim::{KernelCostSpec, SimTime};
 
     struct Scale(f64);
     impl KernelBody for Scale {
@@ -1372,7 +1390,12 @@ mod tests {
     /// The split fixture: `bump` (splittable) and `scale` (not), both bound
     /// to one 1024-element buffer, and lanes on both GPUs.
     fn split_setup() -> (Platform, Context, [Kernel; 2], BoundArgs, [CommandQueue; 2]) {
-        let p = Platform::paper_node();
+        split_setup_on(Platform::paper_node())
+    }
+
+    fn split_setup_on(
+        p: Platform,
+    ) -> (Platform, Context, [Kernel; 2], BoundArgs, [CommandQueue; 2]) {
         let ctx = p.create_context_all().unwrap();
         let bodies = vec![Arc::new(Bump) as Arc<dyn KernelBody>, Arc::new(Scale(2.0))];
         let prog = ctx.create_program(bodies).unwrap();
@@ -1406,6 +1429,40 @@ mod tests {
             assert!(lane.inner.outstanding.lock().is_empty());
         }
         assert_eq!(args.touched()[0].buf.host_snapshot::<f64>(), vec![1000.0; 1024]);
+    }
+
+    #[test]
+    fn a_split_whose_chunk_fails_completes_failed_on_the_issuing_queue() {
+        // GPU1 is lost from the start: its chunk fails, GPU0's does not.
+        let lost = RuntimeConfig {
+            fault_plan: Some(hwsim::FaultPlan::new(7).lose_device(DeviceId(2), SimTime::ZERO)),
+            ..RuntimeConfig::default()
+        };
+        for (cfg, failed) in
+            [(lost, Some(hwsim::FaultKind::DeviceLost)), (RuntimeConfig::default(), None)]
+        {
+            let p = Platform::with_config(hwsim::NodeConfig::paper_node(), cfg);
+            let (p, ctx, [bump, _], args, lanes) = split_setup_on(p);
+            let home = ctx.create_queue(DeviceId(0)).unwrap();
+            let chunks = lanes.clone().map(|lane| (lane, 4));
+            let join = home.enqueue_ndrange_split(&bump, NdRange::d1(1024, 128), &args, &chunks);
+            let join = join.unwrap().raw();
+            home.finish();
+            let (status, log) = p.with_engine(|e| (e.event_status(join), e.failures().to_vec()));
+            let on_home: Vec<_> = log.iter().filter(|f| f.queue == home.trace_id()).collect();
+            match failed {
+                Some(kind) => {
+                    assert_eq!(status, CommandStatus::Failed(kind));
+                    assert_eq!(on_home.len(), 1, "{log:?}");
+                    assert_eq!((on_home[0].event, on_home[0].kind), (join, kind));
+                    assert!(log.iter().any(|f| f.queue == lanes[1].trace_id()), "{log:?}");
+                }
+                None => {
+                    assert_eq!(status, CommandStatus::Complete);
+                    assert!(log.is_empty(), "{log:?}");
+                }
+            }
+        }
     }
 
     #[test]

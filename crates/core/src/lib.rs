@@ -54,6 +54,7 @@ pub mod flags;
 pub mod mapper;
 pub mod metrics;
 pub mod ooo;
+pub mod plan;
 pub mod predictor;
 pub mod profile;
 pub mod scheduler;

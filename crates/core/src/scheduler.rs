@@ -5,17 +5,18 @@
 //! policy. [`SchedQueue`]s created from it are *user* queues: their kernel
 //! launches are buffered into the current synchronization epoch. At a
 //! trigger (a `finish`, a blocking read, or an explicit-region stop), the
-//! runtime:
+//! runtime collects every queue with pending work (the **queue pool**) and
+//! runs one scheduling pass over it, in three phases:
 //!
-//! 1. collects every queue with pending work (the **queue pool**),
-//! 2. obtains per-device cost vectors for the scheduled queues — from the
+//! 1. **measure** — the only phase that reads device health, the profile
+//!    caches or the clock: each pool queue's per-device cost row, from the
 //!    kernel/epoch profile cache when warm, else by **dynamic kernel
-//!    profiling** (charging virtual time, with the minikernel and
-//!    data-caching optimizations of §V-C), or from the static device profile
-//!    for `SCHED_AUTO_STATIC` queues (§V-B),
-//! 3. maps queues to devices (AutoFit = exact makespan minimization;
-//!    RoundRobin = cyclic), rebinding each underlying device queue, and
-//! 4. flushes the buffered commands to their devices.
+//!    profiling** (§V-C), or from the static device profile (§V-B), and
+//!    then one [`PassInput`] snapshot of all the rest of the pass reads;
+//! 2. **decide** — [`plan::decide`], a pure function of that snapshot: the
+//!    queue→device mapping (AutoFit = makespan minimization; RoundRobin =
+//!    cyclic), the out-of-order issue order and the split shares;
+//! 3. **issue** — announces, rebinds and enqueues what the [`Plan`] says.
 //!
 //! `SCHED_OFF` queues bypass all of this: their commands pass straight
 //! through to the statically chosen device, exactly like stock SnuCL.
@@ -27,6 +28,7 @@
 use crate::flags::{ContextSchedPolicy, QueueSchedFlags};
 use crate::mapper;
 use crate::ooo::{self, BatchCmd};
+use crate::plan::{self, CostRow, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, Touch};
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
@@ -136,11 +138,6 @@ impl Default for SchedOptions {
 /// that regime.
 pub const DEFAULT_ADAPTIVE_NODE_BUDGET: u64 = 100_000;
 
-/// Smallest launch (in workgroups along the split axis) worth splitting:
-/// below this the per-chunk launch and gather overhead outweighs the
-/// parallelism and the kernel runs whole.
-const SPLIT_MIN_WGS: u64 = 8;
-
 impl std::fmt::Debug for SchedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedOptions")
@@ -224,9 +221,9 @@ struct QueueState {
     region_active: AtomicBool,
     /// Epochs synchronized so far (drives `iterative_frequency`).
     epochs: AtomicU64,
-    /// Whether the ROUND_ROBIN policy has already bound this queue (the
-    /// binding is made once, when the queue first reaches the scheduler).
-    rr_bound: AtomicBool,
+    /// Whether a pass has bound this queue (ROUND_ROBIN keeps the binding
+    /// it made when the queue first reached the scheduler).
+    bound: AtomicBool,
 }
 
 impl QueueState {
@@ -238,18 +235,12 @@ impl QueueState {
     }
 
     /// True if this queue's pending work participates in automatic
-    /// scheduling at the next trigger.
+    /// scheduling at the next trigger (KERNEL_EPOCH is an auto queue's
+    /// default trigger).
     fn participates(&self) -> bool {
         let flags = self.flags();
-        if !flags.is_auto() {
-            return false;
-        }
-        if flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            self.region_active.load(Ordering::Relaxed)
-        } else {
-            // KERNEL_EPOCH is the default trigger for auto queues.
-            true
-        }
+        let region = flags.contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
+        flags.is_auto() && (!region || self.region_active.load(Ordering::Relaxed))
     }
 }
 
@@ -259,21 +250,14 @@ struct RtInner {
     policy: ContextSchedPolicy,
     options: SchedOptions,
     device_profile: DeviceProfile,
-    /// Memory capacity in bytes of each context device (device order).
-    capacity: Arc<[u64]>,
-    /// Kernel-name → estimated full execution time per device (§V-C1).
-    /// Names are the kernels' own interned `Arc<str>`s and rows are shared:
-    /// a look-up hands out counts, not copies.
+    /// Kernel-name → estimated full execution time per device (§V-C1),
+    /// names and rows shared by reference count.
     kernel_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
-    /// Online per-device regression over kernel descriptor features,
-    /// trained from completion telemetry. When
-    /// [`SchedOptions::predictor_confidence`] is positive, confident
-    /// predictions serve cost rows for unseen kernels without a profiling
-    /// epoch (the cold-start optimization).
+    /// Online per-device regression over kernel descriptor features: with
+    /// [`SchedOptions::predictor_confidence`] positive, a confident
+    /// prediction serves an unseen kernel's row without profiling.
     predictor: Mutex<CostPredictor>,
-    /// Epoch-key → aggregate execution time per device (§V-C1). A hit
-    /// hands its own key to `CacheHit` and its own row to the mapper's
-    /// explain record.
+    /// Epoch-key → aggregate execution time per device (§V-C1).
     epoch_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
     /// The policy and mapper names every `EpochBegin`,
     /// `MakespanAttribution` and `MappingDecision` carries, made once.
@@ -292,19 +276,14 @@ struct RtInner {
     sched_epoch: AtomicU64,
     /// Replaced whole by `add_observer`, so `emit` takes one `Arc` clone.
     observers: Mutex<Arc<[Arc<dyn SchedObserver>]>>,
-    /// Serializes scheduling passes. Queues can be driven from multiple
-    /// submitter threads (the serving layer does this); a pass reads the
-    /// whole pool, computes an assignment, and rebinds+flushes — interleaving
-    /// two passes could double-flush a queue or rebind it mid-flush.
+    /// Serializes scheduling passes: queues may be driven from several
+    /// threads, and two interleaved passes could issue a queue twice.
     pass_lock: Mutex<()>,
-    /// What a pass works in, reused from one pass to the next. A pass holds
-    /// it throughout, and `finish_all` borrows its queue list between
-    /// passes; the lock keeps `RtInner: Sync` without `unsafe`.
+    /// What a pass works in, reused from one pass to the next; `finish_all`
+    /// borrows its queue list between passes.
     mapper_state: Mutex<PassScratch>,
-    /// Per-device in-order lanes the split flush issues chunks on, created
-    /// lazily (device index → queue; the pass's device list is the
-    /// context's, so a lane stays on its device) and reused across epochs
-    /// so split launches don't churn queue ids in the trace.
+    /// Per-device in-order lanes split launches run their chunks on, by
+    /// device column, made once so splits don't churn trace queue ids.
     split_lanes: Mutex<HashMap<usize, CommandQueue>>,
 }
 
@@ -316,33 +295,29 @@ struct RtInner {
 struct PassScratch {
     /// The pass's participating queues with pending work.
     pool: Vec<Arc<QueueState>>,
-    /// [`Pass::lost`] and [`RtInner::refine_snapshot`]'s index.
-    lost: Vec<bool>,
+    /// What measure snapshots, decide plans, and decide works in.
+    input: PassInput,
+    plan: Plan,
+    decide: PlanScratch,
+    /// [`RtInner::snapshot_launches`]'s index for the predictor.
     refine: HashMap<Arc<str>, (Kernel, NdRange, u64)>,
     lanes: hwsim::report::LaneScratch,
     work: Work,
 }
 
-/// What the phases of a pass work in.
+/// What measure and issue work in.
 #[derive(Default)]
 struct Work {
     /// The pass's stats, applied under one `stats` lock when it ends.
     delta: SchedStats,
     key: EpochKey,
-    mapper: mapper::MapperScratch,
-    costs: mapper::CostMatrix,
-    /// Previous-epoch warm start: each pool queue's current device binding,
-    /// as an index into the pass's device list.
-    warm: Vec<DeviceId>,
-    /// The launches one flush drained, and the group position of each one's
-    /// queue.
-    cmds: Vec<PendingKernel>,
-    owners: Vec<usize>,
+    /// An out-of-order queue's launches as its overlap estimate sees them.
     batch: Vec<BatchCmd>,
     dag: ooo::Scratch,
-    /// First-touch lists: one per device index, and one for a single walk.
-    staged: Vec<Vec<u64>>,
+    /// A first-touch walk's buffer ids.
     seen: Vec<u64>,
+    /// The launches one issue drained, in launch order.
+    cmds: Vec<PendingKernel>,
 }
 
 /// Interpret a debug-style environment variable value: unset, empty (after
@@ -384,7 +359,6 @@ impl MulticlContext {
         let (device_profile, profile_cached) =
             options.profile_cache.load_or_measure_traced(platform);
         let fingerprint = platform.node().fingerprint();
-        let capacity = cl.devices().iter().map(|&d| platform.node().spec(d).mem_capacity).collect();
         // A persisted predictor (opt-in) makes a restarted process start
         // warm: confident predictions flow from the first epoch instead of
         // waiting out a fresh training period.
@@ -410,7 +384,6 @@ impl MulticlContext {
                 policy,
                 options,
                 device_profile,
-                capacity,
                 kernel_profiles: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
@@ -619,10 +592,8 @@ impl MulticlContext {
     }
 
     fn make_queue(&self, flags: QueueSchedFlags, device: DeviceId) -> ClResult<SchedQueue> {
-        // An OUT_OF_ORDER epoch flushes through the clrt queue in
-        // out-of-order mode: commands wait only on their buffer-hazard
-        // predecessors (tracked by the clrt time-plane hazard sets), not
-        // the previous command.
+        // An OUT_OF_ORDER queue's commands wait only on their buffer-hazard
+        // predecessors, not on the previous command.
         let cl = self.rt.cl.create_queue(device)?;
         cl.set_out_of_order(flags.contains(QueueSchedFlags::SCHED_OUT_OF_ORDER))?;
         let state = Arc::new(QueueState {
@@ -632,7 +603,7 @@ impl MulticlContext {
             pending: Mutex::new(Vec::new()),
             region_active: AtomicBool::new(false),
             epochs: AtomicU64::new(0),
-            rr_bound: AtomicBool::new(false),
+            bound: AtomicBool::new(false),
         });
         self.rt.queues.lock().push(Arc::downgrade(&state));
         Ok(SchedQueue { state, rt: Arc::clone(&self.rt) })
@@ -669,27 +640,21 @@ impl RtInner {
         }
     }
 
-    /// The scheduler proper: runs at every synchronization trigger. One
-    /// pass is a fixed sequence of phases — partition the pool, read device
-    /// health, assign, announce+rebind+flush, attribute and refine, close
-    /// the epoch — and every queue takes the same path through each.
-    ///
-    /// Stats are accumulated into the pass's delta and applied under a
-    /// single `stats` lock per pass — the epoch hot path takes no per-queue
-    /// or per-event stats locks.
+    /// The scheduler proper, at every synchronization trigger: queues outside
+    /// the pool flush as buffered, then the pool goes through measure →
+    /// decide → issue, and the epoch's attribution and refinement follow.
+    /// Stats gather in the pass's delta, applied under one `stats` lock.
     fn schedule_and_flush(&self) {
-        // One pass at a time: concurrent submitters (e.g. the serving
-        // layer's front-end threads) may all hit a trigger; the second one
-        // waits and then finds the pool already drained, which is correct.
+        // Concurrent triggers wait here and then find the pool drained.
         let _one_pass = self.pass_lock.lock();
         let mut scratch = self.mapper_state.lock();
-        let PassScratch { pool, lost, refine, lanes, work } = &mut *scratch;
+        let PassScratch { pool, input, plan, decide, refine, lanes, work } = &mut *scratch;
         work.delta = SchedStats::default();
         self.alive_queues(pool);
         pool.retain(|q| !q.pending.lock().is_empty());
         // Non-participating queues flush to their current binding.
         for q in pool.extract_if(.., |q| !q.participates()) {
-            self.flush(&[&q], None, work);
+            self.passthrough(&q, work);
         }
         if pool.is_empty() {
             self.apply_stats(&work.delta);
@@ -704,29 +669,51 @@ impl RtInner {
             pool: pool.len(),
             policy: Arc::clone(&self.policy_label),
         });
-        self.device_health(epoch, lost, &mut work.delta);
-        let devices = self.cl.devices();
-        let pass = Pass { epoch, pool, devices, lost, capacity: &self.capacity };
-        let Assignment { devices: assignment, predicted, profiling } = match self.policy {
-            ContextSchedPolicy::RoundRobin => self.assign_round_robin(&pass, work),
-            ContextSchedPolicy::AutoFit => self.assign_auto_fit(&pass, began, work),
-        };
-        self.refine_snapshot(pool, refine);
-        // Engine trace records carry their final stamps at submit time, so
-        // the executed critical path of this epoch's flush is known as soon
-        // as the issue loop returns: everything pushed past this watermark
-        // belongs to the pool flush (migration transfers included).
+        let profiling = self.measure(epoch, began, pool, input, refine, work);
+        let decided = std::time::Instant::now();
+        plan::decide(input, decide, plan);
+        if let Some(search) = &plan.search {
+            let wall = decided.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let queues = pool.iter().zip(&input.queues).zip(&plan.device);
+            self.emit(&SchedEvent::MappingDecision {
+                epoch,
+                at: self.platform.now(),
+                mapper: Arc::clone(&self.mapper_label),
+                makespan: search.mapping.makespan,
+                nodes_explored: search.nodes_explored,
+                budget_tripped: search.budget_tripped,
+                mapper_wall: SimDuration::from_nanos(wall),
+                queues: queues
+                    .map(|((q, qi), &di)| QueueDecision {
+                        queue: q.id,
+                        exec_estimates: Arc::clone(&qi.cost.exec),
+                        migration_costs: Arc::clone(&qi.cost.migration),
+                        overlap_estimates: qi.cost.overlap.clone().unwrap_or_default(),
+                        chosen: input.devices[di],
+                        previous: q.cl.device(),
+                    })
+                    .collect(),
+            });
+        }
+        // Trace records carry their final stamps at submit, so everything
+        // pushed past this watermark is the issue's, migrations included.
         let flush_start = self.platform.now();
         let trace_offset = self.platform.with_engine(|e| e.trace().total_pushed());
         let passthrough_issued = work.delta.kernels_issued;
-        self.rebind_and_flush(&pass, &assignment, work);
+        self.issue(epoch, pool, input, plan, work);
         self.apply_stats(&work.delta);
-        // Predicted-vs-actual makespan attribution: the mapper's objective
-        // against the executed critical path of the commands it just issued.
-        let executed_end = self.platform.with_engine(|e| {
-            e.trace().records_since(trace_offset).iter().map(|r| r.stamp.end).max()
+        // The executed critical path of the commands just issued, and the
+        // measured copy/compute lane overlap per device of the window (0.0
+        // where a device saw one lane or none).
+        let (executed_end, lane_overlap) = self.platform.with_engine(|e| {
+            let records = e.trace().records_since(trace_offset);
+            let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
+            let lane_overlap: Vec<f64> = input.devices.iter().map(overlap).collect();
+            (records.iter().map(|r| r.stamp.end).max(), lane_overlap)
         });
-        if let (Some(predicted), Some(end)) = (predicted, executed_end) {
+        // Predicted-vs-actual makespan attribution: the policy's objective
+        // against that critical path.
+        if let (Some(predicted), Some(end)) = (plan.predicted, executed_end) {
             self.emit(&SchedEvent::MakespanAttribution {
                 epoch,
                 at: self.platform.now(),
@@ -735,21 +722,12 @@ impl RtInner {
                 actual: end.saturating_since(flush_start),
             });
         }
-        // Online refinement: fold the executed completions back into the
-        // predictor before the epoch closes, so the decision log can
-        // summarize predicted-vs-actual error per epoch.
+        // Refinement folds the completions in before the epoch closes.
         if !refine.is_empty() {
-            self.refine_predictor(refine, pass.devices, trace_offset, epoch);
+            self.refine_predictor(refine, &input.devices, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
-        // Measured copy/compute lane overlap of this epoch's flush window,
-        // per device (0.0 where a device saw one lane or none).
-        let lane_overlap: Vec<f64> = self.platform.with_engine(|e| {
-            let records = e.trace().records_since(trace_offset);
-            let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
-            pass.devices.iter().map(overlap).collect()
-        });
         self.emit(&SchedEvent::EpochEnd {
             epoch,
             at: done,
@@ -763,6 +741,55 @@ impl RtInner {
         });
         pool.clear();
         refine.clear();
+    }
+
+    /// Measure: the pass's one phase that reads device health, the caches
+    /// and the clock. It announces lost devices, obtains each pool queue's
+    /// cost row in pool order (profiling where AUTO_FIT must), and ends
+    /// with one snapshot of what decide reads, into `input`. Returns the
+    /// virtual time spent profiling.
+    fn measure(
+        &self,
+        epoch: u64,
+        began: hwsim::SimTime,
+        pool: &[Arc<QueueState>],
+        input: &mut PassInput,
+        refine: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+        work: &mut Work,
+    ) -> SimDuration {
+        input.policy = self.policy;
+        input.mapper = self.options.mapper;
+        input.devices.clear();
+        input.devices.extend_from_slice(self.cl.devices());
+        input.capacity.clear();
+        let node = self.platform.node();
+        input.capacity.extend(input.devices.iter().map(|&d| node.spec(d).mem_capacity));
+        input.rr_next = self.rr_next.load(Ordering::Relaxed);
+        self.device_health(epoch, &mut input.lost, &mut work.delta);
+        input.queues.clear();
+        for q in pool {
+            let pending = q.pending.lock();
+            let need = pending_need(&pending);
+            let cost = self.queue_costs(q, &pending, epoch, need, input, work);
+            input.queues.push(QueueInput {
+                out_of_order: q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER),
+                need,
+                current: input.devices.iter().position(|&d| d == q.cl.device()),
+                bound: q.bound.load(Ordering::Relaxed),
+                cost,
+                launches: 0..0,
+            });
+        }
+        // Profiling is the phase's only clock-advancing work.
+        let profiling = self.platform.now().saturating_since(began);
+        let devices = &input.devices;
+        let degradation = &mut input.degradation;
+        degradation.clear();
+        self.platform.with_engine(|e| {
+            degradation.extend(devices.iter().map(|&d| e.device_degradation(d)));
+        });
+        self.snapshot_launches(pool, input, refine);
+        profiling
     }
 
     /// Device-health phase: a device is lost once the fault plan's loss
@@ -784,203 +811,184 @@ impl RtInner {
         }
     }
 
-    /// ROUND_ROBIN assignment: "schedules the command queue to the next
-    /// available device when the scheduler is triggered" (§IV-A) — each
-    /// queue is bound once, the first time it reaches the scheduler, and
-    /// keeps that binding (re-rotating every epoch would thrash data
-    /// between devices).
-    fn assign_round_robin(&self, pass: &Pass, work: &mut Work) -> Assignment {
-        let devices: Vec<DeviceId> = pass
-            .pool
-            .iter()
-            .map(|q| {
-                let bound = q.rr_bound.swap(true, Ordering::Relaxed);
-                let current = q.cl.device();
-                let bindable = pass.bindable(Pass::need(&q.pending.lock()));
-                // A binding is kept while the queue may stay there — which,
-                // with nothing left to recover onto, includes a lost device
-                // that holds its buffers: the commands fail with a typed
-                // status.
-                if bound && pass.index_of(current).is_some_and(&bindable) {
-                    return current;
-                }
-                // First binding, or a re-bind off a device that was lost or
-                // cannot hold this epoch's buffers: rotate to the next
-                // device that can take the queue.
-                loop {
-                    let i = self.rr_next.fetch_add(1, Ordering::Relaxed) % pass.devices.len();
-                    if bindable(i) {
-                        return pass.devices[i];
-                    }
-                }
-            })
-            .collect();
-        // ROUND_ROBIN publishes no objective, but the attribution still
-        // wants a prediction to hold it accountable to. Use the warm
-        // profile caches when they cover a queue and fall back to the
-        // §V-B static model otherwise — pure reads either way, so the
-        // prediction never perturbs the virtual clock or event stream.
-        let mut per_device = vec![SimDuration::ZERO; pass.devices.len()];
-        for (q, dev) in pass.pool.iter().zip(&devices) {
-            let pending = q.pending.lock();
-            let b = match self.classify(q, &pending, &mut work.key) {
-                CostPlan::Profile { .. } => CostBreakdown {
-                    exec: self.static_costs(q, &pending, pass.devices),
-                    migration: self.migration_vec(q, &pending, pass.devices, &mut work.seen),
-                    overlap: None,
-                },
-                plan => self.cost_row(q, &pending, &plan, pass.devices, work),
-            };
-            if let Some(i) = pass.index_of(*dev) {
-                per_device[i] += b.total(i);
-            }
-        }
-        Assignment {
-            devices,
-            predicted: per_device.into_iter().max(),
-            profiling: SimDuration::ZERO,
-        }
-    }
-
-    /// AUTO_FIT assignment: one cost row per pool queue, then the mapper.
-    fn assign_auto_fit(&self, pass: &Pass, began: hwsim::SimTime, work: &mut Work) -> Assignment {
-        let (epoch, devices, pool) = (pass.epoch, pass.devices, pass.pool);
-        let breakdowns: Vec<CostBreakdown> =
-            pool.iter().map(|q| self.queue_costs(q, pass, work)).collect();
-        // Virtual time the pass spent obtaining cost vectors (dynamic
-        // profiling and its staging transfers are the only clock-advancing
-        // work before the flush).
-        let profiling = self.platform.now().saturating_since(began);
-        // Reuse the cost-matrix rows across epochs: the steady state re-fills
-        // them without allocating.
-        work.costs.resize_with(breakdowns.len(), Vec::new);
-        for (row, b) in work.costs.iter_mut().zip(&breakdowns) {
-            b.totals_into(row);
-        }
-        // Blacklist, per queue, the devices it may not be bound to — lost,
-        // or too small for a buffer it binds — by overwriting those cells
-        // with the sentinel: every mapper variant then avoids them while the
-        // matrix keeps its global device indexing (explain records, warm
-        // starts). With zero healthy devices the rows stay untouched — the
-        // assignment is moot, the commands all fail with a typed status, and
-        // an all-sentinel matrix would only distort the explain records.
-        for (row, q) in work.costs.iter_mut().zip(pool) {
-            let bindable = pass.bindable(Pass::need(&q.pending.lock()));
-            for (di, c) in row.iter_mut().enumerate() {
-                if !bindable(di) {
-                    *c = mapper::UNAVAILABLE_COST;
-                }
-            }
-        }
-        // Warm start: each queue's current binding — exactly the previous
-        // epoch's assignment for queues that stayed in the pool. Positions
-        // are column indices into `devices`.
-        work.warm.clear();
-        let warm_valid = pool.iter().all(|q| {
-            devices.iter().position(|&d| d == q.cl.device()).is_some_and(|i| {
-                work.warm.push(DeviceId(i));
-                true
-            })
-        });
-        let warm = warm_valid.then_some(work.warm.as_slice());
-        let mapper_began = std::time::Instant::now();
-        let outcome = match self.options.mapper {
-            MapperKind::Greedy => mapper::SearchOutcome {
-                mapping: mapper::greedy(&work.costs),
-                nodes_explored: 0,
-                budget_tripped: false,
-            },
-            MapperKind::Adaptive => {
-                mapper::adaptive(&work.costs, warm, DEFAULT_ADAPTIVE_NODE_BUDGET, &mut work.mapper)
-            }
-        };
-        let mapper_wall =
-            SimDuration::from_nanos(mapper_began.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        let mapping = outcome.mapping;
-        let decisions: Vec<QueueDecision> = pool
-            .iter()
-            .zip(breakdowns)
-            .zip(&mapping.assignment)
-            .map(|((q, b), &dev)| QueueDecision {
-                queue: q.id,
-                exec_estimates: b.exec,
-                migration_costs: b.migration,
-                overlap_estimates: b.overlap.unwrap_or_default(),
-                chosen: devices[dev.index()],
-                previous: q.cl.device(),
-            })
-            .collect();
-        self.emit(&SchedEvent::MappingDecision {
-            epoch,
-            at: self.platform.now(),
-            mapper: Arc::clone(&self.mapper_label),
-            makespan: mapping.makespan,
-            nodes_explored: outcome.nodes_explored,
-            budget_tripped: outcome.budget_tripped,
-            mapper_wall,
-            queues: decisions,
-        });
-        Assignment {
-            devices: mapping.assignment.iter().map(|d| devices[d.index()]).collect(),
-            predicted: Some(mapping.makespan),
-            profiling,
-        }
-    }
-
-    /// Snapshot what the predictor needs to learn from this flush: each
-    /// distinct kernel's descriptor and first-seen launch geometry (the
-    /// same approximation as the name-keyed profile cache), captured
-    /// before the flush drains the pending lists, into `index`. Left empty
-    /// when prediction is disabled.
-    fn refine_snapshot(
+    /// Measure's last step, after every queue's profiling: each pool launch
+    /// as decide sees it — an out-of-order one's accesses, kernel times and
+    /// first-touch transfers at the residency the issue starts from, a
+    /// splittable one's units and unit costs — into `input`. With
+    /// prediction on, each distinct kernel's descriptor and first-seen
+    /// geometry go into `refine`.
+    fn snapshot_launches(
         &self,
         pool: &[Arc<QueueState>],
-        index: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+        input: &mut PassInput,
+        refine: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
     ) {
-        index.clear();
-        if self.options.predictor_confidence > 0.0 {
-            for q in pool {
-                for p in q.pending.lock().iter() {
-                    if !index.contains_key(p.kernel.name()) {
-                        let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
-                        index.insert(p.kernel.shared_name(), snapshot);
-                    }
+        let node = self.platform.node();
+        let predict = self.options.predictor_confidence > 0.0;
+        input.launches.clear();
+        input.touches.clear();
+        input.buffers.clear();
+        input.kernel_time.clear();
+        input.unit_cost.clear();
+        input.transfer.clear();
+        refine.clear();
+        let devices = &input.devices;
+        for (qi, (q, queue)) in pool.iter().zip(input.queues.iter_mut()).enumerate() {
+            let splittable = q.flags().contains(QueueSchedFlags::SCHED_SPLITTABLE);
+            let (ooo, first) = (queue.out_of_order, input.launches.len());
+            for p in q.pending.lock().iter() {
+                if predict && !refine.contains_key(p.kernel.name()) {
+                    let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
+                    refine.insert(p.kernel.shared_name(), snapshot);
                 }
+                let axis = p.nd.split_axis().filter(|_| splittable && p.kernel.splittable());
+                let units = axis.map_or(0, |a| p.nd.global[a].div_ceil(p.nd.local[a]));
+                if ooo || units > 0 {
+                    let cost = p.kernel.cost();
+                    let row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
+                    for (di, &dev) in devices.iter().enumerate() {
+                        let nd = p.kernel.effective_nd(dev, p.nd);
+                        let time = cost.kernel_time(node.spec(dev), nd.shape());
+                        input.kernel_time.push(if ooo { time } else { SimDuration::ZERO });
+                        // The profiled time, else the §V-B analytic estimate.
+                        let full = match row.as_ref().map_or(0, |row| row[di].as_nanos()) {
+                            0 => time.as_nanos() as f64,
+                            ns => ns as f64,
+                        };
+                        input.unit_cost.push(if units > 0 { full / units as f64 } else { 0.0 });
+                    }
+                } else {
+                    input.kernel_time.extend(devices.iter().map(|_| SimDuration::ZERO));
+                    input.unit_cost.extend(devices.iter().map(|_| 0.0));
+                }
+                let from = input.touches.len();
+                for t in p.args.touched().iter().filter(|_| ooo) {
+                    let known = input.buffers.iter().position(|&b| b == t.buf.id());
+                    let slot = known.unwrap_or_else(|| {
+                        input.buffers.push(t.buf.id());
+                        input
+                            .transfer
+                            .extend(devices.iter().map(|&d| self.transfer_time(&t.buf, d)));
+                        input.buffers.len() - 1
+                    });
+                    input.touches.push(Touch { buffer: slot, write: t.write });
+                }
+                let need = p.args.max_buffer_bytes();
+                let touches = from..input.touches.len();
+                input.launches.push(LaunchInput { queue: qi, need, touches, units });
             }
+            queue.launches = first..input.launches.len();
         }
     }
 
-    /// Announce+rebind+flush phase, queue by queue in pool order. A queue
-    /// that changes device is announced first (a fault-driven evacuation
-    /// and a cost-driven migration are different events). Out-of-order
-    /// queues are flushed as one cross-queue batch after the in-order
-    /// queues, so the reorderer sees every OOO command of the epoch;
-    /// rebinds and migration events still happen per queue.
-    fn rebind_and_flush(&self, pass: &Pass, assignment: &[DeviceId], work: &mut Work) {
-        let mut ooo_group: Vec<&Arc<QueueState>> = Vec::new();
-        for (q, &to) in pass.pool.iter().zip(assignment) {
-            let from = q.cl.device();
+    /// Issue: do what `plan` says and nothing else. The measured launches
+    /// are drained; then, queue by queue in pool order, a queue that moves
+    /// is announced and rebound, and an in-order queue's launches go out in
+    /// program order; the out-of-order launches go out last, in plan order.
+    fn issue(
+        &self,
+        epoch: u64,
+        pool: &[Arc<QueueState>],
+        input: &PassInput,
+        plan: &Plan,
+        work: &mut Work,
+    ) {
+        let Work { delta, cmds, .. } = work;
+        // Launches an unwound issue left here are dropped, not issued again.
+        cmds.clear();
+        for (q, qi) in pool.iter().zip(&input.queues) {
+            q.epochs.fetch_add(1, Ordering::Relaxed);
+            q.bound.store(true, Ordering::Relaxed);
+            cmds.extend(q.pending.lock().drain(..qi.launches.len()));
+        }
+        self.rr_next.store(plan.rr_next, Ordering::Relaxed);
+        delta.kernels_issued += cmds.len() as u64;
+        delta.commands_reordered += plan.reordered;
+        let launch = |l: usize| (&cmds[l], &plan.chunks[plan.splits[l].clone()]);
+        for ((q, qi), &di) in pool.iter().zip(&input.queues).zip(&plan.device) {
+            let (from, to) = (q.cl.device(), input.devices[di]);
             if from != to {
-                let bytes = self.pending_nonresident_bytes(&q.pending.lock(), to);
-                let (epoch, queue, at) = (pass.epoch, q.id, self.platform.now());
-                // A fault-driven evacuation is not a cost-driven migration —
-                // telemetry keeps the two apart (recovery latency is measured
-                // DeviceDown → Remapped).
-                self.emit(&if pass.is_lost(from) {
-                    work.delta.queues_remapped += 1;
+                let bytes = nonresident_bytes(&cmds[qi.launches.clone()], to);
+                let (queue, at) = (q.id, self.platform.now());
+                // A fault-driven evacuation is not a cost-driven migration
+                // (recovery latency is measured DeviceDown → Remapped).
+                let lost = input.devices.iter().position(|&d| d == from);
+                self.emit(&if lost.is_some_and(|i| input.lost[i]) {
+                    delta.queues_remapped += 1;
                     SchedEvent::Remapped { epoch, queue, from, to, bytes, at }
                 } else {
                     SchedEvent::QueueMigrated { epoch, queue, from, to, bytes, at }
                 });
             }
-            q.cl.rebind(to).expect("mapper chose a context device");
-            if q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) {
-                ooo_group.push(q);
-            } else {
-                self.flush(&[q], Some(pass), work);
+            q.cl.rebind(to).expect("the plan binds a context device");
+            if !qi.out_of_order {
+                for l in qi.launches.clone() {
+                    let (p, chunks) = launch(l);
+                    self.issue_launch(q, p, chunks, epoch, delta);
+                }
             }
         }
-        self.flush(&ooo_group, Some(pass), work);
+        for &l in &plan.order {
+            let (p, chunks) = launch(l);
+            self.issue_launch(&pool[input.launches[l].queue], p, chunks, epoch, delta);
+        }
+        cmds.clear();
+    }
+
+    /// A queue outside the pool flushes exactly as buffered: program order,
+    /// whole launches, on the device it is bound to.
+    fn passthrough(&self, q: &QueueState, work: &mut Work) {
+        work.cmds.clear();
+        work.cmds.append(&mut q.pending.lock());
+        q.epochs.fetch_add(1, Ordering::Relaxed);
+        work.delta.kernels_issued += work.cmds.len() as u64;
+        for p in work.cmds.drain(..) {
+            enqueue_whole(q, &p);
+        }
+    }
+
+    /// Issue one launch: as one split ([`CommandQueue::enqueue_ndrange_split`])
+    /// over the planned `chunks` on per-device lanes, or whole on the queue's
+    /// bound device when there are none or `clrt` refuses them — having
+    /// issued nothing.
+    fn issue_launch(
+        &self,
+        q: &QueueState,
+        p: &PendingKernel,
+        chunks: &[split::Chunk],
+        epoch: u64,
+        delta: &mut SchedStats,
+    ) {
+        if !chunks.is_empty() {
+            let devices = self.cl.devices();
+            let mut wgs_per_device = vec![0u64; devices.len()];
+            let mut lanes: Vec<(CommandQueue, u64)> = Vec::with_capacity(chunks.len());
+            let mut cached = self.split_lanes.lock();
+            for c in chunks {
+                wgs_per_device[c.device] += c.wg_count;
+                let lane = cached.entry(c.device).or_insert_with(|| {
+                    self.cl.create_queue(devices[c.device]).expect("lane device is the context's")
+                });
+                lanes.push((lane.clone(), c.wg_count));
+            }
+            drop(cached);
+            // Stamped before the split's commands.
+            let at = self.platform.now();
+            if q.cl.enqueue_ndrange_split(&p.kernel, p.nd, &p.args, &lanes).is_ok() {
+                self.emit(&SchedEvent::KernelSplit {
+                    epoch,
+                    queue: q.id,
+                    kernel: p.kernel.shared_name(),
+                    total_wgs: chunks.iter().map(|c| c.wg_count).sum(),
+                    chunks: chunks.len() as u64,
+                    wgs_per_device,
+                    at,
+                });
+                delta.kernels_split += 1;
+                return;
+            }
+        }
+        enqueue_whole(q, p);
     }
 
     /// Fold a pass's accumulated stats delta into the shared counters —
@@ -999,125 +1007,99 @@ impl RtInner {
         stats.kernels_split += delta.kernels_split;
     }
 
-    /// How a queue's cost vector will be obtained this pass. `Static`,
-    /// `Hit` and `Compose` are pure cache/profile reads; `Profile` must
-    /// first run dynamic profiling, which mutates the virtual clock and
-    /// buffer residency.
-    fn classify(&self, q: &QueueState, pending: &[PendingKernel], key: &mut EpochKey) -> CostPlan {
-        if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
-            return CostPlan::Static;
-        }
-        let key = key.spell(pending);
-        // §V-C1: iterative queues may force periodic re-profiling.
-        let force = match (
-            q.flags().contains(QueueSchedFlags::SCHED_ITERATIVE),
-            self.options.iterative_frequency,
-        ) {
-            (true, Some(freq)) if freq > 0 => q.epochs.load(Ordering::Relaxed).is_multiple_of(freq),
-            _ => false,
-        };
-        if !force {
-            if let Some((key, row)) = self.epoch_profiles.lock().get_key_value(key) {
-                return CostPlan::Hit(Arc::clone(key), Arc::clone(row));
-            }
-            // Compose from per-kernel profiles when every kernel is known.
-            let kp = self.kernel_profiles.lock();
-            if pending.iter().all(|p| kp.contains_key(p.kernel.name())) {
-                return CostPlan::Compose(key.into());
-            }
-        }
-        CostPlan::Profile { key: key.into(), force }
-    }
-
-    /// The AUTO_FIT cost row of one pool queue, with the cache bookkeeping
-    /// (§V-C): a queue the caches cannot serve is profiled first — charging
-    /// virtual time and moving buffer residency, in pool order — and is
-    /// then composed from the per-kernel rows like any warm queue.
-    fn queue_costs(&self, q: &QueueState, pass: &Pass, work: &mut Work) -> CostBreakdown {
-        let epoch = pass.epoch;
-        let pending = q.pending.lock();
-        let (plan, cached) = match self.classify(q, &pending, &mut work.key) {
-            CostPlan::Profile { key, force } => {
-                self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
-                self.profile_missing(q, &pending, pass, force, &mut work.delta);
-                (CostPlan::Compose(key), false)
-            }
-            plan => (plan, true),
-        };
-        let breakdown = self.cost_row(q, &pending, &plan, pass.devices, work);
-        let key = match plan {
-            CostPlan::Hit(key, _) => key,
-            CostPlan::Compose(key) => {
-                self.epoch_profiles.lock().insert(Arc::clone(&key), Arc::clone(&breakdown.exec));
-                key
-            }
-            _ => return breakdown,
-        };
-        if cached {
-            work.delta.cache_hits += 1;
-            self.emit(&SchedEvent::CacheHit { epoch, key });
-        }
-        breakdown
-    }
-
-    /// The one cost-row evaluator: per-device cost terms for one queue's
-    /// pending epoch, kept separate so the [`SchedEvent::MappingDecision`]
-    /// explain record can show the execution and migration contributions
-    /// individually. Touches only caches and buffer-residency snapshots —
-    /// no events, no stats, no clock. The caches cannot change under us:
-    /// only scheduling passes mutate them and `pass_lock` is held.
-    fn cost_row(
+    /// One pool queue's cost row (§V-C), kept in its terms so the
+    /// [`SchedEvent::MappingDecision`] explain record can show them. A
+    /// `SCHED_AUTO_STATIC` queue is priced by the static model (§V-B). Any
+    /// other is served by the epoch cache or composed from the per-kernel
+    /// rows; one the caches cannot serve — or an iterative queue due for its
+    /// periodic re-profile (§V-C1) — is profiled first under AUTO_FIT,
+    /// charging virtual time and moving residency in pool order, and priced
+    /// by the static model under ROUND_ROBIN, which never profiles. Only
+    /// AUTO_FIT records the cache traffic. The caches change under no one
+    /// else: only passes write them, and `pass_lock` is held.
+    fn queue_costs(
         &self,
         q: &QueueState,
         pending: &[PendingKernel],
-        plan: &CostPlan,
-        devices: &[DeviceId],
+        epoch: u64,
+        need: u64,
+        input: &PassInput,
         work: &mut Work,
-    ) -> CostBreakdown {
-        let exec = match plan {
-            // §V-B: static mode ranks devices purely by the hint score —
-            // "chooses the best available device for the given command
-            // queue" — without dynamic knowledge of kernels or data.
-            CostPlan::Static => {
-                return CostBreakdown {
-                    exec: self.static_costs(q, pending, devices),
-                    migration: zeros(devices.len()),
-                    overlap: None,
-                }
+    ) -> CostRow {
+        let devices = &input.devices;
+        if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
+            let exec = self.static_costs(q, pending, devices);
+            return CostRow { exec, migration: zeros(devices.len()), overlap: None };
+        }
+        let auto_fit = self.policy == ContextSchedPolicy::AutoFit;
+        let force = self.forced(q);
+        let key = work.key.spell(pending);
+        let hit = match force {
+            true => None,
+            false => {
+                self.epoch_profiles.lock().get_key_value(key).map(|(k, r)| (k.clone(), r.clone()))
             }
-            CostPlan::Hit(_, row) => Arc::clone(row),
-            // Epoch estimate: sum the cached per-name rows over every launch.
-            CostPlan::Compose(_) => {
-                let kp = self.kernel_profiles.lock();
-                let mut exec = vec![SimDuration::ZERO; devices.len()];
-                for p in pending {
-                    for (t, v) in exec.iter_mut().zip(kp[p.kernel.name()].iter()) {
-                        *t += *v;
-                    }
-                }
-                exec.into()
-            }
-            CostPlan::Profile { .. } => unreachable!("profiled queues are composed"),
         };
-        CostBreakdown {
+        let cached = hit.is_some()
+            || !force && {
+                let kp = self.kernel_profiles.lock();
+                pending.iter().all(|p| kp.contains_key(p.kernel.name()))
+            };
+        if !cached && !auto_fit {
+            let exec = self.static_costs(q, pending, devices);
+            let migration = self.migration_vec(q, pending, devices, &mut work.seen);
+            return CostRow { exec, migration, overlap: None };
+        }
+        let (key, exec) = match hit {
+            Some((key, row)) => (Some(key), row),
+            None => {
+                let key: Option<Arc<str>> = auto_fit.then(|| key.into());
+                if let (false, Some(key)) = (cached, &key) {
+                    self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
+                    self.profile_missing(q, pending, epoch, need, input, &mut work.delta);
+                }
+                // Epoch estimate: sum the cached per-name rows over every launch.
+                let mut sum = vec![SimDuration::ZERO; devices.len()];
+                let kp = self.kernel_profiles.lock();
+                for p in pending {
+                    sum.iter_mut().zip(kp[p.kernel.name()].iter()).for_each(|(t, v)| *t += *v);
+                }
+                drop(kp);
+                let exec: Arc<[SimDuration]> = sum.into();
+                if let Some(key) = &key {
+                    self.epoch_profiles.lock().insert(Arc::clone(key), Arc::clone(&exec));
+                }
+                (key, exec)
+            }
+        };
+        if let (true, Some(key)) = (cached && auto_fit, key) {
+            work.delta.cache_hits += 1;
+            self.emit(&SchedEvent::CacheHit { epoch, key });
+        }
+        CostRow {
             overlap: self.overlap_estimate(q, pending, devices, work),
             migration: self.migration_vec(q, pending, devices, &mut work.seen),
             exec,
         }
     }
 
+    /// §V-C1: whether an iterative queue is due for its periodic re-profile.
+    fn forced(&self, q: &QueueState) -> bool {
+        match (
+            q.flags().contains(QueueSchedFlags::SCHED_ITERATIVE),
+            self.options.iterative_frequency,
+        ) {
+            (true, Some(freq)) if freq > 0 => q.epochs.load(Ordering::Relaxed).is_multiple_of(freq),
+            _ => false,
+        }
+    }
+
     /// Predicted per-device data-migration cost of *choosing* each device:
-    /// buffers the epoch reads that are not yet resident there, priced from
-    /// the measured device profile ("we derive the data transfer costs
-    /// based on the device profiles, and the kernel profiles provide the
-    /// kernel execution costs"). No data actually moves here.
-    ///
-    /// Exception: explicit-region queues. The mapping decided inside the
-    /// region persists for the rest of the program (that is the point of
-    /// profiling the representative warmup region), so the one-time
-    /// migration cost is amortized over many future epochs; charging it
-    /// against every-epoch kernel costs would bias the mapper toward
-    /// wherever the data happens to start.
+    /// the epoch's buffers not yet resident there, priced from the device
+    /// profile ("we derive the data transfer costs based on the device
+    /// profiles"). Zero for an explicit-region queue: the mapping decided in
+    /// the region persists for the rest of the program, so its one-time
+    /// migration would otherwise bias the mapper toward where data starts.
     fn migration_vec(
         &self,
         q: &QueueState,
@@ -1138,172 +1120,6 @@ impl RtInner {
             .collect()
     }
 
-    /// The one flush routine: drain `group`'s buffered launches (pool
-    /// order) into one command list, order it, and issue every command to
-    /// its queue's (now final) device. Passthrough queues, in-order pool
-    /// queues (a group of one) and the epoch's out-of-order batch all come
-    /// through here. `pass` is `None` for queues outside the pool, which
-    /// flush exactly as buffered: program order, whole launches.
-    ///
-    /// A `SCHED_OUT_OF_ORDER` group is emitted in Johnson's-rule
-    /// list-schedule order over the hazard DAG of the launches' buffer
-    /// read/write sets, so staging transfers of later commands overlap
-    /// earlier kernels on each device's copy lane. Correctness does not
-    /// depend on the order — the out-of-order clrt queues derive event wait
-    /// lists from the same per-buffer hazards at submit time — the reorder
-    /// only decides how the lanes interleave in virtual time.
-    fn flush(&self, group: &[&Arc<QueueState>], pass: Option<&Pass>, work: &mut Work) {
-        let Work { delta, cmds, owners, batch, dag, staged, .. } = work;
-        // Launches an unwound flush left here are dropped, not issued again.
-        cmds.clear();
-        owners.clear();
-        // Each queue's launches move into `cmds`, and its own list keeps
-        // its capacity for the next epoch.
-        for (gi, q) in group.iter().enumerate() {
-            let mut pending = q.pending.lock();
-            if !pending.is_empty() {
-                q.epochs.fetch_add(1, Ordering::Relaxed);
-            }
-            owners.extend(std::iter::repeat_n(gi, pending.len()));
-            cmds.append(&mut pending);
-        }
-        let owner = |i: usize| group[owners[i]];
-        let reorder = pass.is_some()
-            && group.iter().all(|q| q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER));
-        // `None` = program order. The reorderer sees each command costed on
-        // its queue's device, with first-touch transfers per device.
-        let order = reorder.then(|| {
-            let node = self.platform.node();
-            staged.iter_mut().for_each(Vec::clear);
-            let batch = batch_of(batch, cmds);
-            for (i, (cmd, p)) in batch.iter_mut().zip(cmds.iter()).enumerate() {
-                let dev = owner(i).cl.device();
-                let nd = p.kernel.effective_nd(dev, p.nd);
-                cmd.kernel = p.kernel.cost().kernel_time(node.spec(dev), nd.shape());
-                staged.resize_with(staged.len().max(dev.index() + 1), Vec::new);
-                cmd.transfer = self.first_touch_transfer(p, dev, &mut staged[dev.index()]);
-            }
-            dag.hazard_edges(batch);
-            dag.johnson_order(batch)
-        });
-        delta.kernels_issued += cmds.len() as u64;
-        delta.commands_reordered += order.map_or(0, ooo::count_displaced);
-        for pos in 0..cmds.len() {
-            let i = order.map_or(pos, |o| o[pos]);
-            self.issue_launch(owner(i), &cmds[i], pass, delta);
-        }
-        cmds.clear();
-    }
-
-    /// Issue one buffered launch: as per-device chunks when its queue is a
-    /// pool `SCHED_SPLITTABLE` queue and the launch can be partitioned,
-    /// else whole on the queue's bound device.
-    fn issue_launch(
-        &self,
-        q: &QueueState,
-        p: &PendingKernel,
-        pass: Option<&Pass>,
-        delta: &mut SchedStats,
-    ) {
-        let split = q.flags().contains(QueueSchedFlags::SCHED_SPLITTABLE)
-            && pass.is_some_and(|pass| self.try_split_launch(q, p, pass, delta));
-        if !split {
-            // Context membership and geometry were checked at enqueue time;
-            // capacity too for a queue outside the pool, and the pass binds
-            // a pool queue only where its buffers fit (`Pass::bindable`).
-            q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
-                .expect("buffered launch was validated at enqueue time");
-        }
-    }
-
-    /// Partition one pending launch over the devices eligible for it and
-    /// issue it as one split ([`CommandQueue::enqueue_ndrange_split`]) on
-    /// per-device lanes. Returns `false` when the launch must run whole
-    /// instead.
-    fn try_split_launch(
-        &self,
-        q: &QueueState,
-        p: &PendingKernel,
-        pass: &Pass,
-        delta: &mut SchedStats,
-    ) -> bool {
-        let (epoch, devices) = (pass.epoch, &pass.devices);
-        let need = p.args.max_buffer_bytes();
-        let eligible = |di: usize| pass.eligible(di, need);
-        if !p.kernel.splittable() || (0..devices.len()).filter(|&di| eligible(di)).count() < 2 {
-            return false;
-        }
-        let Some(axis) = p.nd.split_axis() else { return false };
-        let units = p.nd.global[axis].div_ceil(p.nd.local[axis]);
-        if units < SPLIT_MIN_WGS {
-            return false;
-        }
-        // Per-device cost of one split unit: the kernel's profiled full
-        // execution time when the profiler has a row, else the §V-B
-        // analytic estimate — either divided by the unit count, then
-        // stretched by the device's live degradation so a device running
-        // behind its estimate is sized smaller. Ineligible devices are
-        // unavailable (infinite cost).
-        let node = self.platform.node();
-        let profile_row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
-        let degradation: Vec<f64> = self
-            .platform
-            .with_engine(|e| devices.iter().map(|&d| e.device_degradation(d)).collect());
-        let per_wg_ns: Vec<f64> = devices
-            .iter()
-            .enumerate()
-            .map(|(di, &dev)| {
-                if !eligible(di) {
-                    return f64::INFINITY;
-                }
-                let full = profile_row
-                    .as_ref()
-                    .and_then(|row| row.get(di))
-                    .map(|d| d.as_nanos() as f64)
-                    .filter(|&ns| ns > 0.0)
-                    .unwrap_or_else(|| {
-                        p.kernel
-                            .cost()
-                            .kernel_time(node.spec(dev), p.kernel.effective_nd(dev, p.nd).shape())
-                            .as_nanos() as f64
-                    });
-                (full / units as f64).max(1e-9) * degradation[di].max(1.0)
-            })
-            .collect();
-        let chunks = split::static_chunks(units, &per_wg_ns);
-        if chunks.len() < 2 {
-            return false;
-        }
-        let mut wgs_per_device = vec![0u64; devices.len()];
-        let mut lanes: Vec<(CommandQueue, u64)> = Vec::with_capacity(chunks.len());
-        let mut cached = self.split_lanes.lock();
-        for c in &chunks {
-            wgs_per_device[c.device] += c.wg_count;
-            let lane = cached.entry(c.device).or_insert_with(|| {
-                self.cl.create_queue(devices[c.device]).expect("lane device is the context's")
-            });
-            lanes.push((lane.clone(), c.wg_count));
-        }
-        drop(cached);
-        // Stamped before the split's commands; a refused plan issued
-        // nothing, so the launch runs whole instead.
-        let at = self.platform.now();
-        if q.cl.enqueue_ndrange_split(&p.kernel, p.nd, &p.args, &lanes).is_err() {
-            return false;
-        }
-        self.emit(&SchedEvent::KernelSplit {
-            epoch,
-            queue: q.id,
-            kernel: p.kernel.shared_name(),
-            total_wgs: units,
-            chunks: chunks.len() as u64,
-            wgs_per_device,
-            at,
-        });
-        delta.kernels_split += 1;
-        true
-    }
-
     /// §V-B: static selection from device profiles + queue hints only.
     fn static_costs(
         &self,
@@ -1311,15 +1127,13 @@ impl RtInner {
         pending: &[PendingKernel],
         devices: &[DeviceId],
     ) -> Arc<[SimDuration]> {
-        let hint = if q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND) {
-            StaticHint::ComputeBound
-        } else if q.flags().contains(QueueSchedFlags::SCHED_MEM_BOUND) {
-            StaticHint::MemoryBound
-        } else if q.flags().contains(QueueSchedFlags::SCHED_IO_BOUND) {
-            StaticHint::IoBound
-        } else {
-            StaticHint::ComputeBound
-        };
+        let hint = [
+            (QueueSchedFlags::SCHED_COMPUTE_BOUND, StaticHint::ComputeBound),
+            (QueueSchedFlags::SCHED_MEM_BOUND, StaticHint::MemoryBound),
+            (QueueSchedFlags::SCHED_IO_BOUND, StaticHint::IoBound),
+        ];
+        let hint = hint.into_iter().find(|(f, _)| q.flags().contains(*f));
+        let hint = hint.map_or(StaticHint::ComputeBound, |(_, h)| h);
         let work: f64 = pending.iter().map(|p| p.nd.global_items() as f64).sum();
         devices
             .iter()
@@ -1344,86 +1158,73 @@ impl RtInner {
         &self,
         q: &QueueState,
         pending: &[PendingKernel],
-        pass: &Pass,
-        force: bool,
+        epoch: u64,
+        need: u64,
+        input: &PassInput,
         delta: &mut SchedStats,
     ) {
+        let force = self.forced(q);
         let minikernel =
             self.options.minikernel && q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
-        let missing: Vec<&PendingKernel> = {
-            let kp = self.kernel_profiles.lock();
-            let mut seen: Vec<&str> = Vec::new();
-            pending
-                .iter()
-                .filter(|p| {
-                    let name = p.kernel.name();
-                    if seen.contains(&name) {
-                        return false;
-                    }
-                    seen.push(name);
-                    force || !kp.contains_key(name)
-                })
-                .collect()
-        };
-        // Cold-start interception: before paying a profiling epoch, offer
-        // each cold kernel to the cost predictor. Kernels whose per-device
-        // predictions all clear the confidence gate get their rows served
-        // from the model; the rest stay on the profiling path below.
-        // Forced iterative re-profiles always measure — that is their
-        // §V-C1 contract.
-        let need = Pass::need(pending);
+        let mut missing: Vec<&PendingKernel> = Vec::new();
+        let kp = self.kernel_profiles.lock();
+        for p in pending {
+            let name = p.kernel.name();
+            if (force || !kp.contains_key(name)) && missing.iter().all(|m| m.kernel.name() != name)
+            {
+                missing.push(p);
+            }
+        }
+        drop(kp);
+        // Cold-start interception: the cost predictor serves the kernels it
+        // is confident about; the rest are profiled. A forced re-profile
+        // always measures — that is its §V-C1 contract.
         let missing =
-            if force { missing } else { self.predict_missing(missing, pass, need, delta) };
+            if force { missing } else { self.predict_missing(missing, epoch, need, input, delta) };
         if !missing.is_empty() {
-            // Quiesce the data plane first: profiling reads buffer residency
-            // and is the pass's wall-clock-sensitive section, so in-flight
-            // kernel bodies and transfers from earlier epochs must not be
-            // racing the measurements (virtual time is unaffected either
-            // way — the planes are independent — but residency snapshots
-            // and the mapper-wall numbers are not).
+            // Profiling reads residency and is wall-clock sensitive: let the
+            // earlier epochs' bodies and transfers finish first.
             self.platform.quiesce_data_plane();
-            self.profile_kernels(&missing, pass, need, minikernel);
+            self.profile_kernels(&missing, epoch, need, input, minikernel);
             delta.profiled_epochs += 1;
         }
     }
 
-    /// Offer cold kernels to the cost predictor (the profiling bypass).
-    /// For each kernel whose per-device predictions *all* clear the
-    /// confidence gate, the predicted row — inflated by the model's own
-    /// uncertainty, so the mapper only acts on advantages larger than the
-    /// error bar — is cached exactly as a profiled row would be, and a
-    /// [`SchedEvent::CostPredicted`] is emitted. Gate failures emit
-    /// [`SchedEvent::PredictorFallback`] and are returned, in their
-    /// original order, for dynamic profiling.
+    /// Offer cold kernels to the cost predictor (the profiling bypass). A
+    /// kernel whose per-device predictions *all* clear the confidence gate
+    /// gets the predicted row — inflated by the model's own uncertainty, so
+    /// the mapper acts only on advantages larger than the error bar — cached
+    /// as a profiled row would be ([`SchedEvent::CostPredicted`]). The rest
+    /// ([`SchedEvent::PredictorFallback`]) are returned in order, to profile.
     fn predict_missing<'a>(
         &self,
         missing: Vec<&'a PendingKernel>,
-        pass: &Pass,
+        epoch: u64,
         need: u64,
+        input: &PassInput,
         delta: &mut SchedStats,
     ) -> Vec<&'a PendingKernel> {
-        let (epoch, devices) = (pass.epoch, &pass.devices);
+        let devices = &input.devices;
         let threshold = self.options.predictor_confidence;
         if threshold <= 0.0 || missing.is_empty() {
             return missing;
         }
         // Lost as of now — profiling earlier in this pass moves the clock —
-        // or too small for the queue (`need`).
+        // or too small for the queue. With none left, profiling hands out
+        // its all-zero sentinel rows.
         let skip: Vec<bool> = self.platform.with_engine(|e| {
             (0..devices.len())
-                .map(|di| e.device_lost(devices[di]) || !pass.eligible(di, need))
+                .map(|di| e.device_lost(devices[di]) || !plan::eligible(input, di, need))
                 .collect()
         });
         if skip.iter().all(|&s| s) {
-            // Nothing eligible to predict for; the profiling path hands out
-            // its all-zero sentinel rows in this state.
             return missing;
         }
         let mut still_missing = Vec::new();
         let mut events: Vec<SchedEvent> = Vec::new();
-        let mut rows: Vec<(Arc<str>, Arc<[SimDuration]>)> = Vec::new();
         {
             let predictor = self.predictor.lock();
+            let mut kp = self.kernel_profiles.lock();
             for p in missing {
                 let name = p.kernel.shared_name();
                 let cost = p.kernel.cost();
@@ -1435,10 +1236,7 @@ impl RtInner {
                 let mut confident = true;
                 for (di, &dev) in devices.iter().enumerate() {
                     if skip[di] {
-                        // Zero entries are the established "unmeasured"
-                        // sentinel; the epoch blacklist overwrites them
-                        // before any mapping decision sees the row.
-                        continue;
+                        continue; // the "unmeasured" sentinel: zero
                     }
                     let shape = p.kernel.effective_nd(dev, p.nd).shape();
                     let f = KernelFeatures::describe(&cost, shape, arg_bytes);
@@ -1468,7 +1266,7 @@ impl RtInner {
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
                     mapper::inflate_uncertain(&mut row, max_uncertainty);
-                    rows.push((name, row.into()));
+                    kp.insert(name, row.into());
                 } else {
                     delta.predictor_fallbacks += 1;
                     events.push(SchedEvent::PredictorFallback {
@@ -1481,12 +1279,6 @@ impl RtInner {
                 }
             }
         }
-        if !rows.is_empty() {
-            let mut kp = self.kernel_profiles.lock();
-            for (name, row) in rows {
-                kp.insert(name, row);
-            }
-        }
         // Events go out after the locks drop (observers may re-enter the
         // runtime), in pending order — deterministic across same-seed runs.
         for ev in &events {
@@ -1496,12 +1288,9 @@ impl RtInner {
     }
 
     /// Fold this epoch's executed kernel completions back into the cost
-    /// predictor (online refinement). Per (kernel, device) pair, the mean
-    /// executed duration becomes one training observation; when the model
-    /// already had a prediction for that point, a
-    /// [`SchedEvent::PredictorRefined`] reports the predicted-vs-actual
-    /// relative error. Aggregation iterates in `BTreeMap` order so the
-    /// event stream stays bit-identical across same-seed runs.
+    /// predictor (online refinement): per (kernel, device), the mean executed
+    /// duration is one observation, and a prior prediction's error is
+    /// reported ([`SchedEvent::PredictorRefined`]) in `BTreeMap` order.
     fn refine_predictor(
         &self,
         refine_index: &HashMap<Arc<str>, (Kernel, NdRange, u64)>,
@@ -1561,19 +1350,19 @@ impl RtInner {
         }
     }
 
-    /// Run the given kernels once per device (full or minikernel),
-    /// including the input-data staging transfers, all tagged
-    /// [`PROFILING_TAG`] and charged to the virtual clock. Records the
-    /// measured (estimated-full) per-device rows in the kernel-profile
-    /// cache.
+    /// Run the given kernels (distinct names) once per device, full or
+    /// minikernel, after staging their inputs there, all tagged
+    /// [`PROFILING_TAG`] and charged to the virtual clock, and cache the
+    /// measured (estimated-full) per-device rows.
     fn profile_kernels(
         &self,
         pending: &[&PendingKernel],
-        pass: &Pass,
+        epoch: u64,
         need: u64,
+        input: &PassInput,
         minikernel: bool,
     ) {
-        let (epoch, devices) = (pass.epoch, &pass.devices);
+        let devices = &input.devices;
         // Every profiling command runs alone and to completion.
         fn charge(engine: &mut Engine, device: DeviceId, kind: CommandKind, duration: SimDuration) {
             let waits = hwsim::WaitList::new();
@@ -1582,8 +1371,7 @@ impl RtInner {
             engine.wait(ev);
         }
         let node = self.platform.node();
-        // Unique input buffers of the profiled kernels (profiling must move
-        // real data).
+        // The profiled kernels' distinct buffers: profiling moves real data.
         let mut buffers: Vec<Buffer> = Vec::new();
         let mut seen: Vec<u64> = Vec::new();
         for t in pending.iter().flat_map(|p| p.args.touched()) {
@@ -1591,57 +1379,42 @@ impl RtInner {
                 buffers.push(t.buf.clone());
             }
         }
-        let kernel_rows = self.platform.with_engine(|engine| {
+        let mut kernel_rows = self.platform.with_engine(|engine| {
             let prev_tag = engine.tag().map(str::to_owned);
             engine.set_tag(Some(PROFILING_TAG));
-            // Seed an all-zero row per kernel up front so every profiled
-            // name has an entry even if *no* device is probe-able (all
-            // lost): zero rows are the established "unmeasured" sentinel
-            // the epoch blacklist overwrites before mapping sees them.
-            let mut kernel_rows: HashMap<Arc<str>, Vec<SimDuration>> = HashMap::new();
-            for p in pending {
-                kernel_rows
-                    .entry(p.kernel.shared_name())
-                    .or_insert_with(|| vec![SimDuration::ZERO; devices.len()]);
-            }
+            // One row per kernel (the names are distinct), all zero until
+            // measured: a device no probe reaches keeps the "unmeasured"
+            // sentinel, which the epoch blacklist overwrites.
+            let mut kernel_rows: Vec<(Arc<str>, Vec<SimDuration>)> = pending
+                .iter()
+                .map(|p| (p.kernel.shared_name(), vec![SimDuration::ZERO; devices.len()]))
+                .collect();
             for (di, &dev) in devices.iter().enumerate() {
-                // Don't stage data to (or probe) a device that is lost — as
-                // of now: earlier probes moved the clock — or too small for
-                // the queue (`need`): its row stays zero, which the epoch
-                // blacklist overwrites with the sentinel before any mapping
-                // decision sees it.
-                if engine.device_lost(dev) || !pass.eligible(di, need) {
+                // No probe on a device lost as of now (earlier probes moved
+                // the clock) or too small for the queue: its row stays zero.
+                if engine.device_lost(dev) || !plan::eligible(input, di, need) {
                     continue;
                 }
-                // Stage the inputs onto `dev` (§V-C3). With data caching
-                // off, this is the paper's brute force: every destination
-                // performs a full staged D2D (D2H from the source device,
-                // then H2D), n−1 times in total. With caching on, one D2H
-                // populates a host staging copy reused by every destination,
-                // and destinations keep their copies for the real issue.
+                // Stage the inputs onto `dev` (§V-C3). Brute force (caching
+                // off) stages D2H + H2D for every destination; with caching,
+                // one D2H fills a host copy every destination reuses, and
+                // destinations keep their copies for the real issue.
                 for b in &buffers {
                     let res = b.residency();
                     if res.valid_on(dev) {
                         continue;
                     }
                     let bytes = b.byte_len() as u64;
-                    let owner = res.devices.first();
-                    let needs_d2h = if self.options.data_caching {
-                        !res.host && owner.is_some()
-                    } else {
-                        // Brute force re-fetches from the source device for
-                        // every destination, host copy or not.
-                        owner.is_some()
+                    let fetch = match res.devices.first() {
+                        Some(src) if !(self.options.data_caching && res.host) => Some(src),
+                        _ => None,
                     };
-                    if needs_d2h {
-                        let src = owner.expect("checked above");
+                    if let Some(src) = fetch {
                         let d2h = node.topology.host_transfer_time(src, bytes, &node.devices);
                         let kind =
                             CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
                         charge(engine, src, kind, d2h);
                         if self.options.data_caching {
-                            // The staged host copy is kept and reused for
-                            // every subsequent destination device.
                             b.mark_host_valid();
                         }
                     }
@@ -1649,24 +1422,19 @@ impl RtInner {
                     let kind = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
                     charge(engine, dev, kind, h2d);
                     if self.options.data_caching {
-                        // Destination caching: the real issue will find the
-                        // data already resident.
                         b.mark_resident(dev);
                     }
                 }
-                // Time each kernel once on `dev` (the launch geometry is
-                // the first-seen one — the paper's name-keyed cache makes
-                // the same approximation for kernels re-launched with
-                // different shapes).
+                // Time each kernel once on `dev`, at its first-seen geometry
+                // (the paper's name-keyed cache makes the same approximation).
                 let spec = node.spec(dev);
-                for p in pending {
+                for (p, (_, row)) in pending.iter().zip(kernel_rows.iter_mut()) {
                     let nd = p.kernel.effective_nd(dev, p.nd);
                     let shape = nd.shape();
                     let cost = p.kernel.cost();
                     let (charged, estimated_full) = if minikernel {
+                        // One workgroup's probe, scaled by the waves.
                         let mini = cost.minikernel_time(spec, shape);
-                        // Scale the single-workgroup probe to a full-kernel
-                        // estimate: waves × one-wave ≈ full execution.
                         let conc = u64::from(spec.concurrent_workgroups.max(1));
                         let waves = shape.workgroups().div_ceil(conc);
                         (mini, mini * waves)
@@ -1680,53 +1448,29 @@ impl RtInner {
                         Arc::from(p.kernel.name())
                     };
                     charge(engine, dev, CommandKind::Kernel { name }, charged);
-                    kernel_rows
-                        .get_mut(p.kernel.name())
-                        .expect("every pending kernel's row was seeded above")[di] = estimated_full;
+                    row[di] = estimated_full;
                 }
             }
             engine.set_tag(prev_tag.as_deref());
             kernel_rows
         });
-        // Record and announce outside the engine lock (observers may query
-        // the platform clock).
+        // Recorded and announced outside the engine lock.
         {
             let mut kp = self.kernel_profiles.lock();
             for (name, row) in &kernel_rows {
                 kp.insert(Arc::clone(name), row.as_slice().into());
             }
         }
-        // Announce in name order: the map's iteration order is not
-        // deterministic, and the event stream must be bit-identical across
-        // same-seed runs.
-        let mut announced: Vec<_> = kernel_rows.into_iter().collect();
-        announced.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, row) in announced {
+        // Announce in name order.
+        kernel_rows.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, row) in kernel_rows {
             self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
         }
     }
 
-    /// Buffer bytes referenced by `pending` that are not yet resident on
-    /// `dev` — the data a migration to `dev` will actually move. Reported
-    /// in [`SchedEvent::QueueMigrated`].
-    fn pending_nonresident_bytes(&self, pending: &[PendingKernel], dev: DeviceId) -> u64 {
-        let mut seen: Vec<u64> = Vec::new();
-        let mut total = 0;
-        for t in pending.iter().flat_map(|p| p.args.touched()) {
-            if first_seen(&mut seen, &t.buf) && !t.buf.with_residency(|r| r.valid_on(dev)) {
-                total += t.buf.byte_len() as u64;
-            }
-        }
-        total
-    }
-
-    /// Lane-aware per-device makespan estimate for an out-of-order queue's
-    /// pending epoch: Johnson's-rule list schedule over the hazard DAG,
-    /// simulated on the device's copy and compute lanes
-    /// ([`ooo::Scratch::overlap_makespan`]). `None` unless the queue carries
-    /// `SCHED_OUT_OF_ORDER` *and* every pending kernel already has a cached
-    /// per-device profile row — without per-launch kernel times there is
-    /// nothing lane-aware to schedule, and the serial sum stands.
+    /// Lane-aware per-device makespan estimate of an out-of-order queue's
+    /// pending epoch ([`ooo::Scratch::overlap_makespan`]). `None` for an
+    /// in-order queue, and until every pending kernel has a profile row.
     fn overlap_estimate(
         &self,
         q: &QueueState,
@@ -1762,34 +1506,63 @@ impl RtInner {
         Some(devices.iter().enumerate().map(on_device).collect())
     }
 
-    /// Copy-lane estimate of one pending launch on `dev`: the predicted
-    /// transfer time of the distinct buffers it binds that are neither
-    /// resident on `dev` nor already attributed to an earlier launch of
-    /// this epoch (`staged` carries the first-touch bookkeeping across the
-    /// batch, in emission-estimate order).
+    /// Copy-lane estimate of one pending launch on `dev`: the transfers of
+    /// the buffers it binds that no earlier launch of the walk touched
+    /// (`staged` is the walk's first-touch bookkeeping).
     fn first_touch_transfer(
         &self,
         p: &PendingKernel,
         dev: DeviceId,
         staged: &mut Vec<u64>,
     ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for b in p.args.touched().iter().map(|t| &t.buf).filter(|b| first_seen(staged, b)) {
-            let bytes = b.byte_len() as u64;
-            total += b.with_residency(|res| {
-                if res.valid_on(dev) {
-                    SimDuration::ZERO
-                } else if res.host {
-                    self.device_profile.host_transfer_time(dev, bytes)
-                } else if let Some(owner) = res.devices.first() {
-                    self.device_profile.d2d_transfer_time(owner, dev, bytes)
-                } else {
-                    SimDuration::ZERO
-                }
-            });
-        }
-        total
+        let touched = p.args.touched().iter().filter(|t| first_seen(staged, &t.buf));
+        touched.map(|t| self.transfer_time(&t.buf, dev)).sum()
     }
+
+    /// The predicted time to make `b` valid on `dev` from where it is valid
+    /// now, priced from the device profile: zero where it already is.
+    fn transfer_time(&self, b: &Buffer, dev: DeviceId) -> SimDuration {
+        let bytes = b.byte_len() as u64;
+        b.with_residency(|res| {
+            if res.valid_on(dev) {
+                SimDuration::ZERO
+            } else if res.host {
+                self.device_profile.host_transfer_time(dev, bytes)
+            } else if let Some(owner) = res.devices.first() {
+                self.device_profile.d2d_transfer_time(owner, dev, bytes)
+            } else {
+                SimDuration::ZERO
+            }
+        })
+    }
+}
+
+/// Enqueue one buffered launch whole on its queue's bound device. It was
+/// checked at enqueue time, and a pool queue is bound only where its
+/// buffers fit ([`plan::bindable`]).
+fn enqueue_whole(q: &QueueState, p: &PendingKernel) {
+    q.cl.enqueue_ndrange_with_args(&p.kernel, p.nd, &p.args, &[])
+        .expect("buffered launch was validated at enqueue time");
+}
+
+/// Buffer bytes referenced by `cmds` that are not yet resident on `dev` —
+/// the data a migration to `dev` will actually move. Reported in
+/// [`SchedEvent::QueueMigrated`].
+fn nonresident_bytes(cmds: &[PendingKernel], dev: DeviceId) -> u64 {
+    let mut seen: Vec<u64> = Vec::new();
+    let mut total = 0;
+    for t in cmds.iter().flat_map(|p| p.args.touched()) {
+        if first_seen(&mut seen, &t.buf) && !t.buf.with_residency(|r| r.valid_on(dev)) {
+            total += t.buf.byte_len() as u64;
+        }
+    }
+    total
+}
+
+/// Bytes of the largest buffer `pending` binds — what a device must hold to
+/// run these launches.
+fn pending_need(pending: &[PendingKernel]) -> u64 {
+    pending.iter().map(|p| p.args.max_buffer_bytes()).max().unwrap_or(0)
 }
 
 /// Whether a walk over one or more launches' access sets touches `buf` for
@@ -1818,118 +1591,9 @@ fn batch_of<'a>(batch: &'a mut Vec<BatchCmd>, pending: &[PendingKernel]) -> &'a 
     &mut batch[..pending.len()]
 }
 
-/// Per-device cost terms for one queue's pending epoch, as the mapper sees
-/// them: the estimated execution time plus the predicted data-migration
-/// penalty of choosing each device. The rows go on into the explain record
-/// as they are.
-struct CostBreakdown {
-    exec: Arc<[SimDuration]>,
-    migration: Arc<[SimDuration]>,
-    /// Overlap-aware per-device makespan for out-of-order queues: the
-    /// Johnson two-lane list-schedule estimate ([`ooo::Scratch::overlap_makespan`])
-    /// of the same pending commands, which the mapper prefers over the
-    /// serial `exec + migration` sum when present. `None` for in-order
-    /// queues and whenever per-kernel profile rows are not yet available.
-    overlap: Option<Arc<[SimDuration]>>,
-}
-
-impl CostBreakdown {
-    /// The combined per-device cost column handed to the mapper, written
-    /// into a reused row buffer. Prefers the lane-aware overlap estimate
-    /// when one exists — that is how `AUTO_FIT` sees the benefit of
-    /// transfer/compute overlap on out-of-order queues.
-    fn totals_into(&self, row: &mut Vec<SimDuration>) {
-        row.clear();
-        row.extend((0..self.exec.len()).map(|i| self.total(i)));
-    }
-
-    /// The mapper-visible total for one device column.
-    fn total(&self, i: usize) -> SimDuration {
-        match &self.overlap {
-            Some(ov) => ov[i],
-            None => self.exec[i] + self.migration[i],
-        }
-    }
-}
-
-/// How one pool queue's cost vector will be obtained this pass (see
-/// [`RtInner::classify`]). The dynamic plans carry the epoch cache key.
-enum CostPlan {
-    /// §V-B static hint scores — pure arithmetic over the device profile.
-    Static,
-    /// The epoch cache's own key and row.
-    Hit(Arc<str>, Arc<[SimDuration]>),
-    /// Every kernel name has a cached per-device row; the epoch vector is
-    /// their sum (and is inserted into the epoch cache afterwards).
-    Compose(Arc<str>),
-    /// Dynamic profiling required first — cold kernels, or (`force`) an
-    /// iterative queue's periodic re-profile — with virtual-clock and
-    /// residency side effects; the queue is a `Compose` afterwards.
-    Profile { key: Arc<str>, force: bool },
-}
-
-/// What one scheduling pass knows about its pool and the context's devices.
-struct Pass<'a> {
-    epoch: u64,
-    pool: &'a [Arc<QueueState>],
-    devices: &'a [DeviceId],
-    /// Per device (same order): permanently lost as of this pass.
-    lost: &'a [bool],
-    /// Per device (same order): memory capacity in bytes.
-    capacity: &'a [u64],
-}
-
-impl Pass<'_> {
-    fn index_of(&self, dev: DeviceId) -> Option<usize> {
-        self.devices.iter().position(|&d| d == dev)
-    }
-
-    fn is_lost(&self, dev: DeviceId) -> bool {
-        self.index_of(dev).is_some_and(|i| self.lost[i])
-    }
-
-    /// Bytes of the largest buffer `pending` binds — what a device must hold
-    /// to run these launches (`CommandQueue::launch` checks the same figure
-    /// against the device's memory on its own).
-    fn need(pending: &[PendingKernel]) -> u64 {
-        pending.iter().map(|p| p.args.max_buffer_bytes()).max().unwrap_or(0)
-    }
-
-    /// Whether device `di` is eligible for a queue whose pending launches
-    /// bind buffers of up to `need` bytes ([`Pass::need`]): it is not
-    /// lost *and* holds every one of them. `Context::create_buffer` admits
-    /// a buffer that fits the context's largest device, so fitting one
-    /// device says nothing about the next.
-    fn eligible(&self, di: usize, need: u64) -> bool {
-        !self.lost[di] && need <= self.capacity[di]
-    }
-
-    /// Where a queue with that `need` may be bound: on its eligible
-    /// devices — or, with none left, on any device that holds its buffers,
-    /// lost or not. There is nothing to recover onto then, and a lost
-    /// device fails the commands with the fault path's typed status, where
-    /// a live one that is too small would refuse the launch outright. (Some
-    /// device always holds them: the buffers come from this context.)
-    fn bindable(&self, need: u64) -> impl Fn(usize) -> bool + '_ {
-        let recover = (0..self.devices.len()).any(|di| self.eligible(di, need));
-        move |di| need <= self.capacity[di] && !(recover && self.lost[di])
-    }
-}
-
-/// Outcome of a pass's assign phase.
-struct Assignment {
-    /// The device each pool queue flushes to (pool order).
-    devices: Vec<DeviceId>,
-    /// The policy's own makespan objective for the epoch, for the
-    /// predicted-vs-actual attribution emitted after the flush.
-    predicted: Option<SimDuration>,
-    /// Virtual time the phase spent obtaining cost vectors.
-    profiling: SimDuration,
-}
-
-/// The epoch cache key: the multiset of kernel names (§V-C1, "the key for a
-/// kernel epoch is just the set of the participating kernel names"), sorted
-/// and joined by `+`. Spelled into buffers that are kept from pass to pass.
+/// The epoch cache key (§V-C1: "just the set of the participating kernel
+/// names"): the names sorted and joined by `+`, each `+` and `\` inside a
+/// name escaped by a `\` so that no two multisets spell alike.
 #[derive(Default)]
 struct EpochKey {
     /// Indices into the pending launches, in name order.
@@ -1948,7 +1612,14 @@ impl EpochKey {
             if n > 0 {
                 self.text.push('+');
             }
-            self.text.push_str(name(i));
+            let mut rest = name(i);
+            while let Some(at) = rest.find(['+', '\\']) {
+                self.text.push_str(&rest[..at]);
+                self.text.push('\\');
+                self.text.push_str(&rest[at..at + 1]);
+                rest = &rest[at + 1..];
+            }
+            self.text.push_str(rest);
         }
         &self.text
     }

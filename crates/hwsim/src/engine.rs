@@ -337,6 +337,19 @@ impl Engine {
         }
     }
 
+    /// Complete `ev` — already submitted on `device` by `queue` — failed
+    /// with `kind`, unless it failed on its own: OpenCL's
+    /// error-for-events-in-wait-list status, for a command whose result
+    /// stands on a failed one. Logged like any failure, at the event's end.
+    pub fn fail_dependent(&mut self, ev: EventId, device: DeviceId, queue: usize, kind: FaultKind) {
+        if self.statuses.contains_key(&ev.0) {
+            return;
+        }
+        self.statuses.insert(ev.0, kind);
+        let at = self.events[ev.0].end;
+        self.failures.push(FailureRecord { event: ev, device, queue, kind, at });
+    }
+
     /// True when `dev` has died at or before the current host time.
     pub fn device_lost(&self, dev: DeviceId) -> bool {
         self.device_lost_at(dev).is_some_and(|t| t <= self.host_now)

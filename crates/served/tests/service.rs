@@ -241,6 +241,56 @@ fn with_modes(mut spec: served::JobSpec, out_of_order: bool, splittable: bool) -
 }
 
 #[test]
+fn a_failed_split_chunk_never_leaves_its_job_completed() {
+    // A split's chunks and gathers run on the scheduler's per-device lanes,
+    // not on the job's worker queue: the job sees their failure through the
+    // split's join, which completes failed on the worker queue.
+    let spec = with_modes(loadgen::templates()[1].clone(), false, true);
+    let mut faulted_rounds = 0;
+    for victim_rank in 0..2 {
+        for k in 0..12u64 {
+            let platform = Platform::paper_node();
+            let options = warmed_options(&platform, scratch_dir("split-fault"));
+            let tenants = vec![TenantConfig::new("a", 1, 4)];
+            let config =
+                ServiceConfig { options, ..ServiceConfig::new(ServePolicy::AutoFit, 1, tenants) };
+            let served = Served::new(&platform, config).expect("service builds");
+            served.warm_programs(std::slice::from_ref(&spec)).expect("warm-up");
+            // One healthy job settles the worker where the mapper wants it.
+            served.submit(0, spec.clone()).expect("admit");
+            served.run_until_drained();
+            let home = served.worker_devices()[0];
+            let victim = [0, 1, 2].map(hwsim::DeviceId).into_iter().filter(|&d| d != home);
+            let victim = victim.collect::<Vec<_>>()[victim_rank];
+            // Lost 5–80 µs into the round: the pass still splits over it.
+            let at = served.now() + SimDuration::from_micros(5 + k * 75 / 11);
+            let failures = platform.with_engine(|e| {
+                e.set_fault_plan(FaultPlan::new(5).lose_device(victim, at));
+                e.failure_count()
+            });
+            served.submit(0, spec.clone()).expect("admit");
+            served.dispatch_round();
+            let split = served.context().stats().kernels_split;
+            let faulted = platform.with_engine(|e| e.failure_count()) > failures;
+            if faulted {
+                faulted_rounds += 1;
+                let outcomes = served.outcomes();
+                let completed = outcomes.iter().filter(|o| o.result == JobResult::Completed);
+                let case = format!("{victim:?} lost at {at:?}, {split} splits");
+                assert_eq!(completed.count(), 1, "{case}: the faulted job completed");
+            }
+            served.run_until_drained();
+            let outcomes = served.outcomes();
+            assert_eq!(outcomes.len(), 2, "one terminal outcome per job");
+            for o in &outcomes {
+                assert!(matches!(o.result, JobResult::Completed | JobResult::Failed(_)));
+            }
+        }
+    }
+    assert!(faulted_rounds > 0, "no case failed a command");
+}
+
+#[test]
 fn mixed_mode_jobs_are_served_on_the_one_worker_set() {
     const WORKERS: usize = 3;
     // Seeded arrivals over the stock templates (256 or more workgroups a
