@@ -256,9 +256,11 @@ impl CommandQueue {
     }
 
     /// The one time-plane sequence: consult → submit → record. Submit one
-    /// command on `device` that touches `touches` (seen through `stamp`)
-    /// and waits on `waits`. An in-order queue chains it after the queue's
-    /// previous command; an out-of-order queue *consults* the touched
+    /// command on `device` that touches `touches` (seen through `stamp`) and
+    /// waits on `waits`, recorded under the trace id `queue`: this queue's own,
+    /// or on a split lane the issuing queue's
+    /// ([`Self::enqueue_ndrange_split`]). An in-order queue chains it after the
+    /// queue's previous command; an out-of-order queue *consults* the touched
     /// buffers' frontiers instead and waits on their RAW / WAR / WAW
     /// predecessors. Every queue then *records* the command in them, so
     /// out-of-order commands elsewhere order after it. The wait list stays
@@ -267,6 +269,7 @@ impl CommandQueue {
     fn submit(
         &self,
         engine: &mut Engine,
+        queue: usize,
         device: DeviceId,
         kind: CommandKind,
         duration: SimDuration,
@@ -281,8 +284,7 @@ impl CommandQueue {
         } else if let Some(last) = (*self.inner.last.lock()).filter(|l| !waits.contains(l)) {
             waits.push(last);
         }
-        let id =
-            engine.submit(CommandDesc { device, kind, duration, waits, queue: self.inner.qid });
+        let id = engine.submit(CommandDesc { device, kind, duration, waits, queue });
         if stamp != Stamp::Unrecorded {
             for t in touches {
                 let mut h = t.buf.inner.stamp_hazard.lock();
@@ -298,13 +300,20 @@ impl CommandQueue {
     }
 
     /// Insert the transfers needed to make `buf` valid on `dev`, updating
-    /// residency. Returns the final transfer event, if any movement happened.
+    /// residency, recorded under the trace id `queue` ([`Self::submit`]).
+    /// Returns the final transfer event, if any movement happened.
     ///
     /// A migration is a *read* of the buffer's contents in the time plane
     /// (the contents must be final before they move, and later writers
     /// order after the move) and has no data-plane task: the canonical
     /// store is the host's.
-    fn migrate_to(&self, engine: &mut Engine, buf: &Buffer, dev: DeviceId) -> Option<EventId> {
+    fn migrate_to(
+        &self,
+        engine: &mut Engine,
+        queue: usize,
+        buf: &Buffer,
+        dev: DeviceId,
+    ) -> Option<EventId> {
         let node = &self.inner.ctx.rt.node;
         let mut res = buf.inner.residency.lock();
         if res.valid_on(dev) {
@@ -329,18 +338,34 @@ impl CommandQueue {
             // (cross-vendor D2D is unavailable, paper §V-C3).
             let d = node.topology.host_transfer_time(owner, bytes, &node.devices);
             let d2h = CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
-            let ev1 =
-                self.submit(engine, owner, d2h, d, WaitList::new(), &touches, Stamp::Unrecorded);
+            let ev1 = self.submit(
+                engine,
+                queue,
+                owner,
+                d2h,
+                d,
+                WaitList::new(),
+                &touches,
+                Stamp::Unrecorded,
+            );
             let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let ev2 =
-                self.submit(engine, dev, h2d, d, WaitList::one(ev1), &touches, Stamp::AsStated);
+            let ev2 = self.submit(
+                engine,
+                queue,
+                dev,
+                h2d,
+                d,
+                WaitList::one(ev1),
+                &touches,
+                Stamp::AsStated,
+            );
             res.host = true;
             ev2
         } else {
             // The host copy is valid: after the purge above it always is
             // when no device holds one.
             let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            self.submit(engine, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated)
+            self.submit(engine, queue, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated)
         };
         res.devices.insert(dev);
         Some(ev)
@@ -377,6 +402,7 @@ impl CommandQueue {
         let touches = [Access::write(buf)];
         let ev = self.submit(
             &mut self.inner.ctx.rt.engine.lock(),
+            self.inner.qid,
             dev,
             CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
             duration,
@@ -435,11 +461,12 @@ impl CommandQueue {
         let bracket = self.plane().begin_manual(&touches, self.chain_dep().as_slice());
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            let mig = self.migrate_to(&mut engine, buf, dev);
+            let mig = self.migrate_to(&mut engine, self.inner.qid, buf, dev);
             let node = &self.inner.ctx.rt.node;
             let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
             let id = self.submit(
                 &mut engine,
+                self.inner.qid,
                 dev,
                 CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
                 duration,
@@ -474,11 +501,12 @@ impl CommandQueue {
         let touches = [Access::read(src), Access::write(dst)];
         let ev = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            let mig = self.migrate_to(&mut engine, src, dev);
+            let mig = self.migrate_to(&mut engine, self.inner.qid, src, dev);
             let node = &self.inner.ctx.rt.node;
             let duration = node.topology.device_transfer_time(dev, dev, bytes, &node.devices);
             self.submit(
                 &mut engine,
+                self.inner.qid,
                 dev,
                 CommandKind::Transfer { kind: TransferKind::DeviceToDevice, bytes },
                 duration,
@@ -591,17 +619,20 @@ impl CommandQueue {
     /// Co-execute one splittable launch on several devices: `nd` cut along
     /// [`NdRange::split_axis`] into contiguous sub-ranges, one per chunk in
     /// range order. A chunk names its *lane* — an in-order queue of this
-    /// context, bound to the chunk's device — and its workgroup count along
-    /// the axis; the counts are non-zero and sum to the launch's. Bad input
-    /// is a typed error, found before anything is issued on either plane.
+    /// context, bound to the chunk's device — and its workgroup count along the
+    /// axis; the counts are non-zero and sum to the launch's. Bad input is a
+    /// typed error, found before anything is issued on either plane.
     ///
     /// Issued in order: a start marker here (the tail of this queue's prior
     /// work and, out of order, the launch's hazard predecessors, which the
     /// lanes never consult); per chunk, the sub-range launch on its lane, a
-    /// time-plane *reader* after the marker (a per-device configuration
-    /// lends it only its workgroup shape), then a share-sized D2H gather per
-    /// written buffer; and the join here, after every gather: each written
-    /// buffer's writer, valid on the host alone. Returns the join's event.
+    /// time-plane *reader* after the marker (a per-device configuration lends
+    /// it only its workgroup shape), then a share-sized D2H gather per written
+    /// buffer; and the join here, after every gather: each written buffer's
+    /// writer, valid on the host alone. Returns the join's event. Every command
+    /// the call issues is recorded under this queue's trace id, the lanes'
+    /// included (chunks, their input migrations, gathers): the trace's queue is
+    /// the logical queue, while the lanes still chain the commands per device.
     /// When a chunk or gather fails, the join completes failed on this queue
     /// with the kind of the first that did (OpenCL's
     /// error-for-events-in-wait-list status), so whoever watches this queue
@@ -659,8 +690,8 @@ impl CommandQueue {
         // first of them that failed.
         let mut issued: Vec<EventId> = Vec::with_capacity(plan.len() * (written.len() + 1));
         for &(lane, dev, effective, offset, wgs) in &plan {
-            let chunk =
-                lane.launch(kernel, dev, effective, Some(offset), args, slice::from_ref(&start));
+            let at = Some((self.inner.qid, offset));
+            let chunk = lane.launch(kernel, dev, effective, at, args, slice::from_ref(&start));
             issued.push(chunk);
             if written.is_empty() {
                 gathers.push(chunk);
@@ -669,6 +700,7 @@ impl CommandQueue {
                 let bytes = (w.buf.byte_len() as u64 * wgs / units).max(1);
                 let gather = lane.submit(
                     &mut self.inner.ctx.rt.engine.lock(),
+                    self.inner.qid,
                     dev,
                     CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
                     node.topology.host_transfer_time(dev, bytes, &node.devices),
@@ -697,6 +729,7 @@ impl CommandQueue {
             let dev = self.device();
             let join = self.submit(
                 &mut engine,
+                self.inner.qid,
                 dev,
                 CommandKind::Marker,
                 SimDuration::ZERO,
@@ -718,20 +751,23 @@ impl CommandQueue {
     }
 
     /// The one kernel-launch body, after validation: `kernel` over
-    /// `effective` on `dev`, after `waits`, to both planes. `chunk_offset`
-    /// is `None` for a whole launch and the sub-range's global offset for a
-    /// chunk of [`Self::enqueue_ndrange_split`], which stamps as a reader
-    /// and leaves residency to the split's join.
+    /// `effective` on `dev`, after `waits`, to both planes. `chunk` is
+    /// `None` for a whole launch. For a chunk of
+    /// [`Self::enqueue_ndrange_split`] it is the issuing queue's trace id,
+    /// which records the chunk and its migrations, and the sub-range's
+    /// global offset; a chunk stamps as a reader and leaves residency to
+    /// the split's join.
     fn launch(
         &self,
         kernel: &Kernel,
         dev: DeviceId,
         effective: NdRange,
-        chunk_offset: Option<[u64; 3]>,
+        chunk: Option<(usize, [u64; 3])>,
         args: &BoundArgs,
         waits: &[Event],
     ) -> EventId {
-        let whole = chunk_offset.is_none();
+        let whole = chunk.is_none();
+        let (queue, global_offset) = chunk.unwrap_or((self.inner.qid, [0; 3]));
         let spec = self.inner.ctx.rt.node.spec(dev);
         let cost = kernel.cost();
         let duration = cost.kernel_time(spec, effective.shape());
@@ -742,10 +778,11 @@ impl CommandQueue {
             let mut chain: WaitList = waits.iter().map(Event::raw).collect();
             // In first-touch order: the migrations' stamps depend on it.
             for t in touches {
-                chain.extend(self.migrate_to(&mut engine, &t.buf, dev));
+                chain.extend(self.migrate_to(&mut engine, queue, &t.buf, dev));
             }
             self.submit(
                 &mut engine,
+                queue,
                 dev,
                 CommandKind::Kernel { name: kernel.shared_name() },
                 duration,
@@ -757,7 +794,6 @@ impl CommandQueue {
         // Data plane: run the body exactly once, outside the engine lock.
         // Explicit event waits order the task after the tasks backing those
         // events.
-        let global_offset = chunk_offset.unwrap_or_default();
         // The context — and the store locks it holds — goes with the body;
         // the device time the body declared outlives both.
         let execute = move |body: &dyn KernelBody, args: &BoundArgs| {
@@ -807,6 +843,7 @@ impl CommandQueue {
             let waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
             self.submit(
                 &mut engine,
+                self.inner.qid,
                 self.device(),
                 CommandKind::Marker,
                 SimDuration::ZERO,
@@ -1423,9 +1460,18 @@ mod tests {
         let trace = p.trace_snapshot();
         for lane in &lanes {
             // A chunk and a gather per split: what the list would hold if
-            // the call left them there.
-            let issued = trace.records.iter().filter(|r| r.queue == lane.trace_id()).count();
-            assert!(issued >= 2000, "lane took {issued} commands");
+            // the call left them there. They are recorded under the home
+            // queue's id, on the lane's device.
+            let issued = |q: usize| {
+                let on_lane = |r: &&hwsim::TraceRecord| r.device == lane.device();
+                trace.records.iter().filter(on_lane).filter(|r| r.queue == q).count()
+            };
+            assert!(
+                issued(home.trace_id()) >= 2000,
+                "lane took {} commands",
+                issued(home.trace_id())
+            );
+            assert_eq!(issued(lane.trace_id()), 0);
             assert!(lane.inner.outstanding.lock().is_empty());
         }
         assert_eq!(args.touched()[0].buf.host_snapshot::<f64>(), vec![1000.0; 1024]);
@@ -1453,9 +1499,13 @@ mod tests {
             match failed {
                 Some(kind) => {
                     assert_eq!(status, CommandStatus::Failed(kind));
-                    assert_eq!(on_home.len(), 1, "{log:?}");
-                    assert_eq!((on_home[0].event, on_home[0].kind), (join, kind));
-                    assert!(log.iter().any(|f| f.queue == lanes[1].trace_id()), "{log:?}");
+                    // The lanes' commands are recorded under the home queue:
+                    // the lost lane's failures come first, the join's last.
+                    assert_eq!(on_home.len(), log.len(), "{log:?}");
+                    let last = on_home.last().expect("a failure");
+                    assert_eq!((last.event, last.kind), (join, kind));
+                    let lane_failed = |f: &&hwsim::FailureRecord| f.device == lanes[1].device();
+                    assert!(on_home[..on_home.len() - 1].iter().any(lane_failed), "{log:?}");
                 }
                 None => {
                     assert_eq!(status, CommandStatus::Complete);

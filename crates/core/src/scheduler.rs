@@ -9,13 +9,16 @@
 //! runs one scheduling pass over it, in three phases:
 //!
 //! 1. **measure** — the only phase that reads device health, the profile
-//!    caches or the clock: each pool queue's per-device cost row, from the
-//!    kernel/epoch profile cache when warm, else by **dynamic kernel
+//!    caches or the clock: each pool queue's per-device execution row, from
+//!    the kernel/epoch profile cache when warm, else by **dynamic kernel
 //!    profiling** (§V-C), or from the static device profile (§V-B), and
-//!    then one [`PassInput`] snapshot of all the rest of the pass reads;
+//!    then one [`PassInput`] snapshot of the facts the rest of the pass
+//!    reads — every launch's buffer accesses and kernel times, every
+//!    buffer's transfer to each device — and no price;
 //! 2. **decide** — [`plan::decide`], a pure function of that snapshot: the
-//!    queue→device mapping (AutoFit = makespan minimization; RoundRobin =
-//!    cyclic), the out-of-order issue order and the split shares;
+//!    cost rows it prices (migration, out-of-order overlap, split units),
+//!    the queue→device mapping (AutoFit = makespan minimization; RoundRobin
+//!    = cyclic), the out-of-order issue order and the split shares;
 //! 3. **issue** — announces, rebinds and enqueues what the [`Plan`] says.
 //!
 //! `SCHED_OFF` queues bypass all of this: their commands pass straight
@@ -27,8 +30,7 @@
 
 use crate::flags::{ContextSchedPolicy, QueueSchedFlags};
 use crate::mapper;
-use crate::ooo::{self, BatchCmd};
-use crate::plan::{self, CostRow, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, Touch};
+use crate::plan::{self, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, Touch};
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
@@ -73,8 +75,9 @@ pub enum MapperKind {
     Greedy,
 }
 
-/// Runtime options controlling the overhead-reduction strategies. All enabled
-/// by default; the figure harness toggles them for the ablation experiments.
+/// Runtime options: the overhead-reduction strategies (all enabled by
+/// default; the figure harness toggles them for the ablation experiments),
+/// the mapper, and the cost predictor (off by default).
 #[derive(Clone)]
 pub struct SchedOptions {
     /// §V-C3: stage profiling inputs through the host once (1×D2H + (n−1)×H2D
@@ -283,7 +286,7 @@ struct RtInner {
     /// borrows its queue list between passes.
     mapper_state: Mutex<PassScratch>,
     /// Per-device in-order lanes split launches run their chunks on, by
-    /// device column, made once so splits don't churn trace queue ids.
+    /// device column, made once rather than per split.
     split_lanes: Mutex<HashMap<usize, CommandQueue>>,
 }
 
@@ -311,11 +314,6 @@ struct Work {
     /// The pass's stats, applied under one `stats` lock when it ends.
     delta: SchedStats,
     key: EpochKey,
-    /// An out-of-order queue's launches as its overlap estimate sees them.
-    batch: Vec<BatchCmd>,
-    dag: ooo::Scratch,
-    /// A first-touch walk's buffer ids.
-    seen: Vec<u64>,
     /// The launches one issue drained, in launch order.
     cmds: Vec<PendingKernel>,
 }
@@ -674,7 +672,7 @@ impl RtInner {
         plan::decide(input, decide, plan);
         if let Some(search) = &plan.search {
             let wall = decided.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let queues = pool.iter().zip(&input.queues).zip(&plan.device);
+            let queues = pool.iter().zip(&plan.costs).zip(&plan.device);
             self.emit(&SchedEvent::MappingDecision {
                 epoch,
                 at: self.platform.now(),
@@ -684,11 +682,11 @@ impl RtInner {
                 budget_tripped: search.budget_tripped,
                 mapper_wall: SimDuration::from_nanos(wall),
                 queues: queues
-                    .map(|((q, qi), &di)| QueueDecision {
+                    .map(|((q, cost), &di)| QueueDecision {
                         queue: q.id,
-                        exec_estimates: Arc::clone(&qi.cost.exec),
-                        migration_costs: Arc::clone(&qi.cost.migration),
-                        overlap_estimates: qi.cost.overlap.clone().unwrap_or_default(),
+                        exec_estimates: Arc::clone(&cost.exec),
+                        migration_costs: Arc::clone(&cost.migration),
+                        overlap_estimates: cost.overlap.clone().unwrap_or_default(),
                         chosen: input.devices[di],
                         previous: q.cl.device(),
                     })
@@ -745,9 +743,9 @@ impl RtInner {
 
     /// Measure: the pass's one phase that reads device health, the caches
     /// and the clock. It announces lost devices, obtains each pool queue's
-    /// cost row in pool order (profiling where AUTO_FIT must), and ends
-    /// with one snapshot of what decide reads, into `input`. Returns the
-    /// virtual time spent profiling.
+    /// execution row in pool order (profiling where AUTO_FIT must), and
+    /// ends with one snapshot of what decide reads, into `input`. Returns
+    /// the virtual time spent profiling.
     fn measure(
         &self,
         epoch: u64,
@@ -770,13 +768,15 @@ impl RtInner {
         for q in pool {
             let pending = q.pending.lock();
             let need = pending_need(&pending);
-            let cost = self.queue_costs(q, &pending, epoch, need, input, work);
+            let (exec, source) = self.queue_costs(q, &pending, epoch, need, input, work);
             input.queues.push(QueueInput {
                 out_of_order: q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER),
                 need,
                 current: input.devices.iter().position(|&d| d == q.cl.device()),
                 bound: q.bound.load(Ordering::Relaxed),
-                cost,
+                exec,
+                source,
+                explicit_region: q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION),
                 launches: 0..0,
             });
         }
@@ -812,11 +812,11 @@ impl RtInner {
     }
 
     /// Measure's last step, after every queue's profiling: each pool launch
-    /// as decide sees it — an out-of-order one's accesses, kernel times and
-    /// first-touch transfers at the residency the issue starts from, a
-    /// splittable one's units and unit costs — into `input`. With
-    /// prediction on, each distinct kernel's descriptor and first-seen
-    /// geometry go into `refine`.
+    /// as decide sees it — its accesses, its units, an out-of-order or
+    /// splittable one's analytic and profiled kernel times — and each
+    /// buffer's transfer to each device at the residency the issue starts
+    /// from, into `input`. With prediction on, each distinct kernel's
+    /// descriptor and first-seen geometry go into `refine`.
     fn snapshot_launches(
         &self,
         pool: &[Arc<QueueState>],
@@ -829,7 +829,7 @@ impl RtInner {
         input.touches.clear();
         input.buffers.clear();
         input.kernel_time.clear();
-        input.unit_cost.clear();
+        input.profiled.clear();
         input.transfer.clear();
         refine.clear();
         let devices = &input.devices;
@@ -848,21 +848,15 @@ impl RtInner {
                     let row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
                     for (di, &dev) in devices.iter().enumerate() {
                         let nd = p.kernel.effective_nd(dev, p.nd);
-                        let time = cost.kernel_time(node.spec(dev), nd.shape());
-                        input.kernel_time.push(if ooo { time } else { SimDuration::ZERO });
-                        // The profiled time, else the §V-B analytic estimate.
-                        let full = match row.as_ref().map_or(0, |row| row[di].as_nanos()) {
-                            0 => time.as_nanos() as f64,
-                            ns => ns as f64,
-                        };
-                        input.unit_cost.push(if units > 0 { full / units as f64 } else { 0.0 });
+                        input.kernel_time.push(cost.kernel_time(node.spec(dev), nd.shape()));
+                        input.profiled.push(row.as_ref().map_or(SimDuration::ZERO, |r| r[di]));
                     }
                 } else {
                     input.kernel_time.extend(devices.iter().map(|_| SimDuration::ZERO));
-                    input.unit_cost.extend(devices.iter().map(|_| 0.0));
+                    input.profiled.extend(devices.iter().map(|_| SimDuration::ZERO));
                 }
                 let from = input.touches.len();
-                for t in p.args.touched().iter().filter(|_| ooo) {
+                for t in p.args.touched() {
                     let known = input.buffers.iter().position(|&b| b == t.buf.id());
                     let slot = known.unwrap_or_else(|| {
                         input.buffers.push(t.buf.id());
@@ -1007,8 +1001,7 @@ impl RtInner {
         stats.kernels_split += delta.kernels_split;
     }
 
-    /// One pool queue's cost row (§V-C), kept in its terms so the
-    /// [`SchedEvent::MappingDecision`] explain record can show them. A
+    /// One pool queue's execution row (§V-C) and where it comes from. A
     /// `SCHED_AUTO_STATIC` queue is priced by the static model (§V-B). Any
     /// other is served by the epoch cache or composed from the per-kernel
     /// rows; one the caches cannot serve — or an iterative queue due for its
@@ -1025,11 +1018,10 @@ impl RtInner {
         need: u64,
         input: &PassInput,
         work: &mut Work,
-    ) -> CostRow {
+    ) -> (Arc<[SimDuration]>, ExecSource) {
         let devices = &input.devices;
         if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
-            let exec = self.static_costs(q, pending, devices);
-            return CostRow { exec, migration: zeros(devices.len()), overlap: None };
+            return (self.static_costs(q, pending, devices), ExecSource::Static);
         }
         let auto_fit = self.policy == ContextSchedPolicy::AutoFit;
         let force = self.forced(q);
@@ -1046,9 +1038,7 @@ impl RtInner {
                 pending.iter().all(|p| kp.contains_key(p.kernel.name()))
             };
         if !cached && !auto_fit {
-            let exec = self.static_costs(q, pending, devices);
-            let migration = self.migration_vec(q, pending, devices, &mut work.seen);
-            return CostRow { exec, migration, overlap: None };
+            return (self.static_costs(q, pending, devices), ExecSource::Estimated);
         }
         let (key, exec) = match hit {
             Some((key, row)) => (Some(key), row),
@@ -1059,13 +1049,10 @@ impl RtInner {
                     self.profile_missing(q, pending, epoch, need, input, &mut work.delta);
                 }
                 // Epoch estimate: sum the cached per-name rows over every launch.
-                let mut sum = vec![SimDuration::ZERO; devices.len()];
                 let kp = self.kernel_profiles.lock();
-                for p in pending {
-                    sum.iter_mut().zip(kp[p.kernel.name()].iter()).for_each(|(t, v)| *t += *v);
-                }
+                let sum = |di: usize| pending.iter().map(|p| kp[p.kernel.name()][di]).sum();
+                let exec: Arc<[SimDuration]> = (0..devices.len()).map(sum).collect();
                 drop(kp);
-                let exec: Arc<[SimDuration]> = sum.into();
                 if let Some(key) = &key {
                     self.epoch_profiles.lock().insert(Arc::clone(key), Arc::clone(&exec));
                 }
@@ -1076,11 +1063,7 @@ impl RtInner {
             work.delta.cache_hits += 1;
             self.emit(&SchedEvent::CacheHit { epoch, key });
         }
-        CostRow {
-            overlap: self.overlap_estimate(q, pending, devices, work),
-            migration: self.migration_vec(q, pending, devices, &mut work.seen),
-            exec,
-        }
+        (exec, ExecSource::Profiled)
     }
 
     /// §V-C1: whether an iterative queue is due for its periodic re-profile.
@@ -1092,32 +1075,6 @@ impl RtInner {
             (true, Some(freq)) if freq > 0 => q.epochs.load(Ordering::Relaxed).is_multiple_of(freq),
             _ => false,
         }
-    }
-
-    /// Predicted per-device data-migration cost of *choosing* each device:
-    /// the epoch's buffers not yet resident there, priced from the device
-    /// profile ("we derive the data transfer costs based on the device
-    /// profiles"). Zero for an explicit-region queue: the mapping decided in
-    /// the region persists for the rest of the program, so its one-time
-    /// migration would otherwise bias the mapper toward where data starts.
-    fn migration_vec(
-        &self,
-        q: &QueueState,
-        pending: &[PendingKernel],
-        devices: &[DeviceId],
-        staged: &mut Vec<u64>,
-    ) -> Arc<[SimDuration]> {
-        if q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION) {
-            return zeros(devices.len());
-        }
-        // One first-touch list for the whole row, cleared per device.
-        devices
-            .iter()
-            .map(|&d| {
-                staged.clear();
-                pending.iter().map(|p| self.first_touch_transfer(p, d, staged)).sum()
-            })
-            .collect()
     }
 
     /// §V-B: static selection from device profiles + queue hints only.
@@ -1373,9 +1330,8 @@ impl RtInner {
         let node = self.platform.node();
         // The profiled kernels' distinct buffers: profiling moves real data.
         let mut buffers: Vec<Buffer> = Vec::new();
-        let mut seen: Vec<u64> = Vec::new();
         for t in pending.iter().flat_map(|p| p.args.touched()) {
-            if first_seen(&mut seen, &t.buf) {
+            if buffers.iter().all(|b| b.id() != t.buf.id()) {
                 buffers.push(t.buf.clone());
             }
         }
@@ -1384,10 +1340,18 @@ impl RtInner {
             engine.set_tag(Some(PROFILING_TAG));
             // One row per kernel (the names are distinct), all zero until
             // measured: a device no probe reaches keeps the "unmeasured"
-            // sentinel, which the epoch blacklist overwrites.
-            let mut kernel_rows: Vec<(Arc<str>, Vec<SimDuration>)> = pending
+            // sentinel, which the epoch blacklist overwrites. Each row goes
+            // with the name its probes run under.
+            let mut kernel_rows: Vec<(Arc<str>, Arc<str>, Vec<SimDuration>)> = pending
                 .iter()
-                .map(|p| (p.kernel.shared_name(), vec![SimDuration::ZERO; devices.len()]))
+                .map(|p| {
+                    let name = p.kernel.shared_name();
+                    let probe = match minikernel {
+                        true => format!("mini_{name}").into(),
+                        false => Arc::clone(&name),
+                    };
+                    (name, probe, vec![SimDuration::ZERO; devices.len()])
+                })
                 .collect();
             for (di, &dev) in devices.iter().enumerate() {
                 // No probe on a device lost as of now (earlier probes moved
@@ -1428,7 +1392,7 @@ impl RtInner {
                 // Time each kernel once on `dev`, at its first-seen geometry
                 // (the paper's name-keyed cache makes the same approximation).
                 let spec = node.spec(dev);
-                for (p, (_, row)) in pending.iter().zip(kernel_rows.iter_mut()) {
+                for (p, (_, probe, row)) in pending.iter().zip(kernel_rows.iter_mut()) {
                     let nd = p.kernel.effective_nd(dev, p.nd);
                     let shape = nd.shape();
                     let cost = p.kernel.cost();
@@ -1442,11 +1406,7 @@ impl RtInner {
                         let full = cost.kernel_time(spec, shape);
                         (full, full)
                     };
-                    let name: Arc<str> = if minikernel {
-                        Arc::from(format!("mini_{}", p.kernel.name()))
-                    } else {
-                        Arc::from(p.kernel.name())
-                    };
+                    let name = Arc::clone(probe);
                     charge(engine, dev, CommandKind::Kernel { name }, charged);
                     row[di] = estimated_full;
                 }
@@ -1457,66 +1417,15 @@ impl RtInner {
         // Recorded and announced outside the engine lock.
         {
             let mut kp = self.kernel_profiles.lock();
-            for (name, row) in &kernel_rows {
+            for (name, _, row) in &kernel_rows {
                 kp.insert(Arc::clone(name), row.as_slice().into());
             }
         }
         // Announce in name order.
         kernel_rows.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, row) in kernel_rows {
+        for (name, _, row) in kernel_rows {
             self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
         }
-    }
-
-    /// Lane-aware per-device makespan estimate of an out-of-order queue's
-    /// pending epoch ([`ooo::Scratch::overlap_makespan`]). `None` for an
-    /// in-order queue, and until every pending kernel has a profile row.
-    fn overlap_estimate(
-        &self,
-        q: &QueueState,
-        pending: &[PendingKernel],
-        devices: &[DeviceId],
-        work: &mut Work,
-    ) -> Option<Arc<[SimDuration]>> {
-        if !q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER) || pending.is_empty() {
-            return None;
-        }
-        let kp = self.kernel_profiles.lock();
-        if pending.iter().any(|p| !kp.contains_key(p.kernel.name())) {
-            return None;
-        }
-        // Explicit-region queues amortize migrations over the rest of the
-        // program (see `migration_vec`), so their copy lane is free here.
-        let explicit = q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION);
-        // The hazard edges are the same on every device; the lane times and
-        // the first-touch list are refilled per device.
-        let Work { batch, dag, seen, .. } = work;
-        let cmds = batch_of(batch, pending);
-        dag.hazard_edges(cmds);
-        let on_device = |(di, &dev): (usize, &DeviceId)| {
-            seen.clear();
-            for (cmd, p) in cmds.iter_mut().zip(pending) {
-                cmd.kernel = kp.get(p.kernel.name()).map_or(SimDuration::ZERO, |r| r[di]);
-                if !explicit {
-                    cmd.transfer = self.first_touch_transfer(p, dev, seen);
-                }
-            }
-            dag.overlap_makespan(cmds)
-        };
-        Some(devices.iter().enumerate().map(on_device).collect())
-    }
-
-    /// Copy-lane estimate of one pending launch on `dev`: the transfers of
-    /// the buffers it binds that no earlier launch of the walk touched
-    /// (`staged` is the walk's first-touch bookkeeping).
-    fn first_touch_transfer(
-        &self,
-        p: &PendingKernel,
-        dev: DeviceId,
-        staged: &mut Vec<u64>,
-    ) -> SimDuration {
-        let touched = p.args.touched().iter().filter(|t| first_seen(staged, &t.buf));
-        touched.map(|t| self.transfer_time(&t.buf, dev)).sum()
     }
 
     /// The predicted time to make `b` valid on `dev` from where it is valid
@@ -1549,10 +1458,12 @@ fn enqueue_whole(q: &QueueState, p: &PendingKernel) {
 /// the data a migration to `dev` will actually move. Reported in
 /// [`SchedEvent::QueueMigrated`].
 fn nonresident_bytes(cmds: &[PendingKernel], dev: DeviceId) -> u64 {
-    let mut seen: Vec<u64> = Vec::new();
+    let touches = || cmds.iter().flat_map(|p| p.args.touched());
     let mut total = 0;
-    for t in cmds.iter().flat_map(|p| p.args.touched()) {
-        if first_seen(&mut seen, &t.buf) && !t.buf.with_residency(|r| r.valid_on(dev)) {
+    for (i, t) in touches().enumerate() {
+        // Each buffer once, at its first touch.
+        let first = touches().take(i).all(|u| u.buf.id() != t.buf.id());
+        if first && !t.buf.with_residency(|r| r.valid_on(dev)) {
             total += t.buf.byte_len() as u64;
         }
     }
@@ -1563,32 +1474,6 @@ fn nonresident_bytes(cmds: &[PendingKernel], dev: DeviceId) -> u64 {
 /// run these launches.
 fn pending_need(pending: &[PendingKernel]) -> u64 {
     pending.iter().map(|p| p.args.max_buffer_bytes()).max().unwrap_or(0)
-}
-
-/// Whether a walk over one or more launches' access sets touches `buf` for
-/// the first time (`seen` is the walk's bookkeeping).
-fn first_seen(seen: &mut Vec<u64>, buf: &Buffer) -> bool {
-    let first = !seen.contains(&buf.id());
-    if first {
-        seen.push(buf.id());
-    }
-    first
-}
-
-/// `pending` as the batch reorderer sees it, refilled into `batch`'s first
-/// entries: each launch's access set as buffer-id hazard sets, and zero
-/// time on both lanes.
-fn batch_of<'a>(batch: &'a mut Vec<BatchCmd>, pending: &[PendingKernel]) -> &'a mut [BatchCmd] {
-    batch.resize_with(batch.len().max(pending.len()), Default::default);
-    for (cmd, p) in batch.iter_mut().zip(pending) {
-        cmd.reads.clear();
-        cmd.writes.clear();
-        for t in p.args.touched() {
-            if t.write { &mut cmd.writes } else { &mut cmd.reads }.push(t.buf.id());
-        }
-        (cmd.transfer, cmd.kernel) = (SimDuration::ZERO, SimDuration::ZERO);
-    }
-    &mut batch[..pending.len()]
 }
 
 /// The epoch cache key (§V-C1: "just the set of the participating kernel
@@ -1623,11 +1508,6 @@ impl EpochKey {
         }
         &self.text
     }
-}
-
-/// A row of `n` zero durations.
-fn zeros(n: usize) -> Arc<[SimDuration]> {
-    std::iter::repeat_n(SimDuration::ZERO, n).collect()
 }
 
 /// A scheduling-aware user command queue (`clCreateCommandQueue` with the

@@ -49,13 +49,17 @@ const LOCAL: u64 = 64;
 /// AUTO_FIT rows was re-derived once more, at 793666f, when the unbudgeted
 /// mapper arm was deleted, by one stated rule: the fingerprint of that
 /// commit's `events_text` with every `"mapper":"optimal"` replaced by
-/// `"mapper":"adaptive"`.
+/// `"mapper":"adaptive"`. The trace column of the five `mixed` rows was
+/// re-derived once, after 3d483dc, when a split's lane commands came to be
+/// recorded under the issuing queue's trace id, by one stated rule: the new
+/// `trace_text` equals 3d483dc's line for line once each line's queue
+/// field is dropped.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("mixed/auto_fit/clean", 0xd332_7b5f_ce17_7b22, 0x017c_f390_b620_7d36),
-    ("mixed/auto_fit/loss", 0x75f6_3750_788d_d261, 0xcd0b_5c43_45ef_8cb5),
-    ("mixed/auto_fit/predictor", 0x6753_ac6e_8446_21cf, 0x1454_d69b_968f_80ae),
-    ("mixed/round_robin/clean", 0xd4a7_bf2a_0c8c_6031, 0x42b1_45a7_8d64_bd69),
-    ("mixed/round_robin/loss", 0xca12_b0ef_e055_6612, 0x4ae0_06c9_350b_2417),
+    ("mixed/auto_fit/clean", 0xd332_7b5f_ce17_7b22, 0x1891_88ba_f164_4354),
+    ("mixed/auto_fit/loss", 0x75f6_3750_788d_d261, 0xe457_bb4f_6c1b_2c09),
+    ("mixed/auto_fit/predictor", 0x6753_ac6e_8446_21cf, 0x979e_c63b_b22a_8378),
+    ("mixed/round_robin/clean", 0xd4a7_bf2a_0c8c_6031, 0x8927_e611_7297_b4a0),
+    ("mixed/round_robin/loss", 0xca12_b0ef_e055_6612, 0x5fe1_855c_4722_2e19),
     ("wide/auto_fit/clean", 0xc12a_d435_6258_251d, 0x1ec5_cb6a_e4bc_08ed),
 ];
 

@@ -1,14 +1,14 @@
 //! `plan::decide` without a platform: hand-built snapshots checked against
-//! the routines each part of the decision comes from, and a seeded property
-//! test over random snapshots.
+//! the routines each part of the decision comes from — its pricing
+//! included — and a seeded property test over random snapshots.
 
 use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::ooo::{self, BatchCmd};
 use multicl::plan::{
-    self, decide, CostRow, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, Touch,
-    SPLIT_MIN_WGS,
+    self, decide, CostRow, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput,
+    Touch, SPLIT_MIN_WGS,
 };
 use multicl::{split, ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -33,32 +33,48 @@ fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
     }
 }
 
-/// Append a queue with one launch per entry of `launches` (`(need, units)`),
-/// none of them touching a buffer.
-fn push_queue(input: &mut PassInput, q: QueueInput, launches: &[(u64, u64)]) {
+/// Append a buffer slot whose transfer to each column is `transfer`.
+fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
+    input.buffers.push(100 + input.buffers.len() as u64);
+    input.transfer.extend_from_slice(transfer);
+    input.buffers.len() - 1
+}
+
+/// Append a queue that prices to `cost` (which has no overlap row), with
+/// one launch per entry of `launches` (`(need, units)`): its execution row
+/// is `cost.exec`, and every launch reads one buffer of its own whose
+/// transfers are `cost.migration`.
+fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow, launches: &[(u64, u64)]) {
     let n = input.devices.len();
+    let slot = push_buffer(input, &cost.migration);
     let first = input.launches.len();
     for &(need, units) in launches {
         let at = input.touches.len();
+        input.touches.push(Touch { buffer: slot, write: false });
         input.launches.push(LaunchInput {
             queue: input.queues.len(),
             need,
-            touches: at..at,
+            touches: at..at + 1,
             units,
         });
         input.kernel_time.extend(std::iter::repeat_n(SimDuration::ZERO, n));
-        input.unit_cost.extend(std::iter::repeat_n(0.0, n));
+        input.profiled.extend(std::iter::repeat_n(SimDuration::ZERO, n));
     }
-    input.queues.push(QueueInput { launches: first..input.launches.len(), ..q });
+    let exec = Arc::clone(&cost.exec);
+    input.queues.push(QueueInput { exec, launches: first..input.launches.len(), ..q });
 }
 
-fn queue(current: usize, need: u64, cost: CostRow) -> QueueInput {
+/// An in-order queue with a profiled execution row, which `push_queue` or
+/// the case fills in.
+fn queue(current: usize, need: u64) -> QueueInput {
     QueueInput {
         out_of_order: false,
         need,
         current: Some(current),
         bound: true,
-        cost,
+        exec: ns(&[]),
+        source: ExecSource::Profiled,
+        explicit_region: false,
         launches: 0..0,
     }
 }
@@ -81,9 +97,10 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
         (0, 64, row(&[700, 10, 650], &[0, 0, 0])),
     ];
     for (current, need, cost) in rows.clone() {
-        push_queue(&mut input, queue(current, need, cost), &[(need, 0)]);
+        push_queue(&mut input, queue(current, need), &cost, &[(need, 0)]);
     }
     let plan = plan_of(&input);
+    assert_eq!(plan.costs, rows.iter().map(|r| r.2.clone()).collect::<Vec<_>>());
     // The code the decision replaces: blacklist, warm start, mapper.
     let costs: mapper::CostMatrix = rows
         .iter()
@@ -127,13 +144,13 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     input.rr_next = 7;
     let cost = || row(&[10, 20, 30], &[1, 2, 3]);
     // Bound and bindable: kept.
-    push_queue(&mut input, queue(1, 64, cost()), &[(64, 0)]);
+    push_queue(&mut input, queue(1, 64), &cost(), &[(64, 0)]);
     // Bound to the lost device: rotates. 7 % 3 = 1 is bindable.
-    push_queue(&mut input, queue(2, 64, cost()), &[(64, 0)]);
+    push_queue(&mut input, queue(2, 64), &cost(), &[(64, 0)]);
     // Never bound: rotates. 8 % 3 = 2 is lost, 9 % 3 = 0 is too small,
     // 10 % 3 = 1 takes it.
-    let fresh = QueueInput { bound: false, ..queue(0, 1 << 12, cost()) };
-    push_queue(&mut input, fresh, &[(1 << 12, 0)]);
+    let fresh = QueueInput { bound: false, ..queue(0, 1 << 12) };
+    push_queue(&mut input, fresh, &cost(), &[(1 << 12, 0)]);
     let plan = plan_of(&input);
     assert_eq!(plan.device, [1, 1, 1]);
     assert_eq!(plan.rr_next, 11);
@@ -157,7 +174,9 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
         .map(|&n| SimDuration::from_nanos(n))
         .collect();
     // Two out-of-order queues, bound to devices 0 and 1, and an in-order
-    // one between them that is not reordered.
+    // one between them that is not reordered. Each is priced at its
+    // execution row alone: an estimated row of an explicit-region queue
+    // prices no data.
     // (queue, (buffer slot, write) accesses, kernel time per device)
     type Launch = (usize, &'static [(usize, bool)], [u64; 2]);
     let launches: [Launch; 6] = [
@@ -169,8 +188,13 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
         (2, &[(1, false)], [5, 600]),
     ];
     for (q, current, ooo) in [(0, 0, true), (1, 1, false), (2, 1, true)] {
-        let cost = row(&[1, 1], &[0, 0]);
-        input.queues.push(QueueInput { out_of_order: ooo, ..queue(current, 0, cost) });
+        input.queues.push(QueueInput {
+            out_of_order: ooo,
+            exec: ns(&[1, 1]),
+            source: ExecSource::Estimated,
+            explicit_region: true,
+            ..queue(current, 0)
+        });
         let first = input.launches.len();
         for (lq, touches, kernel) in launches.iter().filter(|l| l.0 == q) {
             let at = input.touches.len();
@@ -179,11 +203,12 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
             let touches = at..input.touches.len();
             input.launches.push(LaunchInput { queue: *lq, need: 0, touches, units: 0 });
             input.kernel_time.extend(kernel.map(SimDuration::from_nanos));
-            input.unit_cost.extend([0.0; 2]);
+            input.profiled.extend([SimDuration::ZERO; 2]);
         }
         input.queues[q].launches = first..input.launches.len();
     }
     let plan = plan_of(&input);
+    assert_eq!(plan.costs, vec![row(&[1, 1], &[0, 0]); 3]);
     assert_eq!(plan.device, [0, 1, 1]);
     // The code the decision replaces: the batch costed per command on its
     // queue's device, first touches per device in batch order.
@@ -226,9 +251,10 @@ fn split_shares_are_the_static_chunks_of_the_degraded_unit_costs() {
     let units = [64, SPLIT_MIN_WGS - 1, 0, 64];
     let needs = [64, 64, 64, 1 << 12];
     let launches: Vec<(u64, u64)> = needs.into_iter().zip(units).collect();
-    push_queue(&mut input, queue(0, 1 << 12, cost()), &launches);
+    push_queue(&mut input, queue(0, 1 << 12), &cost(), &launches);
+    // Profiled at 64 units of 40, 10 and 20 ns.
     for l in 0..4 {
-        input.unit_cost[l * 3..l * 3 + 3].copy_from_slice(&[40.0, 10.0, 20.0]);
+        input.profiled[l * 3..l * 3 + 3].copy_from_slice(&ns(&[2560, 640, 1280]));
     }
     let plan = plan_of(&input);
     let want = split::static_chunks(64, &[40.0, 20.0, 20.0]);
@@ -241,8 +267,206 @@ fn split_shares_are_the_static_chunks_of_the_degraded_unit_costs() {
     assert_eq!(plan.chunks, split::static_chunks(64, &[f64::INFINITY, 20.0, 20.0]));
 }
 
+/// One launch: its `(buffer slot, write)` accesses, and its analytic and
+/// profiled kernel times per column.
+type TimedLaunch<'a> = (&'a [(usize, bool)], &'a [u64], &'a [u64]);
+
+/// Append queue `q`'s launches, with no split units.
+fn push_launches(input: &mut PassInput, q: usize, launches: &[TimedLaunch]) {
+    for (touches, kernel, profiled) in launches {
+        let at = input.touches.len();
+        input.touches.extend(touches.iter().map(|&(buffer, write)| Touch { buffer, write }));
+        let touches = at..input.touches.len();
+        input.launches.push(LaunchInput { queue: q, need: 0, touches, units: 0 });
+        input.kernel_time.extend_from_slice(&ns(kernel));
+        input.profiled.extend_from_slice(&ns(profiled));
+    }
+}
+
+#[test]
+fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
+    let mut input = input(ContextSchedPolicy::AutoFit, 3);
+    let a = push_buffer(&mut input, &ns(&[5, 0, 70]));
+    let b = push_buffer(&mut input, &ns(&[0, 300, 20]));
+    let c = push_buffer(&mut input, &ns(&[1000, 40, 0]));
+    // Three distinct buffers over three launches, two of them bound twice.
+    let zero: &[u64] = &[0, 0, 0];
+    let launches = [
+        (&[(a, false), (b, true)][..], zero, zero),
+        (&[(b, false), (c, true)][..], zero, zero),
+        (&[(a, false)][..], zero, zero),
+    ];
+    let sources = [
+        (ExecSource::Profiled, false),
+        (ExecSource::Estimated, false),
+        (ExecSource::Profiled, true),
+        (ExecSource::Static, false),
+    ];
+    for (q, (source, explicit_region)) in sources.into_iter().enumerate() {
+        let first = input.launches.len();
+        push_launches(&mut input, q, &launches);
+        let launches = first..input.launches.len();
+        let exec = ns(&[1, 2, 3]);
+        input.queues.push(QueueInput { exec, source, explicit_region, launches, ..queue(0, 0) });
+    }
+    let plan = plan_of(&input);
+    let priced = row(&[1, 2, 3], &[1005, 340, 90]);
+    assert_eq!(plan.costs[..2], [priced.clone(), priced]);
+    // An explicit-region queue and the static model price no data.
+    assert_eq!(plan.costs[2..], [row(&[1, 2, 3], &[0, 0, 0]), row(&[1, 2, 3], &[0, 0, 0])]);
+}
+
+#[test]
+fn an_overlap_row_is_the_lane_makespan_of_the_queues_launches_on_each_column() {
+    let mut input = input(ContextSchedPolicy::AutoFit, 2);
+    let a = push_buffer(&mut input, &ns(&[400, 0]));
+    let b = push_buffer(&mut input, &ns(&[30, 250]));
+    // The lane model runs the profiled kernel times, not the analytic ones.
+    let analytic: &[u64] = &[7, 7];
+    let launches = [
+        (&[(a, false), (b, true)][..], analytic, &[100, 300][..]),
+        (&[(a, false)][..], analytic, &[50, 20][..]),
+        (&[(b, false)][..], analytic, &[10, 80][..]),
+    ];
+    // (out of order, source, explicit region)
+    let queues = [
+        (true, ExecSource::Profiled, false),
+        (false, ExecSource::Profiled, false),
+        (true, ExecSource::Estimated, false),
+        (true, ExecSource::Profiled, true),
+    ];
+    for (q, (out_of_order, source, explicit_region)) in queues.into_iter().enumerate() {
+        let first = input.launches.len();
+        push_launches(&mut input, q, &launches);
+        input.queues.push(QueueInput {
+            out_of_order,
+            source,
+            explicit_region,
+            exec: ns(&[9, 9]),
+            launches: first..input.launches.len(),
+            ..queue(0, 0)
+        });
+    }
+    let plan = plan_of(&input);
+    // The first launch is the first to touch both buffers, on each column.
+    let first_touch = [[430, 250], [0, 0], [0, 0]];
+    let lanes = |copies: bool| -> Arc<[SimDuration]> {
+        (0..2)
+            .map(|d| {
+                let cmds: Vec<BatchCmd> = launches
+                    .iter()
+                    .zip(first_touch)
+                    .map(|((touches, _, kernel), transfer)| BatchCmd {
+                        reads: touches
+                            .iter()
+                            .filter(|t| !t.1)
+                            .map(|t| input.buffers[t.0])
+                            .collect(),
+                        writes: touches
+                            .iter()
+                            .filter(|t| t.1)
+                            .map(|t| input.buffers[t.0])
+                            .collect(),
+                        transfer: SimDuration::from_nanos(if copies { transfer[d] } else { 0 }),
+                        kernel: SimDuration::from_nanos(kernel[d]),
+                    })
+                    .collect();
+                let mut dag = ooo::Scratch::default();
+                dag.hazard_edges(&cmds);
+                dag.overlap_makespan(&cmds)
+            })
+            .collect()
+    };
+    assert_eq!(plan.costs[0].overlap, Some(lanes(true)));
+    assert_eq!(plan.costs[0].overlap, Some(ns(&[540, 630])));
+    // An explicit-region queue's copy lane is free.
+    assert_eq!(plan.costs[3].overlap, Some(lanes(false)));
+    // No overlap row for an in-order queue, nor for one without profiles.
+    assert_eq!(plan.costs[1].overlap, None);
+    assert_eq!(plan.costs[2].overlap, None);
+}
+
+#[test]
+fn a_unit_cost_is_the_profiled_time_over_the_units_else_the_analytic_time() {
+    let mut input = input(ContextSchedPolicy::RoundRobin, 3);
+    push_queue(&mut input, queue(0, 64), &row(&[1, 1, 1], &[0, 0, 0]), &[(64, 64)]);
+    // Column 1 has no profile row: its analytic time stands in.
+    input.profiled.copy_from_slice(&ns(&[2560, 0, 1280]));
+    input.kernel_time.copy_from_slice(&ns(&[99_999, 640, 99_999]));
+    let want = split::static_chunks(64, &[40.0, 10.0, 20.0]);
+    assert!(want.len() >= 2, "{want:?}");
+    assert_eq!(plan_of(&input).chunks, want);
+    // With no profile row anywhere, the analytic times alone.
+    input.profiled.fill(SimDuration::ZERO);
+    let analytic = [99_999.0 / 64.0, 10.0, 99_999.0 / 64.0];
+    assert_eq!(plan_of(&input).chunks, split::static_chunks(64, &analytic));
+}
+
+/// Each queue's cost row by the pricing rule, recomputed naively: distinct
+/// buffers by search, first touches by search, a fresh lane model.
+fn naive_costs(input: &PassInput) -> Vec<CostRow> {
+    let n = input.devices.len();
+    let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
+    let zero = SimDuration::ZERO;
+    let costs = input.queues.iter().map(|q| {
+        let copies = q.source != ExecSource::Static && !q.explicit_region;
+        let mut distinct: Vec<usize> =
+            q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let migration = (0..n)
+            .map(|d| match copies {
+                true => distinct.iter().map(|&b| input.transfer[b * n + d]).sum(),
+                false => zero,
+            })
+            .collect();
+        let lanes = |d: usize| {
+            let mut seen: Vec<usize> = Vec::new();
+            let cmds: Vec<BatchCmd> = q
+                .launches
+                .clone()
+                .map(|l| {
+                    let mut cmd =
+                        BatchCmd { kernel: input.profiled[l * n + d], ..BatchCmd::default() };
+                    for t in touches(l) {
+                        if t.write { &mut cmd.writes } else { &mut cmd.reads }
+                            .push(input.buffers[t.buffer]);
+                        if copies && !seen.contains(&t.buffer) {
+                            seen.push(t.buffer);
+                            cmd.transfer += input.transfer[t.buffer * n + d];
+                        }
+                    }
+                    cmd
+                })
+                .collect();
+            let mut dag = ooo::Scratch::default();
+            dag.hazard_edges(&cmds);
+            dag.overlap_makespan(&cmds)
+        };
+        let overlap = q.out_of_order && q.source == ExecSource::Profiled;
+        CostRow {
+            exec: Arc::clone(&q.exec),
+            migration,
+            overlap: overlap.then(|| (0..n).map(lanes).collect()),
+        }
+    });
+    costs.collect()
+}
+
+/// One split unit of launch `l` on column `d` by the pricing rule: its
+/// profiled time, else its analytic time, over its units.
+fn naive_unit_cost(input: &PassInput, l: usize, d: usize) -> f64 {
+    let c = l * input.devices.len() + d;
+    let full = match input.profiled[c] {
+        SimDuration::ZERO => input.kernel_time[c],
+        profiled => profiled,
+    };
+    full.as_nanos() as f64 / input.launches[l].units as f64
+}
+
 /// A random snapshot: 1–4 devices, 1–6 queues of 1–4 launches, random
-/// health, capacity, degradation, costs, buffer accesses and split units.
+/// health, capacity, degradation, execution rows and their sources, buffer
+/// accesses and transfers, kernel times and split units.
 fn random_input(rng: &mut XorShift) -> PassInput {
     let n = 1 + rng.index(4);
     let policy = match rng.index(2) {
@@ -262,11 +486,7 @@ fn random_input(rng: &mut XorShift) -> PassInput {
     input.buffers = (0..slots as u64).map(|b| 100 + b).collect();
     input.transfer =
         (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 500))).collect();
-    let cost_row = |rng: &mut XorShift| {
-        let mut r = |k: u64| ns(&(0..n).map(|_| rng.range_u64(0, k)).collect::<Vec<_>>());
-        let (exec, migration, overlap) = (r(1000), r(200), r(1200));
-        CostRow { exec, migration, overlap: (rng.index(2) == 0).then_some(overlap) }
-    };
+    let sources = [ExecSource::Static, ExecSource::Estimated, ExecSource::Profiled];
     for qi in 0..1 + rng.index(6) {
         let out_of_order = rng.index(2) == 0;
         let first = input.launches.len();
@@ -275,11 +495,9 @@ fn random_input(rng: &mut XorShift) -> PassInput {
             let launch_need = rng.range_u64(0, max_capacity);
             need = need.max(launch_need);
             let at = input.touches.len();
-            if out_of_order {
-                for slot in 0..slots {
-                    if rng.index(3) == 0 {
-                        input.touches.push(Touch { buffer: slot, write: rng.index(2) == 0 });
-                    }
+            for slot in 0..slots {
+                if rng.index(3) == 0 {
+                    input.touches.push(Touch { buffer: slot, write: rng.index(2) == 0 });
                 }
             }
             let units = if rng.index(2) == 0 { rng.range_u64(1, 64) } else { 0 };
@@ -289,20 +507,25 @@ fn random_input(rng: &mut XorShift) -> PassInput {
                 touches: at..input.touches.len(),
                 units,
             });
+            // Kernel times where measure fills them; a profile row may
+            // be missing.
+            let timed = out_of_order || units > 0;
             for _ in 0..n {
-                let kernel = if out_of_order { rng.range_u64(0, 300) } else { 0 };
+                let kernel = if timed { rng.range_u64(0, 3000) } else { 0 };
                 input.kernel_time.push(SimDuration::from_nanos(kernel));
-                let unit = if units > 0 { rng.range_f64(0.0, 50.0) } else { 0.0 };
-                input.unit_cost.push(unit);
+                let profiled = if timed && rng.index(3) > 0 { rng.range_u64(0, 3000) } else { 0 };
+                input.profiled.push(SimDuration::from_nanos(profiled));
             }
         }
-        let cost = cost_row(rng);
+        let exec = ns(&(0..n).map(|_| rng.range_u64(0, 1000)).collect::<Vec<_>>());
         input.queues.push(QueueInput {
             out_of_order,
             need,
             current: Some(rng.index(n + 1)).filter(|&di| di < n),
             bound: rng.index(2) == 0,
-            cost,
+            exec,
+            source: sources[rng.index(3)],
+            explicit_region: rng.index(4) == 0,
             launches: first..input.launches.len(),
         });
     }
@@ -321,15 +544,32 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         // Equal inputs give equal plans, whatever the scratch last held.
         decide(&input.clone(), &mut reused, &mut reused_plan);
         assert_eq!(reused_plan, plan, "case {case}: {input:?}");
+        // Every priced row is the rule's, recomputed naively.
+        assert_eq!(plan.costs, naive_costs(&input), "case {case}: {input:?}");
         let n = input.devices.len();
         // Every planned device is bindable.
         for (q, &di) in input.queues.iter().zip(&plan.device) {
             assert!(plan::bindable(&input, q.need)(di), "case {case}: column {di} for {q:?}");
         }
-        // Shares are non-zero, on eligible devices, and sum to the units.
+        // Shares are non-zero, on eligible devices, and sum to the units;
+        // they are the static chunks of the naive unit costs.
         assert_eq!(plan.splits.len(), input.launches.len());
-        for (launch, range) in input.launches.iter().zip(&plan.splits) {
+        for (l, (launch, range)) in input.launches.iter().zip(&plan.splits).enumerate() {
             let chunks = &plan.chunks[range.clone()];
+            let eligible = |d: usize| plan::eligible(&input, d, launch.need);
+            if launch.units >= SPLIT_MIN_WGS && (0..n).filter(|&d| eligible(d)).count() >= 2 {
+                let per_wg: Vec<f64> = (0..n)
+                    .map(|d| match eligible(d) {
+                        true => {
+                            naive_unit_cost(&input, l, d).max(1e-9) * input.degradation[d].max(1.0)
+                        }
+                        false => f64::INFINITY,
+                    })
+                    .collect();
+                let want = split::static_chunks(launch.units, &per_wg);
+                let want = if want.len() >= 2 { want } else { Vec::new() };
+                assert_eq!(chunks, want, "case {case}: launch {l}");
+            }
             if chunks.is_empty() {
                 continue;
             }

@@ -3,7 +3,7 @@
 
 use clrt::{Platform, RuntimeConfig};
 use hwsim::{FaultPlan, SimDuration};
-use multicl::telemetry::{RingBufferSink, SchedEvent};
+use multicl::telemetry::{RingBufferSink, SchedEvent, SegmentKind, SegmentSet};
 use served::loadgen::{self, LoadgenConfig};
 use served::service::warmed_options;
 use served::{
@@ -243,8 +243,9 @@ fn with_modes(mut spec: served::JobSpec, out_of_order: bool, splittable: bool) -
 #[test]
 fn a_failed_split_chunk_never_leaves_its_job_completed() {
     // A split's chunks and gathers run on the scheduler's per-device lanes,
-    // not on the job's worker queue: the job sees their failure through the
-    // split's join, which completes failed on the worker queue.
+    // recorded under the job's worker queue: the job sees a failed chunk
+    // directly and through the split's join, which completes failed on the
+    // worker queue.
     let spec = with_modes(loadgen::templates()[1].clone(), false, true);
     let mut faulted_rounds = 0;
     for victim_rank in 0..2 {
@@ -288,6 +289,38 @@ fn a_failed_split_chunk_never_leaves_its_job_completed() {
         }
     }
     assert!(faulted_rounds > 0, "no case failed a command");
+}
+
+#[test]
+fn a_split_jobs_trace_attributes_its_compute_to_the_job() {
+    // A split's chunks and gathers run on the scheduler's per-device lanes;
+    // they are recorded under the job's worker queue, so the job's trace
+    // sees them as compute and transfers, not as time waiting to dispatch.
+    let spec = with_modes(loadgen::templates()[1].clone(), false, true);
+    let platform = Platform::paper_node();
+    let recorder = Arc::new(RingBufferSink::new(1 << 12));
+    let mut options = warmed_options(&platform, scratch_dir("split-trace"));
+    options.observers.push(recorder.clone());
+    let tenants = vec![TenantConfig::new("a", 1, 4)];
+    let config = ServiceConfig { options, ..ServiceConfig::new(ServePolicy::AutoFit, 1, tenants) };
+    let served = Served::new(&platform, config).expect("service builds");
+    served.warm_programs(std::slice::from_ref(&spec)).expect("warm-up");
+    served.submit(0, spec).expect("admit");
+    served.run_until_drained();
+    assert!(served.context().stats().kernels_split > 0, "the job did not split");
+    let events = recorder.snapshot();
+    let mut traces = events.iter().filter_map(|e| match e {
+        SchedEvent::JobTrace { attempts, .. } => Some(attempts),
+        _ => None,
+    });
+    let attempts = traces.next().expect("the job has a trace");
+    assert!(traces.next().is_none(), "one job, one trace");
+    let mut segments = SegmentSet::default();
+    attempts.iter().for_each(|a| segments.merge(&a.segments));
+    let compute = segments.get(SegmentKind::Compute);
+    let wait = segments.get(SegmentKind::DispatchWait);
+    assert!(compute > SimDuration::ZERO, "no compute in {segments:?}");
+    assert!(wait < compute, "dispatch wait {wait} not under compute {compute}");
 }
 
 #[test]
