@@ -66,10 +66,10 @@ impl QueueSchedFlags {
     /// between epochs ([`crate::SchedQueue::set_sched_hints`]); the two
     /// compose.
     pub const SCHED_OUT_OF_ORDER: QueueSchedFlags = QueueSchedFlags(1 << 9);
-    /// Execution hint: cut splittable kernels into contiguous NDRange
-    /// sub-ranges, one per eligible device, sized in proportion to the
-    /// device's live per-workgroup cost and run on that device
-    /// (EngineCL/PySchedCL-style static split). Off by default: without
+    /// Execution hint: cut a splittable kernel launch into contiguous
+    /// NDRange sub-ranges, one per chosen eligible device, when its epoch
+    /// then finishes sooner (EngineCL/PySchedCL-style static split, each
+    /// share priced at its own size). Off by default: without
     /// the flag every kernel launches whole on one device and same-seed
     /// replay is byte-identical to a build without splitting.
     pub const SCHED_SPLITTABLE: QueueSchedFlags = QueueSchedFlags(1 << 10);

@@ -40,6 +40,35 @@ pub struct BatchCmd {
     pub kernel: SimDuration,
 }
 
+/// A device's two engines as the time plane clocks them, in ns from some
+/// origin: the copy lane runs staging transfers and the compute lane
+/// kernels, each in the order they are issued, and a command starts when
+/// its lane is free and what it waits on has ended. The reorderer's
+/// makespan estimate ([`Scratch::lane_makespan`]) and the plan's epoch
+/// replay (`plan::replayed_end`) both clock their commands through it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes {
+    /// When the copy lane comes free.
+    pub copy: u64,
+    /// When the compute lane comes free.
+    pub compute: u64,
+}
+
+impl Lanes {
+    /// A transfer of `ns` on the copy lane, ready at `ready`: its end.
+    pub fn stage(&mut self, ready: u64, ns: u64) -> u64 {
+        self.copy = self.copy.max(ready) + ns;
+        self.copy
+    }
+
+    /// A kernel (or a marker) of `ns` on the compute lane, ready at
+    /// `ready`: its end.
+    pub fn run(&mut self, ready: u64, ns: u64) -> u64 {
+        self.compute = self.compute.max(ready) + ns;
+        self.compute
+    }
+}
+
 /// Hazard edges of a batch ([`Scratch::hazard_edges`]) in a fresh scratch.
 pub fn hazard_edges(cmds: &[BatchCmd]) -> Vec<(usize, usize)> {
     Scratch::default().hazard_edges(cmds).to_vec()
@@ -141,36 +170,26 @@ impl Scratch {
         &self.order
     }
 
-    /// Simulated two-lane completion time of emitting `cmds` in `order`:
-    /// each command's transfer occupies the copy lane, its kernel the
-    /// compute lane, the kernel starts after its own transfer completes,
-    /// and no stage starts before every hazard-edge predecessor (of the
-    /// current DAG) has fully finished. Lanes process commands in emission
-    /// order (in-order hardware lanes fed out-of-order), which is exactly
-    /// how the engine's eager two-lane clock behaves.
+    /// Simulated two-lane completion time of emitting `cmds` in `order` on
+    /// one device's [`Lanes`]: each command's transfer occupies the copy
+    /// lane, its kernel the compute lane, the kernel starts after its own
+    /// transfer completes, and no stage starts before every hazard-edge
+    /// predecessor (of the current DAG) has fully finished.
     pub fn lane_makespan(&mut self, cmds: &[BatchCmd], order: &[usize]) -> SimDuration {
         // A command's predecessors push their end times forward as they are
         // emitted; one not yet emitted has not finished, which counts as 0.
         self.after.clear();
         self.after.resize(cmds.len(), 0);
-        let mut copy_avail = 0u64;
-        let mut compute_avail = 0u64;
+        let mut lanes = Lanes::default();
         let mut makespan = 0u64;
         for &i in order {
             let ready = self.after[i];
-            let t = cmds[i].transfer.as_nanos();
-            let k = cmds[i].kernel.as_nanos();
-            let copy_end = if t == 0 {
-                // No staging: the command never touches the copy lane.
-                ready
-            } else {
-                let start = copy_avail.max(ready);
-                copy_avail = start + t;
-                copy_avail
+            // No staging: the command never touches the copy lane.
+            let staged = match cmds[i].transfer.as_nanos() {
+                0 => ready,
+                t => lanes.stage(ready, t),
             };
-            let kernel_start = compute_avail.max(copy_end).max(ready);
-            compute_avail = kernel_start + k;
-            let end = compute_avail.max(copy_end);
+            let end = lanes.run(staged, cmds[i].kernel.as_nanos());
             for &(_, j) in &self.edges[self.first[i]..self.first[i + 1]] {
                 self.after[j] = self.after[j].max(end);
             }

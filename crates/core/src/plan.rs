@@ -6,26 +6,26 @@
 //! runtime object, lock, cache or clock — so a decision can be built and
 //! checked by hand, and equal snapshots give equal plans. The snapshot
 //! holds facts: each queue's execution row, each launch's buffer accesses
-//! and kernel times, each buffer's transfer to each device. Decide prices
-//! the rest of the prediction from them — each queue's migration row, an
-//! out-of-order queue's two-lane overlap row ([`ooo`]'s lane model) and
-//! each split unit's cost — then gives each pool queue's device
-//! (ROUND_ROBIN's rotation, or AUTO_FIT's mapper), the issue order of the
-//! out-of-order launches and every split's shares.
+//! and kernel times, each buffer's transfer to each device, and what the
+//! cost model needs to price a split chunk at its own size. Decide prices
+//! the rest of the prediction from them — each queue's migration row and an
+//! out-of-order queue's two-lane overlap row ([`ooo`]'s lane model) — then
+//! gives each pool queue's device (ROUND_ROBIN's rotation, or AUTO_FIT's
+//! mapper) and the issue order of the out-of-order launches. Last it judges
+//! each split candidate inside its epoch: it replays the epoch's issue
+//! order through the time plane's rules with the launch whole and with its
+//! best shares ([`split::balance`]), and keeps the split only when the
+//! replayed epoch ends sooner.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
 use crate::ooo;
 use crate::scheduler::{MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use crate::split;
-use hwsim::{DeviceId, SimDuration};
+use hwsim::microbench::BandwidthCurve;
+use hwsim::{DeviceId, DeviceSpec, KernelCostSpec, SimDuration};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Smallest launch (in workgroups along the split axis) worth splitting:
-/// below this the per-chunk launch and gather overhead outweighs the
-/// parallelism and the launch runs whole.
-pub const SPLIT_MIN_WGS: u64 = 8;
 
 /// One queue's per-device cost terms, as [`decide`] prices them, the mapper
 /// sees them and the `MappingDecision` explain record shows them.
@@ -97,9 +97,25 @@ pub struct LaunchInput {
     pub need: u64,
     /// Its buffer accesses in first-touch order.
     pub touches: Range<usize>,
-    /// Its split units (workgroups along the split axis); zero when its
-    /// queue, its body or its range cannot be split.
+}
+
+/// A split candidate — a launch its queue, its body and its range let
+/// split, with two or more eligible devices — and what the cost model needs
+/// to price a chunk of it at its own size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SplitInput {
+    /// The launch.
+    pub launch: usize,
+    /// Its split units: workgroups along the split axis, two or more.
     pub units: u64,
+    /// Its kernel's cost spec.
+    pub cost: KernelCostSpec,
+    /// Its global size.
+    pub global: [u64; 3],
+    /// Its requested workgroup size.
+    pub local: [u64; 3],
+    /// The dimension it splits along.
+    pub axis: usize,
 }
 
 /// One buffer access of a launch.
@@ -140,14 +156,29 @@ pub struct PassInput {
     pub buffers: Vec<u64>,
     /// Per launch and column (`launch * columns + column`): its analytic
     /// kernel time there; zero for a launch neither out-of-order nor split
-    /// into units.
+    /// into units, unless the pass has a split candidate.
     pub kernel_time: Vec<SimDuration>,
     /// Per launch and column: its kernel's profile-row value there, zero
     /// where it has none; zero wherever `kernel_time` is unfilled.
     pub profiled: Vec<SimDuration>,
+    /// Per launch-and-column cell of `profiled` whose row was predicted
+    /// while that device ran degraded, in cell order: the cell, and the
+    /// degradation then in force. A profiled or healthy row has no entry.
+    pub profiled_under: Vec<(usize, f64)>,
     /// Per buffer slot and column: the transfer that makes the buffer
     /// valid there (zero where it is).
     pub transfer: Vec<SimDuration>,
+    /// Per buffer slot: its size in bytes.
+    pub bytes: Vec<u64>,
+    /// The split candidates, in launch order.
+    pub splits: Vec<SplitInput>,
+    /// Per split and column: the workgroup shape a chunk runs at there.
+    pub split_local: Vec<[u64; 3]>,
+    /// Per column: the device's cost-model spec.
+    pub specs: Vec<DeviceSpec>,
+    /// Per column: the host link's bandwidth curve, which prices a gather
+    /// and a re-upload.
+    pub links: Vec<BandwidthCurve>,
 }
 
 /// What a pass issues: the decision [`decide`] makes from a [`PassInput`].
@@ -169,6 +200,7 @@ pub struct Plan {
     /// How many of them `order` moves from their program position.
     pub reordered: u64,
     /// Per launch: its chunks, `chunks[splits[launch]]`; none to run whole.
+    /// A split launch's chunks tile its units in device order.
     pub splits: Vec<Range<usize>>,
     /// The split launches' chunks.
     pub chunks: Vec<split::Chunk>,
@@ -189,7 +221,21 @@ pub struct PlanScratch {
     batch_launch: Vec<usize>,
     touched: Vec<bool>,
     dag: ooo::Scratch,
-    per_wg_ns: Vec<f64>,
+    /// The epoch's launches in issue order, the replay at the launch being
+    /// judged and a trial copy of it, a candidate's shares, per column when
+    /// a chunk of it could start and when the copy lane is free then, the
+    /// tabulated price of its shares up to a full wave and where each
+    /// column's table starts, and the columns by how soon they would run it
+    /// whole.
+    issue: Vec<usize>,
+    at: Replay,
+    trial: Replay,
+    shares: Vec<split::Chunk>,
+    start: Vec<Option<u64>>,
+    copy_free: Vec<u64>,
+    envelope: Vec<u64>,
+    from: Vec<usize>,
+    rank: Vec<usize>,
 }
 
 /// Whether column `di` is eligible for launches binding buffers of up to
@@ -375,36 +421,406 @@ fn reorder(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     plan.order.extend(order.iter().map(|&k| batch_launch[k]));
 }
 
-/// The shares of every launch of at least [`SPLIT_MIN_WGS`] units with two
-/// or more eligible devices: [`split::static_chunks`] over each eligible
-/// device's unit cost — its profiled time there, else its analytic one,
-/// over its units — stretched by its degradation so a device running behind
-/// its estimate is sized smaller. Fewer than two chunks run whole.
+/// Every split candidate, judged in issue order. It gets, over several
+/// device sets, the shares that end its chunks soonest ([`split::balance`],
+/// a device's chunk priced at its own size from where the epoch has left
+/// its lanes). It keeps the shares whose replayed epoch ends soonest, if
+/// that is sooner than with the launch whole — or as soon, with the queues'
+/// finishing times summing to less: when several queues end the epoch
+/// together, no one split can end it sooner, but each can free its devices
+/// for the next. A kept split stays in the replay for the candidates after
+/// it.
 fn split_shares(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let n = input.devices.len();
     plan.splits.clear();
+    plan.splits.resize(input.launches.len(), 0..0);
     plan.chunks.clear();
-    for (l, launch) in input.launches.iter().enumerate() {
-        let first = plan.chunks.len();
-        let eligible = |di: usize| eligible(input, di, launch.need);
-        if launch.units >= SPLIT_MIN_WGS && (0..n).filter(|&di| eligible(di)).count() >= 2 {
-            let unit_cost = |c: usize| {
-                let full = match input.profiled[c].as_nanos() {
-                    0 => input.kernel_time[c].as_nanos() as f64,
-                    ns => ns as f64,
-                };
-                full / launch.units as f64
+    if input.splits.is_empty() {
+        return;
+    }
+    let PlanScratch { issue, at, trial, shares, start, copy_free, envelope, from, rank, .. } =
+        scratch;
+    issue.clear();
+    issue.extend(issue_order(input, plan));
+    Replay::reset(at, input);
+    for (i, &l) in issue.iter().enumerate() {
+        let home = plan.device[input.launches[l].queue];
+        if let Ok(k) = input.splits.binary_search_by_key(&l, |s| s.launch) {
+            // Per device: when a chunk there could start, and when its copy
+            // lane is free for the gathers then.
+            let need = input.launches[l].need;
+            start.clear();
+            copy_free.clear();
+            for d in 0..n {
+                Replay::copy_from(trial, at);
+                let marker = Replay::marker(trial, input, l, home);
+                let ready = Replay::fetch_all(trial, input, l, d, trial.lane[d]);
+                let lanes = trial.lanes[d];
+                start.push(eligible(input, d, need).then(|| lanes.compute.max(ready).max(marker)));
+                copy_free.push(lanes.copy);
+            }
+            // Per device and share, when the chunk's last command ends.
+            let total = input.splits[k].units;
+            let chunk_end = |d: usize, w: u64| {
+                let end = start[d]? + chunk_time(input, k, d, 0, w);
+                let mut gathers = writes(input, l).map(|b| gather_time(input, b, d, w, total));
+                Some(match gathers.next() {
+                    None => end,
+                    Some(first) => copy_free[d].max(end) + first + gathers.sum::<u64>(),
+                })
             };
-            scratch.per_wg_ns.clear();
-            scratch.per_wg_ns.extend((0..n).map(|di| match eligible(di) {
-                true => unit_cost(l * n + di).max(1e-9) * input.degradation[di].max(1.0),
-                false => f64::INFINITY,
-            }));
-            let chunks = split::static_chunks(launch.units, &scratch.per_wg_ns);
-            if chunks.len() >= 2 {
-                plan.chunks.extend(chunks);
+            // The search needs a price that never falls as the share grows.
+            // The roofline's first wave does not give one — one more
+            // workgroup can engage one more compute unit and end sooner —
+            // so up to the share that fills a wave the price is the running
+            // maximum over smaller shares, tabulated per device from
+            // `from[d]`; past it, the most of that and the chunk's own end.
+            envelope.clear();
+            from.clear();
+            for d in 0..n {
+                from.push(envelope.len());
+                let conc = input.specs[d].concurrent_workgroups.max(1);
+                let mut most = 0;
+                for w in 1..=total {
+                    let Some(end) = chunk_end(d, w) else { break };
+                    most = most.max(end);
+                    envelope.push(most);
+                    let (s, local) = (&input.splits[k], input.split_local[k * n + d]);
+                    let shape = split::chunk_shape(s.global, s.local, s.axis, local, 0, w);
+                    if shape.workgroups() >= u64::from(conc) {
+                        break;
+                    }
+                }
+            }
+            from.push(envelope.len());
+            let price = |d: usize, w: u64| {
+                let table = &envelope[from[d]..from[d + 1]];
+                match table.get(w as usize - 1) {
+                    Some(&end) => Some(end),
+                    None => Some(chunk_end(d, w)?.max(*table.last()?)),
+                }
+            };
+            let mut replay = |chunks: &[split::Chunk]| {
+                Replay::copy_from(trial, at);
+                Replay::issue(
+                    trial,
+                    input,
+                    l,
+                    home,
+                    Some((k, chunks)).filter(|_| !chunks.is_empty()),
+                );
+                for &r in &issue[i + 1..] {
+                    Replay::issue(trial, input, r, plan.device[input.launches[r].queue], None);
+                }
+                (trial.end, trial.queue.iter().sum::<u64>())
+            };
+            // The launch whole, then its best shares over its own device
+            // and those no queue is bound to (width 1), and over the
+            // `width` devices that would run it whole soonest: a GPU runs a
+            // share within one wave no faster than the wave, so spreading a
+            // launch thin can end it a little sooner and the epoch later.
+            rank.clear();
+            rank.extend((0..n).filter(|&d| start[d].is_some()));
+            rank.sort_by_key(|&d| (price(d, total), d));
+            let mut end = replay(&[]);
+            let first = plan.chunks.len();
+            for width in 1..=rank.len() {
+                let allowed = |d: usize| match width {
+                    1 => d == home || !plan.device.contains(&d),
+                    _ => rank[..width].contains(&d),
+                };
+                let finish = |d: usize, w: u64| price(d, w).filter(|_| allowed(d));
+                split::balance(total, n, finish, shares);
+                if shares.len() >= 2 {
+                    let split = replay(shares);
+                    if split < end {
+                        end = split;
+                        plan.chunks.truncate(first);
+                        plan.chunks.extend_from_slice(shares);
+                        plan.splits[l] = first..plan.chunks.len();
+                    }
+                }
             }
         }
-        plan.splits.push(first..plan.chunks.len());
+        Replay::issue_planned(at, input, plan, l);
+    }
+}
+
+/// The epoch's launches in issue order: each in-order queue's in program
+/// order, queue by queue in pool order, then the out-of-order ones in
+/// `plan.order`.
+fn issue_order<'a>(input: &'a PassInput, plan: &'a Plan) -> impl Iterator<Item = usize> + 'a {
+    let in_order = input.queues.iter().filter(|q| !q.out_of_order);
+    in_order.flat_map(|q| q.launches.clone()).chain(plan.order.iter().copied())
+}
+
+/// When the epoch `plan` issues ends by the time plane's rules, from the
+/// flush: the replay [`decide`] judges its splits by.
+pub fn replayed_end(input: &PassInput, plan: &Plan) -> SimDuration {
+    let mut replay = Replay::default();
+    Replay::reset(&mut replay, input);
+    for l in issue_order(input, plan) {
+        Replay::issue_planned(&mut replay, input, plan, l);
+    }
+    SimDuration::from_nanos(replay.end)
+}
+
+/// Launch `l`'s kernel time on column `d`, whole: its profile-row time with
+/// the degradation a predicted row was made under divided out, else its
+/// analytic time, stretched by the live degradation.
+fn whole_time(input: &PassInput, l: usize, d: usize) -> u64 {
+    let c = l * input.devices.len() + d;
+    let live = input.degradation[d].max(1.0);
+    let ns = match input.profiled[c] {
+        SimDuration::ZERO => input.kernel_time[c].as_nanos() as f64 * live,
+        p => {
+            let under = input.profiled_under.binary_search_by_key(&c, |u| u.0);
+            p.as_nanos() as f64 * live / under.map_or(1.0, |i| input.profiled_under[i].1.max(1.0))
+        }
+    };
+    ns.round() as u64
+}
+
+/// Split `k`'s chunk of `count` units from unit `offset` on column `d`: the
+/// cost model at the chunk's own shape, scaled as the whole launch's time
+/// there is to its analytic time.
+fn chunk_time(input: &PassInput, k: usize, d: usize, offset: u64, count: u64) -> u64 {
+    let (s, n) = (&input.splits[k], input.devices.len());
+    let local = input.split_local[k * n + d];
+    let shape = split::chunk_shape(s.global, s.local, s.axis, local, offset, count);
+    let analytic = s.cost.kernel_time(&input.specs[d], shape).as_nanos() as f64;
+    let scale = match input.kernel_time[s.launch * n + d].as_nanos() {
+        0 => input.degradation[d].max(1.0),
+        whole => whole_time(input, s.launch, d) as f64 / whole as f64,
+    };
+    (analytic * scale).round() as u64
+}
+
+/// A host-link transfer of `bytes` to or from column `d`.
+fn link_time(input: &PassInput, d: usize, bytes: u64) -> u64 {
+    input.links[d].predict_time(bytes).as_nanos()
+}
+
+/// The gather of a `count`-unit share of a `units`-unit launch's writes to
+/// buffer slot `b`, from column `d`.
+fn gather_time(input: &PassInput, b: usize, d: usize, count: u64, units: u64) -> u64 {
+    link_time(input, d, (input.bytes[b] * count / units).max(1))
+}
+
+/// The buffer slots launch `l` may write.
+fn writes(input: &PassInput, l: usize) -> impl Iterator<Item = usize> + '_ {
+    input.touches[input.launches[l].touches.clone()].iter().filter(|t| t.write).map(|t| t.buffer)
+}
+
+/// Where a buffer's valid copy is, as the replay moves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Held {
+    /// Where the snapshot found it: making it valid on a column costs that
+    /// column's [`PassInput::transfer`].
+    #[default]
+    Snapshot,
+    /// On the host, where a split's join leaves what it wrote.
+    Host,
+    /// On this column alone, which a whole launch wrote it on.
+    Device(usize),
+}
+
+/// An epoch's issue replayed through the time plane's rules, in ns from the
+/// flush, on each column's [`ooo::Lanes`]. What a launch waits on is, in
+/// order, its queue's previous command and, out of order, its buffer
+/// hazards (RAW, and WAR/WAW for a write) — per buffer, the last writer's
+/// and the last access's ends, which is what the reorderer's hazard DAG
+/// orders. A whole launch makes its buffers valid on its device once that
+/// has ended (a copy-lane transfer each) and then runs its kernel, as
+/// [`ooo::Scratch::lane_makespan`] clocks a command. A split
+/// issues a start marker on the home compute lane; per chunk, its input
+/// transfers, its kernel at its own size and a share-sized gather per
+/// written buffer, chained on the device's split lane; and the join on the
+/// home compute lane, which leaves every written buffer on the host alone.
+#[derive(Debug, Default)]
+struct Replay {
+    /// Per column: its two lanes, and when its split lane's last command
+    /// ends.
+    lanes: Vec<ooo::Lanes>,
+    lane: Vec<u64>,
+    /// Per queue: when its last command ends.
+    queue: Vec<u64>,
+    /// Per buffer slot: where its valid copy is, and when its last writer
+    /// and its last access end.
+    held: Vec<Held>,
+    written: Vec<u64>,
+    accessed: Vec<u64>,
+    /// Per buffer slot and column: made valid there by the replay.
+    moved: Vec<bool>,
+    /// When the last command ends.
+    end: u64,
+}
+
+impl Replay {
+    /// The replay of nothing yet issued.
+    fn reset(r: &mut Replay, input: &PassInput) {
+        let (n, buffers) = (input.devices.len(), input.buffers.len());
+        r.lanes.clear();
+        r.lanes.resize(n, ooo::Lanes::default());
+        r.lane.clear();
+        r.lane.resize(n, 0);
+        r.queue.clear();
+        r.queue.resize(input.queues.len(), 0);
+        r.held.clear();
+        r.held.resize(buffers, Held::Snapshot);
+        for times in [&mut r.written, &mut r.accessed] {
+            times.clear();
+            times.resize(buffers, 0);
+        }
+        r.moved.clear();
+        r.moved.resize(buffers * n, false);
+        r.end = 0;
+    }
+
+    /// Become a copy of `other`, in the lists this one already has.
+    fn copy_from(r: &mut Replay, other: &Replay) {
+        r.lanes.clone_from(&other.lanes);
+        r.lane.clone_from(&other.lane);
+        r.queue.clone_from(&other.queue);
+        r.held.clone_from(&other.held);
+        r.written.clone_from(&other.written);
+        r.accessed.clone_from(&other.accessed);
+        r.moved.clone_from(&other.moved);
+        r.end = other.end;
+    }
+
+    /// Issue launch `l` of a queue bound to column `home`: whole, or as
+    /// split `k`'s `chunks`.
+    fn issue(
+        r: &mut Replay,
+        input: &PassInput,
+        l: usize,
+        home: usize,
+        split: Option<(usize, &[split::Chunk])>,
+    ) {
+        let Some((k, chunks)) = split else { return Replay::whole(r, input, l, home) };
+        let marker = Replay::marker(r, input, l, home);
+        let touches = &input.touches[input.launches[l].touches.clone()];
+        let mut ready = marker;
+        for c in chunks {
+            let d = c.device;
+            let mut end = Replay::fetch_all(r, input, l, d, r.lane[d]).max(marker);
+            end = r.lanes[d].run(end, chunk_time(input, k, d, c.wg_offset, c.wg_count));
+            for b in writes(input, l) {
+                let gather = gather_time(input, b, d, c.wg_count, input.splits[k].units);
+                end = r.lanes[d].stage(end, gather);
+            }
+            for t in touches {
+                r.accessed[t.buffer] = r.accessed[t.buffer].max(end);
+            }
+            r.lane[d] = end;
+            ready = ready.max(end);
+        }
+        let join = r.lanes[home].run(ready, 0);
+        r.queue[input.launches[l].queue] = join;
+        r.end = r.end.max(join);
+        let n = input.devices.len();
+        for t in touches {
+            r.accessed[t.buffer] = r.accessed[t.buffer].max(join);
+            if t.write {
+                r.written[t.buffer] = join;
+                r.held[t.buffer] = Held::Host;
+                r.moved[t.buffer * n..(t.buffer + 1) * n].fill(false);
+            }
+        }
+    }
+
+    /// Issue launch `l` as `plan` says.
+    fn issue_planned(r: &mut Replay, input: &PassInput, plan: &Plan, l: usize) {
+        let chunks = &plan.chunks[plan.splits[l].clone()];
+        let k = input.splits.binary_search_by_key(&l, |s| s.launch).ok();
+        let split = k.map(|k| (k, chunks)).filter(|_| !chunks.is_empty());
+        Replay::issue(r, input, l, plan.device[input.launches[l].queue], split);
+    }
+
+    /// Launch `l` whole on column `d`.
+    fn whole(r: &mut Replay, input: &PassInput, l: usize, d: usize) {
+        let q = input.launches[l].queue;
+        let ooo = input.queues[q].out_of_order;
+        let touches = &input.touches[input.launches[l].touches.clone()];
+        let ready = match ooo {
+            true => touches.iter().map(|t| Replay::hazard(r, t.buffer, t.write)).max().unwrap_or(0),
+            false => r.queue[q],
+        };
+        let staged = Replay::fetch_all(r, input, l, d, ready);
+        let end = r.lanes[d].run(staged, whole_time(input, l, d));
+        r.queue[q] = r.queue[q].max(end);
+        r.end = r.end.max(end);
+        let n = input.devices.len();
+        for t in touches {
+            r.accessed[t.buffer] = r.accessed[t.buffer].max(end);
+            if t.write {
+                r.written[t.buffer] = end;
+                r.held[t.buffer] = Held::Device(d);
+                r.moved[t.buffer * n..(t.buffer + 1) * n].fill(false);
+                r.moved[t.buffer * n + d] = true;
+            }
+        }
+    }
+
+    /// Launch `l`'s split start marker on the home compute lane: after the
+    /// queue's previous command and, out of order, the launch's hazards.
+    /// Returns its end.
+    fn marker(r: &mut Replay, input: &PassInput, l: usize, home: usize) -> u64 {
+        let q = input.launches[l].queue;
+        let mut ready = r.queue[q];
+        if input.queues[q].out_of_order {
+            for t in &input.touches[input.launches[l].touches.clone()] {
+                ready = ready.max(Replay::hazard(r, t.buffer, t.write));
+            }
+        }
+        r.queue[q] = r.lanes[home].run(ready, 0);
+        r.queue[q]
+    }
+
+    /// What an access of buffer slot `b` waits on out of order: its last
+    /// writer, and for a write its last access too.
+    fn hazard(r: &Replay, b: usize, write: bool) -> u64 {
+        if write {
+            r.accessed[b]
+        } else {
+            r.written[b]
+        }
+    }
+
+    /// Make launch `l`'s buffers valid on column `d`, in first-touch order,
+    /// each transfer after `after` and the one before. Returns when the last
+    /// ends (`after` if none moves).
+    fn fetch_all(r: &mut Replay, input: &PassInput, l: usize, d: usize, after: u64) -> u64 {
+        let touches = &input.touches[input.launches[l].touches.clone()];
+        touches
+            .iter()
+            .fold(after, |chain, t| Replay::fetch(r, input, t.buffer, d, chain).unwrap_or(chain))
+    }
+
+    /// Make buffer slot `b` valid on column `d` after `after`: its snapshot
+    /// transfer, an upload from the host, or a download from the column that
+    /// wrote it and an upload. Returns when it ends, if anything moves.
+    fn fetch(r: &mut Replay, input: &PassInput, b: usize, d: usize, after: u64) -> Option<u64> {
+        let cell = b * input.devices.len() + d;
+        if std::mem::replace(&mut r.moved[cell], true) {
+            return None;
+        }
+        let bytes = || input.bytes[b];
+        let end = match r.held[b] {
+            Held::Snapshot => match input.transfer[cell].as_nanos() {
+                0 => return None,
+                ns => r.lanes[d].stage(after, ns),
+            },
+            Held::Host => r.lanes[d].stage(after, link_time(input, d, bytes())),
+            Held::Device(o) => {
+                r.held[b] = Held::Host;
+                let staged = r.lanes[o].stage(after, link_time(input, o, bytes()));
+                r.lanes[d].stage(staged, link_time(input, d, bytes()))
+            }
+        };
+        r.accessed[b] = r.accessed[b].max(end);
+        r.end = r.end.max(end);
+        Some(end)
     }
 }

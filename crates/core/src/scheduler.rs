@@ -30,7 +30,9 @@
 
 use crate::flags::{ContextSchedPolicy, QueueSchedFlags};
 use crate::mapper;
-use crate::plan::{self, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, Touch};
+use crate::plan::{
+    self, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch,
+};
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
@@ -256,6 +258,12 @@ struct RtInner {
     /// Kernel-name → estimated full execution time per device (§V-C1),
     /// names and rows shared by reference count.
     kernel_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
+    /// Kernel-name → the degradation in force per device when its row was
+    /// predicted, for a row predicted while a device ran degraded: the
+    /// model learns from executed stamps, so such a row carries the
+    /// slowdown, and a split's price divides it out before it applies the
+    /// live one. A profiled row is the cost model's and has no entry.
+    profiled_under: Mutex<HashMap<Arc<str>, Arc<[f64]>>>,
     /// Online per-device regression over kernel descriptor features: with
     /// [`SchedOptions::predictor_confidence`] positive, a confident
     /// prediction serves an unseen kernel's row without profiling.
@@ -316,6 +324,10 @@ struct Work {
     key: EpochKey,
     /// The launches one issue drained, in launch order.
     cmds: Vec<PendingKernel>,
+    /// With prediction on and a split planned, per kernel command the issue
+    /// put on a device, in issue order: a chunk's own shape, `None` for a
+    /// whole launch.
+    folds: Vec<Option<NdRangeShape>>,
 }
 
 /// Interpret a debug-style environment variable value: unset, empty (after
@@ -375,6 +387,14 @@ impl MulticlContext {
             MapperKind::Greedy => "greedy",
             MapperKind::Adaptive => "adaptive",
         };
+        // A context's devices never change: what prices a split chunk and
+        // its gather on each is read once.
+        let node = platform.node();
+        let input = PassInput {
+            specs: cl.devices().iter().map(|&d| node.spec(d).clone()).collect(),
+            links: cl.devices().iter().map(|d| device_profile.h2d[d.index()].clone()).collect(),
+            ..PassInput::default()
+        };
         let ctx = MulticlContext {
             rt: Arc::new(RtInner {
                 cl,
@@ -383,6 +403,7 @@ impl MulticlContext {
                 options,
                 device_profile,
                 kernel_profiles: Mutex::new(HashMap::new()),
+                profiled_under: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
                 policy_label: policy.to_string().into(),
@@ -396,7 +417,7 @@ impl MulticlContext {
                 sched_epoch: AtomicU64::new(0),
                 observers: Mutex::new(observers.into()),
                 pass_lock: Mutex::new(()),
-                mapper_state: Mutex::new(PassScratch::default()),
+                mapper_state: Mutex::new(PassScratch { input, ..PassScratch::default() }),
                 split_lanes: Mutex::new(HashMap::new()),
             }),
         };
@@ -722,7 +743,7 @@ impl RtInner {
         }
         // Refinement folds the completions in before the epoch closes.
         if !refine.is_empty() {
-            self.refine_predictor(refine, &input.devices, trace_offset, epoch);
+            self.refine_predictor(refine, &work.folds, &input.devices, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
@@ -812,10 +833,11 @@ impl RtInner {
     }
 
     /// Measure's last step, after every queue's profiling: each pool launch
-    /// as decide sees it — its accesses, its units, an out-of-order or
-    /// splittable one's analytic and profiled kernel times — and each
-    /// buffer's transfer to each device at the residency the issue starts
-    /// from, into `input`. With prediction on, each distinct kernel's
+    /// as decide sees it — its accesses, an out-of-order one's analytic and
+    /// profiled kernel times (every launch's, when the pass has a split
+    /// candidate) and a split candidate's shape and units — and each
+    /// buffer's size and transfer to each device at the residency the issue
+    /// starts from, into `input`. With prediction on, each distinct kernel's
     /// descriptor and first-seen geometry go into `refine`.
     fn snapshot_launches(
         &self,
@@ -825,41 +847,63 @@ impl RtInner {
     ) {
         let node = self.platform.node();
         let predict = self.options.predictor_confidence > 0.0;
+        // A pass with a split candidate replays the epoch, which times
+        // every launch.
+        let candidate = pool
+            .iter()
+            .any(|q| q.pending.lock().iter().any(|p| split_candidate(q, p, input).is_some()));
         input.launches.clear();
         input.touches.clear();
         input.buffers.clear();
+        input.bytes.clear();
         input.kernel_time.clear();
         input.profiled.clear();
+        input.profiled_under.clear();
         input.transfer.clear();
+        input.splits.clear();
+        input.split_local.clear();
         refine.clear();
         let devices = &input.devices;
-        for (qi, (q, queue)) in pool.iter().zip(input.queues.iter_mut()).enumerate() {
-            let splittable = q.flags().contains(QueueSchedFlags::SCHED_SPLITTABLE);
-            let (ooo, first) = (queue.out_of_order, input.launches.len());
+        for (qi, q) in pool.iter().enumerate() {
+            let (ooo, first) = (input.queues[qi].out_of_order, input.launches.len());
             for p in q.pending.lock().iter() {
                 if predict && !refine.contains_key(p.kernel.name()) {
                     let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
                     refine.insert(p.kernel.shared_name(), snapshot);
                 }
-                let axis = p.nd.split_axis().filter(|_| splittable && p.kernel.splittable());
-                let units = axis.map_or(0, |a| p.nd.global[a].div_ceil(p.nd.local[a]));
-                if ooo || units > 0 {
-                    let cost = p.kernel.cost();
+                let axis = split_candidate(q, p, input);
+                let cost = p.kernel.cost();
+                if ooo || candidate {
                     let row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
+                    let under = self.profiled_under.lock().get(p.kernel.name()).map(Arc::clone);
                     for (di, &dev) in devices.iter().enumerate() {
                         let nd = p.kernel.effective_nd(dev, p.nd);
                         input.kernel_time.push(cost.kernel_time(node.spec(dev), nd.shape()));
                         input.profiled.push(row.as_ref().map_or(SimDuration::ZERO, |r| r[di]));
+                        if let Some(&f) = under.as_ref().map(|u| &u[di]).filter(|&&f| f != 1.0) {
+                            input.profiled_under.push((input.profiled.len() - 1, f));
+                        }
                     }
                 } else {
                     input.kernel_time.extend(devices.iter().map(|_| SimDuration::ZERO));
                     input.profiled.extend(devices.iter().map(|_| SimDuration::ZERO));
+                }
+                if let Some(axis) = axis {
+                    let (global, local) = (p.nd.global, p.nd.local);
+                    let (launch, units) =
+                        (input.launches.len(), global[axis].div_ceil(local[axis]));
+                    input.splits.push(SplitInput { launch, cost, global, local, axis, units });
+                    // A per-device configuration lends a chunk only its
+                    // workgroup shape.
+                    let local = devices.iter().map(|&dev| p.kernel.effective_nd(dev, p.nd).local);
+                    input.split_local.extend(local);
                 }
                 let from = input.touches.len();
                 for t in p.args.touched() {
                     let known = input.buffers.iter().position(|&b| b == t.buf.id());
                     let slot = known.unwrap_or_else(|| {
                         input.buffers.push(t.buf.id());
+                        input.bytes.push(t.buf.byte_len() as u64);
                         input
                             .transfer
                             .extend(devices.iter().map(|&d| self.transfer_time(&t.buf, d)));
@@ -869,9 +913,9 @@ impl RtInner {
                 }
                 let need = p.args.max_buffer_bytes();
                 let touches = from..input.touches.len();
-                input.launches.push(LaunchInput { queue: qi, need, touches, units });
+                input.launches.push(LaunchInput { queue: qi, need, touches });
             }
-            queue.launches = first..input.launches.len();
+            input.queues[qi].launches = first..input.launches.len();
         }
     }
 
@@ -887,7 +931,10 @@ impl RtInner {
         plan: &Plan,
         work: &mut Work,
     ) {
-        let Work { delta, cmds, .. } = work;
+        let Work { delta, cmds, folds, .. } = work;
+        folds.clear();
+        // Refinement tells chunks from whole launches only if one split.
+        let predict = self.options.predictor_confidence > 0.0 && !plan.chunks.is_empty();
         // Launches an unwound issue left here are dropped, not issued again.
         cmds.clear();
         for (q, qi) in pool.iter().zip(&input.queues) {
@@ -918,13 +965,14 @@ impl RtInner {
             if !qi.out_of_order {
                 for l in qi.launches.clone() {
                     let (p, chunks) = launch(l);
-                    self.issue_launch(q, p, chunks, epoch, delta);
+                    self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
                 }
             }
         }
         for &l in &plan.order {
             let (p, chunks) = launch(l);
-            self.issue_launch(&pool[input.launches[l].queue], p, chunks, epoch, delta);
+            let q = &pool[input.launches[l].queue];
+            self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
         }
         cmds.clear();
     }
@@ -944,7 +992,7 @@ impl RtInner {
     /// Issue one launch: as one split ([`CommandQueue::enqueue_ndrange_split`])
     /// over the planned `chunks` on per-device lanes, or whole on the queue's
     /// bound device when there are none or `clrt` refuses them — having
-    /// issued nothing.
+    /// issued nothing. Its kernel commands go into `folds`, if given.
     fn issue_launch(
         &self,
         q: &QueueState,
@@ -952,6 +1000,7 @@ impl RtInner {
         chunks: &[split::Chunk],
         epoch: u64,
         delta: &mut SchedStats,
+        folds: Option<&mut Vec<Option<NdRangeShape>>>,
     ) {
         if !chunks.is_empty() {
             let devices = self.cl.devices();
@@ -979,10 +1028,27 @@ impl RtInner {
                     at,
                 });
                 delta.kernels_split += 1;
+                if let (Some(folds), Some(axis)) = (folds, p.nd.split_axis()) {
+                    folds.extend(chunks.iter().map(|c| {
+                        let local = p.kernel.effective_nd(devices[c.device], p.nd).local;
+                        let (offset, count) = (c.wg_offset, c.wg_count);
+                        Some(split::chunk_shape(
+                            p.nd.global,
+                            p.nd.local,
+                            axis,
+                            local,
+                            offset,
+                            count,
+                        ))
+                    }));
+                }
                 return;
             }
         }
         enqueue_whole(q, p);
+        if let Some(folds) = folds {
+            folds.push(None);
+        }
     }
 
     /// Fold a pass's accumulated stats delta into the shared counters —
@@ -1168,11 +1234,16 @@ impl RtInner {
         }
         // Lost as of now — profiling earlier in this pass moves the clock —
         // or too small for the queue. With none left, profiling hands out
-        // its all-zero sentinel rows.
-        let skip: Vec<bool> = self.platform.with_engine(|e| {
-            (0..devices.len())
+        // its all-zero sentinel rows. A predicted row is made under the
+        // degradation in force now.
+        let (skip, under) = self.platform.with_engine(|e| {
+            let skip: Vec<bool> = (0..devices.len())
                 .map(|di| e.device_lost(devices[di]) || !plan::eligible(input, di, need))
-                .collect()
+                .collect();
+            let degradation = devices.iter().map(|&d| e.device_degradation(d));
+            let under: Option<Vec<f64>> =
+                degradation.clone().any(|f| f != 1.0).then(|| degradation.collect());
+            (skip, under)
         });
         if skip.iter().all(|&s| s) {
             return missing;
@@ -1223,6 +1294,7 @@ impl RtInner {
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
                     mapper::inflate_uncertain(&mut row, max_uncertainty);
+                    self.record_under(&name, under.as_deref());
                     kp.insert(name, row.into());
                 } else {
                     delta.predictor_fallbacks += 1;
@@ -1245,39 +1317,58 @@ impl RtInner {
     }
 
     /// Fold this epoch's executed kernel completions back into the cost
-    /// predictor (online refinement): per (kernel, device), the mean executed
-    /// duration is one observation, and a prior prediction's error is
-    /// reported ([`SchedEvent::PredictorRefined`]) in `BTreeMap` order.
+    /// predictor (online refinement): per (kernel, device) the mean executed
+    /// duration of its whole launches is one observation, at the kernel's
+    /// first-seen geometry, and then so is that of its split chunks of each
+    /// shape, at that shape; `folds` gives each kernel command's in issue
+    /// order. A prior prediction's error is reported
+    /// ([`SchedEvent::PredictorRefined`]) in `BTreeMap` order, whole
+    /// launches first.
     fn refine_predictor(
         &self,
         refine_index: &HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+        folds: &[Option<NdRangeShape>],
         devices: &[DeviceId],
         trace_offset: u64,
         epoch: u64,
     ) {
         let mut agg: BTreeMap<(Arc<str>, usize), (SimDuration, u64)> = BTreeMap::new();
+        type Chunk = (Arc<str>, usize, u64, u64);
+        let mut chunks: BTreeMap<Chunk, (SimDuration, u64)> = BTreeMap::new();
         self.platform.with_engine(|e| {
+            let mut folds = folds.iter();
             for r in e.trace().records_since(trace_offset) {
                 let CommandKind::Kernel { name } = &r.kind else { continue };
+                let chunk = folds.next().copied().flatten();
                 if !refine_index.contains_key(name.as_ref()) {
                     continue;
                 }
                 let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
-                let entry = agg.entry((Arc::clone(name), di)).or_insert((SimDuration::ZERO, 0));
+                let name = Arc::clone(name);
+                let entry = match chunk {
+                    None => agg.entry((name, di)).or_insert((SimDuration::ZERO, 0)),
+                    Some(s) => chunks
+                        .entry((name, di, s.global_items, s.local_items))
+                        .or_insert((SimDuration::ZERO, 0)),
+                };
                 entry.0 += r.stamp.end.saturating_since(r.stamp.start);
                 entry.1 += 1;
             }
         });
-        if agg.is_empty() {
+        if agg.is_empty() && chunks.is_empty() {
             return;
         }
         let mut events: Vec<SchedEvent> = Vec::new();
         {
             let mut predictor = self.predictor.lock();
-            for ((name, di), (sum, count)) in &agg {
+            let whole = agg.iter().map(|((name, di), sum)| (name, di, None, sum));
+            let chunks = chunks.iter().map(|((name, di, global, local), sum)| {
+                (name, di, Some(NdRangeShape::new(*global, *local)), sum)
+            });
+            for (name, di, chunk, (sum, count)) in whole.chain(chunks) {
                 let (kernel, nd, arg_bytes) = &refine_index[name];
                 let dev = devices[*di];
-                let shape = kernel.effective_nd(dev, *nd).shape();
+                let shape = chunk.unwrap_or_else(|| kernel.effective_nd(dev, *nd).shape());
                 let f = KernelFeatures::describe(&kernel.cost(), shape, *arg_bytes);
                 let actual = *sum / *count;
                 let prior = predictor.predict(*di, &f);
@@ -1418,6 +1509,7 @@ impl RtInner {
         {
             let mut kp = self.kernel_profiles.lock();
             for (name, _, row) in &kernel_rows {
+                self.record_under(name, None);
                 kp.insert(Arc::clone(name), row.as_slice().into());
             }
         }
@@ -1426,6 +1518,16 @@ impl RtInner {
         for (name, _, row) in kernel_rows {
             self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
         }
+    }
+
+    /// Record the degradation `under` which kernel `name`'s new row was
+    /// made (none: a profiled row, or every device healthy).
+    fn record_under(&self, name: &Arc<str>, under: Option<&[f64]>) {
+        let mut rows = self.profiled_under.lock();
+        match under.filter(|u| u.iter().any(|&f| f != 1.0)) {
+            Some(under) => rows.insert(Arc::clone(name), under.into()),
+            None => rows.remove(name),
+        };
     }
 
     /// The predicted time to make `b` valid on `dev` from where it is valid
@@ -1468,6 +1570,17 @@ fn nonresident_bytes(cmds: &[PendingKernel], dev: DeviceId) -> u64 {
         }
     }
     total
+}
+
+/// The axis a launch of `q` splits along, if it is a split candidate: its
+/// queue carries `SCHED_SPLITTABLE`, its body honors sub-ranges, its range
+/// has more than one workgroup along some axis, and two or more devices are
+/// eligible for it.
+fn split_candidate(q: &QueueState, p: &PendingKernel, input: &PassInput) -> Option<usize> {
+    let splittable = q.flags().contains(QueueSchedFlags::SCHED_SPLITTABLE);
+    let need = p.args.max_buffer_bytes();
+    let eligible = (0..input.devices.len()).filter(|&di| plan::eligible(input, di, need));
+    p.nd.split_axis().filter(|_| splittable && p.kernel.splittable() && eligible.count() >= 2)
 }
 
 /// Bytes of the largest buffer `pending` binds — what a device must hold to
@@ -1687,7 +1800,89 @@ impl std::fmt::Debug for SchedQueue {
 #[cfg(test)]
 mod tests {
     use super::env_flag_enabled;
+    use crate::predictor::{CostPredictor, KernelFeatures, DEFAULT_PREDICTOR_CONFIDENCE};
+    use crate::telemetry::RingBufferSink;
+    use crate::{
+        ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedEvent, SchedOptions,
+    };
+    use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
+    use hwsim::engine::CommandKind;
+    use hwsim::{KernelCostSpec, NdRangeShape};
     use std::ffi::OsStr;
+    use std::sync::Arc;
+
+    /// `out[i] += 1` over the sub-range one execution owns.
+    struct Bump;
+
+    impl KernelBody for Bump {
+        fn name(&self) -> &str {
+            "bump"
+        }
+        fn arity(&self) -> usize {
+            1
+        }
+        fn cost(&self) -> KernelCostSpec {
+            KernelCostSpec::compute_bound(20_000.0)
+        }
+        fn splittable(&self) -> bool {
+            true
+        }
+        fn execute(&self, ctx: &mut KernelCtx<'_>) {
+            let base = ctx.global_offset()[0] as usize;
+            let n = ctx.nd().global_items() as usize;
+            for v in &mut ctx.slice_mut::<f64>(0)[base..base + n] {
+                *v += 1.0;
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_chunk_trains_the_predictor_at_its_own_shape() {
+        // One splittable launch of 1 024 workgroups, split in its first
+        // epoch: the model's only observations are its chunks, one per
+        // device, each at that chunk's shape.
+        const ITEMS: u64 = 1 << 16;
+        let platform = Platform::paper_node();
+        let sink = Arc::new(RingBufferSink::new(1024));
+        let dir = std::env::temp_dir().join(format!("multicl-fold-{}", std::process::id()));
+        let options = SchedOptions {
+            predictor_confidence: DEFAULT_PREDICTOR_CONFIDENCE,
+            profile_cache: ProfileCache::at(dir),
+            observers: vec![sink.clone()],
+            ..SchedOptions::default()
+        };
+        let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
+            .expect("context");
+        let flags = QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE;
+        let queue = ctx.create_queue(flags).expect("queue");
+        let buf = ctx.create_buffer_of::<f64>(ITEMS as usize).expect("buffer");
+        let body = Arc::new(Bump) as Arc<dyn KernelBody>;
+        let k = ctx.create_program(vec![body]).expect("program").create_kernel("bump").unwrap();
+        k.set_arg(0, ArgValue::BufferMut(buf)).unwrap();
+        queue.enqueue_ndrange(&k, NdRange::d1(ITEMS, 64)).expect("enqueue");
+        ctx.finish_all();
+        let shares = sink.drain().into_iter().find_map(|e| match e {
+            SchedEvent::KernelSplit { wgs_per_device, .. } => Some(wgs_per_device),
+            _ => None,
+        });
+        let shares = shares.expect("the launch split");
+        assert!(shares.iter().filter(|&&w| w > 0).count() >= 2, "{shares:?}");
+        // The same observations, folded by hand into a fresh model.
+        let n = shares.len();
+        let mut want = CostPredictor::new(n, platform.node().fingerprint());
+        let trace = platform.take_trace();
+        let chunks = trace.records.iter().filter(|r| r.tag.is_none());
+        for r in
+            chunks.filter(|r| matches!(&r.kind, CommandKind::Kernel { name } if &**name == "bump"))
+        {
+            let d = r.device.index();
+            let shape = NdRangeShape::new(shares[d] * 64, 64);
+            let f = KernelFeatures::describe(&Bump.cost(), shape, ITEMS * 8);
+            want.observe(d, &f, r.stamp.end.saturating_since(r.stamp.start));
+        }
+        let folded = ctx.rt.predictor.lock().to_json() == want.to_json();
+        assert!(folded, "a chunk was folded at another shape than its own");
+    }
 
     #[test]
     fn debug_env_flag_off_values_stay_off() {

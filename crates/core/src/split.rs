@@ -1,15 +1,15 @@
-//! Data-parallel kernel splitting (`SCHED_SPLITTABLE`): one step cuts a
-//! splittable launch into contiguous workgroup sub-ranges, one per device,
-//! sized in proportion to each device's speed.
+//! Data-parallel kernel splitting (`SCHED_SPLITTABLE`): the pure half of
+//! sizing a split, which `plan::decide` prices and judges.
 //!
-//! Pure: [`static_chunks`] sees per-device *per-split-unit* cost estimates
-//! (nanoseconds per workgroup slab along the split axis, live degradation
-//! already folded in by the scheduler) and returns the chunk list; the
-//! scheduler issues each chunk, in list order, on the device it was sized
-//! for. A device whose estimate is non-finite (lost, ineligible, never
-//! measured) is unavailable and receives no work, and so does a device
-//! whose share rounds to zero. Ties go to the lower device index, so
-//! same-seed runs replay bit-identically.
+//! [`chunk_shape`] is the launch shape a share of a launch runs at on one
+//! device, so the cost model prices a chunk at its own size. [`balance`]
+//! finds the shares that finish soonest when each device's finish time never
+//! falls as its share grows. The scheduler issues the chunks, in list order,
+//! on the devices they were sized for. A device that takes no share gets no
+//! chunk, and ties go to the lower device index, so same-seed runs replay
+//! bit-identically.
+
+use hwsim::NdRangeShape;
 
 /// One contiguous sub-range of a splittable launch, in *split units*
 /// (workgroup slabs along the launch's split axis).
@@ -19,56 +19,81 @@ pub struct Chunk {
     pub wg_offset: u64,
     /// Split units in the sub-range (always ≥ 1).
     pub wg_count: u64,
-    /// Device column (index into the estimate slice) the chunk was sized
-    /// for and runs on.
+    /// Device column the chunk was sized for and runs on.
     pub device: usize,
 }
 
-/// Cost-proportional static partition: each available device gets a share
-/// of the range inversely proportional to its per-unit cost, rounded with
-/// the largest-remainder method (exact total, deterministic ties by lower
-/// device index). Zero-share devices produce no chunk; chunks come in
-/// device order. Empty when there is nothing to split or no device is
-/// available.
-pub fn static_chunks(total_wgs: u64, per_wg_ns: &[f64]) -> Vec<Chunk> {
-    let avail: Vec<usize> =
-        (0..per_wg_ns.len()).filter(|&d| per_wg_ns[d].is_finite() && per_wg_ns[d] > 0.0).collect();
-    if total_wgs == 0 || avail.is_empty() {
-        return Vec::new();
-    }
-    let speeds: Vec<f64> = avail.iter().map(|&d| 1.0 / per_wg_ns[d]).collect();
-    let total_speed: f64 = speeds.iter().sum();
-    // Integer shares plus fractional remainders.
-    let mut shares: Vec<u64> = Vec::with_capacity(avail.len());
-    let mut fracs: Vec<(usize, f64)> = Vec::with_capacity(avail.len());
-    let mut assigned = 0u64;
-    for (i, s) in speeds.iter().enumerate() {
-        let exact = total_wgs as f64 * s / total_speed;
-        let floor = exact.floor() as u64;
-        shares.push(floor);
-        fracs.push((i, exact - floor as f64));
-        assigned += floor;
-    }
-    // Largest remainder first; equal remainders go to the lower index.
-    fracs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let mut leftover = total_wgs - assigned;
-    for &(i, _) in &fracs {
-        if leftover == 0 {
-            break;
+/// The cost-model shape of `count` split units from unit `offset` of a
+/// launch of `global` items in workgroups of `local`, split along `axis`,
+/// run in workgroups of `device_local` — as `clrt` issues the chunk: the
+/// sub-range's global size, the device's workgroup shape, workgroups
+/// rounded up per dimension.
+pub fn chunk_shape(
+    global: [u64; 3],
+    local: [u64; 3],
+    axis: usize,
+    device_local: [u64; 3],
+    offset: u64,
+    count: u64,
+) -> NdRangeShape {
+    let mut sub = global;
+    let from = (offset * local[axis]).min(global[axis]);
+    sub[axis] = count.saturating_mul(local[axis]).min(global[axis] - from);
+    let local_items: u64 = device_local.iter().map(|&l| l.max(1)).product();
+    let workgroups: u64 = (0..3).map(|d| sub[d].div_ceil(device_local[d].max(1))).product();
+    NdRangeShape::new(workgroups * local_items, local_items)
+}
+
+/// The shares of `units` split units over `devices` columns that finish
+/// soonest, refilled into `out`. `finish(d, w)` is when column `d` would be
+/// done with `w ≥ 1` units, `None` where it takes none; it never falls as
+/// `w` grows, so a binary search on the finish time `T` over integer units
+/// is exact: the least `T` by which the devices' largest shares finishing
+/// by `T` cover the range. Columns take those shares in order until the
+/// range is covered, one contiguous chunk each. Empty when no column takes
+/// the whole range.
+pub fn balance(
+    units: u64,
+    devices: usize,
+    finish: impl Fn(usize, u64) -> Option<u64>,
+    out: &mut Vec<Chunk>,
+) {
+    out.clear();
+    // The largest share column `d` finishes by `t`.
+    let largest = |d: usize, t: u64| {
+        let (mut lo, mut hi) = (0, units);
+        while lo < hi {
+            let mid = hi - (hi - lo) / 2;
+            match finish(d, mid) {
+                Some(end) if end <= t => lo = mid,
+                _ => hi = mid - 1,
+            }
         }
-        shares[i] += 1;
-        leftover -= 1;
+        lo
+    };
+    let Some(mut hi) = (0..devices).filter_map(|d| finish(d, units)).min() else { return };
+    // Where only the soonest column finishes a unit by then, it takes all.
+    let mut takers = (0..devices).filter(|&d| finish(d, 1).is_some_and(|end| end <= hi));
+    if let (Some(device), None) = (takers.next(), takers.next()) {
+        out.push(Chunk { wg_offset: 0, wg_count: units, device });
+        return;
     }
-    let mut chunks = Vec::new();
-    let mut offset = 0u64;
-    for (i, &share) in shares.iter().enumerate() {
-        if share == 0 {
-            continue;
+    let mut lo = 0;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match (0..devices).map(|d| largest(d, mid)).sum::<u64>() >= units {
+            true => hi = mid,
+            false => lo = mid + 1,
         }
-        chunks.push(Chunk { wg_offset: offset, wg_count: share, device: avail[i] });
-        offset += share;
     }
-    chunks
+    let mut offset = 0;
+    for d in 0..devices {
+        let count = largest(d, hi).min(units - offset);
+        if count > 0 {
+            out.push(Chunk { wg_offset: offset, wg_count: count, device: d });
+            offset += count;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -87,61 +112,86 @@ mod tests {
         assert_eq!(cursor, total, "chunks must cover the range exactly");
     }
 
-    #[test]
-    fn static_partition_is_cost_proportional() {
-        // Device 0 is 3× faster than device 1 → ~3/4 of the range.
-        let chunks = static_chunks(400, &[1.0, 3.0]);
-        assert_tiles(&chunks, 400);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].device, 0);
-        assert_eq!(chunks[0].wg_count, 300);
-        assert_eq!(chunks[1].wg_count, 100);
+    /// Finish times linear in the share: `start[d] + w · per[d]`.
+    fn linear<'a>(start: &'a [u64], per: &'a [u64]) -> impl Fn(usize, u64) -> Option<u64> + 'a {
+        move |d, w| (per[d] > 0).then(|| start[d] + w * per[d])
     }
 
     #[test]
-    fn static_partition_skips_unavailable_devices() {
-        let chunks = static_chunks(100, &[f64::INFINITY, 2.0, f64::NAN]);
-        assert_tiles(&chunks, 100);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].device, 1);
-        assert!(static_chunks(100, &[f64::INFINITY]).is_empty());
-        assert!(static_chunks(0, &[1.0, 1.0]).is_empty());
+    fn linear_costs_split_by_speed() {
+        // Device 0 is 3× faster than device 1: ~3/4 of the range.
+        let mut out = Vec::new();
+        balance(400, 2, linear(&[0, 0], &[1, 3]), &mut out);
+        assert_tiles(&out, 400);
+        assert_eq!(
+            out.iter().map(|c| (c.device, c.wg_count)).collect::<Vec<_>>(),
+            [(0, 300), (1, 100)]
+        );
     }
 
     #[test]
-    fn a_share_that_rounds_to_zero_gets_no_chunk() {
-        // Device 0 is 50× slower: its exact share of 8 units is 0.08.
-        let chunks = static_chunks(8, &[50.0, 1.0, 1.0]);
-        assert_tiles(&chunks, 8);
-        let placed: Vec<(usize, u64)> = chunks.iter().map(|c| (c.device, c.wg_count)).collect();
-        assert_eq!(placed, vec![(1, 4), (2, 4)]);
+    fn a_busy_or_unavailable_device_takes_less_or_nothing() {
+        let mut out = Vec::new();
+        // Device 1 is free only at 150: it takes 50 of 200 equal units.
+        balance(200, 3, linear(&[0, 150, 0], &[1, 1, 0]), &mut out);
+        assert_tiles(&out, 200);
+        assert_eq!(
+            out.iter().map(|c| (c.device, c.wg_count)).collect::<Vec<_>>(),
+            [(0, 175), (1, 25)]
+        );
+        // Busy past the end of the whole launch elsewhere: no chunk.
+        balance(200, 2, linear(&[0, 500], &[1, 1]), &mut out);
+        assert_eq!(out, [Chunk { wg_offset: 0, wg_count: 200, device: 0 }]);
+        balance(200, 2, |_, _| None, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn random_partitions_tile_exactly_and_skip_zero_shares() {
+    fn a_flat_cost_is_not_split_for_nothing() {
+        // A narrow launch: half the range costs as much as all of it.
+        let mut out = Vec::new();
+        balance(8, 2, |d, _| Some([285, 570][d]), &mut out);
+        assert_eq!(out, [Chunk { wg_offset: 0, wg_count: 8, device: 0 }]);
+    }
+
+    #[test]
+    fn random_balances_tile_and_no_share_moves_the_finish_later() {
         let mut rng = XorShift::new(0xC0FFEE);
-        let mut zero_shares = 0;
-        for _ in 0..200 {
-            let ndev = rng.index(3) + 2;
-            let total = rng.range_u64(1, 500);
-            let per: Vec<f64> = (0..ndev)
-                .map(|_| if rng.index(5) == 0 { f64::INFINITY } else { rng.range_f64(0.5, 200.0) })
-                .collect();
-            let chunks = static_chunks(total, &per);
-            if per.iter().all(|ns| ns.is_infinite()) {
-                assert!(chunks.is_empty());
+        let mut out = Vec::new();
+        for _ in 0..300 {
+            let n = rng.index(3) + 2;
+            let units = rng.range_u64(1, 300);
+            let start: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 400)).collect();
+            let per: Vec<u64> =
+                (0..n).map(|_| if rng.index(5) == 0 { 0 } else { rng.range_u64(1, 20) }).collect();
+            let finish = linear(&start, &per);
+            balance(units, n, &finish, &mut out);
+            if per.iter().all(|&p| p == 0) {
+                assert!(out.is_empty());
                 continue;
             }
-            assert_tiles(&chunks, total);
-            assert_eq!(chunks, static_chunks(total, &per), "deterministic");
-            // One chunk per device with a non-zero share, in device order,
-            // never on an unavailable device.
-            for w in chunks.windows(2) {
-                assert!(w[0].device < w[1].device, "{chunks:?}");
+            assert_tiles(&out, units);
+            let end = |chunks: &[Chunk]| {
+                chunks.iter().map(|c| finish(c.device, c.wg_count).expect("available")).max()
+            };
+            // No single device, and no one unit moved between two chunks,
+            // finishes sooner.
+            let best = (0..n).filter_map(|d| finish(d, units)).min();
+            assert!(end(&out) <= best, "{out:?}");
+            for a in 0..out.len() {
+                for (b, &per_b) in per.iter().enumerate() {
+                    let mut moved: Vec<Chunk> = out.clone();
+                    if moved[a].device == b || moved[a].wg_count == 1 || per_b == 0 {
+                        continue;
+                    }
+                    moved[a].wg_count -= 1;
+                    match moved.iter_mut().find(|c| c.device == b) {
+                        Some(c) => c.wg_count += 1,
+                        None => moved.push(Chunk { wg_offset: 0, wg_count: 1, device: b }),
+                    }
+                    assert!(end(&out) <= end(&moved), "{out:?} vs {moved:?}");
+                }
             }
-            assert!(chunks.iter().all(|c| per[c.device].is_finite()), "{chunks:?}");
-            zero_shares += per.iter().filter(|ns| ns.is_finite()).count() - chunks.len();
         }
-        assert!(zero_shares > 0, "no draw rounded a share to zero");
     }
 }

@@ -22,7 +22,7 @@
 
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
 use hwsim::xrand::XorShift;
-use hwsim::{DeviceId, KernelCostSpec, KernelTraits, SimTime};
+use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimTime};
 use multicl::ooo::{hazard_edges, BatchCmd};
 use multicl::{
     ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedOptions, SchedStats,
@@ -30,8 +30,9 @@ use multicl::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// 16 workgroups of 64: enough for the splitter to take every launch.
-const ELEMENTS: usize = 1024;
+/// 256 workgroups of 64: three waves on a GPU, so a split arm's launch
+/// runs sooner in shares.
+const ELEMENTS: usize = 16384;
 const LOCAL: u64 = 64;
 const BUFFERS: usize = 5;
 const COMMANDS: usize = 24;
@@ -51,6 +52,7 @@ fn mix(out: &mut [f64], a: &[f64], b: &[f64], scale: f64) {
 struct Mix {
     name: String,
     scale: f64,
+    cost: KernelCostSpec,
 }
 
 impl KernelBody for Mix {
@@ -61,11 +63,7 @@ impl KernelBody for Mix {
         3
     }
     fn cost(&self) -> KernelCostSpec {
-        KernelCostSpec {
-            flops_per_item: 4.0,
-            bytes_per_item: 24.0,
-            traits: KernelTraits::default(),
-        }
+        self.cost
     }
     fn splittable(&self) -> bool {
         true
@@ -194,7 +192,16 @@ struct ArmResult {
 /// first queue was mapped to.
 fn run_arm(seed: u64, queues: usize, hints: QueueSchedFlags, lose: bool, tag: &str) -> ArmResult {
     let cmds = random_dag(seed, queues);
-    let platform = Platform::paper_node();
+    // A split arm's node has three spare GPUs, so that a split has idle
+    // devices whichever queue issues it, the loss included.
+    let mut node = NodeConfig::paper_node();
+    if hints.contains(SPLIT) {
+        for _ in 0..3 {
+            node.devices.push(node.devices[2].clone());
+            node.topology.device_links.push(node.topology.device_links[2]);
+        }
+    }
+    let platform = Platform::new(node);
     let ctx =
         MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, scratch_options(tag))
             .expect("context");
@@ -216,8 +223,21 @@ fn run_arm(seed: u64, queues: usize, hints: QueueSchedFlags, lose: bool, tag: &s
         })
         .collect();
 
+    // A split arm's kernels are compute-bound, so that a split pays for
+    // its transfers.
+    let cost = match hints.contains(SPLIT) {
+        true => KernelCostSpec::compute_bound(20_000.0),
+        false => KernelCostSpec {
+            flops_per_item: 4.0,
+            bytes_per_item: 24.0,
+            traits: KernelTraits::default(),
+        },
+    };
     let bodies: Vec<Arc<dyn KernelBody>> = (0..cmds.len())
-        .map(|i| Arc::new(Mix { name: format!("k{i}"), scale: scale_of(i) }) as Arc<dyn KernelBody>)
+        .map(|i| {
+            let mix = Mix { name: format!("k{i}"), scale: scale_of(i), cost };
+            Arc::new(mix) as Arc<dyn KernelBody>
+        })
         .collect();
     let program = ctx.create_program(bodies).expect("program");
     let mut lost: Option<(DeviceId, SimTime)> = None;
@@ -274,6 +294,9 @@ fn ordered_edges(cmds: &[Cmd], hints: QueueSchedFlags) -> Vec<(usize, usize)> {
 
 #[test]
 fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
+    // Arms whose split count is not every launch, reported after every arm
+    // has been checked for the rest.
+    let mut unsplit: Vec<String> = Vec::new();
     for seed in [3, 11, 42, 99, 1337, 2024] {
         for queues in [1, 3] {
             let cmds = random_dag(seed, queues);
@@ -292,7 +315,10 @@ fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
                     assert_eq!(run.ran_on_lost_device, 0, "{what}: kernels on the dead device");
                     // Every launch is big enough to split, and is.
                     let split = if hints.contains(SPLIT) { COMMANDS as u64 } else { 0 };
-                    assert_eq!(run.stats.kernels_split, split, "{what}: {:?}", run.stats);
+                    if run.stats.kernels_split != split {
+                        unsplit
+                            .push(format!("{what}: {} of {split} split", run.stats.kernels_split));
+                    }
                     for &(i, j) in &edges {
                         let (_, end_i) = run.windows[&format!("k{i}")];
                         let (start_j, _) = run.windows[&format!("k{j}")];
@@ -306,6 +332,7 @@ fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
             }
         }
     }
+    assert!(unsplit.is_empty(), "arms that did not split every launch:\n{}", unsplit.join("\n"));
 }
 
 #[test]

@@ -1,16 +1,18 @@
 //! `plan::decide` without a platform: hand-built snapshots checked against
-//! the routines each part of the decision comes from — its pricing
-//! included — and a seeded property test over random snapshots.
+//! the routines each part of the decision comes from — its pricing and its
+//! split judgement included — and a seeded property test over random
+//! snapshots.
 
+use hwsim::microbench::BandwidthCurve;
 use hwsim::xrand::XorShift;
-use hwsim::{DeviceId, SimDuration};
+use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::ooo::{self, BatchCmd};
 use multicl::plan::{
-    self, decide, CostRow, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput,
-    Touch, SPLIT_MIN_WGS,
+    self, decide, replayed_end, CostRow, ExecSource, LaunchInput, PassInput, Plan, PlanScratch,
+    QueueInput, SplitInput, Touch,
 };
-use multicl::{split, ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
+use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
 
 fn ns(v: &[u64]) -> Arc<[SimDuration]> {
@@ -41,22 +43,18 @@ fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
 }
 
 /// Append a queue that prices to `cost` (which has no overlap row), with
-/// one launch per entry of `launches` (`(need, units)`): its execution row
+/// one launch per entry of `launches` (its need): its execution row
 /// is `cost.exec`, and every launch reads one buffer of its own whose
 /// transfers are `cost.migration`.
-fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow, launches: &[(u64, u64)]) {
+fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow, launches: &[u64]) {
     let n = input.devices.len();
     let slot = push_buffer(input, &cost.migration);
     let first = input.launches.len();
-    for &(need, units) in launches {
+    for &need in launches {
         let at = input.touches.len();
+        let queue = input.queues.len();
         input.touches.push(Touch { buffer: slot, write: false });
-        input.launches.push(LaunchInput {
-            queue: input.queues.len(),
-            need,
-            touches: at..at + 1,
-            units,
-        });
+        input.launches.push(LaunchInput { queue, need, touches: at..at + 1 });
         input.kernel_time.extend(std::iter::repeat_n(SimDuration::ZERO, n));
         input.profiled.extend(std::iter::repeat_n(SimDuration::ZERO, n));
     }
@@ -97,7 +95,7 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
         (0, 64, row(&[700, 10, 650], &[0, 0, 0])),
     ];
     for (current, need, cost) in rows.clone() {
-        push_queue(&mut input, queue(current, need), &cost, &[(need, 0)]);
+        push_queue(&mut input, queue(current, need), &cost, &[need]);
     }
     let plan = plan_of(&input);
     assert_eq!(plan.costs, rows.iter().map(|r| r.2.clone()).collect::<Vec<_>>());
@@ -144,13 +142,13 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     input.rr_next = 7;
     let cost = || row(&[10, 20, 30], &[1, 2, 3]);
     // Bound and bindable: kept.
-    push_queue(&mut input, queue(1, 64), &cost(), &[(64, 0)]);
+    push_queue(&mut input, queue(1, 64), &cost(), &[64]);
     // Bound to the lost device: rotates. 7 % 3 = 1 is bindable.
-    push_queue(&mut input, queue(2, 64), &cost(), &[(64, 0)]);
+    push_queue(&mut input, queue(2, 64), &cost(), &[64]);
     // Never bound: rotates. 8 % 3 = 2 is lost, 9 % 3 = 0 is too small,
     // 10 % 3 = 1 takes it.
     let fresh = QueueInput { bound: false, ..queue(0, 1 << 12) };
-    push_queue(&mut input, fresh, &cost(), &[(1 << 12, 0)]);
+    push_queue(&mut input, fresh, &cost(), &[1 << 12]);
     let plan = plan_of(&input);
     assert_eq!(plan.device, [1, 1, 1]);
     assert_eq!(plan.rr_next, 11);
@@ -201,7 +199,7 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
             let touched = touches.iter().map(|&(buffer, write)| Touch { buffer, write });
             input.touches.extend(touched);
             let touches = at..input.touches.len();
-            input.launches.push(LaunchInput { queue: *lq, need: 0, touches, units: 0 });
+            input.launches.push(LaunchInput { queue: *lq, need: 0, touches });
             input.kernel_time.extend(kernel.map(SimDuration::from_nanos));
             input.profiled.extend([SimDuration::ZERO; 2]);
         }
@@ -240,31 +238,135 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     assert!(plan.reordered > 0, "the case exercises a reorder: {order:?}");
 }
 
-#[test]
-fn split_shares_are_the_static_chunks_of_the_degraded_unit_costs() {
-    let mut input = input(ContextSchedPolicy::RoundRobin, 3);
-    input.degradation[1] = 2.0;
-    input.capacity = vec![1 << 20, 1 << 11, 1 << 10];
-    let cost = || row(&[1, 1, 1], &[0, 0, 0]);
-    // Four launches: one splits, one is too small, one has no units, one
-    // fits a single device only.
-    let units = [64, SPLIT_MIN_WGS - 1, 0, 64];
-    let needs = [64, 64, 64, 1 << 12];
-    let launches: Vec<(u64, u64)> = needs.into_iter().zip(units).collect();
-    push_queue(&mut input, queue(0, 1 << 12), &cost(), &launches);
-    // Profiled at 64 units of 40, 10 and 20 ns.
-    for l in 0..4 {
-        input.profiled[l * 3..l * 3 + 3].copy_from_slice(&ns(&[2560, 640, 1280]));
+/// `input` with what a split candidate's pricing reads: the paper node's
+/// specs on its columns (cycled past three) and a flat 6 GB/s host link.
+fn with_split_facts(mut input: PassInput) -> PassInput {
+    let node = NodeConfig::paper_node();
+    let n = input.devices.len();
+    input.specs = (0..n).map(|d| node.devices[d % 3].clone()).collect();
+    input.links = (0..n).map(|_| BandwidthCurve::new(vec![1, 1 << 40], vec![6.0, 6.0])).collect();
+    input
+}
+
+/// A compute-bound single-precision spec.
+fn compute(flops_per_item: f64) -> KernelCostSpec {
+    KernelCostSpec { flops_per_item, bytes_per_item: 8.0, traits: KernelTraits::IDEAL }
+}
+
+/// Append a splittable 1-D launch of `units` workgroups of 64 items to a
+/// new in-order queue bound to column `home`: it reads buffer slot `read`
+/// and writes `write`, and its analytic and profiled times are the cost
+/// model's on each column.
+fn push_split(
+    input: &mut PassInput,
+    cost: KernelCostSpec,
+    units: u64,
+    home: usize,
+    rw: [usize; 2],
+) {
+    let n = input.devices.len();
+    let (l, q) = (input.launches.len(), input.queues.len());
+    let at = input.touches.len();
+    input.touches.push(Touch { buffer: rw[0], write: false });
+    input.touches.push(Touch { buffer: rw[1], write: true });
+    input.launches.push(LaunchInput { queue: q, need: 64, touches: at..at + 2 });
+    let (global, local) = ([units * 64, 1, 1], [64, 1, 1]);
+    for d in 0..n {
+        let shape = hwsim::NdRangeShape::new(units * 64, 64);
+        let time = cost.kernel_time(&input.specs[d], shape);
+        input.kernel_time.push(time);
+        input.profiled.push(time);
+        input.split_local.push(local);
     }
-    let plan = plan_of(&input);
-    let want = split::static_chunks(64, &[40.0, 20.0, 20.0]);
-    let k = want.len();
-    assert_eq!(plan.splits, [0..k, k..k, k..k, k..k]);
-    assert_eq!(plan.chunks, want);
-    // An ineligible device gets no share.
-    input.lost[0] = true;
-    let plan = plan_of(&input);
-    assert_eq!(plan.chunks, split::static_chunks(64, &[f64::INFINITY, 20.0, 20.0]));
+    input.splits.push(SplitInput { launch: l, units, cost, global, local, axis: 0 });
+    let exec = input.kernel_time[l * n..].iter().copied().collect();
+    input.queues.push(QueueInput { exec, launches: l..l + 1, ..queue(home, 64) });
+}
+
+/// The same plan with every launch whole.
+fn whole(plan: &Plan) -> Plan {
+    Plan { splits: vec![0..0; plan.splits.len()], chunks: Vec::new(), ..plan.clone() }
+}
+
+/// Each split's `(device, units)` chunks.
+fn shares(plan: &Plan, l: usize) -> Vec<(usize, u64)> {
+    plan.chunks[plan.splits[l].clone()].iter().map(|c| (c.device, c.wg_count)).collect()
+}
+
+#[test]
+fn a_split_is_kept_only_when_its_epoch_ends_sooner() {
+    let mut snap = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
+    let small = push_buffer(&mut snap, &ns(&[0, 0, 0]));
+    let out = push_buffer(&mut snap, &ns(&[0, 0, 0]));
+    snap.bytes = vec![4 << 10, 4 << 10];
+    // 1 024 workgroups of heavy arithmetic on an idle node: every device
+    // helps, and the split ends well before the launch run whole.
+    push_split(&mut snap, compute(20_000.0), 1024, 1, [small, out]);
+    let plan = plan_of(&snap);
+    let split = shares(&plan, 0);
+    assert_eq!(split.len(), 3, "{split:?}");
+    assert_eq!(split.iter().map(|s| s.1).sum::<u64>(), 1024);
+    let (kept, alone) = (replayed_end(&snap, &plan), replayed_end(&snap, &whole(&plan)));
+    assert!(kept.as_nanos() * 2 < alone.as_nanos(), "{kept} vs {alone}");
+    // A lost device gets no share.
+    snap.lost[0] = true;
+    let plan = plan_of(&snap);
+    assert!(shares(&plan, 0).iter().all(|s| s.0 != 0), "{:?}", shares(&plan, 0));
+    // Gathering a 2 GiB output over the host link costs more than the
+    // split saves: the launch runs whole.
+    snap.lost[0] = false;
+    snap.bytes[out] = 2 << 30;
+    let plan = plan_of(&snap);
+    assert!(plan.chunks.is_empty(), "{:?}", plan.chunks);
+    // A narrow double-precision launch, 8 workgroups of 2^17 items: the
+    // CPU engages one of its 16 units per workgroup, so half the launch
+    // costs it as much as all of it and it takes no share; a GPU runs its
+    // few workgroups on one unit, so each GPU's half takes half the time.
+    let mut narrow = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
+    let a = push_buffer(&mut narrow, &ns(&[0, 0, 0]));
+    let b = push_buffer(&mut narrow, &ns(&[0, 0, 0]));
+    narrow.bytes = vec![8, 8];
+    let dp = KernelCostSpec {
+        traits: KernelTraits { double_precision: true, ..KernelTraits::IDEAL },
+        ..compute(10_000.0)
+    };
+    push_split(&mut narrow, dp, 8, 0, [a, b]);
+    let shape = hwsim::NdRangeShape::new(1 << 20, 1 << 17);
+    for d in 0..3 {
+        narrow.kernel_time[d] = dp.kernel_time(&narrow.specs[d], shape);
+        narrow.profiled[d] = narrow.kernel_time[d];
+    }
+    (narrow.splits[0].global, narrow.splits[0].local) = ([1 << 20, 1, 1], [1 << 17, 1, 1]);
+    narrow.split_local.fill([1 << 17, 1, 1]);
+    let plan = plan_of(&narrow);
+    assert_eq!(shares(&plan, 0), [(1, 4), (2, 4)]);
+    let best = *narrow.kernel_time[..3].iter().min().expect("three columns");
+    assert!(replayed_end(&narrow, &plan) < best, "{:?} vs {best}", replayed_end(&narrow, &plan));
+}
+
+#[test]
+fn a_row_predicted_degraded_is_priced_as_one_made_healthy() {
+    // Column 1 runs 8× slow now. One row was made healthy; the other was
+    // predicted from stamps that ran while column 1 was already 8× slow,
+    // which it records.
+    let mut healthy = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
+    let a = push_buffer(&mut healthy, &ns(&[0, 0, 0]));
+    let b = push_buffer(&mut healthy, &ns(&[0, 0, 0]));
+    healthy.bytes = vec![4 << 10, 4 << 10];
+    push_split(&mut healthy, compute(20_000.0), 1024, 2, [a, b]);
+    healthy.degradation[1] = 8.0;
+    let mut degraded = healthy.clone();
+    degraded.profiled[1] = healthy.profiled[1] * 8;
+    degraded.profiled_under = vec![(1, 8.0)];
+    let (h, d) = (plan_of(&healthy), plan_of(&degraded));
+    assert_eq!(shares(&d, 0), shares(&h, 0));
+    // Column 1 still takes a share, smaller than column 2's twin.
+    let split = shares(&h, 0);
+    let share = |d: usize| split.iter().find(|s| s.0 == d).map_or(0, |s| s.1);
+    assert!(0 < share(1) && share(1) < share(2), "{split:?}");
+    // Counting the slowdown twice would have shrunk it further.
+    degraded.profiled_under.clear();
+    assert!(shares(&plan_of(&degraded), 0) != split);
 }
 
 /// One launch: its `(buffer slot, write)` accesses, and its analytic and
@@ -277,7 +379,7 @@ fn push_launches(input: &mut PassInput, q: usize, launches: &[TimedLaunch]) {
         let at = input.touches.len();
         input.touches.extend(touches.iter().map(|&(buffer, write)| Touch { buffer, write }));
         let touches = at..input.touches.len();
-        input.launches.push(LaunchInput { queue: q, need: 0, touches, units: 0 });
+        input.launches.push(LaunchInput { queue: q, need: 0, touches });
         input.kernel_time.extend_from_slice(&ns(kernel));
         input.profiled.extend_from_slice(&ns(profiled));
     }
@@ -386,22 +488,6 @@ fn an_overlap_row_is_the_lane_makespan_of_the_queues_launches_on_each_column() {
     assert_eq!(plan.costs[2].overlap, None);
 }
 
-#[test]
-fn a_unit_cost_is_the_profiled_time_over_the_units_else_the_analytic_time() {
-    let mut input = input(ContextSchedPolicy::RoundRobin, 3);
-    push_queue(&mut input, queue(0, 64), &row(&[1, 1, 1], &[0, 0, 0]), &[(64, 64)]);
-    // Column 1 has no profile row: its analytic time stands in.
-    input.profiled.copy_from_slice(&ns(&[2560, 0, 1280]));
-    input.kernel_time.copy_from_slice(&ns(&[99_999, 640, 99_999]));
-    let want = split::static_chunks(64, &[40.0, 10.0, 20.0]);
-    assert!(want.len() >= 2, "{want:?}");
-    assert_eq!(plan_of(&input).chunks, want);
-    // With no profile row anywhere, the analytic times alone.
-    input.profiled.fill(SimDuration::ZERO);
-    let analytic = [99_999.0 / 64.0, 10.0, 99_999.0 / 64.0];
-    assert_eq!(plan_of(&input).chunks, split::static_chunks(64, &analytic));
-}
-
 /// Each queue's cost row by the pricing rule, recomputed naively: distinct
 /// buffers by search, first touches by search, a fresh lane model.
 fn naive_costs(input: &PassInput) -> Vec<CostRow> {
@@ -453,27 +539,17 @@ fn naive_costs(input: &PassInput) -> Vec<CostRow> {
     costs.collect()
 }
 
-/// One split unit of launch `l` on column `d` by the pricing rule: its
-/// profiled time, else its analytic time, over its units.
-fn naive_unit_cost(input: &PassInput, l: usize, d: usize) -> f64 {
-    let c = l * input.devices.len() + d;
-    let full = match input.profiled[c] {
-        SimDuration::ZERO => input.kernel_time[c],
-        profiled => profiled,
-    };
-    full.as_nanos() as f64 / input.launches[l].units as f64
-}
-
 /// A random snapshot: 1–4 devices, 1–6 queues of 1–4 launches, random
 /// health, capacity, degradation, execution rows and their sources, buffer
-/// accesses and transfers, kernel times and split units.
+/// accesses, sizes and transfers, kernel times, profile rows (some measured
+/// degraded) and split units and shapes.
 fn random_input(rng: &mut XorShift) -> PassInput {
     let n = 1 + rng.index(4);
     let policy = match rng.index(2) {
         0 => ContextSchedPolicy::RoundRobin,
         _ => ContextSchedPolicy::AutoFit,
     };
-    let mut input = input(policy, n);
+    let mut input = with_split_facts(input(policy, n));
     input.mapper = if rng.index(4) == 0 { MapperKind::Greedy } else { MapperKind::Adaptive };
     for di in 0..n {
         input.lost[di] = rng.index(4) == 0;
@@ -485,7 +561,8 @@ fn random_input(rng: &mut XorShift) -> PassInput {
     let slots = 1 + rng.index(6);
     input.buffers = (0..slots as u64).map(|b| 100 + b).collect();
     input.transfer =
-        (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 500))).collect();
+        (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 5000))).collect();
+    input.bytes = (0..slots).map(|_| rng.range_u64(8, 64 << 10)).collect();
     let sources = [ExecSource::Static, ExecSource::Estimated, ExecSource::Profiled];
     for qi in 0..1 + rng.index(6) {
         let out_of_order = rng.index(2) == 0;
@@ -500,21 +577,37 @@ fn random_input(rng: &mut XorShift) -> PassInput {
                     input.touches.push(Touch { buffer: slot, write: rng.index(2) == 0 });
                 }
             }
-            let units = if rng.index(2) == 0 { rng.range_u64(1, 64) } else { 0 };
-            input.launches.push(LaunchInput {
-                queue: qi,
-                need: launch_need,
-                touches: at..input.touches.len(),
-                units,
-            });
-            // Kernel times where measure fills them; a profile row may
-            // be missing.
-            let timed = out_of_order || units > 0;
-            for _ in 0..n {
-                let kernel = if timed { rng.range_u64(0, 3000) } else { 0 };
-                input.kernel_time.push(SimDuration::from_nanos(kernel));
-                let profiled = if timed && rng.index(3) > 0 { rng.range_u64(0, 3000) } else { 0 };
-                input.profiled.push(SimDuration::from_nanos(profiled));
+            // A split candidate has two or more units and eligible devices.
+            let units = if rng.index(2) == 0 { rng.range_u64(1, 512) } else { 0 };
+            let eligible = (0..n).filter(|&d| plan::eligible(&input, d, launch_need)).count();
+            let units = if units >= 2 && eligible >= 2 { units } else { 0 };
+            let l = input.launches.len();
+            let touches = at..input.touches.len();
+            input.launches.push(LaunchInput { queue: qi, need: launch_need, touches });
+            // Every launch timed, as in a pass with a split candidate: the
+            // cost model's time, and a profile row off it by up to 2× that
+            // may be missing or measured degraded.
+            let cost = compute(rng.range_f64(10.0, 20_000.0));
+            let items = units.max(1) * 64;
+            for d in 0..n {
+                let kernel = cost.kernel_time(&input.specs[d], hwsim::NdRangeShape::new(items, 64));
+                input.kernel_time.push(kernel);
+                let profiled = match rng.index(3) {
+                    0 => SimDuration::ZERO,
+                    _ => kernel * rng.range_f64(0.5, 2.0),
+                };
+                input.profiled.push(profiled);
+                if profiled > SimDuration::ZERO && rng.index(4) == 0 {
+                    input.profiled_under.push((l * n + d, rng.range_f64(1.0, 8.0)));
+                }
+                let local = if rng.index(4) == 0 { 32 } else { 64 };
+                if units > 0 {
+                    input.split_local.push([local, 1, 1]);
+                }
+            }
+            if units > 0 {
+                let (global, local) = ([items, 1, 1], [64, 1, 1]);
+                input.splits.push(SplitInput { launch: l, units, cost, global, local, axis: 0 });
             }
         }
         let exec = ns(&(0..n).map(|_| rng.range_u64(0, 1000)).collect::<Vec<_>>());
@@ -537,7 +630,7 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
     let mut rng = XorShift::new(0x0037_dec1de);
     let mut reused = PlanScratch::default();
     let mut reused_plan = Plan::default();
-    let (mut splits, mut reordered) = (0, 0);
+    let (mut splits, mut reordered, mut in_order) = (0, 0, 0);
     for case in 0..3_000 {
         let input = random_input(&mut rng);
         let plan = plan_of(&input);
@@ -551,33 +644,29 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         for (q, &di) in input.queues.iter().zip(&plan.device) {
             assert!(plan::bindable(&input, q.need)(di), "case {case}: column {di} for {q:?}");
         }
-        // Shares are non-zero, on eligible devices, and sum to the units;
-        // they are the static chunks of the naive unit costs.
+        // Shares are non-zero, on eligible devices, and sum to the units.
         assert_eq!(plan.splits.len(), input.launches.len());
         for (l, (launch, range)) in input.launches.iter().zip(&plan.splits).enumerate() {
             let chunks = &plan.chunks[range.clone()];
-            let eligible = |d: usize| plan::eligible(&input, d, launch.need);
-            if launch.units >= SPLIT_MIN_WGS && (0..n).filter(|&d| eligible(d)).count() >= 2 {
-                let per_wg: Vec<f64> = (0..n)
-                    .map(|d| match eligible(d) {
-                        true => {
-                            naive_unit_cost(&input, l, d).max(1e-9) * input.degradation[d].max(1.0)
-                        }
-                        false => f64::INFINITY,
-                    })
-                    .collect();
-                let want = split::static_chunks(launch.units, &per_wg);
-                let want = if want.len() >= 2 { want } else { Vec::new() };
-                assert_eq!(chunks, want, "case {case}: launch {l}");
-            }
             if chunks.is_empty() {
                 continue;
             }
+            let k = input.splits.iter().position(|s| s.launch == l).expect("a candidate");
             splits += 1;
-            assert!(chunks.len() >= 2 && launch.units >= SPLIT_MIN_WGS, "case {case}");
+            assert!(chunks.len() >= 2, "case {case}");
             assert!(chunks.iter().all(|c| c.wg_count > 0 && c.device < n), "case {case}");
             assert!(chunks.iter().all(|c| plan::eligible(&input, c.device, launch.need)));
-            assert_eq!(chunks.iter().map(|c| c.wg_count).sum::<u64>(), launch.units);
+            assert_eq!(chunks.iter().map(|c| c.wg_count).sum::<u64>(), input.splits[k].units);
+        }
+        // A kept split never ends the replayed epoch later than running
+        // every launch whole; with every launch whole and in order, the
+        // replay is the naive per-lane recomputation.
+        let all_whole = whole(&plan);
+        let whole_end = replayed_end(&input, &all_whole);
+        assert!(replayed_end(&input, &plan) <= whole_end, "case {case}: {input:?}");
+        if input.queues.iter().all(|q| !q.out_of_order) {
+            assert_eq!(whole_end, naive_whole_end(&input, &all_whole), "case {case}: {input:?}");
+            in_order += 1;
         }
         // The order is every out-of-order launch once, each after every
         // earlier launch it conflicts with on a buffer.
@@ -603,6 +692,68 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         }
         reordered += usize::from(plan.reordered > 0);
     }
-    // The property says something only if the cases split and reorder.
+    // The property says something only if the cases split, reorder and
+    // run in order.
     assert!(splits > 500 && reordered > 300, "{splits} splits, {reordered} reorders");
+    assert!(in_order > 100, "{in_order} in-order cases");
+}
+
+/// When an epoch of in-order queues with every launch whole ends, by
+/// lanes recomputed naively: per column a compute lane and a copy lane,
+/// per queue a chain, and per buffer where it was last written and which
+/// columns hold it.
+fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
+    let n = input.devices.len();
+    let ns = |t: SimDuration| t.as_nanos();
+    let link = |d: usize, b: usize| ns(input.links[d].predict_time(input.bytes[b]));
+    let (mut compute, mut copy) = (vec![0u64; n], vec![0u64; n]);
+    // Per buffer: the column a launch last wrote it on, until staged to the
+    // host; whether it was staged; the columns holding it.
+    let mut written_on: Vec<Option<usize>> = vec![None; input.buffers.len()];
+    let mut staged = vec![false; input.buffers.len()];
+    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); input.buffers.len()];
+    let mut end = 0;
+    for (q, queue) in input.queues.iter().enumerate() {
+        let d = plan.device[q];
+        let mut tail = 0u64;
+        for l in queue.launches.clone() {
+            for t in &input.touches[input.launches[l].touches.clone()] {
+                let b = t.buffer;
+                if holders[b].contains(&d) {
+                    continue;
+                }
+                holders[b].push(d);
+                let mut step = |lane: usize, dur: u64| {
+                    copy[lane] = copy[lane].max(tail) + dur;
+                    tail = copy[lane];
+                };
+                if let Some(o) = written_on[b] {
+                    step(o, link(o, b));
+                    step(d, link(d, b));
+                    (written_on[b], staged[b]) = (None, true);
+                } else if staged[b] {
+                    step(d, link(d, b));
+                } else if input.transfer[b * n + d] > SimDuration::ZERO {
+                    step(d, ns(input.transfer[b * n + d]));
+                }
+                end = end.max(tail);
+            }
+            let c = l * n + d;
+            let live = input.degradation[d].max(1.0);
+            let time = match input.profiled[c] {
+                SimDuration::ZERO => ns(input.kernel_time[c]) as f64 * live,
+                p => {
+                    let under = input.profiled_under.iter().find(|u| u.0 == c).map_or(1.0, |u| u.1);
+                    ns(p) as f64 * live / under.max(1.0)
+                }
+            };
+            compute[d] = compute[d].max(tail) + time.round() as u64;
+            tail = compute[d];
+            end = end.max(tail);
+            for t in input.touches[input.launches[l].touches.clone()].iter().filter(|t| t.write) {
+                (written_on[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
+            }
+        }
+    }
+    SimDuration::from_nanos(end)
 }

@@ -4,10 +4,13 @@
 //!    placement may differ, the arithmetic may not;
 //! 2. the `KernelSplit` accounting is exact: per-device workgroup shares
 //!    sum to the launch's total;
-//! 3. a device whose cost-proportional share rounds to zero gets no work,
-//!    and a degraded device gets a smaller share — no chunk ever moves off
-//!    the device it was sized for;
-//! 4. with the flag unset, same-seed runs replay byte-identically and no
+//! 3. a device too slow to help gets no work, and a degraded device gets a
+//!    smaller share — not slowed twice when it was profiled degraded — and
+//!    no chunk ever moves off the device it was sized for;
+//! 4. a launch splits only when its epoch ends sooner: a narrow one whose
+//!    half costs as much as all of it on the CPU, and an EP-shaped epoch
+//!    with an idle CPU, end no later than whole;
+//! 5. with the flag unset, same-seed runs replay byte-identically and no
 //!    split telemetry is emitted.
 
 use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
@@ -21,7 +24,9 @@ use multicl::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const ELEMENTS: u64 = 4096;
+/// 1 024 workgroups: ten waves on a GPU, so a share of the launch runs in
+/// fewer of them.
+const ELEMENTS: u64 = 1 << 16;
 const LOCAL: u64 = 64;
 
 /// `out[i] = a[i] * scale + i`, confined to the sub-range this execution
@@ -33,14 +38,10 @@ struct Axpy {
 }
 
 impl Axpy {
-    /// The memory-bound kernel most tests split.
+    /// The kernel most tests split: compute-bound enough that a split
+    /// pays for its transfers.
     fn new(name: &str, scale: f64) -> Axpy {
-        let cost = KernelCostSpec {
-            flops_per_item: 2.0,
-            bytes_per_item: 16.0,
-            traits: KernelTraits::default(),
-        };
-        Axpy { name: name.to_string(), scale, cost }
+        Axpy { name: name.to_string(), scale, cost: KernelCostSpec::compute_bound(20_000.0) }
     }
 }
 
@@ -147,6 +148,8 @@ fn run_arm(seed: u64, flags: QueueSchedFlags, degrade: Option<(DeviceId, f64)>, 
     Arm { out_bits, stats: ctx.stats(), events: sink.drain(), windows }
 }
 
+const SPLIT: QueueSchedFlags = QueueSchedFlags::SCHED_SPLITTABLE;
+
 fn split_flags() -> QueueSchedFlags {
     QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE
 }
@@ -201,7 +204,11 @@ fn a_device_whose_share_rounds_to_zero_gets_no_work() {
     // 8- or 16-workgroup launch is a fraction of one workgroup. It must get
     // nothing — not another device's chunk.
     for wgs in [8u64, 16] {
+        // A third GPU, idle: two GPUs run 16 workgroups in one wave no
+        // slower than 8, so only three make a split pay.
         let mut node = NodeConfig::paper_node();
+        node.devices.push(node.devices[2].clone());
+        node.topology.device_links.push(node.topology.device_links[2]);
         let cpu = &mut node.devices[0];
         cpu.peak_gflops /= 50.0;
         cpu.peak_gflops_dp /= 50.0;
@@ -296,7 +303,6 @@ fn splittable_flag_composes_with_out_of_order() {
 fn sched_hints_are_typed_checked_and_take_effect_at_the_next_pass() {
     use multicl::error::ClError;
     const OOO: QueueSchedFlags = QueueSchedFlags::SCHED_OUT_OF_ORDER;
-    const SPLIT: QueueSchedFlags = QueueSchedFlags::SCHED_SPLITTABLE;
 
     let platform = Platform::paper_node();
     let ctx = MulticlContext::with_options(
@@ -370,4 +376,132 @@ fn sched_hints_are_typed_checked_and_take_effect_at_the_next_pass() {
     assert_eq!(queue.flags(), created);
     queue.finish();
     queue.set_sched_hints(OOO).expect("idle again");
+}
+
+/// Virtual time of one epoch over `queues` queues, each launching an
+/// `items`-item `cost` kernel in workgroups of `local` — profiled in a
+/// first epoch, timed in a second run under `hints` — and the kernels
+/// split in it.
+fn timed_epoch(
+    cost: KernelCostSpec,
+    items: u64,
+    local: u64,
+    queues: usize,
+    hints: QueueSchedFlags,
+    tag: &str,
+) -> (hwsim::SimDuration, u64) {
+    let platform = Platform::paper_node();
+    let ctx =
+        MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, scratch_options(tag))
+            .expect("context");
+    let bodies: Vec<Arc<dyn KernelBody>> = (0..queues)
+        .map(|q| Arc::new(Axpy { cost, ..Axpy::new(&format!("k{q}"), 1.5) }) as Arc<dyn KernelBody>)
+        .collect();
+    let program = ctx.create_program(bodies).expect("program");
+    let mut launches = Vec::new();
+    for q in 0..queues {
+        let queue = ctx.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC).expect("queue");
+        let a = ctx.create_buffer_of::<f64>(items as usize).expect("input");
+        let out = ctx.create_buffer_of::<f64>(items as usize).expect("output");
+        queue.enqueue_write(&a, &vec![1.0f64; items as usize]).expect("write input");
+        let k = program.create_kernel(&format!("k{q}")).expect("kernel");
+        k.set_arg(0, ArgValue::Buffer(a)).unwrap();
+        k.set_arg(1, ArgValue::BufferMut(out)).unwrap();
+        launches.push((queue, k));
+    }
+    let mut took = hwsim::SimDuration::ZERO;
+    for epoch in 0..2 {
+        if epoch == 1 {
+            launches.iter().for_each(|(q, _)| q.set_sched_hints(hints).expect("hints"));
+        }
+        let began = platform.now();
+        for (q, k) in &launches {
+            q.enqueue_ndrange(k, NdRange::d1(items, local)).expect("enqueue");
+        }
+        ctx.finish_all();
+        took = platform.now().saturating_since(began);
+    }
+    (took, ctx.stats().kernels_split)
+}
+
+#[test]
+fn a_narrow_launch_splits_only_to_end_below_the_best_single_device() {
+    // A 2^20-item double-precision launch in 8 workgroups, profiled at
+    // 285 ms on the CPU and 570 ms on a GPU. The CPU engages one of its 16
+    // cores per workgroup, so its half of the launch takes as long as all
+    // of it: the split must beat the CPU alone, or not happen.
+    let dp = KernelTraits { double_precision: true, ..KernelTraits::default() };
+    let cost = KernelCostSpec { flops_per_item: 20_000.0, bytes_per_item: 8.0, traits: dp };
+    let node = NodeConfig::paper_node();
+    let shape = hwsim::NdRangeShape::new(1 << 20, 1 << 17);
+    let ms = |d: usize| cost.kernel_time(&node.devices[d], shape).as_millis_f64().round();
+    assert_eq!([ms(0), ms(1), ms(2)], [285.0, 570.0, 570.0]);
+    let (whole, none) = timed_epoch(cost, 1 << 20, 1 << 17, 1, QueueSchedFlags::NONE, "probe-w");
+    assert_eq!(none, 0);
+    let (split, splits) = timed_epoch(cost, 1 << 20, 1 << 17, 1, SPLIT, "probe-s");
+    assert!(splits == 0 || split < whole, "{splits} splits: {split} vs whole {whole}");
+    if splits == 0 {
+        assert_eq!(split, whole);
+    }
+}
+
+#[test]
+fn an_ep_shaped_epoch_ends_no_later_with_its_splits() {
+    // Four queues of one compute-bound launch each: two go to each GPU and
+    // the CPU idles. Whatever the plan splits, the epoch ends on the
+    // platform no later than with every launch whole.
+    let cost = KernelCostSpec::compute_bound(20_000.0);
+    let (whole, none) = timed_epoch(cost, ELEMENTS, LOCAL, 4, QueueSchedFlags::NONE, "ep-w");
+    assert_eq!(none, 0);
+    let (split, splits) = timed_epoch(cost, ELEMENTS, LOCAL, 4, SPLIT, "ep-s");
+    assert!(splits > 0, "the idle CPU takes no share");
+    assert!(split <= whole, "{splits} splits: {split} vs whole {whole}");
+}
+
+/// The per-device shares of a launch split in a second epoch, the first
+/// having profiled it whole, while GPU1 runs 8× slow from epoch `from` on;
+/// and the kernel's profile row.
+fn shares_after_profiling(from: usize, tag: &str) -> (Vec<u64>, Vec<hwsim::SimDuration>) {
+    let platform = Platform::paper_node();
+    let sink = Arc::new(RingBufferSink::new(4096));
+    let mut options = scratch_options(tag);
+    options.observers = vec![sink.clone()];
+    let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
+        .expect("context");
+    let queue = ctx.create_queue(QueueSchedFlags::SCHED_AUTO_DYNAMIC).expect("queue");
+    let a = ctx.create_buffer_of::<f64>(ELEMENTS as usize).expect("input");
+    let out = ctx.create_buffer_of::<f64>(ELEMENTS as usize).expect("output");
+    queue.enqueue_write(&a, &vec![1.0f64; ELEMENTS as usize]).expect("write input");
+    let body = Arc::new(Axpy::new("axpy", 1.5)) as Arc<dyn KernelBody>;
+    let k = ctx.create_program(vec![body]).expect("program").create_kernel("axpy").expect("kernel");
+    k.set_arg(0, ArgValue::Buffer(a)).unwrap();
+    k.set_arg(1, ArgValue::BufferMut(out)).unwrap();
+    for epoch in 0..2 {
+        if epoch == from {
+            let at = platform.now();
+            platform.with_engine(|e| {
+                e.set_fault_plan(FaultPlan::new(3).degrade_device(DeviceId(2), 8.0, at))
+            });
+        }
+        if epoch == 1 {
+            queue.set_sched_hints(SPLIT).expect("hints");
+        }
+        queue.enqueue_ndrange(&k, NdRange::d1(ELEMENTS, LOCAL)).expect("enqueue");
+        ctx.finish_all();
+    }
+    (split_shares(&sink.drain()), ctx.kernel_profile("axpy").expect("profiled"))
+}
+
+#[test]
+fn a_row_profiled_on_a_degraded_device_is_not_slowed_twice() {
+    // A profile row is the cost model's estimate, so one made while GPU1
+    // runs 8× slow equals one made healthy, and the split applies the live
+    // slowdown once: the shares are those of a row profiled healthy with
+    // the device slowed after. (A predicted row, which learns from slowed
+    // stamps, records its slowdown; `plan.rs` tests that it is divided out.)
+    let (during, slow_row) = shares_after_profiling(0, "degraded-profile");
+    let (after, row) = shares_after_profiling(1, "healthy-profile");
+    assert_eq!(slow_row, row);
+    assert!(after.len() == 3 && after[2] > 0, "GPU1 still takes a share: {after:?}");
+    assert_eq!(during, after);
 }

@@ -8,8 +8,8 @@
 //! FNV-1a-64 over each queue's final state (`f64::to_bits`, little endian)
 //! for all six codes at class S and at one larger class, over four queues
 //! (the count Table II allows every code), under `QueuePlan::Auto` — where
-//! EP and MG launches really split across devices — and under a manual plan
-//! that cycles CPU, GPU0, GPU1.
+//! EP and MG launches really split across devices, on a node of CPUs
+//! ([`SPLIT_CPUS`]) — and under a manual plan that cycles CPU, GPU0, GPU1.
 //!
 //! **Never regenerate [`PINNED`] from the current code.** The constants were
 //! printed by this very file run against the `crates/npb` of commit f306a1c
@@ -22,12 +22,19 @@
 //! against [`PINNED`] to see which code, class, plan and queue moved.
 
 use clrt::Platform;
-use hwsim::DeviceId;
+use hwsim::{DeviceId, NodeConfig};
 use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
 use npb::{bt::BtApp, cg::CgApp, ep::EpApp, ft::FtApp, mg::MgApp, sp::SpApp, Class, QueuePlan};
 use std::fmt::Write as _;
 
 const QUEUES: usize = 4;
+
+/// The `Auto` runs of EP and MG go to a node of this many copies of the
+/// paper node's CPU: a CPU's time grows with its waves of workgroups, so
+/// spare CPUs make a split pay, and the launches really split. On the
+/// paper node at these classes a split loses to its transfers, and the
+/// scheduler runs them whole.
+const SPLIT_CPUS: usize = 6;
 
 /// `(code, class, plan, one digest per queue)`, recorded at commit f306a1c.
 #[rustfmt::skip]
@@ -74,8 +81,15 @@ fn hex(d: u64) -> String {
     format!("0x{}_{}_{}_{}", &h[..4], &h[4..8], &h[8..12], &h[12..])
 }
 
-fn context(tag: &str) -> (Platform, MulticlContext) {
-    let platform = Platform::paper_node();
+/// The paper node or, for `cpus` > 0, a node of that many copies of its
+/// CPU.
+fn context(tag: &str, cpus: usize) -> (Platform, MulticlContext) {
+    let mut node = NodeConfig::paper_node();
+    if cpus > 0 {
+        node.devices = vec![node.devices[0].clone(); cpus];
+        node.topology.device_links = vec![node.topology.device_links[0]; cpus];
+    }
+    let platform = Platform::new(node);
     let dir = std::env::temp_dir().join(format!("npb-bit-identity-{tag}-{}", std::process::id()));
     let options = SchedOptions { profile_cache: ProfileCache::at(dir), ..SchedOptions::default() };
     let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
@@ -107,12 +121,16 @@ fn render(rows: &[Row]) -> String {
 /// with [`PINNED`]; returns the kernels split per `Auto` run, smaller class
 /// first.
 macro_rules! pin {
-    ($app:ty, $code:literal, $larger:expr) => {{
+    ($app:ty, $code:literal, $larger:expr) => {
+        pin!($app, $code, $larger, 0)
+    };
+    ($app:ty, $code:literal, $larger:expr, $cpus:expr) => {{
         let mut computed: Vec<Row> = Vec::new();
         let mut split = Vec::new();
         for class in [Class::S, $larger] {
             for plan_name in ["auto", "manual"] {
-                let (platform, ctx) = context(&format!("{}-{class}-{plan_name}", $code));
+                let cpus = if plan_name == "auto" { $cpus } else { 0 };
+                let (platform, ctx) = context(&format!("{}-{class}-{plan_name}", $code), cpus);
                 let plan = match plan_name {
                     "auto" => QueuePlan::Auto,
                     _ => QueuePlan::Manual(manual_devices(&platform)),
@@ -153,7 +171,7 @@ fn cg_final_state_is_pinned() {
 
 #[test]
 fn ep_final_state_is_pinned_and_splits() {
-    let split = pin!(EpApp, "EP", Class::A);
+    let split = pin!(EpApp, "EP", Class::A, SPLIT_CPUS);
     assert!(split[1] > 0, "an EP.A launch must really split: {split:?}");
 }
 
@@ -164,7 +182,7 @@ fn ft_final_state_is_pinned() {
 
 #[test]
 fn mg_final_state_is_pinned_and_splits() {
-    let split = pin!(MgApp, "MG", Class::A);
+    let split = pin!(MgApp, "MG", Class::A, SPLIT_CPUS);
     assert!(split.iter().all(|&n| n > 0), "MG launches must really split: {split:?}");
 }
 

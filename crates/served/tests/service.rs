@@ -415,15 +415,15 @@ fn execution_hints_do_not_leak_to_the_slots_next_job() {
     // independent launches over buffers still on the host, the first over
     // a big one (long transfer, short kernel), the second over a small one
     // (short transfer, long kernel) — Johnson's rule emits them the other
-    // way round — and both big enough to split.
+    // way round — the second heavy enough that its split pays.
     let spec = served::JobSpec::parse_str(
         r#"{"name": "two",
-            "buffers": [{"name": "big", "elements": 262144}, {"name": "small", "elements": 1024}],
+            "buffers": [{"name": "big", "elements": 262144}, {"name": "small", "elements": 16384}],
             "kernels": [{"name": "two_light", "flops_per_item": 2.0, "bytes_per_item": 8.0},
                         {"name": "two_heavy", "flops_per_item": 40000.0, "bytes_per_item": 8.0}],
             "steps": [{"op": "launch", "kernel": "two_light", "global": 1024, "local": 64,
                        "args": ["big"]},
-                      {"op": "launch", "kernel": "two_heavy", "global": 1024, "local": 64,
+                      {"op": "launch", "kernel": "two_heavy", "global": 16384, "local": 64,
                        "args": ["small"]}]}"#,
     )
     .expect("spec parses");

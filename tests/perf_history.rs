@@ -9,8 +9,10 @@
 //! 1. every line of the history parses as JSON;
 //! 2. the newest `perf_suite` row measured the baseline's virtual timeline:
 //!    every `virt_*` metric bit-equal to `BENCH_perf.json`'s on all four
-//!    workloads — unless the row says `"rebaseline": true` with a non-empty
-//!    `"reason"`, the one way a change may move virtual time on purpose.
+//!    workloads — except on the workloads the row names in its
+//!    `"rebaseline"` list, with a non-empty `"reason"`, the one way a change
+//!    may move virtual time on purpose. A re-baseline names what it moves:
+//!    any other value of `"rebaseline"` is refused.
 
 use hwsim::json::Json;
 
@@ -39,15 +41,21 @@ fn violations(history: &str, baseline: &str) -> Vec<String> {
         return broken;
     };
     let reason = newest.get("reason").and_then(Json::as_str).unwrap_or("");
-    if newest.get("rebaseline").and_then(Json::as_bool) == Some(true) && !reason.trim().is_empty() {
-        return broken;
+    let stated = !reason.trim().is_empty();
+    let mut rebaselined: Vec<&str> = Vec::new();
+    if let Some(list) = newest.get("rebaseline") {
+        let names = list.as_arr().map(|l| l.iter().map(Json::as_str).collect::<Option<Vec<_>>>());
+        match names.flatten().filter(|n| n.iter().all(|w| WORKLOADS.contains(w))) {
+            Some(names) => rebaselined = names,
+            None => broken.push(format!("\"rebaseline\" must list workloads: {list:?}")),
+        }
     }
     let Some(baseline) = Json::parse(baseline) else {
         broken.push("the baseline does not parse".into());
         return broken;
     };
     let pr = newest.get("pr").and_then(Json::as_u64);
-    for w in WORKLOADS {
+    for w in WORKLOADS.into_iter().filter(|w| !(stated && rebaselined.contains(w))) {
         for m in VIRT {
             let row = newest.get("workloads").and_then(|x| x.get(w)?.get(m)?.as_f64());
             let base = baseline
@@ -67,7 +75,7 @@ fn the_newest_perf_suite_row_measures_the_baseline_virtual_timeline() {
     assert!(
         broken.is_empty(),
         "BENCH_perf_history.jsonl: {broken:#?}\nA change that moves virtual time on purpose \
-         says so in its row: \"rebaseline\": true, \"reason\": \"…\""
+         says so in its row: \"rebaseline\": [\"<workload>\", …], \"reason\": \"…\""
     );
 }
 
@@ -76,17 +84,31 @@ fn a_moved_virtual_time_passes_only_as_a_stated_rebaseline() {
     let baseline = read("BENCH_perf.json");
     let history = read("BENCH_perf_history.jsonl");
     let newest = history.lines().rev().find(|l| l.contains("\"perf_suite\"")).expect("a row");
-    // The newest row again, one workload's p50 moved (a lookup takes the
-    // first of two equal keys), `extra` keys appended.
-    let moved = |extra: &str| {
-        let at = newest.rfind("\"virt_p50_ms\"").expect("a virt_p50_ms key");
-        let row = format!("{}\"virt_p50_ms\":-1,{}", &newest[..at], &newest[at..]);
-        format!("{history}{}{extra}}}\n", &row[..row.len() - 1])
+    // The newest row again: `keys` put first (a lookup takes the first of
+    // two equal keys), and `workload`'s p50 moved the same way.
+    let row = |keys: &str, workload: Option<&str>| {
+        let mut row = format!("{{{keys}{}", &newest[1..]);
+        if let Some(w) = workload {
+            let from = row.find(&format!("\"{w}\"")).expect("the workload");
+            let at = from + row[from..].find("\"virt_p50_ms\"").expect("a virt_p50_ms key");
+            row.insert_str(at, "\"virt_p50_ms\":-1,");
+        }
+        format!("{history}{row}\n")
     };
-    assert_eq!(violations(&moved(""), &baseline).len(), 1, "a moved value must be caught");
-    let unstated = moved(",\"rebaseline\":true,\"reason\":\" \"");
+    let reason = "\"reason\":\"split chunks priced at their size\",";
+    let npb = format!("\"rebaseline\":[\"npb_suite\"],{reason}");
+    assert!(violations(&row(&npb, None), &baseline).is_empty());
+    assert_eq!(violations(&row("", Some("serve_light")), &baseline).len(), 1, "a moved value");
+    // Re-baselining one workload exempts that one only.
+    assert!(violations(&row(&npb, Some("npb_suite")), &baseline).is_empty());
+    let moved = row(&npb, Some("serve_light"));
+    assert_eq!(violations(&moved, &baseline).len(), 1, "npb_suite's re-baseline moved serve_light");
+    // No reason, a bare flag or an unknown name exempts nothing.
+    let unstated = row("\"rebaseline\":[\"npb_suite\"],\"reason\":\" \",", Some("npb_suite"));
     assert_eq!(violations(&unstated, &baseline).len(), 1, "a blank reason exempts nothing");
-    let stated = moved(",\"rebaseline\":true,\"reason\":\"split chunks priced at their size\"");
-    assert!(violations(&stated, &baseline).is_empty());
+    let bare = row(&format!("\"rebaseline\":true,{reason}"), Some("npb_suite"));
+    assert_eq!(violations(&bare, &baseline).len(), 2, "a re-baseline names its workloads");
+    let unknown = row(&format!("\"rebaseline\":[\"npb\"],{reason}"), Some("npb_suite"));
+    assert_eq!(violations(&unknown, &baseline).len(), 2, "an unknown workload name");
     assert_eq!(violations(&format!("{history}{{\"pr\":\n"), &baseline).len(), 1);
 }
