@@ -190,7 +190,7 @@ pub fn adaptive(
 
     // --- Incumbent: greedy refined by local search, then the warm start
     // (also refined) if it beats that.
-    greedy_assign(costs, &mut scratch.seed, &mut scratch.load);
+    greedy_assign(costs, &mut scratch.order, &mut scratch.seed, &mut scratch.load);
     let mut best_obj = local_search_in_place(costs, &mut scratch.seed, &mut scratch.load);
     scratch.best.clear();
     scratch.best.extend_from_slice(&scratch.seed);
@@ -209,11 +209,8 @@ pub fn adaptive(
         }
     }
 
-    // --- Search order: descending best-case cost, big rocks first.
-    scratch.order.clear();
-    scratch.order.extend(0..queues);
-    scratch.order.sort_by_key(|&q| std::cmp::Reverse(row_min(&costs[q])));
-
+    // --- Search order: descending best-case cost, big rocks first — the
+    // order greedy placed the queues in, left in `scratch.order`.
     // Suffix sums of minimum costs: rem_min[i] = sum of min costs of the
     // queues at order positions i.. (rem_min[queues] = 0).
     scratch.rem_min.clear();
@@ -415,25 +412,32 @@ pub fn greedy(costs: &CostMatrix) -> Mapping {
         return empty_outcome().mapping;
     }
     validate(costs);
-    let mut assignment = Vec::new();
-    let mut load = Vec::new();
-    greedy_assign(costs, &mut assignment, &mut load);
+    let (mut order, mut assignment, mut load) = (Vec::new(), Vec::new(), Vec::new());
+    greedy_assign(costs, &mut order, &mut assignment, &mut load);
     let ms = load.iter().copied().max().unwrap_or(SimDuration::ZERO);
     let total = load.iter().copied().sum();
     Mapping { assignment, makespan: ms, total }
 }
 
-/// Greedy into caller buffers; `load` holds the per-device loads on return.
-fn greedy_assign(costs: &CostMatrix, assignment: &mut Vec<DeviceId>, load: &mut Vec<SimDuration>) {
+/// Greedy into caller buffers; on return `order` holds the queues in the
+/// order they were placed (descending best-case cost) and `load` the
+/// per-device loads.
+fn greedy_assign(
+    costs: &CostMatrix,
+    order: &mut Vec<usize>,
+    assignment: &mut Vec<DeviceId>,
+    load: &mut Vec<SimDuration>,
+) {
     let queues = costs.len();
     let devices = costs[0].len();
-    let mut order: Vec<usize> = (0..queues).collect();
+    order.clear();
+    order.extend(0..queues);
     order.sort_by_key(|&q| std::cmp::Reverse(row_min(&costs[q])));
     load.clear();
     load.resize(devices, SimDuration::ZERO);
     assignment.clear();
     assignment.resize(queues, DeviceId(0));
-    for &q in &order {
+    for &q in order.iter() {
         let d = (0..devices).min_by_key(|&d| load[d] + costs[q][d]).expect("at least one device");
         load[d] += costs[q][d];
         assignment[q] = DeviceId(d);
@@ -547,9 +551,8 @@ pub fn greedy_refined(costs: &CostMatrix) -> Mapping {
         return empty_outcome().mapping;
     }
     validate(costs);
-    let mut assignment = Vec::new();
-    let mut load = Vec::new();
-    greedy_assign(costs, &mut assignment, &mut load);
+    let (mut order, mut assignment, mut load) = (Vec::new(), Vec::new(), Vec::new());
+    greedy_assign(costs, &mut order, &mut assignment, &mut load);
     let (ms, total) = local_search_in_place(costs, &mut assignment, &mut load);
     Mapping { assignment, makespan: ms, total }
 }
@@ -908,7 +911,7 @@ mod tests {
         assert!(m.makespan < UNAVAILABLE_COST);
 
         let mut g = vec![DeviceId(0); costs.len()];
-        greedy_assign(&costs, &mut g, &mut load);
+        greedy_assign(&costs, &mut Vec::new(), &mut g, &mut load);
         assert!(g.iter().all(|d| d.index() != 0), "greedy chose the dead device: {g:?}");
 
         let a = adaptive(&costs, None, 1, &mut scratch).mapping;

@@ -19,8 +19,8 @@
 //! executed kernel durations are read from the engine trace and folded into
 //! the per-device normal equations (EngineCL-style online refinement). No
 //! matrix is inverted incrementally — each prediction solves the 10×10
-//! system directly, which is microseconds of host time and keeps every
-//! fold/solve in one fixed, deterministic floating-point order.
+//! system directly, the weights and the leverage in one elimination, which
+//! keeps every fold/solve in one fixed, deterministic floating-point order.
 //!
 //! Predictions carry an **uncertainty**: the predictive standard deviation
 //! of the log-space residual (residual variance × (1 + leverage)), which
@@ -131,47 +131,62 @@ impl Default for DeviceModel {
     }
 }
 
-/// Solve `(A + λI) w = b` by Gaussian elimination with partial pivoting.
-/// Deterministic: fixed pivot scan and elimination order, pure `f64`.
+/// Solve `(A + λI) w = b` and `(A + λI) v = x` in one Gaussian
+/// elimination with partial pivoting. Both right-hand sides take the same
+/// pivots and row operations, so each comes out as the same `f64`s a solve
+/// of its own gives. Rows are addressed through a permutation instead of
+/// being swapped, and the column below a pivot, which no later step reads,
+/// is not updated. Deterministic: fixed pivot scan and elimination order,
+/// pure `f64`. `None` when a pivot falls below `1e-12`.
 fn ridge_solve(
     a: &[[f64; FEATURE_DIM]; FEATURE_DIM],
     b: &[f64; FEATURE_DIM],
-) -> Option<[f64; FEATURE_DIM]> {
-    let mut m = [[0.0; FEATURE_DIM + 1]; FEATURE_DIM];
+    x: &[f64; FEATURE_DIM],
+) -> Option<([f64; FEATURE_DIM], [f64; FEATURE_DIM])> {
+    const B: usize = FEATURE_DIM;
+    const X: usize = FEATURE_DIM + 1;
+    let mut m = [[0.0; FEATURE_DIM + 2]; FEATURE_DIM];
     for i in 0..FEATURE_DIM {
         for j in 0..FEATURE_DIM {
             m[i][j] = a[i][j] + if i == j { RIDGE_LAMBDA } else { 0.0 };
         }
-        m[i][FEATURE_DIM] = b[i];
+        m[i][B] = b[i];
+        m[i][X] = x[i];
     }
+    // `perm[i]` is the row of `m` at elimination position `i`.
+    let mut perm: [usize; FEATURE_DIM] = std::array::from_fn(|i| i);
     for col in 0..FEATURE_DIM {
         let mut pivot = col;
         for row in col + 1..FEATURE_DIM {
-            if m[row][col].abs() > m[pivot][col].abs() {
+            if m[perm[row]][col].abs() > m[perm[pivot]][col].abs() {
                 pivot = row;
             }
         }
-        if m[pivot][col].abs() < 1e-12 {
+        if m[perm[pivot]][col].abs() < 1e-12 {
             return None;
         }
-        m.swap(col, pivot);
-        let pivot_row = m[col];
-        for row in m.iter_mut().take(FEATURE_DIM).skip(col + 1) {
+        perm.swap(col, pivot);
+        let pivot_row = m[perm[col]];
+        for &r in &perm[col + 1..] {
+            let row = &mut m[r];
             let f = row[col] / pivot_row[col];
-            for (k, &p) in pivot_row.iter().enumerate().skip(col) {
-                row[k] -= f * p;
+            for (e, &p) in row.iter_mut().zip(&pivot_row).skip(col + 1) {
+                *e -= f * p;
             }
         }
     }
-    let mut w = [0.0; FEATURE_DIM];
+    let (mut w, mut v) = ([0.0; FEATURE_DIM], [0.0; FEATURE_DIM]);
     for col in (0..FEATURE_DIM).rev() {
-        let mut v = m[col][FEATURE_DIM];
+        let row = &m[perm[col]];
+        let (mut wc, mut vc) = (row[B], row[X]);
         for k in col + 1..FEATURE_DIM {
-            v -= m[col][k] * w[k];
+            wc -= row[k] * w[k];
+            vc -= row[k] * v[k];
         }
-        w[col] = v / m[col][col];
+        w[col] = wc / row[col];
+        v[col] = vc / row[col];
     }
-    Some(w)
+    Some((w, v))
 }
 
 impl DeviceModel {
@@ -200,7 +215,8 @@ impl DeviceModel {
         if self.n < MIN_TRAINING_SAMPLES {
             return None;
         }
-        let w = ridge_solve(&self.gram, &self.xty)?;
+        // The weights and the leverage's `(A+λI)⁻¹x` from one elimination.
+        let (w, inv_x) = ridge_solve(&self.gram, &self.xty, &f.x)?;
         let y_hat: f64 = w.iter().zip(&f.x).map(|(wi, xi)| wi * xi).sum();
         // Residual sum of squares in closed form: yᵀy − 2wᵀb + wᵀAw.
         let mut waw = 0.0;
@@ -212,8 +228,7 @@ impl DeviceModel {
         }
         let dof = self.n.saturating_sub(FEATURE_DIM as u64).max(1) as f64;
         let s2 = ((self.yty - 2.0 * wb + waw) / dof).max(0.0);
-        // Leverage `xᵀ(A+λI)⁻¹x` via one more solve with x as the rhs.
-        let inv_x = ridge_solve(&self.gram, &f.x)?;
+        // Leverage `xᵀ(A+λI)⁻¹x`.
         let leverage: f64 = f.x.iter().zip(&inv_x).map(|(xi, vi)| xi * vi).sum();
         let uncertainty = (s2 * (1.0 + leverage.max(0.0))).sqrt();
         // exp(ŷ) ns, clamped to a sane range so a wild extrapolation cannot
@@ -377,6 +392,125 @@ mod tests {
             *v = rng.range_f64(0.0, 20.0);
         }
         KernelFeatures::from_raw(x)
+    }
+
+    /// The single-right-hand-side solve the one-elimination [`ridge_solve`]
+    /// replaced, kept as its reference: `(A + λI) w = b` by Gaussian
+    /// elimination with partial pivoting, swapping rows.
+    fn reference_solve(
+        a: &[[f64; FEATURE_DIM]; FEATURE_DIM],
+        b: &[f64; FEATURE_DIM],
+    ) -> Option<[f64; FEATURE_DIM]> {
+        let mut m = [[0.0; FEATURE_DIM + 1]; FEATURE_DIM];
+        for i in 0..FEATURE_DIM {
+            for j in 0..FEATURE_DIM {
+                m[i][j] = a[i][j] + if i == j { RIDGE_LAMBDA } else { 0.0 };
+            }
+            m[i][FEATURE_DIM] = b[i];
+        }
+        for col in 0..FEATURE_DIM {
+            let mut pivot = col;
+            for row in col + 1..FEATURE_DIM {
+                if m[row][col].abs() > m[pivot][col].abs() {
+                    pivot = row;
+                }
+            }
+            if m[pivot][col].abs() < 1e-12 {
+                return None;
+            }
+            m.swap(col, pivot);
+            let pivot_row = m[col];
+            for row in m.iter_mut().take(FEATURE_DIM).skip(col + 1) {
+                let f = row[col] / pivot_row[col];
+                for (k, &p) in pivot_row.iter().enumerate().skip(col) {
+                    row[k] -= f * p;
+                }
+            }
+        }
+        let mut w = [0.0; FEATURE_DIM];
+        for col in (0..FEATURE_DIM).rev() {
+            let mut v = m[col][FEATURE_DIM];
+            for k in col + 1..FEATURE_DIM {
+                v -= m[col][k] * w[k];
+            }
+            w[col] = v / m[col][col];
+        }
+        Some(w)
+    }
+
+    /// A launch's feature vector from a random cost spec and shape, as the
+    /// scheduler describes one; `double_precision` as given.
+    fn launch_features(rng: &mut XorShift, double_precision: bool) -> KernelFeatures {
+        let cost = KernelCostSpec {
+            flops_per_item: rng.range_f64(0.0, 20_000.0),
+            bytes_per_item: rng.range_f64(0.0, 512.0),
+            traits: hwsim::KernelTraits {
+                coalescing: rng.range_f64(0.0, 1.0),
+                branch_divergence: rng.range_f64(0.0, 1.0),
+                vector_friendliness: rng.range_f64(0.0, 1.0),
+                double_precision,
+            },
+        };
+        let local = 1 << rng.range_u64(0, 9);
+        let shape = NdRangeShape::new(local * rng.range_u64(1, 4096), local);
+        KernelFeatures::describe(&cost, shape, rng.range_u64(0, 1 << 30))
+    }
+
+    #[test]
+    fn one_elimination_equals_two_single_solves_bit_for_bit() {
+        // Property (xrand-seeded): on Gram matrices folded from real launch
+        // features, the joint solve's weights and `(A+λI)⁻¹x` are the same
+        // `f64`s as two single-right-hand-side solves give, and both refuse
+        // the same systems.
+        let bits = |v: &[f64; FEATURE_DIM]| v.map(f64::to_bits);
+        let mut swapped = 0;
+        let mut refused = 0;
+        for seed in [1u64, 8, 23, 64, 311, 977] {
+            let mut rng = XorShift::new(seed);
+            for samples in [1, 3, 9, 40, 200] {
+                // Every other matrix has no double-precision sample, so its
+                // Gram has a zero row and column. The ridge keeps any Gram
+                // solvable, so that one is also solved with λ taken off its
+                // diagonal first: the system solved is then the
+                // rank-deficient Gram itself.
+                let double = samples % 2 == 1;
+                let mut model = DeviceModel::default();
+                for _ in 0..samples {
+                    let dp = double && rng.index(2) == 0;
+                    let f = launch_features(&mut rng, dp);
+                    model.observe(&f, SimDuration::from_nanos(rng.range_u64(100, 1 << 32)));
+                }
+                let dp = rng.index(2) == 0;
+                let probe = launch_features(&mut rng, dp);
+                let mut grams = vec![model.gram];
+                if !double {
+                    let mut deficient = model.gram;
+                    for (i, row) in deficient.iter_mut().enumerate() {
+                        row[i] -= RIDGE_LAMBDA;
+                    }
+                    grams.push(deficient);
+                }
+                for a in &grams {
+                    // Column 0's pivot scan swaps rows when a lower entry
+                    // outweighs the diagonal.
+                    if (1..FEATURE_DIM).any(|r| a[r][0].abs() > (a[0][0] + RIDGE_LAMBDA).abs()) {
+                        swapped += 1;
+                    }
+                    let joint = ridge_solve(a, &model.xty, &probe.x);
+                    let single = (reference_solve(a, &model.xty), reference_solve(a, &probe.x));
+                    match (joint, single) {
+                        (Some((w, v)), (Some(rw), Some(rv))) => {
+                            assert_eq!(bits(&w), bits(&rw), "seed {seed}, {samples} samples");
+                            assert_eq!(bits(&v), bits(&rv), "seed {seed}, {samples} samples");
+                        }
+                        (None, (None, None)) => refused += 1,
+                        other => panic!("seed {seed}, {samples} samples: {other:?}"),
+                    }
+                }
+            }
+        }
+        assert!(swapped > 0, "no matrix made partial pivoting swap rows");
+        assert!(refused > 0, "no rank-deficient system was refused");
     }
 
     #[test]

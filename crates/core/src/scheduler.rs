@@ -47,7 +47,7 @@ use hwsim::engine::{CommandDesc, CommandKind, Engine};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
 use hwsim::{DeviceId, SimDuration};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -328,6 +328,29 @@ struct Work {
     /// put on a device, in issue order: a chunk's own shape, `None` for a
     /// whole launch.
     folds: Vec<Option<NdRangeShape>>,
+    /// What refinement sums per kernel, device and chunk shape.
+    refined: Vec<Refined>,
+    /// Events a step holds until its locks drop; empty between steps.
+    events: Vec<SchedEvent>,
+}
+
+/// The commands of one kernel on one device column, whole launches
+/// (`chunk: None`) or split chunks of one shape, as refinement sums them.
+struct Refined {
+    name: Arc<str>,
+    di: usize,
+    chunk: Option<NdRangeShape>,
+    sum: SimDuration,
+    count: u64,
+}
+
+impl Refined {
+    /// Refinement's fold order: whole launches by (name, device), then
+    /// chunks by (name, device, global, local).
+    fn order(&self) -> (bool, &str, usize, Option<(u64, u64)>) {
+        let chunk = self.chunk.map(|s| (s.global_items, s.local_items));
+        (chunk.is_some(), &self.name, self.di, chunk)
+    }
 }
 
 /// Interpret a debug-style environment variable value: unset, empty (after
@@ -743,7 +766,7 @@ impl RtInner {
         }
         // Refinement folds the completions in before the epoch closes.
         if !refine.is_empty() {
-            self.refine_predictor(refine, &work.folds, &input.devices, trace_offset, epoch);
+            self.refine_predictor(refine, work, &input.devices, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
@@ -1320,21 +1343,21 @@ impl RtInner {
     /// predictor (online refinement): per (kernel, device) the mean executed
     /// duration of its whole launches is one observation, at the kernel's
     /// first-seen geometry, and then so is that of its split chunks of each
-    /// shape, at that shape; `folds` gives each kernel command's in issue
-    /// order. A prior prediction's error is reported
-    /// ([`SchedEvent::PredictorRefined`]) in `BTreeMap` order, whole
-    /// launches first.
+    /// shape, at that shape; `work.folds` gives each kernel command's in
+    /// issue order. Observations fold, and a prior prediction's error is
+    /// reported ([`SchedEvent::PredictorRefined`]), whole launches first by
+    /// (name, device), then chunks by (name, device, global, local). A warm
+    /// refinement allocates nothing: it sums and emits in `work`'s lists.
     fn refine_predictor(
         &self,
         refine_index: &HashMap<Arc<str>, (Kernel, NdRange, u64)>,
-        folds: &[Option<NdRangeShape>],
+        work: &mut Work,
         devices: &[DeviceId],
         trace_offset: u64,
         epoch: u64,
     ) {
-        let mut agg: BTreeMap<(Arc<str>, usize), (SimDuration, u64)> = BTreeMap::new();
-        type Chunk = (Arc<str>, usize, u64, u64);
-        let mut chunks: BTreeMap<Chunk, (SimDuration, u64)> = BTreeMap::new();
+        let Work { folds, refined, events, .. } = work;
+        refined.clear();
         self.platform.with_engine(|e| {
             let mut folds = folds.iter();
             for r in e.trace().records_since(trace_offset) {
@@ -1344,46 +1367,45 @@ impl RtInner {
                     continue;
                 }
                 let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
-                let name = Arc::clone(name);
-                let entry = match chunk {
-                    None => agg.entry((name, di)).or_insert((SimDuration::ZERO, 0)),
-                    Some(s) => chunks
-                        .entry((name, di, s.global_items, s.local_items))
-                        .or_insert((SimDuration::ZERO, 0)),
+                let same = |o: &&mut Refined| o.di == di && o.chunk == chunk && o.name == *name;
+                let o = match refined.iter_mut().find(same) {
+                    Some(o) => o,
+                    None => {
+                        let (name, sum) = (Arc::clone(name), SimDuration::ZERO);
+                        refined.push(Refined { name, di, chunk, sum, count: 0 });
+                        refined.last_mut().expect("just pushed")
+                    }
                 };
-                entry.0 += r.stamp.end.saturating_since(r.stamp.start);
-                entry.1 += 1;
+                o.sum += r.stamp.end.saturating_since(r.stamp.start);
+                o.count += 1;
             }
         });
-        if agg.is_empty() && chunks.is_empty() {
+        if refined.is_empty() {
             return;
         }
-        let mut events: Vec<SchedEvent> = Vec::new();
+        refined.sort_unstable_by(|a, b| a.order().cmp(&b.order()));
+        events.clear();
         {
             let mut predictor = self.predictor.lock();
-            let whole = agg.iter().map(|((name, di), sum)| (name, di, None, sum));
-            let chunks = chunks.iter().map(|((name, di, global, local), sum)| {
-                (name, di, Some(NdRangeShape::new(*global, *local)), sum)
-            });
-            for (name, di, chunk, (sum, count)) in whole.chain(chunks) {
-                let (kernel, nd, arg_bytes) = &refine_index[name];
-                let dev = devices[*di];
-                let shape = chunk.unwrap_or_else(|| kernel.effective_nd(dev, *nd).shape());
+            for o in refined.iter() {
+                let (kernel, nd, arg_bytes) = &refine_index[&o.name];
+                let dev = devices[o.di];
+                let shape = o.chunk.unwrap_or_else(|| kernel.effective_nd(dev, *nd).shape());
                 let f = KernelFeatures::describe(&kernel.cost(), shape, *arg_bytes);
-                let actual = *sum / *count;
-                let prior = predictor.predict(*di, &f);
-                predictor.observe(*di, &f, actual);
+                let actual = o.sum / o.count;
+                let prior = predictor.predict(o.di, &f);
+                predictor.observe(o.di, &f, actual);
                 if let Some(p) = prior {
                     let a = actual.as_nanos().max(1) as f64;
                     let rel_error = (p.time.as_nanos() as f64 - a).abs() / a;
                     events.push(SchedEvent::PredictorRefined {
                         epoch,
-                        kernel: name.clone(),
+                        kernel: Arc::clone(&o.name),
                         device: dev,
                         predicted: p.time,
                         actual,
                         rel_error,
-                        samples: predictor.samples(*di),
+                        samples: predictor.samples(o.di),
                     });
                 }
             }
@@ -1393,8 +1415,8 @@ impl RtInner {
                 let _ = predictor.store(self.options.profile_cache.dir());
             }
         }
-        for ev in &events {
-            self.emit(ev);
+        for ev in events.drain(..) {
+            self.emit(&ev);
         }
     }
 
@@ -1799,15 +1821,18 @@ impl std::fmt::Debug for SchedQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::env_flag_enabled;
-    use crate::predictor::{CostPredictor, KernelFeatures, DEFAULT_PREDICTOR_CONFIDENCE};
+    use super::{env_flag_enabled, Work};
+    use crate::predictor::{
+        CostPredictor, KernelFeatures, DEFAULT_PREDICTOR_CONFIDENCE, MIN_TRAINING_SAMPLES,
+    };
     use crate::telemetry::RingBufferSink;
     use crate::{
         ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedEvent, SchedOptions,
     };
     use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
-    use hwsim::engine::CommandKind;
-    use hwsim::{KernelCostSpec, NdRangeShape};
+    use hwsim::engine::{CommandDesc, CommandKind};
+    use hwsim::{KernelCostSpec, NdRangeShape, SimDuration};
+    use std::collections::{BTreeMap, HashMap};
     use std::ffi::OsStr;
     use std::sync::Arc;
 
@@ -1882,6 +1907,112 @@ mod tests {
         }
         let folded = ctx.rt.predictor.lock().to_json() == want.to_json();
         assert!(folded, "a chunk was folded at another shape than its own");
+    }
+
+    #[test]
+    fn refinement_folds_whole_launches_then_chunks_in_key_order() {
+        // One refinement over whole launches and split chunks of `bump` on
+        // two devices, issued out of key order, against the fold it
+        // replaced: per-key sums in two `BTreeMap`s, whole launches first.
+        const ITEMS: u64 = 1 << 16;
+        let platform = Platform::paper_node();
+        let sink = Arc::new(RingBufferSink::new(1024));
+        let dir = std::env::temp_dir().join(format!("multicl-order-{}", std::process::id()));
+        let options = SchedOptions {
+            predictor_confidence: DEFAULT_PREDICTOR_CONFIDENCE,
+            profile_cache: ProfileCache::at(dir),
+            observers: vec![sink.clone()],
+            ..SchedOptions::default()
+        };
+        let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
+            .expect("context");
+        let buf = ctx.create_buffer_of::<f64>(ITEMS as usize).expect("buffer");
+        let body = Arc::new(Bump) as Arc<dyn KernelBody>;
+        let k = ctx.create_program(vec![body]).expect("program").create_kernel("bump").unwrap();
+        k.set_arg(0, ArgValue::BufferMut(buf)).unwrap();
+        let nd = NdRange::d1(ITEMS, 64);
+        let devices = ctx.rt.cl.devices()[..2].to_vec();
+        // Both device models warm, so every observation has a prior.
+        {
+            let mut predictor = ctx.rt.predictor.lock();
+            for di in 0..2 {
+                for wgs in 1..=MIN_TRAINING_SAMPLES {
+                    let f = KernelFeatures::describe(&Bump.cost(), shape(wgs * 64, 64), ITEMS * 8);
+                    predictor.observe(di, &f, SimDuration::from_nanos(1_000 * wgs + di as u64));
+                }
+            }
+        }
+        let mut want = ctx.rt.predictor.lock().clone();
+        // (device column, chunk shape or whole, duration in µs), in issue
+        // order: first seen is not key order on either axis.
+        let commands = [
+            (1, Some(shape(512 * 64, 64)), 90),
+            (0, Some(shape(512 * 64, 64)), 130),
+            (1, None, 600),
+            (0, Some(shape(256 * 64, 64)), 70),
+            (1, Some(shape(512 * 64, 32)), 95),
+            (0, None, 500),
+            (1, Some(shape(512 * 64, 64)), 110),
+            (0, None, 540),
+        ];
+        let trace_offset = platform.with_engine(|e| e.trace().total_pushed());
+        platform.with_engine(|e| {
+            for &(di, _, us) in &commands {
+                e.submit(CommandDesc {
+                    device: devices[di],
+                    kind: CommandKind::Kernel { name: "bump".into() },
+                    duration: SimDuration::from_micros(us),
+                    waits: hwsim::WaitList::new(),
+                    queue: 0,
+                });
+            }
+        });
+        let mut work = Work { folds: commands.iter().map(|c| c.1).collect(), ..Work::default() };
+        let refine = HashMap::from([("bump".into(), (k.clone(), nd, ITEMS * 8))]);
+        sink.drain();
+        ctx.rt.refine_predictor(&refine, &mut work, &devices, trace_offset, 1);
+        let refined = |e| match e {
+            SchedEvent::PredictorRefined { device, predicted, actual, samples, .. } => {
+                Some((device, predicted, actual, samples))
+            }
+            _ => None,
+        };
+        let got: Vec<_> = sink.drain().into_iter().filter_map(refined).collect();
+        // The replaced fold, on the same trace records.
+        let mut whole: BTreeMap<usize, (SimDuration, u64)> = BTreeMap::new();
+        let mut chunks: BTreeMap<(usize, u64, u64), (SimDuration, u64)> = BTreeMap::new();
+        let records = platform.with_engine(|e| e.trace().records_since(trace_offset).to_vec());
+        for (r, &(di, chunk, _)) in records.iter().zip(&commands) {
+            let entry = match chunk {
+                None => whole.entry(di).or_default(),
+                Some(s) => chunks.entry((di, s.global_items, s.local_items)).or_default(),
+            };
+            entry.0 += r.stamp.end.saturating_since(r.stamp.start);
+            entry.1 += 1;
+        }
+        let whole =
+            whole.into_iter().map(|(di, sum)| (di, k.effective_nd(devices[di], nd).shape(), sum));
+        let chunks = chunks.into_iter().map(|((di, g, l), sum)| (di, shape(g, l), sum));
+        let mut expected = Vec::new();
+        for (di, s, (sum, count)) in whole.chain(chunks) {
+            let f = KernelFeatures::describe(&Bump.cost(), s, ITEMS * 8);
+            let actual = sum / count;
+            let prior = want.predict(di, &f).expect("a warm model predicts");
+            want.observe(di, &f, actual);
+            expected.push((devices[di], prior.time, actual, want.samples(di)));
+        }
+        assert_eq!(got.len(), 6, "two whole keys and four chunk keys: {got:?}");
+        assert_eq!(got, expected, "refinement left the key order");
+        let model = ctx.rt.predictor.lock();
+        for di in 0..2 {
+            assert_eq!(model.samples(di), want.samples(di), "device {di}");
+        }
+        assert!(model.to_json() == want.to_json(), "the folded models differ");
+        assert!(work.events.is_empty(), "refinement kept an emitted event");
+    }
+
+    fn shape(global: u64, local: u64) -> NdRangeShape {
+        NdRangeShape::new(global, local)
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum SpecError {
     ArityMismatch(String),
     /// The `after` edges form a cycle.
     Cycle(String),
-    /// A size field was out of range (zero elements, zero launch geometry).
+    /// A size or cost field was out of range (zero elements, zero launch
+    /// geometry, a negative or non-finite kernel cost).
     Invalid(String),
 }
 
@@ -344,7 +345,8 @@ impl JobSpec {
     }
 
     /// Check internal consistency: unique names, resolvable references,
-    /// consistent kernel arities, positive sizes, acyclic dependencies.
+    /// consistent kernel arities, positive sizes, finite non-negative kernel
+    /// costs, acyclic dependencies.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.validated_order().map(|_| ())
     }
@@ -371,6 +373,17 @@ impl JobSpec {
                 || names.first(Run::Kernels, &k.name) != Some(i)
             {
                 return Err(SpecError::Duplicate(k.name.to_string()));
+            }
+            let costs = [
+                ("flops_per_item", k.cost.flops_per_item),
+                ("bytes_per_item", k.cost.bytes_per_item),
+            ];
+            if let Some((field, v)) = costs.into_iter().find(|&(_, v)| !(v.is_finite() && v >= 0.0))
+            {
+                return Err(SpecError::Invalid(format!(
+                    "kernel `{}` has {field} {v}: a cost must be finite and non-negative",
+                    k.name
+                )));
             }
         }
         for (i, s) in self.steps.iter().enumerate() {
@@ -624,6 +637,41 @@ mod tests {
         let mut spec = sample();
         spec.buffers[0].elements = 0;
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
+    fn rejects_a_negative_or_non_finite_kernel_cost() {
+        // JSON admits a negative cost; a spec built in code can also carry
+        // NaN or ∞. Each is refused and names its kernel.
+        let text =
+            sample().to_json().dump().replace("\"bytes_per_item\":16", "\"bytes_per_item\":-16");
+        assert_eq!(
+            JobSpec::parse_str(&text),
+            Err(SpecError::Invalid(
+                "kernel `blur_h` has bytes_per_item -16: a cost must be finite and non-negative"
+                    .into()
+            ))
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-300] {
+            let mut spec = sample();
+            spec.kernels[1].cost.flops_per_item = bad;
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Invalid(m) if m.contains("`blur_v`")),
+                "{bad}: {err}"
+            );
+            let mut spec = sample();
+            spec.kernels[0].cost.bytes_per_item = bad;
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Invalid(m) if m.contains("`blur_h`")),
+                "{bad}: {err}"
+            );
+        }
+        let mut spec = sample();
+        spec.kernels[0].cost.flops_per_item = 0.0;
+        spec.kernels[0].cost.bytes_per_item = 0.0;
+        assert_eq!(spec.validate(), Ok(()), "a zero cost is a valid cost");
     }
 
     #[test]
