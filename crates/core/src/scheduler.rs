@@ -43,10 +43,10 @@ use clrt::{
     BoundArgs, Buffer, CommandQueue, Context, Kernel, KernelBody, NdRange, Platform, Program,
 };
 use hwsim::cost::{KernelCostSpec, NdRangeShape};
-use hwsim::engine::{CommandDesc, CommandKind, Engine};
+use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
 use hwsim::sync::Mutex;
 use hwsim::topology::TransferKind;
-use hwsim::{DeviceId, SimDuration};
+use hwsim::{CommandStatus, DeviceId, FaultKind, SimDuration};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -824,8 +824,13 @@ impl RtInner {
                 launches: 0..0,
             });
         }
-        // Profiling is the phase's only clock-advancing work.
+        // Profiling is the phase's only clock-advancing work. A device that
+        // died inside a profiling window is blacklisted in this pass: its
+        // row may be a probe's zero.
         let profiling = self.platform.now().saturating_since(began);
+        if profiling > SimDuration::ZERO {
+            self.device_health(epoch, &mut input.lost, &mut work.delta);
+        }
         let devices = &input.devices;
         let degradation = &mut input.degradation;
         degradation.clear();
@@ -1424,6 +1429,13 @@ impl RtInner {
     /// minikernel, after staging their inputs there, all tagged
     /// [`PROFILING_TAG`] and charged to the virtual clock, and cache the
     /// measured (estimated-full) per-device rows.
+    ///
+    /// Every device is profiled at once: a device's staging uploads and
+    /// probes form one chain, each command waiting on the one submitted
+    /// before it for that device, and an upload that reads a host copy
+    /// also waits on the download that filled it. The host waits once, for
+    /// every chain and every download, so the window costs the longest
+    /// chain, not the sum over devices.
     fn profile_kernels(
         &self,
         pending: &[&PendingKernel],
@@ -1433,19 +1445,24 @@ impl RtInner {
         minikernel: bool,
     ) {
         let devices = &input.devices;
-        // Every profiling command runs alone and to completion.
-        fn charge(engine: &mut Engine, device: DeviceId, kind: CommandKind, duration: SimDuration) {
-            let waits = hwsim::WaitList::new();
-            let ev =
-                engine.submit(CommandDesc { device, kind, duration, waits, queue: usize::MAX });
-            engine.wait(ev);
+        fn charge(
+            engine: &mut Engine,
+            device: DeviceId,
+            kind: CommandKind,
+            duration: SimDuration,
+            after: impl IntoIterator<Item = Option<EventId>>,
+        ) -> EventId {
+            let waits = after.into_iter().flatten().collect();
+            engine.submit(CommandDesc { device, kind, duration, waits, queue: usize::MAX })
         }
         let node = self.platform.node();
         // The profiled kernels' distinct buffers: profiling moves real data.
-        let mut buffers: Vec<Buffer> = Vec::new();
+        // Each goes with the D2H that filled its host copy in this window
+        // (with caching), which every later H2D of it waits on.
+        let mut buffers: Vec<(Buffer, Option<EventId>)> = Vec::new();
         for t in pending.iter().flat_map(|p| p.args.touched()) {
-            if buffers.iter().all(|b| b.id() != t.buf.id()) {
-                buffers.push(t.buf.clone());
+            if buffers.iter().all(|(b, _)| b.id() != t.buf.id()) {
+                buffers.push((t.buf.clone(), None));
             }
         }
         let mut kernel_rows = self.platform.with_engine(|engine| {
@@ -1466,17 +1483,34 @@ impl RtInner {
                     (name, probe, vec![SimDuration::ZERO; devices.len()])
                 })
                 .collect();
+            // The command that ends last of every chain and every D2H: the
+            // one the host waits for.
+            let mut latest: Option<EventId> = None;
+            let mut host_waits_for = |engine: &Engine, ev: EventId| {
+                let end = engine.stamp(ev).end;
+                if latest.is_none_or(|l| engine.stamp(l).end < end) {
+                    latest = Some(ev);
+                }
+            };
             for (di, &dev) in devices.iter().enumerate() {
-                // No probe on a device lost as of now (earlier probes moved
-                // the clock) or too small for the queue: its row stays zero.
+                // No probe on a device lost as of the window's start or too
+                // small for the queue: its row stays zero.
                 if engine.device_lost(dev) || !plan::eligible(input, di, need) {
                     continue;
                 }
+                // A chain stops at its device's loss: the command that meets
+                // it fails, nothing is submitted after it, and the device
+                // keeps the zero row of one lost before the window.
+                let died = |e: &Engine, ev| {
+                    e.event_status(ev) == CommandStatus::Failed(FaultKind::DeviceLost)
+                };
+                let mut alive = true;
+                let mut last: Option<EventId> = None;
                 // Stage the inputs onto `dev` (§V-C3). Brute force (caching
                 // off) stages D2H + H2D for every destination; with caching,
                 // one D2H fills a host copy every destination reuses, and
                 // destinations keep their copies for the real issue.
-                for b in &buffers {
+                for (b, filled) in buffers.iter_mut() {
                     let res = b.residency();
                     if res.valid_on(dev) {
                         continue;
@@ -1486,18 +1520,31 @@ impl RtInner {
                         Some(src) if !(self.options.data_caching && res.host) => Some(src),
                         _ => None,
                     };
+                    // The download this upload reads the host copy of: its
+                    // own (brute force, or the first with caching), else the
+                    // one that filled the cached copy (none when the host
+                    // held the data before the window).
+                    let mut host_copy = *filled;
                     if let Some(src) = fetch {
                         let d2h = node.topology.host_transfer_time(src, bytes, &node.devices);
                         let kind =
                             CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
-                        charge(engine, src, kind, d2h);
+                        let ev = charge(engine, src, kind, d2h, []);
+                        host_waits_for(engine, ev);
+                        host_copy = Some(ev);
                         if self.options.data_caching {
                             b.mark_host_valid();
+                            *filled = Some(ev);
                         }
                     }
                     let h2d = node.topology.host_transfer_time(dev, bytes, &node.devices);
                     let kind = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
-                    charge(engine, dev, kind, h2d);
+                    let ev = charge(engine, dev, kind, h2d, [last, host_copy]);
+                    last = Some(ev);
+                    if died(engine, ev) {
+                        alive = false;
+                        break;
+                    }
                     if self.options.data_caching {
                         b.mark_resident(dev);
                     }
@@ -1506,6 +1553,9 @@ impl RtInner {
                 // (the paper's name-keyed cache makes the same approximation).
                 let spec = node.spec(dev);
                 for (p, (_, probe, row)) in pending.iter().zip(kernel_rows.iter_mut()) {
+                    if !alive {
+                        break;
+                    }
                     let nd = p.kernel.effective_nd(dev, p.nd);
                     let shape = nd.shape();
                     let cost = p.kernel.cost();
@@ -1520,9 +1570,22 @@ impl RtInner {
                         (full, full)
                     };
                     let name = Arc::clone(probe);
-                    charge(engine, dev, CommandKind::Kernel { name }, charged);
+                    let ev = charge(engine, dev, CommandKind::Kernel { name }, charged, [last]);
+                    last = Some(ev);
+                    alive = !died(engine, ev);
                     row[di] = estimated_full;
                 }
+                if !alive {
+                    for (_, _, row) in kernel_rows.iter_mut() {
+                        row[di] = SimDuration::ZERO;
+                    }
+                }
+                if let Some(ev) = last {
+                    host_waits_for(engine, ev);
+                }
+            }
+            if let Some(ev) = latest {
+                engine.wait(ev);
             }
             engine.set_tag(prev_tag.as_deref());
             kernel_rows
