@@ -16,7 +16,11 @@
 //! WAW predecessors of the buffers it touches, in both planes. Independent
 //! commands may overlap in virtual time (e.g. one kernel's input migration
 //! running while an earlier kernel still executes) and in wall-clock time;
-//! dependent ones never do, on either queue kind.
+//! dependent ones never do. An in-order queue waits on its own chain alone
+//! in virtual time: a command of it that depends on another queue's command
+//! (a migration of a buffer a kernel on another device is still writing)
+//! can overlap that command there. The data plane orders the two by their
+//! touches on either queue kind, so results are exact (ROADMAP item 6(a)).
 //!
 //! Every enqueue operation:
 //! 1. validates arguments (context membership, sizes, capacities),
@@ -1130,6 +1134,36 @@ mod tests {
         let eb = q.enqueue_ndrange(&kb, NdRange::d1(1 << 20, 128), &[]).unwrap();
         q.finish();
         (ea, eb)
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 6(a): an in-order queue waits on its own chain alone, so in \
+                virtual time it can move a buffer another queue is still writing"]
+    fn an_in_order_queue_moves_a_buffer_after_another_queues_writer_ends() {
+        let (p, ctx, k, x) = setup();
+        // Queue A writes `x` on GPU 1 with a long kernel.
+        let a = ctx.create_queue(DeviceId(1)).unwrap();
+        a.enqueue_write(&x, &vec![1.0f64; 1024]).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(x.clone())).unwrap();
+        let writer = a.enqueue_ndrange(&k, NdRange::d1(1 << 20, 128), &[]).unwrap();
+        // Queue B, in order on GPU 2, runs a kernel on it next: x stages
+        // through the host.
+        let b = ctx.create_queue(DeviceId(2)).unwrap();
+        b.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        a.finish();
+        b.finish();
+        let trace = p.trace_snapshot();
+        let d2h = |r: &&hwsim::trace::TraceRecord| {
+            matches!(r.kind, CommandKind::Transfer { kind: TransferKind::DeviceToHost, .. })
+        };
+        let download = trace.records.iter().find(d2h).expect("x leaves GPU 1");
+        // The download reads what A's kernel writes: it starts after it ends.
+        assert!(
+            download.stamp.start >= writer.stamp().end,
+            "download {:?} overlaps the writer {:?}",
+            download.stamp,
+            writer.stamp()
+        );
     }
 
     #[test]

@@ -301,8 +301,8 @@ mod tests {
         let n = platform.node().device_count();
         for q in [&q1, &q2] {
             let d = decision.iter().find(|d| d.queue == q.id()).expect("one record per queue");
-            assert_eq!(d.exec_estimates.len(), n);
-            assert_eq!(d.migration_costs.len(), n);
+            assert_eq!(d.cost.exec.len(), n);
+            assert_eq!(d.cost.migration.len(), n);
             assert_eq!(d.chosen, q.device(), "the decision names where the queue ran");
             // The chosen device attains the minimum recorded total cost
             // (compare by value: the two paper GPUs are identical, so the

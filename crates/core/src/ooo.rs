@@ -15,11 +15,9 @@
 //! restricted at every step to commands whose hazard-edge predecessors have
 //! already been emitted (a list schedule over the command DAG).
 //!
-//! The same machinery doubles as the mapper's overlap-aware cost model:
-//! [`Scratch::overlap_makespan`] estimates the two-lane completion time of
-//! a batch on one device, replacing the straight `Σ(exec) + Σ(migration)`
-//! sum — so `AUTO_FIT` sees the benefit of transfer/compute overlap when
-//! placing out-of-order queues.
+//! This module orders; it does not clock. What an order costs — and what an
+//! out-of-order queue's overlap row is — is the plan's replay
+//! (`plan::replayed_end`), which runs commands on each device's [`Lanes`].
 
 use clrt::hazard::Frontier;
 use hwsim::SimDuration;
@@ -43,9 +41,8 @@ pub struct BatchCmd {
 /// A device's two engines as the time plane clocks them, in ns from some
 /// origin: the copy lane runs staging transfers and the compute lane
 /// kernels, each in the order they are issued, and a command starts when
-/// its lane is free and what it waits on has ended. The reorderer's
-/// makespan estimate ([`Scratch::lane_makespan`]) and the plan's epoch
-/// replay (`plan::replayed_end`) both clock their commands through it.
+/// its lane is free and what it waits on has ended. The plan's epoch replay
+/// (`plan::replayed_end`) clocks its commands through it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Lanes {
     /// When the copy lane comes free.
@@ -76,7 +73,8 @@ pub fn hazard_edges(cmds: &[BatchCmd]) -> Vec<(usize, usize)> {
 
 /// What the reorderer works in, kept by its caller from batch to batch so
 /// that a steady epoch allocates nothing here. It holds the hazard DAG of
-/// the last [`Scratch::hazard_edges`] call, which the other routines use.
+/// the last [`Scratch::hazard_edges`] call, which [`Scratch::johnson_order`]
+/// schedules.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// `(buffer, command, write)` for every access of the batch.
@@ -89,8 +87,6 @@ pub struct Scratch {
     indegree: Vec<usize>,
     ready: Vec<usize>,
     order: Vec<usize>,
-    /// Per command: when its last emitted predecessor finishes.
-    after: Vec<u64>,
 }
 
 impl Scratch {
@@ -100,7 +96,7 @@ impl Scratch {
     /// in the batch.
     ///
     /// Edges are deduplicated and returned sorted by `(i, j)`; they are the
-    /// DAG the other routines schedule until the next call.
+    /// DAG [`Scratch::johnson_order`] schedules until the next call.
     pub fn hazard_edges(&mut self, cmds: &[BatchCmd]) -> &[(usize, usize)] {
         self.accesses.clear();
         for (j, cmd) in cmds.iter().enumerate() {
@@ -169,47 +165,6 @@ impl Scratch {
         debug_assert_eq!(self.order.len(), n, "hazard edges must form a DAG");
         &self.order
     }
-
-    /// Simulated two-lane completion time of emitting `cmds` in `order` on
-    /// one device's [`Lanes`]: each command's transfer occupies the copy
-    /// lane, its kernel the compute lane, the kernel starts after its own
-    /// transfer completes, and no stage starts before every hazard-edge
-    /// predecessor (of the current DAG) has fully finished.
-    pub fn lane_makespan(&mut self, cmds: &[BatchCmd], order: &[usize]) -> SimDuration {
-        // A command's predecessors push their end times forward as they are
-        // emitted; one not yet emitted has not finished, which counts as 0.
-        self.after.clear();
-        self.after.resize(cmds.len(), 0);
-        let mut lanes = Lanes::default();
-        let mut makespan = 0u64;
-        for &i in order {
-            let ready = self.after[i];
-            // No staging: the command never touches the copy lane.
-            let staged = match cmds[i].transfer.as_nanos() {
-                0 => ready,
-                t => lanes.stage(ready, t),
-            };
-            let end = lanes.run(staged, cmds[i].kernel.as_nanos());
-            for &(_, j) in &self.edges[self.first[i]..self.first[i + 1]] {
-                self.after[j] = self.after[j].max(end);
-            }
-            makespan = makespan.max(end);
-        }
-        SimDuration::from_nanos(makespan)
-    }
-
-    /// The overlap-aware makespan estimate of a batch on one device over the
-    /// current hazard DAG: Johnson list schedule → two-lane simulation. The
-    /// edges depend only on the buffer sets, so a batch costed on several
-    /// devices computes them once. This is what the mapper substitutes for
-    /// the straight serial sum when costing an out-of-order queue.
-    pub fn overlap_makespan(&mut self, cmds: &[BatchCmd]) -> SimDuration {
-        self.johnson_order(cmds);
-        let order = std::mem::take(&mut self.order);
-        let makespan = self.lane_makespan(cmds, &order);
-        self.order = order;
-        makespan
-    }
 }
 
 /// Number of commands a schedule displaced from their program position —
@@ -251,16 +206,12 @@ mod tests {
     #[test]
     fn johnson_puts_transfer_light_jobs_first() {
         // Classic two-machine instance: the transfer-heavy job must go
-        // last so its copy time hides under the others' kernels.
+        // last so its copy time hides under the others' kernels (the plan's
+        // tests replay that it ends sooner than program order).
         let cmds = [cmd(&[], &[1], 90, 10), cmd(&[], &[2], 10, 80), cmd(&[], &[3], 30, 60)];
         let mut s = Scratch::default();
         assert!(s.hazard_edges(&cmds).is_empty());
-        let order = s.johnson_order(&cmds).to_vec();
-        assert_eq!(order, vec![1, 2, 0]);
-        // And the schedule is strictly better than program order.
-        let reordered = s.lane_makespan(&cmds, &order);
-        let program = s.lane_makespan(&cmds, &[0, 1, 2]);
-        assert!(reordered < program, "{reordered} !< {program}");
+        assert_eq!(s.johnson_order(&cmds), [1, 2, 0]);
     }
 
     #[test]
@@ -274,40 +225,6 @@ mod tests {
         let p0 = order.iter().position(|&i| i == 0).unwrap();
         let p2 = order.iter().position(|&i| i == 2).unwrap();
         assert!(p0 < p2, "dependent command emitted before its producer: {order:?}");
-    }
-
-    #[test]
-    fn lane_makespan_overlaps_transfer_with_compute() {
-        // Two independent (transfer=40, kernel=60) jobs: serial execution
-        // costs 200, the pipeline hides the second transfer entirely.
-        let cmds = [cmd(&[], &[1], 40, 60), cmd(&[], &[2], 40, 60)];
-        let mut s = Scratch::default();
-        s.hazard_edges(&cmds);
-        let makespan = s.lane_makespan(&cmds, &[0, 1]);
-        assert_eq!(makespan, SimDuration::from_nanos(160));
-        assert!(makespan < SimDuration::from_nanos(200));
-    }
-
-    #[test]
-    fn raw_chain_cannot_overlap() {
-        // A strict RAW chain degenerates to the serial sum.
-        let cmds = [cmd(&[], &[1], 40, 60), cmd(&[1], &[1], 40, 60)];
-        let mut s = Scratch::default();
-        s.hazard_edges(&cmds);
-        assert_eq!(s.overlap_makespan(&cmds), SimDuration::from_nanos(200));
-    }
-
-    #[test]
-    fn overlap_makespan_beats_serial_sum_on_independent_batch() {
-        let cmds: Vec<BatchCmd> = (0..8).map(|i| cmd(&[], &[i as u64 + 1], 40, 40)).collect();
-        let serial: u64 = cmds.iter().map(|c| c.transfer.as_nanos() + c.kernel.as_nanos()).sum();
-        let mut s = Scratch::default();
-        s.hazard_edges(&cmds);
-        let overlapped = s.overlap_makespan(&cmds);
-        assert!(
-            overlapped.as_nanos() * 3 < serial * 2,
-            "expected ≥33% reduction: {overlapped} vs serial {serial}ns"
-        );
     }
 
     #[test]

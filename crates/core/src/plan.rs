@@ -9,13 +9,17 @@
 //! and kernel times, each buffer's transfer to each device, and what the
 //! cost model needs to price a split chunk at its own size. Decide prices
 //! the rest of the prediction from them — each queue's migration row and an
-//! out-of-order queue's two-lane overlap row ([`ooo`]'s lane model) — then
-//! gives each pool queue's device (ROUND_ROBIN's rotation, or AUTO_FIT's
-//! mapper) and the issue order of the out-of-order launches. Last it judges
-//! each split candidate inside its epoch: it replays the epoch's issue
-//! order through the time plane's rules with the launch whole and with its
-//! best shares ([`split::balance`]), and keeps the split only when the
-//! replayed epoch ends sooner.
+//! out-of-order queue's overlap row — then gives each pool queue's device
+//! (ROUND_ROBIN's rotation, or AUTO_FIT's mapper) and the issue order of the
+//! out-of-order launches ([`ooo`]'s Johnson rule). Last it judges each split
+//! candidate inside its epoch, with the launch whole and with its best shares
+//! ([`split::balance`]), and keeps the split only when the epoch ends sooner.
+//!
+//! One clock times all of it: the replay of launches through the time
+//! plane's rules ([`replayed_end`]) — lanes, hazards, residency. An overlap
+//! row is the replay of the queue's own launches alone, a Johnson key is a
+//! launch's whole time on its device, and a split is judged by replaying
+//! the epoch's issue order.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
@@ -36,14 +40,15 @@ pub struct CostRow {
     /// Predicted data-migration cost of choosing the device: the transfers
     /// of the distinct buffers its launches bind.
     pub migration: Arc<[SimDuration]>,
-    /// An out-of-order queue's two-lane makespan estimate
-    /// ([`ooo::Scratch::overlap_makespan`]), which the mapper takes over
-    /// `exec + migration` when present.
+    /// An out-of-order queue's overlap row: per column, when the replay of
+    /// its own launches alone ends, from idle lanes and the snapshot's
+    /// residency. The mapper takes it over `exec + migration` when present.
     pub overlap: Option<Arc<[SimDuration]>>,
 }
 
-/// The mapper-visible cost of `row` on device column `di`.
-fn total(row: &CostRow, di: usize) -> SimDuration {
+/// The mapper-visible cost of `row` on device column `di`: the one rule the
+/// mapper, ROUND_ROBIN's load and the explain record read.
+pub fn total(row: &CostRow, di: usize) -> SimDuration {
     match &row.overlap {
         Some(ov) => ov[di],
         None => row.exec[di] + row.migration[di],
@@ -61,7 +66,8 @@ pub enum ExecSource {
     /// profiles, lacks kernel profiles: a migration row, no overlap row.
     Estimated,
     /// The sum of its launches' kernel-profile rows, every launch having
-    /// one: a migration row, and an out-of-order queue's overlap row.
+    /// one: a migration row, and an out-of-order queue's overlap row unless
+    /// its copies are free.
     Profiled,
 }
 
@@ -214,19 +220,18 @@ pub struct PlanScratch {
     costs: mapper::CostMatrix,
     warm: Vec<DeviceId>,
     load: Vec<SimDuration>,
-    /// A batch in the two-lane model, the reorder's entries' launches, and
-    /// per buffer slot and column whether a first-touch walk has touched it
-    /// there yet.
+    /// The reorder's batch and its entries' launches, and per buffer slot
+    /// and column whether a first-touch walk has touched it there yet.
     batch: Vec<ooo::BatchCmd>,
     batch_launch: Vec<usize>,
     touched: Vec<bool>,
     dag: ooo::Scratch,
     /// The epoch's launches in issue order, the replay at the launch being
-    /// judged and a trial copy of it, a candidate's shares, per column when
-    /// a chunk of it could start and when the copy lane is free then, the
-    /// tabulated price of its shares up to a full wave and where each
-    /// column's table starts, and the columns by how soon they would run it
-    /// whole.
+    /// judged (an overlap row's replay before that) and a trial copy of it,
+    /// a candidate's shares, per column when a chunk of it could start and
+    /// when the copy lane is free then, the tabulated price of its shares
+    /// up to a full wave and where each column's table starts, and the
+    /// columns by how soon they would run it whole.
     issue: Vec<usize>,
     at: Replay,
     trial: Replay,
@@ -273,12 +278,12 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 
 /// Each queue's cost row (§IV: data migration included). Per column, its
 /// migration is the sum of its distinct buffers' transfers, and an
-/// out-of-order queue with a profiled row gets the two-lane makespan of its
-/// launches ([`ooo::Scratch::overlap_makespan`]) at their profiled kernel
-/// times. Only a profiled or estimated row prices data, and an
-/// explicit-region queue's copies are free.
+/// out-of-order queue with a profiled row gets the [`Replay`] of its
+/// launches alone, in program order. Only a profiled or estimated row
+/// prices data, and an explicit-region queue's copies are free — so it gets
+/// no overlap row, which would be its `exec`.
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
-    let PlanScratch { batch, touched, dag, .. } = scratch;
+    let PlanScratch { touched, at, .. } = scratch;
     let n = input.devices.len();
     plan.costs.clear();
     for q in &input.queues {
@@ -294,55 +299,16 @@ fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
                 touches().filter(first).map(|t| input.transfer[t.buffer * n + di]).sum()
             })
             .collect();
-        let overlap = (q.out_of_order && q.source == ExecSource::Profiled).then(|| {
-            let lanes = |di| {
-                let launches = q.launches.clone();
-                let cmds =
-                    fill_batch(input, launches, &input.profiled, |_| di, copies, touched, batch);
-                dag.hazard_edges(cmds);
-                dag.overlap_makespan(cmds)
+        let overlap = (copies && q.out_of_order && q.source == ExecSource::Profiled).then(|| {
+            let alone = |di| {
+                Replay::reset(at, input);
+                q.launches.clone().for_each(|l| Replay::whole(at, input, l, di));
+                SimDuration::from_nanos(at.end)
             };
-            (0..n).map(lanes).collect()
+            (0..n).map(alone).collect()
         });
         plan.costs.push(CostRow { exec: Arc::clone(&q.exec), migration, overlap });
     }
-}
-
-/// `launches` as the two-lane model sees them, refilled into `batch`'s
-/// first entries: each one's accesses as buffer-id hazard sets, its kernel
-/// time from `times` on column `column(launch)`, and the transfers of the
-/// buffers it is the first of `launches` to touch there — none without
-/// `copies`.
-fn fill_batch<'b>(
-    input: &PassInput,
-    launches: impl Iterator<Item = usize>,
-    times: &[SimDuration],
-    column: impl Fn(usize) -> usize,
-    copies: bool,
-    touched: &mut [bool],
-    batch: &'b mut Vec<ooo::BatchCmd>,
-) -> &'b [ooo::BatchCmd] {
-    let n = input.devices.len();
-    touched.fill(false);
-    let mut len = 0;
-    for l in launches {
-        if len == batch.len() {
-            batch.push(ooo::BatchCmd::default());
-        }
-        let (cmd, di) = (&mut batch[len], column(l));
-        len += 1;
-        (cmd.kernel, cmd.transfer) = (times[l * n + di], SimDuration::ZERO);
-        cmd.reads.clear();
-        cmd.writes.clear();
-        for t in &input.touches[input.launches[l].touches.clone()] {
-            if t.write { &mut cmd.writes } else { &mut cmd.reads }.push(input.buffers[t.buffer]);
-            let cell = t.buffer * n + di;
-            if copies && !std::mem::replace(&mut touched[cell], true) {
-                cmd.transfer += input.transfer[cell];
-            }
-        }
-    }
-    &batch[..len]
 }
 
 /// ROUND_ROBIN (§IV-A): a queue keeps the binding a pass gave it while it
@@ -403,17 +369,33 @@ fn auto_fit(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 
 /// The out-of-order launches, in pool and program order, put in Johnson's
 /// rule order over their hazard DAG ([`ooo`]), each costed on its queue's
-/// planned device: its kernel time, and the transfers of the buffers it is
-/// the first to touch there. The order only interleaves the lanes.
+/// planned device: its whole time there ([`whole_time`], the replay's), and
+/// the transfers of the buffers it is the first of the batch to touch there.
+/// The order only interleaves the lanes.
 fn reorder(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let PlanScratch { batch, batch_launch, touched, dag, .. } = scratch;
+    let n = input.devices.len();
     batch_launch.clear();
     batch_launch.extend(
         (0..input.launches.len()).filter(|&l| input.queues[input.launches[l].queue].out_of_order),
     );
-    let column = |l: usize| plan.device[input.launches[l].queue];
-    let launches = batch_launch.iter().copied();
-    let cmds = fill_batch(input, launches, &input.kernel_time, column, true, touched, batch);
+    batch.resize_with(batch.len().max(batch_launch.len()), ooo::BatchCmd::default);
+    touched.fill(false);
+    for (cmd, &l) in batch.iter_mut().zip(batch_launch.iter()) {
+        let di = plan.device[input.launches[l].queue];
+        (cmd.kernel, cmd.transfer) =
+            (SimDuration::from_nanos(whole_time(input, l, di)), SimDuration::ZERO);
+        cmd.reads.clear();
+        cmd.writes.clear();
+        for t in &input.touches[input.launches[l].touches.clone()] {
+            if t.write { &mut cmd.writes } else { &mut cmd.reads }.push(input.buffers[t.buffer]);
+            let cell = t.buffer * n + di;
+            if !std::mem::replace(&mut touched[cell], true) {
+                cmd.transfer += input.transfer[cell];
+            }
+        }
+    }
+    let cmds = &batch[..batch_launch.len()];
     dag.hazard_edges(cmds);
     let order = dag.johnson_order(cmds);
     plan.reordered = ooo::count_displaced(order);
@@ -626,14 +608,13 @@ enum Held {
 }
 
 /// An epoch's issue replayed through the time plane's rules, in ns from the
-/// flush, on each column's [`ooo::Lanes`]. What a launch waits on is, in
-/// order, its queue's previous command and, out of order, its buffer
-/// hazards (RAW, and WAR/WAW for a write) — per buffer, the last writer's
-/// and the last access's ends, which is what the reorderer's hazard DAG
-/// orders. A whole launch makes its buffers valid on its device once that
-/// has ended (a copy-lane transfer each) and then runs its kernel, as
-/// [`ooo::Scratch::lane_makespan`] clocks a command. A split
-/// issues a start marker on the home compute lane; per chunk, its input
+/// flush, on each column's [`ooo::Lanes`]: decide's one clock. What a launch
+/// waits on is, in order, its queue's previous command and, out of order,
+/// its buffer hazards (RAW, and WAR/WAW for a write) — per buffer, the last
+/// writer's and the last access's ends, which is what the reorderer's hazard
+/// DAG orders. A whole launch makes its buffers valid on its device once
+/// that has ended (a copy-lane transfer each) and then runs its kernel. A
+/// split issues a start marker on the home compute lane; per chunk, its input
 /// transfers, its kernel at its own size and a share-sized gather per
 /// written buffer, chained on the device's split lane; and the join on the
 /// home compute lane, which leaves every written buffer on the host alone.

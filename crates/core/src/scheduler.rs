@@ -163,7 +163,9 @@ impl std::fmt::Debug for SchedOptions {
 pub struct SchedStats {
     /// Times the scheduler ran over a non-empty pool.
     pub sched_invocations: u64,
-    /// Epochs whose cost vectors required dynamic profiling.
+    /// Profiling windows, despite the name: one per pool queue per pass that
+    /// had kernels to profile, so a first epoch over four cold queues counts
+    /// four. `perf` reads it under this name.
     pub profiled_epochs: u64,
     /// Epochs served entirely from the profile caches.
     pub cache_hits: u64,
@@ -728,9 +730,7 @@ impl RtInner {
                 queues: queues
                     .map(|((q, cost), &di)| QueueDecision {
                         queue: q.id,
-                        exec_estimates: Arc::clone(&cost.exec),
-                        migration_costs: Arc::clone(&cost.migration),
-                        overlap_estimates: cost.overlap.clone().unwrap_or_default(),
+                        cost: cost.clone(),
                         chosen: input.devices[di],
                         previous: q.cl.device(),
                     })

@@ -1,29 +1,26 @@
 //! The typed scheduler event stream and its JSON codec.
 
 use super::tracing::AttemptTrace;
+use crate::plan::{self, CostRow};
 use hwsim::json::{write_num, write_str, Json};
 use hwsim::{DeviceId, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Everything the mapper knew about one queue when it made its decision —
-/// the "explain record" of a `MappingDecision`. The rows are the cost rows
-/// the scheduler computed (a warm epoch's `exec_estimates` is the epoch
-/// cache's own row), shared rather than copied.
+/// the "explain record" of a `MappingDecision`: the pass's [`CostRow`] for
+/// the queue (a warm epoch's `exec` is the epoch cache's own row), shared
+/// rather than copied. On the wire its rows are `exec_ns`, `migration_ns`
+/// and `overlap_ns` (`[]` without an overlap row).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueDecision {
     /// Stable queue id (creation order within the context).
     pub queue: usize,
-    /// Estimated execution time of the queue's pending epoch per device
-    /// (device order), from dynamic profiles or static hint scores.
-    pub exec_estimates: Arc<[SimDuration]>,
-    /// Predicted data-migration cost of *choosing* each device (zero for
-    /// explicit-region queues, whose one-time migration is amortized).
-    pub migration_costs: Arc<[SimDuration]>,
-    /// For `SCHED_OUT_OF_ORDER` queues with warm kernel profiles: the
-    /// lane-aware per-device makespan estimate (Johnson two-lane list
-    /// schedule) the mapper used *instead of* `exec + migration`. Empty
-    /// for in-order queues and cold epochs.
-    pub overlap_estimates: Arc<[SimDuration]>,
+    /// Per device (device order): the estimated execution time of the
+    /// queue's pending epoch, the data-migration cost of *choosing* the
+    /// device, and for a `SCHED_OUT_OF_ORDER` queue with a profiled row
+    /// and priced copies, the replay of its launches alone, which the
+    /// mapper used *instead of* `exec + migration`.
+    pub cost: CostRow,
     /// The device the mapper assigned.
     pub chosen: DeviceId,
     /// The device the queue was bound to before this decision.
@@ -31,13 +28,9 @@ pub struct QueueDecision {
 }
 
 impl QueueDecision {
-    /// Total cost the mapper saw for `device`: the lane-aware overlap
-    /// estimate when one was recorded, else execution + migration.
+    /// Total cost the mapper saw for `device` ([`plan::total`]).
     pub fn total(&self, device: DeviceId) -> SimDuration {
-        match self.overlap_estimates.get(device.index()) {
-            Some(&ov) => ov,
-            None => self.exec_estimates[device.index()] + self.migration_costs[device.index()],
-        }
+        plan::total(&self.cost, device.index())
     }
 
     /// The device with the minimum total cost for this queue alone. The
@@ -45,7 +38,7 @@ impl QueueDecision {
     /// always [`Self::chosen`] — but when it differs, the decision log shows
     /// exactly which contention forced the detour.
     pub fn argmin_total(&self) -> DeviceId {
-        let n = self.exec_estimates.len();
+        let n = self.cost.exec.len();
         (0..n)
             .map(DeviceId)
             .min_by_key(|&d| self.total(d))
@@ -98,6 +91,9 @@ wire_leaves! {
         Some(n) => n.write(out),
         None => out.push_str("null"),
     }, |j| Some(j.as_u64());
+    // An optional cost row: `[]` when absent.
+    Option<Arc<[SimDuration]>>: |v, out| write_arr(v.as_deref().unwrap_or_default(), out),
+        |j| Arc::<[SimDuration]>::decode(j).map(|row| Some(row).filter(|r| !r.is_empty()));
 }
 
 /// A JSON array of `items`.
@@ -149,20 +145,30 @@ impl Wire for QueueDecision {
     fn write(&self, out: &mut String) {
         write_obj!(out,
             "queue": &self.queue,
-            "exec_ns": &self.exec_estimates,
-            "migration_ns": &self.migration_costs,
-            "overlap_ns": &self.overlap_estimates,
+            "exec_ns": &self.cost.exec,
+            "migration_ns": &self.cost.migration,
+            "overlap_ns": &self.cost.overlap,
             "chosen": &self.chosen,
             "previous": &self.previous,
         );
     }
+    /// `None` too when the rows differ in length: every total reads one
+    /// column of each.
     fn decode(value: &Json) -> Option<Self> {
+        let cost = CostRow {
+            exec: field(value, "exec_ns")?,
+            migration: field(value, "migration_ns")?,
+            // Added with the out-of-order flush; absent in older streams.
+            overlap: field_or(value, "overlap_ns", || None),
+        };
+        let n = cost.exec.len();
+        let rows = [Some(&cost.migration), cost.overlap.as_ref()];
+        if rows.iter().flatten().any(|row| row.len() != n) {
+            return None;
+        }
         Some(QueueDecision {
             queue: field(value, "queue")?,
-            exec_estimates: field(value, "exec_ns")?,
-            migration_costs: field(value, "migration_ns")?,
-            // Added with the out-of-order flush; absent in older streams.
-            overlap_estimates: field_or(value, "overlap_ns", Arc::default),
+            cost,
             chosen: field(value, "chosen")?,
             previous: field(value, "previous")?,
         })
@@ -668,9 +674,11 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             mapper_wall: ns(2_500),
             queues: vec![QueueDecision {
                 queue: 0,
-                exec_estimates: vec![ns(5), ns(9)].into(),
-                migration_costs: vec![ns(1), ns(0)].into(),
-                overlap_estimates: vec![ns(4), ns(7)].into(),
+                cost: CostRow {
+                    exec: vec![ns(5), ns(9)].into(),
+                    migration: vec![ns(1), ns(0)].into(),
+                    overlap: Some(vec![ns(4), ns(7)].into()),
+                },
                 chosen: DeviceId(0),
                 previous: DeviceId(1),
             }],
@@ -961,6 +969,19 @@ mod tests {
     }
 
     #[test]
+    fn a_decision_whose_rows_differ_in_length_is_rejected() {
+        let parse = |overlap: &str| {
+            let text = format!(
+                r#"{{"queue":0,"exec_ns":[5,9],"migration_ns":[1,0],"overlap_ns":{overlap},"chosen":0,"previous":1}}"#
+            );
+            QueueDecision::decode(&Json::parse(&text).expect("valid JSON"))
+        };
+        assert_eq!(parse("[]").map(|d| d.cost.overlap), Some(None));
+        assert_eq!(parse("[4,7]").and_then(|d| d.cost.overlap), Some(vec![ns(4), ns(7)].into()));
+        assert_eq!(parse("[4]"), None);
+    }
+
+    #[test]
     fn unknown_type_is_rejected() {
         let v = Json::parse(r#"{"type":"warp_drive","epoch":1}"#).unwrap();
         assert_eq!(SchedEvent::from_json(&v), None);
@@ -970,9 +991,11 @@ mod tests {
     fn decision_totals_and_argmin() {
         let d = QueueDecision {
             queue: 3,
-            exec_estimates: vec![ns(100), ns(50), ns(70)].into(),
-            migration_costs: vec![ns(0), ns(60), ns(10)].into(),
-            overlap_estimates: vec![].into(),
+            cost: CostRow {
+                exec: vec![ns(100), ns(50), ns(70)].into(),
+                migration: vec![ns(0), ns(60), ns(10)].into(),
+                overlap: None,
+            },
             chosen: DeviceId(2),
             previous: DeviceId(0),
         };
@@ -986,9 +1009,11 @@ mod tests {
     fn decision_totals_prefer_overlap_estimates_when_present() {
         let d = QueueDecision {
             queue: 3,
-            exec_estimates: vec![ns(100), ns(50)].into(),
-            migration_costs: vec![ns(0), ns(60)].into(),
-            overlap_estimates: vec![ns(90), ns(80)].into(),
+            cost: CostRow {
+                exec: vec![ns(100), ns(50)].into(),
+                migration: vec![ns(0), ns(60)].into(),
+                overlap: Some(vec![ns(90), ns(80)].into()),
+            },
             chosen: DeviceId(1),
             previous: DeviceId(0),
         };

@@ -145,20 +145,23 @@ pub fn one_line(event: &SchedEvent) -> String {
 
 /// Render one queue's explain record as table rows (one per device), with
 /// `*` marking the device the mapper chose and `<` marking the queue-local
-/// argmin when contention pushed the mapper elsewhere.
+/// argmin when contention pushed the mapper elsewhere. An out-of-order
+/// queue's replay row, which the mapper took over the sum, is a column of
+/// its own.
 fn decision_rows(out: &mut String, d: &QueueDecision) {
     let argmin = d.argmin_total();
-    for i in 0..d.exec_estimates.len() {
+    let (exec, migration) = (&d.cost.exec, &d.cost.migration);
+    for i in 0..exec.len() {
         let dev = hwsim::DeviceId(i);
         let chosen = if dev == d.chosen { '*' } else { ' ' };
         let local = if dev == argmin && argmin != d.chosen { '<' } else { ' ' };
-        let _ = writeln!(
-            out,
-            "    {chosen}{local} {dev:>3}  exec {:>12}  +migration {:>12}  = {:>12}",
-            ms(d.exec_estimates[i]),
-            ms(d.migration_costs[i]),
-            ms(d.total(dev)),
-        );
+        let (e, m) = (ms(exec[i]), ms(migration[i]));
+        let _ = write!(out, "    {chosen}{local} {dev:>3}  exec {e:>12}  +migration {m:>12}");
+        let _ = write!(out, "  = {:>12}", ms(exec[i] + migration[i]));
+        if let Some(replay) = &d.cost.overlap {
+            let _ = write!(out, "  replay {:>12} (mapped)", ms(replay[i]));
+        }
+        out.push('\n');
     }
 }
 
@@ -246,10 +249,49 @@ pub fn decision_log(events: &[SchedEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CostRow;
     use hwsim::{DeviceId, SimTime};
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
+    }
+
+    #[test]
+    fn a_replay_row_is_a_column_of_its_own_and_every_line_adds_up() {
+        let mut d = QueueDecision {
+            queue: 0,
+            cost: CostRow {
+                exec: vec![ns(1_000_000), ns(2_000_000)].into(),
+                migration: vec![ns(500_000), ns(0)].into(),
+                overlap: Some(vec![ns(1_200_000), ns(2_100_000)].into()),
+            },
+            chosen: DeviceId(1),
+            previous: DeviceId(0),
+        };
+        // Each line's cells after the device: what was priced, its sum, and
+        // the replay row the mapper took over the sum.
+        let cells = |d: &QueueDecision| -> Vec<String> {
+            let mut out = String::new();
+            decision_rows(&mut out, d);
+            let after = |l: &str| l.split_once("exec").expect(l).1.to_string();
+            out.lines().map(|l| after(l).split_whitespace().collect::<Vec<_>>().join(" ")).collect()
+        };
+        assert_eq!(
+            cells(&d),
+            [
+                "1.000ms +migration 0.500ms = 1.500ms replay 1.200ms (mapped)",
+                "2.000ms +migration 0.000ms = 2.000ms replay 2.100ms (mapped)",
+            ]
+        );
+        // The local argmin is the replay's, not the sum's.
+        assert_eq!(d.argmin_total(), DeviceId(0));
+        // Without a replay row, there is no replay column.
+        d.cost.overlap = None;
+        assert_eq!(
+            cells(&d),
+            ["1.000ms +migration 0.500ms = 1.500ms", "2.000ms +migration 0.000ms = 2.000ms"]
+        );
+        assert_eq!(d.argmin_total(), DeviceId(0));
     }
 
     #[test]
@@ -272,17 +314,21 @@ mod tests {
                 queues: vec![
                     QueueDecision {
                         queue: 0,
-                        exec_estimates: vec![ns(1_000_000), ns(3_000_000)].into(),
-                        migration_costs: vec![ns(0), ns(500_000)].into(),
-                        overlap_estimates: vec![].into(),
+                        cost: CostRow {
+                            exec: vec![ns(1_000_000), ns(3_000_000)].into(),
+                            migration: vec![ns(0), ns(500_000)].into(),
+                            overlap: None,
+                        },
                         chosen: DeviceId(0),
                         previous: DeviceId(0),
                     },
                     QueueDecision {
                         queue: 1,
-                        exec_estimates: vec![ns(1_500_000), ns(2_000_000)].into(),
-                        migration_costs: vec![ns(0), ns(0)].into(),
-                        overlap_estimates: vec![].into(),
+                        cost: CostRow {
+                            exec: vec![ns(1_500_000), ns(2_000_000)].into(),
+                            migration: vec![ns(0), ns(0)].into(),
+                            overlap: None,
+                        },
                         chosen: DeviceId(1),
                         previous: DeviceId(0),
                     },

@@ -174,7 +174,8 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     // Two out-of-order queues, bound to devices 0 and 1, and an in-order
     // one between them that is not reordered. Each is priced at its
     // execution row alone: an estimated row of an explicit-region queue
-    // prices no data.
+    // prices no data. With no profile row on a healthy node, a launch's
+    // whole time is its analytic time.
     // (queue, (buffer slot, write) accesses, kernel time per device)
     type Launch = (usize, &'static [(usize, bool)], [u64; 2]);
     let launches: [Launch; 6] = [
@@ -418,12 +419,43 @@ fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
     assert_eq!(plan.costs[2..], [row(&[1, 2, 3], &[0, 0, 0]), row(&[1, 2, 3], &[0, 0, 0])]);
 }
 
+/// When queue `q`'s launches, replayed alone on column `d` in program
+/// order, end: `replayed_end` of a snapshot that holds that queue alone.
+fn alone(input: &PassInput, q: usize, d: usize) -> SimDuration {
+    let n = input.devices.len();
+    let launches = input.queues[q].launches.clone();
+    let cells = launches.start * n..launches.end * n;
+    let one = PassInput {
+        queues: vec![QueueInput { launches: 0..launches.len(), ..input.queues[q].clone() }],
+        launches: input.launches[launches.clone()]
+            .iter()
+            .map(|l| LaunchInput { queue: 0, ..l.clone() })
+            .collect(),
+        kernel_time: input.kernel_time[cells.clone()].to_vec(),
+        profiled: input.profiled[cells.clone()].to_vec(),
+        profiled_under: (input.profiled_under.iter())
+            .filter(|u| cells.contains(&u.0))
+            .map(|&(c, under)| (c - cells.start, under))
+            .collect(),
+        splits: Vec::new(),
+        split_local: Vec::new(),
+        ..input.clone()
+    };
+    let plan = Plan {
+        device: vec![d],
+        order: (0..launches.len()).collect(),
+        splits: vec![0..0; launches.len()],
+        ..Plan::default()
+    };
+    replayed_end(&one, &plan)
+}
+
 #[test]
-fn an_overlap_row_is_the_lane_makespan_of_the_queues_launches_on_each_column() {
+fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     let mut input = input(ContextSchedPolicy::AutoFit, 2);
     let a = push_buffer(&mut input, &ns(&[400, 0]));
     let b = push_buffer(&mut input, &ns(&[30, 250]));
-    // The lane model runs the profiled kernel times, not the analytic ones.
+    // The replay runs the profiled kernel times, not the analytic ones.
     let analytic: &[u64] = &[7, 7];
     let launches = [
         (&[(a, false), (b, true)][..], analytic, &[100, 300][..]),
@@ -450,51 +482,78 @@ fn an_overlap_row_is_the_lane_makespan_of_the_queues_launches_on_each_column() {
         });
     }
     let plan = plan_of(&input);
-    // The first launch is the first to touch both buffers, on each column.
-    let first_touch = [[430, 250], [0, 0], [0, 0]];
-    let lanes = |copies: bool| -> Arc<[SimDuration]> {
-        (0..2)
-            .map(|d| {
-                let cmds: Vec<BatchCmd> = launches
-                    .iter()
-                    .zip(first_touch)
-                    .map(|((touches, _, kernel), transfer)| BatchCmd {
-                        reads: touches
-                            .iter()
-                            .filter(|t| !t.1)
-                            .map(|t| input.buffers[t.0])
-                            .collect(),
-                        writes: touches
-                            .iter()
-                            .filter(|t| t.1)
-                            .map(|t| input.buffers[t.0])
-                            .collect(),
-                        transfer: SimDuration::from_nanos(if copies { transfer[d] } else { 0 }),
-                        kernel: SimDuration::from_nanos(kernel[d]),
-                    })
-                    .collect();
-                let mut dag = ooo::Scratch::default();
-                dag.hazard_edges(&cmds);
-                dag.overlap_makespan(&cmds)
-            })
-            .collect()
-    };
-    assert_eq!(plan.costs[0].overlap, Some(lanes(true)));
-    assert_eq!(plan.costs[0].overlap, Some(ns(&[540, 630])));
-    // An explicit-region queue's copy lane is free.
-    assert_eq!(plan.costs[3].overlap, Some(lanes(false)));
-    // No overlap row for an in-order queue, nor for one without profiles.
+    let replayed: Arc<[SimDuration]> = (0..2).map(|d| alone(&input, 0, d)).collect();
+    assert_eq!(plan.costs[0].overlap, Some(replayed));
+    // By hand, on column 0: the first launch stages `a` then `b` (400 +
+    // 30) and runs 100; the second runs 50 after it; the third reads `b`,
+    // which the first wrote there, and runs 10 — 590. On column 1, only
+    // `b` moves (250): 250 + 300 + 20 + 80 = 650.
+    assert_eq!(plan.costs[0].overlap, Some(ns(&[590, 650])));
+    // No overlap row for an in-order queue, nor for one without profiles,
+    // nor for one whose copies are free: there it would be its `exec`.
     assert_eq!(plan.costs[1].overlap, None);
     assert_eq!(plan.costs[2].overlap, None);
+    assert_eq!(plan.costs[3], row(&[9, 9], &[0, 0]));
+}
+
+/// Append an out-of-order queue with a profiled row on column 0 of one
+/// launch per entry of `launches`: `(transfer, analytic, profiled)` ns,
+/// each reading a buffer of its own that costs `transfer` to stage.
+fn push_batch(input: &mut PassInput, launches: &[(u64, u64, u64)]) {
+    let q = input.queues.len();
+    let first = input.launches.len();
+    for &(transfer, analytic, profiled) in launches {
+        let slot = push_buffer(input, &ns(&[transfer]));
+        push_launches(input, q, &[(&[(slot, false)], &[analytic], &[profiled])]);
+    }
+    let launches = first..input.launches.len();
+    let q = QueueInput { out_of_order: true, exec: ns(&[1]), launches, ..queue(0, 0) };
+    input.queues.push(q);
+}
+
+#[test]
+fn johnsons_order_replays_sooner_than_program_order() {
+    let mut input = input(ContextSchedPolicy::RoundRobin, 1);
+    // The classic two-machine instance: the transfer-heavy launch goes last
+    // so that its copy hides under the others' kernels.
+    push_batch(&mut input, &[(90, 10, 10), (10, 80, 80), (30, 60, 60)]);
+    let plan = plan_of(&input);
+    assert_eq!(plan.order, [1, 2, 0]);
+    let program = Plan { order: vec![0, 1, 2], ..plan.clone() };
+    // Copies end at 10, 40 and 130, kernels at 90, 150 and 160; in program
+    // order at 90, 100 and 130, and 100, 180 and 240.
+    assert_eq!(replayed_end(&input, &plan), SimDuration::from_nanos(160));
+    assert_eq!(replayed_end(&input, &program), SimDuration::from_nanos(240));
+}
+
+#[test]
+fn on_a_degraded_column_johnsons_keys_follow_the_profile_row() {
+    // The column runs 2× slow. Launch 0's profile row is 20 (40 now) under
+    // a 50 copy: transfer-heavy, it goes last. Launch 1's is 100 (200 now)
+    // under a 30 copy. Their analytic times say the opposite.
+    let mut input = input(ContextSchedPolicy::RoundRobin, 1);
+    input.degradation[0] = 2.0;
+    push_batch(&mut input, &[(50, 100, 20), (30, 10, 100)]);
+    let plan = plan_of(&input);
+    assert_eq!(plan.order, [1, 0]);
+    assert_eq!(plan.reordered, 2);
+    let program = Plan { order: vec![0, 1], ..plan.clone() };
+    assert_eq!(replayed_end(&input, &plan), SimDuration::from_nanos(270));
+    assert_eq!(replayed_end(&input, &program), SimDuration::from_nanos(290));
+    // A row predicted while the column already ran 2× slow is priced as
+    // the healthy one: the same order.
+    input.profiled = ns(&[40, 200]).to_vec();
+    input.profiled_under = vec![(0, 2.0), (1, 2.0)];
+    assert_eq!(plan_of(&input).order, [1, 0]);
 }
 
 /// Each queue's cost row by the pricing rule, recomputed naively: distinct
-/// buffers by search, first touches by search, a fresh lane model.
+/// buffers by search, and an overlap row from a snapshot of the queue alone.
 fn naive_costs(input: &PassInput) -> Vec<CostRow> {
     let n = input.devices.len();
     let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
     let zero = SimDuration::ZERO;
-    let costs = input.queues.iter().map(|q| {
+    let costs = input.queues.iter().enumerate().map(|(qi, q)| {
         let copies = q.source != ExecSource::Static && !q.explicit_region;
         let mut distinct: Vec<usize> =
             q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
@@ -506,34 +565,11 @@ fn naive_costs(input: &PassInput) -> Vec<CostRow> {
                 false => zero,
             })
             .collect();
-        let lanes = |d: usize| {
-            let mut seen: Vec<usize> = Vec::new();
-            let cmds: Vec<BatchCmd> = q
-                .launches
-                .clone()
-                .map(|l| {
-                    let mut cmd =
-                        BatchCmd { kernel: input.profiled[l * n + d], ..BatchCmd::default() };
-                    for t in touches(l) {
-                        if t.write { &mut cmd.writes } else { &mut cmd.reads }
-                            .push(input.buffers[t.buffer]);
-                        if copies && !seen.contains(&t.buffer) {
-                            seen.push(t.buffer);
-                            cmd.transfer += input.transfer[t.buffer * n + d];
-                        }
-                    }
-                    cmd
-                })
-                .collect();
-            let mut dag = ooo::Scratch::default();
-            dag.hazard_edges(&cmds);
-            dag.overlap_makespan(&cmds)
-        };
-        let overlap = q.out_of_order && q.source == ExecSource::Profiled;
+        let overlap = copies && q.out_of_order && q.source == ExecSource::Profiled;
         CostRow {
             exec: Arc::clone(&q.exec),
             migration,
-            overlap: overlap.then(|| (0..n).map(lanes).collect()),
+            overlap: overlap.then(|| (0..n).map(|d| alone(input, qi, d)).collect()),
         }
     });
     costs.collect()
