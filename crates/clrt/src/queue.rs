@@ -211,6 +211,12 @@ impl CommandQueue {
         self.inner.qid
     }
 
+    /// The engine event of the last command submitted here, if any: what an
+    /// in-order queue's next command waits behind.
+    pub fn last_command(&self) -> Option<EventId> {
+        *self.inner.last.lock()
+    }
+
     /// The data-plane executor shared by the runtime.
     fn plane(&self) -> &Arc<DataPlane> {
         &self.inner.ctx.rt.plane

@@ -365,19 +365,25 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{tag}: expected attribution in {events:?}"));
             assert_eq!(attr.0.to_string(), policy.to_string(), "{tag}");
-            assert!(!attr.1.is_zero(), "{tag}: predicted must be a real objective");
             assert!(!attr.2.is_zero(), "{tag}: executed critical path must be nonzero");
-            // AUTO_FIT's prediction is exactly the mapper objective it
-            // announced in the same epoch's decision record.
+            // Either policy predicts the replay of the plan it issues: a
+            // one-kernel epoch, whose upload and kernel the replay times, is
+            // off only by the host's enqueue cost.
+            let (predicted, actual) = (attr.1.as_nanos(), attr.2.as_nanos());
+            assert!(predicted.abs_diff(actual) * 100 < actual, "{tag}: {predicted} vs {actual}");
+            // AUTO_FIT's decision record still reports the mapper objective:
+            // here the one queue's total on its device.
             if policy == ContextSchedPolicy::AutoFit {
-                let makespan = events
+                let (makespan, queue) = events
                     .iter()
                     .find_map(|e| match e {
-                        SchedEvent::MappingDecision { makespan, .. } => Some(*makespan),
+                        SchedEvent::MappingDecision { makespan, queues, .. } => {
+                            Some((*makespan, queues[0].clone()))
+                        }
                         _ => None,
                     })
                     .expect("AUTO_FIT emits a decision");
-                assert_eq!(attr.1, makespan);
+                assert_eq!(makespan, crate::plan::total(&queue.cost, queue.chosen.index()));
             }
         }
     }

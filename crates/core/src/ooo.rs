@@ -17,7 +17,7 @@
 //!
 //! This module orders; it does not clock. What an order costs — and what an
 //! out-of-order queue's overlap row is — is the plan's replay
-//! (`plan::replayed_end`), which runs commands on each device's [`Lanes`].
+//! (`plan::replayed_end`), which runs commands on each device's two lanes.
 
 use clrt::hazard::Frontier;
 use hwsim::SimDuration;
@@ -36,34 +36,6 @@ pub struct BatchCmd {
     pub transfer: SimDuration,
     /// Estimated compute-lane time of the kernel itself.
     pub kernel: SimDuration,
-}
-
-/// A device's two engines as the time plane clocks them, in ns from some
-/// origin: the copy lane runs staging transfers and the compute lane
-/// kernels, each in the order they are issued, and a command starts when
-/// its lane is free and what it waits on has ended. The plan's epoch replay
-/// (`plan::replayed_end`) clocks its commands through it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lanes {
-    /// When the copy lane comes free.
-    pub copy: u64,
-    /// When the compute lane comes free.
-    pub compute: u64,
-}
-
-impl Lanes {
-    /// A transfer of `ns` on the copy lane, ready at `ready`: its end.
-    pub fn stage(&mut self, ready: u64, ns: u64) -> u64 {
-        self.copy = self.copy.max(ready) + ns;
-        self.copy
-    }
-
-    /// A kernel (or a marker) of `ns` on the compute lane, ready at
-    /// `ready`: its end.
-    pub fn run(&mut self, ready: u64, ns: u64) -> u64 {
-        self.compute = self.compute.max(ready) + ns;
-        self.compute
-    }
 }
 
 /// Hazard edges of a batch ([`Scratch::hazard_edges`]) in a fresh scratch.

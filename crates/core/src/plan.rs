@@ -5,21 +5,21 @@
 //! This module is the middle step and reads nothing but its arguments — no
 //! runtime object, lock, cache or clock — so a decision can be built and
 //! checked by hand, and equal snapshots give equal plans. The snapshot
-//! holds facts: each queue's execution row, each launch's buffer accesses
-//! and kernel times, each buffer's transfer to each device, and what the
-//! cost model needs to price a split chunk at its own size. Decide prices
-//! the rest of the prediction from them — each queue's migration row and an
-//! out-of-order queue's overlap row — then gives each pool queue's device
-//! (ROUND_ROBIN's rotation, or AUTO_FIT's mapper) and the issue order of the
-//! out-of-order launches ([`ooo`]'s Johnson rule). Last it judges each split
-//! candidate inside its epoch, with the launch whole and with its best shares
-//! ([`split::balance`]), and keeps the split only when the epoch ends sooner.
+//! holds facts: AUTO_FIT's execution rows, each launch's accesses and
+//! kernel times, each buffer's transfers, when the devices' lanes and the
+//! queues' last commands come free, and what the cost model needs to price
+//! a split chunk. AUTO_FIT prices each queue's migration and overlap rows
+//! and maps the queues over them; ROUND_ROBIN's rotation prices nothing.
+//! Then decide orders the out-of-order launches ([`ooo`]'s Johnson rule)
+//! and walks the epoch's issue order: it keeps a split candidate's best
+//! shares ([`split::balance`]) only when the epoch ends sooner, and the
+//! walk's end is the plan's prediction.
 //!
 //! One clock times all of it: the replay of launches through the time
 //! plane's rules ([`replayed_end`]) — lanes, hazards, residency. An overlap
-//! row is the replay of the queue's own launches alone, a Johnson key is a
-//! launch's whole time on its device, and a split is judged by replaying
-//! the epoch's issue order.
+//! row is the replay of the queue's own launches alone from idle lanes, a
+//! Johnson key is a launch's whole time on its device, and the walk
+//! replays the issue order from the devices the flush finds.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
@@ -47,7 +47,7 @@ pub struct CostRow {
 }
 
 /// The mapper-visible cost of `row` on device column `di`: the one rule the
-/// mapper, ROUND_ROBIN's load and the explain record read.
+/// mapper and the explain record read.
 pub fn total(row: &CostRow, di: usize) -> SimDuration {
     match &row.overlap {
         Some(ov) => ov[di],
@@ -55,16 +55,14 @@ pub fn total(row: &CostRow, di: usize) -> SimDuration {
     }
 }
 
-/// Where measure took a queue's execution row from, which says what decide
-/// prices on top of it.
+/// Where measure took a queue's execution row from under AUTO_FIT, which
+/// says what decide prices on top of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecSource {
     /// `SCHED_AUTO_STATIC`'s static model (§V-B): device profiles and hints
-    /// only, so no data term either.
+    /// only, so no data term either. Also what ROUND_ROBIN, which prices
+    /// nothing, records beside its empty row.
     Static,
-    /// The static model standing in where ROUND_ROBIN, which never
-    /// profiles, lacks kernel profiles: a migration row, no overlap row.
-    Estimated,
     /// The sum of its launches' kernel-profile rows, every launch having
     /// one: a migration row, and an out-of-order queue's overlap row unless
     /// its copies are free.
@@ -82,7 +80,8 @@ pub struct QueueInput {
     pub current: Option<usize>,
     /// A pass has bound it before (ROUND_ROBIN keeps that binding).
     pub bound: bool,
-    /// Estimated execution time of its pending launches, per column.
+    /// Estimated execution time of its pending launches, per column: what
+    /// AUTO_FIT prices. Empty under ROUND_ROBIN, which prices nothing.
     pub exec: Arc<[SimDuration]>,
     /// Where `exec` comes from.
     pub source: ExecSource,
@@ -90,6 +89,9 @@ pub struct QueueInput {
     /// persists for the rest of the program, so its one-time migration is
     /// not priced — it would bias the mapper toward where data starts.
     pub explicit_region: bool,
+    /// In order, when its last command (an upload, say) ends, in ns from the
+    /// flush: its first launch waits behind it. Zero out of order.
+    pub tail: u64,
     /// Its pending launches, in program order.
     pub launches: Range<usize>,
 }
@@ -150,6 +152,8 @@ pub struct PassInput {
     pub capacity: Vec<u64>,
     /// Per column: the duration multiplier in force (1.0 = healthy).
     pub degradation: Vec<f64>,
+    /// Per column: when its lanes come free, in ns from the flush.
+    pub lanes: Vec<Lanes>,
     /// ROUND_ROBIN's rotation counter.
     pub rr_next: usize,
     /// The pool's queues.
@@ -161,11 +165,10 @@ pub struct PassInput {
     /// Per buffer slot: the buffer's id.
     pub buffers: Vec<u64>,
     /// Per launch and column (`launch * columns + column`): its analytic
-    /// kernel time there; zero for a launch neither out-of-order nor split
-    /// into units, unless the pass has a split candidate.
+    /// kernel time there.
     pub kernel_time: Vec<SimDuration>,
     /// Per launch and column: its kernel's profile-row value there, zero
-    /// where it has none; zero wherever `kernel_time` is unfilled.
+    /// where it has none.
     pub profiled: Vec<SimDuration>,
     /// Per launch-and-column cell of `profiled` whose row was predicted
     /// while that device ran degraded, in cell order: the cell, and the
@@ -190,14 +193,15 @@ pub struct PassInput {
 /// What a pass issues: the decision [`decide`] makes from a [`PassInput`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
-    /// Per queue: its priced cost terms.
+    /// Per queue: its priced cost terms; none under ROUND_ROBIN.
     pub costs: Vec<CostRow>,
     /// Per queue: the device column it runs the epoch on.
     pub device: Vec<usize>,
     /// ROUND_ROBIN's rotation counter after the pass.
     pub rr_next: usize,
-    /// The policy's predicted makespan of the epoch.
-    pub predicted: Option<SimDuration>,
+    /// When the epoch ends, in ns from the flush: the [`replayed_end`] of
+    /// what the plan issues. AUTO_FIT's mapper objective is `search`'s.
+    pub predicted: SimDuration,
     /// AUTO_FIT's mapper outcome; `None` under ROUND_ROBIN.
     pub search: Option<mapper::SearchOutcome>,
     /// The out-of-order launches in issue order. In-order launches issue
@@ -219,7 +223,6 @@ pub struct PlanScratch {
     search: mapper::MapperScratch,
     costs: mapper::CostMatrix,
     warm: Vec<DeviceId>,
-    load: Vec<SimDuration>,
     /// The reorder's batch and its entries' launches, and per buffer slot
     /// and column whether a first-touch walk has touched it there yet.
     batch: Vec<ooo::BatchCmd>,
@@ -227,7 +230,7 @@ pub struct PlanScratch {
     touched: Vec<bool>,
     dag: ooo::Scratch,
     /// The epoch's launches in issue order, the replay at the launch being
-    /// judged (an overlap row's replay before that) and a trial copy of it,
+    /// walked (an overlap row's replay before that) and a trial copy of it,
     /// a candidate's shares, per column when a chunk of it could start and
     /// when the copy lane is free then, the tabulated price of its shares
     /// up to a full wave and where each column's table starts, and the
@@ -260,32 +263,35 @@ pub fn bindable(input: &PassInput, need: u64) -> impl Fn(usize) -> bool + '_ {
 }
 
 /// The pass's decision: each queue's cost terms and device, the
-/// out-of-order issue order and every split's shares, refilled into `plan`.
+/// out-of-order issue order, every split's shares and the epoch's predicted
+/// end, refilled into `plan`.
 pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     scratch.touched.clear();
     scratch.touched.resize(input.buffers.len() * input.devices.len(), false);
-    price(input, scratch, plan);
+    plan.costs.clear();
     plan.device.clear();
     plan.rr_next = input.rr_next;
     plan.search = None;
     match input.policy {
-        ContextSchedPolicy::RoundRobin => round_robin(input, scratch, plan),
-        ContextSchedPolicy::AutoFit => auto_fit(input, scratch, plan),
+        ContextSchedPolicy::RoundRobin => round_robin(input, plan),
+        ContextSchedPolicy::AutoFit => {
+            price(input, scratch, plan);
+            auto_fit(input, scratch, plan);
+        }
     }
     reorder(input, scratch, plan);
-    split_shares(input, scratch, plan);
+    walk(input, scratch, plan);
 }
 
-/// Each queue's cost row (§IV: data migration included). Per column, its
-/// migration is the sum of its distinct buffers' transfers, and an
-/// out-of-order queue with a profiled row gets the [`Replay`] of its
-/// launches alone, in program order. Only a profiled or estimated row
+/// AUTO_FIT's cost row of each queue (§IV: data migration included). Per
+/// column, its migration is the sum of its distinct buffers' transfers, and
+/// an out-of-order queue with a profiled row gets the [`Replay`] of its
+/// launches alone, in program order, from idle lanes. Only a profiled row
 /// prices data, and an explicit-region queue's copies are free — so it gets
 /// no overlap row, which would be its `exec`.
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let PlanScratch { touched, at, .. } = scratch;
     let n = input.devices.len();
-    plan.costs.clear();
     for q in &input.queues {
         let copies = q.source != ExecSource::Static && !q.explicit_region;
         let touches = || {
@@ -301,7 +307,7 @@ fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
             .collect();
         let overlap = (copies && q.out_of_order && q.source == ExecSource::Profiled).then(|| {
             let alone = |di| {
-                Replay::reset(at, input);
+                Replay::idle(at, input);
                 q.launches.clone().for_each(|l| Replay::whole(at, input, l, di));
                 SimDuration::from_nanos(at.end)
             };
@@ -314,12 +320,9 @@ fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 /// ROUND_ROBIN (§IV-A): a queue keeps the binding a pass gave it while it
 /// stays bindable — re-rotating every epoch would thrash data between
 /// devices — and otherwise takes the next device in turn that can hold it.
-/// Its prediction is the busiest device's summed cost rows.
-fn round_robin(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
+fn round_robin(input: &PassInput, plan: &mut Plan) {
     let n = input.devices.len();
-    scratch.load.clear();
-    scratch.load.resize(n, SimDuration::ZERO);
-    for (q, cost) in input.queues.iter().zip(&plan.costs) {
+    for q in &input.queues {
         let bindable = bindable(input, q.need);
         let kept = q.current.filter(|&di| q.bound && bindable(di));
         let mut next = || {
@@ -328,9 +331,7 @@ fn round_robin(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
         };
         let di = kept.or_else(|| (0..n).map(|_| next()).find(|&di| bindable(di))).unwrap_or(0);
         plan.device.push(di);
-        scratch.load[di] += total(cost, di);
     }
-    plan.predicted = scratch.load.iter().copied().max();
 }
 
 /// AUTO_FIT (§V-A): the mapper over the cost rows, each blacklisted with
@@ -363,7 +364,6 @@ fn auto_fit(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
         MapperKind::Adaptive => mapper::adaptive(costs, warm, DEFAULT_ADAPTIVE_NODE_BUDGET, search),
     };
     plan.device.extend(outcome.mapping.assignment.iter().map(|d| d.index()));
-    plan.predicted = Some(outcome.mapping.makespan);
     plan.search = Some(outcome);
 }
 
@@ -403,28 +403,26 @@ fn reorder(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     plan.order.extend(order.iter().map(|&k| batch_launch[k]));
 }
 
-/// Every split candidate, judged in issue order. It gets, over several
-/// device sets, the shares that end its chunks soonest ([`split::balance`],
-/// a device's chunk priced at its own size from where the epoch has left
-/// its lanes). It keeps the shares whose replayed epoch ends soonest, if
-/// that is sooner than with the launch whole — or as soon, with the queues'
-/// finishing times summing to less: when several queues end the epoch
-/// together, no one split can end it sooner, but each can free its devices
-/// for the next. A kept split stays in the replay for the candidates after
-/// it.
-fn split_shares(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
+/// The epoch's issue order, replayed from the flush: each launch as the plan
+/// issues it, and the epoch's predicted end where the walk ends. Each split
+/// candidate is judged on the way. It gets, over several device sets, the
+/// shares that end its chunks soonest ([`split::balance`], a device's chunk
+/// priced at its own size from where the epoch has left its lanes). It
+/// keeps the shares whose replayed epoch ends soonest, if that is sooner
+/// than with the launch whole — or as soon, with the queues' finishing
+/// times summing to less: when several queues end the epoch together, no
+/// one split can end it sooner, but each can free its devices for the next.
+/// A kept split stays in the replay for the candidates after it.
+fn walk(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let n = input.devices.len();
     plan.splits.clear();
     plan.splits.resize(input.launches.len(), 0..0);
     plan.chunks.clear();
-    if input.splits.is_empty() {
-        return;
-    }
     let PlanScratch { issue, at, trial, shares, start, copy_free, envelope, from, rank, .. } =
         scratch;
     issue.clear();
     issue.extend(issue_order(input, plan));
-    Replay::reset(at, input);
+    Replay::at_flush(at, input);
     for (i, &l) in issue.iter().enumerate() {
         let home = plan.device[input.launches[l].queue];
         if let Ok(k) = input.splits.binary_search_by_key(&l, |s| s.launch) {
@@ -526,6 +524,7 @@ fn split_shares(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
         }
         Replay::issue_planned(at, input, plan, l);
     }
+    plan.predicted = SimDuration::from_nanos(at.end);
 }
 
 /// The epoch's launches in issue order: each in-order queue's in program
@@ -536,11 +535,12 @@ fn issue_order<'a>(input: &'a PassInput, plan: &'a Plan) -> impl Iterator<Item =
     in_order.flat_map(|q| q.launches.clone()).chain(plan.order.iter().copied())
 }
 
-/// When the epoch `plan` issues ends by the time plane's rules, from the
-/// flush: the replay [`decide`] judges its splits by.
+/// When the epoch `plan` issues ends by the time plane's rules, in ns from
+/// the flush and from the devices and queues it finds: the replay [`decide`]
+/// judges its splits by and predicts with.
 pub fn replayed_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let mut replay = Replay::default();
-    Replay::reset(&mut replay, input);
+    Replay::at_flush(&mut replay, input);
     for l in issue_order(input, plan) {
         Replay::issue_planned(&mut replay, input, plan, l);
     }
@@ -608,7 +608,7 @@ enum Held {
 }
 
 /// An epoch's issue replayed through the time plane's rules, in ns from the
-/// flush, on each column's [`ooo::Lanes`]: decide's one clock. What a launch
+/// flush, on each column's [`Lanes`]: decide's one clock. What a launch
 /// waits on is, in order, its queue's previous command and, out of order,
 /// its buffer hazards (RAW, and WAR/WAW for a write) — per buffer, the last
 /// writer's and the last access's ends, which is what the reorderer's hazard
@@ -622,7 +622,7 @@ enum Held {
 struct Replay {
     /// Per column: its two lanes, and when its split lane's last command
     /// ends.
-    lanes: Vec<ooo::Lanes>,
+    lanes: Vec<Lanes>,
     lane: Vec<u64>,
     /// Per queue: when its last command ends.
     queue: Vec<u64>,
@@ -638,11 +638,11 @@ struct Replay {
 }
 
 impl Replay {
-    /// The replay of nothing yet issued.
-    fn reset(r: &mut Replay, input: &PassInput) {
+    /// The replay of nothing yet issued, on idle lanes and queues.
+    fn idle(r: &mut Replay, input: &PassInput) {
         let (n, buffers) = (input.devices.len(), input.buffers.len());
         r.lanes.clear();
-        r.lanes.resize(n, ooo::Lanes::default());
+        r.lanes.resize(n, Lanes::default());
         r.lane.clear();
         r.lane.resize(n, 0);
         r.queue.clear();
@@ -656,6 +656,14 @@ impl Replay {
         r.moved.clear();
         r.moved.resize(buffers * n, false);
         r.end = 0;
+    }
+
+    /// The replay of nothing yet issued, from the lanes and queue tails the
+    /// flush finds.
+    fn at_flush(r: &mut Replay, input: &PassInput) {
+        Replay::idle(r, input);
+        r.lanes.copy_from_slice(&input.lanes);
+        r.queue.iter_mut().zip(&input.queues).for_each(|(tail, q)| *tail = q.tail);
     }
 
     /// Become a copy of `other`, in the lists this one already has.
@@ -686,10 +694,11 @@ impl Replay {
         for c in chunks {
             let d = c.device;
             let mut end = Replay::fetch_all(r, input, l, d, r.lane[d]).max(marker);
-            end = r.lanes[d].run(end, chunk_time(input, k, d, c.wg_offset, c.wg_count));
+            end =
+                Lanes::run(&mut r.lanes[d], end, chunk_time(input, k, d, c.wg_offset, c.wg_count));
             for b in writes(input, l) {
                 let gather = gather_time(input, b, d, c.wg_count, input.splits[k].units);
-                end = r.lanes[d].stage(end, gather);
+                end = Lanes::stage(&mut r.lanes[d], end, gather);
             }
             for t in touches {
                 r.accessed[t.buffer] = r.accessed[t.buffer].max(end);
@@ -697,7 +706,7 @@ impl Replay {
             r.lane[d] = end;
             ready = ready.max(end);
         }
-        let join = r.lanes[home].run(ready, 0);
+        let join = Lanes::run(&mut r.lanes[home], ready, 0);
         r.queue[input.launches[l].queue] = join;
         r.end = r.end.max(join);
         let n = input.devices.len();
@@ -729,7 +738,7 @@ impl Replay {
             false => r.queue[q],
         };
         let staged = Replay::fetch_all(r, input, l, d, ready);
-        let end = r.lanes[d].run(staged, whole_time(input, l, d));
+        let end = Lanes::run(&mut r.lanes[d], staged, whole_time(input, l, d));
         r.queue[q] = r.queue[q].max(end);
         r.end = r.end.max(end);
         let n = input.devices.len();
@@ -755,7 +764,7 @@ impl Replay {
                 ready = ready.max(Replay::hazard(r, t.buffer, t.write));
             }
         }
-        r.queue[q] = r.lanes[home].run(ready, 0);
+        r.queue[q] = Lanes::run(&mut r.lanes[home], ready, 0);
         r.queue[q]
     }
 
@@ -791,17 +800,42 @@ impl Replay {
         let end = match r.held[b] {
             Held::Snapshot => match input.transfer[cell].as_nanos() {
                 0 => return None,
-                ns => r.lanes[d].stage(after, ns),
+                ns => Lanes::stage(&mut r.lanes[d], after, ns),
             },
-            Held::Host => r.lanes[d].stage(after, link_time(input, d, bytes())),
+            Held::Host => Lanes::stage(&mut r.lanes[d], after, link_time(input, d, bytes())),
             Held::Device(o) => {
                 r.held[b] = Held::Host;
-                let staged = r.lanes[o].stage(after, link_time(input, o, bytes()));
-                r.lanes[d].stage(staged, link_time(input, d, bytes()))
+                let staged = Lanes::stage(&mut r.lanes[o], after, link_time(input, o, bytes()));
+                Lanes::stage(&mut r.lanes[d], staged, link_time(input, d, bytes()))
             }
         };
         r.accessed[b] = r.accessed[b].max(end);
         r.end = r.end.max(end);
         Some(end)
+    }
+}
+
+/// A device's two engines as the time plane clocks them, in ns from the
+/// flush: each runs its commands (copy: transfers, compute: kernels) in
+/// issue order, a command once its lane is free and what it waits on ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes {
+    /// When the copy lane comes free.
+    pub copy: u64,
+    /// When the compute lane comes free.
+    pub compute: u64,
+}
+
+impl Lanes {
+    /// A transfer of `ns` on the copy lane, ready at `ready`: its end.
+    fn stage(l: &mut Lanes, ready: u64, ns: u64) -> u64 {
+        l.copy = l.copy.max(ready) + ns;
+        l.copy
+    }
+
+    /// A kernel or a marker of `ns` on the compute lane, ready at `ready`: its end.
+    fn run(l: &mut Lanes, ready: u64, ns: u64) -> u64 {
+        l.compute = l.compute.max(ready) + ns;
+        l.compute
     }
 }

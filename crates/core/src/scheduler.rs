@@ -753,14 +753,14 @@ impl RtInner {
             let lane_overlap: Vec<f64> = input.devices.iter().map(overlap).collect();
             (records.iter().map(|r| r.stamp.end).max(), lane_overlap)
         });
-        // Predicted-vs-actual makespan attribution: the policy's objective
-        // against that critical path.
-        if let (Some(predicted), Some(end)) = (plan.predicted, executed_end) {
+        // Predicted-vs-actual makespan attribution: the replayed plan against
+        // that critical path.
+        if let Some(end) = executed_end {
             self.emit(&SchedEvent::MakespanAttribution {
                 epoch,
                 at: self.platform.now(),
                 policy: Arc::clone(&self.policy_label),
-                predicted,
+                predicted: plan.predicted,
                 actual: end.saturating_since(flush_start),
             });
         }
@@ -821,6 +821,7 @@ impl RtInner {
                 exec,
                 source,
                 explicit_region: q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION),
+                tail: 0,
                 launches: 0..0,
             });
         }
@@ -831,11 +832,20 @@ impl RtInner {
         if profiling > SimDuration::ZERO {
             self.device_health(epoch, &mut input.lost, &mut work.delta);
         }
-        let devices = &input.devices;
-        let degradation = &mut input.degradation;
+        // The issue starts now: the lanes and queue tails are counted from here.
+        let PassInput { devices, degradation, lanes, queues, .. } = input;
         degradation.clear();
+        lanes.clear();
         self.platform.with_engine(|e| {
+            let from_now = |t: hwsim::SimTime| t.saturating_since(e.now()).as_nanos();
             degradation.extend(devices.iter().map(|&d| e.device_degradation(d)));
+            lanes.extend(devices.iter().map(|&d| {
+                let (copy, compute) = e.device_lanes(d);
+                plan::Lanes { copy: from_now(copy), compute: from_now(compute) }
+            }));
+            for (qi, q) in queues.iter_mut().zip(pool).filter(|(qi, _)| !qi.out_of_order) {
+                qi.tail = q.cl.last_command().map_or(0, |ev| from_now(e.stamp(ev).end));
+            }
         });
         self.snapshot_launches(pool, input, refine);
         profiling
@@ -861,11 +871,10 @@ impl RtInner {
     }
 
     /// Measure's last step, after every queue's profiling: each pool launch
-    /// as decide sees it — its accesses, an out-of-order one's analytic and
-    /// profiled kernel times (every launch's, when the pass has a split
-    /// candidate) and a split candidate's shape and units — and each
-    /// buffer's size and transfer to each device at the residency the issue
-    /// starts from, into `input`. With prediction on, each distinct kernel's
+    /// as decide sees it — its accesses, its analytic and profiled kernel
+    /// times and a split candidate's shape and units — and each buffer's
+    /// size and transfer to each device at the residency the issue starts
+    /// from, into `input`. With prediction on, each distinct kernel's
     /// descriptor and first-seen geometry go into `refine`.
     fn snapshot_launches(
         &self,
@@ -875,11 +884,6 @@ impl RtInner {
     ) {
         let node = self.platform.node();
         let predict = self.options.predictor_confidence > 0.0;
-        // A pass with a split candidate replays the epoch, which times
-        // every launch.
-        let candidate = pool
-            .iter()
-            .any(|q| q.pending.lock().iter().any(|p| split_candidate(q, p, input).is_some()));
         input.launches.clear();
         input.touches.clear();
         input.buffers.clear();
@@ -892,8 +896,9 @@ impl RtInner {
         input.split_local.clear();
         refine.clear();
         let devices = &input.devices;
+        let (rows, unders) = (self.kernel_profiles.lock(), self.profiled_under.lock());
         for (qi, q) in pool.iter().enumerate() {
-            let (ooo, first) = (input.queues[qi].out_of_order, input.launches.len());
+            let first = input.launches.len();
             for p in q.pending.lock().iter() {
                 if predict && !refine.contains_key(p.kernel.name()) {
                     let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
@@ -901,20 +906,14 @@ impl RtInner {
                 }
                 let axis = split_candidate(q, p, input);
                 let cost = p.kernel.cost();
-                if ooo || candidate {
-                    let row = self.kernel_profiles.lock().get(p.kernel.name()).map(Arc::clone);
-                    let under = self.profiled_under.lock().get(p.kernel.name()).map(Arc::clone);
-                    for (di, &dev) in devices.iter().enumerate() {
-                        let nd = p.kernel.effective_nd(dev, p.nd);
-                        input.kernel_time.push(cost.kernel_time(node.spec(dev), nd.shape()));
-                        input.profiled.push(row.as_ref().map_or(SimDuration::ZERO, |r| r[di]));
-                        if let Some(&f) = under.as_ref().map(|u| &u[di]).filter(|&&f| f != 1.0) {
-                            input.profiled_under.push((input.profiled.len() - 1, f));
-                        }
+                let (row, under) = (rows.get(p.kernel.name()), unders.get(p.kernel.name()));
+                for (di, &dev) in devices.iter().enumerate() {
+                    let nd = p.kernel.effective_nd(dev, p.nd);
+                    input.kernel_time.push(cost.kernel_time(node.spec(dev), nd.shape()));
+                    input.profiled.push(row.map_or(SimDuration::ZERO, |r| r[di]));
+                    if let Some(&f) = under.map(|u| &u[di]).filter(|&&f| f != 1.0) {
+                        input.profiled_under.push((input.profiled.len() - 1, f));
                     }
-                } else {
-                    input.kernel_time.extend(devices.iter().map(|_| SimDuration::ZERO));
-                    input.profiled.extend(devices.iter().map(|_| SimDuration::ZERO));
                 }
                 if let Some(axis) = axis {
                     let (global, local) = (p.nd.global, p.nd.local);
@@ -1095,15 +1094,14 @@ impl RtInner {
         stats.kernels_split += delta.kernels_split;
     }
 
-    /// One pool queue's execution row (§V-C) and where it comes from. A
+    /// One pool queue's execution row under AUTO_FIT (§V-C) and where it
+    /// comes from; ROUND_ROBIN prices nothing and takes an empty row. A
     /// `SCHED_AUTO_STATIC` queue is priced by the static model (§V-B). Any
     /// other is served by the epoch cache or composed from the per-kernel
     /// rows; one the caches cannot serve — or an iterative queue due for its
-    /// periodic re-profile (§V-C1) — is profiled first under AUTO_FIT,
-    /// charging virtual time and moving residency in pool order, and priced
-    /// by the static model under ROUND_ROBIN, which never profiles. Only
-    /// AUTO_FIT records the cache traffic. The caches change under no one
-    /// else: only passes write them, and `pass_lock` is held.
+    /// periodic re-profile (§V-C1) — is profiled first, charging virtual
+    /// time and moving residency in pool order. The caches change under no
+    /// one else: only passes write them, and `pass_lock` is held.
     fn queue_costs(
         &self,
         q: &QueueState,
@@ -1114,31 +1112,27 @@ impl RtInner {
         work: &mut Work,
     ) -> (Arc<[SimDuration]>, ExecSource) {
         let devices = &input.devices;
+        if self.policy == ContextSchedPolicy::RoundRobin {
+            return (Arc::default(), ExecSource::Static);
+        }
         if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
             return (self.static_costs(q, pending, devices), ExecSource::Static);
         }
-        let auto_fit = self.policy == ContextSchedPolicy::AutoFit;
         let force = self.forced(q);
         let key = work.key.spell(pending);
-        let hit = match force {
-            true => None,
-            false => {
-                self.epoch_profiles.lock().get_key_value(key).map(|(k, r)| (k.clone(), r.clone()))
-            }
-        };
+        let hit = (self.epoch_profiles.lock().get_key_value(key))
+            .filter(|_| !force)
+            .map(|(k, r)| (Arc::clone(k), Arc::clone(r)));
         let cached = hit.is_some()
             || !force && {
                 let kp = self.kernel_profiles.lock();
                 pending.iter().all(|p| kp.contains_key(p.kernel.name()))
             };
-        if !cached && !auto_fit {
-            return (self.static_costs(q, pending, devices), ExecSource::Estimated);
-        }
         let (key, exec) = match hit {
-            Some((key, row)) => (Some(key), row),
+            Some(hit) => hit,
             None => {
-                let key: Option<Arc<str>> = auto_fit.then(|| key.into());
-                if let (false, Some(key)) = (cached, &key) {
+                let key: Arc<str> = key.into();
+                if !cached {
                     self.emit(&SchedEvent::CacheMiss { epoch, key: key.clone() });
                     self.profile_missing(q, pending, epoch, need, input, &mut work.delta);
                 }
@@ -1147,13 +1141,11 @@ impl RtInner {
                 let sum = |di: usize| pending.iter().map(|p| kp[p.kernel.name()][di]).sum();
                 let exec: Arc<[SimDuration]> = (0..devices.len()).map(sum).collect();
                 drop(kp);
-                if let Some(key) = &key {
-                    self.epoch_profiles.lock().insert(Arc::clone(key), Arc::clone(&exec));
-                }
+                self.epoch_profiles.lock().insert(Arc::clone(&key), Arc::clone(&exec));
                 (key, exec)
             }
         };
-        if let (true, Some(key)) = (cached && auto_fit, key) {
+        if cached {
             work.delta.cache_hits += 1;
             self.emit(&SchedEvent::CacheHit { epoch, key });
         }

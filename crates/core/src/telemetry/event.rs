@@ -519,10 +519,11 @@ pub enum SchedEvent {
         /// One record per dispatch attempt, in order.
         attempts: Vec<AttemptTrace> => "attempts" = vec![],
     },
-    /// Predicted vs. executed makespan of one scheduling epoch: the
-    /// mapper's objective against the critical path the simulator actually
-    /// ran. Emitted when a prediction exists (always for AUTO_FIT; for
-    /// ROUND_ROBIN once the profile caches cover the pool).
+    /// Predicted vs. executed makespan of one scheduling epoch: the replay
+    /// of the plan the pass issued, from the devices at the flush
+    /// (`plan::Plan::predicted`), against the critical path the simulator
+    /// actually ran. Emitted every epoch that issues a command, under either
+    /// policy.
     MakespanAttribution = "makespan_attribution" {
         /// Scheduling epoch.
         epoch: u64 => "epoch",
@@ -530,7 +531,8 @@ pub enum SchedEvent {
         at: SimTime => "at_ns",
         /// The context's global policy (`AUTO_FIT` / `ROUND_ROBIN`).
         policy: Arc<str> => "policy" = "".into(),
-        /// The cost model's predicted concurrent completion time.
+        /// The replayed plan's end: its predicted concurrent completion
+        /// time, from the flush.
         predicted: SimDuration => "predicted_ns",
         /// Executed critical path: latest command end minus flush start.
         actual: SimDuration => "actual_ns",

@@ -9,8 +9,8 @@ use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::ooo::{self, BatchCmd};
 use multicl::plan::{
-    self, decide, replayed_end, CostRow, ExecSource, LaunchInput, PassInput, Plan, PlanScratch,
-    QueueInput, SplitInput, Touch,
+    self, decide, replayed_end, CostRow, ExecSource, Lanes, LaunchInput, PassInput, Plan,
+    PlanScratch, QueueInput, SplitInput, Touch,
 };
 use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -23,7 +23,8 @@ fn row(exec: &[u64], migration: &[u64]) -> CostRow {
     CostRow { exec: ns(exec), migration: ns(migration), overlap: None }
 }
 
-/// A snapshot over `n` healthy devices of 1 MiB, with nothing pending.
+/// A snapshot over `n` healthy, idle devices of 1 MiB on a flat 6 GB/s
+/// host link, with nothing pending.
 fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
     PassInput {
         policy,
@@ -31,35 +32,34 @@ fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
         lost: vec![false; n],
         capacity: vec![1 << 20; n],
         degradation: vec![1.0; n],
+        lanes: vec![Lanes::default(); n],
+        links: (0..n).map(|_| BandwidthCurve::new(vec![1, 1 << 40], vec![6.0, 6.0])).collect(),
         ..PassInput::default()
     }
 }
 
-/// Append a buffer slot whose transfer to each column is `transfer`.
+/// Append a 1 KiB buffer slot whose transfer to each column is `transfer`.
 fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
     input.buffers.push(100 + input.buffers.len() as u64);
+    input.bytes.push(1 << 10);
     input.transfer.extend_from_slice(transfer);
     input.buffers.len() - 1
 }
 
 /// Append a queue that prices to `cost` (which has no overlap row), with
-/// one launch per entry of `launches` (its need): its execution row
-/// is `cost.exec`, and every launch reads one buffer of its own whose
-/// transfers are `cost.migration`.
-fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow, launches: &[u64]) {
-    let n = input.devices.len();
+/// one launch of its `need`: its execution row is `cost.exec`, which is the
+/// launch's kernel time, and it reads one buffer of its own whose transfers
+/// are `cost.migration`.
+fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow) {
     let slot = push_buffer(input, &cost.migration);
-    let first = input.launches.len();
-    for &need in launches {
-        let at = input.touches.len();
-        let queue = input.queues.len();
-        input.touches.push(Touch { buffer: slot, write: false });
-        input.launches.push(LaunchInput { queue, need, touches: at..at + 1 });
-        input.kernel_time.extend(std::iter::repeat_n(SimDuration::ZERO, n));
-        input.profiled.extend(std::iter::repeat_n(SimDuration::ZERO, n));
-    }
+    let (l, at) = (input.launches.len(), input.touches.len());
+    input.touches.push(Touch { buffer: slot, write: false });
+    let queue = input.queues.len();
+    input.launches.push(LaunchInput { queue, need: q.need, touches: at..at + 1 });
+    input.kernel_time.extend_from_slice(&cost.exec);
+    input.profiled.extend(cost.exec.iter().map(|_| SimDuration::ZERO));
     let exec = Arc::clone(&cost.exec);
-    input.queues.push(QueueInput { exec, launches: first..input.launches.len(), ..q });
+    input.queues.push(QueueInput { exec, launches: l..l + 1, ..q });
 }
 
 /// An in-order queue with a profiled execution row, which `push_queue` or
@@ -73,6 +73,7 @@ fn queue(current: usize, need: u64) -> QueueInput {
         exec: ns(&[]),
         source: ExecSource::Profiled,
         explicit_region: false,
+        tail: 0,
         launches: 0..0,
     }
 }
@@ -95,7 +96,7 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
         (0, 64, row(&[700, 10, 650], &[0, 0, 0])),
     ];
     for (current, need, cost) in rows.clone() {
-        push_queue(&mut input, queue(current, need), &cost, &[need]);
+        push_queue(&mut input, queue(current, need), &cost);
     }
     let plan = plan_of(&input);
     assert_eq!(plan.costs, rows.iter().map(|r| r.2.clone()).collect::<Vec<_>>());
@@ -121,8 +122,9 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
     );
     let device: Vec<usize> = want.mapping.assignment.iter().map(|d| d.index()).collect();
     assert_eq!(plan.device, device);
-    assert_eq!(plan.predicted, Some(want.mapping.makespan));
     assert_eq!(plan.search, Some(want));
+    // The prediction is the replay of the plan, not the mapper objective.
+    assert_eq!(plan.predicted, replayed_end(&input, &plan));
     // Nothing lands on the lost device, nor the big queue on the small one.
     assert!(!plan.device.contains(&1), "{:?}", plan.device);
     assert_ne!(plan.device[1], 2);
@@ -142,19 +144,22 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     input.rr_next = 7;
     let cost = || row(&[10, 20, 30], &[1, 2, 3]);
     // Bound and bindable: kept.
-    push_queue(&mut input, queue(1, 64), &cost(), &[64]);
+    push_queue(&mut input, queue(1, 64), &cost());
     // Bound to the lost device: rotates. 7 % 3 = 1 is bindable.
-    push_queue(&mut input, queue(2, 64), &cost(), &[64]);
+    push_queue(&mut input, queue(2, 64), &cost());
     // Never bound: rotates. 8 % 3 = 2 is lost, 9 % 3 = 0 is too small,
     // 10 % 3 = 1 takes it.
     let fresh = QueueInput { bound: false, ..queue(0, 1 << 12) };
-    push_queue(&mut input, fresh, &cost(), &[1 << 12]);
+    push_queue(&mut input, fresh, &cost());
     let plan = plan_of(&input);
     assert_eq!(plan.device, [1, 1, 1]);
     assert_eq!(plan.rr_next, 11);
     assert_eq!(plan.search, None);
-    // The busiest device's summed rows.
-    assert_eq!(plan.predicted, Some(SimDuration::from_nanos(3 * 22)));
+    // The rotation prices nothing. The prediction replays the plan: each
+    // queue's buffer moves to column 1 (2 ns each, the later two under the
+    // first launch) and the launches run there one after another (20 ns).
+    assert!(plan.costs.is_empty(), "{:?}", plan.costs);
+    assert_eq!(plan.predicted, SimDuration::from_nanos(2 + 3 * 20));
     // Every device lost: a queue stays where it is bound if its buffers
     // fit there; there is nothing to recover onto.
     input.lost = vec![true; 3];
@@ -162,9 +167,31 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
 }
 
 #[test]
+fn the_prediction_replays_the_plan_from_the_devices_and_queues_at_the_flush() {
+    for policy in [ContextSchedPolicy::RoundRobin, ContextSchedPolicy::AutoFit] {
+        // One column, idle: an in-order queue's launch stages its buffer
+        // (30 ns) and runs (100 ns).
+        let mut input = input(policy, 1);
+        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
+        assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(130), "{policy}");
+        // Its copy lane busy for 40 ns more and its compute lane for 120:
+        // the stage ends at 70, the kernel waits for its lane to 220.
+        input.lanes[0] = Lanes { copy: 40, compute: 120 };
+        assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(220), "{policy}");
+        // The queue's last command, an upload, ends at 300: the stage waits
+        // behind it, 330, and the kernel runs to 430.
+        input.queues[0].tail = 300;
+        let plan = plan_of(&input);
+        assert_eq!(plan.predicted, SimDuration::from_nanos(430), "{policy}");
+        assert_eq!(plan.predicted, replayed_end(&input, &plan));
+    }
+}
+
+#[test]
 fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
     input.buffers = vec![10, 11, 12, 13];
+    input.bytes = vec![1 << 10; 4];
     // Per buffer slot × device: what first touching it there costs.
     input.transfer = [[0, 400], [300, 0], [50, 50], [900, 10]]
         .iter()
@@ -172,10 +199,9 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
         .map(|&n| SimDuration::from_nanos(n))
         .collect();
     // Two out-of-order queues, bound to devices 0 and 1, and an in-order
-    // one between them that is not reordered. Each is priced at its
-    // execution row alone: an estimated row of an explicit-region queue
-    // prices no data. With no profile row on a healthy node, a launch's
-    // whole time is its analytic time.
+    // one between them that is not reordered. ROUND_ROBIN prices nothing.
+    // With no profile row on a healthy node, a launch's whole time is its
+    // analytic time.
     // (queue, (buffer slot, write) accesses, kernel time per device)
     type Launch = (usize, &'static [(usize, bool)], [u64; 2]);
     let launches: [Launch; 6] = [
@@ -189,9 +215,7 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     for (q, current, ooo) in [(0, 0, true), (1, 1, false), (2, 1, true)] {
         input.queues.push(QueueInput {
             out_of_order: ooo,
-            exec: ns(&[1, 1]),
-            source: ExecSource::Estimated,
-            explicit_region: true,
+            source: ExecSource::Static,
             ..queue(current, 0)
         });
         let first = input.launches.len();
@@ -207,7 +231,7 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
         input.queues[q].launches = first..input.launches.len();
     }
     let plan = plan_of(&input);
-    assert_eq!(plan.costs, vec![row(&[1, 1], &[0, 0]); 3]);
+    assert!(plan.costs.is_empty());
     assert_eq!(plan.device, [0, 1, 1]);
     // The code the decision replaces: the batch costed per command on its
     // queue's device, first touches per device in batch order.
@@ -239,13 +263,12 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     assert!(plan.reordered > 0, "the case exercises a reorder: {order:?}");
 }
 
-/// `input` with what a split candidate's pricing reads: the paper node's
-/// specs on its columns (cycled past three) and a flat 6 GB/s host link.
+/// `input` with the paper node's specs on its columns (cycled past three),
+/// which a split candidate's pricing reads.
 fn with_split_facts(mut input: PassInput) -> PassInput {
     let node = NodeConfig::paper_node();
     let n = input.devices.len();
     input.specs = (0..n).map(|d| node.devices[d % 3].clone()).collect();
-    input.links = (0..n).map(|_| BandwidthCurve::new(vec![1, 1 << 40], vec![6.0, 6.0])).collect();
     input
 }
 
@@ -399,12 +422,8 @@ fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
         (&[(b, false), (c, true)][..], zero, zero),
         (&[(a, false)][..], zero, zero),
     ];
-    let sources = [
-        (ExecSource::Profiled, false),
-        (ExecSource::Estimated, false),
-        (ExecSource::Profiled, true),
-        (ExecSource::Static, false),
-    ];
+    let sources =
+        [(ExecSource::Profiled, false), (ExecSource::Profiled, true), (ExecSource::Static, false)];
     for (q, (source, explicit_region)) in sources.into_iter().enumerate() {
         let first = input.launches.len();
         push_launches(&mut input, q, &launches);
@@ -413,10 +432,9 @@ fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
         input.queues.push(QueueInput { exec, source, explicit_region, launches, ..queue(0, 0) });
     }
     let plan = plan_of(&input);
-    let priced = row(&[1, 2, 3], &[1005, 340, 90]);
-    assert_eq!(plan.costs[..2], [priced.clone(), priced]);
+    assert_eq!(plan.costs[0], row(&[1, 2, 3], &[1005, 340, 90]));
     // An explicit-region queue and the static model price no data.
-    assert_eq!(plan.costs[2..], [row(&[1, 2, 3], &[0, 0, 0]), row(&[1, 2, 3], &[0, 0, 0])]);
+    assert_eq!(plan.costs[1..], [row(&[1, 2, 3], &[0, 0, 0]), row(&[1, 2, 3], &[0, 0, 0])]);
 }
 
 /// When queue `q`'s launches, replayed alone on column `d` in program
@@ -466,7 +484,7 @@ fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     let queues = [
         (true, ExecSource::Profiled, false),
         (false, ExecSource::Profiled, false),
-        (true, ExecSource::Estimated, false),
+        (true, ExecSource::Static, false),
         (true, ExecSource::Profiled, true),
     ];
     for (q, (out_of_order, source, explicit_region)) in queues.into_iter().enumerate() {
@@ -489,10 +507,10 @@ fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     // which the first wrote there, and runs 10 — 590. On column 1, only
     // `b` moves (250): 250 + 300 + 20 + 80 = 650.
     assert_eq!(plan.costs[0].overlap, Some(ns(&[590, 650])));
-    // No overlap row for an in-order queue, nor for one without profiles,
+    // No overlap row for an in-order queue, nor for the static model's,
     // nor for one whose copies are free: there it would be its `exec`.
     assert_eq!(plan.costs[1].overlap, None);
-    assert_eq!(plan.costs[2].overlap, None);
+    assert_eq!(plan.costs[2], row(&[9, 9], &[0, 0]));
     assert_eq!(plan.costs[3], row(&[9, 9], &[0, 0]));
 }
 
@@ -548,11 +566,18 @@ fn on_a_degraded_column_johnsons_keys_follow_the_profile_row() {
 }
 
 /// Each queue's cost row by the pricing rule, recomputed naively: distinct
-/// buffers by search, and an overlap row from a snapshot of the queue alone.
+/// buffers by search, and an overlap row from a snapshot of the queue alone
+/// on idle devices. ROUND_ROBIN prices none.
 fn naive_costs(input: &PassInput) -> Vec<CostRow> {
+    if input.policy == ContextSchedPolicy::RoundRobin {
+        return Vec::new();
+    }
     let n = input.devices.len();
     let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
     let zero = SimDuration::ZERO;
+    let mut idle = input.clone();
+    idle.lanes.fill(Lanes::default());
+    idle.queues.iter_mut().for_each(|q| q.tail = 0);
     let costs = input.queues.iter().enumerate().map(|(qi, q)| {
         let copies = q.source != ExecSource::Static && !q.explicit_region;
         let mut distinct: Vec<usize> =
@@ -569,16 +594,17 @@ fn naive_costs(input: &PassInput) -> Vec<CostRow> {
         CostRow {
             exec: Arc::clone(&q.exec),
             migration,
-            overlap: overlap.then(|| (0..n).map(|d| alone(input, qi, d)).collect()),
+            overlap: overlap.then(|| (0..n).map(|d| alone(&idle, qi, d)).collect()),
         }
     });
     costs.collect()
 }
 
 /// A random snapshot: 1–4 devices, 1–6 queues of 1–4 launches, random
-/// health, capacity, degradation, execution rows and their sources, buffer
-/// accesses, sizes and transfers, kernel times, profile rows (some measured
-/// degraded) and split units and shapes.
+/// health, capacity, degradation, lanes busy at the flush, execution rows
+/// and their sources, queue tails, buffer accesses, sizes and transfers,
+/// kernel times, profile rows (some measured degraded) and split units and
+/// shapes.
 fn random_input(rng: &mut XorShift) -> PassInput {
     let n = 1 + rng.index(4);
     let policy = match rng.index(2) {
@@ -591,6 +617,10 @@ fn random_input(rng: &mut XorShift) -> PassInput {
         input.lost[di] = rng.index(4) == 0;
         input.capacity[di] = if rng.index(3) == 0 { 1 << 10 } else { 1 << 20 };
         input.degradation[di] = if rng.index(3) == 0 { rng.range_f64(1.0, 3.0) } else { 1.0 };
+        if rng.index(2) == 0 {
+            input.lanes[di] =
+                Lanes { copy: rng.range_u64(0, 3000), compute: rng.range_u64(0, 3000) };
+        }
     }
     let max_capacity = *input.capacity.iter().max().expect("a device");
     input.rr_next = rng.index(10);
@@ -599,7 +629,7 @@ fn random_input(rng: &mut XorShift) -> PassInput {
     input.transfer =
         (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 5000))).collect();
     input.bytes = (0..slots).map(|_| rng.range_u64(8, 64 << 10)).collect();
-    let sources = [ExecSource::Static, ExecSource::Estimated, ExecSource::Profiled];
+    let sources = [ExecSource::Static, ExecSource::Profiled];
     for qi in 0..1 + rng.index(6) {
         let out_of_order = rng.index(2) == 0;
         let first = input.launches.len();
@@ -620,9 +650,8 @@ fn random_input(rng: &mut XorShift) -> PassInput {
             let l = input.launches.len();
             let touches = at..input.touches.len();
             input.launches.push(LaunchInput { queue: qi, need: launch_need, touches });
-            // Every launch timed, as in a pass with a split candidate: the
-            // cost model's time, and a profile row off it by up to 2× that
-            // may be missing or measured degraded.
+            // Every launch timed: the cost model's time, and a profile row
+            // off it by up to 2× that may be missing or measured degraded.
             let cost = compute(rng.range_f64(10.0, 20_000.0));
             let items = units.max(1) * 64;
             for d in 0..n {
@@ -653,8 +682,9 @@ fn random_input(rng: &mut XorShift) -> PassInput {
             current: Some(rng.index(n + 1)).filter(|&di| di < n),
             bound: rng.index(2) == 0,
             exec,
-            source: sources[rng.index(3)],
+            source: sources[rng.index(2)],
             explicit_region: rng.index(4) == 0,
+            tail: if out_of_order || rng.index(2) == 0 { 0 } else { rng.range_u64(0, 3000) },
             launches: first..input.launches.len(),
         });
     }
@@ -673,8 +703,10 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         // Equal inputs give equal plans, whatever the scratch last held.
         decide(&input.clone(), &mut reused, &mut reused_plan);
         assert_eq!(reused_plan, plan, "case {case}: {input:?}");
-        // Every priced row is the rule's, recomputed naively.
+        // Every priced row is the rule's, recomputed naively, and the
+        // prediction is the replay of the plan.
         assert_eq!(plan.costs, naive_costs(&input), "case {case}: {input:?}");
+        assert_eq!(plan.predicted, replayed_end(&input, &plan), "case {case}: {input:?}");
         let n = input.devices.len();
         // Every planned device is bindable.
         for (q, &di) in input.queues.iter().zip(&plan.device) {
@@ -736,13 +768,14 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
 
 /// When an epoch of in-order queues with every launch whole ends, by
 /// lanes recomputed naively: per column a compute lane and a copy lane,
-/// per queue a chain, and per buffer where it was last written and which
-/// columns hold it.
+/// each busy as the flush finds it, per queue a chain from its tail, and
+/// per buffer where it was last written and which columns hold it.
 fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let n = input.devices.len();
     let ns = |t: SimDuration| t.as_nanos();
     let link = |d: usize, b: usize| ns(input.links[d].predict_time(input.bytes[b]));
-    let (mut compute, mut copy) = (vec![0u64; n], vec![0u64; n]);
+    let mut compute: Vec<u64> = input.lanes.iter().map(|l| l.compute).collect();
+    let mut copy: Vec<u64> = input.lanes.iter().map(|l| l.copy).collect();
     // Per buffer: the column a launch last wrote it on, until staged to the
     // host; whether it was staged; the columns holding it.
     let mut written_on: Vec<Option<usize>> = vec![None; input.buffers.len()];
@@ -751,7 +784,7 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let mut end = 0;
     for (q, queue) in input.queues.iter().enumerate() {
         let d = plan.device[q];
-        let mut tail = 0u64;
+        let mut tail = queue.tail;
         for l in queue.launches.clone() {
             for t in &input.touches[input.launches[l].touches.clone()] {
                 let b = t.buffer;

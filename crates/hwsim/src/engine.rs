@@ -7,7 +7,7 @@
 //! submission:
 //!
 //! ```text
-//! start = max(host_now, device_available, max(dep.end for dep in waits))
+//! start = max(host_now, lane_available, max(dep.end for dep in waits))
 //! end   = start + duration
 //! ```
 //!
@@ -299,10 +299,10 @@ impl Engine {
         }
     }
 
-    /// The instant `dev` becomes fully free (both lanes).
-    pub fn device_available(&self, dev: DeviceId) -> SimTime {
+    /// The instants `dev`'s two lanes come free: `(copy, compute)`.
+    pub fn device_lanes(&self, dev: DeviceId) -> (SimTime, SimTime) {
         let d = &self.devices[dev.index()];
-        d.compute.available.max(d.copy.available)
+        (d.copy.available, d.compute.available)
     }
 
     /// Read access to the accumulated trace.

@@ -152,6 +152,18 @@ pub struct JobSpec {
     pub splittable: bool,
 }
 
+/// The most work one launch may declare: `flops_per_item × global` (at
+/// least one flop an item, as the served kernel counts) and
+/// `bytes_per_item × global`. A served kernel runs `flops / 512` host steps
+/// and declares `flops × 0.25` ns of device time, which its command waits
+/// out in wall-clock time, so an unbounded figure admits a job that never
+/// finishes. Each bound is about 100× the largest stock template launch
+/// (`svc_gpu_map`'s 1 280 × 32 768 flops, `svc_cpu_scan`'s 48 × 32 768
+/// bytes); the flop bound is about a second of device time.
+pub const MAX_LAUNCH_FLOPS: f64 = 4.3e9;
+/// See [`MAX_LAUNCH_FLOPS`].
+pub const MAX_LAUNCH_BYTES: f64 = 1.6e8;
+
 impl JobSpec {
     /// Parse a spec from JSON text. The result is validated.
     pub fn parse_str(text: &str) -> Result<JobSpec, SpecError> {
@@ -346,7 +358,8 @@ impl JobSpec {
 
     /// Check internal consistency: unique names, resolvable references,
     /// consistent kernel arities, positive sizes, finite non-negative kernel
-    /// costs, acyclic dependencies.
+    /// costs, launches within [`MAX_LAUNCH_FLOPS`] and [`MAX_LAUNCH_BYTES`],
+    /// acyclic dependencies.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.validated_order().map(|_| ())
     }
@@ -410,6 +423,21 @@ impl JobSpec {
                         return Err(SpecError::Invalid(format!(
                             "step `{}` has zero launch geometry",
                             s.id
+                        )));
+                    }
+                    let cost = self.kernels[names.entries[slot].1].cost;
+                    let work = [
+                        ("flops", cost.flops_per_item.max(1.0), MAX_LAUNCH_FLOPS),
+                        ("bytes", cost.bytes_per_item, MAX_LAUNCH_BYTES),
+                    ];
+                    let items = *global as f64;
+                    if let Some((what, per_item, most)) =
+                        work.into_iter().find(|&(_, per_item, most)| per_item * items > most)
+                    {
+                        return Err(SpecError::Invalid(format!(
+                            "step `{}` declares {:e} {what}: a launch may declare at most {most:e}",
+                            s.id,
+                            per_item * items
                         )));
                     }
                     if let Some(a) = args.iter().find(|a| names.first(Run::Buffers, a).is_none()) {

@@ -112,6 +112,65 @@ fn invalid_specs_are_rejected_before_queueing() {
     assert_eq!(served.backlog(), 0);
 }
 
+/// A one-launch job of `global` items declaring `flops` and `bytes` per
+/// item.
+fn work_spec(flops: f64, bytes: f64, global: u64) -> String {
+    format!(
+        r#"{{"name": "work",
+            "buffers": [{{"name": "a", "elements": 1024}}],
+            "kernels": [{{"name": "work_k", "flops_per_item": {flops:?}, "bytes_per_item": {bytes:?}}}],
+            "steps": [{{"op": "launch", "kernel": "work_k", "global": {global}, "local": 64,
+                        "args": ["a"]}}]}}"#
+    )
+}
+
+#[test]
+fn a_launch_declaring_more_work_than_its_bound_is_refused_and_issues_nothing() {
+    use served::spec::{SpecError, StepOp, MAX_LAUNCH_BYTES, MAX_LAUNCH_FLOPS};
+    let served = small_service("huge-work", 1, vec![TenantConfig::new("a", 1, 8)]);
+    let issued = || served.context().stats().kernels_issued;
+    let before = issued();
+    // 1e300 in each field, each bound over 1 024 items just past it, and a
+    // launch of no declared work whose items alone (one flop each, as the
+    // kernel counts them) pass the flop bound.
+    let past = |most: f64| most / 1024.0 * (1.0 + 1e-9);
+    let huge = [
+        (1e300, 8.0, 1024),
+        (8.0, 1e300, 1024),
+        (past(MAX_LAUNCH_FLOPS), 8.0, 1024),
+        (8.0, past(MAX_LAUNCH_BYTES), 1024),
+        (0.0, 0.0, MAX_LAUNCH_FLOPS as u64 + 64),
+    ];
+    for (flops, bytes, global) in huge {
+        let err = served::JobSpec::parse_str(&work_spec(flops, bytes, global));
+        assert!(matches!(err, Err(SpecError::Invalid(_))), "{flops} {bytes} {global}: {err:?}");
+        // A spec built in code reaches admission without parsing.
+        let mut spec =
+            served::JobSpec::parse_str(&work_spec(8.0, 8.0, 1024)).expect("a small launch");
+        (spec.kernels[0].cost.flops_per_item, spec.kernels[0].cost.bytes_per_item) = (flops, bytes);
+        if let StepOp::Launch { global: g, .. } = &mut spec.steps[0].op {
+            *g = global;
+        }
+        match served.submit(0, spec) {
+            Err(RejectReason::InvalidSpec(SpecError::Invalid(_))) => {}
+            other => panic!("{flops} {bytes} {global}: expected InvalidSpec, got {other:?}"),
+        }
+    }
+    served.run_until_drained();
+    assert_eq!(served.metrics().tenant(0).rejected.get(), huge.len() as u64);
+    assert_eq!((served.backlog(), issued()), (0, before));
+    // At the bounds themselves, and every stock template, admitted.
+    for (flops, bytes) in [(MAX_LAUNCH_FLOPS / 1024.0, 8.0), (8.0, MAX_LAUNCH_BYTES / 1024.0)] {
+        let at = served::JobSpec::parse_str(&work_spec(flops, bytes, 1024));
+        assert!(at.is_ok(), "{at:?}");
+    }
+    for spec in loadgen::templates() {
+        served.submit(0, spec).expect("a stock template is admitted");
+    }
+    served.run_until_drained();
+    assert_eq!(served.metrics().tenant(0).completed.get(), 3);
+}
+
 /// A one-launch job over one buffer of `elements` f64s.
 fn one_buffer_spec(elements: u64) -> Result<served::JobSpec, served::spec::SpecError> {
     served::JobSpec::parse_str(&format!(
