@@ -1192,9 +1192,10 @@ mod tracing {
 
     /// Per policy, the most the mean `|predicted − actual| / actual` over
     /// its attributed epochs may be: a ratchet, the release figure (64 jobs:
-    /// 0.0020 under AUTO_FIT, 0 under ROUND_ROBIN) rounded up to the next
-    /// tenth of a percent. Debug runs fewer, shorter jobs and measures less.
-    const PREDICTION_ERROR: [(&str, f64); 2] = [("auto_fit", 0.003), ("round_robin", 0.001)];
+    /// 0 under both policies since the prediction counts the host's
+    /// enqueues; 0.0020 under AUTO_FIT before) rounded up to the next tenth
+    /// of a percent. Debug runs fewer, shorter jobs and measures less.
+    const PREDICTION_ERROR: [(&str, f64); 2] = [("auto_fit", 0.001), ("round_robin", 0.001)];
 
     /// Measured tracing results of one policy's run.
     #[derive(Debug, Clone)]

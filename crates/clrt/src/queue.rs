@@ -250,18 +250,20 @@ impl CommandQueue {
     /// Hand one command's data-plane half — `work` nominal units, see
     /// [`DataPlane::submit`] — to the executor: ordered by the hazards of
     /// `accesses`, the queue's chain and the tasks behind `wait_events`,
-    /// backing engine event `ev`; recorded if it is live on return.
+    /// backing engine event `ev` if there is one; recorded if it is live on
+    /// return.
     fn submit_task(
         &self,
         accesses: &[Access],
         wait_events: &[usize],
-        ev: EventId,
+        ev: Option<EventId>,
         work: u64,
         run: impl FnOnce() -> Duration,
         owned: impl FnOnce() -> Work,
     ) {
         let chain = self.chain_dep();
-        let order = Order { accesses, after: chain.as_slice(), wait_events, event: Some(ev.0) };
+        let order =
+            Order { accesses, after: chain.as_slice(), wait_events, event: ev.map(|e| e.0) };
         self.record_task(self.plane().submit(order, work, run, owned));
     }
 
@@ -394,16 +396,11 @@ impl CommandQueue {
     /// `clEnqueueWriteBuffer`: copy `data` from the host into the buffer and
     /// charge an H2D transfer to this queue's device. After the write the
     /// contents are valid on this device only — the runtime does not retain
-    /// a staging copy of the user's host array, exactly as in OpenCL.
+    /// a staging copy of the user's host array, exactly as in OpenCL. A
+    /// caller that does not yet know where the buffer will be read writes
+    /// it with [`Self::enqueue_write_host`] instead.
     pub fn enqueue_write<T: Element>(&self, buf: &Buffer, data: &[T]) -> ClResult<Event> {
-        self.check_buffer(buf)?;
-        let expected = buf.len::<T>();
-        if data.len() != expected {
-            return Err(ClError::InvalidValue(format!(
-                "enqueue_write length mismatch: buffer holds {expected} elements, got {}",
-                data.len()
-            )));
-        }
+        self.check_write(buf, data)?;
         let dev = self.device();
         let node = &self.inner.ctx.rt.node;
         let bytes = buf.byte_len() as u64;
@@ -420,14 +417,46 @@ impl CommandQueue {
             &touches,
             Stamp::AsStated,
         );
-        // Data plane: the store update is a hazard-tracked task. A queued
-        // write must stage the user's slice (the call may return before a
-        // worker runs the copy, and OpenCL does not retain the host
-        // pointer) — a memcpy of the whole payload on this thread — so an
-        // unblocked write of any size is cheaper copied straight into the
-        // store: it declares no work.
+        self.write_store(&touches[0], data, Some(ev));
+        buf.inner.residency.lock().written_on(dev);
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+    }
+
+    /// A write that stays on the host: the store takes `data` exactly as
+    /// [`Self::enqueue_write`] would, but no H2D is charged and the buffer
+    /// is left valid on the host only — the residency a renewed buffer has.
+    /// The first command that reads it on a device stages it there, as any
+    /// host-valid buffer is staged.
+    pub fn enqueue_write_host<T: Element>(&self, buf: &Buffer, data: &[T]) -> ClResult<()> {
+        self.check_write(buf, data)?;
+        self.write_store(&Access::write(buf), data, None);
+        buf.mark_host_only();
+        Ok(())
+    }
+
+    fn check_write<T: Element>(&self, buf: &Buffer, data: &[T]) -> ClResult<()> {
+        self.check_buffer(buf)?;
+        let expected = buf.len::<T>();
+        if data.len() != expected {
+            return Err(ClError::InvalidValue(format!(
+                "enqueue_write length mismatch: buffer holds {expected} elements, got {}",
+                data.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// A write's data-plane half, `write` of its buffer, backing engine
+    /// event `ev` if it has one: the store update is a hazard-tracked task.
+    /// A queued write must stage the user's slice (the call may return
+    /// before a worker runs the copy, and OpenCL does not retain the host
+    /// pointer) — a memcpy of the whole payload on this thread — so an
+    /// unblocked write of any size is cheaper copied straight into the
+    /// store: it declares no work.
+    fn write_store<T: Element>(&self, write: &Access, data: &[T], ev: Option<EventId>) {
+        let buf = &write.buf;
         self.submit_task(
-            &touches,
+            std::slice::from_ref(write),
             &[],
             ev,
             0,
@@ -444,8 +473,6 @@ impl CommandQueue {
                 })
             },
         );
-        buf.inner.residency.lock().written_on(dev);
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
     }
 
     /// `clEnqueueReadBuffer` (blocking): make the buffer valid on this
@@ -545,7 +572,7 @@ impl CommandQueue {
             self.submit_task(
                 &touches,
                 &[],
-                ev,
+                Some(ev),
                 bytes,
                 || copy_stores(src, dst),
                 || {
@@ -756,7 +783,7 @@ impl CommandQueue {
             w.buf.mark_host_only();
         }
         let nop = || Duration::ZERO;
-        self.submit_task(&written, &[], join, 0, nop, || Box::new(nop));
+        self.submit_task(&written, &[], Some(join), 0, nop, || Box::new(nop));
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join))
     }
 
@@ -818,7 +845,7 @@ impl CommandQueue {
         self.submit_task(
             touches,
             &wait_events,
-            ev,
+            Some(ev),
             work as u64,
             || execute(&**kernel.body(), args),
             || {
@@ -989,6 +1016,33 @@ mod tests {
         let trace = p.trace_snapshot();
         // One H2D for the write; the kernel triggered no extra transfers.
         assert_eq!(trace.transfers_where(|_| true), 1);
+    }
+
+    #[test]
+    fn a_host_write_issues_nothing_and_the_kernel_stages_it() {
+        let (p, ctx, k, b) = setup();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        q.enqueue_write(&b, &vec![1.0f64; 1024]).unwrap();
+        q.finish();
+        // Over a copy on GPU 1: the store takes the data, no command runs,
+        // and the host holds the only valid copy.
+        q.enqueue_write_host(&b, &vec![3.0f64; 1024]).unwrap();
+        assert_eq!(p.trace_snapshot().transfers_where(|_| true), 1);
+        let res = b.residency();
+        assert!(res.host && res.devices.is_empty(), "{res:?}");
+        assert!(q.enqueue_write_host(&b, &[1.0f64; 7]).is_err());
+        // The kernel on GPU 2 stages it with one H2D, no D2H.
+        let q2 = ctx.create_queue(DeviceId(2)).unwrap();
+        k.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+        q2.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
+        q2.finish();
+        let trace = p.trace_snapshot();
+        let h2d_on_2 = trace.transfers_where(|r| {
+            r.device == DeviceId(2)
+                && matches!(r.kind, CommandKind::Transfer { kind: TransferKind::HostToDevice, .. })
+        });
+        assert_eq!((trace.transfers_where(|_| true), h2d_on_2), (2, 1));
+        assert_eq!(b.host_snapshot::<f64>(), vec![6.0f64; 1024]);
     }
 
     #[test]

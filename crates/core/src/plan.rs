@@ -12,8 +12,9 @@
 //! and maps the queues over them; ROUND_ROBIN's rotation prices nothing.
 //! Then decide orders the out-of-order launches ([`ooo`]'s Johnson rule)
 //! and walks the epoch's issue order: it keeps a split candidate's best
-//! shares ([`split::balance`]) only when the epoch ends sooner, and the
-//! walk's end is the plan's prediction.
+//! shares ([`split::balance`]) only when the epoch ends sooner. The replay
+//! of the issue it settles, with the host's enqueues counted, is the plan's
+//! prediction.
 //!
 //! One clock times all of it: the replay of launches through the time
 //! plane's rules ([`replayed_end`]) — lanes, hazards, residency. An overlap
@@ -154,6 +155,9 @@ pub struct PassInput {
     pub degradation: Vec<f64>,
     /// Per column: when its lanes come free, in ns from the flush.
     pub lanes: Vec<Lanes>,
+    /// The host's cost of enqueuing one command, in ns: the issue enqueues
+    /// its commands one after another, and none starts before it is.
+    pub enqueue: u64,
     /// ROUND_ROBIN's rotation counter.
     pub rr_next: usize,
     /// The pool's queues.
@@ -404,7 +408,7 @@ fn reorder(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 }
 
 /// The epoch's issue order, replayed from the flush: each launch as the plan
-/// issues it, and the epoch's predicted end where the walk ends. Each split
+/// issues it, and then the prediction ([`Replay::predict`]). Each split
 /// candidate is judged on the way. It gets, over several device sets, the
 /// shares that end its chunks soonest ([`split::balance`], a device's chunk
 /// priced at its own size from where the epoch has left its lanes). It
@@ -524,7 +528,7 @@ fn walk(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
         }
         Replay::issue_planned(at, input, plan, l);
     }
-    plan.predicted = SimDuration::from_nanos(at.end);
+    plan.predicted = Replay::predict(at, input, plan, issue.iter().copied());
 }
 
 /// The epoch's launches in issue order: each in-order queue's in program
@@ -536,15 +540,11 @@ fn issue_order<'a>(input: &'a PassInput, plan: &'a Plan) -> impl Iterator<Item =
 }
 
 /// When the epoch `plan` issues ends by the time plane's rules, in ns from
-/// the flush and from the devices and queues it finds: the replay [`decide`]
-/// judges its splits by and predicts with.
+/// the flush and from the devices and queues it finds, the host enqueuing
+/// each command: [`decide`]'s prediction. Its split judgement replays the
+/// same way without the host.
 pub fn replayed_end(input: &PassInput, plan: &Plan) -> SimDuration {
-    let mut replay = Replay::default();
-    Replay::at_flush(&mut replay, input);
-    for l in issue_order(input, plan) {
-        Replay::issue_planned(&mut replay, input, plan, l);
-    }
-    SimDuration::from_nanos(replay.end)
+    Replay::predict(&mut Replay::default(), input, plan, issue_order(input, plan))
 }
 
 /// Launch `l`'s kernel time on column `d`, whole: its profile-row time with
@@ -612,7 +612,9 @@ enum Held {
 /// waits on is, in order, its queue's previous command and, out of order,
 /// its buffer hazards (RAW, and WAR/WAW for a write) — per buffer, the last
 /// writer's and the last access's ends, which is what the reorderer's hazard
-/// DAG orders. A whole launch makes its buffers valid on its device once
+/// DAG orders. The prediction also clocks the host: there no command starts
+/// before the host has enqueued it and every one before it
+/// ([`PassInput::enqueue`] each). A whole launch makes its buffers valid on its device once
 /// that has ended (a copy-lane transfer each) and then runs its kernel. A
 /// split issues a start marker on the home compute lane; per chunk, its input
 /// transfers, its kernel at its own size and a share-sized gather per
@@ -633,6 +635,10 @@ struct Replay {
     accessed: Vec<u64>,
     /// Per buffer slot and column: made valid there by the replay.
     moved: Vec<bool>,
+    /// When the host has enqueued the last command, and what one more
+    /// costs: zero but in the prediction.
+    host: u64,
+    enqueue: u64,
     /// When the last command ends.
     end: u64,
 }
@@ -655,6 +661,7 @@ impl Replay {
         }
         r.moved.clear();
         r.moved.resize(buffers * n, false);
+        (r.host, r.enqueue) = (0, 0);
         r.end = 0;
     }
 
@@ -666,6 +673,20 @@ impl Replay {
         r.queue.iter_mut().zip(&input.queues).for_each(|(tail, q)| *tail = q.tail);
     }
 
+    /// The `issue` of `plan` replayed from the flush, the host enqueuing
+    /// each command: the prediction.
+    fn predict(
+        r: &mut Replay,
+        input: &PassInput,
+        plan: &Plan,
+        issue: impl IntoIterator<Item = usize>,
+    ) -> SimDuration {
+        Replay::at_flush(r, input);
+        r.enqueue = input.enqueue;
+        issue.into_iter().for_each(|l| Replay::issue_planned(r, input, plan, l));
+        SimDuration::from_nanos(r.end)
+    }
+
     /// Become a copy of `other`, in the lists this one already has.
     fn copy_from(r: &mut Replay, other: &Replay) {
         r.lanes.clone_from(&other.lanes);
@@ -675,7 +696,15 @@ impl Replay {
         r.written.clone_from(&other.written);
         r.accessed.clone_from(&other.accessed);
         r.moved.clone_from(&other.moved);
+        (r.host, r.enqueue) = (other.host, other.enqueue);
         r.end = other.end;
+    }
+
+    /// The host enqueues one more command, ready at `ready`: when it can
+    /// start.
+    fn enqueued(r: &mut Replay, ready: u64) -> u64 {
+        r.host += r.enqueue;
+        ready.max(r.host)
     }
 
     /// Issue launch `l` of a queue bound to column `home`: whole, or as
@@ -694,10 +723,12 @@ impl Replay {
         for c in chunks {
             let d = c.device;
             let mut end = Replay::fetch_all(r, input, l, d, r.lane[d]).max(marker);
+            end = Replay::enqueued(r, end);
             end =
                 Lanes::run(&mut r.lanes[d], end, chunk_time(input, k, d, c.wg_offset, c.wg_count));
             for b in writes(input, l) {
                 let gather = gather_time(input, b, d, c.wg_count, input.splits[k].units);
+                end = Replay::enqueued(r, end);
                 end = Lanes::stage(&mut r.lanes[d], end, gather);
             }
             for t in touches {
@@ -706,6 +737,7 @@ impl Replay {
             r.lane[d] = end;
             ready = ready.max(end);
         }
+        let ready = Replay::enqueued(r, ready);
         let join = Lanes::run(&mut r.lanes[home], ready, 0);
         r.queue[input.launches[l].queue] = join;
         r.end = r.end.max(join);
@@ -738,6 +770,7 @@ impl Replay {
             false => r.queue[q],
         };
         let staged = Replay::fetch_all(r, input, l, d, ready);
+        let staged = Replay::enqueued(r, staged);
         let end = Lanes::run(&mut r.lanes[d], staged, whole_time(input, l, d));
         r.queue[q] = r.queue[q].max(end);
         r.end = r.end.max(end);
@@ -764,6 +797,7 @@ impl Replay {
                 ready = ready.max(Replay::hazard(r, t.buffer, t.write));
             }
         }
+        let ready = Replay::enqueued(r, ready);
         r.queue[q] = Lanes::run(&mut r.lanes[home], ready, 0);
         r.queue[q]
     }
@@ -800,12 +834,20 @@ impl Replay {
         let end = match r.held[b] {
             Held::Snapshot => match input.transfer[cell].as_nanos() {
                 0 => return None,
-                ns => Lanes::stage(&mut r.lanes[d], after, ns),
+                ns => {
+                    let after = Replay::enqueued(r, after);
+                    Lanes::stage(&mut r.lanes[d], after, ns)
+                }
             },
-            Held::Host => Lanes::stage(&mut r.lanes[d], after, link_time(input, d, bytes())),
+            Held::Host => {
+                let after = Replay::enqueued(r, after);
+                Lanes::stage(&mut r.lanes[d], after, link_time(input, d, bytes()))
+            }
             Held::Device(o) => {
                 r.held[b] = Held::Host;
+                let after = Replay::enqueued(r, after);
                 let staged = Lanes::stage(&mut r.lanes[o], after, link_time(input, o, bytes()));
+                let staged = Replay::enqueued(r, staged);
                 Lanes::stage(&mut r.lanes[d], staged, link_time(input, d, bytes()))
             }
         };

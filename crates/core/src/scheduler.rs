@@ -833,12 +833,13 @@ impl RtInner {
             self.device_health(epoch, &mut input.lost, &mut work.delta);
         }
         // The issue starts now: the lanes and queue tails are counted from here.
-        let PassInput { devices, degradation, lanes, queues, .. } = input;
+        let PassInput { devices, degradation, lanes, enqueue, queues, .. } = input;
         degradation.clear();
         lanes.clear();
         self.platform.with_engine(|e| {
             let from_now = |t: hwsim::SimTime| t.saturating_since(e.now()).as_nanos();
             degradation.extend(devices.iter().map(|&d| e.device_degradation(d)));
+            *enqueue = e.enqueue_cost().as_nanos();
             lanes.extend(devices.iter().map(|&d| {
                 let (copy, compute) = e.device_lanes(d);
                 plan::Lanes { copy: from_now(copy), compute: from_now(compute) }
@@ -1150,6 +1151,19 @@ impl RtInner {
             self.emit(&SchedEvent::CacheHit { epoch, key });
         }
         (exec, ExecSource::Profiled)
+    }
+
+    /// Whether a write on `q` can wait for the next pass to place it
+    /// (DESIGN.md §9, *Write residency*): under AUTO_FIT a pass prices a
+    /// pool queue's uploads and stages them on the device it binds the
+    /// queue to, unless that pass may profile the queue — no pass has bound
+    /// it yet, or its §V-C1 re-profile is due. ROUND_ROBIN keeps a bound
+    /// queue where it is, where an eager write already lands.
+    fn places_writes(&self, q: &QueueState) -> bool {
+        self.policy == ContextSchedPolicy::AutoFit
+            && q.participates()
+            && q.bound.load(Ordering::Relaxed)
+            && !self.forced(q)
     }
 
     /// §V-C1: whether an iterative queue is due for its periodic re-profile.
@@ -1825,11 +1839,22 @@ impl SchedQueue {
         self.rt.schedule_and_flush();
     }
 
-    /// `clEnqueueWriteBuffer`. Writes are not scheduled: they execute on the
-    /// queue's current device binding immediately (they define where the
-    /// data initially lives — the "source device" of later profiling). If
-    /// kernels are already pending on this queue, the write first forces an
-    /// epoch boundary to preserve in-order semantics.
+    /// `clEnqueueWriteBuffer`. The store takes `data` now; where the upload
+    /// goes is one of two cases (DESIGN.md §9, *Write residency*):
+    ///
+    /// - Under AUTO_FIT, a pool queue that a pass has bound and that is not
+    ///   due for its §V-C1 re-profile leaves the buffer valid on the host
+    ///   only: the next pass prices the upload per device and stages it on
+    ///   the device it picks for the queue.
+    /// - Any other queue — one whose next pass may profile it, above all one
+    ///   no pass has bound yet — writes eagerly, with an H2D on its current
+    ///   device binding: that defines where the data initially lives, the
+    ///   "source device" profiling reads back from.
+    ///
+    /// A misjudged case costs virtual time, never data: the profiler stages
+    /// a host-valid buffer like any other. If kernels are already pending
+    /// on this queue, the write first forces an epoch boundary to preserve
+    /// in-order semantics.
     pub fn enqueue_write<T: clrt::buffer::Element>(
         &self,
         buf: &Buffer,
@@ -1838,8 +1863,11 @@ impl SchedQueue {
         if !self.state.pending.lock().is_empty() {
             self.rt.schedule_and_flush();
         }
-        self.state.cl.enqueue_write(buf, data)?;
-        Ok(())
+        if self.rt.places_writes(&self.state) {
+            self.state.cl.enqueue_write_host(buf, data)
+        } else {
+            self.state.cl.enqueue_write(buf, data).map(drop)
+        }
     }
 
     /// `clEnqueueReadBuffer` (blocking). Forces a scheduling trigger (it is

@@ -75,14 +75,19 @@ const LOCAL: u64 = 64;
 /// once more after 9cc7764, when an epoch's prediction became the replay
 /// of the plan it issues, by one stated rule: each stream equals 9cc7764's
 /// once every `makespan_attribution` line's `predicted_ns` is removed (the
-/// trace column did not move).
+/// trace column did not move). The events column of all six rows was
+/// re-derived once more after 187282e, when
+/// the prediction came to count the host's enqueue of each command, by the
+/// same rule: each stream equals 187282e's once every `predicted_ns` is
+/// removed. No upload moved: every write here precedes the first pass, so
+/// the trace column did not move.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("mixed/auto_fit/clean", 0xefed_250c_ec3e_05db, 0xaf73_f427_caf8_5aae),
-    ("mixed/auto_fit/loss", 0x8b84_0b17_8fc1_26fb, 0xa73b_3cd3_127d_3231),
-    ("mixed/auto_fit/predictor", 0xee59_103f_867b_e966, 0x83ca_b7a2_3be1_dc46),
-    ("mixed/round_robin/clean", 0xd5e4_98d5_d8e2_638a, 0x138f_c3e5_8a59_e87c),
-    ("mixed/round_robin/loss", 0x7f4a_337a_a91b_7d93, 0x84c7_3cf0_2d5a_fcc8),
-    ("wide/auto_fit/clean", 0xbb22_2ece_832e_8b73, 0x09ea_dc96_1fe4_12cc),
+    ("mixed/auto_fit/clean", 0x3bc1_95ba_afee_8d84, 0xaf73_f427_caf8_5aae),
+    ("mixed/auto_fit/loss", 0x0a6f_2122_a115_287f, 0xa73b_3cd3_127d_3231),
+    ("mixed/auto_fit/predictor", 0xe316_6d6a_5419_6f33, 0x83ca_b7a2_3be1_dc46),
+    ("mixed/round_robin/clean", 0x41e9_d2b0_90d9_0efc, 0x138f_c3e5_8a59_e87c),
+    ("mixed/round_robin/loss", 0xca1c_8740_3abb_3c70, 0x84c7_3cf0_2d5a_fcc8),
+    ("wide/auto_fit/clean", 0xd3cb_a893_9a6b_3bf8, 0x09ea_dc96_1fe4_12cc),
 ];
 
 /// `out[i] = out[i] * 0.5 + a[i] * scale + b[i]` over the first `n` items

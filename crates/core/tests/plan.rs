@@ -166,6 +166,34 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     assert_eq!(plan_of(&input).device[..2], [1, 2]);
 }
 
+/// The prediction counts the host's enqueues: the issue's commands go out
+/// one after another, and none starts before it has. What the plan decides
+/// does not read them.
+#[test]
+fn the_prediction_counts_the_hosts_enqueues() {
+    for policy in [ContextSchedPolicy::RoundRobin, ContextSchedPolicy::AutoFit] {
+        // One idle column, two in-order queues, each staging its buffer
+        // (30 ns) and running (100 ns): 0–30 and 30–130, then 30–60 and
+        // 130–230.
+        let mut input = input(policy, 1);
+        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
+        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
+        let free = plan_of(&input);
+        assert_eq!(free.predicted, SimDuration::from_nanos(230), "{policy}");
+        // At 50 ns an enqueue: the first stage starts at 50 and ends at 80,
+        // its kernel is enqueued at 100 and runs to 200; the second stage
+        // is enqueued at 150 (to 180), its kernel at 200 and runs to 300.
+        input.enqueue = 50;
+        let plan = plan_of(&input);
+        assert_eq!(plan.predicted, SimDuration::from_nanos(300), "{policy}");
+        assert_eq!(plan.predicted, replayed_end(&input, &plan));
+        assert_eq!(
+            (&plan.device, &plan.splits, &plan.order),
+            (&free.device, &free.splits, &free.order)
+        );
+    }
+}
+
 #[test]
 fn the_prediction_replays_the_plan_from_the_devices_and_queues_at_the_flush() {
     for policy in [ContextSchedPolicy::RoundRobin, ContextSchedPolicy::AutoFit] {
@@ -707,6 +735,12 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         // prediction is the replay of the plan.
         assert_eq!(plan.costs, naive_costs(&input), "case {case}: {input:?}");
         assert_eq!(plan.predicted, replayed_end(&input, &plan), "case {case}: {input:?}");
+        // The host's enqueues delay the prediction and decide nothing else.
+        let hosted = PassInput { enqueue: 1 + case * 37 % 1000, ..input.clone() };
+        let with_host = plan_of(&hosted);
+        assert_eq!(with_host.predicted, replayed_end(&hosted, &with_host), "case {case}");
+        assert!(with_host.predicted >= plan.predicted, "case {case}: {input:?}");
+        assert_eq!(Plan { predicted: plan.predicted, ..with_host }, plan, "case {case}");
         let n = input.devices.len();
         // Every planned device is bindable.
         for (q, &di) in input.queues.iter().zip(&plan.device) {

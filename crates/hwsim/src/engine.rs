@@ -163,6 +163,13 @@ impl Engine {
         self.host_now
     }
 
+    /// The host's cost of one enqueue: a command starts no sooner than this
+    /// after the one the host enqueued before it.
+    #[inline]
+    pub fn enqueue_cost(&self) -> SimDuration {
+        self.enqueue_cost
+    }
+
     /// Set the label attached to subsequent trace records (`None` clears it).
     pub fn set_tag(&mut self, tag: Option<&str>) {
         self.tag = tag.map(Arc::from);

@@ -1178,9 +1178,13 @@ impl Served {
     /// clears them, so nothing leaks from the slot's previous job; static
     /// binding under [`ServePolicy::Off`] ignores them), check out an
     /// instance of its program — the caller holds it until `finish_all` —
-    /// and walk the steps in `order` (the spec's topological order). Writes
-    /// execute immediately (defining initial residency); launches buffer
-    /// into the worker's pending epoch.
+    /// and walk the steps in `order` (the spec's topological order). A
+    /// write stores its data now; on a worker a pass has bound it leaves
+    /// the buffer on the host, and the pass that maps the job uploads it to
+    /// the device the job runs on — a first write, on a worker no pass has
+    /// bound yet, uploads to the worker's current device
+    /// ([`SchedQueue::enqueue_write`]). Launches buffer into the worker's
+    /// pending epoch.
     fn issue_job(
         &self,
         worker: &SchedQueue,
@@ -1461,6 +1465,105 @@ mod tests {
         assert_eq!(reused.len(), 3 * WORKERS);
         assert!(reused.iter().all(|(_, outcome, _)| outcome.result == JobResult::Completed));
         assert_eq!(reused, run(false));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job's upload goes where its kernel runs. The `svc_cpu` template,
+    /// cut to `serve_light`'s one 64-item workgroup over 256 elements, is
+    /// fastest on the CPU, in part because a GPU upload costs twenty times
+    /// a CPU one. It runs on the one worker after `svc_gpu` left that
+    /// worker's queue on a GPU: its write stays on the host, the pass maps
+    /// the job to the CPU, and the job's one upload runs there, with no
+    /// download. Against the same job (same id) as the first job of a
+    /// service that never warmed its worker — no pass has bound the queue,
+    /// so the write is eager, on the CPU the first worker starts on — its
+    /// outcome and buffer are bit-equal, and so is its `JobTrace` but for
+    /// the instants and durations, which the other history moves.
+    #[test]
+    fn a_warm_workers_upload_goes_where_its_kernel_runs() {
+        let templates = crate::loadgen::templates();
+        let named = |name: &str| templates.iter().find(|t| &*t.name == name).cloned();
+        let gpu = named("svc_gpu").expect("stock template");
+        let mut cpu = named("svc_cpu").expect("stock template");
+        cpu.buffers[0].elements = 256;
+        for step in &mut cpu.steps {
+            if let StepOp::Launch { global, local, .. } = &mut step.op {
+                (*global, *local) = (64, 64);
+            }
+        }
+        let mut refused = cpu.clone();
+        refused.buffers[0].elements = 0;
+        let dir = std::env::temp_dir().join(format!("served-upload-{}", std::process::id()));
+        // The CPU job after `svc_gpu` (`warm`) or after a refused
+        // submission that only uses up the same job id: its outcome, its
+        // `JobTrace` with every instant and duration zeroed, its buffer and
+        // the transfers its dispatch issued (device, direction).
+        let run = |warm: bool| {
+            let platform = Platform::paper_node();
+            let ring = Arc::new(multicl::telemetry::RingBufferSink::new(1 << 14));
+            let mut options = warmed_options(&platform, &dir);
+            options.observers.push(ring.clone());
+            let tenants = vec![TenantConfig::new("t", 1, 4)];
+            let config =
+                ServiceConfig { options, ..ServiceConfig::new(ServePolicy::AutoFit, 1, tenants) };
+            let served = Served::new(&platform, config).expect("service builds");
+            if warm {
+                served.warm_programs(&[gpu.clone(), cpu.clone()]).expect("templates build");
+                served.submit(0, gpu.clone()).expect("admitted");
+                assert_eq!(served.dispatch_round(), 1);
+                assert_ne!(
+                    served.worker_devices()[0],
+                    hwsim::DeviceId(0),
+                    "the worker is on a GPU"
+                );
+            } else {
+                assert!(served.submit(0, refused.clone()).is_err());
+                assert_eq!(
+                    served.worker_devices()[0],
+                    hwsim::DeviceId(0),
+                    "a new worker is on the CPU"
+                );
+            }
+            let mark = platform.trace_snapshot().total_pushed();
+            let id = served.submit(0, cpu.clone()).expect("admitted");
+            assert_eq!(served.dispatch_round(), 1);
+            let trace = platform.trace_snapshot();
+            let transfers: Vec<_> = (trace.records_since(mark).iter())
+                .filter_map(|r| match r.kind {
+                    CommandKind::Transfer { kind, .. } => Some((r.device, kind)),
+                    _ => None,
+                })
+                .collect();
+            let outcome = served.outcomes().pop().expect("the job finished");
+            let mut job_trace = ring
+                .snapshot()
+                .into_iter()
+                .find(|e| matches!(e, SchedEvent::JobTrace { job, .. } if *job == id))
+                .expect("a JobTrace event");
+            if let SchedEvent::JobTrace { epoch, submitted_at, completed_at, attempts, .. } =
+                &mut job_trace
+            {
+                (*epoch, *submitted_at, *completed_at) = (0, SimTime::ZERO, SimTime::ZERO);
+                for a in attempts {
+                    (a.epoch, a.dispatched_at, a.ended_at) = (0, SimTime::ZERO, SimTime::ZERO);
+                    a.segments = Default::default();
+                }
+            }
+            let programs = served.programs.lock();
+            let held = programs.iter().find(|p| p.kernels == cpu.kernels).unwrap().idle.last();
+            let buffers: Vec<Vec<f64>> =
+                held.unwrap().buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
+            (outcome.result, job_trace, buffers, transfers)
+        };
+        let (result, trace, buffers, transfers) = run(true);
+        assert_eq!(result, JobResult::Completed);
+        assert_eq!(
+            transfers,
+            [(hwsim::DeviceId(0), TransferKind::HostToDevice)],
+            "the job's one upload runs on the CPU, and nothing is downloaded"
+        );
+        let eager = run(false);
+        assert_eq!((&result, &trace, &buffers), (&eager.0, &eager.1, &eager.2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,9 +11,10 @@
 //! Each bound is a ratchet: the measured figure (virtual time, the same in
 //! debug and release) rounded up to the next half percent. A change that
 //! makes the replay a worse model of the time plane fails here; one that
-//! makes it better lowers the bound. A replay started from idle devices and
-//! queues fails both serving shapes: it misses the uploads each job's
-//! first launch waits behind.
+//! makes it better lowers the bound. A prediction that leaves out the
+//! host's enqueues fails both serving shapes (0.1104 and 0.0076): each
+//! job's upload is the first command its queue issues in the epoch, and it
+//! starts no sooner than the host has enqueued it and everything before.
 
 use hwsim::xrand::XorShift;
 use hwsim::{SimDuration, SimTime};
@@ -28,12 +29,14 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Per shape, the most its mean relative prediction error may be: measured
-/// 0.1023 (NPB), 0.0036 (FDM), 0.0576 (`serve_light`), 0.0216
-/// (`serve_mix`).
+/// 0.1023 (NPB), 0.0036 (FDM), 0.0592 (`serve_light`, 0.0576 before a warm
+/// job's upload moved into the pass) and 0 (`serve_mix`) — the NPB and FDM
+/// bounds were set before the prediction counted the host's enqueues,
+/// which brought them to 0.0945 and 0.
 const NPB_BOUND: f64 = 0.105;
 const FDM_BOUND: f64 = 0.005;
 const SERVE_LIGHT_BOUND: f64 = 0.06;
-const SERVE_MIX_BOUND: f64 = 0.025;
+const SERVE_MIX_BOUND: f64 = 0.005;
 
 /// Each attributed epoch's `|predicted − actual| / actual`.
 #[derive(Default)]
