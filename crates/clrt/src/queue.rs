@@ -10,17 +10,15 @@
 //! (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE`,
 //! [`crate::Context::create_queue_ooo`], or
 //! [`CommandQueue::set_out_of_order`] on an idle queue) drop the implicit
-//! command chaining: a command is ordered after explicit event wait lists,
-//! [`CommandQueue::enqueue_barrier`] and — unlike OpenCL, which leaves data
-//! hazards between unordered commands to the application — the RAW / WAR /
-//! WAW predecessors of the buffers it touches, in both planes. Independent
-//! commands may overlap in virtual time (e.g. one kernel's input migration
-//! running while an earlier kernel still executes) and in wall-clock time;
-//! dependent ones never do. An in-order queue waits on its own chain alone
-//! in virtual time: a command of it that depends on another queue's command
-//! (a migration of a buffer a kernel on another device is still writing)
-//! can overlap that command there. The data plane orders the two by their
-//! touches on either queue kind, so results are exact (ROADMAP item 6(a)).
+//! command chaining. On every queue a command is ordered after explicit
+//! event wait lists, [`CommandQueue::enqueue_barrier`] and — unlike OpenCL,
+//! which leaves data hazards between unordered commands to the application
+//! — the RAW / WAR / WAW predecessors of the buffers it touches, whichever
+//! queue issued them, in both planes; an in-order queue's previous command
+//! is one more predecessor. Independent commands of an out-of-order queue
+//! may overlap in virtual time (e.g. one kernel's input migration running
+//! while an earlier kernel still executes) and in wall-clock time;
+//! dependent commands never do, on any queue.
 //!
 //! Every enqueue operation:
 //! 1. validates arguments (context membership, sizes, capacities),
@@ -28,7 +26,7 @@
 //!    residency → H2D / D2H / staged D2D), charging virtual time,
 //! 3. states the buffers the command touches, once ([`Access`]), and
 //!    submits the command to the hwsim engine (time plane) through the one
-//!    consult → submit → record sequence (`submit`), and
+//!    consult and record → submit sequence (`submit`), and
 //! 4. submits the host-side effect (kernel body, store copy) to the
 //!    hazard-tracked data-plane executor ([`crate::exec`]), ordered by the
 //!    same touches, which runs it on the enqueueing thread when nothing
@@ -162,9 +160,10 @@ impl CommandQueue {
     /// (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE` as a settable property).
     /// Only an idle queue can change mode — every command enqueued so far
     /// has completed in virtual time, e.g. after [`Self::finish`]: an
-    /// in-order command chains behind the *last* command alone, which
-    /// orders it after nothing an out-of-order predecessor still has in
-    /// flight. Setting the mode the queue already has always succeeds.
+    /// in-order command chains behind the *last* command and its own
+    /// buffers' hazards, which orders it after nothing else an out-of-order
+    /// predecessor still has in flight. Setting the mode the queue already
+    /// has always succeeds.
     pub fn set_out_of_order(&self, ooo: bool) -> ClResult<()> {
         if self.is_out_of_order() == ooo {
             return Ok(());
@@ -267,16 +266,20 @@ impl CommandQueue {
         self.record_task(self.plane().submit(order, work, run, owned));
     }
 
-    /// The one time-plane sequence: consult → submit → record. Submit one
+    /// The one time-plane sequence: consult and record → submit. Submit one
     /// command on `device` that touches `touches` (seen through `stamp`) and
     /// waits on `waits`, recorded under the trace id `queue`: this queue's own,
     /// or on a split lane the issuing queue's
-    /// ([`Self::enqueue_ndrange_split`]). An in-order queue chains it after the
-    /// queue's previous command; an out-of-order queue *consults* the touched
-    /// buffers' frontiers instead and waits on their RAW / WAR / WAW
-    /// predecessors. Every queue then *records* the command in them, so
-    /// out-of-order commands elsewhere order after it. The wait list stays
-    /// inline (no heap allocation) for the common ≤4-dependency case.
+    /// ([`Self::enqueue_ndrange_split`]). Every queue *consults* the touched
+    /// buffers' frontiers for their RAW / WAR / WAW predecessors; an in-order
+    /// queue's previous command is one more. Of those, only the one that ends
+    /// latest joins `waits`, and only if it ends after every wait there: the
+    /// engine reads a wait list through its latest end alone, so this is
+    /// exact and the list stays inline (no heap allocation) for up to four
+    /// explicit waits. Every queue also *records* the command in the
+    /// frontiers, under the same lock as the consult, by the id the engine is
+    /// about to give it; a consult skips that id, which a buffer touched twice
+    /// (a self-copy's read, then its write) has already recorded.
     #[allow(clippy::too_many_arguments)]
     fn submit(
         &self,
@@ -289,23 +292,25 @@ impl CommandQueue {
         touches: &[Access],
         stamp: Stamp,
     ) -> EventId {
-        if self.is_out_of_order() {
-            for t in touches {
-                waits.extend(t.buf.inner.stamp_hazard.lock().predecessors(stamp.writes(t)));
-            }
-        } else if let Some(last) = (*self.inner.last.lock()).filter(|l| !waits.contains(l)) {
-            waits.push(last);
-        }
-        let id = engine.submit(CommandDesc { device, kind, duration, waits, queue });
-        if stamp != Stamp::Unrecorded {
-            for t in touches {
-                let mut h = t.buf.inner.stamp_hazard.lock();
+        let id = engine.next_event();
+        let end = |e: &EventId| engine.stamp(*e).end;
+        let mut latest = (*self.inner.last.lock()).filter(|_| !self.is_out_of_order());
+        for t in touches {
+            let mut h = t.buf.inner.stamp_hazard.lock();
+            let preds = h.predecessors(stamp.writes(t)).filter(|&e| e != id);
+            latest = latest.into_iter().chain(preds).max_by_key(end);
+            if stamp != Stamp::Unrecorded {
                 h.record(id, stamp.writes(t));
                 if h.reader_count() >= STAMP_READERS_PRUNE {
                     h.prune_readers(|&e| !engine.event_completed(e));
                 }
             }
         }
+        if latest.is_some_and(|l| waits.iter().all(|w| end(w) < end(&l))) {
+            waits.extend(latest);
+        }
+        let submitted = engine.submit(CommandDesc { device, kind, duration, waits, queue });
+        debug_assert_eq!(submitted, id, "the engine numbers events in submission order");
         *self.inner.last.lock() = Some(id);
         self.inner.outstanding.lock().push(id);
         id
@@ -660,20 +665,19 @@ impl CommandQueue {
     /// axis; the counts are non-zero and sum to the launch's. Bad input is a
     /// typed error, found before anything is issued on either plane.
     ///
-    /// Issued in order: a start marker here (the tail of this queue's prior
-    /// work and, out of order, the launch's hazard predecessors, which the
-    /// lanes never consult); per chunk, the sub-range launch on its lane, a
-    /// time-plane *reader* after the marker (a per-device configuration lends
-    /// it only its workgroup shape), then a share-sized D2H gather per written
-    /// buffer; and the join here, after every gather: each written buffer's
-    /// writer, valid on the host alone. Returns the join's event. Every command
-    /// the call issues is recorded under this queue's trace id, the lanes'
-    /// included (chunks, their input migrations, gathers): the trace's queue is
-    /// the logical queue, while the lanes still chain the commands per device.
-    /// When a chunk or gather fails, the join completes failed on this queue
-    /// with the kind of the first that did (OpenCL's
-    /// error-for-events-in-wait-list status), so whoever watches this queue
-    /// sees the failure.
+    /// Issued in order: a start marker here (after the tail of this queue's
+    /// prior work and the launch's hazard predecessors); per chunk, the
+    /// sub-range launch on its lane, a time-plane *reader* after the marker
+    /// (a per-device configuration lends it only its workgroup shape), then
+    /// a share-sized D2H gather per written buffer; and the join here, after
+    /// every gather: each written buffer's writer, valid on the host alone.
+    /// Returns the join's event. Every command the call issues is recorded
+    /// under this queue's trace id, the lanes' included (chunks, their input
+    /// migrations, gathers): the trace's queue is the logical queue, while
+    /// the lanes still chain the commands per device. When a chunk or gather
+    /// fails, the join completes failed on this queue with the kind of the
+    /// first that did (OpenCL's error-for-events-in-wait-list status), so
+    /// whoever watches this queue sees the failure.
     pub fn enqueue_ndrange_split(
         &self,
         kernel: &Kernel,
@@ -871,9 +875,9 @@ impl CommandQueue {
     }
 
     /// The one barrier body: a marker after everything outstanding on this
-    /// queue and, on an out-of-order queue, after the time-plane hazard
-    /// predecessors of a command touching `touches` — consulted, never
-    /// recorded: the marker touches nothing itself.
+    /// queue and after the time-plane hazard predecessors of a command
+    /// touching `touches` — consulted, never recorded: the marker touches
+    /// nothing itself.
     fn barrier_after(&self, touches: &[Access]) -> Event {
         let id = {
             let mut engine = self.inner.ctx.rt.engine.lock();
@@ -1197,8 +1201,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 6(a): an in-order queue waits on its own chain alone, so in \
-                virtual time it can move a buffer another queue is still writing"]
     fn an_in_order_queue_moves_a_buffer_after_another_queues_writer_ends() {
         let (p, ctx, k, x) = setup();
         // Queue A writes `x` on GPU 1 with a long kernel.
@@ -1224,6 +1226,35 @@ mod tests {
             download.stamp,
             writer.stamp()
         );
+    }
+
+    #[test]
+    fn a_self_copy_waits_on_another_queues_writer_on_either_queue_kind() {
+        for ooo in [false, true] {
+            let (_p, ctx, k, x) = setup();
+            let a = ctx.create_queue(DeviceId(1)).unwrap();
+            a.enqueue_write(&x, &vec![1.0f64; 1024]).unwrap();
+            k.set_arg(0, ArgValue::BufferMut(x.clone())).unwrap();
+            let writer = a.enqueue_ndrange(&k, NdRange::d1(1 << 20, 128), &[]).unwrap();
+            // A second queue on the same device copies `x` onto itself: no
+            // migration orders it, only `x`'s hazards do.
+            let b = if ooo {
+                ctx.create_queue_ooo(DeviceId(1)).unwrap()
+            } else {
+                ctx.create_queue(DeviceId(1)).unwrap()
+            };
+            let copy = b.enqueue_copy(&x, &x).unwrap();
+            b.finish();
+            assert!(
+                copy.stamp().start >= writer.stamp().end,
+                "ooo={ooo}: self-copy {:?} overlaps the writer {:?}",
+                copy.stamp(),
+                writer.stamp()
+            );
+            let mut out = vec![0.0f64; 1024];
+            b.enqueue_read(&x, &mut out).unwrap();
+            assert!(out.iter().all(|&v| v == 2.0), "ooo={ooo}: the self-copy changed x");
+        }
     }
 
     #[test]

@@ -609,13 +609,14 @@ enum Held {
 
 /// An epoch's issue replayed through the time plane's rules, in ns from the
 /// flush, on each column's [`Lanes`]: decide's one clock. What a launch
-/// waits on is, in order, its queue's previous command and, out of order,
-/// its buffer hazards (RAW, and WAR/WAW for a write) — per buffer, the last
-/// writer's and the last access's ends, which is what the reorderer's hazard
-/// DAG orders. The prediction also clocks the host: there no command starts
-/// before the host has enqueued it and every one before it
-/// ([`PassInput::enqueue`] each). A whole launch makes its buffers valid on its device once
-/// that has ended (a copy-lane transfer each) and then runs its kernel. A
+/// waits on is its buffer hazards (RAW, and WAR/WAW for a write), whichever
+/// queue issued them — per buffer, the last writer's and the last access's
+/// ends, which is what the reorderer's hazard DAG orders — and, in order,
+/// its queue's previous command. The prediction also clocks the host: there
+/// no command starts before the host has enqueued it and every one before
+/// it ([`PassInput::enqueue`] each). A whole launch makes its buffers valid
+/// on its device once that has ended (a copy-lane transfer each) and then
+/// runs its kernel. A
 /// split issues a start marker on the home compute lane; per chunk, its input
 /// transfers, its kernel at its own size and a share-sized gather per
 /// written buffer, chained on the device's split lane; and the join on the
@@ -763,12 +764,9 @@ impl Replay {
     /// Launch `l` whole on column `d`.
     fn whole(r: &mut Replay, input: &PassInput, l: usize, d: usize) {
         let q = input.launches[l].queue;
-        let ooo = input.queues[q].out_of_order;
+        let chain = if input.queues[q].out_of_order { 0 } else { r.queue[q] };
+        let ready = Replay::hazards(r, input, l, chain);
         let touches = &input.touches[input.launches[l].touches.clone()];
-        let ready = match ooo {
-            true => touches.iter().map(|t| Replay::hazard(r, t.buffer, t.write)).max().unwrap_or(0),
-            false => r.queue[q],
-        };
         let staged = Replay::fetch_all(r, input, l, d, ready);
         let staged = Replay::enqueued(r, staged);
         let end = Lanes::run(&mut r.lanes[d], staged, whole_time(input, l, d));
@@ -787,29 +785,23 @@ impl Replay {
     }
 
     /// Launch `l`'s split start marker on the home compute lane: after the
-    /// queue's previous command and, out of order, the launch's hazards.
-    /// Returns its end.
+    /// queue's previous command and the launch's hazards. Returns its end.
     fn marker(r: &mut Replay, input: &PassInput, l: usize, home: usize) -> u64 {
         let q = input.launches[l].queue;
-        let mut ready = r.queue[q];
-        if input.queues[q].out_of_order {
-            for t in &input.touches[input.launches[l].touches.clone()] {
-                ready = ready.max(Replay::hazard(r, t.buffer, t.write));
-            }
-        }
+        let ready = Replay::hazards(r, input, l, r.queue[q]);
         let ready = Replay::enqueued(r, ready);
         r.queue[q] = Lanes::run(&mut r.lanes[home], ready, 0);
         r.queue[q]
     }
 
-    /// What an access of buffer slot `b` waits on out of order: its last
-    /// writer, and for a write its last access too.
-    fn hazard(r: &Replay, b: usize, write: bool) -> u64 {
-        if write {
-            r.accessed[b]
-        } else {
-            r.written[b]
-        }
+    /// When launch `l` may start after `chain`: once each buffer it touches
+    /// has its last writer ended and, for a write, its last access too.
+    fn hazards(r: &Replay, input: &PassInput, l: usize, chain: u64) -> u64 {
+        let touches = &input.touches[input.launches[l].touches.clone()];
+        touches
+            .iter()
+            .map(|t| if t.write { r.accessed[t.buffer] } else { r.written[t.buffer] })
+            .fold(chain, u64::max)
     }
 
     /// Make launch `l`'s buffers valid on column `d`, in first-touch order,

@@ -85,8 +85,6 @@ pub struct SchedOptions {
     /// §V-C3: stage profiling inputs through the host once (1×D2H + (n−1)×H2D
     /// instead of (n−1)×(D2H+H2D)) and cache the destination copies.
     pub data_caching: bool,
-    /// §V-C2: honor `SCHED_COMPUTE_BOUND` by profiling only workgroup 0.
-    pub minikernel: bool,
     /// §V-C1: for `SCHED_ITERATIVE` queues, recompute the kernel profiles
     /// every `n` epochs (`None` = profile once and trust the cache forever).
     pub iterative_frequency: Option<u64>,
@@ -122,7 +120,6 @@ impl Default for SchedOptions {
     fn default() -> Self {
         SchedOptions {
             data_caching: true,
-            minikernel: true,
             iterative_frequency: std::env::var(ITER_FREQ_ENV)
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -147,7 +144,6 @@ impl std::fmt::Debug for SchedOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedOptions")
             .field("data_caching", &self.data_caching)
-            .field("minikernel", &self.minikernel)
             .field("iterative_frequency", &self.iterative_frequency)
             .field("profile_cache", &self.profile_cache)
             .field("mapper", &self.mapper)
@@ -592,12 +588,12 @@ impl MulticlContext {
     }
 
     /// `clCreateProgramWithSource` + `clBuildProgram`, with the MultiCL
-    /// minikernel transformation pass (§V-C2) when enabled — which doubles
-    /// the build time, "an initial setup cost that does not change the
-    /// actual runtime of the program".
+    /// minikernel transformation pass (§V-C2) — which doubles the build
+    /// time, "an initial setup cost that does not change the actual runtime
+    /// of the program".
     pub fn create_program(&self, bodies: Vec<Arc<dyn KernelBody>>) -> ClResult<Program> {
         let program = self.rt.cl.create_program(bodies)?;
-        program.build(u32::from(self.rt.options.minikernel))?;
+        program.build(1)?;
         Ok(program)
     }
 
@@ -1221,8 +1217,8 @@ impl RtInner {
         delta: &mut SchedStats,
     ) {
         let force = self.forced(q);
-        let minikernel =
-            self.options.minikernel && q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
+        // §V-C2: a compute-bound queue's kernels are profiled on workgroup 0.
+        let minikernel = q.flags().contains(QueueSchedFlags::SCHED_COMPUTE_BOUND);
         let mut missing: Vec<&PendingKernel> = Vec::new();
         let kp = self.kernel_profiles.lock();
         for p in pending {

@@ -10,9 +10,9 @@
 //! 1. leave final buffer contents **bit-identical** to a sequential host
 //!    execution of the same program, and
 //! 2. start no command in virtual time before every hazard-edge
-//!    predecessor (RAW/WAR/WAW over the commands' buffer sets) it is
-//!    ordered against has ended — a split command's window running from its
-//!    first chunk's start to its last chunk's end.
+//!    predecessor (RAW/WAR/WAW over the commands' buffer sets) has ended,
+//!    on whichever queue — a split command's window running from its first
+//!    chunk's start to its last chunk's end.
 //!
 //! A split arm splits every launch, except on three in-order queues: there
 //! a split is kept only when the replayed epoch ends sooner (DESIGN.md
@@ -20,8 +20,7 @@
 //! judgement to account. Its split-everything variant, every launch issued
 //! through `clrt`'s `enqueue_ndrange_split` on the same bindings, must meet
 //! properties 1 and 2 too; and the arm's program must end no later than
-//! that variant and than the same program run all whole, except on the
-//! arms `ENDS_LATER` names with their margins.
+//! that variant and than the same program run all whole.
 //!
 //! Kernels are deterministic f64 arithmetic confined to the sub-range they
 //! are launched over, so any hazard the runtime failed to honor, and any
@@ -146,7 +145,9 @@ fn sequential_reference(seed: u64, cmds: &[Cmd]) -> Vec<Vec<u64>> {
 }
 
 /// The hazard edges of the program, mirroring the scheduler's access-set
-/// derivation (the written buffer wins over a same-buffer read).
+/// derivation (the written buffer wins over a same-buffer read). The
+/// runtime orders all of them in virtual time, on either queue kind: the
+/// stamp hazards are per buffer, not per queue.
 fn expected_edges(cmds: &[Cmd]) -> Vec<(usize, usize)> {
     let batch: Vec<BatchCmd> = cmds
         .iter()
@@ -430,19 +431,6 @@ fn proportional_shares(units: u64, weights: &[f64]) -> Vec<u64> {
     shares
 }
 
-/// The hazard edges the runtime orders in virtual time under `hints`: all
-/// of them on out-of-order queues — the stamp hazards are per buffer, not
-/// per queue — and, on in-order queues, those between commands of one
-/// queue (as in OpenCL, commands on distinct in-order queues have no
-/// defined mutual order short of an event or a synchronization).
-fn ordered_edges(cmds: &[Cmd], hints: QueueSchedFlags) -> Vec<(usize, usize)> {
-    let mut edges = expected_edges(cmds);
-    if !hints.contains(OOO) {
-        edges.retain(|&(i, j)| cmds[i].queue == cmds[j].queue);
-    }
-    edges
-}
-
 /// Assert that no command in `run` started before a hazard predecessor it
 /// is ordered against (`edges`) ended.
 fn assert_hazards_honored(what: &str, edges: &[(usize, usize)], run: &ArmResult) {
@@ -456,27 +444,17 @@ fn assert_hazards_honored(what: &str, edges: &[(usize, usize)], run: &ArmResult)
     }
 }
 
-/// The judged arms whose executed program ends later than a comparison
-/// run, by at most the margin: (seed, loss, comparison, margin in ns). A
-/// split is judged one launch at a time in issue order (DESIGN.md §16); on
-/// these arms splitting every launch would have ended sooner (6.68 against
-/// 6.83 ms, 7.07 against 7.17 ms), which judging a queue's remaining
-/// launches together could find (ROADMAP item 15(a)).
-const ENDS_LATER: &[(u64, bool, &str, u64)] =
-    &[(1337, false, "split everything", 150_727), (1337, true, "split everything", 101_481)];
-
 #[test]
 fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
-    // Judged arms that end later than a comparison run beyond their
-    // `ENDS_LATER` margin, or named there and no longer later, reported
-    // after every arm has been checked for the rest.
-    let mut unnamed: Vec<String> = Vec::new();
+    // Judged arms that end later than a comparison run, reported after
+    // every arm has been checked for the rest.
+    let mut later: Vec<String> = Vec::new();
     for seed in [3, 11, 42, 99, 1337, 2024] {
         for queues in [1, 3] {
             let cmds = random_dag(seed, queues);
             let reference = sequential_reference(seed, &cmds);
             for (arm, hints) in arms() {
-                let edges = ordered_edges(&cmds, hints);
+                let edges = expected_edges(&cmds);
                 assert!(!edges.is_empty(), "seed {seed} produced a hazard-free DAG");
                 for lose in [false, true] {
                     let what = format!("seed {seed}, {queues} queue(s), {arm}, loss {lose}");
@@ -515,18 +493,9 @@ fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
                     assert_eq!(whole.buffers, reference, "{what}, all whole: buffers diverged");
                     for (than, other) in [("all whole", &whole), ("split everything", &every)] {
                         let (span, other_span) = (run.span().as_nanos(), other.span().as_nanos());
-                        let margin = ENDS_LATER
-                            .iter()
-                            .find(|&&(s, l, t, _)| (s, l, t) == (seed, lose, than))
-                            .map(|e| e.3);
-                        let broken = match margin {
-                            None => span > other_span,
-                            Some(m) => span <= other_span || span > other_span + m,
-                        };
-                        if broken {
-                            unnamed.push(format!(
-                                "{what}: ends after {span} ns, {than} after {other_span} ns \
-                                 (ENDS_LATER margin: {margin:?} ns)"
+                        if span > other_span {
+                            later.push(format!(
+                                "{what}: ends after {span} ns, {than} after {other_span} ns"
                             ));
                         }
                     }
@@ -534,11 +503,7 @@ fn every_mode_layout_and_fault_arm_matches_the_sequential_reference() {
             }
         }
     }
-    assert!(
-        unnamed.is_empty(),
-        "judged arms later than a comparison run beyond their margin, or named and not later:\n{}",
-        unnamed.join("\n")
-    );
+    assert!(later.is_empty(), "judged arms later than a comparison run:\n{}", later.join("\n"));
 }
 
 #[test]

@@ -215,6 +215,30 @@ fn the_prediction_replays_the_plan_from_the_devices_and_queues_at_the_flush() {
     }
 }
 
+/// An in-order launch waits on another queue's writer of a buffer it
+/// reads, as the time plane orders it: its staging starts once the writer
+/// has ended, and its kernel once its staging has.
+#[test]
+fn an_in_order_launch_waits_on_another_queues_writer() {
+    let mut input = input(ContextSchedPolicy::RoundRobin, 2);
+    // 6 000 bytes, valid on both columns at the flush: 1 000 ns a leg on
+    // the 6 GB/s link.
+    let x = push_buffer(&mut input, &ns(&[0, 0]));
+    input.bytes[x] = 6000;
+    // Queue 0, on column 0, writes it for 1 000 ns; queue 1, on column 1,
+    // reads it for 100 ns.
+    for (q, write, kernel) in [(0, true, 1000), (1, false, 100)] {
+        push_launches(&mut input, q, &[(&[(x, write)], &[kernel, kernel], &[0, 0])]);
+        input.queues.push(QueueInput { launches: q..q + 1, ..queue(q, 0) });
+    }
+    // The writer ends at 1 000; the reader's staging, down from column 0
+    // and up to column 1, ends at 3 000; its kernel at 3 100.
+    let plan = plan_of(&input);
+    assert_eq!(plan.device, [0, 1]);
+    assert_eq!(plan.predicted, SimDuration::from_nanos(1000 + 1000 + 1000 + 100));
+    assert_eq!(plan.predicted, replayed_end(&input, &plan));
+}
+
 #[test]
 fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
@@ -803,7 +827,10 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
 /// When an epoch of in-order queues with every launch whole ends, by
 /// lanes recomputed naively: per column a compute lane and a copy lane,
 /// each busy as the flush finds it, per queue a chain from its tail, and
-/// per buffer where it was last written and which columns hold it.
+/// per buffer where it was last written and which columns hold it, and
+/// when its last writer and its last access end — a launch starts after
+/// its queue's chain and after those of the buffers it touches, whichever
+/// queue issued them (RAW, and WAR / WAW for a write).
 fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let n = input.devices.len();
     let ns = |t: SimDuration| t.as_nanos();
@@ -815,11 +842,16 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let mut written_on: Vec<Option<usize>> = vec![None; input.buffers.len()];
     let mut staged = vec![false; input.buffers.len()];
     let mut holders: Vec<Vec<usize>> = vec![Vec::new(); input.buffers.len()];
+    let (mut writer_end, mut access_end) =
+        (vec![0; input.buffers.len()], vec![0; input.buffers.len()]);
     let mut end = 0;
     for (q, queue) in input.queues.iter().enumerate() {
         let d = plan.device[q];
         let mut tail = queue.tail;
         for l in queue.launches.clone() {
+            for t in &input.touches[input.launches[l].touches.clone()] {
+                tail = tail.max(if t.write { access_end[t.buffer] } else { writer_end[t.buffer] });
+            }
             for t in &input.touches[input.launches[l].touches.clone()] {
                 let b = t.buffer;
                 if holders[b].contains(&d) {
@@ -839,6 +871,7 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
                 } else if input.transfer[b * n + d] > SimDuration::ZERO {
                     step(d, ns(input.transfer[b * n + d]));
                 }
+                access_end[b] = access_end[b].max(tail);
                 end = end.max(tail);
             }
             let c = l * n + d;
@@ -853,8 +886,12 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
             compute[d] = compute[d].max(tail) + time.round() as u64;
             tail = compute[d];
             end = end.max(tail);
-            for t in input.touches[input.launches[l].touches.clone()].iter().filter(|t| t.write) {
-                (written_on[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
+            for t in &input.touches[input.launches[l].touches.clone()] {
+                access_end[t.buffer] = access_end[t.buffer].max(tail);
+                if t.write {
+                    (written_on[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
+                    writer_end[t.buffer] = tail;
+                }
             }
         }
     }

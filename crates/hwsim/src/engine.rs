@@ -180,6 +180,11 @@ impl Engine {
         self.tag.as_deref()
     }
 
+    /// The id the next [`Self::submit`] returns.
+    pub fn next_event(&self) -> EventId {
+        EventId(self.events.len())
+    }
+
     /// Submit a command; returns its completion event. Timestamps are
     /// resolved immediately (see module docs).
     ///
