@@ -121,10 +121,9 @@ fn inputs(seed: u64) -> impl FnMut() -> f64 {
 /// The workload interleaves a host-to-device staging write with a kernel
 /// for each of N independent tasks on one command queue. The in-order arm
 /// chains every command, so the copy and compute lanes strictly
-/// alternate; the out-of-order arm derives waits from per-buffer hazards
-/// and the epoch batch reorder (Johnson's rule), so transfers for later
-/// tasks stream while earlier kernels compute and independent kernels
-/// spread across devices.
+/// alternate; the out-of-order arm issues the same program order but waits
+/// on per-buffer hazards alone, so transfers for later tasks stream while
+/// earlier kernels compute and independent kernels spread across devices.
 mod overlap {
     use super::*;
     use hwsim::report::lane_utilization_of;
@@ -134,8 +133,6 @@ mod overlap {
     struct OverlapPoint {
         /// Virtual-time makespan of the batch (profiling commands excluded).
         makespan_ms: f64,
-        /// Commands the epoch reorderer emitted out of program order.
-        commands_reordered: u64,
         /// Per-device copy/compute overlap fraction, by device index.
         lane_overlap: Vec<(usize, f64)>,
         /// Order-normalized FNV hash of the non-profiling trace records.
@@ -178,8 +175,7 @@ mod overlap {
     }
 
     /// Per-task problem size: cycles through full, half and quarter size so
-    /// the batch is cost-heterogeneous and Johnson's rule has something to
-    /// reorder (short-transfer tasks migrate to the front of the epoch).
+    /// the batch is cost-heterogeneous.
     fn task_elements(elements: usize, task: usize) -> usize {
         (elements >> (task % 3)).max(64)
     }
@@ -201,8 +197,7 @@ mod overlap {
         let queue = ctx.create_queue(flags).expect("queue");
         // Inputs are staged through a pinned device-0 queue, so the compute
         // device sees a real first-touch migration per task — the transfer
-        // the out-of-order arm hides under compute, and the cost signal
-        // Johnson's rule sorts the epoch by.
+        // the out-of-order arm hides under compute.
         let staging = ctx.create_queue_on(hwsim::DeviceId(0)).expect("staging queue");
 
         let bodies: Vec<Arc<dyn KernelBody>> = (0..tasks)
@@ -235,7 +230,6 @@ mod overlap {
         let makespan_ns = app.iter().map(|r| r.stamp.end.as_nanos() - base).max().unwrap_or(0);
         OverlapPoint {
             makespan_ms: makespan_ns as f64 / 1e6,
-            commands_reordered: ctx.stats().commands_reordered,
             lane_overlap: lane_utilization_of(&app)
                 .iter()
                 .map(|(d, u)| (d.index(), u.overlap_fraction()))
@@ -280,12 +274,6 @@ mod overlap {
                 ooo.makespan_ms
             ));
         }
-        if in_order.commands_reordered != 0 {
-            out.push("the in-order arm reordered commands".to_string());
-        }
-        if ooo.commands_reordered == 0 {
-            out.push("the out-of-order arm reordered nothing".to_string());
-        }
         if !ooo.lane_overlap.iter().any(|&(_, fraction)| fraction > 0.0) {
             out.push(format!(
                 "no device overlapped its copy and compute lanes: {:?}",
@@ -304,11 +292,10 @@ mod overlap {
         let ooo = run_arm(42, elements, tasks, true);
         println!(
             "overlap ({tasks} tasks): {:.3} ms in-order → {:.3} ms out-of-order, {:.1}% \
-             reduction, {} commands reordered, lane overlap {:?}",
+             reduction, lane overlap {:?}",
             in_order.makespan_ms,
             ooo.makespan_ms,
             reduction(&in_order, &ooo) * 100.0,
-            ooo.commands_reordered,
             ooo.lane_overlap
         );
         assert_holds("overlap", &violations(&in_order, &replay, &ooo));
@@ -317,12 +304,12 @@ mod overlap {
     #[test]
     fn a_violated_gate_is_listed_with_every_other() {
         let _one = one_at_a_time();
-        // One task leaves the out-of-order arm nothing to reorder or overlap.
+        // One task leaves the out-of-order arm nothing to overlap.
         let in_order = run_arm(42, 1 << 14, 1, false);
         let replay = run_arm(42, 1 << 14, 1, false);
         let ooo = run_arm(42, 1 << 14, 1, true);
         let found = violations(&in_order, &replay, &ooo);
-        assert!(found.iter().any(|v| v == "the out-of-order arm reordered nothing"), "{found:?}");
+        assert!(found.iter().any(|v| v.starts_with("no device overlapped")), "{found:?}");
         assert!(found.iter().any(|v| v.contains("makespan reduction, got")), "{found:?}");
     }
 }

@@ -6,8 +6,7 @@
 //! RAW / WAR / WAW rule in the workspace. Every layer that orders commands
 //! by their buffer sets keeps frontiers and differs only in what it calls
 //! a command: the time plane an engine event (virtual-time wait lists, one
-//! frontier per buffer), the data plane a task (executor edges, likewise),
-//! `multicl`'s batch reorderer a position in the batch.
+//! frontier per buffer), the data plane a task (executor edges, likewise).
 
 use crate::buffer::Buffer;
 

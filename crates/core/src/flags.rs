@@ -59,12 +59,13 @@ impl QueueSchedFlags {
     pub const SCHED_MEM_BOUND: QueueSchedFlags = QueueSchedFlags(1 << 8);
     /// Execution hint: flush epochs with the clrt queue in out-of-order
     /// mode — commands wait only on their hazard-edge predecessors
-    /// (RAW/WAR/WAW buffer sets), and the epoch flush batch-reorders the
-    /// command DAG so transfers overlap kernels on the device's copy lane
-    /// (Lázaro-Muñoz et al.). Off by default: without the flag the in-order
-    /// chain is preserved exactly. Like `SCHED_SPLITTABLE`, re-settable
-    /// between epochs ([`crate::SchedQueue::set_sched_hints`]); the two
-    /// compose.
+    /// (RAW/WAR/WAW buffer sets), not on the queue's previous command, so
+    /// transfers overlap kernels on the device's copy lane (Lázaro-Muñoz et
+    /// al.). The flush issues the queue's launches in program order, after
+    /// every in-order queue's. Off by default: without the flag the
+    /// in-order chain is preserved exactly. Like `SCHED_SPLITTABLE`,
+    /// re-settable between epochs ([`crate::SchedQueue::set_sched_hints`]);
+    /// the two compose.
     pub const SCHED_OUT_OF_ORDER: QueueSchedFlags = QueueSchedFlags(1 << 9);
     /// Execution hint: cut a splittable kernel launch into contiguous
     /// NDRange sub-ranges, one per chosen eligible device, when its epoch

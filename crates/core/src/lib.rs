@@ -28,12 +28,12 @@
 //!   for compute-bound queues, data caching for I/O-heavy profiling.
 //! * **Device mapper** ([`mapper`]): exact makespan minimization over the
 //!   queue pool (plus greedy and round-robin strategies).
-//! * **Epoch batch reorderer** ([`ooo`]): for queues flagged
-//!   `SCHED_OUT_OF_ORDER`, the flush builds the command DAG from buffer
-//!   hazard sets and emits it in Johnson's-rule order through an
-//!   out-of-order `clrt` queue, so staging transfers overlap kernels on
-//!   the device's copy lane (Lázaro-Muñoz et al.). Unflagged queues keep
-//!   the strict in-order chain.
+//! * **Out-of-order epochs** ([`QueueSchedFlags::SCHED_OUT_OF_ORDER`]):
+//!   a flagged queue's launches go out in program order through an
+//!   out-of-order `clrt` queue, where each waits on its buffer hazards
+//!   (RAW/WAR/WAW) alone, so staging transfers overlap kernels on the
+//!   device's copy lane (Lázaro-Muñoz et al.). Unflagged queues keep the
+//!   strict in-order chain.
 //!
 //! ## Quickstart
 //!
@@ -53,7 +53,6 @@
 pub mod flags;
 pub mod mapper;
 pub mod metrics;
-pub mod ooo;
 pub mod plan;
 pub mod predictor;
 pub mod profile;

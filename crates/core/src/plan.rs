@@ -10,21 +10,20 @@
 //! queues' last commands come free, and what the cost model needs to price
 //! a split chunk. AUTO_FIT prices each queue's migration and overlap rows
 //! and maps the queues over them; ROUND_ROBIN's rotation prices nothing.
-//! Then decide orders the out-of-order launches ([`ooo`]'s Johnson rule)
-//! and walks the epoch's issue order: it keeps a split candidate's best
-//! shares ([`split::balance`]) only when the epoch ends sooner. The replay
-//! of the issue it settles, with the host's enqueues counted, is the plan's
+//! Then decide walks the epoch's issue order — the in-order queues'
+//! launches, then the out-of-order queues', each queue's in program order
+//! ([`issue_order`]) — and keeps a split candidate's best shares
+//! ([`split::balance`]) only when the epoch ends sooner. The replay of the
+//! issue it settles, with the host's enqueues counted, is the plan's
 //! prediction.
 //!
 //! One clock times all of it: the replay of launches through the time
 //! plane's rules ([`replayed_end`]) — lanes, hazards, residency. An overlap
-//! row is the replay of the queue's own launches alone from idle lanes, a
-//! Johnson key is a launch's whole time on its device, and the walk
-//! replays the issue order from the devices the flush finds.
+//! row is the replay of the queue's own launches alone from idle lanes, and
+//! the walk replays the issue order from the devices the flush finds.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
-use crate::ooo;
 use crate::scheduler::{MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use crate::split;
 use hwsim::microbench::BandwidthCurve;
@@ -73,7 +72,8 @@ pub enum ExecSource {
 /// What the pass knows of one pool queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueInput {
-    /// It carries `SCHED_OUT_OF_ORDER`: its launches join the reordered batch.
+    /// It carries `SCHED_OUT_OF_ORDER`: its launches wait on their buffer
+    /// hazards alone, and issue after every in-order queue's.
     pub out_of_order: bool,
     /// Bytes of the largest buffer its launches bind.
     pub need: u64,
@@ -208,11 +208,6 @@ pub struct Plan {
     pub predicted: SimDuration,
     /// AUTO_FIT's mapper outcome; `None` under ROUND_ROBIN.
     pub search: Option<mapper::SearchOutcome>,
-    /// The out-of-order launches in issue order. In-order launches issue
-    /// queue by queue, in program order.
-    pub order: Vec<usize>,
-    /// How many of them `order` moves from their program position.
-    pub reordered: u64,
     /// Per launch: its chunks, `chunks[splits[launch]]`; none to run whole.
     /// A split launch's chunks tile its units in device order.
     pub splits: Vec<Range<usize>>,
@@ -227,12 +222,9 @@ pub struct PlanScratch {
     search: mapper::MapperScratch,
     costs: mapper::CostMatrix,
     warm: Vec<DeviceId>,
-    /// The reorder's batch and its entries' launches, and per buffer slot
-    /// and column whether a first-touch walk has touched it there yet.
-    batch: Vec<ooo::BatchCmd>,
-    batch_launch: Vec<usize>,
+    /// Per buffer slot and column whether a migration row has counted its
+    /// transfer there yet.
     touched: Vec<bool>,
-    dag: ooo::Scratch,
     /// The epoch's launches in issue order, the replay at the launch being
     /// walked (an overlap row's replay before that) and a trial copy of it,
     /// a candidate's shares, per column when a chunk of it could start and
@@ -266,12 +258,9 @@ pub fn bindable(input: &PassInput, need: u64) -> impl Fn(usize) -> bool + '_ {
     move |di| need <= input.capacity[di] && !(recover && input.lost[di])
 }
 
-/// The pass's decision: each queue's cost terms and device, the
-/// out-of-order issue order, every split's shares and the epoch's predicted
-/// end, refilled into `plan`.
+/// The pass's decision: each queue's cost terms and device, every split's
+/// shares and the epoch's predicted end, refilled into `plan`.
 pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
-    scratch.touched.clear();
-    scratch.touched.resize(input.buffers.len() * input.devices.len(), false);
     plan.costs.clear();
     plan.device.clear();
     plan.rr_next = input.rr_next;
@@ -283,7 +272,6 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
             auto_fit(input, scratch, plan);
         }
     }
-    reorder(input, scratch, plan);
     walk(input, scratch, plan);
 }
 
@@ -296,6 +284,7 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let PlanScratch { touched, at, .. } = scratch;
     let n = input.devices.len();
+    touched.resize(input.buffers.len() * n, false);
     for q in &input.queues {
         let copies = q.source != ExecSource::Static && !q.explicit_region;
         let touches = || {
@@ -371,42 +360,6 @@ fn auto_fit(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     plan.search = Some(outcome);
 }
 
-/// The out-of-order launches, in pool and program order, put in Johnson's
-/// rule order over their hazard DAG ([`ooo`]), each costed on its queue's
-/// planned device: its whole time there ([`whole_time`], the replay's), and
-/// the transfers of the buffers it is the first of the batch to touch there.
-/// The order only interleaves the lanes.
-fn reorder(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
-    let PlanScratch { batch, batch_launch, touched, dag, .. } = scratch;
-    let n = input.devices.len();
-    batch_launch.clear();
-    batch_launch.extend(
-        (0..input.launches.len()).filter(|&l| input.queues[input.launches[l].queue].out_of_order),
-    );
-    batch.resize_with(batch.len().max(batch_launch.len()), ooo::BatchCmd::default);
-    touched.fill(false);
-    for (cmd, &l) in batch.iter_mut().zip(batch_launch.iter()) {
-        let di = plan.device[input.launches[l].queue];
-        (cmd.kernel, cmd.transfer) =
-            (SimDuration::from_nanos(whole_time(input, l, di)), SimDuration::ZERO);
-        cmd.reads.clear();
-        cmd.writes.clear();
-        for t in &input.touches[input.launches[l].touches.clone()] {
-            if t.write { &mut cmd.writes } else { &mut cmd.reads }.push(input.buffers[t.buffer]);
-            let cell = t.buffer * n + di;
-            if !std::mem::replace(&mut touched[cell], true) {
-                cmd.transfer += input.transfer[cell];
-            }
-        }
-    }
-    let cmds = &batch[..batch_launch.len()];
-    dag.hazard_edges(cmds);
-    let order = dag.johnson_order(cmds);
-    plan.reordered = ooo::count_displaced(order);
-    plan.order.clear();
-    plan.order.extend(order.iter().map(|&k| batch_launch[k]));
-}
-
 /// The epoch's issue order, replayed from the flush: each launch as the plan
 /// issues it, and then the prediction ([`Replay::predict`]). Each split
 /// candidate is judged on the way. It gets, over several device sets, the
@@ -425,7 +378,7 @@ fn walk(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let PlanScratch { issue, at, trial, shares, start, copy_free, envelope, from, rank, .. } =
         scratch;
     issue.clear();
-    issue.extend(issue_order(input, plan));
+    issue.extend(issue_order(input));
     Replay::at_flush(at, input);
     for (i, &l) in issue.iter().enumerate() {
         let home = plan.device[input.launches[l].queue];
@@ -531,12 +484,13 @@ fn walk(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     plan.predicted = Replay::predict(at, input, plan, issue.iter().copied());
 }
 
-/// The epoch's launches in issue order: each in-order queue's in program
-/// order, queue by queue in pool order, then the out-of-order ones in
-/// `plan.order`.
-fn issue_order<'a>(input: &'a PassInput, plan: &'a Plan) -> impl Iterator<Item = usize> + 'a {
-    let in_order = input.queues.iter().filter(|q| !q.out_of_order);
-    in_order.flat_map(|q| q.launches.clone()).chain(plan.order.iter().copied())
+/// The epoch's launches in issue order: each in-order queue's, then each
+/// out-of-order queue's, queue by queue in pool order and each queue's in
+/// program order. An out-of-order launch waits on its buffer hazards alone,
+/// which program order satisfies.
+pub fn issue_order(input: &PassInput) -> impl Iterator<Item = usize> + '_ {
+    let queues = |ooo: bool| input.queues.iter().filter(move |q| q.out_of_order == ooo);
+    queues(false).chain(queues(true)).flat_map(|q| q.launches.clone())
 }
 
 /// When the epoch `plan` issues ends by the time plane's rules, in ns from
@@ -544,7 +498,7 @@ fn issue_order<'a>(input: &'a PassInput, plan: &'a Plan) -> impl Iterator<Item =
 /// each command: [`decide`]'s prediction. Its split judgement replays the
 /// same way without the host.
 pub fn replayed_end(input: &PassInput, plan: &Plan) -> SimDuration {
-    Replay::predict(&mut Replay::default(), input, plan, issue_order(input, plan))
+    Replay::predict(&mut Replay::default(), input, plan, issue_order(input))
 }
 
 /// Launch `l`'s kernel time on column `d`, whole: its profile-row time with
@@ -611,16 +565,15 @@ enum Held {
 /// flush, on each column's [`Lanes`]: decide's one clock. What a launch
 /// waits on is its buffer hazards (RAW, and WAR/WAW for a write), whichever
 /// queue issued them — per buffer, the last writer's and the last access's
-/// ends, which is what the reorderer's hazard DAG orders — and, in order,
-/// its queue's previous command. The prediction also clocks the host: there
-/// no command starts before the host has enqueued it and every one before
-/// it ([`PassInput::enqueue`] each). A whole launch makes its buffers valid
-/// on its device once that has ended (a copy-lane transfer each) and then
-/// runs its kernel. A
-/// split issues a start marker on the home compute lane; per chunk, its input
-/// transfers, its kernel at its own size and a share-sized gather per
-/// written buffer, chained on the device's split lane; and the join on the
-/// home compute lane, which leaves every written buffer on the host alone.
+/// ends — and, in order, its queue's previous command. The prediction also
+/// clocks the host: there no command starts before the host has enqueued
+/// it and every one before it ([`PassInput::enqueue`] each). A whole launch
+/// makes its buffers valid on its device once that has ended (a copy-lane
+/// transfer each) and then runs its kernel. A split issues a start marker
+/// on the home compute lane; per chunk, its input transfers, its kernel at
+/// its own size and a share-sized gather per written buffer, chained on the
+/// device's split lane; and the join on the home compute lane, which leaves
+/// every written buffer on the host alone.
 #[derive(Debug, Default)]
 struct Replay {
     /// Per column: its two lanes, and when its split lane's last command

@@ -173,8 +173,8 @@ pub struct SchedStats {
     pub predictor_fallbacks: u64,
     /// Kernel launches flushed to devices.
     pub kernels_issued: u64,
-    /// Launches the out-of-order epoch flush emitted at a different batch
-    /// position than program order (Johnson's-rule reordering).
+    /// Always 0: an out-of-order epoch issues in program order. Kept
+    /// because benchmark reports read it (DESIGN.md §14).
     pub commands_reordered: u64,
     /// Devices detected as permanently lost and blacklisted.
     pub devices_lost: u64,
@@ -774,7 +774,6 @@ impl RtInner {
             kernels_issued: work.delta.kernels_issued - passthrough_issued,
             data_queue_depth: dp.queue_depth,
             data_peak_busy: dp.peak_busy_workers,
-            commands_reordered: work.delta.commands_reordered,
             lane_overlap,
         });
         pool.clear();
@@ -946,7 +945,8 @@ impl RtInner {
     /// Issue: do what `plan` says and nothing else. The measured launches
     /// are drained; then, queue by queue in pool order, a queue that moves
     /// is announced and rebound, and an in-order queue's launches go out in
-    /// program order; the out-of-order launches go out last, in plan order.
+    /// program order; the out-of-order queues' launches go out last, in the
+    /// same order ([`plan::issue_order`]).
     fn issue(
         &self,
         epoch: u64,
@@ -968,7 +968,6 @@ impl RtInner {
         }
         self.rr_next.store(plan.rr_next, Ordering::Relaxed);
         delta.kernels_issued += cmds.len() as u64;
-        delta.commands_reordered += plan.reordered;
         let launch = |l: usize| (&cmds[l], &plan.chunks[plan.splits[l].clone()]);
         for ((q, qi), &di) in pool.iter().zip(&input.queues).zip(&plan.device) {
             let (from, to) = (q.cl.device(), input.devices[di]);
@@ -993,10 +992,11 @@ impl RtInner {
                 }
             }
         }
-        for &l in &plan.order {
-            let (p, chunks) = launch(l);
-            let q = &pool[input.launches[l].queue];
-            self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
+        for (q, qi) in pool.iter().zip(&input.queues).filter(|(_, qi)| qi.out_of_order) {
+            for l in qi.launches.clone() {
+                let (p, chunks) = launch(l);
+                self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
+            }
         }
         cmds.clear();
     }
@@ -1085,7 +1085,6 @@ impl RtInner {
         stats.kernels_predicted += delta.kernels_predicted;
         stats.predictor_fallbacks += delta.predictor_fallbacks;
         stats.kernels_issued += delta.kernels_issued;
-        stats.commands_reordered += delta.commands_reordered;
         stats.devices_lost += delta.devices_lost;
         stats.queues_remapped += delta.queues_remapped;
         stats.kernels_split += delta.kernels_split;

@@ -44,7 +44,9 @@
 //! The table declares exactly the kinds the runtime emits. A kind it no
 //! longer declares — `shard_degraded`, `tenant_migrated` and `chunk_stolen`
 //! in streams recorded by older builds — is skipped and counted by the
-//! lenient readers ([`sink::parse_jsonl_lenient`]) like any unknown kind.
+//! lenient readers ([`sink::parse_jsonl_lenient`]) like any unknown kind,
+//! and a key it no longer declares — `kernel_split.partitioner` and
+//! `epoch_end.commands_reordered` — is ignored by every reader.
 
 pub mod event;
 pub mod perfetto;

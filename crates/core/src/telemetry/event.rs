@@ -384,9 +384,6 @@ pub enum SchedEvent {
         data_queue_depth: usize => "data_queue_depth" = 0,
         /// Peak concurrently-busy data-plane workers observed so far.
         data_peak_busy: usize => "data_peak_busy" = 0,
-        /// Launches the out-of-order batch flush emitted at a different
-        /// position than program order (0 when no queue is OOO-flagged).
-        commands_reordered: u64 => "commands_reordered" = 0,
         /// Measured copy/compute lane overlap fraction per device (device
         /// order) over this epoch's flush window — overlapped busy time
         /// over the shorter lane's busy time; 0.0 where a device used at
@@ -702,7 +699,6 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             kernels_issued: 3,
             data_queue_depth: 5,
             data_peak_busy: 2,
-            commands_reordered: 2,
             lane_overlap: vec![0.5, 0.0],
         },
         SchedEvent::JobSubmitted {
@@ -902,7 +898,9 @@ mod tests {
         // Written by the hand-rolled per-variant codec the table replaced
         // (`to_json().dump()` over `sample_events()` at PR 12, when
         // `to_json` built a tree). Its three retired lines are skipped and
-        // counted; every other line decodes strictly to its sample. The
+        // counted; every other line decodes strictly to its sample, a
+        // retired key (`kernel_split.partitioner`,
+        // `epoch_end.commands_reordered`) ignored. The
         // byte-level difference of the re-encoded stream is pinned in
         // `tests/retired_schema.rs`.
         let golden = include_str!("../../tests/fixtures/events_v1.jsonl");
@@ -937,7 +935,7 @@ mod tests {
         r#"{"nodes_explored":0,"budget_tripped":false,"mapper_wall_ns":0}"#,
         // Pre-data-plane / pre-OOO epoch_end, and a queue entry without
         // `overlap_ns` (before PR 9).
-        r#"{"data_queue_depth":0,"data_peak_busy":0,"commands_reordered":0,"lane_overlap":[]}"#,
+        r#"{"data_queue_depth":0,"data_peak_busy":0,"lane_overlap":[]}"#,
         r#"{"queues":[{"queue":0,"exec_ns":[5,9],"migration_ns":[1,0],"overlap_ns":[],"chosen":0,"previous":1}]}"#,
         // Trimmed PR 6 records: job_trace, slo_burn, makespan_attribution.
         r#"{"outcome":"unknown","attempts":[]}"#,

@@ -566,8 +566,6 @@ pub struct SchedMetrics {
         "Absolute predicted-vs-executed kernel time error per refinement, in nanoseconds";
     predictor_rel_error: Gauge = "multicl_predictor_rel_error",
         "Relative prediction error of the most recent refinement";
-    commands_reordered: Counter = "multicl_commands_reordered_total",
-        "Commands emitted out of program order by the epoch batch reorderer";
     kernels_split: Counter = "multicl_kernels_split_total",
         "Splittable kernel launches partitioned into multi-device chunks";
 }
@@ -644,7 +642,6 @@ impl SchedObserver for SchedMetrics {
                 kernels_issued,
                 data_queue_depth,
                 data_peak_busy,
-                commands_reordered,
                 lane_overlap,
                 ..
             } => {
@@ -654,7 +651,6 @@ impl SchedObserver for SchedMetrics {
                 self.profiling_overhead.observe(profiling.as_nanos());
                 self.data_queue_depth.set(*data_queue_depth as f64);
                 self.data_peak_busy.set(*data_peak_busy as f64);
-                self.commands_reordered.add(*commands_reordered);
                 for (device, &fraction) in lane_overlap.iter().enumerate() {
                     self.registry
                         .gauge_with(
@@ -832,7 +828,6 @@ mod tests {
             kernels_issued: 6,
             data_queue_depth: 3,
             data_peak_busy: 2,
-            commands_reordered: 4,
             lane_overlap: vec![0.25, 0.0],
         });
         m.on_event(&SchedEvent::CacheHit { epoch: 2, key: "k".into() });
@@ -850,7 +845,6 @@ mod tests {
         assert_eq!(m.epoch_latency.sum(), 500);
         assert_eq!(m.profiling_overhead.sum(), 200);
         assert_eq!(m.migrated_bytes.sum(), 2048);
-        assert_eq!(m.commands_reordered.get(), 4);
         // The per-device lane-overlap gauges materialised lazily from the
         // epoch_end fractions.
         let text = m.registry().to_prometheus();
@@ -1010,16 +1004,21 @@ mod tests {
         // `SchedMetrics` of the commit before the set was declared through
         // `metric_set!`; never regenerate it from current code. It pins
         // names, help strings, kinds, order and values. The set has since
-        // lost one family, `multicl_chunks_stolen_total` (split work
-        // stealing), and nothing else.
+        // lost two families, `multicl_chunks_stolen_total` (split work
+        // stealing) and `multicl_commands_reordered_total` (the out-of-order
+        // batch reorder), and nothing else.
         let m = SchedMetrics::new();
         for ev in crate::telemetry::event::sample_events() {
             m.on_event(&ev);
         }
         let golden = include_str!("../../tests/fixtures/sched_metrics_v1.prom");
-        let (retired, kept): (Vec<&str>, Vec<&str>) =
-            golden.lines().partition(|l| l.contains("multicl_chunks_stolen_total"));
-        assert_eq!(retired.len(), 3, "HELP, TYPE and the sample");
+        let retired_family = |l: &&str| {
+            ["multicl_chunks_stolen_total", "multicl_commands_reordered_total"]
+                .iter()
+                .any(|family| l.contains(family))
+        };
+        let (retired, kept): (Vec<&str>, Vec<&str>) = golden.lines().partition(retired_family);
+        assert_eq!(retired.len(), 6, "HELP, TYPE and the sample of each");
         assert_eq!(m.registry().to_prometheus(), kept.join("\n") + "\n");
     }
 

@@ -342,7 +342,6 @@ mod tests {
                 kernels_issued: 2,
                 data_queue_depth: 0,
                 data_peak_busy: 0,
-                commands_reordered: 0,
                 lane_overlap: vec![],
             },
         ];

@@ -268,7 +268,6 @@ mod tests {
                 kernels_issued: 1,
                 data_queue_depth: 0,
                 data_peak_busy: 0,
-                commands_reordered: 0,
                 lane_overlap: vec![],
             },
         ];

@@ -7,10 +7,9 @@ use hwsim::microbench::BandwidthCurve;
 use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
-use multicl::ooo::{self, BatchCmd};
 use multicl::plan::{
-    self, decide, replayed_end, CostRow, ExecSource, Lanes, LaunchInput, PassInput, Plan,
-    PlanScratch, QueueInput, SplitInput, Touch,
+    self, decide, issue_order, replayed_end, CostRow, ExecSource, Lanes, LaunchInput, PassInput,
+    Plan, PlanScratch, QueueInput, SplitInput, Touch,
 };
 use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -187,10 +186,7 @@ fn the_prediction_counts_the_hosts_enqueues() {
         let plan = plan_of(&input);
         assert_eq!(plan.predicted, SimDuration::from_nanos(300), "{policy}");
         assert_eq!(plan.predicted, replayed_end(&input, &plan));
-        assert_eq!(
-            (&plan.device, &plan.splits, &plan.order),
-            (&free.device, &free.splits, &free.order)
-        );
+        assert_eq!((&plan.device, &plan.splits), (&free.device, &free.splits));
     }
 }
 
@@ -240,7 +236,7 @@ fn an_in_order_launch_waits_on_another_queues_writer() {
 }
 
 #[test]
-fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
+fn the_issue_order_is_the_in_order_queues_then_the_out_of_order_ones_in_program_order() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
     input.buffers = vec![10, 11, 12, 13];
     input.bytes = vec![1 << 10; 4];
@@ -251,9 +247,8 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
         .map(|&n| SimDuration::from_nanos(n))
         .collect();
     // Two out-of-order queues, bound to devices 0 and 1, and an in-order
-    // one between them that is not reordered. ROUND_ROBIN prices nothing.
-    // With no profile row on a healthy node, a launch's whole time is its
-    // analytic time.
+    // one between them. ROUND_ROBIN prices nothing. With no profile row on
+    // a healthy node, a launch's whole time is its analytic time.
     // (queue, (buffer slot, write) accesses, kernel time per device)
     type Launch = (usize, &'static [(usize, bool)], [u64; 2]);
     let launches: [Launch; 6] = [
@@ -285,34 +280,10 @@ fn the_out_of_order_order_is_johnson_over_the_planned_devices_first_touches() {
     let plan = plan_of(&input);
     assert!(plan.costs.is_empty());
     assert_eq!(plan.device, [0, 1, 1]);
-    // The code the decision replaces: the batch costed per command on its
-    // queue's device, first touches per device in batch order.
-    let batch_launch = [0, 1, 3, 4, 5];
-    let mut seen: [Vec<usize>; 2] = Default::default();
-    let batch: Vec<BatchCmd> = batch_launch
-        .iter()
-        .map(|&l| {
-            let (q, touches, kernel) = launches[l];
-            let d = plan.device[q];
-            let mut cmd =
-                BatchCmd { kernel: SimDuration::from_nanos(kernel[d]), ..BatchCmd::default() };
-            for &(slot, write) in touches {
-                if write { &mut cmd.writes } else { &mut cmd.reads }.push(input.buffers[slot]);
-                if !seen[d].contains(&slot) {
-                    seen[d].push(slot);
-                    cmd.transfer += input.transfer[slot * 2 + d];
-                }
-            }
-            cmd
-        })
-        .collect();
-    let mut dag = ooo::Scratch::default();
-    dag.hazard_edges(&batch);
-    let order = dag.johnson_order(&batch).to_vec();
-    let want: Vec<usize> = order.iter().map(|&k| batch_launch[k]).collect();
-    assert_eq!(plan.order, want);
-    assert_eq!(plan.reordered, ooo::count_displaced(&order));
-    assert!(plan.reordered > 0, "the case exercises a reorder: {order:?}");
+    // The in-order queue's launch first; then queue 0's and queue 2's, each
+    // in program order, whatever their transfers and kernel times.
+    assert_eq!(issue_order(&input).collect::<Vec<_>>(), [2, 0, 1, 3, 4, 5]);
+    assert_eq!(plan.predicted, replayed_end(&input, &plan));
 }
 
 /// `input` with the paper node's specs on its columns (cycled past three),
@@ -511,12 +482,7 @@ fn alone(input: &PassInput, q: usize, d: usize) -> SimDuration {
         split_local: Vec::new(),
         ..input.clone()
     };
-    let plan = Plan {
-        device: vec![d],
-        order: (0..launches.len()).collect(),
-        splits: vec![0..0; launches.len()],
-        ..Plan::default()
-    };
+    let plan = Plan { device: vec![d], splits: vec![0..0; launches.len()], ..Plan::default() };
     replayed_end(&one, &plan)
 }
 
@@ -582,39 +548,22 @@ fn push_batch(input: &mut PassInput, launches: &[(u64, u64, u64)]) {
 }
 
 #[test]
-fn johnsons_order_replays_sooner_than_program_order() {
-    let mut input = input(ContextSchedPolicy::RoundRobin, 1);
-    // The classic two-machine instance: the transfer-heavy launch goes last
-    // so that its copy hides under the others' kernels.
-    push_batch(&mut input, &[(90, 10, 10), (10, 80, 80), (30, 60, 60)]);
-    let plan = plan_of(&input);
-    assert_eq!(plan.order, [1, 2, 0]);
-    let program = Plan { order: vec![0, 1, 2], ..plan.clone() };
-    // Copies end at 10, 40 and 130, kernels at 90, 150 and 160; in program
-    // order at 90, 100 and 130, and 100, 180 and 240.
-    assert_eq!(replayed_end(&input, &plan), SimDuration::from_nanos(160));
-    assert_eq!(replayed_end(&input, &program), SimDuration::from_nanos(240));
-}
-
-#[test]
-fn on_a_degraded_column_johnsons_keys_follow_the_profile_row() {
+fn on_a_degraded_column_a_launch_is_priced_by_its_profile_row() {
     // The column runs 2× slow. Launch 0's profile row is 20 (40 now) under
-    // a 50 copy: transfer-heavy, it goes last. Launch 1's is 100 (200 now)
-    // under a 30 copy. Their analytic times say the opposite.
+    // a 50 copy, launch 1's is 100 (200 now) under a 30 copy; their
+    // analytic times (100 and 10) say the opposite. In program order the
+    // copies end at 50 and 80, the kernels at 90 and 290; priced by the
+    // analytic times they would end at 250 and 270.
     let mut input = input(ContextSchedPolicy::RoundRobin, 1);
     input.degradation[0] = 2.0;
     push_batch(&mut input, &[(50, 100, 20), (30, 10, 100)]);
-    let plan = plan_of(&input);
-    assert_eq!(plan.order, [1, 0]);
-    assert_eq!(plan.reordered, 2);
-    let program = Plan { order: vec![0, 1], ..plan.clone() };
-    assert_eq!(replayed_end(&input, &plan), SimDuration::from_nanos(270));
-    assert_eq!(replayed_end(&input, &program), SimDuration::from_nanos(290));
+    assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(290));
     // A row predicted while the column already ran 2× slow is priced as
-    // the healthy one: the same order.
+    // the healthy one: the same end, where taking it as healthy would end
+    // at 530.
     input.profiled = ns(&[40, 200]).to_vec();
     input.profiled_under = vec![(0, 2.0), (1, 2.0)];
-    assert_eq!(plan_of(&input).order, [1, 0]);
+    assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(290));
 }
 
 /// Each queue's cost row by the pricing rule, recomputed naively: distinct
@@ -748,7 +697,7 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
     let mut rng = XorShift::new(0x0037_dec1de);
     let mut reused = PlanScratch::default();
     let mut reused_plan = Plan::default();
-    let (mut splits, mut reordered, mut in_order) = (0, 0, 0);
+    let (mut splits, mut mixed) = (0, 0);
     for case in 0..3_000 {
         let input = random_input(&mut rng);
         let plan = plan_of(&input);
@@ -785,52 +734,33 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
             assert_eq!(chunks.iter().map(|c| c.wg_count).sum::<u64>(), input.splits[k].units);
         }
         // A kept split never ends the replayed epoch later than running
-        // every launch whole; with every launch whole and in order, the
-        // replay is the naive per-lane recomputation.
+        // every launch whole. The issue order is every in-order queue's
+        // launches, then every out-of-order queue's, queue by queue in pool
+        // order and each queue's in program order; with every launch whole,
+        // its replay is the naive per-lane recomputation of that order.
         let all_whole = whole(&plan);
         let whole_end = replayed_end(&input, &all_whole);
         assert!(replayed_end(&input, &plan) <= whole_end, "case {case}: {input:?}");
-        if input.queues.iter().all(|q| !q.out_of_order) {
-            assert_eq!(whole_end, naive_whole_end(&input, &all_whole), "case {case}: {input:?}");
-            in_order += 1;
-        }
-        // The order is every out-of-order launch once, each after every
-        // earlier launch it conflicts with on a buffer.
-        let ooo: Vec<usize> = (0..input.launches.len())
-            .filter(|&l| input.queues[input.launches[l].queue].out_of_order)
-            .collect();
-        let mut sorted = plan.order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, ooo, "case {case}");
-        let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
-        let conflict = |a: usize, b: usize| {
-            touches(a)
-                .iter()
-                .any(|x| touches(b).iter().any(|y| x.buffer == y.buffer && (x.write || y.write)))
-        };
-        let position = |l: usize| plan.order.iter().position(|&o| o == l);
-        for (i, &a) in ooo.iter().enumerate() {
-            for &b in &ooo[i + 1..] {
-                if conflict(a, b) {
-                    assert!(position(a) < position(b), "case {case}: {a} after {b}");
-                }
-            }
-        }
-        reordered += usize::from(plan.reordered > 0);
+        let kind = |ooo: bool| input.queues.iter().filter(move |q| q.out_of_order == ooo);
+        let want: Vec<usize> =
+            kind(false).chain(kind(true)).flat_map(|q| q.launches.clone()).collect();
+        assert_eq!(issue_order(&input).collect::<Vec<_>>(), want, "case {case}");
+        assert_eq!(whole_end, naive_whole_end(&input, &all_whole), "case {case}: {input:?}");
+        mixed += usize::from(kind(false).next().is_some() && kind(true).next().is_some());
     }
-    // The property says something only if the cases split, reorder and
-    // run in order.
-    assert!(splits > 500 && reordered > 300, "{splits} splits, {reordered} reorders");
-    assert!(in_order > 100, "{in_order} in-order cases");
+    // The property says something only if the cases split and mix both
+    // queue kinds, where the issue order interleaves pool order.
+    assert!(splits > 500 && mixed > 1500, "{splits} splits, {mixed} mixed cases");
 }
 
-/// When an epoch of in-order queues with every launch whole ends, by
-/// lanes recomputed naively: per column a compute lane and a copy lane,
-/// each busy as the flush finds it, per queue a chain from its tail, and
-/// per buffer where it was last written and which columns hold it, and
-/// when its last writer and its last access end — a launch starts after
-/// its queue's chain and after those of the buffers it touches, whichever
-/// queue issued them (RAW, and WAR / WAW for a write).
+/// When an epoch with every launch whole ends, by lanes recomputed naively
+/// in issue order — the in-order queues, then the out-of-order ones, each
+/// in pool order: per column a compute lane and a copy lane, each busy as
+/// the flush finds it, per in-order queue a chain from its tail, and per
+/// buffer where it was last written and which columns hold it, and when
+/// its last writer and its last access end — a launch starts after its
+/// queue's chain, if in order, and after those of the buffers it touches,
+/// whichever queue issued them (RAW, and WAR / WAW for a write).
 fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let n = input.devices.len();
     let ns = |t: SimDuration| t.as_nanos();
@@ -845,10 +775,13 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let (mut writer_end, mut access_end) =
         (vec![0; input.buffers.len()], vec![0; input.buffers.len()]);
     let mut end = 0;
-    for (q, queue) in input.queues.iter().enumerate() {
+    let queues = input.queues.iter().enumerate();
+    let (in_order, out_of_order): (Vec<_>, Vec<_>) = queues.partition(|(_, q)| !q.out_of_order);
+    for (q, queue) in in_order.into_iter().chain(out_of_order) {
         let d = plan.device[q];
-        let mut tail = queue.tail;
+        let mut chain = queue.tail;
         for l in queue.launches.clone() {
+            let mut tail = chain;
             for t in &input.touches[input.launches[l].touches.clone()] {
                 tail = tail.max(if t.write { access_end[t.buffer] } else { writer_end[t.buffer] });
             }
@@ -892,6 +825,9 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
                     (written_on[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
                     writer_end[t.buffer] = tail;
                 }
+            }
+            if !queue.out_of_order {
+                chain = tail;
             }
         }
     }

@@ -139,11 +139,12 @@ pub struct JobSpec {
     /// Steps in declaration order.
     pub steps: Vec<StepSpec>,
     /// Opt into out-of-order epoch execution: the job's worker queue
-    /// carries the `SCHED_OUT_OF_ORDER` hint for its epoch, so the epoch
-    /// reorderer may interleave the job's launches with other jobs'
-    /// transfers (hazard edges still enforce this job's own data
-    /// dependencies). Defaults to `false` — strict in-order execution,
-    /// byte-identical with pre-flag streams.
+    /// carries the `SCHED_OUT_OF_ORDER` hint for its epoch, so each of the
+    /// job's launches waits on its buffer hazards alone, not on the launch
+    /// before it, and its transfers can run beside the job's other kernels
+    /// (hazard edges still enforce this job's own data dependencies).
+    /// Defaults to `false` — strict in-order execution, byte-identical with
+    /// pre-flag streams.
     pub out_of_order: bool,
     /// Opt into data-parallel kernel splitting: the job's worker queue
     /// carries the `SCHED_SPLITTABLE` hint for its epoch, so split-capable

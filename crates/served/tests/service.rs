@@ -473,8 +473,9 @@ fn execution_hints_do_not_leak_to_the_slots_next_job() {
     // One slot, so consecutive jobs share the worker queue. The job: two
     // independent launches over buffers still on the host, the first over
     // a big one (long transfer, short kernel), the second over a small one
-    // (short transfer, long kernel) — Johnson's rule emits them the other
-    // way round — the second heavy enough that its split pays.
+    // (short transfer, long kernel) — out of order, the second's transfer
+    // runs beside the first's kernel, so the job ends sooner — the second
+    // heavy enough that its split pays.
     let spec = served::JobSpec::parse_str(
         r#"{"name": "two",
             "buffers": [{"name": "big", "elements": 262144}, {"name": "small", "elements": 16384}],
@@ -488,24 +489,26 @@ fn execution_hints_do_not_leak_to_the_slots_next_job() {
     .expect("spec parses");
     let served = small_service("leak", 1, vec![TenantConfig::new("a", 1, 8)]);
     served.warm_programs(std::slice::from_ref(&spec)).expect("warm-up");
-    // (split, reordered) the scheduler counted for one job served alone.
+    // (split, latency): the launches the scheduler split for one job served
+    // alone, and the job's latency.
     let serve_one = |out_of_order: bool, splittable: bool| {
         let before = served.context().stats();
         served.submit(0, with_modes(spec.clone(), out_of_order, splittable)).expect("admit");
         assert_eq!(served.dispatch_round(), 1);
         let after = served.context().stats();
-        (
-            after.kernels_split - before.kernels_split,
-            after.commands_reordered - before.commands_reordered,
-        )
+        let latency = served.outcomes().last().expect("an outcome").latency;
+        (after.kernels_split - before.kernels_split, latency)
     };
-    assert_eq!(serve_one(false, false), (0, 0), "plain job on a fresh slot");
-    let (split, reordered) = serve_one(true, true);
-    assert!(split > 0 && reordered > 0, "both modes act on this job: {split}, {reordered}");
-    assert_eq!(serve_one(false, false), (0, 0), "plain job right after a both-flag job");
-    assert_eq!(serve_one(false, true), (split, 0), "splittable only");
-    assert_eq!(serve_one(true, false), (0, reordered), "out-of-order only");
-    assert_eq!(serve_one(false, false), (0, 0), "and plain again");
+    let plain = serve_one(false, false);
+    assert_eq!(plain.0, 0, "plain job on a fresh slot");
+    let (split, _) = serve_one(true, true);
+    assert!(split > 0, "the split acts on this job");
+    assert_eq!(serve_one(false, false), plain, "plain job right after a both-flag job");
+    assert_eq!(serve_one(false, true).0, split, "splittable only");
+    let out_of_order = serve_one(true, false);
+    assert_eq!(out_of_order.0, 0, "out-of-order only");
+    assert!(out_of_order.1 < plain.1, "hazard-only waits act on this job: {out_of_order:?}");
+    assert_eq!(serve_one(false, false), plain, "and plain again");
 }
 
 #[test]
