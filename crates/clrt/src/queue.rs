@@ -107,16 +107,15 @@ struct QueueInner {
     /// nothing and `Relaxed` suffices.
     ooo: AtomicBool,
     device: Mutex<DeviceId>,
+    /// The queue's time-plane state: of every command submitted here, the
+    /// one that ends last. In order that is the last one submitted, which
+    /// the next command chains behind; `finish`, a barrier and a mode
+    /// switch wait on (or for) it alone, since the engine reads a wait
+    /// through its end only.
     last: Mutex<Option<EventId>>,
-    /// Commands submitted since the last `finish`/barrier (drives `finish`
-    /// and `enqueue_barrier` for out-of-order queues).
-    outstanding: Mutex<Vec<EventId>>,
-    /// `finish`'s spare for `outstanding`: the two lists trade places.
-    waiting: Mutex<Vec<EventId>>,
-    /// Data-plane mirror of `last`: the previous command's task, chained by
-    /// in-order queues.
+    /// The previous command's data-plane task, chained by in-order queues.
     last_task: Mutex<Option<TaskId>>,
-    /// Data-plane mirror of `outstanding`: live tasks `finish` must join.
+    /// Live data-plane tasks `finish` must join.
     /// Snapshot-joined (never drained) so concurrent finishers all block.
     outstanding_tasks: Mutex<Vec<TaskId>>,
     /// Where `finish` keeps its snapshot of `outstanding_tasks` while it
@@ -142,8 +141,6 @@ impl CommandQueue {
                 ooo: AtomicBool::new(false),
                 device: Mutex::new(device),
                 last: Mutex::new(None),
-                outstanding: Mutex::new(Vec::new()),
-                waiting: Mutex::new(Vec::new()),
                 last_task: Mutex::new(None),
                 outstanding_tasks: Mutex::new(Vec::new()),
                 joining: Mutex::new(Vec::new()),
@@ -158,22 +155,20 @@ impl CommandQueue {
 
     /// Switch the queue's ordering mode
     /// (`CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE` as a settable property).
-    /// Only an idle queue can change mode — every command enqueued so far
-    /// has completed in virtual time, e.g. after [`Self::finish`]: an
-    /// in-order command chains behind the *last* command and its own
-    /// buffers' hazards, which orders it after nothing else an out-of-order
-    /// predecessor still has in flight. Setting the mode the queue already
-    /// has always succeeds.
+    /// Only an idle queue can change mode — its [`Self::last_command`], the
+    /// command that ends last, has completed in virtual time, e.g. after
+    /// [`Self::finish`]: an in-order command chains behind the *last*
+    /// command and its own buffers' hazards, which orders it after nothing
+    /// else an out-of-order predecessor still has in flight. Setting the
+    /// mode the queue already has always succeeds.
     pub fn set_out_of_order(&self, ooo: bool) -> ClResult<()> {
         if self.is_out_of_order() == ooo {
             return Ok(());
         }
         let engine = self.inner.ctx.rt.engine.lock();
-        let in_flight =
-            self.inner.outstanding.lock().iter().filter(|&&e| !engine.event_completed(e)).count();
-        if in_flight > 0 {
+        if self.inner.last.lock().is_some_and(|e| !engine.event_completed(e)) {
             return Err(ClError::InvalidOperation(format!(
-                "cannot switch the ordering mode of queue {} with {in_flight} command(s) in flight",
+                "cannot switch the ordering mode of queue {} with a command in flight",
                 self.inner.qid
             )));
         }
@@ -210,8 +205,10 @@ impl CommandQueue {
         self.inner.qid
     }
 
-    /// The engine event of the last command submitted here, if any: what an
-    /// in-order queue's next command waits behind.
+    /// The engine event of the command submitted here that ends last, if
+    /// any. In order it is the last one submitted, which the next command
+    /// waits behind; out of order it is what `finish` waits for and a
+    /// barrier starts after.
     pub fn last_command(&self) -> Option<EventId> {
         *self.inner.last.lock()
     }
@@ -311,8 +308,10 @@ impl CommandQueue {
         }
         let submitted = engine.submit(CommandDesc { device, kind, duration, waits, queue });
         debug_assert_eq!(submitted, id, "the engine numbers events in submission order");
-        *self.inner.last.lock() = Some(id);
-        self.inner.outstanding.lock().push(id);
+        let mut last = self.inner.last.lock();
+        if last.is_none_or(|l| engine.stamp(l).end <= engine.stamp(id).end) {
+            *last = Some(id);
+        }
         id
     }
 
@@ -755,14 +754,6 @@ impl CommandQueue {
         }
         let join = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            // A lane chains each command after the one before, and the join
-            // waits on each chunk's last command: a lane whose last command
-            // is this call's owes `finish` nothing, and keeps no list.
-            for (&(lane, ..), tail) in plan.iter().zip(gathers.chunks(written.len().max(1))) {
-                if *lane.inner.last.lock() == tail.last().copied() {
-                    lane.inner.outstanding.lock().clear();
-                }
-            }
             let failed = issued.iter().find_map(|&e| match engine.event_status(e) {
                 CommandStatus::Failed(kind) => Some(kind),
                 CommandStatus::Complete => None,
@@ -868,27 +859,28 @@ impl CommandQueue {
 
     /// `clEnqueueBarrierWithWaitList` (empty list; also `clEnqueueMarker`): a
     /// zero-duration command ordered after every previously enqueued
-    /// command; subsequent commands on an out-of-order queue are ordered
-    /// after it.
+    /// command — in the time plane it waits on [`Self::last_command`], the
+    /// one that ends last; subsequent commands on an out-of-order queue are
+    /// ordered after it.
     pub fn enqueue_barrier(&self) -> Event {
         self.barrier_after(&[])
     }
 
-    /// The one barrier body: a marker after everything outstanding on this
-    /// queue and after the time-plane hazard predecessors of a command
+    /// The one barrier body: a marker after the command on this queue that
+    /// ends last and after the time-plane hazard predecessors of a command
     /// touching `touches` — consulted, never recorded: the marker touches
     /// nothing itself.
     fn barrier_after(&self, touches: &[Access]) -> Event {
         let id = {
             let mut engine = self.inner.ctx.rt.engine.lock();
-            let waits: Vec<EventId> = std::mem::take(&mut *self.inner.outstanding.lock());
+            let waits = WaitList::from_iter(*self.inner.last.lock());
             self.submit(
                 &mut engine,
                 self.inner.qid,
                 self.device(),
                 CommandKind::Marker,
                 SimDuration::ZERO,
-                waits.into(),
+                waits,
                 touches,
                 Stamp::Unrecorded,
             )
@@ -905,17 +897,14 @@ impl CommandQueue {
     }
 
     /// `clFinish`: block the host until every command enqueued on this queue
-    /// has completed, in both planes: the virtual clock advances past every
-    /// outstanding command, and every data-plane task this queue submitted
-    /// (plus, transitively, everything those tasks depend on) has executed.
+    /// has completed, in both planes: the virtual clock advances to the end
+    /// of [`Self::last_command`], the command that ends last, and every
+    /// data-plane task this queue submitted (plus, transitively, everything
+    /// those tasks depend on) has executed.
     pub fn finish(&self) {
-        let mut waiting = self.inner.waiting.lock();
-        std::mem::swap(&mut *waiting, &mut *self.inner.outstanding.lock());
-        if !waiting.is_empty() {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            for id in waiting.drain(..) {
-                engine.wait(id);
-            }
+        let last = *self.inner.last.lock();
+        if let Some(id) = last {
+            self.inner.ctx.rt.engine.lock().wait(id);
         }
         // A blocking point even with nothing outstanding: a caller-run
         // body's panic is re-raised here (one plane lock, no allocation).
@@ -1401,29 +1390,41 @@ mod tests {
         assert!(q.is_out_of_order());
     }
 
+    /// An out-of-order queue whose long kernel outlives the short upload
+    /// enqueued after it: the queue's one time-plane fact is the kernel, the
+    /// command that ends last, not the upload, the last one submitted.
     #[test]
-    fn finish_trades_its_event_lists_instead_of_regrowing_them() {
-        let (_p, ctx, k, b) = setup();
+    fn an_out_of_order_queue_waits_for_the_command_that_ends_last() {
+        let (p, ctx, k, _) = setup();
         let q = ctx.create_queue_ooo(DeviceId(1)).unwrap();
-        k.set_arg(0, ArgValue::BufferMut(b)).unwrap();
-        let lists = || {
-            let mut ptrs = [q.inner.outstanding.lock().as_ptr(), q.inner.waiting.lock().as_ptr()];
-            ptrs.sort();
-            ptrs
+        let big = ctx.create_buffer_of::<f64>(1 << 20).unwrap();
+        q.enqueue_write(&big, &vec![1.0f64; 1 << 20]).unwrap();
+        q.finish();
+        k.set_arg(0, ArgValue::BufferMut(big)).unwrap();
+        let small = ctx.create_buffer_of::<f64>(16).unwrap();
+        let round = || {
+            let kernel = q.enqueue_ndrange(&k, NdRange::d1(1 << 20, 128), &[]).unwrap();
+            let upload = q.enqueue_write(&small, &[0.0f64; 16]).unwrap();
+            assert!(upload.stamp().end < kernel.stamp().end, "{upload:?} outlasts {kernel:?}");
+            assert_eq!(q.last_command(), Some(kernel.raw()));
+            (kernel, upload)
         };
-        let mut seen = Vec::new();
-        for _ in 0..4 {
-            for _ in 0..5 {
-                q.enqueue_ndrange(&k, NdRange::d1(1024, 128), &[]).unwrap();
-            }
-            q.finish();
-            assert!(q.inner.outstanding.lock().is_empty() && q.inner.waiting.lock().is_empty());
-            seen.push(lists());
-        }
-        // Both lists have held commands after two rounds; from then on the
-        // two allocations only trade places.
-        assert_eq!(seen[1], seen[2]);
-        assert_eq!(seen[2], seen[3]);
+        // `finish` advances the host to the kernel's end.
+        let (kernel, _) = round();
+        q.finish();
+        assert_eq!(p.now(), kernel.stamp().end);
+        // With only the kernel in flight, the mode cannot change; a barrier
+        // starts after the kernel, and the switch succeeds after `finish`.
+        let (kernel, upload) = round();
+        upload.wait();
+        assert!(!kernel.is_complete());
+        let err = q.set_out_of_order(false).unwrap_err();
+        assert!(matches!(err, ClError::InvalidOperation(_)), "{err:?}");
+        let barrier = q.enqueue_barrier();
+        assert!(barrier.stamp().start >= kernel.stamp().end, "{barrier:?} before {kernel:?}");
+        assert!(q.set_out_of_order(false).is_err());
+        q.finish();
+        q.set_out_of_order(false).unwrap();
     }
 
     /// A renewed buffer is a new buffer of the same length in all but its
@@ -1573,6 +1574,8 @@ mod tests {
         (p, ctx, kernels, args, lanes)
     }
 
+    /// A lane's one time-plane fact is the last command a split put on it,
+    /// and the issuing queue's is the split's join, which ends after all.
     #[test]
     fn split_lanes_keep_no_events() {
         let (p, ctx, [bump, _], args, lanes) = split_setup();
@@ -1583,6 +1586,7 @@ mod tests {
         }
         home.finish();
         let trace = p.trace_snapshot();
+        let end = |q: &CommandQueue| p.with_engine(|e| e.stamp(q.last_command().unwrap()).end);
         for lane in &lanes {
             // A chunk and a gather per split: what the list would hold if
             // the call left them there. They are recorded under the home
@@ -1597,8 +1601,11 @@ mod tests {
                 issued(home.trace_id())
             );
             assert_eq!(issued(lane.trace_id()), 0);
-            assert!(lane.inner.outstanding.lock().is_empty());
+            let on_lane = trace.records.iter().filter(|r| r.device == lane.device());
+            let lane_end = on_lane.map(|r| r.stamp.end).max();
+            assert_eq!(Some(end(lane)), lane_end);
         }
+        assert!(trace.records.iter().all(|r| r.stamp.end <= end(&home)));
         assert_eq!(args.touched()[0].buf.host_snapshot::<f64>(), vec![1000.0; 1024]);
     }
 
@@ -1665,12 +1672,12 @@ mod tests {
             (&scale, nd, two(&lanes[0], &lanes[1], [4, 4]), "CL_INVALID_OPERATION"),
         ];
         let records = p.trace_snapshot().records.len();
-        let listed = home.inner.outstanding.lock().clone();
+        let last = home.last_command();
         for (kernel, nd, chunks, code) in cases {
             let err = home.enqueue_ndrange_split(kernel, nd, &args, &chunks).unwrap_err();
             assert_eq!(err.code_name(), code, "{err}");
             assert_eq!(p.trace_snapshot().records.len(), records, "{err}: commands issued");
-            assert_eq!(*home.inner.outstanding.lock(), listed, "{err}: event list changed");
+            assert_eq!(home.last_command(), last, "{err}: the queue's last command changed");
         }
     }
 }

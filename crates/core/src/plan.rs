@@ -55,20 +55,6 @@ pub fn total(row: &CostRow, di: usize) -> SimDuration {
     }
 }
 
-/// Where measure took a queue's execution row from under AUTO_FIT, which
-/// says what decide prices on top of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecSource {
-    /// `SCHED_AUTO_STATIC`'s static model (§V-B): device profiles and hints
-    /// only, so no data term either. Also what ROUND_ROBIN, which prices
-    /// nothing, records beside its empty row.
-    Static,
-    /// The sum of its launches' kernel-profile rows, every launch having
-    /// one: a migration row, and an out-of-order queue's overlap row unless
-    /// its copies are free.
-    Profiled,
-}
-
 /// What the pass knows of one pool queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueInput {
@@ -84,12 +70,13 @@ pub struct QueueInput {
     /// Estimated execution time of its pending launches, per column: what
     /// AUTO_FIT prices. Empty under ROUND_ROBIN, which prices nothing.
     pub exec: Arc<[SimDuration]>,
-    /// Where `exec` comes from.
-    pub source: ExecSource,
-    /// It carries `SCHED_EXPLICIT_REGION`: the mapping its region decides
-    /// persists for the rest of the program, so its one-time migration is
-    /// not priced — it would bias the mapper toward where data starts.
-    pub explicit_region: bool,
+    /// Decide prices its copies: a migration row, and out of order an
+    /// overlap row. True for a row summed from its launches' kernel
+    /// profiles outside `SCHED_EXPLICIT_REGION`. `SCHED_AUTO_STATIC`'s static
+    /// model (§V-B) has no data term, and an explicit region's mapping
+    /// persists for the rest of the program, so pricing its one-time
+    /// migration would bias the mapper toward where data starts.
+    pub copies: bool,
     /// In order, when its last command (an upload, say) ends, in ns from the
     /// flush: its first launch waits behind it. Zero out of order.
     pub tail: u64,
@@ -130,7 +117,8 @@ pub struct SplitInput {
 /// One buffer access of a launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Touch {
-    /// The buffer's slot in [`PassInput::buffers`].
+    /// The buffer's slot in [`PassInput::bytes`] and
+    /// [`PassInput::transfer`].
     pub buffer: usize,
     /// Whether the launch may write it.
     pub write: bool,
@@ -166,8 +154,6 @@ pub struct PassInput {
     pub launches: Vec<LaunchInput>,
     /// The launches' buffer accesses.
     pub touches: Vec<Touch>,
-    /// Per buffer slot: the buffer's id.
-    pub buffers: Vec<u64>,
     /// Per launch and column (`launch * columns + column`): its analytic
     /// kernel time there.
     pub kernel_time: Vec<SimDuration>,
@@ -209,7 +195,8 @@ pub struct Plan {
     /// AUTO_FIT's mapper outcome; `None` under ROUND_ROBIN.
     pub search: Option<mapper::SearchOutcome>,
     /// Per launch: its chunks, `chunks[splits[launch]]`; none to run whole.
-    /// A split launch's chunks tile its units in device order.
+    /// A split launch's chunks tile its units in device order. The issue
+    /// empties the range of a split `clrt` refuses, which runs whole.
     pub splits: Vec<Range<usize>>,
     /// The split launches' chunks.
     pub chunks: Vec<split::Chunk>,
@@ -278,18 +265,17 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 /// AUTO_FIT's cost row of each queue (§IV: data migration included). Per
 /// column, its migration is the sum of its distinct buffers' transfers, and
 /// an out-of-order queue with a profiled row gets the [`Replay`] of its
-/// launches alone, in program order, from idle lanes. Only a profiled row
-/// prices data, and an explicit-region queue's copies are free — so it gets
-/// no overlap row, which would be its `exec`.
+/// launches alone, in program order, from idle lanes. Only a queue whose
+/// [`QueueInput::copies`] are priced gets either: free copies would make
+/// the overlap row its `exec`.
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     let PlanScratch { touched, at, .. } = scratch;
     let n = input.devices.len();
-    touched.resize(input.buffers.len() * n, false);
+    touched.resize(input.bytes.len() * n, false);
     for q in &input.queues {
-        let copies = q.source != ExecSource::Static && !q.explicit_region;
         let touches = || {
             let touches = q.launches.clone().map(|l| input.launches[l].touches.clone());
-            touches.flat_map(|range| &input.touches[range]).filter(|_| copies)
+            touches.flat_map(|range| &input.touches[range]).filter(|_| q.copies)
         };
         touched.fill(false);
         let migration = (0..n)
@@ -298,7 +284,7 @@ fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
                 touches().filter(first).map(|t| input.transfer[t.buffer * n + di]).sum()
             })
             .collect();
-        let overlap = (copies && q.out_of_order && q.source == ExecSource::Profiled).then(|| {
+        let overlap = (q.copies && q.out_of_order).then(|| {
             let alone = |di| {
                 Replay::idle(at, input);
                 q.launches.clone().for_each(|l| Replay::whole(at, input, l, di));
@@ -600,7 +586,7 @@ struct Replay {
 impl Replay {
     /// The replay of nothing yet issued, on idle lanes and queues.
     fn idle(r: &mut Replay, input: &PassInput) {
-        let (n, buffers) = (input.devices.len(), input.buffers.len());
+        let (n, buffers) = (input.devices.len(), input.bytes.len());
         r.lanes.clear();
         r.lanes.resize(n, Lanes::default());
         r.lane.clear();

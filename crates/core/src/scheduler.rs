@@ -30,9 +30,7 @@
 
 use crate::flags::{ContextSchedPolicy, QueueSchedFlags};
 use crate::mapper;
-use crate::plan::{
-    self, ExecSource, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch,
-};
+use crate::plan::{self, LaunchInput, PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch};
 use crate::predictor::{CostPredictor, KernelFeatures};
 use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
@@ -308,8 +306,6 @@ struct PassScratch {
     input: PassInput,
     plan: Plan,
     decide: PlanScratch,
-    /// [`RtInner::snapshot_launches`]'s index for the predictor.
-    refine: HashMap<Arc<str>, (Kernel, NdRange, u64)>,
     lanes: hwsim::report::LaneScratch,
     work: Work,
 }
@@ -320,12 +316,12 @@ struct Work {
     /// The pass's stats, applied under one `stats` lock when it ends.
     delta: SchedStats,
     key: EpochKey,
-    /// The launches one issue drained, in launch order.
+    /// Per buffer slot of the snapshot: the buffer's id, which is how
+    /// measure finds a buffer's slot again.
+    buffers: Vec<u64>,
+    /// The launches one issue drained, in launch order, kept for
+    /// refinement until the pass ends.
     cmds: Vec<PendingKernel>,
-    /// With prediction on and a split planned, per kernel command the issue
-    /// put on a device, in issue order: a chunk's own shape, `None` for a
-    /// whole launch.
-    folds: Vec<Option<NdRangeShape>>,
     /// What refinement sums per kernel, device and chunk shape.
     refined: Vec<Refined>,
     /// Events a step holds until its locks drop; empty between steps.
@@ -688,7 +684,7 @@ impl RtInner {
         // Concurrent triggers wait here and then find the pool drained.
         let _one_pass = self.pass_lock.lock();
         let mut scratch = self.mapper_state.lock();
-        let PassScratch { pool, input, plan, decide, refine, lanes, work } = &mut *scratch;
+        let PassScratch { pool, input, plan, decide, lanes, work } = &mut *scratch;
         work.delta = SchedStats::default();
         self.alive_queues(pool);
         pool.retain(|q| !q.pending.lock().is_empty());
@@ -709,7 +705,7 @@ impl RtInner {
             pool: pool.len(),
             policy: Arc::clone(&self.policy_label),
         });
-        let profiling = self.measure(epoch, began, pool, input, refine, work);
+        let profiling = self.measure(epoch, began, pool, input, work);
         let decided = std::time::Instant::now();
         plan::decide(input, decide, plan);
         if let Some(search) = &plan.search {
@@ -761,8 +757,8 @@ impl RtInner {
             });
         }
         // Refinement folds the completions in before the epoch closes.
-        if !refine.is_empty() {
-            self.refine_predictor(refine, work, &input.devices, trace_offset, epoch);
+        if self.options.predictor_confidence > 0.0 {
+            self.refine_predictor(work, input, plan, trace_offset, epoch);
         }
         let done = self.platform.now();
         let dp = self.platform.data_plane_stats();
@@ -777,7 +773,7 @@ impl RtInner {
             lane_overlap,
         });
         pool.clear();
-        refine.clear();
+        work.cmds.clear();
     }
 
     /// Measure: the pass's one phase that reads device health, the caches
@@ -791,7 +787,6 @@ impl RtInner {
         began: hwsim::SimTime,
         pool: &[Arc<QueueState>],
         input: &mut PassInput,
-        refine: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
         work: &mut Work,
     ) -> SimDuration {
         input.policy = self.policy;
@@ -807,15 +802,14 @@ impl RtInner {
         for q in pool {
             let pending = q.pending.lock();
             let need = pending_need(&pending);
-            let (exec, source) = self.queue_costs(q, &pending, epoch, need, input, work);
+            let (exec, profiled) = self.queue_costs(q, &pending, epoch, need, input, work);
             input.queues.push(QueueInput {
                 out_of_order: q.flags().contains(QueueSchedFlags::SCHED_OUT_OF_ORDER),
                 need,
                 current: input.devices.iter().position(|&d| d == q.cl.device()),
                 bound: q.bound.load(Ordering::Relaxed),
                 exec,
-                source,
-                explicit_region: q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION),
+                copies: profiled && !q.flags().contains(QueueSchedFlags::SCHED_EXPLICIT_REGION),
                 tail: 0,
                 launches: 0..0,
             });
@@ -843,7 +837,7 @@ impl RtInner {
                 qi.tail = q.cl.last_command().map_or(0, |ev| from_now(e.stamp(ev).end));
             }
         });
-        self.snapshot_launches(pool, input, refine);
+        self.snapshot_launches(pool, input, &mut work.buffers);
         profiling
     }
 
@@ -870,19 +864,17 @@ impl RtInner {
     /// as decide sees it — its accesses, its analytic and profiled kernel
     /// times and a split candidate's shape and units — and each buffer's
     /// size and transfer to each device at the residency the issue starts
-    /// from, into `input`. With prediction on, each distinct kernel's
-    /// descriptor and first-seen geometry go into `refine`.
+    /// from, into `input`; `buffers` holds each slot's buffer id.
     fn snapshot_launches(
         &self,
         pool: &[Arc<QueueState>],
         input: &mut PassInput,
-        refine: &mut HashMap<Arc<str>, (Kernel, NdRange, u64)>,
+        buffers: &mut Vec<u64>,
     ) {
         let node = self.platform.node();
-        let predict = self.options.predictor_confidence > 0.0;
         input.launches.clear();
         input.touches.clear();
-        input.buffers.clear();
+        buffers.clear();
         input.bytes.clear();
         input.kernel_time.clear();
         input.profiled.clear();
@@ -890,16 +882,11 @@ impl RtInner {
         input.transfer.clear();
         input.splits.clear();
         input.split_local.clear();
-        refine.clear();
         let devices = &input.devices;
         let (rows, unders) = (self.kernel_profiles.lock(), self.profiled_under.lock());
         for (qi, q) in pool.iter().enumerate() {
             let first = input.launches.len();
             for p in q.pending.lock().iter() {
-                if predict && !refine.contains_key(p.kernel.name()) {
-                    let snapshot = (p.kernel.clone(), p.nd, p.args.buffer_bytes());
-                    refine.insert(p.kernel.shared_name(), snapshot);
-                }
                 let axis = split_candidate(q, p, input);
                 let cost = p.kernel.cost();
                 let (row, under) = (rows.get(p.kernel.name()), unders.get(p.kernel.name()));
@@ -923,14 +910,14 @@ impl RtInner {
                 }
                 let from = input.touches.len();
                 for t in p.args.touched() {
-                    let known = input.buffers.iter().position(|&b| b == t.buf.id());
+                    let known = buffers.iter().position(|&b| b == t.buf.id());
                     let slot = known.unwrap_or_else(|| {
-                        input.buffers.push(t.buf.id());
+                        buffers.push(t.buf.id());
                         input.bytes.push(t.buf.byte_len() as u64);
                         input
                             .transfer
                             .extend(devices.iter().map(|&d| self.transfer_time(&t.buf, d)));
-                        input.buffers.len() - 1
+                        buffers.len() - 1
                     });
                     input.touches.push(Touch { buffer: slot, write: t.write });
                 }
@@ -943,22 +930,21 @@ impl RtInner {
     }
 
     /// Issue: do what `plan` says and nothing else. The measured launches
-    /// are drained; then, queue by queue in pool order, a queue that moves
-    /// is announced and rebound, and an in-order queue's launches go out in
-    /// program order; the out-of-order queues' launches go out last, in the
-    /// same order ([`plan::issue_order`]).
+    /// are drained into `work.cmds`; then, queue by queue in pool order, a
+    /// queue that moves is announced and rebound, and an in-order queue's
+    /// launches go out in program order; the out-of-order queues' launches
+    /// go out last, in the same order ([`plan::issue_order`]). A split that
+    /// `clrt` refuses runs whole, and its launch's chunks leave `plan`, which
+    /// is then what was issued.
     fn issue(
         &self,
         epoch: u64,
         pool: &[Arc<QueueState>],
         input: &PassInput,
-        plan: &Plan,
+        plan: &mut Plan,
         work: &mut Work,
     ) {
-        let Work { delta, cmds, folds, .. } = work;
-        folds.clear();
-        // Refinement tells chunks from whole launches only if one split.
-        let predict = self.options.predictor_confidence > 0.0 && !plan.chunks.is_empty();
+        let Work { delta, cmds, .. } = work;
         // Launches an unwound issue left here are dropped, not issued again.
         cmds.clear();
         for (q, qi) in pool.iter().zip(&input.queues) {
@@ -968,9 +954,15 @@ impl RtInner {
         }
         self.rr_next.store(plan.rr_next, Ordering::Relaxed);
         delta.kernels_issued += cmds.len() as u64;
-        let launch = |l: usize| (&cmds[l], &plan.chunks[plan.splits[l].clone()]);
-        for ((q, qi), &di) in pool.iter().zip(&input.queues).zip(&plan.device) {
-            let (from, to) = (q.cl.device(), input.devices[di]);
+        // A launch's split that `clrt` refuses leaves the plan.
+        let issue = |q: &QueueState, l: usize, plan: &mut Plan, delta: &mut SchedStats| {
+            let chunks = &plan.chunks[plan.splits[l].clone()];
+            if !self.issue_launch(q, &cmds[l], chunks, epoch, delta) {
+                plan.splits[l] = 0..0;
+            }
+        };
+        for (i, (q, qi)) in pool.iter().zip(&input.queues).enumerate() {
+            let (from, to) = (q.cl.device(), input.devices[plan.device[i]]);
             if from != to {
                 let bytes = nonresident_bytes(&cmds[qi.launches.clone()], to);
                 let (queue, at) = (q.id, self.platform.now());
@@ -986,19 +978,12 @@ impl RtInner {
             }
             q.cl.rebind(to).expect("the plan binds a context device");
             if !qi.out_of_order {
-                for l in qi.launches.clone() {
-                    let (p, chunks) = launch(l);
-                    self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
-                }
+                qi.launches.clone().for_each(|l| issue(q, l, plan, delta));
             }
         }
         for (q, qi) in pool.iter().zip(&input.queues).filter(|(_, qi)| qi.out_of_order) {
-            for l in qi.launches.clone() {
-                let (p, chunks) = launch(l);
-                self.issue_launch(q, p, chunks, epoch, delta, predict.then_some(&mut *folds));
-            }
+            qi.launches.clone().for_each(|l| issue(q, l, plan, delta));
         }
-        cmds.clear();
     }
 
     /// A queue outside the pool flushes exactly as buffered: program order,
@@ -1016,7 +1001,7 @@ impl RtInner {
     /// Issue one launch: as one split ([`CommandQueue::enqueue_ndrange_split`])
     /// over the planned `chunks` on per-device lanes, or whole on the queue's
     /// bound device when there are none or `clrt` refuses them — having
-    /// issued nothing. Its kernel commands go into `folds`, if given.
+    /// issued nothing. Returns whether it issued the launch as planned.
     fn issue_launch(
         &self,
         q: &QueueState,
@@ -1024,8 +1009,7 @@ impl RtInner {
         chunks: &[split::Chunk],
         epoch: u64,
         delta: &mut SchedStats,
-        folds: Option<&mut Vec<Option<NdRangeShape>>>,
-    ) {
+    ) -> bool {
         if !chunks.is_empty() {
             let devices = self.cl.devices();
             let mut wgs_per_device = vec![0u64; devices.len()];
@@ -1052,27 +1036,11 @@ impl RtInner {
                     at,
                 });
                 delta.kernels_split += 1;
-                if let (Some(folds), Some(axis)) = (folds, p.nd.split_axis()) {
-                    folds.extend(chunks.iter().map(|c| {
-                        let local = p.kernel.effective_nd(devices[c.device], p.nd).local;
-                        let (offset, count) = (c.wg_offset, c.wg_count);
-                        Some(split::chunk_shape(
-                            p.nd.global,
-                            p.nd.local,
-                            axis,
-                            local,
-                            offset,
-                            count,
-                        ))
-                    }));
-                }
-                return;
+                return true;
             }
         }
         enqueue_whole(q, p);
-        if let Some(folds) = folds {
-            folds.push(None);
-        }
+        chunks.is_empty()
     }
 
     /// Fold a pass's accumulated stats delta into the shared counters —
@@ -1106,13 +1074,13 @@ impl RtInner {
         need: u64,
         input: &PassInput,
         work: &mut Work,
-    ) -> (Arc<[SimDuration]>, ExecSource) {
+    ) -> (Arc<[SimDuration]>, bool) {
         let devices = &input.devices;
         if self.policy == ContextSchedPolicy::RoundRobin {
-            return (Arc::default(), ExecSource::Static);
+            return (Arc::default(), false);
         }
         if q.flags().contains(QueueSchedFlags::SCHED_AUTO_STATIC) {
-            return (self.static_costs(q, pending, devices), ExecSource::Static);
+            return (self.static_costs(q, pending, devices), false);
         }
         let force = self.forced(q);
         let key = work.key.spell(pending);
@@ -1145,7 +1113,7 @@ impl RtInner {
             work.delta.cache_hits += 1;
             self.emit(&SchedEvent::CacheHit { epoch, key });
         }
-        (exec, ExecSource::Profiled)
+        (exec, true)
     }
 
     /// Whether a write on `q` can wait for the next pass to place it
@@ -1347,43 +1315,57 @@ impl RtInner {
 
     /// Fold this epoch's executed kernel completions back into the cost
     /// predictor (online refinement): per (kernel, device) the mean executed
-    /// duration of its whole launches is one observation, at the kernel's
-    /// first-seen geometry, and then so is that of its split chunks of each
-    /// shape, at that shape; `work.folds` gives each kernel command's in
-    /// issue order. Observations fold, and a prior prediction's error is
-    /// reported ([`SchedEvent::PredictorRefined`]), whole launches first by
-    /// (name, device), then chunks by (name, device, global, local). A warm
+    /// duration of its whole launches is one observation, at the geometry
+    /// of the kernel's first launch in `work.cmds`, and then so is that of
+    /// its split chunks of each shape, at that shape. The kernel records
+    /// past `trace_offset` are the issued plan's commands in
+    /// [`plan::issue_order`]: a launch's chunks in `plan.chunks` order, or
+    /// the launch whole where `plan.splits` has none. Observations fold, and
+    /// a prior prediction's error is reported
+    /// ([`SchedEvent::PredictorRefined`]), whole launches first by (name,
+    /// device), then chunks by (name, device, global, local). A warm
     /// refinement allocates nothing: it sums and emits in `work`'s lists.
     fn refine_predictor(
         &self,
-        refine_index: &HashMap<Arc<str>, (Kernel, NdRange, u64)>,
         work: &mut Work,
-        devices: &[DeviceId],
+        input: &PassInput,
+        plan: &Plan,
         trace_offset: u64,
         epoch: u64,
     ) {
-        let Work { folds, refined, events, .. } = work;
+        let Work { cmds, refined, events, .. } = work;
+        let devices = &input.devices;
         refined.clear();
         self.platform.with_engine(|e| {
-            let mut folds = folds.iter();
-            for r in e.trace().records_since(trace_offset) {
-                let CommandKind::Kernel { name } = &r.kind else { continue };
-                let chunk = folds.next().copied().flatten();
-                if !refine_index.contains_key(name.as_ref()) {
-                    continue;
-                }
-                let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
-                let same = |o: &&mut Refined| o.di == di && o.chunk == chunk && o.name == *name;
-                let o = match refined.iter_mut().find(same) {
-                    Some(o) => o,
-                    None => {
-                        let (name, sum) = (Arc::clone(name), SimDuration::ZERO);
-                        refined.push(Refined { name, di, chunk, sum, count: 0 });
-                        refined.last_mut().expect("just pushed")
-                    }
+            let mut kernels =
+                e.trace().records_since(trace_offset).iter().filter_map(|r| match &r.kind {
+                    CommandKind::Kernel { name } => Some((r, name)),
+                    _ => None,
+                });
+            for l in plan::issue_order(input) {
+                let p = &cmds[l];
+                let chunks = &plan.chunks[plan.splits[l].clone()];
+                let shape = |c: &split::Chunk| {
+                    let axis = p.nd.split_axis()?;
+                    let local = p.kernel.effective_nd(devices[c.device], p.nd).local;
+                    let (global, offset, count) = (p.nd.global, c.wg_offset, c.wg_count);
+                    Some(split::chunk_shape(global, p.nd.local, axis, local, offset, count))
                 };
-                o.sum += r.stamp.end.saturating_since(r.stamp.start);
-                o.count += 1;
+                let whole = chunks.is_empty().then_some(None);
+                for (chunk, (r, name)) in chunks.iter().map(shape).chain(whole).zip(&mut kernels) {
+                    let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
+                    let same = |o: &&mut Refined| o.di == di && o.chunk == chunk && o.name == *name;
+                    let o = match refined.iter_mut().find(same) {
+                        Some(o) => o,
+                        None => {
+                            let (name, sum) = (Arc::clone(name), SimDuration::ZERO);
+                            refined.push(Refined { name, di, chunk, sum, count: 0 });
+                            refined.last_mut().expect("just pushed")
+                        }
+                    };
+                    o.sum += r.stamp.end.saturating_since(r.stamp.start);
+                    o.count += 1;
+                }
             }
         });
         if refined.is_empty() {
@@ -1394,10 +1376,10 @@ impl RtInner {
         {
             let mut predictor = self.predictor.lock();
             for o in refined.iter() {
-                let (kernel, nd, arg_bytes) = &refine_index[&o.name];
+                let Some(p) = cmds.iter().find(|p| p.kernel.name() == &*o.name) else { continue };
                 let dev = devices[o.di];
-                let shape = o.chunk.unwrap_or_else(|| kernel.effective_nd(dev, *nd).shape());
-                let f = KernelFeatures::describe(&kernel.cost(), shape, *arg_bytes);
+                let shape = o.chunk.unwrap_or_else(|| p.kernel.effective_nd(dev, p.nd).shape());
+                let f = KernelFeatures::describe(&p.kernel.cost(), shape, p.args.buffer_bytes());
                 let actual = o.sum / o.count;
                 let prior = predictor.predict(o.di, &f);
                 predictor.observe(o.di, &f, actual);
@@ -1899,7 +1881,7 @@ impl std::fmt::Debug for SchedQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::{env_flag_enabled, Work};
+    use super::env_flag_enabled;
     use crate::predictor::{
         CostPredictor, KernelFeatures, DEFAULT_PREDICTOR_CONFIDENCE, MIN_TRAINING_SAMPLES,
     };
@@ -1908,9 +1890,9 @@ mod tests {
         ContextSchedPolicy, MulticlContext, ProfileCache, QueueSchedFlags, SchedEvent, SchedOptions,
     };
     use clrt::{ArgValue, KernelBody, KernelCtx, NdRange, Platform};
-    use hwsim::engine::{CommandDesc, CommandKind};
+    use hwsim::engine::CommandKind;
     use hwsim::{KernelCostSpec, NdRangeShape, SimDuration};
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
     use std::ffi::OsStr;
     use std::sync::Arc;
 
@@ -1989,9 +1971,13 @@ mod tests {
 
     #[test]
     fn refinement_folds_whole_launches_then_chunks_in_key_order() {
-        // One refinement over whole launches and split chunks of `bump` on
-        // two devices, issued out of key order, against the fold it
-        // replaced: per-key sums in two `BTreeMap`s, whole launches first.
+        // One real pass over a splittable queue and two others, all
+        // launching `bump`: the split's chunks are issued before the whole
+        // launches, out of key order. Refinement is checked against per-key
+        // sums in two `BTreeMap`s, whole launches first, over the pass's own
+        // trace, where a kernel is a chunk between a split's start marker and
+        // its join. A whole launch is observed at the geometry of the
+        // kernel's first launch in the pass: the split one's.
         const ITEMS: u64 = 1 << 16;
         let platform = Platform::paper_node();
         let sink = Arc::new(RingBufferSink::new(1024));
@@ -2004,72 +1990,78 @@ mod tests {
         };
         let ctx = MulticlContext::with_options(&platform, ContextSchedPolicy::AutoFit, options)
             .expect("context");
-        let buf = ctx.create_buffer_of::<f64>(ITEMS as usize).expect("buffer");
-        let body = Arc::new(Bump) as Arc<dyn KernelBody>;
-        let k = ctx.create_program(vec![body]).expect("program").create_kernel("bump").unwrap();
-        k.set_arg(0, ArgValue::BufferMut(buf)).unwrap();
-        let nd = NdRange::d1(ITEMS, 64);
-        let devices = ctx.rt.cl.devices()[..2].to_vec();
-        // Both device models warm, so every observation has a prior.
+        let devices = ctx.rt.cl.devices().to_vec();
+        // Every device model warm on the cost model's own times, so every
+        // observation has a prior and the split is judged on fair rows.
         {
             let mut predictor = ctx.rt.predictor.lock();
-            for di in 0..2 {
+            for (di, &dev) in devices.iter().enumerate() {
                 for wgs in 1..=MIN_TRAINING_SAMPLES {
-                    let f = KernelFeatures::describe(&Bump.cost(), shape(wgs * 64, 64), ITEMS * 8);
-                    predictor.observe(di, &f, SimDuration::from_nanos(1_000 * wgs + di as u64));
+                    let s = shape(wgs * 128 * 64, 64);
+                    let f = KernelFeatures::describe(&Bump.cost(), s, ITEMS * 8);
+                    let time = Bump.cost().kernel_time(platform.node().spec(dev), s);
+                    predictor.observe(di, &f, time);
                 }
             }
         }
         let mut want = ctx.rt.predictor.lock().clone();
-        // (device column, chunk shape or whole, duration in µs), in issue
-        // order: first seen is not key order on either axis.
-        let commands = [
-            (1, Some(shape(512 * 64, 64)), 90),
-            (0, Some(shape(512 * 64, 64)), 130),
-            (1, None, 600),
-            (0, Some(shape(256 * 64, 64)), 70),
-            (1, Some(shape(512 * 64, 32)), 95),
-            (0, None, 500),
-            (1, Some(shape(512 * 64, 64)), 110),
-            (0, None, 540),
-        ];
-        let trace_offset = platform.with_engine(|e| e.trace().total_pushed());
-        platform.with_engine(|e| {
-            for &(di, _, us) in &commands {
-                e.submit(CommandDesc {
-                    device: devices[di],
-                    kind: CommandKind::Kernel { name: "bump".into() },
-                    duration: SimDuration::from_micros(us),
-                    waits: hwsim::WaitList::new(),
-                    queue: 0,
-                });
-            }
+        let body = Arc::new(Bump) as Arc<dyn KernelBody>;
+        let program = ctx.create_program(vec![body]).expect("program");
+        let nd = NdRange::d1(ITEMS, 64);
+        let split = QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE;
+        let flags =
+            [split, QueueSchedFlags::SCHED_AUTO_DYNAMIC, QueueSchedFlags::SCHED_AUTO_DYNAMIC];
+        let queues = flags.map(|f| ctx.create_queue(f).expect("queue"));
+        // The splittable queue's launch is large; the others' are small.
+        for (q, items) in queues.iter().zip([ITEMS, 1024, 1024]) {
+            let buf = ctx.create_buffer_of::<f64>(items as usize).expect("buffer");
+            let k = program.create_kernel("bump").unwrap();
+            k.set_arg(0, ArgValue::BufferMut(buf)).unwrap();
+            q.enqueue_ndrange(&k, NdRange::d1(items, 64)).expect("enqueue");
+        }
+        ctx.finish_all();
+        let events = sink.drain();
+        let mut splits = events.iter().filter_map(|e| match e {
+            SchedEvent::KernelSplit { wgs_per_device, .. } => Some(wgs_per_device),
+            _ => None,
         });
-        let mut work = Work { folds: commands.iter().map(|c| c.1).collect(), ..Work::default() };
-        let refine = HashMap::from([("bump".into(), (k.clone(), nd, ITEMS * 8))]);
-        sink.drain();
-        ctx.rt.refine_predictor(&refine, &mut work, &devices, trace_offset, 1);
-        let refined = |e| match e {
+        let refined = |e: &SchedEvent| match e {
             SchedEvent::PredictorRefined { device, predicted, actual, samples, .. } => {
-                Some((device, predicted, actual, samples))
+                Some((*device, *predicted, *actual, *samples))
             }
             _ => None,
         };
-        let got: Vec<_> = sink.drain().into_iter().filter_map(refined).collect();
-        // The replaced fold, on the same trace records.
+        let got: Vec<_> = events.iter().filter_map(refined).collect();
+        // The fold by hand, on the pass's trace records.
         let mut whole: BTreeMap<usize, (SimDuration, u64)> = BTreeMap::new();
         let mut chunks: BTreeMap<(usize, u64, u64), (SimDuration, u64)> = BTreeMap::new();
-        let records = platform.with_engine(|e| e.trace().records_since(trace_offset).to_vec());
-        for (r, &(di, chunk, _)) in records.iter().zip(&commands) {
-            let entry = match chunk {
-                None => whole.entry(di).or_default(),
-                Some(s) => chunks.entry((di, s.global_items, s.local_items)).or_default(),
+        let (mut shares, mut first) = (None, None);
+        for r in platform.take_trace().records.iter().filter(|r| r.tag.is_none()) {
+            let di = devices.iter().position(|&d| d == r.device).expect("a context device");
+            let entry = match (&r.kind, shares) {
+                (CommandKind::Marker, None) => {
+                    shares = Some(splits.next().expect("a split's start marker"));
+                    continue;
+                }
+                (CommandKind::Marker, Some(_)) => {
+                    shares = None;
+                    continue;
+                }
+                (CommandKind::Kernel { .. }, None) => whole.entry(di).or_default(),
+                (CommandKind::Kernel { .. }, Some(shares)) => {
+                    first.get_or_insert(true);
+                    chunks.entry((di, shares[di] * 64, 64)).or_default()
+                }
+                _ => continue,
             };
+            first.get_or_insert(false);
             entry.0 += r.stamp.end.saturating_since(r.stamp.start);
             entry.1 += 1;
         }
-        let whole =
-            whole.into_iter().map(|(di, sum)| (di, k.effective_nd(devices[di], nd).shape(), sum));
+        assert_eq!(first, Some(true), "a chunk is issued first");
+        assert!(splits.next().is_none(), "a split left no trace");
+        let whole_keys = whole.len();
+        let whole = whole.into_iter().map(|(di, sum)| (di, nd.shape(), sum));
         let chunks = chunks.into_iter().map(|((di, g, l), sum)| (di, shape(g, l), sum));
         let mut expected = Vec::new();
         for (di, s, (sum, count)) in whole.chain(chunks) {
@@ -2079,14 +2071,14 @@ mod tests {
             want.observe(di, &f, actual);
             expected.push((devices[di], prior.time, actual, want.samples(di)));
         }
-        assert_eq!(got.len(), 6, "two whole keys and four chunk keys: {got:?}");
+        assert!(whole_keys >= 1 && expected.len() >= whole_keys + 2, "{expected:?}");
         assert_eq!(got, expected, "refinement left the key order");
         let model = ctx.rt.predictor.lock();
-        for di in 0..2 {
+        for di in 0..devices.len() {
             assert_eq!(model.samples(di), want.samples(di), "device {di}");
         }
         assert!(model.to_json() == want.to_json(), "the folded models differ");
-        assert!(work.events.is_empty(), "refinement kept an emitted event");
+        assert!(ctx.rt.mapper_state.lock().work.cmds.is_empty(), "the pass kept its launches");
     }
 
     fn shape(global: u64, local: u64) -> NdRangeShape {

@@ -8,8 +8,8 @@ use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::plan::{
-    self, decide, issue_order, replayed_end, CostRow, ExecSource, Lanes, LaunchInput, PassInput,
-    Plan, PlanScratch, QueueInput, SplitInput, Touch,
+    self, decide, issue_order, replayed_end, CostRow, Lanes, LaunchInput, PassInput, Plan,
+    PlanScratch, QueueInput, SplitInput, Touch,
 };
 use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -39,10 +39,9 @@ fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
 
 /// Append a 1 KiB buffer slot whose transfer to each column is `transfer`.
 fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
-    input.buffers.push(100 + input.buffers.len() as u64);
     input.bytes.push(1 << 10);
     input.transfer.extend_from_slice(transfer);
-    input.buffers.len() - 1
+    input.bytes.len() - 1
 }
 
 /// Append a queue that prices to `cost` (which has no overlap row), with
@@ -70,8 +69,7 @@ fn queue(current: usize, need: u64) -> QueueInput {
         current: Some(current),
         bound: true,
         exec: ns(&[]),
-        source: ExecSource::Profiled,
-        explicit_region: false,
+        copies: true,
         tail: 0,
         launches: 0..0,
     }
@@ -238,7 +236,6 @@ fn an_in_order_launch_waits_on_another_queues_writer() {
 #[test]
 fn the_issue_order_is_the_in_order_queues_then_the_out_of_order_ones_in_program_order() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
-    input.buffers = vec![10, 11, 12, 13];
     input.bytes = vec![1 << 10; 4];
     // Per buffer slot × device: what first touching it there costs.
     input.transfer = [[0, 400], [300, 0], [50, 50], [900, 10]]
@@ -260,11 +257,7 @@ fn the_issue_order_is_the_in_order_queues_then_the_out_of_order_ones_in_program_
         (2, &[(1, false)], [5, 600]),
     ];
     for (q, current, ooo) in [(0, 0, true), (1, 1, false), (2, 1, true)] {
-        input.queues.push(QueueInput {
-            out_of_order: ooo,
-            source: ExecSource::Static,
-            ..queue(current, 0)
-        });
+        input.queues.push(QueueInput { out_of_order: ooo, copies: false, ..queue(current, 0) });
         let first = input.launches.len();
         for (lq, touches, kernel) in launches.iter().filter(|l| l.0 == q) {
             let at = input.touches.len();
@@ -445,19 +438,18 @@ fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
         (&[(b, false), (c, true)][..], zero, zero),
         (&[(a, false)][..], zero, zero),
     ];
-    let sources =
-        [(ExecSource::Profiled, false), (ExecSource::Profiled, true), (ExecSource::Static, false)];
-    for (q, (source, explicit_region)) in sources.into_iter().enumerate() {
+    // A profiled row, and one whose copies are free (an explicit region's,
+    // or the static model's).
+    for (q, copies) in [true, false].into_iter().enumerate() {
         let first = input.launches.len();
         push_launches(&mut input, q, &launches);
         let launches = first..input.launches.len();
         let exec = ns(&[1, 2, 3]);
-        input.queues.push(QueueInput { exec, source, explicit_region, launches, ..queue(0, 0) });
+        input.queues.push(QueueInput { exec, copies, launches, ..queue(0, 0) });
     }
     let plan = plan_of(&input);
     assert_eq!(plan.costs[0], row(&[1, 2, 3], &[1005, 340, 90]));
-    // An explicit-region queue and the static model price no data.
-    assert_eq!(plan.costs[1..], [row(&[1, 2, 3], &[0, 0, 0]), row(&[1, 2, 3], &[0, 0, 0])]);
+    assert_eq!(plan.costs[1], row(&[1, 2, 3], &[0, 0, 0]));
 }
 
 /// When queue `q`'s launches, replayed alone on column `d` in program
@@ -498,20 +490,14 @@ fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
         (&[(a, false)][..], analytic, &[50, 20][..]),
         (&[(b, false)][..], analytic, &[10, 80][..]),
     ];
-    // (out of order, source, explicit region)
-    let queues = [
-        (true, ExecSource::Profiled, false),
-        (false, ExecSource::Profiled, false),
-        (true, ExecSource::Static, false),
-        (true, ExecSource::Profiled, true),
-    ];
-    for (q, (out_of_order, source, explicit_region)) in queues.into_iter().enumerate() {
+    // (out of order, copies priced)
+    let queues = [(true, true), (false, true), (true, false)];
+    for (q, (out_of_order, copies)) in queues.into_iter().enumerate() {
         let first = input.launches.len();
         push_launches(&mut input, q, &launches);
         input.queues.push(QueueInput {
             out_of_order,
-            source,
-            explicit_region,
+            copies,
             exec: ns(&[9, 9]),
             launches: first..input.launches.len(),
             ..queue(0, 0)
@@ -525,11 +511,10 @@ fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     // which the first wrote there, and runs 10 — 590. On column 1, only
     // `b` moves (250): 250 + 300 + 20 + 80 = 650.
     assert_eq!(plan.costs[0].overlap, Some(ns(&[590, 650])));
-    // No overlap row for an in-order queue, nor for the static model's,
-    // nor for one whose copies are free: there it would be its `exec`.
+    // No overlap row for an in-order queue, nor for one whose copies are
+    // free: there it would be its `exec`.
     assert_eq!(plan.costs[1].overlap, None);
     assert_eq!(plan.costs[2], row(&[9, 9], &[0, 0]));
-    assert_eq!(plan.costs[3], row(&[9, 9], &[0, 0]));
 }
 
 /// Append an out-of-order queue with a profiled row on column 0 of one
@@ -580,18 +565,17 @@ fn naive_costs(input: &PassInput) -> Vec<CostRow> {
     idle.lanes.fill(Lanes::default());
     idle.queues.iter_mut().for_each(|q| q.tail = 0);
     let costs = input.queues.iter().enumerate().map(|(qi, q)| {
-        let copies = q.source != ExecSource::Static && !q.explicit_region;
         let mut distinct: Vec<usize> =
             q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
         distinct.sort_unstable();
         distinct.dedup();
         let migration = (0..n)
-            .map(|d| match copies {
+            .map(|d| match q.copies {
                 true => distinct.iter().map(|&b| input.transfer[b * n + d]).sum(),
                 false => zero,
             })
             .collect();
-        let overlap = copies && q.out_of_order && q.source == ExecSource::Profiled;
+        let overlap = q.copies && q.out_of_order;
         CostRow {
             exec: Arc::clone(&q.exec),
             migration,
@@ -626,11 +610,9 @@ fn random_input(rng: &mut XorShift) -> PassInput {
     let max_capacity = *input.capacity.iter().max().expect("a device");
     input.rr_next = rng.index(10);
     let slots = 1 + rng.index(6);
-    input.buffers = (0..slots as u64).map(|b| 100 + b).collect();
     input.transfer =
         (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 5000))).collect();
     input.bytes = (0..slots).map(|_| rng.range_u64(8, 64 << 10)).collect();
-    let sources = [ExecSource::Static, ExecSource::Profiled];
     for qi in 0..1 + rng.index(6) {
         let out_of_order = rng.index(2) == 0;
         let first = input.launches.len();
@@ -683,8 +665,9 @@ fn random_input(rng: &mut XorShift) -> PassInput {
             current: Some(rng.index(n + 1)).filter(|&di| di < n),
             bound: rng.index(2) == 0,
             exec,
-            source: sources[rng.index(2)],
-            explicit_region: rng.index(4) == 0,
+            // A profiled row (one draw in two) outside an explicit region
+            // (three in four); both draws are always taken.
+            copies: (rng.index(2) == 1) & (rng.index(4) != 0),
             tail: if out_of_order || rng.index(2) == 0 { 0 } else { rng.range_u64(0, 3000) },
             launches: first..input.launches.len(),
         });
@@ -769,11 +752,10 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let mut copy: Vec<u64> = input.lanes.iter().map(|l| l.copy).collect();
     // Per buffer: the column a launch last wrote it on, until staged to the
     // host; whether it was staged; the columns holding it.
-    let mut written_on: Vec<Option<usize>> = vec![None; input.buffers.len()];
-    let mut staged = vec![false; input.buffers.len()];
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); input.buffers.len()];
-    let (mut writer_end, mut access_end) =
-        (vec![0; input.buffers.len()], vec![0; input.buffers.len()]);
+    let mut written_on: Vec<Option<usize>> = vec![None; input.bytes.len()];
+    let mut staged = vec![false; input.bytes.len()];
+    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); input.bytes.len()];
+    let (mut writer_end, mut access_end) = (vec![0; input.bytes.len()], vec![0; input.bytes.len()]);
     let mut end = 0;
     let queues = input.queues.iter().enumerate();
     let (in_order, out_of_order): (Vec<_>, Vec<_>) = queues.partition(|(_, q)| !q.out_of_order);

@@ -131,8 +131,9 @@ fn main() {
         served.data_plane_workers(),
         report.get("wall_jobs_per_s").and_then(|v| v.as_f64()).unwrap_or(0.0),
     );
+    let outcomes = served.outcomes();
     for i in 0..served.tenant_count() {
-        let (p50, p95, p99) = served.metrics().latency_percentiles_ms(i);
+        let (p50, p95, p99, _) = loadgen::latency_summary_ms(&outcomes, i);
         println!(
             "  {}: completed {:>4}  rejected {:>3}  starved {:>3}  p50 {:>8.3}ms  p95 {:>8.3}ms  p99 {:>8.3}ms",
             served.tenant_name(i),

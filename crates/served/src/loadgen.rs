@@ -12,13 +12,16 @@
 //! two runs with one seed and different policies compare the policies over
 //! one fixed workload.
 
-use crate::service::{warmed_options, RetryPolicy, ServePolicy, Served, ServiceConfig};
+use crate::service::{
+    warmed_options, JobOutcome, JobResult, RetryPolicy, ServePolicy, Served, ServiceConfig,
+};
 use crate::slo::SloConfig;
 use crate::spec::JobSpec;
 use crate::tenant::TenantConfig;
 use clrt::error::ClResult;
 use clrt::{Platform, RuntimeConfig};
 use hwsim::json::Json;
+use hwsim::stats;
 use hwsim::xrand::XorShift;
 use hwsim::{SimDuration, SimTime};
 use std::path::Path;
@@ -240,6 +243,18 @@ pub fn run_with(
     Ok((served, arrivals))
 }
 
+/// `(p50, p95, p99, mean)` of tenant `tenant`'s completed jobs' latencies
+/// among `outcomes`, in virtual ms; zeros when it completed none.
+pub fn latency_summary_ms(outcomes: &[JobOutcome], tenant: usize) -> (f64, f64, f64, f64) {
+    let completed =
+        outcomes.iter().filter(|o| o.tenant == tenant && matches!(o.result, JobResult::Completed));
+    let samples: Vec<f64> = completed.map(|o| o.latency.as_millis_f64()).collect();
+    let (p50, p95, p99) = stats::latency_percentiles(&samples);
+    let mean =
+        if samples.is_empty() { 0.0 } else { samples.iter().sum::<f64>() / samples.len() as f64 };
+    (p50, p95, p99, mean)
+}
+
 /// Summarize a finished run as a JSON report: totals plus per-tenant
 /// throughput, rejection counts, and p50/p95/p99 latency. Fully
 /// deterministic for a given seed — wall-clock figures are added
@@ -253,15 +268,10 @@ pub fn report_json(served: &Served, cfg: &LoadgenConfig) -> Json {
     let mut total_failed = 0u64;
     let mut total_retried = 0u64;
     let mut per_tenant = Vec::new();
+    let outcomes = served.outcomes();
     for i in 0..served.tenant_count() {
         let m = served.metrics().tenant(i);
-        let (p50, p95, p99) = served.metrics().latency_percentiles_ms(i);
-        let samples = served.metrics().latencies_ms(i);
-        let mean = if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        };
+        let (p50, p95, p99, mean) = latency_summary_ms(&outcomes, i);
         total_submitted += m.submitted.get();
         total_completed += m.completed.get();
         total_rejected += m.rejected.get();
@@ -322,5 +332,33 @@ pub fn report_json_with_wall(served: &Served, cfg: &LoadgenConfig) -> Json {
             Json::Obj(fields)
         }
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::FailReason;
+
+    #[test]
+    fn a_tenants_latency_summary_reads_its_completed_outcomes_only() {
+        let outcome = |tenant, ms, result| JobOutcome {
+            id: 0,
+            tenant,
+            submitted_at: SimTime::ZERO,
+            completed_at: SimTime::ZERO,
+            latency: SimDuration::from_millis(ms),
+            result,
+        };
+        let outcomes = [
+            outcome(0, 4, JobResult::Completed),
+            outcome(1, 100, JobResult::Completed),
+            outcome(0, 50, JobResult::Failed(FailReason::DeadlineExceeded)),
+            outcome(0, 8, JobResult::Completed),
+        ];
+        let (p50, p95, p99, mean) = latency_summary_ms(&outcomes, 0);
+        assert!(p50 >= 4.0 && p99 <= 8.0 && p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
+        assert_eq!(mean, 6.0);
+        assert_eq!(latency_summary_ms(&outcomes, 2), (0.0, 0.0, 0.0, 0.0));
     }
 }

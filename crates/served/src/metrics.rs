@@ -6,12 +6,10 @@
 //! (`served_jobs_completed_total{tenant="team a/b"}`): the registry
 //! escapes label values on exposition, so hostile tenant names (quotes,
 //! backslashes, newlines) cannot corrupt the text format, and it groups
-//! every tenant's series under their family's one header. Exact job
-//! latencies are additionally kept per tenant so reports can quote precise
-//! p50/p95/p99 (the registry histograms are log-bucketed).
+//! every tenant's series under their family's one header. The registry
+//! histograms are log-bucketed; a report that quotes exact p50/p95/p99
+//! reads the completed jobs' latencies from `Served::outcomes`.
 
-use hwsim::stats;
-use hwsim::sync::Mutex;
 use hwsim::SimDuration;
 use multicl::telemetry::{metric_set, Counter, MetricsRegistry};
 
@@ -20,7 +18,7 @@ metric_set! {
 /// `first_job_latency_ns` is the cold-start indicator: under a
 /// profiling-based scheduler it absorbs the one-time profiling epochs; with
 /// the cost predictor warm it should match steady-state latency. It is set
-/// once, and `0` until the first completion.
+/// once, when `completed` reads 1, and `0` until then.
 pub struct TenantMetrics {
     submitted: Counter = "served_jobs_submitted_total", "jobs submitted";
     admitted: Counter = "served_jobs_admitted_total", "jobs admitted";
@@ -40,13 +38,10 @@ pub struct TenantMetrics {
 }
 }
 
-/// Metrics for the whole service: its registry, per-tenant handles and
-/// exact latency samples.
+/// Metrics for the whole service: its registry and per-tenant handles.
 pub struct ServiceMetrics {
     registry: MetricsRegistry,
     tenants: Vec<TenantMetrics>,
-    /// Exact per-tenant job latencies in virtual milliseconds.
-    latencies_ms: Vec<Mutex<Vec<f64>>>,
     /// Start-up warm-up instances skipped because the cost predictor was
     /// already confident about every launch in the template (service-wide,
     /// not per tenant — warm-up runs before tenants submit anything).
@@ -62,12 +57,11 @@ impl ServiceMetrics {
             .iter()
             .map(|name| TenantMetrics::register(&registry, &[("tenant", name)]))
             .collect();
-        let latencies_ms = tenant_names.iter().map(|_| Mutex::new(Vec::new())).collect();
         let warmups_skipped = registry.counter(
             "served_warmups_skipped_total",
             "start-up warm-up instances skipped (predictor confident)",
         );
-        ServiceMetrics { registry, tenants, latencies_ms, warmups_skipped }
+        ServiceMetrics { registry, tenants, warmups_skipped }
     }
 
     /// The service's registry (exportable as Prometheus text).
@@ -80,29 +74,16 @@ impl ServiceMetrics {
         &self.tenants[i]
     }
 
-    /// Record one completed-job latency for tenant `i`. The first sample
-    /// also pins [`TenantMetrics::first_job_latency_ns`], the tenant's
-    /// cold-start latency.
-    pub fn record_latency(&self, i: usize, latency: SimDuration) {
-        self.tenants[i].latency_ns.observe(latency.as_nanos());
-        let mut samples = self.latencies_ms[i].lock();
-        if samples.is_empty() {
-            self.tenants[i].first_job_latency_ns.set(latency.as_nanos() as f64);
+    /// Record one completed job of tenant `i` and its latency. The first
+    /// completion also pins [`TenantMetrics::first_job_latency_ns`], the
+    /// tenant's cold-start latency.
+    pub fn record_completion(&self, i: usize, latency: SimDuration) {
+        let m = &self.tenants[i];
+        m.completed.inc();
+        m.latency_ns.observe(latency.as_nanos());
+        if m.completed.get() == 1 {
+            m.first_job_latency_ns.set(latency.as_nanos() as f64);
         }
-        samples.push(latency.as_millis_f64());
-    }
-
-    /// Exact latency samples (virtual ms) of tenant `i`, submission order.
-    pub fn latencies_ms(&self, i: usize) -> Vec<f64> {
-        self.latencies_ms[i].lock().clone()
-    }
-
-    /// `(p50, p95, p99)` job latency of tenant `i`, virtual ms.
-    pub fn latency_percentiles_ms(&self, i: usize) -> (f64, f64, f64) {
-        // Snapshot under the lock, compute outside it: the percentile scan
-        // sorts O(n log n), which must not serialize concurrent recorders.
-        let samples = self.latencies_ms[i].lock().clone();
-        stats::latency_percentiles(&samples)
     }
 }
 
@@ -115,8 +96,8 @@ mod tests {
         let m = ServiceMetrics::new(&["t0".into(), "t1".into()]);
         m.tenant(0).submitted.inc();
         m.tenant(0).admitted.inc();
-        m.record_latency(0, SimDuration::from_millis(4));
-        m.record_latency(0, SimDuration::from_millis(8));
+        m.record_completion(0, SimDuration::from_millis(4));
+        m.record_completion(0, SimDuration::from_millis(8));
         let prom = m.registry().to_prometheus();
         assert!(prom.contains(r#"served_jobs_submitted_total{tenant="t0"} 1"#), "{prom}");
         assert!(prom.contains(r#"served_jobs_submitted_total{tenant="t1"} 0"#), "{prom}");
@@ -125,16 +106,14 @@ mod tests {
         let first = SimDuration::from_millis(4).as_nanos() as f64;
         assert!(prom.contains(&format!(r#"served_first_job_latency_ns{{tenant="t0"}} {first}"#)));
         assert!(prom.contains(r#"served_first_job_latency_ns{tenant="t1"} 0"#), "{prom}");
-        let (p50, p95, p99) = m.latency_percentiles_ms(0);
-        assert!(p50 >= 4.0 && p99 <= 8.0 && p50 <= p95 && p95 <= p99);
-        assert_eq!(m.latencies_ms(1), Vec::<f64>::new());
+        assert!(prom.contains(r#"served_jobs_completed_total{tenant="t0"} 2"#), "{prom}");
     }
 
     #[test]
     fn every_family_is_one_group_with_two_tenants() {
         let m = ServiceMetrics::new(&["t0".into(), "t1".into()]);
         m.tenant(1).submitted.add(2);
-        m.record_latency(1, SimDuration::from_millis(4));
+        m.record_completion(1, SimDuration::from_millis(4));
         let prom = m.registry().to_prometheus();
         let samples = multicl::telemetry::registry::parse_prometheus(&prom).expect("parseable");
         // Families in sample order, consecutive repeats collapsed: a name

@@ -531,7 +531,7 @@ impl Served {
 
     /// Rounds in which tenant `i` had backlog but received no slot.
     pub fn starvation_rounds(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].starvation_rounds()
+        self.metrics.tenant(tenant).starved_rounds.get()
     }
 
     /// All finished jobs so far, completion order.
@@ -763,7 +763,6 @@ impl Served {
         }
         for (t, was_backlogged) in backlogged.iter().enumerate() {
             if *was_backlogged && !picks.iter().any(|(pt, _)| *pt == t) {
-                self.tenants[t].note_starved();
                 self.metrics.tenant(t).starved_rounds.inc();
             }
         }
@@ -950,8 +949,7 @@ impl Served {
             // completion instant back so latency and segments agree exactly.
             let completed_at = job.trace.last_end();
             let latency = completed_at.saturating_since(job.submitted_at);
-            self.metrics.tenant(tenant).completed.inc();
-            self.metrics.record_latency(tenant, latency);
+            self.metrics.record_completion(tenant, latency);
             let name = &self.tenants[tenant].config.name;
             self.ctx.emit_event(&SchedEvent::JobCompleted {
                 epoch: completed_epoch,

@@ -267,96 +267,6 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Encode as JSON. `JobSpec::from_json(&spec.to_json())` round-trips.
-    /// `out_of_order` is emitted only when set, so specs written before the
-    /// flag existed encode byte-identically.
-    pub fn to_json(&self) -> Json {
-        let mut json = Json::obj([
-            ("name", Json::from(&*self.name)),
-            (
-                "buffers",
-                Json::Arr(
-                    self.buffers
-                        .iter()
-                        .map(|b| {
-                            Json::obj([
-                                ("name", Json::from(&*b.name)),
-                                ("elements", Json::from(b.elements)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "kernels",
-                Json::Arr(
-                    self.kernels
-                        .iter()
-                        .map(|k| {
-                            Json::obj([
-                                ("name", Json::from(&*k.name)),
-                                ("flops_per_item", Json::from(k.cost.flops_per_item)),
-                                ("bytes_per_item", Json::from(k.cost.bytes_per_item)),
-                                ("coalescing", Json::from(k.cost.traits.coalescing)),
-                                ("branch_divergence", Json::from(k.cost.traits.branch_divergence)),
-                                (
-                                    "vector_friendliness",
-                                    Json::from(k.cost.traits.vector_friendliness),
-                                ),
-                                ("double_precision", Json::Bool(k.cost.traits.double_precision)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "steps",
-                Json::Arr(
-                    self.steps
-                        .iter()
-                        .map(|s| {
-                            let mut fields = vec![("id".to_string(), Json::from(&*s.id))];
-                            match &s.op {
-                                StepOp::Write { buffer } => {
-                                    fields.push(("op".into(), Json::from("write")));
-                                    fields.push(("buffer".into(), Json::from(&**buffer)));
-                                }
-                                StepOp::Launch { kernel, global, local, args } => {
-                                    fields.push(("op".into(), Json::from("launch")));
-                                    fields.push(("kernel".into(), Json::from(&**kernel)));
-                                    fields.push(("global".into(), Json::from(*global)));
-                                    fields.push(("local".into(), Json::from(*local)));
-                                    fields.push((
-                                        "args".into(),
-                                        Json::Arr(args.iter().map(|a| Json::from(&**a)).collect()),
-                                    ));
-                                }
-                            }
-                            if !s.after.is_empty() {
-                                fields.push((
-                                    "after".into(),
-                                    Json::Arr(s.after.iter().map(|a| Json::from(&**a)).collect()),
-                                ));
-                            }
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        if self.out_of_order {
-            if let Json::Obj(fields) = &mut json {
-                fields.push(("out_of_order".into(), Json::Bool(true)));
-            }
-        }
-        if self.splittable {
-            if let Json::Obj(fields) = &mut json {
-                fields.push(("splittable".into(), Json::Bool(true)));
-            }
-        }
-        json
-    }
-
     /// Check internal consistency: unique names, resolvable references,
     /// consistent kernel arities, positive sizes, finite non-negative kernel
     /// costs, launches within [`MAX_LAUNCH_FLOPS`] and [`MAX_LAUNCH_BYTES`],
@@ -548,9 +458,7 @@ impl<'a> NameTable<'a> {
 mod tests {
     use super::*;
 
-    fn sample() -> JobSpec {
-        JobSpec::parse_str(
-            r#"{
+    const SAMPLE: &str = r#"{
               "name": "blur",
               "buffers": [{"name": "img", "elements": 1024}, {"name": "tmp", "elements": 1024}],
               "kernels": [
@@ -565,22 +473,25 @@ mod tests {
                 {"id": "v", "op": "launch", "kernel": "blur_v", "global": 1024, "local": 64,
                  "args": ["tmp", "img"], "after": ["h"]}
               ]
-            }"#,
-        )
-        .expect("sample parses")
+            }"#;
+
+    /// The sample spec's text with `extra` top-level fields after its name.
+    fn sample_text(extra: &str) -> String {
+        SAMPLE.replacen(r#""name": "blur","#, &format!(r#""name": "blur",{extra}"#), 1)
+    }
+
+    fn sample() -> JobSpec {
+        JobSpec::parse_str(&sample_text("")).expect("sample parses")
     }
 
     #[test]
-    fn parses_and_roundtrips_through_json() {
+    fn parses_a_spec() {
         let spec = sample();
         assert_eq!(spec.buffers.len(), 2);
         assert_eq!(spec.kernels.len(), 2);
         assert_eq!(spec.steps.len(), 3);
-        let again = JobSpec::from_json(&spec.to_json()).expect("round-trip parses");
-        assert_eq!(again, spec);
-        // And through text.
-        let text = spec.to_json().dump();
-        assert_eq!(JobSpec::parse_str(&text).unwrap(), spec);
+        assert_eq!(&*spec.kernels[1].name, "blur_v");
+        assert_eq!(spec.steps[1].after, vec![Arc::<str>::from("load")]);
     }
 
     #[test]
@@ -599,43 +510,31 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_flag_parses_and_roundtrips() {
-        // Absent ⇒ false, and a false flag is not emitted (old specs encode
-        // byte-identically).
-        let spec = sample();
-        assert!(!spec.out_of_order);
-        assert!(spec.to_json().get("out_of_order").is_none());
-
+    fn out_of_order_flag_parses() {
+        // Absent ⇒ false.
+        assert!(!sample().out_of_order);
         let mut flagged = sample();
         flagged.out_of_order = true;
-        let json = flagged.to_json();
-        assert_eq!(json.get("out_of_order").and_then(Json::as_bool), Some(true));
-        let again = JobSpec::from_json(&json).expect("flagged spec parses");
-        assert_eq!(again, flagged);
+        let text = sample_text(r#" "out_of_order": true,"#);
+        assert_eq!(JobSpec::parse_str(&text), Ok(flagged));
     }
 
     #[test]
-    fn splittable_flag_parses_roundtrips_and_composes_with_out_of_order() {
-        // Absent ⇒ false, and a false flag is not emitted (old specs encode
-        // byte-identically).
-        let spec = sample();
-        assert!(!spec.splittable);
-        assert!(spec.to_json().get("splittable").is_none());
-
+    fn splittable_flag_parses_and_composes_with_out_of_order() {
+        // Absent ⇒ false.
+        assert!(!sample().splittable);
         let mut flagged = sample();
         flagged.splittable = true;
-        let json = flagged.to_json();
-        assert_eq!(json.get("splittable").and_then(Json::as_bool), Some(true));
-        let again = JobSpec::from_json(&json).expect("flagged spec parses");
-        assert_eq!(again, flagged);
+        let text = sample_text(r#" "splittable": true,"#);
+        assert_eq!(JobSpec::parse_str(&text), Ok(flagged));
 
         // The two opt-ins compose, like the `SCHED_SPLITTABLE` and
         // `SCHED_OUT_OF_ORDER` hints they set.
         let mut both = sample();
         both.splittable = true;
         both.out_of_order = true;
-        assert_eq!(both.validate(), Ok(()));
-        assert_eq!(JobSpec::from_json(&both.to_json()), Ok(both));
+        let text = sample_text(r#" "splittable": true, "out_of_order": true,"#);
+        assert_eq!(JobSpec::parse_str(&text), Ok(both));
     }
 
     #[test]
@@ -672,8 +571,7 @@ mod tests {
     fn rejects_a_negative_or_non_finite_kernel_cost() {
         // JSON admits a negative cost; a spec built in code can also carry
         // NaN or ∞. Each is refused and names its kernel.
-        let text =
-            sample().to_json().dump().replace("\"bytes_per_item\":16", "\"bytes_per_item\":-16");
+        let text = sample_text("").replace(r#""bytes_per_item": 16.0"#, r#""bytes_per_item": -16"#);
         assert_eq!(
             JobSpec::parse_str(&text),
             Err(SpecError::Invalid(

@@ -11,7 +11,6 @@ use hwsim::sync::Mutex;
 use hwsim::SimTime;
 use multicl::telemetry::TraceContext;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Static description of one tenant.
@@ -115,30 +114,15 @@ pub(crate) struct PendingJob {
 pub(crate) struct TenantState {
     pub config: TenantConfig,
     pub queue: Mutex<VecDeque<PendingJob>>,
-    /// Rounds in which this tenant had backlog but received no dispatch
-    /// slot — the fairness/starvation signal.
-    pub starvation_rounds: AtomicU64,
 }
 
 impl TenantState {
     pub fn new(config: TenantConfig) -> TenantState {
-        TenantState {
-            config,
-            queue: Mutex::new(VecDeque::new()),
-            starvation_rounds: AtomicU64::new(0),
-        }
+        TenantState { config, queue: Mutex::new(VecDeque::new()) }
     }
 
     pub fn depth(&self) -> usize {
         self.queue.lock().len()
-    }
-
-    pub fn note_starved(&self) {
-        self.starvation_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn starvation_rounds(&self) -> u64 {
-        self.starvation_rounds.load(Ordering::Relaxed)
     }
 }
 
