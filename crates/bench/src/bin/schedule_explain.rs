@@ -5,7 +5,8 @@
 //!
 //! * the decision log — "why did queue 3 land on the CPU?" answered from
 //!   the [`MappingDecision`](multicl::SchedEvent::MappingDecision) explain
-//!   records (per-device estimated times + migration costs);
+//!   records (per device, the estimated time and the row the mapper read:
+//!   the replay of the queue's launches alone, transfers included);
 //! * per-job latency waterfalls (`--job ID` keeps one job, `--width N`
 //!   sizes the bars), segment totals, the top-K critical-path segments
 //!   (`--top K`), per-epoch predicted-vs-actual makespan attribution, and

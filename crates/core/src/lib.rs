@@ -287,8 +287,8 @@ mod tests {
         ));
 
         // The decision record explains the mapping: per-device estimated
-        // times and migration costs whose minimum total sits on the device
-        // each queue actually ran on.
+        // times and the mapped rows, whose minimum sits on the device each
+        // queue actually ran on.
         let decision = events
             .iter()
             .find_map(|e| match e {
@@ -301,7 +301,7 @@ mod tests {
         for q in [&q1, &q2] {
             let d = decision.iter().find(|d| d.queue == q.id()).expect("one record per queue");
             assert_eq!(d.cost.exec.len(), n);
-            assert_eq!(d.cost.migration.len(), n);
+            assert_eq!(d.cost.total.len(), n);
             assert_eq!(d.chosen, q.device(), "the decision names where the queue ran");
             // The chosen device attains the minimum recorded total cost
             // (compare by value: the two paper GPUs are identical, so the
@@ -309,7 +309,7 @@ mod tests {
             assert_eq!(
                 d.total(d.chosen),
                 d.total(d.argmin_total()),
-                "queue {}: chosen device must minimize exec+migration",
+                "queue {}: chosen device must minimize the mapped row",
                 d.queue
             );
         }
@@ -382,7 +382,7 @@ mod tests {
                         _ => None,
                     })
                     .expect("AUTO_FIT emits a decision");
-                assert_eq!(makespan, crate::plan::total(&queue.cost, queue.chosen.index()));
+                assert_eq!(makespan, queue.total(queue.chosen));
             }
         }
     }

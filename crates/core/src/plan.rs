@@ -8,19 +8,18 @@
 //! holds facts: AUTO_FIT's execution rows, each launch's accesses and
 //! kernel times, each buffer's transfers, when the devices' lanes and the
 //! queues' last commands come free, and what the cost model needs to price
-//! a split chunk. AUTO_FIT prices each queue's migration and overlap rows
-//! and maps the queues over them; ROUND_ROBIN's rotation prices nothing.
-//! Then decide walks the epoch's issue order — the in-order queues'
-//! launches, then the out-of-order queues', each queue's in program order
-//! ([`issue_order`]) — and keeps a split candidate's best shares
-//! ([`split::balance`]) only when the epoch ends sooner. The replay of the
-//! issue it settles, with the host's enqueues counted, is the plan's
-//! prediction.
+//! a split chunk. AUTO_FIT prices each queue's row and maps the queues over
+//! them; ROUND_ROBIN's rotation prices nothing. Then decide walks the
+//! epoch's issue order — the in-order queues' launches, then the
+//! out-of-order queues', each queue's in program order ([`issue_order`]) —
+//! and keeps a split candidate's best shares ([`split::balance`]) only when
+//! the epoch ends sooner. The replay of the issue it settles, with the
+//! host's enqueues counted, is the plan's prediction.
 //!
 //! One clock times all of it: the replay of launches through the time
-//! plane's rules ([`replayed_end`]) — lanes, hazards, residency. An overlap
-//! row is the replay of the queue's own launches alone from idle lanes, and
-//! the walk replays the issue order from the devices the flush finds.
+//! plane's rules ([`replayed_end`]) — lanes, hazards, residency. A queue's
+//! row is the replay of its own launches alone from idle lanes, and the
+//! walk replays the issue order from the devices the flush finds.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
@@ -31,28 +30,17 @@ use hwsim::{DeviceId, DeviceSpec, KernelCostSpec, SimDuration};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// One queue's per-device cost terms, as [`decide`] prices them, the mapper
-/// sees them and the `MappingDecision` explain record shows them.
+/// One queue's per-device cost, as [`decide`] prices it, the mapper sees it
+/// and the `MappingDecision` explain record shows it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostRow {
-    /// Estimated execution time of its pending launches.
+    /// Estimated execution time of its pending launches: measure's row.
     pub exec: Arc<[SimDuration]>,
-    /// Predicted data-migration cost of choosing the device: the transfers
-    /// of the distinct buffers its launches bind.
-    pub migration: Arc<[SimDuration]>,
-    /// An out-of-order queue's overlap row: per column, when the replay of
-    /// its own launches alone ends, from idle lanes and the snapshot's
-    /// residency. The mapper takes it over `exec + migration` when present.
-    pub overlap: Option<Arc<[SimDuration]>>,
-}
-
-/// The mapper-visible cost of `row` on device column `di`: the one rule the
-/// mapper and the explain record read.
-pub fn total(row: &CostRow, di: usize) -> SimDuration {
-    match &row.overlap {
-        Some(ov) => ov[di],
-        None => row.exec[di] + row.migration[di],
-    }
+    /// What the mapper reads. Where the queue's copies are priced
+    /// ([`QueueInput::copies`]), per column, when the [`Replay`] of its own
+    /// launches alone ends, from idle lanes and the snapshot's residency,
+    /// in order or out of order alike; otherwise `exec` itself.
+    pub total: Arc<[SimDuration]>,
 }
 
 /// What the pass knows of one pool queue.
@@ -70,12 +58,13 @@ pub struct QueueInput {
     /// Estimated execution time of its pending launches, per column: what
     /// AUTO_FIT prices. Empty under ROUND_ROBIN, which prices nothing.
     pub exec: Arc<[SimDuration]>,
-    /// Decide prices its copies: a migration row, and out of order an
-    /// overlap row. True for a row summed from its launches' kernel
-    /// profiles outside `SCHED_EXPLICIT_REGION`. `SCHED_AUTO_STATIC`'s static
-    /// model (§V-B) has no data term, and an explicit region's mapping
-    /// persists for the rest of the program, so pricing its one-time
-    /// migration would bias the mapper toward where data starts.
+    /// Decide prices its copies: its row is the replay of its launches,
+    /// transfers included, rather than `exec`. True for a row summed from
+    /// its launches' kernel profiles outside `SCHED_EXPLICIT_REGION`.
+    /// `SCHED_AUTO_STATIC`'s static model (§V-B) has no data term, and an
+    /// explicit region's mapping persists for the rest of the program, so
+    /// pricing its one-time migration would bias the mapper toward where
+    /// data starts.
     pub copies: bool,
     /// In order, when its last command (an upload, say) ends, in ns from the
     /// flush: its first launch waits behind it. Zero out of order.
@@ -209,11 +198,8 @@ pub struct PlanScratch {
     search: mapper::MapperScratch,
     costs: mapper::CostMatrix,
     warm: Vec<DeviceId>,
-    /// Per buffer slot and column whether a migration row has counted its
-    /// transfer there yet.
-    touched: Vec<bool>,
     /// The epoch's launches in issue order, the replay at the launch being
-    /// walked (an overlap row's replay before that) and a trial copy of it,
+    /// walked (a queue row's replay before that) and a trial copy of it,
     /// a candidate's shares, per column when a chunk of it could start and
     /// when the copy lane is free then, the tabulated price of its shares
     /// up to a full wave and where each column's table starts, and the
@@ -262,37 +248,24 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     walk(input, scratch, plan);
 }
 
-/// AUTO_FIT's cost row of each queue (§IV: data migration included). Per
-/// column, its migration is the sum of its distinct buffers' transfers, and
-/// an out-of-order queue with a profiled row gets the [`Replay`] of its
-/// launches alone, in program order, from idle lanes. Only a queue whose
-/// [`QueueInput::copies`] are priced gets either: free copies would make
-/// the overlap row its `exec`.
+/// AUTO_FIT's cost row of each queue (§IV: data migration included): per
+/// column, the [`Replay`] of its launches alone, in program order, from idle
+/// lanes — its transfers, its kernels, and the overlap an out-of-order
+/// queue gets between them. A queue whose [`QueueInput::copies`] are not
+/// priced keeps its `exec`.
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
-    let PlanScratch { touched, at, .. } = scratch;
-    let n = input.devices.len();
-    touched.resize(input.bytes.len() * n, false);
+    let at = &mut scratch.at;
     for q in &input.queues {
-        let touches = || {
-            let touches = q.launches.clone().map(|l| input.launches[l].touches.clone());
-            touches.flat_map(|range| &input.touches[range]).filter(|_| q.copies)
+        let alone = |di| {
+            Replay::idle(at, input);
+            q.launches.clone().for_each(|l| Replay::whole(at, input, l, di));
+            SimDuration::from_nanos(at.end)
         };
-        touched.fill(false);
-        let migration = (0..n)
-            .map(|di| {
-                let first = |t: &&Touch| !std::mem::replace(&mut touched[t.buffer * n + di], true);
-                touches().filter(first).map(|t| input.transfer[t.buffer * n + di]).sum()
-            })
-            .collect();
-        let overlap = (q.copies && q.out_of_order).then(|| {
-            let alone = |di| {
-                Replay::idle(at, input);
-                q.launches.clone().for_each(|l| Replay::whole(at, input, l, di));
-                SimDuration::from_nanos(at.end)
-            };
-            (0..n).map(alone).collect()
-        });
-        plan.costs.push(CostRow { exec: Arc::clone(&q.exec), migration, overlap });
+        let total = match q.copies {
+            true => (0..input.devices.len()).map(alone).collect(),
+            false => Arc::clone(&q.exec),
+        };
+        plan.costs.push(CostRow { exec: Arc::clone(&q.exec), total });
     }
 }
 
@@ -324,7 +297,7 @@ fn auto_fit(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
         let bindable = bindable(input, q.need);
         row.clear();
         row.extend((0..input.devices.len()).map(|di| match bindable(di) {
-            true => total(cost, di),
+            true => cost.total[di],
             false => mapper::UNAVAILABLE_COST,
         }));
     }

@@ -16,7 +16,7 @@
 //!    reads — every launch's buffer accesses and kernel times, every
 //!    buffer's transfer to each device — and no price;
 //! 2. **decide** — [`plan::decide`], a pure function of that snapshot: the
-//!    cost rows it prices (migration, out-of-order overlap, split units),
+//!    cost rows it prices (each queue's launches replayed alone, split units),
 //!    the queue→device mapping (AutoFit = makespan minimization; RoundRobin
 //!    = cyclic), the out-of-order issue order and the split shares;
 //! 3. **issue** — announces, rebinds and enqueues what the [`Plan`] says.
@@ -251,15 +251,9 @@ struct RtInner {
     policy: ContextSchedPolicy,
     options: SchedOptions,
     device_profile: DeviceProfile,
-    /// Kernel-name → estimated full execution time per device (§V-C1),
-    /// names and rows shared by reference count.
-    kernel_profiles: Mutex<HashMap<Arc<str>, Arc<[SimDuration]>>>,
-    /// Kernel-name → the degradation in force per device when its row was
-    /// predicted, for a row predicted while a device ran degraded: the
-    /// model learns from executed stamps, so such a row carries the
-    /// slowdown, and a split's price divides it out before it applies the
-    /// live one. A profiled row is the cost model's and has no entry.
-    profiled_under: Mutex<HashMap<Arc<str>, Arc<[f64]>>>,
+    /// Kernel-name → its profile (§V-C1), names and rows shared by
+    /// reference count.
+    kernel_profiles: Mutex<HashMap<Arc<str>, KernelProfile>>,
     /// Online per-device regression over kernel descriptor features: with
     /// [`SchedOptions::predictor_confidence`] positive, a confident
     /// prediction serves an unseen kernel's row without profiling.
@@ -328,22 +322,37 @@ struct Work {
     events: Vec<SchedEvent>,
 }
 
-/// The commands of one kernel on one device column, whole launches
-/// (`chunk: None`) or split chunks of one shape, as refinement sums them.
+/// One kernel's entry in the profile cache (§V-C1).
+struct KernelProfile {
+    /// Its estimated full execution time per device.
+    row: Arc<[SimDuration]>,
+    /// For a row predicted while a device ran degraded, the degradation in
+    /// force per device then: the model learns from executed stamps, so
+    /// such a row carries the slowdown, and decide divides it out before it
+    /// applies the live one. A profiled row is the cost model's, and one
+    /// predicted on a healthy node carries none: `None`.
+    under: Option<Arc<[f64]>>,
+}
+
+/// The commands of one kernel on one device column at one geometry, whole
+/// launches or split chunks, as refinement sums them: the shape they ran
+/// at and the argument bytes of the launch they came from.
 struct Refined {
     name: Arc<str>,
-    di: usize,
-    chunk: Option<NdRangeShape>,
+    /// Chunks or whole launches, the device column, the shape and the
+    /// argument bytes.
+    key: (bool, usize, NdRangeShape, u64),
+    cost: KernelCostSpec,
     sum: SimDuration,
     count: u64,
 }
 
 impl Refined {
-    /// Refinement's fold order: whole launches by (name, device), then
-    /// chunks by (name, device, global, local).
-    fn order(&self) -> (bool, &str, usize, Option<(u64, u64)>) {
-        let chunk = self.chunk.map(|s| (s.global_items, s.local_items));
-        (chunk.is_some(), &self.name, self.di, chunk)
+    /// Refinement's fold order: whole launches, then chunks, each by
+    /// (name, device, global, local, argument bytes).
+    fn order(&self) -> (bool, &str, usize, u64, u64, u64) {
+        let (chunk, di, shape, bytes) = self.key;
+        (chunk, &self.name, di, shape.global_items, shape.local_items, bytes)
     }
 }
 
@@ -420,7 +429,6 @@ impl MulticlContext {
                 options,
                 device_profile,
                 kernel_profiles: Mutex::new(HashMap::new()),
-                profiled_under: Mutex::new(HashMap::new()),
                 predictor: Mutex::new(predictor),
                 epoch_profiles: Mutex::new(HashMap::new()),
                 policy_label: policy.to_string().into(),
@@ -529,7 +537,7 @@ impl MulticlContext {
     /// Exposes what the dynamic kernel profiler learned — useful for
     /// debugging scheduling decisions.
     pub fn kernel_profile(&self, kernel_name: &str) -> Option<Vec<SimDuration>> {
-        self.rt.kernel_profiles.lock().get(kernel_name).map(|row| row.to_vec())
+        self.rt.kernel_profiles.lock().get(kernel_name).map(|p| p.row.to_vec())
     }
 
     /// Names of every kernel the profiler has measured so far (sorted).
@@ -883,17 +891,18 @@ impl RtInner {
         input.splits.clear();
         input.split_local.clear();
         let devices = &input.devices;
-        let (rows, unders) = (self.kernel_profiles.lock(), self.profiled_under.lock());
+        let profiles = self.kernel_profiles.lock();
         for (qi, q) in pool.iter().enumerate() {
             let first = input.launches.len();
             for p in q.pending.lock().iter() {
                 let axis = split_candidate(q, p, input);
                 let cost = p.kernel.cost();
-                let (row, under) = (rows.get(p.kernel.name()), unders.get(p.kernel.name()));
+                let profile = profiles.get(p.kernel.name());
+                let under = profile.and_then(|p| p.under.as_deref());
                 for (di, &dev) in devices.iter().enumerate() {
                     let nd = p.kernel.effective_nd(dev, p.nd);
                     input.kernel_time.push(cost.kernel_time(node.spec(dev), nd.shape()));
-                    input.profiled.push(row.map_or(SimDuration::ZERO, |r| r[di]));
+                    input.profiled.push(profile.map_or(SimDuration::ZERO, |p| p.row[di]));
                     if let Some(&f) = under.map(|u| &u[di]).filter(|&&f| f != 1.0) {
                         input.profiled_under.push((input.profiled.len() - 1, f));
                     }
@@ -1102,7 +1111,7 @@ impl RtInner {
                 }
                 // Epoch estimate: sum the cached per-name rows over every launch.
                 let kp = self.kernel_profiles.lock();
-                let sum = |di: usize| pending.iter().map(|p| kp[p.kernel.name()][di]).sum();
+                let sum = |di: usize| pending.iter().map(|p| kp[p.kernel.name()].row[di]).sum();
                 let exec: Arc<[SimDuration]> = (0..devices.len()).map(sum).collect();
                 drop(kp);
                 self.epoch_profiles.lock().insert(Arc::clone(&key), Arc::clone(&exec));
@@ -1238,7 +1247,7 @@ impl RtInner {
                 .map(|di| e.device_lost(devices[di]) || !plan::eligible(input, di, need))
                 .collect();
             let degradation = devices.iter().map(|&d| e.device_degradation(d));
-            let under: Option<Vec<f64>> =
+            let under: Option<Arc<[f64]>> =
                 degradation.clone().any(|f| f != 1.0).then(|| degradation.collect());
             (skip, under)
         });
@@ -1291,8 +1300,7 @@ impl RtInner {
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
                     mapper::inflate_uncertain(&mut row, max_uncertainty);
-                    self.record_under(&name, under.as_deref());
-                    kp.insert(name, row.into());
+                    kp.insert(name, KernelProfile { row: row.into(), under: under.clone() });
                 } else {
                     delta.predictor_fallbacks += 1;
                     events.push(SchedEvent::PredictorFallback {
@@ -1315,15 +1323,15 @@ impl RtInner {
 
     /// Fold this epoch's executed kernel completions back into the cost
     /// predictor (online refinement): per (kernel, device) the mean executed
-    /// duration of its whole launches is one observation, at the geometry
-    /// of the kernel's first launch in `work.cmds`, and then so is that of
-    /// its split chunks of each shape, at that shape. The kernel records
-    /// past `trace_offset` are the issued plan's commands in
+    /// duration of its whole launches of each geometry is one observation,
+    /// and so is that of its split chunks of each shape, each at the shape
+    /// it ran at and its launch's argument bytes. The kernel records past
+    /// `trace_offset` are the issued plan's commands in
     /// [`plan::issue_order`]: a launch's chunks in `plan.chunks` order, or
     /// the launch whole where `plan.splits` has none. Observations fold, and
     /// a prior prediction's error is reported
-    /// ([`SchedEvent::PredictorRefined`]), whole launches first by (name,
-    /// device), then chunks by (name, device, global, local). A warm
+    /// ([`SchedEvent::PredictorRefined`]), whole launches first, then
+    /// chunks, each by (name, device, global, local, argument bytes). A warm
     /// refinement allocates nothing: it sums and emits in `work`'s lists.
     fn refine_predictor(
         &self,
@@ -1352,14 +1360,23 @@ impl RtInner {
                     Some(split::chunk_shape(global, p.nd.local, axis, local, offset, count))
                 };
                 let whole = chunks.is_empty().then_some(None);
+                let arg_bytes = p.args.buffer_bytes();
                 for (chunk, (r, name)) in chunks.iter().map(shape).chain(whole).zip(&mut kernels) {
                     let Some(di) = devices.iter().position(|&d| d == r.device) else { continue };
-                    let same = |o: &&mut Refined| o.di == di && o.chunk == chunk && o.name == *name;
-                    let o = match refined.iter_mut().find(same) {
+                    let shape =
+                        chunk.unwrap_or_else(|| p.kernel.effective_nd(devices[di], p.nd).shape());
+                    let key = (chunk.is_some(), di, shape, arg_bytes);
+                    let o = match refined.iter_mut().find(|o| o.key == key && o.name == *name) {
                         Some(o) => o,
                         None => {
-                            let (name, sum) = (Arc::clone(name), SimDuration::ZERO);
-                            refined.push(Refined { name, di, chunk, sum, count: 0 });
+                            let (name, cost) = (Arc::clone(name), p.kernel.cost());
+                            refined.push(Refined {
+                                name,
+                                key,
+                                cost,
+                                sum: SimDuration::ZERO,
+                                count: 0,
+                            });
                             refined.last_mut().expect("just pushed")
                         }
                     };
@@ -1376,24 +1393,22 @@ impl RtInner {
         {
             let mut predictor = self.predictor.lock();
             for o in refined.iter() {
-                let Some(p) = cmds.iter().find(|p| p.kernel.name() == &*o.name) else { continue };
-                let dev = devices[o.di];
-                let shape = o.chunk.unwrap_or_else(|| p.kernel.effective_nd(dev, p.nd).shape());
-                let f = KernelFeatures::describe(&p.kernel.cost(), shape, p.args.buffer_bytes());
+                let (_, di, shape, arg_bytes) = o.key;
+                let f = KernelFeatures::describe(&o.cost, shape, arg_bytes);
                 let actual = o.sum / o.count;
-                let prior = predictor.predict(o.di, &f);
-                predictor.observe(o.di, &f, actual);
+                let prior = predictor.predict(di, &f);
+                predictor.observe(di, &f, actual);
                 if let Some(p) = prior {
                     let a = actual.as_nanos().max(1) as f64;
                     let rel_error = (p.time.as_nanos() as f64 - a).abs() / a;
                     events.push(SchedEvent::PredictorRefined {
                         epoch,
                         kernel: Arc::clone(&o.name),
-                        device: dev,
+                        device: devices[di],
                         predicted: p.time,
                         actual,
                         rel_error,
-                        samples: predictor.samples(o.di),
+                        samples: predictor.samples(di),
                     });
                 }
             }
@@ -1577,8 +1592,10 @@ impl RtInner {
         {
             let mut kp = self.kernel_profiles.lock();
             for (name, _, row) in &kernel_rows {
-                self.record_under(name, None);
-                kp.insert(Arc::clone(name), row.as_slice().into());
+                kp.insert(
+                    Arc::clone(name),
+                    KernelProfile { row: row.as_slice().into(), under: None },
+                );
             }
         }
         // Announce in name order.
@@ -1586,16 +1603,6 @@ impl RtInner {
         for (name, _, row) in kernel_rows {
             self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
         }
-    }
-
-    /// Record the degradation `under` which kernel `name`'s new row was
-    /// made (none: a profiled row, or every device healthy).
-    fn record_under(&self, name: &Arc<str>, under: Option<&[f64]>) {
-        let mut rows = self.profiled_under.lock();
-        match under.filter(|u| u.iter().any(|&f| f != 1.0)) {
-            Some(under) => rows.insert(Arc::clone(name), under.into()),
-            None => rows.remove(name),
-        };
     }
 
     /// The predicted time to make `b` valid on `dev` from where it is valid
@@ -1976,8 +1983,10 @@ mod tests {
         // launches, out of key order. Refinement is checked against per-key
         // sums in two `BTreeMap`s, whole launches first, over the pass's own
         // trace, where a kernel is a chunk between a split's start marker and
-        // its join. A whole launch is observed at the geometry of the
-        // kernel's first launch in the pass: the split one's.
+        // its join. Each observation is made at its own launch's geometry: a
+        // whole launch at its 1 024 items and 8 KiB of arguments, a chunk at
+        // its shape and its launch's 512 KiB — the prior each event reports
+        // and the folded model both read those features.
         const ITEMS: u64 = 1 << 16;
         let platform = Platform::paper_node();
         let sink = Arc::new(RingBufferSink::new(1024));
@@ -2007,7 +2016,6 @@ mod tests {
         let mut want = ctx.rt.predictor.lock().clone();
         let body = Arc::new(Bump) as Arc<dyn KernelBody>;
         let program = ctx.create_program(vec![body]).expect("program");
-        let nd = NdRange::d1(ITEMS, 64);
         let split = QueueSchedFlags::SCHED_AUTO_DYNAMIC | QueueSchedFlags::SCHED_SPLITTABLE;
         let flags =
             [split, QueueSchedFlags::SCHED_AUTO_DYNAMIC, QueueSchedFlags::SCHED_AUTO_DYNAMIC];
@@ -2061,11 +2069,11 @@ mod tests {
         assert_eq!(first, Some(true), "a chunk is issued first");
         assert!(splits.next().is_none(), "a split left no trace");
         let whole_keys = whole.len();
-        let whole = whole.into_iter().map(|(di, sum)| (di, nd.shape(), sum));
-        let chunks = chunks.into_iter().map(|((di, g, l), sum)| (di, shape(g, l), sum));
+        let whole = whole.into_iter().map(|(di, sum)| (di, shape(1024, 64), 1024 * 8, sum));
+        let chunks = chunks.into_iter().map(|((di, g, l), sum)| (di, shape(g, l), ITEMS * 8, sum));
         let mut expected = Vec::new();
-        for (di, s, (sum, count)) in whole.chain(chunks) {
-            let f = KernelFeatures::describe(&Bump.cost(), s, ITEMS * 8);
+        for (di, s, bytes, (sum, count)) in whole.chain(chunks) {
+            let f = KernelFeatures::describe(&Bump.cost(), s, bytes);
             let actual = sum / count;
             let prior = want.predict(di, &f).expect("a warm model predicts");
             want.observe(di, &f, actual);

@@ -11,8 +11,8 @@
 //!   synchronization epoch: [`SchedEvent::EpochBegin`],
 //!   [`SchedEvent::KernelProfiled`], [`SchedEvent::CacheHit`] /
 //!   [`SchedEvent::CacheMiss`], [`SchedEvent::MappingDecision`] (the full
-//!   explain record: per-device estimated times, migration cost terms, and
-//!   the chosen assignment), [`SchedEvent::QueueMigrated`], and
+//!   explain record: per-device estimated times, the rows the mapper read
+//!   — data migration included — and the chosen assignment), [`SchedEvent::QueueMigrated`], and
 //!   [`SchedEvent::EpochEnd`]. Every event streams to JSON text and parses
 //!   back ([`SchedEvent::write_json`] / [`SchedEvent::from_json`]; a whole
 //!   slice with [`to_jsonl`]); the enum and its codec are generated from

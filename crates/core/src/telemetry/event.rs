@@ -1,7 +1,7 @@
 //! The typed scheduler event stream and its JSON codec.
 
 use super::tracing::AttemptTrace;
-use crate::plan::{self, CostRow};
+use crate::plan::CostRow;
 use hwsim::json::{write_num, write_str, Json};
 use hwsim::{DeviceId, SimDuration, SimTime};
 use std::sync::Arc;
@@ -9,17 +9,18 @@ use std::sync::Arc;
 /// Everything the mapper knew about one queue when it made its decision —
 /// the "explain record" of a `MappingDecision`: the pass's [`CostRow`] for
 /// the queue (a warm epoch's `exec` is the epoch cache's own row), shared
-/// rather than copied. On the wire its rows are `exec_ns`, `migration_ns`
-/// and `overlap_ns` (`[]` without an overlap row).
+/// rather than copied. On the wire its rows keep the keys the additive row
+/// had: `exec_ns`, `migration_ns` (per device, what `total` adds to `exec`)
+/// and `overlap_ns` (`total` itself where it falls below `exec` on some
+/// device, which no addition gives; `[]` otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueDecision {
     /// Stable queue id (creation order within the context).
     pub queue: usize,
     /// Per device (device order): the estimated execution time of the
-    /// queue's pending epoch, the data-migration cost of *choosing* the
-    /// device, and for a `SCHED_OUT_OF_ORDER` queue with a profiled row
-    /// and priced copies, the replay of its launches alone, which the
-    /// mapper used *instead of* `exec + migration`.
+    /// queue's pending epoch, and the row the mapper read — for a queue
+    /// with a profiled row and priced copies, the replay of its launches
+    /// alone, transfers included.
     pub cost: CostRow,
     /// The device the mapper assigned.
     pub chosen: DeviceId,
@@ -28,9 +29,9 @@ pub struct QueueDecision {
 }
 
 impl QueueDecision {
-    /// Total cost the mapper saw for `device` ([`plan::total`]).
+    /// Total cost the mapper saw for `device`.
     pub fn total(&self, device: DeviceId) -> SimDuration {
-        plan::total(&self.cost, device.index())
+        self.cost.total[device.index()]
     }
 
     /// The device with the minimum total cost for this queue alone. The
@@ -38,7 +39,7 @@ impl QueueDecision {
     /// always [`Self::chosen`] — but when it differs, the decision log shows
     /// exactly which contention forced the detour.
     pub fn argmin_total(&self) -> DeviceId {
-        let n = self.cost.exec.len();
+        let n = self.cost.total.len();
         (0..n)
             .map(DeviceId)
             .min_by_key(|&d| self.total(d))
@@ -91,9 +92,6 @@ wire_leaves! {
         Some(n) => n.write(out),
         None => out.push_str("null"),
     }, |j| Some(j.as_u64());
-    // An optional cost row: `[]` when absent.
-    Option<Arc<[SimDuration]>>: |v, out| write_arr(v.as_deref().unwrap_or_default(), out),
-        |j| Arc::<[SimDuration]>::decode(j).map(|row| Some(row).filter(|r| !r.is_empty()));
 }
 
 /// A JSON array of `items`.
@@ -142,33 +140,49 @@ macro_rules! write_obj {
 pub(crate) use write_obj;
 
 impl Wire for QueueDecision {
+    /// Written member by member: `migration_ns` is worked out as it is
+    /// written, so encoding allocates no row.
     fn write(&self, out: &mut String) {
-        write_obj!(out,
-            "queue": &self.queue,
-            "exec_ns": &self.cost.exec,
-            "migration_ns": &self.cost.migration,
-            "overlap_ns": &self.cost.overlap,
-            "chosen": &self.chosen,
-            "previous": &self.previous,
-        );
+        let CostRow { exec, total } = &self.cost;
+        let below = total.iter().zip(exec.iter()).any(|(t, e)| t < e);
+        out.push_str("{\"queue\":");
+        self.queue.write(out);
+        out.push_str(",\"exec_ns\":");
+        exec.write(out);
+        out.push_str(",\"migration_ns\":[");
+        for (i, (t, e)) in total.iter().zip(exec.iter()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            t.saturating_sub(*e).write(out);
+        }
+        out.push_str("],\"overlap_ns\":");
+        write_arr(if below { total } else { &[] }, out);
+        out.push_str(",\"chosen\":");
+        self.chosen.write(out);
+        out.push_str(",\"previous\":");
+        self.previous.write(out);
+        out.push('}');
     }
-    /// `None` too when the rows differ in length: every total reads one
-    /// column of each.
+    /// `total` is `overlap_ns` where that is not `[]`, else `exec_ns +
+    /// migration_ns`: the rule every stream was written by. `None` too when
+    /// the rows differ in length: every total reads one column of each.
     fn decode(value: &Json) -> Option<Self> {
-        let cost = CostRow {
-            exec: field(value, "exec_ns")?,
-            migration: field(value, "migration_ns")?,
-            // Added with the out-of-order flush; absent in older streams.
-            overlap: field_or(value, "overlap_ns", || None),
-        };
-        let n = cost.exec.len();
-        let rows = [Some(&cost.migration), cost.overlap.as_ref()];
-        if rows.iter().flatten().any(|row| row.len() != n) {
+        let exec: Arc<[SimDuration]> = field(value, "exec_ns")?;
+        let migration: Vec<SimDuration> = field(value, "migration_ns")?;
+        // Added with the out-of-order flush; absent in older streams.
+        let overlap: Arc<[SimDuration]> = field_or(value, "overlap_ns", Arc::default);
+        let n = exec.len();
+        if migration.len() != n || !overlap.is_empty() && overlap.len() != n {
             return None;
         }
+        let total = match overlap.is_empty() {
+            true => exec.iter().zip(migration).map(|(&e, m)| e + m).collect(),
+            false => overlap,
+        };
         Some(QueueDecision {
             queue: field(value, "queue")?,
-            cost,
+            cost: CostRow { exec, total },
             chosen: field(value, "chosen")?,
             previous: field(value, "previous")?,
         })
@@ -673,11 +687,9 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             mapper_wall: ns(2_500),
             queues: vec![QueueDecision {
                 queue: 0,
-                cost: CostRow {
-                    exec: vec![ns(5), ns(9)].into(),
-                    migration: vec![ns(1), ns(0)].into(),
-                    overlap: Some(vec![ns(4), ns(7)].into()),
-                },
+                // A row below `exec` (one predicted under a degradation
+                // that has since eased): on the wire, `overlap_ns`.
+                cost: CostRow { exec: vec![ns(5), ns(9)].into(), total: vec![ns(4), ns(7)].into() },
                 chosen: DeviceId(0),
                 previous: DeviceId(1),
             }],
@@ -976,8 +988,8 @@ mod tests {
             );
             QueueDecision::decode(&Json::parse(&text).expect("valid JSON"))
         };
-        assert_eq!(parse("[]").map(|d| d.cost.overlap), Some(None));
-        assert_eq!(parse("[4,7]").and_then(|d| d.cost.overlap), Some(vec![ns(4), ns(7)].into()));
+        assert_eq!(parse("[]").map(|d| d.cost.total), Some(vec![ns(6), ns(9)].into()));
+        assert_eq!(parse("[4,7]").map(|d| d.cost.total), Some(vec![ns(4), ns(7)].into()));
         assert_eq!(parse("[4]"), None);
     }
 
@@ -993,8 +1005,7 @@ mod tests {
             queue: 3,
             cost: CostRow {
                 exec: vec![ns(100), ns(50), ns(70)].into(),
-                migration: vec![ns(0), ns(60), ns(10)].into(),
-                overlap: None,
+                total: vec![ns(100), ns(110), ns(80)].into(),
             },
             chosen: DeviceId(2),
             previous: DeviceId(0),
@@ -1005,20 +1016,31 @@ mod tests {
         assert_eq!(d.argmin_total(), DeviceId(2));
     }
 
+    /// The wire keeps the additive row's keys: `migration_ns` is what the
+    /// row adds to `exec`, and `overlap_ns` is the row itself only where it
+    /// falls below `exec` somewhere. Either way it decodes to itself.
     #[test]
-    fn decision_totals_prefer_overlap_estimates_when_present() {
-        let d = QueueDecision {
-            queue: 3,
-            cost: CostRow {
-                exec: vec![ns(100), ns(50)].into(),
-                migration: vec![ns(0), ns(60)].into(),
-                overlap: Some(vec![ns(90), ns(80)].into()),
-            },
-            chosen: DeviceId(1),
-            previous: DeviceId(0),
+    fn a_decision_keeps_the_additive_rows_keys_on_the_wire() {
+        let encoded = |total: [u64; 2]| {
+            let d = QueueDecision {
+                queue: 3,
+                cost: CostRow {
+                    exec: vec![ns(100), ns(50)].into(),
+                    total: total.map(ns).to_vec().into(),
+                },
+                chosen: DeviceId(1),
+                previous: DeviceId(0),
+            };
+            let mut text = String::new();
+            d.write(&mut text);
+            let decoded = QueueDecision::decode(&Json::parse(&text).expect("valid JSON"));
+            assert_eq!(decoded.as_ref(), Some(&d), "{text}");
+            text
         };
-        assert_eq!(d.total(DeviceId(0)), ns(90));
-        assert_eq!(d.total(DeviceId(1)), ns(80));
-        assert_eq!(d.argmin_total(), DeviceId(1));
+        let rows = |text: &str| text.split_once(r#""migration_ns":"#).expect(text).1.to_string();
+        let above = encoded([130, 80]);
+        assert!(rows(&above).starts_with(r#"[30,30],"overlap_ns":[],"#), "{above}");
+        let below = encoded([90, 80]);
+        assert!(rows(&below).starts_with(r#"[0,30],"overlap_ns":[90,80],"#), "{below}");
     }
 }

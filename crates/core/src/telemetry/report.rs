@@ -145,23 +145,17 @@ pub fn one_line(event: &SchedEvent) -> String {
 
 /// Render one queue's explain record as table rows (one per device), with
 /// `*` marking the device the mapper chose and `<` marking the queue-local
-/// argmin when contention pushed the mapper elsewhere. An out-of-order
-/// queue's replay row, which the mapper took over the sum, is a column of
-/// its own.
+/// argmin when contention pushed the mapper elsewhere: the estimated
+/// execution time, and the row the mapper read (for a priced queue, the
+/// replay of its launches alone, transfers included).
 fn decision_rows(out: &mut String, d: &QueueDecision) {
     let argmin = d.argmin_total();
-    let (exec, migration) = (&d.cost.exec, &d.cost.migration);
-    for i in 0..exec.len() {
+    for (i, (&exec, &total)) in d.cost.exec.iter().zip(d.cost.total.iter()).enumerate() {
         let dev = hwsim::DeviceId(i);
         let chosen = if dev == d.chosen { '*' } else { ' ' };
         let local = if dev == argmin && argmin != d.chosen { '<' } else { ' ' };
-        let (e, m) = (ms(exec[i]), ms(migration[i]));
-        let _ = write!(out, "    {chosen}{local} {dev:>3}  exec {e:>12}  +migration {m:>12}");
-        let _ = write!(out, "  = {:>12}", ms(exec[i] + migration[i]));
-        if let Some(replay) = &d.cost.overlap {
-            let _ = write!(out, "  replay {:>12} (mapped)", ms(replay[i]));
-        }
-        out.push('\n');
+        let (e, t) = (ms(exec), ms(total));
+        let _ = writeln!(out, "    {chosen}{local} {dev:>3}  exec {e:>12}  mapped {t:>12}");
     }
 }
 
@@ -257,41 +251,23 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_row_is_a_column_of_its_own_and_every_line_adds_up() {
-        let mut d = QueueDecision {
+    fn each_line_shows_the_execution_row_and_the_mapped_row() {
+        let d = QueueDecision {
             queue: 0,
             cost: CostRow {
                 exec: vec![ns(1_000_000), ns(2_000_000)].into(),
-                migration: vec![ns(500_000), ns(0)].into(),
-                overlap: Some(vec![ns(1_200_000), ns(2_100_000)].into()),
+                total: vec![ns(1_200_000), ns(2_100_000)].into(),
             },
             chosen: DeviceId(1),
             previous: DeviceId(0),
         };
-        // Each line's cells after the device: what was priced, its sum, and
-        // the replay row the mapper took over the sum.
-        let cells = |d: &QueueDecision| -> Vec<String> {
-            let mut out = String::new();
-            decision_rows(&mut out, d);
-            let after = |l: &str| l.split_once("exec").expect(l).1.to_string();
-            out.lines().map(|l| after(l).split_whitespace().collect::<Vec<_>>().join(" ")).collect()
-        };
-        assert_eq!(
-            cells(&d),
-            [
-                "1.000ms +migration 0.500ms = 1.500ms replay 1.200ms (mapped)",
-                "2.000ms +migration 0.000ms = 2.000ms replay 2.100ms (mapped)",
-            ]
-        );
-        // The local argmin is the replay's, not the sum's.
+        let mut out = String::new();
+        decision_rows(&mut out, &d);
+        let cells: Vec<String> =
+            out.lines().map(|l| l.split_whitespace().collect::<Vec<_>>().join(" ")).collect();
+        // The local argmin is the mapped row's.
         assert_eq!(d.argmin_total(), DeviceId(0));
-        // Without a replay row, there is no replay column.
-        d.cost.overlap = None;
-        assert_eq!(
-            cells(&d),
-            ["1.000ms +migration 0.500ms = 1.500ms", "2.000ms +migration 0.000ms = 2.000ms"]
-        );
-        assert_eq!(d.argmin_total(), DeviceId(0));
+        assert_eq!(cells, ["< D0 exec 1.000ms mapped 1.200ms", "* D1 exec 2.000ms mapped 2.100ms"]);
     }
 
     #[test]
@@ -316,8 +292,7 @@ mod tests {
                         queue: 0,
                         cost: CostRow {
                             exec: vec![ns(1_000_000), ns(3_000_000)].into(),
-                            migration: vec![ns(0), ns(500_000)].into(),
-                            overlap: None,
+                            total: vec![ns(1_000_000), ns(3_500_000)].into(),
                         },
                         chosen: DeviceId(0),
                         previous: DeviceId(0),
@@ -326,8 +301,7 @@ mod tests {
                         queue: 1,
                         cost: CostRow {
                             exec: vec![ns(1_500_000), ns(2_000_000)].into(),
-                            migration: vec![ns(0), ns(0)].into(),
-                            overlap: None,
+                            total: vec![ns(1_500_000), ns(2_000_000)].into(),
                         },
                         chosen: DeviceId(1),
                         previous: DeviceId(0),

@@ -18,8 +18,11 @@ fn ns(v: &[u64]) -> Arc<[SimDuration]> {
     v.iter().map(|&n| SimDuration::from_nanos(n)).collect()
 }
 
+/// The row of a queue that `push_queue` appends with these terms: healthy
+/// and alone, its launch stages its buffer and then runs.
 fn row(exec: &[u64], migration: &[u64]) -> CostRow {
-    CostRow { exec: ns(exec), migration: ns(migration), overlap: None }
+    let total: Vec<u64> = exec.iter().zip(migration).map(|(e, m)| e + m).collect();
+    CostRow { exec: ns(exec), total: ns(&total) }
 }
 
 /// A snapshot over `n` healthy, idle devices of 1 MiB on a flat 6 GB/s
@@ -44,20 +47,18 @@ fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
     input.bytes.len() - 1
 }
 
-/// Append a queue that prices to `cost` (which has no overlap row), with
-/// one launch of its `need`: its execution row is `cost.exec`, which is the
-/// launch's kernel time, and it reads one buffer of its own whose transfers
-/// are `cost.migration`.
-fn push_queue(input: &mut PassInput, q: QueueInput, cost: &CostRow) {
-    let slot = push_buffer(input, &cost.migration);
+/// Append a queue with one launch of its `need`: its execution row is
+/// `exec`, which is the launch's kernel time, and it reads one buffer of its
+/// own whose transfers are `migration`.
+fn push_queue(input: &mut PassInput, q: QueueInput, exec: &[u64], migration: &[u64]) {
+    let slot = push_buffer(input, &ns(migration));
     let (l, at) = (input.launches.len(), input.touches.len());
     input.touches.push(Touch { buffer: slot, write: false });
     let queue = input.queues.len();
     input.launches.push(LaunchInput { queue, need: q.need, touches: at..at + 1 });
-    input.kernel_time.extend_from_slice(&cost.exec);
-    input.profiled.extend(cost.exec.iter().map(|_| SimDuration::ZERO));
-    let exec = Arc::clone(&cost.exec);
-    input.queues.push(QueueInput { exec, launches: l..l + 1, ..q });
+    input.kernel_time.extend_from_slice(&ns(exec));
+    input.profiled.extend(exec.iter().map(|_| SimDuration::ZERO));
+    input.queues.push(QueueInput { exec: ns(exec), launches: l..l + 1, ..q });
 }
 
 /// An in-order queue with a profiled execution row, which `push_queue` or
@@ -86,25 +87,29 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
     let mut input = input(ContextSchedPolicy::AutoFit, 3);
     input.lost[1] = true;
     input.capacity[2] = 1 << 10;
-    let rows = [
-        (0, 64, row(&[900, 100, 300], &[0, 0, 50])),
-        (2, 1 << 12, row(&[500, 50, 40], &[10, 10, 10])),
-        (1, 64, row(&[200, 10, 210], &[0, 5, 0])),
-        (0, 64, row(&[700, 10, 650], &[0, 0, 0])),
+    type Terms = (usize, u64, [u64; 3], [u64; 3]);
+    let rows: [Terms; 4] = [
+        (0, 64, [900, 100, 300], [0, 0, 50]),
+        (2, 1 << 12, [500, 50, 40], [10, 10, 10]),
+        (1, 64, [200, 10, 210], [0, 5, 0]),
+        (0, 64, [700, 10, 650], [0, 0, 0]),
     ];
-    for (current, need, cost) in rows.clone() {
-        push_queue(&mut input, queue(current, need), &cost);
+    for (current, need, exec, migration) in rows {
+        push_queue(&mut input, queue(current, need), &exec, &migration);
     }
     let plan = plan_of(&input);
-    assert_eq!(plan.costs, rows.iter().map(|r| r.2.clone()).collect::<Vec<_>>());
+    let want: Vec<CostRow> =
+        rows.iter().map(|(.., exec, migration)| row(exec, migration)).collect();
+    assert_eq!(plan.costs, want);
     // The code the decision replaces: blacklist, warm start, mapper.
     let costs: mapper::CostMatrix = rows
         .iter()
-        .map(|(_, need, cost)| {
+        .zip(&want)
+        .map(|((_, need, ..), cost)| {
             let bindable = plan::bindable(&input, *need);
             (0..3)
                 .map(|di| match bindable(di) {
-                    true => cost.exec[di] + cost.migration[di],
+                    true => cost.total[di],
                     false => mapper::UNAVAILABLE_COST,
                 })
                 .collect()
@@ -139,15 +144,15 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     input.lost[2] = true;
     input.capacity[0] = 1 << 10;
     input.rr_next = 7;
-    let cost = || row(&[10, 20, 30], &[1, 2, 3]);
+    let (exec, migration) = (&[10, 20, 30], &[1, 2, 3]);
     // Bound and bindable: kept.
-    push_queue(&mut input, queue(1, 64), &cost());
+    push_queue(&mut input, queue(1, 64), exec, migration);
     // Bound to the lost device: rotates. 7 % 3 = 1 is bindable.
-    push_queue(&mut input, queue(2, 64), &cost());
+    push_queue(&mut input, queue(2, 64), exec, migration);
     // Never bound: rotates. 8 % 3 = 2 is lost, 9 % 3 = 0 is too small,
     // 10 % 3 = 1 takes it.
     let fresh = QueueInput { bound: false, ..queue(0, 1 << 12) };
-    push_queue(&mut input, fresh, &cost());
+    push_queue(&mut input, fresh, exec, migration);
     let plan = plan_of(&input);
     assert_eq!(plan.device, [1, 1, 1]);
     assert_eq!(plan.rr_next, 11);
@@ -173,8 +178,8 @@ fn the_prediction_counts_the_hosts_enqueues() {
         // (30 ns) and running (100 ns): 0–30 and 30–130, then 30–60 and
         // 130–230.
         let mut input = input(policy, 1);
-        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
-        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
+        push_queue(&mut input, queue(0, 0), &[100], &[30]);
+        push_queue(&mut input, queue(0, 0), &[100], &[30]);
         let free = plan_of(&input);
         assert_eq!(free.predicted, SimDuration::from_nanos(230), "{policy}");
         // At 50 ns an enqueue: the first stage starts at 50 and ends at 80,
@@ -194,7 +199,7 @@ fn the_prediction_replays_the_plan_from_the_devices_and_queues_at_the_flush() {
         // One column, idle: an in-order queue's launch stages its buffer
         // (30 ns) and runs (100 ns).
         let mut input = input(policy, 1);
-        push_queue(&mut input, queue(0, 0), &row(&[100], &[30]));
+        push_queue(&mut input, queue(0, 0), &[100], &[30]);
         assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(130), "{policy}");
         // Its copy lane busy for 40 ns more and its compute lane for 120:
         // the stage ends at 70, the kernel waits for its lane to 220.
@@ -425,16 +430,20 @@ fn push_launches(input: &mut PassInput, q: usize, launches: &[TimedLaunch]) {
     }
 }
 
+/// Healthy and alone, an in-order queue's launches each wait for the one
+/// before, stage their first-touch buffers on the copy lane and run: its
+/// row adds its distinct buffers' transfers to its execution row.
 #[test]
-fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
+fn an_in_order_row_adds_the_transfers_of_the_queues_distinct_buffers() {
     let mut input = input(ContextSchedPolicy::AutoFit, 3);
     let a = push_buffer(&mut input, &ns(&[5, 0, 70]));
     let b = push_buffer(&mut input, &ns(&[0, 300, 20]));
     let c = push_buffer(&mut input, &ns(&[1000, 40, 0]));
-    // Three distinct buffers over three launches, two of them bound twice.
+    // Three distinct buffers over three launches, two of them bound twice;
+    // only the first is timed.
     let zero: &[u64] = &[0, 0, 0];
     let launches = [
-        (&[(a, false), (b, true)][..], zero, zero),
+        (&[(a, false), (b, true)][..], zero, &[1, 2, 3][..]),
         (&[(b, false), (c, true)][..], zero, zero),
         (&[(a, false)][..], zero, zero),
     ];
@@ -450,16 +459,24 @@ fn a_migration_row_sums_the_transfers_of_the_queues_distinct_buffers() {
     let plan = plan_of(&input);
     assert_eq!(plan.costs[0], row(&[1, 2, 3], &[1005, 340, 90]));
     assert_eq!(plan.costs[1], row(&[1, 2, 3], &[0, 0, 0]));
+    // The unpriced row is the execution row itself, not a copy of it.
+    assert!(Arc::ptr_eq(&plan.costs[1].total, &input.queues[1].exec));
 }
 
 /// When queue `q`'s launches, replayed alone on column `d` in program
-/// order, end: `replayed_end` of a snapshot that holds that queue alone.
+/// order from idle lanes, end: [`naive_whole_end`] of a snapshot that holds
+/// that queue alone.
 fn alone(input: &PassInput, q: usize, d: usize) -> SimDuration {
     let n = input.devices.len();
     let launches = input.queues[q].launches.clone();
     let cells = launches.start * n..launches.end * n;
     let one = PassInput {
-        queues: vec![QueueInput { launches: 0..launches.len(), ..input.queues[q].clone() }],
+        lanes: vec![Lanes::default(); n],
+        queues: vec![QueueInput {
+            launches: 0..launches.len(),
+            tail: 0,
+            ..input.queues[q].clone()
+        }],
         launches: input.launches[launches.clone()]
             .iter()
             .map(|l| LaunchInput { queue: 0, ..l.clone() })
@@ -475,19 +492,20 @@ fn alone(input: &PassInput, q: usize, d: usize) -> SimDuration {
         ..input.clone()
     };
     let plan = Plan { device: vec![d], splits: vec![0..0; launches.len()], ..Plan::default() };
-    replayed_end(&one, &plan)
+    naive_whole_end(&one, &plan)
 }
 
 #[test]
-fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
+fn a_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     let mut input = input(ContextSchedPolicy::AutoFit, 2);
     let a = push_buffer(&mut input, &ns(&[400, 0]));
     let b = push_buffer(&mut input, &ns(&[30, 250]));
+    let c = push_buffer(&mut input, &ns(&[60, 60]));
     // The replay runs the profiled kernel times, not the analytic ones.
     let analytic: &[u64] = &[7, 7];
     let launches = [
         (&[(a, false), (b, true)][..], analytic, &[100, 300][..]),
-        (&[(a, false)][..], analytic, &[50, 20][..]),
+        (&[(c, false)][..], analytic, &[50, 20][..]),
         (&[(b, false)][..], analytic, &[10, 80][..]),
     ];
     // (out of order, copies priced)
@@ -504,17 +522,48 @@ fn an_overlap_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
         });
     }
     let plan = plan_of(&input);
-    let replayed: Arc<[SimDuration]> = (0..2).map(|d| alone(&input, 0, d)).collect();
-    assert_eq!(plan.costs[0].overlap, Some(replayed));
+    for q in 0..2 {
+        let replayed: Arc<[SimDuration]> = (0..2).map(|d| alone(&input, q, d)).collect();
+        assert_eq!(plan.costs[q].total, replayed, "queue {q}");
+    }
     // By hand, on column 0: the first launch stages `a` then `b` (400 +
-    // 30) and runs 100; the second runs 50 after it; the third reads `b`,
-    // which the first wrote there, and runs 10 — 590. On column 1, only
-    // `b` moves (250): 250 + 300 + 20 + 80 = 650.
-    assert_eq!(plan.costs[0].overlap, Some(ns(&[590, 650])));
-    // No overlap row for an in-order queue, nor for one whose copies are
-    // free: there it would be its `exec`.
-    assert_eq!(plan.costs[1].overlap, None);
+    // 30) and runs 100, to 530. Out of order, the second stages `c` behind
+    // them (to 490) and runs 50 after the first; the third reads `b`, which
+    // the first wrote there, and runs 10 — 590. In order, `c` waits for the
+    // first launch: 530 + 60 + 50 + 10 = 650. On column 1, `b` moves (250)
+    // and then `c` (60), to 310 under the first kernel, which ends at 550:
+    // 550 + 20 + 80 = 650 out of order, 550 + 60 + 20 + 80 = 710 in order.
+    assert_eq!(plan.costs[0], CostRow { exec: ns(&[9, 9]), total: ns(&[590, 650]) });
+    assert_eq!(plan.costs[1], CostRow { exec: ns(&[9, 9]), total: ns(&[650, 710]) });
+    // A queue whose copies are free keeps its `exec`.
     assert_eq!(plan.costs[2], row(&[9, 9], &[0, 0]));
+}
+
+/// Column 1 runs 8× slow now, and is where a queue's profiled row is
+/// fastest when healthy: in order or out of order, its row is the replay,
+/// which stretches its kernels by the live degradation, so the queue maps
+/// away from column 1.
+#[test]
+fn an_in_order_queue_maps_away_from_a_degraded_column_like_its_out_of_order_twin() {
+    for out_of_order in [false, true] {
+        let mut input = input(ContextSchedPolicy::AutoFit, 2);
+        input.degradation[1] = 8.0;
+        let a = push_buffer(&mut input, &ns(&[10, 10]));
+        let b = push_buffer(&mut input, &ns(&[10, 10]));
+        let launches = [
+            (&[(a, false), (b, true)][..], &[100, 100][..], &[300, 100][..]),
+            (&[(b, false)][..], &[100, 100][..], &[300, 100][..]),
+        ];
+        push_launches(&mut input, 0, &launches);
+        let exec = ns(&[600, 200]);
+        input.queues.push(QueueInput { out_of_order, exec, launches: 0..2, ..queue(1, 0) });
+        let plan = plan_of(&input);
+        // Column 0: 20 ns of staging and 600 of kernels; column 1: the same
+        // staging and 200 ns of kernels, 8× slow.
+        let want = CostRow { exec: ns(&[600, 200]), total: ns(&[620, 1620]) };
+        assert_eq!(plan.costs, [want], "out of order: {out_of_order}");
+        assert_eq!(plan.device, [0], "out of order: {out_of_order}");
+    }
 }
 
 /// Append an out-of-order queue with a profiled row on column 0 of one
@@ -551,45 +600,43 @@ fn on_a_degraded_column_a_launch_is_priced_by_its_profile_row() {
     assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(290));
 }
 
-/// Each queue's cost row by the pricing rule, recomputed naively: distinct
-/// buffers by search, and an overlap row from a snapshot of the queue alone
-/// on idle devices. ROUND_ROBIN prices none.
+/// Each queue's cost row by the pricing rule, recomputed naively: where
+/// its copies are priced, the naive replay of the queue alone on idle
+/// devices, in order or out of order alike; else its `exec`. ROUND_ROBIN
+/// prices none.
 fn naive_costs(input: &PassInput) -> Vec<CostRow> {
     if input.policy == ContextSchedPolicy::RoundRobin {
         return Vec::new();
     }
     let n = input.devices.len();
-    let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
-    let zero = SimDuration::ZERO;
-    let mut idle = input.clone();
-    idle.lanes.fill(Lanes::default());
-    idle.queues.iter_mut().for_each(|q| q.tail = 0);
-    let costs = input.queues.iter().enumerate().map(|(qi, q)| {
-        let mut distinct: Vec<usize> =
-            q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let migration = (0..n)
-            .map(|d| match q.copies {
-                true => distinct.iter().map(|&b| input.transfer[b * n + d]).sum(),
-                false => zero,
-            })
-            .collect();
-        let overlap = q.copies && q.out_of_order;
-        CostRow {
-            exec: Arc::clone(&q.exec),
-            migration,
-            overlap: overlap.then(|| (0..n).map(|d| alone(&idle, qi, d)).collect()),
-        }
+    let costs = input.queues.iter().enumerate().map(|(qi, q)| CostRow {
+        exec: Arc::clone(&q.exec),
+        total: match q.copies {
+            true => (0..n).map(|d| alone(input, qi, d)).collect(),
+            false => Arc::clone(&q.exec),
+        },
     });
     costs.collect()
 }
 
+/// What the additive row was, `exec` plus the transfers of the queue's
+/// distinct buffers, on column `d`: a healthy in-order queue's row alone.
+fn additive(input: &PassInput, q: &QueueInput, d: usize) -> SimDuration {
+    let n = input.devices.len();
+    let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
+    let mut distinct: Vec<usize> = q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    q.exec[d] + distinct.iter().map(|&b| input.transfer[b * n + d]).sum()
+}
+
 /// A random snapshot: 1–4 devices, 1–6 queues of 1–4 launches, random
-/// health, capacity, degradation, lanes busy at the flush, execution rows
-/// and their sources, queue tails, buffer accesses, sizes and transfers,
-/// kernel times, profile rows (some measured degraded) and split units and
-/// shapes.
+/// health, capacity, degradation, lanes busy at the flush, the sources of
+/// execution rows, queue tails, buffer accesses, sizes and transfers,
+/// kernel times, profile rows (some missing or measured degraded) and
+/// split units and shapes. A queue's execution row sums its launches' whole
+/// times as a healthy device runs them: each cell's profile row, else its
+/// analytic time.
 fn random_input(rng: &mut XorShift) -> PassInput {
     let n = 1 + rng.index(4);
     let policy = match rng.index(2) {
@@ -598,10 +645,13 @@ fn random_input(rng: &mut XorShift) -> PassInput {
     };
     let mut input = with_split_facts(input(policy, n));
     input.mapper = if rng.index(4) == 0 { MapperKind::Greedy } else { MapperKind::Adaptive };
+    // One node in three is healthy: nothing lost, degraded or predicted so.
+    let sick = rng.index(3) != 0;
     for di in 0..n {
-        input.lost[di] = rng.index(4) == 0;
+        input.lost[di] = sick && rng.index(4) == 0;
         input.capacity[di] = if rng.index(3) == 0 { 1 << 10 } else { 1 << 20 };
-        input.degradation[di] = if rng.index(3) == 0 { rng.range_f64(1.0, 3.0) } else { 1.0 };
+        input.degradation[di] =
+            if sick && rng.index(3) == 0 { rng.range_f64(1.0, 3.0) } else { 1.0 };
         if rng.index(2) == 0 {
             input.lanes[di] =
                 Lanes { copy: rng.range_u64(0, 3000), compute: rng.range_u64(0, 3000) };
@@ -645,7 +695,7 @@ fn random_input(rng: &mut XorShift) -> PassInput {
                     _ => kernel * rng.range_f64(0.5, 2.0),
                 };
                 input.profiled.push(profiled);
-                if profiled > SimDuration::ZERO && rng.index(4) == 0 {
+                if sick && profiled > SimDuration::ZERO && rng.index(4) == 0 {
                     input.profiled_under.push((l * n + d, rng.range_f64(1.0, 8.0)));
                 }
                 let local = if rng.index(4) == 0 { 32 } else { 64 };
@@ -658,7 +708,12 @@ fn random_input(rng: &mut XorShift) -> PassInput {
                 input.splits.push(SplitInput { launch: l, units, cost, global, local, axis: 0 });
             }
         }
-        let exec = ns(&(0..n).map(|_| rng.range_u64(0, 1000)).collect::<Vec<_>>());
+        let cell = |c: usize| match input.profiled[c] {
+            SimDuration::ZERO => input.kernel_time[c],
+            p => p,
+        };
+        let sum = |d: usize| (first..input.launches.len()).map(|l| cell(l * n + d)).sum();
+        let exec = (0..n).map(sum).collect();
         input.queues.push(QueueInput {
             out_of_order,
             need,
@@ -680,7 +735,7 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
     let mut rng = XorShift::new(0x0037_dec1de);
     let mut reused = PlanScratch::default();
     let mut reused_plan = Plan::default();
-    let (mut splits, mut mixed) = (0, 0);
+    let (mut splits, mut mixed, mut additive_checked) = (0, 0, 0);
     for case in 0..3_000 {
         let input = random_input(&mut rng);
         let plan = plan_of(&input);
@@ -690,6 +745,18 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         // Every priced row is the rule's, recomputed naively, and the
         // prediction is the replay of the plan.
         assert_eq!(plan.costs, naive_costs(&input), "case {case}: {input:?}");
+        // On a healthy node with no row predicted degraded, an in-order
+        // queue's row is the additive one on every column it may bind.
+        let healthy = input.lost.iter().all(|&l| !l) && input.degradation.iter().all(|&f| f == 1.0);
+        if healthy && input.profiled_under.is_empty() {
+            let priced = input.queues.iter().zip(&plan.costs);
+            for (q, cost) in priced.filter(|(q, _)| q.copies && !q.out_of_order) {
+                for d in (0..input.devices.len()).filter(|&d| plan::bindable(&input, q.need)(d)) {
+                    assert_eq!(cost.total[d], additive(&input, q, d), "case {case}: {input:?}");
+                    additive_checked += 1;
+                }
+            }
+        }
         assert_eq!(plan.predicted, replayed_end(&input, &plan), "case {case}: {input:?}");
         // The host's enqueues delay the prediction and decide nothing else.
         let hosted = PassInput { enqueue: 1 + case * 37 % 1000, ..input.clone() };
@@ -732,8 +799,10 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
         mixed += usize::from(kind(false).next().is_some() && kind(true).next().is_some());
     }
     // The property says something only if the cases split and mix both
-    // queue kinds, where the issue order interleaves pool order.
+    // queue kinds, where the issue order interleaves pool order, and reach
+    // the additive identity.
     assert!(splits > 500 && mixed > 1500, "{splits} splits, {mixed} mixed cases");
+    assert!(additive_checked > 400, "{additive_checked} additive cells");
 }
 
 /// When an epoch with every launch whole ends, by lanes recomputed naively

@@ -101,9 +101,10 @@ fn a_write_that_may_be_profiled_stays_on_its_device() {
 }
 
 /// A write on a warm AUTO_FIT queue leaves the buffer on the host only, and
-/// the pass that follows prices its upload: the queue's migration row is
-/// each device's H2D time for the buffer, not the zero of a buffer already
-/// resident. The data is the write's either way.
+/// the pass that follows prices its upload: what the queue's mapped row
+/// adds to its execution row is each device's H2D time for the buffer, not
+/// the zero of a buffer already resident. The data is the write's either
+/// way.
 #[test]
 fn a_warm_write_stays_on_the_host_and_the_pass_prices_its_upload() {
     let ring = Arc::new(RingBufferSink::new(1 << 12));
@@ -124,15 +125,17 @@ fn a_warm_write_stays_on_the_host_and_the_pass_prices_its_upload() {
 
     let events = ring.drain();
     assert!(events.iter().any(|e| matches!(e, SchedEvent::CacheHit { .. })), "nothing profiled");
-    let row = events.iter().find_map(|e| match e {
-        SchedEvent::MappingDecision { queues, .. } => Some(queues[0].cost.migration.clone()),
+    let cost = events.iter().find_map(|e| match e {
+        SchedEvent::MappingDecision { queues, .. } => Some(queues[0].cost.clone()),
         _ => None,
     });
-    let row = row.expect("a mapping decision");
+    let cost = cost.expect("a mapping decision");
+    let row: Vec<SimDuration> =
+        cost.total.iter().zip(cost.exec.iter()).map(|(&t, &e)| t - e).collect();
     let bytes = (N * std::mem::size_of::<f64>()) as u64;
     let h2d: Vec<SimDuration> = (ctx.cl().devices().iter())
         .map(|&d| ctx.device_profile().host_transfer_time(d, bytes))
         .collect();
-    assert_eq!(&*row, &h2d[..]);
+    assert_eq!(row, h2d);
     assert!(row.iter().all(|t| *t > SimDuration::ZERO), "{row:?}");
 }
