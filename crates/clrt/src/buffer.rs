@@ -363,6 +363,16 @@ impl Buffer {
         self.inner.residency.lock().host = true;
     }
 
+    /// Copy this buffer's store into `dst`'s, of the same length, locking both
+    /// in canonical (buffer-id) order as every multi-buffer task does.
+    pub(crate) fn copy_store_into(&self, dst: &Buffer) {
+        let src_first = self.inner.id < dst.inner.id;
+        let (a, b) = if src_first { (self, dst) } else { (dst, self) };
+        let (a, b) = (a.inner.store.lock(), b.inner.store.lock());
+        let (src, mut dst) = if src_first { (a, b) } else { (b, a) };
+        dst.as_mut_slice::<u8>().copy_from_slice(src.as_slice::<u8>());
+    }
+
     /// Declare the host copy the *only* valid one **without** moving any
     /// data: after a split launch gathers each device's output sub-range,
     /// the reassembled contents exist nowhere whole except the host store.

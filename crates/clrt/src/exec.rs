@@ -36,15 +36,15 @@
 //! thread hand-off (`LIGHT_WORK`), the task is registered as a live
 //! caller-run node — so racing submitters still order after it — and its
 //! body runs on the enqueueing thread from a borrowing closure, before
-//! `submit` returns. Otherwise the owned `'static` body is built and
-//! queued for the pool. `workers == 1` is the degenerate case in which
-//! every body counts as light and device time is no reason to queue:
-//! single-threaded use never hands a task off.
+//! `submit` returns. Otherwise its [`Work`] — a value, arguments shared by
+//! reference count — is queued for the pool. `workers == 1` is the
+//! degenerate case in which every body counts as light and device time is
+//! no reason to queue: single-threaded use never hands a task off.
 //!
 //! ## Device time
 //!
 //! A body does not sit through the time its command occupies a device: it
-//! *declares* it (the closure handed to `submit` returns a `Duration`;
+//! *declares* it (every task body returns a `Duration`;
 //! kernels declare through [`crate::KernelCtx::occupy_device`], writes,
 //! copies and markers return zero) and returns. A task that declared time
 //! is not retired with its body: it stays live, *in device time*, until
@@ -110,9 +110,14 @@
 //! and the panic is re-raised exactly once, at the next blocking point,
 //! whether or not anything is left to join there.
 
+use crate::buffer::Buffer;
 use crate::hazard::{Access, Frontier};
+use crate::kernel::{BoundArgs, KernelBody, KernelCtx};
+use crate::ndrange::NdRange;
+use hwsim::{engine::EventId, DeviceId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::{JoinHandle, Thread};
@@ -172,7 +177,7 @@ pub(crate) struct Order<'a> {
     /// Tasks it follows outright (queue chaining, barriers).
     pub(crate) after: &'a [TaskId],
     /// Engine events whose backing tasks it follows (explicit wait lists).
-    pub(crate) wait_events: &'a [usize],
+    pub(crate) wait_events: &'a [EventId],
     /// Engine event id this task backs, for `Event::wait` joins.
     pub(crate) event: Option<usize>,
 }
@@ -219,13 +224,46 @@ pub struct DataPlaneStats {
     pub panics: u64,
 }
 
-/// A pooled task body; returns the device time it declares.
-pub(crate) type Work = Box<dyn FnOnce() -> Duration + Send>;
+/// A pooled task's body, held by value in its node: one of the commands
+/// `clrt` queues.
+pub(crate) enum Work {
+    /// A kernel launch: body and arguments over the effective range on a
+    /// device, at a global offset.
+    Launch(Arc<dyn KernelBody>, BoundArgs, NdRange, DeviceId, [u64; 3]),
+    /// A copy of the first buffer's store into the second's.
+    Copy(Buffer, Buffer),
+    /// A write of the payload staged at submission, its one allocation.
+    Write(Buffer, Box<[u8]>),
+    /// Orders, runs nothing: a barrier, a split's join.
+    Nop,
+    /// A test's own body.
+    #[cfg(test)]
+    Closure(Box<dyn FnOnce() -> Duration + Send>),
+}
+
+impl Work {
+    /// Run the body; returns the device time it declares.
+    fn run(self) -> Duration {
+        match self {
+            Work::Launch(body, args, nd, device, offset) => {
+                return KernelCtx::with_offset(nd, device, offset, &args).run(&*body);
+            }
+            Work::Copy(src, dst) => src.copy_store_into(&dst),
+            Work::Write(dst, staged) => {
+                dst.inner.store.lock().as_mut_slice().copy_from_slice(&staged)
+            }
+            Work::Nop => {}
+            #[cfg(test)]
+            Work::Closure(body) => return body(),
+        }
+        Duration::ZERO
+    }
+}
 
 struct Node {
     /// The pooled body: attached by the submitter, taken by the executing
-    /// worker. Always `None` for caller-run nodes.
-    work: Option<Work>,
+    /// worker. Always [`Work::Nop`] for caller-run nodes.
+    work: Work,
     /// Caller-run (the fast path, blocking reads): the registering thread
     /// runs the body itself, so the node never enters the ready queue.
     caller_run: bool,
@@ -324,7 +362,7 @@ impl State {
             after(&mut self.tasks, d);
         }
         for e in order.wait_events {
-            if let Some(&t) = self.events.get(e) {
+            if let Some(&t) = self.events.get(&e.0) {
                 after(&mut self.tasks, t);
             }
         }
@@ -334,7 +372,7 @@ impl State {
     /// Make `id` live with `unmet` open dependencies.
     fn insert(&mut self, id: TaskId, unmet: usize, caller_run: bool, event: Option<usize>) {
         let node = Node {
-            work: None,
+            work: Work::Nop,
             caller_run,
             unmet,
             dependents: self.spare.pop().unwrap_or_default(),
@@ -396,9 +434,9 @@ impl DataPlane {
     /// `order`, and decide where it runs (module docs, *Where a task runs*):
     /// light and unblocked — or, with one worker, blocked only by device
     /// time — `run` is called on this thread before `submit` returns; otherwise
-    /// `owned` builds the `'static` body and the task is queued. Exactly
-    /// one of the two closures is called; either returns the device time
-    /// its body declares. Returns the task's id if it is still live —
+    /// `owned` builds the task's [`Work`] and the task is queued. Exactly
+    /// one of the two closures is called; either body returns the device
+    /// time it declares. Returns the task's id if it is still live —
     /// queued, or in device time — for the caller to chain after and join,
     /// and `None` if it completed here.
     pub(crate) fn submit(
@@ -425,16 +463,16 @@ impl DataPlane {
             let outcome = run_body(run);
             return self.settle(&mut self.state.lock(), id, outcome, 0).then_some(id);
         }
-        // Building the owned body stages payloads and clones arguments, so
-        // it happens outside the lock: until the body is attached the
-        // submitter itself holds one dependency of the task.
+        // Building the work stages a write's payload and counts references
+        // to arguments, so it happens outside the lock: until it is
+        // attached the submitter itself holds one dependency of the task.
         st.insert(id, unmet + 1, false, order.event);
         st.count_submitted();
         drop(st);
         let work = owned();
         let mut st = self.state.lock();
         let node = st.tasks.get_mut(&id).expect("the submitter's dependency keeps the task live");
-        node.work = Some(work);
+        node.work = work;
         node.unmet -= 1;
         if node.unmet == 0 {
             st.ready.push_back(id);
@@ -508,11 +546,12 @@ impl DataPlane {
                 st.idle.retain(|w| w.id() != me.id());
                 continue;
             };
-            let work = st.tasks.get_mut(&id).and_then(|n| n.work.take());
+            let work =
+                st.tasks.get_mut(&id).map_or(Work::Nop, |n| mem::replace(&mut n.work, Work::Nop));
             st.busy += 1;
             st.peak_busy = st.peak_busy.max(st.busy);
             drop(st);
-            let outcome = work.map_or(Ok(None), run_body);
+            let outcome = run_body(|| work.run());
             st = self.state.lock();
             st.busy -= 1;
             st.executed += 1;
@@ -856,17 +895,17 @@ mod tests {
     ) -> Option<TaskId> {
         let f = std::cell::Cell::new(Some(f));
         let take = || f.take().expect("exactly one of the two closures runs");
-        p.submit(order, work, || take()(), || Box::new(take()))
+        p.submit(order, work, || take()(), || Work::Closure(Box::new(take())))
     }
 
     /// Submit `f` as a body too heavy to run on the caller: always pooled
     /// when the plane has more than one worker.
     fn heavy(p: &Arc<DataPlane>, order: Order<'_>, f: impl FnOnce() + Send + 'static) -> TaskId {
-        let owned = || -> Work {
-            Box::new(move || {
+        let owned = || {
+            Work::Closure(Box::new(move || {
                 f();
                 Duration::ZERO
-            })
+            }))
         };
         p.submit(order, u64::MAX, || unreachable!("a heavy body ran on the caller"), owned)
             .expect("heavy tasks are queued")
@@ -1220,7 +1259,11 @@ mod tests {
         let l2 = Arc::clone(&log);
         let _t2 = heavy(
             &p,
-            Order { accesses: &[Access::write(&c)], wait_events: &[77], ..Order::default() },
+            Order {
+                accesses: &[Access::write(&c)],
+                wait_events: &[EventId(77)],
+                ..Order::default()
+            },
             move || l2.lock().push(2),
         );
         // And one ordered via an explicit task dep.

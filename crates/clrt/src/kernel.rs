@@ -74,7 +74,7 @@ pub struct BoundArgs {
     inner: Arc<Bound>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Bound {
     values: Vec<ArgValue>,
     touched: Vec<Access>,
@@ -83,6 +83,9 @@ struct Bound {
     /// Per argument: where its buffer comes in `lock_order`, which is where
     /// a [`KernelCtx`] keeps its locked store (meaningless for a scalar).
     ranks: Vec<usize>,
+    /// After scalar rebinds alone, the kernel's snapshot whose `touched`,
+    /// `lock_order` and `ranks` this one shares, leaving its own empty.
+    base: Option<Arc<Bound>>,
 }
 
 impl BoundArgs {
@@ -110,7 +113,12 @@ impl BoundArgs {
             let slot = *r;
             *r = lock_order.iter().position(|&s| s == slot).unwrap_or(0);
         }
-        BoundArgs { inner: Arc::new(Bound { values, touched, lock_order, ranks }) }
+        BoundArgs { inner: Arc::new(Bound { values, touched, lock_order, ranks, base: None }) }
+    }
+
+    /// The snapshot whose tables the launch's are: itself, or its `base`.
+    fn tables(&self) -> &Arc<Bound> {
+        self.inner.base.as_ref().unwrap_or(&self.inner)
     }
 
     /// The distinct buffers the launch touches, in first-touch argument
@@ -118,7 +126,7 @@ impl BoundArgs {
     /// stamps depend on it. A buffer bound more than once appears once, and
     /// as a write if any binding is a [`ArgValue::BufferMut`].
     pub fn touched(&self) -> &[Access] {
-        &self.inner.touched
+        &self.tables().touched
     }
 
     /// Total bytes of the distinct buffers the launch touches.
@@ -134,7 +142,8 @@ impl BoundArgs {
 
     /// The touched buffers in canonical (ascending buffer-id) order.
     fn lock_order(&self) -> impl Iterator<Item = &Buffer> {
-        self.inner.lock_order.iter().map(|&slot| &self.inner.touched[slot].buf)
+        let tables = self.tables();
+        tables.lock_order.iter().map(|&slot| &tables.touched[slot].buf)
     }
 }
 
@@ -189,10 +198,13 @@ struct KernelInner {
 }
 
 /// The argument slots and the snapshot last taken of them, under one lock:
-/// the snapshot is the slots' values until a `set_arg` replaces one.
+/// the snapshot is the slots' values until a `set_arg` replaces one. `tables`
+/// is the snapshot whose buffer tables match the slots' buffer bindings,
+/// kept until a `set_arg` replaces a buffer binding.
 struct Slots {
     values: Vec<Option<ArgValue>>,
     snapshot: Option<BoundArgs>,
+    tables: Option<Arc<Bound>>,
 }
 
 /// A `cl_kernel`: body + bound arguments. Clones share argument state, like
@@ -211,7 +223,7 @@ impl Kernel {
                 ctx_id,
                 name: Arc::from(body.name()),
                 body,
-                args: Mutex::new(Slots { values: vec![None; arity], snapshot: None }),
+                args: Mutex::new(Slots { values: vec![None; arity], snapshot: None, tables: None }),
                 per_device_nd: Mutex::new(HashMap::new()),
             }),
         }
@@ -253,7 +265,7 @@ impl Kernel {
 
     /// Bind argument `idx` (`clSetKernelArg`); rebinding its value is a no-op.
     pub fn set_arg(&self, idx: usize, value: ArgValue) -> ClResult<()> {
-        let mut args = self.inner.args.lock();
+        let args = &mut *self.inner.args.lock();
         let arity = args.values.len();
         let Some(slot) = args.values.get_mut(idx) else {
             return Err(ClError::InvalidValue(format!(
@@ -262,6 +274,9 @@ impl Kernel {
             )));
         };
         if !slot.as_ref().is_some_and(|bound| bound.same_binding(&value)) {
+            if value.buffer().is_some() || slot.as_ref().is_none_or(|b| b.buffer().is_some()) {
+                args.tables = None;
+            }
             *slot = Some(value);
             args.snapshot = None;
         }
@@ -276,9 +291,10 @@ impl Kernel {
     ///
     /// The kernel keeps the snapshot it builds and hands out clones of it
     /// (one allocation shared) until `set_arg` binds another value: a launch
-    /// repeated with unchanged arguments costs a reference count.
+    /// repeated with unchanged arguments costs a reference count. A snapshot
+    /// after scalar rebinds alone shares its buffer tables with the last.
     pub fn snapshot_args(&self) -> ClResult<BoundArgs> {
-        let mut args = self.inner.args.lock();
+        let args = &mut *self.inner.args.lock();
         if let Some(snapshot) = &args.snapshot {
             return Ok(snapshot.clone());
         }
@@ -295,7 +311,14 @@ impl Kernel {
                 })
             })
             .collect::<ClResult<Vec<ArgValue>>>()?;
-        Ok(args.snapshot.insert(BoundArgs::new(values)).clone())
+        let snapshot = match args.tables.take() {
+            Some(base) => BoundArgs {
+                inner: Arc::new(Bound { values, base: Some(base), ..Bound::default() }),
+            },
+            None => BoundArgs::new(values),
+        };
+        args.tables = Some(Arc::clone(snapshot.tables()));
+        Ok(args.snapshot.insert(snapshot).clone())
     }
 
     /// The paper's proposed `clSetKernelWorkGroupInfo`: register a launch
@@ -350,6 +373,12 @@ struct LockedStore<'a> {
     borrow: Cell<Borrow>,
 }
 
+thread_local! {
+    /// The store table of the last context this thread dropped, emptied:
+    /// the next context here fills it instead of allocating its own.
+    static SPARE_STORES: Cell<Vec<LockedStore<'static>>> = const { Cell::new(Vec::new()) };
+}
+
 /// Execution context handed to [`KernelBody::execute`]: launch geometry,
 /// target device, and typed access to the buffer arguments.
 ///
@@ -361,7 +390,7 @@ pub struct KernelCtx<'a> {
     device: DeviceId,
     global_offset: [u64; 3],
     args: &'a BoundArgs,
-    /// One per distinct buffer, in lock order.
+    /// One per distinct buffer, in lock order; the thread's spare table.
     stores: Vec<LockedStore<'a>>,
     /// Device time the body has declared so far.
     device_time: Duration,
@@ -389,15 +418,20 @@ impl<'a> KernelCtx<'a> {
         global_offset: [u64; 3],
         args: &'a BoundArgs,
     ) -> KernelCtx<'a> {
-        let stores = args
-            .lock_order()
-            .map(|b| {
-                let mut guard = b.inner.store.lock();
-                let (ptr, byte_len) = guard.raw_parts();
-                LockedStore { _guard: guard, ptr, byte_len, borrow: Cell::new(Borrow::None) }
-            })
-            .collect();
+        let mut stores = SPARE_STORES.try_with(Cell::take).unwrap_or_default();
+        stores.extend(args.lock_order().map(|b| {
+            let mut guard = b.inner.store.lock();
+            let (ptr, byte_len) = guard.raw_parts();
+            LockedStore { _guard: guard, ptr, byte_len, borrow: Cell::new(Borrow::None) }
+        }));
         KernelCtx { nd, device, global_offset, args, stores, device_time: Duration::ZERO }
+    }
+
+    /// Run `body` in this context, a launch's data-plane body: the context and
+    /// its store locks go with it; the device time it declared is returned.
+    pub(crate) fn run(mut self, body: &dyn KernelBody) -> Duration {
+        body.execute(&mut self);
+        self.device_time
     }
 
     /// The effective launch geometry of this execution. For a sub-range
@@ -429,11 +463,6 @@ impl<'a> KernelCtx<'a> {
         self.device_time += time;
     }
 
-    /// The device time declared through [`Self::occupy_device`].
-    pub(crate) fn device_time(&self) -> Duration {
-        self.device_time
-    }
-
     /// The locked store behind buffer argument `idx`.
     fn store(&self, idx: usize, need_mut: bool) -> &LockedStore<'a> {
         match self.args.get(idx) {
@@ -441,7 +470,7 @@ impl<'a> KernelCtx<'a> {
                 panic!("kernel argument {idx} is read-only (bound with ArgValue::Buffer) but taken mutably");
             }
             Some(ArgValue::Buffer(_) | ArgValue::BufferMut(_)) => {
-                &self.stores[self.args.inner.ranks[idx]]
+                &self.stores[self.args.tables().ranks[idx]]
             }
             Some(_) => panic!("kernel argument {idx} is a scalar, not a buffer"),
             None => panic!("kernel argument index {idx} out of range"),
@@ -520,6 +549,16 @@ impl<'a> KernelCtx<'a> {
             ArgValue::F64(v) => *v,
             other => panic!("kernel argument {idx}: expected f64, got {other:?}"),
         }
+    }
+}
+
+impl Drop for KernelCtx<'_> {
+    /// Unlock the stores, a panicking body's too, and keep the emptied table
+    /// for the thread's next context (collected in place, under any lifetime).
+    fn drop(&mut self) {
+        self.stores.clear();
+        let spare = std::mem::take(&mut self.stores).into_iter().map(|_| unreachable!()).collect();
+        let _ = SPARE_STORES.try_with(|s| s.set(spare));
     }
 }
 
@@ -634,6 +673,55 @@ mod tests {
         assert!(!Arc::ptr_eq(&first.inner, &second.inner));
         let scalar = |args: &BoundArgs| KernelCtx::new(NdRange::d1(1, 1), DeviceId(0), args).f64(0);
         assert_eq!((scalar(&first), scalar(&second)), (3.0, 5.0));
+    }
+
+    #[test]
+    fn a_scalar_rebind_shares_the_buffer_tables() {
+        let (x, y) = buffers(4);
+        let z = Buffer::new(1, 32).unwrap();
+        let k = Kernel::new(1, Arc::new(Saxpy));
+        SaxpyArgs { a: 3.0, x: &x, y: &y }.bind(&k).unwrap();
+        let first = k.snapshot_args().unwrap();
+        let tables = |args: &BoundArgs| Arc::clone(args.tables());
+        // A new snapshot with the old tables: same buffers, same order.
+        SaxpyArgs { a: 5.0, x: &x, y: &y }.bind(&k).unwrap();
+        let second = k.snapshot_args().unwrap();
+        assert!(!Arc::ptr_eq(&first.inner, &second.inner));
+        assert!(Arc::ptr_eq(&tables(&first), &tables(&second)));
+        // A buffer rebind builds new tables, even back to the old buffer.
+        SaxpyArgs { a: 5.0, x: &z, y: &y }.bind(&k).unwrap();
+        let third = k.snapshot_args().unwrap();
+        assert!(!Arc::ptr_eq(&tables(&second), &tables(&third)));
+        assert_eq!(third.touched()[0].buf.id(), z.id());
+        SaxpyArgs { a: 5.0, x: &x, y: &y }.bind(&k).unwrap();
+        let fourth = k.snapshot_args().unwrap();
+        assert!(!Arc::ptr_eq(&tables(&third), &tables(&fourth)));
+        let ids = |args: &BoundArgs| args.touched().iter().map(|t| t.buf.id()).collect::<Vec<_>>();
+        assert_eq!(ids(&fourth), ids(&first));
+        // So does turning a scalar slot into a buffer one and back.
+        k.set_arg(0, ArgValue::Buffer(z.clone())).unwrap();
+        let fifth = k.snapshot_args().unwrap();
+        assert_eq!(fifth.touched().len(), 3);
+        k.set_arg(0, ArgValue::F64(1.0)).unwrap();
+        assert_eq!(ids(&k.snapshot_args().unwrap()), ids(&first));
+    }
+
+    #[test]
+    fn a_context_fills_the_store_table_the_last_one_on_its_thread_left() {
+        let (x, y) = buffers(4);
+        let args = BoundArgs::new(vec![ArgValue::Buffer(x), ArgValue::BufferMut(y.clone())]);
+        let nd = NdRange::d1(4, 4);
+        let first = KernelCtx::new(nd, DeviceId(0), &args);
+        let table = first.stores.as_ptr();
+        first.slice_mut::<f64>(1)[0] = 9.0;
+        drop(first);
+        // The stores are unlocked, and the next context gets the same table,
+        // emptied: its borrows start afresh.
+        assert_eq!(y.host_snapshot::<f64>()[0], 9.0);
+        let second = KernelCtx::new(nd, DeviceId(0), &args);
+        assert_eq!(second.stores.as_ptr(), table);
+        assert_eq!(second.stores.len(), 2);
+        assert_eq!(second.slice::<f64>(1)[0], 9.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::error::{ClError, ClResult};
 use crate::event::Event;
 use crate::exec::{DataPlane, Order, TaskId, Work};
 use crate::hazard::Access;
-use crate::kernel::{BoundArgs, Kernel, KernelBody, KernelCtx};
+use crate::kernel::{BoundArgs, Kernel, KernelCtx};
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
 use hwsim::engine::{CommandDesc, CommandKind, Engine, EventId};
@@ -251,7 +251,7 @@ impl CommandQueue {
     fn submit_task(
         &self,
         accesses: &[Access],
-        wait_events: &[usize],
+        wait_events: &[EventId],
         ev: Option<EventId>,
         work: u64,
         run: impl FnOnce() -> Duration,
@@ -468,14 +468,7 @@ impl CommandQueue {
                 buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data);
                 Duration::ZERO
             },
-            || {
-                let staged: Box<[u8]> = bytes_of(data).into();
-                let dst = buf.clone();
-                Box::new(move || {
-                    dst.inner.store.lock().as_mut_slice::<u8>().copy_from_slice(&staged);
-                    Duration::ZERO
-                })
-            },
+            || Work::Write(buf.clone(), bytes_of(data).into()),
         );
     }
 
@@ -557,32 +550,18 @@ impl CommandQueue {
             )
         };
         // Data plane: copy the canonical stores (a self-copy is a data-plane
-        // no-op). The task locks both stores in canonical buffer-id order —
-        // the global order every multi-buffer task uses — so concurrent
-        // readers of overlapping buffer sets cannot deadlock.
+        // no-op).
         if !src.same_object(dst) {
-            let copy_stores = |s: &Buffer, d: &Buffer| {
-                if s.inner.id < d.inner.id {
-                    let sg = s.inner.store.lock();
-                    let mut dg = d.inner.store.lock();
-                    dg.as_mut_slice::<u8>().copy_from_slice(sg.as_slice::<u8>());
-                } else {
-                    let mut dg = d.inner.store.lock();
-                    let sg = s.inner.store.lock();
-                    dg.as_mut_slice::<u8>().copy_from_slice(sg.as_slice::<u8>());
-                }
-                Duration::ZERO
-            };
             self.submit_task(
                 &touches,
                 &[],
                 Some(ev),
                 bytes,
-                || copy_stores(src, dst),
                 || {
-                    let (s, d) = (src.clone(), dst.clone());
-                    Box::new(move || copy_stores(&s, &d))
+                    src.copy_store_into(dst);
+                    Duration::ZERO
                 },
+                || Work::Copy(src.clone(), dst.clone()),
             );
         }
         dst.inner.residency.lock().written_on(dev);
@@ -777,8 +756,7 @@ impl CommandQueue {
         for w in &written {
             w.buf.mark_host_only();
         }
-        let nop = || Duration::ZERO;
-        self.submit_task(&written, &[], Some(join), 0, nop, || Box::new(nop));
+        self.submit_task(&written, &[], Some(join), 0, || Duration::ZERO, || Work::Nop);
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join))
     }
 
@@ -826,27 +804,17 @@ impl CommandQueue {
         // Data plane: run the body exactly once, outside the engine lock.
         // Explicit event waits order the task after the tasks backing those
         // events.
-        // The context — and the store locks it holds — goes with the body;
-        // the device time the body declared outlives both.
-        let execute = move |body: &dyn KernelBody, args: &BoundArgs| {
-            let mut ctx = KernelCtx::with_offset(effective, dev, global_offset, args);
-            body.execute(&mut ctx);
-            ctx.device_time()
-        };
         // The body's nominal work: what the cost model charges per item —
         // compute or traffic, whichever dominates — over the launch.
         let work = effective.global_items() as f64 * cost.flops_per_item.max(cost.bytes_per_item);
-        let wait_events: Vec<usize> = waits.iter().map(|e| e.raw().0).collect();
+        let waited: WaitList = waits.iter().map(Event::raw).collect();
         self.submit_task(
             touches,
-            &wait_events,
+            waited.as_slice(),
             Some(ev),
             work as u64,
-            || execute(&**kernel.body(), args),
-            || {
-                let (body, args) = (Arc::clone(kernel.body()), args.clone());
-                Box::new(move || execute(&*body, &args))
-            },
+            || KernelCtx::with_offset(effective, dev, global_offset, args).run(&**kernel.body()),
+            || Work::Launch(Arc::clone(kernel.body()), args.clone(), effective, dev, global_offset),
         );
         // Residency: written buffers are now valid only on this device.
         if whole {
@@ -891,8 +859,7 @@ impl CommandQueue {
         let mut deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
         deps.extend(self.chain_dep());
         let order = Order { after: &deps, event: Some(id.0), ..Order::default() };
-        let nop = || Duration::ZERO;
-        self.record_task(self.plane().submit(order, 0, nop, || Box::new(nop)));
+        self.record_task(self.plane().submit(order, 0, || Duration::ZERO, || Work::Nop));
         Event::new(Arc::clone(&self.inner.ctx.rt), id)
     }
 

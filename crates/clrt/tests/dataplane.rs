@@ -1003,3 +1003,256 @@ fn buffer_length_is_readable_while_a_body_runs_on_the_buffer() {
         assert_eq!(*log.lock().unwrap(), ["parked", "after"]);
     });
 }
+
+/// `y[i] += x[i]` over the whole buffers (arguments 0 and 1), saying which
+/// thread ran it; with `panic` set it takes both views and then panics,
+/// leaving its context's table with a shared and an exclusive borrow.
+struct Sweep {
+    name: &'static str,
+    panic: bool,
+    ran_on: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+}
+impl KernelBody for Sweep {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn arity(&self) -> usize {
+        2
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        self.ran_on.lock().unwrap().push(std::thread::current().id());
+        let x = ctx.slice::<f64>(0);
+        let y = ctx.slice_mut::<f64>(1);
+        assert!(!self.panic, "injected panic with both views taken");
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += xi;
+        }
+    }
+}
+
+/// A context hands its store table, emptied, to the next context on its
+/// thread — also when its body panicked. A pooled body that panics with
+/// views taken is re-raised exactly once; the next launch, run by the same
+/// worker (the only one spawned) or on the same caller, binds the two
+/// buffers the other way round and finds neither a stale borrow nor a
+/// stale store: its result is exact.
+#[test]
+fn a_panicking_body_returns_a_clean_store_table() {
+    for (workers, heavy) in [(2, true), (1, false)] {
+        let at = format!("{workers} workers, heavy={heavy}");
+        let p = Platform::paper_node_with(RuntimeConfig {
+            data_plane_workers: workers,
+            ..RuntimeConfig::default()
+        });
+        let ctx = p.create_context_all().unwrap();
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let sweep = |name, panic| {
+            Arc::new(Sweep { name, panic, ran_on: Arc::clone(&ran_on) }) as Arc<dyn KernelBody>
+        };
+        let prog = ctx.create_program(vec![sweep("boom", true), sweep("sweep", false)]).unwrap();
+        prog.build(0).unwrap();
+        let (boom, clean) =
+            (prog.create_kernel("boom").unwrap(), prog.create_kernel("sweep").unwrap());
+        let (a, b) =
+            (ctx.create_buffer_of::<f64>(N).unwrap(), ctx.create_buffer_of::<f64>(N).unwrap());
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        q.enqueue_write(&a, &vec![1.0f64; N]).unwrap();
+        q.enqueue_write(&b, &vec![2.0f64; N]).unwrap();
+        boom.set_arg(0, ArgValue::Buffer(a.clone())).unwrap();
+        boom.set_arg(1, ArgValue::BufferMut(b.clone())).unwrap();
+        q.enqueue_ndrange(&boom, nd(heavy), &[]).unwrap();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.finish()))
+            .expect_err("finish re-raises the body panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("injected panic with both views taken"), "{at}: {msg}");
+        q.finish(); // raised once
+        clean.set_arg(0, ArgValue::Buffer(b.clone())).unwrap();
+        clean.set_arg(1, ArgValue::BufferMut(a.clone())).unwrap();
+        q.enqueue_ndrange(&clean, nd(heavy), &[]).unwrap();
+        q.finish();
+        assert_eq!(a.host_snapshot::<f64>(), vec![3.0; N], "{at}");
+        assert_eq!(b.host_snapshot::<f64>(), vec![2.0; N], "{at}: the panicking body wrote");
+        let ran_on = ran_on.lock().unwrap().clone();
+        assert_eq!(ran_on.len(), 2, "{at}");
+        assert_eq!(ran_on[0], ran_on[1], "{at}: not run by the same thread");
+        let here = std::thread::current().id();
+        assert_eq!(ran_on[0] == here, !heavy, "{at}: pooled or caller-run as sized");
+        let s = p.data_plane_stats();
+        assert_eq!((s.panics, s.queue_depth), (1, 0), "{at}");
+    }
+}
+
+/// A splittable reduction: the sum of argument 0 over its chunk's range,
+/// logged with the chunk's offset. With `plane` set, a chunk whose context
+/// is built waits until both workers are busy — the other one filling its
+/// own context's table, queued on the store lock this one holds.
+struct ChunkSum {
+    sums: Mutex<Vec<(u64, u64)>>,
+    plane: Mutex<Option<Platform>>,
+    met: std::sync::atomic::AtomicBool,
+}
+impl KernelBody for ChunkSum {
+    fn name(&self) -> &str {
+        "chunk_sum"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn splittable(&self) -> bool {
+        true
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let first = ctx.global_offset()[0] as usize;
+        let x = &ctx.slice::<f64>(0)[first..first + ctx.nd().global_items() as usize];
+        let plane = self.plane.lock().unwrap().clone();
+        if let Some(p) = plane.filter(|_| !self.met.load(SeqCst)) {
+            let give_up = Instant::now() + Duration::from_secs(20);
+            while p.data_plane_stats().busy_workers < 2 && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            self.met.store(p.data_plane_stats().busy_workers == 2, SeqCst);
+        }
+        let sum: f64 = x.iter().sum();
+        self.sums.lock().unwrap().push((first as u64, sum.to_bits()));
+    }
+}
+
+/// The two chunks of one split launch share one `BoundArgs` and run on two
+/// workers at once: one holds its context while the other fills its own.
+/// The per-chunk sums are bit-equal to a one-worker run's.
+#[test]
+fn concurrent_chunks_of_one_launch_each_fill_their_own_store_table() {
+    let run = |workers: usize| {
+        let p = Platform::paper_node_with(RuntimeConfig {
+            data_plane_workers: workers,
+            ..RuntimeConfig::default()
+        });
+        let ctx = p.create_context_all().unwrap();
+        let body = Arc::new(ChunkSum {
+            sums: Mutex::new(Vec::new()),
+            plane: Mutex::new((workers > 1).then(|| p.clone())),
+            met: false.into(),
+        });
+        let prog = ctx.create_program(vec![Arc::clone(&body) as Arc<dyn KernelBody>]).unwrap();
+        prog.build(0).unwrap();
+        let k = prog.create_kernel("chunk_sum").unwrap();
+        let items = 1 << 16;
+        let x = ctx.create_buffer_of::<f64>(items).unwrap();
+        let values: Vec<f64> = (0..items).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        q.enqueue_write(&x, &values).unwrap();
+        q.finish();
+        k.set_arg(0, ArgValue::Buffer(x)).unwrap();
+        let lanes =
+            [ctx.create_queue(DeviceId(1)).unwrap(), ctx.create_queue(DeviceId(2)).unwrap()];
+        let chunks = [(lanes[0].clone(), 512), (lanes[1].clone(), 512)];
+        let args = k.snapshot_args().unwrap();
+        q.enqueue_ndrange_split(&k, NdRange::d1(items as u64, 64), &args, &chunks).unwrap();
+        // The join writes nothing here, so the chunks are the lanes' to join.
+        for lane in &lanes {
+            lane.finish();
+        }
+        body.plane.lock().unwrap().take();
+        let mut sums = body.sums.lock().unwrap().clone();
+        sums.sort_unstable();
+        (sums, body.met.load(std::sync::atomic::Ordering::SeqCst), p.data_plane_stats())
+    };
+    let (pooled, met, stats) = run(2);
+    assert!(met, "the two chunks never ran at once: {stats:?}");
+    assert_eq!((stats.submitted, stats.peak_busy_workers, stats.panics), (2, 2, 0), "{stats:?}");
+    let (alone, _, _) = run(1);
+    assert_eq!(pooled.len(), 2);
+    assert_eq!(pooled, alone);
+}
+
+/// `y[i] = x[i] + x[i]` with `x` bound twice (arguments 0 and 1): both views
+/// are one store, locked once. With `mutably` set, argument 1 is taken
+/// mutably instead, which the dynamic borrow check refuses.
+struct Twice {
+    mutably: bool,
+    same: Arc<Mutex<Vec<bool>>>,
+}
+impl KernelBody for Twice {
+    fn name(&self) -> &str {
+        if self.mutably {
+            "twice_mut"
+        } else {
+            "twice"
+        }
+    }
+    fn arity(&self) -> usize {
+        3
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(24.0)
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        let a = ctx.slice::<f64>(0);
+        if self.mutably {
+            let _ = ctx.slice_mut::<f64>(1);
+        }
+        let b = ctx.slice::<f64>(1);
+        self.same.lock().unwrap().push(std::ptr::eq(a, b));
+        for (yi, (ai, bi)) in ctx.slice_mut::<f64>(2).iter_mut().zip(a.iter().zip(b)) {
+            *yi = ai + bi;
+        }
+    }
+}
+
+/// A buffer bound twice is locked once and seen through one store, pooled
+/// (twice on the same worker, the second time in its spare table) and on
+/// the caller; taking it mutably beside a shared view still panics with
+/// the borrow check's message, re-raised once.
+#[test]
+fn a_buffer_bound_twice_shares_one_lock_in_a_reused_table() {
+    for (workers, heavy) in [(2, true), (1, false)] {
+        let at = format!("{workers} workers, heavy={heavy}");
+        let p = Platform::paper_node_with(RuntimeConfig {
+            data_plane_workers: workers,
+            ..RuntimeConfig::default()
+        });
+        let ctx = p.create_context_all().unwrap();
+        let same = Arc::new(Mutex::new(Vec::new()));
+        let twice =
+            |mutably| Arc::new(Twice { mutably, same: Arc::clone(&same) }) as Arc<dyn KernelBody>;
+        let prog = ctx.create_program(vec![twice(false), twice(true)]).unwrap();
+        prog.build(0).unwrap();
+        let x = ctx.create_buffer_of::<f64>(N).unwrap();
+        let y = ctx.create_buffer_of::<f64>(N).unwrap();
+        let q = ctx.create_queue(DeviceId(2)).unwrap();
+        q.enqueue_write(&x, &vec![1.5f64; N]).unwrap();
+        let k = prog.create_kernel("twice").unwrap();
+        k.set_arg(0, ArgValue::Buffer(x.clone())).unwrap();
+        k.set_arg(1, ArgValue::Buffer(x.clone())).unwrap();
+        k.set_arg(2, ArgValue::BufferMut(y.clone())).unwrap();
+        for _ in 0..2 {
+            with_watchdog(Duration::from_secs(20), {
+                let (q, k) = (q.clone(), k.clone());
+                move || {
+                    q.enqueue_ndrange(&k, nd(heavy), &[]).unwrap();
+                    q.finish();
+                }
+            });
+        }
+        assert_eq!(y.host_snapshot::<f64>(), vec![3.0; N], "{at}");
+        assert_eq!(*same.lock().unwrap(), [true, true], "{at}");
+        let k = prog.create_kernel("twice_mut").unwrap();
+        k.set_arg(0, ArgValue::Buffer(x.clone())).unwrap();
+        k.set_arg(1, ArgValue::BufferMut(x.clone())).unwrap();
+        k.set_arg(2, ArgValue::BufferMut(y.clone())).unwrap();
+        q.enqueue_ndrange(&k, nd(heavy), &[]).unwrap();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.finish()))
+            .expect_err("finish re-raises the borrow check's panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("kernel argument 1: buffer already borrowed shared"), "{at}: {msg}");
+        q.finish();
+        assert_eq!(p.data_plane_stats().panics, 1, "{at}");
+    }
+}
