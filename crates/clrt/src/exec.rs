@@ -36,7 +36,7 @@
 //! thread hand-off (`LIGHT_WORK`), the task is registered as a live
 //! caller-run node — so racing submitters still order after it — and its
 //! body runs on the enqueueing thread from a borrowing closure, before
-//! `submit` returns. Otherwise its [`Work`] — a value, arguments shared by
+//! `submit` returns. Otherwise its `Work` — a value, arguments shared by
 //! reference count — is queued for the pool. `workers == 1` is the
 //! degenerate case in which every body counts as light and device time is
 //! no reason to queue: single-threaded use never hands a task off.

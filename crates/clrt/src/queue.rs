@@ -706,7 +706,9 @@ impl CommandQueue {
         let node = &self.inner.ctx.rt.node;
         let mut gathers = WaitList::new();
         // Every chunk and gather, in issue order: the join fails with the
-        // first of them that failed.
+        // first of them that failed, and its data-plane task waits on the
+        // chunks' tasks, so `finish` and a wait on the join see their bodies
+        // run even when the launch writes nothing.
         let mut issued: Vec<EventId> = Vec::with_capacity(plan.len() * (written.len() + 1));
         for &(lane, dev, effective, offset, wgs) in &plan {
             let at = Some((self.inner.qid, offset));
@@ -756,7 +758,7 @@ impl CommandQueue {
         for w in &written {
             w.buf.mark_host_only();
         }
-        self.submit_task(&written, &[], Some(join), 0, || Duration::ZERO, || Work::Nop);
+        self.submit_task(&written, &issued, Some(join), 0, || Duration::ZERO, || Work::Nop);
         Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join))
     }
 

@@ -1155,7 +1155,8 @@ fn concurrent_chunks_of_one_launch_each_fill_their_own_store_table() {
         let chunks = [(lanes[0].clone(), 512), (lanes[1].clone(), 512)];
         let args = k.snapshot_args().unwrap();
         q.enqueue_ndrange_split(&k, NdRange::d1(items as u64, 64), &args, &chunks).unwrap();
-        // The join writes nothing here, so the chunks are the lanes' to join.
+        // The join writes nothing here; its data-plane task still waits on
+        // the chunks' (and, queued behind them, is the third pooled task).
         for lane in &lanes {
             lane.finish();
         }
@@ -1166,10 +1167,69 @@ fn concurrent_chunks_of_one_launch_each_fill_their_own_store_table() {
     };
     let (pooled, met, stats) = run(2);
     assert!(met, "the two chunks never ran at once: {stats:?}");
-    assert_eq!((stats.submitted, stats.peak_busy_workers, stats.panics), (2, 2, 0), "{stats:?}");
+    assert_eq!((stats.submitted, stats.peak_busy_workers, stats.panics), (3, 2, 0), "{stats:?}");
     let (alone, _, _) = run(1);
     assert_eq!(pooled.len(), 2);
     assert_eq!(pooled, alone);
+}
+
+/// A split launch that writes nothing, behind a pooled writer of its input
+/// on another queue: the chunks wait on the writer, and the join waits on
+/// the chunks in both planes. Neither `finish` on the issuing queue nor a
+/// wait on the join's event returns while the writer is parked at its gate,
+/// and each returns with every chunk body run.
+#[test]
+fn a_read_only_splits_join_waits_for_its_chunk_bodies() {
+    for by_event in [false, true] {
+        let p = Platform::paper_node_with(RuntimeConfig {
+            data_plane_workers: 2,
+            ..RuntimeConfig::default()
+        });
+        let ctx = p.create_context_all().unwrap();
+        let (release, gate) = mpsc::channel();
+        let writer = Logged { name: "writer", log: Arc::default(), gate: Some(gate.into()) };
+        let body = Arc::new(ChunkSum {
+            sums: Mutex::new(Vec::new()),
+            plane: Mutex::new(None),
+            met: false.into(),
+        });
+        let prog = ctx
+            .create_program(vec![
+                Arc::new(writer) as Arc<dyn KernelBody>,
+                Arc::clone(&body) as Arc<dyn KernelBody>,
+            ])
+            .unwrap();
+        prog.build(0).unwrap();
+        let items = 1 << 14;
+        let x = ctx.create_buffer_of::<f64>(items).unwrap();
+        let w = prog.create_kernel("writer").unwrap();
+        w.set_arg(0, ArgValue::BufferMut(x.clone())).unwrap();
+        ctx.create_queue(DeviceId(0)).unwrap().enqueue_ndrange(&w, nd(true), &[]).unwrap();
+        let k = prog.create_kernel("chunk_sum").unwrap();
+        k.set_arg(0, ArgValue::Buffer(x)).unwrap();
+        let q = ctx.create_queue(DeviceId(1)).unwrap();
+        let lanes =
+            [ctx.create_queue(DeviceId(1)).unwrap(), ctx.create_queue(DeviceId(2)).unwrap()];
+        let chunks = [(lanes[0].clone(), 128), (lanes[1].clone(), 128)];
+        let args = k.snapshot_args().unwrap();
+        let join =
+            q.enqueue_ndrange_split(&k, NdRange::d1(items as u64, 64), &args, &chunks).unwrap();
+        let (done, returned) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                if by_event {
+                    join.wait();
+                } else {
+                    q.finish();
+                }
+                done.send(body.sums.lock().unwrap().len()).unwrap();
+            });
+            let early = returned.recv_timeout(Duration::from_millis(200));
+            assert!(early.is_err(), "by_event={by_event}: returned with the writer parked");
+            release.send(()).unwrap();
+            assert_eq!(returned.recv().unwrap(), 2, "by_event={by_event}: chunk bodies run");
+        });
+    }
 }
 
 /// `y[i] = x[i] + x[i]` with `x` bound twice (arguments 0 and 1): both views

@@ -37,7 +37,7 @@ pub struct CostRow {
     /// Estimated execution time of its pending launches: measure's row.
     pub exec: Arc<[SimDuration]>,
     /// What the mapper reads. Where the queue's copies are priced
-    /// ([`QueueInput::copies`]), per column, when the [`Replay`] of its own
+    /// ([`QueueInput::copies`]), per column, when the `Replay` of its own
     /// launches alone ends, from idle lanes and the snapshot's residency,
     /// in order or out of order alike; otherwise `exec` itself.
     pub total: Arc<[SimDuration]>,

@@ -569,19 +569,17 @@ impl Served {
             at: now,
         });
         self.metrics.tenant(tenant).submitted.inc();
-        let order = spec
-            .validated_order()
+        // The template's first submission checks it; later ones read the
+        // kept outcome. A buffer no device of the node can hold would be
+        // refused at issue time, after admission: refuse it here instead.
+        let admitted = spec
+            .validate()
             .map_err(RejectReason::InvalidSpec)
-            // A buffer no device of the node can hold would be refused at
-            // issue time, after admission: refuse it here instead.
-            .and_then(|order| self.check_buffer_sizes(&spec).map(|()| order));
-        let order = match order {
-            Ok(order) => order,
-            Err(reason) => {
-                self.reject(tenant, name, job, &reason, now);
-                return Err(reason);
-            }
-        };
+            .and_then(|()| self.check_buffer_sizes(&spec));
+        if let Err(reason) = admitted {
+            self.reject(tenant, name, job, &reason, now);
+            return Err(reason);
+        }
         let capacity = self.shed_capacity(state.config.capacity);
         let depth = {
             let mut queue = state.queue.lock();
@@ -594,7 +592,6 @@ impl Served {
             queue.push_back(PendingJob {
                 id: job,
                 spec,
-                order,
                 submitted_at: now,
                 deadline,
                 attempts: 0,
@@ -822,7 +819,7 @@ impl Served {
                 queue: worker.id(),
                 at: dispatched_at,
             });
-            let issued = self.issue_job(worker, &job.spec, &job.order, job.id, payload);
+            let issued = self.issue_job(worker, &job.spec, job.id, payload);
             let issued = issued.map(|instance| held.push(instance));
             dispatched.push(issued.map(|()| dispatched_at));
         }
@@ -1028,25 +1025,22 @@ impl Served {
     ///
     /// [`SpecError`]: crate::spec::SpecError
     pub fn warm_programs(&self, specs: &[JobSpec]) -> ClResult<()> {
-        let orders = specs
-            .iter()
-            .map(|spec| {
-                spec.validated_order().map_err(|e| {
-                    ClError::InvalidValue(format!("warm-up template `{}`: {e}", spec.name))
-                })
-            })
-            .collect::<ClResult<Vec<_>>>()?;
+        for spec in specs {
+            spec.validate().map_err(|e| {
+                ClError::InvalidValue(format!("warm-up template `{}`: {e}", spec.name))
+            })?;
+        }
         for spec in specs {
             self.program_for(&mut self.programs.lock(), spec)?;
         }
         let mut round = self.round.lock();
-        for (i, (spec, order)) in specs.iter().zip(&orders).enumerate() {
+        for (i, spec) in specs.iter().enumerate() {
             if self.spec_predictor_confident(spec) {
                 self.metrics.warmups_skipped.inc();
                 continue;
             }
             let worker = &self.workers[i % self.workers.len()];
-            let instance = self.issue_job(worker, spec, order, u64::MAX, &mut round.payload)?;
+            let instance = self.issue_job(worker, spec, u64::MAX, &mut round.payload)?;
             round.held.push(instance);
         }
         self.ctx.finish_all();
@@ -1065,32 +1059,21 @@ impl Served {
     /// healthy device — about every `Launch` step in `spec`, i.e. a
     /// warm-up instance would not save the first real job any profiling.
     /// Argument bytes mirror [`Self::issue_job`]: one `f64` buffer per
-    /// distinct arg name, counted once however many positions bind it.
+    /// distinct argument buffer, counted once however many positions bind
+    /// it. `spec` is checked.
     fn spec_predictor_confident(&self, spec: &JobSpec) -> bool {
-        let costs: HashMap<&str, KernelCostSpec> =
-            spec.kernels.iter().map(|k| (&*k.name, k.cost)).collect();
-        let elements: HashMap<&str, usize> =
-            spec.buffers.iter().map(|b| (&*b.name, b.elements)).collect();
+        let checked = spec.checked().expect("warm-up checks every template first");
         let mut any_launch = false;
-        for step in &spec.steps {
-            let StepOp::Launch { kernel, global, local, args } = &step.op else {
+        for (step, (at, args)) in spec.steps.iter().zip(&checked.steps) {
+            let StepOp::Launch { global, local, .. } = step.op else {
                 continue;
             };
             any_launch = true;
-            let Some(cost) = costs.get(&**kernel) else {
-                return false;
-            };
-            let mut seen: Vec<&str> = Vec::new();
-            let mut arg_bytes = 0u64;
-            for arg in args {
-                if !seen.contains(&&**arg) {
-                    seen.push(arg);
-                    let elems = elements.get(&**arg).copied().unwrap_or(0);
-                    arg_bytes += (elems * std::mem::size_of::<f64>()) as u64;
-                }
-            }
-            let shape = NdRange::d1(*global, *local).shape();
-            if !self.ctx.predictor_confident(cost, shape, arg_bytes) {
+            let distinct = args.iter().enumerate().filter(|&(i, b)| !args[..i].contains(b));
+            let elements: usize = distinct.map(|(_, &b)| spec.buffers[b].elements).sum();
+            let arg_bytes = (elements * std::mem::size_of::<f64>()) as u64;
+            let shape = NdRange::d1(global, local).shape();
+            if !self.ctx.predictor_confident(&spec.kernels[*at].cost, shape, arg_bytes) {
                 return false;
             }
         }
@@ -1101,18 +1084,16 @@ impl Served {
     /// the full kernel signature (name, cost, arity), so two templates
     /// sharing a kernel name but differing in cost get distinct programs.
     fn program_for(&self, programs: &mut Vec<BuiltProgram>, spec: &JobSpec) -> ClResult<usize> {
-        let arities = || spec.kernels.iter().map(|k| spec.kernel_arity(&k.name));
-        let built = programs
-            .iter()
-            .position(|p| p.kernels == spec.kernels && p.arities.iter().copied().eq(arities()));
+        let arities = &spec.checked().expect("every spec is checked first").arities;
+        let built =
+            programs.iter().position(|p| p.kernels == spec.kernels && p.arities == *arities);
         if let Some(at) = built {
             return Ok(at);
         }
-        let arities: Vec<usize> = arities().collect();
         let bodies: Vec<Arc<dyn KernelBody>> = spec
             .kernels
             .iter()
-            .zip(&arities)
+            .zip(arities)
             .map(|(k, &arity)| {
                 Arc::new(SpecKernel { name: k.name.clone(), arity, cost: k.cost })
                     as Arc<dyn KernelBody>
@@ -1121,7 +1102,7 @@ impl Served {
         let program = self.ctx.create_program(bodies)?;
         programs.push(BuiltProgram {
             kernels: spec.kernels.clone(),
-            arities,
+            arities: arities.clone(),
             program,
             idle: vec![],
         });
@@ -1176,18 +1157,19 @@ impl Served {
     /// clears them, so nothing leaks from the slot's previous job; static
     /// binding under [`ServePolicy::Off`] ignores them), check out an
     /// instance of its program — the caller holds it until `finish_all` —
-    /// and walk the steps in `order` (the spec's topological order). A
-    /// write stores its data now; on a worker a pass has bound it leaves
-    /// the buffer on the host, and the pass that maps the job uploads it to
-    /// the device the job runs on — a first write, on a worker no pass has
-    /// bound yet, uploads to the worker's current device
+    /// and walk the steps in the order the spec's check kept, each name
+    /// already resolved to its buffer or kernel (admission and warm-up
+    /// check every spec, so every name resolves). A write stores its data
+    /// now; on a worker a pass has bound it leaves the buffer on the host,
+    /// and the pass that maps the job uploads it to the device the job runs
+    /// on — a first write, on a worker no pass has bound yet, uploads to the
+    /// worker's current device
     /// ([`SchedQueue::enqueue_write`]). Launches buffer into the worker's
     /// pending epoch.
     fn issue_job(
         &self,
         worker: &SchedQueue,
         spec: &JobSpec,
-        order: &[usize],
         job_id: u64,
         payload: &mut Vec<f64>,
     ) -> ClResult<Instance> {
@@ -1201,28 +1183,24 @@ impl Served {
                 worker.set_sched_hints(hints)?;
             }
         }
+        let checked = spec.checked().expect("admission and warm-up check every spec");
         let instance = self.check_out(spec)?;
         let Instance { kernels, buffers, .. } = &instance;
-        let unknown = |name: &str| ClError::InvalidValue(format!("no `{name}` in `{}`", spec.name));
-        let buffer = |name: &Arc<str>| {
-            let at = spec.buffers.iter().position(|b| b.name == *name);
-            at.map(|i| &buffers[i]).ok_or_else(|| unknown(name))
-        };
-        for &idx in order {
-            match &spec.steps[idx].op {
-                StepOp::Write { buffer: name } => {
-                    let buf = buffer(name)?;
+        for &idx in &checked.order {
+            let (at, args) = &checked.steps[idx];
+            match spec.steps[idx].op {
+                StepOp::Write { .. } => {
+                    let buf = &buffers[*at];
                     payload.clear();
                     payload.resize(buf.len::<f64>(), job_id as f64);
                     worker.enqueue_write(buf, payload)?;
                 }
-                StepOp::Launch { kernel, global, local, args } => {
-                    let at = spec.kernels.iter().position(|k| k.name == *kernel);
-                    let k = at.map(|i| &kernels[i]).ok_or_else(|| unknown(kernel))?;
-                    for (pos, arg) in args.iter().enumerate() {
-                        k.set_arg(pos, ArgValue::BufferMut(buffer(arg)?.clone()))?;
+                StepOp::Launch { global, local, .. } => {
+                    let k = &kernels[*at];
+                    for (pos, &arg) in args.iter().enumerate() {
+                        k.set_arg(pos, ArgValue::BufferMut(buffers[arg].clone()))?;
                     }
-                    worker.enqueue_ndrange(k, NdRange::d1(*global, *local))?;
+                    worker.enqueue_ndrange(k, NdRange::d1(global, local))?;
                 }
             }
         }

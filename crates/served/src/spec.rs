@@ -23,9 +23,10 @@
 
 use hwsim::json::Json;
 use hwsim::{KernelCostSpec, KernelTraits};
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
-/// Why a job spec was rejected by [`JobSpec::validate`] (or failed to
+/// Why a job spec was rejected by [`Template::validate`] (or failed to
 /// parse). Carried inside
 /// [`RejectReason::InvalidSpec`](crate::tenant::RejectReason) so admission
 /// control can report the exact cause back to the submitter.
@@ -124,20 +125,15 @@ pub struct StepSpec {
     pub after: Vec<Arc<str>>,
 }
 
-/// A declarative job: buffers + kernels + a DAG of steps.
-///
-/// Every name is a shared [`Arc<str>`], so cloning a spec — what each
-/// submission of a template does — allocates only its vectors.
+/// A declarative job: a shared, immutable [`Template`] body and the job's
+/// execution modes. Cloning a spec, what each submission of a template
+/// does, counts a reference and allocates nothing. Reads reach the body
+/// through `Deref`; a write through `DerefMut` copies a shared body
+/// (`Arc::make_mut`) and forgets its check: a mutated clone is a new
+/// template, and the original keeps its body and its check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Human-readable job name (template name, not unique per instance).
-    pub name: Arc<str>,
-    /// Buffers to allocate.
-    pub buffers: Vec<BufferSpec>,
-    /// Kernels the program defines.
-    pub kernels: Vec<KernelSpec>,
-    /// Steps in declaration order.
-    pub steps: Vec<StepSpec>,
+    body: Arc<Template>,
     /// Opt into out-of-order epoch execution: the job's worker queue
     /// carries the `SCHED_OUT_OF_ORDER` hint for its epoch, so each of the
     /// job's launches waits on its buffer hazards alone, not on the launch
@@ -151,6 +147,69 @@ pub struct JobSpec {
     /// kernels may be partitioned into sub-ranges across devices. Composes
     /// with `out_of_order`. Defaults to `false`.
     pub splittable: bool,
+}
+
+impl Deref for JobSpec {
+    type Target = Template;
+
+    fn deref(&self) -> &Template {
+        &self.body
+    }
+}
+
+impl DerefMut for JobSpec {
+    fn deref_mut(&mut self) -> &mut Template {
+        let body = Arc::make_mut(&mut self.body);
+        body.checked = Kept::default();
+        body
+    }
+}
+
+/// The body a [`JobSpec`] shares with its clones: buffers, kernels and a
+/// DAG of steps. Its first check is kept — the step order, every name as a
+/// declaration index — so a template is checked once however many jobs
+/// submit it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Template {
+    /// Human-readable job name (template name, not unique per instance).
+    pub name: Arc<str>,
+    /// Buffers to allocate.
+    pub buffers: Vec<BufferSpec>,
+    /// Kernels the program defines.
+    pub kernels: Vec<KernelSpec>,
+    /// Steps in declaration order.
+    pub steps: Vec<StepSpec>,
+    /// What the first check found; emptied by every write through `DerefMut`.
+    checked: Kept,
+}
+
+/// A [`Template`]'s kept check. It takes no part in equality or `Debug`.
+#[derive(Clone, Default)]
+struct Kept(OnceLock<Result<Checked, SpecError>>);
+
+impl PartialEq for Kept {
+    fn eq(&self, _: &Kept) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Kept {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("..")
+    }
+}
+
+/// What checking a [`Template`] finds.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Checked {
+    /// Step indices in topological order.
+    pub order: Vec<usize>,
+    /// Per step, in declaration order, its names as declaration indices:
+    /// the buffer a write fills or the kernel a launch runs, and a launch's
+    /// argument buffers in position order (none for a write).
+    pub steps: Vec<(usize, Vec<usize>)>,
+    /// Per kernel, its argument count: its first launch's, 0 if unlaunched.
+    pub arities: Vec<usize>,
 }
 
 /// The most work one launch may declare: `flops_per_item × global` (at
@@ -262,27 +321,35 @@ impl JobSpec {
         }
         let out_of_order = json.get("out_of_order").and_then(Json::as_bool).unwrap_or(false);
         let splittable = json.get("splittable").and_then(Json::as_bool).unwrap_or(false);
-        let spec = JobSpec { name, buffers, kernels, steps, out_of_order, splittable };
-        spec.validate()?;
-        Ok(spec)
+        let body = Template { name, buffers, kernels, steps, checked: Kept::default() };
+        body.validate()?;
+        Ok(JobSpec { body: Arc::new(body), out_of_order, splittable })
     }
+}
 
+impl Template {
     /// Check internal consistency: unique names, resolvable references,
     /// consistent kernel arities, positive sizes, finite non-negative kernel
     /// costs, launches within [`MAX_LAUNCH_FLOPS`] and [`MAX_LAUNCH_BYTES`],
     /// acyclic dependencies.
+    ///
+    /// The first call checks the template and keeps the outcome; every
+    /// later one, on it or on a clone that shares it, reads what was kept.
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.validated_order().map(|_| ())
+        self.checked().map(|_| ())
     }
 
-    /// [`Self::validate`], handing back the step indices in the topological
-    /// order it had to compute to rule out cycles, so admission sorts a
-    /// job's steps once. The order is Kahn's algorithm that always emits the
-    /// earliest-declared ready step next, so equal specs execute identical
-    /// command streams. Every name is checked against one sorted
-    /// [`NameTable`]; the first failing check in declaration order decides
-    /// the error.
-    pub(crate) fn validated_order(&self) -> Result<Vec<usize>, SpecError> {
+    /// The kept [`Checked`] form, computed by the first call.
+    pub(crate) fn checked(&self) -> Result<&Checked, SpecError> {
+        self.checked.0.get_or_init(|| self.check()).as_ref().map_err(SpecError::clone)
+    }
+
+    /// Check the template: the step order is Kahn's algorithm that always
+    /// emits the earliest-declared ready step next, so equal specs execute
+    /// identical command streams, and it rules out cycles. Every name is
+    /// resolved against one sorted [`NameTable`]; the first failing check
+    /// in declaration order decides the error.
+    fn check(&self) -> Result<Checked, SpecError> {
         let mut names = NameTable::of(self);
         for (i, b) in self.buffers.iter().enumerate() {
             if names.first(Run::Buffers, &b.name) != Some(i) {
@@ -319,12 +386,12 @@ impl JobSpec {
             step: s.id.to_string(),
             name: name.to_string(),
         };
+        let mut resolved = Vec::with_capacity(self.steps.len());
         for s in &self.steps {
-            match &s.op {
+            let step = match &s.op {
                 StepOp::Write { buffer } => {
-                    if names.first(Run::Buffers, buffer).is_none() {
-                        return Err(unknown(s, buffer));
-                    }
+                    let at = names.first(Run::Buffers, buffer).ok_or_else(|| unknown(s, buffer))?;
+                    (at, Vec::new())
                 }
                 StepOp::Launch { kernel, global, local, args } => {
                     let Some(slot) = names.find(Run::Kernels, kernel) else {
@@ -351,18 +418,21 @@ impl JobSpec {
                             per_item * items
                         )));
                     }
-                    if let Some(a) = args.iter().find(|a| names.first(Run::Buffers, a).is_none()) {
-                        return Err(unknown(s, a));
-                    }
+                    let args = args
+                        .iter()
+                        .map(|a| names.first(Run::Buffers, a).ok_or_else(|| unknown(s, a)))
+                        .collect::<Result<Vec<_>, _>>()?;
                     // The first launch of a kernel fixes its arity.
                     if *names.entries[slot].2.get_or_insert(args.len()) != args.len() {
                         return Err(SpecError::ArityMismatch(kernel.to_string()));
                     }
+                    (names.entries[slot].1, args)
                 }
-            }
+            };
             if let Some(dep) = s.after.iter().find(|d| names.first(Run::Steps, d).is_none()) {
                 return Err(unknown(s, dep));
             }
+            resolved.push(step);
         }
         let n = self.steps.len();
         let mut emitted = vec![false; n];
@@ -386,20 +456,11 @@ impl JobSpec {
                 }
             }
         }
-        Ok(order)
-    }
-
-    /// Argument count of `kernel`, read off its first launch step —
-    /// validation makes every launch of a kernel agree — and 0 for a kernel
-    /// that is never launched.
-    pub fn kernel_arity(&self, kernel: &str) -> usize {
-        self.steps
-            .iter()
-            .find_map(|s| match &s.op {
-                StepOp::Launch { kernel: k, args, .. } if &**k == kernel => Some(args.len()),
-                _ => None,
-            })
-            .unwrap_or(0)
+        let mut arities = vec![0; self.kernels.len()];
+        for &(_, i, arity) in &names.entries[names.kernels..names.steps] {
+            arities[i] = arity.unwrap_or(0);
+        }
+        Ok(Checked { order, steps: resolved, arities })
     }
 }
 
@@ -423,7 +484,7 @@ struct NameTable<'a> {
 }
 
 impl<'a> NameTable<'a> {
-    fn of(spec: &'a JobSpec) -> NameTable<'a> {
+    fn of(spec: &'a Template) -> NameTable<'a> {
         let kernels = spec.buffers.len();
         let steps = kernels + spec.kernels.len();
         let mut entries = Vec::with_capacity(steps + spec.steps.len());
@@ -457,6 +518,7 @@ impl<'a> NameTable<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwsim::xrand::XorShift;
 
     const SAMPLE: &str = r#"{
               "name": "blur",
@@ -497,13 +559,13 @@ mod tests {
     #[test]
     fn topological_order_is_deterministic_and_respects_deps() {
         let spec = sample();
-        let order = spec.validated_order().unwrap();
-        assert_eq!(order, vec![0, 1, 2]);
+        let order = &spec.checked().unwrap().order;
+        assert_eq!(*order, vec![0, 1, 2]);
         // Declaration order is preserved among unconstrained steps: declare
         // the dependent first and it still runs after its dependency.
         let mut reordered = spec.clone();
         reordered.steps.swap(0, 1);
-        let order = reordered.validated_order().unwrap();
+        let order = &reordered.checked().unwrap().order;
         let pos = |id: &str| order.iter().position(|&i| &*reordered.steps[i].id == id).unwrap();
         assert!(pos("load") < pos("h"));
         assert!(pos("h") < pos("v"));
@@ -652,6 +714,134 @@ mod tests {
             args[0] = "nope".into();
         }
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
+    fn a_clone_shares_its_body() {
+        let spec = sample();
+        assert!(Arc::ptr_eq(&spec.body, &spec.clone().body));
+        // The execution modes are the job's own: setting one copies nothing.
+        let mut flagged = spec.clone();
+        (flagged.out_of_order, flagged.splittable) = (true, true);
+        assert!(Arc::ptr_eq(&spec.body, &flagged.body));
+        assert!(std::ptr::eq(spec.checked().unwrap(), flagged.checked().unwrap()));
+    }
+
+    /// A write through a clone copies the shared body and forgets the
+    /// copy's check; the original keeps its body and its check. A body
+    /// written while unshared forgets its check too.
+    #[test]
+    fn writing_through_a_shared_clone_leaves_the_original_and_its_check_alone() {
+        let original = sample();
+        let kept: *const Checked = original.checked().unwrap();
+        let mut clone = original.clone();
+        let steps = &mut clone.steps;
+        steps.swap(0, 1);
+        assert!(!Arc::ptr_eq(&original.body, &clone.body));
+        assert!(clone.checked.0.get().is_none(), "the copy is checked anew");
+        assert_eq!(original, sample());
+        assert!(std::ptr::eq(original.checked().unwrap(), kept));
+        assert_eq!(original.checked().unwrap().order, [0, 1, 2]);
+        assert_eq!(clone.checked().unwrap().order, [1, 0, 2]);
+
+        let mut alone = sample();
+        alone.steps[1].after = vec!["v".into()];
+        assert_eq!(alone.validate(), Err(SpecError::Cycle("h".into())));
+    }
+
+    /// A seeded valid spec, written as JSON: 1–4 buffers and 1–3 kernels
+    /// whose names sort against their declaration order, and 1–8 steps
+    /// declared in a shuffled order, each after a random subset of the steps
+    /// before it in a hidden rank — so the DAG is acyclic, but declaration
+    /// order is not always an order it may issue in.
+    fn seeded_spec(rng: &mut XorShift) -> JobSpec {
+        let (buffers, kernels, steps) = (1 + rng.index(4), 1 + rng.index(3), 1 + rng.index(8));
+        let arity: Vec<usize> = (0..kernels).map(|_| 1 + rng.index(3)).collect();
+        let mut slot: Vec<usize> = (0..steps).collect();
+        for i in (1..steps).rev() {
+            slot.swap(i, rng.index(i + 1));
+        }
+        let buffer = |rng: &mut XorShift| format!(r#""b{}""#, buffers - rng.index(buffers));
+        let mut declared = vec![String::new(); steps];
+        for rank in 0..steps {
+            let after: Vec<String> =
+                (0..rank).filter(|_| rng.index(3) == 0).map(|r| format!(r#""r{r}""#)).collect();
+            let op = if rng.index(3) == 0 {
+                format!(r#""op": "write", "buffer": {}"#, buffer(rng))
+            } else {
+                let k = rng.index(kernels);
+                let args: Vec<String> = (0..arity[k]).map(|_| buffer(rng)).collect();
+                format!(
+                    r#""op": "launch", "kernel": "k{}", "global": 64, "local": 64, "args": [{}]"#,
+                    kernels - k,
+                    args.join(", ")
+                )
+            };
+            declared[slot[rank]] =
+                format!(r#"{{"id": "r{rank}", {op}, "after": [{}]}}"#, after.join(", "));
+        }
+        let buffers: Vec<String> = (0..buffers)
+            .map(|b| format!(r#"{{"name": "b{}", "elements": 64}}"#, buffers - b))
+            .collect();
+        let kernels: Vec<String> = (0..kernels)
+            .map(|k| format!(r#"{{"name": "k{}", "flops_per_item": 8.0}}"#, kernels - k))
+            .collect();
+        JobSpec::parse_str(&format!(
+            r#"{{"name": "seeded", "buffers": [{}], "kernels": [{}], "steps": [{}]}}"#,
+            buffers.join(", "),
+            kernels.join(", "),
+            declared.join(", ")
+        ))
+        .expect("a seeded spec is valid")
+    }
+
+    /// The check written from scratch: every name resolved by a scan, each
+    /// kernel's arity read off its first launch, and the order by emitting
+    /// the earliest-declared step whose dependencies have all been emitted.
+    fn naive_check(spec: &Template) -> Checked {
+        let buffer = |name: &str| spec.buffers.iter().position(|b| &*b.name == name).unwrap();
+        let kernel = |name: &str| spec.kernels.iter().position(|k| &*k.name == name).unwrap();
+        let steps: Vec<(usize, Vec<usize>)> = (spec.steps.iter())
+            .map(|s| match &s.op {
+                StepOp::Write { buffer: b } => (buffer(b), vec![]),
+                StepOp::Launch { kernel: k, args, .. } => {
+                    (kernel(k), args.iter().map(|a| buffer(a)).collect())
+                }
+            })
+            .collect();
+        let launches =
+            spec.steps.iter().zip(&steps).filter(|(s, _)| matches!(s.op, StepOp::Launch { .. }));
+        let mut arities = vec![None; spec.kernels.len()];
+        for (_, (k, args)) in launches {
+            arities[*k].get_or_insert(args.len());
+        }
+        let arities = arities.into_iter().map(|a| a.unwrap_or(0)).collect();
+        let mut order: Vec<usize> = Vec::new();
+        while order.len() < spec.steps.len() {
+            let emitted = |dep: &Arc<str>| order.iter().any(|&j| spec.steps[j].id == *dep);
+            let ready = (0..spec.steps.len())
+                .find(|i| !order.contains(i) && spec.steps[*i].after.iter().all(emitted));
+            order.push(ready.expect("acyclic"));
+        }
+        Checked { order, steps, arities }
+    }
+
+    /// Parsing checks a spec and keeps the result; a clone reads the kept
+    /// result, which equals a fresh check and the check written from
+    /// scratch.
+    #[test]
+    fn the_kept_check_equals_a_fresh_one_on_seeded_specs() {
+        let mut rng = XorShift::new(51);
+        let mut reordered = 0;
+        for _ in 0..300 {
+            let spec = seeded_spec(&mut rng);
+            let kept = spec.checked.0.get().expect("parsing keeps its check").as_ref().unwrap();
+            assert!(std::ptr::eq(kept, spec.clone().checked().unwrap()));
+            assert_eq!(*kept, spec.check().unwrap());
+            assert_eq!(*kept, naive_check(&spec));
+            reordered += usize::from(!kept.order.is_sorted());
+        }
+        assert!(reordered > 30, "only {reordered} seeded specs issue out of declaration order");
     }
 
     #[test]

@@ -92,10 +92,9 @@ impl std::error::Error for RejectReason {}
 pub(crate) struct PendingJob {
     /// Service-wide job id.
     pub id: u64,
-    /// The validated spec.
+    /// The validated spec: its body keeps the step order and resolved
+    /// names the check found, which dispatch walks.
     pub spec: JobSpec,
-    /// `spec`'s step indices in the topological order validation found.
-    pub order: Vec<usize>,
     /// Virtual time of admission.
     pub submitted_at: SimTime,
     /// Virtual completion deadline; past it the job fails instead of

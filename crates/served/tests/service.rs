@@ -112,6 +112,34 @@ fn invalid_specs_are_rejected_before_queueing() {
     assert_eq!(served.backlog(), 0);
 }
 
+/// A job spec shares its template's body, which keeps what its first check
+/// found. A clone written into a cycle, or to name a buffer the template
+/// does not declare, is a body of its own: admission checks it and refuses
+/// it after the original's check was kept, and the original is still
+/// admitted and runs.
+#[test]
+fn a_mutated_clone_of_a_checked_template_is_checked_anew() {
+    use served::spec::{SpecError, StepOp};
+    let served = small_service("mutated-clone", 1, vec![TenantConfig::new("a", 1, 4)]);
+    let template = loadgen::templates().into_iter().find(|t| &*t.name == "svc_mixed").unwrap();
+    served.submit(0, template.clone()).expect("the template is admitted");
+    let mut cyclic = template.clone();
+    let last = cyclic.steps[3].id.clone();
+    cyclic.steps[0].after.push(last);
+    let mut unknown = template.clone();
+    if let StepOp::Launch { args, .. } = &mut unknown.steps[2].op {
+        args[1] = "ghost".into();
+    }
+    let invalid = |e| Err(RejectReason::InvalidSpec(e));
+    assert_eq!(served.submit(0, cyclic), invalid(SpecError::Cycle("in_u".into())));
+    let ghost = SpecError::UnknownRef { step: "g".into(), name: "ghost".into() };
+    assert_eq!(served.submit(0, unknown), invalid(ghost));
+    served.submit(0, template).expect("the original is still admitted");
+    served.run_until_drained();
+    let m = served.metrics().tenant(0);
+    assert_eq!((m.completed.get(), m.rejected.get()), (2, 2));
+}
+
 /// A one-launch job of `global` items declaring `flops` and `bytes` per
 /// item.
 fn work_spec(flops: f64, bytes: f64, global: u64) -> String {
