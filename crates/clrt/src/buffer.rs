@@ -9,13 +9,12 @@
 //! machinery behind the paper's data-movement overhead analysis (Figs. 6–7).
 
 use crate::error::{ClError, ClResult};
-use crate::exec::{BufHazard, DataPlane, TaskId};
-use crate::hazard::Frontier;
-use crate::platform::next_object_id;
-use hwsim::engine::{Engine, EventId};
-use hwsim::sync::Mutex;
+use crate::exec::TaskId;
+use crate::hazard::{Command, Frontier};
+use crate::platform::{next_object_id, RuntimeInner};
+use hwsim::sync::{Mutex, RwLock};
 use hwsim::DeviceId;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Element types a buffer can be viewed as. Implemented for the primitive
 /// numeric types used by the workloads.
@@ -73,6 +72,11 @@ impl DataStore {
     /// exclusively when capturing the pointer.
     pub(crate) fn raw_parts(&mut self) -> (*mut u64, usize) {
         (self.words.as_mut_ptr(), self.byte_len)
+    }
+
+    /// [`Self::raw_parts`] under a shared lock: never written through.
+    pub(crate) fn shared_parts(&self) -> (*mut u64, usize) {
+        (self.words.as_ptr().cast_mut(), self.byte_len)
     }
 
     /// Mutable view as a slice of `T`. Same preconditions as [`Self::as_slice`].
@@ -174,21 +178,19 @@ pub(crate) struct BufferInner {
     /// Fixed at creation, so reading it takes no lock — least of all the
     /// store's, which a running kernel body holds from start to end.
     pub(crate) byte_len: usize,
-    pub(crate) store: Mutex<DataStore>,
+    /// Shared by the bodies that only read the contents, exclusive to one
+    /// that may write them.
+    pub(crate) store: RwLock<DataStore>,
     pub(crate) residency: Mutex<Residency>,
-    /// Data-plane hazard state: the frontier of tasks, and the write
-    /// version counter.
-    pub(crate) hazard: Mutex<BufHazard>,
-    /// Time-plane hazard state: the frontier of timed commands' completion
-    /// events. Every queue records its commands here; only out-of-order
-    /// queues *consult* it, deriving their event wait lists in place of the
-    /// implicit in-order chain. In-order queues get the same ordering from
-    /// their chain, so recording alone never changes any timestamp.
-    pub(crate) stamp_hazard: Mutex<Frontier<EventId>>,
-    /// The executor of the owning runtime; `None` for bare buffers created
-    /// outside a context (unit tests). Host accessors join through it so
+    /// The one hazard record of both planes: every command that touches
+    /// the buffer, as its event and its task ([`crate::hazard`]). Read and
+    /// written only under the engine lock, which every queue consults it
+    /// under ([`crate::CommandQueue`]), so its own lock is never contended.
+    pub(crate) frontier: Mutex<Frontier<Command>>,
+    /// The owning runtime; empty for bare buffers created outside a
+    /// context (unit tests). Host accessors join its data plane so
     /// snapshots always observe completed data-plane writes.
-    pub(crate) plane: Option<Arc<DataPlane>>,
+    pub(crate) rt: Weak<RuntimeInner>,
 }
 
 /// An OpenCL memory object (`clCreateBuffer`).
@@ -204,14 +206,10 @@ impl Buffer {
     /// A bare buffer outside any runtime (no data plane): unit tests only.
     #[cfg(test)]
     pub(crate) fn new(ctx_id: u64, byte_len: usize) -> ClResult<Buffer> {
-        Buffer::new_on_plane(ctx_id, byte_len, None)
+        Buffer::new_in(ctx_id, byte_len, Weak::new())
     }
 
-    pub(crate) fn new_on_plane(
-        ctx_id: u64,
-        byte_len: usize,
-        plane: Option<Arc<DataPlane>>,
-    ) -> ClResult<Buffer> {
+    pub(crate) fn new_in(ctx_id: u64, byte_len: usize, rt: Weak<RuntimeInner>) -> ClResult<Buffer> {
         if byte_len == 0 {
             return Err(ClError::InvalidValue("buffer size must be nonzero".into()));
         }
@@ -220,61 +218,53 @@ impl Buffer {
                 id: next_object_id(),
                 ctx_id,
                 byte_len,
-                store: Mutex::new(DataStore::zeroed(byte_len)),
+                store: RwLock::new(DataStore::zeroed(byte_len)),
                 residency: Mutex::new(Residency::fresh()),
-                hazard: Mutex::new(BufHazard::default()),
-                stamp_hazard: Mutex::new(Frontier::default()),
-                plane,
+                frontier: Mutex::new(Frontier::default()),
+                rt,
             }),
         })
     }
 
-    /// [`crate::Context::renew_buffer`], against the time plane `engine`.
-    pub(crate) fn renew(&self, engine: &Mutex<Engine>) -> ClResult<()> {
-        let engine = engine.lock();
-        let stamps = self.inner.stamp_hazard.lock();
-        let mut live = stamps.predecessors(true).any(|e| !engine.event_completed(e));
-        drop((stamps, engine));
-        // The data plane locks its state before a buffer's hazard state, so
-        // its tasks are asked about with the frontier taken out.
-        let mut frontier = std::mem::take(&mut self.inner.hazard.lock().frontier);
-        let plane = self.inner.plane.as_ref();
-        live = live || plane.is_some_and(|p| frontier.any_live(|ids| p.retain_live(ids)));
-        let mut hazard = self.inner.hazard.lock();
-        if live {
-            hazard.frontier = frontier;
+    /// [`crate::Context::renew_buffer`], in the runtime `rt`: refused while
+    /// a recorded command is live in either plane.
+    pub(crate) fn renew(&self, rt: &RuntimeInner) -> ClResult<()> {
+        let engine = rt.engine.lock();
+        let mut frontier = self.inner.frontier.lock();
+        if frontier.predecessors(true).any(|c| c.event.is_some_and(|e| !engine.event_completed(e)))
+            || rt.plane.any_live(frontier.predecessors(true).filter_map(|c| c.task))
+        {
             return Err(ClError::InvalidOperation(format!("buffer id={} is in use", self.id())));
         }
         frontier.clear();
-        *hazard = BufHazard { frontier, version: 0 };
-        drop(hazard);
-        self.inner.stamp_hazard.lock().clear();
-        self.inner.store.lock().words.fill(0);
+        drop((frontier, engine));
+        self.inner.store.write().words.fill(0);
         self.mark_host_only();
         Ok(())
     }
 
-    /// Join every outstanding data-plane task that writes this buffer, so a
-    /// subsequent read of the store observes final contents.
-    pub(crate) fn sync_for_read(&self) {
-        let Some(plane) = &self.inner.plane else { return };
-        let ids: Vec<TaskId> = self.inner.hazard.lock().frontier.predecessors(false).collect();
-        plane.join(&ids);
+    /// Join every live data-plane task this buffer's next access would
+    /// follow — a write (`write`) or a read — so that access observes final
+    /// contents and races no task. The frontier is read under the engine
+    /// lock, as every consult reads it.
+    fn sync(&self, write: bool) {
+        let Some(rt) = self.inner.rt.upgrade() else { return };
+        let ids: Vec<TaskId> = {
+            let _engine = rt.engine.lock();
+            self.inner.frontier.lock().predecessors(write).filter_map(|c| c.task).collect()
+        };
+        rt.plane.join(&ids);
     }
 
-    /// Join every outstanding task touching this buffer (writers *and*
-    /// readers), so a host-side mutation cannot race an in-flight reader.
-    pub(crate) fn sync_for_write(&self) {
-        let Some(plane) = &self.inner.plane else { return };
-        let ids: Vec<TaskId> = self.inner.hazard.lock().frontier.predecessors(true).collect();
-        plane.join(&ids);
-    }
-
-    /// Number of data-plane writes this buffer has received (kernel
-    /// launches writing it, `enqueue_write`s, copies into it, host fills).
-    /// A cheap coherence probe for tests and diagnostics.
+    /// Number of writes recorded against this buffer: commands that write
+    /// it — kernel launches, `enqueue_write`s and `enqueue_write_host`s,
+    /// copies into it — with a split launch counted once, at its join. A
+    /// host fill records nothing. A cheap coherence probe for tests and
+    /// diagnostics.
     pub fn data_version(&self) -> u64 {
-        self.inner.hazard.lock().version
+        let rt = self.inner.rt.upgrade();
+        let _engine = rt.as_ref().map(|rt| rt.engine.lock());
+        self.inner.frontier.lock().writes()
     }
 
     /// Buffer length in bytes.
@@ -320,16 +310,17 @@ impl Buffer {
     /// experiments; this accessor is for test assertions and host-side
     /// initialization.
     pub fn host_snapshot<T: Element>(&self) -> Vec<T> {
-        self.sync_for_read();
-        self.inner.store.lock().as_slice::<T>().to_vec()
+        self.sync(false);
+        self.inner.store.read().as_slice::<T>().to_vec()
     }
 
     /// Overwrite the host-side storage **without** simulating any transfer,
     /// invalidating all device copies. For initialization and tests; use
     /// [`crate::CommandQueue::enqueue_write`] inside timed experiments.
     pub fn host_fill<T: Element>(&self, data: &[T]) -> ClResult<()> {
-        self.sync_for_write();
-        let mut store = self.inner.store.lock();
+        // A host-side mutation must race no in-flight reader.
+        self.sync(true);
+        let mut store = self.inner.store.write();
         let slice = store.as_mut_slice::<T>();
         if slice.len() != data.len() {
             return Err(ClError::InvalidValue(format!(
@@ -340,7 +331,6 @@ impl Buffer {
         }
         slice.copy_from_slice(data);
         drop(store);
-        self.inner.hazard.lock().version += 1;
         let mut res = self.inner.residency.lock();
         res.devices.clear();
         res.host = true;
@@ -367,10 +357,14 @@ impl Buffer {
     /// in canonical (buffer-id) order as every multi-buffer task does.
     pub(crate) fn copy_store_into(&self, dst: &Buffer) {
         let src_first = self.inner.id < dst.inner.id;
-        let (a, b) = if src_first { (self, dst) } else { (dst, self) };
-        let (a, b) = (a.inner.store.lock(), b.inner.store.lock());
-        let (src, mut dst) = if src_first { (a, b) } else { (b, a) };
-        dst.as_mut_slice::<u8>().copy_from_slice(src.as_slice::<u8>());
+        let (src_store, mut dst_store) = if src_first {
+            let src = self.inner.store.read();
+            (src, dst.inner.store.write())
+        } else {
+            let dst = dst.inner.store.write();
+            (self.inner.store.read(), dst)
+        };
+        dst_store.as_mut_slice::<u8>().copy_from_slice(src_store.as_slice::<u8>());
     }
 
     /// Declare the host copy the *only* valid one **without** moving any

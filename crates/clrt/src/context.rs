@@ -73,7 +73,7 @@ impl Context {
                 "buffer of {byte_len} bytes exceeds the largest device memory ({max_cap} bytes)"
             )));
         }
-        Buffer::new_on_plane(self.id, byte_len, Some(Arc::clone(&self.rt.plane)))
+        Buffer::new_in(self.id, byte_len, Arc::downgrade(&self.rt))
     }
 
     /// Put `buf` back in the state [`Self::create_buffer`] leaves a buffer
@@ -90,7 +90,7 @@ impl Context {
                 buf.id()
             )));
         }
-        buf.renew(&self.rt.engine)
+        buf.renew(&self.rt)
     }
 
     /// The largest buffer [`Self::create_buffer`] admits: the memory of the

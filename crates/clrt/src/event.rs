@@ -1,20 +1,24 @@
 //! Events: completion handles with OpenCL-style profiling timestamps.
 
+use crate::exec::TaskId;
 use crate::platform::RuntimeInner;
 use hwsim::engine::{EventId, EventStamp};
 use hwsim::SimDuration;
 use std::sync::Arc;
 
-/// A `cl_event`: handle to one submitted command's completion.
+/// A `cl_event`: handle to one submitted command's completion, in both
+/// planes: its engine event, and the data-plane task backing it, which a
+/// command waiting on the event follows.
 #[derive(Clone)]
 pub struct Event {
     pub(crate) rt: Arc<RuntimeInner>,
     pub(crate) id: EventId,
+    pub(crate) task: Option<TaskId>,
 }
 
 impl Event {
-    pub(crate) fn new(rt: Arc<RuntimeInner>, id: EventId) -> Event {
-        Event { rt, id }
+    pub(crate) fn new(rt: Arc<RuntimeInner>, id: EventId, task: Option<TaskId>) -> Event {
+        Event { rt, id, task }
     }
 
     /// Block the host until the command completes (`clWaitForEvents`), in
@@ -23,7 +27,7 @@ impl Event {
     /// transitively depends on) has executed.
     pub fn wait(&self) {
         self.rt.engine.lock().wait(self.id);
-        self.rt.plane.join_event(self.id.0);
+        self.rt.plane.join(self.task.as_slice());
     }
 
     /// Profiling timestamps (`clGetEventProfilingInfo`).
@@ -72,7 +76,7 @@ mod tests {
                 queue: 0,
             })
         });
-        Event::new(StdArc::clone(&p.rt), id)
+        Event::new(StdArc::clone(&p.rt), id, None)
     }
 
     #[test]

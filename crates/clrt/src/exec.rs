@@ -12,10 +12,19 @@
 //!
 //! ## Hazard rules
 //!
-//! Each task declares the buffers it reads and writes ([`Access`]). Its
-//! dependencies are the RAW / WAR / WAW predecessors each buffer's
-//! [`Frontier`] of tasks names, captured atomically (under the executor
-//! lock) in enqueue order.
+//! This module knows no buffer. A task's dependencies are handed to it by
+//! the command that issues it: `CommandQueue::submit` consults the one
+//! [`crate::hazard::Frontier`] of each buffer the command touches, under
+//! the engine lock, and from that one consult takes the time plane's
+//! predecessor and the data plane's — the RAW / WAR / WAW predecessors that
+//! are still live tasks. It links the task to them through a `Link`, the
+//! executor lock nested inside the engine lock (this module never takes
+//! the engine lock, so the nesting cannot deadlock), records the task in
+//! the frontiers and makes it live before the executor lock drops. Capture
+//! is therefore atomic across concurrent submitters, and both planes order
+//! racing commands alike. The body runs, or is queued, only after both
+//! locks drop (`Link::dispatch`): no thread blocks while it holds the
+//! engine lock.
 //!
 //! On top of the hazard edges, tasks carry the orderings the program already
 //! expressed: the in-order-queue chain and explicit event wait lists. The
@@ -23,20 +32,21 @@
 //! sequential execution, which is what makes worker count invisible to
 //! results (property-tested in `tests/dataplane.rs`).
 //!
-//! Reader tasks of one buffer may run concurrently; they lock buffer stores
-//! in canonical (buffer-id) order, so concurrent multi-buffer readers cannot
-//! deadlock. Writer/writer and writer/reader pairs are ordered by the DAG
-//! and never run concurrently.
+//! Reader tasks of one buffer may run concurrently: a kernel body holds a
+//! shared lock on a store it only reads and an exclusive one on a store it
+//! may write, taken in canonical (buffer-id) order, so concurrent
+//! multi-buffer tasks cannot deadlock. Writer/writer and writer/reader
+//! pairs are ordered by the DAG and never run concurrently.
 //!
 //! ## Where a task runs
 //!
-//! `DataPlane::submit` decides, under the executor lock it takes for
-//! hazard capture anyway, where the task's body runs. When every
+//! `Link::dispatch` decides, under the executor lock it holds for hazard
+//! capture anyway, where the task's body runs. When every
 //! predecessor has already completed *and* the body is lighter than a
 //! thread hand-off (`LIGHT_WORK`), the task is registered as a live
 //! caller-run node — so racing submitters still order after it — and its
 //! body runs on the enqueueing thread from a borrowing closure, before
-//! `submit` returns. Otherwise its `Work` — a value, arguments shared by
+//! `dispatch` returns. Otherwise its `Work` — a value, arguments shared by
 //! reference count — is queued for the pool. `workers == 1` is the
 //! degenerate case in which every body counts as light and device time is
 //! no reason to queue: single-threaded use never hands a task off.
@@ -58,7 +68,7 @@
 //! panics — takes exactly the path it always took.
 //!
 //! Deadlines sit in one min-heap and are completed lazily, by whoever next
-//! holds the executor lock with a reason to look: `submit` on entry (so
+//! holds the executor lock with a reason to look: `DataPlane::link` (so
 //! hazard capture sees expired predecessors as gone), a worker about to
 //! look for work, and a blocked thread, which wakes for the heap's earliest
 //! deadline whatever it waits for (*Blocking points*). The runtime acts at
@@ -89,7 +99,7 @@
 //!
 //! A deadline wakes no worker: a queued task behind device time is released
 //! by the next thread that looks — a blocked thread at that deadline, a
-//! worker looking for work, the next `submit` — so with no thread blocked
+//! worker looking for work, the next link — so with no thread blocked
 //! it waits for the host's next call, where OpenCL's host observes anything
 //! anyway. Tasks that only ever run on their callers never start a thread.
 //!
@@ -111,10 +121,9 @@
 //! whether or not anything is left to join there.
 
 use crate::buffer::Buffer;
-use crate::hazard::{Access, Frontier};
 use crate::kernel::{BoundArgs, KernelBody, KernelCtx};
 use crate::ndrange::NdRange;
-use hwsim::{engine::EventId, DeviceId};
+use hwsim::DeviceId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::mem;
@@ -167,28 +176,6 @@ fn wait_until(deadline: Instant) {
     while Instant::now() < deadline {
         std::hint::spin_loop();
     }
-}
-
-/// Everything a task must run after, plus the engine event it backs.
-#[derive(Default)]
-pub(crate) struct Order<'a> {
-    /// Buffers the task touches: the source of its hazard edges.
-    pub(crate) accesses: &'a [Access],
-    /// Tasks it follows outright (queue chaining, barriers).
-    pub(crate) after: &'a [TaskId],
-    /// Engine events whose backing tasks it follows (explicit wait lists).
-    pub(crate) wait_events: &'a [EventId],
-    /// Engine event id this task backs, for `Event::wait` joins.
-    pub(crate) event: Option<usize>,
-}
-
-/// Per-buffer hazard state (lives in `BufferInner`): the frontier of live
-/// tasks, and `version`, which counts data-plane writes to the buffer — a
-/// cheap coherence probe for tests and diagnostics.
-#[derive(Debug, Default)]
-pub(crate) struct BufHazard {
-    pub(crate) frontier: Frontier<TaskId>,
-    pub(crate) version: u64,
 }
 
 /// Counters describing executor load (sampled by telemetry).
@@ -250,7 +237,7 @@ impl Work {
             }
             Work::Copy(src, dst) => src.copy_store_into(&dst),
             Work::Write(dst, staged) => {
-                dst.inner.store.lock().as_mut_slice().copy_from_slice(&staged)
+                dst.inner.store.write().as_mut_slice().copy_from_slice(&staged)
             }
             Work::Nop => {}
             #[cfg(test)]
@@ -269,24 +256,12 @@ struct Node {
     caller_run: bool,
     unmet: usize,
     dependents: Vec<TaskId>,
-    /// Engine event id this task backs, for `Event::wait` joins.
-    event: Option<usize>,
     /// A blocked thread named this task as what it waits for: its
     /// completion, or its entering device time, signals `done_cv`.
     watched: bool,
     /// In device time: the body has returned and the task completes when
     /// this instant has passed (it is in `State::cooling` until then).
     deadline: Option<Instant>,
-}
-
-/// What [`State::link`] found a new task to depend on.
-struct Linked {
-    id: TaskId,
-    /// Live predecessors, all told.
-    unmet: usize,
-    /// Those of them whose body has yet to return; the rest are in device
-    /// time.
-    running: usize,
 }
 
 #[derive(Default)]
@@ -296,8 +271,6 @@ struct State {
     ready: VecDeque<TaskId>,
     /// Tasks in device time, earliest deadline first.
     cooling: BinaryHeap<Reverse<(Instant, TaskId)>>,
-    /// Engine event id → live task backing it.
-    events: HashMap<usize, TaskId>,
     /// Emptied dependent lists of retired tasks, reused by new ones: never
     /// more than the peak number of live tasks.
     spare: Vec<Vec<TaskId>>,
@@ -324,66 +297,17 @@ struct State {
 }
 
 impl State {
-    /// Allocate the next task id and add an edge to it from every live
-    /// predecessor `order` names, updating the per-buffer hazard state.
-    /// The caller holds the executor lock, which makes capture atomic
-    /// across concurrent submitters; the per-buffer locks are leaves (never
-    /// held across another lock acquisition).
-    fn link(&mut self, order: &Order<'_>) -> Linked {
-        let id = self.next;
-        self.next += 1;
-        let mut l = Linked { id, unmet: 0, running: 0 };
-        // Completed predecessors are gone from `tasks` and add nothing. All
-        // of `id`'s edges are added under this one hold of the lock, so a
-        // predecessor named twice already has `id` as its newest dependent.
-        let mut after = |tasks: &mut HashMap<TaskId, Node>, dep: TaskId| {
-            if let Some(n) = tasks.get_mut(&dep) {
-                if n.dependents.last() != Some(&id) {
-                    n.dependents.push(id);
-                    l.unmet += 1;
-                    l.running += usize::from(n.deadline.is_none());
-                }
-            }
-        };
-        for a in order.accesses {
-            let mut h = a.buf.inner.hazard.lock();
-            for dep in h.frontier.predecessors(a.write) {
-                after(&mut self.tasks, dep);
-            }
-            if a.write {
-                h.version += 1;
-            } else {
-                // Prune completed readers so read-heavy buffers stay small.
-                h.frontier.prune_readers(|t| self.tasks.contains_key(t));
-            }
-            h.frontier.record(id, a.write);
-        }
-        for &d in order.after {
-            after(&mut self.tasks, d);
-        }
-        for e in order.wait_events {
-            if let Some(&t) = self.events.get(&e.0) {
-                after(&mut self.tasks, t);
-            }
-        }
-        l
-    }
-
     /// Make `id` live with `unmet` open dependencies.
-    fn insert(&mut self, id: TaskId, unmet: usize, caller_run: bool, event: Option<usize>) {
+    fn insert(&mut self, id: TaskId, unmet: usize, caller_run: bool) {
         let node = Node {
             work: Work::Nop,
             caller_run,
             unmet,
             dependents: self.spare.pop().unwrap_or_default(),
-            event,
             watched: false,
             deadline: None,
         };
         self.tasks.insert(id, node);
-        if let Some(e) = event {
-            self.events.insert(e, id);
-        }
     }
 
     /// Count `id` as handed off (pool or blocking read).
@@ -430,77 +354,22 @@ impl DataPlane {
         self.workers
     }
 
-    /// Submit a task of `work` nominal units (see [`LIGHT_WORK`]) ordered by
-    /// `order`, and decide where it runs (module docs, *Where a task runs*):
-    /// light and unblocked — or, with one worker, blocked only by device
-    /// time — `run` is called on this thread before `submit` returns; otherwise
-    /// `owned` builds the task's [`Work`] and the task is queued. Exactly
-    /// one of the two closures is called; either body returns the device
-    /// time it declares. Returns the task's id if it is still live —
-    /// queued, or in device time — for the caller to chain after and join,
-    /// and `None` if it completed here.
-    pub(crate) fn submit(
-        self: &Arc<Self>,
-        order: Order<'_>,
-        work: u64,
-        run: impl FnOnce() -> Duration,
-        owned: impl FnOnce() -> Work,
-    ) -> Option<TaskId> {
+    /// Open a new task's [`Link`]: lock the executor, retire the deadlines
+    /// that have passed (so the consult sees expired predecessors as gone)
+    /// and number the task.
+    pub(crate) fn link(self: &Arc<Self>) -> Link<'_> {
         let mut st = self.state.lock();
         self.expire(&mut st, 0);
-        let Linked { id, unmet, running } = st.link(&order);
-        // Light and unblocked; with one worker, anything no running body
-        // holds back (device time is waited out here).
-        let here = if self.workers <= 1 { running == 0 } else { unmet == 0 && work <= LIGHT_WORK };
-        if here {
-            st.insert(id, unmet, true, order.event);
-            st.inline_tasks += 1;
-            if unmet > 0 {
-                // Not a blocking point: a recorded panic stays recorded.
-                st = self.wait_while(st, Self::unmet_of(id));
-            }
-            drop(st);
-            let outcome = run_body(run);
-            return self.settle(&mut self.state.lock(), id, outcome, 0).then_some(id);
-        }
-        // Building the work stages a write's payload and counts references
-        // to arguments, so it happens outside the lock: until it is
-        // attached the submitter itself holds one dependency of the task.
-        st.insert(id, unmet + 1, false, order.event);
-        st.count_submitted();
-        drop(st);
-        let work = owned();
-        let mut st = self.state.lock();
-        let node = st.tasks.get_mut(&id).expect("the submitter's dependency keeps the task live");
-        node.work = work;
-        node.unmet -= 1;
-        if node.unmet == 0 {
-            st.ready.push_back(id);
-            self.ensure_workers(&mut st);
-            let worker = st.idle.pop();
-            drop(st);
-            if let Some(w) = worker {
-                w.unpark();
-            }
-        }
-        Some(id)
+        let id = st.next;
+        st.next += 1;
+        Link { plane: self, st, id, unmet: 0, running: 0 }
     }
 
-    /// Register a *manual* task: it participates in hazard tracking like any
-    /// other task, but its body runs on the caller thread between
-    /// [`ManualTask::wait_ready`] and completion (drop). Used by blocking
-    /// reads so later writers order after the host copy-out.
-    pub(crate) fn begin_manual(
-        self: &Arc<Self>,
-        accesses: &[Access],
-        after: &[TaskId],
-    ) -> ManualTask {
-        let mut st = self.state.lock();
-        self.expire(&mut st, 0);
-        let l = st.link(&Order { accesses, after, ..Order::default() });
-        st.insert(l.id, l.unmet, true, None);
-        st.count_submitted();
-        ManualTask { plane: Arc::clone(self), id: l.id }
+    /// Whether any of `tasks` is live. Taken under a buffer's frontier lock,
+    /// which only ever is under the engine lock.
+    pub(crate) fn any_live(&self, mut tasks: impl Iterator<Item = TaskId>) -> bool {
+        let st = self.state.lock();
+        tasks.any(|t| st.tasks.contains_key(&t))
     }
 
     fn spawn_worker(self: &Arc<Self>, st: &mut State) {
@@ -655,9 +524,6 @@ impl DataPlane {
     /// ready (who claims it from `done_cv`).
     fn complete_locked(st: &mut State, id: TaskId) -> (usize, bool) {
         let Some(node) = st.tasks.remove(&id) else { return (0, false) };
-        if let Some(e) = node.event {
-            st.events.remove(&e);
-        }
         let mut released = 0;
         let mut awaited = node.watched;
         let mut dependents = node.dependents;
@@ -753,11 +619,6 @@ impl DataPlane {
         });
     }
 
-    /// Join the task backing engine event `ev`, if one is still live.
-    pub(crate) fn join_event(self: &Arc<Self>, ev: usize) {
-        self.block_while(true, |st| st.events.get(&ev).copied());
-    }
-
     /// Drop completed ids from `ids` (bounds per-queue bookkeeping).
     pub(crate) fn retain_live(&self, ids: &mut Vec<TaskId>) {
         let st = self.state.lock();
@@ -832,6 +693,107 @@ impl Drop for PlaneHandle {
     }
 }
 
+/// A new task being linked, the executor locked: a command's consult under
+/// the engine lock opens one ([`DataPlane::link`]), adds an edge for each
+/// live predecessor it finds and records [`Self::id`] in the frontiers; the
+/// task goes live before the lock drops — as a task to run
+/// ([`Self::dispatch`]) or as a blocking read's copy-out ([`Self::manual`]).
+#[must_use = "a linked task goes live before the executor lock drops"]
+pub(crate) struct Link<'a> {
+    plane: &'a Arc<DataPlane>,
+    st: MutexGuard<'a, State>,
+    id: TaskId,
+    /// Live predecessors, all told.
+    unmet: usize,
+    /// Those of them whose body has yet to return; the rest are in device
+    /// time.
+    running: usize,
+}
+
+impl Link<'_> {
+    /// The task's id, for the frontiers and the queue to record.
+    pub(crate) fn id(&self) -> TaskId {
+        self.id
+    }
+
+    /// Whether `task` is live: queued, running, or in device time.
+    pub(crate) fn is_live(&self, task: TaskId) -> bool {
+        self.st.tasks.contains_key(&task)
+    }
+
+    /// Order the task after `dep`; a completed one is gone and adds nothing.
+    /// Every edge is added under this one hold of the lock, so a predecessor
+    /// named twice already has the task as its newest dependent.
+    pub(crate) fn after(&mut self, dep: TaskId) {
+        if let Some(n) = self.st.tasks.get_mut(&dep) {
+            if n.dependents.last() != Some(&self.id) {
+                n.dependents.push(self.id);
+                self.unmet += 1;
+                self.running += usize::from(n.deadline.is_none());
+            }
+        }
+    }
+
+    /// Make the task live, `work` nominal units (see [`LIGHT_WORK`]), and,
+    /// with no lock held, run it here — light and unblocked, or with one
+    /// worker blocked only by device time — through `run`, or queue the
+    /// [`Work`] `owned` builds (module docs, *Where a task runs*). Exactly
+    /// one closure is called; either body returns the device time it
+    /// declares. Returns the id while the task is live — queued, or in
+    /// device time — and `None` if it completed here.
+    pub(crate) fn dispatch(
+        self,
+        work: u64,
+        run: impl FnOnce() -> Duration,
+        owned: impl FnOnce() -> Work,
+    ) -> Option<TaskId> {
+        let Link { plane, mut st, id, unmet, running } = self;
+        let here = if plane.workers <= 1 { running == 0 } else { unmet == 0 && work <= LIGHT_WORK };
+        if here {
+            st.insert(id, unmet, true);
+            st.inline_tasks += 1;
+            if unmet > 0 {
+                // Not a blocking point: a recorded panic stays recorded.
+                st = plane.wait_while(st, DataPlane::unmet_of(id));
+            }
+            drop(st);
+            let outcome = run_body(run);
+            return plane.settle(&mut plane.state.lock(), id, outcome, 0).then_some(id);
+        }
+        // Building the work stages a write's payload and counts references
+        // to arguments, so it happens outside the lock: until it is
+        // attached the submitter itself holds one dependency of the task.
+        st.insert(id, unmet + 1, false);
+        st.count_submitted();
+        drop(st);
+        let work = owned();
+        let mut st = plane.state.lock();
+        let node = st.tasks.get_mut(&id).expect("the submitter's dependency keeps the task live");
+        node.work = work;
+        node.unmet -= 1;
+        if node.unmet == 0 {
+            st.ready.push_back(id);
+            plane.ensure_workers(&mut st);
+            let worker = st.idle.pop();
+            drop(st);
+            if let Some(w) = worker {
+                w.unpark();
+            }
+        }
+        Some(id)
+    }
+
+    /// Make the task live as a *manual* task: ordered like any other, its
+    /// body runs on the caller thread between [`ManualTask::wait_ready`]
+    /// and completion (drop). Blocking reads use it, so later writers order
+    /// after the host copy-out.
+    pub(crate) fn manual(mut self) -> ManualTask {
+        self.st.insert(self.id, self.unmet, true);
+        self.st.count_submitted();
+        ManualTask { plane: Arc::clone(self.plane), id: self.id }
+    }
+}
+
 /// A registered-but-caller-executed task (blocking reads). Dropping it
 /// completes the task, releasing dependents — including on panic paths.
 pub(crate) struct ManualTask {
@@ -870,6 +832,7 @@ fn payload_msg(e: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::buffer::Buffer;
+    use crate::hazard::{Access, Command};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -881,8 +844,48 @@ mod tests {
         Buffer::new(1, bytes).unwrap()
     }
 
+    /// What a test task follows: the hazards of the buffers it touches, and
+    /// tasks of its own choosing.
+    #[derive(Default)]
+    struct Order<'a> {
+        accesses: &'a [Access],
+        after: &'a [TaskId],
+    }
+
     fn on(accesses: &[Access]) -> Order<'_> {
         Order { accesses, ..Order::default() }
+    }
+
+    /// Link a task as a queue does: after the live tasks its accesses'
+    /// frontiers name, recorded in them (a queue records the event half
+    /// too, under the engine lock), and after `order`'s own edges.
+    fn link<'p>(p: &'p Arc<DataPlane>, order: &Order<'_>) -> Link<'p> {
+        let mut link = p.link();
+        for a in order.accesses {
+            let mut f = a.buf.inner.frontier.lock();
+            for c in f.predecessors(a.write) {
+                c.task.into_iter().for_each(|t| link.after(t));
+            }
+            f.record(Command { event: None, task: Some(link.id()) }, a.write);
+        }
+        order.after.iter().for_each(|&t| link.after(t));
+        link
+    }
+
+    /// Link and dispatch one task.
+    fn submit(
+        p: &Arc<DataPlane>,
+        order: Order<'_>,
+        work: u64,
+        run: impl FnOnce() -> Duration,
+        owned: impl FnOnce() -> Work,
+    ) -> Option<TaskId> {
+        link(p, &order).dispatch(work, run, owned)
+    }
+
+    /// A blocking read's copy-out over `accesses`.
+    fn manual(p: &Arc<DataPlane>, accesses: &[Access]) -> ManualTask {
+        link(p, &on(accesses)).manual()
     }
 
     /// Submit `f`, a body of `work` nominal units that returns the device
@@ -895,7 +898,7 @@ mod tests {
     ) -> Option<TaskId> {
         let f = std::cell::Cell::new(Some(f));
         let take = || f.take().expect("exactly one of the two closures runs");
-        p.submit(order, work, || take()(), || Work::Closure(Box::new(take())))
+        submit(p, order, work, || take()(), || Work::Closure(Box::new(take())))
     }
 
     /// Submit `f` as a body too heavy to run on the caller: always pooled
@@ -907,7 +910,7 @@ mod tests {
                 Duration::ZERO
             }))
         };
-        p.submit(order, u64::MAX, || unreachable!("a heavy body ran on the caller"), owned)
+        submit(p, order, u64::MAX, || unreachable!("a heavy body ran on the caller"), owned)
             .expect("heavy tasks are queued")
     }
 
@@ -929,7 +932,8 @@ mod tests {
         let hits = AtomicUsize::new(0);
         let b = buf(8);
         // Borrowing body, any weight: no `'static`, no `Send`, no hand-off.
-        let t = p.submit(
+        let t = submit(
+            &p,
             on(&[Access::write(&b)]),
             u64::MAX,
             || {
@@ -1006,7 +1010,8 @@ mod tests {
         std::thread::scope(|s| {
             let (pa, ba, la) = (&p, &b, Arc::clone(&log));
             s.spawn(move || {
-                let t = pa.submit(
+                let t = submit(
+                    pa,
                     on(&[Access::write(ba)]),
                     1,
                     || {
@@ -1066,7 +1071,7 @@ mod tests {
         let p = plane(2);
         park_workers(&p, 2);
         let b = buf(8);
-        let read = p.begin_manual(&[Access::read(&b)], &[]);
+        let read = manual(&p, &[Access::read(&b)]);
         let (tx, ran) = mpsc::channel();
         // Queued behind the live read: not ready, so nobody is signalled.
         let w = heavy(&p, on(&[Access::write(&b)]), move || tx.send(()).unwrap());
@@ -1241,35 +1246,26 @@ mod tests {
     }
 
     #[test]
-    fn task_deps_and_event_mapping_are_honored() {
+    fn explicit_task_deps_are_honored() {
         let p = plane(2);
         let b = buf(8);
         let c = buf(8);
         let log = Arc::new(Mutex::new(Vec::<u32>::new()));
         let l1 = Arc::clone(&log);
-        let t1 = heavy(
-            &p,
-            Order { accesses: &[Access::write(&b)], event: Some(77), ..Order::default() },
-            move || {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-                l1.lock().push(1);
-            },
-        );
-        // No hazard overlap (different buffer), ordered only via the event.
+        let t1 = heavy(&p, on(&[Access::write(&b)]), move || {
+            std::thread::sleep(std::time::Duration::from_millis(15));
+            l1.lock().push(1);
+        });
+        // No hazard overlap (different buffer), ordered only by the task an
+        // explicit event wait names.
         let l2 = Arc::clone(&log);
-        let _t2 = heavy(
-            &p,
-            Order {
-                accesses: &[Access::write(&c)],
-                wait_events: &[EventId(77)],
-                ..Order::default()
-            },
-            move || l2.lock().push(2),
-        );
-        // And one ordered via an explicit task dep.
+        let t2 = heavy(&p, Order { accesses: &[Access::write(&c)], after: &[t1] }, move || {
+            l2.lock().push(2)
+        });
+        // And one that touches nothing.
         let l3 = Arc::clone(&log);
         let t3 = heavy(&p, Order { after: &[t1], ..Order::default() }, move || l3.lock().push(3));
-        p.join_event(77);
+        p.join(&[t2]);
         p.join(&[t3]);
         p.quiesce();
         let order = log.lock().clone();
@@ -1283,20 +1279,20 @@ mod tests {
         let p = plane(2);
         let b = buf(8);
         b.host_fill::<u64>(&[42]).unwrap();
-        let m = p.begin_manual(&[Access::read(&b)], &[]);
+        let m = manual(&p, &[Access::read(&b)]);
         m.wait_ready();
         // While the manual task is live, submit a light writer; it must not
         // run — on the caller or anywhere — until the manual task drops.
         let b2 = b.clone();
         let w = light(&p, on(&[Access::write(&b)]), move || {
-            b2.inner.store.lock().as_mut_slice::<u64>()[0] = 7
+            b2.inner.store.write().as_mut_slice::<u64>()[0] = 7
         })
         .expect("WAR on the live read blocks the writer");
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(b.inner.store.lock().as_slice::<u64>()[0], 42, "WAR hazard violated");
+        assert_eq!(b.inner.store.read().as_slice::<u64>()[0], 42, "WAR hazard violated");
         drop(m);
         p.join(&[w]);
-        assert_eq!(b.inner.store.lock().as_slice::<u64>()[0], 7);
+        assert_eq!(b.inner.store.read().as_slice::<u64>()[0], 7);
         p.shutdown();
     }
 
@@ -1307,11 +1303,11 @@ mod tests {
         for _ in 0..16 {
             let c = b.clone();
             heavy(&p, on(&[Access::write(&b)]), move || {
-                c.inner.store.lock().as_mut_slice::<u64>()[0] += 1;
+                c.inner.store.write().as_mut_slice::<u64>()[0] += 1;
             });
         }
         p.quiesce();
-        assert_eq!(b.inner.store.lock().as_slice::<u64>()[0], 16);
+        assert_eq!(b.inner.store.read().as_slice::<u64>()[0], 16);
         let s = p.stats();
         assert_eq!(s.submitted, 16);
         assert_eq!(s.executed, 16);
@@ -1626,7 +1622,7 @@ mod tests {
         let p = plane(2);
         let (b, spans) = (buf(8), Spans::default());
         task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
-        let read = p.begin_manual(&[Access::read(&b)], &[]);
+        let read = manual(&p, &[Access::read(&b)]);
         read.wait_ready();
         assert!(Instant::now() >= spans.lock()[0].1 + d, "read inside its writer's device time");
         drop(read);
@@ -1638,7 +1634,7 @@ mod tests {
         let (release, gate) = mpsc::channel::<()>();
         heavy(&p, on(&[Access::write(&c)]), move || gate.recv().unwrap());
         task(&p, on(&[Access::write(&b)]), 1, timed(&spans, d)).expect("in device time");
-        let read = p.begin_manual(&[Access::read(&b), Access::read(&c)], &[]);
+        let read = manual(&p, &[Access::read(&b), Access::read(&c)]);
         release.send(()).unwrap();
         let reader = std::thread::spawn(move || {
             read.wait_ready();
@@ -1658,7 +1654,7 @@ mod tests {
             gate.recv().unwrap();
             body()
         });
-        let read = p.begin_manual(&[Access::read(&b)], &[]);
+        let read = manual(&p, &[Access::read(&b)]);
         let id = read.id;
         let reader = std::thread::spawn(move || {
             read.wait_ready();

@@ -3,12 +3,16 @@
 //! An [`Access`] says a command reads or may write a buffer's contents; a
 //! [`Frontier`] is what a buffer remembers of the accesses so far — the
 //! last writer and the readers since — and is the only statement of the
-//! RAW / WAR / WAW rule in the workspace. Every layer that orders commands
-//! by their buffer sets keeps frontiers and differs only in what it calls
-//! a command: the time plane an engine event (virtual-time wait lists, one
-//! frontier per buffer), the data plane a task (executor edges, likewise).
+//! RAW / WAR / WAW rule in the workspace. A buffer keeps one frontier, of
+//! [`Command`]s: each entry carries both halves of a command, its engine
+//! event (the time plane) and its data-plane task. A queue consults it once
+//! per command, under the engine lock, and takes both planes' predecessors
+//! from that one consult (`CommandQueue::submit`): the time plane the one
+//! that ends latest, the data plane every live task.
 
 use crate::buffer::Buffer;
+use crate::exec::TaskId;
+use hwsim::engine::EventId;
 
 /// One distinct buffer a command touches.
 #[derive(Debug, Clone)]
@@ -31,17 +35,29 @@ impl Access {
     }
 }
 
+/// One command as both planes know it. A host-side write has no event
+/// (`CommandQueue::enqueue_write_host`); a migration, a split's gather and
+/// the first leg of a staged migration have no task.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Command {
+    /// The engine event: what the time plane waits on.
+    pub event: Option<EventId>,
+    /// The data-plane task: what the executor orders after.
+    pub task: Option<TaskId>,
+}
+
 /// The accesses to one buffer's contents that a later access can depend
 /// on: the last writer, and the readers since that write.
 #[derive(Debug)]
 pub struct Frontier<Id> {
     writer: Option<Id>,
     readers: Vec<Id>,
+    writes: u64,
 }
 
 impl<Id> Default for Frontier<Id> {
     fn default() -> Self {
-        Frontier { writer: None, readers: Vec::new() }
+        Frontier { writer: None, readers: Vec::new(), writes: 0 }
     }
 }
 
@@ -60,16 +76,26 @@ impl<Id: Copy> Frontier<Id> {
         if write {
             self.writer = Some(id);
             self.readers.clear();
+            self.writes += 1;
         } else {
             self.readers.push(id);
         }
     }
 
-    /// Forget every access, keeping the readers' capacity for the next
-    /// buffer replayed through this frontier.
+    /// Record a write by replacing the writer with what `f` makes of it,
+    /// keeping the readers: a write one plane alone orders, which leaves
+    /// the other plane's half of the writer and its readers as they were.
+    pub fn rewrite_writer(&mut self, f: impl FnOnce(Option<Id>) -> Id) {
+        self.writer = Some(f(self.writer));
+        self.writes += 1;
+    }
+
+    /// Forget every access and the write count, keeping the readers'
+    /// capacity for the next buffer replayed through this frontier.
     pub fn clear(&mut self) {
         self.writer = None;
         self.readers.clear();
+        self.writes = 0;
     }
 
     /// Forget the readers `live` rejects: a reader that has completed
@@ -79,28 +105,14 @@ impl<Id: Copy> Frontier<Id> {
         self.readers.retain(live);
     }
 
-    /// Whether any recorded access is live, as `retain_live` — which drops
-    /// the ids it finds completed from a list — says. The list is the
-    /// readers' own with the writer pushed on for the call, so asking
-    /// allocates nothing once it has held one id more than the readers;
-    /// completed readers are forgotten, as [`Self::prune_readers`] does, and
-    /// the writer is kept.
-    pub(crate) fn any_live(&mut self, retain_live: impl FnOnce(&mut Vec<Id>)) -> bool
-    where
-        Id: PartialEq,
-    {
-        self.readers.extend(self.writer);
-        retain_live(&mut self.readers);
-        let live = !self.readers.is_empty();
-        if self.writer.is_some() && self.readers.last() == self.writer.as_ref() {
-            self.readers.pop();
-        }
-        live
-    }
-
     /// Readers since the last write (pruned ones excluded).
     pub fn reader_count(&self) -> usize {
         self.readers.len()
+    }
+
+    /// Writes recorded since the frontier was new or cleared.
+    pub fn writes(&self) -> u64 {
+        self.writes
     }
 }
 
@@ -158,22 +170,16 @@ mod tests {
     }
 
     #[test]
-    fn asking_for_live_accesses_prunes_readers_and_keeps_the_writer() {
+    fn a_rewritten_writer_keeps_the_readers_and_counts_as_a_write() {
         let mut f = Frontier::default();
-        assert!(!f.any_live(|ids| ids.retain(|_| true)), "an empty frontier");
         f.record(7u32, true);
         f.record(8, false);
+        f.rewrite_writer(|w| w.unwrap() + 10);
+        assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [17, 8]);
+        assert_eq!(f.predecessors(false).collect::<Vec<_>>(), [17]);
         f.record(9, false);
-        // The check sees every id, the writer last.
-        assert!(f.any_live(|ids| {
-            assert_eq!(ids, &[8, 9, 7]);
-            ids.retain(|&id| id == 9);
-        }));
-        assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7, 9]);
-        // A live writer is live, and stays the writer.
-        assert!(f.any_live(|ids| ids.retain(|&id| id == 7)));
-        assert_eq!(f.predecessors(true).collect::<Vec<_>>(), [7]);
-        assert!(!f.any_live(|ids| ids.clear()));
-        assert_eq!(f.predecessors(false).collect::<Vec<_>>(), [7]);
+        assert_eq!((f.reader_count(), f.writes()), (2, 2));
+        f.clear();
+        assert_eq!((f.predecessors(true).count(), f.writes()), (0, 0));
     }
 }

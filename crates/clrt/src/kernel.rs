@@ -13,7 +13,7 @@ use crate::error::{ClError, ClResult};
 use crate::hazard::Access;
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
-use hwsim::sync::{Mutex, MutexGuard};
+use hwsim::sync::{Mutex, RwLockReadGuard, RwLockWriteGuard};
 use hwsim::{DeviceId, KernelCostSpec};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -140,10 +140,10 @@ impl BoundArgs {
         self.touched().iter().map(|t| t.buf.byte_len() as u64).max().unwrap_or(0)
     }
 
-    /// The touched buffers in canonical (ascending buffer-id) order.
-    fn lock_order(&self) -> impl Iterator<Item = &Buffer> {
+    /// The touches in canonical (ascending buffer-id) order.
+    fn lock_order(&self) -> impl Iterator<Item = &Access> {
         let tables = self.tables();
-        tables.lock_order.iter().map(|&slot| &tables.touched[slot].buf)
+        tables.lock_order.iter().map(|&slot| &tables.touched[slot])
     }
 }
 
@@ -363,11 +363,13 @@ enum Borrow {
     Exclusive,
 }
 
-/// A locked buffer plus the raw storage pointer captured while we held the
-/// exclusive guard. The guard is kept alive for the context's lifetime, so
-/// the pointer remains valid and exclusive to this context.
+/// A locked buffer plus the raw storage pointer captured while we held its
+/// guard — exclusive if the launch may write the buffer, else shared. The
+/// guard is kept alive for the context's lifetime, so the pointer remains
+/// valid (and exclusive to this context where it may be viewed mutably).
 struct LockedStore<'a> {
-    _guard: MutexGuard<'a, DataStore>,
+    _shared: Option<RwLockReadGuard<'a, DataStore>>,
+    _exclusive: Option<RwLockWriteGuard<'a, DataStore>>,
     ptr: *mut u64,
     byte_len: usize,
     borrow: Cell<Borrow>,
@@ -410,8 +412,8 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Locks are acquired in canonical (buffer-id) order, not argument
     /// order: concurrent data-plane tasks may *read* overlapping buffer
-    /// sets (writers are serialized by the hazard DAG), and a fixed global
-    /// lock order keeps reader/reader store locking deadlock-free.
+    /// sets, each store locked shared (writers are serialized by the hazard
+    /// DAG), and a fixed global lock order keeps store locking deadlock-free.
     pub(crate) fn with_offset(
         nd: NdRange,
         device: DeviceId,
@@ -419,10 +421,13 @@ impl<'a> KernelCtx<'a> {
         args: &'a BoundArgs,
     ) -> KernelCtx<'a> {
         let mut stores = SPARE_STORES.try_with(Cell::take).unwrap_or_default();
-        stores.extend(args.lock_order().map(|b| {
-            let mut guard = b.inner.store.lock();
-            let (ptr, byte_len) = guard.raw_parts();
-            LockedStore { _guard: guard, ptr, byte_len, borrow: Cell::new(Borrow::None) }
+        stores.extend(args.lock_order().map(|t| {
+            let (mut _shared, mut _exclusive) = (None, None);
+            let (ptr, byte_len) = match t.write {
+                true => _exclusive.insert(t.buf.inner.store.write()).raw_parts(),
+                false => _shared.insert(t.buf.inner.store.read()).shared_parts(),
+            };
+            LockedStore { _shared, _exclusive, ptr, byte_len, borrow: Cell::new(Borrow::None) }
         }));
         KernelCtx { nd, device, global_offset, args, stores, device_time: Duration::ZERO }
     }
@@ -512,8 +517,10 @@ impl<'a> KernelCtx<'a> {
             Borrow::Exclusive => panic!("kernel argument {idx}: buffer already borrowed mutably"),
         }
         let n = Self::element_count::<T>(store, idx);
-        // SAFETY: as in `slice`, and the flag now records an exclusive
-        // borrow, so no other view of this buffer will be handed out.
+        // SAFETY: as in `slice`; only a `BufferMut` binding gets here, whose
+        // touch is a write, so the lock is exclusive; and the flag now records
+        // an exclusive borrow, so no other view of this buffer will be handed
+        // out.
         unsafe { std::slice::from_raw_parts_mut(store.ptr.cast::<T>(), n) }
     }
 
@@ -637,7 +644,7 @@ mod tests {
         assert_eq!(args.max_buffer_bytes(), 64);
         // Stores are locked in ascending buffer id, and duplicate
         // references share the one store of their buffer.
-        let order: Vec<u64> = args.lock_order().map(Buffer::id).collect();
+        let order: Vec<u64> = args.lock_order().map(|t| t.buf.id()).collect();
         assert_eq!(order, [a.id(), b.id(), c.id()]);
         for (i, b) in args.iter().enumerate().filter_map(|(i, a)| Some((i, a.buffer()?))) {
             assert_eq!(order[args.inner.ranks[i]], b.id(), "argument {i}");

@@ -25,23 +25,24 @@
 //! 2. inserts the implicit data movement the command needs (buffer
 //!    residency → H2D / D2H / staged D2D), charging virtual time,
 //! 3. states the buffers the command touches, once ([`Access`]), and
-//!    submits the command to the hwsim engine (time plane) through the one
-//!    consult and record → submit sequence (`submit`), and
-//! 4. submits the host-side effect (kernel body, store copy) to the
-//!    hazard-tracked data-plane executor ([`crate::exec`]), ordered by the
-//!    same touches, which runs it on the enqueueing thread when nothing
-//!    blocks it and it is lighter than a hand-off, and on its worker pool
-//!    otherwise.
+//!    consults their frontiers once, under the engine lock, for both planes
+//!    (`consult`): the command goes to the hwsim engine (time plane) after
+//!    the predecessor that ends latest, and its host-side effect (kernel
+//!    body, store copy) is linked as a task of the data-plane executor
+//!    ([`crate::exec`]) after every live predecessor task, and
+//! 4. once the locks are dropped, runs that task on the enqueueing thread
+//!    when nothing blocks it and it is lighter than a hand-off, and on the
+//!    worker pool otherwise.
 //!
-//! The planes see a touch the same way except in the rows of `Stamp`'s
-//! table (below, and DESIGN.md §11).
+//! How each command is recorded in the frontiers, and whether it has a
+//! task, is `Stamp`'s table (below, and DESIGN.md §11).
 
 use crate::buffer::{bytes_of, Buffer, Element};
 use crate::context::Context;
 use crate::error::{ClError, ClResult};
 use crate::event::Event;
-use crate::exec::{DataPlane, Order, TaskId, Work};
-use crate::hazard::Access;
+use crate::exec::{DataPlane, Link, TaskId, Work};
+use crate::hazard::{Access, Command};
 use crate::kernel::{BoundArgs, Kernel, KernelCtx};
 use crate::ndrange::NdRange;
 use crate::platform::next_object_id;
@@ -54,33 +55,38 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the time plane sees a command's touches. The data plane always
-/// orders the command's task by the touches as stated — the two planes
-/// differ in exactly these rows:
+/// How a command is recorded in the frontiers of the buffers it touches —
+/// one rule per command, for both planes — and whether it has a
+/// data-plane task:
 ///
-/// | command                         | time plane              | data plane         |
-/// |---------------------------------|-------------------------|--------------------|
-/// | write, read, copy, whole launch | as stated               | as stated          |
-/// | chunk of a split launch         | reader                  | as stated          |
-/// | split gather, migration         | as stated (a read)      | no task            |
-/// | D2H leg of a staged migration   | consulted, not recorded | no task            |
-/// | split join                      | writer                  | as stated (a read) |
-/// | split start, barrier            | consulted, not recorded | touches nothing    |
+/// | command                         | frontier                | task                                |
+/// |---------------------------------|-------------------------|-------------------------------------|
+/// | write, read, copy, whole launch | as stated               | yes (a self-copy's runs nothing)    |
+/// | chunk of a split launch         | reader                  | yes, after its previous sibling's   |
+/// | split gather, migration         | as stated (a read)      | none                                |
+/// | D2H leg of a staged migration   | consulted, not recorded | none                                |
+/// | split join                      | writer                  | runs nothing, after the chunks'     |
+/// | split start, barrier            | consulted, not recorded | runs nothing, after what it found   |
+/// | `enqueue_write_host`            | the writer's task half  | yes, and no event                   |
 ///
 /// The split rows are [`CommandQueue::enqueue_ndrange_split`]'s. Sibling
-/// chunks write disjoint sub-ranges, so in virtual time they are mutually
-/// unordered readers (in wall-clock time they share the buffer's
-/// store lock anyway, and serializing them keeps results exact); the join
-/// then stands for the whole split's write, so that later consumers order
-/// after every chunk and not after one, while its task only has to follow
-/// the chunks' tasks. A marker touches nothing itself, and what follows a
-/// staged migration's second leg follows its first.
+/// chunks write disjoint sub-ranges, so they are mutually unordered
+/// readers, and the join stands for the whole split's write: later
+/// consumers order after every chunk. Chunks that write one store would
+/// take its lock in turn anyway, so each follows its previous sibling. The
+/// start marker's task follows what its consult found, so the chunks still
+/// follow the readers a write must (WAR). What follows a staged migration's
+/// second leg follows its first. A command with no task leaves the data
+/// plane to the writer it read. `enqueue_write_host`, the one task with no
+/// event, replaces the writer's task half alone: the time plane never sees
+/// it.
 #[derive(Clone, Copy, PartialEq)]
 enum Stamp {
     AsStated,
     Reader,
     Writer,
     Unrecorded,
+    HostWrite,
 }
 
 impl Stamp {
@@ -88,14 +94,14 @@ impl Stamp {
         match self {
             Stamp::AsStated | Stamp::Unrecorded => touch.write,
             Stamp::Reader => false,
-            Stamp::Writer => true,
+            Stamp::Writer | Stamp::HostWrite => true,
         }
     }
 }
 
-/// Readers a buffer's time-plane frontier holds before the ones that have
-/// completed in virtual time are pruned.
-const STAMP_READERS_PRUNE: usize = 64;
+/// Readers a buffer's frontier holds before the ones that order nothing any
+/// more are pruned.
+const READERS_PRUNE: usize = 64;
 
 struct QueueInner {
     ctx: Context,
@@ -107,14 +113,12 @@ struct QueueInner {
     /// nothing and `Relaxed` suffices.
     ooo: AtomicBool,
     device: Mutex<DeviceId>,
-    /// The queue's time-plane state: of every command submitted here, the
-    /// one that ends last. In order that is the last one submitted, which
-    /// the next command chains behind; `finish`, a barrier and a mode
-    /// switch wait on (or for) it alone, since the engine reads a wait
-    /// through its end only.
-    last: Mutex<Option<EventId>>,
-    /// The previous command's data-plane task, chained by in-order queues.
-    last_task: Mutex<Option<TaskId>>,
+    /// The queue's last command, written under the engine lock: `event`, of
+    /// every command submitted here, the one that ends last (in order, the
+    /// last one, which the next chains behind; `finish`, a barrier and a
+    /// mode switch wait on it alone), and `task`, the last one that has a
+    /// task — a migration or gather moves `event` alone.
+    last: Mutex<Command>,
     /// Live data-plane tasks `finish` must join.
     /// Snapshot-joined (never drained) so concurrent finishers all block.
     outstanding_tasks: Mutex<Vec<TaskId>>,
@@ -140,8 +144,7 @@ impl CommandQueue {
                 qid: next_object_id() as usize,
                 ooo: AtomicBool::new(false),
                 device: Mutex::new(device),
-                last: Mutex::new(None),
-                last_task: Mutex::new(None),
+                last: Mutex::new(Command::default()),
                 outstanding_tasks: Mutex::new(Vec::new()),
                 joining: Mutex::new(Vec::new()),
             }),
@@ -166,7 +169,7 @@ impl CommandQueue {
             return Ok(());
         }
         let engine = self.inner.ctx.rt.engine.lock();
-        if self.inner.last.lock().is_some_and(|e| !engine.event_completed(e)) {
+        if self.inner.last.lock().event.is_some_and(|e| !engine.event_completed(e)) {
             return Err(ClError::InvalidOperation(format!(
                 "cannot switch the ordering mode of queue {} with a command in flight",
                 self.inner.qid
@@ -210,7 +213,7 @@ impl CommandQueue {
     /// waits behind; out of order it is what `finish` waits for and a
     /// barrier starts after.
     pub fn last_command(&self) -> Option<EventId> {
-        *self.inner.last.lock()
+        self.inner.last.lock().event
     }
 
     /// The data-plane executor shared by the runtime.
@@ -218,65 +221,34 @@ impl CommandQueue {
         &self.inner.ctx.rt.plane
     }
 
-    /// Data-plane dependency from the queue's ordering mode: in-order
-    /// queues chain each task after the previous one; out-of-order queues
-    /// rely on buffer hazards and explicit event waits alone.
-    fn chain_dep(&self) -> Option<TaskId> {
-        if self.is_out_of_order() {
-            None
-        } else {
-            *self.inner.last_task.lock()
-        }
-    }
-
-    /// Record a live data-plane task — queued, or in device time — as the
-    /// queue's chain head and as a `finish` obligation, pruning completed
-    /// ids once the list grows. A task that completed before its `submit`
-    /// returned (`None`) leaves nothing to chain after or to join.
-    fn record_task(&self, id: Option<TaskId>) {
-        let Some(id) = id else { return };
-        *self.inner.last_task.lock() = Some(id);
-        let mut live = self.inner.outstanding_tasks.lock();
-        live.push(id);
-        if live.len() >= 128 {
-            self.plane().retain_live(&mut live);
-        }
-    }
-
-    /// Hand one command's data-plane half — `work` nominal units, see
-    /// [`DataPlane::submit`] — to the executor: ordered by the hazards of
-    /// `accesses`, the queue's chain and the tasks behind `wait_events`,
-    /// backing engine event `ev` if there is one; recorded if it is live on
-    /// return.
-    fn submit_task(
+    /// Run or queue a linked task's body ([`Link::dispatch`]), keeping it
+    /// as a `finish` obligation if it is live on return and pruning
+    /// completed ids once the list grows. Returns the task's id.
+    fn dispatch(
         &self,
-        accesses: &[Access],
-        wait_events: &[EventId],
-        ev: Option<EventId>,
+        link: Link<'_>,
         work: u64,
         run: impl FnOnce() -> Duration,
         owned: impl FnOnce() -> Work,
-    ) {
-        let chain = self.chain_dep();
-        let order =
-            Order { accesses, after: chain.as_slice(), wait_events, event: ev.map(|e| e.0) };
-        self.record_task(self.plane().submit(order, work, run, owned));
+    ) -> TaskId {
+        let id = link.id();
+        if link.dispatch(work, run, owned).is_some() {
+            let mut live = self.inner.outstanding_tasks.lock();
+            live.push(id);
+            if live.len() >= 128 {
+                self.plane().retain_live(&mut live);
+            }
+        }
+        id
     }
 
-    /// The one time-plane sequence: consult and record → submit. Submit one
-    /// command on `device` that touches `touches` (seen through `stamp`) and
-    /// waits on `waits`, recorded under the trace id `queue`: this queue's own,
-    /// or on a split lane the issuing queue's
-    /// ([`Self::enqueue_ndrange_split`]). Every queue *consults* the touched
-    /// buffers' frontiers for their RAW / WAR / WAW predecessors; an in-order
-    /// queue's previous command is one more. Of those, only the one that ends
-    /// latest joins `waits`, and only if it ends after every wait there: the
+    /// Consult and record → submit: one command on `device` that touches
+    /// `touches` (recorded as `stamp` says) and waits on `waits`, traced
+    /// under `queue` (this queue's id, or on a split lane the issuing
+    /// queue's), with task `link` if it has one. The predecessor that ends
+    /// latest joins `waits` only if it ends after every wait there: the
     /// engine reads a wait list through its latest end alone, so this is
-    /// exact and the list stays inline (no heap allocation) for up to four
-    /// explicit waits. Every queue also *records* the command in the
-    /// frontiers, under the same lock as the consult, by the id the engine is
-    /// about to give it; a consult skips that id, which a buffer touched twice
-    /// (a self-copy's read, then its write) has already recorded.
+    /// exact and the list stays inline for up to four explicit waits.
     #[allow(clippy::too_many_arguments)]
     fn submit(
         &self,
@@ -288,31 +260,73 @@ impl CommandQueue {
         mut waits: WaitList,
         touches: &[Access],
         stamp: Stamp,
+        link: Option<&mut Link<'_>>,
     ) -> EventId {
         let id = engine.next_event();
+        let latest = self.consult(engine, touches, stamp, Some(id), link);
         let end = |e: &EventId| engine.stamp(*e).end;
-        let mut latest = (*self.inner.last.lock()).filter(|_| !self.is_out_of_order());
-        for t in touches {
-            let mut h = t.buf.inner.stamp_hazard.lock();
-            let preds = h.predecessors(stamp.writes(t)).filter(|&e| e != id);
-            latest = latest.into_iter().chain(preds).max_by_key(end);
-            if stamp != Stamp::Unrecorded {
-                h.record(id, stamp.writes(t));
-                if h.reader_count() >= STAMP_READERS_PRUNE {
-                    h.prune_readers(|&e| !engine.event_completed(e));
-                }
-            }
-        }
         if latest.is_some_and(|l| waits.iter().all(|w| end(w) < end(&l))) {
             waits.extend(latest);
         }
         let submitted = engine.submit(CommandDesc { device, kind, duration, waits, queue });
         debug_assert_eq!(submitted, id, "the engine numbers events in submission order");
         let mut last = self.inner.last.lock();
-        if last.is_none_or(|l| engine.stamp(l).end <= engine.stamp(id).end) {
-            *last = Some(id);
+        if last.event.is_none_or(|l| engine.stamp(l).end <= engine.stamp(id).end) {
+            last.event = Some(id);
         }
         id
+    }
+
+    /// The one consult of both planes, under the engine lock, of a command
+    /// backing `event` that touches `touches`: the RAW / WAR / WAW
+    /// predecessors in the buffers' frontiers, and an in-order queue's last
+    /// command. The time plane's is the one that ends latest, returned; the
+    /// data plane's are the live tasks, linked to `link`'s. The command is
+    /// recorded under the same locks (a self-copy's write skips its read).
+    /// A reader whose event has ended at the host clock and whose task is
+    /// not live orders nothing: pruned, it moves no stamp, since every later
+    /// command is ready at or after the host clock.
+    fn consult(
+        &self,
+        engine: &Engine,
+        touches: &[Access],
+        stamp: Stamp,
+        event: Option<EventId>,
+        mut link: Option<&mut Link<'_>>,
+    ) -> Option<EventId> {
+        let me = Command { event, task: link.as_ref().map(|l| l.id()) };
+        let mut last = self.inner.last.lock();
+        let chain = Some(*last).filter(|_| !self.is_out_of_order());
+        last.task = me.task.or(last.task);
+        drop(last);
+        let (mut latest, end) = (None, |e: &EventId| engine.stamp(*e).end);
+        let mut follow = |p: Command, link: &mut Option<&mut Link<'_>>| {
+            latest = latest.into_iter().chain(p.event).max_by_key(end);
+            if let (Some(l), Some(t)) = (link.as_deref_mut(), p.task) {
+                l.after(t);
+            }
+        };
+        chain.into_iter().for_each(|p| follow(p, &mut link));
+        for t in touches {
+            let write = stamp.writes(t);
+            let mut f = t.buf.inner.frontier.lock();
+            f.predecessors(write).filter(|&p| p != me).for_each(|p| follow(p, &mut link));
+            match stamp {
+                Stamp::Unrecorded => {}
+                Stamp::HostWrite => {
+                    f.rewrite_writer(|w| Command { event: w.and_then(|w| w.event), ..me })
+                }
+                _ => f.record(me, write),
+            }
+            if f.reader_count() >= READERS_PRUNE {
+                // Without the executor locked, a task counts as live.
+                let live = |t: TaskId| link.as_deref().is_none_or(|l| l.is_live(t));
+                f.prune_readers(|c| {
+                    !c.event.is_none_or(|e| engine.event_completed(e)) || c.task.is_some_and(live)
+                });
+            }
+        }
+        latest
     }
 
     /// Insert the transfers needed to make `buf` valid on `dev`, updating
@@ -348,41 +362,29 @@ impl CommandQueue {
                 res.host = true;
             }
         }
-        let h2d = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
-        let ev = if let (false, Some(owner)) = (res.host, res.devices.first()) {
+        // A leg to or from `on`: a read of the contents.
+        let leg = |engine: &mut Engine, on, kind, waits, stamp| {
+            let d = node.topology.host_transfer_time(on, bytes, &node.devices);
+            let kind = CommandKind::Transfer { kind, bytes };
+            self.submit(engine, queue, on, kind, d, waits, &touches, stamp, None)
+        };
+        let waits = if let (false, Some(owner)) = (res.host, res.devices.first()) {
             // Valid only on some other device: stage through the host
             // (cross-vendor D2D is unavailable, paper §V-C3).
-            let d = node.topology.host_transfer_time(owner, bytes, &node.devices);
-            let d2h = CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes };
-            let ev1 = self.submit(
-                engine,
-                queue,
-                owner,
-                d2h,
-                d,
-                WaitList::new(),
-                &touches,
-                Stamp::Unrecorded,
-            );
-            let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let ev2 = self.submit(
-                engine,
-                queue,
-                dev,
-                h2d,
-                d,
-                WaitList::one(ev1),
-                &touches,
-                Stamp::AsStated,
-            );
             res.host = true;
-            ev2
+            WaitList::one(leg(
+                engine,
+                owner,
+                TransferKind::DeviceToHost,
+                WaitList::new(),
+                Stamp::Unrecorded,
+            ))
         } else {
             // The host copy is valid: after the purge above it always is
             // when no device holds one.
-            let d = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            self.submit(engine, queue, dev, h2d, d, WaitList::new(), &touches, Stamp::AsStated)
+            WaitList::new()
         };
+        let ev = leg(engine, dev, TransferKind::HostToDevice, waits, Stamp::AsStated);
         res.devices.insert(dev);
         Some(ev)
     }
@@ -411,8 +413,10 @@ impl CommandQueue {
         let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
         // The upload overwrites the contents.
         let touches = [Access::write(buf)];
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let mut link = self.plane().link();
         let ev = self.submit(
-            &mut self.inner.ctx.rt.engine.lock(),
+            &mut engine,
             self.inner.qid,
             dev,
             CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes },
@@ -420,10 +424,12 @@ impl CommandQueue {
             WaitList::new(),
             &touches,
             Stamp::AsStated,
+            Some(&mut link),
         );
-        self.write_store(&touches[0], data, Some(ev));
+        drop(engine);
+        let task = self.write_store(link, buf, data);
         buf.inner.residency.lock().written_on(dev);
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev, Some(task)))
     }
 
     /// A write that stays on the host: the store takes `data` exactly as
@@ -433,7 +439,11 @@ impl CommandQueue {
     /// host-valid buffer is staged.
     pub fn enqueue_write_host<T: Element>(&self, buf: &Buffer, data: &[T]) -> ClResult<()> {
         self.check_write(buf, data)?;
-        self.write_store(&Access::write(buf), data, None);
+        let engine = self.inner.ctx.rt.engine.lock();
+        let mut link = self.plane().link();
+        self.consult(&engine, &[Access::write(buf)], Stamp::HostWrite, None, Some(&mut link));
+        drop(engine);
+        self.write_store(link, buf, data);
         buf.mark_host_only();
         Ok(())
     }
@@ -450,26 +460,22 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// A write's data-plane half, `write` of its buffer, backing engine
-    /// event `ev` if it has one: the store update is a hazard-tracked task.
-    /// A queued write must stage the user's slice (the call may return
-    /// before a worker runs the copy, and OpenCL does not retain the host
-    /// pointer) — a memcpy of the whole payload on this thread — so an
-    /// unblocked write of any size is cheaper copied straight into the
-    /// store: it declares no work.
-    fn write_store<T: Element>(&self, write: &Access, data: &[T], ev: Option<EventId>) {
-        let buf = &write.buf;
-        self.submit_task(
-            std::slice::from_ref(write),
-            &[],
-            ev,
+    /// A write's data-plane half, the linked task `link`: the store update
+    /// is a hazard-tracked task. A queued write must stage the user's slice
+    /// (the call may return before a worker runs the copy, and OpenCL does
+    /// not retain the host pointer) — a memcpy of the whole payload on this
+    /// thread — so an unblocked write of any size is cheaper copied straight
+    /// into the store: it declares no work.
+    fn write_store<T: Element>(&self, link: Link<'_>, buf: &Buffer, data: &[T]) -> TaskId {
+        self.dispatch(
+            link,
             0,
             || {
-                buf.inner.store.lock().as_mut_slice::<T>().copy_from_slice(data);
+                buf.inner.store.write().as_mut_slice::<T>().copy_from_slice(data);
                 Duration::ZERO
             },
             || Work::Write(buf.clone(), bytes_of(data).into()),
-        );
+        )
     }
 
     /// `clEnqueueReadBuffer` (blocking): make the buffer valid on this
@@ -488,34 +494,36 @@ impl CommandQueue {
         let node_devices_len = self.inner.ctx.rt.node.devices.len();
         debug_assert!(dev.index() < node_devices_len);
         let bytes = buf.byte_len() as u64;
-        // Data plane: register the host copy-out as a *manual* task before
-        // blocking, so its RAW edge on the buffer's last writer is captured
-        // in enqueue order and later writers gain a WAR edge on the read.
+        // Data plane: the host copy-out is a *manual* task, registered by the
+        // download's consult, so its RAW edge on the buffer's last writer is
+        // captured in enqueue order and later writers gain a WAR edge on the
+        // read.
         let touches = [Access::read(buf)];
-        let bracket = self.plane().begin_manual(&touches, self.chain_dep().as_slice());
-        let ev = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let mig = self.migrate_to(&mut engine, self.inner.qid, buf, dev);
-            let node = &self.inner.ctx.rt.node;
-            let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
-            let id = self.submit(
-                &mut engine,
-                self.inner.qid,
-                dev,
-                CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
-                duration,
-                mig.into_iter().collect(),
-                &touches,
-                Stamp::AsStated,
-            );
-            engine.wait(id);
-            id
-        };
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let mig = self.migrate_to(&mut engine, self.inner.qid, buf, dev);
+        let node = &self.inner.ctx.rt.node;
+        let duration = node.topology.host_transfer_time(dev, bytes, &node.devices);
+        let mut link = self.plane().link();
+        let ev = self.submit(
+            &mut engine,
+            self.inner.qid,
+            dev,
+            CommandKind::Transfer { kind: TransferKind::DeviceToHost, bytes },
+            duration,
+            mig.into_iter().collect(),
+            &touches,
+            Stamp::AsStated,
+            Some(&mut link),
+        );
+        let task = link.id();
+        let bracket = link.manual();
+        engine.wait(ev);
+        drop(engine);
         buf.inner.residency.lock().host = true;
         bracket.wait_ready();
-        out.copy_from_slice(buf.inner.store.lock().as_slice::<T>());
+        out.copy_from_slice(buf.inner.store.read().as_slice::<T>());
         drop(bracket); // completes the manual task, releasing blocked writers
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev, Some(task)))
     }
 
     /// `clEnqueueCopyBuffer`: device-side copy of `src` into `dst`
@@ -533,39 +541,39 @@ impl CommandQueue {
         let dev = self.device();
         let bytes = src.byte_len() as u64;
         let touches = [Access::read(src), Access::write(dst)];
-        let ev = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let mig = self.migrate_to(&mut engine, self.inner.qid, src, dev);
-            let node = &self.inner.ctx.rt.node;
-            let duration = node.topology.device_transfer_time(dev, dev, bytes, &node.devices);
-            self.submit(
-                &mut engine,
-                self.inner.qid,
-                dev,
-                CommandKind::Transfer { kind: TransferKind::DeviceToDevice, bytes },
-                duration,
-                mig.into_iter().collect(),
-                &touches,
-                Stamp::AsStated,
-            )
-        };
-        // Data plane: copy the canonical stores (a self-copy is a data-plane
-        // no-op).
-        if !src.same_object(dst) {
-            self.submit_task(
-                &touches,
-                &[],
-                Some(ev),
-                bytes,
-                || {
+        // Data plane: copy the canonical stores. A self-copy moves nothing;
+        // its task stands in the frontier for the write it records.
+        let moves = !src.same_object(dst);
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let mig = self.migrate_to(&mut engine, self.inner.qid, src, dev);
+        let node = &self.inner.ctx.rt.node;
+        let duration = node.topology.device_transfer_time(dev, dev, bytes, &node.devices);
+        let mut link = self.plane().link();
+        let ev = self.submit(
+            &mut engine,
+            self.inner.qid,
+            dev,
+            CommandKind::Transfer { kind: TransferKind::DeviceToDevice, bytes },
+            duration,
+            mig.into_iter().collect(),
+            &touches,
+            Stamp::AsStated,
+            Some(&mut link),
+        );
+        drop(engine);
+        let task = self.dispatch(
+            link,
+            if moves { bytes } else { 0 },
+            || {
+                if moves {
                     src.copy_store_into(dst);
-                    Duration::ZERO
-                },
-                || Work::Copy(src.clone(), dst.clone()),
-            );
-        }
+                }
+                Duration::ZERO
+            },
+            || if moves { Work::Copy(src.clone(), dst.clone()) } else { Work::Nop },
+        );
         dst.inner.residency.lock().written_on(dev);
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev, Some(task)))
     }
 
     /// The device-independent half of launch validation: the kernel and
@@ -632,8 +640,8 @@ impl CommandQueue {
         let effective = kernel.effective_nd(dev, nd);
         effective.validate()?;
         self.check_capacity(kernel, args)?;
-        let ev = self.launch(kernel, dev, effective, None, args, waits);
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev))
+        let (ev, task) = self.launch(kernel, dev, effective, None, args, waits);
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), ev, Some(task)))
     }
 
     /// Co-execute one splittable launch on several devices: `nd` cut along
@@ -645,9 +653,9 @@ impl CommandQueue {
     ///
     /// Issued in order: a start marker here (after the tail of this queue's
     /// prior work and the launch's hazard predecessors); per chunk, the
-    /// sub-range launch on its lane, a time-plane *reader* after the marker
-    /// (a per-device configuration lends it only its workgroup shape), then
-    /// a share-sized D2H gather per written buffer; and the join here, after
+    /// sub-range launch on its lane, a *reader* after the marker (a
+    /// per-device configuration lends it only its workgroup shape), then a
+    /// share-sized D2H gather per written buffer; and the join here, after
     /// every gather: each written buffer's writer, valid on the host alone.
     /// Returns the join's event. Every command the call issues is recorded
     /// under this queue's trace id, the lanes' included (chunks, their input
@@ -709,11 +717,17 @@ impl CommandQueue {
         // first of them that failed, and its data-plane task waits on the
         // chunks' tasks, so `finish` and a wait on the join see their bodies
         // run even when the launch writes nothing.
-        let mut issued: Vec<EventId> = Vec::with_capacity(plan.len() * (written.len() + 1));
+        let mut issued: Vec<(EventId, Option<TaskId>)> =
+            Vec::with_capacity(plan.len() * (written.len() + 1));
+        let mut sibling = None;
         for &(lane, dev, effective, offset, wgs) in &plan {
-            let at = Some((self.inner.qid, offset));
-            let chunk = lane.launch(kernel, dev, effective, at, args, slice::from_ref(&start));
-            issued.push(chunk);
+            // Chunks writing one store would hold its lock in turn anyway:
+            // each waits for its sibling instead of blocking a worker.
+            let at = (self.inner.qid, offset, sibling.filter(|_| !written.is_empty()));
+            let (chunk, task) =
+                lane.launch(kernel, dev, effective, Some(at), args, slice::from_ref(&start));
+            sibling = Some(task);
+            issued.push((chunk, sibling));
             if written.is_empty() {
                 gathers.push(chunk);
             }
@@ -728,92 +742,93 @@ impl CommandQueue {
                     WaitList::one(chunk),
                     slice::from_ref(w),
                     Stamp::AsStated,
+                    None,
                 );
                 gathers.push(gather);
-                issued.push(gather);
+                issued.push((gather, None));
             }
         }
-        let join = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let failed = issued.iter().find_map(|&e| match engine.event_status(e) {
-                CommandStatus::Failed(kind) => Some(kind),
-                CommandStatus::Complete => None,
-            });
-            let dev = self.device();
-            let join = self.submit(
-                &mut engine,
-                self.inner.qid,
-                dev,
-                CommandKind::Marker,
-                SimDuration::ZERO,
-                gathers,
-                &written,
-                Stamp::Writer,
-            );
-            if let Some(kind) = failed {
-                engine.fail_dependent(join, dev, self.inner.qid, kind);
-            }
-            join
-        };
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let failed = issued.iter().find_map(|&(e, _)| match engine.event_status(e) {
+            CommandStatus::Failed(kind) => Some(kind),
+            CommandStatus::Complete => None,
+        });
+        let dev = self.device();
+        let mut link = self.plane().link();
+        issued.iter().filter_map(|i| i.1).for_each(|t| link.after(t));
+        let join = self.submit(
+            &mut engine,
+            self.inner.qid,
+            dev,
+            CommandKind::Marker,
+            SimDuration::ZERO,
+            gathers,
+            &written,
+            Stamp::Writer,
+            Some(&mut link),
+        );
+        if let Some(kind) = failed {
+            engine.fail_dependent(join, dev, self.inner.qid, kind);
+        }
+        drop(engine);
         for w in &written {
             w.buf.mark_host_only();
         }
-        self.submit_task(&written, &issued, Some(join), 0, || Duration::ZERO, || Work::Nop);
-        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join))
+        let task = self.dispatch(link, 0, || Duration::ZERO, || Work::Nop);
+        Ok(Event::new(Arc::clone(&self.inner.ctx.rt), join, Some(task)))
     }
 
     /// The one kernel-launch body, after validation: `kernel` over
-    /// `effective` on `dev`, after `waits`, to both planes. `chunk` is
-    /// `None` for a whole launch. For a chunk of
-    /// [`Self::enqueue_ndrange_split`] it is the issuing queue's trace id,
-    /// which records the chunk and its migrations, and the sub-range's
-    /// global offset; a chunk stamps as a reader and leaves residency to
-    /// the split's join.
+    /// `effective` on `dev`, after `waits`, to both planes; returns its event
+    /// and task. `chunk` is `None` for a whole launch; a chunk of
+    /// [`Self::enqueue_ndrange_split`] names the issuing queue's trace id, its
+    /// sub-range's global offset and the sibling task it follows, if any,
+    /// stamps as a reader and leaves residency to the split's join.
     fn launch(
         &self,
         kernel: &Kernel,
         dev: DeviceId,
         effective: NdRange,
-        chunk: Option<(usize, [u64; 3])>,
+        chunk: Option<(usize, [u64; 3], Option<TaskId>)>,
         args: &BoundArgs,
         waits: &[Event],
-    ) -> EventId {
+    ) -> (EventId, TaskId) {
         let whole = chunk.is_none();
-        let (queue, global_offset) = chunk.unwrap_or((self.inner.qid, [0; 3]));
+        let (queue, global_offset, after) = chunk.unwrap_or((self.inner.qid, [0; 3], None));
         let spec = self.inner.ctx.rt.node.spec(dev);
         let cost = kernel.cost();
         let duration = cost.kernel_time(spec, effective.shape());
-        // What the launch touches, for both planes.
-        let touches = args.touched();
-        let ev = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let mut chain: WaitList = waits.iter().map(Event::raw).collect();
-            // In first-touch order: the migrations' stamps depend on it.
-            for t in touches {
-                chain.extend(self.migrate_to(&mut engine, queue, &t.buf, dev));
-            }
-            self.submit(
-                &mut engine,
-                queue,
-                dev,
-                CommandKind::Kernel { name: kernel.shared_name() },
-                duration,
-                chain,
-                touches,
-                if whole { Stamp::AsStated } else { Stamp::Reader },
-            )
-        };
-        // Data plane: run the body exactly once, outside the engine lock.
-        // Explicit event waits order the task after the tasks backing those
-        // events.
         // The body's nominal work: what the cost model charges per item —
         // compute or traffic, whichever dominates — over the launch.
         let work = effective.global_items() as f64 * cost.flops_per_item.max(cost.bytes_per_item);
-        let waited: WaitList = waits.iter().map(Event::raw).collect();
-        self.submit_task(
+        // What the launch touches, for both planes.
+        let touches = args.touched();
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let mut chain: WaitList = waits.iter().map(Event::raw).collect();
+        // In first-touch order: the migrations' stamps depend on it.
+        for t in touches {
+            chain.extend(self.migrate_to(&mut engine, queue, &t.buf, dev));
+        }
+        // Explicit event waits order the task after the tasks backing
+        // those events.
+        let mut link = self.plane().link();
+        waits.iter().filter_map(|e| e.task).for_each(|t| link.after(t));
+        after.into_iter().for_each(|t| link.after(t));
+        let ev = self.submit(
+            &mut engine,
+            queue,
+            dev,
+            CommandKind::Kernel { name: kernel.shared_name() },
+            duration,
+            chain,
             touches,
-            waited.as_slice(),
-            Some(ev),
+            if whole { Stamp::AsStated } else { Stamp::Reader },
+            Some(&mut link),
+        );
+        drop(engine);
+        // Data plane: run the body exactly once, outside the engine lock.
+        let task = self.dispatch(
+            link,
             work as u64,
             || KernelCtx::with_offset(effective, dev, global_offset, args).run(&**kernel.body()),
             || Work::Launch(Arc::clone(kernel.body()), args.clone(), effective, dev, global_offset),
@@ -824,7 +839,7 @@ impl CommandQueue {
                 t.buf.inner.residency.lock().written_on(dev);
             }
         }
-        ev
+        (ev, task)
     }
 
     /// `clEnqueueBarrierWithWaitList` (empty list; also `clEnqueueMarker`): a
@@ -841,28 +856,31 @@ impl CommandQueue {
     /// touching `touches` — consulted, never recorded: the marker touches
     /// nothing itself.
     fn barrier_after(&self, touches: &[Access]) -> Event {
-        let id = {
-            let mut engine = self.inner.ctx.rt.engine.lock();
-            let waits = WaitList::from_iter(*self.inner.last.lock());
-            self.submit(
-                &mut engine,
-                self.inner.qid,
-                self.device(),
-                CommandKind::Marker,
-                SimDuration::ZERO,
-                waits,
-                touches,
-                Stamp::Unrecorded,
-            )
-        };
         // Data plane: a no-op task ordered after everything outstanding on
-        // this queue. Subsequent commands chain after it (in-order) or wait
-        // on its event explicitly (out-of-order), mirroring the time plane.
-        let mut deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
-        deps.extend(self.chain_dep());
-        let order = Order { after: &deps, event: Some(id.0), ..Order::default() };
-        self.record_task(self.plane().submit(order, 0, || Duration::ZERO, || Work::Nop));
-        Event::new(Arc::clone(&self.inner.ctx.rt), id)
+        // this queue and what the consult finds. Subsequent commands chain
+        // after it (in-order) or wait on its event explicitly
+        // (out-of-order), mirroring the time plane. The list is taken before
+        // the executor is locked: `dispatch` asks the executor with the list
+        // locked.
+        let deps: Vec<TaskId> = std::mem::take(&mut *self.inner.outstanding_tasks.lock());
+        let mut engine = self.inner.ctx.rt.engine.lock();
+        let waits = WaitList::from_iter(self.inner.last.lock().event);
+        let mut link = self.plane().link();
+        deps.iter().for_each(|&t| link.after(t));
+        let id = self.submit(
+            &mut engine,
+            self.inner.qid,
+            self.device(),
+            CommandKind::Marker,
+            SimDuration::ZERO,
+            waits,
+            touches,
+            Stamp::Unrecorded,
+            Some(&mut link),
+        );
+        drop(engine);
+        let task = self.dispatch(link, 0, || Duration::ZERO, || Work::Nop);
+        Event::new(Arc::clone(&self.inner.ctx.rt), id, Some(task))
     }
 
     /// `clFinish`: block the host until every command enqueued on this queue
@@ -871,7 +889,7 @@ impl CommandQueue {
     /// data-plane task this queue submitted (plus, transitively, everything
     /// those tasks depend on) has executed.
     pub fn finish(&self) {
-        let last = *self.inner.last.lock();
+        let last = self.inner.last.lock().event;
         if let Some(id) = last {
             self.inner.ctx.rt.engine.lock().wait(id);
         }
@@ -1404,8 +1422,7 @@ mod tests {
         // `b`'s state, then the trace of one launch on it on a fresh
         // out-of-order queue on GPU 2, relative to the clock before it.
         let observe = |p: &Platform, ctx: &Context, k: &Kernel, b: &Buffer| {
-            let recorded = b.inner.hazard.lock().frontier.predecessors(true).count()
-                + b.inner.stamp_hazard.lock().predecessors(true).count();
+            let recorded = b.inner.frontier.lock().predecessors(true).count();
             let state = (b.host_snapshot::<f64>(), b.residency(), b.data_version(), recorded);
             let (t0, since) = (p.now(), p.with_engine(|e| e.trace().total_pushed()));
             let q = ctx.create_queue_ooo(DeviceId(2)).unwrap();
@@ -1462,7 +1479,13 @@ mod tests {
         };
         refused("the launch has not ended in virtual time");
         q.finish();
-        let read = ctx.rt.plane.begin_manual(&[Access::read(&b)], &[]);
+        // A reader the data plane alone knows of.
+        let read = {
+            let link = ctx.rt.plane.link();
+            let reader = Command { event: None, task: Some(link.id()) };
+            b.inner.frontier.lock().record(reader, false);
+            link.manual()
+        };
         refused("a data-plane task reads it");
         assert_eq!(b.host_snapshot::<f64>(), vec![2.0; 1024]);
         drop(read);

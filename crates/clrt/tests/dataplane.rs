@@ -109,6 +109,59 @@ impl KernelBody for Cool {
     }
 }
 
+/// [`Damp`] over the elements its chunk's sub-range owns: a splittable
+/// launch that writes.
+struct DampPart;
+impl KernelBody for DampPart {
+    fn name(&self) -> &str {
+        "damp_part"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn splittable(&self) -> bool {
+        true
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        let first = ctx.global_offset()[0] as usize;
+        let n = ctx.nd().global_items() as usize;
+        for v in &mut ctx.slice_mut::<f64>(0)[first..first + n] {
+            *v = 0.5 * *v + 1.0;
+        }
+    }
+}
+
+/// The sum of argument 0 over its chunk's sub-range, logged with the tag
+/// argument 1 gives and the chunk's offset: a splittable launch that writes
+/// nothing, whose reads the log shows.
+#[derive(Default)]
+struct SumPart {
+    log: Mutex<Vec<(u64, u64, u64)>>,
+}
+impl KernelBody for SumPart {
+    fn name(&self) -> &str {
+        "sum_part"
+    }
+    fn arity(&self) -> usize {
+        2
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn splittable(&self) -> bool {
+        true
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        let first = ctx.global_offset()[0] as usize;
+        let n = ctx.nd().global_items() as usize;
+        let sum: f64 = ctx.slice::<f64>(0)[first..first + n].iter().sum();
+        self.log.lock().unwrap().push((ctx.u64(1), first as u64, sum.to_bits()));
+    }
+}
+
 const N: usize = 256;
 /// Elements of a *big* buffer: copying one moves 256 KiB, above the
 /// executor's caller-run threshold (2^17 nominal work units).
@@ -150,29 +203,38 @@ fn trace_digest(p: &Platform) -> TraceDigest {
 }
 
 /// Everything observable about one run: final buffer contents, every
-/// mid-stream blocking-read result, and the virtual-time trace digest.
-type Observed = (Vec<Vec<f64>>, Vec<Vec<f64>>, TraceDigest);
+/// mid-stream blocking-read result, what every read-only split's chunks
+/// summed (step, offset, bits; sorted), and the virtual-time trace digest.
+type Observed = (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<(u64, u64, u64)>, TraceDigest);
 
 /// Run one seeded random command DAG over shared buffers. Kernels are light
 /// or heavy by launch geometry, copies by buffer size (small ↔ small is
-/// light, big ↔ big heavy), writes always qualify for the caller.
+/// light, big ↔ big heavy), writes always qualify for the caller. Split
+/// launches — writing ones and read-only ones, over a whole buffer in two
+/// chunks on two in-order lanes — and host-side writes are the commands
+/// the one frontier per buffer records specially.
 fn run_workload(seed: u64, workers: usize) -> Observed {
     let p = Platform::paper_node_with(RuntimeConfig {
         data_plane_workers: workers,
         ..RuntimeConfig::default()
     });
     let ctx = p.create_context_all().unwrap();
+    let sums = Arc::new(SumPart::default());
     let prog = ctx
         .create_program(vec![
             Arc::new(Saxpy) as Arc<dyn KernelBody>,
             Arc::new(Damp) as Arc<dyn KernelBody>,
             Arc::new(Cool) as Arc<dyn KernelBody>,
+            Arc::new(DampPart) as Arc<dyn KernelBody>,
+            Arc::clone(&sums) as Arc<dyn KernelBody>,
         ])
         .unwrap();
     prog.build(0).unwrap();
     let saxpy = prog.create_kernel("saxpy").unwrap();
     let damp = prog.create_kernel("damp").unwrap();
     let cool = prog.create_kernel("cool").unwrap();
+    let damp_part = prog.create_kernel("damp_part").unwrap();
+    let sum_part = prog.create_kernel("sum_part").unwrap();
 
     // Four small buffers, then two big ones.
     const SMALL: usize = 4;
@@ -196,6 +258,9 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
     }
 
     const STEPS: u64 = 80;
+    // Data-plane tasks issued: one per command, four per split (start
+    // marker, two chunks, join).
+    let mut tasks = buffers.len() as u64;
     for step in 0..STEPS {
         let q = &queues[rng.index(queues.len())];
         // Cross-queue DAG edges: sometimes wait on an arbitrary earlier event.
@@ -204,12 +269,13 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
         } else {
             Vec::new()
         };
-        let ev = match rng.index(9) {
+        tasks += 1;
+        let ev = match rng.index(12) {
             0 => {
                 let b = &buffers[rng.index(buffers.len())];
                 let data: Vec<f64> =
                     (0..b.len::<f64>()).map(|j| (step * 7 + j as u64) as f64 * 0.01).collect();
-                q.enqueue_write(b, &data).unwrap()
+                Some(q.enqueue_write(b, &data).unwrap())
             }
             1 => {
                 // Same-size pairs only: small ↔ small, or the two big ones.
@@ -220,22 +286,22 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
                     let s = rng.index(SMALL);
                     (s, (s + 1 + rng.index(SMALL - 1)) % SMALL)
                 };
-                q.enqueue_copy(&buffers[s], &buffers[d]).unwrap()
+                Some(q.enqueue_copy(&buffers[s], &buffers[d]).unwrap())
             }
             2 => {
                 let b = &buffers[rng.index(buffers.len())];
                 let mut out = vec![0.0f64; b.len::<f64>()];
                 let ev = q.enqueue_read(b, &mut out).unwrap();
                 reads.push(out);
-                ev
+                Some(ev)
             }
-            3 => q.enqueue_barrier(),
+            3 => Some(q.enqueue_barrier()),
             4 | 5 => {
                 let x = rng.index(buffers.len());
                 let y = (x + 1 + rng.index(buffers.len() - 1)) % buffers.len();
                 saxpy.set_arg(0, ArgValue::Buffer(buffers[x].clone())).unwrap();
                 saxpy.set_arg(1, ArgValue::BufferMut(buffers[y].clone())).unwrap();
-                q.enqueue_ndrange(&saxpy, nd(rng.index(2) == 0), &waits).unwrap()
+                Some(q.enqueue_ndrange(&saxpy, nd(rng.index(2) == 0), &waits).unwrap())
             }
             6 => {
                 // Device time short enough to be spun out by whoever waits
@@ -244,25 +310,53 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
                 cool.set_arg(0, ArgValue::BufferMut(buffers[rng.index(buffers.len())].clone()))
                     .unwrap();
                 cool.set_arg(1, ArgValue::U64(micros)).unwrap();
-                q.enqueue_ndrange(&cool, nd(rng.index(2) == 0), &waits).unwrap()
+                Some(q.enqueue_ndrange(&cool, nd(rng.index(2) == 0), &waits).unwrap())
+            }
+            9 => {
+                let b = &buffers[rng.index(buffers.len())];
+                let data: Vec<f64> =
+                    (0..b.len::<f64>()).map(|j| (step * 5 + j as u64) as f64 * 0.02).collect();
+                q.enqueue_write_host(b, &data).unwrap();
+                None
+            }
+            10 | 11 => {
+                let b = &buffers[rng.index(buffers.len())];
+                let k = if rng.index(2) == 0 {
+                    damp_part.set_arg(0, ArgValue::BufferMut(b.clone())).unwrap();
+                    &damp_part
+                } else {
+                    sum_part.set_arg(0, ArgValue::Buffer(b.clone())).unwrap();
+                    sum_part.set_arg(1, ArgValue::U64(step)).unwrap();
+                    &sum_part
+                };
+                let nd = NdRange::d1(b.len::<f64>() as u64, 64);
+                let units = nd.global[0] / 64;
+                let first = rng.index(3);
+                let second = (first + 1 + rng.index(2)) % 3;
+                let share = 1 + rng.index(units as usize - 1) as u64;
+                let chunks =
+                    [(queues[first].clone(), share), (queues[second].clone(), units - share)];
+                let args = k.snapshot_args().unwrap();
+                tasks += 3;
+                Some(q.enqueue_ndrange_split(k, nd, &args, &chunks).unwrap())
             }
             _ => {
                 damp.set_arg(0, ArgValue::BufferMut(buffers[rng.index(buffers.len())].clone()))
                     .unwrap();
-                q.enqueue_ndrange(&damp, nd(rng.index(2) == 0), &waits).unwrap()
+                Some(q.enqueue_ndrange(&damp, nd(rng.index(2) == 0), &waits).unwrap())
             }
         };
-        events.push(ev);
+        events.extend(ev);
     }
     for q in &queues {
         q.finish();
     }
-    // Every command was one data-plane task, run on the caller or handed
-    // off — never both, never neither — and nothing handed off is left.
+    // Every task ran on the caller or was handed off — never both, never
+    // neither — and nothing handed off is left.
     let stats = p.data_plane_stats();
     assert_eq!(
         stats.inline_tasks + stats.submitted,
-        buffers.len() as u64 + STEPS,
+        tasks,
         "seed {seed}, {workers} workers: {stats:?}"
     );
     assert_eq!(stats.submitted, stats.executed, "seed {seed}, {workers} workers: {stats:?}");
@@ -272,7 +366,9 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
     assert!(stats.timed_tasks > 0, "seed {seed}: no command declared device time: {stats:?}");
     assert_eq!(stats.queue_depth, 0, "seed {seed}, {workers} workers: {stats:?}");
     let contents = buffers.iter().map(|b| b.host_snapshot::<f64>()).collect();
-    (contents, reads, trace_digest(&p))
+    let mut summed = sums.log.lock().unwrap().clone();
+    summed.sort_unstable();
+    (contents, reads, summed, trace_digest(&p))
 }
 
 /// The tentpole invariant, property-tested over seeded random DAGs:
@@ -282,12 +378,13 @@ fn run_workload(seed: u64, workers: usize) -> Observed {
 #[test]
 fn random_dags_are_bit_identical_across_worker_counts() {
     for seed in 0..6u64 {
-        let (seq_bufs, seq_reads, seq_trace) = run_workload(seed, 1);
+        let (seq_bufs, seq_reads, seq_sums, seq_trace) = run_workload(seed, 1);
         for workers in [2, 4, 8] {
-            let (par_bufs, par_reads, par_trace) = run_workload(seed, workers);
+            let (par_bufs, par_reads, par_sums, par_trace) = run_workload(seed, workers);
             let at = format!("seed {seed}, {workers} workers");
             assert_eq!(seq_bufs, par_bufs, "buffer contents diverged ({at})");
             assert_eq!(seq_reads, par_reads, "blocking-read results diverged ({at})");
+            assert_eq!(seq_sums, par_sums, "read-only split sums diverged ({at})");
             assert_eq!(seq_trace, par_trace, "virtual-time trace diverged ({at})");
         }
     }
@@ -1088,7 +1185,8 @@ fn a_panicking_body_returns_a_clean_store_table() {
 /// A splittable reduction: the sum of argument 0 over its chunk's range,
 /// logged with the chunk's offset. With `plane` set, a chunk whose context
 /// is built waits until both workers are busy — the other one filling its
-/// own context's table, queued on the store lock this one holds.
+/// own context's table — or another chunk has seen them busy: a reader holds
+/// the store shared, so the other chunk may come and go between two looks.
 struct ChunkSum {
     sums: Mutex<Vec<(u64, u64)>>,
     plane: Mutex<Option<Platform>>,
@@ -1114,10 +1212,13 @@ impl KernelBody for ChunkSum {
         let plane = self.plane.lock().unwrap().clone();
         if let Some(p) = plane.filter(|_| !self.met.load(SeqCst)) {
             let give_up = Instant::now() + Duration::from_secs(20);
-            while p.data_plane_stats().busy_workers < 2 && Instant::now() < give_up {
+            while !self.met.load(SeqCst)
+                && p.data_plane_stats().busy_workers < 2
+                && Instant::now() < give_up
+            {
                 std::thread::yield_now();
             }
-            self.met.store(p.data_plane_stats().busy_workers == 2, SeqCst);
+            self.met.fetch_or(p.data_plane_stats().busy_workers == 2, SeqCst);
         }
         let sum: f64 = x.iter().sum();
         self.sums.lock().unwrap().push((first as u64, sum.to_bits()));
@@ -1315,4 +1416,113 @@ fn a_buffer_bound_twice_shares_one_lock_in_a_reused_table() {
         q.finish();
         assert_eq!(p.data_plane_stats().panics, 1, "{at}");
     }
+}
+
+/// Host threads racing `enqueue_write`s of one buffer, each on its own
+/// queue: whatever order the writes take, both planes take the same one, so
+/// the buffer ends up holding the writer that ends last in virtual time.
+/// The time plane orders a write after the writer it finds in the
+/// buffer's frontier and the data plane links its task after that
+/// writer's: one consult, under the engine lock, gives both.
+#[test]
+fn racing_writers_of_one_buffer_leave_the_one_that_ends_last() {
+    const WRITERS: usize = 4;
+    const ROUNDS: usize = 4000;
+    let p = Platform::paper_node_with(RuntimeConfig {
+        data_plane_workers: 2,
+        ..RuntimeConfig::default()
+    });
+    let ctx = p.create_context_all().unwrap();
+    let b = ctx.create_buffer_of::<f64>(16).unwrap();
+    let queues: Vec<CommandQueue> =
+        (0..WRITERS).map(|i| ctx.create_queue(DeviceId(i % 3)).unwrap()).collect();
+    let start = std::sync::Barrier::new(WRITERS + 1);
+    let ends = Mutex::new(vec![hwsim::SimTime::ZERO; WRITERS]);
+    let mut wrong = 0;
+    std::thread::scope(|s| {
+        for (i, q) in queues.iter().enumerate() {
+            let (b, start, ends) = (&b, &start, &ends);
+            s.spawn(move || {
+                let data = [i as f64; 16];
+                for _ in 0..ROUNDS {
+                    start.wait();
+                    let end = q.enqueue_write(b, &data).unwrap().stamp().end;
+                    ends.lock().unwrap()[i] = end;
+                    start.wait();
+                }
+            });
+        }
+        for _ in 0..ROUNDS {
+            start.wait();
+            start.wait();
+            let ends = ends.lock().unwrap().clone();
+            let last = (0..WRITERS).max_by_key(|&i| ends[i]).unwrap();
+            wrong += usize::from(b.host_snapshot::<f64>() != [last as f64; 16]);
+        }
+    });
+    for q in &queues {
+        q.finish();
+    }
+    assert_eq!(wrong, 0, "{wrong} of {ROUNDS} rounds kept a writer that does not end last");
+}
+
+/// A read-only splittable body that stays in its body, up to a give-up,
+/// until another chunk is in its own at the same time.
+#[derive(Default)]
+struct Meet {
+    inside: std::sync::atomic::AtomicUsize,
+    met: std::sync::atomic::AtomicBool,
+}
+impl KernelBody for Meet {
+    fn name(&self) -> &str {
+        "meet"
+    }
+    fn arity(&self) -> usize {
+        1
+    }
+    fn cost(&self) -> KernelCostSpec {
+        KernelCostSpec::memory_bound(16.0)
+    }
+    fn splittable(&self) -> bool {
+        true
+    }
+    fn execute(&self, ctx: &mut KernelCtx<'_>) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let _x = ctx.slice::<f64>(0);
+        self.inside.fetch_add(1, SeqCst);
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !self.met.load(SeqCst) && Instant::now() < give_up {
+            if self.inside.load(SeqCst) >= 2 {
+                self.met.store(true, SeqCst);
+            }
+            std::thread::yield_now();
+        }
+        self.inside.fetch_sub(1, SeqCst);
+    }
+}
+
+/// Readers share a store: the two pooled chunks of a launch that only
+/// reads its buffer are inside their bodies at once, each holding the
+/// store's lock shared.
+#[test]
+fn two_read_only_chunks_are_inside_their_bodies_at_once() {
+    let p = Platform::paper_node_with(RuntimeConfig {
+        data_plane_workers: 2,
+        ..RuntimeConfig::default()
+    });
+    let ctx = p.create_context_all().unwrap();
+    let body = Arc::new(Meet::default());
+    let prog = ctx.create_program(vec![Arc::clone(&body) as Arc<dyn KernelBody>]).unwrap();
+    prog.build(0).unwrap();
+    let k = prog.create_kernel("meet").unwrap();
+    let items = 1 << 16;
+    k.set_arg(0, ArgValue::Buffer(ctx.create_buffer_of::<f64>(items).unwrap())).unwrap();
+    let q = ctx.create_queue(DeviceId(0)).unwrap();
+    let lanes = [ctx.create_queue(DeviceId(1)).unwrap(), ctx.create_queue(DeviceId(2)).unwrap()];
+    let chunks = [(lanes[0].clone(), 512), (lanes[1].clone(), 512)];
+    let args = k.snapshot_args().unwrap();
+    q.enqueue_ndrange_split(&k, NdRange::d1(items as u64, 64), &args, &chunks).unwrap();
+    q.finish();
+    let stats = p.data_plane_stats();
+    assert!(body.met.load(std::sync::atomic::Ordering::SeqCst), "never inside at once: {stats:?}");
 }

@@ -12,6 +12,12 @@ use std::sync::PoisonError;
 /// Guard returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
+/// Guard returned by [`RwLock::read`].
+pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+
+/// Guard returned by [`RwLock::write`].
+pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+
 /// A mutual-exclusion lock whose `lock()` returns the guard directly
 /// (ignoring poison) instead of a `Result`.
 #[derive(Default)]
@@ -59,6 +65,31 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
     }
 }
 
+/// A reader-writer lock whose `read()` and `write()` return the guard
+/// directly (ignoring poison, as [`Mutex`] does): any number of readers, or
+/// one writer.
+#[derive(Default)]
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Create a new lock holding `value`.
+    pub const fn new(value: T) -> RwLock<T> {
+        RwLock(std::sync::RwLock::new(value))
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    /// Acquire shared access, blocking while a writer holds the lock.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire exclusive access, blocking while anyone holds the lock.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,5 +129,21 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7, "lock() must survive poisoning");
+    }
+
+    #[test]
+    fn readers_share_and_a_poisoned_rwlock_recovers() {
+        let l = Arc::new(RwLock::new(7u32));
+        let (a, b) = (l.read(), l.read());
+        assert_eq!(*a + *b, 14, "two readers at once");
+        drop((a, b));
+        let l2 = Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let _g = l2.write();
+            panic!("poison it");
+        })
+        .join();
+        *l.write() += 1;
+        assert_eq!(*l.read(), 8, "read() and write() must survive poisoning");
     }
 }
