@@ -154,6 +154,18 @@ pub struct Residency {
     pub host: bool,
 }
 
+/// Where a device's copy of a buffer comes from ([`Residency::source`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The device holds a valid copy: nothing moves.
+    Valid,
+    /// An upload of the host copy.
+    Host,
+    /// A download from this live owner, then an upload (cross-vendor D2D
+    /// is unavailable, paper §V-C3), after which the host copy is valid.
+    Owner(DeviceId),
+}
+
 impl Residency {
     fn fresh() -> Residency {
         Residency { devices: DeviceSet::default(), host: true }
@@ -162,6 +174,22 @@ impl Residency {
     /// True if `dev` holds a valid copy.
     pub fn valid_on(&self, dev: DeviceId) -> bool {
         self.devices.contains(dev)
+    }
+
+    /// Where a copy for `dev` comes from: the one rule of every move, the
+    /// queue's migration, the scheduler's snapshot of it and its profiling
+    /// window's staging. A lost owner (`lost`) holds nothing: with no live
+    /// owner left, the host-backed canonical contents are the source, valid
+    /// host copy or not. A valid host copy comes before a live owner unless
+    /// `brute` (brute-force staging, caching off, ignores the host copy).
+    pub fn source(&self, dev: DeviceId, brute: bool, lost: impl Fn(DeviceId) -> bool) -> Source {
+        if self.valid_on(dev) {
+            return Source::Valid;
+        }
+        match self.devices.iter().copied().find(|&d| !lost(d)) {
+            Some(owner) if brute || !self.host => Source::Owner(owner),
+            _ => Source::Host,
+        }
     }
 
     /// Record a write on `dev`: its copy is now the only valid one.
@@ -347,8 +375,8 @@ impl Buffer {
     }
 
     /// Mark the host copy valid **without** moving any data (scheduler-layer
-    /// hook, paired with [`Self::mark_resident`]): records that a D2H staging
-    /// copy has been performed by the scheduler.
+    /// hook, paired with [`Self::mark_resident`]): the scheduler staged it,
+    /// or no live device holds a copy and the canonical contents are read.
     pub fn mark_host_valid(&self) {
         self.inner.residency.lock().host = true;
     }

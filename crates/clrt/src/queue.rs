@@ -37,7 +37,7 @@
 //! How each command is recorded in the frontiers, and whether it has a
 //! task, is `Stamp`'s table (below, and DESIGN.md §11).
 
-use crate::buffer::{bytes_of, Buffer, Element};
+use crate::buffer::{bytes_of, Buffer, Element, Source};
 use crate::context::Context;
 use crate::error::{ClError, ClResult};
 use crate::event::Event;
@@ -346,43 +346,33 @@ impl CommandQueue {
     ) -> Option<EventId> {
         let node = &self.inner.ctx.rt.node;
         let mut res = buf.inner.residency.lock();
-        if res.valid_on(dev) {
-            return None;
-        }
-        let touches = [Access::read(buf)];
-        let bytes = buf.byte_len() as u64;
         // Never stage from a lost device: its copy engine is gone, and a
         // D2H issued there would fail instantly (corrupting the staged
         // timeline) while leaving the stale residency entry in place.
-        // Evacuated copies are purged here; when no healthy owner remains,
-        // the host-backed canonical contents are the fallback source.
+        let source = res.source(dev, false, |d| engine.device_lost(d));
+        if source == Source::Valid {
+            return None;
+        }
+        // Evacuated copies are purged; after the move the host copy is
+        // valid, staged or the fallback source.
         if !res.host {
             res.devices.retain(|d| !engine.device_lost(*d));
-            if res.devices.is_empty() {
-                res.host = true;
-            }
         }
+        res.host = true;
+        let touches = [Access::read(buf)];
+        let bytes = buf.byte_len() as u64;
         // A leg to or from `on`: a read of the contents.
         let leg = |engine: &mut Engine, on, kind, waits, stamp| {
             let d = node.topology.host_transfer_time(on, bytes, &node.devices);
             let kind = CommandKind::Transfer { kind, bytes };
             self.submit(engine, queue, on, kind, d, waits, &touches, stamp, None)
         };
-        let waits = if let (false, Some(owner)) = (res.host, res.devices.first()) {
-            // Valid only on some other device: stage through the host
-            // (cross-vendor D2D is unavailable, paper §V-C3).
-            res.host = true;
-            WaitList::one(leg(
-                engine,
-                owner,
-                TransferKind::DeviceToHost,
-                WaitList::new(),
-                Stamp::Unrecorded,
-            ))
-        } else {
-            // The host copy is valid: after the purge above it always is
-            // when no device holds one.
-            WaitList::new()
+        let waits = match source {
+            Source::Owner(owner) => {
+                let d2h = TransferKind::DeviceToHost;
+                WaitList::one(leg(engine, owner, d2h, WaitList::new(), Stamp::Unrecorded))
+            }
+            _ => WaitList::new(),
         };
         let ev = leg(engine, dev, TransferKind::HostToDevice, waits, Stamp::AsStated);
         res.devices.insert(dev);

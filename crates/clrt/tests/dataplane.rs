@@ -1257,9 +1257,10 @@ fn concurrent_chunks_of_one_launch_each_fill_their_own_store_table() {
         let args = k.snapshot_args().unwrap();
         q.enqueue_ndrange_split(&k, NdRange::d1(items as u64, 64), &args, &chunks).unwrap();
         // The join writes nothing here; its data-plane task still waits on
-        // the chunks' (and, queued behind them, is the third pooled task).
-        for lane in &lanes {
-            lane.finish();
+        // the chunks'. Whether it is pooled or run by the thread that
+        // settles it is timing, which this test leaves alone.
+        for queue in lanes.iter().chain([&q]) {
+            queue.finish();
         }
         body.plane.lock().unwrap().take();
         let mut sums = body.sums.lock().unwrap().clone();
@@ -1268,7 +1269,7 @@ fn concurrent_chunks_of_one_launch_each_fill_their_own_store_table() {
     };
     let (pooled, met, stats) = run(2);
     assert!(met, "the two chunks never ran at once: {stats:?}");
-    assert_eq!((stats.submitted, stats.peak_busy_workers, stats.panics), (3, 2, 0), "{stats:?}");
+    assert_eq!(stats.panics, 0, "{stats:?}");
     let (alone, _, _) = run(1);
     assert_eq!(pooled.len(), 2);
     assert_eq!(pooled, alone);

@@ -6,15 +6,16 @@
 //! runtime object, lock, cache or clock — so a decision can be built and
 //! checked by hand, and equal snapshots give equal plans. The snapshot
 //! holds facts: AUTO_FIT's execution rows, each launch's accesses and
-//! kernel times, each buffer's transfers, when the devices' lanes and the
-//! queues' last commands come free, and what the cost model needs to price
-//! a split chunk. AUTO_FIT prices each queue's row and maps the queues over
-//! them; ROUND_ROBIN's rotation prices nothing. Then decide walks the
-//! epoch's issue order — the in-order queues' launches, then the
-//! out-of-order queues', each queue's in program order ([`issue_order`]) —
-//! and keeps a split candidate's best shares ([`split::balance`]) only when
-//! the epoch ends sooner. The replay of the issue it settles, with the
-//! host's enqueues counted, is the plan's prediction.
+//! kernel times, where each buffer is valid and where a copy of it comes
+//! from, when the devices' lanes and the queues' last commands come free,
+//! and what the cost model needs to price a split chunk. AUTO_FIT prices
+//! each queue's row and maps the queues over them; ROUND_ROBIN's rotation
+//! prices nothing. Then decide walks the epoch's issue order — the
+//! in-order queues' launches, then the out-of-order queues', each queue's
+//! in program order ([`issue_order`]) — and keeps a split candidate's best
+//! shares ([`split::balance`]) only when the epoch ends sooner. The replay
+//! of the issue it settles, with the host's enqueues counted, is the plan's
+//! prediction.
 //!
 //! One clock times all of it: the replay of launches through the time
 //! plane's rules ([`replayed_end`]) — lanes, hazards, residency. A queue's
@@ -107,7 +108,7 @@ pub struct SplitInput {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Touch {
     /// The buffer's slot in [`PassInput::bytes`] and
-    /// [`PassInput::transfer`].
+    /// [`PassInput::source`].
     pub buffer: usize,
     /// Whether the launch may write it.
     pub write: bool,
@@ -153,9 +154,14 @@ pub struct PassInput {
     /// while that device ran degraded, in cell order: the cell, and the
     /// degradation then in force. A profiled or healthy row has no entry.
     pub profiled_under: Vec<(usize, f64)>,
-    /// Per buffer slot and column: the transfer that makes the buffer
-    /// valid there (zero where it is).
-    pub transfer: Vec<SimDuration>,
+    /// Per buffer slot and column (`slot * columns + column`): it holds a
+    /// valid copy there.
+    pub valid: Vec<bool>,
+    /// Per buffer slot: where a copy for a column without one comes from,
+    /// by the runtime's one rule — a live column that holds one, which a
+    /// download from it then an upload moves, or (`None`) the host copy,
+    /// which an upload moves.
+    pub source: Vec<Option<usize>>,
     /// Per buffer slot: its size in bytes.
     pub bytes: Vec<u64>,
     /// The split candidates, in launch order.
@@ -164,8 +170,8 @@ pub struct PassInput {
     pub split_local: Vec<[u64; 3]>,
     /// Per column: the device's cost-model spec.
     pub specs: Vec<DeviceSpec>,
-    /// Per column: the host link's bandwidth curve, which prices a gather
-    /// and a re-upload.
+    /// Per column: the host link's bandwidth curve, which prices every
+    /// move — an upload, a download and a gather.
     pub links: Vec<BandwidthCurve>,
 }
 
@@ -507,19 +513,6 @@ fn writes(input: &PassInput, l: usize) -> impl Iterator<Item = usize> + '_ {
     input.touches[input.launches[l].touches.clone()].iter().filter(|t| t.write).map(|t| t.buffer)
 }
 
-/// Where a buffer's valid copy is, as the replay moves it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Held {
-    /// Where the snapshot found it: making it valid on a column costs that
-    /// column's [`PassInput::transfer`].
-    #[default]
-    Snapshot,
-    /// On the host, where a split's join leaves what it wrote.
-    Host,
-    /// On this column alone, which a whole launch wrote it on.
-    Device(usize),
-}
-
 /// An epoch's issue replayed through the time plane's rules, in ns from the
 /// flush, on each column's [`Lanes`]: decide's one clock. What a launch
 /// waits on is its buffer hazards (RAW, and WAR/WAW for a write), whichever
@@ -541,12 +534,15 @@ struct Replay {
     lane: Vec<u64>,
     /// Per queue: when its last command ends.
     queue: Vec<u64>,
-    /// Per buffer slot: where its valid copy is, and when its last writer
-    /// and its last access end.
-    held: Vec<Held>,
+    /// Per buffer slot: where a copy of it comes from, as
+    /// [`PassInput::source`] (a column a whole launch wrote it on, or the
+    /// host, where a split's join or a staged move leaves it), and when
+    /// its last writer and its last access end.
+    source: Vec<Option<usize>>,
     written: Vec<u64>,
     accessed: Vec<u64>,
-    /// Per buffer slot and column: made valid there by the replay.
+    /// Per buffer slot and column: valid there, at the snapshot or made
+    /// valid by the replay.
     moved: Vec<bool>,
     /// When the host has enqueued the last command, and what one more
     /// costs: zero but in the prediction.
@@ -557,7 +553,8 @@ struct Replay {
 }
 
 impl Replay {
-    /// The replay of nothing yet issued, on idle lanes and queues.
+    /// The replay of nothing yet issued, on idle lanes and queues, from the
+    /// snapshot's residency.
     fn idle(r: &mut Replay, input: &PassInput) {
         let (n, buffers) = (input.devices.len(), input.bytes.len());
         r.lanes.clear();
@@ -566,14 +563,12 @@ impl Replay {
         r.lane.resize(n, 0);
         r.queue.clear();
         r.queue.resize(input.queues.len(), 0);
-        r.held.clear();
-        r.held.resize(buffers, Held::Snapshot);
+        r.source.clone_from(&input.source);
         for times in [&mut r.written, &mut r.accessed] {
             times.clear();
             times.resize(buffers, 0);
         }
-        r.moved.clear();
-        r.moved.resize(buffers * n, false);
+        r.moved.clone_from(&input.valid);
         (r.host, r.enqueue) = (0, 0);
         r.end = 0;
     }
@@ -605,7 +600,7 @@ impl Replay {
         r.lanes.clone_from(&other.lanes);
         r.lane.clone_from(&other.lane);
         r.queue.clone_from(&other.queue);
-        r.held.clone_from(&other.held);
+        r.source.clone_from(&other.source);
         r.written.clone_from(&other.written);
         r.accessed.clone_from(&other.accessed);
         r.moved.clone_from(&other.moved);
@@ -659,7 +654,7 @@ impl Replay {
             r.accessed[t.buffer] = r.accessed[t.buffer].max(join);
             if t.write {
                 r.written[t.buffer] = join;
-                r.held[t.buffer] = Held::Host;
+                r.source[t.buffer] = None;
                 r.moved[t.buffer * n..(t.buffer + 1) * n].fill(false);
             }
         }
@@ -689,7 +684,7 @@ impl Replay {
             r.accessed[t.buffer] = r.accessed[t.buffer].max(end);
             if t.write {
                 r.written[t.buffer] = end;
-                r.held[t.buffer] = Held::Device(d);
+                r.source[t.buffer] = Some(d);
                 r.moved[t.buffer * n..(t.buffer + 1) * n].fill(false);
                 r.moved[t.buffer * n + d] = true;
             }
@@ -726,35 +721,20 @@ impl Replay {
             .fold(after, |chain, t| Replay::fetch(r, input, t.buffer, d, chain).unwrap_or(chain))
     }
 
-    /// Make buffer slot `b` valid on column `d` after `after`: its snapshot
-    /// transfer, an upload from the host, or a download from the column that
-    /// wrote it and an upload. Returns when it ends, if anything moves.
+    /// Make buffer slot `b` valid on column `d` after `after`, as the
+    /// runtime moves it: an upload of the host copy on `d`'s copy lane, or
+    /// first a download on its source column's, after which the host copy
+    /// is valid. Returns when it ends, if anything moves.
     fn fetch(r: &mut Replay, input: &PassInput, b: usize, d: usize, after: u64) -> Option<u64> {
-        let cell = b * input.devices.len() + d;
-        if std::mem::replace(&mut r.moved[cell], true) {
+        if std::mem::replace(&mut r.moved[b * input.devices.len() + d], true) {
             return None;
         }
-        let bytes = || input.bytes[b];
-        let end = match r.held[b] {
-            Held::Snapshot => match input.transfer[cell].as_nanos() {
-                0 => return None,
-                ns => {
-                    let after = Replay::enqueued(r, after);
-                    Lanes::stage(&mut r.lanes[d], after, ns)
-                }
-            },
-            Held::Host => {
-                let after = Replay::enqueued(r, after);
-                Lanes::stage(&mut r.lanes[d], after, link_time(input, d, bytes()))
-            }
-            Held::Device(o) => {
-                r.held[b] = Held::Host;
-                let after = Replay::enqueued(r, after);
-                let staged = Lanes::stage(&mut r.lanes[o], after, link_time(input, o, bytes()));
-                let staged = Replay::enqueued(r, staged);
-                Lanes::stage(&mut r.lanes[d], staged, link_time(input, d, bytes()))
-            }
-        };
+        let mut ready = Replay::enqueued(r, after);
+        if let Some(o) = r.source[b].take() {
+            ready = Lanes::stage(&mut r.lanes[o], ready, link_time(input, o, input.bytes[b]));
+            ready = Replay::enqueued(r, ready);
+        }
+        let end = Lanes::stage(&mut r.lanes[d], ready, link_time(input, d, input.bytes[b]));
         r.accessed[b] = r.accessed[b].max(end);
         r.end = r.end.max(end);
         Some(end)

@@ -28,6 +28,9 @@ pub struct DeviceProfile {
     /// Host↔device bandwidth curve per device.
     pub h2d: Vec<BandwidthCurve>,
     /// Device→device bandwidth curve per (src, dst) pair; `d2d[src][dst]`.
+    /// Measured as the paper's profiler does, and read by
+    /// [`Self::static_score`] on the diagonal; no move is priced from it,
+    /// since a cross-device move stages through the host on two links.
     pub d2d: Vec<Vec<BandwidthCurve>>,
     /// Sustained single-precision GFLOP/s per device.
     pub gflops_sp: Vec<f64>,
@@ -116,11 +119,6 @@ impl DeviceProfile {
     /// Predicted host↔device transfer time for `bytes` on `dev`.
     pub fn host_transfer_time(&self, dev: DeviceId, bytes: u64) -> SimDuration {
         self.h2d[dev.index()].predict_time(bytes)
-    }
-
-    /// Predicted device→device transfer time (staged through the host).
-    pub fn d2d_transfer_time(&self, src: DeviceId, dst: DeviceId, bytes: u64) -> SimDuration {
-        self.d2d[src.index()][dst.index()].predict_time(bytes)
     }
 
     /// Number of devices the profile covers.

@@ -36,6 +36,7 @@ use crate::profile::{DeviceProfile, ProfileCache, StaticHint};
 use crate::split;
 use crate::telemetry::event::{QueueDecision, SchedEvent};
 use crate::telemetry::{SchedObserver, StderrSink};
+use clrt::buffer::Source;
 use clrt::error::{ClError, ClResult};
 use clrt::{
     BoundArgs, Buffer, CommandQueue, Context, Kernel, KernelBody, NdRange, Platform, Program,
@@ -871,8 +872,10 @@ impl RtInner {
     /// Measure's last step, after every queue's profiling: each pool launch
     /// as decide sees it — its accesses, its analytic and profiled kernel
     /// times and a split candidate's shape and units — and each buffer's
-    /// size and transfer to each device at the residency the issue starts
-    /// from, into `input`; `buffers` holds each slot's buffer id.
+    /// size, the devices it is valid on and where a copy for the others
+    /// comes from ([`clrt::buffer::Residency::source`]) at the residency the
+    /// issue starts from, into `input`; `buffers` holds each slot's buffer
+    /// id.
     fn snapshot_launches(
         &self,
         pool: &[Arc<QueueState>],
@@ -887,10 +890,12 @@ impl RtInner {
         input.kernel_time.clear();
         input.profiled.clear();
         input.profiled_under.clear();
-        input.transfer.clear();
+        input.valid.clear();
+        input.source.clear();
         input.splits.clear();
         input.split_local.clear();
         let devices = &input.devices;
+        let lost = |o| devices.iter().zip(&input.lost).any(|(&d, &lost)| d == o && lost);
         let profiles = self.kernel_profiles.lock();
         for (qi, q) in pool.iter().enumerate() {
             let first = input.launches.len();
@@ -923,9 +928,17 @@ impl RtInner {
                     let slot = known.unwrap_or_else(|| {
                         buffers.push(t.buf.id());
                         input.bytes.push(t.buf.byte_len() as u64);
-                        input
-                            .transfer
-                            .extend(devices.iter().map(|&d| self.transfer_time(&t.buf, d)));
+                        let mut source = None;
+                        t.buf.with_residency(|res| {
+                            for &dev in devices {
+                                let s = res.source(dev, false, lost);
+                                input.valid.push(s == Source::Valid);
+                                if let Source::Owner(o) = s {
+                                    source = devices.iter().position(|&d| d == o);
+                                }
+                            }
+                        });
+                        input.source.push(source);
                         buffers.len() - 1
                     });
                     input.touches.push(Touch { buffer: slot, write: t.write });
@@ -1504,20 +1517,20 @@ impl RtInner {
                 };
                 let mut alive = true;
                 let mut last: Option<EventId> = None;
-                // Stage the inputs onto `dev` (§V-C3). Brute force (caching
-                // off) stages D2H + H2D for every destination; with caching,
-                // one D2H fills a host copy every destination reuses, and
+                // Stage the inputs onto `dev` (§V-C3) from where the runtime
+                // would move them. Brute force (caching off) stages D2H + H2D
+                // from a live owner for every destination; with caching, one
+                // D2H fills a host copy every destination reuses, and
                 // destinations keep their copies for the real issue.
+                let caching = self.options.data_caching;
                 for (b, filled) in buffers.iter_mut() {
-                    let res = b.residency();
-                    if res.valid_on(dev) {
-                        continue;
-                    }
-                    let bytes = b.byte_len() as u64;
-                    let fetch = match res.devices.first() {
-                        Some(src) if !(self.options.data_caching && res.host) => Some(src),
-                        _ => None,
+                    let lost = |d| engine.device_lost(d);
+                    let fetch = match b.with_residency(|r| r.source(dev, !caching, lost)) {
+                        Source::Valid => continue,
+                        Source::Host => None,
+                        Source::Owner(src) => Some(src),
                     };
+                    let bytes = b.byte_len() as u64;
                     // The download this upload reads the host copy of: its
                     // own (brute force, or the first with caching), else the
                     // one that filled the cached copy (none when the host
@@ -1530,10 +1543,14 @@ impl RtInner {
                         let ev = charge(engine, src, kind, d2h, []);
                         host_waits_for(engine, ev);
                         host_copy = Some(ev);
-                        if self.options.data_caching {
-                            b.mark_host_valid();
+                        if caching {
                             *filled = Some(ev);
                         }
+                    }
+                    // The upload leaves the host copy valid, staged or, with
+                    // no live owner, the canonical contents.
+                    if caching {
+                        b.mark_host_valid();
                     }
                     let h2d = node.topology.host_transfer_time(dev, bytes, &node.devices);
                     let kind = CommandKind::Transfer { kind: TransferKind::HostToDevice, bytes };
@@ -1543,7 +1560,7 @@ impl RtInner {
                         alive = false;
                         break;
                     }
-                    if self.options.data_caching {
+                    if caching {
                         b.mark_resident(dev);
                     }
                 }
@@ -1603,23 +1620,6 @@ impl RtInner {
         for (name, _, row) in kernel_rows {
             self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
         }
-    }
-
-    /// The predicted time to make `b` valid on `dev` from where it is valid
-    /// now, priced from the device profile: zero where it already is.
-    fn transfer_time(&self, b: &Buffer, dev: DeviceId) -> SimDuration {
-        let bytes = b.byte_len() as u64;
-        b.with_residency(|res| {
-            if res.valid_on(dev) {
-                SimDuration::ZERO
-            } else if res.host {
-                self.device_profile.host_transfer_time(dev, bytes)
-            } else if let Some(owner) = res.devices.first() {
-                self.device_profile.d2d_transfer_time(owner, dev, bytes)
-            } else {
-                SimDuration::ZERO
-            }
-        })
     }
 }
 

@@ -19,14 +19,15 @@ fn ns(v: &[u64]) -> Arc<[SimDuration]> {
 }
 
 /// The row of a queue that `push_queue` appends with these terms: healthy
-/// and alone, its launch stages its buffer and then runs.
+/// and alone, its launch stages its buffer (`migration` per column) and
+/// then runs.
 fn row(exec: &[u64], migration: &[u64]) -> CostRow {
     let total: Vec<u64> = exec.iter().zip(migration).map(|(e, m)| e + m).collect();
     CostRow { exec: ns(exec), total: ns(&total) }
 }
 
 /// A snapshot over `n` healthy, idle devices of 1 MiB on a flat 6 GB/s
-/// host link, with nothing pending.
+/// host link — a leg of 6 bytes takes a nanosecond — with nothing pending.
 fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
     PassInput {
         policy,
@@ -40,18 +41,20 @@ fn input(policy: ContextSchedPolicy, n: usize) -> PassInput {
     }
 }
 
-/// Append a 1 KiB buffer slot whose transfer to each column is `transfer`.
-fn push_buffer(input: &mut PassInput, transfer: &[SimDuration]) -> usize {
-    input.bytes.push(1 << 10);
-    input.transfer.extend_from_slice(transfer);
+/// Append a buffer slot of `bytes` valid on the columns `on`, whose copy for
+/// another column comes from `source`: a column of `on`, or the host.
+fn push_buffer(input: &mut PassInput, bytes: u64, on: &[usize], source: Option<usize>) -> usize {
+    input.bytes.push(bytes);
+    input.valid.extend((0..input.devices.len()).map(|d| on.contains(&d)));
+    input.source.push(source);
     input.bytes.len() - 1
 }
 
 /// Append a queue with one launch of its `need`: its execution row is
 /// `exec`, which is the launch's kernel time, and it reads one buffer of its
-/// own whose transfers are `migration`.
-fn push_queue(input: &mut PassInput, q: QueueInput, exec: &[u64], migration: &[u64]) {
-    let slot = push_buffer(input, &ns(migration));
+/// own of `bytes`, valid on the columns `on` and on the host.
+fn push_queue(input: &mut PassInput, q: QueueInput, exec: &[u64], bytes: u64, on: &[usize]) {
+    let slot = push_buffer(input, bytes, on, None);
     let (l, at) = (input.launches.len(), input.touches.len());
     input.touches.push(Touch { buffer: slot, write: false });
     let queue = input.queues.len();
@@ -87,19 +90,22 @@ fn auto_fit_is_the_mapper_over_the_blacklisted_matrix_from_the_warm_start() {
     let mut input = input(ContextSchedPolicy::AutoFit, 3);
     input.lost[1] = true;
     input.capacity[2] = 1 << 10;
-    type Terms = (usize, u64, [u64; 3], [u64; 3]);
+    // (current, need, exec, buffer bytes, columns it is valid on, the row's
+    // migration terms): the host copy is valid, so a column without one
+    // pays its upload, 6 bytes a nanosecond.
+    type Terms = (usize, u64, [u64; 3], u64, &'static [usize], [u64; 3]);
     let rows: [Terms; 4] = [
-        (0, 64, [900, 100, 300], [0, 0, 50]),
-        (2, 1 << 12, [500, 50, 40], [10, 10, 10]),
-        (1, 64, [200, 10, 210], [0, 5, 0]),
-        (0, 64, [700, 10, 650], [0, 0, 0]),
+        (0, 64, [900, 100, 300], 300, &[0, 1], [0, 0, 50]),
+        (2, 1 << 12, [500, 50, 40], 60, &[], [10, 10, 10]),
+        (1, 64, [200, 10, 210], 30, &[0, 2], [0, 5, 0]),
+        (0, 64, [700, 10, 650], 6, &[0, 1, 2], [0, 0, 0]),
     ];
-    for (current, need, exec, migration) in rows {
-        push_queue(&mut input, queue(current, need), &exec, &migration);
+    for (current, need, exec, bytes, on, _) in rows {
+        push_queue(&mut input, queue(current, need), &exec, bytes, on);
     }
     let plan = plan_of(&input);
     let want: Vec<CostRow> =
-        rows.iter().map(|(.., exec, migration)| row(exec, migration)).collect();
+        rows.iter().map(|(.., exec, _, _, migration)| row(exec, migration)).collect();
     assert_eq!(plan.costs, want);
     // The code the decision replaces: blacklist, warm start, mapper.
     let costs: mapper::CostMatrix = rows
@@ -144,15 +150,16 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
     input.lost[2] = true;
     input.capacity[0] = 1 << 10;
     input.rr_next = 7;
-    let (exec, migration) = (&[10, 20, 30], &[1, 2, 3]);
+    // Each queue's buffer is 12 bytes, on the host alone.
+    let exec = &[10, 20, 30];
     // Bound and bindable: kept.
-    push_queue(&mut input, queue(1, 64), exec, migration);
+    push_queue(&mut input, queue(1, 64), exec, 12, &[]);
     // Bound to the lost device: rotates. 7 % 3 = 1 is bindable.
-    push_queue(&mut input, queue(2, 64), exec, migration);
+    push_queue(&mut input, queue(2, 64), exec, 12, &[]);
     // Never bound: rotates. 8 % 3 = 2 is lost, 9 % 3 = 0 is too small,
     // 10 % 3 = 1 takes it.
     let fresh = QueueInput { bound: false, ..queue(0, 1 << 12) };
-    push_queue(&mut input, fresh, exec, migration);
+    push_queue(&mut input, fresh, exec, 12, &[]);
     let plan = plan_of(&input);
     assert_eq!(plan.device, [1, 1, 1]);
     assert_eq!(plan.rr_next, 11);
@@ -175,11 +182,11 @@ fn round_robin_keeps_a_bindable_binding_and_rotates_otherwise() {
 fn the_prediction_counts_the_hosts_enqueues() {
     for policy in [ContextSchedPolicy::RoundRobin, ContextSchedPolicy::AutoFit] {
         // One idle column, two in-order queues, each staging its buffer
-        // (30 ns) and running (100 ns): 0–30 and 30–130, then 30–60 and
-        // 130–230.
+        // (180 bytes, 30 ns) and running (100 ns): 0–30 and 30–130, then
+        // 30–60 and 130–230.
         let mut input = input(policy, 1);
-        push_queue(&mut input, queue(0, 0), &[100], &[30]);
-        push_queue(&mut input, queue(0, 0), &[100], &[30]);
+        push_queue(&mut input, queue(0, 0), &[100], 180, &[]);
+        push_queue(&mut input, queue(0, 0), &[100], 180, &[]);
         let free = plan_of(&input);
         assert_eq!(free.predicted, SimDuration::from_nanos(230), "{policy}");
         // At 50 ns an enqueue: the first stage starts at 50 and ends at 80,
@@ -197,9 +204,9 @@ fn the_prediction_counts_the_hosts_enqueues() {
 fn the_prediction_replays_the_plan_from_the_devices_and_queues_at_the_flush() {
     for policy in [ContextSchedPolicy::RoundRobin, ContextSchedPolicy::AutoFit] {
         // One column, idle: an in-order queue's launch stages its buffer
-        // (30 ns) and runs (100 ns).
+        // (180 bytes, 30 ns) and runs (100 ns).
         let mut input = input(policy, 1);
-        push_queue(&mut input, queue(0, 0), &[100], &[30]);
+        push_queue(&mut input, queue(0, 0), &[100], 180, &[]);
         assert_eq!(plan_of(&input).predicted, SimDuration::from_nanos(130), "{policy}");
         // Its copy lane busy for 40 ns more and its compute lane for 120:
         // the stage ends at 70, the kernel waits for its lane to 220.
@@ -222,8 +229,7 @@ fn an_in_order_launch_waits_on_another_queues_writer() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
     // 6 000 bytes, valid on both columns at the flush: 1 000 ns a leg on
     // the 6 GB/s link.
-    let x = push_buffer(&mut input, &ns(&[0, 0]));
-    input.bytes[x] = 6000;
+    let x = push_buffer(&mut input, 6000, &[0, 1], None);
     // Queue 0, on column 0, writes it for 1 000 ns; queue 1, on column 1,
     // reads it for 100 ns.
     for (q, write, kernel) in [(0, true, 1000), (1, false, 100)] {
@@ -241,13 +247,12 @@ fn an_in_order_launch_waits_on_another_queues_writer() {
 #[test]
 fn the_issue_order_is_the_in_order_queues_then_the_out_of_order_ones_in_program_order() {
     let mut input = input(ContextSchedPolicy::RoundRobin, 2);
-    input.bytes = vec![1 << 10; 4];
-    // Per buffer slot × device: what first touching it there costs.
-    input.transfer = [[0, 400], [300, 0], [50, 50], [900, 10]]
-        .iter()
-        .flatten()
-        .map(|&n| SimDuration::from_nanos(n))
-        .collect();
+    // Valid on one column with the host copy valid, on the other with it
+    // stale, nowhere but the host, and on both.
+    push_buffer(&mut input, 2400, &[0], None);
+    push_buffer(&mut input, 1800, &[1], Some(1));
+    push_buffer(&mut input, 300, &[], None);
+    push_buffer(&mut input, 5400, &[0, 1], Some(0));
     // Two out-of-order queues, bound to devices 0 and 1, and an in-order
     // one between them. ROUND_ROBIN prices nothing. With no profile row on
     // a healthy node, a launch's whole time is its analytic time.
@@ -279,7 +284,7 @@ fn the_issue_order_is_the_in_order_queues_then_the_out_of_order_ones_in_program_
     assert!(plan.costs.is_empty());
     assert_eq!(plan.device, [0, 1, 1]);
     // The in-order queue's launch first; then queue 0's and queue 2's, each
-    // in program order, whatever their transfers and kernel times.
+    // in program order, whatever their moves and kernel times.
     assert_eq!(issue_order(&input).collect::<Vec<_>>(), [2, 0, 1, 3, 4, 5]);
     assert_eq!(plan.predicted, replayed_end(&input, &plan));
 }
@@ -341,9 +346,8 @@ fn shares(plan: &Plan, l: usize) -> Vec<(usize, u64)> {
 #[test]
 fn a_split_is_kept_only_when_its_epoch_ends_sooner() {
     let mut snap = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
-    let small = push_buffer(&mut snap, &ns(&[0, 0, 0]));
-    let out = push_buffer(&mut snap, &ns(&[0, 0, 0]));
-    snap.bytes = vec![4 << 10, 4 << 10];
+    let small = push_buffer(&mut snap, 4 << 10, &[0, 1, 2], None);
+    let out = push_buffer(&mut snap, 4 << 10, &[0, 1, 2], None);
     // 1 024 workgroups of heavy arithmetic on an idle node: every device
     // helps, and the split ends well before the launch run whole.
     push_split(&mut snap, compute(20_000.0), 1024, 1, [small, out]);
@@ -368,9 +372,8 @@ fn a_split_is_kept_only_when_its_epoch_ends_sooner() {
     // costs it as much as all of it and it takes no share; a GPU runs its
     // few workgroups on one unit, so each GPU's half takes half the time.
     let mut narrow = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
-    let a = push_buffer(&mut narrow, &ns(&[0, 0, 0]));
-    let b = push_buffer(&mut narrow, &ns(&[0, 0, 0]));
-    narrow.bytes = vec![8, 8];
+    let a = push_buffer(&mut narrow, 8, &[0, 1, 2], None);
+    let b = push_buffer(&mut narrow, 8, &[0, 1, 2], None);
     let dp = KernelCostSpec {
         traits: KernelTraits { double_precision: true, ..KernelTraits::IDEAL },
         ..compute(10_000.0)
@@ -395,9 +398,8 @@ fn a_row_predicted_degraded_is_priced_as_one_made_healthy() {
     // predicted from stamps that ran while column 1 was already 8× slow,
     // which it records.
     let mut healthy = with_split_facts(input(ContextSchedPolicy::RoundRobin, 3));
-    let a = push_buffer(&mut healthy, &ns(&[0, 0, 0]));
-    let b = push_buffer(&mut healthy, &ns(&[0, 0, 0]));
-    healthy.bytes = vec![4 << 10, 4 << 10];
+    let a = push_buffer(&mut healthy, 4 << 10, &[0, 1, 2], None);
+    let b = push_buffer(&mut healthy, 4 << 10, &[0, 1, 2], None);
     push_split(&mut healthy, compute(20_000.0), 1024, 2, [a, b]);
     healthy.degradation[1] = 8.0;
     let mut degraded = healthy.clone();
@@ -431,14 +433,18 @@ fn push_launches(input: &mut PassInput, q: usize, launches: &[TimedLaunch]) {
 }
 
 /// Healthy and alone, an in-order queue's launches each wait for the one
-/// before, stage their first-touch buffers on the copy lane and run: its
-/// row adds its distinct buffers' transfers to its execution row.
+/// before, stage their first-touch buffers and run: its row adds its
+/// distinct buffers' moves to its execution row, an upload of a valid host
+/// copy or a download from the column holding one and an upload.
 #[test]
 fn an_in_order_row_adds_the_transfers_of_the_queues_distinct_buffers() {
     let mut input = input(ContextSchedPolicy::AutoFit, 3);
-    let a = push_buffer(&mut input, &ns(&[5, 0, 70]));
-    let b = push_buffer(&mut input, &ns(&[0, 300, 20]));
-    let c = push_buffer(&mut input, &ns(&[1000, 40, 0]));
+    // `a` (600 bytes, 100 ns a leg) is valid on column 1 and the host; `b`
+    // (1 200 bytes, 200 ns) on column 0 alone, `c` (300 bytes, 50 ns) on
+    // column 2 alone.
+    let a = push_buffer(&mut input, 600, &[1], None);
+    let b = push_buffer(&mut input, 1200, &[0], Some(0));
+    let c = push_buffer(&mut input, 300, &[2], Some(2));
     // Three distinct buffers over three launches, two of them bound twice;
     // only the first is timed.
     let zero: &[u64] = &[0, 0, 0];
@@ -457,7 +463,9 @@ fn an_in_order_row_adds_the_transfers_of_the_queues_distinct_buffers() {
         input.queues.push(QueueInput { exec, copies, launches, ..queue(0, 0) });
     }
     let plan = plan_of(&input);
-    assert_eq!(plan.costs[0], row(&[1, 2, 3], &[1005, 340, 90]));
+    // Column 0: `a` up, `c` down and up; column 1: `b` and `c` down and up;
+    // column 2: `a` up, `b` down and up.
+    assert_eq!(plan.costs[0], row(&[1, 2, 3], &[100 + 50 + 50, 400 + 100, 100 + 400]));
     assert_eq!(plan.costs[1], row(&[1, 2, 3], &[0, 0, 0]));
     // The unpriced row is the execution row itself, not a copy of it.
     assert!(Arc::ptr_eq(&plan.costs[1].total, &input.queues[1].exec));
@@ -498,9 +506,12 @@ fn alone(input: &PassInput, q: usize, d: usize) -> SimDuration {
 #[test]
 fn a_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
     let mut input = input(ContextSchedPolicy::AutoFit, 2);
-    let a = push_buffer(&mut input, &ns(&[400, 0]));
-    let b = push_buffer(&mut input, &ns(&[30, 250]));
-    let c = push_buffer(&mut input, &ns(&[60, 60]));
+    // `a` (2 400 bytes, 400 ns a leg) is valid on column 1 and the host,
+    // `b` (180 bytes, 30 ns) on column 0 alone, `c` (360 bytes, 60 ns) on
+    // the host alone.
+    let a = push_buffer(&mut input, 2400, &[1], None);
+    let b = push_buffer(&mut input, 180, &[0], Some(0));
+    let c = push_buffer(&mut input, 360, &[], None);
     // The replay runs the profiled kernel times, not the analytic ones.
     let analytic: &[u64] = &[7, 7];
     let launches = [
@@ -526,15 +537,16 @@ fn a_row_is_the_replay_of_the_queues_launches_alone_on_each_column() {
         let replayed: Arc<[SimDuration]> = (0..2).map(|d| alone(&input, q, d)).collect();
         assert_eq!(plan.costs[q].total, replayed, "queue {q}");
     }
-    // By hand, on column 0: the first launch stages `a` then `b` (400 +
-    // 30) and runs 100, to 530. Out of order, the second stages `c` behind
-    // them (to 490) and runs 50 after the first; the third reads `b`, which
-    // the first wrote there, and runs 10 — 590. In order, `c` waits for the
-    // first launch: 530 + 60 + 50 + 10 = 650. On column 1, `b` moves (250)
-    // and then `c` (60), to 310 under the first kernel, which ends at 550:
-    // 550 + 20 + 80 = 650 out of order, 550 + 60 + 20 + 80 = 710 in order.
-    assert_eq!(plan.costs[0], CostRow { exec: ns(&[9, 9]), total: ns(&[590, 650]) });
-    assert_eq!(plan.costs[1], CostRow { exec: ns(&[9, 9]), total: ns(&[650, 710]) });
+    // By hand, on column 0: the first launch uploads `a` (400) and runs
+    // 100, to 500. Out of order, the second uploads `c` behind it (to 460)
+    // and runs 50 after the first; the third reads `b`, which the first
+    // wrote there, and runs 10 — 560. In order, `c` waits for the first
+    // launch: 500 + 60 + 50 + 10 = 620. On column 1, `b` goes down column
+    // 0's copy lane and up column 1's (to 60), the first kernel runs to 360,
+    // and `c` moves under it (to 120): 360 + 20 + 80 = 460 out of order,
+    // 360 + 60 + 20 + 80 = 520 in order.
+    assert_eq!(plan.costs[0], CostRow { exec: ns(&[9, 9]), total: ns(&[560, 460]) });
+    assert_eq!(plan.costs[1], CostRow { exec: ns(&[9, 9]), total: ns(&[620, 520]) });
     // A queue whose copies are free keeps its `exec`.
     assert_eq!(plan.costs[2], row(&[9, 9], &[0, 0]));
 }
@@ -548,8 +560,8 @@ fn an_in_order_queue_maps_away_from_a_degraded_column_like_its_out_of_order_twin
     for out_of_order in [false, true] {
         let mut input = input(ContextSchedPolicy::AutoFit, 2);
         input.degradation[1] = 8.0;
-        let a = push_buffer(&mut input, &ns(&[10, 10]));
-        let b = push_buffer(&mut input, &ns(&[10, 10]));
+        let a = push_buffer(&mut input, 60, &[], None);
+        let b = push_buffer(&mut input, 60, &[], None);
         let launches = [
             (&[(a, false), (b, true)][..], &[100, 100][..], &[300, 100][..]),
             (&[(b, false)][..], &[100, 100][..], &[300, 100][..]),
@@ -567,13 +579,13 @@ fn an_in_order_queue_maps_away_from_a_degraded_column_like_its_out_of_order_twin
 }
 
 /// Append an out-of-order queue with a profiled row on column 0 of one
-/// launch per entry of `launches`: `(transfer, analytic, profiled)` ns,
-/// each reading a buffer of its own that costs `transfer` to stage.
+/// launch per entry of `launches`: `(upload, analytic, profiled)` ns, each
+/// reading a buffer of its own on the host that takes `upload` to stage.
 fn push_batch(input: &mut PassInput, launches: &[(u64, u64, u64)]) {
     let q = input.queues.len();
     let first = input.launches.len();
-    for &(transfer, analytic, profiled) in launches {
-        let slot = push_buffer(input, &ns(&[transfer]));
+    for &(upload, analytic, profiled) in launches {
+        let slot = push_buffer(input, upload * 6, &[], None);
         push_launches(input, q, &[(&[(slot, false)], &[analytic], &[profiled])]);
     }
     let launches = first..input.launches.len();
@@ -619,22 +631,27 @@ fn naive_costs(input: &PassInput) -> Vec<CostRow> {
     costs.collect()
 }
 
-/// What the additive row was, `exec` plus the transfers of the queue's
+/// What the additive row was, `exec` plus the moves of the queue's
 /// distinct buffers, on column `d`: a healthy in-order queue's row alone.
+/// A buffer not valid on `d` crosses `d`'s host link, and first its
+/// source column's when the snapshot names one.
 fn additive(input: &PassInput, q: &QueueInput, d: usize) -> SimDuration {
     let n = input.devices.len();
     let touches = |l: usize| &input.touches[input.launches[l].touches.clone()];
     let mut distinct: Vec<usize> = q.launches.clone().flat_map(touches).map(|t| t.buffer).collect();
     distinct.sort_unstable();
     distinct.dedup();
-    q.exec[d] + distinct.iter().map(|&b| input.transfer[b * n + d]).sum()
+    let leg = |c: usize, b: usize| input.links[c].predict_time(input.bytes[b]);
+    let moved = distinct.iter().filter(|&&b| !input.valid[b * n + d]);
+    q.exec[d]
+        + moved.map(|&b| leg(d, b) + input.source[b].map_or(SimDuration::ZERO, |o| leg(o, b))).sum()
 }
 
 /// A random snapshot: 1–4 devices, 1–6 queues of 1–4 launches, random
-/// health, capacity, degradation, lanes busy at the flush, the sources of
-/// execution rows, queue tails, buffer accesses, sizes and transfers,
-/// kernel times, profile rows (some missing or measured degraded) and
-/// split units and shapes. A queue's execution row sums its launches' whole
+/// health, capacity, degradation, lanes busy at the flush, host links, the
+/// sources of execution rows, queue tails, buffer accesses, sizes and
+/// residency, kernel times, profile rows (some missing or measured
+/// degraded) and split units and shapes. A queue's execution row sums its launches' whole
 /// times as a healthy device runs them: each cell's profile row, else its
 /// analytic time.
 fn random_input(rng: &mut XorShift) -> PassInput {
@@ -656,13 +673,21 @@ fn random_input(rng: &mut XorShift) -> PassInput {
             input.lanes[di] =
                 Lanes { copy: rng.range_u64(0, 3000), compute: rng.range_u64(0, 3000) };
         }
+        let gbs = rng.range_f64(4.0, 16.0);
+        input.links[di] = BandwidthCurve::new(vec![1, 1 << 40], vec![gbs, gbs]);
     }
     let max_capacity = *input.capacity.iter().max().expect("a device");
     input.rr_next = rng.index(10);
+    // Each buffer valid on some columns; the copy for another comes from
+    // the host's if valid, else from the first live column holding one, as
+    // the runtime picks it.
     let slots = 1 + rng.index(6);
-    input.transfer =
-        (0..slots * n).map(|_| SimDuration::from_nanos(rng.range_u64(0, 5000))).collect();
-    input.bytes = (0..slots).map(|_| rng.range_u64(8, 64 << 10)).collect();
+    for _ in 0..slots {
+        let on: Vec<usize> = (0..n).filter(|_| rng.index(3) == 0).collect();
+        let host = on.is_empty() || rng.index(2) == 0;
+        let live = on.iter().copied().find(|&d| !input.lost[d]);
+        push_buffer(&mut input, rng.range_u64(8, 16 << 10), &on, live.filter(|_| !host));
+    }
     for qi in 0..1 + rng.index(6) {
         let out_of_order = rng.index(2) == 0;
         let first = input.launches.len();
@@ -809,21 +834,26 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
 /// in issue order — the in-order queues, then the out-of-order ones, each
 /// in pool order: per column a compute lane and a copy lane, each busy as
 /// the flush finds it, per in-order queue a chain from its tail, and per
-/// buffer where it was last written and which columns hold it, and when
-/// its last writer and its last access end — a launch starts after its
-/// queue's chain, if in order, and after those of the buffers it touches,
-/// whichever queue issued them (RAW, and WAR / WAW for a write).
+/// buffer whether the host copy is current (else the column to download
+/// from, the snapshot's source or its last writer's) and which columns hold
+/// it, and when its last writer and its last access end — a launch starts
+/// after its queue's chain, if in order, and after those of the buffers it
+/// touches, whichever queue issued them (RAW, and WAR / WAW for a write). A
+/// buffer a launch lacks is staged through the host: a download on the
+/// holder's copy lane if the host copy is stale, then an upload on the
+/// launch's.
 fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
     let n = input.devices.len();
     let ns = |t: SimDuration| t.as_nanos();
     let link = |d: usize, b: usize| ns(input.links[d].predict_time(input.bytes[b]));
     let mut compute: Vec<u64> = input.lanes.iter().map(|l| l.compute).collect();
     let mut copy: Vec<u64> = input.lanes.iter().map(|l| l.copy).collect();
-    // Per buffer: the column a launch last wrote it on, until staged to the
-    // host; whether it was staged; the columns holding it.
-    let mut written_on: Vec<Option<usize>> = vec![None; input.bytes.len()];
-    let mut staged = vec![false; input.bytes.len()];
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); input.bytes.len()];
+    // Per buffer: the column holding the only current copy, until staged to
+    // the host; the columns holding it.
+    let mut stale_host: Vec<Option<usize>> = input.source.clone();
+    let mut holders: Vec<Vec<usize>> = (0..input.bytes.len())
+        .map(|b| (0..n).filter(|&d| input.valid[b * n + d]).collect())
+        .collect();
     let (mut writer_end, mut access_end) = (vec![0; input.bytes.len()], vec![0; input.bytes.len()]);
     let mut end = 0;
     let queues = input.queues.iter().enumerate();
@@ -846,15 +876,10 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
                     copy[lane] = copy[lane].max(tail) + dur;
                     tail = copy[lane];
                 };
-                if let Some(o) = written_on[b] {
+                if let Some(o) = stale_host[b].take() {
                     step(o, link(o, b));
-                    step(d, link(d, b));
-                    (written_on[b], staged[b]) = (None, true);
-                } else if staged[b] {
-                    step(d, link(d, b));
-                } else if input.transfer[b * n + d] > SimDuration::ZERO {
-                    step(d, ns(input.transfer[b * n + d]));
                 }
+                step(d, link(d, b));
                 access_end[b] = access_end[b].max(tail);
                 end = end.max(tail);
             }
@@ -873,7 +898,7 @@ fn naive_whole_end(input: &PassInput, plan: &Plan) -> SimDuration {
             for t in &input.touches[input.launches[l].touches.clone()] {
                 access_end[t.buffer] = access_end[t.buffer].max(tail);
                 if t.write {
-                    (written_on[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
+                    (stale_host[t.buffer], holders[t.buffer]) = (Some(d), vec![d]);
                     writer_end[t.buffer] = tail;
                 }
             }

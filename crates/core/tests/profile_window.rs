@@ -271,3 +271,21 @@ fn a_device_lost_inside_the_window_drops_out_of_it_at_its_loss() {
         }
     }
 }
+
+/// The buffer's only holder, GPU0, lost before the window: its copy is
+/// gone, and the staging reads the host's canonical contents, as the
+/// runtime's migration does (`Residency::source`). Nothing is submitted on
+/// GPU0 and nothing fails, with caching or without.
+#[test]
+fn a_holder_lost_before_the_window_is_not_staged_from() {
+    for caching in [true, false] {
+        let w = profile_cold_kernel(caching, Some((GPU0, SimTime::ZERO)));
+        let on_gpu0: Vec<_> = w.records.iter().filter(|r| r.device == GPU0).collect();
+        assert!(on_gpu0.is_empty(), "caching {caching}: {on_gpu0:?}");
+        assert!(w.failures.is_empty(), "caching {caching}: {:?}", w.failures);
+        assert_eq!(count(&w, TransferKind::DeviceToHost), 0, "caching {caching}: downloads");
+        assert_eq!(count(&w, TransferKind::HostToDevice), 2, "caching {caching}: uploads");
+        assert_eq!(w.row, [ROW_NS[0], 0, ROW_NS[2]], "caching {caching}");
+        assert_eq!(w.down, [GPU0], "caching {caching}");
+    }
+}
