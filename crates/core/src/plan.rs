@@ -21,6 +21,15 @@
 //! plane's rules ([`replayed_end`]) — lanes, hazards, residency. A queue's
 //! row is the replay of its own launches alone from idle lanes, and the
 //! walk replays the issue order from the devices the flush finds.
+//!
+//! Because equal snapshots give equal plans, a pass asks
+//! [`decide_or_reuse`] rather than [`decide`]: a [`Memo`] keeps the last
+//! [`MEMO_ENTRIES`] snapshots and the plans decide returned for them, and a
+//! snapshot equal to a kept one in every field takes that plan's copy with
+//! no pricing, mapping or walk. An iterative application's steady epoch is
+//! then a lookup (§V-C1 caches kernel and epoch profiles; this caches the
+//! decision made from them). Nothing invalidates an entry: whatever would
+//! change a decision is a field of the snapshot, so it misses.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
@@ -168,11 +177,12 @@ pub struct PassInput {
     pub splits: Vec<SplitInput>,
     /// Per split and column: the workgroup shape a chunk runs at there.
     pub split_local: Vec<[u64; 3]>,
-    /// Per column: the device's cost-model spec.
-    pub specs: Vec<DeviceSpec>,
+    /// Per column: the device's cost-model spec. Read once per context and
+    /// shared, so a copy of the snapshot copies no name.
+    pub specs: Arc<[DeviceSpec]>,
     /// Per column: the host link's bandwidth curve, which prices every
-    /// move — an upload, a download and a gather.
-    pub links: Vec<BandwidthCurve>,
+    /// move — an upload, a download and a gather. Shared like `specs`.
+    pub links: Arc<[BandwidthCurve]>,
 }
 
 /// What a pass issues: the decision [`decide`] makes from a [`PassInput`].
@@ -219,6 +229,117 @@ pub struct PlanScratch {
     envelope: Vec<u64>,
     from: Vec<usize>,
     rank: Vec<usize>,
+}
+
+/// How many decisions [`Memo`] keeps. Two, because an iterative
+/// application alternates epoch shapes — FDM-Seismology a velocity epoch,
+/// then a stress one — and with one entry each shape would evict the other
+/// before it came back.
+pub const MEMO_ENTRIES: usize = 2;
+
+/// Decide's last outputs, kept from pass to pass: each entry a snapshot and
+/// the plan [`decide`] returned for it. A hit is a snapshot equal to a kept
+/// one in every field, so whatever moves a decision — a fault, a residency
+/// change, a new profile row, the lanes and tails at the flush — misses by
+/// construction, and nothing is hashed or invalidated.
+#[derive(Debug, Default)]
+pub struct Memo {
+    entries: [Option<(PassInput, Plan)>; MEMO_ENTRIES],
+    /// The entry a miss refills: the one used least recently.
+    evict: usize,
+}
+
+/// The plan [`decide`] gives `input`, into `plan`: a kept entry's copy when
+/// `memo` holds an equal snapshot, which skips the pricing, the mapper and
+/// the walk; otherwise decide's, recorded in place of the entry used least
+/// recently. Returns whether the plan was reused. Neither path allocates
+/// once the memo has held epochs as large.
+pub fn decide_or_reuse(
+    input: &PassInput,
+    memo: &mut Memo,
+    scratch: &mut PlanScratch,
+    plan: &mut Plan,
+) -> bool {
+    let hit = memo.entries.iter().position(|e| e.as_ref().is_some_and(|(kept, _)| kept == input));
+    let i = hit.unwrap_or(memo.evict);
+    let (kept_input, kept_plan) = memo.entries[i].get_or_insert_default();
+    match hit {
+        Some(_) => copy_plan(plan, kept_plan),
+        None => {
+            decide(input, scratch, plan);
+            copy_input(kept_input, input);
+            copy_plan(kept_plan, plan);
+        }
+    }
+    memo.evict = (i + 1) % MEMO_ENTRIES;
+    hit.is_some()
+}
+
+/// Make `to` equal to `from` in the lists it already has.
+fn copy_input(to: &mut PassInput, from: &PassInput) {
+    let PassInput {
+        policy,
+        mapper,
+        devices,
+        lost,
+        capacity,
+        degradation,
+        lanes,
+        enqueue,
+        rr_next,
+        queues,
+        launches,
+        touches,
+        kernel_time,
+        profiled,
+        profiled_under,
+        valid,
+        source,
+        bytes,
+        splits,
+        split_local,
+        specs,
+        links,
+    } = from;
+    (to.policy, to.mapper, to.enqueue, to.rr_next) = (*policy, *mapper, *enqueue, *rr_next);
+    to.devices.clone_from(devices);
+    to.lost.clone_from(lost);
+    to.capacity.clone_from(capacity);
+    to.degradation.clone_from(degradation);
+    to.lanes.clone_from(lanes);
+    to.queues.clone_from(queues);
+    to.launches.clone_from(launches);
+    to.touches.clone_from(touches);
+    to.kernel_time.clone_from(kernel_time);
+    to.profiled.clone_from(profiled);
+    to.profiled_under.clone_from(profiled_under);
+    to.valid.clone_from(valid);
+    to.source.clone_from(source);
+    to.bytes.clone_from(bytes);
+    to.splits.clone_from(splits);
+    to.split_local.clone_from(split_local);
+    to.specs.clone_from(specs);
+    to.links.clone_from(links);
+}
+
+/// Make `to` equal to `from` in the lists it already has (a queue's cost
+/// row is shared, not copied).
+fn copy_plan(to: &mut Plan, from: &Plan) {
+    let Plan { mut costs, mut device, mut search, mut splits, mut chunks, .. } = std::mem::take(to);
+    costs.clone_from(&from.costs);
+    device.clone_from(&from.device);
+    splits.clone_from(&from.splits);
+    chunks.clone_from(&from.chunks);
+    search = match (search, &from.search) {
+        (Some(kept), Some(outcome)) => {
+            let mut assignment = kept.mapping.assignment;
+            assignment.clone_from(&outcome.mapping.assignment);
+            let mapping = mapper::Mapping { assignment, ..outcome.mapping };
+            Some(mapper::SearchOutcome { mapping, ..*outcome })
+        }
+        (_, outcome) => outcome.clone(),
+    };
+    *to = Plan { costs, device, search, splits, chunks, ..*from };
 }
 
 /// Whether column `di` is eligible for launches binding buffers of up to

@@ -18,7 +18,9 @@
 //! 2. **decide** — [`plan::decide`], a pure function of that snapshot: the
 //!    cost rows it prices (each queue's launches replayed alone, split units),
 //!    the queue→device mapping (AutoFit = makespan minimization; RoundRobin
-//!    = cyclic), the out-of-order issue order and the split shares;
+//!    = cyclic), the out-of-order issue order and the split shares. A
+//!    snapshot equal to one of the last two takes that decision's plan
+//!    instead ([`plan::decide_or_reuse`]);
 //! 3. **issue** — announces, rebinds and enqueues what the [`Plan`] says.
 //!
 //! `SCHED_OFF` queues bypass all of this: their commands pass straight
@@ -185,6 +187,10 @@ pub struct SchedStats {
     /// Always 0: a split chunk runs on the device it was sized for. Kept
     /// because benchmark reports read it (DESIGN.md §14).
     pub chunks_stolen: u64,
+    /// Passes whose snapshot equalled one decided before, which took that
+    /// decision's plan without pricing, mapping or walking
+    /// ([`plan::decide_or_reuse`]).
+    pub plans_reused: u64,
 }
 
 /// Health of one context device, as the engine's fault plan and the virtual
@@ -297,10 +303,12 @@ struct RtInner {
 struct PassScratch {
     /// The pass's participating queues with pending work.
     pool: Vec<Arc<QueueState>>,
-    /// What measure snapshots, decide plans, and decide works in.
+    /// What measure snapshots, decide plans, decide works in, and the
+    /// decisions a later equal snapshot reuses.
     input: PassInput,
     plan: Plan,
     decide: PlanScratch,
+    memo: plan::Memo,
     lanes: hwsim::report::LaneScratch,
     work: Work,
 }
@@ -693,7 +701,7 @@ impl RtInner {
         // Concurrent triggers wait here and then find the pool drained.
         let _one_pass = self.pass_lock.lock();
         let mut scratch = self.mapper_state.lock();
-        let PassScratch { pool, input, plan, decide, lanes, work } = &mut *scratch;
+        let PassScratch { pool, input, plan, decide, memo, lanes, work } = &mut *scratch;
         work.delta = SchedStats::default();
         self.alive_queues(pool);
         pool.retain(|q| !q.pending.lock().is_empty());
@@ -716,8 +724,11 @@ impl RtInner {
         });
         let profiling = self.measure(epoch, began, pool, input, work);
         let decided = std::time::Instant::now();
-        plan::decide(input, decide, plan);
-        if let Some(search) = &plan.search {
+        let reused = plan::decide_or_reuse(input, memo, decide, plan);
+        work.delta.plans_reused += u64::from(reused);
+        // An event's payload is built only for an observer to hear it.
+        let heard = !self.observers.lock().is_empty();
+        if let Some(search) = plan.search.as_ref().filter(|_| heard) {
             let wall = decided.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             let queues = pool.iter().zip(&plan.costs).zip(&plan.device);
             self.emit(&SchedEvent::MappingDecision {
@@ -725,8 +736,9 @@ impl RtInner {
                 at: self.platform.now(),
                 mapper: Arc::clone(&self.mapper_label),
                 makespan: search.mapping.makespan,
-                nodes_explored: search.nodes_explored,
-                budget_tripped: search.budget_tripped,
+                // A reused plan ran no mapper.
+                nodes_explored: if reused { 0 } else { search.nodes_explored },
+                budget_tripped: !reused && search.budget_tripped,
                 mapper_wall: SimDuration::from_nanos(wall),
                 queues: queues
                     .map(|((q, cost), &di)| QueueDecision {
@@ -736,6 +748,7 @@ impl RtInner {
                         previous: q.cl.device(),
                     })
                     .collect(),
+                reused,
             });
         }
         // Trace records carry their final stamps at submit, so everything
@@ -747,13 +760,16 @@ impl RtInner {
         self.apply_stats(&work.delta);
         // The executed critical path of the commands just issued, and the
         // measured copy/compute lane overlap per device of the window (0.0
-        // where a device saw one lane or none).
-        let (executed_end, lane_overlap) = self.platform.with_engine(|e| {
-            let records = e.trace().records_since(trace_offset);
-            let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
-            let lane_overlap: Vec<f64> = input.devices.iter().map(overlap).collect();
-            (records.iter().map(|r| r.stamp.end).max(), lane_overlap)
-        });
+        // where a device saw one lane or none), for the observers alone.
+        let (executed_end, lane_overlap) = match heard {
+            false => (None, Vec::new()),
+            true => self.platform.with_engine(|e| {
+                let records = e.trace().records_since(trace_offset);
+                let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
+                let lane_overlap: Vec<f64> = input.devices.iter().map(overlap).collect();
+                (records.iter().map(|r| r.stamp.end).max(), lane_overlap)
+            }),
+        };
         // Predicted-vs-actual makespan attribution: the replayed plan against
         // that critical path.
         if let Some(end) = executed_end {
@@ -769,18 +785,20 @@ impl RtInner {
         if self.options.predictor_confidence > 0.0 {
             self.refine_predictor(work, input, plan, trace_offset, epoch);
         }
-        let done = self.platform.now();
-        let dp = self.platform.data_plane_stats();
-        self.emit(&SchedEvent::EpochEnd {
-            epoch,
-            at: done,
-            elapsed: done.saturating_since(began),
-            profiling,
-            kernels_issued: work.delta.kernels_issued - passthrough_issued,
-            data_queue_depth: dp.queue_depth,
-            data_peak_busy: dp.peak_busy_workers,
-            lane_overlap,
-        });
+        if heard {
+            let done = self.platform.now();
+            let dp = self.platform.data_plane_stats();
+            self.emit(&SchedEvent::EpochEnd {
+                epoch,
+                at: done,
+                elapsed: done.saturating_since(began),
+                profiling,
+                kernels_issued: work.delta.kernels_issued - passthrough_issued,
+                data_queue_depth: dp.queue_depth,
+                data_peak_busy: dp.peak_busy_workers,
+                lane_overlap,
+            });
+        }
         pool.clear();
         work.cmds.clear();
     }
@@ -1078,6 +1096,7 @@ impl RtInner {
         stats.devices_lost += delta.devices_lost;
         stats.queues_remapped += delta.queues_remapped;
         stats.kernels_split += delta.kernels_split;
+        stats.plans_reused += delta.plans_reused;
     }
 
     /// One pool queue's execution row under AUTO_FIT (§V-C) and where it

@@ -363,6 +363,10 @@ pub enum SchedEvent {
         mapper_wall: SimDuration => "mapper_wall_ns" = SimDuration::ZERO,
         /// Per-queue explain records, pool order.
         queues: Vec<QueueDecision> => "queues",
+        /// The pass's snapshot equalled one decided before, and the pass
+        /// took that decision's plan: no mapper ran (`nodes_explored` is 0,
+        /// `budget_tripped` false) and `mapper_wall` is the lookup's.
+        reused: bool => "reused" = false,
     },
     /// A queue's device binding changed.
     QueueMigrated = "queue_migrated" {
@@ -693,6 +697,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
                 chosen: DeviceId(0),
                 previous: DeviceId(1),
             }],
+            reused: false,
         },
         SchedEvent::QueueMigrated {
             epoch: 1,
@@ -944,7 +949,7 @@ mod tests {
     /// pinned alongside them.
     const LEGACY_EXPECTED: [&str; 10] = [
         // Pre-mapper-effort mapping_decision (before PR 3).
-        r#"{"nodes_explored":0,"budget_tripped":false,"mapper_wall_ns":0}"#,
+        r#"{"nodes_explored":0,"budget_tripped":false,"mapper_wall_ns":0,"reused":false}"#,
         // Pre-data-plane / pre-OOO epoch_end, and a queue entry without
         // `overlap_ns` (before PR 9).
         r#"{"data_queue_depth":0,"data_peak_busy":0,"lane_overlap":[]}"#,

@@ -35,6 +35,7 @@ pub fn one_line(event: &SchedEvent) -> String {
             nodes_explored,
             budget_tripped,
             mapper_wall,
+            reused,
             ..
         } => {
             let assignment = queues
@@ -43,9 +44,12 @@ pub fn one_line(event: &SchedEvent) -> String {
                 .collect::<Vec<_>>()
                 .join(" ");
             let tripped = if *budget_tripped { ", budget tripped" } else { "" };
+            let effort = match reused {
+                true => "plan reused".to_string(),
+                false => format!("{nodes_explored} node(s)"),
+            };
             format!(
-                "{mapper} mapping [{assignment}], makespan {} \
-                 ({nodes_explored} node(s), {} wall{tripped})",
+                "{mapper} mapping [{assignment}], makespan {} ({effort}, {} wall{tripped})",
                 ms(*makespan),
                 ms(*mapper_wall),
             )
@@ -307,6 +311,7 @@ mod tests {
                         previous: DeviceId(0),
                     },
                 ],
+                reused: false,
             },
             SchedEvent::EpochEnd {
                 epoch: 1,
@@ -330,6 +335,14 @@ mod tests {
         assert!(log.contains('*'), "{log}");
         assert!(log.contains('<'), "{log}");
         assert!(log.contains("2 kernel(s) issued"), "{log}");
+        // A reused decision says so instead of counting the mapper's nodes.
+        let mut reused = events[1].clone();
+        if let SchedEvent::MappingDecision { nodes_explored, reused, .. } = &mut reused {
+            (*nodes_explored, *reused) = (0, true);
+        }
+        let line = one_line(&reused);
+        assert!(line.contains("(plan reused, "), "{line}");
+        assert!(!line.contains("node(s)"), "{line}");
     }
 
     #[test]

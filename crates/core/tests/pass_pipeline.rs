@@ -115,13 +115,21 @@ const LOCAL: u64 = 64;
 /// 564 936, 580 572 → 531 445; ROUND_ROBIN clean 612 015 each, but epoch
 /// 2 612 015 → 604 751 (one more `sp_big` split); ROUND_ROBIN loss
 /// 612 015, 612 015 → 604 751, 746 437 → 722 500, 574 146 → 601 105.
+/// The events column of the four AUTO_FIT rows was re-derived once more
+/// after 275e1cf, when `mapping_decision` gained its late `reused` member
+/// (a pass whose snapshot equals one decided before takes that plan), by
+/// one stated rule, checked by script on both commits' dumps: every line
+/// equals 275e1cf's except each `mapping_decision`, which ends in
+/// `,"reused":false` or, for a reused plan, `,"reused":true` with
+/// `nodes_explored` 0. Only the `wide` row reuses one (its fourth epoch);
+/// the trace column did not move.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("mixed/auto_fit/clean", 0x8692_0e35_610d_feb0, 0xaf73_f427_caf8_5aae),
-    ("mixed/auto_fit/loss", 0x9f13_0a66_fb9e_87f6, 0x5276_5bf5_304d_3c3d),
-    ("mixed/auto_fit/predictor", 0x10ff_d354_370b_7aed, 0x83ca_b7a2_3be1_dc46),
+    ("mixed/auto_fit/clean", 0xa1fe_6ca7_b6ec_1ce4, 0xaf73_f427_caf8_5aae),
+    ("mixed/auto_fit/loss", 0x77fb_54cf_94db_c0f8, 0x5276_5bf5_304d_3c3d),
+    ("mixed/auto_fit/predictor", 0xc558_5fa9_89cf_43f5, 0x83ca_b7a2_3be1_dc46),
     ("mixed/round_robin/clean", 0x27d0_cf24_3a47_671d, 0x6c3f_d4ac_fbf2_8b45),
     ("mixed/round_robin/loss", 0x2b8c_c4c0_ba91_75a8, 0x04de_ff52_d6a2_fe67),
-    ("wide/auto_fit/clean", 0xc671_f62c_d8dd_ed8c, 0x09ea_dc96_1fe4_12cc),
+    ("wide/auto_fit/clean", 0xd24b_0d25_0608_62d8, 0x09ea_dc96_1fe4_12cc),
 ];
 
 /// `out[i] = out[i] * 0.5 + a[i] * scale + b[i]` over the first `n` items

@@ -1,15 +1,15 @@
 //! `plan::decide` without a platform: hand-built snapshots checked against
 //! the routines each part of the decision comes from — its pricing and its
-//! split judgement included — and a seeded property test over random
-//! snapshots.
+//! split judgement included — and seeded property tests over random
+//! snapshots: of the decision, and of the memo that reuses it.
 
 use hwsim::microbench::BandwidthCurve;
 use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::plan::{
-    self, decide, issue_order, replayed_end, CostRow, Lanes, LaunchInput, PassInput, Plan,
-    PlanScratch, QueueInput, SplitInput, Touch,
+    self, decide, decide_or_reuse, issue_order, replayed_end, CostRow, Lanes, LaunchInput, Memo,
+    PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch,
 };
 use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -674,7 +674,7 @@ fn random_input(rng: &mut XorShift) -> PassInput {
                 Lanes { copy: rng.range_u64(0, 3000), compute: rng.range_u64(0, 3000) };
         }
         let gbs = rng.range_f64(4.0, 16.0);
-        input.links[di] = BandwidthCurve::new(vec![1, 1 << 40], vec![gbs, gbs]);
+        Arc::make_mut(&mut input.links)[di] = BandwidthCurve::new(vec![1, 1 << 40], vec![gbs, gbs]);
     }
     let max_capacity = *input.capacity.iter().max().expect("a device");
     input.rr_next = rng.index(10);
@@ -828,6 +828,126 @@ fn random_snapshots_give_bindable_exact_and_ordered_plans() {
     // the additive identity.
     assert!(splits > 500 && mixed > 1500, "{splits} splits, {mixed} mixed cases");
     assert!(additive_checked > 400, "{additive_checked} additive cells");
+}
+
+/// The fields of a [`PassInput`], in declaration order: what [`perturb`]
+/// changes one at a time.
+const FIELDS: [&str; 22] = [
+    "policy",
+    "mapper",
+    "devices",
+    "lost",
+    "capacity",
+    "degradation",
+    "lanes",
+    "enqueue",
+    "rr_next",
+    "queues",
+    "launches",
+    "touches",
+    "kernel_time",
+    "profiled",
+    "profiled_under",
+    "valid",
+    "source",
+    "bytes",
+    "splits",
+    "split_local",
+    "specs",
+    "links",
+];
+
+/// `input` with field `FIELDS[field]` changed and still a snapshot decide
+/// can take, or `None` where that field has nothing to change (no split
+/// candidate, no buffer access).
+fn perturb(input: &PassInput, field: usize) -> Option<PassInput> {
+    let mut out = input.clone();
+    match FIELDS[field] {
+        "policy" => {
+            out.policy = match input.policy {
+                ContextSchedPolicy::RoundRobin => ContextSchedPolicy::AutoFit,
+                ContextSchedPolicy::AutoFit => ContextSchedPolicy::RoundRobin,
+            }
+        }
+        "mapper" => {
+            out.mapper = match input.mapper {
+                MapperKind::Greedy => MapperKind::Adaptive,
+                MapperKind::Adaptive => MapperKind::Greedy,
+            }
+        }
+        "devices" => out.devices[0] = DeviceId(99),
+        "lost" => out.lost[0] = !out.lost[0],
+        "capacity" => out.capacity[0] ^= 1 << 15,
+        "degradation" => out.degradation[0] += 0.5,
+        "lanes" => out.lanes[0].copy += 1,
+        "enqueue" => out.enqueue += 1,
+        "rr_next" => out.rr_next += 1,
+        "queues" => out.queues[0].bound = !out.queues[0].bound,
+        "launches" => out.launches[0].need ^= 1,
+        "touches" => out.touches.first_mut()?.write ^= true,
+        "kernel_time" => out.kernel_time[0] += SimDuration::from_nanos(1),
+        "profiled" => out.profiled[0] += SimDuration::from_nanos(1),
+        "profiled_under" => match out.profiled_under.first_mut() {
+            Some(under) => under.1 += 0.5,
+            None => out.profiled_under.push((0, 2.0)),
+        },
+        "valid" => out.valid[0] = !out.valid[0],
+        "source" => out.source[0] = if input.source[0].is_some() { None } else { Some(0) },
+        "bytes" => out.bytes[0] += 8,
+        "splits" => out.splits.first_mut()?.cost.flops_per_item *= 2.0,
+        "split_local" => out.split_local.first_mut()?[0] ^= 96,
+        "specs" => Arc::make_mut(&mut out.specs)[0].name.push('\''),
+        "links" => {
+            Arc::make_mut(&mut out.links)[0] = BandwidthCurve::new(vec![1, 1 << 40], vec![3.0, 3.0])
+        }
+        other => unreachable!("{other}"),
+    }
+    assert_ne!(out, *input, "{} did not change", FIELDS[field]);
+    Some(out)
+}
+
+#[test]
+fn a_reused_plan_is_a_fresh_decision_and_any_changed_field_misses() {
+    let mut rng = XorShift::new(0x6de3_0a11);
+    let (mut memo, mut scratch, mut plan) =
+        (Memo::default(), PlanScratch::default(), Plan::default());
+    let mut missed = [0; FIELDS.len()];
+    for case in 0..1_500 {
+        let input = random_input(&mut rng);
+        let fresh = plan_of(&input);
+        // First sight decides; an equal snapshot takes the same plan back.
+        assert!(!decide_or_reuse(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert_eq!(plan, fresh, "case {case}: {input:?}");
+        assert!(decide_or_reuse(&input.clone(), &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert_eq!(plan, fresh, "case {case}: {input:?}");
+        // One field changed misses and is decided afresh.
+        let field = case % FIELDS.len();
+        let Some(changed) = perturb(&input, field) else { continue };
+        let reused = decide_or_reuse(&changed, &mut memo, &mut scratch, &mut plan);
+        assert!(!reused, "case {case}: a changed `{}` was reused", FIELDS[field]);
+        assert_eq!(plan, plan_of(&changed), "case {case}: {}", FIELDS[field]);
+        missed[field] += 1;
+        // Both are kept: the first one is still a hit.
+        assert!(decide_or_reuse(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert_eq!(plan, fresh, "case {case}: {input:?}");
+    }
+    for (field, misses) in FIELDS.iter().zip(missed) {
+        assert!(misses > 20, "`{field}` was changed in only {misses} case(s)");
+    }
+}
+
+#[test]
+fn the_memo_keeps_the_two_snapshots_used_last() {
+    let mut rng = XorShift::new(7);
+    let [a, b, c] = [(); 3].map(|_| random_input(&mut rng));
+    let (mut memo, mut scratch, mut plan) =
+        (Memo::default(), PlanScratch::default(), Plan::default());
+    let mut reuse = |input: &PassInput| decide_or_reuse(input, &mut memo, &mut scratch, &mut plan);
+    assert_eq!([&a, &b, &a, &b].map(&mut reuse), [false, false, true, true]);
+    // `c` takes the place of `a`, used less recently than `b`.
+    assert_eq!([&c, &b, &a].map(&mut reuse), [false, true, false]);
+    // `a` took the place of `c`: `b` was used since.
+    assert_eq!([&b, &a, &c].map(&mut reuse), [true, true, false]);
 }
 
 /// When an epoch with every launch whole ends, by lanes recomputed naively

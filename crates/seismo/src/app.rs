@@ -379,6 +379,13 @@ impl FdmApp {
         self.regions[region].fields.all()[field].host_snapshot::<f64>()
     }
 
+    /// Write `values` over one region's field (numbered as in
+    /// [`FdmApp::field`]) through that region's queue, as a host-side
+    /// update between iterations would.
+    pub fn write_field(&self, region: usize, field: usize, values: &[f64]) -> ClResult<()> {
+        self.queues[region].enqueue_write(self.regions[region].fields.all()[field], values)
+    }
+
     /// The devices the two queues are currently mapped to.
     pub fn devices(&self) -> (DeviceId, DeviceId) {
         (self.queues[0].device(), self.queues[1].device())

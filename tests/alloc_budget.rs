@@ -35,9 +35,13 @@
 //! the pass's scratch, the queues' event lists — and a launch's data-plane
 //! half allocates nothing: a pooled launch is a value in its task's node,
 //! and a kernel context fills the store table the last one on its thread
-//! left. So a launch makes 0.38 allocations here, pooled or not, where
-//! rebuilding all of them made 11.38 (12.55 → 3.66 → 2.69 → 2.44 → 2.38 →
-//! 2.35 → 0.25 on `perf`'s `seismo_steady`). Every phase runs inside the
+//! left. And a steady epoch's scheduling pass is a lookup: its snapshot
+//! equals one decided two epochs before, so it takes that plan without
+//! pricing, mapping or walking, and builds no event payload when no
+//! observer is attached. So a launch makes 0.066 allocations here, pooled
+//! or not, where rebuilding all of them made 11.38 (12.55 → 3.66 → 2.69 →
+//! 2.44 → 2.38 → 2.35 → 0.25 → 0.10 on `perf`'s `seismo_steady`; 0.379 →
+//! 0.066 here when the plan came to be reused). Every phase runs inside the
 //! one test: the counter is global, and a test running beside it would be
 //! counted too.
 //!
@@ -182,12 +186,12 @@ const BUDGET_PER_JOB: f64 = 4.47;
 const WARM_UP_ITERATIONS: usize = 5;
 const MEASURED_ITERATIONS: usize = 50;
 /// Allocations per FDM kernel launch in a steady epoch, one data-plane
-/// worker: the measured 0.379, plus 5 %.
-const BUDGET_PER_LAUNCH: f64 = 0.398;
+/// worker: the measured 0.066 (106 over 1 600 launches), plus 5 %.
+const BUDGET_PER_LAUNCH: f64 = 0.069;
 /// The same at two workers on `perf`'s grid, where a launch is handed to
-/// the pool: the measured 0.379 (606 to 608 allocations over 1 600
+/// the pool: the measured 0.067 (106 or 107 allocations over 1 600
 /// launches, run to run), plus 5 %.
-const BUDGET_PER_POOLED_LAUNCH: f64 = 0.398;
+const BUDGET_PER_POOLED_LAUNCH: f64 = 0.070;
 
 /// The steady phase's two settings: one data-plane worker on a small grid,
 /// then `perf`'s two workers on its 32×32×16 grid, where a launch is too
