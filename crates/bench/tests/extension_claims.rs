@@ -435,7 +435,7 @@ mod split {
                 if wgs_per_device.len() < shares.len() {
                     wgs_per_device.resize(shares.len(), 0);
                 }
-                for (acc, s) in wgs_per_device.iter_mut().zip(&shares) {
+                for (acc, s) in wgs_per_device.iter_mut().zip(shares.iter()) {
                     *acc += s;
                 }
             }

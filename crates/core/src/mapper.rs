@@ -109,12 +109,22 @@ pub struct MapperScratch {
     gid: Vec<usize>,
     /// Per-device multiset counts used by the tie polish.
     count: Vec<u32>,
+    /// A finished search's assignment list, handed back
+    /// ([`MapperScratch::recycle`]) for [`adaptive`] to write its next
+    /// result into.
+    spare: Vec<DeviceId>,
 }
 
 impl MapperScratch {
     /// A fresh scratch; buffers grow to fit the largest instance seen.
     pub fn new() -> MapperScratch {
         MapperScratch::default()
+    }
+
+    /// Hand back an assignment list a search returned and its caller is
+    /// done with: the next [`adaptive`] result is written into it.
+    pub fn recycle(&mut self, assignment: Vec<DeviceId>) {
+        self.spare = assignment;
     }
 }
 
@@ -257,8 +267,9 @@ pub fn adaptive(
         best_obj.0,
         "the tie polish must not change the objective"
     );
-    let mapping =
-        Mapping { assignment: scratch.best.clone(), makespan: best_obj.0, total: best_obj.1 };
+    let mut assignment = std::mem::take(&mut scratch.spare);
+    assignment.clone_from(&scratch.best);
+    let mapping = Mapping { assignment, makespan: best_obj.0, total: best_obj.1 };
     SearchOutcome { mapping, nodes_explored: nodes, budget_tripped: tripped }
 }
 

@@ -29,7 +29,15 @@
 //! no pricing, mapping or walk. An iterative application's steady epoch is
 //! then a lookup (§V-C1 caches kernel and epoch profiles; this caches the
 //! decision made from them). Nothing invalidates an entry: whatever would
-//! change a decision is a field of the snapshot, so it misses.
+//! change a decision is a field of the snapshot, so it misses. A missed
+//! snapshot is moved, not copied: once the pass is done reading it,
+//! [`remember`] swaps it into the entry its plan went to (an entry's first
+//! snapshot is copied, at its own size).
+//!
+//! Priced rows are shared the same way: equal snapshots, and many unequal
+//! ones, price equal rows, so [`PlanScratch`] keeps the last [`ROWS_KEPT`]
+//! distinct rows it priced and a queue whose row equals one of them takes
+//! that row.
 
 use crate::flags::ContextSchedPolicy;
 use crate::mapper;
@@ -181,7 +189,8 @@ pub struct PassInput {
     /// shared, so a copy of the snapshot copies no name.
     pub specs: Arc<[DeviceSpec]>,
     /// Per column: the host link's bandwidth curve, which prices every
-    /// move — an upload, a download and a gather. Shared like `specs`.
+    /// move — an upload, a download and a gather. Shared like `specs`;
+    /// [`remember`] hands both back with the lists it swaps out.
     pub links: Arc<[BandwidthCurve]>,
 }
 
@@ -229,7 +238,18 @@ pub struct PlanScratch {
     envelope: Vec<u64>,
     from: Vec<usize>,
     rank: Vec<usize>,
+    /// The queue row being priced, the rows priced last (at most
+    /// [`ROWS_KEPT`]) and which of them a new one replaces: the oldest.
+    row: Vec<SimDuration>,
+    rows: [Option<Arc<[SimDuration]>>; ROWS_KEPT],
+    replace: usize,
 }
+
+/// How many priced rows [`PlanScratch`] keeps for a later equal row to
+/// share. A served pool prices few distinct rows — seven at seed 42 on
+/// `perf`'s `serve_light` (over 200 000 pricings in a 3 s run) and seven on
+/// `serve_mix` — and a lookup compares at most this many short rows.
+pub const ROWS_KEPT: usize = 8;
 
 /// How many decisions [`Memo`] keeps. Two, because an iterative
 /// application alternates epoch shapes — FDM-Seismology a velocity epoch,
@@ -244,82 +264,65 @@ pub const MEMO_ENTRIES: usize = 2;
 /// construction, and nothing is hashed or invalidated.
 #[derive(Debug, Default)]
 pub struct Memo {
-    entries: [Option<(PassInput, Plan)>; MEMO_ENTRIES],
+    /// Per entry: a snapshot — none until one has moved in — and a plan.
+    entries: [(Option<PassInput>, Plan); MEMO_ENTRIES],
+    /// Per entry: its plan is the one decide returned for its snapshot.
+    kept: [bool; MEMO_ENTRIES],
     /// The entry a miss refills: the one used least recently.
     evict: usize,
+    /// The entry the last miss recorded its plan in, until [`remember`]
+    /// moves the snapshot in beside it.
+    filling: Option<usize>,
 }
 
 /// The plan [`decide`] gives `input`, into `plan`: a kept entry's copy when
 /// `memo` holds an equal snapshot, which skips the pricing, the mapper and
-/// the walk; otherwise decide's, recorded in place of the entry used least
-/// recently. Returns whether the plan was reused. Neither path allocates
-/// once the memo has held epochs as large.
+/// the walk; otherwise decide's, whose copy is recorded in place of the
+/// entry used least recently — before the issue edits `plan` — and whose
+/// snapshot [`remember`] moves in once the pass is done with it. Returns
+/// whether the plan was reused. Neither path allocates once the memo has
+/// held epochs as large.
 pub fn decide_or_reuse(
     input: &PassInput,
     memo: &mut Memo,
     scratch: &mut PlanScratch,
     plan: &mut Plan,
 ) -> bool {
-    let hit = memo.entries.iter().position(|e| e.as_ref().is_some_and(|(kept, _)| kept == input));
+    let hit =
+        (0..MEMO_ENTRIES).find(|&i| memo.kept[i] && memo.entries[i].0.as_ref() == Some(input));
     let i = hit.unwrap_or(memo.evict);
-    let (kept_input, kept_plan) = memo.entries[i].get_or_insert_default();
+    let kept_plan = &mut memo.entries[i].1;
     match hit {
         Some(_) => copy_plan(plan, kept_plan),
         None => {
             decide(input, scratch, plan);
-            copy_input(kept_input, input);
             copy_plan(kept_plan, plan);
+            memo.kept[i] = false;
         }
     }
+    memo.filling = hit.is_none().then_some(i);
     memo.evict = (i + 1) % MEMO_ENTRIES;
     hit.is_some()
 }
 
-/// Make `to` equal to `from` in the lists it already has.
-fn copy_input(to: &mut PassInput, from: &PassInput) {
-    let PassInput {
-        policy,
-        mapper,
-        devices,
-        lost,
-        capacity,
-        degradation,
-        lanes,
-        enqueue,
-        rr_next,
-        queues,
-        launches,
-        touches,
-        kernel_time,
-        profiled,
-        profiled_under,
-        valid,
-        source,
-        bytes,
-        splits,
-        split_local,
-        specs,
-        links,
-    } = from;
-    (to.policy, to.mapper, to.enqueue, to.rr_next) = (*policy, *mapper, *enqueue, *rr_next);
-    to.devices.clone_from(devices);
-    to.lost.clone_from(lost);
-    to.capacity.clone_from(capacity);
-    to.degradation.clone_from(degradation);
-    to.lanes.clone_from(lanes);
-    to.queues.clone_from(queues);
-    to.launches.clone_from(launches);
-    to.touches.clone_from(touches);
-    to.kernel_time.clone_from(kernel_time);
-    to.profiled.clone_from(profiled);
-    to.profiled_under.clone_from(profiled_under);
-    to.valid.clone_from(valid);
-    to.source.clone_from(source);
-    to.bytes.clone_from(bytes);
-    to.splits.clone_from(splits);
-    to.split_local.clone_from(split_local);
-    to.specs.clone_from(specs);
-    to.links.clone_from(links);
+/// The end of a pass: if [`decide_or_reuse`] missed, the snapshot it
+/// decided from moves into the entry its plan went to, by a swap. `input`
+/// takes that entry's former lists, whose room the next measure refills,
+/// and keeps the context's shared `specs` and `links`, which measure does
+/// not refill. An entry's first snapshot is copied instead, at its own
+/// size: lists swapped back empty would be grown again push by push, which
+/// allocates more than one copy. After a hit nothing moves.
+pub fn remember(memo: &mut Memo, input: &mut PassInput) {
+    let Some(i) = memo.filling.take() else { return };
+    let slot = &mut memo.entries[i].0;
+    if let Some(kept) = slot {
+        std::mem::swap(kept, input);
+        input.specs = Arc::clone(&kept.specs);
+        input.links = Arc::clone(&kept.links);
+    } else {
+        *slot = Some(input.clone());
+    }
+    memo.kept[i] = true;
 }
 
 /// Make `to` equal to `from` in the lists it already has (a queue's cost
@@ -364,7 +367,9 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
     plan.costs.clear();
     plan.device.clear();
     plan.rr_next = input.rr_next;
-    plan.search = None;
+    if let Some(done) = plan.search.take() {
+        scratch.search.recycle(done.mapping.assignment);
+    }
     match input.policy {
         ContextSchedPolicy::RoundRobin => round_robin(input, plan),
         ContextSchedPolicy::AutoFit => {
@@ -379,9 +384,11 @@ pub fn decide(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
 /// column, the [`Replay`] of its launches alone, in program order, from idle
 /// lanes — its transfers, its kernels, and the overlap an out-of-order
 /// queue gets between them. A queue whose [`QueueInput::copies`] are not
-/// priced keeps its `exec`.
+/// priced keeps its `exec`. A priced row equal to one priced lately is that
+/// row, shared; only a new one is allocated, and kept in place of the
+/// oldest.
 fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
-    let at = &mut scratch.at;
+    let PlanScratch { at, row, rows, replace, .. } = scratch;
     for q in &input.queues {
         let alone = |di| {
             Replay::idle(at, input);
@@ -389,7 +396,19 @@ fn price(input: &PassInput, scratch: &mut PlanScratch, plan: &mut Plan) {
             SimDuration::from_nanos(at.end)
         };
         let total = match q.copies {
-            true => (0..input.devices.len()).map(alone).collect(),
+            true => {
+                row.clear();
+                row.extend((0..input.devices.len()).map(alone));
+                match rows.iter().flatten().find(|kept| kept[..] == row[..]) {
+                    Some(kept) => Arc::clone(kept),
+                    None => {
+                        let new: Arc<[SimDuration]> = row.as_slice().into();
+                        rows[*replace] = Some(Arc::clone(&new));
+                        *replace = (*replace + 1) % ROWS_KEPT;
+                        new
+                    }
+                }
+            }
             false => Arc::clone(&q.exec),
         };
         plan.costs.push(CostRow { exec: Arc::clone(&q.exec), total });

@@ -296,9 +296,9 @@ struct RtInner {
 }
 
 /// What a scheduling pass fills and reads back, kept from pass to pass so
-/// that a steady epoch allocates only what it hands on: cost rows, event
-/// payloads and the commands it issues. What holds a queue or a kernel is
-/// emptied before the pass returns.
+/// that a steady epoch allocates only what it hands on: a cost row unlike
+/// those priced lately, event payloads and the commands it issues. What
+/// holds a queue or a kernel is emptied before the pass returns.
 #[derive(Default)]
 struct PassScratch {
     /// The pass's participating queues with pending work.
@@ -762,11 +762,11 @@ impl RtInner {
         // measured copy/compute lane overlap per device of the window (0.0
         // where a device saw one lane or none), for the observers alone.
         let (executed_end, lane_overlap) = match heard {
-            false => (None, Vec::new()),
+            false => (None, Arc::default()),
             true => self.platform.with_engine(|e| {
                 let records = e.trace().records_since(trace_offset);
                 let overlap = |&d| lanes.device(records, d).map_or(0.0, |l| l.overlap_fraction());
-                let lane_overlap: Vec<f64> = input.devices.iter().map(overlap).collect();
+                let lane_overlap: Arc<[f64]> = input.devices.iter().map(overlap).collect();
                 (records.iter().map(|r| r.stamp.end).max(), lane_overlap)
             }),
         };
@@ -799,6 +799,9 @@ impl RtInner {
                 lane_overlap,
             });
         }
+        // Issue and refinement have read the snapshot: a missed one moves
+        // into the memo.
+        plan::remember(memo, input);
         pool.clear();
         work.cmds.clear();
     }
@@ -912,6 +915,20 @@ impl RtInner {
         input.source.clear();
         input.splits.clear();
         input.split_local.clear();
+        // The longest lists are sized for the pool's launches before they
+        // fill: a pass after a miss fills the lists of an older snapshot
+        // (`plan::remember`), which may be shorter.
+        let (mut launches, mut touches) = (0, 0);
+        for q in pool {
+            for p in q.pending.lock().iter() {
+                (launches, touches) = (launches + 1, touches + p.args.touched().len());
+            }
+        }
+        let cells = launches * input.devices.len();
+        input.launches.reserve(launches);
+        input.touches.reserve(touches);
+        input.kernel_time.reserve(cells);
+        input.profiled.reserve(cells);
         let devices = &input.devices;
         let lost = |o| devices.iter().zip(&input.lost).any(|(&d, &lost)| d == o && lost);
         let profiles = self.kernel_profiles.lock();
@@ -1052,11 +1069,9 @@ impl RtInner {
     ) -> bool {
         if !chunks.is_empty() {
             let devices = self.cl.devices();
-            let mut wgs_per_device = vec![0u64; devices.len()];
             let mut lanes: Vec<(CommandQueue, u64)> = Vec::with_capacity(chunks.len());
             let mut cached = self.split_lanes.lock();
             for c in chunks {
-                wgs_per_device[c.device] += c.wg_count;
                 let lane = cached.entry(c.device).or_insert_with(|| {
                     self.cl.create_queue(devices[c.device]).expect("lane device is the context's")
                 });
@@ -1072,7 +1087,9 @@ impl RtInner {
                     kernel: p.kernel.shared_name(),
                     total_wgs: chunks.iter().map(|c| c.wg_count).sum(),
                     chunks: chunks.len() as u64,
-                    wgs_per_device,
+                    wgs_per_device: (0..devices.len())
+                        .map(|d| chunks.iter().filter(|c| c.device == d).map(|c| c.wg_count).sum())
+                        .collect(),
                     at,
                 });
                 delta.kernels_split += 1;
@@ -1327,7 +1344,7 @@ impl RtInner {
                     events.push(SchedEvent::CostPredicted {
                         epoch,
                         kernel: Arc::clone(&name),
-                        costs: row.clone(),
+                        costs: row.as_slice().into(),
                         uncertainty: max_uncertainty,
                         samples: if min_samples == u64::MAX { 0 } else { min_samples },
                     });
@@ -1624,20 +1641,14 @@ impl RtInner {
             engine.set_tag(prev_tag.as_deref());
             kernel_rows
         });
-        // Recorded and announced outside the engine lock.
-        {
-            let mut kp = self.kernel_profiles.lock();
-            for (name, _, row) in &kernel_rows {
-                kp.insert(
-                    Arc::clone(name),
-                    KernelProfile { row: row.as_slice().into(), under: None },
-                );
-            }
-        }
-        // Announce in name order.
+        // Recorded and announced in name order, outside the engine lock;
+        // the cache and the announcement share each row.
         kernel_rows.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, _, row) in kernel_rows {
-            self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs: row });
+            let costs: Arc<[SimDuration]> = row.into();
+            let profile = KernelProfile { row: Arc::clone(&costs), under: None };
+            self.kernel_profiles.lock().insert(Arc::clone(&name), profile);
+            self.emit(&SchedEvent::KernelProfiled { epoch, kernel: name, minikernel, costs });
         }
     }
 }

@@ -52,12 +52,12 @@ impl QueueDecision {
 /// below (or, for the span records, in [`super::tracing`]), so number
 /// formatting and missing-value handling live in one place. Durations and
 /// times are nanoseconds; device ids are indices. Strings are shared
-/// `Arc<str>`s: cloning an event (a ring buffer keeps a copy) bumps their
-/// counts instead of copying their text.
+/// `Arc<str>`s and lists shared `Arc<[T]>`s: cloning an event (a ring
+/// buffer keeps a copy) bumps their counts and allocates nothing.
 pub(crate) trait Wire: Sized {
     /// Append the value's JSON text to `out`.
     fn write(&self, out: &mut String);
-    /// `None` when `value` has the wrong shape (for a `Vec`, when any
+    /// `None` when `value` has the wrong shape (for a list, when any
     /// element does).
     fn decode(value: &Json) -> Option<Self>;
 }
@@ -104,15 +104,6 @@ fn write_arr<T: Wire>(items: &[T], out: &mut String) {
         item.write(out);
     }
     out.push(']');
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn write(&self, out: &mut String) {
-        write_arr(self, out);
-    }
-    fn decode(value: &Json) -> Option<Self> {
-        value.as_arr()?.iter().map(T::decode).collect()
-    }
 }
 
 impl<T: Wire> Wire for Arc<[T]> {
@@ -169,7 +160,7 @@ impl Wire for QueueDecision {
     /// the rows differ in length: every total reads one column of each.
     fn decode(value: &Json) -> Option<Self> {
         let exec: Arc<[SimDuration]> = field(value, "exec_ns")?;
-        let migration: Vec<SimDuration> = field(value, "migration_ns")?;
+        let migration: Arc<[SimDuration]> = field(value, "migration_ns")?;
         // Added with the out-of-order flush; absent in older streams.
         let overlap: Arc<[SimDuration]> = field_or(value, "overlap_ns", Arc::default);
         let n = exec.len();
@@ -177,7 +168,7 @@ impl Wire for QueueDecision {
             return None;
         }
         let total = match overlap.is_empty() {
-            true => exec.iter().zip(migration).map(|(&e, m)| e + m).collect(),
+            true => exec.iter().zip(migration.iter()).map(|(&e, &m)| e + m).collect(),
             false => overlap,
         };
         Some(QueueDecision {
@@ -322,7 +313,7 @@ pub enum SchedEvent {
         /// Whether the single-workgroup minikernel optimization ran.
         minikernel: bool => "minikernel",
         /// Estimated full execution time per device (device order).
-        costs: Vec<SimDuration> => "costs_ns",
+        costs: Arc<[SimDuration]> => "costs_ns",
     },
     /// An epoch's cost vector was served from the profile caches.
     CacheHit = "cache_hit" {
@@ -362,7 +353,7 @@ pub enum SchedEvent {
         /// mapper runs on the host and charges nothing to the simulation.
         mapper_wall: SimDuration => "mapper_wall_ns" = SimDuration::ZERO,
         /// Per-queue explain records, pool order.
-        queues: Vec<QueueDecision> => "queues",
+        queues: Arc<[QueueDecision]> => "queues",
         /// The pass's snapshot equalled one decided before, and the pass
         /// took that decision's plan: no mapper ran (`nodes_explored` is 0,
         /// `budget_tripped` false) and `mapper_wall` is the lookup's.
@@ -406,7 +397,7 @@ pub enum SchedEvent {
         /// order) over this epoch's flush window — overlapped busy time
         /// over the shorter lane's busy time; 0.0 where a device used at
         /// most one lane.
-        lane_overlap: Vec<f64> => "lane_overlap" = vec![],
+        lane_overlap: Arc<[f64]> => "lane_overlap" = Arc::default(),
     },
     /// A tenant submitted a job to the serving layer.
     JobSubmitted = "job_submitted" {
@@ -532,7 +523,7 @@ pub enum SchedEvent {
         /// `retry_exhausted`, or `no_healthy_devices`.
         outcome: Arc<str> => "outcome" = "unknown".into(),
         /// One record per dispatch attempt, in order.
-        attempts: Vec<AttemptTrace> => "attempts" = vec![],
+        attempts: Arc<[AttemptTrace]> => "attempts" = Arc::default(),
     },
     /// Predicted vs. executed makespan of one scheduling epoch: the replay
     /// of the plan the pass issued, from the devices at the flush
@@ -584,7 +575,7 @@ pub enum SchedEvent {
         kernel: Arc<str> => "kernel",
         /// Predicted full-execution time per device (device order), before
         /// the mapper-facing uncertainty margin is applied.
-        costs: Vec<SimDuration> => "costs_ns" = vec![],
+        costs: Arc<[SimDuration]> => "costs_ns" = Arc::default(),
         /// Worst per-device predictive relative-error bound (standard
         /// deviation of the log-space residual) that passed the gate.
         uncertainty: f64 => "uncertainty" = 0.0,
@@ -639,7 +630,7 @@ pub enum SchedEvent {
         chunks: u64 => "chunks" = 0,
         /// Split units executed per device (device order; sums to
         /// `total_wgs`).
-        wgs_per_device: Vec<u64> => "wgs_per_device" = vec![],
+        wgs_per_device: Arc<[u64]> => "wgs_per_device" = Arc::default(),
         /// Virtual time of the split decision.
         at: SimTime => "at_ns" = SimTime::ZERO,
     },
@@ -679,7 +670,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             epoch: 1,
             kernel: "k \"quoted\"\n".into(),
             minikernel: true,
-            costs: vec![ns(10), ns(20), ns(30)],
+            costs: vec![ns(10), ns(20), ns(30)].into(),
         },
         SchedEvent::MappingDecision {
             epoch: 1,
@@ -696,7 +687,8 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
                 cost: CostRow { exec: vec![ns(5), ns(9)].into(), total: vec![ns(4), ns(7)].into() },
                 chosen: DeviceId(0),
                 previous: DeviceId(1),
-            }],
+            }]
+            .into(),
             reused: false,
         },
         SchedEvent::QueueMigrated {
@@ -716,7 +708,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             kernels_issued: 3,
             data_queue_depth: 5,
             data_peak_busy: 2,
-            lane_overlap: vec![0.5, 0.0],
+            lane_overlap: vec![0.5, 0.0].into(),
         },
         SchedEvent::JobSubmitted {
             epoch: 2,
@@ -795,7 +787,8 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
                     ended_at: SimTime::from_nanos(13_345),
                     segments: Default::default(),
                 },
-            ],
+            ]
+            .into(),
         },
         SchedEvent::MakespanAttribution {
             epoch: 3,
@@ -818,7 +811,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
         SchedEvent::CostPredicted {
             epoch: 8,
             kernel: "k \"cold\"\n".into(),
-            costs: vec![ns(1_200), ns(3_400), ns(5_600)],
+            costs: vec![ns(1_200), ns(3_400), ns(5_600)].into(),
             uncertainty: 0.07,
             samples: 24,
         },
@@ -843,7 +836,7 @@ pub(crate) fn sample_events() -> Vec<SchedEvent> {
             kernel: "k \"split\"\n".into(),
             total_wgs: 256,
             chunks: 3,
-            wgs_per_device: vec![96, 160, 0],
+            wgs_per_device: vec![96, 160, 0].into(),
             at: SimTime::from_nanos(50_000),
         },
     ];

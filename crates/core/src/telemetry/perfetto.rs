@@ -129,7 +129,7 @@ pub fn job_span_events(events: &[SchedEvent]) -> Vec<Json> {
                 ("attempts", Json::from(attempts.len())),
             ]),
         ));
-        for a in attempts {
+        for a in attempts.iter() {
             // Tile the attempt's window with its segments, canonical order.
             // The segments sum to the window by construction, so the tiles
             // abut exactly and nest inside the whole-span slice.
@@ -426,7 +426,8 @@ mod tests {
                 dispatched_at: SimTime::from_nanos(1_100),
                 ended_at: SimTime::from_nanos(2_000),
                 segments,
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -516,7 +517,7 @@ mod tests {
             kernel: "embar".into(),
             total_wgs: 128,
             chunks: 2,
-            wgs_per_device: vec![80, 48],
+            wgs_per_device: vec![80, 48].into(),
             at: SimTime::from_nanos(5_000),
         };
         let out = split_chunk_events(&[split.clone(), migration(0, 1), split]);

@@ -675,7 +675,7 @@ impl SchedObserver for SchedMetrics {
             SchedEvent::RetryExhausted { .. } => self.retries_exhausted.inc(),
             SchedEvent::JobTrace { attempts, .. } => {
                 let mut totals = SegmentSet::zero();
-                for a in attempts {
+                for a in attempts.iter() {
                     totals.merge(&a.segments);
                 }
                 for (i, kind) in SegmentKind::ALL.iter().enumerate() {
@@ -810,7 +810,7 @@ mod tests {
             epoch: 1,
             kernel: "k".into(),
             minikernel: false,
-            costs: vec![],
+            costs: Arc::default(),
         });
         m.on_event(&SchedEvent::QueueMigrated {
             epoch: 1,
@@ -828,7 +828,7 @@ mod tests {
             kernels_issued: 6,
             data_queue_depth: 3,
             data_peak_busy: 2,
-            lane_overlap: vec![0.25, 0.0],
+            lane_overlap: vec![0.25, 0.0].into(),
         });
         m.on_event(&SchedEvent::CacheHit { epoch: 2, key: "k".into() });
 
@@ -1044,7 +1044,8 @@ mod tests {
                 dispatched_at: SimTime::from_nanos(300),
                 ended_at: SimTime::from_nanos(1_000),
                 segments,
-            }],
+            }]
+            .into(),
         });
         m.on_event(&SchedEvent::MakespanAttribution {
             epoch: 1,

@@ -206,7 +206,7 @@ pub fn decision_log(events: &[SchedEvent]) -> String {
             }
             SchedEvent::MappingDecision { queues, .. } => {
                 let _ = writeln!(out, "  {}", one_line(ev));
-                for d in queues {
+                for d in queues.iter() {
                     let moved = if d.chosen != d.previous {
                         format!(" (was {})", d.previous)
                     } else {
@@ -249,6 +249,7 @@ mod tests {
     use super::*;
     use crate::plan::CostRow;
     use hwsim::{DeviceId, SimTime};
+    use std::sync::Arc;
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
@@ -310,7 +311,8 @@ mod tests {
                         chosen: DeviceId(1),
                         previous: DeviceId(0),
                     },
-                ],
+                ]
+                .into(),
                 reused: false,
             },
             SchedEvent::EpochEnd {
@@ -321,7 +323,7 @@ mod tests {
                 kernels_issued: 2,
                 data_queue_depth: 0,
                 data_peak_busy: 0,
-                lane_overlap: vec![],
+                lane_overlap: Arc::default(),
             },
         ];
         let log = decision_log(&events);
@@ -354,7 +356,7 @@ mod tests {
                 epoch: 1,
                 kernel: "k".into(),
                 minikernel: true,
-                costs: vec![ns(10)],
+                costs: vec![ns(10)].into(),
             },
             SchedEvent::QueueMigrated {
                 epoch: 1,
@@ -440,7 +442,7 @@ mod tests {
             submitted_at: SimTime::from_nanos(0),
             completed_at: SimTime::from_nanos(2_000_000),
             outcome: "completed".into(),
-            attempts: vec![],
+            attempts: Arc::default(),
         };
         let line = one_line(&trace);
         assert!(line.contains("#9") && line.contains("completed in 2.000ms"), "{line}");

@@ -268,7 +268,7 @@ mod tests {
                 kernels_issued: 1,
                 data_queue_depth: 0,
                 data_peak_busy: 0,
-                lane_overlap: vec![],
+                lane_overlap: Arc::default(),
             },
         ];
         let (text, _) = through_jsonl(&events, false);

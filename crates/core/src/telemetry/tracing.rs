@@ -324,8 +324,10 @@ pub struct TraceContext {
     pub job: u64,
     /// Virtual admission time.
     pub submitted_at: SimTime,
-    /// One record per dispatch attempt, in order.
-    pub attempts: Vec<AttemptTrace>,
+    /// One record per dispatch attempt, in order: shared, so the
+    /// terminal `JobTrace` event takes the list as it is and a sink's copy
+    /// of that event copies no record. Rebuilt once per attempt.
+    pub attempts: Arc<[AttemptTrace]>,
     /// End of the previous attempt (admission time before the first) —
     /// the left edge of the current wait period.
     last_end: SimTime,
@@ -334,7 +336,7 @@ pub struct TraceContext {
 impl TraceContext {
     /// Mint the root span at admission time.
     pub fn new(job: u64, submitted_at: SimTime) -> TraceContext {
-        TraceContext { job, submitted_at, attempts: Vec::new(), last_end: submitted_at }
+        TraceContext { job, submitted_at, attempts: Arc::default(), last_end: submitted_at }
     }
 
     /// Split the wait `[last_end, dispatched)` into backoff (up to the
@@ -368,7 +370,7 @@ impl TraceContext {
         let ended_at = ended_at.max(dispatched_at);
         segments.merge(&attribute_attempt(dispatched_at, ended_at, slices, profiling));
         let span = SpanId { job: self.job, attempt: self.attempts.len() as u32 };
-        self.attempts.push(AttemptTrace {
+        self.push(AttemptTrace {
             span,
             queue: Some(queue),
             device,
@@ -377,7 +379,6 @@ impl TraceContext {
             ended_at,
             segments,
         });
-        self.last_end = ended_at;
     }
 
     /// Record a terminal failure that never reached a dispatch slot
@@ -387,7 +388,7 @@ impl TraceContext {
         let ended_at = ended_at.max(self.last_end);
         let segments = self.wait_segments(not_before, ended_at);
         let span = SpanId { job: self.job, attempt: self.attempts.len() as u32 };
-        self.attempts.push(AttemptTrace {
+        self.push(AttemptTrace {
             span,
             queue: None,
             device: None,
@@ -396,7 +397,14 @@ impl TraceContext {
             ended_at,
             segments,
         });
-        self.last_end = ended_at;
+    }
+
+    /// Append `attempt`, which ends the current wait period: the list is
+    /// built anew in one allocation.
+    fn push(&mut self, attempt: AttemptTrace) {
+        self.last_end = attempt.ended_at;
+        let kept = self.attempts.iter().cloned();
+        self.attempts = kept.chain(std::iter::once(attempt)).collect();
     }
 
     /// End of the last recorded attempt (admission time when none).
@@ -408,7 +416,7 @@ impl TraceContext {
     /// equals `last_end − submitted_at` exactly.
     pub fn total(&self) -> SegmentSet {
         let mut set = SegmentSet::zero();
-        for a in &self.attempts {
+        for a in self.attempts.iter() {
             set.merge(&a.segments);
         }
         set
@@ -434,7 +442,7 @@ pub fn segment_totals(events: &[SchedEvent]) -> Vec<(SegmentKind, SimDuration)> 
     let mut totals = SegmentSet::zero();
     for event in events {
         if let SchedEvent::JobTrace { attempts, .. } = event {
-            for a in attempts {
+            for a in attempts.iter() {
                 totals.merge(&a.segments);
             }
         }
@@ -449,7 +457,7 @@ pub fn top_segments(events: &[SchedEvent], k: usize) -> Vec<TopSegment> {
     let mut rows = Vec::new();
     for event in events {
         if let SchedEvent::JobTrace { tenant, attempts, .. } = event {
-            for a in attempts {
+            for a in attempts.iter() {
                 for kind in SegmentKind::ALL {
                     let d = a.segments.get(kind);
                     if !d.is_zero() {
@@ -500,7 +508,7 @@ pub fn waterfall(event: &SchedEvent, width: usize) -> Option<String> {
         }
     };
     let mut wait_start = *submitted_at;
-    for a in attempts {
+    for a in attempts.iter() {
         let mut bar: Vec<char> = vec![' '; width];
         // The attempt covers [wait_start, ended_at]; tile its segments in
         // canonical order across that window.
@@ -528,7 +536,7 @@ pub fn waterfall(event: &SchedEvent, width: usize) -> Option<String> {
     let mut legend: Vec<String> = Vec::new();
     let job_total = {
         let mut set = SegmentSet::zero();
-        for a in attempts {
+        for a in attempts.iter() {
             set.merge(&a.segments);
         }
         set

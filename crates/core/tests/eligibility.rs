@@ -151,7 +151,7 @@ fn a_splittable_queue_splits_over_eligible_devices_only_or_runs_whole() {
     q.enqueue_ndrange(&k, nd()).expect("enqueue");
     rig_a.ctx.finish_all();
     assert!(buf.host_snapshot::<f64>().iter().all(|&v| v == 1.0));
-    let shares: Vec<Vec<u64>> = rig_a
+    let shares: Vec<Arc<[u64]>> = rig_a
         .events
         .drain()
         .into_iter()

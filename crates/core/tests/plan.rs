@@ -8,8 +8,8 @@ use hwsim::xrand::XorShift;
 use hwsim::{DeviceId, KernelCostSpec, KernelTraits, NodeConfig, SimDuration};
 use multicl::mapper::{self, MapperScratch};
 use multicl::plan::{
-    self, decide, decide_or_reuse, issue_order, replayed_end, CostRow, Lanes, LaunchInput, Memo,
-    PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch,
+    self, decide, decide_or_reuse, issue_order, remember, replayed_end, CostRow, Lanes,
+    LaunchInput, Memo, PassInput, Plan, PlanScratch, QueueInput, SplitInput, Touch,
 };
 use multicl::{ContextSchedPolicy, MapperKind, DEFAULT_ADAPTIVE_NODE_BUDGET};
 use std::sync::Arc;
@@ -906,6 +906,16 @@ fn perturb(input: &PassInput, field: usize) -> Option<PassInput> {
     Some(out)
 }
 
+/// One pass's use of the memo, as the scheduler makes it: decide or reuse
+/// from a snapshot of its own, then [`remember`] at the end of the pass,
+/// which swaps a missed snapshot into the memo.
+fn pass(input: &PassInput, memo: &mut Memo, scratch: &mut PlanScratch, plan: &mut Plan) -> bool {
+    let mut snapshot = input.clone();
+    let reused = decide_or_reuse(&snapshot, memo, scratch, plan);
+    remember(memo, &mut snapshot);
+    reused
+}
+
 #[test]
 fn a_reused_plan_is_a_fresh_decision_and_any_changed_field_misses() {
     let mut rng = XorShift::new(0x6de3_0a11);
@@ -916,19 +926,19 @@ fn a_reused_plan_is_a_fresh_decision_and_any_changed_field_misses() {
         let input = random_input(&mut rng);
         let fresh = plan_of(&input);
         // First sight decides; an equal snapshot takes the same plan back.
-        assert!(!decide_or_reuse(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert!(!pass(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
         assert_eq!(plan, fresh, "case {case}: {input:?}");
-        assert!(decide_or_reuse(&input.clone(), &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert!(pass(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
         assert_eq!(plan, fresh, "case {case}: {input:?}");
         // One field changed misses and is decided afresh.
         let field = case % FIELDS.len();
         let Some(changed) = perturb(&input, field) else { continue };
-        let reused = decide_or_reuse(&changed, &mut memo, &mut scratch, &mut plan);
+        let reused = pass(&changed, &mut memo, &mut scratch, &mut plan);
         assert!(!reused, "case {case}: a changed `{}` was reused", FIELDS[field]);
         assert_eq!(plan, plan_of(&changed), "case {case}: {}", FIELDS[field]);
         missed[field] += 1;
         // Both are kept: the first one is still a hit.
-        assert!(decide_or_reuse(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
+        assert!(pass(&input, &mut memo, &mut scratch, &mut plan), "case {case}");
         assert_eq!(plan, fresh, "case {case}: {input:?}");
     }
     for (field, misses) in FIELDS.iter().zip(missed) {
@@ -942,12 +952,44 @@ fn the_memo_keeps_the_two_snapshots_used_last() {
     let [a, b, c] = [(); 3].map(|_| random_input(&mut rng));
     let (mut memo, mut scratch, mut plan) =
         (Memo::default(), PlanScratch::default(), Plan::default());
-    let mut reuse = |input: &PassInput| decide_or_reuse(input, &mut memo, &mut scratch, &mut plan);
+    let mut reuse = |input: &PassInput| pass(input, &mut memo, &mut scratch, &mut plan);
     assert_eq!([&a, &b, &a, &b].map(&mut reuse), [false, false, true, true]);
     // `c` takes the place of `a`, used less recently than `b`.
     assert_eq!([&c, &b, &a].map(&mut reuse), [false, true, false]);
     // `a` took the place of `c`: `b` was used since.
     assert_eq!([&b, &a, &c].map(&mut reuse), [true, true, false]);
+}
+
+/// A missed snapshot is kept only once [`remember`] moves it in: an entry
+/// that never held one takes a copy, and one that did takes the snapshot
+/// itself by a swap, handing the pass its former lists and the pass's own
+/// `specs` and `links`. After a hit nothing moves.
+#[test]
+fn remember_moves_a_missed_snapshot_in_and_hands_back_the_shared_fields() {
+    let mut rng = XorShift::new(11);
+    let [a, b, c] = [(); 3].map(|_| random_input(&mut rng));
+    let (mut memo, mut scratch, mut plan) =
+        (Memo::default(), PlanScratch::default(), Plan::default());
+    let mut snapshot = a.clone();
+    assert!(!decide_or_reuse(&snapshot, &mut memo, &mut scratch, &mut plan));
+    // Not yet remembered: an equal snapshot misses again.
+    assert!(!decide_or_reuse(&snapshot, &mut memo, &mut scratch, &mut plan));
+    remember(&mut memo, &mut snapshot);
+    assert_eq!(snapshot, a, "a fresh entry takes a copy");
+    assert!(!pass(&b, &mut memo, &mut scratch, &mut plan));
+    // `c` evicts `a`'s entry, which hands back `a`'s lists.
+    let mut snapshot = c.clone();
+    assert!(!decide_or_reuse(&snapshot, &mut memo, &mut scratch, &mut plan));
+    remember(&mut memo, &mut snapshot);
+    assert_eq!((&snapshot.queues, &snapshot.launches), (&a.queues, &a.launches));
+    assert!(Arc::ptr_eq(&snapshot.specs, &c.specs));
+    assert!(Arc::ptr_eq(&snapshot.links, &c.links));
+    assert_eq!([&c, &b, &c].map(|i| pass(i, &mut memo, &mut scratch, &mut plan)), [true; 3]);
+    let mut again = c.clone();
+    assert!(decide_or_reuse(&again, &mut memo, &mut scratch, &mut plan));
+    assert_eq!(plan, plan_of(&c));
+    remember(&mut memo, &mut again);
+    assert_eq!(again, c, "a hit keeps its snapshot");
 }
 
 /// When an epoch with every launch whole ends, by lanes recomputed naively

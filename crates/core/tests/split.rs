@@ -93,7 +93,7 @@ fn split_shares(events: &[SchedEvent]) -> Vec<u64> {
     for e in events {
         if let SchedEvent::KernelSplit { wgs_per_device, .. } = e {
             sum.resize(wgs_per_device.len(), 0);
-            for (acc, w) in sum.iter_mut().zip(wgs_per_device) {
+            for (acc, w) in sum.iter_mut().zip(wgs_per_device.iter()) {
                 *acc += w;
             }
         }

@@ -214,10 +214,31 @@ pub fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_int(n as i64, out);
     } else {
         let _ = write!(out, "{n}");
     }
+}
+
+/// Append `n` in decimal, the text `{}` formats it as: most of what the
+/// event stream writes is an integer, and a digit loop costs less than the
+/// formatting machinery.
+fn write_int(n: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -488,6 +509,40 @@ mod tests {
         for n in edges.into_iter().filter(|n| n.is_finite()) {
             assert_eq!(Json::parse(&num(n)), Some(Json::Num(n)), "{n:e}");
         }
+    }
+
+    /// The digit loop writes what `{}` formats the `i64` as: over zero and
+    /// negative zero, ±1, 2^53 (above 9.0e15, so written as an `f64`) and
+    /// values either side of ±9.0e15, and seeded integral values of every
+    /// magnitude up to 10^17, each is the text of the rule `write_num`
+    /// states, formatted by `std`.
+    #[test]
+    fn integral_text_equals_the_formatted_i64() {
+        let num = |n: f64| {
+            let mut text = String::new();
+            write_num(n, &mut text);
+            text
+        };
+        let mut values = vec![0.0, -0.0, 1.0, -1.0, 9.0, 10.0, -10.0, 99.0, 100.0];
+        for base in [(1u64 << 53) as f64, 9.0e15, 9.0e15 - 1.0, 4.5e15] {
+            values.extend([base, -base, base + 1.0, -(base + 1.0), base - 1.0, -(base - 1.0)]);
+            values.extend([base + 2.0, -(base + 2.0)]);
+        }
+        let mut rng = crate::xrand::XorShift::new(0x1f_2e3d);
+        for _ in 0..20_000 {
+            let magnitude = 10f64.powi(rng.index(17) as i32 + 1);
+            values.push(rng.range_f64(-magnitude, magnitude).trunc());
+        }
+        let (mut integral, mut float) = (0, 0);
+        for n in values {
+            let expected = match n.abs() < 9.0e15 {
+                true => format!("{}", n as i64),
+                false => format!("{n}"),
+            };
+            assert_eq!(num(n), expected, "{n:e}");
+            *if n.abs() < 9.0e15 { &mut integral } else { &mut float } += 1;
+        }
+        assert!(integral > 10_000 && float > 500, "{integral} integral, {float} as f64");
     }
 
     #[test]

@@ -1520,7 +1520,7 @@ mod tests {
                 &mut job_trace
             {
                 (*epoch, *submitted_at, *completed_at) = (0, SimTime::ZERO, SimTime::ZERO);
-                for a in attempts {
+                for a in Arc::make_mut(attempts) {
                     (a.epoch, a.dispatched_at, a.ended_at) = (0, SimTime::ZERO, SimTime::ZERO);
                     a.segments = Default::default();
                 }

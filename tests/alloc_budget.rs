@@ -9,21 +9,26 @@
 //! so every kernel body and transfer runs on the submitting thread and the
 //! count repeats exactly from run to run.
 //!
-//! Names and cost rows are shared by reference count from the job spec to
-//! the telemetry ring, a job spec shares its template's body and the body
-//! keeps its checked order and resolved names, the scheduling pass and the
-//! dispatch round keep their temporaries in scratch that lives from one
-//! epoch to the next, a job borrows its kernels and buffers from its
-//! program's pool of idle instances, and a kernel launch's data-plane half
-//! allocates nothing, so a job makes 4.26 allocations here: 98.8 → 52.7 →
-//! 31.7 → 16.0 → 15.4 → 14.5 → 14.26 → 12.93 → 4.26 per job on `perf`'s
-//! `serve_light` as each layer stopped copying, then stopped rebuilding,
-//! then the predictor's refinement and the mapper's greedy order moved into
-//! scratch, a priced queue got one mapper row, a kernel context came to
-//! reuse its thread's store table, and a template came to be cloned by
-//! reference and checked once. The budget is the measured figure plus 5 %:
-//! a change that starts copying or rebuilding again fails here before it
-//! reaches the benchmark.
+//! Names, cost rows and every list an event holds are shared by reference
+//! count from the job spec to the telemetry ring, a priced row equal to one
+//! priced lately is that row, a job spec shares its template's body and the
+//! body keeps its checked order and resolved names, the scheduling pass and
+//! the dispatch round keep their temporaries in scratch that lives from one
+//! epoch to the next (the mapper's result list included), a job borrows its
+//! kernels and buffers from its program's pool of idle instances, and a
+//! kernel launch's data-plane half allocates nothing, so a job makes 1.51
+//! allocations here — its trace's attempt list, and one pass's decision and
+//! lane-overlap lists per four jobs: 98.8 → 52.7 → 31.7 → 16.0 → 15.4 →
+//! 14.5 → 14.26 → 12.93 → 4.26 → 1.51 per job on `perf`'s `serve_light` as
+//! each layer stopped copying, then stopped rebuilding, then the
+//! predictor's refinement and the mapper's greedy order moved into scratch,
+//! a priced queue got one mapper row, a kernel context came to reuse its
+//! thread's store table, a template came to be cloned by reference and
+//! checked once, and an event's lists and the priced rows came to be
+//! shared (4.256 → 1.506 here). Cloning every event the ring kept
+//! allocates nothing. The budget is the measured figure plus 5 %: a change
+//! that starts copying or rebuilding again fails here before it reaches the
+//! benchmark.
 //!
 //! A second phase counts the steady path of an iterative application:
 //! FDM-Seismology under `FdmPlan::Auto`, cache-hit epochs only, twice: on
@@ -48,6 +53,7 @@
 //! The ignored `allocations_by_site` test runs both phases again and prints
 //! where their allocations come from, by call site.
 
+use multicl::telemetry::{RingBufferSink, SchedEvent};
 use multicl::{ContextSchedPolicy, MulticlContext, ProfileCache, SchedOptions};
 use seismo::{Dims, FdmApp, FdmConfig, FdmPlan};
 use served::loadgen::templates;
@@ -180,9 +186,9 @@ const TENANTS: usize = 4;
 const WORKERS: usize = 4;
 const WARM_UP_JOBS: usize = 1_000;
 const MEASURED_JOBS: usize = 2_000;
-/// Allocations per submitted and dispatched job: the measured 4.256, plus
+/// Allocations per submitted and dispatched job: the measured 1.506, plus
 /// 5 %.
-const BUDGET_PER_JOB: f64 = 4.47;
+const BUDGET_PER_JOB: f64 = 1.58;
 const WARM_UP_ITERATIONS: usize = 5;
 const MEASURED_ITERATIONS: usize = 50;
 /// Allocations per FDM kernel launch in a steady epoch, one data-plane
@@ -251,7 +257,8 @@ type Measure = fn(&mut dyn FnMut()) -> u64;
 fn serving_a_light_job_stays_inside_its_allocation_budget() {
     let _serial = serial();
     a_template_clone_makes_no_allocation();
-    let total = serving_phase(allocations);
+    let (total, events) = serving_phase(allocations);
+    cloning_served_events_makes_no_allocation(&events);
     let per_job = total as f64 / MEASURED_JOBS as f64;
     println!("{per_job:.3} allocations per job ({total} over {MEASURED_JOBS} jobs)");
     assert!(
@@ -282,7 +289,7 @@ fn serving_a_light_job_stays_inside_its_allocation_budget() {
 #[ignore = "prints a per-site table; slow, asserts nothing"]
 fn allocations_by_site() {
     let _serial = serial();
-    serving_phase(tagged_allocations);
+    let _ = serving_phase(tagged_allocations);
     print_sites("job", MEASURED_JOBS);
     for (workers, dims, _) in STEADY {
         let (_, launches) = steady_epoch_phase(tagged_allocations, workers, dims);
@@ -298,16 +305,32 @@ fn a_template_clone_makes_no_allocation() {
     }
 }
 
+/// Every event of a served stream — the ring's snapshot, a cost row, a
+/// decision's queue list, an epoch's lane overlaps and a job's attempts
+/// among them — is cloned by reference counts alone.
+fn cloning_served_events_makes_no_allocation(events: &[SchedEvent]) {
+    for kind in ["mapping_decision", "epoch_end", "job_trace"] {
+        assert!(events.iter().any(|e| e.kind() == kind), "the stream holds no {kind}");
+    }
+    let cloned = allocations(&mut || {
+        for event in events {
+            drop(std::hint::black_box(event.clone()));
+        }
+    });
+    assert_eq!(cloned, 0, "cloning {} served events made {cloned} allocations", events.len());
+}
+
 /// `serve_light`'s shape: the allocations of [`MEASURED_JOBS`] jobs after
-/// [`WARM_UP_JOBS`].
-fn serving_phase(measure: Measure) -> u64 {
+/// [`WARM_UP_JOBS`], and the events the ring buffer kept.
+fn serving_phase(measure: Measure) -> (u64, Vec<SchedEvent>) {
     let dir = std::env::temp_dir().join(format!("alloc-budget-{}", std::process::id()));
     let platform = clrt::Platform::paper_node_with(clrt::RuntimeConfig {
         data_plane_workers: 1,
         ..clrt::RuntimeConfig::default()
     });
     let mut options = warmed_options(&platform, &dir);
-    options.observers.push(Arc::new(multicl::telemetry::RingBufferSink::new(1 << 12)));
+    let ring = Arc::new(RingBufferSink::new(1 << 12));
+    options.observers.push(ring.clone());
     options.observers.push(Arc::new(multicl::telemetry::JsonlSink::new(std::io::sink())));
     let tenants = (0..TENANTS).map(|i| TenantConfig::new(format!("t{i}"), 1, 8)).collect();
     let config = ServiceConfig {
@@ -329,7 +352,7 @@ fn serving_phase(measure: Measure) -> u64 {
     let completed: u64 = (0..TENANTS).map(|t| served.metrics().tenant(t).completed.get()).sum();
     assert_eq!(completed, (WARM_UP_JOBS + MEASURED_JOBS) as u64, "every job completes");
     let _ = std::fs::remove_dir_all(&dir);
-    total
+    (total, ring.snapshot())
 }
 
 /// A steady FDM epoch on an `nx`×`ny`×`nz` grid at `workers` data-plane
